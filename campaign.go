@@ -1,7 +1,6 @@
 package loki
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/campaign"
@@ -37,33 +36,6 @@ type (
 	// point/experiment instead of rerunning a killed campaign.
 	Checkpoint = campaign.Checkpoint
 )
-
-// RunCampaign executes every experiment of every study: runtime phase with
-// sync mini-phases, then analysis. Experiments run on a worker pool of
-// Campaign.Workers executors (default GOMAXPROCS), each with a private
-// runtime, and the analysis phase is pipelined behind the runtime phase;
-// records land at their experiment index, so results are ordered
-// identically however many workers run. Accepted experiments are available
-// via StudyOutcome.AcceptedGlobals for measure estimation.
-//
-// Deprecated: RunCampaign is a thin shim over the Session API and will be
-// removed next release. Use Open(c) and Session.Run, which add
-// cancellation, status, resume, and artifact emission:
-//
-//	s, err := loki.Open(c)
-//	res, err := s.Run(ctx) // res.Campaign is this function's return
-func RunCampaign(c *Campaign) (*CampaignOutcome, error) {
-	s, err := Open(c)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	res, err := s.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Campaign, nil
-}
 
 // Probe construction (§3.5.7 and the Chapter 6 probe templates).
 type (

@@ -1,8 +1,6 @@
 package loki
 
 import (
-	"context"
-
 	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -52,40 +50,13 @@ type (
 // AttachChaos binds a chaos engine to a runtime: fault specification
 // entries that name a built-in action (see ParseChaosAction) are executed
 // by the engine when they fire, instead of the application's InjectFault
-// callback. RunCampaign attaches one automatically when a study carries
+// callback. A Session attaches one automatically when a study carries
 // action faults; call this only for hand-rolled runtimes.
 func AttachChaos(rt *Runtime, seed int64) *ChaosEngine { return chaos.Attach(rt, seed) }
 
 // ParseChaosAction resolves a fault entry's action call into a built-in
 // chaos action.
 func ParseChaosAction(call *ActionCall) (ChaosAction, error) { return chaos.ParseAction(call) }
-
-// RunMatrix executes every point of the matrix on c's testbed
-// configuration, sharding points across the campaign's worker pool.
-// Results land at their point index, so any worker count orders results
-// identically.
-//
-// Deprecated: RunMatrix is a thin shim over the Session API and will be
-// removed next release. Use Open(c, WithMatrix(m)) and Session.Run:
-//
-//	s, err := loki.Open(c, loki.WithMatrix(m))
-//	res, err := s.Run(ctx) // res.Matrix is this function's return
-func RunMatrix(c *Campaign, m *Matrix) (*MatrixOutcome, error) {
-	// The legacy engine ignored c.Studies (points come from m.Build);
-	// preserve that here, where Open would reject the ambiguity.
-	cc := *c
-	cc.Studies = nil
-	s, err := Open(&cc, WithMatrix(m))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	res, err := s.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Matrix, nil
-}
 
 // ParseScenarioFaults parses machine-prefixed fault lines
 // ("<machine> <name> <expr> <once|always> [action(args) [for]]") into

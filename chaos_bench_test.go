@@ -1,14 +1,10 @@
-// Benchmarks for the chaos subsystem's matrix engine. See EXPERIMENTS.md
-// for the recorded figures; the JSON emitter below regenerates
-// BENCH_chaos.json.
-//
-//	go test -bench='BenchmarkChaos' -benchmem
+// The partition-heavy election matrix the observability tests and benches
+// share. Matrix-engine throughput itself is a bench/ ledger row
+// (journaled-chaos): bash bench/run.sh.
 package loki_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -73,79 +69,5 @@ func chaosCampaign(workers int) *loki.Campaign {
 		},
 		Workers: workers,
 		Sync:    loki.SyncConfig{Messages: 4, Transit: 20 * time.Microsecond, Spacing: time.Millisecond},
-	}
-}
-
-// BenchmarkChaosMatrix measures matrix-engine throughput (full pipeline,
-// partition actions firing) at several worker counts.
-func BenchmarkChaosMatrix(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			const perPoint = 4 // x2 seeds = 8 experiments per matrix
-			b.ReportAllocs()
-			start := time.Now()
-			total := 0
-			for i := 0; i < b.N; i++ {
-				out, err := loki.RunMatrix(chaosCampaign(workers), chaosMatrix(b, perPoint))
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, n := out.AcceptedTotal()
-				total += n
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(total)/elapsed, "experiments/sec")
-			}
-		})
-	}
-}
-
-// TestEmitChaosBenchJSON regenerates BENCH_chaos.json, the matrix-engine
-// throughput record referenced by EXPERIMENTS.md. Skipped in -short mode.
-func TestEmitChaosBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping bench JSON emission in short mode")
-	}
-	type row struct {
-		Workers        int     `json:"workers"`
-		Experiments    int     `json:"experiments"`
-		ElapsedSec     float64 `json:"elapsed_sec"`
-		ExperimentsSec float64 `json:"experiments_per_sec"`
-		Accepted       int     `json:"accepted"`
-	}
-	type doc struct {
-		Name      string  `json:"name"`
-		Scenario  string  `json:"scenario"`
-		Rows      []row   `json:"rows"`
-		SpeedupX8 float64 `json:"speedup_8_vs_1"`
-	}
-	const perPoint = 8 // x2 seeds = 16 experiments
-	out := doc{Name: "chaos-matrix-throughput", Scenario: "partition-on-LEAD, 10ms auto-heal"}
-	for _, workers := range []int{1, 4, 8} {
-		start := time.Now()
-		res, err := loki.RunMatrix(chaosCampaign(workers), chaosMatrix(t, perPoint))
-		if err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start).Seconds()
-		accepted, total := res.AcceptedTotal()
-		out.Rows = append(out.Rows, row{
-			Workers:        workers,
-			Experiments:    total,
-			ElapsedSec:     elapsed,
-			ExperimentsSec: float64(total) / elapsed,
-			Accepted:       accepted,
-		})
-		t.Logf("workers=%d: %.2f experiments/sec (%d/%d accepted)",
-			workers, float64(total)/elapsed, accepted, total)
-	}
-	out.SpeedupX8 = out.Rows[2].ExperimentsSec / out.Rows[0].ExperimentsSec
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_chaos.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -110,10 +111,16 @@ func main() {
 		Sync: loki.SyncConfig{Messages: 10, Transit: 30 * time.Microsecond},
 	}
 
-	out, err := loki.RunCampaign(c)
+	s, err := loki.Open(c)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer s.Close()
+	res, err := s.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	out := res.Campaign
 	study := out.Study("demo")
 	fmt.Printf("campaign %q: %d experiments, acceptance rate %.2f\n",
 		out.Name, len(study.Records), study.AcceptanceRate())

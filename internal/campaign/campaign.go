@@ -11,22 +11,16 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/chaos"
-	"repro/internal/clock"
 	"repro/internal/clocksync"
 	"repro/internal/core"
 	"repro/internal/faultexpr"
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/timeline"
-	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -62,7 +56,7 @@ type Study struct {
 	// every host in one runtime on the in-memory bus and uses the
 	// campaign's worker pool; "udp" or "tcp" runs the study clustered —
 	// one runtime per host, one endpoint per runtime, every cross-host
-	// message over a real loopback socket (cluster.go). Socket studies
+	// message over a real loopback socket (cluster_*.go). Socket studies
 	// run their experiments sequentially (one runtime set per process),
 	// so Campaign.Workers does not apply to them.
 	Transport string
@@ -272,24 +266,24 @@ func Validate(c *Campaign) error {
 // the virtual scheduler owns every wait in the process, which a real
 // loopback socket (or a peer lokid process) cannot participate in.
 func validateVirtualTransport(c *Campaign, st *Study) error {
-	if c.VirtualTime && st.Transport != "" && st.Transport != "inproc" {
+	if c.VirtualTime && clustered(st) {
 		return fmt.Errorf("campaign: study %q: virtual time requires the inproc transport, not %q", st.Name, st.Transport)
 	}
 	return nil
 }
 
-// watchContext runs onCancel (once) when ctx is cancelled. The returned
-// stop function joins the watcher, guaranteeing onCancel either already
-// ran or never will — the happens-before edge the callers need before
-// reading state onCancel writes.
-func watchContext(ctx context.Context, onCancel func()) (stop func()) {
+// onCancel runs fn (once) when ctx is cancelled. The returned stop
+// function joins the watcher, guaranteeing fn either already ran or never
+// will — the happens-before edge the callers need before reading state fn
+// writes.
+func onCancel(ctx context.Context, fn func()) (stop func()) {
 	stopCh := make(chan struct{})
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
 		select {
 		case <-ctx.Done():
-			onCancel()
+			fn()
 		case <-stopCh:
 		}
 	}()
@@ -300,14 +294,11 @@ func watchContext(ctx context.Context, onCancel func()) (stop func()) {
 }
 
 // Run executes the campaign: every experiment of every study, runtime
-// phase through analysis phase.
-func Run(c *Campaign) (*Result, error) { return RunContext(context.Background(), c) }
-
-// RunContext is Run with cancellation: when ctx is cancelled, no further
+// phase through analysis phase. When ctx is cancelled, no further
 // experiments are dispatched, in-flight experiments drain (a runtime phase
 // is never interrupted mid-experiment; clustered studies are quit at the
 // protocol level), and the first error returned is ctx.Err().
-func RunContext(ctx context.Context, c *Campaign) (*Result, error) {
+func Run(ctx context.Context, c *Campaign) (*Result, error) {
 	if err := Validate(c); err != nil {
 		return nil, err
 	}
@@ -330,20 +321,24 @@ func RunContext(ctx context.Context, c *Campaign) (*Result, error) {
 	return res, nil
 }
 
-// runStudyOn dispatches a study to the engine its Transport selects: ""
-// or "inproc" runs on the in-memory bus with the campaign's worker pool;
-// socket kinds run clustered — one runtime per host, every cross-host
-// message over a real loopback socket, experiments in sequence
-// (Workers=1 per process). RunMatrix routes its points through here too,
-// so a requested transport is never silently downgraded.
+// clustered reports whether the study's Transport selects the clustered
+// engine: "" or "inproc" keeps every host in one runtime on the in-memory
+// bus with the campaign's worker pool; socket kinds run one runtime per
+// host, every cross-host message over a real loopback socket, experiments
+// in sequence.
+func clustered(st *Study) bool { return st.Transport != "" && st.Transport != "inproc" }
+
+// runStudyOn dispatches a study to the testbed its Transport selects.
+// RunMatrix routes its points through here too, so a requested transport
+// is never silently downgraded.
 func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*StudyResult, error) {
 	if err := validateVirtualTransport(c, st); err != nil {
 		return nil, err
 	}
-	if st.Transport != "" && st.Transport != "inproc" {
+	if clustered(st) {
 		return runClustered(ctx, c, st, st.Transport, sj)
 	}
-	return runStudy(ctx, c, st, sj)
+	return runStudy(ctx, c, st, sj, "", poolWidth(c, st), openLocal(c, st))
 }
 
 // RunSingle executes exactly one experiment of the campaign's first study
@@ -352,18 +347,13 @@ func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (
 // The file-oriented tools (cmd/lokid) use this to emit the §3.5.6 and
 // timestamp files that the rest of the pipeline consumes.
 //
-// A study with a socket Transport runs through the clustered loopback
-// engine — the transport is never silently downgraded to inproc, matching
-// runStudyOn. With a Checkpoint configured, a completed experiment in the
-// journal is returned (artifacts included) without rerunning.
-func RunSingle(c *Campaign) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
-	return RunSingleContext(context.Background(), c)
-}
-
-// RunSingleContext is RunSingle with cancellation: a clustered experiment
-// is quit at the protocol level; an in-process one is not started when ctx
-// is already done (a single runtime phase is never interrupted midway).
-func RunSingleContext(ctx context.Context, c *Campaign) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
+// A study with a socket Transport runs on a loopback cluster — the
+// transport is never silently downgraded to inproc, matching runStudyOn.
+// With a Checkpoint configured, a completed experiment in the journal is
+// returned (artifacts included) without rerunning. A clustered experiment
+// is quit at the protocol level when ctx is cancelled; an in-process one is
+// not started when ctx is already done.
+func RunSingle(ctx context.Context, c *Campaign) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
 	if len(c.Hosts) == 0 || len(c.Studies) == 0 {
 		return nil, nil, nil, fmt.Errorf("campaign: need hosts and a study")
 	}
@@ -380,460 +370,21 @@ func RunSingleContext(ctx context.Context, c *Campaign) (*ExperimentRecord, []cl
 	}
 	defer j.Close()
 	sj := j.study(c, st, st.Name)
-	if rec, locals, stamps, err := sj.lookupRaw(0); err != nil {
-		return nil, nil, nil, err
-	} else if rec != nil {
-		return rec, stamps, locals, nil
-	}
-
-	if st.Transport != "" && st.Transport != "inproc" {
-		var (
-			rec    *ExperimentRecord
-			stamps []clocksync.StampedMessage
-			locals []*timeline.Local
-		)
-		err := withLoopbackCluster(c, st, st.Transport, func(coordinator *Member) error {
-			coordinator.sj = sj
-			var err error
-			rec, stamps, locals, err = coordinator.RunOneContext(ctx)
-			return err
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return rec, stamps, locals, nil
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	timeout := st.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	rt, cd, ref, err := newStudyRuntime(c, st)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer rt.Shutdown()
-
-	raw, err := runRuntimePhase(c, st, rt, cd, ref, st.Name, 0, timeout)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec, err := analyzeExperiment(c, st, raw)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := sj.recordRaw(rec, raw.locals, raw.allStamps()); err != nil {
-		return nil, nil, nil, err
-	}
-	return rec, raw.allStamps(), raw.locals, nil
-}
-
-// rawExperiment is the runtime phase's output handed to the analysis
-// stage: everything analysis needs, deep-copied out of the worker's
-// runtime so the next experiment on that runtime cannot alias it. The
-// two sync mini-phases stay separate so the analysis can compare their
-// fits when the combined fit is infeasible (clock-step detection).
-type rawExperiment struct {
-	index      int
-	completed  bool
-	outcomes   map[string]string
-	preStamps  []clocksync.StampedMessage
-	postStamps []clocksync.StampedMessage
-	locals     []*timeline.Local
-	// lostTimelines names machines whose timelines could not be
-	// collected (clustered runs: unencodable or over the frame budget).
-	// The experiment cannot be verified without them and is discarded.
-	lostTimelines []string
-	// syncError records a failed synchronization mini-phase (clustered
-	// runs: too many lost round trips). The experiment is discarded —
-	// without sound stamps nothing about it can be verified — but the
-	// study continues, matching the discard-don't-abort analysis
-	// semantics everywhere else.
-	syncError string
-	ref       string
-	// trace is the experiment's span/event collection (nil with tracing
-	// off). traceEnd is the runtime clock's reading at the end of the
-	// phase, captured inside the virtual-time Drive window: the analysis
-	// stage runs on untracked goroutines that race later Drive windows, so
-	// its trace entries reuse this timestamp instead of reading the clock —
-	// the virtual-time artifact stays byte-reproducible.
-	trace    *obs.Trace
-	traceEnd time.Time
-}
-
-func (raw *rawExperiment) allStamps() []clocksync.StampedMessage {
-	out := make([]clocksync.StampedMessage, 0, len(raw.preStamps)+len(raw.postStamps))
-	out = append(out, raw.preStamps...)
-	return append(out, raw.postStamps...)
-}
-
-// newStudyRuntime builds one worker's private runtime: its own virtual
-// host set (clocks included), node registrations, and — when the study
-// carries action faults — its own chaos engine, so concurrent experiments
-// share no mutable runtime state.
-func newStudyRuntime(c *Campaign, st *Study) (*core.Runtime, *core.CentralDaemon, string, error) {
-	// core.New defaults a nil Source to a fresh SystemSource, giving each
-	// worker its own time base unless the campaign supplies a shared one.
-	cfg := c.Runtime
-	cfg.Obs = c.Obs
-	if c.VirtualTime {
-		// Each worker owns a private virtual-time scheduler: the host
-		// clocks' hidden offset/drift geometry is applied over simulated
-		// time, so the convex-hull estimator sees the exact stamps a
-		// real-time run would produce.
-		v := clock.NewVirtual()
-		cfg.Clock = v
-		cfg.Source = v.Source()
-	}
-	rt := core.New(cfg)
-	for _, h := range c.Hosts {
-		rt.AddHost(h.Name, h.Clock)
-	}
-	for _, def := range st.Nodes {
-		if err := rt.Register(def); err != nil {
-			rt.Shutdown()
-			return nil, nil, "", err
-		}
-	}
-	if chaos.HasActionFaults(st.Nodes) {
-		if err := chaos.ValidateSpecs(st.Nodes, rt.Hosts()); err != nil {
-			rt.Shutdown()
-			return nil, nil, "", err
-		}
-		chaos.Attach(rt, st.ChaosSeed)
-	}
-	if tr := rt.Transport(); tr != nil {
-		transport.SetObserver(tr, c.Obs.TransportMetrics(tr.Name()))
-	}
-	return rt, core.NewCentralDaemon(rt), referenceHost(rt), nil
-}
-
-// runStudy executes a study's experiments on a worker pool with a
-// pipelined analysis stage: runtime workers (each owning a private
-// runtime) feed raw experiment artifacts to analysis workers, so the
-// clock-sync/global-timeline/containment work for experiment k overlaps
-// the runtime phase of experiment k+1 — even with a single runtime worker.
-// Records land at their experiment index regardless of completion order,
-// so parallel and sequential runs order results identically.
-//
-// With a journal, experiments already journaled are loaded instead of
-// re-executed, and each freshly analyzed record is appended as it
-// completes — a killed study resumes at the first missing index.
-//
-// Cancelling ctx stops dispatching further experiment indexes; in-flight
-// runtime phases finish (journaling their records, so a resumed run loses
-// nothing) and ctx.Err() is returned.
-func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*StudyResult, error) {
-	experiments := st.Experiments
-	if err := ValidateExperiments(st.Name, experiments); err != nil {
-		return nil, err
-	}
-	timeout := st.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-
-	records := make([]*ExperimentRecord, experiments)
-	var missing []int
-	for i := 0; i < experiments; i++ {
-		rec, err := sj.lookup(i)
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil {
-			records[i] = rec
-			continue
-		}
-		missing = append(missing, i)
-	}
-	// Progress events carry cumulative counts, journaled records included,
-	// so a resumed study's watcher sees 7000/10000 — not 0/3000.
-	point := st.Name
-	if c.matrixPoint != "" {
-		point = c.matrixPoint
-	}
-	if sj != nil {
-		point = sj.point
-	}
-	var progressDone, progressAccepted atomic.Int64
-	for _, rec := range records {
-		if rec == nil {
-			continue
-		}
-		progressDone.Add(1)
-		if rec.Accepted {
-			progressAccepted.Add(1)
-		}
-	}
-	c.Obs.Emit(obs.Event{
-		Kind: obs.EventStudyStart, Point: point, Experiments: experiments,
-		Completed: int(progressDone.Load()), Accepted: int(progressAccepted.Load()),
-	})
-	defer func() {
-		c.Obs.Emit(obs.Event{
-			Kind: obs.EventStudyDone, Point: point, Experiments: experiments,
-			Completed: int(progressDone.Load()), Accepted: int(progressAccepted.Load()),
-		})
-	}()
-	if len(missing) == 0 {
-		// Fully journaled: no worker runtimes to build at all, which is
-		// what makes resuming a finished multi-hour study instantaneous.
-		return &StudyResult{Name: st.Name, Records: records}, nil
-	}
-
-	workers := c.Workers
-	if st.Workers > 0 {
-		workers = st.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(missing) {
-		workers = len(missing)
+	if !clustered(st) {
+		return runSingle(ctx, c, st, sj, openLocal(c, st))
 	}
 	var (
-		errOnce  sync.Once
-		firstErr error
-		done     = make(chan struct{})
+		rec    *ExperimentRecord
+		stamps []clocksync.StampedMessage
+		locals []*timeline.Local
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			close(done)
-		})
-	}
-	failed := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	// Cancellation is NOT a failure: it only stops the dispatcher, so
-	// every in-flight runtime phase still finishes, is analyzed, and is
-	// journaled (a resumed run loses nothing), and ctx.Err() surfaces at
-	// the end. Real failures close done and drop queued work.
-	stopDispatch := make(chan struct{})
-	stopWatch := watchContext(ctx, func() { close(stopDispatch) })
-
-	idxCh := make(chan int)
-	go func() {
-		defer close(idxCh)
-		for _, i := range missing {
-			select {
-			case idxCh <- i:
-			case <-done:
-				return
-			case <-stopDispatch:
-				return
-			}
-		}
-	}()
-
-	cm := c.Obs.CampaignMetrics()
-	rawCh := make(chan *rawExperiment, workers)
-	var runWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		runWG.Add(1)
-		go func() {
-			defer runWG.Done()
-			rt, cd, ref, err := newStudyRuntime(c, st)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer rt.Shutdown()
-			if cm != nil {
-				// Export the worker's virtual-clock activity when it
-				// retires; the scheduler's counters are cumulative over the
-				// worker's whole run.
-				defer func() {
-					if v, ok := rt.Clock().(*clock.Virtual); ok {
-						s := v.Stats()
-						cm.VClockTimersFired.Add(s.FiredTimers)
-						cm.VClockTasks.Add(s.Tasks)
-					}
-				}()
-			}
-			for i := range idxCh {
-				var busy time.Time
-				if cm != nil {
-					busy = obs.Now()
-				}
-				raw, err := runRuntimePhase(c, st, rt, cd, ref, point, i, timeout)
-				if cm != nil {
-					cm.WorkerBusySeconds.ObserveSince(busy)
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				select {
-				case rawCh <- raw:
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		runWG.Wait()
-		close(rawCh)
-	}()
-
-	var anWG sync.WaitGroup
-	for a := 0; a < workers; a++ {
-		anWG.Add(1)
-		go func() {
-			defer anWG.Done()
-			for raw := range rawCh {
-				if failed() {
-					continue // drain
-				}
-				rec, err := analyzeExperiment(c, st, raw)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				records[raw.index] = rec
-				if err := sj.record(rec); err != nil {
-					fail(err)
-					continue
-				}
-				nDone := int(progressDone.Add(1))
-				if rec.Accepted {
-					progressAccepted.Add(1)
-				}
-				c.Obs.Emit(obs.Event{
-					Kind: obs.EventExperiment, Point: point, Index: raw.index,
-					Experiments: experiments, Completed: nDone,
-					Accepted: int(progressAccepted.Load()), AcceptedOne: rec.Accepted,
-				})
-			}
-		}()
-	}
-	anWG.Wait()
-	stopWatch()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// A cancelled study surfaces ctx.Err() — after the drain above has
-	// journaled everything that was in flight.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &StudyResult{Name: st.Name, Records: records}, nil
-}
-
-// runRuntimePhase executes one experiment's runtime phase on the worker's
-// runtime: pre-sync mini-phase, the experiment itself (with supervised
-// restarts if configured), post-sync mini-phase, and artifact snapshots.
-// point names the study or matrix point for traces and progress events.
-func runRuntimePhase(c *Campaign, st *Study, rt *core.Runtime, cd *core.CentralDaemon,
-	ref, point string, index int, timeout time.Duration) (*rawExperiment, error) {
-
-	// Under virtual time the worker drives its runtime's scheduler for
-	// the duration of the phase: timers fire (advancing simulated time)
-	// only inside this window, and the worker itself is a tracked task
-	// that may block only through the runtime clock.
-	if v, ok := rt.Clock().(*clock.Virtual); ok {
-		v.Drive()
-		defer v.Release()
-	}
-
-	// Phase timestamps come from the runtime clock — the injected wall
-	// clock in real time, the simulated clock under virtual time — so the
-	// trace of a virtual run is byte-reproducible.
-	var tr *obs.Trace
-	if c.Obs.Tracing() {
-		tr = obs.NewTrace(point, index)
-		rt.SetTrace(tr)
-		defer rt.SetTrace(nil)
-	}
-	cm := c.Obs.CampaignMetrics()
-	clk := rt.Clock()
-	var t0, t1, t2, t3, end time.Time
-	observing := tr != nil || cm != nil
-	if observing {
-		t0 = clk.Now()
-	}
-
-	// Reset BEFORE the pre-sync mini-phase: the previous experiment's
-	// faults (a stepped clock above all) must not leak into this
-	// experiment's synchronization stamps, or its clock fit would be
-	// spuriously infeasible depending on which worker ran what.
-	// RunExperiment resets again internally; the second reset is a no-op
-	// by then.
-	rt.ResetExperiment()
-
-	if observing {
-		t1 = clk.Now()
-		tr.Span("reset", t0, t1)
-		if cm != nil {
-			cm.ResetSeconds.Observe(t1.Sub(t0).Seconds())
-		}
-	}
-
-	// Pre-experiment synchronization mini-phase (§2.3).
-	stamps := exchangeStamps(rt, ref, c.Sync)
-
-	if observing {
-		t2 = clk.Now()
-		tr.Span("clock-sync-pre", t1, t2)
-		if cm != nil {
-			cm.SyncSeconds.Observe(t2.Sub(t1).Seconds())
-		}
-	}
-
-	// Runtime phase, with the supervisor restarting crashed nodes if the
-	// study asks for it.
-	var sup *supervisor
-	if st.Restarts != nil {
-		sup = startSupervisor(rt, *st.Restarts)
-	}
-	runRes, err := cd.RunExperiment(st.Placement, timeout)
-	if sup != nil {
-		sup.stop()
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	if observing {
-		t3 = clk.Now()
-		tr.Span("experiment", t2, t3)
-		if cm != nil {
-			cm.RunSeconds.Observe(t3.Sub(t2).Seconds())
-		}
-	}
-
-	// Post-experiment synchronization mini-phase.
-	postStamps := exchangeStamps(rt, ref, c.Sync)
-
-	if observing {
-		end = clk.Now()
-		tr.Span("clock-sync-post", t3, end)
-		if cm != nil {
-			cm.SyncSeconds.Observe(end.Sub(t3).Seconds())
-		}
-	}
-
-	return &rawExperiment{
-		index:      index,
-		completed:  runRes.Completed,
-		outcomes:   runRes.Outcomes,
-		preStamps:  stamps,
-		postStamps: postStamps,
-		locals:     snapshotTimelines(runRes.Timelines),
-		ref:        ref,
-		trace:      tr,
-		traceEnd:   end,
-	}, nil
+	err = withLoopbackCluster(c, st, st.Transport, func(coordinator *Member) error {
+		coordinator.sj = sj
+		var err error
+		rec, stamps, locals, err = coordinator.RunOne(ctx)
+		return err
+	})
+	return rec, stamps, locals, err
 }
 
 // analyzeExperiment is the analysis phase for one experiment: off-line

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -127,7 +128,7 @@ func TestChunkedTimelineOverUDP(t *testing.T) {
 	const notes = 2200
 	c := noisyStepCampaign(t, notes)
 	c.Studies[0].Transport = "udp"
-	rec, stamps, locals, err := RunSingle(c)
+	rec, stamps, locals, err := RunSingle(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

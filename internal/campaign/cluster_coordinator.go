@@ -1,0 +1,187 @@
+package campaign
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+
+	"repro/internal/clocksync"
+	"repro/internal/core"
+	"repro/internal/timeline"
+)
+
+// The coordinator member is the clustered testbed: the pipeline drives it
+// exactly as it drives a worker's private runtime, and each phase becomes
+// a re-broadcast instruction plus the wait for its effect.
+
+func (m *Member) runtime() *core.Runtime { return m.rt }
+func (m *Member) reference() string      { return m.ref }
+
+// reset is the reset barrier: every member on a fresh testbed and the new
+// epoch before any traffic flows. The reset frame carries the trace
+// context: the point name members label their lanes with and whether a
+// trace will be pulled for this experiment.
+func (m *Member) reset(point string, index int, traced bool) error {
+	peers := m.tr.Topology().PeerNames()
+	m.align = make(map[string]memberAlign, len(peers))
+	m.rt.ResetExperiment()
+	m.tr.SetEpoch(uint64(index) + 1)
+	msg := clusterMsg{Index: index, Point: point, TraceOn: traced}
+	if _, err := m.gather(opReset, msg, opResetOK, peers, clusterAckTimeout, nil); err != nil {
+		return fmt.Errorf("reset barrier: %w", err)
+	}
+	m.barriered = true
+	return nil
+}
+
+// execute starts the experiment everywhere (idempotent; re-broadcast rides
+// out loss), waits for every member's local completion and our own, then
+// seals everywhere and collects the result frames. Our own runtime seals
+// first so no straggler restarts into a finished experiment.
+func (m *Member) execute(index int) (executed, error) {
+	peers := m.tr.Topology().PeerNames()
+	if err := m.startLocal(); err != nil {
+		return executed{}, err
+	}
+	timeout := studyTimeout(m.st)
+	ownDone := make(chan bool, 1)
+	go func() { ownDone <- m.rt.Wait(timeout) }()
+
+	run := executed{completed: true}
+	dones, err := m.gather(opStart, clusterMsg{Index: index}, opDone, peers, timeout+clusterAckTimeout, ownDone)
+	if err != nil {
+		run.completed = false // hung somewhere: abort, discard (§3.5.1)
+	}
+	for _, d := range dones {
+		if !d[0].Completed {
+			run.completed = false
+		}
+	}
+	m.rt.SealExperiment()
+	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, peers, clusterAckTimeout, nil)
+	if err != nil {
+		return executed{}, err
+	}
+
+	run.locals = snapshotTimelines(m.rt.Store().All())
+	run.outcomes = m.rt.Outcomes()
+	for _, peer := range sortedKeys(results) {
+		frames := results[peer]
+		for _, f := range frames {
+			for k, v := range f.Outcomes {
+				run.outcomes[k] = v
+			}
+		}
+		run.lost = append(run.lost, frames[0].Dropped...)
+		docs, err := joinDocs(frames, timelineChunk)
+		if err != nil {
+			return executed{}, fmt.Errorf("peer %s results: %w", peer, err)
+		}
+		for _, doc := range docs {
+			if doc == "" {
+				continue // the placeholder frame of a peer with no timelines
+			}
+			tl, err := timeline.DecodeString(doc)
+			if err != nil {
+				return executed{}, fmt.Errorf("decoding peer %s timeline: %w", peer, err)
+			}
+			run.locals = append(run.locals, tl)
+		}
+	}
+	sort.Slice(run.locals, func(i, j int) bool { return run.locals[i].Owner < run.locals[j].Owner })
+	sort.Strings(run.lost)
+	return run, nil
+}
+
+// flushMembers runs one reset barrier at the given index without running
+// an experiment: every member acknowledges (resetting idempotently if it
+// was behind), proving it is up and listening. A study that executed
+// nothing needs it — otherwise stopCluster's five best-effort broadcasts
+// could all fire before a slow-starting member process binds its socket,
+// stranding it in Serve forever. (A normal run gets this guarantee from
+// the first experiment's reset barrier.) Failure is logged, not fatal:
+// members that are genuinely gone must not wedge a resume that needs
+// nothing from them.
+func (m *Member) flushMembers(index int) {
+	peers := m.tr.Topology().PeerNames()
+	if len(peers) == 0 {
+		return
+	}
+	if _, err := m.gather(opReset, clusterMsg{Index: index}, opResetOK, peers, clusterAckTimeout, nil); err != nil {
+		m.rt.Logf("campaign: cluster %s: resume flush barrier: %v", m.peer, err)
+	}
+}
+
+// coordinate brackets a coordinator-driven run of n experiments: quit the
+// protocol on cancellation, bind the journal, hand run the opener of this
+// member as its testbed, and end the study cluster-wide — after a
+// successful run a flush barrier if no experiment executed (all were
+// journaled) and the metrics pull that folds every member's registry into
+// ours, and on every path the stop broadcast. A run cut short by
+// cancellation returns ctx.Err(), exactly as the in-process pool does.
+func (m *Member) coordinate(ctx context.Context, n int, run func(opener) error) error {
+	stopWatch := m.quitOnCancel(ctx)
+	defer stopWatch()
+	closeJournal, err := m.ensureJournal()
+	if err != nil {
+		return err
+	}
+	defer closeJournal()
+	err = run(func() (testbed, func(), error) { return m, func() {}, nil })
+	if err == nil {
+		if !m.barriered {
+			m.flushMembers(n)
+		}
+		m.pullMemberMetrics(n)
+	}
+	m.stopCluster()
+	if errors.Is(err, errMemberQuit) && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return err
+}
+
+// ensureJournal opens the member's own journal from the campaign's
+// Checkpoint when no binding was handed down by an in-process engine —
+// the stand-alone coordinator path (cmd/lokid). The returned closer is
+// a no-op when nothing was opened here.
+func (m *Member) ensureJournal() (func(), error) {
+	if m.sj != nil || m.c.Checkpoint == nil {
+		return func() {}, nil
+	}
+	j, err := openCampaignJournal(m.c)
+	if err != nil {
+		return nil, err
+	}
+	m.sj = j.study(m.c, m.st, m.st.Name)
+	return func() { j.Close() }, nil
+}
+
+// RunStudy drives the whole study from the coordinator member, returning
+// records identical in shape to the in-process engine's. Journaled
+// experiments are skipped (the members never see a reset for them); fresh
+// records are journaled as their analysis completes, so a crashed
+// coordinator resumes at the first missing experiment. When ctx is
+// cancelled the member protocol is quit (waits unblock immediately, like a
+// SIGINT drain), no further experiments start, and ctx.Err() is returned.
+func (m *Member) RunStudy(ctx context.Context) (*StudyResult, error) {
+	var sr *StudyResult
+	err := m.coordinate(ctx, m.st.Experiments, func(open opener) (err error) {
+		sr, err = runStudy(ctx, m.c, m.st, m.sj, m.peer, 1, open)
+		return err
+	})
+	return sr, err
+}
+
+// RunOne runs a single clustered experiment (cmd/lokid's one-experiment
+// mode), returning the analyzed record plus the raw artifacts. With a
+// Checkpoint, a journaled experiment is returned — raw artifacts included,
+// so the caller can still write its files — without running anything.
+func (m *Member) RunOne(ctx context.Context) (rec *ExperimentRecord, stamps []clocksync.StampedMessage, locals []*timeline.Local, err error) {
+	err = m.coordinate(ctx, 1, func(open opener) (err error) {
+		rec, stamps, locals, err = runSingle(ctx, m.c, m.st, m.sj, open)
+		return err
+	})
+	return rec, stamps, locals, err
+}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,7 +24,7 @@ func TestClusterTraceMergeAndMetricsPull(t *testing.T) {
 	dir := t.TempDir()
 	c.Obs = &obs.Sink{TraceDir: dir, Metrics: obs.NewRegistry()}
 
-	sr, err := RunClustered(c, c.Studies[0], transport.KindNameInproc)
+	sr, err := runClustered(context.Background(), c, c.Studies[0], transport.KindNameInproc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestClusterEventMemberAttribution(t *testing.T) {
 	var events []obs.Event
 	c.Obs = &obs.Sink{}
 	c.Obs.Watch(func(ev obs.Event) { events = append(events, ev) })
-	if _, err := RunClustered(c, c.Studies[0], transport.KindNameInproc); err != nil {
+	if _, err := runClustered(context.Background(), c, c.Studies[0], transport.KindNameInproc, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {

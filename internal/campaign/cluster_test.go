@@ -1,11 +1,14 @@
 package campaign
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/apps/election"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -76,7 +79,7 @@ yellow ysplit (yellow:LEAD) once partition(h3|h1,h2) 30ms
 func TestClusterVerdictParityUDP(t *testing.T) {
 	const experiments = 3
 	run := func(kind string) *StudyResult {
-		res, err := Run(electionCampaign(t, experiments, kind))
+		res, err := Run(context.Background(), electionCampaign(t, experiments, kind))
 		if err != nil {
 			t.Fatalf("transport %q: %v", kind, err)
 		}
@@ -137,7 +140,7 @@ func TestClusterVerdictParityUDP(t *testing.T) {
 func TestClusteredStepDeterminismTCP(t *testing.T) {
 	c := stepCampaign(t, 2, 1)
 	c.Studies[0].Transport = "tcp"
-	res, err := Run(c)
+	res, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +168,7 @@ func TestClusteredStepDeterminismTCP(t *testing.T) {
 // cross-runtime traffic by direct call, no sockets involved.
 func TestClusteredInprocMultiEndpoint(t *testing.T) {
 	c := stepCampaign(t, 2, 1)
-	sr, err := RunClustered(c, c.Studies[0], transport.KindNameInproc)
+	sr, err := runClustered(context.Background(), c, c.Studies[0], transport.KindNameInproc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +187,7 @@ func TestClusteredInprocMultiEndpoint(t *testing.T) {
 func TestClusterBadTransportKind(t *testing.T) {
 	c := stepCampaign(t, 1, 1)
 	c.Studies[0].Transport = "pigeon"
-	if _, err := Run(c); err == nil {
+	if _, err := Run(context.Background(), c); err == nil {
 		t.Fatal("unknown transport kind accepted")
 	}
 }
@@ -208,5 +211,24 @@ func TestClusterUnownedHostRejected(t *testing.T) {
 	defer ep.Close()
 	if _, err := NewMember(c, c.Studies[0], ep); err == nil {
 		t.Fatal("topology with an unowned campaign host accepted")
+	}
+}
+
+// TestClusteredCancelReturnsCtxErr: cancelling a clustered study mid-run
+// quits the protocol, and the study surfaces ctx.Err() exactly as the
+// in-process pool does — not the protocol's "member quit" text.
+func TestClusteredCancelReturnsCtxErr(t *testing.T) {
+	c := stepCampaign(t, 50, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.Obs = &obs.Sink{}
+	c.Obs.Watch(func(ev obs.Event) {
+		if ev.Kind == obs.EventExperiment {
+			cancel()
+		}
+	})
+	sr, err := runClustered(ctx, c, c.Studies[0], transport.KindNameInproc, nil)
+	if !errors.Is(err, context.Canceled) || sr != nil {
+		t.Fatalf("cancelled clustered study returned (%v, %v), want context.Canceled", sr, err)
 	}
 }

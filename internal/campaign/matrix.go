@@ -210,15 +210,9 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 // so any worker count orders results identically. The campaign's Studies
 // field is ignored; hosts, runtime, sync, and check configuration apply to
 // every point, with the point's latency profile overriding the runtime's
-// notification delays.
-func RunMatrix(c *Campaign, m *Matrix) (*MatrixResult, error) {
-	return RunMatrixContext(context.Background(), c, m)
-}
-
-// RunMatrixContext is RunMatrix with cancellation: no further points are
-// dispatched after ctx is cancelled, in-flight points drain, and ctx.Err()
-// is returned.
-func RunMatrixContext(ctx context.Context, c *Campaign, m *Matrix) (*MatrixResult, error) {
+// notification delays. No further points are dispatched after ctx is
+// cancelled, in-flight points drain, and ctx.Err() is returned.
+func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (*MatrixResult, error) {
 	if len(c.Hosts) == 0 {
 		return nil, fmt.Errorf("campaign: no hosts defined")
 	}
@@ -271,7 +265,7 @@ func RunMatrixContext(ctx context.Context, c *Campaign, m *Matrix) (*MatrixResul
 	// (in-flight points see the same ctx and drain their own experiments
 	// into the journal). The watcher is joined before firstErr is read —
 	// its fail() write has no other happens-before edge to that read.
-	stopWatch := watchContext(ctx, func() { fail(ctx.Err()) })
+	stopWatch := onCancel(ctx, func() { fail(ctx.Err()) })
 	idxCh := make(chan int)
 	go func() {
 		defer close(idxCh)

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -98,7 +99,7 @@ func stepCampaign(t testing.TB, experiments, workers int) *Campaign {
 func TestParallelDeterminism(t *testing.T) {
 	const experiments = 8
 	run := func(workers int) *StudyResult {
-		res, err := Run(stepCampaign(t, experiments, workers))
+		res, err := Run(context.Background(), stepCampaign(t, experiments, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -155,7 +156,7 @@ func TestParallelDeterminism(t *testing.T) {
 // TestParallelMoreWorkersThanExperiments: the pool must clamp and still
 // fill every slot.
 func TestParallelMoreWorkersThanExperiments(t *testing.T) {
-	res, err := Run(stepCampaign(t, 2, 16))
+	res, err := Run(context.Background(), stepCampaign(t, 2, 16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,20 +13,20 @@ import (
 func TestValidateCounts(t *testing.T) {
 	c := stepCampaign(t, 1, 1)
 	c.Workers = -3
-	if _, err := Run(c); err == nil || !strings.Contains(err.Error(), "Workers") {
+	if _, err := Run(context.Background(), c); err == nil || !strings.Contains(err.Error(), "Workers") {
 		t.Errorf("negative workers: %v", err)
 	}
-	if _, err := RunMatrix(c, &Matrix{Name: "m", Build: func(Point) (*Study, error) { return stepStudy(t, 1), nil }}); err == nil || !strings.Contains(err.Error(), "Workers") {
+	if _, err := RunMatrix(context.Background(), c, &Matrix{Name: "m", Build: func(Point) (*Study, error) { return stepStudy(t, 1), nil }}); err == nil || !strings.Contains(err.Error(), "Workers") {
 		t.Errorf("negative workers via matrix: %v", err)
 	}
 
 	c = stepCampaign(t, 1, 1)
 	c.Studies[0].Experiments = 0
-	if _, err := Run(c); err == nil || !strings.Contains(err.Error(), "Experiments") {
+	if _, err := Run(context.Background(), c); err == nil || !strings.Contains(err.Error(), "Experiments") {
 		t.Errorf("zero experiments: %v", err)
 	}
 	c.Studies[0].Experiments = -4
-	if _, err := Run(c); err == nil || !strings.Contains(err.Error(), "Experiments") {
+	if _, err := Run(context.Background(), c); err == nil || !strings.Contains(err.Error(), "Experiments") {
 		t.Errorf("negative experiments: %v", err)
 	}
 
@@ -38,7 +38,7 @@ func TestValidateCounts(t *testing.T) {
 		st.Experiments = 0
 		return st, nil
 	}}
-	if _, err := RunMatrix(c, m); err == nil || !strings.Contains(err.Error(), "Experiments") {
+	if _, err := RunMatrix(context.Background(), c, m); err == nil || !strings.Contains(err.Error(), "Experiments") {
 		t.Errorf("zero experiments via matrix point: %v", err)
 	}
 }
@@ -48,17 +48,17 @@ func TestValidateCounts(t *testing.T) {
 func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, stepCampaign(t, 4, 2)); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled RunContext error = %v, want context.Canceled", err)
+	if _, err := Run(ctx, stepCampaign(t, 4, 2)); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled Run error = %v, want context.Canceled", err)
 	}
-	if _, err := RunMatrixContext(ctx, stepCampaign(t, 1, 1), &Matrix{
+	if _, err := RunMatrix(ctx, stepCampaign(t, 1, 1), &Matrix{
 		Name:  "m",
 		Build: func(Point) (*Study, error) { return stepStudy(t, 1), nil },
 	}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled RunMatrixContext error = %v, want context.Canceled", err)
+		t.Errorf("pre-cancelled RunMatrix error = %v, want context.Canceled", err)
 	}
-	if _, _, _, err := RunSingleContext(ctx, stepCampaign(t, 1, 1)); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled RunSingleContext error = %v, want context.Canceled", err)
+	if _, _, _, err := RunSingle(ctx, stepCampaign(t, 1, 1)); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled RunSingle error = %v, want context.Canceled", err)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestSummarizeJournalCounts(t *testing.T) {
 	dir := t.TempDir()
 	c := stepCampaign(t, 3, 1)
 	c.Checkpoint = &Checkpoint{Dir: dir}
-	if _, err := Run(c); err != nil {
+	if _, err := Run(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := SummarizeJournal(dir)
@@ -112,7 +112,7 @@ func TestSummarizeJournalTailStates(t *testing.T) {
 	dir := t.TempDir()
 	c := stepCampaign(t, 2, 1)
 	c.Checkpoint = &Checkpoint{Dir: dir}
-	if _, err := Run(c); err != nil {
+	if _, err := Run(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	path := JournalPath(dir)

@@ -1,11 +1,12 @@
 // Package clock is the injected time abstraction for every package that
 // would otherwise touch the wall clock. Core, campaign, and probe code
-// must reach time exclusively through a Clock (scripts/forbid_wallclock.sh
-// enforces this), so one testbed can run either against the operating
-// system's clock (Real) or against a virtual-time scheduler (Virtual) that
-// advances simulated time to the next due event whenever the runtime
-// quiesces — sync round-trips, fault windows, and experiment timeouts then
-// complete instantly while keeping their exact timing geometry.
+// must reach time exclusively through a Clock (lokilint's wallclock
+// analyzer enforces this), so one testbed can run either against the
+// operating system's clock (Real) or against a virtual-time scheduler
+// (Virtual) that advances simulated time to the next due event whenever
+// the runtime quiesces — sync round-trips, fault windows, and experiment
+// timeouts then complete instantly while keeping their exact timing
+// geometry.
 //
 // The API deliberately has no channel-returning After/NewTimer: receiving
 // from a timer channel blocks in a way no scheduler can observe, which is

@@ -156,12 +156,7 @@ func (c *CentralDaemon) RunExperiment(nodes []spec.NodeEntry, timeout time.Durat
 	}
 
 	completed := c.rt.Wait(timeout)
-	// Seal before collecting: no supervisor poll or deferred chaos restart
-	// may start nodes into a finished experiment. SealExperiment waits out
-	// any experiment-scoped timer body already past its checks (the expMu
-	// barrier) — but such a body may have restarted a node in the gap
-	// between Wait observing zero activity and the seal taking effect, so
-	// kill and await any straggler before collecting results.
+	// Seal (and reap stragglers) before collecting results.
 	c.rt.SealExperiment()
 	if tr != nil {
 		detail := "completed"
@@ -169,10 +164,6 @@ func (c *CentralDaemon) RunExperiment(nodes []spec.NodeEntry, timeout time.Durat
 			detail = "timeout"
 		}
 		tr.Event(c.rt.clk.Now(), obs.CatPhase, "seal", detail)
-	}
-	if len(c.rt.LiveNodes()) > 0 {
-		c.rt.KillAll()
-		c.rt.Wait(time.Second)
 	}
 
 	res := &ExperimentResult{Completed: completed, Outcomes: c.rt.Outcomes()}

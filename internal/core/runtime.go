@@ -499,14 +499,24 @@ func (r *Runtime) ResetExperiment() {
 
 // SealExperiment marks the experiment over: node starts are refused and
 // pending experiment-scoped timers (ExpAfterFunc) are voided, until the
-// next ResetExperiment. The central daemon seals after completion so that
-// straggling restart work — a supervisor poll, a chaos crashrestart timer —
-// cannot resurrect nodes into a finished experiment.
+// next ResetExperiment — straggling restart work (a supervisor poll, a
+// chaos crashrestart timer) cannot resurrect nodes into a finished
+// experiment. Voiding waits out any timer body already past its checks
+// (the expMu barrier), but such a body may have restarted a node in the
+// gap between Wait observing zero activity and the seal taking effect, so
+// whatever is still live afterwards is killed and awaited.
 func (r *Runtime) SealExperiment() {
 	r.mu.Lock()
 	r.sealed = true
 	r.mu.Unlock()
 	r.netem.bumpEpoch()
+	r.mu.Lock()
+	stragglers := len(r.nodes) > 0
+	r.mu.Unlock()
+	if stragglers {
+		r.KillAll()
+		r.Wait(time.Second)
+	}
 }
 
 // route delivers a state notification from one machine to another through

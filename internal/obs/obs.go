@@ -16,7 +16,7 @@
 // events by content, so even racing identical emitters cannot reorder the
 // artifact. The only place obs itself reads the wall clock is latency
 // measurement (Now/ObserveSince) and log line timestamps — operational
-// signals that never enter a trace artifact. scripts/forbid_wallclock.sh
+// signals that never enter a trace artifact. lokilint's wallclock analyzer
 // allowlists this package for exactly that reason.
 package obs
 

@@ -71,10 +71,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		}},
 		Sync: loki.SyncConfig{Messages: 8, Transit: 20 * time.Microsecond},
 	}
-	out, err := loki.RunCampaign(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runCampaign(t, c)
 	study := out.Study("s1")
 	if study == nil || len(study.Records) != 2 {
 		t.Fatalf("records: %+v", study)

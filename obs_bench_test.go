@@ -1,104 +1,41 @@
-// Benchmarks for the observability layer's overhead on the campaign hot
-// path. See EXPERIMENTS.md for the recorded figures; the JSON emitter
-// below regenerates BENCH_obs.json.
+// Benchmark for fleet tracing's overhead on a clustered study. (The
+// in-process observer overhead is the bench/ ledger's
+// obs.metrics_overhead_pct: bash bench/run.sh.)
 //
-//	go test -bench='BenchmarkObserverOverhead' -benchmem
+//	go test -run xxx -bench=BenchmarkClusteredTracingOverhead -benchmem
 package loki_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	loki "repro"
 	"repro/apps/election"
-	"repro/internal/campaign"
-	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/spec"
 )
-
-// obsModes enumerates the benchmarked observer configurations.
-var obsModes = []string{"off", "metrics", "full"}
-
-// obsOptions builds the session options for one observer mode; "full"
-// adds per-experiment tracing into dir on top of metrics.
-func obsOptions(mode, dir string) []loki.Option {
-	switch mode {
-	case "metrics":
-		return []loki.Option{loki.WithMetrics()}
-	case "full":
-		return []loki.Option{loki.WithMetrics(), loki.WithTracing(dir)}
-	}
-	return nil
-}
-
-// runObsBench runs the chaos matrix under virtual time (no sleeps, so
-// observer cost is a visible fraction of the work) and returns the
-// experiment count.
-func runObsBench(tb testing.TB, perPoint int, opts ...loki.Option) int {
-	opts = append([]loki.Option{
-		loki.WithMatrix(chaosMatrix(tb, perPoint)),
-		loki.WithVirtualTime(),
-	}, opts...)
-	s, err := loki.Open(chaosCampaign(1), opts...)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer s.Close()
-	res, err := s.Run(context.Background())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	_, n := res.Matrix.AcceptedTotal()
-	return n
-}
-
-// BenchmarkObserverOverhead measures campaign throughput with observers
-// off, metrics only, and metrics plus full tracing — the CI gate behind
-// the "disabled observers are free, metrics are cheap" contract.
-func BenchmarkObserverOverhead(b *testing.B) {
-	const perPoint = 4 // x2 seeds = 8 experiments per run
-	for _, mode := range obsModes {
-		b.Run("observers="+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			start := time.Now()
-			total := 0
-			for i := 0; i < b.N; i++ {
-				total += runObsBench(b, perPoint, obsOptions(mode, b.TempDir())...)
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(total)/elapsed, "experiments/sec")
-			}
-		})
-	}
-}
 
 // clusteredBenchCampaign builds a plain three-peer election study for the
 // UDP loopback cluster — no faults, so the measured cost is protocol and
 // observability machinery, not chaos work.
-func clusteredBenchCampaign(experiments int) *campaign.Campaign {
+func clusteredBenchCampaign(experiments int) *loki.Campaign {
 	peers := []string{"black", "green", "yellow"}
 	hosts := []string{"h1", "h2", "h3"}
-	var nodes []core.NodeDef
-	var placement []spec.NodeEntry
+	var nodes []loki.NodeDef
+	var placement []loki.NodeEntry
 	for i, nick := range peers {
 		in := election.New(election.Config{Peers: peers, RunFor: 20 * time.Millisecond, Seed: 7 + int64(i)})
-		nodes = append(nodes, core.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers), App: in})
-		placement = append(placement, spec.NodeEntry{Nickname: nick, Host: hosts[i]})
+		nodes = append(nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers), App: in})
+		placement = append(placement, loki.NodeEntry{Nickname: nick, Host: hosts[i]})
 	}
-	return &campaign.Campaign{
+	return &loki.Campaign{
 		Name:  "clustered-obs-bench",
-		Hosts: []campaign.HostDef{{Name: "h1"}, {Name: "h2"}, {Name: "h3"}},
-		Studies: []*campaign.Study{{
+		Hosts: []loki.HostDef{{Name: "h1"}, {Name: "h2"}, {Name: "h3"}},
+		Studies: []*loki.Study{{
 			Name: "election", Nodes: nodes, Placement: placement,
 			Experiments: experiments, Timeout: 10 * time.Second,
+			Transport: loki.TransportUDP,
 		}},
-		Sync: campaign.SyncConfig{Messages: 4, Transit: 25 * time.Microsecond},
+		Sync: loki.SyncConfig{Messages: 4, Transit: 25 * time.Microsecond},
 	}
 }
 
@@ -107,18 +44,24 @@ func clusteredBenchCampaign(experiments int) *campaign.Campaign {
 // and merged), and returns the experiment count.
 func runClusteredObsBench(tb testing.TB, experiments int, traced bool, dir string) int {
 	tb.Helper()
-	c := clusteredBenchCampaign(experiments)
+	var opts []loki.Option
 	if traced {
-		c.Obs = &obs.Sink{TraceDir: dir, Metrics: obs.NewRegistry()}
+		opts = []loki.Option{loki.WithMetrics(), loki.WithTracing(dir)}
 	}
-	sr, err := campaign.RunClustered(c, c.Studies[0], "udp")
+	s, err := loki.Open(clusteredBenchCampaign(experiments), opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if len(sr.Records) != experiments {
-		tb.Fatalf("records = %d, want %d", len(sr.Records), experiments)
+	defer s.Close()
+	res, err := s.Run(context.Background())
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return len(sr.Records)
+	n := len(res.Campaign.Study("election").Records)
+	if n != experiments {
+		tb.Fatalf("records = %d, want %d", n, experiments)
+	}
+	return n
 }
 
 // BenchmarkClusteredTracingOverhead measures UDP loopback cluster
@@ -134,10 +77,11 @@ func BenchmarkClusteredTracingOverhead(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			dir := b.TempDir()
 			start := time.Now()
 			total := 0
 			for i := 0; i < b.N; i++ {
-				total += runClusteredObsBench(b, experiments, traced, b.TempDir())
+				total += runClusteredObsBench(b, experiments, traced, dir)
 			}
 			elapsed := time.Since(start).Seconds()
 			if elapsed > 0 {
@@ -145,97 +89,4 @@ func BenchmarkClusteredTracingOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestEmitObsBenchJSON regenerates BENCH_obs.json: throughput per observer
-// mode plus the disabled notify path's allocations per op. Skipped in
-// -short mode.
-func TestEmitObsBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping bench JSON emission in short mode")
-	}
-	type row struct {
-		Mode           string  `json:"mode"`
-		Experiments    int     `json:"experiments"`
-		ElapsedSec     float64 `json:"elapsed_sec"`
-		ExperimentsSec float64 `json:"experiments_per_sec"`
-	}
-	type doc struct {
-		Name                string  `json:"name"`
-		Rows                []row   `json:"rows"`
-		MetricsOverheadPct  float64 `json:"metrics_overhead_pct"`
-		TracingOverheadPct  float64 `json:"full_tracing_overhead_pct"`
-		ClusteredTracingPct float64 `json:"clustered_tracing_overhead_pct"`
-		DisabledNotifyAlloc float64 `json:"disabled_notify_allocs_per_op"`
-	}
-	const perPoint, rounds = 25, 8
-	out := doc{Name: "observer-overhead"}
-	// Interleave the modes round-robin so machine-load drift hits all
-	// three equally instead of whichever mode ran last.
-	elapsed := map[string]float64{}
-	total := map[string]int{}
-	for _, mode := range obsModes {
-		runObsBench(t, perPoint, obsOptions(mode, t.TempDir())...) // warm-up
-	}
-	for i := 0; i < rounds; i++ {
-		for _, mode := range obsModes {
-			start := time.Now()
-			total[mode] += runObsBench(t, perPoint, obsOptions(mode, t.TempDir())...)
-			elapsed[mode] += time.Since(start).Seconds()
-		}
-	}
-	persec := map[string]float64{}
-	for _, mode := range obsModes {
-		persec[mode] = float64(total[mode]) / elapsed[mode]
-		out.Rows = append(out.Rows, row{Mode: mode, Experiments: total[mode],
-			ElapsedSec: elapsed[mode], ExperimentsSec: persec[mode]})
-		t.Logf("observers=%s: %.1f experiments/sec", mode, persec[mode])
-	}
-	out.MetricsOverheadPct = 100 * (1 - persec["metrics"]/persec["off"])
-	out.TracingOverheadPct = 100 * (1 - persec["full"]/persec["off"])
-
-	// Clustered rows: real-time UDP loopback, trace-stream protocol idle
-	// vs fully active (lanes recorded, pulled, merged, written).
-	const clusteredExp, clusteredRounds = 2, 3
-	cElapsed := map[bool]float64{}
-	cTotal := map[bool]int{}
-	for _, traced := range []bool{false, true} {
-		runClusteredObsBench(t, clusteredExp, traced, t.TempDir()) // warm-up
-	}
-	for i := 0; i < clusteredRounds; i++ {
-		for _, traced := range []bool{false, true} {
-			start := time.Now()
-			cTotal[traced] += runClusteredObsBench(t, clusteredExp, traced, t.TempDir())
-			cElapsed[traced] += time.Since(start).Seconds()
-		}
-	}
-	cPersec := map[bool]float64{}
-	for _, traced := range []bool{false, true} {
-		mode := "clustered-udp-plain"
-		if traced {
-			mode = "clustered-udp-traced"
-		}
-		cPersec[traced] = float64(cTotal[traced]) / cElapsed[traced]
-		out.Rows = append(out.Rows, row{Mode: mode, Experiments: cTotal[traced],
-			ElapsedSec: cElapsed[traced], ExperimentsSec: cPersec[traced]})
-		t.Logf("%s: %.1f experiments/sec", mode, cPersec[traced])
-	}
-	out.ClusteredTracingPct = 100 * (1 - cPersec[true]/cPersec[false])
-
-	var sink *obs.Sink
-	ev := obs.Event{Kind: obs.EventExperiment, Point: "p", Index: 1}
-	out.DisabledNotifyAlloc = testing.AllocsPerRun(1000, func() { sink.Emit(ev) })
-	if out.DisabledNotifyAlloc != 0 {
-		t.Errorf("disabled notify path allocates %.1f per op, want 0", out.DisabledNotifyAlloc)
-	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("metrics overhead %.1f%%, full tracing %.1f%%\n",
-		out.MetricsOverheadPct, out.TracingOverheadPct)
 }

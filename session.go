@@ -42,7 +42,7 @@ type Session struct {
 	traceDir  string // explicit trace directory ("" = ARTIFACTS/traces)
 
 	tr     Transport
-	member *ClusterMember
+	member *campaign.Member
 	closed bool
 }
 
@@ -399,14 +399,14 @@ func (s *Session) Run(ctx context.Context) (*SessionResult, error) {
 		return s.runClustered(ctx)
 	}
 	if m := s.effectiveMatrix(); m != nil {
-		out, err := campaign.RunMatrixContext(ctx, s.effectiveCampaign(), m)
+		out, err := campaign.RunMatrix(ctx, s.effectiveCampaign(), m)
 		if err != nil {
 			return nil, err
 		}
 		res := &SessionResult{Matrix: out}
 		return res, s.writeRunArtifacts(res)
 	}
-	out, err := campaign.RunContext(ctx, s.effectiveCampaign())
+	out, err := campaign.Run(ctx, s.effectiveCampaign())
 	if err != nil {
 		return nil, err
 	}
@@ -431,19 +431,19 @@ func (s *Session) RunOne(ctx context.Context) (*Experiment, error) {
 			return nil, err
 		}
 		if !s.member.Coordinator() {
-			if err := s.member.ServeContext(ctx); err != nil {
+			if err := s.member.Serve(ctx); err != nil {
 				return nil, err
 			}
 			return &Experiment{Served: true}, nil
 		}
-		rec, stamps, locals, err := s.member.RunOneContext(ctx)
+		rec, stamps, locals, err := s.member.RunOne(ctx)
 		if err != nil {
 			return nil, err
 		}
 		e := &Experiment{Record: rec, Stamps: stamps, Locals: locals}
 		return e, s.writeRawArtifacts(e)
 	}
-	rec, stamps, locals, err := campaign.RunSingleContext(ctx, s.effectiveCampaign())
+	rec, stamps, locals, err := campaign.RunSingle(ctx, s.effectiveCampaign())
 	if err != nil {
 		return nil, err
 	}
@@ -471,12 +471,12 @@ func (s *Session) runClustered(ctx context.Context) (*SessionResult, error) {
 		return nil, err
 	}
 	if !s.member.Coordinator() {
-		if err := s.member.ServeContext(ctx); err != nil {
+		if err := s.member.Serve(ctx); err != nil {
 			return nil, err
 		}
 		return &SessionResult{Served: true}, nil
 	}
-	sr, err := s.member.RunStudyContext(ctx)
+	sr, err := s.member.RunStudy(ctx)
 	if err != nil {
 		return nil, err
 	}

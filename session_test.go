@@ -67,9 +67,9 @@ func parityConfigDoc(transport string, seeds []int64, experiments int) []byte {
 	return b
 }
 
-// legacyParityMatrix hand-wires, in Go, exactly what parityConfigDoc
-// declares — the pre-Session RunMatrix path.
-func legacyParityMatrix(t *testing.T, transport string, seeds []int64, experiments int) (*loki.Campaign, *loki.Matrix) {
+// programmaticParityMatrix hand-wires, in Go, exactly what
+// parityConfigDoc declares.
+func programmaticParityMatrix(t *testing.T, transport string, seeds []int64, experiments int) (*loki.Campaign, *loki.Matrix) {
 	t.Helper()
 	peers := []string{"black", "green", "yellow"}
 	hosts := []string{"h1", "h2", "h3"}
@@ -187,18 +187,15 @@ func canonMatrix(t *testing.T, out *loki.MatrixOutcome) string {
 	return b.String()
 }
 
-// TestSessionParityMatrix proves the Session+campaign-file path and the
-// legacy RunMatrix path are the same engine behind different front doors:
+// TestSessionParityMatrix proves a campaign file and programmatic
+// construction (Open(c, WithMatrix(m))) are two front doors to one engine:
 // the same matrix produces byte-identical canonical records — acceptance,
 // outcomes, injection verdicts, analysis errors — in-process and over UDP
 // loopback. Run under -race in CI.
 func TestSessionParityMatrix(t *testing.T) {
-	run := func(t *testing.T, transport string, seeds []int64, experiments int) {
-		cfg, err := loki.ParseCampaignFile(parityConfigDoc(transport, seeds, experiments))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := loki.Open(cfg)
+	runMatrix := func(t *testing.T, spec any, opts ...loki.Option) *loki.MatrixOutcome {
+		t.Helper()
+		s, err := loki.Open(spec, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,18 +207,22 @@ func TestSessionParityMatrix(t *testing.T) {
 		if res.Matrix == nil {
 			t.Fatal("session run returned no matrix result")
 		}
-
-		c, m := legacyParityMatrix(t, transport, seeds, experiments)
-		legacy, err := loki.RunMatrix(c, m)
+		return res.Matrix
+	}
+	run := func(t *testing.T, transport string, seeds []int64, experiments int) {
+		cfg, err := loki.ParseCampaignFile(parityConfigDoc(transport, seeds, experiments))
 		if err != nil {
 			t.Fatal(err)
 		}
+		fromFile := runMatrix(t, cfg)
+		c, m := programmaticParityMatrix(t, transport, seeds, experiments)
+		fromGo := runMatrix(t, c, loki.WithMatrix(m))
 
-		got, want := canonMatrix(t, res.Matrix), canonMatrix(t, legacy)
+		got, want := canonMatrix(t, fromFile), canonMatrix(t, fromGo)
 		if got != want {
-			t.Errorf("session and legacy records differ:\n--- session ---\n%s\n--- legacy ---\n%s", got, want)
+			t.Errorf("campaign-file and programmatic records differ:\n--- file ---\n%s\n--- programmatic ---\n%s", got, want)
 		}
-		if accepted, total := res.Matrix.AcceptedTotal(); accepted == 0 || total == 0 {
+		if accepted, total := fromFile.AcceptedTotal(); accepted == 0 || total == 0 {
 			t.Errorf("parity is vacuous: accepted %d/%d", accepted, total)
 		}
 	}
@@ -411,24 +412,6 @@ func TestSessionValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyRunMatrixIgnoresStudies: the deprecated shim must keep the
-// legacy engine's behavior of ignoring Campaign.Studies (points come from
-// Matrix.Build), which Open would otherwise reject as ambiguous.
-func TestLegacyRunMatrixIgnoresStudies(t *testing.T) {
-	c, m := legacyParityMatrix(t, "", []int64{1}, 1)
-	c.Studies = sessionCancelCampaign(1, "").Studies // reused for both entry points
-	out, err := loki.RunMatrix(c, m)
-	if err != nil {
-		t.Fatalf("RunMatrix with Studies set: %v", err)
-	}
-	if len(out.Points) != 2 {
-		t.Fatalf("points = %d", len(out.Points))
-	}
-	if c.Studies == nil {
-		t.Error("shim cleared the caller's Studies")
-	}
-}
-
 // TestWithTransportEmptyIsNoOp: an empty kind must leave the spec's
 // transports alone — not downgrade socket studies to inproc.
 func TestWithTransportEmptyIsNoOp(t *testing.T) {
@@ -457,7 +440,7 @@ func TestWithTransportEmptyIsNoOp(t *testing.T) {
 // TestRunOneRejectsMatrix: RunOne on a matrix session must say so, not
 // leak the engine's "need hosts and a study" misdirection.
 func TestRunOneRejectsMatrix(t *testing.T) {
-	c, m := legacyParityMatrix(t, "", []int64{1}, 1)
+	c, m := programmaticParityMatrix(t, "", []int64{1}, 1)
 	s, err := loki.Open(c, loki.WithMatrix(m))
 	if err != nil {
 		t.Fatal(err)

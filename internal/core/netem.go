@@ -32,7 +32,7 @@ import (
 type netem struct {
 	mu         sync.Mutex
 	seed       int64
-	rng        *rand.Rand
+	rng        *rand.Rand // nil until the first filter consult after a (re)seed
 	partitions map[[2]string]bool
 	filters    simnet.FilterSet
 	epoch      uint64
@@ -53,19 +53,23 @@ type netem struct {
 func newNetem(seed int64) *netem {
 	return &netem{
 		seed:       seed,
-		rng:        rand.New(rand.NewSource(seed)),
 		partitions: make(map[[2]string]bool),
 	}
 }
 
 // reset clears all shaping state and reseeds the randomness, so every
 // experiment of a study faces an identical, freshly-seeded network.
+// Reseeding only drops the generator: shapeAppMessage builds it from the
+// stored seed on the first filter consult. A math/rand source's stream
+// depends on its seed alone, not on when it was built, so the fates drawn
+// are the ones an eager reseed would draw — and the experiments that
+// never consult a filter skip the 607-word seeding altogether.
 func (ne *netem) reset() {
 	ne.expMu.Lock()
 	ne.mu.Lock()
 	ne.partitions = make(map[[2]string]bool)
 	ne.filters.Clear()
-	ne.rng = rand.New(rand.NewSource(ne.seed))
+	ne.rng = nil
 	ne.epoch++
 	ne.shaping.Store(0)
 	ne.mu.Unlock()
@@ -84,11 +88,13 @@ func (ne *netem) bumpEpoch() {
 }
 
 // SeedNetem reseeds the application-bus traffic shaping randomness (drop
-// probabilities and the like). Takes effect from the next experiment reset.
+// probabilities and the like). It takes effect at once — the next draw of
+// the current experiment starts the new seed's stream — and every later
+// experiment reset restarts that stream from its beginning.
 func (r *Runtime) SeedNetem(seed int64) {
 	r.netem.mu.Lock()
 	r.netem.seed = seed
-	r.netem.rng = rand.New(rand.NewSource(seed))
+	r.netem.rng = nil
 	r.netem.mu.Unlock()
 }
 
@@ -247,6 +253,12 @@ func (r *Runtime) shapeAppMessage(fromHost, toHost string, payload interface{}) 
 	defer ne.mu.Unlock()
 	if fromHost != toHost && ne.partitions[hostPair(fromHost, toHost)] {
 		return simnet.Fate{}, true
+	}
+	if ne.filters.Empty() {
+		return simnet.Fate{}, false
+	}
+	if ne.rng == nil {
+		ne.rng = rand.New(rand.NewSource(ne.seed))
 	}
 	return ne.filters.Consult(fromHost, toHost, payload, ne.rng), false
 }

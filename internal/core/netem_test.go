@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -170,6 +171,44 @@ func TestResetExperimentClearsNetemAndHosts(t *testing.T) {
 	if rt.Epoch() == epoch {
 		t.Error("epoch did not advance")
 	}
+}
+
+// TestNetemLazySeedParity pins the lazily built generator to the stream an
+// eager rand.New(rand.NewSource(seed)) draws: after a reset, after a
+// mid-experiment SeedNetem, and after the reset that follows it.
+func TestNetemLazySeedParity(t *testing.T) {
+	rt := New(Config{})
+	defer rt.Shutdown()
+	link := simnet.Link{From: "h1", To: "h2"}
+	drop := simnet.DropFilter{P: 0.5}
+	check := func(when string, seed int64) {
+		t.Helper()
+		eager := rand.New(rand.NewSource(seed))
+		for i := 0; i < 64; i++ {
+			want := drop.Filter("h1", "h2", nil, eager).Drop
+			fate, blocked := rt.shapeAppMessage("h1", "h2", nil)
+			if blocked || fate.Drop != want {
+				t.Fatalf("%s, seed %d, draw %d: drop=%v blocked=%v, eager generator says drop=%v",
+					when, seed, i, fate.Drop, blocked, want)
+			}
+		}
+	}
+
+	rt.SeedNetem(42)
+	rt.ResetExperiment()
+	// Messages no filter sees must not advance the stream.
+	rt.PartitionHosts("h1", "h3")
+	rt.shapeAppMessage("h1", "h3", nil)
+	rt.shapeAppMessage("h2", "h1", nil)
+	rt.InstallLinkFilter(link, "lossy", drop)
+	check("after reset", 42)
+
+	rt.SeedNetem(7)
+	check("after SeedNetem mid-experiment", 7)
+
+	rt.ResetExperiment()
+	rt.InstallLinkFilter(link, "lossy", drop)
+	check("after the next reset", 7)
 }
 
 func TestExpAfterFuncScopedToEpoch(t *testing.T) {

@@ -18,7 +18,7 @@ package election
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"repro/app"
@@ -183,17 +183,18 @@ type proc struct {
 func New(cfg Config) *app.Instrumented {
 	cfg.setDefaults()
 	return app.New(func(h *app.Handle) {
-		// Derive a per-process seed by hashing the nickname: distinct
-		// processes must draw distinct vote streams even under identical
-		// configured seeds, or elections tie forever (§5.2's arbitration
-		// assumes independent draws).
+		// The nickname's hash is the second half of the per-process seed:
+		// distinct processes must draw distinct vote streams even under
+		// identical configured seeds, or elections tie forever (§5.2's
+		// arbitration assumes independent draws). PCG seeds in O(1) —
+		// every process of every experiment builds one of these.
 		hsh := fnv.New64a()
 		hsh.Write([]byte(h.Nickname()))
 		p := &proc{
 			cfg:   cfg,
 			h:     h,
 			clk:   h.Clock(),
-			rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(hsh.Sum64()))),
+			rng:   rand.New(rand.NewPCG(uint64(cfg.Seed), hsh.Sum64())),
 			votes: make(map[int]map[string]int64),
 		}
 		p.run()
@@ -268,7 +269,7 @@ func (p *proc) electOnce() (string, bool) {
 	h := p.h
 	p.round++
 	me := h.Nickname()
-	value := p.rng.Int63()
+	value := p.rng.Int64()
 	p.recordVote(p.round, me, value)
 	h.Broadcast(voteMsg{Round: p.round, Value: value})
 
@@ -294,7 +295,7 @@ func (p *proc) electOnce() (string, bool) {
 				// voting in its round too.
 				for p.round < msg.Round {
 					p.round++
-					v := p.rng.Int63()
+					v := p.rng.Int64()
 					p.recordVote(p.round, me, v)
 					h.Broadcast(voteMsg{Round: p.round, Value: v})
 				}

@@ -55,12 +55,10 @@ func (h *Handle) Send(to string, payload interface{}) bool {
 	}
 	m := AppMessage{From: h.Nickname(), Payload: payload}
 	if fate.Delay > 0 {
-		epoch := rt.Epoch()
+		// Experiment-scoped: the epoch check and the delivery are atomic
+		// with respect to the next reset, which recycles target's inbox.
 		copies := fate.Copies
-		rt.clk.AfterFunc(fate.Delay.Duration(), func() {
-			if rt.Epoch() != epoch {
-				return
-			}
+		rt.ExpAfterFunc(fate.Delay.Duration(), func() {
 			for c := 0; c <= copies; c++ {
 				target.handle.deliver(m, "")
 			}
@@ -197,9 +195,42 @@ func (h *Handle) inboxChan() chan AppMessage {
 	h.busMu.Lock()
 	defer h.busMu.Unlock()
 	if h.inbox == nil {
-		h.inbox = make(chan AppMessage, inboxCapacity)
+		h.inbox = h.node.rt.takeInbox()
 	}
 	return h.inbox
+}
+
+// takeInbox hands out an empty inbox for the current experiment, reusing
+// one a previous experiment returned when there is one.
+func (r *Runtime) takeInbox() chan AppMessage {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var ch chan AppMessage
+	if n := len(r.inboxFree); n > 0 {
+		ch, r.inboxFree = r.inboxFree[n-1], r.inboxFree[:n-1]
+	} else {
+		ch = make(chan AppMessage, inboxCapacity)
+	}
+	r.inboxUsed = append(r.inboxUsed, ch)
+	return ch
+}
+
+// recycleInboxes is ResetExperiment's last step. Inboxes come back only
+// here — never when a node stops — because only here is nobody left to
+// deliver to them: no node is live, and the epoch bump just before has
+// voided every delayed delivery of the old experiment. Unread messages
+// are discarded, so the next experiment's nodes start with empty inboxes.
+func (r *Runtime) recycleInboxes() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, ch := range r.inboxUsed {
+		for len(ch) > 0 {
+			<-ch
+		}
+		r.inboxFree = append(r.inboxFree, ch)
+		r.inboxUsed[i] = nil
+	}
+	r.inboxUsed = r.inboxUsed[:0]
 }
 
 // String implements fmt.Stringer.

@@ -112,6 +112,14 @@ type Runtime struct {
 	sealed        bool                            // experiment over; no nodes may start until reset
 	actionHook    func(n *Node, f faultexpr.Spec) // built-in action dispatcher (netem.go)
 	transportHook func(m transport.Message)       // cluster-protocol frames (transport.go)
+
+	// Application inboxes are recycled across experiments, never within
+	// one: inboxUsed holds the channels handed to this experiment's
+	// handles (a restarted node gets its own), and ResetExperiment drains
+	// them onto inboxFree. Both are bounded by the most nodes one
+	// experiment ever started.
+	inboxFree []chan AppMessage
+	inboxUsed []chan AppMessage
 }
 
 type hostState struct {
@@ -495,6 +503,7 @@ func (r *Runtime) ResetExperiment() {
 	}
 	r.mu.Unlock()
 	r.netem.reset()
+	r.recycleInboxes()
 }
 
 // SealExperiment marks the experiment over: node starts are refused and

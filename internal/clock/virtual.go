@@ -37,7 +37,9 @@ type Virtual struct {
 	now     vclock.Ticks
 	seq     uint64
 	timers  timerHeap
-	ready   []readyItem // woken waiters and Go tasks, FIFO
+	ready   []readyItem // woken waiters and Go tasks, FIFO from head
+	head    int         // index of the next ready item; ready[:head] is spent
+	free    []*vWaiter  // idle Sleep waiters; at most one per concurrent sleeper
 	busy    int         // tracked tasks currently running (0 or 1 after startup)
 	parked  int         // tracked tasks blocked in Sleep/Wait
 	driving int         // Drive/Release nesting; timers fire only when > 0
@@ -75,15 +77,15 @@ type readyItem struct {
 	fn func()
 }
 
+// timerEntry is one pending deadline. An entry is in the heap exactly
+// while it is pending (index >= 0): firing pops it, Stop and a waiter's
+// wake remove it by index, so dispatch never meets a dead entry.
 type timerEntry struct {
-	at      vclock.Ticks
-	seq     uint64
-	fn      func()   // AfterFunc body; nil for sleeper entries
-	w       *vWaiter // sleeping waiter; nil for AfterFunc entries
-	gen     uint64   // the waiter park generation this entry belongs to
-	stopped bool
-	fired   bool
-	index   int
+	at    vclock.Ticks
+	seq   uint64
+	fn    func()   // AfterFunc body; nil for sleeper entries
+	w     *vWaiter // sleeping waiter; nil for AfterFunc entries
+	index int      // position in the heap, -1 when not in it
 }
 
 // timerHeap orders entries by (due time, creation sequence) so equal
@@ -113,6 +115,7 @@ func (h *timerHeap) Pop() interface{} {
 	e := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	e.index = -1
 	return e
 }
 
@@ -149,7 +152,18 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	v.newWaiter().Wait(d)
+	// The waiter never escapes this call, so nothing can wake it but its
+	// own deadline: it comes back from park idle and is reused as it is.
+	v.mu.Lock()
+	var w *vWaiter
+	if n := len(v.free); n > 0 {
+		w, v.free = v.free[n-1], v.free[:n-1]
+	} else {
+		w = v.newWaiter()
+	}
+	w.park(d)
+	v.free = append(v.free, w)
+	v.mu.Unlock()
 }
 
 // AfterFunc implements Clock. The body runs as a tracked task when the
@@ -174,10 +188,10 @@ type virtualTimer struct {
 func (t *virtualTimer) Stop() bool {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
-	if t.e.stopped || t.e.fired {
-		return false
+	if t.e.index < 0 {
+		return false // already fired or stopped
 	}
-	t.e.stopped = true
+	heap.Remove(&t.v.timers, t.e.index)
 	return true
 }
 
@@ -197,7 +211,10 @@ func (v *Virtual) Go(fn func()) {
 func (v *Virtual) NewWaiter() Waiter { return v.newWaiter() }
 
 func (v *Virtual) newWaiter() *vWaiter {
-	return &vWaiter{v: v, resume: make(chan struct{}, 1)}
+	w := &vWaiter{v: v, resume: make(chan struct{}, 1)}
+	w.timer.w = w
+	w.timer.index = -1
+	return w
 }
 
 // Drive marks the calling goroutine a tracked task and enables timer
@@ -209,7 +226,7 @@ func (v *Virtual) newWaiter() *vWaiter {
 // strictly serialized, and therefore deterministic.
 func (v *Virtual) Drive() {
 	v.mu.Lock()
-	for v.busy > 0 || len(v.ready) > 0 {
+	for v.busy > 0 || v.head < len(v.ready) {
 		if v.idle == nil {
 			v.idle = make(chan struct{})
 		}
@@ -254,9 +271,8 @@ func (v *Virtual) dispatch() {
 	if v.busy > 0 {
 		return
 	}
-	if len(v.ready) > 0 {
-		it := v.ready[0]
-		v.ready = v.ready[1:]
+	if v.head < len(v.ready) {
+		it := v.popReady()
 		v.busy++
 		if it.fn != nil {
 			v.tasks++
@@ -264,6 +280,9 @@ func (v *Virtual) dispatch() {
 			return
 		}
 		w := it.w
+		if w.timer.index >= 0 {
+			heap.Remove(&v.timers, w.timer.index) // the wait ended before its deadline
+		}
 		w.queued = false
 		w.parked = false
 		v.parked--
@@ -272,20 +291,14 @@ func (v *Virtual) dispatch() {
 		return
 	}
 	if v.driving > 0 {
-		for v.timers.Len() > 0 {
-			e := v.timers[0]
-			if e.stopped || (e.w != nil && (!e.w.parked || e.w.queued || e.gen != e.w.gen)) {
-				heap.Pop(&v.timers) // canceled or superseded; discard
-				continue
-			}
-			heap.Pop(&v.timers)
+		if v.timers.Len() > 0 {
+			e := heap.Pop(&v.timers).(*timerEntry)
 			if e.at > v.now {
 				v.now = e.at
 			}
 			v.busy++
 			v.firedTimers++
 			if e.fn != nil {
-				e.fired = true
 				v.tasks++
 				go v.runTask(e.fn)
 				return
@@ -309,12 +322,31 @@ func (v *Virtual) dispatch() {
 	}
 }
 
+// popReady takes the next item off the FIFO. It pops by index and rewinds
+// when the queue empties: slicing the front off would give the array's
+// capacity away and make every later append grow it again. A queue that
+// never empties slides its backlog down once the spent prefix is the
+// longer part, so the array stays within twice the longest backlog.
+func (v *Virtual) popReady() readyItem {
+	it := v.ready[v.head]
+	v.ready[v.head] = readyItem{}
+	v.head++
+	if live := len(v.ready) - v.head; v.head > live {
+		copy(v.ready, v.ready[v.head:])
+		clear(v.ready[live:])
+		v.ready, v.head = v.ready[:live], 0
+	}
+	return it
+}
+
 // vWaiter is the virtual Waiter: parking decrements busy and hands
-// control to dispatch; Wake queues the waiter on the ready FIFO.
+// control to dispatch; Wake queues the waiter on the ready FIFO. The
+// deadline of the current Wait is the embedded timer entry — a waiter
+// parks at most once at a time, so one entry is all it ever needs.
 type vWaiter struct {
 	v      *Virtual
 	resume chan struct{}
-	gen    uint64
+	timer  timerEntry
 	parked bool
 	queued bool // parked and already on the ready FIFO
 	woken  bool // sticky wake while not parked
@@ -351,15 +383,25 @@ func (w *vWaiter) Wait(d time.Duration) bool {
 		v.mu.Unlock()
 		return false
 	}
+	byWake := w.park(d)
+	v.mu.Unlock()
+	return byWake
+}
+
+// park blocks the calling task until Wake (true) or, when d > 0, until d
+// has elapsed (false). v.mu is held on entry and on return, and released
+// while blocked.
+func (w *vWaiter) park(d time.Duration) bool {
+	v := w.v
 	if v.busy == 0 {
 		v.mu.Unlock()
 		panic("clock: Wait from a goroutine unknown to the virtual scheduler (spawn it with Clock.Go)")
 	}
-	w.gen++
 	if d > 0 {
-		e := &timerEntry{at: v.now + vclock.Ticks(d), seq: v.seq, w: w, gen: w.gen}
+		w.timer.at = v.now + vclock.Ticks(d)
+		w.timer.seq = v.seq
 		v.seq++
-		heap.Push(&v.timers, e)
+		heap.Push(&v.timers, &w.timer)
 	}
 	w.parked = true
 	v.parked++
@@ -368,9 +410,7 @@ func (w *vWaiter) Wait(d time.Duration) bool {
 	v.mu.Unlock()
 	<-w.resume
 	v.mu.Lock()
-	byWake := w.byWake
-	v.mu.Unlock()
-	return byWake
+	return w.byWake
 }
 
 var _ Clock = (*Virtual)(nil)

@@ -85,6 +85,9 @@ func TestVirtualAfterFuncStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop returned true")
 	}
+	if n := v.timers.Len(); n != 0 {
+		t.Fatalf("stopped timer left %d heap entries", n)
+	}
 	v.Sleep(2 * time.Millisecond)
 	if fired {
 		t.Fatal("stopped timer fired")
@@ -186,6 +189,62 @@ func TestVirtualWakeWhileParked(t *testing.T) {
 	}
 	if got := v.NowTicks(); got != 3e6 {
 		t.Fatalf("clock at %v, want 3ms (the hour timer must be discarded)", got)
+	}
+	if n := v.timers.Len(); n != 0 {
+		t.Fatalf("%d heap entries left: a wait that ends early must take its deadline with it", n)
+	}
+}
+
+// TestVirtualSleepSteadyStateAllocatesNothing is the budget for the
+// campaign's most frequent clock call: once its waiter exists, a driver's
+// Sleep reuses it, its embedded timer entry, and the ready and timer
+// arrays.
+func TestVirtualSleepSteadyStateAllocatesNothing(t *testing.T) {
+	v := NewVirtual()
+	v.Drive()
+	defer v.Release()
+	v.Sleep(time.Microsecond)
+	if got := testing.AllocsPerRun(1000, func() { v.Sleep(time.Microsecond) }); got != 0 {
+		t.Fatalf("Virtual.Sleep allocates %v objects per call in steady state, want 0", got)
+	}
+	if n := len(v.free); n != 1 {
+		t.Fatalf("%d idle sleep waiters after one sleeper, want 1", n)
+	}
+}
+
+// TestVirtualReadyQueueKeepsOrderAndStaysBounded runs a backlog that never
+// empties — every task queues its successor before it ends — and checks
+// that tasks still run first in, first out, and that the queue's array
+// does not grow with the number of tasks that passed through it.
+func TestVirtualReadyQueueKeepsOrderAndStaysBounded(t *testing.T) {
+	const backlog, total = 50, 20000
+	v := NewVirtual()
+	v.Drive()
+	next, ran := 0, 0
+	var spawn func()
+	spawn = func() {
+		id := next
+		next++
+		v.Go(func() {
+			if id != ran {
+				t.Errorf("task %d ran in position %d", id, ran)
+			}
+			ran++
+			if next < total {
+				spawn()
+			}
+		})
+	}
+	for i := 0; i < backlog; i++ {
+		spawn()
+	}
+	v.Sleep(time.Microsecond) // park the driver; the chain runs to its end
+	v.Release()
+	if ran != total {
+		t.Fatalf("%d of %d tasks ran", ran, total)
+	}
+	if c := cap(v.ready); c > 8*backlog {
+		t.Fatalf("ready queue capacity %d after a backlog of %d", c, backlog)
 	}
 }
 

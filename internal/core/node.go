@@ -63,9 +63,13 @@ type Node struct {
 	// waiters are the goroutines blocked in Handle.Sleep/WaitMessage on
 	// this node, woken on message delivery and on every terminal
 	// transition. A slice, not a map: wake order must be deterministic
-	// under virtual time.
-	wmu     sync.Mutex
-	waiters []clock.Waiter
+	// under virtual time. idleWaiters are the ones no goroutine holds at
+	// the moment, kept for the next Sleep/WaitMessage. wmu is held across
+	// Wake (a Waiter's Wake never blocks and never calls back), so it
+	// orders before the clock's own lock.
+	wmu         sync.Mutex
+	waiters     []clock.Waiter
+	idleWaiters []clock.Waiter
 }
 
 // Lifecycle outcomes.
@@ -153,14 +157,25 @@ func (n *Node) run() {
 	})
 }
 
-// addWaiter registers a goroutine blocked on this node's events.
-func (n *Node) addWaiter(w clock.Waiter) {
+// addWaiter registers the calling goroutine as blocked on this node's
+// events and returns the waiter it blocks on, reusing an idle one when
+// there is one. A reused waiter may carry a sticky wake from its last
+// registration; callers loop and re-check their condition, so that is one
+// spurious wake.
+func (n *Node) addWaiter() clock.Waiter {
 	n.wmu.Lock()
+	defer n.wmu.Unlock()
+	var w clock.Waiter
+	if k := len(n.idleWaiters); k > 0 {
+		w, n.idleWaiters = n.idleWaiters[k-1], n.idleWaiters[:k-1]
+	} else {
+		w = n.rt.clk.NewWaiter()
+	}
 	n.waiters = append(n.waiters, w)
-	n.wmu.Unlock()
+	return w
 }
 
-// removeWaiter deregisters w.
+// removeWaiter deregisters w and keeps it for reuse.
 func (n *Node) removeWaiter(w clock.Waiter) {
 	n.wmu.Lock()
 	for i, nw := range n.waiters {
@@ -169,6 +184,7 @@ func (n *Node) removeWaiter(w clock.Waiter) {
 			break
 		}
 	}
+	n.idleWaiters = append(n.idleWaiters, w)
 	n.wmu.Unlock()
 }
 
@@ -177,11 +193,10 @@ func (n *Node) removeWaiter(w clock.Waiter) {
 // spurious wakes are harmless (waiters loop and re-check).
 func (n *Node) wakeWaiters() {
 	n.wmu.Lock()
-	ws := append([]clock.Waiter(nil), n.waiters...)
-	n.wmu.Unlock()
-	for _, w := range ws {
+	for _, w := range n.waiters {
 		w.Wake()
 	}
+	n.wmu.Unlock()
 }
 
 // stopping reports whether the node has left the running state.
@@ -459,8 +474,7 @@ func (h *Handle) Sleep(d time.Duration) bool {
 	}
 	clk := n.rt.clk
 	deadline := clk.Now().Add(d)
-	w := clk.NewWaiter()
-	n.addWaiter(w)
+	w := n.addWaiter()
 	defer n.removeWaiter(w)
 	for {
 		if n.stopping() {

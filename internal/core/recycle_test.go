@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
+	"repro/internal/spec"
+	"repro/internal/vclock"
 )
 
 // Tests for the state the runtime recycles between experiments (inboxes,
@@ -71,5 +76,74 @@ func TestRestartedNodeGetsItsOwnInbox(t *testing.T) {
 	ha.Send("b", "fresh")
 	if m, ok := hb2.WaitMessage(time.Second); !ok || m.Payload != "fresh" {
 		t.Fatalf("restarted node: ok=%v m=%+v", ok, m)
+	}
+}
+
+// TestStaleWakeOnPooledWaiterEndsNoWaitEarly: a Wake that lands on a waiter
+// after its goroutine deregistered stays on it as a sticky wake and is met
+// by the next Sleep or WaitMessage that reuses the waiter. Both re-check
+// their deadline, so it costs one loop iteration, not an early return.
+func TestStaleWakeOnPooledWaiterEndsNoWaitEarly(t *testing.T) {
+	rt, _, hb := busPair(t)
+	n := rt.Node("b")
+	w := n.addWaiter()
+	n.removeWaiter(w)
+	const d = 30 * time.Millisecond
+
+	w.Wake()
+	start := time.Now()
+	if !hb.Sleep(d) {
+		t.Fatal("Sleep reported the node stopped")
+	}
+	if el := time.Since(start); el < d {
+		t.Fatalf("Sleep(%v) returned after %v on a stale wake", d, el)
+	}
+	if len(n.idleWaiters) != 1 || n.idleWaiters[0] != w {
+		t.Fatal("Sleep did not reuse the pooled waiter: this test no longer exercises the pool")
+	}
+
+	w.Wake()
+	start = time.Now()
+	if m, ok := hb.WaitMessage(d); ok {
+		t.Fatalf("WaitMessage received %+v from an empty inbox", m)
+	}
+	if el := time.Since(start); el < d {
+		t.Fatalf("WaitMessage(%v) returned after %v on a stale wake", d, el)
+	}
+}
+
+// TestEmptyExperimentAllocBudget keeps the start-up diet from regressing
+// silently: one experiment of three nodes that return at once, on a warmed
+// runtime under virtual time, measured at 90 allocations when this budget
+// was set (95 before inboxes, waiters and the netem generator were
+// recycled or built on demand). What is left is the per-experiment state
+// that must be fresh: nodes, handles, recorders, timelines, the result.
+func TestEmptyExperimentAllocBudget(t *testing.T) {
+	const budget = 93
+	v := clock.NewVirtual()
+	rt := New(Config{Clock: v, Source: v.Source()})
+	defer rt.Shutdown()
+	var placement []spec.NodeEntry
+	for i, nick := range []string{"black", "green", "yellow"} {
+		host := fmt.Sprintf("h%d", i+1)
+		rt.AddHost(host, vclock.ClockConfig{})
+		if err := rt.Register(NodeDef{Nickname: nick, Spec: busSpec(t), App: appFunc(func(*Handle) {})}); err != nil {
+			t.Fatal(err)
+		}
+		placement = append(placement, spec.NodeEntry{Nickname: nick, Host: host})
+	}
+	cd := NewCentralDaemon(rt)
+	v.Drive()
+	defer v.Release()
+	run := func() {
+		if res, err := cd.RunExperiment(placement, time.Second); err != nil || !res.Completed {
+			t.Fatalf("empty experiment: res=%+v err=%v", res, err)
+		}
+	}
+	run()
+	got := testing.AllocsPerRun(200, run)
+	t.Logf("empty experiment: %v allocations", got)
+	if got > budget {
+		t.Fatalf("empty experiment allocates %v objects, budget %d", got, budget)
 	}
 }

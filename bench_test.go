@@ -203,7 +203,7 @@ func BenchmarkCh5_CoverageCampaign(b *testing.B) {
 		// black must lead (and crash) for the coverage measure to select
 		// experiments; election outcomes are random, so try a few seeds.
 		var study *loki.StudyOutcome
-		for attempt := 0; attempt < 5; attempt++ {
+		for attempt := 0; attempt < 8; attempt++ {
 			study = runCampaign(b, electionCampaign("cov", 3, true, int64(i)*11+int64(attempt))).Study("study1")
 			if crashed(study) {
 				break
@@ -260,7 +260,7 @@ func BenchmarkCh5_CorrelationCampaign(b *testing.B) {
 		// black must actually lead (and crash) for the measure to select
 		// experiments; election outcomes are random, so try a few seeds.
 		var study *loki.StudyOutcome
-		for attempt := 0; attempt < 5; attempt++ {
+		for attempt := 0; attempt < 8; attempt++ {
 			study = runCampaign(b, electionCampaignRunFor("corr", 3, false,
 				100+int64(i)*7+int64(attempt), 200*time.Millisecond)).Study("study1")
 			if crashed(study) {

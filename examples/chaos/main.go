@@ -14,7 +14,9 @@
 //   - flaky: once the first election starts, every link drops 25% of
 //     application messages for 30 ms
 //   - crashrestart: green's host crashes when green leads; 15 ms later the
-//     host reboots and green restarts, rejoining as a follower
+//     host reboots and green restarts, rejoining as a follower (which
+//     process wins the first election follows the seed: of the matrix's two
+//     seeds, green leads under 3 and black under 1)
 //
 // The program runs the matrix twice with identical seeds and verifies the
 // accepted experiment sets match — the determinism the analysis pipeline

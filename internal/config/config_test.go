@@ -199,7 +199,7 @@ func TestGoldenChaosExample(t *testing.T) {
 	if got := len(c.Matrix.Latencies); got != 2 {
 		t.Errorf("latencies = %d, want 2", got)
 	}
-	if !reflect.DeepEqual(c.Matrix.Seeds, []int64{1, 2}) {
+	if !reflect.DeepEqual(c.Matrix.Seeds, []int64{1, 3}) {
 		t.Errorf("seeds = %v", c.Matrix.Seeds)
 	}
 	st := c.Matrix.Study

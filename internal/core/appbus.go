@@ -222,13 +222,12 @@ func (r *Runtime) takeInbox() chan AppMessage {
 func (r *Runtime) recycleInboxes() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, ch := range r.inboxUsed {
+	for _, ch := range r.inboxUsed {
 		for len(ch) > 0 {
 			<-ch
 		}
-		r.inboxFree = append(r.inboxFree, ch)
-		r.inboxUsed[i] = nil
 	}
+	r.inboxFree = append(r.inboxFree, r.inboxUsed...)
 	r.inboxUsed = r.inboxUsed[:0]
 }
 

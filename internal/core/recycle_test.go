@@ -13,23 +13,16 @@ import (
 // Tests for the state the runtime recycles between experiments (inboxes,
 // node waiters): reuse must never be observable by an application.
 
-// stopAll kills every live node and waits for the runtime to go idle, as
-// the end of an experiment does.
-func stopAll(t *testing.T, rt *Runtime) {
-	t.Helper()
-	rt.KillAll()
-	if !rt.Wait(5 * time.Second) {
-		t.Fatal("nodes did not stop")
-	}
-}
-
 func TestInboxRecycledEmptyAcrossExperiments(t *testing.T) {
 	rt, ha, hb := busPair(t)
 	if !ha.Send("b", "left unread in experiment k") {
 		t.Fatal("send failed")
 	}
 	old := hb.inboxChan()
-	stopAll(t, rt)
+	rt.KillAll()
+	if !rt.Wait(5 * time.Second) {
+		t.Fatal("nodes did not stop")
+	}
 	rt.ResetExperiment()
 
 	if _, err := rt.StartNode("a", "h1"); err != nil {

@@ -7,6 +7,7 @@ package loki_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -26,15 +27,18 @@ import (
 
 // BenchmarkFig32_InjectionAccuracy10ms regenerates Figure 3.2: correct
 // fault injection probability vs time spent in the target state, with the
-// 10 ms Linux timeslice delay model. The reported metric is the residence
-// (ms) at which injections become 95% reliable — the thesis's "couple of
-// OS timeslices" claim.
+// 10 ms Linux timeslice delay model — 6,000 experiments of the real
+// pipeline under virtual time per iteration. The reported metric is the
+// residence (ms) at which injections become 95% reliable — the thesis's
+// "couple of OS timeslices" claim.
 func BenchmarkFig32_InjectionAccuracy10ms(b *testing.B) {
 	cfg := injectsim.Fig32Config()
-	cfg.Trials = 2000
 	var points []injectsim.Point
 	for i := 0; i < b.N; i++ {
-		points = injectsim.Sweep(cfg, injectsim.Fig32Residences())
+		var err error
+		if points, err = injectsim.Sweep(cfg, injectsim.Fig32Residences()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(injectsim.CrossoverMs(points, 0.95), "crossover95_ms")
 	if b.N == 1 || testing.Verbose() {
@@ -49,10 +53,12 @@ func BenchmarkFig32_InjectionAccuracy10ms(b *testing.B) {
 // timeslice): the curve shifts roughly 10x left.
 func BenchmarkFig33_InjectionAccuracy1ms(b *testing.B) {
 	cfg := injectsim.Fig33Config()
-	cfg.Trials = 2000
 	var points []injectsim.Point
 	for i := 0; i < b.N; i++ {
-		points = injectsim.Sweep(cfg, injectsim.Fig33Residences())
+		var err error
+		if points, err = injectsim.Sweep(cfg, injectsim.Fig33Residences()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(injectsim.CrossoverMs(points, 0.95), "crossover95_ms")
 	if b.N == 1 || testing.Verbose() {
@@ -78,10 +84,6 @@ func BenchmarkTable34_DesignChoices(b *testing.B) {
 	b.ReportMetric(float64(chosen.CrossHostNotify)/1000, "chosen_cross_us")
 	if b.N == 1 || testing.Verbose() {
 		b.Logf("\n%s", designsim.Format(rows, scen))
-		// Cross-check the model against the DES measurement.
-		same, cross := designsim.Measure(designsim.PartiallyDistributed, designsim.ViaDaemon, costs)
-		b.Logf("DES cross-check (chosen design): same-host %v µs, cross-host %v µs",
-			float64(same)/1000, float64(cross)/1000)
 	}
 }
 
@@ -314,29 +316,38 @@ func crashed(study *loki.StudyOutcome) bool {
 func BenchmarkClockSyncBounds(b *testing.B) {
 	var width float64
 	for i := 0; i < b.N; i++ {
-		sim := simnet.NewSim(int64(i))
-		net := simnet.NewNetwork(sim, simnet.NetworkConfig{
-			Remote: simnet.Exponential{Min: 80_000, MeanTail: 60_000},
-		})
-		net.AddHost("ref", vclock.ClockConfig{})
-		net.AddHost("m1", vclock.ClockConfig{Offset: 7e6, DriftPPM: 90})
-		msgs, err := clocksync.Exchange(net, "ref", clocksync.ExchangeConfig{Count: 25})
+		msgs, err := lanStamps(int64(i), simnet.Exponential{Min: 80_000, MeanTail: 60_000},
+			vclock.ClockConfig{Offset: 7e6, DriftPPM: 90}, 25, vclock.Ticks(30e9))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.After(vclock.Ticks(30e9), func() {})
-		sim.Run()
-		more, err := clocksync.Exchange(net, "ref", clocksync.ExchangeConfig{Count: 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bounds, err := clocksync.Estimate(clocksync.SamplesFor(append(msgs, more...), "ref", "m1"))
+		bounds, err := clocksync.Estimate(clocksync.SamplesFor(msgs, "ref", "m1"))
 		if err != nil {
 			b.Fatal(err)
 		}
 		width = bounds.AlphaWidth() / 1000
 	}
 	b.ReportMetric(width, "alpha_width_us")
+}
+
+// lanStamps stamps two synchronization mini-phases of count round trips,
+// gap apart, between an exact reference clock "ref" and a remote "m1" with
+// the given hidden error.
+func lanStamps(seed int64, lan simnet.LatencyModel, m1 vclock.ClockConfig, count int, gap vclock.Ticks) ([]clocksync.StampedMessage, error) {
+	src := vclock.NewManualSource(0)
+	rng := rand.New(rand.NewSource(seed))
+	clocks := map[string]*vclock.Clock{
+		"ref": vclock.NewClock(src, vclock.ClockConfig{}),
+		"m1":  vclock.NewClock(src, m1),
+	}
+	cfg := clocksync.ExchangeConfig{Count: count}
+	msgs, err := clocksync.Exchange(src, clocks, "ref", lan, rng, cfg)
+	if err != nil {
+		return nil, err
+	}
+	src.Advance(gap)
+	more, err := clocksync.Exchange(src, clocks, "ref", lan, rng, cfg)
+	return append(msgs, more...), err
 }
 
 // --- Micro-benchmarks of runtime hot paths ---
@@ -398,17 +409,12 @@ func BenchmarkTimelineEncodeDecode(b *testing.B) {
 }
 
 func BenchmarkConvexHullEstimate(b *testing.B) {
-	sim := simnet.NewSim(9)
-	net := simnet.NewNetwork(sim, simnet.NetworkConfig{
-		Remote: simnet.Exponential{Min: 60_000, MeanTail: 90_000},
-	})
-	net.AddHost("ref", vclock.ClockConfig{})
-	net.AddHost("m1", vclock.ClockConfig{Offset: 2e6, DriftPPM: 55})
-	msgs, _ := clocksync.Exchange(net, "ref", clocksync.ExchangeConfig{Count: 100})
-	sim.After(vclock.Ticks(10e9), func() {})
-	sim.Run()
-	more, _ := clocksync.Exchange(net, "ref", clocksync.ExchangeConfig{Count: 100})
-	samples := clocksync.SamplesFor(append(msgs, more...), "ref", "m1")
+	msgs, err := lanStamps(9, simnet.Exponential{Min: 60_000, MeanTail: 90_000},
+		vclock.ClockConfig{Offset: 2e6, DriftPPM: 55}, 100, vclock.Ticks(10e9))
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := clocksync.SamplesFor(msgs, "ref", "m1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := clocksync.Estimate(samples); err != nil {

@@ -16,9 +16,7 @@ type (
 	// DropMessages, DelayMessages, DuplicateMessages, CorruptPayload,
 	// CrashRestart, or ClockStep.
 	ChaosAction = chaos.Action
-	// ChaosEnv is the testbed surface actions manipulate.
-	ChaosEnv = chaos.Env
-	// ChaosEngine dispatches fired action faults onto an env.
+	// ChaosEngine dispatches fired action faults onto its runtime.
 	ChaosEngine = chaos.Engine
 	// ActionCall is a fault specification's trailing action invocation,
 	// e.g. "partition(h1|h2,h3) 50ms".

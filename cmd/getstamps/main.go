@@ -5,8 +5,8 @@
 //	          <PortNumber> <TimestampsFile>
 //
 // step (§5.6), on a simulated LAN: every host gets a hidden clock error
-// (seeded), messages cross links with an exponential-over-floor latency
-// model, and both mini-phases (before/after a configurable experiment gap)
+// (seeded), messages take an exponential-over-floor one-way delay, and
+// both mini-phases (before/after a configurable experiment gap)
 // are emitted. The hidden ground truth is appended as comments so the
 // alphabeta bounds can be checked by eye.
 //
@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"log"
@@ -55,12 +56,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sim := simnet.NewSim(*seed)
-	net := simnet.NewNetwork(sim, simnet.NetworkConfig{
-		Remote: simnet.Exponential{Min: 80_000, MeanTail: 70_000},
-	})
+	src := vclock.NewManualSource(0)
 	rng := rand.New(rand.NewSource(*seed))
 	truth := make(map[string]vclock.ClockConfig, len(hosts))
+	clocks := make(map[string]*vclock.Clock, len(hosts))
 	for i, h := range hosts {
 		cfg := vclock.ClockConfig{
 			Offset:   vclock.Ticks(rng.Int63n(20e6)) - 10e6,
@@ -70,18 +69,18 @@ func main() {
 			cfg = vclock.ClockConfig{}
 		}
 		truth[h] = cfg
-		net.AddHost(h, cfg)
+		clocks[h] = vclock.NewClock(src, cfg)
 	}
 	ref := hosts[0]
 
+	lan := simnet.Exponential{Min: 80_000, MeanTail: 70_000}
 	exch := clocksync.ExchangeConfig{Count: *count, Spacing: vclock.FromDuration(*spacing)}
-	msgs, err := clocksync.Exchange(net, ref, exch)
+	msgs, err := clocksync.Exchange(src, clocks, ref, lan, rng, exch)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim.After(vclock.FromDuration(*gap), func() {})
-	sim.Run()
-	more, err := clocksync.Exchange(net, ref, exch)
+	src.Advance(vclock.FromDuration(*gap))
+	more, err := clocksync.Exchange(src, clocks, ref, lan, rng, exch)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,14 +92,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer out.Close()
 	}
-	if err := clocksync.EncodeTimestamps(out, msgs); err != nil {
+	// One buffered writer carries the stamps and the ground-truth trailer,
+	// so a failed write anywhere surfaces at Flush; Close is checked too —
+	// exiting 0 on a short write would hand alphabeta a truncated file.
+	w := bufio.NewWriter(out)
+	if err := clocksync.EncodeTimestamps(w, msgs); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(out, "# reference %s\n", ref)
+	fmt.Fprintf(w, "# reference %s\n", ref)
 	for _, h := range hosts {
-		fmt.Fprintf(out, "# truth %s offset=%dns drift=%+gppm\n", h, truth[h].Offset, truth[h].DriftPPM)
+		fmt.Fprintf(w, "# truth %s offset=%dns drift=%+gppm\n", h, truth[h].Offset, truth[h].DriftPPM)
+	}
+	if err := w.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	if *outPath != "" {
+		if err := out.Close(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d messages for %d hosts\n", len(msgs), len(hosts))
 }

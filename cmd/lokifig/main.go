@@ -6,6 +6,9 @@
 //	lokifig -fig 3.4   §3.4.2 runtime design comparison table
 //	lokifig -fig 4.2   predicate value timelines and observation values
 //	lokifig -fig all   everything
+//
+// Figures 3.2/3.3 are measured, not modelled: every trial is one experiment
+// of the campaign pipeline under virtual time (internal/injectsim).
 package main
 
 import (
@@ -13,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/designsim"
 	"repro/internal/injectsim"
@@ -26,8 +30,8 @@ func main() {
 	log.SetPrefix("lokifig: ")
 	var (
 		fig    = flag.String("fig", "all", "figure to regenerate: 3.2, 3.3, 3.4, 4.2, or all")
-		trials = flag.Int("trials", 4000, "Monte Carlo trials per point (figs 3.2/3.3)")
-		seed   = flag.Int64("seed", 1, "simulation seed")
+		trials = flag.Int("trials", 400, "experiments per residence (figs 3.2/3.3)")
+		seed   = flag.Int64("seed", 1, "seed of the notification-delay draws (figs 3.2/3.3)")
 	)
 	flag.Parse()
 
@@ -56,14 +60,14 @@ func main() {
 
 func sweep(title string, cfg injectsim.Config, residences []float64) {
 	fmt.Println(title)
-	fmt.Println("  time-in-state    P(correct injection)")
-	points := injectsim.Sweep(cfg, residences)
+	fmt.Println("  time-in-state    P(correct injection)  [truly in state]")
+	points, err := injectsim.Sweep(cfg, residences)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, p := range points {
-		bar := ""
-		for i := 0; i < int(p.PCorrect*40); i++ {
-			bar += "#"
-		}
-		fmt.Printf("  %9.2f ms  %6.4f  %s\n", p.ResidenceMs, p.PCorrect, bar)
+		fmt.Printf("  %9.2f ms  %6.4f  [%6.4f]  %s\n", p.ResidenceMs, p.PCorrect, p.PInState,
+			strings.Repeat("#", int(p.PCorrect*40)))
 	}
 	fmt.Printf("  95%% reliability crossover: %.2f ms (timeslice %.0f ms)\n",
 		injectsim.CrossoverMs(points, 0.95), float64(cfg.Timeslice)/1e6)
@@ -84,11 +88,7 @@ func fig33(trials int, seed int64) {
 func fig34() {
 	fmt.Println("Section 3.4.2 — runtime architecture design comparison")
 	scen := designsim.Scenario{Hosts: 4, NodesPerHost: 4}
-	costs := designsim.ThesisCosts()
-	fmt.Print(designsim.Format(designsim.Table(costs, scen), scen))
-	same, cross := designsim.Measure(designsim.PartiallyDistributed, designsim.ViaDaemon, costs)
-	fmt.Printf("DES cross-check of chosen design: same-host %.0f µs, cross-host %.0f µs\n",
-		float64(same)/1000, float64(cross)/1000)
+	fmt.Print(designsim.Format(designsim.Table(designsim.ThesisCosts(), scen), scen))
 }
 
 func fig42() {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultexpr"
 	"repro/internal/simnet"
 	"repro/internal/vclock"
@@ -40,22 +41,22 @@ func (p *Partition) Name() string { return "partition" }
 
 // Apply implements Action: block every cross-group host pair. A single
 // group is isolated from every other host on the testbed.
-func (p *Partition) Apply(env Env) error {
-	for _, pair := range p.pairs(env) {
-		env.Partition(pair[0], pair[1])
+func (p *Partition) Apply(rt *core.Runtime) error {
+	for _, pair := range p.pairs(rt) {
+		rt.PartitionHosts(pair[0], pair[1])
 	}
 	return nil
 }
 
 // Revert implements Action: heal the same pairs.
-func (p *Partition) Revert(env Env) error {
-	for _, pair := range p.pairs(env) {
-		env.Heal(pair[0], pair[1])
+func (p *Partition) Revert(rt *core.Runtime) error {
+	for _, pair := range p.pairs(rt) {
+		rt.HealHosts(pair[0], pair[1])
 	}
 	return nil
 }
 
-func (p *Partition) pairs(env Env) [][2]string {
+func (p *Partition) pairs(rt *core.Runtime) [][2]string {
 	groups := p.Groups
 	if len(groups) == 1 {
 		// Isolate the group from the rest of the testbed.
@@ -64,7 +65,7 @@ func (p *Partition) pairs(env Env) [][2]string {
 			in[h] = true
 		}
 		var rest []string
-		for _, h := range env.Hosts() {
+		for _, h := range rt.Hosts() {
 			if !in[h] {
 				rest = append(rest, h)
 			}
@@ -94,16 +95,16 @@ type HealPartition struct {
 func (h *HealPartition) Name() string { return "heal" }
 
 // Apply implements Action.
-func (h *HealPartition) Apply(env Env) error {
+func (h *HealPartition) Apply(rt *core.Runtime) error {
 	if len(h.Groups) == 0 {
-		env.HealAll()
+		rt.HealAllPartitions()
 		return nil
 	}
-	return (&Partition{Groups: h.Groups}).Revert(env)
+	return (&Partition{Groups: h.Groups}).Revert(rt)
 }
 
 // Revert implements Action: healing has nothing to undo.
-func (h *HealPartition) Revert(Env) error { return nil }
+func (h *HealPartition) Revert(*core.Runtime) error { return nil }
 
 // linkAction carries the shared link-and-id plumbing of the filter-backed
 // actions.
@@ -112,13 +113,13 @@ type linkAction struct {
 	id   string
 }
 
-func (l linkAction) install(env Env, f simnet.Filter) error {
-	env.InstallFilter(l.Link, l.id, f)
+func (l linkAction) install(rt *core.Runtime, f simnet.Filter) error {
+	rt.InstallLinkFilter(l.Link, l.id, f)
 	return nil
 }
 
-func (l linkAction) remove(env Env) error {
-	env.RemoveFilter(l.Link, l.id)
+func (l linkAction) remove(rt *core.Runtime) error {
+	rt.RemoveLinkFilter(l.Link, l.id)
 	return nil
 }
 
@@ -132,12 +133,12 @@ type DropMessages struct {
 func (d *DropMessages) Name() string { return "drop" }
 
 // Apply implements Action.
-func (d *DropMessages) Apply(env Env) error {
-	return d.install(env, simnet.DropFilter{P: d.P})
+func (d *DropMessages) Apply(rt *core.Runtime) error {
+	return d.install(rt, simnet.DropFilter{P: d.P})
 }
 
 // Revert implements Action.
-func (d *DropMessages) Revert(env Env) error { return d.remove(env) }
+func (d *DropMessages) Revert(rt *core.Runtime) error { return d.remove(rt) }
 
 // DelayMessages adds Delay plus uniform [0, Jitter) to link traffic.
 type DelayMessages struct {
@@ -150,15 +151,15 @@ type DelayMessages struct {
 func (d *DelayMessages) Name() string { return "delay" }
 
 // Apply implements Action.
-func (d *DelayMessages) Apply(env Env) error {
-	return d.install(env, simnet.DelayFilter{
+func (d *DelayMessages) Apply(rt *core.Runtime) error {
+	return d.install(rt, simnet.DelayFilter{
 		Extra:  vclock.FromDuration(d.Delay),
 		Jitter: vclock.FromDuration(d.Jitter),
 	})
 }
 
 // Revert implements Action.
-func (d *DelayMessages) Revert(env Env) error { return d.remove(env) }
+func (d *DelayMessages) Revert(rt *core.Runtime) error { return d.remove(rt) }
 
 // DuplicateMessages delivers Copies extra copies with probability P.
 type DuplicateMessages struct {
@@ -171,12 +172,12 @@ type DuplicateMessages struct {
 func (d *DuplicateMessages) Name() string { return "duplicate" }
 
 // Apply implements Action.
-func (d *DuplicateMessages) Apply(env Env) error {
-	return d.install(env, simnet.DuplicateFilter{P: d.P, Copies: d.Copies})
+func (d *DuplicateMessages) Apply(rt *core.Runtime) error {
+	return d.install(rt, simnet.DuplicateFilter{P: d.P, Copies: d.Copies})
 }
 
 // Revert implements Action.
-func (d *DuplicateMessages) Revert(env Env) error { return d.remove(env) }
+func (d *DuplicateMessages) Revert(rt *core.Runtime) error { return d.remove(rt) }
 
 // CorruptPayload wraps link payloads in the tamper envelope
 // (simnet.Corrupted) with probability P.
@@ -189,12 +190,12 @@ type CorruptPayload struct {
 func (c *CorruptPayload) Name() string { return "corrupt" }
 
 // Apply implements Action.
-func (c *CorruptPayload) Apply(env Env) error {
-	return c.install(env, simnet.CorruptFilter{P: c.P})
+func (c *CorruptPayload) Apply(rt *core.Runtime) error {
+	return c.install(rt, simnet.CorruptFilter{P: c.P})
 }
 
 // Revert implements Action.
-func (c *CorruptPayload) Revert(env Env) error { return c.remove(env) }
+func (c *CorruptPayload) Revert(rt *core.Runtime) error { return c.remove(rt) }
 
 // CrashRestart crashes a host — every node on it dies through the hostfail
 // path — and, when RestartAfter is positive, reboots it and restarts those
@@ -213,25 +214,25 @@ func (c *CrashRestart) Name() string {
 }
 
 // Apply implements Action.
-func (c *CrashRestart) Apply(env Env) error {
-	victims := env.NodesOn(c.Host)
-	if err := env.CrashHost(c.Host); err != nil {
+func (c *CrashRestart) Apply(rt *core.Runtime) error {
+	victims := rt.NodesOnHost(c.Host)
+	if err := rt.CrashHost(c.Host); err != nil {
 		return err
 	}
 	if c.RestartAfter > 0 {
-		env.After(c.RestartAfter, func() { c.restart(env, victims) })
+		rt.ExpAfterFunc(c.RestartAfter, func() { c.restart(rt, victims) })
 	}
 	return nil
 }
 
-func (c *CrashRestart) restart(env Env, victims []string) {
-	if err := env.RestartHost(c.Host); err != nil {
-		env.Logf("chaos: restart host %s: %v", c.Host, err)
+func (c *CrashRestart) restart(rt *core.Runtime, victims []string) {
+	if err := rt.RebootHost(c.Host); err != nil {
+		rt.Logf("chaos: restart host %s: %v", c.Host, err)
 		return
 	}
 	for _, nick := range victims {
-		if err := env.StartNode(nick, c.Host); err != nil {
-			env.Logf("chaos: restart node %s on %s: %v", nick, c.Host, err)
+		if _, err := rt.StartNode(nick, c.Host); err != nil {
+			rt.Logf("chaos: restart node %s on %s: %v", nick, c.Host, err)
 		}
 	}
 }
@@ -239,7 +240,7 @@ func (c *CrashRestart) restart(env Env, victims []string) {
 // Revert implements Action: an early revert reboots the host (without
 // waiting out RestartAfter) but leaves node restarts to the scheduled
 // path.
-func (c *CrashRestart) Revert(env Env) error { return env.RestartHost(c.Host) }
+func (c *CrashRestart) Revert(rt *core.Runtime) error { return rt.RebootHost(c.Host) }
 
 // ClockStep steps a host's clock by Delta — the clock misbehaviour fault.
 // Negative deltas model a clock set backwards. A mid-experiment step lands
@@ -258,13 +259,13 @@ type ClockStep struct {
 func (c *ClockStep) Name() string { return "clockstep" }
 
 // Apply implements Action.
-func (c *ClockStep) Apply(env Env) error {
-	return env.StepClock(c.Host, vclock.FromDuration(c.Delta))
+func (c *ClockStep) Apply(rt *core.Runtime) error {
+	return rt.StepHostClock(c.Host, vclock.FromDuration(c.Delta))
 }
 
 // Revert implements Action: step back by the same amount.
-func (c *ClockStep) Revert(env Env) error {
-	return env.StepClock(c.Host, -vclock.FromDuration(c.Delta))
+func (c *ClockStep) Revert(rt *core.Runtime) error {
+	return rt.StepHostClock(c.Host, -vclock.FromDuration(c.Delta))
 }
 
 // ParseAction resolves a fault specification's action call into a built-in

@@ -17,78 +17,42 @@
 // duration, when present, auto-reverts the action that long after
 // injection.
 //
-// Actions manipulate an Env — the testbed surface. Two adapters ship:
-// RuntimeEnv drives the live core.Runtime testbed (the campaign pipeline),
-// interposing on the application bus; SimEnv drives the discrete-event
-// simnet testbed. Both reuse simnet's link-interposition layer
-// (Filter/Fate), so one fault vocabulary covers both. All randomness in
-// installed filters flows from the env's seeded source, keeping runs
-// deterministic under a seed.
+// Actions manipulate the core.Runtime the study runs on: network actions
+// interpose on its application bus through simnet's link filters
+// (Filter/Fate), host actions go through the hostfail path
+// (CrashHost/RebootHost), and deferred work — auto-reverts, restarts — is
+// scoped to the current experiment (Runtime.ExpAfterFunc). All randomness
+// in installed filters flows from the runtime's seeded source (SeedNetem),
+// keeping runs deterministic under a seed.
 package chaos
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultexpr"
-	"repro/internal/simnet"
-	"repro/internal/vclock"
 )
 
-// Env is the testbed surface actions manipulate. Host arguments follow the
-// testbed's host names; simnet.Wildcard matches any host in link
-// positions.
-type Env interface {
-	// Hosts returns all testbed host names, sorted.
-	Hosts() []string
-	// Partition blocks traffic between two hosts, both directions.
-	Partition(a, b string)
-	// Heal removes the partition between two hosts.
-	Heal(a, b string)
-	// HealAll removes every partition.
-	HealAll()
-	// InstallFilter interposes a traffic filter on a directed host link;
-	// id names it for removal (same-id installs replace in place).
-	InstallFilter(link simnet.Link, id string, f simnet.Filter)
-	// RemoveFilter removes the filter installed under (link, id).
-	RemoveFilter(link simnet.Link, id string) bool
-	// CrashHost crashes a host: every node on it dies at once.
-	CrashHost(host string) error
-	// RestartHost reboots a crashed host so nodes may run there again.
-	RestartHost(host string) error
-	// NodesOn lists the live nodes on a host (empty on testbeds without a
-	// node runtime).
-	NodesOn(host string) []string
-	// StartNode starts a registered node on a host; testbeds without a
-	// node runtime return an error.
-	StartNode(nick, host string) error
-	// StepClock shifts a host's clock by delta.
-	StepClock(host string, delta vclock.Ticks) error
-	// After schedules fn after d in the testbed's time, scoped to the
-	// current experiment.
-	After(d time.Duration, fn func())
-	// Logf receives action diagnostics.
-	Logf(format string, args ...interface{})
-}
-
 // Action is one installable fault. Built-ins live in actions.go; every
-// action is deterministic given its parameters and the env's seed.
+// action is deterministic given its parameters and the runtime's seed.
+// Host arguments follow the runtime's host names; simnet.Wildcard matches
+// any host in link positions.
 type Action interface {
 	// Name returns the action's registry name (the spec-file spelling).
 	Name() string
 	// Apply installs the fault on the testbed.
-	Apply(env Env) error
+	Apply(rt *core.Runtime) error
 	// Revert removes it again, best-effort; the Engine calls this after
 	// the spec's auto-revert window.
-	Revert(env Env) error
+	Revert(rt *core.Runtime) error
 }
 
-// Engine dispatches fired action faults onto an Env. Attach wires one to a
-// live runtime; NewEngine serves tests and the simnet adapter directly.
+// Engine dispatches fired action faults onto the runtime it is attached
+// to (Attach). Apply, revert and restart failures go to the runtime's
+// diagnostics (Runtime.Logf).
 type Engine struct {
-	env Env
+	rt *core.Runtime
 
 	mu    sync.Mutex
 	cache map[string]Action // parsed actions by call syntax
@@ -98,32 +62,22 @@ type Engine struct {
 	revGen map[string]uint64
 }
 
-// NewEngine returns an engine over env.
-func NewEngine(env Env) *Engine {
-	return &Engine{env: env, cache: make(map[string]Action), revGen: make(map[string]uint64)}
-}
-
 // Attach binds a chaos engine to a live runtime: it seeds the runtime's
 // traffic-shaping randomness and installs the engine as the runtime's
 // fault-action dispatcher, so fault specification entries naming a
 // built-in action execute here when they fire.
 func Attach(rt *core.Runtime, seed int64) *Engine {
 	rt.SeedNetem(seed)
-	env := NewRuntimeEnv(rt)
-	env.Log = rt.Logf // apply/revert/restart failures reach the runtime's diagnostics
-	e := NewEngine(env)
+	e := &Engine{rt: rt, cache: make(map[string]Action), revGen: make(map[string]uint64)}
 	rt.SetFaultActionHook(func(n *core.Node, f faultexpr.Spec) {
 		e.Dispatch(f)
 	})
 	return e
 }
 
-// Env returns the engine's testbed surface.
-func (e *Engine) Env() Env { return e.env }
-
 // Dispatch resolves and applies one fired action fault: Apply now, and
 // Revert after the spec's For window when one is given. Resolution errors
-// and apply failures are logged to the env, not fatal — a misfiring fault
+// and apply failures are logged to the runtime, not fatal — a misfiring fault
 // must not take the campaign down.
 func (e *Engine) Dispatch(f faultexpr.Spec) {
 	if f.Action == nil {
@@ -131,11 +85,11 @@ func (e *Engine) Dispatch(f faultexpr.Spec) {
 	}
 	act, err := e.resolve(f.Action)
 	if err != nil {
-		e.env.Logf("chaos: fault %s: %v", f.Name, err)
+		e.rt.Logf("chaos: fault %s: %v", f.Name, err)
 		return
 	}
-	if err := act.Apply(e.env); err != nil {
-		e.env.Logf("chaos: fault %s: apply %s: %v", f.Name, f.Action, err)
+	if err := act.Apply(e.rt); err != nil {
+		e.rt.Logf("chaos: fault %s: apply %s: %v", f.Name, f.Action, err)
 		return
 	}
 	if f.Action.For > 0 {
@@ -144,15 +98,15 @@ func (e *Engine) Dispatch(f faultexpr.Spec) {
 		e.revGen[key]++
 		gen := e.revGen[key]
 		e.mu.Unlock()
-		e.env.After(f.Action.For, func() {
+		e.rt.ExpAfterFunc(f.Action.For, func() {
 			e.mu.Lock()
 			stale := e.revGen[key] != gen
 			e.mu.Unlock()
 			if stale {
 				return // a later firing re-applied the action; its revert governs
 			}
-			if err := act.Revert(e.env); err != nil {
-				e.env.Logf("chaos: fault %s: revert %s: %v", f.Name, f.Action, err)
+			if err := act.Revert(e.rt); err != nil {
+				e.rt.Logf("chaos: fault %s: revert %s: %v", f.Name, f.Action, err)
 			}
 		})
 	}

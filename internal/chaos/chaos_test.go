@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/faultexpr"
-	"repro/internal/simnet"
 	"repro/internal/spec"
 	"repro/internal/vclock"
 )
@@ -121,160 +121,212 @@ func TestValidateSpecsRejectsUnknownHost(t *testing.T) {
 	}
 }
 
-// simEnv builds a 3-host DES testbed with a sink endpoint per host
-// counting deliveries.
-func simEnv(t *testing.T) (*simnet.Sim, *SimEnv, map[string]*int) {
+// The *OnSim tests run the actions on the simulated testbed the campaign
+// engine uses under virtual time: a core.Runtime on a clock.Virtual, one
+// node per host, application-bus sends between them.
+
+var nicks = []string{"n1", "n2", "n3"} // nK lives on host hK
+
+// simBed starts a 3-host runtime on a virtual clock with an idle node on
+// every host. The calling test is the clock's driver until cleanup.
+func simBed(t *testing.T) (*clock.Virtual, *core.Runtime) {
 	t.Helper()
-	sim := simnet.NewSim(7)
-	net := simnet.NewNetwork(sim, simnet.NetworkConfig{Remote: simnet.Constant(100_000)})
-	counts := make(map[string]*int)
-	for _, h := range []string{"h1", "h2", "h3"} {
-		host := net.AddHost(h, vclock.ClockConfig{})
-		n := new(int)
-		counts[h] = n
-		host.Bind("sink", func(simnet.Message) { *n++ })
+	v := clock.NewVirtual()
+	rt := core.New(core.Config{Clock: v, Source: v.Source(), Logf: t.Logf})
+	t.Cleanup(rt.Shutdown)
+	sm, err := spec.ParseStateMachine(upSpec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sim, NewSimEnv(net), counts
+	v.Drive()
+	t.Cleanup(v.Release)
+	for i, nick := range nicks {
+		host := "h" + nick[1:]
+		rt.AddHost(host, vclock.ClockConfig{Offset: vclock.Ticks(i) * 1e6})
+		idle := appFunc(func(h *core.Handle) { h.Sleep(time.Hour) })
+		if err := rt.Register(core.NodeDef{Nickname: nick, Spec: sm, App: idle}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.StartNode(nick, host); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return v, rt
 }
 
-func sendAll(net *simnet.Network) {
-	for _, from := range []string{"h1", "h2", "h3"} {
-		for _, to := range []string{"h1", "h2", "h3"} {
-			if from != to {
-				net.Send(simnet.Address{Host: from, Name: "src"}, simnet.Address{Host: to, Name: "sink"}, "m")
+// sendAll sends one message over every directed host pair.
+func sendAll(rt *core.Runtime) {
+	for _, from := range nicks {
+		for _, to := range nicks {
+			if n := rt.Node(from); n != nil && from != to {
+				n.Handle().Send(to, "m")
 			}
 		}
 	}
 }
 
+// received drains a node's inbox and reports how many messages were in it.
+func received(t *testing.T, rt *core.Runtime, nick string) int {
+	t.Helper()
+	n := rt.Node(nick)
+	if n == nil {
+		t.Fatalf("node %s is not running", nick)
+	}
+	inbox := n.Handle().Inbox()
+	count := len(inbox)
+	for i := 0; i < count; i++ {
+		<-inbox
+	}
+	return count
+}
+
 func TestPartitionActionOnSim(t *testing.T) {
-	sim, env, counts := simEnv(t)
+	_, rt := simBed(t)
 	a := mustAction(t, "partition(h1|h2,h3)")
-	if err := a.Apply(env); err != nil {
+	if err := a.Apply(rt); err != nil {
 		t.Fatal(err)
 	}
-	sendAll(env.Network())
-	sim.Run()
+	sendAll(rt)
 	// h1 is cut from h2 and h3: it receives nothing; h2<->h3 still flows.
-	if *counts["h1"] != 0 {
-		t.Errorf("h1 received %d messages across the split", *counts["h1"])
+	if n := received(t, rt, "n1"); n != 0 {
+		t.Errorf("h1 received %d messages across the split", n)
 	}
-	if *counts["h2"] != 1 || *counts["h3"] != 1 {
-		t.Errorf("h2/h3 = %d/%d, want 1/1 (h3<->h2 only)", *counts["h2"], *counts["h3"])
+	if n2, n3 := received(t, rt, "n2"), received(t, rt, "n3"); n2 != 1 || n3 != 1 {
+		t.Errorf("h2/h3 = %d/%d, want 1/1 (h3<->h2 only)", n2, n3)
 	}
 
-	if err := a.Revert(env); err != nil {
+	if err := a.Revert(rt); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range counts {
-		*n = 0
-	}
-	sendAll(env.Network())
-	sim.Run()
-	for h, n := range counts {
-		if *n != 2 {
-			t.Errorf("after revert %s received %d, want 2", h, *n)
+	sendAll(rt)
+	for _, nick := range nicks {
+		if n := received(t, rt, nick); n != 2 {
+			t.Errorf("after revert %s received %d, want 2", nick, n)
 		}
 	}
 }
 
 func TestSingleGroupPartitionIsolates(t *testing.T) {
-	sim, env, counts := simEnv(t)
-	if err := mustAction(t, "partition(h2)").Apply(env); err != nil {
+	_, rt := simBed(t)
+	if err := mustAction(t, "partition(h2)").Apply(rt); err != nil {
 		t.Fatal(err)
 	}
-	sendAll(env.Network())
-	sim.Run()
-	if *counts["h2"] != 0 {
-		t.Errorf("isolated h2 received %d", *counts["h2"])
+	sendAll(rt)
+	if n := received(t, rt, "n2"); n != 0 {
+		t.Errorf("isolated h2 received %d", n)
 	}
-	if *counts["h1"] != 1 || *counts["h3"] != 1 {
-		t.Errorf("h1/h3 = %d/%d, want 1/1", *counts["h1"], *counts["h3"])
+	if n1, n3 := received(t, rt, "n1"), received(t, rt, "n3"); n1 != 1 || n3 != 1 {
+		t.Errorf("h1/h3 = %d/%d, want 1/1", n1, n3)
 	}
 }
 
 func TestHealActionOnSim(t *testing.T) {
-	sim, env, counts := simEnv(t)
-	mustAction(t, "partition(h1|h2|h3)").Apply(env)
-	mustAction(t, "heal()").Apply(env)
-	sendAll(env.Network())
-	sim.Run()
-	for h, n := range counts {
-		if *n != 2 {
-			t.Errorf("after heal() %s received %d, want 2", h, *n)
+	_, rt := simBed(t)
+	if err := mustAction(t, "partition(h1|h2|h3)").Apply(rt); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustAction(t, "heal()").Apply(rt); err != nil {
+		t.Fatal(err)
+	}
+	sendAll(rt)
+	for _, nick := range nicks {
+		if n := received(t, rt, nick); n != 2 {
+			t.Errorf("after heal() %s received %d, want 2", nick, n)
 		}
 	}
 }
 
 func TestLinkActionsInstallAndRevert(t *testing.T) {
-	sim, env, counts := simEnv(t)
+	_, rt := simBed(t)
 	drop := mustAction(t, "drop(h1,h2,1)")
-	if err := drop.Apply(env); err != nil {
+	if err := drop.Apply(rt); err != nil {
 		t.Fatal(err)
 	}
-	sendAll(env.Network())
-	sim.Run()
-	if *counts["h2"] != 1 { // lost the h1->h2 message, kept h3->h2
-		t.Errorf("h2 received %d, want 1", *counts["h2"])
+	sendAll(rt)
+	if n := received(t, rt, "n2"); n != 1 { // lost the h1->h2 message, kept h3->h2
+		t.Errorf("h2 received %d, want 1", n)
 	}
-	if err := drop.Revert(env); err != nil {
+	if err := drop.Revert(rt); err != nil {
 		t.Fatal(err)
 	}
-	*counts["h2"] = 0
-	sendAll(env.Network())
-	sim.Run()
-	if *counts["h2"] != 2 {
-		t.Errorf("after revert h2 received %d, want 2", *counts["h2"])
+	sendAll(rt)
+	if n := received(t, rt, "n2"); n != 2 {
+		t.Errorf("after revert h2 received %d, want 2", n)
 	}
 }
 
 func TestCrashRestartOnSim(t *testing.T) {
-	sim, env, counts := simEnv(t)
-	// SimEnv has no node runtime: crashrestart degrades to down-then-up.
-	a := mustAction(t, "crashrestart(h2,1ms)")
-	if err := a.Apply(env); err != nil {
+	v, rt := simBed(t)
+	if err := mustAction(t, "crashrestart(h2,1ms)").Apply(rt); err != nil {
 		t.Fatal(err)
 	}
-	sendAll(env.Network())
-	sim.Run() // runs the restart timer too (virtual time)
-	if *counts["h2"] != 0 {
-		t.Errorf("down host received %d", *counts["h2"])
+	if !rt.HostDown("h2") {
+		t.Fatal("host up after the crash")
 	}
-	if env.Network().Host("h2").Down() {
-		t.Error("host still down after scheduled restart")
+	v.Sleep(time.Microsecond) // let the victim's goroutine notice and finish
+	if rt.Node("n2") != nil {
+		t.Fatal("n2 survived its host's crash")
+	}
+	sendAll(rt) // nothing listens on h2
+	v.Sleep(2 * time.Millisecond)
+	if rt.HostDown("h2") {
+		t.Error("host still down after the scheduled restart")
+	}
+	n2 := rt.Node("n2")
+	if n2 == nil || !n2.Restarted() {
+		t.Fatalf("n2 not restarted with its host: %v", n2)
+	}
+	// A rebooted process starts with an empty inbox and hears new traffic.
+	if n := received(t, rt, "n2"); n != 0 {
+		t.Errorf("restarted n2 found %d messages sent while it was down", n)
+	}
+	sendAll(rt)
+	if n := received(t, rt, "n2"); n != 2 {
+		t.Errorf("restarted n2 received %d, want 2", n)
 	}
 }
 
 func TestClockStepOnSim(t *testing.T) {
-	_, env, _ := simEnv(t)
-	clock := env.Network().Host("h3").Clock()
-	before := clock.Now()
-	if err := mustAction(t, "clockstep(h3,5ms)").Apply(env); err != nil {
+	_, rt := simBed(t)
+	clk := rt.HostClock("h3")
+	before := clk.Now()
+	step := mustAction(t, "clockstep(h3,5ms)")
+	if err := step.Apply(rt); err != nil {
 		t.Fatal(err)
 	}
-	after := clock.Now()
-	if diff := after - before; diff < vclock.FromMillis(5) {
-		t.Errorf("clock advanced by %v, want >= 5ms", diff.Duration())
+	// Virtual time stands still between the two readings, so the
+	// difference is the step alone (less the tick by which readings of one
+	// instant are kept strictly increasing).
+	if diff := clk.Now() - before; diff < vclock.FromMillis(5)-1 || diff > vclock.FromMillis(5) {
+		t.Errorf("clock advanced by %v, want 5ms", diff.Duration())
+	}
+	if err := step.Revert(rt); err != nil {
+		t.Fatal(err)
+	}
+	if left := clk.TrueStepped(); left != 0 {
+		t.Errorf("%v of step left after revert", left.Duration())
+	}
+	if err := mustAction(t, "clockstep(h9,5ms)").Apply(rt); err == nil {
+		t.Error("stepping an unknown host's clock succeeded")
 	}
 }
 
 func TestEngineDispatchAndAutoRevert(t *testing.T) {
-	sim, env, counts := simEnv(t)
-	e := NewEngine(env)
+	v, rt := simBed(t)
+	e := Attach(rt, 7)
 	spec, ok, err := faultexpr.ParseSpecLine("cut (a:X) once partition(h1|h2,h3) 2ms")
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
 	e.Dispatch(spec)
-	sendAll(env.Network())
-	sim.Run() // delivers the sends and then the 2ms revert timer
-	if *counts["h1"] != 0 {
-		t.Errorf("h1 received %d during the split", *counts["h1"])
+	sendAll(rt)
+	if n := received(t, rt, "n1"); n != 0 {
+		t.Errorf("h1 received %d during the split", n)
 	}
-	sendAll(env.Network())
-	sim.Run()
-	if *counts["h1"] != 2 {
-		t.Errorf("after auto-revert h1 received %d, want 2", *counts["h1"])
+	v.Sleep(3 * time.Millisecond) // past the 2ms revert timer
+	sendAll(rt)
+	if n := received(t, rt, "n1"); n != 2 {
+		t.Errorf("after auto-revert h1 received %d, want 2", n)
 	}
 }
 
@@ -282,39 +334,31 @@ func TestEngineDispatchAndAutoRevert(t *testing.T) {
 // inside its own auto-revert window, the earlier pending revert must not
 // cut the refreshed fault short — the latest firing's window governs.
 func TestOverlappingRevertWindowsExtend(t *testing.T) {
-	sim, env, counts := simEnv(t)
-	e := NewEngine(env)
+	v, rt := simBed(t)
+	e := Attach(rt, 7)
 	spec, ok, err := faultexpr.ParseSpecLine("flaky (a:X) always drop(h1,h2,1) 2ms")
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
 	e.Dispatch(spec) // t=0: window [0, 2ms)
-	env.After(time.Millisecond, func() {
-		e.Dispatch(spec) // t=1ms: window extends to [1ms, 3ms)
-		// t=2.5ms: inside the second window; the first revert (t=2ms)
-		// must not have removed the filter.
-		env.After(1500*time.Microsecond, func() { sendAll(env.Network()) })
-	})
-	sim.Run()
-	if *counts["h2"] != 1 { // h1->h2 still dropped; only h3->h2 arrives
-		t.Errorf("h2 received %d at t=2.5ms, want 1 (drop window cut short by stale revert)", *counts["h2"])
+	v.Sleep(time.Millisecond)
+	e.Dispatch(spec) // t=1ms: window extends to [1ms, 3ms)
+	// t=2.5ms: inside the second window; the first revert (t=2ms) must
+	// not have removed the filter.
+	v.Sleep(1500 * time.Microsecond)
+	sendAll(rt)
+	if n := received(t, rt, "n2"); n != 1 { // h1->h2 still dropped; only h3->h2 arrives
+		t.Errorf("h2 received %d at t=2.5ms, want 1 (drop window cut short by stale revert)", n)
 	}
 	// After the second window expires the link is clean again.
-	sendAll(env.Network())
-	sim.Run()
-	if *counts["h2"] != 3 {
-		t.Errorf("h2 received %d after expiry, want 3", *counts["h2"])
+	v.Sleep(time.Millisecond)
+	sendAll(rt)
+	if n := received(t, rt, "n2"); n != 2 {
+		t.Errorf("h2 received %d after expiry, want 2", n)
 	}
 }
 
-func TestAttachDrivesRuntimePartition(t *testing.T) {
-	rt := core.New(core.Config{})
-	defer rt.Shutdown()
-	rt.AddHost("h1", vclock.ClockConfig{})
-	rt.AddHost("h2", vclock.ClockConfig{})
-	Attach(rt, 1)
-
-	sm, err := spec.ParseStateMachine(`
+const upSpec = `
 global_state_list
   BEGIN
   UP
@@ -327,7 +371,16 @@ end_event_list
 state UP
 state CRASH
 state EXIT
-`)
+`
+
+func TestAttachDrivesRuntimePartition(t *testing.T) {
+	rt := core.New(core.Config{})
+	defer rt.Shutdown()
+	rt.AddHost("h1", vclock.ClockConfig{})
+	rt.AddHost("h2", vclock.ClockConfig{})
+	Attach(rt, 1)
+
+	sm, err := spec.ParseStateMachine(upSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

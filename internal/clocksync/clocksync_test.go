@@ -194,27 +194,42 @@ func TestProjectDegenerateBeta(t *testing.T) {
 	}
 }
 
-func TestExchangeOverSimnetRecoversClocks(t *testing.T) {
-	sim := simnet.NewSim(99)
-	net := simnet.NewNetwork(sim, simnet.NetworkConfig{
-		Remote: simnet.Exponential{Min: 80_000, MeanTail: 60_000},
-	})
-	net.AddHost("ref", vclock.ClockConfig{})
-	net.AddHost("m1", vclock.ClockConfig{Offset: 7e6, DriftPPM: 90})
-	net.AddHost("m2", vclock.ClockConfig{Offset: -4e6, DriftPPM: -150})
+// twoPhases runs Exchange twice over hidden-error clocks on one manual
+// source, gap apart — the thesis's mini-phases before and after an
+// experiment — and returns all stamps with the clocks that made them.
+func twoPhases(t testing.TB, seed int64, model simnet.LatencyModel, hosts map[string]vclock.ClockConfig,
+	cfg ExchangeConfig, gap vclock.Ticks) ([]StampedMessage, map[string]*vclock.Clock) {
+	t.Helper()
+	src := vclock.NewManualSource(0)
+	rng := rand.New(rand.NewSource(seed))
+	clocks := make(map[string]*vclock.Clock, len(hosts))
+	for name, c := range hosts {
+		clocks[name] = vclock.NewClock(src, c)
+	}
+	msgs, err := Exchange(src, clocks, "ref", model, rng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Advance(gap)
+	more, err := Exchange(src, clocks, "ref", model, rng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(msgs, more...), clocks
+}
 
-	msgs, err := Exchange(net, "ref", ExchangeConfig{Count: 25, Spacing: vclock.FromMillis(1)})
-	if err != nil {
-		t.Fatal(err)
+func TestExchangeOverSimnetRecoversClocks(t *testing.T) {
+	// A 60-second experiment sits between the two mini-phases.
+	msgs, clocks := twoPhases(t, 99, simnet.Exponential{Min: 80_000, MeanTail: 60_000},
+		map[string]vclock.ClockConfig{
+			"ref": {},
+			"m1":  {Offset: 7e6, DriftPPM: 90},
+			"m2":  {Offset: -4e6, DriftPPM: -150},
+		},
+		ExchangeConfig{Count: 25, Spacing: vclock.FromMillis(1)}, vclock.Ticks(60e9))
+	if len(msgs) != 2*2*2*25 {
+		t.Fatalf("stamped %d messages, want 200 (2 phases x 2 hosts x 25 round trips)", len(msgs))
 	}
-	// Simulate a 60-second experiment between the two mini-phases.
-	sim.After(vclock.Ticks(60e9), func() {})
-	sim.Run()
-	more, err := Exchange(net, "ref", ExchangeConfig{Count: 25, Spacing: vclock.FromMillis(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs = append(msgs, more...)
 
 	all, err := EstimateAll(msgs, "ref")
 	if err != nil {
@@ -222,7 +237,7 @@ func TestExchangeOverSimnetRecoversClocks(t *testing.T) {
 	}
 	for _, name := range []string{"m1", "m2"} {
 		b := all[name]
-		alpha, beta := vclock.AlphaBeta(net.Host("ref").Clock(), net.Host(name).Clock())
+		alpha, beta := vclock.AlphaBeta(clocks["ref"], clocks[name])
 		if !b.Contains(float64(alpha), beta) {
 			t.Errorf("%s: bounds %+v miss truth alpha=%d beta=%v", name, b, alpha, beta)
 		}
@@ -236,34 +251,25 @@ func TestExchangeOverSimnetRecoversClocks(t *testing.T) {
 	if id := all["ref"]; id != Identity() {
 		t.Errorf("reference bounds = %+v, want identity", id)
 	}
+
+	if _, err := Exchange(vclock.NewManualSource(0), clocks, "nohost", simnet.Exponential{}, nil, ExchangeConfig{}); err == nil {
+		t.Error("unknown reference host accepted")
+	}
 }
 
 func TestExchangePropertyTruthAlwaysInBounds(t *testing.T) {
 	f := func(seed int64, offRaw int16, driftRaw int8) bool {
-		sim := simnet.NewSim(seed)
-		net := simnet.NewNetwork(sim, simnet.NetworkConfig{
-			Remote: simnet.Exponential{Min: 50_000, MeanTail: 120_000},
-		})
-		net.AddHost("ref", vclock.ClockConfig{})
-		net.AddHost("x", vclock.ClockConfig{
-			Offset:   vclock.Ticks(offRaw) * 1e5,
-			DriftPPM: float64(driftRaw),
-		})
-		msgs, err := Exchange(net, "ref", ExchangeConfig{Count: 15, Spacing: vclock.FromMillis(2)})
+		msgs, clocks := twoPhases(t, seed, simnet.Exponential{Min: 50_000, MeanTail: 120_000},
+			map[string]vclock.ClockConfig{
+				"ref": {},
+				"x":   {Offset: vclock.Ticks(offRaw) * 1e5, DriftPPM: float64(driftRaw)},
+			},
+			ExchangeConfig{Count: 15, Spacing: vclock.FromMillis(2)}, vclock.Ticks(20e9))
+		b, err := Estimate(SamplesFor(msgs, "ref", "x"))
 		if err != nil {
 			return false
 		}
-		sim.After(vclock.Ticks(20e9), func() {})
-		sim.Run()
-		more, err := Exchange(net, "ref", ExchangeConfig{Count: 15, Spacing: vclock.FromMillis(2)})
-		if err != nil {
-			return false
-		}
-		b, err := Estimate(SamplesFor(append(msgs, more...), "ref", "x"))
-		if err != nil {
-			return false
-		}
-		alpha, beta := vclock.AlphaBeta(net.Host("ref").Clock(), net.Host("x").Clock())
+		alpha, beta := vclock.AlphaBeta(clocks["ref"], clocks["x"])
 		return b.Contains(float64(alpha), beta)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -14,28 +14,17 @@ import (
 // only ever makes a reading *earlier*, which loosens but never inverts the
 // positive-delay constraints when the granularity is below the delay floor.
 func TestEstimateWithGranularClocks(t *testing.T) {
-	sim := simnet.NewSim(21)
-	net := simnet.NewNetwork(sim, simnet.NetworkConfig{
-		Remote: simnet.Exponential{Min: 100_000, MeanTail: 80_000},
-	})
-	net.AddHost("ref", vclock.ClockConfig{Granularity: 10_000})
-	net.AddHost("g", vclock.ClockConfig{Offset: 3e6, DriftPPM: 40, Granularity: 10_000})
-
-	msgs, err := Exchange(net, "ref", ExchangeConfig{Count: 30, Spacing: vclock.FromMillis(1)})
+	msgs, clocks := twoPhases(t, 21, simnet.Exponential{Min: 100_000, MeanTail: 80_000},
+		map[string]vclock.ClockConfig{
+			"ref": {Granularity: 10_000},
+			"g":   {Offset: 3e6, DriftPPM: 40, Granularity: 10_000},
+		},
+		ExchangeConfig{Count: 30, Spacing: vclock.FromMillis(1)}, vclock.Ticks(40e9))
+	b, err := Estimate(SamplesFor(msgs, "ref", "g"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.After(vclock.Ticks(40e9), func() {})
-	sim.Run()
-	more, err := Exchange(net, "ref", ExchangeConfig{Count: 30, Spacing: vclock.FromMillis(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Estimate(SamplesFor(append(msgs, more...), "ref", "g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha, beta := vclock.AlphaBeta(net.Host("ref").Clock(), net.Host("g").Clock())
+	alpha, beta := vclock.AlphaBeta(clocks["ref"], clocks["g"])
 	// Allow one granule of slack on alpha: quantization is a bounded
 	// measurement error on top of the affine model.
 	slack := 20_000.0
@@ -52,23 +41,13 @@ func TestEstimateWithGranularClocks(t *testing.T) {
 // message delay is small".
 func TestBoundsWidthTracksDelayFloor(t *testing.T) {
 	width := func(floor vclock.Ticks) float64 {
-		sim := simnet.NewSim(5)
-		net := simnet.NewNetwork(sim, simnet.NetworkConfig{
-			Remote: simnet.Exponential{Min: floor, MeanTail: floor / 2},
-		})
-		net.AddHost("ref", vclock.ClockConfig{})
-		net.AddHost("x", vclock.ClockConfig{Offset: 1e6, DriftPPM: 30})
-		msgs, err := Exchange(net, "ref", ExchangeConfig{Count: 40, Spacing: vclock.FromMillis(1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.After(vclock.Ticks(20e9), func() {})
-		sim.Run()
-		more, err := Exchange(net, "ref", ExchangeConfig{Count: 40, Spacing: vclock.FromMillis(1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Estimate(SamplesFor(append(msgs, more...), "ref", "x"))
+		msgs, _ := twoPhases(t, 5, simnet.Exponential{Min: floor, MeanTail: floor / 2},
+			map[string]vclock.ClockConfig{
+				"ref": {},
+				"x":   {Offset: 1e6, DriftPPM: 30},
+			},
+			ExchangeConfig{Count: 40, Spacing: vclock.FromMillis(1)}, vclock.Ticks(20e9))
+		b, err := Estimate(SamplesFor(msgs, "ref", "x"))
 		if err != nil {
 			t.Fatal(err)
 		}

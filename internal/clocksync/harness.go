@@ -2,6 +2,7 @@ package clocksync
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"repro/internal/simnet"
@@ -75,7 +76,7 @@ type ExchangeConfig struct {
 	// Count is the number of round trips per host pair (default 20; the
 	// getstamps tool takes this as <NumberOfSyncMsgs>).
 	Count int
-	// Spacing is the virtual time between successive messages (default
+	// Spacing is the virtual time between successive round trips (default
 	// 1 ms; <TimeBetweenSyncMsgs>).
 	Spacing vclock.Ticks
 }
@@ -89,73 +90,49 @@ func (c *ExchangeConfig) setDefaults() {
 	}
 }
 
-// Exchange runs one synchronization mini-phase over a simulated network:
-// every non-reference host exchanges Count round trips with ref. It
-// schedules its messages starting at the network's current virtual time and
-// runs the simulation to completion, returning the raw stamped messages.
+// Exchange runs one synchronization mini-phase as the sequential ping-pong
+// it is: every non-reference host, in name order, exchanges Count round
+// trips with ref. Each message is stamped by the sender's clock, src is
+// advanced by a one-way delay drawn from model, and the receiver's clock
+// stamps the arrival; src ends where the last round trip left it, so a
+// caller separates two mini-phases by advancing src itself.
 //
-// This is the reproduction of the thesis's getstamps step; on the simulated
-// testbed the "hardware clocks" are the hosts' hidden-error vclocks, so the
-// returned stamps exercise exactly the geometry the convex-hull estimator
-// consumes.
-func Exchange(net *simnet.Network, ref string, cfg ExchangeConfig) ([]StampedMessage, error) {
+// This is the reproduction of the thesis's getstamps step off the testbed:
+// the "hardware clocks" are hidden-error vclocks over src, so the returned
+// stamps exercise exactly the geometry the convex-hull estimator consumes
+// (the campaign pipeline's mini-phases run the same loop over a runtime's
+// host clocks).
+func Exchange(src *vclock.ManualSource, clocks map[string]*vclock.Clock, ref string,
+	model simnet.LatencyModel, rng *rand.Rand, cfg ExchangeConfig) ([]StampedMessage, error) {
 	cfg.setDefaults()
-	sim := net.Sim()
-	refHost := net.Host(ref)
-	if refHost == nil {
+	refClock := clocks[ref]
+	if refClock == nil {
 		return nil, fmt.Errorf("clocksync: unknown reference host %q", ref)
 	}
-	var msgs []StampedMessage
-
-	const ep = "clocksync"
-	// Bind a ponger on every host: it replies to "ping" with "pong",
-	// recording timestamps at each end from the local clocks.
-	for _, name := range net.Hosts() {
-		host := net.Host(name)
-		hostName := name
-		host.Bind(ep, func(m simnet.Message) {
-			p := m.Payload.(*pingPayload)
-			recvClock := net.Host(hostName).Clock()
-			if p.isPing {
-				msgs = append(msgs, StampedMessage{
-					SendHost: m.From.Host, RecvHost: hostName,
-					SendTime: p.sentLocal, RecvTime: recvClock.Now(),
-				})
-				net.Send(simnet.Address{Host: hostName, Name: ep}, m.From,
-					&pingPayload{isPing: false, sentLocal: recvClock.Now()})
-				return
-			}
-			msgs = append(msgs, StampedMessage{
-				SendHost: m.From.Host, RecvHost: hostName,
-				SendTime: p.sentLocal, RecvTime: recvClock.Now(),
-			})
-		})
+	hosts := make([]string, 0, len(clocks))
+	for h := range clocks {
+		hosts = append(hosts, h)
 	}
+	sort.Strings(hosts)
 
-	for _, name := range net.Hosts() {
-		if name == ref {
+	var msgs []StampedMessage
+	for _, host := range hosts {
+		if host == ref {
 			continue
 		}
-		remote := name
+		hostClock := clocks[host]
 		for i := 0; i < cfg.Count; i++ {
-			at := sim.Now() + vclock.Ticks(i)*cfg.Spacing
-			sim.At(at, func() {
-				net.Send(simnet.Address{Host: ref, Name: ep},
-					simnet.Address{Host: remote, Name: ep},
-					&pingPayload{isPing: true, sentLocal: refHost.Clock().Now()})
-			})
+			ping := StampedMessage{SendHost: ref, RecvHost: host, SendTime: refClock.Now()}
+			src.Advance(model.Sample(rng))
+			ping.RecvTime = hostClock.Now()
+			pong := StampedMessage{SendHost: host, RecvHost: ref, SendTime: hostClock.Now()}
+			src.Advance(model.Sample(rng))
+			pong.RecvTime = refClock.Now()
+			msgs = append(msgs, ping, pong)
+			src.Advance(cfg.Spacing)
 		}
 	}
-	sim.Run()
-	for _, name := range net.Hosts() {
-		net.Host(name).Unbind(ep)
-	}
 	return msgs, nil
-}
-
-type pingPayload struct {
-	isPing    bool
-	sentLocal vclock.Ticks
 }
 
 // ChooseReference picks the reference machine from raw messages: the thesis

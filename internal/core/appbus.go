@@ -25,10 +25,8 @@ const inboxCapacity = 256
 // The message first crosses the interposition layer (netem.go): a
 // partition or an installed link filter may silently drop, delay,
 // duplicate, or corrupt it. In-flight losses still report true — like a
-// lost datagram, the sender cannot tell. Filter-chain *verdicts* are
-// identical on both testbeds (simnet.FilterSet), but delivery timing is
-// testbed-specific: this bus has no latency model, so duplicate copies
-// arrive together, where the DES network samples a latency per copy.
+// lost datagram, the sender cannot tell. This bus has no latency model of
+// its own, so duplicate copies arrive together.
 func (h *Handle) Send(to string, payload interface{}) bool {
 	h.node.touch()
 	rt := h.node.rt

@@ -13,13 +13,13 @@ import (
 	"repro/internal/vclock"
 )
 
-// This file is the live-runtime half of the link-interposition layer: the
+// This file is the runtime half of the link-interposition layer: the
 // application bus (appbus.go) consults per-host-pair partitions and filter
-// chains at send time, reusing simnet's Filter/Fate vocabulary so the chaos
-// action library (internal/chaos) drives both testbeds with one set of
-// primitives. Only the application bus is shaped — the Loki notification
-// LAN stays clean, as the thesis prescribes (§2.4: the runtime "can use a
-// LAN separate from the one used by the system").
+// chains at send time, in simnet's Filter/Fate vocabulary, which is what
+// the chaos action library (internal/chaos) installs. Only the application
+// bus is shaped — the Loki notification LAN stays clean, as the thesis
+// prescribes (§2.4: the runtime "can use a LAN separate from the one used
+// by the system").
 //
 // It also carries the fault-action hook: fault specification entries that
 // name a built-in action (faultexpr.Spec.Action) are dispatched here
@@ -28,7 +28,7 @@ import (
 // netem is the runtime's traffic-shaping state. It has its own lock:
 // shaping runs on application goroutines and must not contend with the
 // runtime's node table. The filter-chain machinery itself is simnet's
-// FilterSet, shared with the DES testbed so the semantics cannot diverge.
+// FilterSet.
 type netem struct {
 	mu         sync.Mutex
 	seed       int64

@@ -9,15 +9,15 @@
 // per-notification latency, multicast cost, and node entry/exit cost as
 // functions of system size — plus the qualitative capabilities that drove
 // the final choice (the partially distributed design with communication
-// through daemons). A DES-backed measurement (Measure) cross-checks the
-// closed-form model on a simulated network.
+// through daemons). The model is closed-form and stays that way: five of
+// the six designs were never implemented, here or in the thesis, so there
+// is nothing to measure them on.
 package designsim
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
 
@@ -220,85 +220,4 @@ func Format(rows []Row, s Scenario) string {
 			r.DynamicHosts, r.DynamicNodes, r.CrossHostRestart, r.Bottleneck)
 	}
 	return b.String()
-}
-
-// Measure cross-checks the model's notification latencies on a simnet DES:
-// it wires the chosen path shapes with Constant latencies and measures
-// end-to-end delivery time for one same-host and one cross-host
-// notification.
-func Measure(d Design, m CommMode, c Costs) (sameHost, crossHost vclock.Ticks) {
-	measure := func(hops []hop) vclock.Ticks {
-		sim := simnet.NewSim(1)
-		net := simnet.NewNetwork(sim, simnet.NetworkConfig{
-			Remote: simnet.Constant(c.TCP),
-			Local:  simnet.Constant(c.IPC),
-		})
-		net.AddHost("h1", vclock.ClockConfig{})
-		net.AddHost("h2", vclock.ClockConfig{})
-		net.AddHost("central", vclock.ClockConfig{})
-
-		var delivered vclock.Ticks
-		// Chain the hops: each endpoint forwards to the next.
-		for i, hp := range hops {
-			i := i
-			hp := hp
-			net.Host(hp.toHost).Bind(hp.toName, func(msg simnet.Message) {
-				if i == len(hops)-1 {
-					delivered = sim.Now()
-					return
-				}
-				next := hops[i+1]
-				net.Send(simnet.Address{Host: hp.toHost, Name: hp.toName},
-					simnet.Address{Host: next.toHost, Name: next.toName}, msg.Payload)
-			})
-		}
-		sim.At(0, func() {
-			first := hops[0]
-			net.Send(simnet.Address{Host: first.fromHost, Name: "src"},
-				simnet.Address{Host: first.toHost, Name: first.toName}, "note")
-		})
-		sim.Run()
-		return delivered
-	}
-
-	same, cross := paths(d, m)
-	return measure(same), measure(cross)
-}
-
-type hop struct {
-	fromHost, toHost, toName string
-}
-
-// paths builds the hop chains for one same-host and one cross-host
-// notification under each design point. Sender node lives on h1; the
-// same-host receiver on h1, the cross-host receiver on h2.
-func paths(d Design, m CommMode) (same, cross []hop) {
-	switch {
-	case m == Direct:
-		// Direct connections ran over TCP even on one host (§3.3), which
-		// the simnet Local/Remote split cannot express for h1->h1; model
-		// the same-host direct hop as a cross-host hop to a stand-in.
-		same = []hop{{fromHost: "h1", toHost: "h2", toName: "peer"}}
-		cross = []hop{{fromHost: "h1", toHost: "h2", toName: "peer"}}
-	case d == Centralized:
-		same = []hop{
-			{fromHost: "h1", toHost: "central", toName: "daemon"},
-			{fromHost: "central", toHost: "h1", toName: "peer"},
-		}
-		cross = []hop{
-			{fromHost: "h1", toHost: "central", toName: "daemon"},
-			{fromHost: "central", toHost: "h2", toName: "peer"},
-		}
-	default: // partially/fully distributed via daemon
-		same = []hop{
-			{fromHost: "h1", toHost: "h1", toName: "daemon1"},
-			{fromHost: "h1", toHost: "h1", toName: "peer"},
-		}
-		cross = []hop{
-			{fromHost: "h1", toHost: "h1", toName: "daemon1"},
-			{fromHost: "h1", toHost: "h2", toName: "daemon2"},
-			{fromHost: "h2", toHost: "h2", toName: "peer"},
-		}
-	}
-	return same, cross
 }

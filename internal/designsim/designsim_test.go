@@ -83,31 +83,6 @@ func TestMulticastScalesPerHostNotPerNode(t *testing.T) {
 	}
 }
 
-// TestMeasureAgreesWithModel cross-checks the DES measurement against the
-// closed-form path model for the daemon designs.
-func TestMeasureAgreesWithModel(t *testing.T) {
-	c := ThesisCosts()
-	s := Scenario{Hosts: 2, NodesPerHost: 2}
-
-	for _, tc := range []struct {
-		d Design
-		m CommMode
-	}{
-		{PartiallyDistributed, ViaDaemon},
-		{Centralized, ViaDaemon},
-		{PartiallyDistributed, Direct},
-	} {
-		row := Evaluate(tc.d, tc.m, c, s)
-		same, cross := Measure(tc.d, tc.m, c)
-		if same != row.SameHostNotify {
-			t.Errorf("%s/%s same-host: DES %v vs model %v", tc.d, tc.m, same, row.SameHostNotify)
-		}
-		if cross != row.CrossHostNotify {
-			t.Errorf("%s/%s cross-host: DES %v vs model %v", tc.d, tc.m, cross, row.CrossHostNotify)
-		}
-	}
-}
-
 func TestFormatTable(t *testing.T) {
 	s := Scenario{Hosts: 3, NodesPerHost: 4}
 	out := Format(Table(ThesisCosts(), s), s)

@@ -90,8 +90,7 @@ func (l *Logger) Logf(lv Level, component, format string, args ...interface{}) {
 }
 
 // Func adapts the logger to the `func(format, args...)` callback shape
-// core.Config.Logf and chaos.Env.Logf expect, pinning a level and
-// component. Safe on a nil logger (returns a discard function).
+// core.Config.Logf expects, pinning a level and component. Safe on a nil logger (returns a discard function).
 func (l *Logger) Func(lv Level, component string) func(string, ...interface{}) {
 	return func(format string, args ...interface{}) {
 		l.Logf(lv, component, format, args...)

@@ -1,3 +1,9 @@
+// Package simnet is the network-fault vocabulary the runtime's application
+// bus and the chaos action library share: link filters (Filter, Fate, Link,
+// FilterSet and the four built-in filters) and the message-latency models
+// the thesis's measurements are phrased in (LatencyModel, Exponential,
+// Timesliced). It holds no scheduler and no network of its own — time
+// belongs to internal/clock, messages to internal/core.
 package simnet
 
 import (
@@ -7,13 +13,12 @@ import (
 	"repro/internal/vclock"
 )
 
-// This file is the link-interposition layer: per-link traffic filters and
-// latency-model overrides consulted at send time. It is the hook point for
-// the chaos action library (internal/chaos) — message loss, extra delay,
-// duplication, and payload corruption become removable per-link rules
-// instead of application-callback side effects. The same Filter/Fate
-// abstraction is reused by the live core runtime's application bus, so one
-// fault vocabulary covers both testbeds.
+// This file is the link-interposition layer: per-link traffic filters
+// consulted at send time. It is the hook point for the chaos action
+// library (internal/chaos) — message loss, extra delay, duplication, and
+// payload corruption become removable per-link rules instead of
+// application-callback side effects. The core runtime's application bus
+// (internal/core, netem.go) is the consumer.
 
 // Fate is a filter's verdict on one message crossing a link.
 type Fate struct {
@@ -29,9 +34,7 @@ type Fate struct {
 }
 
 // Merge folds another filter's verdict into f: any Drop wins, delays and
-// copies add, the last payload replacement sticks. Every consumer of the
-// interposition layer (this network, core's application bus) must
-// accumulate verdicts through here so the two testbeds cannot diverge.
+// copies add, the last payload replacement sticks.
 func (f *Fate) Merge(g Fate) {
 	f.Drop = f.Drop || g.Drop
 	f.Delay += g.Delay
@@ -45,13 +48,12 @@ func (f *Fate) Merge(g Fate) {
 // link run in installation order, verdicts accumulating (any Drop wins;
 // delays and copies add; the last payload replacement sticks). All
 // randomness must come from the supplied rng so runs stay deterministic
-// under a seed; on the DES network that rng is the simulation's.
+// under a seed.
 type Filter interface {
 	Filter(from, to string, payload interface{}, rng *rand.Rand) Fate
 }
 
-// Wildcard matches any host in a link addressed to filters and latency
-// overrides.
+// Wildcard matches any host in a link addressed to filters.
 const Wildcard = "*"
 
 // Link is a directed host pair; either side may be Wildcard.
@@ -77,12 +79,11 @@ type installedFilter struct {
 	f   Filter
 }
 
-// FilterSet is the shared filter-chain machinery of the interposition
-// layer: install/replace by (link, id), removal, global installation
-// ordering across wildcard keys, and a merged-chain cache per host pair.
-// Both testbeds use it — the DES Network directly (single-goroutine), the
-// live runtime's application bus under its own lock — so the chain
-// semantics cannot diverge. The zero value is ready to use.
+// FilterSet is the filter-chain machinery of the interposition layer:
+// install/replace by (link, id), removal, global installation ordering
+// across wildcard keys, and a merged-chain cache per host pair. It is not
+// safe for concurrent use; the runtime's application bus holds its own
+// lock around it. The zero value is ready to use.
 type FilterSet struct {
 	filters map[Link][]installedFilter
 	seq     uint64 // installation order, global across links
@@ -181,64 +182,6 @@ func (s *FilterSet) mergedChain(from, to string) []installedFilter {
 	sort.Slice(chain, func(i, j int) bool { return chain[i].seq < chain[j].seq })
 	s.cache[pair] = chain
 	return chain
-}
-
-// InstallFilter interposes f on the directed link, under an id for later
-// removal. Installing under an existing (link, id) replaces that filter in
-// place, keeping its position in the chain.
-func (n *Network) InstallFilter(link Link, id string, f Filter) {
-	n.filters.Install(link, id, f)
-}
-
-// RemoveFilter removes the filter installed under (link, id), reporting
-// whether one was present.
-func (n *Network) RemoveFilter(link Link, id string) bool {
-	return n.filters.Remove(link, id)
-}
-
-// ClearFilters removes every installed filter.
-func (n *Network) ClearFilters() { n.filters.Clear() }
-
-// FilterIDs returns the ids installed on a link, in installation order —
-// for tests and introspection.
-func (n *Network) FilterIDs(link Link) []string { return n.filters.IDs(link) }
-
-// SetLinkModel overrides the latency model of one directed link (the
-// per-link shaper). A Wildcard side matches any host; most-specific match
-// wins. Passing nil removes the override.
-func (n *Network) SetLinkModel(link Link, m LatencyModel) {
-	if m == nil {
-		delete(n.linkModels, link)
-		return
-	}
-	if err := ValidateModel(m); err != nil {
-		panic("simnet: SetLinkModel: " + err.Error())
-	}
-	if n.linkModels == nil {
-		n.linkModels = make(map[Link]LatencyModel)
-	}
-	n.linkModels[link] = m
-}
-
-// consultFilters folds all filters matching (from, to) over one message.
-func (n *Network) consultFilters(from, to string, payload interface{}) Fate {
-	return n.filters.Consult(from, to, payload, n.sim.rng)
-}
-
-// linkModel picks the latency model for (from, to): the most specific
-// override, else the remote/local default.
-func (n *Network) linkModel(from, to string) LatencyModel {
-	if len(n.linkModels) > 0 {
-		for _, key := range MatchOrder(from, to) {
-			if m, ok := n.linkModels[key]; ok {
-				return m
-			}
-		}
-	}
-	if from == to {
-		return n.local
-	}
-	return n.remote
 }
 
 // Built-in filters — the primitives the chaos network actions install.

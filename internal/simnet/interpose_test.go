@@ -1,84 +1,76 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
-
-	"repro/internal/vclock"
 )
 
-// twoHostNet builds a two-host network with constant latency and an
-// endpoint on h2 counting deliveries.
-func twoHostNet(t *testing.T, seed int64) (*Sim, *Network, *[]Message) {
-	t.Helper()
-	sim := NewSim(seed)
-	net := NewNetwork(sim, NetworkConfig{Remote: Constant(100_000), Local: Constant(10_000)})
-	net.AddHost("h1", vclock.ClockConfig{})
-	net.AddHost("h2", vclock.ClockConfig{})
-	var got []Message
-	net.Host("h2").Bind("sink", func(m Message) { got = append(got, m) })
-	return sim, net, &got
-}
+var h1h2 = Link{From: "h1", To: "h2"}
 
-func send(net *Network, payload interface{}) {
-	net.Send(Address{Host: "h1", Name: "src"}, Address{Host: "h2", Name: "sink"}, payload)
+// consult runs one h1->h2 message through the set.
+func consult(s *FilterSet, rng *rand.Rand, payload interface{}) Fate {
+	return s.Consult("h1", "h2", payload, rng)
 }
 
 func TestDropFilter(t *testing.T) {
-	sim, net, got := twoHostNet(t, 1)
-	net.InstallFilter(Link{From: "h1", To: "h2"}, "f", DropFilter{P: 1})
+	var s FilterSet
+	rng := rand.New(rand.NewSource(1))
+	s.Install(h1h2, "f", DropFilter{P: 1})
 	for i := 0; i < 5; i++ {
-		send(net, i)
+		if !consult(&s, rng, i).Drop {
+			t.Fatalf("message %d passed a P=1 drop filter", i)
+		}
 	}
-	sim.Run()
-	if len(*got) != 0 {
-		t.Fatalf("delivered %d messages through a P=1 drop filter", len(*got))
+	if s.Consult("h2", "h1", "reverse", rng).Drop {
+		t.Error("drop filter on h1->h2 shaped h2->h1")
 	}
-	if _, dropped := net.Stats(); dropped != 5 {
-		t.Errorf("dropped = %d, want 5", dropped)
+	if !s.Remove(h1h2, "f") {
+		t.Fatal("Remove: filter not found")
 	}
-	if !net.RemoveFilter(Link{From: "h1", To: "h2"}, "f") {
-		t.Fatal("RemoveFilter: filter not found")
+	if s.Remove(h1h2, "f") {
+		t.Error("Remove reported a filter that was already gone")
 	}
-	send(net, "after")
-	sim.Run()
-	if len(*got) != 1 {
-		t.Fatalf("delivered %d after removal, want 1", len(*got))
+	if !s.Empty() {
+		t.Error("set not empty after removing its only filter")
+	}
+	if consult(&s, rng, "after").Drop {
+		t.Fatal("message dropped after the filter was removed")
 	}
 }
 
 func TestDelayFilterShiftsDelivery(t *testing.T) {
-	sim, net, got := twoHostNet(t, 1)
-	send(net, "plain")
-	sim.Run()
-	base := (*got)[0].RecvPhys - (*got)[0].SendPhys
-
-	net.InstallFilter(Link{From: "h1", To: "h2"}, "d", DelayFilter{Extra: 250_000})
-	send(net, "delayed")
-	sim.Run()
-	slow := (*got)[1].RecvPhys - (*got)[1].SendPhys
-	if slow != base+250_000 {
-		t.Errorf("delayed latency = %d, want %d", slow, base+250_000)
+	var s FilterSet
+	rng := rand.New(rand.NewSource(1))
+	if d := consult(&s, rng, "plain").Delay; d != 0 {
+		t.Fatalf("unfiltered delay = %d, want 0", d)
+	}
+	s.Install(h1h2, "d", DelayFilter{Extra: 250_000})
+	if d := consult(&s, rng, "delayed").Delay; d != 250_000 {
+		t.Errorf("delay = %d, want 250000", d)
+	}
+	s.Install(h1h2, "j", DelayFilter{Extra: 1000, Jitter: 500})
+	for i := 0; i < 100; i++ {
+		if d := consult(&s, rng, i).Delay; d < 251_000 || d >= 251_500 {
+			t.Fatalf("jittered delay = %d, want in [251000, 251500)", d)
+		}
 	}
 }
 
 func TestDuplicateFilter(t *testing.T) {
-	sim, net, got := twoHostNet(t, 1)
-	net.InstallFilter(Link{From: "h1", To: "h2"}, "dup", DuplicateFilter{P: 1, Copies: 2})
-	send(net, "x")
-	sim.Run()
-	if len(*got) != 3 {
-		t.Fatalf("delivered %d copies, want 3 (original + 2 duplicates)", len(*got))
+	var s FilterSet
+	s.Install(h1h2, "dup", DuplicateFilter{P: 1, Copies: 2})
+	if c := consult(&s, rand.New(rand.NewSource(1)), "x").Copies; c != 2 {
+		t.Fatalf("extra copies = %d, want 2", c)
 	}
 }
 
 func TestCorruptFilterEnvelope(t *testing.T) {
-	sim, net, got := twoHostNet(t, 1)
-	net.InstallFilter(Link{From: "h1", To: "h2"}, "c", CorruptFilter{P: 1})
-	send(net, "payload")
-	sim.Run()
-	c, ok := (*got)[0].Payload.(Corrupted)
+	var s FilterSet
+	s.Install(h1h2, "c", CorruptFilter{P: 1})
+	got := consult(&s, rand.New(rand.NewSource(1)), "payload").Payload
+	c, ok := got.(Corrupted)
 	if !ok {
-		t.Fatalf("payload = %#v, want Corrupted envelope", (*got)[0].Payload)
+		t.Fatalf("payload = %#v, want Corrupted envelope", got)
 	}
 	if c.Original != "payload" {
 		t.Errorf("envelope holds %#v", c.Original)
@@ -86,133 +78,69 @@ func TestCorruptFilterEnvelope(t *testing.T) {
 }
 
 func TestWildcardAndInstallOrder(t *testing.T) {
-	sim, net, got := twoHostNet(t, 1)
+	var s FilterSet
+	rng := rand.New(rand.NewSource(1))
 	// Wildcard delay applies to every link; specific delay adds on top.
-	net.InstallFilter(Link{From: Wildcard, To: Wildcard}, "all", DelayFilter{Extra: 100_000})
-	net.InstallFilter(Link{From: "h1", To: "h2"}, "one", DelayFilter{Extra: 50_000})
-	send(net, "x")
-	sim.Run()
-	latency := (*got)[0].RecvPhys - (*got)[0].SendPhys
-	if latency != 100_000+50_000+100_000 {
-		t.Errorf("latency = %d, want 250000 (base + both filters)", latency)
+	s.Install(Link{From: Wildcard, To: Wildcard}, "all", DelayFilter{Extra: 100_000})
+	s.Install(h1h2, "one", DelayFilter{Extra: 50_000})
+	if d := consult(&s, rng, "x").Delay; d != 150_000 {
+		t.Errorf("h1->h2 delay = %d, want 150000 (both filters)", d)
 	}
-	ids := net.FilterIDs(Link{From: "h1", To: "h2"})
-	if len(ids) != 1 || ids[0] != "one" {
-		t.Errorf("FilterIDs = %v", ids)
+	if d := s.Consult("h2", "h3", "x", rng).Delay; d != 100_000 {
+		t.Errorf("h2->h3 delay = %d, want 100000 (wildcard only)", d)
+	}
+	if ids := s.IDs(h1h2); len(ids) != 1 || ids[0] != "one" {
+		t.Errorf("IDs(h1->h2) = %v", ids)
+	}
+	// Filters run in installation order whichever key they sit under: the
+	// last payload replacement sticks.
+	stamp := func(v string) CorruptFilter {
+		return CorruptFilter{P: 1, Corrupt: func(interface{}, *rand.Rand) interface{} { return v }}
+	}
+	s.Install(h1h2, "first", stamp("specific"))
+	s.Install(Link{From: "h1", To: Wildcard}, "second", stamp("wildcard"))
+	if p := consult(&s, rng, "x").Payload; p != "wildcard" {
+		t.Errorf("payload = %v, want the later-installed filter's", p)
+	}
+	s.Clear()
+	if !s.Empty() || consult(&s, rng, "x") != (Fate{}) {
+		t.Error("filters survived Clear")
 	}
 }
 
 func TestInstallFilterReplacesInPlace(t *testing.T) {
-	sim, net, got := twoHostNet(t, 1)
-	link := Link{From: "h1", To: "h2"}
-	net.InstallFilter(link, "f", DropFilter{P: 1})
-	net.InstallFilter(link, "f", DropFilter{P: 0}) // refresh, not stack
-	send(net, "x")
-	sim.Run()
-	if len(*got) != 1 {
-		t.Fatalf("delivered %d, want 1 (replaced filter passes)", len(*got))
+	var s FilterSet
+	rng := rand.New(rand.NewSource(1))
+	s.Install(h1h2, "f", DropFilter{P: 1})
+	if !consult(&s, rng, "x").Drop { // also fills the chain cache
+		t.Fatal("P=1 drop filter passed a message")
 	}
-	if ids := net.FilterIDs(link); len(ids) != 1 {
+	s.Install(h1h2, "f", DropFilter{P: 0}) // refresh, not stack
+	if consult(&s, rng, "x").Drop {
+		t.Fatal("replaced filter still drops (stale chain)")
+	}
+	if ids := s.IDs(h1h2); len(ids) != 1 {
 		t.Errorf("filter stacked instead of replaced: %v", ids)
 	}
 }
 
-func TestSetLinkModelOverride(t *testing.T) {
-	sim, net, got := twoHostNet(t, 1)
-	net.SetLinkModel(Link{From: "h1", To: "h2"}, Constant(500_000))
-	send(net, "x")
-	sim.Run()
-	if latency := (*got)[0].RecvPhys - (*got)[0].SendPhys; latency != 500_000 {
-		t.Errorf("latency = %d, want per-link override 500000", latency)
-	}
-	net.SetLinkModel(Link{From: "h1", To: "h2"}, nil)
-	send(net, "y")
-	sim.Run()
-	if latency := (*got)[1].RecvPhys - (*got)[1].SendPhys; latency != 100_000 {
-		t.Errorf("latency after clearing override = %d, want 100000", latency)
-	}
-}
-
 func TestFilterDeterminismUnderSeed(t *testing.T) {
-	run := func() (delivered uint64) {
-		sim, net, _ := twoHostNet(t, 42)
-		net.InstallFilter(Link{From: "h1", To: "h2"}, "f", DropFilter{P: 0.5})
+	run := func() (passed int) {
+		var s FilterSet
+		rng := rand.New(rand.NewSource(42))
+		s.Install(h1h2, "f", DropFilter{P: 0.5})
 		for i := 0; i < 100; i++ {
-			send(net, i)
+			if !consult(&s, rng, i).Drop {
+				passed++
+			}
 		}
-		sim.Run()
-		d, _ := net.Stats()
-		return d
+		return passed
 	}
 	a, b := run(), run()
 	if a != b {
-		t.Errorf("same seed delivered %d then %d messages", a, b)
+		t.Errorf("same seed passed %d then %d messages", a, b)
 	}
 	if a == 0 || a == 100 {
-		t.Errorf("P=0.5 drop delivered %d of 100", a)
+		t.Errorf("P=0.5 drop passed %d of 100", a)
 	}
-}
-
-func TestLatencyValidation(t *testing.T) {
-	cases := []struct {
-		model LatencyModel
-		ok    bool
-	}{
-		{Constant(10), true},
-		{Constant(-1), false},
-		{Uniform{Min: 5, Max: 10}, true},
-		{Uniform{Min: 10, Max: 5}, false},
-		{Uniform{Min: -1, Max: 5}, false},
-		{Exponential{Min: 1, MeanTail: 2}, true},
-		{Exponential{Min: -1, MeanTail: 2}, false},
-		{Exponential{Min: 1, MeanTail: -2}, false},
-		{Normal{Mean: 10, Stddev: 2, Min: 0}, true},
-		{Normal{Mean: 10, Stddev: -2}, false},
-		{Normal{Mean: 10, Stddev: 2, Min: -1}, false},
-		{Timesliced{Wire: 1, Timeslice: 10, PReady: 0.5, Runnable: 2}, true},
-		{Timesliced{Wire: -1, Timeslice: 10, PReady: 0.5}, false},
-		{Timesliced{Wire: 1, Timeslice: 10, PReady: 1.5}, false},
-		{Timesliced{Wire: 1, Timeslice: 10, PReady: 0.5, Runnable: -1}, false},
-		{Timesliced{Wire: 1, Timeslice: 0, PReady: 0.5}, false},
-		{Timesliced{Wire: 1, Timeslice: 0, PReady: 1}, true},
-	}
-	for _, c := range cases {
-		err := ValidateModel(c.model)
-		if c.ok && err != nil {
-			t.Errorf("%#v: unexpected error %v", c.model, err)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("%#v: validation passed, want error", c.model)
-		}
-	}
-}
-
-func TestLatencyConstructors(t *testing.T) {
-	if _, err := NewUniform(10, 5); err == nil {
-		t.Error("NewUniform(10, 5): want error")
-	}
-	if _, err := NewUniform(5, 10); err != nil {
-		t.Errorf("NewUniform(5, 10): %v", err)
-	}
-	if _, err := NewConstant(-1); err == nil {
-		t.Error("NewConstant(-1): want error")
-	}
-	if _, err := NewExponential(1, -1); err == nil {
-		t.Error("NewExponential(1, -1): want error")
-	}
-	if _, err := NewNormal(10, -1, 0); err == nil {
-		t.Error("NewNormal stddev<0: want error")
-	}
-	if _, err := NewTimesliced(1, 10, 2, 0); err == nil {
-		t.Error("NewTimesliced pReady=2: want error")
-	}
-}
-
-func TestNewNetworkRejectsInvalidModels(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewNetwork with inverted Uniform: want panic")
-		}
-	}()
-	NewNetwork(NewSim(1), NetworkConfig{Remote: Uniform{Min: 10, Max: 5}})
 }

@@ -1,82 +1,15 @@
 package simnet
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/vclock"
 )
 
 // A LatencyModel samples one-way message delays. Samples must be
-// non-negative; a zero delay is delivered on the next event at the same
-// virtual time.
-//
-// Models with constrainable parameters also implement Validate; construct
-// them through the New* constructors (or call ValidateModel) to reject
-// nonsensical parameters — a Uniform with Max < Min, say, would otherwise
-// silently degenerate to Constant(Min).
+// non-negative.
 type LatencyModel interface {
 	Sample(rng *rand.Rand) vclock.Ticks
-}
-
-// ValidateModel checks a model's parameters when it knows how to
-// (implements Validate() error); unknown models pass.
-func ValidateModel(m LatencyModel) error {
-	if v, ok := m.(interface{ Validate() error }); ok {
-		return v.Validate()
-	}
-	return nil
-}
-
-// Constant is a LatencyModel with a fixed delay.
-type Constant vclock.Ticks
-
-// Sample implements LatencyModel.
-func (c Constant) Sample(*rand.Rand) vclock.Ticks { return vclock.Ticks(c) }
-
-// Validate rejects negative delays.
-func (c Constant) Validate() error {
-	if c < 0 {
-		return fmt.Errorf("simnet: Constant(%d): negative delay", int64(c))
-	}
-	return nil
-}
-
-// NewConstant returns a validated Constant model.
-func NewConstant(d vclock.Ticks) (Constant, error) {
-	c := Constant(d)
-	return c, c.Validate()
-}
-
-// Uniform samples delays uniformly from [Min, Max].
-type Uniform struct {
-	Min, Max vclock.Ticks
-}
-
-// Sample implements LatencyModel.
-func (u Uniform) Sample(rng *rand.Rand) vclock.Ticks {
-	if u.Max <= u.Min {
-		return u.Min
-	}
-	return u.Min + vclock.Ticks(rng.Int63n(int64(u.Max-u.Min)+1))
-}
-
-// Validate rejects negative bounds and an inverted interval.
-func (u Uniform) Validate() error {
-	if u.Min < 0 {
-		return fmt.Errorf("simnet: Uniform{Min: %d}: negative minimum", int64(u.Min))
-	}
-	if u.Max < u.Min {
-		return fmt.Errorf("simnet: Uniform{Min: %d, Max: %d}: Max < Min", int64(u.Min), int64(u.Max))
-	}
-	return nil
-}
-
-// NewUniform returns a validated Uniform model over [min, max].
-func NewUniform(min, max vclock.Ticks) (Uniform, error) {
-	u := Uniform{Min: min, Max: max}
-	return u, u.Validate()
 }
 
 // Exponential samples Min plus an exponential tail with the given mean tail
@@ -91,55 +24,6 @@ type Exponential struct {
 // Sample implements LatencyModel.
 func (e Exponential) Sample(rng *rand.Rand) vclock.Ticks {
 	return e.Min + vclock.Ticks(rng.ExpFloat64()*float64(e.MeanTail))
-}
-
-// Validate rejects negative floor or tail parameters.
-func (e Exponential) Validate() error {
-	if e.Min < 0 {
-		return fmt.Errorf("simnet: Exponential{Min: %d}: negative floor", int64(e.Min))
-	}
-	if e.MeanTail < 0 {
-		return fmt.Errorf("simnet: Exponential{MeanTail: %d}: negative mean tail", int64(e.MeanTail))
-	}
-	return nil
-}
-
-// NewExponential returns a validated Exponential model.
-func NewExponential(min, meanTail vclock.Ticks) (Exponential, error) {
-	e := Exponential{Min: min, MeanTail: meanTail}
-	return e, e.Validate()
-}
-
-// Normal samples delays from a normal distribution truncated below at Min.
-type Normal struct {
-	Mean, Stddev vclock.Ticks
-	Min          vclock.Ticks
-}
-
-// Sample implements LatencyModel.
-func (n Normal) Sample(rng *rand.Rand) vclock.Ticks {
-	v := vclock.Ticks(float64(n.Mean) + rng.NormFloat64()*float64(n.Stddev))
-	if v < n.Min {
-		v = n.Min
-	}
-	return v
-}
-
-// Validate rejects negative spread and truncation parameters.
-func (n Normal) Validate() error {
-	if n.Stddev < 0 {
-		return fmt.Errorf("simnet: Normal{Stddev: %d}: negative stddev", int64(n.Stddev))
-	}
-	if n.Min < 0 {
-		return fmt.Errorf("simnet: Normal{Min: %d}: negative truncation floor", int64(n.Min))
-	}
-	return nil
-}
-
-// NewNormal returns a validated Normal model truncated below at min.
-func NewNormal(mean, stddev, min vclock.Ticks) (Normal, error) {
-	n := Normal{Mean: mean, Stddev: stddev, Min: min}
-	return n, n.Validate()
 }
 
 // Timesliced models the delay observed by the thesis's performance analysis
@@ -172,46 +56,4 @@ func (t Timesliced) Sample(rng *rand.Rand) vclock.Ticks {
 		ahead = rng.Intn(t.Runnable + 1)
 	}
 	return d + remainder + vclock.Ticks(ahead)*t.Timeslice
-}
-
-// Validate rejects negative times, an out-of-range probability, and a
-// zero timeslice with scheduling waits still possible.
-func (t Timesliced) Validate() error {
-	if t.Wire < 0 {
-		return fmt.Errorf("simnet: Timesliced{Wire: %d}: negative wire time", int64(t.Wire))
-	}
-	if t.Timeslice < 0 {
-		return fmt.Errorf("simnet: Timesliced{Timeslice: %d}: negative timeslice", int64(t.Timeslice))
-	}
-	if t.PReady < 0 || t.PReady > 1 {
-		return fmt.Errorf("simnet: Timesliced{PReady: %g}: probability outside [0, 1]", t.PReady)
-	}
-	if t.Runnable < 0 {
-		return fmt.Errorf("simnet: Timesliced{Runnable: %d}: negative process count", t.Runnable)
-	}
-	if t.Timeslice == 0 && t.PReady < 1 {
-		return fmt.Errorf("simnet: Timesliced: zero Timeslice with PReady %g < 1", t.PReady)
-	}
-	return nil
-}
-
-// NewTimesliced returns a validated Timesliced model.
-func NewTimesliced(wire, timeslice vclock.Ticks, pReady float64, runnable int) (Timesliced, error) {
-	t := Timesliced{Wire: wire, Timeslice: timeslice, PReady: pReady, Runnable: runnable}
-	return t, t.Validate()
-}
-
-// quantile helpers used by tests and the figure harness.
-
-// MeanOf estimates the mean of model over n samples; a convenience for
-// calibration tests.
-func MeanOf(model LatencyModel, rng *rand.Rand, n int) vclock.Ticks {
-	if n <= 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(model.Sample(rng))
-	}
-	return vclock.Ticks(math.Round(sum / float64(n)))
 }

@@ -4,125 +4,12 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/vclock"
 )
-
-func TestSimRunsEventsInTimeOrder(t *testing.T) {
-	s := NewSim(1)
-	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
-	if n := s.Run(); n != 3 {
-		t.Fatalf("Run() = %d events, want 3", n)
-	}
-	want := []int{1, 2, 3}
-	for i, v := range want {
-		if order[i] != v {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if s.Now() != 30 {
-		t.Errorf("Now() = %d, want 30", s.Now())
-	}
-}
-
-func TestSimFIFOAtEqualTimes(t *testing.T) {
-	s := NewSim(1)
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.At(5, func() { order = append(order, i) })
-	}
-	s.Run()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("equal-time events reordered: %v", order)
-		}
-	}
-}
-
-func TestSimEventsCanSchedule(t *testing.T) {
-	s := NewSim(1)
-	var fired []vclock.Ticks
-	s.At(10, func() {
-		fired = append(fired, s.Now())
-		s.After(5, func() { fired = append(fired, s.Now()) })
-	})
-	s.Run()
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
-		t.Fatalf("fired = %v, want [10 15]", fired)
-	}
-}
-
-func TestSimRunUntil(t *testing.T) {
-	s := NewSim(1)
-	var count int
-	for _, at := range []vclock.Ticks{5, 10, 15, 20} {
-		s.At(at, func() { count++ })
-	}
-	if n := s.RunUntil(12); n != 2 {
-		t.Fatalf("RunUntil(12) = %d, want 2", n)
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", s.Pending())
-	}
-	s.Run()
-	if count != 4 {
-		t.Fatalf("count = %d, want 4", count)
-	}
-}
-
-func TestSimPanicsOnPastScheduling(t *testing.T) {
-	s := NewSim(1)
-	s.At(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic scheduling in the past")
-			}
-		}()
-		s.At(5, func() {})
-	})
-	s.Run()
-}
-
-func TestSimDeterminism(t *testing.T) {
-	run := func(seed int64) []int64 {
-		s := NewSim(seed)
-		var out []int64
-		var step func()
-		remaining := 100
-		step = func() {
-			out = append(out, int64(s.Now()))
-			if remaining == 0 {
-				return
-			}
-			remaining--
-			s.After(vclock.Ticks(s.Rand().Int63n(1000)+1), step)
-		}
-		s.At(0, step)
-		s.Run()
-		return out
-	}
-	a, b := run(42), run(42)
-	if len(a) != len(b) {
-		t.Fatalf("different lengths: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("runs diverge at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
 
 func TestLatencyModelsNonNegativeAndBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	models := map[string]LatencyModel{
-		"constant":    Constant(100),
-		"uniform":     Uniform{Min: 10, Max: 20},
 		"exponential": Exponential{Min: 5, MeanTail: 50},
-		"normal":      Normal{Mean: 100, Stddev: 30, Min: 1},
 		"timesliced":  Timesliced{Wire: 150, Timeslice: 10000, PReady: 0.3, Runnable: 2},
 	}
 	for name, m := range models {
@@ -134,17 +21,6 @@ func TestLatencyModelsNonNegativeAndBounded(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestUniformWithinBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	u := Uniform{Min: 10, Max: 20}
-	for i := 0; i < 1000; i++ {
-		d := u.Sample(rng)
-		if d < 10 || d > 20 {
-			t.Fatalf("uniform sample %d outside [10,20]", d)
-		}
 	}
 }
 
@@ -172,171 +48,6 @@ func TestTimeslicedQuantization(t *testing.T) {
 		d := m.Sample(rng)
 		if d < 100 || d >= 100+10_000_000 {
 			t.Fatalf("sample %d outside expected window", d)
-		}
-	}
-}
-
-func TestNetworkDelivery(t *testing.T) {
-	s := NewSim(11)
-	n := NewNetwork(s, NetworkConfig{Remote: Constant(1000), Local: Constant(10)})
-	h1 := n.AddHost("alpha", vclock.ClockConfig{})
-	h2 := n.AddHost("beta", vclock.ClockConfig{})
-
-	var got []Message
-	h2.Bind("sink", func(m Message) { got = append(got, m) })
-	h1.Bind("src", func(Message) {})
-
-	s.At(0, func() {
-		n.Send(Address{"alpha", "src"}, Address{"beta", "sink"}, "hello")
-	})
-	s.Run()
-
-	if len(got) != 1 {
-		t.Fatalf("delivered %d messages, want 1", len(got))
-	}
-	m := got[0]
-	if m.Payload != "hello" || m.SendPhys != 0 || m.RecvPhys != 1000 {
-		t.Errorf("message = %+v", m)
-	}
-}
-
-func TestNetworkLocalVsRemoteLatency(t *testing.T) {
-	s := NewSim(11)
-	n := NewNetwork(s, NetworkConfig{Remote: Constant(150_000), Local: Constant(20_000)})
-	h := n.AddHost("alpha", vclock.ClockConfig{})
-	n.AddHost("beta", vclock.ClockConfig{}).Bind("b", func(m Message) {
-		if d := m.RecvPhys - m.SendPhys; d != 150_000 {
-			t.Errorf("remote latency = %d, want 150000", d)
-		}
-	})
-	h.Bind("a2", func(m Message) {
-		if d := m.RecvPhys - m.SendPhys; d != 20_000 {
-			t.Errorf("local latency = %d, want 20000", d)
-		}
-	})
-	s.At(0, func() {
-		n.Send(Address{"alpha", "a"}, Address{"beta", "b"}, 1)
-		n.Send(Address{"alpha", "a"}, Address{"alpha", "a2"}, 2)
-	})
-	s.Run()
-	if d, _ := n.Stats(); d != 2 {
-		t.Errorf("delivered = %d, want 2", d)
-	}
-}
-
-func TestNetworkPartitionAndHeal(t *testing.T) {
-	s := NewSim(5)
-	n := NewNetwork(s, NetworkConfig{})
-	n.AddHost("a", vclock.ClockConfig{})
-	var recv int
-	n.AddHost("b", vclock.ClockConfig{}).Bind("x", func(Message) { recv++ })
-
-	n.Partition("a", "b")
-	s.At(0, func() { n.Send(Address{"a", "y"}, Address{"b", "x"}, nil) })
-	s.Run()
-	if recv != 0 {
-		t.Fatalf("message crossed partition")
-	}
-	n.Heal("a", "b")
-	s.After(0, func() { n.Send(Address{"a", "y"}, Address{"b", "x"}, nil) })
-	s.Run()
-	if recv != 1 {
-		t.Fatalf("message not delivered after heal; recv=%d", recv)
-	}
-}
-
-func TestNetworkDownHostDropsTraffic(t *testing.T) {
-	s := NewSim(5)
-	n := NewNetwork(s, NetworkConfig{})
-	n.AddHost("a", vclock.ClockConfig{})
-	hb := n.AddHost("b", vclock.ClockConfig{})
-	var recv int
-	hb.Bind("x", func(Message) { recv++ })
-
-	hb.SetDown(true)
-	s.At(0, func() { n.Send(Address{"a", "y"}, Address{"b", "x"}, nil) })
-	s.Run()
-	if recv != 0 {
-		t.Fatal("down host received a message")
-	}
-	// A message in flight when the host goes down is also lost.
-	hb.SetDown(false)
-	s.After(0, func() {
-		n.Send(Address{"a", "y"}, Address{"b", "x"}, nil)
-		hb.SetDown(true)
-	})
-	s.Run()
-	if recv != 0 {
-		t.Fatal("message delivered to host that crashed mid-flight")
-	}
-}
-
-func TestNetworkUnboundEndpointDropped(t *testing.T) {
-	s := NewSim(5)
-	n := NewNetwork(s, NetworkConfig{})
-	n.AddHost("a", vclock.ClockConfig{})
-	n.AddHost("b", vclock.ClockConfig{})
-	s.At(0, func() { n.Send(Address{"a", "y"}, Address{"b", "nosuch"}, nil) })
-	s.Run()
-	if _, dropped := n.Stats(); dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
-	}
-}
-
-func TestNetworkLoss(t *testing.T) {
-	s := NewSim(123)
-	n := NewNetwork(s, NetworkConfig{Loss: 0.5})
-	n.AddHost("a", vclock.ClockConfig{})
-	var recv int
-	n.AddHost("b", vclock.ClockConfig{}).Bind("x", func(Message) { recv++ })
-	s.At(0, func() {
-		for i := 0; i < 1000; i++ {
-			n.Send(Address{"a", "y"}, Address{"b", "x"}, i)
-		}
-	})
-	s.Run()
-	if recv < 350 || recv > 650 {
-		t.Errorf("with 50%% loss, received %d of 1000", recv)
-	}
-}
-
-func TestHostClockHiddenError(t *testing.T) {
-	s := NewSim(1)
-	n := NewNetwork(s, NetworkConfig{})
-	h := n.AddHost("a", vclock.ClockConfig{Offset: 5000, DriftPPM: 100})
-	s.At(1_000_000, func() {
-		local := h.Clock().Now()
-		want := vclock.Ticks(5000 + 1_000_000 + 100) // offset + t*(1+1e-4)
-		if local != want {
-			t.Errorf("host clock = %d, want %d", local, want)
-		}
-	})
-	s.Run()
-}
-
-func TestAddDuplicateHostPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	s := NewSim(1)
-	n := NewNetwork(s, NetworkConfig{})
-	n.AddHost("a", vclock.ClockConfig{})
-	n.AddHost("a", vclock.ClockConfig{})
-}
-
-func TestHostsSorted(t *testing.T) {
-	s := NewSim(1)
-	n := NewNetwork(s, NetworkConfig{})
-	for _, name := range []string{"zeta", "alpha", "mid"} {
-		n.AddHost(name, vclock.ClockConfig{})
-	}
-	got := n.Hosts()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Hosts() = %v, want %v", got, want)
 		}
 	}
 }

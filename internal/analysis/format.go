@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -124,6 +125,31 @@ func Decode(r io.Reader) (*Global, error) {
 
 // DecodeString is Decode from a string.
 func DecodeString(s string) (*Global, error) { return Decode(strings.NewReader(s)) }
+
+// MarshalJSON renders the timeline as a JSON string holding its §5.7 text,
+// so a record that embeds a Global (the checkpoint journal's) shares one
+// format with the global.timeline artifact.
+func (g *Global) MarshalJSON() ([]byte, error) {
+	doc, err := EncodeString(g)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(doc)
+}
+
+// UnmarshalJSON reverses MarshalJSON.
+func (g *Global) UnmarshalJSON(b []byte) error {
+	var doc string
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return fmt.Errorf("analysis: global timeline: %w", err)
+	}
+	dec, err := DecodeString(doc)
+	if err != nil {
+		return err
+	}
+	*g = *dec
+	return nil
+}
 
 func sortMachines(g *Global) {
 	for i := 1; i < len(g.Machines); i++ {

@@ -110,40 +110,54 @@ type Campaign struct {
 	// derives, names the point for traces and progress events even when
 	// the built study carries its own Name and no journal is attached.
 	matrixPoint string
+	// single, set on the campaign RunSingle derives, runs one experiment
+	// per study and keeps its raw artifacts in the record.
+	single bool
 }
 
-// ExperimentRecord is everything one experiment produced.
+// ExperimentRecord is everything one experiment produced — the unit the
+// checkpoint journal stores, marshalled as it stands: json.Marshal sorts map
+// keys and the timelines marshal to their text formats (§5.7, §3.5.6), so
+// equal records serialize to equal bytes. Field order and tags are the
+// journal format; reordering them rewrites every journal.
 type ExperimentRecord struct {
 	Study     string
 	Index     int
 	Completed bool // false: timed out and was aborted
-	Outcomes  map[string]string
-	Bounds    map[string]clocksync.Bounds
-	Global    *analysis.Global
-	Report    *analysis.Report
 	// Accepted experiments (completed, all injections provably correct)
 	// feed measure estimation (§2.6).
 	Accepted bool
+	Outcomes map[string]string           `json:",omitempty"`
+	Bounds   map[string]clocksync.Bounds `json:",omitempty"`
+	Global   *analysis.Global            `json:",omitempty"`
+	Report   *analysis.Report            `json:",omitempty"`
 	// AnalysisError, when non-empty, says why the analysis phase could
 	// not process the experiment at all — e.g. infeasible clock
 	// synchronization after a clockstep fault. Such experiments are
 	// discarded (Accepted false), not fatal: rejecting unverifiable runs
 	// is the analysis phase's job.
-	AnalysisError string
+	AnalysisError string `json:",omitempty"`
 	// ClockStepSuspected refines an infeasible clock fit: the two sync
 	// mini-phases each admit an affine model on their own, but at least
 	// one host's models disagree beyond tolerance — the signature of a
 	// mid-experiment clock step rather than generally bad timestamps.
 	// The experiment stays discarded; the verdict says *why*.
-	ClockStepSuspected bool
+	ClockStepSuspected bool `json:",omitempty"`
 	// ClockStepHosts lists the hosts whose mini-phases disagree, sorted.
-	ClockStepHosts []string
+	ClockStepHosts []string `json:",omitempty"`
 	// ClockStepBounds bounds each suspected host's step magnitude from
 	// the two per-phase convex-hull fits: the true step Δ satisfies
 	// Δ ∈ [postAlphaLo − preAlphaHi, postAlphaHi − preAlphaLo], because
 	// each phase's alpha interval rigorously contains that phase's true
 	// offset. Keyed like ClockStepHosts.
-	ClockStepBounds map[string]StepBound
+	ClockStepBounds map[string]StepBound `json:",omitempty"`
+	// Locals and Stamps are the raw runtime artifacts — the local
+	// timelines and the stamped synchronization messages of both
+	// mini-phases — which only a one-experiment run (RunSingle, cmd/lokid)
+	// keeps, so that a resumed run can rewrite its artifact files without
+	// executing anything.
+	Locals []*timeline.Local          `json:",omitempty"`
+	Stamps []clocksync.StampedMessage `json:",omitempty"`
 }
 
 // StepBound is a rigorous interval (in reference-clock nanoseconds) on a
@@ -226,32 +240,40 @@ func ValidateExperiments(study string, experiments int) error {
 	return nil
 }
 
-// Validate checks the campaign's configuration before any experiment runs:
-// hosts and studies present, study names unique, worker and experiment
-// counts sane. Run performs the same checks; config.Validate applies the
-// same count rules to campaign files.
-func Validate(c *Campaign) error {
+// Validate checks, before any experiment runs, what Run (m nil) or
+// RunMatrix (m the matrix, c.Studies ignored) can know up front: hosts
+// present, worker counts sane, study or point names unique, no virtual time
+// over a socket transport. Both engines call it and so does loki.Open.
+// Experiment counts — and a matrix point's transport, known only once the
+// point is built — are checked where a study starts (runStudyOn, runStudy).
+func Validate(c *Campaign, m *Matrix) error {
 	if len(c.Hosts) == 0 {
 		return fmt.Errorf("campaign: no hosts defined")
-	}
-	if len(c.Studies) == 0 {
-		return fmt.Errorf("campaign: no studies defined")
 	}
 	if err := ValidateWorkers(c.Workers); err != nil {
 		return err
 	}
-	// Duplicate study names would shadow each other in Result.Study and
-	// collide in the checkpoint journal's record keys: fail at start,
-	// before any experiment runs.
-	names := make(map[string]bool, len(c.Studies))
+	// Duplicate names would shadow each other in Result.Study or
+	// MatrixResult.Point and collide in the checkpoint journal's record
+	// keys.
+	names := make(map[string]bool)
+	if m != nil {
+		for _, p := range m.Points() {
+			if names[p.Name()] {
+				return fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, p.Name())
+			}
+			names[p.Name()] = true
+		}
+		return nil
+	}
+	if len(c.Studies) == 0 {
+		return fmt.Errorf("campaign: no studies defined")
+	}
 	for _, st := range c.Studies {
 		if names[st.Name] {
 			return fmt.Errorf("campaign: duplicate study name %q", st.Name)
 		}
 		names[st.Name] = true
-		if err := ValidateExperiments(st.Name, st.Experiments); err != nil {
-			return err
-		}
 		if err := ValidateWorkers(st.Workers); err != nil {
 			return fmt.Errorf("campaign: study %q: %w", st.Name, err)
 		}
@@ -299,7 +321,7 @@ func onCancel(ctx context.Context, fn func()) (stop func()) {
 // is never interrupted mid-experiment; clustered studies are quit at the
 // protocol level), and the first error returned is ctx.Err().
 func Run(ctx context.Context, c *Campaign) (*Result, error) {
-	if err := Validate(c); err != nil {
+	if err := Validate(c, nil); err != nil {
 		return nil, err
 	}
 	j, err := openCampaignJournal(c)
@@ -330,7 +352,8 @@ func clustered(st *Study) bool { return st.Transport != "" && st.Transport != "i
 
 // runStudyOn dispatches a study to the testbed its Transport selects.
 // RunMatrix routes its points through here too, so a requested transport
-// is never silently downgraded.
+// is never silently downgraded (and a point's transport, unknown until the
+// point is built, meets the virtual-time rule here).
 func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*StudyResult, error) {
 	if err := validateVirtualTransport(c, st); err != nil {
 		return nil, err
@@ -341,50 +364,39 @@ func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (
 	return runStudy(ctx, c, st, sj, "", poolWidth(c, st), openLocal(c, st))
 }
 
-// RunSingle executes exactly one experiment of the campaign's first study
-// and additionally returns the raw runtime artifacts: the stamped
-// synchronization messages of both mini-phases and the local timelines.
-// The file-oriented tools (cmd/lokid) use this to emit the §3.5.6 and
-// timestamp files that the rest of the pipeline consumes.
-//
-// A study with a socket Transport runs on a loopback cluster — the
-// transport is never silently downgraded to inproc, matching runStudyOn.
-// With a Checkpoint configured, a completed experiment in the journal is
-// returned (artifacts included) without rerunning. A clustered experiment
-// is quit at the protocol level when ctx is cancelled; an in-process one is
-// not started when ctx is already done.
-func RunSingle(ctx context.Context, c *Campaign) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
-	if len(c.Hosts) == 0 || len(c.Studies) == 0 {
-		return nil, nil, nil, fmt.Errorf("campaign: need hosts and a study")
+// single derives the campaign RunSingle runs: the first study only, one
+// experiment of it, its record keeping the raw runtime artifacts. The study
+// itself is not rewritten — runStudy clips the count — so the journal key
+// and the study fingerprint are those of the configured study, and a
+// journal written by a one-experiment run resumes whatever Experiments says.
+func single(c *Campaign) *Campaign {
+	sc := *c
+	sc.single = true
+	sc.Studies = c.Studies[:min(1, len(c.Studies))]
+	return &sc
+}
+
+// experimentCount is how many experiments of the study the campaign runs.
+func experimentCount(c *Campaign, st *Study) int {
+	if c.single && st.Experiments > 1 {
+		return 1
 	}
-	if err := ValidateWorkers(c.Workers); err != nil {
-		return nil, nil, nil, err
-	}
-	st := c.Studies[0]
-	if err := validateVirtualTransport(c, st); err != nil {
-		return nil, nil, nil, err
-	}
-	j, err := openCampaignJournal(c)
+	return st.Experiments
+}
+
+// RunSingle is Run of exactly one experiment of the campaign's first study,
+// whose record additionally carries the raw runtime artifacts: the local
+// timelines and the stamped synchronization messages of both mini-phases.
+// The file-oriented tools (cmd/lokid) emit the §3.5.6 and timestamp files
+// from them. Everything Run says holds: the study's Transport picks the
+// engine, a journaled record — artifacts included — is returned without
+// executing, and a cancelled ctx surfaces as ctx.Err().
+func RunSingle(ctx context.Context, c *Campaign) (*ExperimentRecord, error) {
+	res, err := Run(ctx, single(c))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	defer j.Close()
-	sj := j.study(c, st, st.Name)
-	if !clustered(st) {
-		return runSingle(ctx, c, st, sj, openLocal(c, st))
-	}
-	var (
-		rec    *ExperimentRecord
-		stamps []clocksync.StampedMessage
-		locals []*timeline.Local
-	)
-	err = withLoopbackCluster(c, st, st.Transport, func(coordinator *Member) error {
-		coordinator.sj = sj
-		var err error
-		rec, stamps, locals, err = coordinator.RunOne(ctx)
-		return err
-	})
-	return rec, stamps, locals, err
+	return res.Studies[0].Records[0], nil
 }
 
 // analyzeExperiment is the analysis phase for one experiment: off-line
@@ -403,6 +415,9 @@ func analyzeExperiment(c *Campaign, st *Study, raw *rawExperiment) (*ExperimentR
 	rec, err := analyzeExperimentRecord(c, st, raw)
 	if err != nil {
 		return rec, err
+	}
+	if c.single {
+		rec.Locals, rec.Stamps = raw.locals, raw.allStamps()
 	}
 	if cm != nil {
 		// Analysis latency is an operational signal, so it is wall-clock

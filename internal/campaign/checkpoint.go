@@ -11,22 +11,19 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/clocksync"
 	"repro/internal/obs"
-	"repro/internal/timeline"
 )
 
 // Campaign checkpointing (ROADMAP "campaign checkpointing/resume"): the
 // paper's studies run tens of thousands of experiments (§2.3/§2.6), so an
 // interrupted multi-hour matrix must not rerun from point zero. As each
-// experiment's analysis completes, its full record — outcomes, clock
-// bounds, clock-step verdict, encoded global timeline, and (for the
-// single-experiment tools) encoded local timelines and sync stamps — is
-// appended to a JSONL journal under the artifact directory, keyed by
-// {study-or-point name, experiment index}. Every record is followed by an
-// fsync'd completion marker, so a record is trusted on resume only when
-// both lines survived the crash; a torn tail is truncated, not trusted.
+// experiment's analysis completes, its ExperimentRecord — marshalled as it
+// stands, the global timeline in its §5.7 text and (for a one-experiment
+// run) the local timelines in their §3.5.6 text — is appended to a JSONL
+// journal under the artifact directory, keyed by {study-or-point name,
+// experiment index}. Every record is followed by an fsync'd completion
+// marker, so a record is trusted on resume only when both lines survived
+// the crash; a torn tail is truncated, not trusted.
 //
 // On resume the journal is reloaded, the campaign-level fingerprint in the
 // header is verified, and each skipped record's study-level fingerprint
@@ -53,11 +50,12 @@ const (
 )
 
 // journalLine is one line of the JSONL journal: exactly one of the three
-// fields is set. Header first, then (record, done) pairs.
-type journalLine struct {
-	Journal *journalHeader `json:"journal,omitempty"`
-	Record  *journalRecord `json:"record,omitempty"`
-	Done    *journalKey    `json:"done,omitempty"`
+// fields is set. Header first, then (record, done) pairs. E is the shape
+// the line's user gives the journaled experiment (see journalRecord).
+type journalLine[E any] struct {
+	Journal *journalHeader    `json:"journal,omitempty"`
+	Record  *journalRecord[E] `json:"record,omitempty"`
+	Done    *journalKey       `json:"done,omitempty"`
 }
 
 type journalHeader struct {
@@ -73,102 +71,18 @@ type journalKey struct {
 	Index int
 }
 
-type journalRecord struct {
+// journalRecord is one journaled experiment: an ExperimentRecord under its
+// key and study fingerprint. On disk there is one format; in memory E says
+// how much of the experiment its user wants decoded. The writer marshals an
+// *ExperimentRecord; a resume loads json.RawMessage and decodes a record
+// when the engine looks its key up; the read-only readers decode a
+// RecordSummary — the verdict fields they print — and the timelines are
+// skipped unparsed.
+type journalRecord[E any] struct {
 	Point       string
 	Index       int
 	Fingerprint string
-	Experiment  recordWire
-}
-
-// recordWire is the serialized form of one ExperimentRecord. The global
-// timeline rides as its §5.7 text encoding and local timelines as their
-// §3.5.6 text encoding, so the journal shares formats with the rest of
-// the artifact pipeline. json.Marshal sorts map keys, so identical
-// records serialize to identical bytes.
-type recordWire struct {
-	Study              string
-	Index              int
-	Completed          bool
-	Accepted           bool
-	Outcomes           map[string]string           `json:",omitempty"`
-	Bounds             map[string]clocksync.Bounds `json:",omitempty"`
-	Global             string                      `json:",omitempty"`
-	Report             *analysis.Report            `json:",omitempty"`
-	AnalysisError      string                      `json:",omitempty"`
-	ClockStepSuspected bool                        `json:",omitempty"`
-	ClockStepHosts     []string                    `json:",omitempty"`
-	ClockStepBounds    map[string]StepBound        `json:",omitempty"`
-	// Locals and Stamps carry the raw runtime artifacts for the
-	// single-experiment tools (cmd/lokid), so a resumed coordinator can
-	// rewrite its artifact files without rerunning the cluster.
-	Locals []string                   `json:",omitempty"`
-	Stamps []clocksync.StampedMessage `json:",omitempty"`
-}
-
-// encodeRecordWire serializes a record (locals and stamps optional).
-func encodeRecordWire(rec *ExperimentRecord, locals []*timeline.Local, stamps []clocksync.StampedMessage) (recordWire, error) {
-	w := recordWire{
-		Study:              rec.Study,
-		Index:              rec.Index,
-		Completed:          rec.Completed,
-		Accepted:           rec.Accepted,
-		Outcomes:           rec.Outcomes,
-		Bounds:             rec.Bounds,
-		Report:             rec.Report,
-		AnalysisError:      rec.AnalysisError,
-		ClockStepSuspected: rec.ClockStepSuspected,
-		ClockStepHosts:     rec.ClockStepHosts,
-		ClockStepBounds:    rec.ClockStepBounds,
-		Stamps:             stamps,
-	}
-	if rec.Global != nil {
-		doc, err := analysis.EncodeString(rec.Global)
-		if err != nil {
-			return recordWire{}, fmt.Errorf("campaign: checkpoint: encoding global timeline: %w", err)
-		}
-		w.Global = doc
-	}
-	for _, tl := range locals {
-		doc, err := timeline.EncodeString(tl)
-		if err != nil {
-			return recordWire{}, fmt.Errorf("campaign: checkpoint: encoding local timeline %q: %w", tl.Owner, err)
-		}
-		w.Locals = append(w.Locals, doc)
-	}
-	return w, nil
-}
-
-// decodeRecordWire reverses encodeRecordWire.
-func decodeRecordWire(w *recordWire) (*ExperimentRecord, []*timeline.Local, []clocksync.StampedMessage, error) {
-	rec := &ExperimentRecord{
-		Study:              w.Study,
-		Index:              w.Index,
-		Completed:          w.Completed,
-		Accepted:           w.Accepted,
-		Outcomes:           w.Outcomes,
-		Bounds:             w.Bounds,
-		Report:             w.Report,
-		AnalysisError:      w.AnalysisError,
-		ClockStepSuspected: w.ClockStepSuspected,
-		ClockStepHosts:     w.ClockStepHosts,
-		ClockStepBounds:    w.ClockStepBounds,
-	}
-	if w.Global != "" {
-		g, err := analysis.DecodeString(w.Global)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("campaign: checkpoint: decoding global timeline: %w", err)
-		}
-		rec.Global = g
-	}
-	var locals []*timeline.Local
-	for i, doc := range w.Locals {
-		tl, err := timeline.DecodeString(doc)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("campaign: checkpoint: decoding local timeline %d: %w", i, err)
-		}
-		locals = append(locals, tl)
-	}
-	return rec, locals, w.Stamps, nil
+	Experiment  E
 }
 
 // journal is an open checkpoint journal: the append file plus the loaded
@@ -176,7 +90,7 @@ func decodeRecordWire(w *recordWire) (*ExperimentRecord, []*timeline.Local, []cl
 type journal struct {
 	mu           sync.Mutex
 	f            *os.File
-	entries      map[journalKey]journalRecord
+	entries      map[journalKey]journalRecord[json.RawMessage]
 	headerLoaded bool
 	// cm, when non-nil, receives append and fsync latency observations —
 	// the durability cost every journaled experiment pays.
@@ -202,13 +116,13 @@ func openCampaignJournal(c *Campaign) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	j := &journal{f: f, entries: make(map[journalKey]journalRecord), cm: c.Obs.CampaignMetrics()}
+	j := &journal{f: f, entries: make(map[journalKey]journalRecord[json.RawMessage]), cm: c.Obs.CampaignMetrics()}
 	if cp.Resume {
 		if err := j.load(fp); err != nil {
 			f.Close()
 			return nil, err
 		}
-		if len(j.entries) > 0 || j.headerLoaded {
+		if j.headerLoaded {
 			return j, nil
 		}
 		// Resuming an absent or empty journal is a fresh start, not an
@@ -222,7 +136,7 @@ func openCampaignJournal(c *Campaign) (*journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	if err := j.writeLine(journalLine{Journal: &journalHeader{
+	if err := j.writeLine(journalLine[struct{}]{Journal: &journalHeader{
 		Version: journalVersion, Campaign: c.Name, Fingerprint: fp,
 	}}); err != nil {
 		f.Close()
@@ -247,96 +161,103 @@ const (
 	tailGarbled
 )
 
-// scanJournal walks journal lines from r: the header line first (handed to
-// onHeader for verification), then every complete line (handed to onLine),
-// stopping at the first torn or garbled tail. It returns the byte offset
-// of the end of the last trusted line and how the scan ended. The journal
-// loader truncates at that offset; the read-only status reader reports the
-// tail state instead — one scanner, both disciplines. Read errors carry
-// the caller's prefix; onHeader errors are returned verbatim (callbacks
-// prefix their own).
-func scanJournal(r *bufio.Reader, prefix string, onHeader func(journalLine) error, onLine func(journalLine)) (int64, journalTail, error) {
-	var (
-		offset     int64
-		headerSeen bool
-	)
-	for {
-		raw, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			if len(raw) > 0 {
-				return offset, tailAppending, nil
-			}
-			return offset, tailClean, nil
-		}
-		if err != nil {
-			return offset, tailClean, fmt.Errorf("%s: reading journal: %w", prefix, err)
-		}
-		var line journalLine
-		if json.Unmarshal(raw, &line) != nil {
-			return offset, tailGarbled, nil
-		}
-		if !headerSeen {
-			if err := onHeader(line); err != nil {
-				return offset, tailClean, err
-			}
-			headerSeen = true
-			offset += int64(len(raw))
-			continue
-		}
-		if line.Record == nil && line.Done == nil {
-			return offset, tailGarbled, nil
-		}
-		onLine(line)
-		offset += int64(len(raw))
-	}
+// journalScan is what one pass over a journal establishes besides its
+// complete records.
+type journalScan struct {
+	// header is the journal's first line; the zero value for an empty file.
+	header journalHeader
+	// offset is the byte offset of the end of the last trusted line.
+	offset int64
+	tail   journalTail
+	// inFlight counts records whose done marker had not landed.
+	inFlight int
 }
 
-// load replays the journal: header verification, then (record, done)
-// pairs. A record without its fsync'd done marker — or any torn/garbled
-// tail — is discarded by truncating the file to the last good offset, so
-// a crash mid-append costs exactly one experiment.
+// readJournal is the one reader of the journal format. It validates the
+// header line (a journal at all, of this build's version), walks every
+// complete line up to the first torn or garbled tail, pairs each record
+// with its done marker, and hands the pairs to onRecord in the order their
+// markers landed. What a caller does with the scan is its own discipline:
+// the resume loader checks the fingerprint and truncates at scan.offset, the
+// read-only readers report the tail state and never touch the file.
+func readJournal[E any](r io.Reader, path string, onRecord func(*journalRecord[E])) (journalScan, error) {
+	var (
+		scan    journalScan
+		pending = make(map[journalKey]*journalRecord[E])
+		br      = bufio.NewReaderSize(r, 1<<16)
+	)
+scanning:
+	for {
+		raw, err := br.ReadBytes('\n')
+		if err != nil {
+			if err != io.EOF {
+				return scan, fmt.Errorf("campaign: checkpoint: reading %s: %w", path, err)
+			}
+			if len(raw) > 0 {
+				scan.tail = tailAppending
+			}
+			break
+		}
+		var line journalLine[E]
+		if json.Unmarshal(raw, &line) != nil {
+			scan.tail = tailGarbled
+			break
+		}
+		switch {
+		case scan.offset == 0: // the first line
+			if line.Journal == nil {
+				// First line is valid JSON but not a header: a foreign
+				// file. Refuse to read records out of it or mix them in.
+				return scan, fmt.Errorf("campaign: checkpoint: %s is not a checkpoint journal", path)
+			}
+			if line.Journal.Version != journalVersion {
+				return scan, fmt.Errorf("campaign: checkpoint: %s has journal version %d, this build reads and writes %d",
+					path, line.Journal.Version, journalVersion)
+			}
+			scan.header = *line.Journal
+		case line.Record != nil:
+			pending[journalKey{line.Record.Point, line.Record.Index}] = line.Record
+		case line.Done != nil:
+			if rec, ok := pending[*line.Done]; ok {
+				delete(pending, *line.Done)
+				onRecord(rec)
+			}
+		default:
+			scan.tail = tailGarbled
+			break scanning
+		}
+		scan.offset += int64(len(raw))
+	}
+	scan.inFlight = len(pending)
+	return scan, nil
+}
+
+// load replays the journal for a resume: the header must carry this
+// configuration's fingerprint, every complete record is kept (still
+// marshalled) for lookup, and a record without its fsync'd done marker — or
+// any torn/garbled tail — is discarded by truncating the file to the last
+// trusted line, so a crash mid-append costs exactly one experiment.
 func (j *journal) load(fingerprint string) error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	pending := make(map[journalKey]journalRecord)
-	offset, _, err := scanJournal(bufio.NewReaderSize(j.f, 1<<20), "campaign: checkpoint",
-		func(line journalLine) error {
-			if line.Journal == nil {
-				// First line is valid JSON but not a header: a foreign
-				// file. Refuse to mix records into it.
-				return fmt.Errorf("campaign: checkpoint: %s is not a checkpoint journal", j.f.Name())
-			}
-			if line.Journal.Version != journalVersion {
-				return fmt.Errorf("campaign: checkpoint: journal version %d, this build writes %d",
-					line.Journal.Version, journalVersion)
-			}
-			if line.Journal.Fingerprint != fingerprint {
-				return fmt.Errorf("campaign: checkpoint: journal was written by campaign %q (fingerprint %s), current configuration is %s; delete %s or fix the configuration",
-					line.Journal.Campaign, line.Journal.Fingerprint, fingerprint, j.f.Name())
-			}
-			j.headerLoaded = true
-			return nil
-		},
-		func(line journalLine) {
-			switch {
-			case line.Record != nil:
-				pending[journalKey{line.Record.Point, line.Record.Index}] = *line.Record
-			case line.Done != nil:
-				key := *line.Done
-				if rec, ok := pending[key]; ok {
-					j.entries[key] = rec
-					delete(pending, key)
-				}
-			}
-		})
+	scan, err := readJournal(j.f, j.f.Name(), func(rec *journalRecord[json.RawMessage]) {
+		j.entries[journalKey{rec.Point, rec.Index}] = *rec
+	})
 	if err != nil {
 		return err
 	}
-	if err := j.f.Truncate(offset); err != nil {
+	if scan.offset > 0 { // a header was read
+		if scan.header.Fingerprint != fingerprint {
+			return fmt.Errorf("campaign: checkpoint: journal was written by campaign %q (fingerprint %s), current configuration is %s; delete %s or fix the configuration",
+				scan.header.Campaign, scan.header.Fingerprint, fingerprint, j.f.Name())
+		}
+		j.headerLoaded = true
+	}
+	if err := j.f.Truncate(scan.offset); err != nil {
 		return fmt.Errorf("campaign: checkpoint: truncating torn journal tail: %w", err)
 	}
-	if _, err := j.f.Seek(offset, io.SeekStart); err != nil {
+	if _, err := j.f.Seek(scan.offset, io.SeekStart); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
 	return nil
@@ -344,7 +265,7 @@ func (j *journal) load(fingerprint string) error {
 
 // writeLine appends one JSONL line and fsyncs it. The caller serializes
 // (open is single-threaded; append holds mu).
-func (j *journal) writeLine(line journalLine) error {
+func (j *journal) writeLine(line any) error {
 	b, err := json.Marshal(line)
 	if err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
@@ -374,14 +295,13 @@ func (j *journal) writeLine(line journalLine) error {
 // append journals one completed record: the record line is fsync'd before
 // the completion marker is written, so a marker on disk proves its record
 // is whole. Nil-receiver safe (checkpointing disabled).
-func (j *journal) append(point string, index int, fingerprint string, wire recordWire) error {
+func (j *journal) append(rec journalRecord[*ExperimentRecord]) error {
 	if j == nil {
 		return nil
 	}
-	rec := journalRecord{Point: point, Index: index, Fingerprint: fingerprint, Experiment: wire}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.writeLine(journalLine{Record: &rec}); err != nil {
+	if err := j.writeLine(journalLine[*ExperimentRecord]{Record: &rec}); err != nil {
 		return err
 	}
 	// Appended records are deliberately not retained in j.entries: every
@@ -391,14 +311,14 @@ func (j *journal) append(point string, index int, fingerprint string, wire recor
 	// output in memory. If a key ever were looked up after its append,
 	// the miss costs one redundant re-run — the rerun's record is
 	// journaled again and the later copy wins on the next resume.
-	return j.writeLine(journalLine{Done: &journalKey{point, index}})
+	return j.writeLine(journalLine[struct{}]{Done: &journalKey{rec.Point, rec.Index}})
 }
 
-// lookup returns the journaled record for (point, index), or nil when the
-// journal has no complete record for it. A record written under a
-// different study fingerprint is a configuration mismatch, not a cache
-// miss. Nil-receiver safe.
-func (j *journal) lookup(point string, index int, fingerprint string) (*recordWire, error) {
+// lookup returns the journaled record for (point, index), still
+// marshalled, or nil when the journal has no complete record for it. A
+// record written under a different study fingerprint is a configuration
+// mismatch, not a cache miss. Nil-receiver safe.
+func (j *journal) lookup(point string, index int, fingerprint string) (json.RawMessage, error) {
 	if j == nil {
 		return nil, nil
 	}
@@ -413,13 +333,12 @@ func (j *journal) lookup(point string, index int, fingerprint string) (*recordWi
 			point, index, rec.Fingerprint, fingerprint)
 	}
 	// A key is consumed at most once per run (every engine looks an index
-	// up before running it, never after), so the multi-KB wire payload is
+	// up before running it, never after), so the multi-KB payload is
 	// released here instead of staying resident for the whole campaign. A
 	// hypothetical second lookup re-runs one experiment — sound, and the
 	// rerun's record supersedes the old one on the next resume.
 	delete(j.entries, journalKey{point, index})
-	w := rec.Experiment
-	return &w, nil
+	return rec.Experiment, nil
 }
 
 // Close closes the journal file. Nil-receiver safe.
@@ -451,46 +370,29 @@ type studyJournal struct {
 	fp    string
 }
 
-// lookup returns the journaled record for the index, or nil.
+// lookup returns the journaled record for the index — decoded here, on
+// first use, timelines and raw artifacts included — or nil.
 func (sj *studyJournal) lookup(index int) (*ExperimentRecord, error) {
 	if sj == nil {
 		return nil, nil
 	}
-	w, err := sj.j.lookup(sj.point, index, sj.fp)
-	if err != nil || w == nil {
+	raw, err := sj.j.lookup(sj.point, index, sj.fp)
+	if err != nil || raw == nil {
 		return nil, err
 	}
-	rec, _, _, err := decodeRecordWire(w)
-	return rec, err
-}
-
-// lookupRaw is lookup plus the journaled raw artifacts (locals, stamps).
-func (sj *studyJournal) lookupRaw(index int) (*ExperimentRecord, []*timeline.Local, []clocksync.StampedMessage, error) {
-	if sj == nil {
-		return nil, nil, nil, nil
+	rec := new(ExperimentRecord)
+	if err := json.Unmarshal(raw, rec); err != nil {
+		return nil, fmt.Errorf("campaign: checkpoint: journaled record %s/%d: %w", sj.point, index, err)
 	}
-	w, err := sj.j.lookup(sj.point, index, sj.fp)
-	if err != nil || w == nil {
-		return nil, nil, nil, err
-	}
-	return decodeRecordWire(w)
+	return rec, nil
 }
 
 // record journals one completed record.
 func (sj *studyJournal) record(rec *ExperimentRecord) error {
-	return sj.recordRaw(rec, nil, nil)
-}
-
-// recordRaw journals one completed record with its raw artifacts.
-func (sj *studyJournal) recordRaw(rec *ExperimentRecord, locals []*timeline.Local, stamps []clocksync.StampedMessage) error {
 	if sj == nil {
 		return nil
 	}
-	w, err := encodeRecordWire(rec, locals, stamps)
-	if err != nil {
-		return err
-	}
-	return sj.j.append(sj.point, rec.Index, sj.fp, w)
+	return sj.j.append(journalRecord[*ExperimentRecord]{Point: sj.point, Index: rec.Index, Fingerprint: sj.fp, Experiment: rec})
 }
 
 // campaignFingerprint hashes the campaign-level configuration that defines

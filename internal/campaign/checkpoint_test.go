@@ -90,15 +90,11 @@ func countingStepCampaign(t testing.TB, experiments, workers int, ran *int64) *C
 	}
 }
 
-// wireBytes canonicalizes a record through the journal's wire encoding —
+// wireBytes canonicalizes a record through the journal's encoding —
 // json.Marshal sorts map keys, so equal records yield equal bytes.
 func wireBytes(t *testing.T, rec *ExperimentRecord) []byte {
 	t.Helper()
-	w, err := encodeRecordWire(rec, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(w)
+	b, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +365,7 @@ func TestDuplicatePointNamesRejected(t *testing.T) {
 func TestRunSingleRejectsUnknownTransport(t *testing.T) {
 	c := countingStepCampaign(t, 1, 1, nil)
 	c.Studies[0].Transport = "pigeon"
-	if _, _, _, err := RunSingle(context.Background(), c); err == nil {
+	if _, err := RunSingle(context.Background(), c); err == nil {
 		t.Fatal("RunSingle accepted an unknown transport kind (silent inproc downgrade)")
 	}
 }
@@ -383,10 +379,11 @@ func TestRunSingleClusteredResume(t *testing.T) {
 	c1 := countingStepCampaign(t, 1, 1, &ran1)
 	c1.Studies[0].Transport = "udp"
 	c1.Checkpoint = &Checkpoint{Dir: dir}
-	rec1, stamps1, locals1, err := RunSingle(context.Background(), c1)
+	rec1, err := RunSingle(context.Background(), c1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stamps1, locals1 := rec1.Stamps, rec1.Locals
 	if !rec1.Completed || rec1.AnalysisError != "" {
 		t.Fatalf("clustered single experiment: %+v", rec1)
 	}
@@ -398,10 +395,11 @@ func TestRunSingleClusteredResume(t *testing.T) {
 	c2 := countingStepCampaign(t, 1, 1, &ran2)
 	c2.Studies[0].Transport = "udp"
 	c2.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
-	rec2, stamps2, locals2, err := RunSingle(context.Background(), c2)
+	rec2, err := RunSingle(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stamps2, locals2 := rec2.Stamps, rec2.Locals
 	if got := atomic.LoadInt64(&ran2); got != 0 {
 		t.Errorf("resumed RunSingle executed %d app bodies, want 0", got)
 	}

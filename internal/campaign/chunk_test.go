@@ -128,10 +128,11 @@ func TestChunkedTimelineOverUDP(t *testing.T) {
 	const notes = 2200
 	c := noisyStepCampaign(t, notes)
 	c.Studies[0].Transport = "udp"
-	rec, stamps, locals, err := RunSingle(context.Background(), c)
+	rec, err := RunSingle(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stamps, locals := rec.Stamps, rec.Locals
 	if !rec.Completed {
 		t.Fatal("experiment did not complete")
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/clocksync"
 	"repro/internal/core"
 	"repro/internal/timeline"
 )
@@ -113,35 +112,6 @@ func (m *Member) flushMembers(index int) {
 	}
 }
 
-// coordinate brackets a coordinator-driven run of n experiments: quit the
-// protocol on cancellation, bind the journal, hand run the opener of this
-// member as its testbed, and end the study cluster-wide — after a
-// successful run a flush barrier if no experiment executed (all were
-// journaled) and the metrics pull that folds every member's registry into
-// ours, and on every path the stop broadcast. A run cut short by
-// cancellation returns ctx.Err(), exactly as the in-process pool does.
-func (m *Member) coordinate(ctx context.Context, n int, run func(opener) error) error {
-	stopWatch := m.quitOnCancel(ctx)
-	defer stopWatch()
-	closeJournal, err := m.ensureJournal()
-	if err != nil {
-		return err
-	}
-	defer closeJournal()
-	err = run(func() (testbed, func(), error) { return m, func() {}, nil })
-	if err == nil {
-		if !m.barriered {
-			m.flushMembers(n)
-		}
-		m.pullMemberMetrics(n)
-	}
-	m.stopCluster()
-	if errors.Is(err, errMemberQuit) && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return err
-}
-
 // ensureJournal opens the member's own journal from the campaign's
 // Checkpoint when no binding was handed down by an in-process engine —
 // the stand-alone coordinator path (cmd/lokid). The returned closer is
@@ -162,26 +132,40 @@ func (m *Member) ensureJournal() (func(), error) {
 // records identical in shape to the in-process engine's. Journaled
 // experiments are skipped (the members never see a reset for them); fresh
 // records are journaled as their analysis completes, so a crashed
-// coordinator resumes at the first missing experiment. When ctx is
-// cancelled the member protocol is quit (waits unblock immediately, like a
-// SIGINT drain), no further experiments start, and ctx.Err() is returned.
-func (m *Member) RunStudy(ctx context.Context) (*StudyResult, error) {
-	var sr *StudyResult
-	err := m.coordinate(ctx, m.st.Experiments, func(open opener) (err error) {
-		sr, err = runStudy(ctx, m.c, m.st, m.sj, m.peer, 1, open)
-		return err
-	})
+// coordinator resumes at the first missing experiment. With one, the study
+// is run as RunSingle runs it — cmd/lokid's mode: a single experiment whose
+// record keeps its local timelines and stamps.
+//
+// Around the pipeline, which gets this member as its testbed, RunStudy
+// ends the study cluster-wide: after a successful run a flush barrier if no
+// experiment executed (all were journaled) and the metrics pull that folds
+// every member's registry into ours, and on every path the stop broadcast.
+// When ctx is cancelled the member protocol is quit (waits unblock
+// immediately, like a SIGINT drain), no further experiments start, and
+// ctx.Err() is returned, exactly as the in-process pool does.
+func (m *Member) RunStudy(ctx context.Context, one bool) (*StudyResult, error) {
+	c := m.c
+	if one {
+		c = single(c)
+	}
+	stopWatch := m.quitOnCancel(ctx)
+	defer stopWatch()
+	closeJournal, err := m.ensureJournal()
+	if err != nil {
+		return nil, err
+	}
+	defer closeJournal()
+	sr, err := runStudy(ctx, c, m.st, m.sj, m.peer, 1, func() (testbed, func(), error) { return m, func() {}, nil })
+	if err == nil {
+		n := experimentCount(c, m.st)
+		if !m.barriered {
+			m.flushMembers(n)
+		}
+		m.pullMemberMetrics(n)
+	}
+	m.stopCluster()
+	if errors.Is(err, errMemberQuit) && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
 	return sr, err
-}
-
-// RunOne runs a single clustered experiment (cmd/lokid's one-experiment
-// mode), returning the analyzed record plus the raw artifacts. With a
-// Checkpoint, a journaled experiment is returned — raw artifacts included,
-// so the caller can still write its files — without running anything.
-func (m *Member) RunOne(ctx context.Context) (rec *ExperimentRecord, stamps []clocksync.StampedMessage, locals []*timeline.Local, err error) {
-	err = m.coordinate(ctx, 1, func(open opener) (err error) {
-		rec, stamps, locals, err = runSingle(ctx, m.c, m.st, m.sj, open)
-		return err
-	})
-	return rec, stamps, locals, err
 }

@@ -19,7 +19,7 @@ func runClustered(ctx context.Context, c *Campaign, st *Study, kind string, sj *
 	err := withLoopbackCluster(c, st, kind, func(coordinator *Member) error {
 		coordinator.sj = sj
 		var err error
-		sr, err = coordinator.RunStudy(ctx)
+		sr, err = coordinator.RunStudy(ctx, false)
 		return err
 	})
 	return sr, err

@@ -18,7 +18,7 @@ import (
 
 // Member is one endpoint of a clustered study: a private runtime hosting
 // the locally-owned virtual hosts, listening on its transport. The
-// coordinator member drives the protocol (RunStudy, RunOne); the others
+// coordinator member drives the protocol (RunStudy); the others
 // follow (Serve).
 type Member struct {
 	c  *Campaign
@@ -44,7 +44,7 @@ type Member struct {
 
 	// sj is the coordinator's checkpoint binding. The in-process engines
 	// hand one down; a stand-alone coordinator (cmd/lokid) opens its own
-	// from the campaign's Checkpoint in RunStudy/RunOne.
+	// from the campaign's Checkpoint in RunStudy.
 	sj *studyJournal
 
 	inbox    chan transport.Message

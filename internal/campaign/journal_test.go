@@ -1,0 +1,293 @@
+package campaign
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/clocksync"
+	"repro/internal/faultexpr"
+	"repro/internal/timeline"
+)
+
+// pinnedRecords builds the records whose journal lines TestRecordWireBytesPinned
+// pins: an accepted one (bounds, global timeline, report, and — for the raw
+// variant — a local timeline and stamps) and a discarded one (analysis
+// error, clock-step verdict). Strings carry <, > and & on purpose: the
+// journal's JSON is HTML-escaped and must stay so.
+func pinnedRecords() (accepted, acceptedRaw, discarded *ExperimentRecord) {
+	local := &timeline.Local{
+		Meta: timeline.Meta{
+			Owner:        "beta",
+			Machines:     []string{"alpha", "beta"},
+			GlobalStates: []string{"S1", "S2"},
+			Events:       []string{"GO"},
+			Faults:       []faultexpr.Spec{{Name: "bfault", Expr: faultexpr.MustParse("(beta:S2)"), Mode: faultexpr.Once}},
+			Hosts:        []string{"h2"},
+		},
+		Entries: []timeline.Entry{
+			{Kind: timeline.HostChange, Host: "h2", Time: 5},
+			{Kind: timeline.StateChange, Event: "GO", NewState: "S2", Host: "h2", Time: 1 << 33},
+			{Kind: timeline.FaultInjection, Fault: "bfault", Host: "h2", Time: 1<<33 + 7},
+			{Kind: timeline.Note, Text: "a<b & \"c\"", Host: "h2", Time: 1<<33 + 9},
+		},
+	}
+	global := &analysis.Global{
+		Reference: "h1",
+		Machines:  []string{"beta"},
+		Events: []analysis.Event{
+			{Machine: "beta", Kind: timeline.StateChange, State: "S2", Event: "GO", Host: "h2", Local: 1 << 33, Ref: analysis.Interval{Lo: 100, Hi: 140}},
+			{Machine: "beta", Kind: timeline.FaultInjection, Fault: "bfault", Host: "h2", Local: 1<<33 + 7, Ref: analysis.Interval{Lo: 107, Hi: 147}},
+		},
+	}
+	accepted = &ExperimentRecord{
+		Study: "pin", Index: 3, Completed: true, Accepted: true,
+		Outcomes: map[string]string{"beta": "exited", "alpha": "crashed"},
+		Bounds: map[string]clocksync.Bounds{
+			"h1": {BetaLo: 1, BetaHi: 1},
+			"h2": {AlphaLo: -4000000.5, AlphaHi: -3999000.25, BetaLo: 0.99994, BetaHi: 1.00006},
+		},
+		Global: global,
+		Report: &analysis.Report{
+			Injections: []analysis.InjectionCheck{{Machine: "beta", Fault: "bfault", At: analysis.Interval{Lo: 107, Hi: 147}, Correct: true, Reason: "state S2 held over <[107,147]>"}},
+			Accepted:   true,
+		},
+	}
+	raw := *accepted
+	raw.Locals = []*timeline.Local{local}
+	raw.Stamps = []clocksync.StampedMessage{
+		{SendHost: "h1", RecvHost: "h2", SendTime: 10, RecvTime: 4000020},
+		{SendHost: "h2", RecvHost: "h1", SendTime: 4000030, RecvTime: 45},
+	}
+	discarded = &ExperimentRecord{
+		Study: "pin", Index: 4, Completed: true,
+		Outcomes:           map[string]string{"beta": "exited"},
+		AnalysisError:      "clock sync: host h2: infeasible (lo > hi)",
+		ClockStepSuspected: true,
+		ClockStepHosts:     []string{"h2"},
+		ClockStepBounds:    map[string]StepBound{"h2": {Lo: -12, Hi: 34}},
+	}
+	return accepted, &raw, discarded
+}
+
+// The record lines the last build with a separate wire struct and codec
+// (PR 14, commit f0200de) wrote for pinnedRecords, verbatim.
+const (
+	pinAccepted    = `{"record":{"Point":"pin/point","Index":3,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":3,"Completed":true,"Accepted":true,"Outcomes":{"alpha":"crashed","beta":"exited"},"Bounds":{"h1":{"AlphaLo":0,"AlphaHi":0,"BetaLo":1,"BetaHi":1},"h2":{"AlphaLo":-4000000.5,"AlphaHi":-3999000.25,"BetaLo":0.99994,"BetaHi":1.00006}},"Global":"global_timeline h1\nS beta S2 GO h2 8589934592 100 140\nF beta bfault h2 8589934599 107 147\nend_global_timeline\n","Report":{"Injections":[{"Machine":"beta","Fault":"bfault","At":{"Lo":107,"Hi":147},"Correct":true,"Reason":"state S2 held over \u003c[107,147]\u003e"}],"MissingFaults":null,"Accepted":true}}}}`
+	pinAcceptedRaw = `{"record":{"Point":"pin/point","Index":3,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":3,"Completed":true,"Accepted":true,"Outcomes":{"alpha":"crashed","beta":"exited"},"Bounds":{"h1":{"AlphaLo":0,"AlphaHi":0,"BetaLo":1,"BetaHi":1},"h2":{"AlphaLo":-4000000.5,"AlphaHi":-3999000.25,"BetaLo":0.99994,"BetaHi":1.00006}},"Global":"global_timeline h1\nS beta S2 GO h2 8589934592 100 140\nF beta bfault h2 8589934599 107 147\nend_global_timeline\n","Report":{"Injections":[{"Machine":"beta","Fault":"bfault","At":{"Lo":107,"Hi":147},"Correct":true,"Reason":"state S2 held over \u003c[107,147]\u003e"}],"MissingFaults":null,"Accepted":true},"Locals":["beta\nstate_machine_list\n0 alpha\n1 beta\nend_state_machine_list\nglobal_state_list\n0 S1\n1 S2\nend_global_state_list\nevent_list\n0 GO\nend_event_list\nfault_list\n0 bfault (beta:S2) once\nend_fault_list\nhost_list\n0 h2\nend_host_list\nlocal_timeline\n2 0 0 5\n0 0 1 2 0\n1 0 2 7\n3 \"a\u003cb \u0026 \\\"c\\\"\" 2 9\nend_local_timeline\n"],"Stamps":[{"SendHost":"h1","RecvHost":"h2","SendTime":10,"RecvTime":4000020},{"SendHost":"h2","RecvHost":"h1","SendTime":4000030,"RecvTime":45}]}}}`
+	pinDiscarded   = `{"record":{"Point":"pin/point","Index":4,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":4,"Completed":true,"Accepted":false,"Outcomes":{"beta":"exited"},"AnalysisError":"clock sync: host h2: infeasible (lo \u003e hi)","ClockStepSuspected":true,"ClockStepHosts":["h2"],"ClockStepBounds":{"h2":{"Lo":-12,"Hi":34}}}}}`
+)
+
+// TestRecordWireBytesPinned: an ExperimentRecord marshals, field for field
+// and byte for byte, to what the deleted wire struct wrote — with and
+// without raw artifacts — and decodes back to a record that marshals the
+// same, both whole (the resume path) and as its verdict view (the
+// read-only readers).
+func TestRecordWireBytesPinned(t *testing.T) {
+	accepted, acceptedRaw, discarded := pinnedRecords()
+	for _, tc := range []struct {
+		name string
+		rec  *ExperimentRecord
+		want string
+	}{
+		{"accepted", accepted, pinAccepted},
+		{"accepted with raw artifacts", acceptedRaw, pinAcceptedRaw},
+		{"discarded", discarded, pinDiscarded},
+	} {
+		line := journalLine[*ExperimentRecord]{Record: &journalRecord[*ExperimentRecord]{
+			Point: "pin/point", Index: tc.rec.Index, Fingerprint: "00f1", Experiment: tc.rec,
+		}}
+		got, err := json.Marshal(line)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: journal line changed\n got: %s\nwant: %s", tc.name, got, tc.want)
+		}
+
+		var lazy journalLine[json.RawMessage]
+		if err := json.Unmarshal([]byte(tc.want), &lazy); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		back := new(ExperimentRecord)
+		if err := json.Unmarshal(lazy.Record.Experiment, back); err != nil {
+			t.Fatalf("%s: decoding the journaled record: %v", tc.name, err)
+		}
+		if !bytes.Equal(wireBytes(t, back), wireBytes(t, tc.rec)) {
+			t.Errorf("%s: record changed across the journal:\n got: %s\nwant: %s", tc.name, wireBytes(t, back), wireBytes(t, tc.rec))
+		}
+		if len(back.Locals) != len(tc.rec.Locals) || len(back.Stamps) != len(tc.rec.Stamps) {
+			t.Errorf("%s: raw artifacts: %d locals %d stamps, want %d and %d",
+				tc.name, len(back.Locals), len(back.Stamps), len(tc.rec.Locals), len(tc.rec.Stamps))
+		}
+
+		var verdict journalLine[RecordSummary]
+		if err := json.Unmarshal([]byte(tc.want), &verdict); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := RecordSummary{Index: tc.rec.Index, Completed: tc.rec.Completed, Accepted: tc.rec.Accepted,
+			AnalysisError: tc.rec.AnalysisError, ClockStepSuspected: tc.rec.ClockStepSuspected}
+		if verdict.Record.Experiment != want {
+			t.Errorf("%s: verdict view = %+v, want %+v", tc.name, verdict.Record.Experiment, want)
+		}
+	}
+}
+
+// journalKeys reads a journal's complete records three ways — the resume
+// loader, SummarizeJournal, WalkJournal — and returns what each saw, plus
+// the file's size after the loader truncated it.
+func journalKeys(t testing.TB, dir, fingerprint string) (loaded, walked []journalKey, sum *JournalSummary, size int64) {
+	t.Helper()
+	sum, err := SummarizeJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := WalkJournal(dir, func(r RecordSummary) {
+		walked = append(walked, journalKey{r.Point, r.Index})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(JournalPath(dir), os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	j := &journal{f: f, entries: make(map[journalKey]journalRecord[json.RawMessage])}
+	if err := j.load(fingerprint); err != nil {
+		t.Fatal(err)
+	}
+	for k := range j.entries {
+		loaded = append(loaded, k)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := func(s []journalKey) {
+		sort.Slice(s, func(a, b int) bool {
+			return s[a].Point < s[b].Point || s[a].Point == s[b].Point && s[a].Index < s[b].Index
+		})
+	}
+	byKey(loaded)
+	byKey(walked)
+	return loaded, walked, sum, fi.Size()
+}
+
+// TestJournalTruncatedAtEveryOffset cuts a real journal at every byte
+// offset — every crash point of an append — and checks that the three
+// readers agree on which records are complete, that they are exactly the
+// records whose done marker is whole, and that the loader truncates to the
+// end of the last whole line and nowhere else. Run under -race in CI.
+func TestJournalTruncatedAtEveryOffset(t *testing.T) {
+	src := t.TempDir()
+	c := stepCampaign(t, 3, 1)
+	c.Checkpoint = &Checkpoint{Dir: src}
+	if _, err := Run(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(JournalPath(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := ConfigFingerprint(c)
+
+	// What each prefix must yield, from the line structure alone: line i
+	// (1-based, after the header) is a record when odd, its marker when even.
+	var ends []int // ends[i] is the offset just past line i
+	for i, b := range whole {
+		if b == '\n' {
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) != 7 || ends[6] != len(whole) {
+		t.Fatalf("journal has %d lines over %d bytes, want header + 3 x (record, done)", len(ends), len(whole))
+	}
+
+	dir := t.TempDir()
+	for n := 0; n <= len(whole); n++ {
+		if err := os.WriteFile(JournalPath(dir), whole[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lines := sort.SearchInts(ends, n+1) // whole lines in the prefix
+		trusted := 0
+		if lines > 0 {
+			trusted = ends[lines-1]
+		}
+		var want []journalKey
+		for i := 0; i < (lines-1)/2; i++ {
+			want = append(want, journalKey{"steps", i})
+		}
+		inFlight := 0
+		if lines > 0 && (lines-1)%2 == 1 {
+			inFlight = 1
+		}
+
+		loaded, walked, sum, size := journalKeys(t, dir, fp)
+		if !reflect.DeepEqual(loaded, want) || !reflect.DeepEqual(walked, want) || sum.Complete() != len(want) {
+			t.Fatalf("cut at %d: loader %v, walk %v, summary %d complete; want %v", n, loaded, walked, sum.Complete(), want)
+		}
+		if sum.InFlight != inFlight || sum.Appending != (n > trusted) || sum.Torn {
+			t.Fatalf("cut at %d: in flight %d, appending %v, torn %v; want %d, %v, false", n, sum.InFlight, sum.Appending, sum.Torn, inFlight, n > trusted)
+		}
+		if size != int64(trusted) {
+			t.Fatalf("cut at %d: loader left %d bytes, want %d (the last whole line)", n, size, trusted)
+		}
+	}
+}
+
+// FuzzReadJournal: whatever the bytes, the one journal reader returns —
+// never panics — and what it trusts is self-consistent: the trusted offset
+// ends a line, re-reading the trusted prefix alone finds the same records
+// with nothing in doubt, and the verdict-decoding readers (which also
+// type-check the fields they decode) never trust more than the loader.
+func FuzzReadJournal(f *testing.F) {
+	goldens, err := filepath.Glob("../../testdata/golden_*.journal")
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden journals to seed from: %v", err)
+	}
+	for _, path := range goldens {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(append(append([]byte{}, b...), "not json\n"...))
+	}
+	f.Add([]byte(`{"journal":{"Version":1,"Campaign":"c","Fingerprint":"f"}}` + "\n" + pinAcceptedRaw + "\n" + `{"done":{"Point":"pin/point","Index":3}}` + "\n" + pinDiscarded + "\n"))
+	f.Add([]byte(`{"journal":{"Version":2}}` + "\n"))
+	f.Add([]byte(`{"record":{"Point":"p"}}` + "\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		read := func(b []byte) (journalScan, []string, error) {
+			var keys []string
+			scan, err := readJournal(bytes.NewReader(b), "fuzz", func(rec *journalRecord[json.RawMessage]) {
+				keys = append(keys, fmt.Sprintf("%s/%d", rec.Point, rec.Index))
+			})
+			return scan, keys, err
+		}
+		scan, keys, err := read(data)
+		if err != nil {
+			return // a foreign file or version: refused whole
+		}
+		if scan.offset < 0 || scan.offset > int64(len(data)) || scan.offset > 0 && data[scan.offset-1] != '\n' {
+			t.Fatalf("trusted offset %d of %d does not end a line", scan.offset, len(data))
+		}
+		again, keys2, err := read(data[:scan.offset])
+		if err != nil || again.offset != scan.offset || again.tail != tailClean || again.inFlight != scan.inFlight || !reflect.DeepEqual(keys, keys2) {
+			t.Fatalf("re-reading the trusted prefix: %+v %v (err %v), first read %+v %v", again, keys2, err, scan, keys)
+		}
+		verdicts := 0
+		vscan, err := readJournal(bytes.NewReader(data), "fuzz", func(*journalRecord[RecordSummary]) { verdicts++ })
+		if err != nil || vscan.offset > scan.offset || verdicts > len(keys) {
+			t.Fatalf("verdict reader trusts %d bytes, %d records (err %v); the loader %d and %d", vscan.offset, verdicts, err, scan.offset, len(keys))
+		}
+	})
+}

@@ -213,23 +213,10 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 // notification delays. No further points are dispatched after ctx is
 // cancelled, in-flight points drain, and ctx.Err() is returned.
 func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (*MatrixResult, error) {
-	if len(c.Hosts) == 0 {
-		return nil, fmt.Errorf("campaign: no hosts defined")
-	}
-	if err := ValidateWorkers(c.Workers); err != nil {
+	if err := Validate(c, m); err != nil {
 		return nil, err
 	}
 	pts := m.Points()
-	// Duplicate point names — duplicate scenario/latency names or repeated
-	// seeds — would shadow each other in MatrixResult.Point and collide in
-	// the checkpoint journal's record keys: fail before any point runs.
-	names := make(map[string]bool, len(pts))
-	for _, p := range pts {
-		if names[p.Name()] {
-			return nil, fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, p.Name())
-		}
-		names[p.Name()] = true
-	}
 	j, err := openCampaignJournal(c)
 	if err != nil {
 		return nil, err

@@ -211,10 +211,10 @@ func poolWidth(c *Campaign, st *Study) int {
 func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 	member string, workers int, open opener) (*StudyResult, error) {
 
-	experiments := st.Experiments
-	if err := ValidateExperiments(st.Name, experiments); err != nil {
+	if err := ValidateExperiments(st.Name, st.Experiments); err != nil {
 		return nil, err
 	}
+	experiments := experimentCount(c, st)
 	records := make([]*ExperimentRecord, experiments)
 	var missing []int
 	for i := 0; i < experiments; i++ {
@@ -378,40 +378,6 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 		return nil, err
 	}
 	return &StudyResult{Name: st.Name, Records: records}, nil
-}
-
-// runSingle executes experiment 0 of the study and returns the raw runtime
-// artifacts — the stamped synchronization messages of both mini-phases and
-// the local timelines — alongside the analyzed record. A journaled
-// experiment is returned, artifacts included, without opening a testbed.
-func runSingle(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
-	open opener) (*ExperimentRecord, []clocksync.StampedMessage, []*timeline.Local, error) {
-
-	if rec, locals, stamps, err := sj.lookupRaw(0); err != nil || rec != nil {
-		return rec, stamps, locals, err
-	}
-	// A single runtime phase is never interrupted midway, so a cancelled
-	// context is honoured only before it starts.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	tb, release, err := open()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer release()
-	raw, err := runRuntimePhase(c, st, tb, pointName(c, st, sj), 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rec, err := analyzeExperiment(c, st, raw)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := sj.recordRaw(rec, raw.locals, raw.allStamps()); err != nil {
-		return nil, nil, nil, err
-	}
-	return rec, raw.allStamps(), raw.locals, nil
 }
 
 // rawExperiment is the runtime phase's output handed to the analysis

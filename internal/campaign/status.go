@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,86 +73,65 @@ func (s *JournalSummary) Accepted() int {
 // JournalPath returns the journal location under an artifact directory.
 func JournalPath(dir string) string { return filepath.Join(dir, journalName) }
 
+// RecordSummary is the verdict view of one completed journal record: the
+// fields a status line or a campaign report prints, decoded in place of
+// the journaled ExperimentRecord (whose fields of the same names they are)
+// while its timelines, bounds and stamps are skipped unparsed.
+type RecordSummary struct {
+	Point              string `json:"-"`
+	Index              int
+	Completed          bool
+	Accepted           bool
+	AnalysisError      string
+	ClockStepSuspected bool
+}
+
+// walkJournal opens the journal under dir read-only and hands fn every
+// complete record, verdict fields decoded, in journal order.
+func walkJournal(dir string, fn func(*journalRecord[RecordSummary])) (journalScan, error) {
+	path := JournalPath(dir)
+	f, err := os.Open(path)
+	if err != nil {
+		return journalScan{}, fmt.Errorf("campaign: checkpoint: %w", err)
+	}
+	defer f.Close()
+	return readJournal(f, path, fn)
+}
+
 // SummarizeJournal reads the checkpoint journal under dir and summarizes
 // it. Only records followed by their completion marker are counted,
 // mirroring what a resume would trust. The tail is classified, never
 // truncated: a live campaign mid-append shows up as Appending and/or
 // InFlight records; Torn is reserved for a genuinely garbled tail.
 func SummarizeJournal(dir string) (*JournalSummary, error) {
-	path := JournalPath(dir)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: status: %w", err)
-	}
-	defer f.Close()
-
-	var (
-		sum     = &JournalSummary{Path: path}
-		pending = make(map[journalKey]*recordWire)
-		points  = make(map[string]*PointProgress)
-	)
-	_, tail, err := scanJournal(bufio.NewReaderSize(f, 1<<20), "campaign: status",
-		func(line journalLine) error {
-			if line.Journal == nil {
-				return fmt.Errorf("campaign: status: %s is not a checkpoint journal", path)
-			}
-			if line.Journal.Version != journalVersion {
-				return fmt.Errorf("campaign: status: journal version %d, this build reads %d",
-					line.Journal.Version, journalVersion)
-			}
-			sum.Campaign = line.Journal.Campaign
-			sum.Fingerprint = line.Journal.Fingerprint
-			return nil
-		},
-		func(line journalLine) {
-			switch {
-			case line.Record != nil:
-				w := line.Record.Experiment
-				pending[journalKey{line.Record.Point, line.Record.Index}] = &w
-				if p := points[line.Record.Point]; p == nil {
-					points[line.Record.Point] = &PointProgress{Point: line.Record.Point, Fingerprint: line.Record.Fingerprint}
-				}
-			case line.Done != nil:
-				key := *line.Done
-				w, ok := pending[key]
-				if !ok {
-					return
-				}
-				delete(pending, key)
-				p := points[key.Point]
-				if p == nil {
-					p = &PointProgress{Point: key.Point}
-					points[key.Point] = p
-				}
-				p.Complete++
-				if w.Accepted {
-					p.Accepted++
-				}
-			}
-		})
+	points := make(map[string]*PointProgress)
+	scan, err := walkJournal(dir, func(rec *journalRecord[RecordSummary]) {
+		p := points[rec.Point]
+		if p == nil {
+			p = &PointProgress{Point: rec.Point, Fingerprint: rec.Fingerprint}
+			points[rec.Point] = p
+		}
+		p.Complete++
+		if rec.Experiment.Accepted {
+			p.Accepted++
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	sum.Appending = tail == tailAppending
-	sum.Torn = tail == tailGarbled
-	sum.InFlight = len(pending)
+	sum := &JournalSummary{
+		Path:        JournalPath(dir),
+		Campaign:    scan.header.Campaign,
+		Fingerprint: scan.header.Fingerprint,
+		InFlight:    scan.inFlight,
+		Appending:   scan.tail == tailAppending,
+		Torn:        scan.tail == tailGarbled,
+	}
 	for _, p := range points {
 		sum.Points = append(sum.Points, *p)
 	}
 	sort.Slice(sum.Points, func(i, j int) bool { return sum.Points[i].Point < sum.Points[j].Point })
 	return sum, nil
-}
-
-// RecordSummary is one completed journal record as WalkJournal reports
-// it: the verdict-level fields a campaign report needs, without the raw
-// timelines and stamps.
-type RecordSummary struct {
-	Point              string
-	Index              int
-	Completed          bool
-	Accepted           bool
-	AnalysisError      string
-	ClockStepSuspected bool
 }
 
 // WalkJournal reads the checkpoint journal under dir and calls fn once
@@ -162,52 +140,11 @@ type RecordSummary struct {
 // truncates a live tail. It returns the journal header's campaign name
 // and fingerprint.
 func WalkJournal(dir string, fn func(RecordSummary)) (campaignName, fingerprint string, err error) {
-	path := JournalPath(dir)
-	f, err := os.Open(path)
-	if err != nil {
-		return "", "", fmt.Errorf("campaign: walk journal: %w", err)
-	}
-	defer f.Close()
-	pending := make(map[journalKey]*recordWire)
-	_, _, err = scanJournal(bufio.NewReaderSize(f, 1<<20), "campaign: walk journal",
-		func(line journalLine) error {
-			if line.Journal == nil {
-				return fmt.Errorf("campaign: walk journal: %s is not a checkpoint journal", path)
-			}
-			if line.Journal.Version != journalVersion {
-				return fmt.Errorf("campaign: walk journal: journal version %d, this build reads %d",
-					line.Journal.Version, journalVersion)
-			}
-			campaignName = line.Journal.Campaign
-			fingerprint = line.Journal.Fingerprint
-			return nil
-		},
-		func(line journalLine) {
-			switch {
-			case line.Record != nil:
-				w := line.Record.Experiment
-				pending[journalKey{line.Record.Point, line.Record.Index}] = &w
-			case line.Done != nil:
-				key := *line.Done
-				w, ok := pending[key]
-				if !ok {
-					return
-				}
-				delete(pending, key)
-				fn(RecordSummary{
-					Point:              key.Point,
-					Index:              key.Index,
-					Completed:          w.Completed,
-					Accepted:           w.Accepted,
-					AnalysisError:      w.AnalysisError,
-					ClockStepSuspected: w.ClockStepSuspected,
-				})
-			}
-		})
-	if err != nil {
-		return "", "", err
-	}
-	return campaignName, fingerprint, nil
+	scan, err := walkJournal(dir, func(rec *journalRecord[RecordSummary]) {
+		rec.Experiment.Point = rec.Point
+		fn(rec.Experiment)
+	})
+	return scan.header.Campaign, scan.header.Fingerprint, err
 }
 
 // ConfigFingerprint computes the campaign-level configuration fingerprint

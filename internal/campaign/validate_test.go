@@ -57,7 +57,7 @@ func TestRunContextCancelled(t *testing.T) {
 	}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled RunMatrix error = %v, want context.Canceled", err)
 	}
-	if _, _, _, err := RunSingle(ctx, stepCampaign(t, 1, 1)); !errors.Is(err, context.Canceled) {
+	if _, err := RunSingle(ctx, stepCampaign(t, 1, 1)); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled RunSingle error = %v, want context.Canceled", err)
 	}
 }

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -51,108 +50,6 @@ func ParseNodeFile(doc string) ([]NodeEntry, error) {
 	return entries, nil
 }
 
-// FormatNodeFile renders node entries back to the file format.
-func FormatNodeFile(entries []NodeEntry) string {
-	var b strings.Builder
-	for _, e := range entries {
-		b.WriteString(e.Nickname)
-		if e.Host != "" {
-			b.WriteString(" " + e.Host)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// DaemonAddr is one line of the daemon startup file (§3.5.2):
-//
-//	<HostName> <PortNumber>
-type DaemonAddr struct {
-	Host string
-	Port int
-}
-
-// ParseDaemonStartup parses a daemon startup file.
-func ParseDaemonStartup(doc string) ([]DaemonAddr, error) {
-	var out []DaemonAddr
-	seen := make(map[string]bool)
-	for i, raw := range strings.Split(doc, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("spec: daemon startup line %d: want '<host> <port>', got %q", i+1, line)
-		}
-		port, err := strconv.Atoi(fields[1])
-		if err != nil || port <= 0 || port > 65535 {
-			return nil, fmt.Errorf("spec: daemon startup line %d: bad port %q", i+1, fields[1])
-		}
-		if seen[fields[0]] {
-			return nil, fmt.Errorf("spec: daemon startup line %d: duplicate host %q", i+1, fields[0])
-		}
-		seen[fields[0]] = true
-		out = append(out, DaemonAddr{Host: fields[0], Port: port})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("spec: daemon startup file is empty")
-	}
-	return out, nil
-}
-
-// FormatDaemonStartup renders daemon addresses back to the file format.
-func FormatDaemonStartup(addrs []DaemonAddr) string {
-	var b strings.Builder
-	for _, a := range addrs {
-		fmt.Fprintf(&b, "%s %d\n", a.Host, a.Port)
-	}
-	return b.String()
-}
-
-// DaemonContact is one line of the daemon contact file (§3.5.2):
-//
-//	<HostName> <SharedMemoryID> <SemaphoreID>
-//
-// In this reproduction the IDs address in-process mailboxes rather than
-// SysV IPC objects, but the file format is preserved.
-type DaemonContact struct {
-	Host        string
-	SharedMemID int
-	SemaphoreID int
-}
-
-// ParseDaemonContact parses a daemon contact file.
-func ParseDaemonContact(doc string) ([]DaemonContact, error) {
-	var out []DaemonContact
-	for i, raw := range strings.Split(doc, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("spec: daemon contact line %d: want '<host> <shmid> <semid>', got %q", i+1, line)
-		}
-		shm, err1 := strconv.Atoi(fields[1])
-		sem, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("spec: daemon contact line %d: bad ids in %q", i+1, line)
-		}
-		out = append(out, DaemonContact{Host: fields[0], SharedMemID: shm, SemaphoreID: sem})
-	}
-	return out, nil
-}
-
-// FormatDaemonContact renders contacts back to the file format.
-func FormatDaemonContact(cs []DaemonContact) string {
-	var b strings.Builder
-	for _, c := range cs {
-		fmt.Fprintf(&b, "%s %d %d\n", c.Host, c.SharedMemID, c.SemaphoreID)
-	}
-	return b.String()
-}
-
 // ParseMachinesFile parses the machines file (§5.6): one host name per line.
 func ParseMachinesFile(doc string) ([]string, error) {
 	var hosts []string
@@ -175,70 +72,4 @@ func ParseMachinesFile(doc string) ([]string, error) {
 		return nil, fmt.Errorf("spec: machines file is empty")
 	}
 	return hosts, nil
-}
-
-// Study is a parsed study file (§5.6). One exists per state machine per
-// study; it binds the machine's nickname to its specification files and the
-// application to run.
-type Study struct {
-	Nickname      string
-	NodeFile      string
-	StateMachFile string
-	FaultSpecFile string
-	Executable    string
-	Args          []string
-}
-
-// ParseStudyFile parses the §5.6 study file format, which is positional,
-// one field per line:
-//
-//	<SMNickName>
-//	<NodeFile>
-//	<StateMachineSpecificationFile>
-//	<FaultSpecificationFile>
-//	<InstrumentedApplicationExecutable Path>
-//	<ApplicationArguments>
-//
-// The arguments line may be empty; everything after the fifth line is
-// treated as whitespace-separated arguments.
-func ParseStudyFile(doc string) (*Study, error) {
-	var lines []string
-	for _, raw := range strings.Split(doc, "\n") {
-		line := strings.TrimSpace(raw)
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		lines = append(lines, line)
-	}
-	// Trim trailing blank lines but keep interior ones (args may be blank).
-	for len(lines) > 0 && lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) < 5 {
-		return nil, fmt.Errorf("spec: study file has %d lines, want at least 5", len(lines))
-	}
-	for i, what := range []string{"nickname", "node file", "state machine spec", "fault spec", "executable"} {
-		if lines[i] == "" {
-			return nil, fmt.Errorf("spec: study file line %d (%s) is blank", i+1, what)
-		}
-	}
-	s := &Study{
-		Nickname:      lines[0],
-		NodeFile:      lines[1],
-		StateMachFile: lines[2],
-		FaultSpecFile: lines[3],
-		Executable:    lines[4],
-	}
-	if len(lines) > 5 {
-		s.Args = strings.Fields(strings.Join(lines[5:], " "))
-	}
-	return s, nil
-}
-
-// Format renders the study back to its file format.
-func (s *Study) Format() string {
-	return strings.Join([]string{
-		s.Nickname, s.NodeFile, s.StateMachFile, s.FaultSpecFile,
-		s.Executable, strings.Join(s.Args, " "),
-	}, "\n") + "\n"
 }

@@ -1,8 +1,7 @@
 // Package spec implements the textual specification file formats the Loki
 // thesis defines: state machine specifications (§3.5.3), fault
-// specifications (§3.5.5, via internal/faultexpr), node files (§3.5.1),
-// daemon startup and contact files (§3.5.2), study files and machines files
-// (§5.6).
+// specifications (§3.5.5, via internal/faultexpr), node files (§3.5.1) and
+// machines files (§5.6).
 package spec
 
 import (

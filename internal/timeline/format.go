@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -187,6 +188,32 @@ func Decode(r io.Reader) (*Local, error) {
 
 // DecodeString is Decode from a string.
 func DecodeString(s string) (*Local, error) { return Decode(strings.NewReader(s)) }
+
+// MarshalJSON renders the timeline as a JSON string holding its §3.5.6
+// text, so a record that carries local timelines (the checkpoint journal's)
+// shares one format with the .timeline artifacts and the cluster's result
+// frames.
+func (l *Local) MarshalJSON() ([]byte, error) {
+	doc, err := EncodeString(l)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(doc)
+}
+
+// UnmarshalJSON reverses MarshalJSON.
+func (l *Local) UnmarshalJSON(b []byte) error {
+	var doc string
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return fmt.Errorf("timeline: local timeline: %w", err)
+	}
+	dec, err := DecodeString(doc)
+	if err != nil {
+		return err
+	}
+	*l = *dec
+	return nil
+}
 
 func parseIndexed(line string, want int) (string, error) {
 	fields := strings.Fields(line)

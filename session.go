@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/campaign"
@@ -275,17 +274,15 @@ func Open(spec any, opts ...Option) (*Session, error) {
 	if err := s.resolveTracing(); err != nil {
 		return nil, err
 	}
-	if err := campaign.ValidateWorkers(s.c.Workers); err != nil {
-		return nil, err
-	}
-	if len(s.c.Hosts) == 0 {
-		return nil, fmt.Errorf("loki: campaign has no hosts")
-	}
 	if s.m == nil && len(s.c.Studies) == 0 {
 		return nil, fmt.Errorf("loki: campaign has no studies and no matrix")
 	}
 	if s.m != nil && len(s.c.Studies) > 0 {
 		return nil, fmt.Errorf("loki: campaign has both studies and a matrix; open two sessions")
+	}
+	// The engines' own up-front rules, on the campaign as it will run.
+	if err := campaign.Validate(s.effectiveCampaign(), s.m); err != nil {
+		return nil, err
 	}
 	if s.cluster != nil && s.m != nil {
 		return nil, fmt.Errorf("loki: cluster mode runs a single study, not a matrix")
@@ -293,19 +290,14 @@ func Open(spec any, opts ...Option) (*Session, error) {
 	if s.cluster != nil && len(s.c.Studies) != 1 {
 		return nil, fmt.Errorf("loki: cluster mode needs exactly one study, have %d", len(s.c.Studies))
 	}
+	// What only the session knows: a cluster's peers and a transport
+	// override of matrix points (built at run time) are sockets too.
 	if s.c.VirtualTime {
 		if s.cluster != nil {
 			return nil, fmt.Errorf("loki: virtual time cannot drive a cluster (peer processes keep real clocks)")
 		}
 		if s.transport != "" && s.transport != TransportInproc {
 			return nil, fmt.Errorf("loki: virtual time requires the inproc transport, not %q", s.transport)
-		}
-		if s.transport == "" {
-			for _, st := range s.c.Studies {
-				if st.Transport != "" && st.Transport != TransportInproc {
-					return nil, fmt.Errorf("loki: study %q: virtual time requires the inproc transport, not %q", st.Name, st.Transport)
-				}
-			}
 		}
 	}
 	return s, nil
@@ -395,30 +387,36 @@ func (s *Session) Run(ctx context.Context) (*SessionResult, error) {
 	if err := s.runnable(); err != nil {
 		return nil, err
 	}
+	res := &SessionResult{}
 	if s.cluster != nil {
-		return s.runClustered(ctx)
-	}
-	if m := s.effectiveMatrix(); m != nil {
+		sr, err := s.runClustered(ctx, false)
+		if err != nil {
+			return nil, err
+		}
+		if sr == nil {
+			return &SessionResult{Served: true}, nil
+		}
+		res.Campaign = &CampaignOutcome{Name: s.c.Name, Studies: []*StudyOutcome{sr}}
+	} else if m := s.effectiveMatrix(); m != nil {
 		out, err := campaign.RunMatrix(ctx, s.effectiveCampaign(), m)
 		if err != nil {
 			return nil, err
 		}
-		res := &SessionResult{Matrix: out}
-		return res, s.writeRunArtifacts(res)
+		res.Matrix = out
+	} else {
+		out, err := campaign.Run(ctx, s.effectiveCampaign())
+		if err != nil {
+			return nil, err
+		}
+		res.Campaign = out
 	}
-	out, err := campaign.Run(ctx, s.effectiveCampaign())
-	if err != nil {
-		return nil, err
-	}
-	res := &SessionResult{Campaign: out}
 	return res, s.writeRunArtifacts(res)
 }
 
-// RunOne executes exactly one experiment of the session's (first) study
-// and returns the raw runtime artifacts alongside the record — the
-// single-experiment mode of cmd/lokid. With WithArtifacts, the §3.5.6
-// timeline files and the timestamps file are written for a clean,
-// analysis-accepted run.
+// RunOne is Run of exactly one experiment of the session's (first) study
+// whose record keeps the raw runtime artifacts — the single-experiment
+// mode of cmd/lokid. With WithArtifacts, the §3.5.6 timeline files and
+// the timestamps file are written for a clean, analysis-accepted run.
 func (s *Session) RunOne(ctx context.Context) (*Experiment, error) {
 	if err := s.runnable(); err != nil {
 		return nil, err
@@ -426,34 +424,31 @@ func (s *Session) RunOne(ctx context.Context) (*Experiment, error) {
 	if s.m != nil {
 		return nil, fmt.Errorf("loki: RunOne runs one experiment of a study campaign; this session has a matrix (use Run)")
 	}
+	var rec *ExperimentRecord
 	if s.cluster != nil {
-		if err := s.openMember(); err != nil {
-			return nil, err
-		}
-		if !s.member.Coordinator() {
-			if err := s.member.Serve(ctx); err != nil {
-				return nil, err
-			}
-			return &Experiment{Served: true}, nil
-		}
-		rec, stamps, locals, err := s.member.RunOne(ctx)
+		sr, err := s.runClustered(ctx, true)
 		if err != nil {
 			return nil, err
 		}
-		e := &Experiment{Record: rec, Stamps: stamps, Locals: locals}
-		return e, s.writeRawArtifacts(e)
+		if sr == nil {
+			return &Experiment{Served: true}, nil
+		}
+		rec = sr.Records[0]
+	} else {
+		var err error
+		if rec, err = campaign.RunSingle(ctx, s.effectiveCampaign()); err != nil {
+			return nil, err
+		}
 	}
-	rec, stamps, locals, err := campaign.RunSingle(ctx, s.effectiveCampaign())
-	if err != nil {
-		return nil, err
-	}
-	e := &Experiment{Record: rec, Stamps: stamps, Locals: locals}
+	e := &Experiment{Record: rec, Stamps: rec.Stamps, Locals: rec.Locals}
 	return e, s.writeRawArtifacts(e)
 }
 
 // Resume re-runs the session against its checkpoint journal: journaled
 // experiments are loaded, only the missing ones execute. It requires a
-// checkpoint (or artifacts) directory.
+// checkpoint (or artifacts) directory. The resume is this call's alone: a
+// later Run journals from scratch again, unless WithCheckpoint asked for
+// resume itself.
 func (s *Session) Resume(ctx context.Context) (*SessionResult, error) {
 	if err := s.runnable(); err != nil {
 		return nil, err
@@ -461,27 +456,22 @@ func (s *Session) Resume(ctx context.Context) (*SessionResult, error) {
 	if s.c.Checkpoint == nil {
 		return nil, fmt.Errorf("loki: Resume needs WithCheckpoint or WithArtifacts (there is no journal to resume from)")
 	}
+	defer func(was bool) { s.c.Checkpoint.Resume = was }(s.c.Checkpoint.Resume)
 	s.c.Checkpoint.Resume = true
 	return s.Run(ctx)
 }
 
-// runClustered is Run in cluster mode.
-func (s *Session) runClustered(ctx context.Context) (*SessionResult, error) {
+// runClustered is Run (or, with one, RunOne) in cluster mode: the
+// coordinator drives the study and returns its result; any other member
+// serves the protocol and returns nil.
+func (s *Session) runClustered(ctx context.Context, one bool) (*StudyOutcome, error) {
 	if err := s.openMember(); err != nil {
 		return nil, err
 	}
 	if !s.member.Coordinator() {
-		if err := s.member.Serve(ctx); err != nil {
-			return nil, err
-		}
-		return &SessionResult{Served: true}, nil
+		return nil, s.member.Serve(ctx)
 	}
-	sr, err := s.member.RunStudy(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res := &SessionResult{Campaign: &CampaignOutcome{Name: s.c.Name, Studies: []*StudyOutcome{sr}}}
-	return res, s.writeRunArtifacts(res)
+	return s.member.RunStudy(ctx, one)
 }
 
 // openMember lazily builds the cluster transport and member.
@@ -668,7 +658,7 @@ func (s *Session) Status() (*SessionStatus, error) {
 		// campaigns — do it, so "matches" here means Resume would accept.
 		for _, study := range ec.Studies {
 			o, ok := observed[study.Name]
-			if ok && o.Fingerprint != "" && o.Fingerprint != campaign.StudyConfigFingerprint(ec, study, study.Name) {
+			if ok && o.Fingerprint != campaign.StudyConfigFingerprint(ec, study, study.Name) {
 				match = false
 			}
 		}
@@ -685,22 +675,13 @@ func (s *Session) Status() (*SessionStatus, error) {
 	}
 	for _, name := range order {
 		o := observed[name]
-		delete(observed, name)
-		st.Points = append(st.Points, PointStatus{
-			Point:    name,
-			Expected: expected[name],
-			Complete: o.Complete,
-			Accepted: o.Accepted,
-		})
+		st.Points = append(st.Points, PointStatus{Point: name, Expected: expected[name], Complete: o.Complete, Accepted: o.Accepted})
 	}
-	var extra []string
-	for name := range observed {
-		extra = append(extra, name)
-	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		o := observed[name]
-		st.Points = append(st.Points, PointStatus{Point: name, Complete: o.Complete, Accepted: o.Accepted})
+	// Journal-only points follow, in the summary's (sorted) order.
+	for _, o := range sum.Points {
+		if _, configured := expected[o.Point]; !configured {
+			st.Points = append(st.Points, PointStatus{Point: o.Point, Complete: o.Complete, Accepted: o.Accepted})
+		}
 	}
 	return st, nil
 }
@@ -852,7 +833,14 @@ func (s *Session) writeRawArtifacts(e *Experiment) error {
 		return err
 	}
 	for _, tl := range e.Locals {
-		f, err := os.Create(filepath.Join(s.artifacts, tl.Owner+".timeline"))
+		// Owner is outside input — a node file's nickname, or in cluster
+		// mode whatever a peer's result frames said — so it is confined
+		// like study and point names are.
+		path := underDir(s.artifacts, tl.Owner+".timeline")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return err
+		}
+		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -451,6 +454,49 @@ func TestRunOneRejectsMatrix(t *testing.T) {
 	}
 }
 
+// TestRunOneConfinesTimelineFiles: a machine nickname is outside input (a
+// node file, a campaign file, a peer's result frames), so one that climbs
+// out of the artifact directory must not take its timeline file along.
+func TestRunOneConfinesTimelineFiles(t *testing.T) {
+	root := t.TempDir()
+	out := filepath.Join(root, "deep", "er", "out")
+	peers := []string{"../../escaped", "green", "yellow"}
+	c := sessionCancelCampaign(1, "")
+	c.Studies[0].Nodes, c.Studies[0].Placement = nil, nil
+	for i, nick := range peers {
+		in := election.New(election.Config{Peers: peers, RunFor: 30 * time.Millisecond, Seed: int64(i) * 7})
+		c.Studies[0].Nodes = append(c.Studies[0].Nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers), App: in})
+		c.Studies[0].Placement = append(c.Studies[0].Placement, loki.NodeEntry{Nickname: nick, Host: c.Hosts[i].Name})
+	}
+	s, err := loki.Open(c, loki.WithArtifacts(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	e, err := s.RunOne(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.Record.Completed || e.Record.AnalysisError != "" || len(e.Locals) != len(peers) {
+		t.Fatalf("experiment: completed=%v error=%q locals=%d", e.Record.Completed, e.Record.AnalysisError, len(e.Locals))
+	}
+	if _, err := os.Stat(filepath.Join(out, "escaped.timeline")); err != nil {
+		t.Errorf("the confined timeline file is missing: %v", err)
+	}
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && !strings.HasPrefix(path, out+string(filepath.Separator)) {
+			t.Errorf("file written outside the artifact directory: %s", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSessionIgnoresFileClusterSectionInProcess: a campaign file that
 // carries a cluster section (shared by every lokid peer) must stay
 // runnable in-process — the section binds only through WithCluster.
@@ -483,11 +529,18 @@ func TestSessionIgnoresFileClusterSectionInProcess(t *testing.T) {
 }
 
 // TestSessionResumeDoesNotMutateSpec: Resume flips the session's own
-// checkpoint copy, never the caller's.
+// checkpoint copy, never the caller's — and only for the call: a Run after
+// a Resume journals from scratch, as WithCheckpoint(dir, false) (here the
+// spec's Checkpoint without Resume) said it would.
 func TestSessionResumeDoesNotMutateSpec(t *testing.T) {
 	dir := t.TempDir()
 	c := sessionCancelCampaign(1, dir)
-	s, err := loki.Open(c)
+	var executed atomic.Int64
+	s, err := loki.Open(c, loki.WithObserver(func(ev loki.ProgressEvent) {
+		if ev.Kind == loki.EventExperiment {
+			executed.Add(1)
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,6 +550,21 @@ func TestSessionResumeDoesNotMutateSpec(t *testing.T) {
 	}
 	if c.Checkpoint.Resume {
 		t.Error("Resume mutated the caller's Checkpoint")
+	}
+	if got := executed.Load(); got != 1 {
+		t.Fatalf("Resume over an empty journal executed %d experiments, want 1", got)
+	}
+	if _, err := s.Resume(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := executed.Load(); got != 1 {
+		t.Fatalf("second Resume executed %d experiments in all, want 1 (the record is journaled)", got)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := executed.Load(); got != 2 {
+		t.Errorf("Run after Resume executed %d experiments in all, want 2: it resumed instead of journaling from scratch", got)
 	}
 }
 

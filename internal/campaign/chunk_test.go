@@ -73,13 +73,13 @@ func TestResultFramesChunking(t *testing.T) {
 		if len(f.Dropped) != 1 || f.Dropped[0] != "broken" {
 			t.Errorf("frame %d: Dropped = %v, want [broken]", i, f.Dropped)
 		}
-		if wire := encodeClusterMsg(f); len(wire) > transport.MaxFrame {
+		if wire, err := transport.EncodePayload(f); err != nil || len(wire) > transport.MaxFrame {
 			t.Errorf("frame %d encodes to %d bytes, exceeding the %d-byte limit", i, len(wire), transport.MaxFrame)
 		}
 		if f.Outcomes["beta"] != "exited" {
 			t.Errorf("frame %d lost the outcomes", i)
 		}
-		pending.WriteString(f.Timeline)
+		pending.WriteString(f.Doc)
 		if !f.More {
 			docs = append(docs, pending.String())
 			pending.Reset()

@@ -22,13 +22,27 @@ func (m *Member) reference() string      { return m.ref }
 // context: the point name members label their lanes with and whether a
 // trace will be pulled for this experiment.
 func (m *Member) reset(point string, index int, traced bool) error {
-	peers := m.tr.Topology().PeerNames()
-	m.align = make(map[string]memberAlign, len(peers))
+	m.align = make(map[string]memberAlign, len(m.tr.Topology().PeerNames()))
 	m.rt.ResetExperiment()
 	m.tr.SetEpoch(uint64(index) + 1)
-	msg := clusterMsg{Index: index, Point: point, TraceOn: traced}
-	if _, err := m.gather(opReset, msg, opResetOK, peers, clusterAckTimeout, nil); err != nil {
+	msg := m.hello(index)
+	msg.Point, msg.TraceOn = point, traced
+	return m.barrier(msg)
+}
+
+// barrier broadcasts one reset frame until every member has acknowledged
+// it, and fails on the first member (in name order) that checkPeer
+// refuses. Passing it proves every member is up, listening, and running
+// this study.
+func (m *Member) barrier(msg clusterMsg) error {
+	acks, err := m.gather(opReset, msg, opResetOK, m.tr.Topology().PeerNames(), clusterAckTimeout, nil)
+	if err != nil {
 		return fmt.Errorf("reset barrier: %w", err)
+	}
+	for _, peer := range sortedKeys(acks) {
+		if err := m.checkPeer(acks[peer][0]); err != nil {
+			return fmt.Errorf("reset barrier: %w", err)
+		}
 	}
 	m.barriered = true
 	return nil
@@ -73,7 +87,7 @@ func (m *Member) execute(index int) (executed, error) {
 			}
 		}
 		run.lost = append(run.lost, frames[0].Dropped...)
-		docs, err := joinDocs(frames, timelineChunk)
+		docs, err := joinDocs(frames)
 		if err != nil {
 			return executed{}, fmt.Errorf("peer %s results: %w", peer, err)
 		}
@@ -103,11 +117,10 @@ func (m *Member) execute(index int) (executed, error) {
 // members that are genuinely gone must not wedge a resume that needs
 // nothing from them.
 func (m *Member) flushMembers(index int) {
-	peers := m.tr.Topology().PeerNames()
-	if len(peers) == 0 {
+	if len(m.tr.Topology().PeerNames()) == 0 {
 		return
 	}
-	if _, err := m.gather(opReset, clusterMsg{Index: index}, opResetOK, peers, clusterAckTimeout, nil); err != nil {
+	if err := m.barrier(m.hello(index)); err != nil {
 		m.rt.Logf("campaign: cluster %s: resume flush barrier: %v", m.peer, err)
 	}
 }

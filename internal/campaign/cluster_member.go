@@ -27,6 +27,7 @@ type Member struct {
 	rt *core.Runtime
 
 	peer    string   // this endpoint's peer name
+	fp      string   // studyFingerprint of (c, st): what the reset barrier compares
 	hosts   []string // all hosts, sorted (cluster-wide)
 	ref     string   // reference host (sorted-first, coordinator-local)
 	syncSeq int      // monotonic across mini-phases: a stale pong must never match
@@ -63,6 +64,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		st:    st,
 		tr:    tr,
 		peer:  topo.Local,
+		fp:    studyFingerprint(c, st, st.Name),
 		inbox: make(chan transport.Message, 256),
 		quit:  make(chan struct{}),
 	}
@@ -152,7 +154,7 @@ func (m *Member) quitOnCancel(ctx context.Context) (stop func()) {
 // the inbox for the protocol loops.
 func (m *Member) hook(msg transport.Message) {
 	if msg.Kind == transport.KindSyncPing {
-		w, err := decodeSyncWire(msg.Payload)
+		w, err := transport.DecodePayload[syncWire](msg.Payload)
 		if err != nil {
 			return
 		}
@@ -164,13 +166,12 @@ func (m *Member) hook(msg transport.Message) {
 		w.ProcRecv = m.rt.Clock().Now().UnixNano()
 		w.RemoteSend = int64(clk.Now())
 		w.ProcSend = m.rt.Clock().Now().UnixNano()
-		reply := transport.Message{
-			Kind:    transport.KindSyncPong,
-			To:      msg.From,
-			ToHost:  msg.ToHost, // which remote clock answered
-			Payload: encodeSyncWire(w),
+		body, err := transport.EncodePayload(w)
+		if err == nil {
+			// ToHost says which remote clock answered.
+			err = m.tr.SendPeer(msg.From, transport.Message{Kind: transport.KindSyncPong, To: msg.From, ToHost: msg.ToHost, Payload: body})
 		}
-		if err := m.tr.SendPeer(msg.From, reply); err != nil {
+		if err != nil {
 			m.rt.Logf("campaign: cluster %s: sync pong: %v", m.peer, err)
 		}
 		return
@@ -204,11 +205,34 @@ func (m *Member) startLocal() error {
 	return errors.Join(errs...)
 }
 
+// hello is the part of a reset or resetok frame that says what this
+// endpoint is running.
+func (m *Member) hello(index int) clusterMsg {
+	return clusterMsg{Index: index, Version: protocolVersion, Fingerprint: m.fp}
+}
+
+// checkPeer fails fast on a mismatched peer: cm is a reset or resetok
+// frame, and its sender must speak this protocol version and run this
+// study. Two lokids started from different files would otherwise merge
+// each other's frames into one plausible, meaningless experiment.
+func (m *Member) checkPeer(cm clusterMsg) error {
+	if cm.Version != protocolVersion {
+		return fmt.Errorf("campaign: cluster %s: peer %s speaks protocol version %d, this endpoint version %d", m.peer, cm.Peer, cm.Version, protocolVersion)
+	}
+	if cm.Fingerprint != m.fp {
+		return fmt.Errorf("campaign: cluster %s: peer %s runs study fingerprint %s, this endpoint %s (started from different campaign files?)", m.peer, cm.Peer, cm.Fingerprint, m.fp)
+	}
+	return nil
+}
+
 // sendCtrl ships one protocol frame to a peer.
 func (m *Member) sendCtrl(peer, op string, msg clusterMsg) {
 	msg.Peer = m.peer
-	frame := transport.Message{Kind: transport.KindCtrl, From: m.peer, To: peer, State: op, Payload: encodeClusterMsg(msg)}
-	if err := m.tr.SendPeer(peer, frame); err != nil {
+	body, err := transport.EncodePayload(msg)
+	if err == nil {
+		err = m.tr.SendPeer(peer, transport.Message{Kind: transport.KindCtrl, From: m.peer, To: peer, State: op, Payload: body})
+	}
+	if err != nil {
 		m.rt.Logf("campaign: cluster %s: sending %s to %s: %v", m.peer, op, peer, err)
 	}
 }
@@ -222,7 +246,10 @@ func (m *Member) broadcastCtrl(op string, msg clusterMsg) {
 
 // Serve follows the coordinator's protocol until a stop frame, Quit, or
 // ctx cancellation. Non-coordinator members run this on their main
-// goroutine.
+// goroutine. A member whose coordinator fails checkPeer serves nothing: it
+// keeps answering resets with its own hello, so the coordinator can fail
+// its barrier with the same diagnosis however many datagrams are lost,
+// and returns the mismatch once stopped.
 func (m *Member) Serve(ctx context.Context) error {
 	stopWatch := m.quitOnCancel(ctx)
 	defer stopWatch()
@@ -239,6 +266,8 @@ func (m *Member) Serve(ctx context.Context) error {
 		traceFrames []clusterMsg
 		metricsIdx  = -1 // index the cached metrics frames answer
 		metricsFr   []clusterMsg
+
+		refused error // the coordinator failed checkPeer
 	)
 	stopRun := func() { // the done reports and the supervisor
 		if doneQuit != nil {
@@ -256,14 +285,24 @@ func (m *Member) Serve(ctx context.Context) error {
 		select {
 		case msg = <-m.inbox:
 		case <-m.quit:
-			return nil
+			return refused
 		}
-		cm, err := decodeClusterMsg(msg.Payload)
+		cm, err := transport.DecodePayload[clusterMsg](msg.Payload)
 		if err != nil {
+			continue
+		}
+		if refused != nil && msg.State != opReset && msg.State != opStop {
 			continue
 		}
 		switch msg.State {
 		case opReset:
+			if refused == nil {
+				refused = m.checkPeer(cm)
+			}
+			if refused != nil {
+				m.sendCtrl(cm.Peer, opResetOK, m.hello(cm.Index))
+				continue
+			}
 			if cm.Index < index {
 				continue // a straggler from a finished experiment; never roll back
 			}
@@ -288,7 +327,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					}
 				}
 			}
-			m.sendCtrl(cm.Peer, opResetOK, clusterMsg{Index: index})
+			m.sendCtrl(cm.Peer, opResetOK, m.hello(index))
 		case opStart:
 			if cm.Index != index || started {
 				continue
@@ -338,7 +377,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					m.rt.Logf("campaign: cluster %s: encoding trace: %v", m.peer, err)
 					doc = ""
 				}
-				traceFrames = chunkDoc(index, doc, traceChunk)
+				traceFrames = chunkDoc(index, doc)
 			}
 			for _, f := range traceFrames {
 				m.sendCtrl(cm.Peer, opTraceRes, f)
@@ -356,13 +395,13 @@ func (m *Member) Serve(ctx context.Context) error {
 					}
 				}
 				metricsIdx = cm.Index
-				metricsFr = chunkDoc(cm.Index, doc, metricsChunk)
+				metricsFr = chunkDoc(cm.Index, doc)
 			}
 			for _, f := range metricsFr {
 				m.sendCtrl(cm.Peer, opMetricsRes, f)
 			}
 		case opStop:
-			return nil
+			return refused
 		}
 	}
 }

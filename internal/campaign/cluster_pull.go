@@ -13,14 +13,14 @@ import (
 
 // pullDocs gathers every peer's chunked answer to a pull op and
 // reassembles each into its one document.
-func (m *Member) pullDocs(index int, op, respOp string, field func(*clusterMsg) *string) (map[string]string, error) {
+func (m *Member) pullDocs(index int, op, respOp string) (map[string]string, error) {
 	results, err := m.gather(op, clusterMsg{Index: index}, respOp, m.tr.Topology().PeerNames(), clusterAckTimeout, nil)
 	if err != nil {
 		return nil, err
 	}
 	docs := make(map[string]string, len(results))
 	for peer, frames := range results {
-		d, err := joinDocs(frames, field)
+		d, err := joinDocs(frames)
 		if err != nil {
 			return nil, err
 		}
@@ -36,7 +36,7 @@ func (m *Member) mergeLanes(index int, tr *obs.Trace) {
 	if tr == nil {
 		return
 	}
-	docs, err := m.pullDocs(index, opTrace, opTraceRes, traceChunk)
+	docs, err := m.pullDocs(index, opTrace, opTraceRes)
 	if err != nil {
 		m.c.Obs.Logf(obs.Warn, "campaign", "cluster %s: collecting member traces: %v", m.peer, err)
 		return
@@ -71,7 +71,7 @@ func (m *Member) pullMemberMetrics(index int) {
 	if m.c.Obs == nil || m.c.Obs.Metrics == nil {
 		return
 	}
-	docs, err := m.pullDocs(index, opMetrics, opMetricsRes, metricsChunk)
+	docs, err := m.pullDocs(index, opMetrics, opMetricsRes)
 	if err != nil {
 		m.c.Obs.Logf(obs.Warn, "campaign", "cluster %s: pulling member metrics: %v", m.peer, err)
 		return

@@ -60,13 +60,11 @@ func (m *Member) sync() ([]clocksync.StampedMessage, error) {
 			}
 			procSend := proc.Now()
 			refSend := refClock.Now()
-			ping := transport.Message{
-				Kind:    transport.KindSyncPing,
-				From:    m.peer,
-				ToHost:  host,
-				Payload: encodeSyncWire(syncWire{Seq: seq}),
+			body, err := transport.EncodePayload(syncWire{Seq: seq})
+			if err == nil {
+				err = m.tr.SendHost(host, transport.Message{Kind: transport.KindSyncPing, From: m.peer, ToHost: host, Payload: body})
 			}
-			if err := m.tr.SendHost(host, ping); err != nil {
+			if err != nil {
 				return nil, fmt.Errorf("campaign: sync ping to %q: %w", host, err)
 			}
 			pong, ok := m.awaitPong(host, seq)

@@ -64,7 +64,7 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 			own = nil
 			got[m.peer] = map[int]clusterMsg{0: {Peer: m.peer, Index: msg.Index, Completed: ok}}
 		case in := <-m.inbox:
-			cm, err := decodeClusterMsg(in.Payload)
+			cm, err := transport.DecodePayload[clusterMsg](in.Payload)
 			if err != nil || in.State != respOp || cm.Index != msg.Index {
 				continue
 			}
@@ -95,7 +95,7 @@ func (m *Member) awaitPong(host string, seq int) (syncWire, bool) {
 			if msg.Kind != transport.KindSyncPong || msg.ToHost != host {
 				continue
 			}
-			w, err := decodeSyncWire(msg.Payload)
+			w, err := transport.DecodePayload[syncWire](msg.Payload)
 			if err != nil || w.Seq != seq {
 				continue
 			}

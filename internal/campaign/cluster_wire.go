@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,13 +15,17 @@ import (
 // runs. One endpoint — the owner of the lexicographically first host, so
 // the analysis reference machine is local to it — coordinates:
 //
-//	reset(i)  ->  members reset their runtimes, move to epoch i+1,  ack
+//	reset(i)  ->  members reset their runtimes, move to epoch i+1,  ack;
+//	              reset and ack both carry the sender's protocol version
+//	              and study fingerprint, and either side refuses a peer
+//	              whose values differ (checkPeer)
 //	(pre-sync: clock ping-pong frames against every remote host)
 //	start(i)  ->  members start their local auto-start nodes
 //	done(i)   <-  a member's local nodes all exited/crashed
 //	seal(i)   ->  members seal, kill stragglers, stream results back
-//	result(i) <-  one frame per local timeline (the §3.5.6 text format
-//	              is the wire format) plus outcomes
+//	result(i) <-  the local timelines (the §3.5.6 text format is the
+//	              wire format), each chunked across frames' Doc field,
+//	              plus outcomes
 //	(post-sync), then the coordinator runs the ordinary analysis phase.
 //
 // Every coordinator->member instruction is re-broadcast until its effect
@@ -34,29 +36,39 @@ import (
 // This file is the wire format; cluster_member.go is the follower state
 // machine, cluster_coordinator.go the coordinator's testbed, and
 // cluster_wait.go every wait on a real socket (the one file of this
-// package allowed to read the wall clock).
+// package allowed to read the wall clock). Frame bodies are clusterMsg and
+// syncWire values under transport.EncodePayload.
 type clusterMsg struct {
 	Index     int
 	Peer      string
 	Completed bool
 	Outcomes  map[string]string
-	Timeline  string   // one encoded local timeline chunk (result frames)
-	More      bool     // the chunked document continues in the next frame
-	Dropped   []string // owners of timelines that could not be shipped
-	Seq       int      // frame ordinal within this peer's set
-	Total     int      // frame count from this peer
+	// Doc is one chunk of the document the frame's op (Message.State)
+	// says it carries: an encoded local timeline (result), the member's
+	// trace lane (traceres), its metrics snapshot JSON (metricsres).
+	Doc     string
+	More    bool     // the chunked document continues in the next frame
+	Dropped []string // owners of timelines that could not be shipped
+	Seq     int      // frame ordinal within this peer's set
+	Total   int      // frame count from this peer
 
+	// Version and Fingerprint, carried on reset and resetok frames, are
+	// the sender's protocolVersion and studyFingerprint.
+	Version     int
+	Fingerprint string
 	// Trace context, carried on reset frames: the point name members
 	// label their trace buffers with, and whether the coordinator will
 	// pull a trace for this experiment.
 	Point   string
 	TraceOn bool
-	// Trace and Metrics are one chunk each of a member's encoded trace
-	// artifact (traceres frames) or metrics snapshot JSON (metricsres
-	// frames), chunked across frames exactly like timelines.
-	Trace   string
-	Metrics string
 }
+
+// protocolVersion names this layout of clusterMsg and the ops below. gob
+// drops fields the receiver does not know and zeroes the ones the sender
+// did not send, so endpoints built from different layouts would exchange
+// plausible, partly empty frames; the reset barrier compares versions
+// instead. A peer predating the field reads as version 0.
+const protocolVersion = 1
 
 // syncWire is the payload of the clock-sync ping-pong frames.
 type syncWire struct {
@@ -86,58 +98,22 @@ const (
 	opMetricsRes = "metricsres" // one member metrics chunk
 )
 
-func encodeClusterMsg(m clusterMsg) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic("campaign: encoding cluster message: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeClusterMsg(b []byte) (clusterMsg, error) {
-	var m clusterMsg
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m)
-	return m, err
-}
-
-func encodeSyncWire(w syncWire) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		panic("campaign: encoding sync frame: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeSyncWire(b []byte) (syncWire, error) {
-	var w syncWire
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w)
-	return w, err
-}
-
 // maxChunk is one frame's document budget: transport.MaxFrame less
 // generous headroom for the gob envelope, outcome map, and frame header.
 const maxChunk = transport.MaxFrame - 4*1024
 
-// Frame field accessors for chunkDoc and joinDocs, one per chunked op.
-func timelineChunk(f *clusterMsg) *string { return &f.Timeline }
-func traceChunk(f *clusterMsg) *string    { return &f.Trace }
-func metricsChunk(f *clusterMsg) *string  { return &f.Metrics }
-
 // chunkDoc splits one encoded document across protocol frames: More marks
 // a continuation, and the 60 KB frame limit stays a transport property,
 // not a bound on how much a long experiment may record. An empty document
-// still produces one frame, so the collector always completes. field picks
-// the frame field the op carries its chunks in.
-func chunkDoc(index int, doc string, field func(*clusterMsg) *string) []clusterMsg {
+// still produces one frame, so the collector always completes.
+func chunkDoc(index int, doc string) []clusterMsg {
 	var frames []clusterMsg
 	for start := 0; ; start += maxChunk {
 		end := start + maxChunk
 		if end > len(doc) {
 			end = len(doc)
 		}
-		f := clusterMsg{Index: index, More: end < len(doc)}
-		*field(&f) = doc[start:end]
-		frames = append(frames, f)
+		frames = append(frames, clusterMsg{Index: index, Doc: doc[start:end], More: end < len(doc)})
 		if end >= len(doc) {
 			return numberFrames(frames)
 		}
@@ -156,12 +132,12 @@ func numberFrames(frames []clusterMsg) []clusterMsg {
 // joinDocs reassembles the documents of one peer's Seq-ordered frame set:
 // consecutive chunks up to the first frame without More form one document,
 // so a non-empty set yields at least one.
-func joinDocs(frames []clusterMsg, field func(*clusterMsg) *string) ([]string, error) {
+func joinDocs(frames []clusterMsg) ([]string, error) {
 	var docs []string
 	var pending strings.Builder
 	more := false
 	for i := range frames {
-		pending.WriteString(*field(&frames[i]))
+		pending.WriteString(frames[i].Doc)
 		if more = frames[i].More; !more {
 			docs = append(docs, pending.String())
 			pending.Reset()
@@ -191,7 +167,7 @@ func resultFrames(logf func(string, ...interface{}), index int, locals []*timeli
 			dropped = append(dropped, tl.Owner)
 			continue
 		}
-		chunks := chunkDoc(index, doc, timelineChunk)
+		chunks := chunkDoc(index, doc)
 		if len(chunks) > 1 {
 			logf("campaign: cluster result: timeline %q is %d bytes, chunking across %d frames", tl.Owner, len(doc), len(chunks))
 		}

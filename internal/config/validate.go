@@ -12,15 +12,6 @@ import (
 	"repro/internal/transport"
 )
 
-// validTransport reports whether kind names a study transport.
-func validTransport(kind string) bool {
-	switch kind {
-	case "", transport.KindNameInproc, transport.KindNameUDP, transport.KindNameTCP:
-		return true
-	}
-	return false
-}
-
 // Validate checks a campaign file without running anything: every name
 // resolves, every fault line parses, every count is sane (the same
 // Workers/Experiments rules campaign.Run enforces). A valid file may still
@@ -36,7 +27,7 @@ func Validate(c *Campaign) error {
 	if err := campaign.ValidateWorkers(c.Workers); err != nil {
 		return err
 	}
-	if !validTransport(c.Transport) {
+	if !transport.ValidKind(c.Transport) {
 		return fmt.Errorf("config: unknown transport %q (want inproc, udp, or tcp)", c.Transport)
 	}
 	hostNames := make(map[string]bool, len(c.Hosts))
@@ -214,7 +205,7 @@ func validateStudy(c *Campaign, s *Study, hostNames map[string]bool) error {
 	if err := campaign.ValidateWorkers(s.Workers); err != nil {
 		return fmt.Errorf("config: %s: %w", what, err)
 	}
-	if !validTransport(s.Transport) {
+	if !transport.ValidKind(s.Transport) {
 		return fmt.Errorf("config: %s: unknown transport %q (want inproc, udp, or tcp)", what, s.Transport)
 	}
 	if c.VirtualTime {

@@ -24,44 +24,37 @@ import (
 // list), and the host refuses new nodes until RebootHost. Crashing a host
 // owned by another endpoint forwards the operation there.
 func (r *Runtime) CrashHost(name string) error {
-	r.mu.Lock()
-	hs, ok := r.hosts[name]
-	if !ok {
-		r.mu.Unlock()
-		if r.hostIsRemote(name) {
-			return r.forwardChaosToOwner(name, chaosOp{Op: "crashhost", A: name})
-		}
-		return fmt.Errorf("core: unknown host %q", name)
-	}
-	hs.down = true
-	var victims []*Node
-	for _, n := range r.nodes {
-		if n.Host() == name {
-			victims = append(victims, n)
-		}
-	}
-	r.mu.Unlock()
-	for _, n := range victims {
-		n.crash()
-	}
-	return nil
+	return r.onHost(chaosOp{Op: "crashhost", A: name})
 }
 
 // RebootHost brings a crashed host back; its local daemon reconnects
 // (§3.6.4) and nodes may be started on it again. Rebooting a host owned
 // by another endpoint forwards the operation there.
 func (r *Runtime) RebootHost(name string) error {
+	return r.onHost(chaosOp{Op: "reboothost", A: name})
+}
+
+// setHostDown is the crashhost/reboothost op on a local host.
+func (r *Runtime) setHostDown(name string, down bool) error {
 	r.mu.Lock()
 	hs, ok := r.hosts[name]
 	if !ok {
 		r.mu.Unlock()
-		if r.hostIsRemote(name) {
-			return r.forwardChaosToOwner(name, chaosOp{Op: "reboothost", A: name})
-		}
 		return fmt.Errorf("core: unknown host %q", name)
 	}
-	hs.down = false
+	hs.down = down
+	var victims []*Node
+	if down {
+		for _, n := range r.nodes {
+			if n.Host() == name {
+				victims = append(victims, n)
+			}
+		}
+	}
 	r.mu.Unlock()
+	for _, n := range victims {
+		n.crash()
+	}
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -136,46 +135,16 @@ func (r *Runtime) ExpAfterFunc(d time.Duration, fn func()) {
 // transport the mutation is replicated to every peer process, so traffic
 // originating anywhere on the testbed sees the same partition.
 func (r *Runtime) PartitionHosts(a, b string) {
-	if a == b {
-		return
+	if a != b {
+		r.replicate(chaosOp{Op: "partition", A: a, B: b})
 	}
-	r.partitionHostsLocal(a, b)
-	r.broadcastChaos(chaosOp{Op: "partition", A: a, B: b})
-}
-
-func (r *Runtime) partitionHostsLocal(a, b string) {
-	if a == b {
-		return
-	}
-	r.netem.mu.Lock()
-	r.netem.partitions[hostPair(a, b)] = true
-	r.netem.shaping.Store(1)
-	r.netem.mu.Unlock()
 }
 
 // HealHosts removes the partition between a and b (replicated to peers).
-func (r *Runtime) HealHosts(a, b string) {
-	r.healHostsLocal(a, b)
-	r.broadcastChaos(chaosOp{Op: "heal", A: a, B: b})
-}
-
-func (r *Runtime) healHostsLocal(a, b string) {
-	r.netem.mu.Lock()
-	delete(r.netem.partitions, hostPair(a, b))
-	r.netem.mu.Unlock()
-}
+func (r *Runtime) HealHosts(a, b string) { r.replicate(chaosOp{Op: "heal", A: a, B: b}) }
 
 // HealAllPartitions removes every partition (replicated to peers).
-func (r *Runtime) HealAllPartitions() {
-	r.healAllLocal()
-	r.broadcastChaos(chaosOp{Op: "healall"})
-}
-
-func (r *Runtime) healAllLocal() {
-	r.netem.mu.Lock()
-	r.netem.partitions = make(map[[2]string]bool)
-	r.netem.mu.Unlock()
-}
+func (r *Runtime) HealAllPartitions() { r.replicate(chaosOp{Op: "healall"}) }
 
 // HostsPartitioned reports whether app-bus traffic between a and b is
 // blocked.
@@ -199,45 +168,21 @@ func hostPair(a, b string) [2]string {
 // to peer endpoints; a custom Filter implementation cannot cross the wire
 // and shapes only traffic originating in this process.
 func (r *Runtime) InstallLinkFilter(link simnet.Link, id string, f simnet.Filter) {
-	r.installLinkFilterLocal(link, id, f)
-	if kind, p, extra, jitter, copies, ok := wireFilter(f); ok {
-		r.broadcastChaos(chaosOp{
-			Op: "filter", A: link.From, B: link.To, ID: id,
-			FilterKind: kind, P: p, Extra: extra, Jitter: jitter, Copies: copies,
-		})
-	} else if r.hasPeers() {
+	op := chaosOp{Op: "filter", A: link.From, B: link.To, ID: id, filter: f}
+	if describeFilter(&op, f) {
+		r.replicate(op)
+		return
+	}
+	r.applyChaosOp(op)
+	if r.hasPeers() {
 		r.cfg.Logf("core: link filter %q is not a built-in; peer endpoints will not shape with it", id)
 	}
-}
-
-func (r *Runtime) installLinkFilterLocal(link simnet.Link, id string, f simnet.Filter) {
-	ne := r.netem
-	ne.mu.Lock()
-	defer ne.mu.Unlock()
-	ne.filters.Install(link, id, f)
-	ne.shaping.Store(1)
 }
 
 // RemoveLinkFilter removes the filter installed under (link, id),
 // reporting whether one was present locally (replicated to peers).
 func (r *Runtime) RemoveLinkFilter(link simnet.Link, id string) bool {
-	ok := r.removeLinkFilterLocal(link, id)
-	r.broadcastChaos(chaosOp{Op: "unfilter", A: link.From, B: link.To, ID: id})
-	return ok
-}
-
-func (r *Runtime) removeLinkFilterLocal(link simnet.Link, id string) bool {
-	ne := r.netem
-	ne.mu.Lock()
-	defer ne.mu.Unlock()
-	return ne.filters.Remove(link, id)
-}
-
-// hasPeers reports whether the runtime's transport reaches other
-// endpoints.
-func (r *Runtime) hasPeers() bool {
-	tr := r.cfg.Transport
-	return tr != nil && len(tr.Topology().PeerNames()) > 0
+	return r.replicate(chaosOp{Op: "unfilter", A: link.From, B: link.To, ID: id}) == nil
 }
 
 // shapeAppMessage runs the interposition for one app-bus message and
@@ -284,15 +229,7 @@ func (r *Runtime) NodesOnHost(host string) []string {
 // synchronization assumes. A step aimed at a host owned by another
 // endpoint is forwarded there.
 func (r *Runtime) StepHostClock(host string, delta vclock.Ticks) error {
-	c := r.HostClock(host)
-	if c == nil {
-		if r.hostIsRemote(host) {
-			return r.forwardChaosToOwner(host, chaosOp{Op: "clockstep", A: host, Delta: int64(delta)})
-		}
-		return fmt.Errorf("core: unknown host %q", host)
-	}
-	c.Step(delta)
-	return nil
+	return r.onHost(chaosOp{Op: "clockstep", A: host, Delta: int64(delta)})
 }
 
 // SetFaultActionHook installs the dispatcher for fault specification

@@ -12,7 +12,7 @@ import (
 )
 
 // busSpec is a trivial machine so nodes can start.
-func busSpec(t *testing.T) *spec.StateMachine {
+func busSpec(t testing.TB) *spec.StateMachine {
 	t.Helper()
 	sm, err := spec.ParseStateMachine(`
 global_state_list

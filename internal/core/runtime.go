@@ -72,9 +72,8 @@ type Config struct {
 	// the notification hot path.
 	Obs *obs.Sink
 	// Transport, if set, carries traffic for hosts owned by other
-	// endpoints (transport.go). Nil — or a transport whose topology is
-	// all-local, like transport.SingleProcess — keeps every path
-	// in-memory.
+	// endpoints (transport.go). Nil — or an endpoint whose topology
+	// places every host locally — keeps every path in-memory.
 	Transport transport.Transport
 }
 
@@ -262,16 +261,10 @@ func (r *Runtime) StartNode(nickname, host string) (*Node, error) {
 	hs, ok := r.hosts[host]
 	if !ok {
 		r.mu.Unlock()
-		if r.hostIsRemote(host) {
-			// The node belongs to another endpoint: forward the start
-			// (chaos restarts reach here). The start is asynchronous and
-			// yields no local handle.
-			if err := r.forwardChaosToOwner(host, chaosOp{Op: "startnode", Nick: nickname, A: host}); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}
-		return nil, fmt.Errorf("core: unknown host %q", host)
+		// A node of another endpoint's host: forward the start (chaos
+		// restarts reach here). The start is asynchronous and yields no
+		// local handle.
+		return nil, r.forwardChaos(chaosOp{Op: "startnode", Nick: nickname, A: host})
 	}
 	if hs.down {
 		r.mu.Unlock()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"sort"
@@ -166,19 +165,20 @@ func (r *Runtime) handleTransportMessage(m transport.Message) {
 			r.cfg.Logf("core: dropping remote app message %s->%s: target not executing", m.From, m.To)
 			return
 		}
-		payload, err := decodeAppPayload(m.Payload)
+		env, err := transport.DecodePayload[appPayload](m.Payload)
 		if err != nil {
 			r.cfg.Logf("core: dropping undecodable app message %s->%s: %v", m.From, m.To, err)
 			return
 		}
-		target.handle.deliver(AppMessage{From: m.From, Payload: payload}, m.From)
+		target.handle.deliver(AppMessage{From: m.From, Payload: env.V}, m.From)
 	case transport.KindChaos:
-		op, err := decodeChaosOp(m.Payload)
-		if err != nil {
-			r.cfg.Logf("core: dropping undecodable chaos op: %v", err)
-			return
+		op, err := transport.DecodePayload[chaosOp](m.Payload)
+		if err == nil {
+			err = r.applyChaosOp(op)
 		}
-		r.applyChaosOp(op)
+		if err != nil {
+			r.cfg.Logf("core: chaos op %q from a peer not applied here: %v", op.Op, err)
+		}
 	default:
 		r.mu.Lock()
 		hook := r.transportHook
@@ -209,7 +209,7 @@ func (r *Runtime) sendRemoteNote(host string, note stateNote, to string) {
 // sendRemoteApp ships an application-bus message to the endpoint owning
 // toHost. The payload was already shaped by the local interposition layer.
 func (r *Runtime) sendRemoteApp(fromNick, fromHost, to, toHost string, payload interface{}) {
-	body, err := encodeAppPayload(payload)
+	body, err := transport.EncodePayload(appPayload{V: payload})
 	if err != nil {
 		r.cfg.Logf("core: app message %s->%s not encodable for transport: %v", fromNick, to, err)
 		return
@@ -232,26 +232,11 @@ func (r *Runtime) sendRemoteApp(fromNick, fromHost, to, toHost string, payload i
 // apps do so in their init functions).
 type appPayload struct{ V interface{} }
 
-func encodeAppPayload(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(appPayload{V: v}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeAppPayload(b []byte) (interface{}, error) {
-	var env appPayload
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, err
-	}
-	return env.V, nil
-}
-
-// chaosOp is one replicated interposition-layer mutation. Filter-carrying
-// ops describe the built-in filters by value; custom Filter
-// implementations cannot cross the wire and stay endpoint-local (the
-// installer's Logf warns).
+// chaosOp is one interposition-layer or host mutation, in the one form it
+// is built, applied (applyChaosOp) and sent to other endpoints in.
+// Filter-carrying ops describe the built-in filters by value; a custom
+// Filter implementation cannot cross the wire and stays endpoint-local
+// (InstallLinkFilter warns).
 type chaosOp struct {
 	Op string // partition, heal, healall, filter, unfilter, clockstep, crashhost, reboothost, startnode
 	A  string // host / link from
@@ -264,6 +249,9 @@ type chaosOp struct {
 	Extra      int64
 	Jitter     int64
 	Copies     int
+	// filter is the filter itself at the endpoint that built the op; gob
+	// skips it, and a receiving endpoint rebuilds one from the description.
+	filter simnet.Filter
 
 	// Clock step for Op == "clockstep".
 	Delta int64
@@ -272,36 +260,25 @@ type chaosOp struct {
 	Nick string
 }
 
-func encodeChaosOp(op chaosOp) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(op); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeChaosOp(b []byte) (chaosOp, error) {
-	var op chaosOp
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&op)
-	return op, err
-}
-
-// wireFilter maps a built-in simnet filter to its wire description.
-func wireFilter(f simnet.Filter) (kind string, p float64, extra, jitter int64, copies int, ok bool) {
+// describeFilter fills in op's wire description of a built-in simnet
+// filter, reporting false for one that cannot cross the wire.
+func describeFilter(op *chaosOp, f simnet.Filter) bool {
 	switch ft := f.(type) {
 	case simnet.DropFilter:
-		return "drop", ft.P, 0, 0, 0, true
+		op.FilterKind, op.P = "drop", ft.P
 	case simnet.DelayFilter:
-		return "delay", 0, int64(ft.Extra), int64(ft.Jitter), 0, true
+		op.FilterKind, op.Extra, op.Jitter = "delay", int64(ft.Extra), int64(ft.Jitter)
 	case simnet.DuplicateFilter:
-		return "duplicate", ft.P, 0, 0, ft.Copies, true
+		op.FilterKind, op.P, op.Copies = "duplicate", ft.P, ft.Copies
 	case simnet.CorruptFilter:
 		if ft.Corrupt != nil {
-			return "", 0, 0, 0, 0, false // custom corruptors cannot cross the wire
+			return false // custom corruptors cannot cross the wire
 		}
-		return "corrupt", ft.P, 0, 0, 0, true
+		op.FilterKind, op.P = "corrupt", ft.P
+	default:
+		return false
 	}
-	return "", 0, 0, 0, 0, false
+	return true
 }
 
 // filterFromWire rebuilds a built-in filter from its wire description.
@@ -319,96 +296,117 @@ func filterFromWire(op chaosOp) (simnet.Filter, error) {
 	return nil, fmt.Errorf("core: unknown wire filter kind %q", op.FilterKind)
 }
 
-// broadcastChaos replicates one interposition mutation to every peer
-// endpoint. A no-op without a transport or without peers.
-func (r *Runtime) broadcastChaos(op chaosOp) {
+// hasPeers reports whether the runtime's transport reaches other
+// endpoints.
+func (r *Runtime) hasPeers() bool {
 	tr := r.cfg.Transport
-	if tr == nil || len(tr.Topology().PeerNames()) == 0 {
-		return
-	}
-	body, err := encodeChaosOp(op)
-	if err != nil {
-		r.cfg.Logf("core: chaos op %q not encodable: %v", op.Op, err)
-		return
-	}
-	if err := tr.Broadcast(transport.Message{Kind: transport.KindChaos, Payload: body}); err != nil {
-		r.cfg.Logf("core: replicating chaos op %q: %v", op.Op, err)
-	}
+	return tr != nil && len(tr.Topology().PeerNames()) > 0
 }
 
-// forwardChaosToOwner sends one mutation to the endpoint owning host,
-// used for host-targeted operations (clockstep, host crash/reboot, node
-// start) whose target lives in another process.
-func (r *Runtime) forwardChaosToOwner(host string, op chaosOp) error {
-	tr := r.cfg.Transport
-	if tr == nil {
-		return fmt.Errorf("core: unknown host %q", host)
+// replicate applies a link mutation here and on every peer endpoint, so
+// traffic originating anywhere on the testbed is shaped alike. The
+// returned error is the local one; unreachable peers are logged.
+func (r *Runtime) replicate(op chaosOp) error {
+	err := r.applyChaosOp(op)
+	if r.hasPeers() {
+		if serr := r.sendChaos("", op); serr != nil {
+			r.cfg.Logf("core: replicating chaos op %q: %v", op.Op, serr)
+		}
 	}
-	body, err := encodeChaosOp(op)
+	return err
+}
+
+// onHost performs a host-targeted op (clockstep, crashhost, reboothost)
+// where its host op.A lives: here, or at the endpoint that owns it.
+func (r *Runtime) onHost(op chaosOp) error {
+	if r.HostClock(op.A) != nil {
+		return r.applyChaosOp(op)
+	}
+	return r.forwardChaos(op)
+}
+
+// forwardChaos sends a host-targeted op to the endpoint owning op.A; a
+// host no other endpoint owns is an unknown host.
+func (r *Runtime) forwardChaos(op chaosOp) error {
+	if tr := r.cfg.Transport; tr == nil || tr.Topology().IsLocal(op.A) {
+		return fmt.Errorf("core: unknown host %q", op.A)
+	}
+	return r.sendChaos(op.A, op)
+}
+
+// sendChaos ships op as a KindChaos frame to the endpoint owning host, or
+// to every peer endpoint when host is "".
+func (r *Runtime) sendChaos(host string, op chaosOp) error {
+	body, err := transport.EncodePayload(op)
 	if err != nil {
 		return err
 	}
-	return tr.SendHost(host, transport.Message{Kind: transport.KindChaos, Payload: body, ToHost: host})
-}
-
-// hostIsRemote reports whether host is owned by another endpoint.
-func (r *Runtime) hostIsRemote(host string) bool {
-	tr := r.cfg.Transport
-	return tr != nil && !tr.Topology().IsLocal(host)
-}
-
-// applyChaosOp performs a replicated mutation locally, without
-// re-broadcasting. Host-targeted ops whose host is NOT local here are
-// refused rather than re-forwarded: two endpoints with disagreeing
-// ownership tables must produce a diagnostic, not an unbounded frame
-// loop bouncing the op between them.
-func (r *Runtime) applyChaosOp(op chaosOp) {
-	hostIsHere := func(host string) bool {
-		if r.HostClock(host) != nil {
-			return true
-		}
-		r.cfg.Logf("core: replicated %s op targets host %q, which is not local here (ownership tables disagree?)", op.Op, host)
-		return false
+	m := transport.Message{Kind: transport.KindChaos, ToHost: host, Payload: body}
+	if host == "" {
+		return r.cfg.Transport.Broadcast(m)
 	}
+	return r.cfg.Transport.SendHost(host, m)
+}
+
+// applyChaosOp performs one mutation on this endpoint's own state — the
+// single definition of every op, whether it was built here or arrived in
+// a frame. It never sends: a host-targeted op whose host is not local
+// here fails with "unknown host" (and is logged by the frame handler)
+// rather than being forwarded again, so two endpoints with disagreeing
+// ownership tables produce a diagnostic, not an unbounded frame loop
+// bouncing the op between them.
+func (r *Runtime) applyChaosOp(op chaosOp) error {
+	ne := r.netem
+	link := simnet.Link{From: op.A, To: op.B}
 	switch op.Op {
 	case "partition":
-		r.partitionHostsLocal(op.A, op.B)
+		ne.mu.Lock()
+		ne.partitions[hostPair(op.A, op.B)] = true
+		ne.shaping.Store(1)
+		ne.mu.Unlock()
 	case "heal":
-		r.healHostsLocal(op.A, op.B)
+		ne.mu.Lock()
+		delete(ne.partitions, hostPair(op.A, op.B))
+		ne.mu.Unlock()
 	case "healall":
-		r.healAllLocal()
+		ne.mu.Lock()
+		ne.partitions = make(map[[2]string]bool)
+		ne.mu.Unlock()
 	case "filter":
-		f, err := filterFromWire(op)
-		if err != nil {
-			r.cfg.Logf("core: %v", err)
-			return
+		f := op.filter
+		if f == nil {
+			var err error
+			if f, err = filterFromWire(op); err != nil {
+				return err
+			}
 		}
-		r.installLinkFilterLocal(simnet.Link{From: op.A, To: op.B}, op.ID, f)
+		ne.mu.Lock()
+		ne.filters.Install(link, op.ID, f)
+		ne.shaping.Store(1)
+		ne.mu.Unlock()
 	case "unfilter":
-		r.removeLinkFilterLocal(simnet.Link{From: op.A, To: op.B}, op.ID)
+		ne.mu.Lock()
+		removed := ne.filters.Remove(link, op.ID)
+		ne.mu.Unlock()
+		if !removed {
+			return fmt.Errorf("core: no filter %q on link %s->%s", op.ID, op.A, op.B)
+		}
 	case "clockstep":
-		if hostIsHere(op.A) {
-			r.HostClock(op.A).Step(vclock.Ticks(op.Delta))
+		c := r.HostClock(op.A)
+		if c == nil {
+			return fmt.Errorf("core: unknown host %q", op.A)
 		}
-	case "crashhost":
-		if hostIsHere(op.A) {
-			if err := r.CrashHost(op.A); err != nil {
-				r.cfg.Logf("core: replicated crashhost: %v", err)
-			}
-		}
-	case "reboothost":
-		if hostIsHere(op.A) {
-			if err := r.RebootHost(op.A); err != nil {
-				r.cfg.Logf("core: replicated reboothost: %v", err)
-			}
-		}
+		c.Step(vclock.Ticks(op.Delta))
+	case "crashhost", "reboothost":
+		return r.setHostDown(op.A, op.Op == "crashhost")
 	case "startnode":
-		if hostIsHere(op.A) {
-			if _, err := r.StartNode(op.Nick, op.A); err != nil {
-				r.cfg.Logf("core: replicated startnode %s on %s: %v", op.Nick, op.A, err)
-			}
+		if r.HostClock(op.A) == nil {
+			return fmt.Errorf("core: unknown host %q", op.A) // StartNode would forward
 		}
+		_, err := r.StartNode(op.Nick, op.A)
+		return err
 	default:
-		r.cfg.Logf("core: unknown chaos op %q", op.Op)
+		return fmt.Errorf("core: unknown chaos op %q", op.Op)
 	}
+	return nil
 }

@@ -2,120 +2,54 @@ package transport
 
 import "fmt"
 
-// Loopback cluster builders: one endpoint per peer, sockets bound to
+// Loopback cluster builder: one endpoint per peer, sockets bound to
 // ephemeral 127.0.0.1 ports and wired together after everyone has
-// listened. These are the "multi-process on one machine" topology used by
+// listened. This is the "multi-process on one machine" topology used by
 // the campaign's clustered runner and the acceptance tests; real
-// multi-machine deployments construct transports directly from explicit
-// addresses (see cmd/lokid's -listen/-peers flags).
-
-// Kinds selectable by name.
-const (
-	KindNameInproc = "inproc"
-	KindNameUDP    = "udp"
-	KindNameTCP    = "tcp"
-)
-
-// ValidKind reports whether name selects a transport implementation.
-func ValidKind(name string) bool {
-	switch name {
-	case KindNameInproc, KindNameUDP, KindNameTCP, "":
-		return true
-	}
-	return false
-}
+// multi-machine deployments construct endpoints from explicit addresses
+// (see cmd/lokid's -listen/-peers flags).
 
 // clusterTopology builds the per-peer topologies for a hosts→peer mapping,
 // with placeholder loopback addresses.
 func clusterTopology(local string, hosts map[string]string) Topology {
 	topo := Topology{Local: local, Peers: map[string]string{}, Hosts: map[string]string{}}
-	seen := map[string]bool{}
 	for h, p := range hosts {
 		topo.Hosts[h] = p
-		seen[p] = true
-	}
-	for p := range seen {
 		topo.Peers[p] = "127.0.0.1:0"
 	}
 	return topo
 }
 
-// peersOf returns the distinct peer names of a hosts→peer mapping.
-func peersOf(hosts map[string]string) []string {
-	topo := clusterTopology("", hosts)
-	names := topo.PeerNames()
-	return names
-}
-
 // NewLoopbackCluster builds one transport per peer named in the
 // hosts→peer mapping, connected over 127.0.0.1 (or directly, for inproc).
-// Socket endpoints are bound here so ephemeral ports can be wired into
-// every peer table; callers still call Start on each endpoint to install
-// its handler. kind is "inproc", "udp", or "tcp" ("" means inproc).
+// Endpoints are bound here so ephemeral ports can be wired into every
+// peer table; callers still call Start on each endpoint to install its
+// handler. kind is "inproc", "udp", or "tcp" ("" means inproc).
 func NewLoopbackCluster(kind string, hosts map[string]string) (map[string]Transport, error) {
-	peers := peersOf(hosts)
+	peers := clusterTopology("", hosts).PeerNames()
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("transport: loopback cluster with no peers")
 	}
+	net := NewInprocNet()
+	eps := make(map[string]Endpoint, len(peers))
 	out := make(map[string]Transport, len(peers))
-	switch kind {
-	case KindNameInproc, "":
-		net := NewInprocNet()
-		for _, p := range peers {
-			ep, err := net.Endpoint(clusterTopology(p, hosts))
-			if err != nil {
-				return nil, err
-			}
-			out[p] = ep
+	for _, p := range peers {
+		ep, err := New(kind, clusterTopology(p, hosts), net)
+		if err == nil {
+			err = ep.bind()
 		}
-		return out, nil
-	case KindNameUDP:
-		eps := make(map[string]*UDP, len(peers))
-		for _, p := range peers {
-			ep, err := NewUDP(clusterTopology(p, hosts))
-			if err != nil {
-				return nil, err
+		if err != nil {
+			for _, t := range out {
+				t.Close()
 			}
-			if err := ep.bind(); err != nil {
-				closeAll(out)
-				return nil, err
-			}
-			eps[p] = ep
-			out[p] = ep
+			return nil, err
 		}
-		for _, ep := range eps {
-			for q, qep := range eps {
-				ep.SetPeerAddr(q, qep.Addr())
-			}
-		}
-		return out, nil
-	case KindNameTCP:
-		eps := make(map[string]*TCP, len(peers))
-		for _, p := range peers {
-			ep, err := NewTCP(clusterTopology(p, hosts))
-			if err != nil {
-				return nil, err
-			}
-			if err := ep.bind(); err != nil {
-				closeAll(out)
-				return nil, err
-			}
-			eps[p] = ep
-			out[p] = ep
-		}
-		for _, ep := range eps {
-			for q, qep := range eps {
-				ep.SetPeerAddr(q, qep.Addr())
-			}
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown transport kind %q (want inproc, udp, or tcp)", kind)
+		eps[p], out[p] = ep, ep
 	}
-}
-
-func closeAll(m map[string]Transport) {
-	for _, t := range m {
-		t.Close()
+	for _, ep := range eps {
+		for q, qep := range eps {
+			ep.SetPeerAddr(q, qep.Addr())
+		}
 	}
+	return out, nil
 }

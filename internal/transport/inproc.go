@@ -3,15 +3,10 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // InprocNet connects in-process endpoints: the refactored form of the old
-// application bus. Frames are delivered by direct function call on the
-// sender's goroutine — no serialization, no copy — which is why inproc
-// stays the fast default for single-process studies.
+// application bus.
 type InprocNet struct {
 	mu        sync.Mutex
 	endpoints map[string]*Inproc
@@ -23,123 +18,53 @@ func NewInprocNet() *InprocNet {
 }
 
 // Endpoint creates the endpoint for topo.Local and joins it to the
-// network. Duplicate peer names are a configuration bug and panic.
+// network. A duplicate peer name is an error.
 func (n *InprocNet) Endpoint(topo Topology) (*Inproc, error) {
-	if err := topo.Validate(); err != nil {
+	ep := &Inproc{net: n}
+	if err := ep.init(KindNameInproc, topo, ep); err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.endpoints[topo.Local]; dup {
-		return nil, fmt.Errorf("transport: duplicate inproc endpoint %q", topo.Local)
+	if err := ep.bind(); err != nil {
+		return nil, err
 	}
-	ep := &Inproc{net: n, topo: topo}
-	n.endpoints[topo.Local] = ep
 	return ep, nil
 }
 
-// SingleProcess returns a standalone inproc endpoint owning every listed
-// host — the degenerate one-endpoint topology where the transport is never
-// crossed and core's direct in-memory paths carry all traffic.
-func SingleProcess(hosts []string) *Inproc {
-	topo := Topology{Local: "local", Peers: map[string]string{"local": ""}, Hosts: map[string]string{}}
-	for _, h := range hosts {
-		topo.Hosts[h] = "local"
-	}
-	ep, _ := NewInprocNet().Endpoint(topo)
-	return ep
-}
-
-// Inproc is one in-process endpoint.
+// Inproc is the in-process wire: a frame is delivered by direct function
+// call on the sender's goroutine — no serialization, no copy — which is
+// why inproc stays the fast default for single-process studies.
 type Inproc struct {
-	net    *InprocNet
-	topo   Topology
-	epoch  atomic.Uint64
-	closed atomic.Bool
-	om     atomic.Pointer[obs.TransportMetrics]
-
-	mu      sync.Mutex
-	handler Handler
+	endpoint
+	net *InprocNet
 }
 
-// Name implements Transport.
-func (t *Inproc) Name() string { return "inproc" }
-
-// Topology implements Transport.
-func (t *Inproc) Topology() Topology { return t.topo }
-
-// SetEpoch implements Transport.
-func (t *Inproc) SetEpoch(e uint64) { t.epoch.Store(e) }
-
-// Start implements Transport.
-func (t *Inproc) Start(h Handler) error {
-	t.mu.Lock()
-	t.handler = h
-	t.mu.Unlock()
-	return nil
-}
-
-// Close implements Transport.
-func (t *Inproc) Close() error {
-	t.closed.Store(true)
+// listen joins the network under the local peer name.
+func (t *Inproc) listen(string) (string, error) {
 	t.net.mu.Lock()
-	delete(t.net.endpoints, t.topo.Local)
-	t.net.mu.Unlock()
-	return nil
+	defer t.net.mu.Unlock()
+	if _, dup := t.net.endpoints[t.topo.Local]; dup {
+		return "", fmt.Errorf("duplicate inproc endpoint %q", t.topo.Local)
+	}
+	t.net.endpoints[t.topo.Local] = t
+	return "", nil
 }
 
-// SendHost implements Transport.
-func (t *Inproc) SendHost(host string, m Message) error {
-	peer := t.topo.Owner(host)
-	if peer == "" {
-		return fmt.Errorf("transport: no owner for host %q", host)
-	}
-	return t.SendPeer(peer, m)
-}
-
-// SendPeer implements Transport.
-func (t *Inproc) SendPeer(peer string, m Message) error {
-	if t.closed.Load() {
-		return fmt.Errorf("transport: inproc endpoint %q is closed", t.topo.Local)
-	}
+// send calls the peer's receive side directly. Inproc frames are never
+// serialized; payload length stands in for wire bytes.
+func (t *Inproc) send(peer, _ string, m Message) (int, error) {
 	t.net.mu.Lock()
 	dst := t.net.endpoints[peer]
 	t.net.mu.Unlock()
 	if dst == nil {
-		return fmt.Errorf("transport: unknown inproc peer %q", peer)
+		return 0, fmt.Errorf("transport: inproc peer %q is not on the network", peer)
 	}
-	m.Epoch = t.epoch.Load()
-	// Inproc frames are never serialized; payload length stands in for
-	// wire bytes.
-	t.om.Load().Sent(len(m.Payload))
-	dst.receive(m)
-	return nil
+	dst.deliver(m, len(m.Payload))
+	return len(m.Payload), nil
 }
 
-// Broadcast implements Transport.
-func (t *Inproc) Broadcast(m Message) error {
-	var first error
-	for _, p := range t.topo.PeerNames() {
-		if err := t.SendPeer(p, m); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// receive applies the epoch filter and dispatches to the handler.
-func (t *Inproc) receive(m Message) {
-	if t.closed.Load() {
-		return
-	}
-	if m.Kind != KindCtrl && m.Epoch != t.epoch.Load() {
-		return
-	}
-	t.om.Load().Recv(len(m.Payload))
-	t.mu.Lock()
-	h := t.handler
-	t.mu.Unlock()
-	if h != nil {
-		h(m)
-	}
+// shut leaves the network.
+func (t *Inproc) shut() {
+	t.net.mu.Lock()
+	delete(t.net.endpoints, t.topo.Local)
+	t.net.mu.Unlock()
 }

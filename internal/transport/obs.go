@@ -24,22 +24,15 @@ func KindName(k byte) string {
 	}
 }
 
-// observable is implemented by endpoints that can count their traffic.
-type observable interface {
-	setObserver(m *obs.TransportMetrics)
-}
-
 // SetObserver attaches a frame/byte metric bundle to the endpoint, when
-// the implementation supports counting (all three built-ins do). A nil
-// bundle detaches; a nil or unsupported transport is a no-op. The bundle's
-// methods are nil-safe, so endpoints observe unconditionally through the
-// atomically-loaded pointer.
+// the implementation supports counting (the built-ins do, in the shared
+// shell). A nil bundle detaches; a nil or unsupported transport is a
+// no-op. The bundle's methods are nil-safe, so the shell observes
+// unconditionally through the atomically-loaded pointer.
 func SetObserver(t Transport, m *obs.TransportMetrics) {
-	if o, ok := t.(observable); ok {
+	if o, ok := t.(interface {
+		setObserver(*obs.TransportMetrics)
+	}); ok {
 		o.setObserver(m)
 	}
 }
-
-func (t *Inproc) setObserver(m *obs.TransportMetrics) { t.om.Store(m) }
-func (t *UDP) setObserver(m *obs.TransportMetrics)    { t.om.Store(m) }
-func (t *TCP) setObserver(m *obs.TransportMetrics)    { t.om.Store(m) }

@@ -4,33 +4,24 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// TCP is the stream transport: a listener per endpoint plus one
-// lazily-dialed outgoing connection per peer, length-prefixed frames, and
+// dialTimeout bounds each connection attempt.
+const dialTimeout = 2 * time.Second
+
+// TCP is the stream wire: a listener per endpoint plus one lazily-dialed
+// outgoing connection per peer, length-prefixed frames, and
 // reconnect-on-error. A failed write tears the connection down and retries
 // once over a fresh dial; if that fails too the frame is reported lost —
 // the same datagram semantics the rest of the system assumes, with the
 // stream only an ordering/batching optimization underneath.
 type TCP struct {
-	topo   Topology
-	epoch  atomic.Uint64
-	closed atomic.Bool
-	om     atomic.Pointer[obs.TransportMetrics]
-
-	mu       sync.Mutex
-	listener *net.TCPListener
-	conns    map[string]*tcpConn
+	endpoint
+	listener net.Listener        // nil until bound
+	conns    map[string]*tcpConn // outgoing connections, by peer address
 	accepted map[net.Conn]bool
-	handler  Handler
 	wg       sync.WaitGroup
-
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
 }
 
 type tcpConn struct {
@@ -41,84 +32,25 @@ type tcpConn struct {
 // NewTCP creates an endpoint for topo.Local, listening on its peer-table
 // address (which may name port 0; see Addr).
 func NewTCP(topo Topology) (*TCP, error) {
-	if err := topo.Validate(); err != nil {
+	t := &TCP{conns: make(map[string]*tcpConn), accepted: make(map[net.Conn]bool)}
+	if err := t.init(KindNameTCP, topo, t); err != nil {
 		return nil, err
 	}
-	return &TCP{
-		topo:        topo,
-		conns:       make(map[string]*tcpConn),
-		accepted:    make(map[net.Conn]bool),
-		DialTimeout: 2 * time.Second,
-	}, nil
+	return t, nil
 }
 
-// Name implements Transport.
-func (t *TCP) Name() string { return "tcp" }
-
-// Topology implements Transport.
-func (t *TCP) Topology() Topology { return t.topo }
-
-// SetEpoch implements Transport.
-func (t *TCP) SetEpoch(e uint64) { t.epoch.Store(e) }
-
-// Start implements Transport: bind the listener (if bind was not already
-// called) and install the inbound handler.
-func (t *TCP) Start(h Handler) error {
-	t.mu.Lock()
-	t.handler = h
-	t.mu.Unlock()
-	return t.bind()
-}
-
-// bind listens without installing a handler — frames arriving before
-// Start are dropped. The loopback cluster builder binds every endpoint
-// first so ephemeral ports can be wired into the peer tables.
-func (t *TCP) bind() error {
-	t.mu.Lock()
-	if t.listener != nil {
-		t.mu.Unlock()
-		return nil
-	}
-	t.mu.Unlock()
-	laddr, err := net.ResolveTCPAddr("tcp", t.topo.Peers[t.topo.Local])
+func (t *TCP) listen(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("transport: tcp listen address: %w", err)
+		return "", err
 	}
-	ln, err := net.ListenTCP("tcp", laddr)
-	if err != nil {
-		return fmt.Errorf("transport: tcp listen: %w", err)
-	}
-	t.mu.Lock()
 	t.listener = ln
-	t.mu.Unlock()
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
-	return nil
+	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound listen address ("" before Start).
-func (t *TCP) Addr() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.listener == nil {
-		return ""
-	}
-	return t.listener.Addr().String()
-}
-
-// SetPeerAddr updates the address of one peer (ephemeral-port wiring).
-func (t *TCP) SetPeerAddr(peer, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.topo.Peers[peer] = addr
-	delete(t.conns, peer)
-}
-
-// Close implements Transport.
-func (t *TCP) Close() error {
-	if t.closed.Swap(true) {
-		return nil
-	}
+func (t *TCP) shut() {
 	t.mu.Lock()
 	ln := t.listener
 	conns := t.conns
@@ -140,55 +72,27 @@ func (t *TCP) Close() error {
 		conn.Close()
 	}
 	t.wg.Wait()
-	return nil
 }
 
-// SendHost implements Transport.
-func (t *TCP) SendHost(host string, m Message) error {
-	peer := t.topo.Owner(host)
-	if peer == "" {
-		return fmt.Errorf("transport: no owner for host %q", host)
-	}
-	return t.SendPeer(peer, m)
-}
-
-// SendPeer implements Transport.
-func (t *TCP) SendPeer(peer string, m Message) error {
-	if t.closed.Load() {
-		return fmt.Errorf("transport: tcp endpoint %q is closed", t.topo.Local)
-	}
-	m.Epoch = t.epoch.Load()
+// send writes the frame over the cached connection to addr. Reconnect
+// path: a connection that fails is evicted — and only that one, so a
+// concurrent sender's fresh redial is not torn down — and the write is
+// retried over a new dial once.
+func (t *TCP) send(_, addr string, m Message) (int, error) {
 	body, err := Marshal(m)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	c, err := t.peerConn(peer)
-	if err == nil {
-		if err = c.write(body); err == nil {
-			t.om.Load().Sent(len(body))
-			return nil
+	for attempt := 0; attempt < 2; attempt++ {
+		var c *tcpConn
+		if c, err = t.peerConn(addr); err == nil {
+			if err = c.write(body); err == nil {
+				return len(body), nil
+			}
 		}
+		t.dropConn(addr, c)
 	}
-	// Reconnect path: evict the connection that failed — and only that
-	// one, so a concurrent sender's fresh redial is not torn down — and
-	// retry over a new dial once.
-	t.dropConn(peer, c)
-	c, err = t.peerConn(peer)
-	if err != nil {
-		if om := t.om.Load(); om != nil {
-			om.SendErrors.Inc()
-		}
-		return err
-	}
-	if err = c.write(body); err != nil {
-		t.dropConn(peer, c)
-		if om := t.om.Load(); om != nil {
-			om.SendErrors.Inc()
-		}
-		return err
-	}
-	t.om.Load().Sent(len(body))
-	return nil
+	return 0, err
 }
 
 // write sends one frame over the connection, serialized per peer.
@@ -201,20 +105,9 @@ func (c *tcpConn) write(body []byte) error {
 	return WriteFrame(c.conn, body)
 }
 
-// Broadcast implements Transport.
-func (t *TCP) Broadcast(m Message) error {
-	var first error
-	for _, p := range t.topo.PeerNames() {
-		if err := t.SendPeer(p, m); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// peerConn returns the cached connection to peer, dialing a new one under
-// the per-peer slot if needed.
-func (t *TCP) peerConn(peer string) (*tcpConn, error) {
+// peerConn returns the cached connection to addr, dialing a new one under
+// the per-address slot if needed.
+func (t *TCP) peerConn(addr string) (*tcpConn, error) {
 	t.mu.Lock()
 	// Re-check closed under the lock: Close may have swapped the conns
 	// map after SendPeer's entry check, and a dial inserted now would
@@ -223,44 +116,39 @@ func (t *TCP) peerConn(peer string) (*tcpConn, error) {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("transport: tcp endpoint %q is closed", t.topo.Local)
 	}
-	c := t.conns[peer]
-	if c == nil {
-		addr, ok := t.topo.Peers[peer]
-		if !ok {
-			t.mu.Unlock()
-			return nil, fmt.Errorf("transport: unknown tcp peer %q", peer)
-		}
-		c = &tcpConn{}
-		c.mu.Lock() // hold the slot while dialing outside t.mu
-		t.conns[peer] = c
+	c := t.conns[addr]
+	if c != nil {
 		t.mu.Unlock()
-		conn, err := net.DialTimeout("tcp", addr, t.DialTimeout)
-		if err != nil {
-			c.mu.Unlock()
-			t.dropConn(peer, c)
-			return nil, fmt.Errorf("transport: dialing peer %q: %w", peer, err)
-		}
-		c.conn = conn
-		c.mu.Unlock()
 		return c, nil
 	}
+	c = &tcpConn{}
+	c.mu.Lock() // hold the slot while dialing outside t.mu
+	t.conns[addr] = c
 	t.mu.Unlock()
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		c.mu.Unlock()
+		t.dropConn(addr, c)
+		return nil, fmt.Errorf("transport: dialing peer: %w", err)
+	}
+	c.conn = conn
+	c.mu.Unlock()
 	return c, nil
 }
 
-// dropConn closes and forgets the cached connection to peer — but only
+// dropConn closes and forgets the cached connection to addr — but only
 // if it is still the connection the caller saw fail; a concurrent
 // sender's fresh redial must not be torn down by a stale eviction.
-func (t *TCP) dropConn(peer string, failed *tcpConn) {
+func (t *TCP) dropConn(addr string, failed *tcpConn) {
 	if failed == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.conns[peer] != failed {
+	if t.conns[addr] != failed {
 		t.mu.Unlock()
 		return
 	}
-	delete(t.conns, peer)
+	delete(t.conns, addr)
 	t.mu.Unlock()
 	failed.mu.Lock()
 	if failed.conn != nil {
@@ -270,7 +158,7 @@ func (t *TCP) dropConn(peer string, failed *tcpConn) {
 	failed.mu.Unlock()
 }
 
-func (t *TCP) acceptLoop(ln *net.TCPListener) {
+func (t *TCP) acceptLoop(ln net.Listener) {
 	defer t.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -307,18 +195,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if err != nil {
 			return // framing is broken; drop the connection
 		}
-		if t.closed.Load() {
-			return
-		}
-		if m.Kind != KindCtrl && m.Epoch != t.epoch.Load() {
-			continue
-		}
-		t.om.Load().Recv(len(body))
-		t.mu.Lock()
-		h := t.handler
-		t.mu.Unlock()
-		if h != nil {
-			h(m)
-		}
+		t.deliver(m, len(body))
 	}
 }

@@ -8,14 +8,22 @@
 // endpoints, where an endpoint is one OS process hosting a subset of the
 // testbed's virtual hosts.
 //
-// Three implementations share the interface:
+// There is one endpoint and three wires. Everything the process boundary
+// decides — which peer owns a host, the epoch stamp and filter, what a
+// closed endpoint refuses, what is counted, where inbound frames go, the
+// listen address and the peer address table — is written once, in the
+// shell every built-in transport embeds (endpoint.go). A wire supplies
+// only how a frame reaches a peer:
 //
-//   - Inproc: the existing in-process bus behind the interface — every
-//     host is local, delivery is a function call, nothing is serialized.
-//     This is the fast default; single-process studies pay no new cost.
+//   - Inproc: a direct function call on the sender's goroutine; every
+//     endpoint lives in this process and nothing is serialized. This is
+//     the fast default; single-process studies pay no new cost.
 //   - UDP: one datagram socket per endpoint, one frame per datagram.
 //   - TCP: a listener plus lazily-dialed peer connections with
 //     length-prefixed framing and reconnect-on-error.
+//
+// Structured frame bodies share one gob codec (payload.go), whatever they
+// carry.
 //
 // Lifecycle is tied to experiment epochs: SetEpoch stamps outgoing frames
 // and inbound frames from another epoch are dropped (control frames are

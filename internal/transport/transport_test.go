@@ -135,6 +135,26 @@ func testHostAddressing(t *testing.T, kind string) {
 	if err := a.SendHost("nowhere", Message{}); err == nil {
 		t.Fatal("unknown host not rejected")
 	}
+	if err := a.SendPeer("gamma", Message{Kind: KindNote}); err == nil {
+		t.Fatal("unknown peer not rejected")
+	}
+
+	// Send after Close: refused at the sender, and a closed receiver
+	// drops what still reaches it.
+	before := len(cols["alpha"].wait(t, 1, 2*time.Second))
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SendHost("h2", Message{Kind: KindNote}); err == nil {
+		t.Fatal("send after Close not rejected")
+	}
+	_ = b.SendHost("h1", Message{Kind: KindCtrl, State: "late"}) // a socket wire may report the dead peer
+	time.Sleep(20 * time.Millisecond)
+	cols["alpha"].mu.Lock()
+	defer cols["alpha"].mu.Unlock()
+	if got := len(cols["alpha"].msgs); got != before {
+		t.Fatalf("closed endpoint delivered %d frame(s)", got-before)
+	}
 }
 
 func testEpochFilter(t *testing.T, kind string) {
@@ -212,7 +232,7 @@ func TestTCPReconnect(t *testing.T) {
 	// Sever the cached connection behind the sender's back; the next send
 	// must notice the dead stream and redial.
 	a.mu.Lock()
-	c := a.conns["beta"]
+	c := a.conns[a.topo.Peers["beta"]]
 	a.mu.Unlock()
 	c.mu.Lock()
 	c.conn.Close()
@@ -231,19 +251,6 @@ func TestTCPReconnect(t *testing.T) {
 	got := cols["beta"].wait(t, 2, 2*time.Second)
 	if got[len(got)-1].State != "two" {
 		t.Fatalf("post-reconnect frame missing: %+v", got)
-	}
-}
-
-func TestSingleProcessAllLocal(t *testing.T) {
-	ep := SingleProcess([]string{"h1", "h2"})
-	topo := ep.Topology()
-	for _, h := range []string{"h1", "h2", "unknown"} {
-		if !topo.IsLocal(h) {
-			t.Fatalf("host %s not local in single-process topology", h)
-		}
-	}
-	if peers := topo.PeerNames(); len(peers) != 0 {
-		t.Fatalf("single-process topology has remote peers: %v", peers)
 	}
 }
 
@@ -275,6 +282,9 @@ func TestUnknownKind(t *testing.T) {
 	}
 	if ValidKind("x") {
 		t.Fatal("kind x should be invalid")
+	}
+	if _, err := New(KindNameInproc, clusterTopology("alpha", clusterHosts), nil); err == nil {
+		t.Fatal("inproc endpoint without a network to join accepted")
 	}
 }
 

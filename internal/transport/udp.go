@@ -4,107 +4,69 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
-// UDP is the datagram transport: one socket per endpoint, one frame per
+// UDP is the datagram wire: one socket per endpoint, one frame per
 // datagram, no connection state. Loss and reordering are the network's —
 // exactly the conditions the application bus already promises its users
 // ("datagram semantics: the distributed system under study must tolerate
 // loss").
 type UDP struct {
-	topo   Topology
-	epoch  atomic.Uint64
-	closed atomic.Bool
-	om     atomic.Pointer[obs.TransportMetrics]
-
-	mu      sync.Mutex
-	conn    *net.UDPConn
-	addrs   map[string]*net.UDPAddr
-	handler Handler
-	wg      sync.WaitGroup
+	endpoint
+	conn  *net.UDPConn            // nil until bound
+	addrs map[string]*net.UDPAddr // resolved peer addresses, by address text
+	wg    sync.WaitGroup
 }
 
 // NewUDP creates an endpoint for topo.Local, listening on its peer-table
 // address (which may name port 0; see Addr).
 func NewUDP(topo Topology) (*UDP, error) {
-	if err := topo.Validate(); err != nil {
+	t := &UDP{addrs: make(map[string]*net.UDPAddr)}
+	if err := t.init(KindNameUDP, topo, t); err != nil {
 		return nil, err
 	}
-	return &UDP{topo: topo, addrs: make(map[string]*net.UDPAddr)}, nil
+	return t, nil
 }
 
-// Name implements Transport.
-func (t *UDP) Name() string { return "udp" }
-
-// Topology implements Transport.
-func (t *UDP) Topology() Topology { return t.topo }
-
-// SetEpoch implements Transport.
-func (t *UDP) SetEpoch(e uint64) { t.epoch.Store(e) }
-
-// Start implements Transport: bind the socket (if bind was not already
-// called) and install the inbound handler.
-func (t *UDP) Start(h Handler) error {
-	t.mu.Lock()
-	t.handler = h
-	t.mu.Unlock()
-	return t.bind()
-}
-
-// bind listens without installing a handler — frames arriving before
-// Start are dropped. The loopback cluster builder binds every endpoint
-// first so ephemeral ports can be wired into the peer tables.
-func (t *UDP) bind() error {
-	t.mu.Lock()
-	if t.conn != nil {
-		t.mu.Unlock()
-		return nil
-	}
-	t.mu.Unlock()
-	laddr, err := net.ResolveUDPAddr("udp", t.topo.Peers[t.topo.Local])
+func (t *UDP) listen(addr string) (string, error) {
+	laddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
-		return fmt.Errorf("transport: udp listen address: %w", err)
+		return "", err
 	}
 	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
-		return fmt.Errorf("transport: udp listen: %w", err)
+		return "", err
 	}
-	t.mu.Lock()
 	t.conn = conn
-	t.mu.Unlock()
 	t.wg.Add(1)
 	go t.readLoop(conn)
-	return nil
+	return conn.LocalAddr().String(), nil
 }
 
-// Addr returns the bound listen address ("" before Start) — how an
-// endpoint that listened on port 0 learns its real port.
-func (t *UDP) Addr() string {
+func (t *UDP) send(peer, raw string, m Message) (int, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn == nil {
-		return ""
+	conn, addr := t.conn, t.addrs[raw]
+	t.mu.Unlock()
+	if conn == nil {
+		return 0, fmt.Errorf("transport: udp endpoint %q not started", t.topo.Local)
 	}
-	return t.conn.LocalAddr().String()
+	if addr == nil {
+		var err error
+		if addr, err = net.ResolveUDPAddr("udp", raw); err != nil {
+			return 0, fmt.Errorf("transport: resolving peer %q: %w", peer, err)
+		}
+		t.mu.Lock()
+		t.addrs[raw] = addr
+		t.mu.Unlock()
+	}
+	body, err := Marshal(m)
+	if err != nil {
+		return 0, err
+	}
+	return conn.WriteToUDP(body, addr)
 }
 
-// SetPeerAddr updates the address of one peer — used to wire ephemeral
-// ports after every endpoint of a loopback cluster has bound.
-func (t *UDP) SetPeerAddr(peer, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.topo.Peers[peer] = addr
-	delete(t.addrs, peer) // re-resolve on next send
-}
-
-// Close implements Transport.
-func (t *UDP) Close() error {
-	if t.closed.Swap(true) {
-		return nil
-	}
+func (t *UDP) shut() {
 	t.mu.Lock()
 	conn := t.conn
 	t.mu.Unlock()
@@ -112,67 +74,6 @@ func (t *UDP) Close() error {
 		conn.Close()
 	}
 	t.wg.Wait()
-	return nil
-}
-
-// SendHost implements Transport.
-func (t *UDP) SendHost(host string, m Message) error {
-	peer := t.topo.Owner(host)
-	if peer == "" {
-		return fmt.Errorf("transport: no owner for host %q", host)
-	}
-	return t.SendPeer(peer, m)
-}
-
-// SendPeer implements Transport.
-func (t *UDP) SendPeer(peer string, m Message) error {
-	if t.closed.Load() {
-		return fmt.Errorf("transport: udp endpoint %q is closed", t.topo.Local)
-	}
-	t.mu.Lock()
-	conn := t.conn
-	addr := t.addrs[peer]
-	if addr == nil {
-		raw, ok := t.topo.Peers[peer]
-		if !ok {
-			t.mu.Unlock()
-			return fmt.Errorf("transport: unknown udp peer %q", peer)
-		}
-		var err error
-		if addr, err = net.ResolveUDPAddr("udp", raw); err != nil {
-			t.mu.Unlock()
-			return fmt.Errorf("transport: resolving peer %q: %w", peer, err)
-		}
-		t.addrs[peer] = addr
-	}
-	t.mu.Unlock()
-	if conn == nil {
-		return fmt.Errorf("transport: udp endpoint %q not started", t.topo.Local)
-	}
-	m.Epoch = t.epoch.Load()
-	body, err := Marshal(m)
-	if err != nil {
-		return err
-	}
-	if _, err = conn.WriteToUDP(body, addr); err != nil {
-		if om := t.om.Load(); om != nil {
-			om.SendErrors.Inc()
-		}
-		return err
-	}
-	t.om.Load().Sent(len(body))
-	return nil
-}
-
-// Broadcast implements Transport.
-func (t *UDP) Broadcast(m Message) error {
-	var first error
-	for _, p := range t.topo.PeerNames() {
-		if err := t.SendPeer(p, m); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 func (t *UDP) readLoop(conn *net.UDPConn) {
@@ -187,15 +88,6 @@ func (t *UDP) readLoop(conn *net.UDPConn) {
 		if err != nil {
 			continue // a damaged datagram is a lost datagram
 		}
-		if m.Kind != KindCtrl && m.Epoch != t.epoch.Load() {
-			continue
-		}
-		t.om.Load().Recv(n)
-		t.mu.Lock()
-		h := t.handler
-		t.mu.Unlock()
-		if h != nil {
-			h(m)
-		}
+		t.deliver(m, n)
 	}
 }

@@ -123,14 +123,13 @@ func WithWorkers(n int) Option {
 // silently downgrading a socket study to inproc.
 func WithTransport(kind string) Option {
 	return func(s *Session) error {
-		switch kind {
-		case "":
-			return nil
-		case TransportInproc, TransportUDP, TransportTCP:
-			s.transport = kind
-			return nil
+		if !transport.ValidKind(kind) {
+			return fmt.Errorf("loki: unknown transport %q (want inproc, udp, or tcp)", kind)
 		}
-		return fmt.Errorf("loki: unknown transport %q (want inproc, udp, or tcp)", kind)
+		if kind != "" {
+			s.transport = kind
+		}
+		return nil
 	}
 }
 
@@ -491,18 +490,11 @@ func (s *Session) openMember() error {
 		peers[cl.Name] = cl.Listen
 	}
 	topo := TransportTopology{Local: cl.Name, Peers: peers, Hosts: cl.Owners}
-	var (
-		tr  Transport
-		err error
-	)
-	switch cl.Kind {
-	case TransportUDP, "":
-		tr, err = transport.NewUDP(topo)
-	case TransportTCP:
-		tr, err = transport.NewTCP(topo)
-	default:
-		err = fmt.Errorf("loki: unknown cluster transport %q (want udp or tcp)", cl.Kind)
+	kind := cl.Kind
+	if kind == "" {
+		kind = TransportUDP
 	}
+	tr, err := transport.New(kind, topo, nil)
 	if err != nil {
 		return err
 	}

@@ -25,10 +25,14 @@ const (
 
 // NewUDPTransport creates a UDP endpoint for the topology (listening on
 // the local peer's address when started).
-func NewUDPTransport(topo TransportTopology) (Transport, error) { return transport.NewUDP(topo) }
+func NewUDPTransport(topo TransportTopology) (Transport, error) {
+	return transport.New(TransportUDP, topo, nil)
+}
 
 // NewTCPTransport creates a TCP endpoint for the topology.
-func NewTCPTransport(topo TransportTopology) (Transport, error) { return transport.NewTCP(topo) }
+func NewTCPTransport(topo TransportTopology) (Transport, error) {
+	return transport.New(TransportTCP, topo, nil)
+}
 
 // NewLoopbackCluster builds one connected transport endpoint per peer of
 // the hosts→peer mapping, over 127.0.0.1 ephemeral ports (or direct

@@ -320,7 +320,7 @@ func onCancel(ctx context.Context, fn func()) (stop func()) {
 // experiments are dispatched, in-flight experiments drain (a runtime phase
 // is never interrupted mid-experiment; clustered studies are quit at the
 // protocol level), and the first error returned is ctx.Err().
-func Run(ctx context.Context, c *Campaign) (*Result, error) {
+func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 	if err := Validate(c, nil); err != nil {
 		return nil, err
 	}
@@ -328,7 +328,7 @@ func Run(ctx context.Context, c *Campaign) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer j.Close()
+	defer closeJournal(j, &err)
 	res := &Result{Name: c.Name}
 	for _, st := range c.Studies {
 		if err := ctx.Err(); err != nil {

@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -21,9 +23,20 @@ import (
 // stands, the global timeline in its §5.7 text and (for a one-experiment
 // run) the local timelines in their §3.5.6 text — is appended to a JSONL
 // journal under the artifact directory, keyed by {study-or-point name,
-// experiment index}. Every record is followed by an fsync'd completion
-// marker, so a record is trusted on resume only when both lines survived
-// the crash; a torn tail is truncated, not trusted.
+// experiment index}. Every record is followed by a completion marker
+// written only after the record line was fsync'd, so a record is trusted on
+// resume only when both lines survived the crash; a torn tail is truncated,
+// not trusted.
+//
+// The journal is group-committed: one committer goroutine per open journal
+// writes, in each round, the markers of the records the previous round
+// fsync'd followed by every record line queued since, in one write, and
+// fsyncs once. An append returns when its record line is durable; its
+// marker rides on the next round (or on Close). An experiment therefore
+// costs one fsync instead of two, a crash costs at most the last round's
+// records (one per concurrent appender), and with a single appender each
+// round holds one record, so the bytes are (record k, done k, record k+1)
+// exactly as a per-record writer would have left them.
 //
 // On resume the journal is reloaded, the campaign-level fingerprint in the
 // header is verified, and each skipped record's study-level fingerprint
@@ -85,16 +98,32 @@ type journalRecord[E any] struct {
 	Experiment  E
 }
 
-// journal is an open checkpoint journal: the append file plus the loaded
-// map of complete records. Safe for concurrent use by the worker pools.
+// journal is an open checkpoint journal: the append file, its committer,
+// and the loaded map of complete records. Safe for concurrent use by the
+// worker pools.
 type journal struct {
-	mu           sync.Mutex
-	f            *os.File
-	entries      map[journalKey]journalRecord[json.RawMessage]
-	headerLoaded bool
+	f *os.File
 	// cm, when non-nil, receives append and fsync latency observations —
 	// the durability cost every journaled experiment pays.
 	cm *obs.CampaignMetrics
+
+	mu           sync.Mutex // guards entries
+	entries      map[journalKey]journalRecord[json.RawMessage]
+	headerLoaded bool
+
+	// Group commit, all guarded by cmu: appenders queue record lines and
+	// wait on staged until the round that took them is fsync'd; the
+	// committer waits on queued.
+	cmu     sync.Mutex
+	queued  sync.Cond    // a record line was queued, or Close was called
+	staged  sync.Cond    // a round was fsync'd, or failed
+	lines   []byte       // record lines queued for the next round
+	keys    []journalKey // their keys, in queue order
+	started uint64       // rounds the committer has taken from the queue
+	synced  uint64       // rounds fsync'd
+	err     error        // the first write or fsync error; every later append and Close return it
+	closing bool
+	exited  chan struct{} // closed when the committer returns
 }
 
 // openCampaignJournal opens (or resumes) the campaign's journal; a nil
@@ -122,27 +151,37 @@ func openCampaignJournal(c *Campaign) (*journal, error) {
 			f.Close()
 			return nil, err
 		}
-		if j.headerLoaded {
-			return j, nil
-		}
 		// Resuming an absent or empty journal is a fresh start, not an
 		// error: the first interrupted run needs -resume semantics too.
 	}
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
+	if !j.headerLoaded {
+		if err := j.writeHeader(c.Name, fp); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	if err := j.writeLine(journalLine[struct{}]{Journal: &journalHeader{
-		Version: journalVersion, Campaign: c.Name, Fingerprint: fp,
-	}}); err != nil {
-		f.Close()
-		return nil, err
-	}
+	j.queued.L, j.staged.L = &j.cmu, &j.cmu
+	j.exited = make(chan struct{})
+	go j.commit()
 	return j, nil
+}
+
+// writeHeader starts the journal afresh: the file is emptied and the
+// header line written and fsync'd.
+func (j *journal) writeHeader(campaign, fingerprint string) error {
+	if err := j.f.Truncate(0); err != nil {
+		return fmt.Errorf("campaign: checkpoint: %w", err)
+	}
+	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("campaign: checkpoint: %w", err)
+	}
+	b, err := json.Marshal(journalLine[struct{}]{Journal: &journalHeader{
+		Version: journalVersion, Campaign: campaign, Fingerprint: fingerprint,
+	}})
+	if err != nil {
+		return fmt.Errorf("campaign: checkpoint: %w", err)
+	}
+	return j.write(append(b, '\n'))
 }
 
 // journalTail classifies how a journal scan ended.
@@ -236,7 +275,8 @@ scanning:
 // configuration's fingerprint, every complete record is kept (still
 // marshalled) for lookup, and a record without its fsync'd done marker — or
 // any torn/garbled tail — is discarded by truncating the file to the last
-// trusted line, so a crash mid-append costs exactly one experiment.
+// trusted line, so a crash costs at most the records of the last commit
+// round.
 func (j *journal) load(fingerprint string) error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
@@ -263,18 +303,16 @@ func (j *journal) load(fingerprint string) error {
 	return nil
 }
 
-// writeLine appends one JSONL line and fsyncs it. The caller serializes
-// (open is single-threaded; append holds mu).
-func (j *journal) writeLine(line any) error {
-	b, err := json.Marshal(line)
-	if err != nil {
-		return fmt.Errorf("campaign: checkpoint: %w", err)
-	}
+// write appends b — the header, or one commit round — and fsyncs it. It is
+// the journal's only write, so its two observations are the whole
+// durability cost. The caller serializes (open
+// is single-threaded; afterwards only the committer writes).
+func (j *journal) write(b []byte) error {
 	var t0 time.Time
 	if j.cm != nil {
 		t0 = obs.Now()
 	}
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
+	if _, err := j.f.Write(b); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
 	var t1 time.Time
@@ -292,17 +330,27 @@ func (j *journal) writeLine(line any) error {
 	return nil
 }
 
-// append journals one completed record: the record line is fsync'd before
-// the completion marker is written, so a marker on disk proves its record
-// is whole. Nil-receiver safe (checkpointing disabled).
+// append journals one completed record: it queues the record line and
+// returns once the commit round that wrote it has been fsync'd. The
+// record is then staged — durable, its done marker pending — and the
+// marker rides on the next round, so a marker on disk still proves its
+// record is whole. A write or fsync error fails every waiting and later
+// append. Nil-receiver safe (checkpointing disabled).
 func (j *journal) append(rec journalRecord[*ExperimentRecord]) error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.writeLine(journalLine[*ExperimentRecord]{Record: &rec}); err != nil {
-		return err
+	b, err := json.Marshal(journalLine[*ExperimentRecord]{Record: &rec})
+	if err != nil {
+		return fmt.Errorf("campaign: checkpoint: %w", err)
+	}
+	j.cmu.Lock()
+	defer j.cmu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
+	if j.closing {
+		return fmt.Errorf("campaign: checkpoint: append to a closed journal")
 	}
 	// Appended records are deliberately not retained in j.entries: every
 	// engine looks a key up before running it and never afterwards, and a
@@ -311,7 +359,66 @@ func (j *journal) append(rec journalRecord[*ExperimentRecord]) error {
 	// output in memory. If a key ever were looked up after its append,
 	// the miss costs one redundant re-run — the rerun's record is
 	// journaled again and the later copy wins on the next resume.
-	return j.writeLine(journalLine[struct{}]{Done: &journalKey{rec.Point, rec.Index}})
+	j.lines = append(append(j.lines, b...), '\n')
+	j.keys = append(j.keys, journalKey{rec.Point, rec.Index})
+	round := j.started + 1
+	j.queued.Signal()
+	for j.synced < round && j.err == nil {
+		j.staged.Wait()
+	}
+	if j.synced >= round {
+		return nil
+	}
+	return j.err
+}
+
+// commit is the journal's committer goroutine. Each round is one write —
+// the done markers of the records the previous round fsync'd, then every
+// record line queued since — and one fsync. A round starts only when a
+// record is queued, or on Close, whose final round writes the last
+// markers; there are no marker-only rounds mid-run, no timer, no knob. The
+// first error ends the committer and is returned by every append after it.
+func (j *journal) commit() {
+	defer close(j.exited)
+	var (
+		round  bytes.Buffer // reused across rounds
+		enc    = json.NewEncoder(&round)
+		staged []journalKey // the records the last round fsync'd
+	)
+	for {
+		round.Reset()
+		var err error
+		for i := 0; err == nil && i < len(staged); i++ {
+			err = enc.Encode(journalLine[struct{}]{Done: &staged[i]})
+		}
+		j.cmu.Lock()
+		for len(j.keys) == 0 && !j.closing {
+			j.queued.Wait()
+		}
+		round.Write(j.lines)
+		j.lines = j.lines[:0]
+		staged, j.keys = j.keys, staged[:0]
+		last := j.closing && len(staged) == 0
+		j.started++
+		j.cmu.Unlock()
+
+		if err != nil {
+			err = fmt.Errorf("campaign: checkpoint: %w", err)
+		} else if round.Len() > 0 {
+			err = j.write(round.Bytes())
+		}
+		j.cmu.Lock()
+		if err != nil {
+			j.err = err
+		} else {
+			j.synced++
+		}
+		j.staged.Broadcast()
+		j.cmu.Unlock()
+		if err != nil || last {
+			return
+		}
+	}
 }
 
 // lookup returns the journaled record for (point, index), still
@@ -341,14 +448,33 @@ func (j *journal) lookup(point string, index int, fingerprint string) (json.RawM
 	return rec.Experiment, nil
 }
 
-// Close closes the journal file. Nil-receiver safe.
+// Close commits the last round — the done markers of the records the
+// final append staged — stops the committer, and closes the file. It
+// returns the first write or fsync error the journal met, so a campaign
+// whose last markers did not reach the disk fails. Nil-receiver safe.
 func (j *journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	j.cmu.Lock()
+	j.closing = true
+	j.queued.Signal()
+	j.cmu.Unlock()
+	<-j.exited
+	err := j.f.Close()
+	if j.err != nil { // the committer has exited: nothing writes j.err now
+		return j.err
+	}
+	return err
+}
+
+// closeJournal closes an engine's journal on its way out, joining a failed
+// final commit into the engine's error *err: a run whose last done markers
+// did not reach the disk has failed.
+func closeJournal(j *journal, err *error) {
+	if cerr := j.Close(); cerr != nil {
+		*err = errors.Join(*err, cerr)
+	}
 }
 
 // study binds the journal to one study's (or matrix point's) record
@@ -387,7 +513,9 @@ func (sj *studyJournal) lookup(index int) (*ExperimentRecord, error) {
 	return rec, nil
 }
 
-// record journals one completed record.
+// record journals one completed record and returns once it is durable;
+// its done marker lands with the next commit round, so the progress event
+// the pipeline emits after it means "record fsync'd, marker pending".
 func (sj *studyJournal) record(rec *ExperimentRecord) error {
 	if sj == nil {
 		return nil

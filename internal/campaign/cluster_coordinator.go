@@ -127,18 +127,18 @@ func (m *Member) flushMembers(index int) {
 
 // ensureJournal opens the member's own journal from the campaign's
 // Checkpoint when no binding was handed down by an in-process engine —
-// the stand-alone coordinator path (cmd/lokid). The returned closer is
-// a no-op when nothing was opened here.
-func (m *Member) ensureJournal() (func(), error) {
+// the stand-alone coordinator path (cmd/lokid). It returns the journal it
+// opened, which the caller closes, or nil when nothing was opened here.
+func (m *Member) ensureJournal() (*journal, error) {
 	if m.sj != nil || m.c.Checkpoint == nil {
-		return func() {}, nil
+		return nil, nil
 	}
 	j, err := openCampaignJournal(m.c)
 	if err != nil {
 		return nil, err
 	}
 	m.sj = j.study(m.c, m.st, m.st.Name)
-	return func() { j.Close() }, nil
+	return j, nil
 }
 
 // RunStudy drives the whole study from the coordinator member, returning
@@ -156,18 +156,18 @@ func (m *Member) ensureJournal() (func(), error) {
 // When ctx is cancelled the member protocol is quit (waits unblock
 // immediately, like a SIGINT drain), no further experiments start, and
 // ctx.Err() is returned, exactly as the in-process pool does.
-func (m *Member) RunStudy(ctx context.Context, one bool) (*StudyResult, error) {
+func (m *Member) RunStudy(ctx context.Context, one bool) (_ *StudyResult, err error) {
 	c := m.c
 	if one {
 		c = single(c)
 	}
 	stopWatch := m.quitOnCancel(ctx)
 	defer stopWatch()
-	closeJournal, err := m.ensureJournal()
+	j, err := m.ensureJournal()
 	if err != nil {
 		return nil, err
 	}
-	defer closeJournal()
+	defer closeJournal(j, &err)
 	sr, err := runStudy(ctx, c, m.st, m.sj, m.peer, 1, func() (testbed, func(), error) { return m, func() {}, nil })
 	if err == nil {
 		n := experimentCount(c, m.st)

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/clocksync"
 	"repro/internal/faultexpr"
+	"repro/internal/obs"
 	"repro/internal/timeline"
 )
 
@@ -180,54 +184,76 @@ func journalKeys(t testing.TB, dir, fingerprint string) (loaded, walked []journa
 	return loaded, walked, sum, fi.Size()
 }
 
-// TestJournalTruncatedAtEveryOffset cuts a real journal at every byte
-// offset — every crash point of an append — and checks that the three
-// readers agree on which records are complete, that they are exactly the
-// records whose done marker is whole, and that the loader truncates to the
-// end of the last whole line and nowhere else. Run under -race in CI.
-func TestJournalTruncatedAtEveryOffset(t *testing.T) {
-	src := t.TempDir()
-	c := stepCampaign(t, 3, 1)
-	c.Checkpoint = &Checkpoint{Dir: src}
-	if _, err := Run(context.Background(), c); err != nil {
-		t.Fatal(err)
-	}
-	whole, err := os.ReadFile(JournalPath(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := ConfigFingerprint(c)
+// journalShape is a journal's line structure, read without readJournal:
+// the offset just past each whole line and the key each record or done
+// line carries (the header's is the zero key).
+type journalShape struct {
+	ends  []int
+	keys  []journalKey
+	isRec []bool
+}
 
-	// What each prefix must yield, from the line structure alone: line i
-	// (1-based, after the header) is a record when odd, its marker when even.
-	var ends []int // ends[i] is the offset just past line i
+func shapeOf(t testing.TB, whole []byte) journalShape {
+	t.Helper()
+	var sh journalShape
+	start := 0
 	for i, b := range whole {
-		if b == '\n' {
-			ends = append(ends, i+1)
+		if b != '\n' {
+			continue
 		}
+		var line journalLine[json.RawMessage]
+		if err := json.Unmarshal(whole[start:i], &line); err != nil {
+			t.Fatalf("line at %d: %v", start, err)
+		}
+		var k journalKey
+		switch {
+		case line.Record != nil:
+			k = journalKey{line.Record.Point, line.Record.Index}
+		case line.Done != nil:
+			k = *line.Done
+		}
+		sh.ends = append(sh.ends, i+1)
+		sh.keys = append(sh.keys, k)
+		sh.isRec = append(sh.isRec, line.Record != nil)
+		start = i + 1
 	}
-	if len(ends) != 7 || ends[6] != len(whole) {
-		t.Fatalf("journal has %d lines over %d bytes, want header + 3 x (record, done)", len(ends), len(whole))
+	if start != len(whole) {
+		t.Fatalf("journal ends mid-line at %d of %d bytes", start, len(whole))
 	}
+	return sh
+}
 
+// checkEveryOffset cuts a journal at every byte offset — every crash point
+// of a commit round — and checks that the three readers agree on which
+// records are complete, that they are exactly the records whose done
+// marker is whole in the prefix, that the records without one are counted
+// in flight, and that the loader truncates to the end of the last whole
+// line and nowhere else.
+func checkEveryOffset(t *testing.T, whole []byte, fp string) {
+	sh := shapeOf(t, whole)
 	dir := t.TempDir()
 	for n := 0; n <= len(whole); n++ {
 		if err := os.WriteFile(JournalPath(dir), whole[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		lines := sort.SearchInts(ends, n+1) // whole lines in the prefix
+		lines := sort.SearchInts(sh.ends, n+1) // whole lines in the prefix
 		trusted := 0
 		if lines > 0 {
-			trusted = ends[lines-1]
+			trusted = sh.ends[lines-1]
 		}
 		var want []journalKey
-		for i := 0; i < (lines-1)/2; i++ {
-			want = append(want, journalKey{"steps", i})
-		}
 		inFlight := 0
-		if lines > 0 && (lines-1)%2 == 1 {
-			inFlight = 1
+		for i := 1; i < lines; i++ {
+			if sh.isRec[i] {
+				inFlight++
+			} else {
+				want = append(want, sh.keys[i])
+				inFlight--
+			}
 		}
+		sort.Slice(want, func(a, b int) bool {
+			return want[a].Point < want[b].Point || want[a].Point == want[b].Point && want[a].Index < want[b].Index
+		})
 
 		loaded, walked, sum, size := journalKeys(t, dir, fp)
 		if !reflect.DeepEqual(loaded, want) || !reflect.DeepEqual(walked, want) || sum.Complete() != len(want) {
@@ -238,6 +264,189 @@ func TestJournalTruncatedAtEveryOffset(t *testing.T) {
 		}
 		if size != int64(trusted) {
 			t.Fatalf("cut at %d: loader left %d bytes, want %d (the last whole line)", n, size, trusted)
+		}
+	}
+}
+
+// TestJournalTruncatedAtEveryOffset runs checkEveryOffset over a workers-1
+// study journal — whose lines strictly alternate record, done — and over a
+// workers-2 matrix journal, where two points append concurrently and their
+// lines interleave. The matrix journal is also checked with two records
+// regrouped into one commit round (record X, record Y, done X), the shape
+// group commit writes when both appenders queue before the same round.
+// Run under -race in CI.
+func TestJournalTruncatedAtEveryOffset(t *testing.T) {
+	t.Run("workers 1", func(t *testing.T) {
+		c := stepCampaign(t, 3, 1)
+		c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+		if _, err := Run(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(JournalPath(c.Checkpoint.Dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAlternates(t, shapeOf(t, whole), 3)
+		checkEveryOffset(t, whole, ConfigFingerprint(c))
+	})
+	t.Run("workers 2 matrix", func(t *testing.T) {
+		c, m := cutMatrix(t, 2)
+		c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+		if _, err := RunMatrix(context.Background(), c, m); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(JournalPath(c.Checkpoint.Dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := shapeOf(t, whole)
+		if len(sh.ends) != 1+2*4 {
+			t.Fatalf("journal has %d lines, want header + 4 x (record, done)", len(sh.ends))
+		}
+		fp := ConfigFingerprint(c)
+		checkEveryOffset(t, whole, fp)
+
+		// Regroup: move the first record that directly follows a done
+		// marker up past it, so it shares a round with the record the
+		// marker closes.
+		var lines [][]byte
+		start := 0
+		for _, end := range sh.ends {
+			lines = append(lines, whole[start:end])
+			start = end
+		}
+		for i := 2; i < len(lines); i++ {
+			if !sh.isRec[i-1] && sh.isRec[i] {
+				lines[i-1], lines[i] = lines[i], lines[i-1]
+				break
+			}
+		}
+		checkEveryOffset(t, bytes.Join(lines, nil), fp)
+	})
+}
+
+// cutMatrix is a two-point matrix of two experiments each over the step
+// campaign, at the given worker count.
+func cutMatrix(t testing.TB, workers int) (*Campaign, *Matrix) {
+	t.Helper()
+	c := stepCampaign(t, 2, workers)
+	c.Studies = nil
+	return c, &Matrix{
+		Name:  "cut",
+		Seeds: []int64{1, 2},
+		Build: func(Point) (*Study, error) { return stepCampaign(t, 2, 1).Studies[0], nil },
+	}
+}
+
+// assertAlternates checks a one-appender journal's shape: header, then
+// (record k, done k) for k = 0..n-1 — the bytes a per-record writer left.
+func assertAlternates(t testing.TB, sh journalShape, n int) {
+	t.Helper()
+	if len(sh.ends) != 1+2*n {
+		t.Fatalf("journal has %d lines, want header + %d x (record, done)", len(sh.ends), n)
+	}
+	for i := 1; i < len(sh.ends); i++ {
+		if sh.isRec[i] != (i%2 == 1) || sh.keys[i].Index != (i-1)/2 {
+			t.Fatalf("line %d is (record %v, %+v); want record/done alternating in index order", i, sh.isRec[i], sh.keys[i])
+		}
+	}
+}
+
+// TestJournalGroupCommitFsyncs counts the journal's fsyncs through the
+// campaign metrics: a workers-1 study of N experiments pays the header, one
+// round per record (carrying the previous record's marker), and the final
+// marker round at Close — N+2, where the per-record writer paid 2N+1 — and
+// a workers-2 matrix never pays more, with every marker on disk once
+// RunMatrix returns.
+func TestJournalGroupCommitFsyncs(t *testing.T) {
+	const n = 4
+	fsyncs := func(c *Campaign) uint64 {
+		cm := c.Obs.CampaignMetrics()
+		if got, app := cm.JournalFsyncSeconds.Count(), cm.JournalAppendSeconds.Count(); got != app {
+			t.Fatalf("%d fsyncs but %d appends observed; both are per commit", got, app)
+		}
+		return cm.JournalFsyncSeconds.Count()
+	}
+	t.Run("workers 1", func(t *testing.T) {
+		c := stepCampaign(t, n, 1)
+		c.Obs = &obs.Sink{Metrics: obs.NewRegistry()}
+		c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+		if _, err := Run(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+		if got := fsyncs(c); got != n+2 {
+			t.Errorf("%d fsyncs for %d experiments, want %d", got, n, n+2)
+		}
+		whole, err := os.ReadFile(JournalPath(c.Checkpoint.Dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAlternates(t, shapeOf(t, whole), n)
+	})
+	t.Run("workers 2 matrix", func(t *testing.T) {
+		c, m := cutMatrix(t, 2) // 2 points x 2 experiments
+		c.Obs = &obs.Sink{Metrics: obs.NewRegistry()}
+		c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+		if _, err := RunMatrix(context.Background(), c, m); err != nil {
+			t.Fatal(err)
+		}
+		if got := fsyncs(c); got > n+2 {
+			t.Errorf("%d fsyncs for %d experiments, want at most %d", got, n, n+2)
+		}
+		sum, err := SummarizeJournal(c.Checkpoint.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Complete() != n || sum.InFlight != 0 || sum.Appending || sum.Torn {
+			t.Errorf("after RunMatrix: %d complete, %d in flight, appending %v, torn %v; want %d, 0, false, false",
+				sum.Complete(), sum.InFlight, sum.Appending, sum.Torn, n)
+		}
+	})
+}
+
+// TestJournalCommitErrorIsSticky: once a commit round fails, the appenders
+// waiting on it, every later append, and Close all return the error — and
+// none of them hangs. The failure is a write to the journal's file closed
+// under the live committer.
+func TestJournalCommitErrorIsSticky(t *testing.T) {
+	c := stepCampaign(t, 1, 1)
+	c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+	j, err := openCampaignJournal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj := j.study(c, c.Studies[0], "steps")
+	if err := sj.record(&ExperimentRecord{Study: "steps", Index: 0, Completed: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const appenders = 3
+	errs := make(chan error, appenders+2)
+	go func() {
+		var wg sync.WaitGroup
+		for i := 1; i <= appenders; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- sj.record(&ExperimentRecord{Study: "steps", Index: i, Completed: true})
+			}()
+		}
+		wg.Wait()
+		errs <- sj.record(&ExperimentRecord{Study: "steps", Index: appenders + 1, Completed: true})
+		errs <- j.Close()
+	}()
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < appenders+2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, os.ErrClosed) {
+				t.Errorf("result %d: %v, want the failed commit's %v", i, err, os.ErrClosed)
+			}
+		case <-timeout:
+			t.Fatalf("journal hung after a failed commit: %d of %d calls returned", i, appenders+2)
 		}
 	}
 }

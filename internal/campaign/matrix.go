@@ -212,7 +212,7 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 // every point, with the point's latency profile overriding the runtime's
 // notification delays. No further points are dispatched after ctx is
 // cancelled, in-flight points drain, and ctx.Err() is returned.
-func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (*MatrixResult, error) {
+func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, err error) {
 	if err := Validate(c, m); err != nil {
 		return nil, err
 	}
@@ -221,7 +221,7 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (*MatrixResult, erro
 	if err != nil {
 		return nil, err
 	}
-	defer j.Close()
+	defer closeJournal(j, &err)
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -38,9 +38,10 @@ type JournalSummary struct {
 	// Points lists per-point progress, sorted by point name.
 	Points []PointProgress
 	// InFlight counts records whose done marker has not landed yet. On a
-	// live journal these are experiments between append and fsync'd
-	// completion; after a crash they are the (at most one, in practice)
-	// appends the next resume will discard.
+	// live journal these are records whose commit round is being written
+	// or was fsync'd with the marker riding on the next round; after a
+	// crash they are the last round's records (at most one per concurrent
+	// appender), which the next resume discards and re-executes.
 	InFlight int
 	// Appending reports trailing bytes without a newline: a writer is
 	// mid-append right now, or crashed there. Either way the bytes are

@@ -248,8 +248,8 @@ func (s *Sink) CampaignMetrics() *CampaignMetrics {
 			AnalyzeSeconds: r.Histogram(`loki_experiment_phase_seconds{phase="analyze"}`, "Experiment phase latency.", nil),
 
 			WorkerBusySeconds:    r.Histogram("loki_worker_experiment_seconds", "Wall-clock time a worker spent per runtime phase (worker utilization).", nil),
-			JournalAppendSeconds: r.Histogram("loki_journal_append_seconds", "Checkpoint journal append latency (write+fsync, both lines).", nil),
-			JournalFsyncSeconds:  r.Histogram("loki_journal_fsync_seconds", "Checkpoint journal per-line fsync latency.", nil),
+			JournalAppendSeconds: r.Histogram("loki_journal_append_seconds", "Checkpoint journal commit latency (write+fsync), one observation per commit round; the header is one round.", nil),
+			JournalFsyncSeconds:  r.Histogram("loki_journal_fsync_seconds", "Checkpoint journal fsync latency, one observation per fsync.", nil),
 
 			VClockTimersFired: r.Counter("loki_vclock_timers_fired_total", "Virtual-clock timers fired."),
 			VClockTasks:       r.Counter("loki_vclock_tasks_total", "Tasks tracked by virtual-clock schedulers."),

@@ -583,8 +583,10 @@ type SessionStatus struct {
 	// on its materialized study; resume still verifies them per record).
 	FingerprintMatch bool
 	// InFlight counts journaled records whose done marker has not landed:
-	// experiments a live campaign is completing right now, or (after a
-	// crash) appends the next Resume will discard.
+	// on a live campaign, records of the commit round being written or
+	// just fsync'd (their markers ride on the next round); after a crash,
+	// the last round's records (at most one per worker), which the next
+	// Resume discards and re-executes.
 	InFlight int
 	// Appending reports trailing journal bytes without a newline — a
 	// writer mid-append, or a crash at that instant. The bytes are

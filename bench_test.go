@@ -21,7 +21,6 @@ import (
 	"repro/internal/observation"
 	"repro/internal/predicate"
 	"repro/internal/simnet"
-	"repro/internal/timeline"
 	"repro/internal/vclock"
 )
 
@@ -352,72 +351,10 @@ func lanStamps(seed int64, lan simnet.LatencyModel, m1 vclock.ClockConfig, count
 
 // --- Micro-benchmarks of runtime hot paths ---
 
-func BenchmarkFaultParserObserve(b *testing.B) {
-	specs, err := faultexpr.ParseSpecs(`
-f1 ((black:CRASH) & ((green:FOLLOW) | (green:ELECT))) once
-f2 (black:LEAD) always
-f3 ~(yellow:EXIT) & (black:INIT) always
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := faultexpr.NewTriggerSet(specs)
-	views := []faultexpr.MapView{
-		{"black": "LEAD", "green": "FOLLOW", "yellow": "INIT"},
-		{"black": "CRASH", "green": "FOLLOW", "yellow": "INIT"},
-		{"black": "CRASH", "green": "ELECT", "yellow": "EXIT"},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts.Observe(views[i%len(views)])
-	}
-}
-
 func BenchmarkFaultExprParse(b *testing.B) {
 	src := "((black:CRASH) & ((green:FOLLOW) | (green:ELECT))) | ~(yellow:LEAD)"
 	for i := 0; i < b.N; i++ {
 		if _, err := faultexpr.Parse(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTimelineEncodeDecode(b *testing.B) {
-	l := &timeline.Local{Meta: timeline.Meta{
-		Owner:        "bench",
-		GlobalStates: []string{"A", "B", "C"},
-		Events:       []string{"e1", "e2"},
-		Hosts:        []string{"h1"},
-	}}
-	l.Entries = append(l.Entries, timeline.Entry{Kind: timeline.HostChange, Host: "h1"})
-	for i := 0; i < 200; i++ {
-		l.Entries = append(l.Entries, timeline.Entry{
-			Kind: timeline.StateChange, Event: "e1", NewState: "B",
-			Host: "h1", Time: vclock.Ticks(i * 1000),
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		text, err := timeline.EncodeString(l)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := timeline.DecodeString(text); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkConvexHullEstimate(b *testing.B) {
-	msgs, err := lanStamps(9, simnet.Exponential{Min: 60_000, MeanTail: 90_000},
-		vclock.ClockConfig{Offset: 2e6, DriftPPM: 55}, 100, vclock.Ticks(10e9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := clocksync.SamplesFor(msgs, "ref", "m1")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := clocksync.Estimate(samples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -429,79 +366,6 @@ func BenchmarkPredicateEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		predicate.Evaluate(p, g)
 	}
-}
-
-func BenchmarkNotificationRoundTrip(b *testing.B) {
-	rt := loki.NewRuntime(loki.RuntimeConfig{})
-	defer rt.Shutdown()
-	rt.AddHost("h1", loki.ClockConfig{})
-	sm, err := loki.ParseStateMachine(`
-global_state_list
-  BEGIN
-  A
-  B
-  CRASH
-  EXIT
-end_global_state_list
-event_list
-  flip
-  flop
-end_event_list
-state A notify other
-  flip B
-state B notify other
-  flop A
-state CRASH
-state EXIT
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	steps := make(chan struct{}, 1)
-	stop := make(chan struct{})
-	rt.Register(loki.NodeDef{
-		Nickname: "pacer", Spec: sm,
-		App: loki.Instrument(func(h *loki.Handle) {
-			h.NotifyEvent("A")
-			ev := "flip"
-			for {
-				select {
-				case <-steps:
-					h.NotifyEvent(ev)
-					if ev == "flip" {
-						ev = "flop"
-					} else {
-						ev = "flip"
-					}
-				case <-stop:
-					return
-				case <-h.Done():
-					return
-				}
-			}
-		}),
-	})
-	rt.Register(loki.NodeDef{
-		Nickname: "other", Spec: sm,
-		App: loki.Instrument(func(h *loki.Handle) {
-			h.NotifyEvent("A")
-			<-h.Done()
-		}),
-	})
-	if _, err := rt.StartNode("pacer", "h1"); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := rt.StartNode("other", "h1"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		steps <- struct{}{}
-	}
-	b.StopTimer()
-	close(stop)
-	rt.KillAll()
-	rt.Wait(time.Second)
 }
 
 func BenchmarkMomentsAndPercentiles(b *testing.B) {

@@ -30,8 +30,8 @@
 // DIR/checkpoint.jsonl as it finishes; -resume skips the journaled
 // experiments and executes only the missing ones; -status summarizes the
 // journal (complete/missing/accepted per study or point) without running
-// anything — a live, still-appending journal is reported as in-flight,
-// not an error. Ctrl-C cancels cleanly: no further experiments start,
+// anything — a live, still-appending journal is reported as live, not an
+// error. Ctrl-C cancels cleanly: no further experiments start,
 // in-flight ones drain into the journal.
 //
 // Observability: -v LEVEL streams the engines' structured diagnostics to
@@ -483,8 +483,8 @@ func printStatus(st *loki.SessionStatus) {
 	} else {
 		fmt.Printf(" (DOES NOT match this configuration; -resume would refuse it)\n")
 	}
-	if st.Appending || st.InFlight > 0 {
-		fmt.Printf("journal is live: %d experiment(s) in flight; counts cover fsync'd records\n", st.InFlight)
+	if st.Appending {
+		fmt.Println("journal is live: a record is mid-append; counts cover fsync'd records")
 	}
 	if st.Torn {
 		fmt.Println("journal tail is garbled (damaged file); counts cover the intact prefix")

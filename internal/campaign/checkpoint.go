@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,20 +22,15 @@ import (
 // stands, the global timeline in its §5.7 text and (for a one-experiment
 // run) the local timelines in their §3.5.6 text — is appended to a JSONL
 // journal under the artifact directory, keyed by {study-or-point name,
-// experiment index}. Every record is followed by a completion marker
-// written only after the record line was fsync'd, so a record is trusted on
-// resume only when both lines survived the crash; a torn tail is truncated,
-// not trusted.
+// experiment index}. A record line is its own commit record: it is trusted
+// on resume when it is whole (newline-terminated) and parses; a torn or
+// garbled tail is truncated, not trusted.
 //
 // The journal is group-committed: one committer goroutine per open journal
-// writes, in each round, the markers of the records the previous round
-// fsync'd followed by every record line queued since, in one write, and
-// fsyncs once. An append returns when its record line is durable; its
-// marker rides on the next round (or on Close). An experiment therefore
-// costs one fsync instead of two, a crash costs at most the last round's
-// records (one per concurrent appender), and with a single appender each
-// round holds one record, so the bytes are (record k, done k, record k+1)
-// exactly as a per-record writer would have left them.
+// writes every record line queued since its last round in one write, and
+// fsyncs once. An append returns when its record line is durable. An
+// experiment therefore costs at most one fsync, and a crash costs at most
+// the last round's records (one per concurrent appender).
 //
 // On resume the journal is reloaded, the campaign-level fingerprint in the
 // header is verified, and each skipped record's study-level fingerprint
@@ -59,16 +53,15 @@ type Checkpoint struct {
 
 const (
 	journalName    = "checkpoint.jsonl"
-	journalVersion = 1
+	journalVersion = 2
 )
 
-// journalLine is one line of the JSONL journal: exactly one of the three
-// fields is set. Header first, then (record, done) pairs. E is the shape
+// journalLine is one line of the JSONL journal: exactly one of the two
+// fields is set. Header first, then one record per line. E is the shape
 // the line's user gives the journaled experiment (see journalRecord).
 type journalLine[E any] struct {
 	Journal *journalHeader    `json:"journal,omitempty"`
 	Record  *journalRecord[E] `json:"record,omitempty"`
-	Done    *journalKey       `json:"done,omitempty"`
 }
 
 type journalHeader struct {
@@ -112,16 +105,15 @@ type journal struct {
 	headerLoaded bool
 
 	// Group commit, all guarded by cmu: appenders queue record lines and
-	// wait on staged until the round that took them is fsync'd; the
+	// wait on flushed until the round that took them is fsync'd; the
 	// committer waits on queued.
 	cmu     sync.Mutex
-	queued  sync.Cond    // a record line was queued, or Close was called
-	staged  sync.Cond    // a round was fsync'd, or failed
-	lines   []byte       // record lines queued for the next round
-	keys    []journalKey // their keys, in queue order
-	started uint64       // rounds the committer has taken from the queue
-	synced  uint64       // rounds fsync'd
-	err     error        // the first write or fsync error; every later append and Close return it
+	queued  sync.Cond // a record line was queued, or Close was called
+	flushed sync.Cond // a round was fsync'd, or failed
+	lines   []byte    // record lines queued for the next round
+	started uint64    // rounds the committer has taken from the queue
+	synced  uint64    // rounds fsync'd
+	err     error     // the first write or fsync error; every later append and Close return it
 	closing bool
 	exited  chan struct{} // closed when the committer returns
 }
@@ -160,7 +152,7 @@ func openCampaignJournal(c *Campaign) (*journal, error) {
 			return nil, err
 		}
 	}
-	j.queued.L, j.staged.L = &j.cmu, &j.cmu
+	j.queued.L, j.flushed.L = &j.cmu, &j.cmu
 	j.exited = make(chan struct{})
 	go j.commit()
 	return j, nil
@@ -208,22 +200,19 @@ type journalScan struct {
 	// offset is the byte offset of the end of the last trusted line.
 	offset int64
 	tail   journalTail
-	// inFlight counts records whose done marker had not landed.
-	inFlight int
 }
 
 // readJournal is the one reader of the journal format. It validates the
 // header line (a journal at all, of this build's version), walks every
-// complete line up to the first torn or garbled tail, pairs each record
-// with its done marker, and hands the pairs to onRecord in the order their
-// markers landed. What a caller does with the scan is its own discipline:
-// the resume loader checks the fingerprint and truncates at scan.offset, the
-// read-only readers report the tail state and never touch the file.
+// complete line up to the first torn or garbled tail, and hands each record
+// to onRecord in journal order. What a caller does with the scan is its own
+// discipline: the resume loader checks the fingerprint and truncates at
+// scan.offset, the read-only readers report the tail state and never touch
+// the file.
 func readJournal[E any](r io.Reader, path string, onRecord func(*journalRecord[E])) (journalScan, error) {
 	var (
-		scan    journalScan
-		pending = make(map[journalKey]*journalRecord[E])
-		br      = bufio.NewReaderSize(r, 1<<16)
+		scan journalScan
+		br   = bufio.NewReaderSize(r, 1<<16)
 	)
 scanning:
 	for {
@@ -255,28 +244,21 @@ scanning:
 			}
 			scan.header = *line.Journal
 		case line.Record != nil:
-			pending[journalKey{line.Record.Point, line.Record.Index}] = line.Record
-		case line.Done != nil:
-			if rec, ok := pending[*line.Done]; ok {
-				delete(pending, *line.Done)
-				onRecord(rec)
-			}
+			onRecord(line.Record)
 		default:
 			scan.tail = tailGarbled
 			break scanning
 		}
 		scan.offset += int64(len(raw))
 	}
-	scan.inFlight = len(pending)
 	return scan, nil
 }
 
 // load replays the journal for a resume: the header must carry this
-// configuration's fingerprint, every complete record is kept (still
-// marshalled) for lookup, and a record without its fsync'd done marker — or
-// any torn/garbled tail — is discarded by truncating the file to the last
-// trusted line, so a crash costs at most the records of the last commit
-// round.
+// configuration's fingerprint, every whole record line is kept (still
+// marshalled) for lookup, and a torn or garbled tail is discarded by
+// truncating the file to the last trusted line, so a crash costs at most
+// the records of the last commit round.
 func (j *journal) load(fingerprint string) error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
@@ -331,11 +313,9 @@ func (j *journal) write(b []byte) error {
 }
 
 // append journals one completed record: it queues the record line and
-// returns once the commit round that wrote it has been fsync'd. The
-// record is then staged — durable, its done marker pending — and the
-// marker rides on the next round, so a marker on disk still proves its
-// record is whole. A write or fsync error fails every waiting and later
-// append. Nil-receiver safe (checkpointing disabled).
+// returns once the commit round that wrote it has been fsync'd. A write or
+// fsync error fails every waiting and later append. Nil-receiver safe
+// (checkpointing disabled).
 func (j *journal) append(rec journalRecord[*ExperimentRecord]) error {
 	if j == nil {
 		return nil
@@ -360,11 +340,10 @@ func (j *journal) append(rec journalRecord[*ExperimentRecord]) error {
 	// the miss costs one redundant re-run — the rerun's record is
 	// journaled again and the later copy wins on the next resume.
 	j.lines = append(append(j.lines, b...), '\n')
-	j.keys = append(j.keys, journalKey{rec.Point, rec.Index})
 	round := j.started + 1
 	j.queued.Signal()
 	for j.synced < round && j.err == nil {
-		j.staged.Wait()
+		j.flushed.Wait()
 	}
 	if j.synced >= round {
 		return nil
@@ -372,50 +351,37 @@ func (j *journal) append(rec journalRecord[*ExperimentRecord]) error {
 	return j.err
 }
 
-// commit is the journal's committer goroutine. Each round is one write —
-// the done markers of the records the previous round fsync'd, then every
-// record line queued since — and one fsync. A round starts only when a
-// record is queued, or on Close, whose final round writes the last
-// markers; there are no marker-only rounds mid-run, no timer, no knob. The
-// first error ends the committer and is returned by every append after it.
+// commit is the journal's committer goroutine. Each round swaps out every
+// record line queued since the last one and writes them in one write and
+// one fsync; a round starts only when a record is queued — no timer, no
+// knob. The committer returns on Close once the queue is empty, or on the
+// first error, which every append after it returns.
 func (j *journal) commit() {
 	defer close(j.exited)
-	var (
-		round  bytes.Buffer // reused across rounds
-		enc    = json.NewEncoder(&round)
-		staged []journalKey // the records the last round fsync'd
-	)
+	var round []byte // the lines the last round wrote; its array queues the next
 	for {
-		round.Reset()
-		var err error
-		for i := 0; err == nil && i < len(staged); i++ {
-			err = enc.Encode(journalLine[struct{}]{Done: &staged[i]})
-		}
 		j.cmu.Lock()
-		for len(j.keys) == 0 && !j.closing {
+		for len(j.lines) == 0 && !j.closing {
 			j.queued.Wait()
 		}
-		round.Write(j.lines)
-		j.lines = j.lines[:0]
-		staged, j.keys = j.keys, staged[:0]
-		last := j.closing && len(staged) == 0
+		if len(j.lines) == 0 { // closing, and nothing left to write
+			j.cmu.Unlock()
+			return
+		}
+		round, j.lines = j.lines, round[:0]
 		j.started++
 		j.cmu.Unlock()
 
-		if err != nil {
-			err = fmt.Errorf("campaign: checkpoint: %w", err)
-		} else if round.Len() > 0 {
-			err = j.write(round.Bytes())
-		}
+		err := j.write(round)
 		j.cmu.Lock()
 		if err != nil {
 			j.err = err
 		} else {
 			j.synced++
 		}
-		j.staged.Broadcast()
+		j.flushed.Broadcast()
 		j.cmu.Unlock()
-		if err != nil || last {
+		if err != nil {
 			return
 		}
 	}
@@ -448,10 +414,10 @@ func (j *journal) lookup(point string, index int, fingerprint string) (json.RawM
 	return rec.Experiment, nil
 }
 
-// Close commits the last round — the done markers of the records the
-// final append staged — stops the committer, and closes the file. It
-// returns the first write or fsync error the journal met, so a campaign
-// whose last markers did not reach the disk fails. Nil-receiver safe.
+// Close stops the committer once any lines already queued are written —
+// Close itself writes nothing — and closes the file. It returns the first
+// write or fsync error the journal met, or the close error. Nil-receiver
+// safe.
 func (j *journal) Close() error {
 	if j == nil {
 		return nil
@@ -468,9 +434,10 @@ func (j *journal) Close() error {
 	return err
 }
 
-// closeJournal closes an engine's journal on its way out, joining a failed
-// final commit into the engine's error *err: a run whose last done markers
-// did not reach the disk has failed.
+// closeJournal closes an engine's journal on its way out, joining the
+// journal's sticky commit error, or the file's close error, into the
+// engine's error *err: a run whose records did not all reach the disk has
+// failed.
 func closeJournal(j *journal, err *error) {
 	if cerr := j.Close(); cerr != nil {
 		*err = errors.Join(*err, cerr)
@@ -513,9 +480,8 @@ func (sj *studyJournal) lookup(index int) (*ExperimentRecord, error) {
 	return rec, nil
 }
 
-// record journals one completed record and returns once it is durable;
-// its done marker lands with the next commit round, so the progress event
-// the pipeline emits after it means "record fsync'd, marker pending".
+// record journals one completed record and returns once it is durable, so
+// the progress event the pipeline emits after it means "record fsync'd".
 func (sj *studyJournal) record(rec *ExperimentRecord) error {
 	if sj == nil {
 		return nil

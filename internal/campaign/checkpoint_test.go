@@ -261,9 +261,8 @@ func TestMatrixResumeAfterInterrupt(t *testing.T) {
 	}
 }
 
-// TestCheckpointTornTailReexecuted: a record whose fsync'd completion
-// marker is missing (the crash hit between the two writes) must not be
-// trusted — resume re-executes exactly that experiment.
+// TestCheckpointTornTailReexecuted: a torn record line (the crash hit mid
+// write) must not be trusted — resume re-executes exactly that experiment.
 func TestCheckpointTornTailReexecuted(t *testing.T) {
 	dir := ckptDir(t, "torn-tail")
 	c1 := countingStepCampaign(t, 2, 1, nil)
@@ -272,18 +271,18 @@ func TestCheckpointTornTailReexecuted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the journal: drop the final completion marker and leave a
-	// garbled half-line behind it, as a crash mid-append would.
+	// Tear the journal: cut the final record line in half, as a crash
+	// mid-append would.
 	path := filepath.Join(dir, journalName)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
-	if len(lines) != 5 { // header + 2×(record, done)
-		t.Fatalf("journal has %d lines, want 5", len(lines))
+	lines := strings.SplitAfter(string(b), "\n")
+	if len(lines) != 4 || lines[3] != "" { // header + 2 records
+		t.Fatalf("journal has %d lines, want 3", len(lines)-1)
 	}
-	torn := strings.Join(lines[:4], "\n") + "\n" + `{"record":{"Point":"steps","Ind`
+	torn := lines[0] + lines[1] + lines[2][:len(lines[2])/2]
 	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +295,7 @@ func TestCheckpointTornTailReexecuted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt64(&ran); got != 3 {
-		t.Errorf("resume executed %d app bodies, want 3 (exactly the unmarked experiment)", got)
+		t.Errorf("resume executed %d app bodies, want 3 (exactly the torn experiment)", got)
 	}
 	for i, rec := range res.Study("steps").Records {
 		if rec == nil || !rec.Completed {
@@ -332,6 +331,53 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	if _, err := Run(context.Background(), c3); err == nil || !strings.Contains(err.Error(), "different study configuration") {
 		t.Errorf("changed study resumed silently: err = %v", err)
 	}
+}
+
+// TestCheckpointV1JournalRefused: a journal whose header says version 1
+// (the format with done markers) is refused by resume and by both
+// read-only readers, each naming both versions, and the refused resume
+// leaves the file byte for byte as it was.
+func TestCheckpointV1JournalRefused(t *testing.T) {
+	dir := ckptDir(t, "v1-refused")
+	c1 := countingStepCampaign(t, 2, 1, nil)
+	c1.Checkpoint = &Checkpoint{Dir: dir}
+	if _, err := Run(context.Background(), c1); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, journalName)
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(v2, []byte(`"Version":2`), []byte(`"Version":1`), 1)
+	if bytes.Equal(v1, v2) {
+		t.Fatalf("journal header carries no version 2: %.80s", v2)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	namesBoth := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "writes 2") {
+			t.Errorf("%s of a v1 journal: err = %v, want a refusal naming versions 1 and 2", what, err)
+		}
+	}
+
+	var ran int64
+	c2 := countingStepCampaign(t, 2, 1, &ran)
+	c2.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
+	_, err = Run(context.Background(), c2)
+	namesBoth("resume", err)
+	if got := atomic.LoadInt64(&ran); got != 0 {
+		t.Errorf("refused resume executed %d app bodies", got)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, v1) {
+		t.Errorf("refused resume modified the journal (err %v): %d bytes, was %d", err, len(after), len(v1))
+	}
+	_, err = SummarizeJournal(dir)
+	namesBoth("SummarizeJournal", err)
+	_, _, err = WalkJournal(dir, func(RecordSummary) { t.Error("WalkJournal handed out a v1 record") })
+	namesBoth("WalkJournal", err)
 }
 
 // TestDuplicateStudyNamesRejected: duplicate study names would shadow

@@ -185,12 +185,11 @@ func journalKeys(t testing.TB, dir, fingerprint string) (loaded, walked []journa
 }
 
 // journalShape is a journal's line structure, read without readJournal:
-// the offset just past each whole line and the key each record or done
-// line carries (the header's is the zero key).
+// the offset just past each whole line and the key each record line
+// carries (the header's is the zero key).
 type journalShape struct {
-	ends  []int
-	keys  []journalKey
-	isRec []bool
+	ends []int
+	keys []journalKey
 }
 
 func shapeOf(t testing.TB, whole []byte) journalShape {
@@ -206,15 +205,11 @@ func shapeOf(t testing.TB, whole []byte) journalShape {
 			t.Fatalf("line at %d: %v", start, err)
 		}
 		var k journalKey
-		switch {
-		case line.Record != nil:
+		if line.Record != nil {
 			k = journalKey{line.Record.Point, line.Record.Index}
-		case line.Done != nil:
-			k = *line.Done
 		}
 		sh.ends = append(sh.ends, i+1)
 		sh.keys = append(sh.keys, k)
-		sh.isRec = append(sh.isRec, line.Record != nil)
 		start = i + 1
 	}
 	if start != len(whole) {
@@ -225,10 +220,10 @@ func shapeOf(t testing.TB, whole []byte) journalShape {
 
 // checkEveryOffset cuts a journal at every byte offset — every crash point
 // of a commit round — and checks that the three readers agree on which
-// records are complete, that they are exactly the records whose done
-// marker is whole in the prefix, that the records without one are counted
-// in flight, and that the loader truncates to the end of the last whole
-// line and nowhere else.
+// records are complete, that they are exactly the records whose line is
+// whole in the prefix, that a cut inside a line is reported as appending,
+// and that the loader truncates to the end of the last whole line and
+// nowhere else.
 func checkEveryOffset(t *testing.T, whole []byte, fp string) {
 	sh := shapeOf(t, whole)
 	dir := t.TempDir()
@@ -238,18 +233,10 @@ func checkEveryOffset(t *testing.T, whole []byte, fp string) {
 		}
 		lines := sort.SearchInts(sh.ends, n+1) // whole lines in the prefix
 		trusted := 0
+		var want []journalKey
 		if lines > 0 {
 			trusted = sh.ends[lines-1]
-		}
-		var want []journalKey
-		inFlight := 0
-		for i := 1; i < lines; i++ {
-			if sh.isRec[i] {
-				inFlight++
-			} else {
-				want = append(want, sh.keys[i])
-				inFlight--
-			}
+			want = append(want, sh.keys[1:lines]...)
 		}
 		sort.Slice(want, func(a, b int) bool {
 			return want[a].Point < want[b].Point || want[a].Point == want[b].Point && want[a].Index < want[b].Index
@@ -259,8 +246,8 @@ func checkEveryOffset(t *testing.T, whole []byte, fp string) {
 		if !reflect.DeepEqual(loaded, want) || !reflect.DeepEqual(walked, want) || sum.Complete() != len(want) {
 			t.Fatalf("cut at %d: loader %v, walk %v, summary %d complete; want %v", n, loaded, walked, sum.Complete(), want)
 		}
-		if sum.InFlight != inFlight || sum.Appending != (n > trusted) || sum.Torn {
-			t.Fatalf("cut at %d: in flight %d, appending %v, torn %v; want %d, %v, false", n, sum.InFlight, sum.Appending, sum.Torn, inFlight, n > trusted)
+		if sum.Appending != (n > trusted) || sum.Torn {
+			t.Fatalf("cut at %d: appending %v, torn %v; want %v, false", n, sum.Appending, sum.Torn, n > trusted)
 		}
 		if size != int64(trusted) {
 			t.Fatalf("cut at %d: loader left %d bytes, want %d (the last whole line)", n, size, trusted)
@@ -269,12 +256,9 @@ func checkEveryOffset(t *testing.T, whole []byte, fp string) {
 }
 
 // TestJournalTruncatedAtEveryOffset runs checkEveryOffset over a workers-1
-// study journal — whose lines strictly alternate record, done — and over a
-// workers-2 matrix journal, where two points append concurrently and their
-// lines interleave. The matrix journal is also checked with two records
-// regrouped into one commit round (record X, record Y, done X), the shape
-// group commit writes when both appenders queue before the same round.
-// Run under -race in CI.
+// study journal — whose records are in index order — and over a workers-2
+// matrix journal, where two points append concurrently and their records
+// interleave. Run under -race in CI.
 func TestJournalTruncatedAtEveryOffset(t *testing.T) {
 	t.Run("workers 1", func(t *testing.T) {
 		c := stepCampaign(t, 3, 1)
@@ -286,7 +270,7 @@ func TestJournalTruncatedAtEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertAlternates(t, shapeOf(t, whole), 3)
+		assertInIndexOrder(t, shapeOf(t, whole), 3)
 		checkEveryOffset(t, whole, ConfigFingerprint(c))
 	})
 	t.Run("workers 2 matrix", func(t *testing.T) {
@@ -299,29 +283,10 @@ func TestJournalTruncatedAtEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh := shapeOf(t, whole)
-		if len(sh.ends) != 1+2*4 {
-			t.Fatalf("journal has %d lines, want header + 4 x (record, done)", len(sh.ends))
+		if sh := shapeOf(t, whole); len(sh.ends) != 1+4 {
+			t.Fatalf("journal has %d lines, want header + 4 records", len(sh.ends))
 		}
-		fp := ConfigFingerprint(c)
-		checkEveryOffset(t, whole, fp)
-
-		// Regroup: move the first record that directly follows a done
-		// marker up past it, so it shares a round with the record the
-		// marker closes.
-		var lines [][]byte
-		start := 0
-		for _, end := range sh.ends {
-			lines = append(lines, whole[start:end])
-			start = end
-		}
-		for i := 2; i < len(lines); i++ {
-			if !sh.isRec[i-1] && sh.isRec[i] {
-				lines[i-1], lines[i] = lines[i], lines[i-1]
-				break
-			}
-		}
-		checkEveryOffset(t, bytes.Join(lines, nil), fp)
+		checkEveryOffset(t, whole, ConfigFingerprint(c))
 	})
 }
 
@@ -338,26 +303,24 @@ func cutMatrix(t testing.TB, workers int) (*Campaign, *Matrix) {
 	}
 }
 
-// assertAlternates checks a one-appender journal's shape: header, then
-// (record k, done k) for k = 0..n-1 — the bytes a per-record writer left.
-func assertAlternates(t testing.TB, sh journalShape, n int) {
+// assertInIndexOrder checks a one-appender journal's shape: header, then
+// record k for k = 0..n-1.
+func assertInIndexOrder(t testing.TB, sh journalShape, n int) {
 	t.Helper()
-	if len(sh.ends) != 1+2*n {
-		t.Fatalf("journal has %d lines, want header + %d x (record, done)", len(sh.ends), n)
+	if len(sh.ends) != 1+n {
+		t.Fatalf("journal has %d lines, want header + %d records", len(sh.ends), n)
 	}
 	for i := 1; i < len(sh.ends); i++ {
-		if sh.isRec[i] != (i%2 == 1) || sh.keys[i].Index != (i-1)/2 {
-			t.Fatalf("line %d is (record %v, %+v); want record/done alternating in index order", i, sh.isRec[i], sh.keys[i])
+		if sh.keys[i].Index != i-1 {
+			t.Fatalf("line %d is record %+v; want records in index order", i, sh.keys[i])
 		}
 	}
 }
 
 // TestJournalGroupCommitFsyncs counts the journal's fsyncs through the
-// campaign metrics: a workers-1 study of N experiments pays the header, one
-// round per record (carrying the previous record's marker), and the final
-// marker round at Close — N+2, where the per-record writer paid 2N+1 — and
-// a workers-2 matrix never pays more, with every marker on disk once
-// RunMatrix returns.
+// campaign metrics: a workers-1 study of N experiments pays the header and
+// one round per record — N+1; Close writes nothing — and a workers-2 matrix
+// never pays more, with every record on disk once RunMatrix returns.
 func TestJournalGroupCommitFsyncs(t *testing.T) {
 	const n = 4
 	fsyncs := func(c *Campaign) uint64 {
@@ -374,14 +337,14 @@ func TestJournalGroupCommitFsyncs(t *testing.T) {
 		if _, err := Run(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
-		if got := fsyncs(c); got != n+2 {
-			t.Errorf("%d fsyncs for %d experiments, want %d", got, n, n+2)
+		if got := fsyncs(c); got != n+1 {
+			t.Errorf("%d fsyncs for %d experiments, want %d", got, n, n+1)
 		}
 		whole, err := os.ReadFile(JournalPath(c.Checkpoint.Dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertAlternates(t, shapeOf(t, whole), n)
+		assertInIndexOrder(t, shapeOf(t, whole), n)
 	})
 	t.Run("workers 2 matrix", func(t *testing.T) {
 		c, m := cutMatrix(t, 2) // 2 points x 2 experiments
@@ -390,16 +353,16 @@ func TestJournalGroupCommitFsyncs(t *testing.T) {
 		if _, err := RunMatrix(context.Background(), c, m); err != nil {
 			t.Fatal(err)
 		}
-		if got := fsyncs(c); got > n+2 {
-			t.Errorf("%d fsyncs for %d experiments, want at most %d", got, n, n+2)
+		if got := fsyncs(c); got > n+1 {
+			t.Errorf("%d fsyncs for %d experiments, want at most %d", got, n, n+1)
 		}
 		sum, err := SummarizeJournal(c.Checkpoint.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.Complete() != n || sum.InFlight != 0 || sum.Appending || sum.Torn {
-			t.Errorf("after RunMatrix: %d complete, %d in flight, appending %v, torn %v; want %d, 0, false, false",
-				sum.Complete(), sum.InFlight, sum.Appending, sum.Torn, n)
+		if sum.Complete() != n || sum.Appending || sum.Torn {
+			t.Errorf("after RunMatrix: %d complete, appending %v, torn %v; want %d, false, false",
+				sum.Complete(), sum.Appending, sum.Torn, n)
 		}
 	})
 }
@@ -470,8 +433,8 @@ func FuzzReadJournal(f *testing.F) {
 		f.Add(b[:len(b)/2])
 		f.Add(append(append([]byte{}, b...), "not json\n"...))
 	}
-	f.Add([]byte(`{"journal":{"Version":1,"Campaign":"c","Fingerprint":"f"}}` + "\n" + pinAcceptedRaw + "\n" + `{"done":{"Point":"pin/point","Index":3}}` + "\n" + pinDiscarded + "\n"))
-	f.Add([]byte(`{"journal":{"Version":2}}` + "\n"))
+	f.Add([]byte(`{"journal":{"Version":2,"Campaign":"c","Fingerprint":"f"}}` + "\n" + pinAcceptedRaw + "\n" + pinDiscarded + "\n"))
+	f.Add([]byte(`{"journal":{"Version":1}}` + "\n" + pinDiscarded + "\n" + `{"done":{"Point":"pin/point","Index":4}}` + "\n"))
 	f.Add([]byte(`{"record":{"Point":"p"}}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -490,7 +453,7 @@ func FuzzReadJournal(f *testing.F) {
 			t.Fatalf("trusted offset %d of %d does not end a line", scan.offset, len(data))
 		}
 		again, keys2, err := read(data[:scan.offset])
-		if err != nil || again.offset != scan.offset || again.tail != tailClean || again.inFlight != scan.inFlight || !reflect.DeepEqual(keys, keys2) {
+		if err != nil || again.offset != scan.offset || again.tail != tailClean || !reflect.DeepEqual(keys, keys2) {
 			t.Fatalf("re-reading the trusted prefix: %+v %v (err %v), first read %+v %v", again, keys2, err, scan, keys)
 		}
 		verdicts := 0

@@ -18,7 +18,7 @@ import (
 type PointProgress struct {
 	// Point is the study or matrix point name the records are keyed by.
 	Point string
-	// Complete counts records whose fsync'd done marker survived.
+	// Complete counts records whose whole line survived.
 	Complete int
 	// Accepted counts complete records that passed the analysis phase.
 	Accepted int
@@ -37,12 +37,6 @@ type JournalSummary struct {
 	Fingerprint string
 	// Points lists per-point progress, sorted by point name.
 	Points []PointProgress
-	// InFlight counts records whose done marker has not landed yet. On a
-	// live journal these are records whose commit round is being written
-	// or was fsync'd with the marker riding on the next round; after a
-	// crash they are the last round's records (at most one per concurrent
-	// appender), which the next resume discards and re-executes.
-	InFlight int
 	// Appending reports trailing bytes without a newline: a writer is
 	// mid-append right now, or crashed there. Either way the bytes are
 	// ignored, not an error.
@@ -100,10 +94,10 @@ func walkJournal(dir string, fn func(*journalRecord[RecordSummary])) (journalSca
 }
 
 // SummarizeJournal reads the checkpoint journal under dir and summarizes
-// it. Only records followed by their completion marker are counted,
-// mirroring what a resume would trust. The tail is classified, never
-// truncated: a live campaign mid-append shows up as Appending and/or
-// InFlight records; Torn is reserved for a genuinely garbled tail.
+// it. Only whole record lines are counted, mirroring what a resume would
+// trust. The tail is classified, never truncated: a live campaign
+// mid-append shows up as Appending; Torn is reserved for a genuinely
+// garbled tail.
 func SummarizeJournal(dir string) (*JournalSummary, error) {
 	points := make(map[string]*PointProgress)
 	scan, err := walkJournal(dir, func(rec *journalRecord[RecordSummary]) {
@@ -124,7 +118,6 @@ func SummarizeJournal(dir string) (*JournalSummary, error) {
 		Path:        JournalPath(dir),
 		Campaign:    scan.header.Campaign,
 		Fingerprint: scan.header.Fingerprint,
-		InFlight:    scan.inFlight,
 		Appending:   scan.tail == tailAppending,
 		Torn:        scan.tail == tailGarbled,
 	}
@@ -136,10 +129,9 @@ func SummarizeJournal(dir string) (*JournalSummary, error) {
 }
 
 // WalkJournal reads the checkpoint journal under dir and calls fn once
-// per completed record (a record whose fsync'd done marker survived), in
-// journal order. Like SummarizeJournal it is read-only and never
-// truncates a live tail. It returns the journal header's campaign name
-// and fingerprint.
+// per completed record (a whole record line), in journal order. Like
+// SummarizeJournal it is read-only and never truncates a live tail. It
+// returns the journal header's campaign name and fingerprint.
 func WalkJournal(dir string, fn func(RecordSummary)) (campaignName, fingerprint string, err error) {
 	scan, err := walkJournal(dir, func(rec *journalRecord[RecordSummary]) {
 		rec.Experiment.Point = rec.Point

@@ -104,10 +104,10 @@ func TestSummarizeJournalCounts(t *testing.T) {
 }
 
 // TestSummarizeJournalTailStates: a journal a live campaign is still
-// appending to — a record whose done marker has not landed, plus a
-// half-written trailing line — is reported as in-flight and appending,
-// not torn; Torn is reserved for a garbled complete line. Counts always
-// cover the intact prefix.
+// appending to — a whole record line, then a half-written one — counts the
+// whole line as complete and is reported as appending, not torn; Torn is
+// reserved for a garbled complete line. Counts always cover the intact
+// prefix.
 func TestSummarizeJournalTailStates(t *testing.T) {
 	dir := t.TempDir()
 	c := stepCampaign(t, 2, 1)
@@ -121,10 +121,10 @@ func TestSummarizeJournalTailStates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A writer mid-flight: the record line landed, its done marker is a
+	// A writer mid-round: one record line landed whole, the next is a
 	// partial write with no newline yet.
 	live := append(append([]byte{}, clean...),
-		`{"record":{"Point":"steps","Index":9,"Fingerprint":"x","Experiment":{"Study":"steps","Index":9}}}`+"\n"+`{"done":{"Po`...)
+		`{"record":{"Point":"steps","Index":9,"Fingerprint":"x","Experiment":{"Study":"steps","Index":9}}}`+"\n"+`{"record":{"Po`...)
 	if err := os.WriteFile(path, live, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestSummarizeJournalTailStates(t *testing.T) {
 	if sum.Torn {
 		t.Error("live journal reported torn")
 	}
-	if !sum.Appending || sum.InFlight != 1 {
-		t.Errorf("live journal: appending=%v inflight=%d, want true/1", sum.Appending, sum.InFlight)
+	if !sum.Appending {
+		t.Error("live journal not reported appending")
 	}
-	if sum.Complete() != 2 || sum.Accepted() != 2 {
-		t.Errorf("live journal totals = %d/%d, want 2/2", sum.Complete(), sum.Accepted())
+	if sum.Complete() != 3 || sum.Accepted() != 2 {
+		t.Errorf("live journal totals = %d/%d, want 3/2", sum.Complete(), sum.Accepted())
 	}
 
 	// A garbled complete line is damage, not a live append.
@@ -151,8 +151,8 @@ func TestSummarizeJournalTailStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.Torn || sum.Appending || sum.InFlight != 0 {
-		t.Errorf("garbled journal: torn=%v appending=%v inflight=%d, want true/false/0", sum.Torn, sum.Appending, sum.InFlight)
+	if !sum.Torn || sum.Appending {
+		t.Errorf("garbled journal: torn=%v appending=%v, want true/false", sum.Torn, sum.Appending)
 	}
 	if sum.Complete() != 2 {
 		t.Errorf("garbled journal complete = %d, want 2", sum.Complete())

@@ -18,10 +18,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden journals"
 // campaign-file path, must keep producing canonical records byte-identical
 // to the journals captured before the application layer moved onto the
 // public SPI. Virtual time plus one worker makes the checkpoint journal
-// fully deterministic (PR 6), so the whole file — header fingerprint,
-// record wire bytes, done markers — is the comparison unit: any behavioural
+// fully deterministic (PR 6), so the whole file — header version and
+// fingerprint, record wire bytes — is the comparison unit: any behavioural
 // drift in a ported application, the registry build path, or the record
-// encoding shows up as a byte diff.
+// encoding shows up as a byte diff. The goldens were regenerated once, for
+// journal version 2 (PR 18), which dropped the done-marker lines and left
+// every record line byte-identical.
 
 const goldenElectionDoc = `{
   "name": "golden-election",

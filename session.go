@@ -551,7 +551,7 @@ type PointStatus struct {
 	// Expected is the configured experiment count (0 when the point
 	// appears only in the journal).
 	Expected int
-	// Complete counts journaled records with their fsync'd done marker.
+	// Complete counts journaled records whose whole line survived.
 	Complete int
 	// Accepted counts complete records that passed the analysis phase.
 	Accepted int
@@ -582,12 +582,6 @@ type SessionStatus struct {
 	// sessions compare the header only (each point's fingerprint depends
 	// on its materialized study; resume still verifies them per record).
 	FingerprintMatch bool
-	// InFlight counts journaled records whose done marker has not landed:
-	// on a live campaign, records of the commit round being written or
-	// just fsync'd (their markers ride on the next round); after a crash,
-	// the last round's records (at most one per worker), which the next
-	// Resume discards and re-executes.
-	InFlight int
 	// Appending reports trailing journal bytes without a newline — a
 	// writer mid-append, or a crash at that instant. The bytes are
 	// ignored, not an error.
@@ -663,7 +657,6 @@ func (s *Session) Status() (*SessionStatus, error) {
 		Campaign:         sum.Campaign,
 		Fingerprint:      sum.Fingerprint,
 		FingerprintMatch: match,
-		InFlight:         sum.InFlight,
 		Appending:        sum.Appending,
 		Torn:             sum.Torn,
 	}

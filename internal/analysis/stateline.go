@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/faultexpr"
@@ -73,19 +74,32 @@ type Stateline struct {
 // chosen abstraction level are exactly the recorded ones).
 func NewStateline(g *Global) *Stateline {
 	s := &Stateline{
-		spans:   make(map[string][]certainSpan),
-		changes: make(map[string][]Event),
+		spans:   make(map[string][]certainSpan, len(g.Machines)),
+		changes: make(map[string][]Event, len(g.Machines)),
 	}
-	bpSet := make(map[vclock.Ticks]bool)
+	// Every machine's changes and spans are windows of one array each,
+	// sized by the timeline's state changes.
+	total := 0
+	for _, e := range g.Events {
+		if e.Kind == timeline.StateChange {
+			total++
+		}
+	}
+	changeBuf := make([]Event, 0, total)
+	spanBuf := make([]certainSpan, 0, total)
+	s.breakpoints = make([]vclock.Ticks, 0, 2*total)
 	for _, m := range g.Machines {
-		var changes []Event
-		for _, e := range g.MachineEvents(m) {
-			if e.Kind == timeline.StateChange {
-				changes = append(changes, e)
+		start := len(changeBuf)
+		for _, e := range g.Events {
+			if e.Machine == m && e.Kind == timeline.StateChange {
+				changeBuf = append(changeBuf, e)
 			}
 		}
-		s.changes[m] = changes
-		var spans []certainSpan
+		changes := changeBuf[start:len(changeBuf):len(changeBuf)]
+		if len(changes) > 0 {
+			s.changes[m] = changes
+		}
+		first := len(spanBuf)
 		for i, e := range changes {
 			lo := e.Ref.Hi
 			hi := vclock.Ticks(math.MaxInt64)
@@ -96,18 +110,18 @@ func NewStateline(g *Global) *Stateline {
 				// Uncertainty windows overlap: no provable occupancy.
 				continue
 			}
-			spans = append(spans, certainSpan{state: e.State, lo: lo, hi: hi})
-			bpSet[lo] = true
+			spanBuf = append(spanBuf, certainSpan{state: e.State, lo: lo, hi: hi})
+			s.breakpoints = append(s.breakpoints, lo)
 			if hi != math.MaxInt64 {
-				bpSet[hi] = true
+				s.breakpoints = append(s.breakpoints, hi)
 			}
 		}
-		s.spans[m] = spans
+		if len(spanBuf) > first {
+			s.spans[m] = spanBuf[first:len(spanBuf):len(spanBuf)]
+		}
 	}
-	for bp := range bpSet {
-		s.breakpoints = append(s.breakpoints, bp)
-	}
-	sort.Slice(s.breakpoints, func(i, j int) bool { return s.breakpoints[i] < s.breakpoints[j] })
+	slices.Sort(s.breakpoints)
+	s.breakpoints = slices.Compact(s.breakpoints)
 	return s
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/clocksync"
 	"repro/internal/core"
-	"repro/internal/faultexpr"
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/timeline"
@@ -406,13 +405,13 @@ func RunSingle(ctx context.Context, c *Campaign) (*ExperimentRecord, error) {
 // the analysis proper it settles the experiment's observability: the
 // verdict counters, the analyze/verdict trace entries, and the trace
 // artifact itself.
-func analyzeExperiment(c *Campaign, st *Study, raw *rawExperiment) (*ExperimentRecord, error) {
+func analyzeExperiment(c *Campaign, st *Study, raw *rawExperiment, est *clocksync.Estimator) (*ExperimentRecord, error) {
 	cm := c.Obs.CampaignMetrics()
 	var wall time.Time
 	if cm != nil {
 		wall = obs.Now()
 	}
-	rec, err := analyzeExperimentRecord(c, st, raw)
+	rec, err := analyzeExperimentRecord(c, st, raw, est)
 	if err != nil {
 		return rec, err
 	}
@@ -460,7 +459,7 @@ func verdictName(rec *ExperimentRecord) string {
 }
 
 // analyzeExperimentRecord is the analysis phase proper.
-func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment) (*ExperimentRecord, error) {
+func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment, est *clocksync.Estimator) (*ExperimentRecord, error) {
 	rec := &ExperimentRecord{
 		Study:     st.Name,
 		Index:     raw.index,
@@ -481,7 +480,7 @@ func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment) (*Exper
 		rec.AnalysisError = fmt.Sprintf("timelines not collected for %v", raw.lostTimelines)
 		return rec, nil
 	}
-	bounds, err := clocksync.EstimateAll(raw.allStamps(), raw.ref)
+	bounds, err := est.EstimateAll(raw.allStamps(), raw.ref)
 	if err != nil {
 		// Infeasible synchronization — a stepped or otherwise non-affine
 		// clock — means nothing about this run can be verified: discard
@@ -491,7 +490,7 @@ func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment) (*Exper
 		// mid-experiment (§2.5's linear-drift assumption was violated
 		// between the phases, not within them).
 		rec.AnalysisError = fmt.Sprintf("clock sync: %v", err)
-		rec.ClockStepHosts, rec.ClockStepBounds = clockStepHosts(raw)
+		rec.ClockStepHosts, rec.ClockStepBounds = clockStepHosts(raw, est)
 		rec.ClockStepSuspected = len(rec.ClockStepHosts) > 0
 		return rec, nil
 	}
@@ -513,12 +512,12 @@ func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment) (*Exper
 // rigorous interval on each step's magnitude. Empty when either phase
 // fails to fit on its own (then the timestamps are bad in a way a step
 // cannot explain).
-func clockStepHosts(raw *rawExperiment) ([]string, map[string]StepBound) {
-	pre, err := clocksync.EstimateAll(raw.preStamps, raw.ref)
+func clockStepHosts(raw *rawExperiment, est *clocksync.Estimator) ([]string, map[string]StepBound) {
+	pre, err := est.EstimateAll(raw.preStamps, raw.ref)
 	if err != nil {
 		return nil, nil
 	}
-	post, err := clocksync.EstimateAll(raw.postStamps, raw.ref)
+	post, err := est.EstimateAll(raw.postStamps, raw.ref)
 	if err != nil {
 		return nil, nil
 	}
@@ -549,21 +548,4 @@ func clockStepHosts(raw *rawExperiment) ([]string, map[string]StepBound) {
 	}
 	sort.Strings(hosts)
 	return hosts, bounds
-}
-
-// snapshotTimelines deep-copies the store's timelines so later experiments
-// cannot alias them.
-func snapshotTimelines(in []*timeline.Local) []*timeline.Local {
-	out := make([]*timeline.Local, len(in))
-	for i, l := range in {
-		cp := *l
-		cp.Entries = append([]timeline.Entry(nil), l.Entries...)
-		cp.Machines = append([]string(nil), l.Machines...)
-		cp.GlobalStates = append([]string(nil), l.GlobalStates...)
-		cp.Events = append([]string(nil), l.Events...)
-		cp.Faults = append([]faultexpr.Spec(nil), l.Faults...)
-		cp.Hosts = append([]string(nil), l.Hosts...)
-		out[i] = &cp
-	}
-	return out
 }

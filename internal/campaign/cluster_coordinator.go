@@ -77,7 +77,7 @@ func (m *Member) execute(index int) (executed, error) {
 		return executed{}, err
 	}
 
-	run.locals = snapshotTimelines(m.rt.Store().All())
+	run.locals = m.rt.Store().All()
 	run.outcomes = m.rt.Outcomes()
 	for _, peer := range sortedKeys(results) {
 		frames := results[peer]

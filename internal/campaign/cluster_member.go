@@ -360,7 +360,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					}
 					m.rt.SetTrace(nil) // the lane is final; stop recording
 				}
-				resFrames = resultFrames(m.rt.Logf, index, snapshotTimelines(m.rt.Store().All()), m.rt.Outcomes())
+				resFrames = resultFrames(m.rt.Logf, index, m.rt.Store().All(), m.rt.Outcomes())
 			}
 			for _, f := range resFrames {
 				m.sendCtrl(cm.Peer, opResult, f)

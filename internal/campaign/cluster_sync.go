@@ -35,7 +35,7 @@ func (m *Member) sync() ([]clocksync.StampedMessage, error) {
 		return nil, fmt.Errorf("campaign: coordinator %q does not own reference host %q", m.peer, m.ref)
 	}
 	// Local hosts: the ordinary in-memory exchange.
-	msgs := exchangeStamps(m.rt, m.ref, cfg)
+	msgs := exchangeStamps(m.rt, m.ref, m.rt.Hosts(), cfg)
 	// Remote hosts: socket ping-pong. The sequence number is monotonic
 	// across mini-phases and experiments, so a pong that straggled past
 	// its round's timeout can never be paired with a later round's

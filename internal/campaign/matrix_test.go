@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/clocksync"
 	"repro/internal/faultexpr"
 )
 
@@ -264,7 +265,7 @@ func TestStaleClockStepClearedBeforePreSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := analyzeExperiment(c, st, raw)
+	rec, err := analyzeExperiment(c, st, raw, new(clocksync.Estimator))
 	if err != nil {
 		t.Fatal(err)
 	}

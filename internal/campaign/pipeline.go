@@ -44,8 +44,9 @@ type testbed interface {
 	mergeLanes(index int, tr *obs.Trace)
 }
 
-// executed is what a testbed's execute step collected, deep-copied out of
-// the runtimes so the next experiment cannot alias it.
+// executed is what a testbed's execute step collected. The timelines are
+// the sealed runtimes' own (SealExperiment): no later experiment writes
+// them, so they are handed on without copying.
 type executed struct {
 	completed bool
 	outcomes  map[string]string
@@ -64,11 +65,12 @@ type opener func() (testbed, func(), error)
 // action faults — its own chaos engine, so concurrent experiments share no
 // mutable runtime state.
 type localTestbed struct {
-	c   *Campaign
-	st  *Study
-	rt  *core.Runtime
-	cd  *core.CentralDaemon
-	ref string
+	c     *Campaign
+	st    *Study
+	rt    *core.Runtime
+	cd    *core.CentralDaemon
+	hosts []string // sorted; the sync mini-phases walk them
+	ref   string
 }
 
 // openLocal is the opener of the in-process engine.
@@ -116,7 +118,8 @@ func newLocalTestbed(c *Campaign, st *Study) (*localTestbed, error) {
 	if tr := rt.Transport(); tr != nil {
 		transport.SetObserver(tr, c.Obs.TransportMetrics(tr.Name()))
 	}
-	return &localTestbed{c: c, st: st, rt: rt, cd: core.NewCentralDaemon(rt), ref: referenceHost(rt)}, nil
+	hosts := rt.Hosts()
+	return &localTestbed{c: c, st: st, rt: rt, cd: core.NewCentralDaemon(rt), hosts: hosts, ref: referenceHost(hosts)}, nil
 }
 
 func (tb *localTestbed) runtime() *core.Runtime { return tb.rt }
@@ -133,7 +136,7 @@ func (tb *localTestbed) reset(string, int, bool) error {
 }
 
 func (tb *localTestbed) sync() ([]clocksync.StampedMessage, error) {
-	return exchangeStamps(tb.rt, tb.ref, tb.c.Sync), nil
+	return exchangeStamps(tb.rt, tb.ref, tb.hosts, tb.c.Sync), nil
 }
 
 func (tb *localTestbed) execute(int) (executed, error) {
@@ -141,7 +144,7 @@ func (tb *localTestbed) execute(int) (executed, error) {
 	if err != nil {
 		return executed{}, err
 	}
-	return executed{completed: res.Completed, outcomes: res.Outcomes, locals: snapshotTimelines(res.Timelines)}, nil
+	return executed{completed: res.Completed, outcomes: res.Outcomes, locals: res.Timelines}, nil
 }
 
 // mergeLanes has nothing to fold: one runtime records every lane itself.
@@ -277,26 +280,25 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 			return false
 		}
 	}
-	// Cancellation is NOT a failure: it only stops the dispatcher, so
-	// every in-flight runtime phase still finishes, is analyzed, and is
-	// journaled (a resumed run loses nothing), and ctx.Err() surfaces at
-	// the end. Real failures close done and drop queued work.
-	stopDispatch := make(chan struct{})
-	stopWatch := onCancel(ctx, func() { close(stopDispatch) })
-
-	idxCh := make(chan int)
-	go func() {
-		defer close(idxCh)
-		for _, i := range missing {
-			select {
-			case idxCh <- i:
-			case <-done:
-				return
-			case <-stopDispatch:
-				return
-			}
+	// Workers claim the next missing index themselves: a dispatcher
+	// goroutine would be one more goroutine wake-up per experiment, which
+	// on a small machine is one more cross-CPU hand-off whose cost varies
+	// with the host's load. Cancellation is NOT a failure: it only stops
+	// further claims, so every in-flight runtime phase still finishes, is
+	// analyzed, and is journaled (a resumed run loses nothing), and
+	// ctx.Err() surfaces at the end. Real failures close done and drop
+	// queued work.
+	var claimed atomic.Int64
+	claim := func() (int, bool) {
+		if failed() || ctx.Err() != nil {
+			return 0, false
 		}
-	}()
+		k := int(claimed.Add(1) - 1)
+		if k >= len(missing) {
+			return 0, false
+		}
+		return missing[k], true
+	}
 
 	cm := c.Obs.CampaignMetrics()
 	rawCh := make(chan *rawExperiment, workers)
@@ -311,7 +313,7 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 				return
 			}
 			defer release()
-			for i := range idxCh {
+			for i, ok := claim(); ok; i, ok = claim() {
 				var busy time.Time
 				if cm != nil {
 					busy = obs.Now()
@@ -342,11 +344,12 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 		anWG.Add(1)
 		go func() {
 			defer anWG.Done()
+			var est clocksync.Estimator // this analysis worker's fitting scratch
 			for raw := range rawCh {
 				if failed() {
 					continue // drain
 				}
-				rec, err := analyzeExperiment(c, st, raw)
+				rec, err := analyzeExperiment(c, st, raw, &est)
 				if err != nil {
 					fail(err)
 					continue
@@ -367,7 +370,6 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 		}()
 	}
 	anWG.Wait()
-	stopWatch()
 
 	if firstErr != nil {
 		return nil, firstErr
@@ -381,10 +383,13 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 }
 
 // rawExperiment is the runtime phase's output handed to the analysis
-// stage: everything analysis needs, deep-copied out of the testbed so the
-// next experiment on it cannot alias it. The two sync mini-phases stay
-// separate so the analysis can compare their fits when the combined fit is
-// infeasible (clock-step detection).
+// stage: everything analysis needs. The analysis reads it while the worker
+// runs the next experiment, so everything in it — timelines, stamps,
+// outcomes — is the receiver's: the testbed hands these values over and
+// never recycles them (only the timelines' immutable header lists are
+// shared with later experiments). The two sync mini-phases stay separate so
+// the analysis can compare their fits when the combined fit is infeasible
+// (clock-step detection).
 type rawExperiment struct {
 	index      int
 	completed  bool

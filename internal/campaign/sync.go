@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -35,17 +36,22 @@ func (c *SyncConfig) setDefaults() {
 }
 
 // exchangeStamps runs one live mini-phase over the runtime's virtual host
-// clocks: for every non-reference host, Messages round trips are timed.
-// Because all clocks derive from one monotonic base, waiting out the
-// transit guarantees the positive-delay property the convex-hull estimator
-// relies on, while the clocks' hidden offset and drift make the estimation
-// non-trivial — exactly the geometry of real hardware.
-func exchangeStamps(rt *core.Runtime, ref string, cfg SyncConfig) []clocksync.StampedMessage {
+// clocks: for every host of hosts but the reference, Messages round trips
+// are timed. Because all clocks derive from one monotonic base, waiting
+// out the transit guarantees the positive-delay property the convex-hull
+// estimator relies on, while the clocks' hidden offset and drift make the
+// estimation non-trivial — exactly the geometry of real hardware. The
+// stamps are the caller's, in a slice of exactly their number.
+func exchangeStamps(rt *core.Runtime, ref string, hosts []string, cfg SyncConfig) []clocksync.StampedMessage {
 	cfg.setDefaults()
 	clk := rt.Clock()
 	refClock := rt.HostClock(ref)
-	var msgs []clocksync.StampedMessage
-	for _, host := range rt.Hosts() {
+	remotes := len(hosts)
+	if slices.Contains(hosts, ref) {
+		remotes--
+	}
+	msgs := make([]clocksync.StampedMessage, 0, 2*cfg.Messages*remotes)
+	for _, host := range hosts {
 		if host == ref {
 			continue
 		}
@@ -71,11 +77,10 @@ func exchangeStamps(rt *core.Runtime, ref string, cfg SyncConfig) []clocksync.St
 	return msgs
 }
 
-// referenceHost picks the reference machine: the first host in sorted
-// order, matching clocksync.ChooseReference's determinism. (The thesis
+// referenceHost picks the reference machine from the sorted host names:
+// the first, matching clocksync.ChooseReference's determinism. (The thesis
 // picks the fastest machine; virtual clocks tick at the same base rate.)
-func referenceHost(rt *core.Runtime) string {
-	hosts := rt.Hosts()
+func referenceHost(hosts []string) string {
 	if len(hosts) == 0 {
 		return ""
 	}

@@ -250,34 +250,56 @@ func (v *Virtual) Release() {
 	v.mu.Unlock()
 }
 
-// runTask executes one tracked task body on its own goroutine.
+// runTask executes tracked task bodies on one goroutine: when a body
+// returns, the next body dispatch would have started runs here instead of
+// on a fresh goroutine, so a chain of Go/AfterFunc bodies costs one
+// goroutine, not one each. The chain ends when the next runnable thing is
+// a parked waiter (its own goroutine resumes) or there is none. Order is
+// dispatch's either way: next makes the same choice dispatch does.
 func (v *Virtual) runTask(fn func()) {
 	defer func() {
+		if fn != nil { // the body left the goroutine (runtime.Goexit)
+			v.mu.Lock()
+			v.busy--
+			v.dispatch()
+			v.mu.Unlock()
+		}
+	}()
+	for fn != nil {
+		fn()
+		fn = nil
 		v.mu.Lock()
 		v.busy--
-		v.dispatch()
+		fn = v.next()
 		v.mu.Unlock()
-	}()
-	fn()
+	}
 }
 
 // dispatch, with v.mu held and no task running, starts the next runnable
-// task: first the FIFO of woken waiters and Go bodies, then — inside a
-// Drive window — the earliest pending timer, advancing simulated time to
-// its deadline. If a driver exists but nothing can ever run again, the
-// virtual testbed is deadlocked (a goroutine blocked outside the clock's
-// view) and dispatch panics rather than hang silently.
+// task; a task body gets a goroutine of its own.
 func (v *Virtual) dispatch() {
+	if fn := v.next(); fn != nil {
+		go v.runTask(fn)
+	}
+}
+
+// next, with v.mu held, picks the next runnable task: first the FIFO of
+// woken waiters and Go bodies, then — inside a Drive window — the earliest
+// pending timer, advancing simulated time to its deadline. A waiter is
+// resumed on its own goroutine; a task body is returned, already counted
+// busy, for the caller to run. If a driver exists but nothing can ever run
+// again, the virtual testbed is deadlocked (a goroutine blocked outside
+// the clock's view) and next panics rather than hang silently.
+func (v *Virtual) next() func() {
 	if v.busy > 0 {
-		return
+		return nil
 	}
 	if v.head < len(v.ready) {
 		it := v.popReady()
 		v.busy++
 		if it.fn != nil {
 			v.tasks++
-			go v.runTask(it.fn)
-			return
+			return it.fn
 		}
 		w := it.w
 		if w.timer.index >= 0 {
@@ -288,7 +310,7 @@ func (v *Virtual) dispatch() {
 		v.parked--
 		w.byWake = true
 		w.resume <- struct{}{}
-		return
+		return nil
 	}
 	if v.driving > 0 {
 		if v.timers.Len() > 0 {
@@ -300,15 +322,14 @@ func (v *Virtual) dispatch() {
 			v.firedTimers++
 			if e.fn != nil {
 				v.tasks++
-				go v.runTask(e.fn)
-				return
+				return e.fn
 			}
 			w := e.w
 			w.parked = false
 			v.parked--
 			w.byWake = false
 			w.resume <- struct{}{}
-			return
+			return nil
 		}
 		if v.parked > 0 {
 			panic(fmt.Sprintf(
@@ -320,6 +341,7 @@ func (v *Virtual) dispatch() {
 		close(v.idle)
 		v.idle = nil
 	}
+	return nil
 }
 
 // popReady takes the next item off the FIFO. It pops by index and rewinds

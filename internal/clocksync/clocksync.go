@@ -21,10 +21,11 @@
 package clocksync
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/vclock"
 )
@@ -146,6 +147,20 @@ type constraint struct {
 	upper bool
 }
 
+// Estimator computes Estimate and EstimateAll, keeping its scratch — the
+// samples, the two point sets, their hulls, the constraints — for the next
+// call, so a goroutine fitting one experiment after another allocates only
+// what it returns. The zero value is ready; an Estimator is not safe for
+// concurrent use.
+type Estimator struct {
+	samples      []Sample
+	above, below []point
+	points       []point // a hull's sorted input, then the probe's points
+	lower, upper []point
+	cons         []constraint
+	hosts        []string
+}
+
 // Estimate computes bounds on (alpha, beta) from timestamped sync messages.
 //
 // The algorithm: keep only the lower convex hull of the RefToRemote points
@@ -153,8 +168,12 @@ type constraint struct {
 // constraints are dominated), then enumerate intersections of constraint
 // boundary pairs; feasible intersections are the polygon's vertices, whose
 // alpha/beta extremes are the bounds.
-func Estimate(samples []Sample) (Bounds, error) {
-	var above, below []point // above: y > α+βx constraints; below: y < α+βx
+func Estimate(samples []Sample) (Bounds, error) { return new(Estimator).Estimate(samples) }
+
+// Estimate is the package-level Estimate on e's scratch.
+func (e *Estimator) Estimate(samples []Sample) (Bounds, error) {
+	// above: y > α+βx constraints; below: y < α+βx
+	above, below := e.above[:0], e.below[:0]
 	for _, s := range samples {
 		p := point{x: float64(s.Ref), y: float64(s.Remote)}
 		switch s.Dir {
@@ -166,6 +185,7 @@ func Estimate(samples []Sample) (Bounds, error) {
 			return Bounds{}, fmt.Errorf("clocksync: sample with invalid direction %d", int(s.Dir))
 		}
 	}
+	e.above, e.below = above, below
 	if len(above) == 0 || len(below) == 0 {
 		return Bounds{}, ErrTooFewSamples
 	}
@@ -173,16 +193,17 @@ func Estimate(samples []Sample) (Bounds, error) {
 	// The line alpha + beta*x must pass below every "above" point and
 	// above every "below" point. Binding "above" points are on the lower
 	// hull of that set; binding "below" points on the upper hull.
-	lowerHull := hull(above, false)
-	upperHull := hull(below, true)
+	e.lower = e.hull(e.lower, above, false)
+	e.upper = e.hull(e.upper, below, true)
 
-	var cons []constraint
-	for _, p := range lowerHull {
+	cons := e.cons[:0]
+	for _, p := range e.lower {
 		cons = append(cons, constraint{x: p.x, y: p.y, upper: true}) // α+βx <= y
 	}
-	for _, p := range upperHull {
+	for _, p := range e.upper {
 		cons = append(cons, constraint{x: p.x, y: p.y, upper: false}) // α+βx >= y
 	}
+	e.cons = cons
 
 	// Enumerate candidate vertices: intersections of pairs of constraint
 	// boundaries with distinct x (two boundaries y = α+βx through points
@@ -218,7 +239,8 @@ func Estimate(samples []Sample) (Bounds, error) {
 		// vertices (unbounded strip). Distinguish by probing feasibility
 		// of an interior candidate: the least-squares line through all
 		// points would be feasible in the unbounded case.
-		if probeFeasible(append(above, below...), cons) {
+		e.points = append(append(e.points[:0], above...), below...)
+		if probeFeasible(e.points, cons) {
 			return Bounds{}, ErrUnbounded
 		}
 		return Bounds{}, ErrInfeasible
@@ -275,30 +297,27 @@ func probeFeasible(pts []point, cons []constraint) bool {
 	return beta > 0 && feasible(alpha, beta, cons)
 }
 
-// hull computes the lower (upper=false) or upper (upper=true) convex hull
-// of pts, sorted by x. Duplicate x keeps the binding point only (min y for
-// lower hull, max y for upper).
-func hull(pts []point, upper bool) []point {
-	sorted := append([]point(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].x != sorted[j].x {
-			return sorted[i].x < sorted[j].x
+// hull computes into dst the lower (upper=false) or upper (upper=true)
+// convex hull of pts, sorted by x. Duplicate x keeps the binding point only
+// (min y for lower hull, max y for upper). pts is left as it was.
+func (e *Estimator) hull(dst, pts []point, upper bool) []point {
+	sorted := append(e.points[:0], pts...)
+	slices.SortFunc(sorted, func(a, b point) int {
+		if a.x != b.x {
+			return cmp.Compare(a.x, b.x)
 		}
 		if upper {
-			return sorted[i].y > sorted[j].y
+			return cmp.Compare(b.y, a.y)
 		}
-		return sorted[i].y < sorted[j].y
+		return cmp.Compare(a.y, b.y)
 	})
-	// Drop duplicate x (keep first = binding one given the sort).
-	dedup := sorted[:0]
+	e.points = sorted
+	h := dst[:0]
 	for i, p := range sorted {
+		// Drop duplicate x (keep first = binding one given the sort).
 		if i > 0 && p.x == sorted[i-1].x {
 			continue
 		}
-		dedup = append(dedup, p)
-	}
-	var h []point
-	for _, p := range dedup {
 		for len(h) >= 2 && !turns(h[len(h)-2], h[len(h)-1], p, upper) {
 			h = h[:len(h)-1]
 		}

@@ -3,6 +3,7 @@ package clocksync
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/simnet"
@@ -22,44 +23,51 @@ type StampedMessage struct {
 // SamplesFor filters raw messages down to the Sample set relating remote to
 // the reference machine ref. Messages between other host pairs are ignored.
 func SamplesFor(msgs []StampedMessage, ref, remote string) []Sample {
-	var out []Sample
+	return appendSamples(nil, msgs, ref, remote)
+}
+
+func appendSamples(dst []Sample, msgs []StampedMessage, ref, remote string) []Sample {
 	for _, m := range msgs {
 		switch {
 		case m.SendHost == ref && m.RecvHost == remote:
-			out = append(out, Sample{Dir: RefToRemote, Ref: m.SendTime, Remote: m.RecvTime})
+			dst = append(dst, Sample{Dir: RefToRemote, Ref: m.SendTime, Remote: m.RecvTime})
 		case m.SendHost == remote && m.RecvHost == ref:
-			out = append(out, Sample{Dir: RemoteToRef, Ref: m.RecvTime, Remote: m.SendTime})
+			dst = append(dst, Sample{Dir: RemoteToRef, Ref: m.RecvTime, Remote: m.SendTime})
 		}
 	}
-	return out
+	return dst
 }
 
 // Hosts returns the sorted set of hosts appearing in msgs.
-func Hosts(msgs []StampedMessage) []string {
-	set := make(map[string]bool)
+func Hosts(msgs []StampedMessage) []string { return appendHosts(nil, msgs) }
+
+func appendHosts(dst []string, msgs []StampedMessage) []string {
 	for _, m := range msgs {
-		set[m.SendHost] = true
-		set[m.RecvHost] = true
+		dst = append(dst, m.SendHost, m.RecvHost)
 	}
-	out := make([]string, 0, len(set))
-	for h := range set {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // EstimateAll computes per-host bounds relative to ref from a raw message
 // set. The reference maps to the exact Identity bounds. Hosts with no
 // usable messages yield an error.
 func EstimateAll(msgs []StampedMessage, ref string) (map[string]Bounds, error) {
-	out := make(map[string]Bounds)
-	for _, h := range Hosts(msgs) {
+	return new(Estimator).EstimateAll(msgs, ref)
+}
+
+// EstimateAll is the package-level EstimateAll on e's scratch. The map it
+// returns is the caller's.
+func (e *Estimator) EstimateAll(msgs []StampedMessage, ref string) (map[string]Bounds, error) {
+	e.hosts = appendHosts(e.hosts[:0], msgs)
+	out := make(map[string]Bounds, len(e.hosts)+1)
+	for _, h := range e.hosts {
 		if h == ref {
 			out[h] = Identity()
 			continue
 		}
-		b, err := Estimate(SamplesFor(msgs, ref, h))
+		e.samples = appendSamples(e.samples[:0], msgs, ref, h)
+		b, err := e.Estimate(e.samples)
 		if err != nil {
 			return nil, fmt.Errorf("clocksync: host %q vs reference %q: %w", h, ref, err)
 		}

@@ -118,6 +118,8 @@ type ExperimentResult struct {
 	// aborted (its results should be discarded).
 	Completed bool
 	// Timelines holds each machine's local timeline, by nickname order.
+	// They are the caller's: the run sealed them, and later experiments
+	// record into fresh ones.
 	Timelines []*timeline.Local
 	// Outcomes maps nickname to "exited", "crashed", or "killed".
 	Outcomes map[string]string
@@ -166,7 +168,5 @@ func (c *CentralDaemon) RunExperiment(nodes []spec.NodeEntry, timeout time.Durat
 		tr.Event(c.rt.clk.Now(), obs.CatPhase, "seal", detail)
 	}
 
-	res := &ExperimentResult{Completed: completed, Outcomes: c.rt.Outcomes()}
-	res.Timelines = append(res.Timelines, c.rt.Store().All()...)
-	return res, nil
+	return &ExperimentResult{Completed: completed, Outcomes: c.rt.Outcomes(), Timelines: c.rt.Store().All()}, nil
 }

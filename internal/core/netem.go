@@ -66,7 +66,7 @@ func newNetem(seed int64) *netem {
 func (ne *netem) reset() {
 	ne.expMu.Lock()
 	ne.mu.Lock()
-	ne.partitions = make(map[[2]string]bool)
+	clear(ne.partitions)
 	ne.filters.Clear()
 	ne.rng = nil
 	ne.epoch++

@@ -35,20 +35,17 @@ type stateNote struct {
 
 // Node is one basic component of the system under study together with its
 // attached Loki runtime (§2.2.2): state machine, transport, fault parser,
-// recorder, and probe handle.
+// recorder, and probe handle. A Node is one start of a registered
+// definition; the recorder, fault parser, view and waiters it works with
+// belong to the registration and outlive it (registration).
 type Node struct {
 	rt        *Runtime
-	def       *NodeDef
+	reg       *registration
 	host      *hostState
-	recorder  *timeline.Recorder
-	triggers  *faultexpr.TriggerSet
-	handle    *Handle
+	handle    Handle
 	restarted bool
 
-	mu      sync.Mutex
-	state   string     // current local state ("" until initialized)
-	view    *stateView // partial view of global state, incl. self
-	started bool
+	state string // current local state ("" until initialized); under reg.mu
 
 	// lifeMu serializes terminal transitions (exit/crash/kill) with their
 	// timeline records, so that a finished node's timeline is complete and
@@ -59,9 +56,38 @@ type Node struct {
 	done      chan struct{}
 	appDone   chan struct{}
 	lastAlive atomic.Int64 // physical ticks of last activity, for the watchdog
+}
+
+// registration is a registered NodeDef together with the scaffolding
+// every start of it reuses, built once per runtime: the timeline header
+// and the recorder, fault parser (trigger set), partial view and idle
+// waiters, which StartNode resets. A nickname runs at most one node at a
+// time, so one set serves every start — including a restart within an
+// experiment, whose predecessor has finished: its event and notification
+// paths check under mu that they are still the current start before
+// touching the view or the triggers.
+type registration struct {
+	NodeDef
+	// header is the timeline header lists, shared by every timeline of
+	// this definition and never mutated (Hosts, which grows per timeline,
+	// is left out). entries is the length of the last experiment's
+	// timeline: the capacity of the next one's fresh Entries.
+	header  timeline.Meta
+	entries int
+
+	recorder timeline.Recorder
+	// mu guards the current node's state, view and triggers.
+	mu       sync.Mutex
+	view     *stateView
+	triggers *faultexpr.TriggerSet
+	// node is the current start; main, bound once, runs its application.
+	node *Node
+	main func()
+	// peers is StartNode's scratch list of the nodes to seed the view from.
+	peers []*Node
 
 	// waiters are the goroutines blocked in Handle.Sleep/WaitMessage on
-	// this node, woken on message delivery and on every terminal
+	// the node, woken on message delivery and on every terminal
 	// transition. A slice, not a map: wake order must be deterministic
 	// under virtual time. idleWaiters are the ones no goroutine holds at
 	// the moment, kept for the next Sleep/WaitMessage. wmu is held across
@@ -72,6 +98,17 @@ type Node struct {
 	idleWaiters []clock.Waiter
 }
 
+func newRegistration(def NodeDef) *registration {
+	reg := &registration{
+		NodeDef:  def,
+		header:   newHeader(&def),
+		view:     newStateView(),
+		triggers: faultexpr.NewTriggerSet(def.Faults),
+	}
+	reg.main = reg.runMain
+	return reg
+}
+
 // Lifecycle outcomes.
 const (
 	lcRunning int32 = iota
@@ -80,28 +117,32 @@ const (
 	lcKilled
 )
 
-func newNode(r *Runtime, def *NodeDef, hs *hostState, local *timeline.Local, restarted bool) *Node {
+// newNode starts reg's scaffolding over local for a fresh node on hs.
+func newNode(r *Runtime, reg *registration, hs *hostState, local *timeline.Local, restarted bool) *Node {
 	n := &Node{
 		rt:        r,
-		def:       def,
+		reg:       reg,
 		host:      hs,
-		recorder:  timeline.NewRecorder(local, hs.host.Name, hs.host.Clock),
-		triggers:  faultexpr.NewTriggerSet(def.Faults),
 		restarted: restarted,
-		view:      newStateView(),
 		done:      make(chan struct{}),
 		appDone:   make(chan struct{}),
 	}
-	n.handle = &Handle{node: n}
+	n.handle.node = n
 	n.lastAlive.Store(int64(r.source.Now()))
+	reg.mu.Lock()
+	reg.view.reset()
+	reg.triggers.Reset()
+	reg.node = n
+	reg.mu.Unlock()
+	reg.recorder.Start(local, hs.host.Name, hs.host.Clock)
 	if restarted {
-		n.recorder.RecordNote("restart on host " + hs.host.Name)
+		reg.recorder.RecordNote("restart on host " + hs.host.Name)
 	}
 	return n
 }
 
 // Nickname returns the node's state machine nickname.
-func (n *Node) Nickname() string { return n.def.Nickname }
+func (n *Node) Nickname() string { return n.reg.Nickname }
 
 // Host returns the host the node runs on.
 func (n *Node) Host() string { return n.host.host.Name }
@@ -110,51 +151,59 @@ func (n *Node) Host() string { return n.host.host.Name }
 func (n *Node) Restarted() bool { return n.restarted }
 
 // Handle returns the probe handle (for tests; the app receives it in Main).
-func (n *Node) Handle() *Handle { return n.handle }
+func (n *Node) Handle() *Handle { return &n.handle }
 
 // CurrentState returns the node's local state, if initialized.
 func (n *Node) CurrentState() (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.reg.mu.Lock()
+	defer n.reg.mu.Unlock()
 	return n.state, n.state != ""
 }
 
-// Timeline returns a snapshot of the node's local timeline.
-func (n *Node) Timeline() *timeline.Local { return n.recorder.Snapshot() }
+// Timeline returns a snapshot of the node's local timeline (nil once the
+// experiment is sealed).
+func (n *Node) Timeline() *timeline.Local { return n.reg.recorder.Snapshot() }
 
-// seedView installs the initial partial view (§3.6.3 state updates).
-func (n *Node) seedView(states map[string]string) {
-	n.mu.Lock()
-	for m, s := range states {
-		n.view.set(m, s)
+// seedView installs the initial partial view from the states of the
+// given live machines (§3.6.3 state updates).
+func (n *Node) seedView(peers []*Node) {
+	for _, p := range peers {
+		if s, ok := p.CurrentState(); ok {
+			n.reg.mu.Lock()
+			n.reg.view.set(p.Nickname(), s)
+			n.reg.mu.Unlock()
+		}
 	}
-	n.mu.Unlock()
 }
 
 // ViewSnapshot returns an immutable copy of the node's current partial
 // view. The copy is made lazily, at most once per view version.
 func (n *Node) ViewSnapshot() faultexpr.MapView {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.view.Snapshot()
+	n.reg.mu.Lock()
+	defer n.reg.mu.Unlock()
+	return n.reg.view.Snapshot()
 }
 
 // run starts the application goroutine (through the runtime clock, so the
 // virtual scheduler tracks it).
-func (n *Node) run() {
-	n.rt.clk.Go(func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				// An uncaught panic in the application is a process crash
-				// with the default signal handler (§3.6.2).
-				n.rt.cfg.Logf("core: node %s panicked: %v", n.Nickname(), rec)
-				n.crash()
-			}
-			close(n.appDone)
-			n.finish()
-		}()
-		n.def.App.Main(n.handle)
-	})
+func (n *Node) run() { n.rt.clk.Go(n.reg.main) }
+
+// runMain is the application goroutine of the registration's current
+// node, read once on entry: the next start of this nickname cannot happen
+// before this node finishes, at the end of this call.
+func (reg *registration) runMain() {
+	n := reg.node
+	defer func() {
+		if rec := recover(); rec != nil {
+			// An uncaught panic in the application is a process crash
+			// with the default signal handler (§3.6.2).
+			n.rt.cfg.Logf("core: node %s panicked: %v", n.Nickname(), rec)
+			n.crash()
+		}
+		close(n.appDone)
+		n.finish()
+	}()
+	n.reg.App.Main(&n.handle)
 }
 
 // addWaiter registers the calling goroutine as blocked on this node's
@@ -163,40 +212,43 @@ func (n *Node) run() {
 // registration; callers loop and re-check their condition, so that is one
 // spurious wake.
 func (n *Node) addWaiter() clock.Waiter {
-	n.wmu.Lock()
-	defer n.wmu.Unlock()
+	reg := n.reg
+	reg.wmu.Lock()
+	defer reg.wmu.Unlock()
 	var w clock.Waiter
-	if k := len(n.idleWaiters); k > 0 {
-		w, n.idleWaiters = n.idleWaiters[k-1], n.idleWaiters[:k-1]
+	if k := len(reg.idleWaiters); k > 0 {
+		w, reg.idleWaiters = reg.idleWaiters[k-1], reg.idleWaiters[:k-1]
 	} else {
 		w = n.rt.clk.NewWaiter()
 	}
-	n.waiters = append(n.waiters, w)
+	reg.waiters = append(reg.waiters, w)
 	return w
 }
 
 // removeWaiter deregisters w and keeps it for reuse.
 func (n *Node) removeWaiter(w clock.Waiter) {
-	n.wmu.Lock()
-	for i, nw := range n.waiters {
+	reg := n.reg
+	reg.wmu.Lock()
+	for i, nw := range reg.waiters {
 		if nw == w {
-			n.waiters = append(n.waiters[:i], n.waiters[i+1:]...)
+			reg.waiters = append(reg.waiters[:i], reg.waiters[i+1:]...)
 			break
 		}
 	}
-	n.idleWaiters = append(n.idleWaiters, w)
-	n.wmu.Unlock()
+	reg.idleWaiters = append(reg.idleWaiters, w)
+	reg.wmu.Unlock()
 }
 
 // wakeWaiters unblocks every goroutine waiting on this node — called when
 // a message is delivered and when the node stops. Waking is cheap and
 // spurious wakes are harmless (waiters loop and re-check).
 func (n *Node) wakeWaiters() {
-	n.wmu.Lock()
-	for _, w := range n.waiters {
+	reg := n.reg
+	reg.wmu.Lock()
+	for _, w := range reg.waiters {
 		w.Wake()
 	}
-	n.wmu.Unlock()
+	reg.wmu.Unlock()
 }
 
 // stopping reports whether the node has left the running state.
@@ -209,11 +261,11 @@ func (n *Node) finish() {
 		// Normal exit: record and notify (§3.6.2 "the node's state machine
 		// sends an exit notification to all the other state machines").
 		atomic.StoreInt32(&n.lifecycle, lcExited)
-		at := n.recorder.Now()
-		n.mu.Lock()
+		at := n.reg.recorder.Now()
+		n.reg.mu.Lock()
 		n.state = spec.StateExit
-		n.mu.Unlock()
-		n.recorder.RecordStateChange("EXIT", spec.StateExit, at)
+		n.reg.mu.Unlock()
+		n.reg.recorder.RecordStateChange("EXIT", spec.StateExit, at)
 		if tr := n.rt.trace.Load(); tr != nil {
 			tr.Event(n.rt.clk.Now(), obs.CatNode, n.Nickname(), "exited")
 		}
@@ -229,10 +281,10 @@ func (n *Node) finish() {
 // exitNotifyList: machines to tell about our exit — the EXIT state's notify
 // list when given, else everyone we ever notify.
 func (n *Node) exitNotifyList() []string {
-	if def, ok := n.def.Spec.States[spec.StateExit]; ok && len(def.Notify) > 0 {
+	if def, ok := n.reg.Spec.States[spec.StateExit]; ok && len(def.Notify) > 0 {
 		return def.Notify
 	}
-	return n.def.Spec.MachinesNotified()
+	return n.reg.Spec.MachinesNotified()
 }
 
 // crash marks the node crashed, records the crash event and state (§3.6.2:
@@ -245,18 +297,18 @@ func (n *Node) crash() {
 		return
 	}
 	atomic.StoreInt32(&n.lifecycle, lcCrashed)
-	at := n.recorder.Now()
-	n.mu.Lock()
+	at := n.reg.recorder.Now()
+	n.reg.mu.Lock()
 	n.state = spec.StateCrash
-	n.mu.Unlock()
-	n.recorder.RecordStateChange(spec.EventCrash, spec.StateCrash, at)
+	n.reg.mu.Unlock()
+	n.reg.recorder.RecordStateChange(spec.EventCrash, spec.StateCrash, at)
 	if m := n.rt.om; m != nil {
 		m.Crashes.Inc()
 	}
 	if tr := n.rt.trace.Load(); tr != nil {
 		tr.Event(n.rt.clk.Now(), obs.CatNode, n.Nickname(), "crashed")
 	}
-	n.broadcast(spec.StateCrash, n.def.Spec.NotifyList(spec.StateCrash))
+	n.broadcast(spec.StateCrash, n.reg.Spec.NotifyList(spec.StateCrash))
 	close(n.done)
 	n.wakeWaiters()
 }
@@ -270,7 +322,7 @@ func (n *Node) kill() {
 		return
 	}
 	atomic.StoreInt32(&n.lifecycle, lcKilled)
-	n.recorder.RecordNote("killed by central daemon")
+	n.reg.recorder.RecordNote("killed by central daemon")
 	close(n.done)
 	n.wakeWaiters()
 }
@@ -299,45 +351,51 @@ func (n *Node) localEvent(event string) error {
 	if atomic.LoadInt32(&n.lifecycle) != lcRunning {
 		return fmt.Errorf("core: node %s is not running", n.Nickname())
 	}
-	at := n.recorder.Now()
+	at := n.reg.recorder.Now()
 	n.touch()
 
-	n.mu.Lock()
+	n.reg.mu.Lock()
+	if n.reg.node != n {
+		// A restart took the registration over while this event was on
+		// its way in: the view and triggers are the new node's.
+		n.reg.mu.Unlock()
+		return fmt.Errorf("core: node %s is not running", n.Nickname())
+	}
 	var next string
 	switch {
 	case n.state == "":
 		// The first notification initializes the state machine (§3.5.7):
 		// either it names a state directly, or BEGIN has a transition on it.
-		if n.def.Spec.HasGlobalState(event) {
+		if n.reg.Spec.HasGlobalState(event) {
 			next = event
-		} else if s, ok := n.def.Spec.Next(spec.StateBegin, event); ok {
+		} else if s, ok := n.reg.Spec.Next(spec.StateBegin, event); ok {
 			next = s
 		} else {
-			n.mu.Unlock()
+			n.reg.mu.Unlock()
 			return fmt.Errorf("core: node %s: first event %q is neither a state nor a BEGIN transition", n.Nickname(), event)
 		}
 	default:
-		s, ok := n.def.Spec.Next(n.state, event)
+		s, ok := n.reg.Spec.Next(n.state, event)
 		if !ok {
-			n.mu.Unlock()
+			n.reg.mu.Unlock()
 			n.rt.cfg.Logf("core: node %s: event %q has no transition from state %q; ignored", n.Nickname(), event, n.state)
 			return nil
 		}
 		next = s
 	}
 	n.state = next
-	n.view.set(n.Nickname(), next)
-	fired := n.triggers.ObserveChange(n.Nickname(), n.view)
-	n.mu.Unlock()
+	n.reg.view.set(n.Nickname(), next)
+	fired := n.reg.triggers.ObserveChange(n.Nickname(), n.reg.view)
+	n.reg.mu.Unlock()
 
-	n.recorder.RecordStateChange(event, next, at)
+	n.reg.recorder.RecordStateChange(event, next, at)
 	if m := n.rt.om; m != nil {
 		m.StateChanges.Inc()
 	}
 	if tr := n.rt.trace.Load(); tr != nil {
 		tr.Event(n.rt.clk.Now(), obs.CatProbe, n.Nickname(), event+" -> "+next)
 	}
-	n.broadcast(next, n.def.Spec.NotifyList(next))
+	n.broadcast(next, n.reg.Spec.NotifyList(next))
 	n.inject(fired)
 	return nil
 }
@@ -348,10 +406,14 @@ func (n *Node) remoteNotify(note stateNote) {
 		return
 	}
 	n.touch()
-	n.mu.Lock()
-	n.view.set(note.From, note.State)
-	fired := n.triggers.ObserveChange(note.From, n.view)
-	n.mu.Unlock()
+	n.reg.mu.Lock()
+	if n.reg.node != n { // restarted meanwhile; see localEvent
+		n.reg.mu.Unlock()
+		return
+	}
+	n.reg.view.set(note.From, note.State)
+	fired := n.reg.triggers.ObserveChange(note.From, n.reg.view)
+	n.reg.mu.Unlock()
 	n.inject(fired)
 }
 
@@ -366,8 +428,8 @@ func (n *Node) inject(fired []faultexpr.Spec) {
 		if atomic.LoadInt32(&n.lifecycle) != lcRunning {
 			return
 		}
-		at := n.recorder.Now()
-		n.recorder.RecordInjection(f.Name, at)
+		at := n.reg.recorder.Now()
+		n.reg.recorder.RecordInjection(f.Name, at)
 		if m := n.rt.om; m != nil {
 			m.Injections.Inc()
 		}
@@ -387,7 +449,7 @@ func (n *Node) inject(fired []faultexpr.Spec) {
 		if tr != nil {
 			tr.Event(n.rt.clk.Now(), obs.CatInject, f.Name, n.Nickname())
 		}
-		n.def.App.InjectFault(n.handle, f.Name)
+		n.reg.App.InjectFault(&n.handle, f.Name)
 	}
 }
 
@@ -432,7 +494,7 @@ func (h *Handle) Nickname() string { return h.node.Nickname() }
 func (h *Handle) HostName() string { return h.node.Host() }
 
 // Args returns the application arguments from the node definition.
-func (h *Handle) Args() []string { return h.node.def.Args }
+func (h *Handle) Args() []string { return h.node.reg.Args }
 
 // Restarted reports whether this node is a restart of a crashed node
 // (§3.6.3). The application uses it to choose its RESTART path (§5.5).
@@ -443,10 +505,10 @@ func (h *Handle) Restarted() bool { return h.node.Restarted() }
 func (h *Handle) NotifyEvent(event string) error { return h.node.localEvent(event) }
 
 // Note records a free-form message into the local timeline (§3.5.6).
-func (h *Handle) Note(text string) { h.node.recorder.RecordNote(text) }
+func (h *Handle) Note(text string) { h.node.reg.recorder.RecordNote(text) }
 
 // Now reads the node's host clock.
-func (h *Handle) Now() vclock.Ticks { return h.node.recorder.Now() }
+func (h *Handle) Now() vclock.Ticks { return h.node.reg.recorder.Now() }
 
 // Crash simulates a process crash: the overridden-signal-handler path of
 // §3.6.2 (notifyOnCrash). The crash is recorded, remote machines are

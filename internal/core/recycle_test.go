@@ -72,6 +72,38 @@ func TestRestartedNodeGetsItsOwnInbox(t *testing.T) {
 	}
 }
 
+// TestRestartTakesOverRegistration: a restarted node reuses its
+// registration's recorder, view and triggers, reset; whatever still holds
+// the crashed node can no longer reach them — a late notification or event
+// for it changes nothing the restarted node sees.
+func TestRestartTakesOverRegistration(t *testing.T) {
+	rt, _, hb := busPair(t)
+	old := rt.Node("b")
+	old.remoteNotify(stateNote{From: "a", State: "before"})
+	if s, ok := old.ViewSnapshot()["a"]; !ok || s != "before" {
+		t.Fatalf("first node's view = %v", old.ViewSnapshot())
+	}
+	hb.Crash()
+	waitFor(t, "b to finish crashing", func() bool { return rt.Node("b") == nil })
+	nb, err := rt.StartNode("b", "h2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nb.ViewSnapshot()["a"] == "before" {
+		t.Fatal("the restarted node inherited its predecessor's view")
+	}
+	old.remoteNotify(stateNote{From: "a", State: "stale"})
+	if err := old.localEvent("A"); err == nil {
+		t.Error("the crashed node accepted an event after the restart")
+	}
+	if s := nb.ViewSnapshot()["a"]; s == "stale" {
+		t.Error("a notification for the crashed node reached the restarted node's view")
+	}
+	if !nb.Restarted() || nb.Timeline() == nil {
+		t.Fatal("restart not recorded on the shared timeline")
+	}
+}
+
 // TestStaleWakeOnPooledWaiterEndsNoWaitEarly: a Wake that lands on a waiter
 // after its goroutine deregistered stays on it as a sticky wake and is met
 // by the next Sleep or WaitMessage that reuses the waiter. Both re-check
@@ -91,7 +123,7 @@ func TestStaleWakeOnPooledWaiterEndsNoWaitEarly(t *testing.T) {
 	if el := time.Since(start); el < d {
 		t.Fatalf("Sleep(%v) returned after %v on a stale wake", d, el)
 	}
-	if len(n.idleWaiters) != 1 || n.idleWaiters[0] != w {
+	if len(n.reg.idleWaiters) != 1 || n.reg.idleWaiters[0] != w {
 		t.Fatal("Sleep did not reuse the pooled waiter: this test no longer exercises the pool")
 	}
 
@@ -107,12 +139,16 @@ func TestStaleWakeOnPooledWaiterEndsNoWaitEarly(t *testing.T) {
 
 // TestEmptyExperimentAllocBudget keeps the start-up diet from regressing
 // silently: one experiment of three nodes that return at once, on a warmed
-// runtime under virtual time, measured at 90 allocations when this budget
+// runtime under virtual time, measured at 30 allocations when this budget
 // was set (95 before inboxes, waiters and the netem generator were
-// recycled or built on demand). What is left is the per-experiment state
-// that must be fresh: nodes, handles, recorders, timelines, the result.
+// recycled or built on demand; 90 before PR 19 built each node's header,
+// recorder, trigger set, view and waiters once per registration). What is
+// left is what an experiment hands away or what a start must not share:
+// per node the Node (whose handle a straggler may still hold), its two
+// lifecycle channels and a fresh timeline (struct, entries, host list);
+// per experiment the completion wait and the result.
 func TestEmptyExperimentAllocBudget(t *testing.T) {
-	const budget = 93
+	const budget = 30
 	v := clock.NewVirtual()
 	rt := New(Config{Clock: v, Source: v.Source()})
 	defer rt.Shutdown()

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,6 +85,9 @@ type Runtime struct {
 	cfg    Config
 	source vclock.Source
 	clk    clock.Clock
+	// logging is false when cfg.Logf discards: the notification hot path
+	// then skips the call, and with it boxing the arguments.
+	logging bool
 
 	// om is the pre-resolved metric bundle (nil when metrics are off), and
 	// trace the current experiment's trace (nil pointer loads when tracing
@@ -98,7 +102,7 @@ type Runtime struct {
 
 	mu            sync.Mutex
 	hosts         map[string]*hostState
-	defs          map[string]*NodeDef
+	defs          map[string]*registration
 	nodes         map[string]*Node // live nodes by nickname
 	store         *timeline.Store  // the "NFS-mounted" timeline repository (§3.8)
 	outcomes      map[string]string
@@ -119,6 +123,9 @@ type Runtime struct {
 	// experiment ever started.
 	inboxFree []chan AppMessage
 	inboxUsed []chan AppMessage
+	// deliveries are the spent notification deliveries (route), kept for
+	// reuse; bounded by the most notifications ever in flight at once.
+	deliveries []*delivery
 }
 
 type hostState struct {
@@ -146,21 +153,24 @@ func New(cfg Config) *Runtime {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
+	logging := true
 	if cfg.Logf == nil {
 		if cfg.Obs != nil && cfg.Obs.Log != nil {
 			cfg.Logf = cfg.Obs.Log.Func(obs.Warn, "core")
 		} else {
 			cfg.Logf = func(string, ...interface{}) {}
+			logging = false
 		}
 	}
 	r := &Runtime{
 		cfg:       cfg,
+		logging:   logging,
 		om:        cfg.Obs.RuntimeMetrics(),
 		source:    cfg.Source,
 		clk:       cfg.Clock,
 		netem:     newNetem(1),
 		hosts:     make(map[string]*hostState),
-		defs:      make(map[string]*NodeDef),
+		defs:      make(map[string]*registration),
 		nodes:     make(map[string]*Node),
 		store:     timeline.NewStore(),
 		outcomes:  make(map[string]string),
@@ -240,8 +250,7 @@ func (r *Runtime) Register(def NodeDef) error {
 	if _, dup := r.defs[def.Nickname]; dup {
 		return fmt.Errorf("core: duplicate node definition %q", def.Nickname)
 	}
-	d := def
-	r.defs[def.Nickname] = &d
+	r.defs[def.Nickname] = newRegistration(def)
 	return nil
 }
 
@@ -253,7 +262,7 @@ func (r *Runtime) Store() *timeline.Store { return r.store }
 // Handle reports Restarted and its recorder appends to the old timeline.
 func (r *Runtime) StartNode(nickname, host string) (*Node, error) {
 	r.mu.Lock()
-	def, ok := r.defs[nickname]
+	reg, ok := r.defs[nickname]
 	if !ok {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("core: unknown node %q (not registered)", nickname)
@@ -286,42 +295,31 @@ func (r *Runtime) StartNode(nickname, host string) (*Node, error) {
 	local := r.store.Get(nickname)
 	restarted := local != nil && len(local.Entries) > 0
 	if local == nil {
-		local = newLocalTimeline(def)
+		// A fresh timeline: the shared header, and entries of its own —
+		// the last one went to whoever collected that experiment.
+		local = &timeline.Local{Meta: reg.header, Entries: make([]timeline.Entry, 0, reg.entries)}
 		r.store.Put(local)
 	}
-	n := newNode(r, def, hs, local, restarted)
+	n := newNode(r, reg, hs, local, restarted)
 	r.nodes[nickname] = n
 	r.active++
+	peers := reg.peers[:0]
+	for nick, p := range r.nodes {
+		if nick != nickname {
+			peers = append(peers, p)
+		}
+	}
+	reg.peers = peers
 	r.mu.Unlock()
 
 	// Seed the restarted (or fresh) node's partial view from the states of
 	// the live machines (§3.6.3: "obtains state updates from all the other
 	// state machines").
-	n.seedView(r.snapshotStates(nickname))
+	n.seedView(peers)
 
 	hs.daemon.adopt(n)
 	n.run()
 	return n, nil
-}
-
-// snapshotStates returns the current local states of all live nodes except
-// the named one.
-func (r *Runtime) snapshotStates(except string) map[string]string {
-	r.mu.Lock()
-	nodes := make([]*Node, 0, len(r.nodes))
-	for nick, n := range r.nodes {
-		if nick != except {
-			nodes = append(nodes, n)
-		}
-	}
-	r.mu.Unlock()
-	out := make(map[string]string, len(nodes))
-	for _, n := range nodes {
-		if s, ok := n.CurrentState(); ok {
-			out[n.Nickname()] = s
-		}
-	}
-	return out
 }
 
 // Node returns the live node with the given nickname, or nil.
@@ -332,7 +330,7 @@ func (r *Runtime) Node(nickname string) *Node {
 }
 
 // SnapshotTimeline returns a safely readable view of a machine's timeline
-// while the experiment may still be running: a deep copy for live nodes, or
+// while the experiment may still be running: a copy for live nodes, or
 // the final timeline for finished ones (no further writes can occur). It
 // returns nil for unknown nicknames. Supervisors use this to watch for
 // crashes mid-experiment.
@@ -345,7 +343,7 @@ func (r *Runtime) SnapshotTimeline(nickname string) *timeline.Local {
 	}
 	r.mu.Unlock()
 	if live {
-		return n.recorder.Snapshot()
+		return n.reg.recorder.Snapshot()
 	}
 	return done
 }
@@ -482,8 +480,16 @@ func (r *Runtime) ResetExperiment() {
 		r.mu.Unlock()
 		panic("core: ResetExperiment with live nodes")
 	}
+	// The timelines leave with the store: whoever collected them owns
+	// them. Only their lengths stay, as the next timelines' capacity.
+	for nick, reg := range r.defs {
+		if l := r.store.Get(nick); l != nil {
+			reg.entries = len(l.Entries)
+		}
+		reg.recorder.Detach()
+	}
 	r.store.Reset()
-	r.outcomes = make(map[string]string)
+	clear(r.outcomes)
 	r.sealed = false
 	// Crashed hosts reboot and stepped clocks are restored between
 	// experiments: each experiment starts on a healthy testbed, whatever
@@ -506,7 +512,9 @@ func (r *Runtime) ResetExperiment() {
 // experiment. Voiding waits out any timer body already past its checks
 // (the expMu barrier), but such a body may have restarted a node in the
 // gap between Wait observing zero activity and the seal taking effect, so
-// whatever is still live afterwards is killed and awaited.
+// whatever is still live afterwards is killed and awaited. Last, every
+// recorder lets go of its timeline: from here the store's timelines are
+// final, and the caller may hand them on without copying.
 func (r *Runtime) SealExperiment() {
 	r.mu.Lock()
 	r.sealed = true
@@ -519,6 +527,11 @@ func (r *Runtime) SealExperiment() {
 		r.KillAll()
 		r.Wait(time.Second)
 	}
+	r.mu.Lock()
+	for _, reg := range r.defs {
+		reg.recorder.Detach()
+	}
+	r.mu.Unlock()
 }
 
 // route delivers a state notification from one machine to another through
@@ -528,6 +541,10 @@ func (r *Runtime) SealExperiment() {
 func (r *Runtime) route(fromHost string, note stateNote, to string) {
 	r.mu.Lock()
 	target, live := r.nodes[to]
+	var d *delivery
+	if live {
+		d = r.newDelivery(target, note)
+	}
 	r.mu.Unlock()
 	if !live {
 		// The node is not executing here — but it may be executing in
@@ -543,7 +560,9 @@ func (r *Runtime) route(fromHost string, note stateNote, to string) {
 		if m := r.om; m != nil {
 			m.DroppedNotifications.Inc()
 		}
-		r.cfg.Logf("core: dropping notification %s->%s (%s): target not executing", note.From, to, note.State)
+		if r.logging {
+			r.cfg.Logf("core: dropping notification %s->%s (%s): target not executing", note.From, to, note.State)
+		}
 		return
 	}
 	if m := r.om; m != nil {
@@ -553,18 +572,50 @@ func (r *Runtime) route(fromHost string, note stateNote, to string) {
 	if target.Host() == fromHost {
 		delay = r.cfg.LocalDelay
 	}
-	deliver := func() { target.remoteNotify(note) }
 	if delay <= 0 {
-		r.clk.Go(deliver)
+		r.clk.Go(d.run)
 		return
 	}
-	r.clk.AfterFunc(delay, deliver)
+	r.clk.AfterFunc(delay, d.run)
 }
 
-// newLocalTimeline builds the timeline header for a fresh node, extending
+// delivery is one routed notification in flight. The runtime keeps the
+// spent ones, each with its run bound once, so scheduling a delivery
+// allocates nothing; run hands the value back before delivering.
+type delivery struct {
+	rt     *Runtime
+	target *Node
+	note   stateNote
+	run    func()
+}
+
+// newDelivery takes a spent delivery, or makes one. r.mu must be held.
+func (r *Runtime) newDelivery(target *Node, note stateNote) *delivery {
+	var d *delivery
+	if n := len(r.deliveries); n > 0 {
+		d, r.deliveries = r.deliveries[n-1], r.deliveries[:n-1]
+	} else {
+		d = &delivery{rt: r}
+		d.run = d.deliver
+	}
+	d.target, d.note = target, note
+	return d
+}
+
+func (d *delivery) deliver() {
+	target, note, r := d.target, d.note, d.rt
+	d.target = nil
+	r.mu.Lock()
+	r.deliveries = append(r.deliveries, d)
+	r.mu.Unlock()
+	target.remoteNotify(note)
+}
+
+// newHeader builds the timeline header lists of a definition, extending
 // the spec's lists with the reserved names the runtime itself records
-// (§3.5.7).
-func newLocalTimeline(def *NodeDef) *timeline.Local {
+// (§3.5.7). Every list is clipped to its length, so no append to one can
+// reach another timeline that shares it.
+func newHeader(def *NodeDef) timeline.Meta {
 	meta := timeline.Meta{Owner: def.Nickname}
 	meta.GlobalStates = append(meta.GlobalStates, def.Spec.GlobalStates...)
 	for _, s := range []string{spec.StateCrash, spec.StateExit} {
@@ -598,7 +649,11 @@ func newLocalTimeline(def *NodeDef) *timeline.Local {
 		meta.Machines = append(meta.Machines, m)
 	}
 	sort.Strings(meta.Machines)
-	return &timeline.Local{Meta: meta}
+	meta.Machines = slices.Clip(meta.Machines)
+	meta.GlobalStates = slices.Clip(meta.GlobalStates)
+	meta.Events = slices.Clip(meta.Events)
+	meta.Faults = slices.Clip(meta.Faults)
+	return meta
 }
 
 func contains(list []string, s string) bool {

@@ -39,6 +39,15 @@ func (v *stateView) set(machine, state string) {
 	v.snap = nil
 }
 
+// reset empties the view for a new node, keeping the map's storage. The
+// version keeps counting: no version seen before the reset names the new
+// view.
+func (v *stateView) reset() {
+	clear(v.m)
+	v.version++
+	v.snap = nil
+}
+
 // Version returns the mutation counter; it advances on every effective set.
 func (v *stateView) Version() uint64 { return v.version }
 

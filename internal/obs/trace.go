@@ -286,7 +286,10 @@ func DecodeTraceString(s string) (*Trace, error) {
 	return DecodeTrace(strings.NewReader(s))
 }
 
-// DecodeTrace parses an artifact produced by Encode.
+// DecodeTrace parses an artifact produced by Encode. Every line after the
+// header must be one span or one event, and there must be exactly as many
+// of each as the header says: a cut-short artifact is an error, not a
+// shorter trace.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
@@ -310,13 +313,22 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("obs: bad trace line: %w", err)
 		}
 		switch {
-		case line.Span != nil:
+		case line.Span != nil && line.Event == nil:
 			t.spans = append(t.spans, *line.Span)
-		case line.Event != nil:
+		case line.Event != nil && line.Span == nil:
 			t.events = append(t.events, *line.Event)
+		default:
+			return nil, fmt.Errorf("obs: trace line %d is neither one span nor one event", 2+len(t.spans)+len(t.events))
 		}
 	}
-	return t, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(t.spans) != hdr.Spans || len(t.events) != hdr.Events {
+		return nil, fmt.Errorf("obs: trace holds %d spans and %d events, its header says %d and %d (truncated?)",
+			len(t.spans), len(t.events), hdr.Spans, hdr.Events)
+	}
+	return t, nil
 }
 
 // chromeEvent is one entry of the Chrome trace_event JSON array format

@@ -12,7 +12,9 @@ package timeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/faultexpr"
 	"repro/internal/vclock"
@@ -201,13 +203,13 @@ func (s *Store) Names() []string {
 
 // All returns every stored timeline, ordered by nickname.
 func (s *Store) All() []*Local {
-	names := s.Names()
-	out := make([]*Local, len(names))
-	for i, n := range names {
-		out[i] = s.timelines[n]
+	out := make([]*Local, 0, len(s.timelines))
+	for _, l := range s.timelines {
+		out = append(out, l)
 	}
+	slices.SortFunc(out, func(a, b *Local) int { return strings.Compare(a.Owner, b.Owner) })
 	return out
 }
 
 // Reset drops all stored timelines (between experiments).
-func (s *Store) Reset() { s.timelines = make(map[string]*Local) }
+func (s *Store) Reset() { clear(s.timelines) }

@@ -235,7 +235,8 @@ func TestRecorder(t *testing.T) {
 	src := vclock.NewManualSource(0)
 	clock := vclock.NewPerfectClock(src)
 	l := &Local{Meta: sampleMeta()}
-	rec := NewRecorder(l, "host1", clock)
+	rec := new(Recorder)
+	rec.Start(l, "host1", clock)
 
 	src.Set(100)
 	rec.RecordStateChange("START", "INIT", rec.Now())
@@ -261,12 +262,12 @@ func TestRecorder(t *testing.T) {
 func TestRecorderInternsNewHost(t *testing.T) {
 	src := vclock.NewManualSource(0)
 	l := &Local{Meta: Meta{Owner: "sm"}}
-	NewRecorder(l, "fresh-host", vclock.NewPerfectClock(src))
+	new(Recorder).Start(l, "fresh-host", vclock.NewPerfectClock(src))
 	if len(l.Hosts) != 1 || l.Hosts[0] != "fresh-host" {
 		t.Errorf("hosts = %v", l.Hosts)
 	}
 	// Restart on the same host must not duplicate it.
-	NewRecorder(l, "fresh-host", vclock.NewPerfectClock(src))
+	new(Recorder).Start(l, "fresh-host", vclock.NewPerfectClock(src))
 	if len(l.Hosts) != 1 {
 		t.Errorf("host duplicated: %v", l.Hosts)
 	}
@@ -275,7 +276,8 @@ func TestRecorderInternsNewHost(t *testing.T) {
 func TestRecorderSnapshotIsolated(t *testing.T) {
 	src := vclock.NewManualSource(0)
 	l := &Local{Meta: sampleMeta()}
-	rec := NewRecorder(l, "host1", vclock.NewPerfectClock(src))
+	rec := new(Recorder)
+	rec.Start(l, "host1", vclock.NewPerfectClock(src))
 	snap := rec.Snapshot()
 	before := len(snap.Entries)
 	rec.RecordNote("after snapshot")
@@ -284,10 +286,37 @@ func TestRecorderSnapshotIsolated(t *testing.T) {
 	}
 }
 
+// TestRecorderDetachHandsTimelineOver: a detached recorder drops records,
+// so the timeline it released stays as it was, and the next Start records
+// into the next timeline only.
+func TestRecorderDetachHandsTimelineOver(t *testing.T) {
+	src := vclock.NewManualSource(0)
+	rec := new(Recorder)
+	first := &Local{Meta: sampleMeta()}
+	rec.Start(first, "host1", vclock.NewPerfectClock(src))
+	rec.RecordNote("during")
+	rec.Detach()
+	rec.RecordNote("straggler")
+	rec.RecordStateChange("START", "INIT", 1)
+	if n := len(first.Entries); n != 2 {
+		t.Fatalf("released timeline has %d entries, want 2 (HOST_CHANGE + note)", n)
+	}
+	if rec.Snapshot() != nil || rec.Timeline() != nil {
+		t.Error("a detached recorder still exposes a timeline")
+	}
+	second := &Local{Meta: sampleMeta()}
+	rec.Start(second, "host2", vclock.NewPerfectClock(src))
+	rec.RecordNote("next")
+	if len(first.Entries) != 2 || len(second.Entries) != 2 || second.Entries[1].Host != "host2" {
+		t.Errorf("after restart: first %d entries, second %+v", len(first.Entries), second.Entries)
+	}
+}
+
 func TestRecorderConcurrent(t *testing.T) {
 	src := vclock.NewSystemSource()
 	l := &Local{Meta: sampleMeta()}
-	rec := NewRecorder(l, "host1", vclock.NewPerfectClock(src))
+	rec := new(Recorder)
+	rec.Start(l, "host1", vclock.NewPerfectClock(src))
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func() {

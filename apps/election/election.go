@@ -17,7 +17,6 @@ package election
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand/v2"
 	"time"
 
@@ -163,18 +162,29 @@ type heartbeatMsg struct {
 	Leader string
 }
 
-// proc is one running election process.
+// proc is one running election process. Everything a start needs lives
+// in this one value: the vote generator and, for the usual handful of
+// voters, the votes.
 type proc struct {
 	cfg Config
 	h   *app.Handle
 	clk app.Clock
-	rng *rand.Rand
+	pcg rand.PCG
 
-	round    int
-	votes    map[int]map[string]int64 // round -> voter -> value
+	round int
+	// votes are the current round's and any later round's (a peer ahead
+	// of us); an earlier round's are never counted again and are dropped.
+	votes    []vote
+	voteBuf  [6]vote
 	deadline time.Time
 	lastHB   time.Time
 	leader   string
+}
+
+type vote struct {
+	round int
+	who   string
+	value int64
 }
 
 // New builds the instrumented application for one process. Fault actions
@@ -188,18 +198,26 @@ func New(cfg Config) *app.Instrumented {
 		// identical configured seeds, or elections tie forever (§5.2's
 		// arbitration assumes independent draws). PCG seeds in O(1) —
 		// every process of every experiment builds one of these.
-		hsh := fnv.New64a()
-		hsh.Write([]byte(h.Nickname()))
-		p := &proc{
-			cfg:   cfg,
-			h:     h,
-			clk:   h.Clock(),
-			rng:   rand.New(rand.NewPCG(uint64(cfg.Seed), hsh.Sum64())),
-			votes: make(map[int]map[string]int64),
-		}
+		p := &proc{cfg: cfg, h: h, clk: h.Clock()}
+		p.pcg.Seed(uint64(cfg.Seed), fnv64a(h.Nickname()))
+		p.votes = p.voteBuf[:0]
 		p.run()
 	})
 }
+
+// fnv64a is hash/fnv's 64-bit FNV-1a of s, without the hasher and the
+// byte copy.
+func fnv64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// draw is the next vote value: what rand.Rand.Int64 returns over the PCG.
+func (p *proc) draw() int64 { return int64(p.pcg.Uint64() &^ (1 << 63)) }
 
 func (p *proc) run() {
 	h := p.h
@@ -269,7 +287,7 @@ func (p *proc) electOnce() (string, bool) {
 	h := p.h
 	p.round++
 	me := h.Nickname()
-	value := p.rng.Int64()
+	value := p.draw()
 	p.recordVote(p.round, me, value)
 	h.Broadcast(voteMsg{Round: p.round, Value: value})
 
@@ -295,7 +313,7 @@ func (p *proc) electOnce() (string, bool) {
 				// voting in its round too.
 				for p.round < msg.Round {
 					p.round++
-					v := p.rng.Int64()
+					v := p.draw()
 					p.recordVote(p.round, me, v)
 					h.Broadcast(voteMsg{Round: p.round, Value: v})
 				}
@@ -306,15 +324,17 @@ func (p *proc) electOnce() (string, bool) {
 		}
 	}
 
-	votes := p.votes[p.round]
 	var winner string
 	var best int64 = -1
 	tie := false
-	for who, v := range votes {
+	for _, v := range p.votes {
+		if v.round != p.round {
+			continue
+		}
 		switch {
-		case v > best:
-			best, winner, tie = v, who, false
-		case v == best:
+		case v.value > best:
+			best, winner, tie = v.value, v.who, false
+		case v.value == best:
 			tie = true
 		}
 	}
@@ -324,21 +344,29 @@ func (p *proc) electOnce() (string, bool) {
 	return winner, true
 }
 
+// recordVote keeps who's vote in round, replacing an earlier one. The
+// tally does not depend on the order votes arrive in, only on the maximum
+// and whether it repeats.
 func (p *proc) recordVote(round int, who string, value int64) {
-	m, ok := p.votes[round]
-	if !ok {
-		m = make(map[string]int64)
-		p.votes[round] = m
+	if round < p.round {
+		return
 	}
-	m[who] = value
+	kept := p.votes[:0]
+	for _, v := range p.votes {
+		if v.round >= p.round && (v.round != round || v.who != who) {
+			kept = append(kept, v)
+		}
+	}
+	p.votes = append(kept, vote{round: round, who: who, value: value})
 }
 
 // leadLoop broadcasts heartbeats until exit or crash. It returns false
 // when the process must stop entirely.
 func (p *proc) leadLoop() bool {
 	h := p.h
+	var heartbeat any = heartbeatMsg{Leader: h.Nickname()} // boxed once
 	for p.clk.Now().Before(p.deadline) {
-		h.Broadcast(heartbeatMsg{Leader: h.Nickname()})
+		h.Broadcast(heartbeat)
 		if !h.Sleep(p.cfg.HeartbeatEvery) {
 			return false // crashed or killed
 		}
@@ -350,7 +378,7 @@ func (p *proc) leadLoop() bool {
 				break
 			}
 			if _, isVote := m.Payload.(voteMsg); isVote {
-				h.Send(m.From, heartbeatMsg{Leader: h.Nickname()})
+				h.Send(m.From, heartbeat)
 			}
 		}
 	}

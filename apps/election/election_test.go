@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/faultexpr"
 	"repro/internal/probe"
@@ -14,14 +15,22 @@ import (
 
 var peers = []string{"black", "green", "yellow"}
 
-func newElectionRuntime(t *testing.T) *core.Runtime {
+// newElectionRuntime builds the three-host testbed on a virtual clock,
+// driven by the test goroutine until cleanup. Nodes the test starts are
+// then all live before any of them runs: on the wall clock a first-round
+// vote broadcast before a peer started never reaches it, and two
+// processes can each see themselves win.
+func newElectionRuntime(t *testing.T) (*core.Runtime, *clock.Virtual) {
 	t.Helper()
-	rt := core.New(core.Config{Logf: t.Logf})
+	v := clock.NewVirtual()
+	v.Drive()
+	t.Cleanup(v.Release)
+	rt := core.New(core.Config{Clock: v, Logf: t.Logf})
 	t.Cleanup(rt.Shutdown)
 	rt.AddHost("h1", vclock.ClockConfig{})
 	rt.AddHost("h2", vclock.ClockConfig{Offset: 2e6, DriftPPM: 60})
 	rt.AddHost("h3", vclock.ClockConfig{Offset: -1e6, DriftPPM: -30})
-	return rt
+	return rt, v
 }
 
 func registerAll(t *testing.T, rt *core.Runtime, cfg Config, faults map[string][]faultexpr.Spec, instrument func(nick string, in *probe.Instrumented)) {
@@ -85,7 +94,7 @@ func leadersIn(rt *core.Runtime) []string {
 }
 
 func TestElectionProducesOneLeader(t *testing.T) {
-	rt := newElectionRuntime(t)
+	rt, _ := newElectionRuntime(t)
 	registerAll(t, rt, Config{RunFor: 120 * time.Millisecond}, nil, nil)
 	startAll(t, rt)
 	if !rt.Wait(10 * time.Second) {
@@ -108,7 +117,7 @@ func TestElectionProducesOneLeader(t *testing.T) {
 }
 
 func TestLeaderCrashTriggersReElection(t *testing.T) {
-	rt := newElectionRuntime(t)
+	rt, _ := newElectionRuntime(t)
 	// §5.4's first evaluation: every process carries an always-mode crash
 	// fault on its own LEAD state; whoever leads first gets killed.
 	faults := map[string][]faultexpr.Spec{}
@@ -178,7 +187,7 @@ func TestLeaderCrashTriggersReElection(t *testing.T) {
 }
 
 func TestCrashedProcessRestartsAsFollower(t *testing.T) {
-	rt := newElectionRuntime(t)
+	rt, v := newElectionRuntime(t)
 	faults := map[string][]faultexpr.Spec{}
 	for _, nick := range peers {
 		faults[nick] = []faultexpr.Spec{{
@@ -194,9 +203,11 @@ func TestCrashedProcessRestartsAsFollower(t *testing.T) {
 	startAll(t, rt)
 
 	// Supervise: when a node crashes, restart it once on a different host.
-	deadline := time.Now().Add(5 * time.Second)
+	// The test goroutine drives the clock, so its polling sleep is where
+	// simulated time moves.
+	deadline := v.Now().Add(5 * time.Second)
 	restarted := ""
-	for restarted == "" && time.Now().Before(deadline) {
+	for restarted == "" && v.Now().Before(deadline) {
 		for _, nick := range peers {
 			if rt.Node(nick) != nil {
 				continue
@@ -211,7 +222,7 @@ func TestCrashedProcessRestartsAsFollower(t *testing.T) {
 				}
 			}
 		}
-		time.Sleep(time.Millisecond)
+		v.Sleep(time.Millisecond)
 	}
 	if restarted == "" {
 		t.Fatal("no crash observed to restart")

@@ -78,8 +78,10 @@ type Campaign struct {
 	// defaults to GOMAXPROCS.
 	Workers int
 	// Runtime tunes the core runtime (delays, watchdog). If Runtime.Source
-	// is nil each worker gets its own SystemSource; a supplied Source is
-	// shared by all workers and must be safe for concurrent use.
+	// is nil, each worker's host clocks read that worker's runtime clock,
+	// as they always do under VirtualTime; a Source supplied for a
+	// real-time campaign is shared by all workers and must be safe for
+	// concurrent use.
 	Runtime core.Config
 	// Sync configures the clock synchronization mini-phases.
 	Sync SyncConfig
@@ -148,7 +150,7 @@ type ExperimentRecord struct {
 	// the two per-phase convex-hull fits: the true step Δ satisfies
 	// Δ ∈ [postAlphaLo − preAlphaHi, postAlphaHi − preAlphaLo], because
 	// each phase's alpha interval rigorously contains that phase's true
-	// offset. Keyed like ClockStepHosts.
+	// offset at the stamps' midpoint. Keyed like ClockStepHosts.
 	ClockStepBounds map[string]StepBound `json:",omitempty"`
 	// Locals and Stamps are the raw runtime artifacts — the local
 	// timelines and the stamped synchronization messages of both
@@ -512,12 +514,20 @@ func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment, est *cl
 // rigorous interval on each step's magnitude. Empty when either phase
 // fails to fit on its own (then the timestamps are bad in a way a step
 // cannot explain).
+//
+// Both phases are fitted with every reading measured from the midpoint of
+// the experiment's stamps, so alpha is the offset at that instant, not at
+// the time base's epoch. A phase's slope uncertainty then widens its alpha
+// interval by half the experiment's span, however far the epoch lies
+// behind (process uptime on the wall clock, earlier experiments in
+// simulated time).
 func clockStepHosts(raw *rawExperiment, est *clocksync.Estimator) ([]string, map[string]StepBound) {
-	pre, err := est.EstimateAll(raw.preStamps, raw.ref)
+	mid := stampsMidpoint(raw.preStamps, raw.postStamps)
+	pre, err := est.EstimateAll(shiftStamps(raw.preStamps, mid), raw.ref)
 	if err != nil {
 		return nil, nil
 	}
-	post, err := est.EstimateAll(raw.postStamps, raw.ref)
+	post, err := est.EstimateAll(shiftStamps(raw.postStamps, mid), raw.ref)
 	if err != nil {
 		return nil, nil
 	}
@@ -548,4 +558,32 @@ func clockStepHosts(raw *rawExperiment, est *clocksync.Estimator) ([]string, map
 	}
 	sort.Strings(hosts)
 	return hosts, bounds
+}
+
+// stampsMidpoint returns the reading halfway between the earliest and the
+// latest reading in the two mini-phases.
+func stampsMidpoint(pre, post []clocksync.StampedMessage) vclock.Ticks {
+	lo, hi := vclock.Ticks(math.MaxInt64), vclock.Ticks(math.MinInt64)
+	for _, ms := range [2][]clocksync.StampedMessage{pre, post} {
+		for _, m := range ms {
+			lo, hi = min(lo, m.SendTime, m.RecvTime), max(hi, m.SendTime, m.RecvTime)
+		}
+	}
+	if lo > hi {
+		return 0
+	}
+	return lo + (hi-lo)/2
+}
+
+// shiftStamps returns a copy of msgs with every reading measured from
+// origin. Subtracting one constant from both clocks' readings keeps each
+// phase's affine geometry and moves alpha to the offset at origin.
+func shiftStamps(msgs []clocksync.StampedMessage, origin vclock.Ticks) []clocksync.StampedMessage {
+	out := make([]clocksync.StampedMessage, len(msgs))
+	for i, m := range msgs {
+		m.SendTime -= origin
+		m.RecvTime -= origin
+		out[i] = m
+	}
+	return out
 }

@@ -78,7 +78,6 @@ func countingStepCampaign(t testing.TB, experiments, workers int, ran *int64) *C
 			{Name: "h3", Clock: vclock.ClockConfig{Offset: -2e6, DriftPPM: -35, Jitter: 200, Seed: 3}},
 		},
 		Workers: workers,
-		Runtime: core.Config{Source: vclock.NewSystemSource()},
 		Studies: []*Study{{
 			Name:        "steps",
 			Nodes:       nodes,

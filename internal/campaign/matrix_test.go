@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/clocksync"
 	"repro/internal/faultexpr"
+	"repro/internal/simnet"
+	"repro/internal/vclock"
 )
 
 // stepStudy builds one instance of the deterministic three-step study used
@@ -192,9 +195,19 @@ func TestMatrixDefaultLatencyInherits(t *testing.T) {
 // TestClockStepDiscardsNotAborts: a clockstep action breaks the affine
 // clock model, so the off-line synchronization becomes infeasible for that
 // experiment. The analysis phase must discard the experiment (Accepted
-// false, AnalysisError set), not abort the campaign.
+// false, AnalysisError set), not abort the campaign — on the wall clock
+// and in virtual time alike.
 func TestClockStepDiscardsNotAborts(t *testing.T) {
+	for _, virtual := range []bool{false, true} {
+		t.Run(fmt.Sprintf("virtual=%v", virtual), func(t *testing.T) {
+			testClockStepDiscardsNotAborts(t, virtual)
+		})
+	}
+}
+
+func testClockStepDiscardsNotAborts(t *testing.T, virtual bool) {
 	c := stepCampaign(t, 2, 2)
+	c.VirtualTime = virtual
 	st := c.Studies[0]
 	st.ChaosSeed = 3
 	f, ok, err := faultexpr.ParseSpecLine("skew (alpha:S2) once clockstep(h2,5ms)")
@@ -228,6 +241,46 @@ func TestClockStepDiscardsNotAborts(t *testing.T) {
 		}
 		if len(rec.ClockStepHosts) != 1 || rec.ClockStepHosts[0] != "h2" {
 			t.Errorf("experiment %d: suspected hosts = %v, want [h2]", rec.Index, rec.ClockStepHosts)
+		}
+	}
+}
+
+// TestClockStepDiagnosisIgnoresEpoch: the step diagnosis must name the
+// stepped host and bracket the step however far the stamps lie from the
+// time base's epoch — a wall clock that has run for an hour, or a late
+// experiment in simulated time. Fitting alpha at the epoch widens each
+// phase's interval by its slope uncertainty times that distance, which
+// washes out a 3ms step long before an hour.
+func TestClockStepDiagnosisIgnoresEpoch(t *testing.T) {
+	const step = vclock.Ticks(3e6)
+	for _, start := range []vclock.Ticks{0, vclock.Ticks(time.Hour)} {
+		src := vclock.NewManualSource(start)
+		clocks := map[string]*vclock.Clock{
+			"h1": vclock.NewClock(src, vclock.ClockConfig{}),
+			"h2": vclock.NewClock(src, vclock.ClockConfig{Offset: 4e6, DriftPPM: 70}),
+		}
+		lan := simnet.Exponential{Min: 20e3, MeanTail: 5e3}
+		rng := rand.New(rand.NewSource(1))
+		cfg := clocksync.ExchangeConfig{Count: 20, Spacing: 200e3}
+		pre, err := clocksync.Exchange(src, clocks, "h1", lan, rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Advance(40e6)
+		clocks["h2"].Step(step)
+		post, err := clocksync.Exchange(src, clocks, "h1", lan, rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := &rawExperiment{ref: "h1", preStamps: pre, postStamps: post}
+		hosts, bounds := clockStepHosts(raw, new(clocksync.Estimator))
+		if len(hosts) != 1 || hosts[0] != "h2" {
+			t.Errorf("epoch %v behind: suspected hosts = %v, want [h2]", start.Duration(), hosts)
+			continue
+		}
+		if b := bounds["h2"]; b.Lo > step || b.Hi < step {
+			t.Errorf("epoch %v behind: step bound [%v, %v] excludes the injected %v",
+				start.Duration(), b.Lo.Duration(), b.Hi.Duration(), step.Duration())
 		}
 	}
 }

@@ -80,7 +80,6 @@ func stepCampaign(t testing.TB, experiments, workers int) *Campaign {
 			{Name: "h3", Clock: vclock.ClockConfig{Offset: -2e6, DriftPPM: -35, Jitter: 200, Seed: 3}},
 		},
 		Workers: workers,
-		Runtime: core.Config{Source: vclock.NewSystemSource()},
 		Studies: []*Study{{
 			Name:        "steps",
 			Nodes:       nodes,

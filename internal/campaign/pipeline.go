@@ -85,18 +85,17 @@ func openLocal(c *Campaign, st *Study) opener {
 }
 
 func newLocalTestbed(c *Campaign, st *Study) (*localTestbed, error) {
-	// core.New defaults a nil Source to a fresh SystemSource, giving each
-	// worker its own time base unless the campaign supplies a shared one.
+	// core.New defaults a nil Source to the runtime's clock: the wall
+	// clock's one process-wide time base unless the campaign supplies
+	// another.
 	cfg := c.Runtime
 	cfg.Obs = c.Obs
 	if c.VirtualTime {
-		// Each worker owns a private virtual-time scheduler: the host
-		// clocks' hidden offset/drift geometry is applied over simulated
-		// time, so the convex-hull estimator sees the exact stamps a
-		// real-time run would produce.
-		v := clock.NewVirtual()
-		cfg.Clock = v
-		cfg.Source = v.Source()
+		// Each worker owns a private virtual-time scheduler, which is also
+		// the host clocks' time base: their hidden offset/drift geometry is
+		// applied over simulated time, so the convex-hull estimator sees
+		// the exact stamps a real-time run would produce.
+		cfg.Clock, cfg.Source = clock.NewVirtual(), nil
 	}
 	rt := core.New(cfg)
 	for _, h := range c.Hosts {

@@ -49,7 +49,7 @@ func (f *fakeTestbed) mergeLanes(int, *obs.Trace) { f.calls = append(f.calls, "m
 // per experiment whatever testbed sits under it.
 func TestRuntimePhaseScaffoldingOnce(t *testing.T) {
 	v := clock.NewVirtual()
-	rt := core.New(core.Config{Clock: v, Source: v.Source()})
+	rt := core.New(core.Config{Clock: v})
 	defer rt.Shutdown()
 	tb := &fakeTestbed{rt: rt}
 	c := &Campaign{Obs: &obs.Sink{TraceDir: t.TempDir(), Metrics: obs.NewRegistry()}}

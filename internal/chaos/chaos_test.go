@@ -132,7 +132,7 @@ var nicks = []string{"n1", "n2", "n3"} // nK lives on host hK
 func simBed(t *testing.T) (*clock.Virtual, *core.Runtime) {
 	t.Helper()
 	v := clock.NewVirtual()
-	rt := core.New(core.Config{Clock: v, Source: v.Source(), Logf: t.Logf})
+	rt := core.New(core.Config{Clock: v, Logf: t.Logf})
 	t.Cleanup(rt.Shutdown)
 	sm, err := spec.ParseStateMachine(upSpec)
 	if err != nil {

@@ -8,6 +8,9 @@
 // timeouts then complete instantly while keeping their exact timing
 // geometry.
 //
+// A Clock is also the one time base the hosts' hidden-error clocks read
+// (a vclock.Source), so scheduling and timestamps share one notion of time.
+//
 // The API deliberately has no channel-returning After/NewTimer: receiving
 // from a timer channel blocks in a way no scheduler can observe, which is
 // exactly what makes virtual time impossible to retrofit. Blocking is
@@ -18,10 +21,15 @@ package clock
 
 import (
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // Clock is an injected time source and scheduler.
 type Clock interface {
+	// NowTicks returns the current time in nanoseconds since the clock's
+	// epoch: the physical time host clocks derive from.
+	vclock.Source
 	// Now returns the current time. Under virtual time this is simulated
 	// time (frozen while any task runs), not the wall clock.
 	Now() time.Time
@@ -67,6 +75,10 @@ type Real struct{}
 // NewReal returns the wall clock.
 func NewReal() Real { return Real{} }
 
+// epoch anchors Real's ticks: every runtime on the wall clock shares it.
+var epoch = time.Now()
+
+func (Real) NowTicks() vclock.Ticks          { return vclock.Ticks(time.Since(epoch)) }
 func (Real) Now() time.Time                  { return time.Now() }
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 func (Real) Sleep(d time.Duration)           { time.Sleep(d) }

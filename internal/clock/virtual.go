@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vclock"
@@ -33,8 +34,12 @@ var virtualEpoch = time.Unix(0, 0).UTC()
 // tasks parked on periodic timers (a watchdog, a supervisor poll) do not
 // spin simulated time forward between experiments.
 type Virtual struct {
+	// now is simulated time, in vclock.Ticks. Only next writes it, under
+	// mu; readers take no lock. Time moves only when no task runs, so a
+	// task never sees it move under its feet.
+	now atomic.Int64
+
 	mu      sync.Mutex
-	now     vclock.Ticks
 	seq     uint64
 	timers  timerHeap
 	ready   []readyItem // woken waiters and Go tasks, FIFO from head
@@ -79,8 +84,10 @@ type readyItem struct {
 
 // timerEntry is one pending deadline. An entry is in the heap exactly
 // while it is pending (index >= 0): firing pops it, Stop and a waiter's
-// wake remove it by index, so dispatch never meets a dead entry.
+// wake remove it by index, so dispatch never meets a dead entry. An
+// AfterFunc entry is itself the Timer its caller gets back.
 type timerEntry struct {
+	v     *Virtual // set on AfterFunc entries, for Stop
 	at    vclock.Ticks
 	seq   uint64
 	fn    func()   // AfterFunc body; nil for sleeper entries
@@ -121,30 +128,16 @@ func (h *timerHeap) Pop() interface{} {
 
 // Now implements Clock. Simulated time is frozen while a task runs, so
 // every timestamp a task takes is deterministic.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return virtualEpoch.Add(time.Duration(v.now))
-}
+func (v *Virtual) Now() time.Time { return virtualEpoch.Add(time.Duration(v.now.Load())) }
 
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// NowTicks returns the current simulated time (for tests and the Source
-// adapter).
-func (v *Virtual) NowTicks() vclock.Ticks {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
+// NowTicks implements Clock: the current simulated time.
+func (v *Virtual) NowTicks() vclock.Ticks { return vclock.Ticks(v.now.Load()) }
 
-// Source returns the scheduler's simulated time as a vclock.Source, so
-// the testbed's hidden-error host clocks derive from virtual time.
-func (v *Virtual) Source() vclock.Source { return virtualSource{v} }
-
-type virtualSource struct{ v *Virtual }
-
-func (s virtualSource) Now() vclock.Ticks { return s.v.NowTicks() }
+// Source returns v, which is its own vclock.Source.
+func (v *Virtual) Source() vclock.Source { return v }
 
 // Sleep implements Clock: the calling task blocks and resumes exactly d
 // later in simulated time, regardless of what other timers fire meanwhile.
@@ -173,25 +166,21 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	v.mu.Lock()
-	e := &timerEntry{at: v.now + vclock.Ticks(d), seq: v.seq, fn: fn}
+	e := &timerEntry{v: v, at: v.NowTicks() + vclock.Ticks(d), seq: v.seq, fn: fn}
 	v.seq++
 	heap.Push(&v.timers, e)
 	v.mu.Unlock()
-	return &virtualTimer{v: v, e: e}
+	return e
 }
 
-type virtualTimer struct {
-	v *Virtual
-	e *timerEntry
-}
-
-func (t *virtualTimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	if t.e.index < 0 {
+// Stop implements Timer for an AfterFunc entry.
+func (e *timerEntry) Stop() bool {
+	e.v.mu.Lock()
+	defer e.v.mu.Unlock()
+	if e.index < 0 {
 		return false // already fired or stopped
 	}
-	heap.Remove(&t.v.timers, t.e.index)
+	heap.Remove(&e.v.timers, e.index)
 	return true
 }
 
@@ -315,8 +304,8 @@ func (v *Virtual) next() func() {
 	if v.driving > 0 {
 		if v.timers.Len() > 0 {
 			e := heap.Pop(&v.timers).(*timerEntry)
-			if e.at > v.now {
-				v.now = e.at
+			if e.at > v.NowTicks() {
+				v.now.Store(int64(e.at))
 			}
 			v.busy++
 			v.firedTimers++
@@ -334,7 +323,7 @@ func (v *Virtual) next() func() {
 		if v.parked > 0 {
 			panic(fmt.Sprintf(
 				"clock: virtual deadlock: %d task(s) parked, no runnable task or pending timer (driving=%d, now=%v)",
-				v.parked, v.driving, time.Duration(v.now)))
+				v.parked, v.driving, v.NowTicks().Duration()))
 		}
 	}
 	if v.idle != nil {
@@ -420,7 +409,7 @@ func (w *vWaiter) park(d time.Duration) bool {
 		panic("clock: Wait from a goroutine unknown to the virtual scheduler (spawn it with Clock.Go)")
 	}
 	if d > 0 {
-		w.timer.at = v.now + vclock.Ticks(d)
+		w.timer.at = v.NowTicks() + vclock.Ticks(d)
 		w.timer.seq = v.seq
 		v.seq++
 		heap.Push(&v.timers, &w.timer)

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -329,5 +331,74 @@ func TestSpinWaitRealSubMillisecond(t *testing.T) {
 	SpinWait(Real{}, 50*time.Microsecond)
 	if got := time.Since(start); got < 50*time.Microsecond {
 		t.Fatalf("SpinWait returned after %v, want >= 50µs", got)
+	}
+}
+
+// TestVirtualReadsAllocateNothing: simulated time is read without a lock
+// or an allocation, the unit cost of every timestamp a virtual testbed
+// takes.
+func TestVirtualReadsAllocateNothing(t *testing.T) {
+	v := NewVirtual()
+	if n := testing.AllocsPerRun(1000, func() { v.Now() }); n != 0 {
+		t.Fatalf("Virtual.Now allocates %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { v.NowTicks() }); n != 0 {
+		t.Fatalf("Virtual.NowTicks allocates %v objects, want 0", n)
+	}
+}
+
+// TestVirtualLockFreeReadsNeverDecrease: goroutines the scheduler does not
+// know read simulated time while a driver advances it through timers and
+// sleeps. Their readings never go backwards, and under -race the unlocked
+// reads are checked against the writes next makes under the lock.
+func TestVirtualLockFreeReadsNeverDecrease(t *testing.T) {
+	const readers, steps = 4, 2000
+	v := NewVirtual()
+	var stop atomic.Bool
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			var last vclock.Ticks
+			lastAt := v.Now()
+			for !stop.Load() {
+				now, at := v.NowTicks(), v.Now()
+				if now < last || at.Before(lastAt) {
+					errs <- fmt.Errorf("simulated time went backwards: %d -> %d, %v -> %v", last, now, lastAt, at)
+					return
+				}
+				last, lastAt = now, at
+			}
+			errs <- nil
+		}()
+	}
+	v.Drive()
+	fired := 0
+	for i := 0; i < steps; i++ {
+		v.AfterFunc(time.Duration(i%3)*time.Microsecond, func() { fired++ })
+		v.Sleep(time.Microsecond)
+	}
+	v.Release()
+	stop.Store(true)
+	for r := 0; r < readers; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fired != steps || v.NowTicks() != steps*1e3 {
+		t.Fatalf("fired %d of %d timers, clock at %d", fired, steps, v.NowTicks())
+	}
+}
+
+// TestRealTicksMonotonic: the wall clock's ticks, the host clocks' time
+// base on a real-time testbed, never decrease.
+func TestRealTicksMonotonic(t *testing.T) {
+	var r Real
+	prev := r.NowTicks()
+	for i := 0; i < 1000; i++ {
+		now := r.NowTicks()
+		if now < prev {
+			t.Fatalf("Real ticks went backwards: %d -> %d", prev, now)
+		}
+		prev = now
 	}
 }

@@ -118,12 +118,30 @@ func (h *Handle) deliver(m AppMessage, from string) bool {
 // there — returning how many accepted it. Without remote endpoints (the
 // single-process default) this is the original cheap loop: broadcasts
 // are on the apps' heartbeat paths and must not pay clustered-mode
-// bookkeeping.
+// bookkeeping, nor a fresh list of the live nodes (the registration's
+// scratch holds it).
 func (h *Handle) Broadcast(payload interface{}) int {
+	reg := h.node.reg
+	var live []string
+	scratch := reg.broadcasting.CompareAndSwap(false, true)
+	if scratch {
+		live = reg.live[:0]
+	}
+	live = h.node.rt.appendLiveNodes(live)
+	n := h.broadcast(live, payload)
+	if scratch {
+		reg.live = live
+		reg.broadcasting.Store(false)
+	}
+	return n
+}
+
+// broadcast is Broadcast over the sorted live nicknames.
+func (h *Handle) broadcast(live []string, payload interface{}) int {
 	n := 0
 	remote := h.node.rt.remoteNicknames() // nil without a multi-endpoint transport
 	if len(remote) == 0 {
-		for _, nick := range h.node.rt.LiveNodes() {
+		for _, nick := range live {
 			if nick == h.Nickname() {
 				continue
 			}
@@ -134,7 +152,7 @@ func (h *Handle) Broadcast(payload interface{}) int {
 		return n
 	}
 	sent := map[string]bool{h.Nickname(): true}
-	for _, nick := range h.node.rt.LiveNodes() {
+	for _, nick := range live {
 		if sent[nick] {
 			continue
 		}

@@ -54,7 +54,6 @@ type Node struct {
 	lifeMu    sync.Mutex
 	lifecycle int32 // 0 running, 1 exited, 2 crashed, 3 killed
 	done      chan struct{}
-	appDone   chan struct{}
 	lastAlive atomic.Int64 // physical ticks of last activity, for the watchdog
 }
 
@@ -85,6 +84,11 @@ type registration struct {
 	main func()
 	// peers is StartNode's scratch list of the nodes to seed the view from.
 	peers []*Node
+	// live is Handle.Broadcast's scratch list of live nicknames. A
+	// broadcast holds it while broadcasting is set; another goroutine of
+	// the node broadcasting meanwhile makes a list of its own.
+	live         []string
+	broadcasting atomic.Bool
 
 	// waiters are the goroutines blocked in Handle.Sleep/WaitMessage on
 	// the node, woken on message delivery and on every terminal
@@ -125,10 +129,9 @@ func newNode(r *Runtime, reg *registration, hs *hostState, local *timeline.Local
 		host:      hs,
 		restarted: restarted,
 		done:      make(chan struct{}),
-		appDone:   make(chan struct{}),
 	}
 	n.handle.node = n
-	n.lastAlive.Store(int64(r.source.Now()))
+	n.lastAlive.Store(int64(r.source.NowTicks()))
 	reg.mu.Lock()
 	reg.view.reset()
 	reg.triggers.Reset()
@@ -200,7 +203,6 @@ func (reg *registration) runMain() {
 			n.rt.cfg.Logf("core: node %s panicked: %v", n.Nickname(), rec)
 			n.crash()
 		}
-		close(n.appDone)
 		n.finish()
 	}()
 	n.reg.App.Main(&n.handle)
@@ -469,11 +471,11 @@ func (n *Node) broadcast(state string, targets []string) {
 }
 
 // touch refreshes the watchdog liveness timestamp.
-func (n *Node) touch() { n.lastAlive.Store(int64(n.rt.source.Now())) }
+func (n *Node) touch() { n.lastAlive.Store(int64(n.rt.source.NowTicks())) }
 
 // staleFor reports how long the node has been silent.
 func (n *Node) staleFor() vclock.Ticks {
-	return n.rt.source.Now() - vclock.Ticks(n.lastAlive.Load())
+	return n.rt.source.NowTicks() - vclock.Ticks(n.lastAlive.Load())
 }
 
 // Handle is the probe's interface to the node runtime — what the

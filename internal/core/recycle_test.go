@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,18 +140,20 @@ func TestStaleWakeOnPooledWaiterEndsNoWaitEarly(t *testing.T) {
 
 // TestEmptyExperimentAllocBudget keeps the start-up diet from regressing
 // silently: one experiment of three nodes that return at once, on a warmed
-// runtime under virtual time, measured at 30 allocations when this budget
-// was set (95 before inboxes, waiters and the netem generator were
-// recycled or built on demand; 90 before PR 19 built each node's header,
-// recorder, trigger set, view and waiters once per registration). What is
-// left is what an experiment hands away or what a start must not share:
-// per node the Node (whose handle a straggler may still hold), its two
-// lifecycle channels and a fresh timeline (struct, entries, host list);
-// per experiment the completion wait and the result.
+// runtime under virtual time, measured at 21 allocations when this budget
+// was set (30 with a second lifecycle channel, a host list per timeline
+// and a waiter per completion wait; 90 before each node's header,
+// recorder, trigger set, view and waiters were built once per
+// registration; 95 before inboxes, waiters and the netem generator were
+// recycled or built on demand). What is left is what an experiment hands
+// away or what a start must not share: per node the Node (whose handle a
+// straggler may still hold), its done channel and a fresh timeline
+// (struct and entries); per experiment the completion wait's timer and
+// the result.
 func TestEmptyExperimentAllocBudget(t *testing.T) {
-	const budget = 30
+	const budget = 23
 	v := clock.NewVirtual()
-	rt := New(Config{Clock: v, Source: v.Source()})
+	rt := New(Config{Clock: v})
 	defer rt.Shutdown()
 	var placement []spec.NodeEntry
 	for i, nick := range []string{"black", "green", "yellow"} {
@@ -174,5 +177,80 @@ func TestEmptyExperimentAllocBudget(t *testing.T) {
 	t.Logf("empty experiment: %v allocations", got)
 	if got > budget {
 		t.Fatalf("empty experiment allocates %v objects, budget %d", got, budget)
+	}
+}
+
+// TestBroadcastSteadyStateAllocatesNothing: a broadcast lists the live
+// nodes into its registration's scratch, not a fresh slice, so once the
+// scratch has grown, a broadcast of a boxed payload allocates nothing.
+func TestBroadcastSteadyStateAllocatesNothing(t *testing.T) {
+	_, ha, hb := busPair(t)
+	var payload any = "ping"
+	broadcast := func() {
+		if n := ha.Broadcast(payload); n != 1 {
+			t.Fatalf("broadcast reached %d nodes, want 1", n)
+		}
+		<-hb.inboxChan()
+	}
+	broadcast()
+	if got := testing.AllocsPerRun(1000, broadcast); got != 0 {
+		t.Fatalf("Handle.Broadcast allocates %v objects in steady state, want 0", got)
+	}
+}
+
+// TestConcurrentBroadcastsDoNotShareScratch: two goroutines of one node
+// broadcasting at once must each walk a whole list of their own; under
+// -race a scratch list shared mid-loop is a reported race.
+func TestConcurrentBroadcastsDoNotShareScratch(t *testing.T) {
+	const each = 100
+	_, ha, hb := busPair(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if n := ha.Broadcast(i); n != 1 {
+					t.Errorf("broadcast reached %d nodes, want 1", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(hb.inboxChan()); got != 2*each {
+		t.Fatalf("b received %d messages, want %d", got, 2*each)
+	}
+}
+
+// TestRestartElsewhereCopiesSharedHostList: every timeline started on a
+// host begins with that host's one shared host list, so a restart on
+// another host must append to a copy. Two timelines that share h1's list
+// and restart on different hosts keep host lists of their own.
+func TestRestartElsewhereCopiesSharedHostList(t *testing.T) {
+	rt := New(Config{})
+	t.Cleanup(rt.Shutdown)
+	for _, h := range []string{"h1", "h2", "h3"} {
+		rt.AddHost(h, vclock.ClockConfig{})
+	}
+	for _, nick := range []string{"a", "b"} {
+		if err := rt.Register(NodeDef{Nickname: nick, Spec: busSpec(t), App: waitingApp{}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.StartNode(nick, "h1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for nick, host := range map[string]string{"a": "h2", "b": "h3"} {
+		rt.Node(nick).Handle().Crash()
+		waitFor(t, nick+" to finish crashing", func() bool { return rt.Node(nick) == nil })
+		if _, err := rt.StartNode(nick, host); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for nick, want := range map[string]string{"a": "[h1 h2]", "b": "[h1 h3]"} {
+		if got := fmt.Sprint(rt.Store().Get(nick).Hosts); got != want {
+			t.Errorf("%s's timeline hosts = %s, want %s", nick, got, want)
+		}
 	}
 }

@@ -41,13 +41,15 @@ type Host struct {
 
 // Config configures a Runtime.
 type Config struct {
-	// Source is the shared physical time base. Defaults to a SystemSource.
+	// Source is the shared physical time base the host clocks read.
+	// Defaults to Clock, which is one: the testbed then has a single time
+	// base.
 	Source vclock.Source
 	// Clock is the scheduling clock the runtime blocks and defers through.
 	// Defaults to the wall clock; a virtual-time campaign supplies a
-	// clock.Virtual here (with Source set to its Source()) so delivery
-	// delays, watchdog polls, and experiment timeouts run in simulated
-	// time.
+	// clock.Virtual here so delivery delays, watchdog polls, experiment
+	// timeouts and (through the default Source) host-clock timestamps run
+	// in simulated time.
 	Clock clock.Clock
 	// LocalDelay is the injected latency for same-host (IPC) notification
 	// hops; the thesis measures ~20 µs (§3.4.2).
@@ -111,6 +113,7 @@ type Runtime struct {
 	remoteNicksOK bool
 	active        int
 	doneWaiters   []clock.Waiter // Wait callers, woken when active hits zero
+	idleWaiters   []clock.Waiter // Wait's waiters between calls, for the next
 	stopped       bool
 	sealed        bool                            // experiment over; no nodes may start until reset
 	actionHook    func(n *Node, f faultexpr.Spec) // built-in action dispatcher (netem.go)
@@ -132,6 +135,10 @@ type hostState struct {
 	host   Host
 	daemon *LocalDaemon
 	down   bool // crashed host (§3.6.4); no nodes may start until reboot
+	// hosts is the host list of a timeline started here: just this host,
+	// clipped, and shared read-only by every such timeline like the
+	// header. A restart elsewhere appends to it, and so copies it.
+	hosts []string
 }
 
 // NodeDef is the per-state-machine configuration a study supplies: the
@@ -147,11 +154,11 @@ type NodeDef struct {
 
 // New creates an empty runtime.
 func New(cfg Config) *Runtime {
-	if cfg.Source == nil {
-		cfg.Source = vclock.NewSystemSource()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
+	}
+	if cfg.Source == nil {
+		cfg.Source = cfg.Clock
 	}
 	logging := true
 	if cfg.Logf == nil {
@@ -207,7 +214,7 @@ func (r *Runtime) AddHost(name string, clockCfg vclock.ClockConfig) *Host {
 		panic(fmt.Sprintf("core: duplicate host %q", name))
 	}
 	h := Host{Name: name, Clock: vclock.NewClock(r.source, clockCfg)}
-	hs := &hostState{host: h}
+	hs := &hostState{host: h, hosts: []string{name}}
 	hs.daemon = newLocalDaemon(r, h)
 	r.hosts[name] = hs
 	return &hs.host
@@ -298,6 +305,7 @@ func (r *Runtime) StartNode(nickname, host string) (*Node, error) {
 		// A fresh timeline: the shared header, and entries of its own —
 		// the last one went to whoever collected that experiment.
 		local = &timeline.Local{Meta: reg.header, Entries: make([]timeline.Entry, 0, reg.entries)}
+		local.Hosts = hs.hosts
 		r.store.Put(local)
 	}
 	n := newNode(r, reg, hs, local, restarted)
@@ -357,15 +365,18 @@ func (r *Runtime) TimelineNames() []string {
 }
 
 // LiveNodes returns the nicknames of running nodes, sorted.
-func (r *Runtime) LiveNodes() []string {
+func (r *Runtime) LiveNodes() []string { return r.appendLiveNodes(nil) }
+
+// appendLiveNodes appends the nicknames of running nodes to dst, sorted.
+func (r *Runtime) appendLiveNodes(dst []string) []string {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.nodes))
+	dst = slices.Grow(dst, len(r.nodes))
 	for n := range r.nodes {
-		out = append(out, n)
+		dst = append(dst, n)
 	}
-	sort.Strings(out)
-	return out
+	r.mu.Unlock()
+	sort.Strings(dst)
+	return dst
 }
 
 // Wait blocks until the experiment completes — no nodes are executing,
@@ -374,8 +385,15 @@ func (r *Runtime) LiveNodes() []string {
 // the central daemon does (§3.5.1). It reports whether completion was
 // natural (true) or by timeout (false).
 func (r *Runtime) Wait(timeout time.Duration) bool {
-	w := r.clk.NewWaiter()
+	// A reused waiter may carry a sticky wake from its last call: one
+	// spurious pass of the loop below, which re-checks anyway.
 	r.mu.Lock()
+	var w clock.Waiter
+	if n := len(r.idleWaiters); n > 0 {
+		w, r.idleWaiters = r.idleWaiters[n-1], r.idleWaiters[:n-1]
+	} else {
+		w = r.clk.NewWaiter()
+	}
 	r.doneWaiters = append(r.doneWaiters, w)
 	r.mu.Unlock()
 	defer r.dropDoneWaiter(w)
@@ -407,6 +425,7 @@ func (r *Runtime) dropDoneWaiter(w clock.Waiter) {
 			break
 		}
 	}
+	r.idleWaiters = append(r.idleWaiters, w)
 	r.mu.Unlock()
 }
 

@@ -12,6 +12,13 @@ func TestWallclockAllowlist(t *testing.T) {
 	runFixtureClean(t, Wallclock, "repro/internal/clock/wcallow")
 }
 
+// TestWallclockVclockNotExempt: host clocks read the runtime's clock, so
+// internal/vclock is off the allowlist and a wall-clock tick source there
+// is flagged.
+func TestWallclockVclockNotExempt(t *testing.T) {
+	runFixture(t, Wallclock, "repro/internal/vclock/wcvclock")
+}
+
 func TestRawlog(t *testing.T) {
 	runFixture(t, Rawlog, "repro/internal/rllint")
 }

@@ -25,17 +25,17 @@ var wallclockFuncs = map[string]bool{
 // wallclockAllowedPkgs are the sanctioned wall-clock boundaries, each a
 // package whose whole purpose is to touch real time:
 //
-//   - internal/clock: the abstraction itself (Real wraps the time package;
-//     SpinWait's sub-millisecond spin).
-//   - internal/vclock: NewSystemSource is the sanctioned wall-clock tick
-//     source behind the host-clock geometry.
+//   - internal/clock: the abstraction itself (Real wraps the time package
+//     and is also the wall-clock tick source behind the host-clock
+//     geometry; SpinWait's sub-millisecond spin).
 //   - internal/obs: obs.Now() is the sanctioned accessor for operational
 //     latencies (journal fsync, analysis, worker utilization) and log
 //     timestamps; experiment-visible trace spans take their times from the
 //     injected clock.
+//
+// internal/vclock is not one: host clocks read the runtime's clock.Clock.
 var wallclockAllowedPkgs = []string{
 	"repro/internal/clock",
-	"repro/internal/vclock",
 	"repro/internal/obs",
 }
 
@@ -49,7 +49,7 @@ var wallclockAllowedFiles = map[string]map[string]bool{
 }
 
 // Wallclock reports uses of wall-clock time package functions in
-// internal/ outside the clock/vclock/obs/cluster-socket allowlist. It
+// internal/ outside the clock/obs/cluster-socket allowlist. It
 // resolves through the type-checker, so aliased imports, dot-imports, and
 // stored function values (f := time.Now; f()) are all caught — the failure
 // modes the old forbid_wallclock.sh grep was blind to.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vclock"
 )
@@ -19,8 +20,9 @@ import (
 type Recorder struct {
 	mu    sync.Mutex
 	local *Local // nil while detached
-	clock *vclock.Clock
 	host  string
+	// clock is set under mu but read without it: Now takes no lock.
+	clock atomic.Pointer[vclock.Clock]
 }
 
 // Start binds the recorder to a timeline (possibly one with entries, when
@@ -30,7 +32,8 @@ type Recorder struct {
 // (§3.6.3).
 func (r *Recorder) Start(local *Local, host string, clock *vclock.Clock) {
 	r.mu.Lock()
-	r.local, r.clock, r.host = local, clock, host
+	r.local, r.host = local, host
+	r.clock.Store(clock)
 	r.internHost(host)
 	r.mu.Unlock()
 	r.add(Entry{Kind: HostChange}, true)
@@ -64,19 +67,14 @@ func (r *Recorder) add(e Entry, stamp bool) {
 	}
 	e.Host = r.host
 	if stamp {
-		e.Time = r.clock.Now()
+		e.Time = r.clock.Load().Now()
 	}
 	r.local.Entries = append(r.local.Entries, e)
 }
 
 // Now reads the recorder's clock (the local clock of the host it was last
 // started on).
-func (r *Recorder) Now() vclock.Ticks {
-	r.mu.Lock()
-	c := r.clock
-	r.mu.Unlock()
-	return c.Now()
-}
+func (r *Recorder) Now() vclock.Ticks { return r.clock.Load().Now() }
 
 // RecordStateChange logs a transition into newState caused by event, at the
 // given local time (the time must be captured where the event occurred, as

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/clock"
 	"repro/internal/faultexpr"
 	"repro/internal/vclock"
 )
@@ -313,10 +314,9 @@ func TestRecorderDetachHandsTimelineOver(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	src := vclock.NewSystemSource()
 	l := &Local{Meta: sampleMeta()}
 	rec := new(Recorder)
-	rec.Start(l, "host1", vclock.NewPerfectClock(src))
+	rec.Start(l, "host1", vclock.NewPerfectClock(clock.Real{}))
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func() {
@@ -331,6 +331,16 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if n := len(rec.Timeline().Entries); n != 1+2000 {
 		t.Errorf("entries = %d, want 2001", n)
+	}
+}
+
+// TestRecorderNowAllocs: a probe timestamp over simulated time takes no
+// lock and allocates nothing.
+func TestRecorderNowAllocs(t *testing.T) {
+	rec := new(Recorder)
+	rec.Start(&Local{Meta: sampleMeta()}, "host1", vclock.NewPerfectClock(clock.NewVirtual()))
+	if n := testing.AllocsPerRun(1000, func() { rec.Now() }); n != 0 {
+		t.Fatalf("Recorder.Now allocates %v objects, want 0", n)
 	}
 }
 

@@ -11,7 +11,9 @@
 //
 // optionally quantized to a read granularity. The transform is hidden from
 // the runtime exactly as a hardware clock's error is, but tests can query the
-// ground truth to validate the convex-hull synchronization bounds.
+// ground truth to validate the convex-hull synchronization bounds. There is
+// one time base: a runtime's Source is its own scheduling clock, wall or
+// simulated (internal/clock), so this package reads no clock of its own.
 package vclock
 
 import (
@@ -19,6 +21,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -53,28 +56,17 @@ func (t Ticks) Lo() uint32 { return uint32(uint64(t)) }
 func FromHiLo(hi, lo uint32) Ticks { return Ticks(uint64(hi)<<32 | uint64(lo)) }
 
 // A Source provides physical time. It is the single base that all host
-// clocks in one testbed derive from. Implementations must be safe for
-// concurrent use.
+// clocks in one testbed derive from; every clock.Clock is one.
+// Implementations must be safe for concurrent use.
 type Source interface {
-	// Now returns the current physical time in nanoseconds since the
+	// NowTicks returns the current physical time in nanoseconds since the
 	// source's epoch. It must be monotonically non-decreasing.
-	Now() Ticks
+	NowTicks() Ticks
 }
-
-// SystemSource is a Source backed by the operating system's monotonic clock.
-// The epoch is the moment the source was created.
-type SystemSource struct {
-	start time.Time
-}
-
-// NewSystemSource returns a SystemSource whose epoch is now.
-func NewSystemSource() *SystemSource { return &SystemSource{start: time.Now()} }
-
-// Now implements Source using the monotonic reading of time.Since.
-func (s *SystemSource) Now() Ticks { return Ticks(time.Since(s.start)) }
 
 // ManualSource is a Source advanced explicitly by the caller. It is the time
-// base for discrete-event simulations, where the simulator owns time.
+// base for discrete-event tools (clocksync.Exchange, cmd/getstamps), where
+// the caller owns time.
 type ManualSource struct {
 	mu  sync.Mutex
 	now Ticks
@@ -83,8 +75,8 @@ type ManualSource struct {
 // NewManualSource returns a ManualSource positioned at start.
 func NewManualSource(start Ticks) *ManualSource { return &ManualSource{now: start} }
 
-// Now implements Source.
-func (s *ManualSource) Now() Ticks {
+// NowTicks implements Source.
+func (s *ManualSource) NowTicks() Ticks {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.now
@@ -120,12 +112,14 @@ type Clock struct {
 	offset      Ticks   // C(0), nanoseconds
 	drift       float64 // dC/dt; 1.0 is a perfect clock, 1.0+100e-6 runs fast by 100 ppm
 	granularity Ticks   // readings are floored to a multiple of this (0 = exact)
+	jitter      Ticks   // max uniform jitter added to a reading (models sampling noise)
 
+	// A jitter-free reading takes no lock: last and stepped are atomics.
+	// mu serializes only the jitter generator.
+	last    atomic.Int64 // the latest reading, clamping the next (monotonicity)
+	stepped atomic.Int64 // cumulative Step adjustments (clock-setting faults)
 	mu      sync.Mutex
-	jitter  Ticks // max uniform jitter added to a reading (models sampling noise)
 	rng     *rand.Rand
-	last    Ticks // enforce per-clock monotonicity under jitter
-	stepped Ticks // cumulative Step adjustments (clock-setting faults)
 }
 
 // ClockConfig describes the hidden error of a host clock.
@@ -159,7 +153,7 @@ func NewClock(source Source, cfg ClockConfig) *Clock {
 	if cfg.Jitter > 0 {
 		c.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	c.last = math.MinInt64
+	c.last.Store(math.MinInt64)
 	return c
 }
 
@@ -173,23 +167,29 @@ func NewPerfectClock(source Source) *Clock { return NewClock(source, ClockConfig
 // order same-clock records exactly. Under a discrete-event source the
 // underlying time may not move between two reads, so the strictness is
 // enforced here. Clocks with a read granularity keep the floored value:
-// equal readings on a coarse clock are real, unorderable behaviour.
+// equal readings on a coarse clock are real, unorderable behaviour. The
+// clamp is a compare-and-swap on the latest reading, so concurrent readers
+// still each get a reading of their own.
 func (c *Clock) Now() Ticks {
-	t := c.At(c.source.Now())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t += c.stepped
+	t := c.At(c.source.NowTicks()) + Ticks(c.stepped.Load())
 	if c.rng != nil {
+		c.mu.Lock()
 		t += Ticks(c.rng.Int63n(int64(c.jitter)))
+		c.mu.Unlock()
 	}
-	if t <= c.last {
-		t = c.last
-		if c.granularity == 0 {
-			t++
+	for {
+		last := c.last.Load()
+		r := t
+		if int64(r) <= last {
+			r = Ticks(last)
+			if c.granularity == 0 {
+				r++
+			}
+		}
+		if c.last.CompareAndSwap(last, int64(r)) {
+			return r
 		}
 	}
-	c.last = t
-	return t
 }
 
 // Step shifts all subsequent readings by delta — a misbehaving operator or
@@ -200,19 +200,11 @@ func (c *Clock) Now() Ticks {
 // preserved: after a negative step, readings creep forward from the
 // previous maximum until the clock catches up, like a monotonic-clamped
 // OS clock under slewing.
-func (c *Clock) Step(delta Ticks) {
-	c.mu.Lock()
-	c.stepped += delta
-	c.mu.Unlock()
-}
+func (c *Clock) Step(delta Ticks) { c.stepped.Add(int64(delta)) }
 
 // TrueStepped returns the cumulative Step adjustment (ground truth for
 // tests).
-func (c *Clock) TrueStepped() Ticks {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stepped
-}
+func (c *Clock) TrueStepped() Ticks { return Ticks(c.stepped.Load()) }
 
 // ClearStep removes accumulated Step adjustments and releases the
 // monotonic clamp, restoring the configured affine transform. Runtimes
@@ -221,10 +213,8 @@ func (c *Clock) TrueStepped() Ticks {
 // experiment's clock fault would poison every later experiment on the
 // same testbed.
 func (c *Clock) ClearStep() {
-	c.mu.Lock()
-	c.stepped = 0
-	c.last = math.MinInt64
-	c.mu.Unlock()
+	c.stepped.Store(0)
+	c.last.Store(math.MinInt64)
 }
 
 // At returns the (noise-free) local time corresponding to physical time t.

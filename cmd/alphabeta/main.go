@@ -16,10 +16,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"repro/internal/clocksync"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -59,15 +61,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	out := os.Stdout
-	if *outPath != "" {
-		out, err = os.Create(*outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer out.Close()
+	encode := func(w io.Writer) error { return clocksync.EncodeAlphaBeta(w, reference, bounds) }
+	if *outPath == "" {
+		err = encode(os.Stdout)
+	} else {
+		err = obs.WriteArtifact(*outPath, 0o666, encode)
 	}
-	if err := clocksync.EncodeAlphaBeta(out, reference, bounds); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	for _, host := range clocksync.Hosts(msgs) {

@@ -20,12 +20,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
 	"time"
 
 	"repro/internal/clocksync"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/spec"
 	"repro/internal/vclock"
@@ -86,31 +88,28 @@ func main() {
 	}
 	msgs = append(msgs, more...)
 
-	out := os.Stdout
-	if *outPath != "" {
-		out, err = os.Create(*outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
 	// One buffered writer carries the stamps and the ground-truth trailer,
-	// so a failed write anywhere surfaces at Flush; Close is checked too —
-	// exiting 0 on a short write would hand alphabeta a truncated file.
-	w := bufio.NewWriter(out)
-	if err := clocksync.EncodeTimestamps(w, msgs); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(w, "# reference %s\n", ref)
-	for _, h := range hosts {
-		fmt.Fprintf(w, "# truth %s offset=%dns drift=%+gppm\n", h, truth[h].Offset, truth[h].DriftPPM)
-	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	if *outPath != "" {
-		if err := out.Close(); err != nil {
-			log.Fatal(err)
+	// so a failed write anywhere surfaces at Flush; the file's Close is
+	// checked too — exiting 0 on a short write would hand alphabeta a
+	// truncated file.
+	encode := func(out io.Writer) error {
+		w := bufio.NewWriter(out)
+		if err := clocksync.EncodeTimestamps(w, msgs); err != nil {
+			return err
 		}
+		fmt.Fprintf(w, "# reference %s\n", ref)
+		for _, h := range hosts {
+			fmt.Fprintf(w, "# truth %s offset=%dns drift=%+gppm\n", h, truth[h].Offset, truth[h].DriftPPM)
+		}
+		return w.Flush()
+	}
+	if *outPath == "" {
+		err = encode(os.Stdout)
+	} else {
+		err = obs.WriteArtifact(*outPath, 0o666, encode)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d messages for %d hosts\n", len(msgs), len(hosts))
 }

@@ -18,11 +18,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"repro/internal/analysis"
 	"repro/internal/clocksync"
+	"repro/internal/obs"
 	"repro/internal/timeline"
 )
 
@@ -68,15 +70,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out := os.Stdout
-	if *outPath != "" {
-		out, err = os.Create(*outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer out.Close()
+	// The output is closed, and its close error checked, before the exit
+	// status is decided: os.Exit below skips deferred calls.
+	encode := func(w io.Writer) error { return analysis.Encode(w, g) }
+	if *outPath == "" {
+		err = encode(os.Stdout)
+	} else {
+		err = obs.WriteArtifact(*outPath, 0o666, encode)
 	}
-	if err := analysis.Encode(out, g); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 

@@ -258,29 +258,56 @@ func TestComputeMomentsDegenerate(t *testing.T) {
 }
 
 // TestMomentsShiftInvariance: central moments are invariant under shifts.
-func TestMomentsShiftInvariance(t *testing.T) {
-	f := func(seed int64, shiftRaw int8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		shift := float64(shiftRaw)
-		xs := make([]float64, 50)
-		ys := make([]float64, 50)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 3
-			ys[i] = xs[i] + shift
-		}
-		a, b := ComputeMoments(xs), ComputeMoments(ys)
-		// Tolerances are relative: a large shift cancels against large
-		// raw moments, so the achievable agreement scales with magnitude.
-		close := func(x, y, tol float64) bool {
-			scale := math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
-			return math.Abs(x-y) <= tol*scale
-		}
-		return close(a.Mu2, b.Mu2, 1e-8) &&
-			close(a.Mu3, b.Mu3, 1e-8) &&
-			close(a.Mu4, b.Mu4, 1e-8) &&
-			close(a.M1+shift, b.M1, 1e-9)
+// momentsShiftInvariant reports whether shifting a seeded sample by
+// shiftRaw leaves its central moments unchanged, up to the rounding error
+// of Eqns 4.1–4.3. Those formulas cancel raw-moment terms: Mu4 subtracts
+// terms near 6·shift⁴ to leave a value near 3σ⁴, so the error scales with
+// the largest term cancelled, not with the central moment itself.
+func momentsShiftInvariant(seed int64, shiftRaw int8) bool {
+	rng := rand.New(rand.NewSource(seed))
+	shift := float64(shiftRaw)
+	xs := make([]float64, 50)
+	ys := make([]float64, 50)
+	for i := range xs {
+		xs[i] = rng.NormFloat64() * 3
+		ys[i] = xs[i] + shift
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	a, b := ComputeMoments(xs), ComputeMoments(ys)
+	// cancelled returns the largest magnitude among the terms f picks out
+	// of either sample's moments.
+	cancelled := func(f func(m Moments) []float64) float64 {
+		scale := 1.0
+		for _, m := range []Moments{a, b} {
+			for _, term := range f(m) {
+				scale = math.Max(scale, math.Abs(term))
+			}
+		}
+		return scale
+	}
+	mu2 := cancelled(func(m Moments) []float64 { return []float64{m.M2, m.M1 * m.M1} })
+	mu3 := cancelled(func(m Moments) []float64 {
+		return []float64{m.M3, 3 * m.M2 * m.M1, 2 * m.M1 * m.M1 * m.M1}
+	})
+	mu4 := cancelled(func(m Moments) []float64 {
+		return []float64{m.M4, 4 * m.M3 * m.M1, 6 * m.M2 * m.M1 * m.M1, 3 * m.M1 * m.M1 * m.M1 * m.M1}
+	})
+	// 50 summed values and four cancelled terms lose at most ≈ 60 ulps of
+	// the largest term; 1e-12 leaves a margin of about 70.
+	const tol = 1e-12
+	return math.Abs(a.Mu2-b.Mu2) <= tol*mu2 &&
+		math.Abs(a.Mu3-b.Mu3) <= tol*mu3 &&
+		math.Abs(a.Mu4-b.Mu4) <= tol*mu4 &&
+		math.Abs(a.M1+shift-b.M1) <= 1e-9*math.Max(1, math.Abs(b.M1))
+}
+
+func TestMomentsShiftInvariance(t *testing.T) {
+	// quick.Check drew this case about once in 20 runs when the tolerance
+	// was 1e-8 of the central moment: Mu4 missed that by 3 %. Its error is
+	// 2 ulps of the largest cancelled term.
+	if !momentsShiftInvariant(-6766547748867433413, -127) {
+		t.Error("pinned case (seed -6766547748867433413, shift -127) fails")
+	}
+	if err := quick.Check(momentsShiftInvariant, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

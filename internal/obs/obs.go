@@ -164,15 +164,10 @@ func (s *Sink) WriteTrace(t *Trace) error {
 		return fmt.Errorf("obs: trace dir: %w", err)
 	}
 	path := filepath.Join(dir, fmt.Sprintf("exp%03d.trace.jsonl", t.Index))
-	f, err := os.Create(path)
-	if err != nil {
+	if err := WriteArtifact(path, 0o666, t.Encode); err != nil {
 		return fmt.Errorf("obs: trace: %w", err)
 	}
-	if err := t.Encode(f); err != nil {
-		f.Close()
-		return fmt.Errorf("obs: trace %s: %w", path, err)
-	}
-	return f.Close()
+	return nil
 }
 
 // RuntimeMetrics is the core runtime's counter bundle, resolved once so

@@ -492,26 +492,12 @@ func Generate(opt Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	jsonPath := filepath.Join(opt.Dir, "report.json")
-	jf, err := os.Create(jsonPath)
-	if err != nil {
+	if err := obs.WriteArtifact(filepath.Join(opt.Dir, "report.json"), 0o666, d.WriteJSON); err != nil {
 		return "", fmt.Errorf("report: %w", err)
-	}
-	if err := d.WriteJSON(jf); err != nil {
-		jf.Close()
-		return "", fmt.Errorf("report: %s: %w", jsonPath, err)
-	}
-	if err := jf.Close(); err != nil {
-		return "", err
 	}
 	htmlPath := filepath.Join(opt.Dir, "report.html")
-	hf, err := os.Create(htmlPath)
-	if err != nil {
+	if err := obs.WriteArtifact(htmlPath, 0o666, d.WriteHTML); err != nil {
 		return "", fmt.Errorf("report: %w", err)
 	}
-	if err := d.WriteHTML(hf); err != nil {
-		hf.Close()
-		return "", fmt.Errorf("report: %s: %w", htmlPath, err)
-	}
-	return htmlPath, hf.Close()
+	return htmlPath, nil
 }

@@ -178,15 +178,7 @@ func (s *Session) writeMetricsSnapshot() error {
 	if err := os.MkdirAll(s.artifacts, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(s.artifacts, "metrics.json"))
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteArtifact(filepath.Join(s.artifacts, "metrics.json"), 0o666, reg.WriteJSON)
 }
 
 // writeReport renders report.html/report.json over whatever artifacts

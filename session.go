@@ -3,13 +3,18 @@ package loki
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/clocksync"
 	"repro/internal/config"
+	"repro/internal/obs"
 	"repro/internal/timeline"
 	"repro/internal/transport"
 )
@@ -197,6 +202,11 @@ func WithCluster(cl ClusterConfig) Option {
 // per-machine timelines plus timestamps file after RunOne. Checkpoint
 // journaling defaults to the same directory when not configured
 // separately.
+//
+// Artifact files are derived output and not crash-consistent: each is
+// overwritten in place, so a crash mid-rewrite can leave old and new bytes
+// mixed, as a crash just after truncation once left an empty file. The
+// journal is the durable record; Resume rebuilds the artifacts from it.
 func WithArtifacts(dir string) Option {
 	return func(s *Session) error {
 		if dir == "" {
@@ -717,6 +727,7 @@ func (s *Session) writeRunArtifacts(res *SessionResult) error {
 	if s.artifacts == "" || res == nil {
 		return nil
 	}
+	var jobs []artifactJob
 	if res.Campaign != nil {
 		single := len(res.Campaign.Studies) == 1
 		for _, sr := range res.Campaign.Studies {
@@ -724,9 +735,7 @@ func (s *Session) writeRunArtifacts(res *SessionResult) error {
 			if !single {
 				dir = underDir(s.artifacts, sr.Name)
 			}
-			if err := writeStudyArtifacts(dir, sr); err != nil {
-				return err
-			}
+			jobs = appendArtifactJobs(jobs, dir, sr)
 		}
 	}
 	if res.Matrix != nil {
@@ -734,10 +743,11 @@ func (s *Session) writeRunArtifacts(res *SessionResult) error {
 			if pr == nil || pr.Study == nil {
 				continue
 			}
-			if err := writeStudyArtifacts(underDir(s.artifacts, pr.Point.Name()), pr.Study); err != nil {
-				return err
-			}
+			jobs = appendArtifactJobs(jobs, underDir(s.artifacts, pr.Point.Name()), pr.Study)
 		}
+	}
+	if err := writeArtifactJobs(jobs); err != nil {
+		return err
 	}
 	if err := s.writeMetricsSnapshot(); err != nil {
 		return err
@@ -753,13 +763,42 @@ func underDir(base, name string) string {
 	return filepath.Join(base, filepath.Clean("/"+name))
 }
 
-// writeStudyArtifacts writes one study's per-experiment artifacts.
-func writeStudyArtifacts(dir string, sr *StudyOutcome) error {
+// artifactJob is one record whose per-experiment artifacts go under dir.
+type artifactJob struct {
+	dir string
+	rec *ExperimentRecord
+}
+
+// appendArtifactJobs adds one study's records that have a global timeline.
+func appendArtifactJobs(jobs []artifactJob, dir string, sr *StudyOutcome) []artifactJob {
 	for _, rec := range sr.Records {
-		if rec == nil || rec.Global == nil {
-			continue
+		if rec != nil && rec.Global != nil {
+			jobs = append(jobs, artifactJob{dir, rec})
 		}
-		if err := writeExperimentArtifacts(dir, rec); err != nil {
+	}
+	return jobs
+}
+
+// writeArtifactJobs writes every job's artifacts from GOMAXPROCS
+// goroutines, each with its own ArtifactWriter, and returns the first
+// error in job order once all of them have finished.
+func writeArtifactJobs(jobs []artifactJob) error {
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var w obs.ArtifactWriter
+			for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+				errs[i] = writeExperimentArtifacts(&w, jobs[i].dir, jobs[i].rec)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
@@ -768,38 +807,31 @@ func writeStudyArtifacts(dir string, sr *StudyOutcome) error {
 
 // writeExperimentArtifacts writes one record's global timeline, alphabeta
 // bounds, and verdict under dir/expNNN.
-func writeExperimentArtifacts(dir string, rec *ExperimentRecord) error {
+func writeExperimentArtifacts(w *obs.ArtifactWriter, dir string, rec *ExperimentRecord) error {
 	expDir := filepath.Join(dir, fmt.Sprintf("exp%03d", rec.Index))
 	if err := os.MkdirAll(expDir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(expDir, "global.timeline"))
+	err := w.Write(filepath.Join(expDir, "global.timeline"), 0o666, func(w io.Writer) error {
+		return analysis.Encode(w, rec.Global)
+	})
 	if err != nil {
 		return err
 	}
-	if err := analysis.Encode(f, rec.Global); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	f, err = os.Create(filepath.Join(expDir, "alphabeta.txt"))
+	err = w.Write(filepath.Join(expDir, "alphabeta.txt"), 0o666, func(w io.Writer) error {
+		return clocksync.EncodeAlphaBeta(w, rec.Global.Reference, rec.Bounds)
+	})
 	if err != nil {
 		return err
 	}
-	if err := clocksync.EncodeAlphaBeta(f, rec.Global.Reference, rec.Bounds); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	verdict := "rejected"
+	verdict := "rejected\n"
 	if rec.Accepted {
-		verdict = "accepted"
+		verdict = "accepted\n"
 	}
-	return os.WriteFile(filepath.Join(expDir, "verdict.txt"), []byte(verdict+"\n"), 0o644)
+	return w.Write(filepath.Join(expDir, "verdict.txt"), 0o644, func(w io.Writer) error {
+		_, err := io.WriteString(w, verdict)
+		return err
+	})
 }
 
 // writeRawArtifacts emits RunOne's raw runtime artifacts — one §3.5.6
@@ -827,27 +859,17 @@ func (s *Session) writeRawArtifacts(e *Experiment) error {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
-		f, err := os.Create(path)
+		err := obs.WriteArtifact(path, 0o666, func(w io.Writer) error {
+			return timeline.Encode(w, tl)
+		})
 		if err != nil {
 			return err
 		}
-		if err := timeline.Encode(f, tl); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
 	}
-	f, err := os.Create(filepath.Join(s.artifacts, "timestamps.txt"))
+	err := obs.WriteArtifact(filepath.Join(s.artifacts, "timestamps.txt"), 0o666, func(w io.Writer) error {
+		return clocksync.EncodeTimestamps(w, e.Stamps)
+	})
 	if err != nil {
-		return err
-	}
-	if err := clocksync.EncodeTimestamps(f, e.Stamps); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	if err := s.writeMetricsSnapshot(); err != nil {

@@ -34,6 +34,7 @@ package app
 
 import (
 	"encoding/gob"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -93,14 +94,26 @@ func New(body func(h *Handle)) *Instrumented { return probe.NewInstrumented(body
 func ParseSpec(doc string) (*StateMachine, error) { return spec.ParseStateMachine(doc) }
 
 // MustParseSpec is ParseSpec for specifications assembled in code, where a
-// parse error is a bug in the application, not bad input.
+// parse error is a bug in the application, not bad input. It parses each
+// document text once: every later call with the same text returns the same
+// machine, which is therefore shared and must be treated as read-only.
+// Matrix points rebuild their studies, and with them their specs, for every
+// point; this keeps that from re-parsing. ParseSpec, for user input, always
+// returns a fresh machine.
 func MustParseSpec(doc string) *StateMachine {
+	if m, ok := parsedSpecs.Load(doc); ok {
+		return m.(*StateMachine)
+	}
 	m, err := spec.ParseStateMachine(doc)
 	if err != nil {
 		panic("app: invalid state machine specification: " + err.Error())
 	}
-	return m
+	shared, _ := parsedSpecs.LoadOrStore(doc, m)
+	return shared.(*StateMachine)
 }
+
+// parsedSpecs memoizes MustParseSpec by document text.
+var parsedSpecs sync.Map
 
 // RegisterMessage announces application-bus payload types to the cluster
 // transports' gob envelope, so user payloads survive socket hops in

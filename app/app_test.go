@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/app"
-	_ "repro/apps/election"
+	"repro/apps/election"
 	_ "repro/apps/quorum"
 	_ "repro/apps/replica"
 )
@@ -118,4 +118,31 @@ func TestRegisterMessageIdempotent(t *testing.T) {
 	type probeMsg struct{ N int }
 	app.RegisterMessage(probeMsg{})
 	app.RegisterMessage(probeMsg{}) // same type again must not panic
+}
+
+// TestMustParseSpecMemoized: a specification assembled in code is parsed
+// once per document text — the same text returns the same (shared,
+// read-only) machine, a different one its own — while ParseSpec, which
+// takes user input, returns a fresh machine every time.
+func TestMustParseSpecMemoized(t *testing.T) {
+	peers := []string{"black", "green", "yellow"}
+	a, b := election.SpecFor("black", peers), election.SpecFor("black", peers)
+	if a != b {
+		t.Error("the same document parsed twice")
+	}
+	if c := election.SpecFor("black", peers[:2]); c == a {
+		t.Error("a different peer list returned the same machine")
+	}
+	doc := a.Format()
+	p, err := app.ParseSpec(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := app.ParseSpec(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p == q || p == a {
+		t.Error("ParseSpec returned a shared machine")
+	}
 }

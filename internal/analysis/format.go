@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -126,24 +126,20 @@ func Decode(r io.Reader) (*Global, error) {
 // DecodeString is Decode from a string.
 func DecodeString(s string) (*Global, error) { return Decode(strings.NewReader(s)) }
 
-// MarshalJSON renders the timeline as a JSON string holding its §5.7 text,
-// so a record that embeds a Global (the checkpoint journal's) shares one
-// format with the global.timeline artifact.
-func (g *Global) MarshalJSON() ([]byte, error) {
-	doc, err := EncodeString(g)
-	if err != nil {
+// MarshalText renders the timeline as its §5.7 text, so a record that
+// embeds a Global (the checkpoint journal's) carries it as one JSON string
+// and shares one format with the global.timeline artifact.
+func (g *Global) MarshalText() ([]byte, error) {
+	var b bytes.Buffer
+	if err := Encode(&b, g); err != nil {
 		return nil, err
 	}
-	return json.Marshal(doc)
+	return b.Bytes(), nil
 }
 
-// UnmarshalJSON reverses MarshalJSON.
-func (g *Global) UnmarshalJSON(b []byte) error {
-	var doc string
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return fmt.Errorf("analysis: global timeline: %w", err)
-	}
-	dec, err := DecodeString(doc)
+// UnmarshalText reverses MarshalText.
+func (g *Global) UnmarshalText(b []byte) error {
+	dec, err := Decode(bytes.NewReader(b))
 	if err != nil {
 		return err
 	}

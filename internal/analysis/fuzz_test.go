@@ -44,7 +44,7 @@ func goldenGlobalDocs(f *testing.F) []string {
 }
 
 // FuzzDecodeGlobal feeds the global timeline decoder — reachable from any
-// journal line through Global.UnmarshalJSON — arbitrary text. It must
+// journal line through Global.UnmarshalText — arbitrary text. It must
 // never panic, and whatever it accepts must survive its own encoding:
 // Decode∘Encode is the identity on global timelines.
 func FuzzDecodeGlobal(f *testing.F) {

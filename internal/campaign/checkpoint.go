@@ -26,11 +26,17 @@ import (
 // on resume when it is whole (newline-terminated) and parses; a torn or
 // garbled tail is truncated, not trusted.
 //
-// The journal is group-committed: one committer goroutine per open journal
-// writes every record line queued since its last round in one write, and
-// fsyncs once. An append returns when its record line is durable. An
-// experiment therefore costs at most one fsync, and a crash costs at most
-// the last round's records (one per concurrent appender).
+// The journal is group-committed behind the pipeline. An append marshals
+// its record line in the calling analysis worker, queues it and returns; one
+// committer goroutine per open journal writes every line queued since its
+// last round in one write and fsyncs once, so rounds batch whatever queued
+// during the previous fsync. Durability is confirmed by the committer: a
+// journaled study's progress events are queued beside its lines and emitted
+// after the round that holds them, in queue order, so an experiment event
+// still means "this record is fsync'd" and a study-done event follows the
+// study's last experiment event. The engines return only after Close has
+// drained the queue. A crash loses at most the queued lines (bounded by
+// maxQueuedBytes), whose experiments a resume re-runs.
 //
 // On resume the journal is reloaded, the campaign-level fingerprint in the
 // header is verified, and each skipped record's study-level fingerprint
@@ -105,17 +111,32 @@ type journal struct {
 	headerLoaded bool
 
 	// Group commit, all guarded by cmu: appenders queue record lines and
-	// wait on flushed until the round that took them is fsync'd; the
-	// committer waits on queued.
+	// their entries and return, waiting on room only while more than
+	// maxQueuedBytes are queued; the committer waits on queued.
 	cmu     sync.Mutex
-	queued  sync.Cond // a record line was queued, or Close was called
-	flushed sync.Cond // a round was fsync'd, or failed
+	queued  sync.Cond // an entry was queued, or Close was called
+	room    sync.Cond // the committer took the queue, or failed
 	lines   []byte    // record lines queued for the next round
-	started uint64    // rounds the committer has taken from the queue
-	synced  uint64    // rounds fsync'd
+	queue   []pending // one per queued line, plus line-less events, in queue order
 	err     error     // the first write or fsync error; every later append and Close return it
 	closing bool
 	exited  chan struct{} // closed when the committer returns
+}
+
+// maxQueuedBytes bounds the record lines queued behind the committer
+// (about 650 chaos-matrix records): past it an append waits for the
+// committer to take the queue. It is also the most a crash can lose.
+const maxQueuedBytes = 1 << 20
+
+// pending is one entry of the commit queue: the progress event the
+// committer emits once the round holding it is durable. An experiment event
+// stands for the record line queued with it; a study-start or study-done
+// event has no line.
+type pending struct {
+	p        *progress
+	kind     string
+	index    int
+	accepted bool
 }
 
 // openCampaignJournal opens (or resumes) the campaign's journal; a nil
@@ -152,10 +173,15 @@ func openCampaignJournal(c *Campaign) (*journal, error) {
 			return nil, err
 		}
 	}
-	j.queued.L, j.flushed.L = &j.cmu, &j.cmu
+	j.start()
+	return j, nil
+}
+
+// start starts the journal's committer.
+func (j *journal) start() {
+	j.queued.L, j.room.L = &j.cmu, &j.cmu
 	j.exited = make(chan struct{})
 	go j.commit()
-	return j, nil
 }
 
 // writeHeader starts the journal afresh: the file is emptied and the
@@ -258,7 +284,7 @@ scanning:
 // configuration's fingerprint, every whole record line is kept (still
 // marshalled) for lookup, and a torn or garbled tail is discarded by
 // truncating the file to the last trusted line, so a crash costs at most
-// the records of the last commit round.
+// the record lines still queued behind the committer.
 func (j *journal) load(fingerprint string) error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
@@ -312,25 +338,16 @@ func (j *journal) write(b []byte) error {
 	return nil
 }
 
-// append journals one completed record: it queues the record line and
-// returns once the commit round that wrote it has been fsync'd. A write or
-// fsync error fails every waiting and later append. Nil-receiver safe
-// (checkpointing disabled).
-func (j *journal) append(rec journalRecord[*ExperimentRecord]) error {
-	if j == nil {
-		return nil
-	}
+// append journals one completed record: it marshals the record line here,
+// in the caller — so the line holds the record as it stood when analysis
+// handed it over — queues it with its experiment event, and returns without
+// waiting for the round that writes it; it waits only while the queue holds
+// more than maxQueuedBytes. The committer emits the event once the line is
+// durable. A write or fsync error is sticky: every later append returns it.
+func (j *journal) append(rec journalRecord[*ExperimentRecord], p *progress) error {
 	b, err := json.Marshal(journalLine[*ExperimentRecord]{Record: &rec})
 	if err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	j.cmu.Lock()
-	defer j.cmu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if j.closing {
-		return fmt.Errorf("campaign: checkpoint: append to a closed journal")
 	}
 	// Appended records are deliberately not retained in j.entries: every
 	// engine looks a key up before running it and never afterwards, and a
@@ -339,51 +356,80 @@ func (j *journal) append(rec journalRecord[*ExperimentRecord]) error {
 	// output in memory. If a key ever were looked up after its append,
 	// the miss costs one redundant re-run — the rerun's record is
 	// journaled again and the later copy wins on the next resume.
-	j.lines = append(append(j.lines, b...), '\n')
-	round := j.started + 1
+	return j.enqueue(b, pending{p: p, kind: obs.EventExperiment, index: rec.Index, accepted: rec.Experiment.Accepted})
+}
+
+// enqueue queues a record line and its entry for the committer, waiting
+// while the queue is over maxQueuedBytes, or — line nil — a line-less
+// event, which never waits. A line is refused with the sticky commit error;
+// after a failure line-less events still queue, so they keep their order.
+// Once the journal is closing nothing queues.
+func (j *journal) enqueue(line []byte, e pending) error {
+	j.cmu.Lock()
+	defer j.cmu.Unlock()
+	for line != nil && len(j.lines) > maxQueuedBytes && j.err == nil && !j.closing {
+		j.room.Wait()
+	}
+	if line != nil && j.err != nil {
+		return j.err
+	}
+	if j.closing {
+		return fmt.Errorf("campaign: checkpoint: append to a closed journal")
+	}
+	if line != nil {
+		j.lines = append(append(j.lines, line...), '\n')
+	}
+	j.queue = append(j.queue, e)
 	j.queued.Signal()
-	for j.synced < round && j.err == nil {
-		j.flushed.Wait()
-	}
-	if j.synced >= round {
-		return nil
-	}
-	return j.err
+	return nil
 }
 
 // commit is the journal's committer goroutine. Each round swaps out every
-// record line queued since the last one and writes them in one write and
-// one fsync; a round starts only when a record is queued — no timer, no
-// knob. The committer returns on Close once the queue is empty, or on the
-// first error, which every append after it returns.
+// entry queued since the last one, writes their record lines in one write
+// and one fsync, and then — outside cmu — emits their progress events in
+// queue order; a round starts only when an entry is queued (no timer, no
+// knob), and a round of line-less events writes nothing. The first write
+// or fsync error is sticky: every later append and Close return it, no
+// later round writes, and the failed round's records and every record
+// queued behind them get no experiment event, while study-start and
+// study-done events still fire in order. The committer returns on Close
+// once the queue is empty.
 func (j *journal) commit() {
 	defer close(j.exited)
-	var round []byte // the lines the last round wrote; its array queues the next
+	// The last round's arrays queue the next one.
+	var (
+		lines   []byte
+		entries []pending
+	)
 	for {
 		j.cmu.Lock()
-		for len(j.lines) == 0 && !j.closing {
+		for len(j.queue) == 0 && !j.closing {
 			j.queued.Wait()
 		}
-		if len(j.lines) == 0 { // closing, and nothing left to write
+		if len(j.queue) == 0 { // closing, and nothing left to write
 			j.cmu.Unlock()
 			return
 		}
-		round, j.lines = j.lines, round[:0]
-		j.started++
+		lines, j.lines = j.lines, lines[:0]
+		entries, j.queue = j.queue, entries[:0]
+		err := j.err
+		j.room.Broadcast()
 		j.cmu.Unlock()
 
-		err := j.write(round)
-		j.cmu.Lock()
-		if err != nil {
-			j.err = err
-		} else {
-			j.synced++
+		if err == nil && len(lines) > 0 {
+			if err = j.write(lines); err != nil {
+				j.cmu.Lock()
+				j.err = err
+				j.room.Broadcast()
+				j.cmu.Unlock()
+			}
 		}
-		j.flushed.Broadcast()
-		j.cmu.Unlock()
-		if err != nil {
-			return
+		for _, e := range entries {
+			if err == nil || e.kind != obs.EventExperiment {
+				e.p.emit(e.kind, e.index, e.accepted)
+			}
 		}
+		clear(entries) // drop the progress pointers until the array is reused
 	}
 }
 
@@ -414,8 +460,9 @@ func (j *journal) lookup(point string, index int, fingerprint string) (json.RawM
 	return rec.Experiment, nil
 }
 
-// Close stops the committer once any lines already queued are written —
-// Close itself writes nothing — and closes the file. It returns the first
+// Close stops the committer once every queued line is written and every
+// queued event emitted — Close itself writes nothing — and closes the
+// file. It returns the first
 // write or fsync error the journal met, or the close error. Nil-receiver
 // safe.
 func (j *journal) Close() error {
@@ -480,13 +527,27 @@ func (sj *studyJournal) lookup(index int) (*ExperimentRecord, error) {
 	return rec, nil
 }
 
-// record journals one completed record and returns once it is durable, so
-// the progress event the pipeline emits after it means "record fsync'd".
-func (sj *studyJournal) record(rec *ExperimentRecord) error {
+// record journals one completed record and reports it on p. The record is
+// queued, not yet durable, when record returns; its experiment event is
+// emitted by the committer after the round that writes it, so the event
+// still means "record fsync'd". Without a journal the event is emitted
+// here.
+func (sj *studyJournal) record(rec *ExperimentRecord, p *progress) error {
 	if sj == nil {
+		p.emit(obs.EventExperiment, rec.Index, rec.Accepted)
 		return nil
 	}
-	return sj.j.append(journalRecord[*ExperimentRecord]{Point: sj.point, Index: rec.Index, Fingerprint: sj.fp, Experiment: rec})
+	return sj.j.append(journalRecord[*ExperimentRecord]{Point: sj.point, Index: rec.Index, Fingerprint: sj.fp, Experiment: rec}, p)
+}
+
+// event emits a line-less progress event (study start or done) on p. With
+// a journal it is queued behind the study's records, so a study-done event
+// follows the study's last experiment event, even after a failed round; a
+// closed journal emits it at once.
+func (sj *studyJournal) event(p *progress, kind string) {
+	if sj == nil || sj.j.enqueue(nil, pending{p: p, kind: kind}) != nil {
+		p.emit(kind, 0, false)
+	}
 }
 
 // campaignFingerprint hashes the campaign-level configuration that defines

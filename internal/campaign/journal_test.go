@@ -319,8 +319,9 @@ func assertInIndexOrder(t testing.TB, sh journalShape, n int) {
 
 // TestJournalGroupCommitFsyncs counts the journal's fsyncs through the
 // campaign metrics: a workers-1 study of N experiments pays the header and
-// one round per record — N+1; Close writes nothing — and a workers-2 matrix
-// never pays more, with every record on disk once RunMatrix returns.
+// at most one round per record — rounds batch whatever queued during the
+// last fsync; Close writes nothing — and a workers-2 matrix never pays
+// more, with every record on disk once RunMatrix returns.
 func TestJournalGroupCommitFsyncs(t *testing.T) {
 	const n = 4
 	fsyncs := func(c *Campaign) uint64 {
@@ -337,8 +338,8 @@ func TestJournalGroupCommitFsyncs(t *testing.T) {
 		if _, err := Run(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
-		if got := fsyncs(c); got != n+1 {
-			t.Errorf("%d fsyncs for %d experiments, want %d", got, n, n+1)
+		if got := fsyncs(c); got < 2 || got > n+1 {
+			t.Errorf("%d fsyncs for %d experiments, want 2 to %d", got, n, n+1)
 		}
 		whole, err := os.ReadFile(JournalPath(c.Checkpoint.Dir))
 		if err != nil {
@@ -367,50 +368,217 @@ func TestJournalGroupCommitFsyncs(t *testing.T) {
 	})
 }
 
-// TestJournalCommitErrorIsSticky: once a commit round fails, the appenders
-// waiting on it, every later append, and Close all return the error — and
-// none of them hangs. The failure is a write to the journal's file closed
-// under the live committer.
+// eventLog is a progress watcher that keeps every event it sees.
+type eventLog struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (l *eventLog) watch(ev obs.Event) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) all() []obs.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.Event(nil), l.events...)
+}
+
+// TestJournalRoundBatchesQueuedAppends: appends do not wait for the disk.
+// N appends queued before the committer starts all return, and its first
+// round writes all N lines with one fsync, then emits their N experiment
+// events in queue order. (Fails if an append waits for its round: the
+// appends would hang with no committer running.)
+func TestJournalRoundBatchesQueuedAppends(t *testing.T) {
+	const n = 5
+	c := stepCampaign(t, n, 1)
+	c.Obs = &obs.Sink{Metrics: obs.NewRegistry()}
+	var log eventLog
+	c.Obs.Watch(log.watch)
+	f, err := os.OpenFile(filepath.Join(t.TempDir(), journalName), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &journal{f: f, entries: make(map[journalKey]journalRecord[json.RawMessage]), cm: c.Obs.CampaignMetrics()}
+	sj := j.study(c, c.Studies[0], "steps")
+	p := &progress{sink: c.Obs, point: "steps", experiments: n}
+	returned := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := sj.record(&ExperimentRecord{Study: "steps", Index: i, Completed: true}, p); err != nil {
+				returned <- err
+				return
+			}
+		}
+		returned <- nil
+	}()
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("appends waited for a committer that is not running")
+	}
+	j.start()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Obs.CampaignMetrics().JournalFsyncSeconds.Count(); got != 1 {
+		t.Errorf("%d fsyncs for %d queued appends, want 1 round", got, n)
+	}
+	whole, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(whole, []byte("\n")); lines != n {
+		t.Errorf("the round wrote %d lines, want %d", lines, n)
+	}
+	events := log.all()
+	if len(events) != n {
+		t.Fatalf("%d events after the round, want %d", len(events), n)
+	}
+	for i, ev := range events {
+		if ev.Kind != obs.EventExperiment || ev.Index != i || ev.Completed != i+1 {
+			t.Errorf("event %d = %+v, want experiment %d, completed %d", i, ev, i, i+1)
+		}
+	}
+}
+
+// TestJournalCommitErrorIsSticky: once a commit round fails, the next
+// append and Close return the error, and nothing hangs. No experiment event
+// fires for the failed round's records, while the study-done event queued
+// behind them still does, with the durable count. The failure is a write to
+// the journal's file closed under the live committer. (Fails if the
+// committer emits events for a failed round, or forgets its error.)
 func TestJournalCommitErrorIsSticky(t *testing.T) {
 	c := stepCampaign(t, 1, 1)
 	c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+	c.Obs = &obs.Sink{}
+	var log eventLog
+	durable := make(chan struct{}, 1)
+	done := make(chan struct{})
+	c.Obs.Watch(func(ev obs.Event) {
+		log.watch(ev)
+		switch ev.Kind {
+		case obs.EventExperiment:
+			select {
+			case durable <- struct{}{}:
+			default:
+			}
+		case obs.EventStudyDone:
+			close(done)
+		}
+	})
 	j, err := openCampaignJournal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sj := j.study(c, c.Studies[0], "steps")
-	if err := sj.record(&ExperimentRecord{Study: "steps", Index: 0, Completed: true}); err != nil {
+	p := &progress{sink: c.Obs, point: "steps", experiments: 5}
+	wait := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("journal hung waiting for %s", what)
+		}
+	}
+	if err := sj.record(&ExperimentRecord{Study: "steps", Index: 0, Completed: true}, p); err != nil {
 		t.Fatal(err)
 	}
+	wait(durable, "the first record's event")
 	if err := j.f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	const appenders = 3
-	errs := make(chan error, appenders+2)
-	go func() {
-		var wg sync.WaitGroup
-		for i := 1; i <= appenders; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs <- sj.record(&ExperimentRecord{Study: "steps", Index: i, Completed: true})
-			}()
+	// Queued before the committer's next round fails, so each append
+	// returns nil — or the error, if that round already failed.
+	for i := 1; i <= 3; i++ {
+		if err := sj.record(&ExperimentRecord{Study: "steps", Index: i, Completed: true}, p); err != nil && !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("append %d: %v, want nil or the failed commit's %v", i, err, os.ErrClosed)
 		}
-		wg.Wait()
-		errs <- sj.record(&ExperimentRecord{Study: "steps", Index: appenders + 1, Completed: true})
-		errs <- j.Close()
-	}()
-	timeout := time.After(10 * time.Second)
-	for i := 0; i < appenders+2; i++ {
-		select {
-		case err := <-errs:
-			if !errors.Is(err, os.ErrClosed) {
-				t.Errorf("result %d: %v, want the failed commit's %v", i, err, os.ErrClosed)
+	}
+	sj.event(p, obs.EventStudyDone)
+	wait(done, "the study-done event") // every round before it has failed
+
+	if err := sj.record(&ExperimentRecord{Study: "steps", Index: 4, Completed: true}, p); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("append after the failed round: %v, want %v", err, os.ErrClosed)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- j.Close() }()
+	select {
+	case err := <-closed:
+		if !errors.Is(err, os.ErrClosed) {
+			t.Errorf("Close: %v, want the failed commit's %v", err, os.ErrClosed)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung after a failed commit")
+	}
+	events := log.all()
+	if len(events) != 2 || events[0].Kind != obs.EventExperiment || events[0].Index != 0 ||
+		events[1].Kind != obs.EventStudyDone || events[1].Completed != 1 {
+		t.Errorf("events %+v; want experiment 0, then study-done with 1 completed", events)
+	}
+}
+
+// TestProgressEventMeansDurable: with a journal, an experiment event is
+// emitted only once the record is on disk — a watcher reading
+// checkpoint.jsonl at every experiment event of a two-worker journaled
+// matrix finds that record's line — and each point's study-done event
+// follows its last experiment event. (Fails if the committer emits a
+// round's events before writing it.)
+func TestProgressEventMeansDurable(t *testing.T) {
+	c, m := cutMatrix(t, 2)
+	dir := t.TempDir()
+	c.Checkpoint = &Checkpoint{Dir: dir}
+	c.Obs = &obs.Sink{}
+	var (
+		mu      sync.Mutex
+		missing []string
+	)
+	var log eventLog
+	c.Obs.Watch(func(ev obs.Event) {
+		log.watch(ev)
+		if ev.Kind != obs.EventExperiment {
+			return
+		}
+		// The committer's goroutine runs this: no t.Fatal here.
+		whole, err := os.ReadFile(JournalPath(dir))
+		line := fmt.Sprintf(`{"record":{"Point":%q,"Index":%d,`, ev.Point, ev.Index)
+		if err != nil || !bytes.Contains(whole, []byte(line)) {
+			mu.Lock()
+			missing = append(missing, fmt.Sprintf("%s/%d (%v)", ev.Point, ev.Index, err))
+			mu.Unlock()
+		}
+	})
+	if _, err := RunMatrix(context.Background(), c, m); err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) > 0 {
+		t.Errorf("experiment events before their record was on disk: %v", missing)
+	}
+	seen := map[string]int{}
+	finished := map[string]bool{}
+	for _, ev := range log.all() {
+		switch ev.Kind {
+		case obs.EventExperiment:
+			if finished[ev.Point] {
+				t.Errorf("point %s: experiment %d reported after its study-done", ev.Point, ev.Index)
 			}
-		case <-timeout:
-			t.Fatalf("journal hung after a failed commit: %d of %d calls returned", i, appenders+2)
+			seen[ev.Point]++
+		case obs.EventStudyDone:
+			if ev.Completed != seen[ev.Point] || ev.Completed != ev.Experiments {
+				t.Errorf("point %s: study-done reports %d of %d after %d experiment events",
+					ev.Point, ev.Completed, ev.Experiments, seen[ev.Point])
+			}
+			finished[ev.Point] = true
 		}
+	}
+	if len(finished) != 2 || seen[m.Points()[0].Name()] != 2 || seen[m.Points()[1].Name()] != 2 {
+		t.Errorf("events per point %v, done %v; want 2 experiments and a study-done for each of 2 points", seen, finished)
 	}
 }
 

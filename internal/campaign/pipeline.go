@@ -204,8 +204,11 @@ func poolWidth(c *Campaign, st *Study) int {
 // progress events with the reporting cluster peer ("" in-process).
 //
 // With a journal, experiments already journaled are loaded instead of
-// re-executed, and each freshly analyzed record is appended as it
-// completes — a killed study resumes at the first missing index.
+// re-executed, and each freshly analyzed record is queued for the journal's
+// committer as it completes — a killed study resumes at the first missing
+// index. runStudy does not wait for its records to reach the disk: its
+// progress events follow them through the committer, and the engine that
+// opened the journal returns only after Close has drained it.
 //
 // Cancelling ctx stops dispatching further experiment indexes; in-flight
 // runtime phases finish (journaling their records, so a resumed run loses
@@ -232,25 +235,18 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 	}
 	// Progress events carry cumulative counts, journaled records included,
 	// so a resumed study's watcher sees 7000/10000 — not 0/3000.
-	point := pointName(c, st, sj)
-	var progressDone, progressAccepted atomic.Int64
+	prog := &progress{sink: c.Obs, point: pointName(c, st, sj), experiments: experiments, member: member}
 	for _, rec := range records {
 		if rec == nil {
 			continue
 		}
-		progressDone.Add(1)
+		prog.done.Add(1)
 		if rec.Accepted {
-			progressAccepted.Add(1)
+			prog.accepted.Add(1)
 		}
 	}
-	progress := func(kind string) obs.Event {
-		return obs.Event{
-			Kind: kind, Point: point, Experiments: experiments, Member: member,
-			Completed: int(progressDone.Load()), Accepted: int(progressAccepted.Load()),
-		}
-	}
-	c.Obs.Emit(progress(obs.EventStudyStart))
-	defer func() { c.Obs.Emit(progress(obs.EventStudyDone)) }()
+	sj.event(prog, obs.EventStudyStart)
+	defer sj.event(prog, obs.EventStudyDone)
 	if len(missing) == 0 {
 		// Fully journaled: no testbed to build at all, which is what makes
 		// resuming a finished multi-hour study instantaneous.
@@ -317,7 +313,7 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 				if cm != nil {
 					busy = obs.Now()
 				}
-				raw, err := runRuntimePhase(c, st, tb, point, i)
+				raw, err := runRuntimePhase(c, st, tb, prog.point, i)
 				if cm != nil {
 					cm.WorkerBusySeconds.ObserveSince(busy)
 				}
@@ -354,17 +350,9 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 					continue
 				}
 				records[raw.index] = rec
-				if err := sj.record(rec); err != nil {
+				if err := sj.record(rec, prog); err != nil {
 					fail(err)
-					continue
 				}
-				nDone := int(progressDone.Add(1))
-				if rec.Accepted {
-					progressAccepted.Add(1)
-				}
-				ev := progress(obs.EventExperiment)
-				ev.Index, ev.Completed, ev.AcceptedOne = raw.index, nDone, rec.Accepted
-				c.Obs.Emit(ev)
 			}
 		}()
 	}
@@ -374,11 +362,38 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 		return nil, firstErr
 	}
 	// A cancelled study surfaces ctx.Err() — after the drain above has
-	// journaled everything that was in flight.
+	// queued everything that was in flight for the journal, whose Close
+	// makes it durable before the engine returns.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return &StudyResult{Name: st.Name, Records: records}, nil
+}
+
+// progress is one study's live progress: its cumulative counts and the
+// events that report them. Without a journal its events are emitted by the
+// pipeline; with one, by the journal's committer (studyJournal.record).
+type progress struct {
+	sink           *obs.Sink
+	point, member  string
+	experiments    int
+	done, accepted atomic.Int64
+}
+
+// emit sends one event of kind; an experiment event first counts the
+// experiment.
+func (p *progress) emit(kind string, index int, accepted bool) {
+	ev := obs.Event{Kind: kind, Point: p.point, Experiments: p.experiments, Member: p.member}
+	if kind == obs.EventExperiment {
+		if accepted {
+			p.accepted.Add(1)
+		}
+		ev.Index, ev.AcceptedOne, ev.Completed = index, accepted, int(p.done.Add(1))
+	} else {
+		ev.Completed = int(p.done.Load())
+	}
+	ev.Accepted = int(p.accepted.Load())
+	p.sink.Emit(ev)
 }
 
 // rawExperiment is the runtime phase's output handed to the analysis

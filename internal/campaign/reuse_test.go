@@ -99,6 +99,55 @@ func TestStudyAllocBudget(t *testing.T) {
 	}
 }
 
+// TestJournaledStudyAllocBudget is TestStudyAllocBudget's journaled twin,
+// in the ledger's journaled-chaos shape: chaos matrix points of four
+// experiments each — a crash-restart and a partition overlaid on the
+// election — through RunMatrix with a checkpoint journal. The figure is
+// per experiment, long minus short matrix, so a point's own costs (building
+// its study and testbed) count, as they do in the ledger: it holds that the
+// points' state machines are parsed once per document text (87 more
+// allocations per experiment when every point re-parsed them), and that
+// each record's line is marshalled once and queued with a plain entry.
+// Measured at 388.0 when the budget was set, 473.5 without the memo; a
+// -race build measures about 433.
+func TestJournaledStudyAllocBudget(t *testing.T) {
+	budget := 420.0
+	if raceBuild {
+		budget = 470
+	}
+	const perPoint = 4
+	faults, err := ParseScenarioFaults("black bcrash (black:LEAD) once crashrestart(h1,3ms)\n" +
+		"yellow ysplit (yellow:FOLLOW) once partition(h3|h1,h2) 4ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(points int) float64 {
+		c := virtualElection(t, perPoint, 1)
+		c.Studies = nil
+		m := &Matrix{
+			Name:      "chaos",
+			Scenarios: []Scenario{{Name: "chaos", Faults: faults}},
+			Build:     func(Point) (*Study, error) { return virtualElection(t, perPoint, 1).Studies[0], nil },
+		}
+		for s := 1; s <= points; s++ {
+			m.Seeds = append(m.Seeds, int64(s))
+		}
+		return testing.AllocsPerRun(3, func() {
+			c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+			res, err := RunMatrix(context.Background(), c, m)
+			if err != nil || len(res.Points) != points {
+				t.Fatalf("matrix: err=%v", err)
+			}
+		})
+	}
+	const short, long = 5, 30
+	got := (allocs(long) - allocs(short)) / ((long - short) * perPoint)
+	t.Logf("journaled chaos matrix: %.1f allocations per experiment", got)
+	if got > budget {
+		t.Fatalf("a journaled experiment allocates %.1f objects, budget %.0f", got, budget)
+	}
+}
+
 // TestReusedScaffoldingDoesNotAlias checks the ownership rule: whatever an
 // experiment hands to the analysis stage and on into its record belongs to
 // the receiver, however the testbed reuses its own scaffolding. A

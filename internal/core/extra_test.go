@@ -363,10 +363,16 @@ state EXIT
 			}},
 		},
 	}
+	given := defs[1].Spec
 	AutoNotify(defs)
 	// target's states now notify watcher; watcher's notify lists unchanged.
 	if nl := defs[1].Spec.NotifyList("B"); len(nl) != 1 || nl[0] != "watcher" {
 		t.Fatalf("derived notify list = %v", nl)
+	}
+	// The derived lists live in target's own copy: a machine may be shared
+	// (app.MustParseSpec), so the one it was given is left as it was.
+	if nl := given.NotifyList("B"); len(nl) != 0 || given == defs[1].Spec {
+		t.Fatalf("AutoNotify modified the given machine: notify list %v", nl)
 	}
 	if nl := defs[0].Spec.NotifyList("B"); len(nl) != 0 {
 		t.Fatalf("watcher gained a notify list: %v", nl)

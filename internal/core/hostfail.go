@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/faultexpr"
+	"repro/internal/spec"
 )
 
 // This file implements two features the thesis describes but left
@@ -71,8 +74,10 @@ func (r *Runtime) HostDown(name string) bool {
 // fault of machine W references machine M, then every state of M notifies
 // W. (Notifying on every state is the sound closure: W must observe M
 // *leaving* a state of interest, which manifests as M entering an
-// arbitrary other state.) Existing notify entries are preserved; the specs
-// are modified in place. Call before Register.
+// arbitrary other state.) Existing notify entries are preserved. A state
+// machine may be shared (app.MustParseSpec returns one machine per document
+// text), so it is never modified: a definition whose notify lists change
+// gets its own copy. Call before Register.
 func AutoNotify(defs []NodeDef) {
 	// watchers[M] = set of machines whose faults reference M.
 	watchers := make(map[string]map[string]bool)
@@ -89,25 +94,44 @@ func AutoNotify(defs []NodeDef) {
 			}
 		}
 	}
-	for _, def := range defs {
+	for i := range defs {
+		def := &defs[i]
 		watch := watchers[def.Nickname]
 		if len(watch) == 0 || def.Spec == nil {
 			continue
 		}
-		for _, stateName := range def.Spec.StateOrder {
-			st := def.Spec.States[stateName]
-			have := make(map[string]bool, len(st.Notify))
-			for _, n := range st.Notify {
-				have[n] = true
+		var own *spec.StateMachine // def's copy, made at its first change
+		for _, name := range def.Spec.StateOrder {
+			notify := notifyWith(def.Spec.States[name].Notify, watch)
+			if notify == nil {
+				continue
 			}
-			for w := range watch {
-				if !have[w] {
-					st.Notify = append(st.Notify, w)
-				}
+			if own == nil {
+				cp := *def.Spec
+				cp.States = maps.Clone(def.Spec.States)
+				own, def.Spec = &cp, &cp
 			}
-			sortNotify(st.Notify)
+			st := *own.States[name]
+			st.Notify = notify
+			own.States[name] = &st
 		}
 	}
+}
+
+// notifyWith returns a new notify list: notify plus the watchers it lacks,
+// sorted — or nil when that is notify as it stands.
+func notifyWith(notify []string, watch map[string]bool) []string {
+	out := slices.Clone(notify)
+	for w := range watch {
+		if !slices.Contains(notify, w) {
+			out = append(out, w)
+		}
+	}
+	sortNotify(out)
+	if slices.Equal(out, notify) {
+		return nil
+	}
+	return out
 }
 
 func sortNotify(s []string) {

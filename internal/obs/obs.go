@@ -80,9 +80,13 @@ func (s *Sink) Logf(lv Level, component, format string, args ...interface{}) {
 	s.Log.Logf(lv, component, format, args...)
 }
 
-// Event is one live progress notification. Events are emitted from the
-// engines' analysis stages as experiments complete; watchers must return
-// quickly (they run on the emitting goroutine).
+// Event is one live progress notification. Without a checkpoint journal,
+// events are emitted from the engines' analysis stages as experiments
+// complete. With one, a study's events are emitted by the journal's
+// committer goroutine once the records they report are durable — in
+// bursts, one per commit round, and in queue order, so a study-done event
+// follows the study's last experiment event. Watchers must return quickly:
+// they run on the emitting goroutine.
 type Event struct {
 	// Kind is one of the Event* constants.
 	Kind string

@@ -2,7 +2,7 @@ package timeline
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -189,25 +189,21 @@ func Decode(r io.Reader) (*Local, error) {
 // DecodeString is Decode from a string.
 func DecodeString(s string) (*Local, error) { return Decode(strings.NewReader(s)) }
 
-// MarshalJSON renders the timeline as a JSON string holding its §3.5.6
-// text, so a record that carries local timelines (the checkpoint journal's)
-// shares one format with the .timeline artifacts and the cluster's result
-// frames.
-func (l *Local) MarshalJSON() ([]byte, error) {
-	doc, err := EncodeString(l)
-	if err != nil {
+// MarshalText renders the timeline as its §3.5.6 text, so a record that
+// carries local timelines (the checkpoint journal's) holds each as one JSON
+// string and shares one format with the .timeline artifacts and the
+// cluster's result frames.
+func (l *Local) MarshalText() ([]byte, error) {
+	var b bytes.Buffer
+	if err := Encode(&b, l); err != nil {
 		return nil, err
 	}
-	return json.Marshal(doc)
+	return b.Bytes(), nil
 }
 
-// UnmarshalJSON reverses MarshalJSON.
-func (l *Local) UnmarshalJSON(b []byte) error {
-	var doc string
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return fmt.Errorf("timeline: local timeline: %w", err)
-	}
-	dec, err := DecodeString(doc)
+// UnmarshalText reverses MarshalText.
+func (l *Local) UnmarshalText(b []byte) error {
+	dec, err := Decode(bytes.NewReader(b))
 	if err != nil {
 		return err
 	}

@@ -86,7 +86,7 @@ func localOf(g *analysis.Global, machine string) *timeline.Local {
 }
 
 // FuzzDecodeTimeline feeds the local timeline decoder — reachable from any
-// journal line through Local.UnmarshalJSON — arbitrary text. It must never
+// journal line through Local.UnmarshalText — arbitrary text. It must never
 // panic, and whatever it accepts must survive its own encoding:
 // Decode∘Encode is the identity on local timelines.
 func FuzzDecodeTimeline(f *testing.F) {

@@ -18,7 +18,10 @@ import (
 // allocations on the notification hot path).
 
 // ProgressEvent is one live campaign progress notification, delivered to
-// WithObserver / Session.Watch callbacks as experiments complete.
+// WithObserver / Session.Watch callbacks as experiments complete. On a
+// journaled run an experiment event means the record is fsync'd: the
+// journal's committer emits it after the commit round that wrote it, so
+// events arrive in bursts, one per round.
 type ProgressEvent = obs.Event
 
 // Progress event kinds.
@@ -55,8 +58,9 @@ func (s *Session) sink() *obs.Sink {
 // WithObserver subscribes fn to the session's live progress events —
 // study start/done and every completed experiment, cumulative counts
 // included — for the session's lifetime. Callbacks run on the engines'
-// analysis goroutines and must return quickly. Use Session.Watch for a
-// cancellable subscription.
+// analysis goroutines, or on a journaled run on the journal's committer,
+// and must return quickly. Use Session.Watch for a cancellable
+// subscription.
 func WithObserver(fn func(ProgressEvent)) Option {
 	return func(s *Session) error {
 		if fn == nil {
@@ -133,7 +137,9 @@ func DecodeTrace(r io.Reader) (*Trace, error) { return obs.DecodeTrace(r) }
 
 // Watch subscribes fn to the session's live progress events; the returned
 // cancel removes the subscription. Safe to call before, during, or
-// between runs — `lokirun -progress` is a Watch feeding a ticker.
+// between runs — `lokirun -progress` is a Watch feeding a ticker. On a
+// journaled run the events come from the journal's committer, after the
+// records they report are durable, in bursts per commit round.
 func (s *Session) Watch(fn func(ProgressEvent)) (cancel func()) {
 	if s == nil || s.closed || fn == nil {
 		return func() {}

@@ -6,7 +6,9 @@
 // (Virtual) that advances simulated time to the next due event whenever
 // the runtime quiesces — sync round-trips, fault windows, and experiment
 // timeouts then complete instantly while keeping their exact timing
-// geometry.
+// geometry. Virtual runs its tasks on coroutines and switches between
+// them directly, so a hand-off between tasks never goes through the Go
+// scheduler.
 //
 // A Clock is also the one time base the hosts' hidden-error clocks read
 // (a vclock.Source), so scheduling and timestamps share one notion of time.
@@ -37,14 +39,18 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 	// Sleep pauses the calling goroutine for exactly d.
 	Sleep(d time.Duration)
-	// AfterFunc runs fn after d on its own goroutine (a tracked task under
-	// virtual time). The returned Timer can cancel it before it fires.
+	// AfterFunc runs fn after d, concurrently with its caller: on its own
+	// goroutine in real time, as a tracked task on one of the scheduler's
+	// coroutines under virtual time. The returned Timer can cancel it
+	// before it fires.
 	AfterFunc(d time.Duration, fn func()) Timer
 	// NewWaiter returns a fresh wait/notify cell bound to this clock.
 	NewWaiter() Waiter
-	// Go runs fn on a new goroutine the clock knows about. Any goroutine
-	// that will block through a Waiter or Sleep must be spawned this way,
-	// or the virtual scheduler cannot tell waiting from running.
+	// Go runs fn concurrently as a task the clock knows about: on a new
+	// goroutine in real time, on a scheduler coroutine under virtual time.
+	// Any task that will block through a Waiter or Sleep must be spawned
+	// this way, or the virtual scheduler cannot tell waiting from running.
+	// fn must not call runtime.Goexit.
 	Go(fn func())
 }
 

@@ -3,6 +3,8 @@ package clock
 import (
 	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,11 +25,21 @@ var virtualEpoch = time.Unix(0, 0).UTC()
 // exactly.
 //
 // Tracking is cooperative: a goroutine is known to the scheduler only if
-// it was spawned through Go or AfterFunc, or is the driver between Drive
-// and Release. Tracked goroutines must block exclusively through Sleep or
-// Waiter.Wait; blocking on a bare channel or mutex held across a wait
-// would stall the clock (a Wait from an untracked goroutine panics, to
-// catch the mistake early).
+// it is the driver between Drive and Release; task bodies started through
+// Go or AfterFunc are known because the scheduler runs them itself.
+// Tracked tasks must block exclusively through Sleep or Waiter.Wait;
+// blocking on a bare channel or mutex held across a wait would stall the
+// clock (a Wait from an untracked goroutine panics, to catch the mistake
+// early).
+//
+// Task bodies run on coroutines, not on goroutines of their own, and
+// control passes from task to task by a direct coroutine switch. The
+// scheduler loop runs on whichever goroutine parks: a parked driver runs
+// it until its own waiter is picked, a body that parks yields back to
+// that loop, and a body that returns starts the next picked body on the
+// same coroutine. Idle coroutines are pooled process-wide, so a task
+// start costs neither a goroutine nor an allocation. A body must not call
+// runtime.Goexit; nothing in this repository does.
 //
 // Timers fire only while a driver is inside a Drive/Release window. This
 // scopes time advancement to the experiment being driven: housekeeping
@@ -49,6 +61,7 @@ type Virtual struct {
 	parked  int         // tracked tasks blocked in Sleep/Wait
 	driving int         // Drive/Release nesting; timers fire only when > 0
 	idle    chan struct{}
+	cur     *coro // the coroutine of the running task; nil when none runs or a driver does
 
 	// Activity counters for observability (read via Stats). Plain fields
 	// under mu, kept here rather than in internal/obs so the clock stays
@@ -84,8 +97,8 @@ type readyItem struct {
 
 // timerEntry is one pending deadline. An entry is in the heap exactly
 // while it is pending (index >= 0): firing pops it, Stop and a waiter's
-// wake remove it by index, so dispatch never meets a dead entry. An
-// AfterFunc entry is itself the Timer its caller gets back.
+// wake remove it by index, so next never meets a dead entry. An AfterFunc
+// entry is itself the Timer its caller gets back.
 type timerEntry struct {
 	v     *Virtual // set on AfterFunc entries, for Stop
 	at    vclock.Ticks
@@ -159,8 +172,9 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// AfterFunc implements Clock. The body runs as a tracked task when the
-// deadline is reached (and a driver is active).
+// AfterFunc implements Clock. The body runs as a tracked task, on a
+// scheduler coroutine, when the deadline is reached (and a driver is
+// active).
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
@@ -185,14 +199,33 @@ func (e *timerEntry) Stop() bool {
 }
 
 // Go implements Clock: fn is queued as an immediately runnable tracked
-// task. Unlike a timer it is not gated on Drive — a task spawned ready
-// runs at the current simulated time as soon as the scheduler is free.
+// task, to run on a scheduler coroutine. Unlike a timer it is not gated
+// on Drive — a task spawned ready runs at the current simulated time as
+// soon as the scheduler is free.
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
 	v.ready = append(v.ready, readyItem{fn: fn})
+	v.kick()
+	v.mu.Unlock()
+}
+
+// kick, with v.mu held, starts a loop goroutine for newly ready work when
+// the clock is idle. Only an untracked caller finds it idle, and it may
+// hold locks of its own (core.wakeWaiters wakes under one), so the work
+// must not run inline. The loop goroutine counts as busy until it runs,
+// so a second untracked caller does not start another.
+func (v *Virtual) kick() {
 	if v.busy == 0 {
-		v.dispatch()
+		v.busy++
+		go v.serve()
 	}
+}
+
+// serve is the loop goroutine kick starts.
+func (v *Virtual) serve() {
+	v.mu.Lock()
+	v.busy--
+	v.run(nil)
 	v.mu.Unlock()
 }
 
@@ -229,66 +262,81 @@ func (v *Virtual) Drive() {
 	v.mu.Unlock()
 }
 
-// Release ends a Drive window. Pending ready tasks are dispatched; timers
-// stop firing once no driver remains.
+// Release ends a Drive window: ready tasks left over run inline, until
+// they finish or park; timers stop firing once no driver remains.
 func (v *Virtual) Release() {
 	v.mu.Lock()
 	v.driving--
 	v.busy--
-	v.dispatch()
+	v.run(nil)
 	v.mu.Unlock()
 }
 
-// runTask executes tracked task bodies on one goroutine: when a body
-// returns, the next body dispatch would have started runs here instead of
-// on a fresh goroutine, so a chain of Go/AfterFunc bodies costs one
-// goroutine, not one each. The chain ends when the next runnable thing is
-// a parked waiter (its own goroutine resumes) or there is none. Order is
-// dispatch's either way: next makes the same choice dispatch does.
-func (v *Virtual) runTask(fn func()) {
-	defer func() {
-		if fn != nil { // the body left the goroutine (runtime.Goexit)
-			v.mu.Lock()
-			v.busy--
-			v.dispatch()
-			v.mu.Unlock()
+// run is the scheduler loop. It is entered with v.mu held, on a goroutine
+// that is not a coroutine: a parked driver (self is its waiter), a loop
+// goroutine or Release (self is nil). It starts each picked body on a
+// pooled coroutine and resumes each picked coroutine task, switching to
+// it with v.mu held across the switch; the coroutine switches back when
+// its task parks or its chain of bodies ends. run returns true when self
+// is picked, false when nothing can run or a parked goroutine was resumed
+// through its channel (that goroutine runs the loop from then on).
+func (v *Virtual) run(self *vWaiter) bool {
+	fn, w := v.next()
+	for {
+		var c *coro
+		switch {
+		case fn != nil:
+			c = getCoro()
+			c.v, c.fn = v, fn
+		case w == nil:
+			return false
+		case w == self:
+			return true
+		case w.co != nil:
+			c, w.co = w.co, nil
+		default:
+			w.resume <- struct{}{}
+			return false
 		}
-	}()
-	for fn != nil {
-		fn()
-		fn = nil
-		v.mu.Lock()
-		v.busy--
-		fn = v.next()
-		v.mu.Unlock()
+		fn, w = v.switchTo(c)
 	}
 }
 
-// dispatch, with v.mu held and no task running, starts the next runnable
-// task; a task body gets a goroutine of its own.
-func (v *Virtual) dispatch() {
-	if fn := v.next(); fn != nil {
-		go v.runTask(fn)
+// switchTo runs c, with v.mu held, until it switches back, and returns
+// the loop's next pick. A coroutine goes back to the pool only here,
+// after it has switched out: pooled from inside its own chain, it could
+// be resumed by another clock's loop before that switch.
+func (v *Virtual) switchTo(c *coro) (fn func(), w *vWaiter) {
+	v.cur = c
+	c.resume()
+	v.cur = nil
+	if c.v != nil {
+		return v.next() // c's task parked; its waiter keeps c
 	}
+	w, c.pick = c.pick, nil
+	putCoro(c)
+	return nil, w
 }
 
 // next, with v.mu held, picks the next runnable task: first the FIFO of
 // woken waiters and Go bodies, then — inside a Drive window — the earliest
-// pending timer, advancing simulated time to its deadline. A waiter is
-// resumed on its own goroutine; a task body is returned, already counted
-// busy, for the caller to run. If a driver exists but nothing can ever run
-// again, the virtual testbed is deadlocked (a goroutine blocked outside
-// the clock's view) and next panics rather than hang silently.
-func (v *Virtual) next() func() {
+// pending timer, advancing simulated time to its deadline. The pick comes
+// back already counted busy: a body to start (fn) or a parked waiter to
+// resume (w). Neither means a task runs already or nothing can run. If a
+// driver exists but nothing can ever run again, the virtual testbed is
+// deadlocked (a goroutine blocked outside the clock's view) and next
+// panics rather than hang silently — after releasing v.mu, so that the
+// driver's deferred Release cannot block on it and swallow the message.
+func (v *Virtual) next() (fn func(), w *vWaiter) {
 	if v.busy > 0 {
-		return nil
+		return nil, nil
 	}
 	if v.head < len(v.ready) {
 		it := v.popReady()
 		v.busy++
 		if it.fn != nil {
 			v.tasks++
-			return it.fn
+			return it.fn, nil
 		}
 		w := it.w
 		if w.timer.index >= 0 {
@@ -298,8 +346,7 @@ func (v *Virtual) next() func() {
 		w.parked = false
 		v.parked--
 		w.byWake = true
-		w.resume <- struct{}{}
-		return nil
+		return nil, w
 	}
 	if v.driving > 0 {
 		if v.timers.Len() > 0 {
@@ -311,26 +358,27 @@ func (v *Virtual) next() func() {
 			v.firedTimers++
 			if e.fn != nil {
 				v.tasks++
-				return e.fn
+				return e.fn, nil
 			}
 			w := e.w
 			w.parked = false
 			v.parked--
 			w.byWake = false
-			w.resume <- struct{}{}
-			return nil
+			return nil, w
 		}
 		if v.parked > 0 {
-			panic(fmt.Sprintf(
+			msg := fmt.Sprintf(
 				"clock: virtual deadlock: %d task(s) parked, no runnable task or pending timer (driving=%d, now=%v)",
-				v.parked, v.driving, v.NowTicks().Duration()))
+				v.parked, v.driving, v.NowTicks().Duration())
+			v.mu.Unlock()
+			panic(msg)
 		}
 	}
 	if v.idle != nil {
 		close(v.idle)
 		v.idle = nil
 	}
-	return nil
+	return nil, nil
 }
 
 // popReady takes the next item off the FIFO. It pops by index and rewinds
@@ -350,13 +398,115 @@ func (v *Virtual) popReady() readyItem {
 	return it
 }
 
+// coro is a coroutine that runs tracked task bodies. It is idle in the
+// pool, running a chain of bodies for one clock, or parked with the task
+// whose waiter holds it.
+type coro struct {
+	resume func() (struct{}, bool) // switch in; returns when the coroutine switches out
+	stop   func()                  // end an idle coroutine
+	yield  func(struct{}) bool     // switch out, back to the loop that resumed it
+	v      *Virtual                // the clock it runs for; nil once its chain ended
+	fn     func()                  // the body its next chain starts with
+	pick   *vWaiter                // the waiter next picked as the chain ended, for the loop
+}
+
+// maxIdleCoros caps the idle coroutines kept for reuse. The pool is
+// process-wide, so a coroutine and its grown stack serve every clock's
+// tasks across experiments and runtimes, and no clock needs closing. It
+// is not a sync.Pool: a coroutine the pool dropped without stopping it
+// would leak its goroutine.
+const maxIdleCoros = 64
+
+var coroPool struct {
+	sync.Mutex
+	idle []*coro
+}
+
+func getCoro() *coro {
+	coroPool.Lock()
+	if n := len(coroPool.idle); n > 0 {
+		c := coroPool.idle[n-1]
+		coroPool.idle[n-1] = nil
+		coroPool.idle = coroPool.idle[:n-1]
+		coroPool.Unlock()
+		return c
+	}
+	coroPool.Unlock()
+	c := new(coro)
+	c.resume, c.stop = iter.Pull(c.main)
+	return c
+}
+
+// putCoro pools an idle coroutine, or ends it when the pool is full.
+func putCoro(c *coro) {
+	coroPool.Lock()
+	if len(coroPool.idle) < maxIdleCoros {
+		coroPool.idle = append(coroPool.idle, c)
+		coroPool.Unlock()
+		return
+	}
+	coroPool.Unlock()
+	c.stop()
+}
+
+// main is the coroutine's body: one chain per resume from the pool.
+func (c *coro) main(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.chain()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// chain runs c.fn and then, as long as the next pick is another body,
+// that body, all on this coroutine; the first pick that is not a body is
+// left in c.pick for the loop. c.v.mu is held on entry and on return, and
+// released while a body runs.
+func (c *coro) chain() {
+	v, fn := c.v, c.fn
+	c.fn = nil
+	for fn != nil {
+		v.mu.Unlock()
+		runBody(fn)
+		v.mu.Lock()
+		v.busy--
+		fn, c.pick = v.next()
+	}
+	c.v = nil
+}
+
+// runBody runs one task body. Its panic reaches the goroutine that runs
+// the loop, whose stack the runtime would print; the body's own stack
+// goes along in the panic value.
+func runBody(fn func()) {
+	defer func() {
+		if p := recover(); p != nil {
+			panic(&taskPanic{value: p, stack: debug.Stack()})
+		}
+	}()
+	fn()
+}
+
+// taskPanic is a task body's panic value with the stack it panicked on.
+type taskPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *taskPanic) Error() string {
+	return fmt.Sprintf("%v\n\npanicked in a virtual clock task:\n%s", p.value, p.stack)
+}
+
 // vWaiter is the virtual Waiter: parking decrements busy and hands
-// control to dispatch; Wake queues the waiter on the ready FIFO. The
-// deadline of the current Wait is the embedded timer entry — a waiter
-// parks at most once at a time, so one entry is all it ever needs.
+// control to the scheduler loop; Wake queues the waiter on the ready
+// FIFO. The deadline of the current Wait is the embedded timer entry — a
+// waiter parks at most once at a time, so one entry is all it ever needs.
 type vWaiter struct {
 	v      *Virtual
-	resume chan struct{}
+	resume chan struct{} // resumes a parked goroutine the loop does not run on
+	co     *coro         // the coroutine of the task parked here, if any
 	timer  timerEntry
 	parked bool
 	queued bool // parked and already on the ready FIFO
@@ -374,9 +524,7 @@ func (w *vWaiter) Wake() {
 	if w.parked {
 		w.queued = true
 		v.ready = append(v.ready, readyItem{w: w})
-		if v.busy == 0 {
-			v.dispatch()
-		}
+		v.kick()
 		return
 	}
 	w.woken = true
@@ -400,8 +548,10 @@ func (w *vWaiter) Wait(d time.Duration) bool {
 }
 
 // park blocks the calling task until Wake (true) or, when d > 0, until d
-// has elapsed (false). v.mu is held on entry and on return, and released
-// while blocked.
+// has elapsed (false). v.mu is held on entry and on return. A task on a
+// coroutine switches back to the loop that runs it; a driver runs the
+// loop itself until its own waiter is picked, or, when the loop hands
+// over to another goroutine, waits on its channel.
 func (w *vWaiter) park(d time.Duration) bool {
 	v := w.v
 	if v.busy == 0 {
@@ -417,10 +567,14 @@ func (w *vWaiter) park(d time.Duration) bool {
 	w.parked = true
 	v.parked++
 	v.busy--
-	v.dispatch()
-	v.mu.Unlock()
-	<-w.resume
-	v.mu.Lock()
+	if c := v.cur; c != nil {
+		w.co = c
+		c.yield(struct{}{})
+	} else if !v.run(w) {
+		v.mu.Unlock()
+		<-w.resume
+		v.mu.Lock()
+	}
 	return w.byWake
 }
 

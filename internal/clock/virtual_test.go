@@ -2,6 +2,8 @@ package clock
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -303,6 +305,144 @@ func TestVirtualDeadlockPanics(t *testing.T) {
 		}
 	}()
 	v.NewWaiter().Wait(-1)
+}
+
+// recoverDriver runs drive as a campaign worker runs an experiment —
+// inside Drive with a deferred Release — and returns what it panicked
+// with, failing the test if that takes longer than a few seconds.
+func recoverDriver(t *testing.T, v *Virtual, drive func()) any {
+	t.Helper()
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		v.Drive()
+		defer v.Release()
+		drive()
+	}()
+	select {
+	case p := <-got:
+		return p
+	case <-time.After(10 * time.Second):
+		t.Fatal("the driver neither returned nor panicked within 10s: its deferred Release blocked")
+		return nil
+	}
+}
+
+// TestVirtualDeadlockPanicsUnderRelease: the deadlock diagnostic must
+// reach the driver's caller past the deferred Release, whether the loop
+// finds the deadlock on the driver's goroutine or inside a task's
+// coroutine. Mutation: panic in next without releasing v.mu first; the
+// deferred Release then blocks on it and the message is lost.
+func TestVirtualDeadlockPanicsUnderRelease(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		task func(v *Virtual)
+	}{
+		{"driver alone", nil},
+		{"after a task parks", func(v *Virtual) { v.NewWaiter().Wait(-1) }},
+		{"after a task returns", func(v *Virtual) {}},
+	} {
+		v := NewVirtual()
+		p := recoverDriver(t, v, func() {
+			if tc.task != nil {
+				v.Go(func() { tc.task(v) })
+			}
+			v.NewWaiter().Wait(-1)
+		})
+		if msg, _ := p.(string); !strings.Contains(msg, "clock: virtual deadlock") {
+			t.Errorf("%s: recovered %v, want the virtual deadlock diagnostic", tc.name, p)
+		}
+	}
+}
+
+func panickingTaskBody() { panic("boom") }
+
+// TestVirtualTaskPanicCarriesItsStack: a task body's panic leaves its
+// coroutine on the goroutine running the scheduler loop — here the parked
+// driver — and must name the body's own stack, not only the loop's.
+// Mutation: call fn directly in chain instead of through runBody; the
+// panic then arrives as the bare "boom".
+func TestVirtualTaskPanicCarriesItsStack(t *testing.T) {
+	v := NewVirtual()
+	p := recoverDriver(t, v, func() {
+		v.Go(panickingTaskBody)
+		v.Sleep(time.Millisecond)
+	})
+	if msg := fmt.Sprint(p); !strings.Contains(msg, "boom") || !strings.Contains(msg, "panickingTaskBody") {
+		t.Fatalf("recovered %q, want the body's value and its stack", msg)
+	}
+}
+
+// TestVirtualWakePingPongAllocatesNothing: the driver and a task hand
+// control back and forth through two waiters — the hand-off behind every
+// message an experiment delivers — without allocating, because the parked
+// driver runs the scheduler loop itself and switches straight to the
+// task's coroutine. Mutation: park the driver by starting a loop goroutine
+// (go v.serve()) and waiting on its channel; every round then allocates.
+func TestVirtualWakePingPongAllocatesNothing(t *testing.T) {
+	const runs = 1000
+	v := NewVirtual()
+	v.Drive()
+	defer v.Release()
+	ping, pong := v.NewWaiter(), v.NewWaiter()
+	v.Go(func() {
+		for i := 0; i < runs+2; i++ { // a warm-up round, AllocsPerRun's own, then runs
+			ping.Wait(-1)
+			pong.Wake()
+		}
+	})
+	round := func() {
+		ping.Wake()
+		pong.Wait(-1)
+	}
+	round()
+	if got := testing.AllocsPerRun(runs, round); got != 0 {
+		t.Fatalf("a driver/task wake round trip allocates %v objects, want 0", got)
+	}
+}
+
+// TestVirtualGoAllocatesNothing: starting a prebuilt task body takes an
+// idle coroutine from the pool — no goroutine, no closure. Mutation: build
+// a fresh coroutine in getCoro every time (or start each body on a
+// goroutine of its own, as the clock once did); each start then allocates.
+func TestVirtualGoAllocatesNothing(t *testing.T) {
+	v := NewVirtual()
+	v.Drive()
+	defer v.Release()
+	ran := 0
+	body := func() { ran++ }
+	start := func() {
+		v.Go(body)
+		v.Sleep(time.Microsecond)
+	}
+	start()
+	if got := testing.AllocsPerRun(1000, start); got != 0 {
+		t.Fatalf("Go of a prebuilt body allocates %v objects, want 0", got)
+	}
+	if ran != 1002 {
+		t.Fatalf("%d of 1002 bodies ran", ran)
+	}
+}
+
+// TestVirtualIdleCoroutinesBounded: 200 clocks each park twice as many
+// tasks at once as the pool keeps; once they have all finished, at most
+// maxIdleCoros of their coroutines are left, however many clocks ran.
+// Mutation: drop the cap in putCoro; 2*maxIdleCoros idle coroutines stay.
+func TestVirtualIdleCoroutinesBounded(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		v := NewVirtual()
+		v.Drive()
+		for j := 0; j < 2*maxIdleCoros; j++ {
+			v.Go(func() { v.Sleep(time.Microsecond) })
+		}
+		v.Sleep(time.Millisecond)
+		v.Release()
+	}
+	if n := runtime.NumGoroutine(); n > base+maxIdleCoros {
+		t.Fatalf("%d goroutines after 200 clocks, want at most %d (%d before, plus %d idle coroutines)",
+			n, base+maxIdleCoros, base, maxIdleCoros)
+	}
 }
 
 func TestVirtualUntrackedWaitPanics(t *testing.T) {

@@ -17,8 +17,10 @@ import (
 // App is the instrumented application of one node — the thesis's appMain
 // plus the probe's fault injection entry point (§3.5.7).
 type App interface {
-	// Main is the application body (the renamed main()). It runs on its
-	// own goroutine and must return promptly once Handle.Done() closes.
+	// Main is the application body (the renamed main()). It runs as a
+	// task of the runtime clock (its own goroutine in real time, a
+	// scheduler coroutine under virtual time) and must return promptly
+	// once Handle.Done() closes.
 	Main(h *Handle)
 	// InjectFault performs the actual fault injection when the fault
 	// parser demands it, and is free to do anything: corrupt app state,

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -120,6 +121,120 @@ func TestOfflineToolsReproduceGlobal(t *testing.T) {
 	}
 	if string(got) != want {
 		t.Errorf("makeglobal's global timeline (%d bytes) differs from the in-process one (%d bytes)", len(got), len(want))
+	}
+}
+
+// measureDoc is a §5.8 coverage-style election study: black crashes a
+// dormancy after it first leads and restarts, so how long it is down and
+// how long it leads differ from experiment to experiment.
+const measureDoc = `{
+  "name": "measure",
+  "hosts": [
+    {"name": "h1"},
+    {"name": "h2", "offset_ns": 5000000, "drift_ppm": 80},
+    {"name": "h3", "offset_ns": -2000000, "drift_ppm": -45}
+  ],
+  "sync": {"messages": 10, "transit": "25µs"},
+  "studies": [{
+    "name": "s", "app": "election", "seed": 1, "experiments": 6,
+    "runfor": "100ms", "dormancy": "10ms", "timeout": "10s", "restart": true,
+    "nodes": [
+      {"name": "black", "host": "h1"},
+      {"name": "green", "host": "h2"},
+      {"name": "yellow", "host": "h3"}
+    ],
+    "faults": ["black bfault1 (black:LEAD) once"]
+  }]
+}`
+
+// TestLokimeasureMatchesInProcess runs the Chapter 4 measure tool over the
+// global.timeline files a WithArtifacts run writes. The values it prints
+// and their statistics must equal the in-process measure over the same
+// records' Global: the artifact round trip loses nothing a measure reads.
+func TestLokimeasureMatchesInProcess(t *testing.T) {
+	bin := buildTools(t, "lokimeasure")
+
+	cfg, err := loki.ParseCampaignFile([]byte(measureDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := t.TempDir()
+	s, err := loki.Open(cfg, loki.WithVirtualTime(), loki.WithArtifacts(art))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	triples := []string{
+		"default ; (black, CRASH) ; total_duration(T, START_EXP, END_EXP)",
+		"(OBS_VALUE > 0) ; (black, LEAD) ; total_duration(T, START_EXP, END_EXP)",
+	}
+	var parsed []loki.Triple
+	args := []string{"-name", "election"}
+	for _, src := range triples {
+		parts := strings.Split(src, ";")
+		sel, err1 := loki.ParseSelector(strings.TrimSpace(parts[0]))
+		pred, err2 := loki.ParsePredicate(strings.TrimSpace(parts[1]))
+		obs, err3 := loki.ParseObservation(strings.TrimSpace(parts[2]))
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatalf("triple %q: %v", src, err)
+		}
+		parsed = append(parsed, loki.Triple{Select: sel, Pred: pred, Obs: obs})
+		args = append(args, "-triple", src)
+	}
+	m, err := loki.NewStudyMeasure("election", parsed...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var globals []*loki.GlobalTimeline
+	for _, rec := range res.Campaign.Studies[0].Records {
+		if rec.Global == nil {
+			t.Fatalf("experiment %d has no global timeline: %s", rec.Index, rec.AnalysisError)
+		}
+		globals = append(globals, rec.Global)
+		args = append(args, filepath.Join(art, fmt.Sprintf("exp%03d", rec.Index), "global.timeline"))
+	}
+	want := m.ApplyAll(globals)
+	mo := loki.ComputeMoments(want)
+	if len(want) < 2 || mo.Variance() == 0 {
+		t.Fatalf("in-process values %v: want a sample that varies", want)
+	}
+
+	out, err := exec.Command(filepath.Join(bin, "lokimeasure"), args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("lokimeasure: %v\n%s", err, out)
+	}
+	var got []float64
+	stats := map[string]string{}
+	for _, line := range strings.Split(string(out), "\n") {
+		switch f := strings.Fields(line); {
+		case len(f) == 3 && f[0] == "value":
+			v, err := strconv.ParseFloat(f[2], 64)
+			if err != nil {
+				t.Fatalf("value line %q: %v", line, err)
+			}
+			got = append(got, v)
+		case len(f) >= 2:
+			stats[f[0]] = f[1]
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("lokimeasure values %v, in-process %v\n%s", got, want, out)
+	}
+	wantStats := map[string]float64{"mean": mo.Mean(), "variance": mo.Variance(), "skewness": mo.Skew(), "kurtosis": mo.ExcessKurtosis()}
+	for _, gamma := range []float64{0.05, 0.5, 0.95} {
+		if p, err := mo.Percentile(gamma); err == nil {
+			wantStats[fmt.Sprintf("p%02.0f", gamma*100)] = p
+		}
+	}
+	for name, v := range wantStats {
+		if w := fmt.Sprintf("%.6g", v); stats[name] != w {
+			t.Errorf("lokimeasure %s %s, in-process %s\n%s", name, stats[name], w, out)
+		}
 	}
 }
 

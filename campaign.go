@@ -45,8 +45,6 @@ type (
 	FaultAction = probe.Action
 	// MemoryRegion is a probe-corruptible byte region.
 	MemoryRegion = probe.MemoryRegion
-	// MessageDropper simulates communication faults.
-	MessageDropper = probe.MessageDropper
 )
 
 // Instrument wraps an application body for fault registration:
@@ -69,15 +67,6 @@ func MemoryFault(region *MemoryRegion, seed int64) FaultAction {
 
 // NewMemoryRegion allocates a corruptible region.
 func NewMemoryRegion(data []byte) *MemoryRegion { return probe.NewMemoryRegion(data) }
-
-// MessageDropFault drops the next n application messages per injection.
-func MessageDropFault(d *MessageDropper, n int) FaultAction { return probe.MessageDropFault(d, n) }
-
-// NewMessageDropper creates a communication-fault helper.
-func NewMessageDropper(seed int64) *MessageDropper { return probe.NewMessageDropper(seed) }
-
-// CPUFault busy-waits on injection, stalling progress without crashing.
-func CPUFault(busy time.Duration) FaultAction { return probe.CPUFault(busy) }
 
 // NoteFault records the injection without perturbing the application.
 func NoteFault() FaultAction { return probe.NoteFault() }

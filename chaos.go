@@ -3,7 +3,6 @@ package loki
 import (
 	"repro/internal/campaign"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/faultexpr"
 	"repro/internal/simnet"
 )
@@ -61,11 +60,4 @@ func ParseChaosAction(call *ActionCall) (ChaosAction, error) { return chaos.Pars
 // scenario faults.
 func ParseScenarioFaults(doc string) ([]ScenarioFault, error) {
 	return campaign.ParseScenarioFaults(doc)
-}
-
-// ValidateChaosSpecs parses every action call in the definitions' fault
-// entries, rejecting misspelled actions — and, when hosts is non-empty,
-// typoed host references — before a campaign runs.
-func ValidateChaosSpecs(defs []core.NodeDef, hosts []string) error {
-	return chaos.ValidateSpecs(defs, hosts)
 }

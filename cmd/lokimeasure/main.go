@@ -23,8 +23,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/measure"
-	"repro/internal/observation"
-	"repro/internal/predicate"
 )
 
 type tripleFlags []string
@@ -54,19 +52,11 @@ func main() {
 		if len(parts) != 3 {
 			log.Fatalf("triple %d: want '<selector> ; <predicate> ; <observation>', got %q", i, src)
 		}
-		sel, err := measure.ParseSelector(strings.TrimSpace(parts[0]))
+		t, err := measure.ParseTriple(strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]), strings.TrimSpace(parts[2]))
 		if err != nil {
 			log.Fatalf("triple %d: %v", i, err)
 		}
-		pred, err := predicate.Parse(strings.TrimSpace(parts[1]))
-		if err != nil {
-			log.Fatalf("triple %d: %v", i, err)
-		}
-		obs, err := observation.Parse(strings.TrimSpace(parts[2]))
-		if err != nil {
-			log.Fatalf("triple %d: %v", i, err)
-		}
-		parsed = append(parsed, measure.Triple{Select: sel, Pred: pred, Obs: obs})
+		parsed = append(parsed, t)
 	}
 	m, err := measure.NewStudyMeasure(*name, parsed...)
 	if err != nil {

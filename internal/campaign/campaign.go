@@ -15,11 +15,14 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/chaos"
 	"repro/internal/clocksync"
 	"repro/internal/core"
+	"repro/internal/faultexpr"
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/timeline"
+	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -62,7 +65,9 @@ type Study struct {
 	// Workers, when positive, overrides Campaign.Workers for this study.
 	// Virtual-time studies often pin Workers=1 for strictly serialized —
 	// and therefore byte-reproducible — execution, while real-time studies
-	// in the same campaign fan out.
+	// in the same campaign fan out. A matrix point's pool is its share of
+	// Campaign.Workers (RunMatrix); a built study's Workers may lower that
+	// share but never raise it.
 	Workers int
 }
 
@@ -221,78 +226,121 @@ func (r *Result) Study(name string) *StudyResult {
 	return nil
 }
 
-// ValidateWorkers rejects a negative worker-pool size. Zero means "default
-// to GOMAXPROCS" and stays legal; a negative count was previously clamped
-// silently, hiding sign bugs in callers' pool arithmetic.
-func ValidateWorkers(workers int) error {
-	if workers < 0 {
-		return fmt.Errorf("campaign: Workers is %d; it must be positive, or 0 for GOMAXPROCS", workers)
-	}
-	return nil
-}
-
-// ValidateExperiments rejects a non-positive experiment count up front. A
-// study that says how many experiments to run must say a positive number;
-// the old silent default of 1 hid dropped configuration.
-func ValidateExperiments(study string, experiments int) error {
-	if experiments <= 0 {
-		return fmt.Errorf("campaign: study %q: Experiments is %d; it must be positive", study, experiments)
-	}
-	return nil
-}
-
-// Validate checks, before any experiment runs, what Run (m nil) or
-// RunMatrix (m the matrix, c.Studies ignored) can know up front: hosts
-// present, worker counts sane, study or point names unique, no virtual time
-// over a socket transport. Both engines call it and so does loki.Open.
-// Experiment counts — and a matrix point's transport, known only once the
-// point is built — are checked where a study starts (runStudyOn, runStudy).
+// Validate is the one owner of every rule about a campaign the engines can
+// run. Run (m nil) and RunMatrix (m the matrix, c.Studies ignored) call it
+// before a journal is opened or an experiment runs, and loki.Open calls it
+// once every option is applied; no other layer restates these rules. It
+// checks:
+//
+//   - hosts: at least one, each named, no name twice;
+//   - the campaign's Workers: not negative (0 means GOMAXPROCS);
+//   - studies: at least one, no name twice, and every study passes
+//     checkStudy;
+//   - a matrix: no point name twice, every scenario's action faults parse
+//     and name known hosts, and the first point, built here, passes
+//     checkStudy, so a bad template fails before anything runs. RunMatrix
+//     checks every other point as it builds it, before its testbed.
+//
+// checkStudy is the study check: Workers not negative, Experiments
+// positive, a known transport, virtual time only over inproc, and every
+// chaos action call parses and names known hosts.
 func Validate(c *Campaign, m *Matrix) error {
+	if m == nil && len(c.Studies) == 0 {
+		return fmt.Errorf("campaign: no studies defined")
+	}
 	if len(c.Hosts) == 0 {
 		return fmt.Errorf("campaign: no hosts defined")
 	}
-	if err := ValidateWorkers(c.Workers); err != nil {
-		return err
+	seen := make(map[string]bool, len(c.Hosts))
+	for i, h := range c.Hosts {
+		if h.Name == "" {
+			return fmt.Errorf("campaign: host %d has no name", i)
+		}
+		if seen[h.Name] {
+			return fmt.Errorf("campaign: duplicate host %q", h.Name)
+		}
+		seen[h.Name] = true
+	}
+	if err := checkWorkers(c.Workers); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
 	// Duplicate names would shadow each other in Result.Study or
 	// MatrixResult.Point and collide in the checkpoint journal's record
 	// keys.
 	names := make(map[string]bool)
 	if m != nil {
-		for _, p := range m.Points() {
+		pts := m.Points()
+		for _, p := range pts {
 			if names[p.Name()] {
 				return fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, p.Name())
 			}
 			names[p.Name()] = true
 		}
-		return nil
-	}
-	if len(c.Studies) == 0 {
-		return fmt.Errorf("campaign: no studies defined")
+		known := hostNames(c)
+		for _, sc := range m.Scenarios {
+			defs := make([]core.NodeDef, len(sc.Faults))
+			for i, f := range sc.Faults {
+				defs[i] = core.NodeDef{Nickname: f.Machine, Faults: []faultexpr.Spec{f.Spec}}
+			}
+			if err := chaos.ValidateSpecs(defs, known); err != nil {
+				return fmt.Errorf("campaign: matrix %q: scenario %q: %w", m.Name, sc.Name, err)
+			}
+		}
+		_, err := m.point(c, pts[0])
+		return err
 	}
 	for _, st := range c.Studies {
 		if names[st.Name] {
 			return fmt.Errorf("campaign: duplicate study name %q", st.Name)
 		}
 		names[st.Name] = true
-		if err := ValidateWorkers(st.Workers); err != nil {
+		if err := checkStudy(c, st); err != nil {
 			return fmt.Errorf("campaign: study %q: %w", st.Name, err)
-		}
-		if err := validateVirtualTransport(c, st); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// validateVirtualTransport rejects virtual time over socket transports:
-// the virtual scheduler owns every wait in the process, which a real
-// loopback socket (or a peer lokid process) cannot participate in.
-func validateVirtualTransport(c *Campaign, st *Study) error {
+// checkStudy is the study check Validate documents. Its errors do not name
+// the study; the caller does, once.
+func checkStudy(c *Campaign, st *Study) error {
+	if err := checkWorkers(st.Workers); err != nil {
+		return err
+	}
+	if st.Experiments <= 0 {
+		return fmt.Errorf("Experiments is %d; it must be positive", st.Experiments)
+	}
+	if !transport.ValidKind(st.Transport) {
+		return fmt.Errorf("unknown transport %q (want inproc, udp, or tcp)", st.Transport)
+	}
+	// The virtual scheduler owns every wait in the process, which a real
+	// loopback socket (or a peer lokid process) cannot take part in.
 	if c.VirtualTime && clustered(st) {
-		return fmt.Errorf("campaign: study %q: virtual time requires the inproc transport, not %q", st.Name, st.Transport)
+		return fmt.Errorf("virtual time requires the inproc transport, not %q", st.Transport)
+	}
+	if chaos.HasActionFaults(st.Nodes) {
+		return chaos.ValidateSpecs(st.Nodes, hostNames(c))
 	}
 	return nil
+}
+
+// checkWorkers rejects a negative worker-pool size. Zero means "default to
+// GOMAXPROCS"; a negative count is a sign bug in the caller's pool
+// arithmetic, not a request.
+func checkWorkers(workers int) error {
+	if workers < 0 {
+		return fmt.Errorf("Workers is %d; it must be positive, or 0 for GOMAXPROCS", workers)
+	}
+	return nil
+}
+
+// hostNames lists the campaign's host names, which chaos actions may name.
+func hostNames(c *Campaign) []string {
+	out := make([]string, len(c.Hosts))
+	for i, h := range c.Hosts {
+		out[i] = h.Name
+	}
+	return out
 }
 
 // onCancel runs fn (once) when ctx is cancelled. The returned stop
@@ -353,12 +401,8 @@ func clustered(st *Study) bool { return st.Transport != "" && st.Transport != "i
 
 // runStudyOn dispatches a study to the testbed its Transport selects.
 // RunMatrix routes its points through here too, so a requested transport
-// is never silently downgraded (and a point's transport, unknown until the
-// point is built, meets the virtual-time rule here).
+// is never silently downgraded.
 func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*StudyResult, error) {
-	if err := validateVirtualTransport(c, st); err != nil {
-		return nil, err
-	}
 	if clustered(st) {
 		return runClustered(ctx, c, st, st.Transport, sj)
 	}

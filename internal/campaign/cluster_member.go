@@ -107,10 +107,6 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 	}
 	rt.SetPlacement(placement)
 	if chaos.HasActionFaults(st.Nodes) {
-		if err := chaos.ValidateSpecs(st.Nodes, m.hosts); err != nil {
-			rt.Shutdown()
-			return nil, err
-		}
 		chaos.Attach(rt, st.ChaosSeed)
 	}
 	if topo.Owner(m.ref) == "" {

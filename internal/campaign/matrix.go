@@ -88,7 +88,8 @@ type Matrix struct {
 	// definitions (application instances included) are private to the
 	// point. The point's seed should drive the applications' randomness.
 	// Every point must carry the same Experiments count — status queries
-	// materialize one point and trust it for the rest.
+	// materialize one point and trust it for the rest. Validate builds the
+	// first point once more, to check it before anything runs.
 	Build func(p Point) (*Study, error)
 }
 
@@ -135,6 +136,18 @@ func (m *Matrix) buildStudy(p Point) (*Study, error) {
 	st.ChaosSeed = p.Seed
 	if st.Name == "" {
 		st.Name = p.Name()
+	}
+	return st, nil
+}
+
+// point builds one point's study and puts it through the study check.
+func (m *Matrix) point(c *Campaign, p Point) (*Study, error) {
+	st, err := m.buildStudy(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkStudy(c, st); err != nil {
+		return nil, fmt.Errorf("campaign: matrix point %s: %w", p.Name(), err)
 	}
 	return st, nil
 }
@@ -206,7 +219,10 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 // RunMatrix executes every point of the matrix on c's testbed
 // configuration, sharding points across the campaign's worker pool: up to
 // Workers points run concurrently, and each point's own experiment pool is
-// sized so the total stays at Workers. Results land at their point index,
+// its share of Workers, so the total stays at Workers; a built study's
+// Workers may lower its point's share but never raise it. Each point is
+// built and put through the study check before its testbed is built
+// (Validate). Results land at their point index,
 // so any worker count orders results identically. The campaign's Studies
 // field is ignored; hosts, runtime, sync, and check configuration apply to
 // every point, with the point's latency profile overriding the runtime's
@@ -275,15 +291,15 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 			defer wg.Done()
 			for i := range idxCh {
 				p := pts[i]
-				st, err := m.buildStudy(p)
-				if err != nil {
-					fail(err)
-					return
-				}
 				// The point's derived campaign (latency overrides applied)
 				// is what fingerprints the journaled records: resuming with
 				// a changed profile must not reuse them.
 				pc := pointCampaign(c, m, p, innerW)
+				st, err := m.point(pc, p)
+				if err != nil {
+					fail(err)
+					return
+				}
 				sr, err := runStudyOn(ctx, pc, st, j.study(pc, st, p.Name()))
 				if err != nil {
 					fail(fmt.Errorf("campaign: matrix point %s: %w", p.Name(), err))

@@ -108,10 +108,6 @@ func newLocalTestbed(c *Campaign, st *Study) (*localTestbed, error) {
 		}
 	}
 	if chaos.HasActionFaults(st.Nodes) {
-		if err := chaos.ValidateSpecs(st.Nodes, rt.Hosts()); err != nil {
-			rt.Shutdown()
-			return nil, err
-		}
 		chaos.Attach(rt, st.ChaosSeed)
 	}
 	if tr := rt.Transport(); tr != nil {
@@ -182,15 +178,19 @@ func pointName(c *Campaign, st *Study, sj *studyJournal) string {
 	return st.Name
 }
 
-// poolWidth is the in-process engine's worker count for the study.
+// poolWidth is the in-process engine's worker count for the study: its
+// own Workers, else the campaign's, else GOMAXPROCS. A matrix point's
+// campaign carries the point's share of the matrix pool, which the study
+// may lower but never raise.
 func poolWidth(c *Campaign, st *Study) int {
-	switch {
-	case st.Workers > 0:
-		return st.Workers
-	case c.Workers > 0:
-		return c.Workers
+	w := c.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	if st.Workers > 0 && (c.matrixPoint == "" || st.Workers < w) {
+		return st.Workers
+	}
+	return w
 }
 
 // runStudy executes a study's experiments on a pool of up to workers
@@ -216,9 +216,6 @@ func poolWidth(c *Campaign, st *Study) int {
 func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 	member string, workers int, open opener) (*StudyResult, error) {
 
-	if err := ValidateExperiments(st.Name, st.Experiments); err != nil {
-		return nil, err
-	}
 	experiments := experimentCount(c, st)
 	records := make([]*ExperimentRecord, experiments)
 	var missing []int

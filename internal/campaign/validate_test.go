@@ -5,7 +5,13 @@ import (
 	"errors"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/probe"
+	"repro/internal/spec"
 )
 
 // TestValidateCounts: negative worker pools and non-positive experiment
@@ -40,6 +46,76 @@ func TestValidateCounts(t *testing.T) {
 	}}
 	if _, err := RunMatrix(context.Background(), c, m); err == nil || !strings.Contains(err.Error(), "Experiments") {
 		t.Errorf("zero experiments via matrix point: %v", err)
+	}
+}
+
+// countedStudy is a one-node study on h1 whose app body counts itself in
+// live while it runs, raising peak to the most bodies ever alive at once.
+func countedStudy(t testing.TB, name string, experiments int, live, peak *atomic.Int64) *Study {
+	app := probe.NewInstrumented(func(h *core.Handle) {
+		n := live.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		h.NotifyEvent("S1")
+		h.Sleep(10 * time.Millisecond)
+		h.NotifyEvent("GO")
+		h.NotifyEvent("GO2")
+		live.Add(-1)
+	})
+	return &Study{
+		Name:        name,
+		Nodes:       []core.NodeDef{{Nickname: "alpha", Spec: stepSpec(t), App: app}},
+		Placement:   []spec.NodeEntry{{Nickname: "alpha", Host: "h1"}},
+		Experiments: experiments,
+		Timeout:     5 * time.Second,
+	}
+}
+
+// TestRunRefusesBeforeFirstStudy: a mistake in a campaign's second study
+// fails Run before the first study's experiments run, and the error names
+// the study once.
+func TestRunRefusesBeforeFirstStudy(t *testing.T) {
+	for name, mut := range map[string]func(st *Study){
+		"zero experiments":  func(st *Study) { st.Experiments = 0 },
+		"unknown transport": func(st *Study) { st.Transport = "udpp" },
+	} {
+		var live, peak atomic.Int64
+		c := stepCampaign(t, 1, 1)
+		c.Studies = []*Study{countedStudy(t, "first", 3, &live, &peak), countedStudy(t, "second", 1, &live, &peak)}
+		mut(c.Studies[1])
+		_, err := Run(context.Background(), c)
+		if err == nil {
+			t.Errorf("%s: Run accepted the campaign", name)
+			continue
+		}
+		if n := strings.Count(err.Error(), `"second"`); n != 1 {
+			t.Errorf("%s: error names the study %d times: %v", name, n, err)
+		}
+		if peak.Load() != 0 {
+			t.Errorf("%s: app bodies ran before the refusal", name)
+		}
+	}
+}
+
+// TestMatrixPointPoolWithinWorkers: a matrix point's experiment pool is
+// its share of Campaign.Workers. A built study's Workers may lower the
+// share but never raise it, so no more than Workers runtime phases are
+// ever live at once.
+func TestMatrixPointPoolWithinWorkers(t *testing.T) {
+	const workers = 2
+	var live, peak atomic.Int64
+	c := stepCampaign(t, 1, workers)
+	c.Studies = nil
+	m := &Matrix{Name: "pool", Seeds: []int64{1, 2, 3, 4}, Build: func(Point) (*Study, error) {
+		st := countedStudy(t, "", 6, &live, &peak)
+		st.Workers = 8
+		return st, nil
+	}}
+	if _, err := RunMatrix(context.Background(), c, m); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > workers {
+		t.Errorf("peak of %d live app bodies at Workers=%d", got, workers)
 	}
 }
 

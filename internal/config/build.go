@@ -10,8 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultexpr"
 	"repro/internal/measure"
-	"repro/internal/observation"
-	"repro/internal/predicate"
 	"repro/internal/probe"
 	"repro/internal/spec"
 	"repro/internal/vclock"
@@ -38,12 +36,15 @@ func appName(name string) string {
 // derived from the registry, so user registrations show up in diagnostics.
 func appNames() []string { return app.Names() }
 
-// Build materializes a validated campaign file into the engine types: the
-// campaign itself and, when the file declares one, the scenario matrix.
-// Node definitions (application instances included) are built fresh, so
-// every Build result is private to one run.
+// Build translates a campaign file into the engine types: the campaign
+// itself and, when the file declares one, the scenario matrix. It checks
+// only what the file alone can show (checkFile) and parses each fault line
+// once, checking the machine it names; every rule about the campaign the
+// engines run is campaign.Validate's, which the engines and loki.Open
+// apply to the result. Node definitions (application instances included)
+// are built fresh, so every Build result is private to one run.
 func Build(c *Campaign) (*campaign.Campaign, *campaign.Matrix, error) {
-	if err := Validate(c); err != nil {
+	if err := checkFile(c); err != nil {
 		return nil, nil, err
 	}
 	cc := &campaign.Campaign{
@@ -63,11 +64,12 @@ func Build(c *Campaign) (*campaign.Campaign, *campaign.Matrix, error) {
 		cc.Checkpoint = &campaign.Checkpoint{Dir: c.Checkpoint.Dir, Resume: c.Checkpoint.Resume}
 	}
 	for i := range c.Studies {
-		st, err := buildStudy(c, &c.Studies[i], studySeed(c, &c.Studies[i]), nil)
+		s := &c.Studies[i]
+		faults, err := parseFaults(s.Faults, nodeSet(s.Nodes), studyWhat(s))
 		if err != nil {
 			return nil, nil, err
 		}
-		cc.Studies = append(cc.Studies, st)
+		cc.Studies = append(cc.Studies, buildStudy(c, s, studySeed(c, s), faults, nil))
 	}
 	if c.Matrix == nil {
 		return cc, nil, nil
@@ -91,6 +93,10 @@ func Build(c *Campaign) (*campaign.Campaign, *campaign.Matrix, error) {
 		})
 	}
 	tmpl := *m.Study // template is copied; points must not mutate the file
+	faults, err := parseFaults(tmpl.Faults, nodeSet(tmpl.Nodes), studyWhat(&tmpl))
+	if err != nil {
+		return nil, nil, err
+	}
 	cm.Build = func(p campaign.Point) (*campaign.Study, error) {
 		// The point's seed drives the applications, so a point is
 		// reproducible independently of the template's own seed. The
@@ -98,7 +104,7 @@ func Build(c *Campaign) (*campaign.Campaign, *campaign.Matrix, error) {
 		// — the engine's Scenario.ApplyTo appends the specs but knows
 		// nothing about probes, and the schema promises action-less
 		// fault lines crash wherever they appear.
-		return buildStudy(c, &tmpl, p.Seed, p.Scenario.Faults)
+		return buildStudy(c, &tmpl, p.Seed, faults, p.Scenario.Faults), nil
 	}
 	return cc, cm, nil
 }
@@ -173,12 +179,13 @@ func HostsFor(nodes []spec.NodeEntry, seed int64) []campaign.HostDef {
 }
 
 // buildStudy materializes one study (or matrix template) with the given
-// effective seed: application instances, state machines, fault entries,
-// and crash probes for faults without a built-in action call. The
-// scenario faults, when given, get probes only — the matrix engine
-// appends their specs via Scenario.ApplyTo, and registering them twice
-// would duplicate the entries.
-func buildStudy(c *Campaign, s *Study, seed int64, scenario []campaign.ScenarioFault) (*campaign.Study, error) {
+// effective seed and its parsed fault lines: application instances, state
+// machines, fault entries, and crash probes for faults without a built-in
+// action call. The scenario faults, when given, get probes only — the
+// matrix engine appends their specs via Scenario.ApplyTo, and registering
+// them twice would duplicate the entries. The study's app is registered
+// (checkFile).
+func buildStudy(c *Campaign, s *Study, seed int64, faults, scenario []campaign.ScenarioFault) *campaign.Study {
 	peers := make([]string, len(s.Nodes))
 	placement := make([]spec.NodeEntry, len(s.Nodes))
 	for i, n := range s.Nodes {
@@ -193,16 +200,7 @@ func buildStudy(c *Campaign, s *Study, seed int64, scenario []campaign.ScenarioF
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	faults, err := parseFaults(s.Faults, nodeSet(s.Nodes), fmt.Sprintf("study %q", s.Name))
-	if err != nil {
-		return nil, err
-	}
-	build, ok := app.Lookup(appName(s.App))
-	if !ok {
-		// Validate catches this for file-loaded campaigns; the guard keeps
-		// matrix point builders safe if a caller skips validation.
-		return nil, fmt.Errorf("config: study %q: unknown app %q", s.Name, appName(s.App))
-	}
+	build, _ := app.Lookup(appName(s.App))
 	dormancy := s.Dormancy.Std()
 
 	var defs []core.NodeDef
@@ -233,7 +231,7 @@ func buildStudy(c *Campaign, s *Study, seed int64, scenario []campaign.ScenarioF
 	if s.Restart {
 		st.Restarts = &campaign.RestartPolicy{After: 5 * time.Millisecond, MaxPerNode: 1}
 	}
-	return st, nil
+	return st
 }
 
 // machineFaults returns the fault entries owned by nick and registers a
@@ -277,32 +275,28 @@ func studyTransport(c *Campaign, s *Study) string {
 	return c.Transport
 }
 
-// BuildMeasures compiles the file's declarative measures. Observation
-// functions beyond the parseable language (custom Go callbacks) stay in
-// Go — the schema covers the thesis's predicate/observation/selector
-// notation.
+// BuildMeasures compiles the file's declarative measures, parsing each
+// triple once (measure.ParseTriple). Observation functions beyond the
+// parseable language (custom Go callbacks) stay in Go — the schema covers
+// the thesis's predicate/observation/selector notation.
 func BuildMeasures(c *Campaign) ([]*measure.StudyMeasure, error) {
 	var out []*measure.StudyMeasure
+	names := make(map[string]bool, len(c.Measures))
 	for _, mm := range c.Measures {
+		if mm.Name == "" {
+			return nil, fmt.Errorf("config: measure with empty name")
+		}
+		if names[mm.Name] {
+			return nil, fmt.Errorf("config: duplicate measure %q", mm.Name)
+		}
+		names[mm.Name] = true
 		var triples []measure.Triple
 		for i, tr := range mm.Triples {
-			var sel measure.Selector = measure.Default{}
-			if tr.Select != "" && tr.Select != "default" {
-				s, err := measure.ParseSelector(tr.Select)
-				if err != nil {
-					return nil, fmt.Errorf("config: measure %q triple %d: %w", mm.Name, i, err)
-				}
-				sel = s
-			}
-			pred, err := predicate.Parse(tr.Predicate)
+			t, err := measure.ParseTriple(tr.Select, tr.Predicate, tr.Observation)
 			if err != nil {
 				return nil, fmt.Errorf("config: measure %q triple %d: %w", mm.Name, i, err)
 			}
-			obs, err := observation.Parse(tr.Observation)
-			if err != nil {
-				return nil, fmt.Errorf("config: measure %q triple %d: %w", mm.Name, i, err)
-			}
-			triples = append(triples, measure.Triple{Select: sel, Pred: pred, Obs: obs})
+			triples = append(triples, t)
 		}
 		sm, err := measure.NewStudyMeasure(mm.Name, triples...)
 		if err != nil {

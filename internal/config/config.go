@@ -2,9 +2,13 @@
 // describing a full Loki campaign — virtual hosts, studies, a scenario
 // matrix, transport, checkpointing, cluster topology, and measures — so an
 // experiment is a reviewable artifact (checked in, diffed, fingerprinted)
-// rather than Go wiring. Load/Validate/Fingerprint handle the file;
-// Build materializes it into the internal/campaign engine types; the
-// loki.Session entry point and the command-line drivers consume both.
+// rather than Go wiring. The package translates: Load and Fingerprint
+// handle the file, and Build materializes it into the internal/campaign
+// engine types, checking only what the file alone can show and parsing
+// each fault line once. The rules about the campaign the engines run are
+// campaign.Validate's alone; Validate is Build followed by
+// campaign.Validate and BuildMeasures. The loki.Session entry point and
+// the command-line drivers consume both.
 //
 // Durations are JSON strings in Go syntax ("150ms", "25us"); times in the
 // clock-error fields are nanosecond integers, matching vclock.Ticks.

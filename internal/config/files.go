@@ -19,7 +19,7 @@ import (
 
 // FaultLines extracts the fault specification lines of a fault file
 // (machine-prefixed §3.5.5 entries), dropping blanks and '#' comments. The
-// lines are validated — parsed against the study's machines — by Validate.
+// lines are parsed, and checked against the study's machines, by Build.
 func FaultLines(doc string) []string {
 	var out []string
 	for _, raw := range strings.Split(doc, "\n") {

@@ -6,105 +6,73 @@ import (
 
 	"repro/app"
 	"repro/internal/campaign"
-	"repro/internal/measure"
-	"repro/internal/observation"
-	"repro/internal/predicate"
 	"repro/internal/transport"
 )
 
-// Validate checks a campaign file without running anything: every name
-// resolves, every fault line parses, every count is sane (the same
-// Workers/Experiments rules campaign.Run enforces). A valid file may still
-// fail at runtime — application behaviour cannot be checked statically —
-// but no typo survives to mid-campaign.
+// Validate checks a campaign file without running anything. It is Build,
+// then campaign.Validate — the one owner of every rule about a campaign
+// the engines can run — on what Build made, then BuildMeasures; the
+// results are thrown away. A valid file may still fail at runtime —
+// application behaviour cannot be checked statically — but no typo
+// survives to mid-campaign.
 func Validate(c *Campaign) error {
+	cc, m, err := Build(c)
+	if err != nil {
+		return err
+	}
+	if err := campaign.Validate(cc, m); err != nil {
+		return err
+	}
+	_, err = BuildMeasures(c)
+	return err
+}
+
+// checkFile checks what only the file can show, before Build translates
+// it: the names the engine types have no place for, node placements and
+// cluster owners naming known hosts, a registered app, the cluster tables,
+// the checkpoint directory, and studies or a matrix but not both.
+func checkFile(c *Campaign) error {
 	if c == nil {
 		return fmt.Errorf("config: nil campaign")
 	}
 	if c.Name == "" {
 		return fmt.Errorf("config: campaign name is required")
 	}
-	if err := campaign.ValidateWorkers(c.Workers); err != nil {
-		return err
-	}
-	if !transport.ValidKind(c.Transport) {
-		return fmt.Errorf("config: unknown transport %q (want inproc, udp, or tcp)", c.Transport)
-	}
 	hostNames := make(map[string]bool, len(c.Hosts))
 	for _, h := range c.Hosts {
-		if h.Name == "" {
-			return fmt.Errorf("config: host with empty name")
-		}
-		if hostNames[h.Name] {
-			return fmt.Errorf("config: duplicate host %q", h.Name)
-		}
 		hostNames[h.Name] = true
-	}
-	if len(c.Studies) == 0 && c.Matrix == nil {
-		return fmt.Errorf("config: campaign %q defines no studies and no matrix", c.Name)
 	}
 	if len(c.Studies) > 0 && c.Matrix != nil {
 		return fmt.Errorf("config: campaign %q defines both studies and a matrix; split into two files", c.Name)
 	}
-
-	studyNames := make(map[string]bool, len(c.Studies))
 	for i := range c.Studies {
 		s := &c.Studies[i]
 		if s.Name == "" {
 			return fmt.Errorf("config: study %d has no name", i)
 		}
-		if studyNames[s.Name] {
-			return fmt.Errorf("config: duplicate study name %q", s.Name)
-		}
-		studyNames[s.Name] = true
-		if err := validateStudy(c, s, hostNames); err != nil {
+		if err := checkStudy(s, hostNames); err != nil {
 			return err
 		}
 	}
-
 	if m := c.Matrix; m != nil {
 		if m.Study == nil {
 			return fmt.Errorf("config: matrix %q has no study template", m.Name)
 		}
-		if err := validateStudy(c, m.Study, hostNames); err != nil {
+		if err := checkStudy(m.Study, hostNames); err != nil {
 			return err
 		}
-		scenarioNames := make(map[string]bool, len(m.Scenarios))
 		for _, sc := range m.Scenarios {
 			if sc.Name == "" {
 				return fmt.Errorf("config: matrix %q: scenario with empty name", m.Name)
 			}
-			if scenarioNames[sc.Name] {
-				return fmt.Errorf("config: matrix %q: duplicate scenario %q", m.Name, sc.Name)
-			}
-			scenarioNames[sc.Name] = true
-			if _, err := parseFaults(sc.Faults, nodeSet(m.Study.Nodes), fmt.Sprintf("scenario %q", sc.Name)); err != nil {
-				return err
-			}
 		}
-		latencyNames := make(map[string]bool, len(m.Latencies))
 		for _, lp := range m.Latencies {
 			if lp.Name == "" {
 				return fmt.Errorf("config: matrix %q: latency profile with empty name", m.Name)
 			}
-			if latencyNames[lp.Name] {
-				return fmt.Errorf("config: matrix %q: duplicate latency profile %q", m.Name, lp.Name)
-			}
-			latencyNames[lp.Name] = true
-		}
-		seeds := make(map[int64]bool, len(m.Seeds))
-		for _, s := range m.Seeds {
-			if seeds[s] {
-				return fmt.Errorf("config: matrix %q: repeated seed %d (point names would collide)", m.Name, s)
-			}
-			seeds[s] = true
 		}
 	}
-
 	if cl := c.Cluster; cl != nil {
-		if c.VirtualTime {
-			return fmt.Errorf("config: virtual time cannot drive a cluster; remove the cluster block or virtual_time")
-		}
 		if cl.Kind != transport.KindNameUDP && cl.Kind != transport.KindNameTCP {
 			return fmt.Errorf("config: cluster kind %q (want udp or tcp)", cl.Kind)
 		}
@@ -123,36 +91,8 @@ func Validate(c *Campaign) error {
 			}
 		}
 	}
-
 	if c.Checkpoint != nil && c.Checkpoint.Dir == "" {
 		return fmt.Errorf("config: checkpoint requires a dir")
-	}
-
-	measureNames := make(map[string]bool, len(c.Measures))
-	for _, mm := range c.Measures {
-		if mm.Name == "" {
-			return fmt.Errorf("config: measure with empty name")
-		}
-		if measureNames[mm.Name] {
-			return fmt.Errorf("config: duplicate measure %q", mm.Name)
-		}
-		measureNames[mm.Name] = true
-		if len(mm.Triples) == 0 {
-			return fmt.Errorf("config: measure %q has no triples", mm.Name)
-		}
-		for i, tr := range mm.Triples {
-			if tr.Select != "" && tr.Select != "default" {
-				if _, err := measure.ParseSelector(tr.Select); err != nil {
-					return fmt.Errorf("config: measure %q triple %d: %w", mm.Name, i, err)
-				}
-			}
-			if _, err := predicate.Parse(tr.Predicate); err != nil {
-				return fmt.Errorf("config: measure %q triple %d: %w", mm.Name, i, err)
-			}
-			if _, err := observation.Parse(tr.Observation); err != nil {
-				return fmt.Errorf("config: measure %q triple %d: %w", mm.Name, i, err)
-			}
-		}
 	}
 	return nil
 }
@@ -166,13 +106,20 @@ func nodeSet(nodes []Node) map[string]bool {
 	return out
 }
 
-// validateStudy checks one study (or the matrix template, whose name may
-// be empty).
-func validateStudy(c *Campaign, s *Study, hostNames map[string]bool) error {
-	what := fmt.Sprintf("study %q", s.Name)
+// studyWhat names a study (or the matrix template, whose name may be
+// empty) in errors.
+func studyWhat(s *Study) string {
 	if s.Name == "" {
-		what = "matrix study template"
+		return "matrix study template"
 	}
+	return fmt.Sprintf("study %q", s.Name)
+}
+
+// checkStudy checks one study's file-only facts: a registered app, named
+// and unique nodes, placements on known hosts, and something to
+// auto-start.
+func checkStudy(s *Study, hostNames map[string]bool) error {
+	what := studyWhat(s)
 	if _, ok := app.Lookup(appName(s.App)); !ok {
 		return fmt.Errorf("config: %s: unknown app %q (want %s)", what, s.App, strings.Join(appNames(), " or "))
 	}
@@ -199,22 +146,7 @@ func validateStudy(c *Campaign, s *Study, hostNames map[string]bool) error {
 	if autoStarted == 0 {
 		return fmt.Errorf("config: %s: no node has a host; nothing would auto-start", what)
 	}
-	if err := campaign.ValidateExperiments(s.Name, s.Experiments); err != nil {
-		return err
-	}
-	if err := campaign.ValidateWorkers(s.Workers); err != nil {
-		return fmt.Errorf("config: %s: %w", what, err)
-	}
-	if !transport.ValidKind(s.Transport) {
-		return fmt.Errorf("config: %s: unknown transport %q (want inproc, udp, or tcp)", what, s.Transport)
-	}
-	if c.VirtualTime {
-		if tr := studyTransport(c, s); tr != "" && tr != transport.KindNameInproc {
-			return fmt.Errorf("config: %s: virtual time requires the inproc transport, not %q", what, tr)
-		}
-	}
-	_, err := parseFaults(s.Faults, seen, what)
-	return err
+	return nil
 }
 
 // parseFaults parses machine-prefixed fault lines and checks every machine

@@ -477,3 +477,35 @@ func TestCampaignKindString(t *testing.T) {
 		t.Error("kind strings")
 	}
 }
+
+// TestParseTriple: the one parser of a (selector, predicate, observation)
+// triple. An empty selector and "default" both admit every experiment; a
+// bad field in any position is an error.
+func TestParseTriple(t *testing.T) {
+	const pred, obs = "(green, CRASH)", "total_duration(T, START_EXP, END_EXP)"
+	for _, sel := range []string{"", "default"} {
+		tr, err := ParseTriple(sel, pred, obs)
+		if err != nil {
+			t.Fatalf("selector %q: %v", sel, err)
+		}
+		if _, ok := tr.Select.(Default); !ok || tr.Pred == nil || tr.Obs == nil {
+			t.Errorf("selector %q: triple %v", sel, tr)
+		}
+	}
+	tr, err := ParseTriple("(OBS_VALUE > 0)", pred, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := tr.Select.(Cmp); !ok || c.Op != OpGT || c.Value != 0 {
+		t.Errorf("selector = %v", tr.Select)
+	}
+	for _, bad := range [][3]string{
+		{"(OBS_VALUE ~ 0)", pred, obs},
+		{"", "((", obs},
+		{"", pred, "nosuch(T)"},
+	} {
+		if _, err := ParseTriple(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("ParseTriple%q accepted", bad)
+		}
+	}
+}

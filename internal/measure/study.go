@@ -22,6 +22,26 @@ func (t Triple) String() string {
 	return fmt.Sprintf("(%s, %s, %s)", t.Select, t.Pred, t.Obs)
 }
 
+// ParseTriple parses one triple from its three source fields. An empty
+// selector, like "default", admits every experiment (Default).
+func ParseTriple(sel, pred, obs string) (Triple, error) {
+	var t Triple
+	var err error
+	t.Select = Default{}
+	if strings.TrimSpace(sel) != "" {
+		if t.Select, err = ParseSelector(sel); err != nil {
+			return Triple{}, err
+		}
+	}
+	if t.Pred, err = predicate.Parse(pred); err != nil {
+		return Triple{}, err
+	}
+	if t.Obs, err = observation.Parse(obs); err != nil {
+		return Triple{}, err
+	}
+	return t, nil
+}
+
 // StudyMeasure is an ordered sequence of triples applied to every
 // experiment in a study. The output for an experiment is the final
 // observation function value, if the experiment survives every subset

@@ -172,11 +172,6 @@ func ParseFaultExpr(src string) (FaultExpr, error) { return faultexpr.Parse(src)
 // ParseNodeFile parses a §3.5.1 node file.
 func ParseNodeFile(doc string) ([]NodeEntry, error) { return spec.ParseNodeFile(doc) }
 
-// AutoNotify derives every machine's notify lists from the studies' fault
-// specifications — the automation §5.3 proposes as future work. Call on the
-// full node definition set before Register.
-func AutoNotify(defs []NodeDef) { core.AutoNotify(defs) }
-
 // EncodeTimeline renders a local timeline in the §3.5.6 file format.
 func EncodeTimeline(l *LocalTimeline) (string, error) { return timeline.EncodeString(l) }
 

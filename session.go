@@ -105,16 +105,21 @@ type ClusterConfig struct {
 	Owners map[string]string
 }
 
+// kind is the cluster's socket transport, UDP unless Kind says otherwise.
+func (cl *ClusterConfig) kind() string {
+	if cl.Kind == "" {
+		return TransportUDP
+	}
+	return cl.Kind
+}
+
 // Option configures a Session at Open.
 type Option func(*Session) error
 
 // WithWorkers overrides the concurrent experiment executor count
-// (0 = GOMAXPROCS; negative is rejected).
+// (0 = GOMAXPROCS; Open rejects a negative count).
 func WithWorkers(n int) Option {
 	return func(s *Session) error {
-		if err := campaign.ValidateWorkers(n); err != nil {
-			return err
-		}
 		s.c.Workers = n
 		return nil
 	}
@@ -221,9 +226,16 @@ func WithArtifacts(dir string) Option {
 }
 
 // Open opens a session over a campaign spec: a *Campaign (Go wiring), a
-// *CampaignFile (parsed campaign file, validated here), or a string path
-// to a campaign file. The spec is copied shallowly, so options never
-// mutate the caller's value.
+// *CampaignFile (parsed campaign file), or a string path to a campaign
+// file. The spec is copied shallowly, so options never mutate the
+// caller's value. A campaign file is translated (config.Build) and its
+// measures compiled. Once every option is applied, Open checks what only
+// a session knows — a cluster runs one study, with no matrix, and a
+// session holds studies or a matrix, not both — and then runs
+// campaign.Validate, the one owner of the engines' rules, on the campaign
+// as it will run: transport override applied, a cluster's study over the
+// cluster's sockets. So every rule fails here, before a journal is opened
+// or an experiment runs.
 func Open(spec any, opts ...Option) (*Session, error) {
 	s := &Session{}
 	switch v := spec.(type) {
@@ -244,27 +256,22 @@ func Open(spec any, opts ...Option) (*Session, error) {
 		if v == nil {
 			return nil, fmt.Errorf("loki: Open(nil *CampaignFile)")
 		}
-		cc, m, err := config.Build(v)
-		if err != nil {
+		if err := s.openFile(v); err != nil {
 			return nil, err
 		}
-		s.c, s.m, s.file = cc, m, v
 	case string:
-		// Parse here and let Build run the single validation pass —
-		// LoadFile would validate a second time for nothing.
+		// Parse here, not LoadFile: Open validates once, below.
 		data, err := os.ReadFile(v)
 		if err != nil {
 			return nil, fmt.Errorf("loki: %w", err)
 		}
 		f, err := config.Parse(data)
+		if err == nil {
+			err = s.openFile(f)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("loki: %s: %w", v, err)
 		}
-		cc, m, err := config.Build(f)
-		if err != nil {
-			return nil, fmt.Errorf("loki: %s: %w", v, err)
-		}
-		s.c, s.m, s.file = cc, m, f
 	case nil:
 		return nil, fmt.Errorf("loki: Open(nil)")
 	default:
@@ -283,33 +290,38 @@ func Open(spec any, opts ...Option) (*Session, error) {
 	if err := s.resolveTracing(); err != nil {
 		return nil, err
 	}
-	if s.m == nil && len(s.c.Studies) == 0 {
-		return nil, fmt.Errorf("loki: campaign has no studies and no matrix")
-	}
 	if s.m != nil && len(s.c.Studies) > 0 {
 		return nil, fmt.Errorf("loki: campaign has both studies and a matrix; open two sessions")
 	}
-	// The engines' own up-front rules, on the campaign as it will run.
-	if err := campaign.Validate(s.effectiveCampaign(), s.m); err != nil {
+	check := s.effectiveCampaign()
+	if s.cluster != nil {
+		if s.m != nil {
+			return nil, fmt.Errorf("loki: cluster mode runs a single study, not a matrix")
+		}
+		if len(s.c.Studies) != 1 {
+			return nil, fmt.Errorf("loki: cluster mode needs exactly one study, have %d", len(s.c.Studies))
+		}
+		check = withTransport(s.c, s.cluster.kind())
+	}
+	if err := campaign.Validate(check, s.effectiveMatrix()); err != nil {
 		return nil, err
 	}
-	if s.cluster != nil && s.m != nil {
-		return nil, fmt.Errorf("loki: cluster mode runs a single study, not a matrix")
-	}
-	if s.cluster != nil && len(s.c.Studies) != 1 {
-		return nil, fmt.Errorf("loki: cluster mode needs exactly one study, have %d", len(s.c.Studies))
-	}
-	// What only the session knows: a cluster's peers and a transport
-	// override of matrix points (built at run time) are sockets too.
-	if s.c.VirtualTime {
-		if s.cluster != nil {
-			return nil, fmt.Errorf("loki: virtual time cannot drive a cluster (peer processes keep real clocks)")
-		}
-		if s.transport != "" && s.transport != TransportInproc {
-			return nil, fmt.Errorf("loki: virtual time requires the inproc transport, not %q", s.transport)
-		}
-	}
 	return s, nil
+}
+
+// openFile translates a campaign file into the session's campaign and
+// matrix. The file's measures are compiled and dropped, so a typo in one
+// fails at Open rather than after the run.
+func (s *Session) openFile(f *CampaignFile) error {
+	cc, m, err := config.Build(f)
+	if err != nil {
+		return err
+	}
+	if _, err := config.BuildMeasures(f); err != nil {
+		return err
+	}
+	s.c, s.m, s.file = cc, m, f
+	return nil
 }
 
 // SessionResult is one Run's complete output: studies or matrix points —
@@ -348,16 +360,20 @@ func (s *Session) runnable() error {
 }
 
 // effectiveCampaign returns the campaign with the session's transport
-// override applied — on copies, never on the opened studies.
-func (s *Session) effectiveCampaign() *Campaign {
-	if s.transport == "" {
-		return s.c
+// override applied.
+func (s *Session) effectiveCampaign() *Campaign { return withTransport(s.c, s.transport) }
+
+// withTransport returns c with every study over the named transport — on
+// copies, never on the opened studies — or c itself for "".
+func withTransport(c *Campaign, kind string) *Campaign {
+	if kind == "" {
+		return c
 	}
-	cc := *s.c
-	cc.Studies = make([]*Study, len(s.c.Studies))
-	for i, st := range s.c.Studies {
+	cc := *c
+	cc.Studies = make([]*Study, len(c.Studies))
+	for i, st := range c.Studies {
 		stc := *st
-		stc.Transport = s.transport
+		stc.Transport = kind
 		cc.Studies[i] = &stc
 	}
 	return &cc
@@ -500,11 +516,7 @@ func (s *Session) openMember() error {
 		peers[cl.Name] = cl.Listen
 	}
 	topo := TransportTopology{Local: cl.Name, Peers: peers, Hosts: cl.Owners}
-	kind := cl.Kind
-	if kind == "" {
-		kind = TransportUDP
-	}
-	tr, err := transport.New(kind, topo, nil)
+	tr, err := transport.New(cl.kind(), topo, nil)
 	if err != nil {
 		return err
 	}

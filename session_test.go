@@ -388,7 +388,7 @@ func TestSessionStatusDetectsStudyLevelMismatch(t *testing.T) {
 }
 
 // TestSessionValidation: the up-front count validation surfaces through
-// Open/Run with clear errors instead of silent clamping.
+// Open with clear errors instead of silent clamping.
 func TestSessionValidation(t *testing.T) {
 	c := sessionCancelCampaign(2, "")
 	c.Workers = -1
@@ -398,12 +398,7 @@ func TestSessionValidation(t *testing.T) {
 
 	c = sessionCancelCampaign(2, "")
 	c.Studies[0].Experiments = 0
-	s, err := loki.Open(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "Experiments") {
+	if _, err := loki.Open(c); err == nil || !strings.Contains(err.Error(), "Experiments") {
 		t.Errorf("zero experiments: %v", err)
 	}
 

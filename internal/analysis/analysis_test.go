@@ -30,6 +30,13 @@ func makeLocal(owner string, faults []faultexpr.Spec, entries []timeline.Entry) 
 	}
 }
 
+// statelineOf derives g's stateline the way Check does.
+func statelineOf(g *Global) *Stateline {
+	s := new(Stateline)
+	s.reset(g)
+	return s
+}
+
 func TestIntervalBasics(t *testing.T) {
 	iv := Interval{Lo: 10, Hi: 30}
 	if iv.Mid() != 20 || iv.Width() != 20 {
@@ -122,7 +129,7 @@ func TestStatelineCertainOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := NewStateline(g)
+	sl := statelineOf(g)
 	// A is provable on [1100, 4900]; uncertain in (4900, 5100); B from 5100 on.
 	tests := []struct {
 		at    vclock.Ticks
@@ -154,7 +161,7 @@ func TestStatelineTriLogic(t *testing.T) {
 		{Kind: timeline.StateChange, Event: "e1", NewState: "B", Host: "h1", Time: 1000},
 	})
 	g, _ := Build("h1", bounds, []*timeline.Local{l1, l2})
-	sl := NewStateline(g)
+	sl := statelineOf(g)
 
 	at := vclock.Ticks(2000)
 	cases := []struct {
@@ -191,6 +198,17 @@ func TestTriString(t *testing.T) {
 // place them inside or outside provable windows.
 func buildElection(t *testing.T, width float64, blackInj, greenInj vclock.Ticks) (*Global, map[string][]faultexpr.Spec) {
 	t.Helper()
+	bounds, locals := electionLocals(width, blackInj, greenInj)
+	g, err := Build("h1", bounds, locals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, SpecsFromLocals(locals)
+}
+
+// electionLocals is buildElection's input: the bounds and the two local
+// timelines.
+func electionLocals(width float64, blackInj, greenInj vclock.Ticks) (map[string]clocksync.Bounds, []*timeline.Local) {
 	bounds := map[string]clocksync.Bounds{"h1": narrow(width), "h2": narrow(width)}
 	bspec := []faultexpr.Spec{{
 		Name: "bfault1", Expr: faultexpr.MustParse("(black:LEAD)"), Mode: faultexpr.Always,
@@ -219,11 +237,7 @@ func buildElection(t *testing.T, width float64, blackInj, greenInj vclock.Ticks)
 	}
 	black := makeLocal("black", bspec, blackEntries)
 	green := makeLocal("green", gspec, greenEntries)
-	g, err := Build("h1", bounds, []*timeline.Local{black, green})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, SpecsFromLocals([]*timeline.Local{black, green})
+	return bounds, []*timeline.Local{black, green}
 }
 
 func TestCheckAcceptsCorrectInjection(t *testing.T) {
@@ -301,7 +315,7 @@ func TestCheckSameClockExactness(t *testing.T) {
 
 func TestExactStateAt(t *testing.T) {
 	g, _ := buildElection(t, 100, 0, 0)
-	sl := NewStateline(g)
+	sl := statelineOf(g)
 	tests := []struct {
 		local vclock.Ticks
 		want  string
@@ -404,7 +418,7 @@ func TestStatelineOverlappingUncertaintySkipsSpan(t *testing.T) {
 		{Kind: timeline.StateChange, Event: "e3", NewState: "C", Host: "h1", Time: 5000},
 	})
 	g, _ := Build("h1", bounds, []*timeline.Local{l})
-	sl := NewStateline(g)
+	sl := statelineOf(g)
 	for at := vclock.Ticks(900); at < 5300; at += 10 {
 		if state, tri := sl.StateAt("sm", at); tri == True && state == "A" {
 			t.Fatalf("A provable at %d despite overlapping uncertainty", at)
@@ -423,7 +437,7 @@ func TestProvablyTrueThroughoutBoundaries(t *testing.T) {
 		{Kind: timeline.StateChange, Event: "e2", NewState: "B", Host: "h1", Time: 2000},
 	})
 	g, _ := Build("h1", bounds, []*timeline.Local{l})
-	sl := NewStateline(g)
+	sl := statelineOf(g)
 	e := faultexpr.MustParse("(sm:A)")
 	if !sl.ProvablyTrueThroughout(e, Interval{Lo: 1000, Hi: 2000}) {
 		t.Error("exact occupancy rejected")

@@ -46,6 +46,24 @@ type CheckOptions struct {
 	ProjectionOnly bool
 }
 
+// Checker builds global timelines and checks experiments, keeping its
+// scratch for the next call — Build's per-machine event lists, merge heap
+// and duplicate-owner set; the stateline's spans, changes and breakpoints;
+// the sample points; the specs map — so a goroutine analyzing one
+// experiment after another allocates only what it returns. Nothing Build
+// or Check returns aliases that scratch: a Global or Report stays intact
+// however many experiments the Checker handles after it. The zero value is
+// ready; a Checker is not safe for concurrent use.
+type Checker struct {
+	seen  map[string]bool
+	buf   []Event // Build's per-machine lists are windows of it
+	lists [][]Event
+	heap  []mergeHead
+
+	sl    Stateline
+	specs map[string][]faultexpr.Spec
+}
+
 // CheckExperiment verifies every recorded injection against the fault
 // specifications of its machine. specs maps machine nickname to that
 // machine's fault specification (from its local timeline header).
@@ -58,8 +76,24 @@ type CheckOptions struct {
 // evaluation: the expression must be provably true throughout the
 // injection's uncertainty interval.
 func CheckExperiment(g *Global, specs map[string][]faultexpr.Spec, opts CheckOptions) *Report {
-	sl := NewStateline(g)
+	return new(Checker).Check(g, specs, opts)
+}
+
+// Check is CheckExperiment on c's scratch. It derives its stateline from
+// g alone, so any Global will do: a fresh Build's or a decoded one.
+func (c *Checker) Check(g *Global, specs map[string][]faultexpr.Spec, opts CheckOptions) *Report {
+	sl := &c.sl
+	sl.reset(g)
 	rep := &Report{Accepted: true}
+	injections := 0
+	for i := range g.Events {
+		if g.Events[i].Kind == timeline.FaultInjection {
+			injections++
+		}
+	}
+	if injections > 0 {
+		rep.Injections = make([]InjectionCheck, 0, injections)
+	}
 
 	specFor := func(machine, fault string) (faultexpr.Spec, bool) {
 		for _, s := range specs[machine] {
@@ -70,13 +104,17 @@ func CheckExperiment(g *Global, specs map[string][]faultexpr.Spec, opts CheckOpt
 		return faultexpr.Spec{}, false
 	}
 
-	for _, inj := range g.Injections() {
+	for i := range g.Events {
+		inj := &g.Events[i]
+		if inj.Kind != timeline.FaultInjection {
+			continue
+		}
 		chk := InjectionCheck{Machine: inj.Machine, Fault: inj.Fault, At: inj.Ref}
 		spec, ok := specFor(inj.Machine, inj.Fault)
 		switch {
 		case !ok:
 			chk.Reason = "no fault specification for this machine"
-		case !opts.ProjectionOnly && sl.CheckInjection(spec.Expr, inj):
+		case !opts.ProjectionOnly && sl.CheckInjection(spec.Expr, *inj):
 			chk.Correct = true
 			chk.Reason = "expression provably true at the injection instant"
 		case opts.ProjectionOnly && sl.ProvablyTrueThroughout(spec.Expr, inj.Ref):
@@ -93,7 +131,7 @@ func CheckExperiment(g *Global, specs map[string][]faultexpr.Spec, opts CheckOpt
 
 	if opts.RequireTriggered {
 		injected := make(map[string]bool)
-		for _, inj := range g.Injections() {
+		for _, inj := range rep.Injections {
 			injected[inj.Machine+"\x00"+inj.Fault] = true
 		}
 		for _, m := range g.Machines {
@@ -132,9 +170,18 @@ func expressionEverTrue(sl *Stateline, e faultexpr.Expr, g *Global) bool {
 // SpecsFromLocals extracts per-machine fault specifications from local
 // timeline headers, the form CheckExperiment consumes.
 func SpecsFromLocals(locals []*timeline.Local) map[string][]faultexpr.Spec {
-	out := make(map[string][]faultexpr.Spec, len(locals))
-	for _, l := range locals {
-		out[l.Owner] = l.Faults
+	return new(Checker).SpecsFromLocals(locals)
+}
+
+// SpecsFromLocals is the package-level SpecsFromLocals into c's map: the
+// result is c's scratch, valid until c's next SpecsFromLocals call.
+func (c *Checker) SpecsFromLocals(locals []*timeline.Local) map[string][]faultexpr.Spec {
+	if c.specs == nil {
+		c.specs = make(map[string][]faultexpr.Spec, len(locals))
 	}
-	return out
+	clear(c.specs)
+	for _, l := range locals {
+		c.specs[l.Owner] = l.Faults
+	}
+	return c.specs
 }

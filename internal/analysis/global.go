@@ -8,8 +8,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/clocksync"
@@ -83,20 +85,39 @@ type Global struct {
 // from a k-way merge of the per-machine lists with precomputed midpoints
 // rather than a full sort of the concatenation.
 func Build(ref string, bounds map[string]clocksync.Bounds, locals []*timeline.Local) (*Global, error) {
+	return new(Checker).Build(ref, bounds, locals)
+}
+
+// Build is the package-level Build on c's scratch: the per-machine event
+// lists are windows of one buffer, merged into the Global's own Events.
+func (c *Checker) Build(ref string, bounds map[string]clocksync.Bounds, locals []*timeline.Local) (*Global, error) {
 	g := &Global{Reference: ref}
-	seen := make(map[string]bool)
-	lists := make([][]Event, 0, len(locals))
+	if c.seen == nil {
+		c.seen = make(map[string]bool, len(locals))
+	}
+	clear(c.seen)
+	// The buffer has room for every entry before any window is taken, so
+	// no append below moves it out from under an earlier machine's list.
 	total := 0
+	for _, l := range locals {
+		total += len(l.Entries)
+	}
+	buf := slices.Grow(c.buf[:0], total)
+	c.buf = buf
+	lists := slices.Grow(c.lists[:0], len(locals))
+	if len(locals) > 0 {
+		g.Machines = make([]string, 0, len(locals))
+	}
 	for _, l := range locals {
 		if l.Owner == "" {
 			return nil, fmt.Errorf("analysis: local timeline without owner")
 		}
-		if seen[l.Owner] {
+		if c.seen[l.Owner] {
 			return nil, fmt.Errorf("analysis: duplicate timeline for machine %q", l.Owner)
 		}
-		seen[l.Owner] = true
+		c.seen[l.Owner] = true
 		g.Machines = append(g.Machines, l.Owner)
-		events := make([]Event, 0, len(l.Entries))
+		start := len(buf)
 		sorted := true
 		for i, e := range l.Entries {
 			if e.Kind == timeline.HostChange || e.Kind == timeline.Note {
@@ -120,25 +141,26 @@ func Build(ref string, bounds map[string]clocksync.Bounds, locals []*timeline.Lo
 				Local:   e.Time,
 				Ref:     Interval{Lo: lo, Hi: hi},
 			}
-			if len(events) > 0 && ev.Ref.Mid() < events[len(events)-1].Ref.Mid() {
+			if len(buf) > start && ev.Ref.Mid() < buf[len(buf)-1].Ref.Mid() {
 				sorted = false
 			}
-			events = append(events, ev)
+			buf = append(buf, ev)
 		}
+		events := buf[start:len(buf):len(buf)]
 		if !sorted {
 			// Only possible when the machine moved hosts mid-experiment
 			// (restart on another host): different bounds, different order.
-			sort.SliceStable(events, func(i, j int) bool {
-				return events[i].Ref.Mid() < events[j].Ref.Mid()
+			slices.SortStableFunc(events, func(a, b Event) int {
+				return cmp.Compare(a.Ref.Mid(), b.Ref.Mid())
 			})
 		}
 		if len(events) > 0 {
 			lists = append(lists, events)
-			total += len(events)
 		}
 	}
+	c.lists = lists
 	sort.Strings(g.Machines)
-	g.Events = mergeEventLists(lists, total)
+	g.Events = c.mergeEventLists(lists, len(buf))
 	return g, nil
 }
 
@@ -162,18 +184,20 @@ func headLess(a, b mergeHead) bool {
 }
 
 // mergeEventLists k-way merges per-machine event lists, each sorted by
-// interval midpoint, into one list ordered by (midpoint, machine).
-func mergeEventLists(lists [][]Event, total int) []Event {
+// interval midpoint, into a new list ordered by (midpoint, machine). The
+// lists are c's scratch; the result never aliases them.
+func (c *Checker) mergeEventLists(lists [][]Event, total int) []Event {
 	switch len(lists) {
 	case 0:
 		return nil
 	case 1:
-		return lists[0]
+		return slices.Clone(lists[0])
 	}
-	heap := make([]mergeHead, 0, len(lists))
+	heap := slices.Grow(c.heap[:0], len(lists))
 	for i, l := range lists {
 		heap = append(heap, mergeHead{mid: l[0].Ref.Mid(), machine: l[0].Machine, list: i, pos: 0})
 	}
+	c.heap = heap
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		siftDown(heap, i)
 	}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/faultexpr"
 	"repro/internal/timeline"
@@ -61,44 +60,76 @@ type certainSpan struct {
 
 // Stateline holds, for every machine, the periods of provable state
 // occupancy derived from a global timeline, plus the raw per-machine state
-// changes for same-clock exact comparison.
+// changes for same-clock exact comparison. A Checker keeps one and derives
+// it afresh for every Global it checks: the maps are cleared, and the
+// slices are windows of buffers kept for the next Global.
 type Stateline struct {
 	spans   map[string][]certainSpan
 	changes map[string][]Event
 	// breakpoints are all span boundaries, for piecewise evaluation.
 	breakpoints []vclock.Ticks
+
+	// ends[i] is where the state changes of g.Machines[i] end in
+	// changeBuf. changeBuf and spanBuf back every machine's changes and
+	// spans; points backs samplePoints' result.
+	ends      []int
+	changeBuf []Event
+	spanBuf   []certainSpan
+	points    []vclock.Ticks
 }
 
-// NewStateline derives provable occupancy from g. After a machine's final
-// recorded transition it provably remains in that state (transitions at the
-// chosen abstraction level are exactly the recorded ones).
-func NewStateline(g *Global) *Stateline {
-	s := &Stateline{
-		spans:   make(map[string][]certainSpan, len(g.Machines)),
-		changes: make(map[string][]Event, len(g.Machines)),
+// reset derives provable occupancy from g. After a machine's final
+// recorded transition it provably remains in that state (transitions at
+// the chosen abstraction level are exactly the recorded ones). Events of a
+// machine not listed in g.Machines are ignored.
+func (s *Stateline) reset(g *Global) {
+	if s.spans == nil {
+		s.spans = make(map[string][]certainSpan, len(g.Machines))
+		s.changes = make(map[string][]Event, len(g.Machines))
 	}
-	// Every machine's changes and spans are windows of one array each,
-	// sized by the timeline's state changes.
+	clear(s.spans)
+	clear(s.changes)
+	// Every machine's changes and spans are windows of one buffer each,
+	// sized by the timeline's state changes: count each machine's changes,
+	// then place them in timeline order. Machines are few, so finding an
+	// event's machine by linear search costs less than hashing its name.
+	ends := slices.Grow(s.ends[:0], len(g.Machines))[:len(g.Machines)]
+	clear(ends)
 	total := 0
 	for _, e := range g.Events {
-		if e.Kind == timeline.StateChange {
+		if e.Kind != timeline.StateChange {
+			continue
+		}
+		if i := slices.Index(g.Machines, e.Machine); i >= 0 {
+			ends[i]++
 			total++
 		}
 	}
-	changeBuf := make([]Event, 0, total)
-	spanBuf := make([]certainSpan, 0, total)
-	s.breakpoints = make([]vclock.Ticks, 0, 2*total)
-	for _, m := range g.Machines {
-		start := len(changeBuf)
-		for _, e := range g.Events {
-			if e.Machine == m && e.Kind == timeline.StateChange {
-				changeBuf = append(changeBuf, e)
-			}
+	next := 0
+	for i, n := range ends {
+		ends[i], next = next, next+n // machine i's start, until placing moves it to its end
+	}
+	changeBuf := slices.Grow(s.changeBuf[:0], total)[:total]
+	for _, e := range g.Events {
+		if e.Kind != timeline.StateChange {
+			continue
 		}
-		changes := changeBuf[start:len(changeBuf):len(changeBuf)]
-		if len(changes) > 0 {
-			s.changes[m] = changes
+		if i := slices.Index(g.Machines, e.Machine); i >= 0 {
+			changeBuf[ends[i]] = e
+			ends[i]++
 		}
+	}
+	spanBuf := slices.Grow(s.spanBuf[:0], total)
+	breakpoints := slices.Grow(s.breakpoints[:0], 2*total)
+	start := 0
+	for _, end := range ends {
+		changes := changeBuf[start:end:end]
+		start = end
+		if len(changes) == 0 {
+			continue
+		}
+		m := changes[0].Machine
+		s.changes[m] = changes
 		first := len(spanBuf)
 		for i, e := range changes {
 			lo := e.Ref.Hi
@@ -111,18 +142,21 @@ func NewStateline(g *Global) *Stateline {
 				continue
 			}
 			spanBuf = append(spanBuf, certainSpan{state: e.State, lo: lo, hi: hi})
-			s.breakpoints = append(s.breakpoints, lo)
+			breakpoints = append(breakpoints, lo)
 			if hi != math.MaxInt64 {
-				s.breakpoints = append(s.breakpoints, hi)
+				breakpoints = append(breakpoints, hi)
 			}
 		}
 		if len(spanBuf) > first {
 			s.spans[m] = spanBuf[first:len(spanBuf):len(spanBuf)]
 		}
 	}
-	slices.Sort(s.breakpoints)
-	s.breakpoints = slices.Compact(s.breakpoints)
-	return s
+	slices.Sort(breakpoints)
+	breakpoints = slices.Compact(breakpoints)
+	s.ends, s.changeBuf, s.spanBuf, s.breakpoints = ends, changeBuf, spanBuf, breakpoints
+	// An interval's sample points are its two ends plus at most two per
+	// breakpoint.
+	s.points = slices.Grow(s.points[:0], 2+2*len(breakpoints))
 }
 
 // StateAt returns the provable state of machine at time t: (state, True) if
@@ -238,26 +272,34 @@ func (s *Stateline) evalMixed(e faultexpr.Expr, inj Event, at vclock.Ticks) Tri 
 	}
 }
 
-// samplePoints returns the endpoints of iv plus a point inside each
-// breakpoint segment, enough to decide piecewise-constant truth throughout.
+// samplePoints returns the endpoints of iv, every breakpoint inside it,
+// and a point inside each breakpoint segment that meets iv — enough to
+// decide piecewise-constant truth throughout. The segment just after Lo
+// counts too when Lo is itself a breakpoint: Lo's value then says nothing
+// about it. The result is s's scratch, valid until the next call.
 func (s *Stateline) samplePoints(iv Interval) []vclock.Ticks {
-	points := []vclock.Ticks{iv.Lo, iv.Hi}
-	i := sort.Search(len(s.breakpoints), func(k int) bool { return s.breakpoints[k] > iv.Lo })
+	points := append(s.points[:0], iv.Lo, iv.Hi)
+	i, _ := slices.BinarySearch(s.breakpoints, iv.Lo)
 	for ; i < len(s.breakpoints) && s.breakpoints[i] < iv.Hi; i++ {
 		bp := s.breakpoints[i]
-		points = append(points, bp)
+		if bp > iv.Lo {
+			points = append(points, bp)
+		}
 		if bp+1 < iv.Hi {
 			points = append(points, bp+1)
 		}
 	}
+	s.points = points
 	return points
 }
 
 // ProvablyTrueThroughout reports whether e is provably true at every
 // instant of iv using projected bounds only (no same-clock shortcut).
-// State occupancy is piecewise constant between breakpoints, so evaluating
-// at iv's endpoints and at one point inside each breakpoint segment is
-// exact.
+// State occupancy is constant on each open segment between consecutive
+// breakpoints, and ticks are integers, so evaluating at iv's endpoints, at
+// every breakpoint inside iv, and at the first tick after each breakpoint
+// in [Lo, Hi) — Lo included when it is a breakpoint — visits every segment
+// iv meets, and is exact.
 func (s *Stateline) ProvablyTrueThroughout(e faultexpr.Expr, iv Interval) bool {
 	for _, p := range s.samplePoints(iv) {
 		if s.EvalAt(e, p) != True {

@@ -444,6 +444,14 @@ func RunSingle(ctx context.Context, c *Campaign) (*ExperimentRecord, error) {
 	return res.Studies[0].Records[0], nil
 }
 
+// analyzer is one analysis worker's scratch: the clock fits' and the
+// global timeline's and injection check's, kept from one experiment to the
+// next. What the worker's records keep is allocated fresh.
+type analyzer struct {
+	est clocksync.Estimator
+	chk analysis.Checker
+}
+
 // analyzeExperiment is the analysis phase for one experiment: off-line
 // clock synchronization, projection onto the global timeline, conservative
 // injection checking (§2.5). It touches no runtime state, which is what
@@ -451,18 +459,18 @@ func RunSingle(ctx context.Context, c *Campaign) (*ExperimentRecord, error) {
 // the analysis proper it settles the experiment's observability: the
 // verdict counters, the analyze/verdict trace entries, and the trace
 // artifact itself.
-func analyzeExperiment(c *Campaign, st *Study, raw *rawExperiment, est *clocksync.Estimator) (*ExperimentRecord, error) {
+func analyzeExperiment(c *Campaign, st *Study, raw *rawExperiment, an *analyzer) (*ExperimentRecord, error) {
 	cm := c.Obs.CampaignMetrics()
 	var wall time.Time
 	if cm != nil {
 		wall = obs.Now()
 	}
-	rec, err := analyzeExperimentRecord(c, st, raw, est)
+	rec, err := analyzeExperimentRecord(c, st, raw, an)
 	if err != nil {
 		return rec, err
 	}
 	if c.single {
-		rec.Locals, rec.Stamps = raw.locals, raw.allStamps()
+		rec.Locals, rec.Stamps = raw.locals, raw.stamps
 	}
 	if cm != nil {
 		// Analysis latency is an operational signal, so it is wall-clock
@@ -505,7 +513,7 @@ func verdictName(rec *ExperimentRecord) string {
 }
 
 // analyzeExperimentRecord is the analysis phase proper.
-func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment, est *clocksync.Estimator) (*ExperimentRecord, error) {
+func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment, an *analyzer) (*ExperimentRecord, error) {
 	rec := &ExperimentRecord{
 		Study:     st.Name,
 		Index:     raw.index,
@@ -526,7 +534,7 @@ func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment, est *cl
 		rec.AnalysisError = fmt.Sprintf("timelines not collected for %v", raw.lostTimelines)
 		return rec, nil
 	}
-	bounds, err := est.EstimateAll(raw.allStamps(), raw.ref)
+	bounds, err := an.est.EstimateAll(raw.stamps, raw.ref)
 	if err != nil {
 		// Infeasible synchronization — a stepped or otherwise non-affine
 		// clock — means nothing about this run can be verified: discard
@@ -536,18 +544,18 @@ func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment, est *cl
 		// mid-experiment (§2.5's linear-drift assumption was violated
 		// between the phases, not within them).
 		rec.AnalysisError = fmt.Sprintf("clock sync: %v", err)
-		rec.ClockStepHosts, rec.ClockStepBounds = clockStepHosts(raw, est)
+		rec.ClockStepHosts, rec.ClockStepBounds = clockStepHosts(raw, &an.est)
 		rec.ClockStepSuspected = len(rec.ClockStepHosts) > 0
 		return rec, nil
 	}
 	rec.Bounds = bounds
-	g, err := analysis.Build(raw.ref, bounds, raw.locals)
+	g, err := an.chk.Build(raw.ref, bounds, raw.locals)
 	if err != nil {
 		rec.AnalysisError = fmt.Sprintf("global timeline: %v", err)
 		return rec, nil
 	}
 	rec.Global = g
-	rec.Report = analysis.CheckExperiment(g, analysis.SpecsFromLocals(raw.locals), c.Check)
+	rec.Report = an.chk.Check(g, an.chk.SpecsFromLocals(raw.locals), c.Check)
 	rec.Accepted = rec.Report.Accepted
 	return rec, nil
 }
@@ -566,12 +574,13 @@ func analyzeExperimentRecord(c *Campaign, st *Study, raw *rawExperiment, est *cl
 // behind (process uptime on the wall clock, earlier experiments in
 // simulated time).
 func clockStepHosts(raw *rawExperiment, est *clocksync.Estimator) ([]string, map[string]StepBound) {
-	mid := stampsMidpoint(raw.preStamps, raw.postStamps)
-	pre, err := est.EstimateAll(shiftStamps(raw.preStamps, mid), raw.ref)
+	preStamps, postStamps := raw.stamps[:raw.pre], raw.stamps[raw.pre:]
+	mid := stampsMidpoint(preStamps, postStamps)
+	pre, err := est.EstimateAll(shiftStamps(preStamps, mid), raw.ref)
 	if err != nil {
 		return nil, nil
 	}
-	post, err := est.EstimateAll(shiftStamps(raw.postStamps, mid), raw.ref)
+	post, err := est.EstimateAll(shiftStamps(postStamps, mid), raw.ref)
 	if err != nil {
 		return nil, nil
 	}

@@ -26,16 +26,17 @@ type memberAlign struct {
 // read the reference clock when the pong lands — for remote ones. Socket
 // transit is genuinely positive, which is the property the convex-hull
 // estimator needs; socket jitter is exactly the measurement noise the
-// thesis's getstamps faced on its LAN.
-func (m *Member) sync() ([]clocksync.StampedMessage, error) {
+// thesis's getstamps faced on its LAN. The stamps are appended to dst; on
+// an error dst comes back as it was given.
+func (m *Member) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessage, error) {
 	cfg := m.c.Sync
 	cfg.setDefaults()
 	refClock := m.rt.HostClock(m.ref)
 	if refClock == nil {
-		return nil, fmt.Errorf("campaign: coordinator %q does not own reference host %q", m.peer, m.ref)
+		return dst, fmt.Errorf("campaign: coordinator %q does not own reference host %q", m.peer, m.ref)
 	}
 	// Local hosts: the ordinary in-memory exchange.
-	msgs := exchangeStamps(m.rt, m.ref, m.rt.Hosts(), cfg)
+	msgs := exchangeStamps(dst, m.rt, m.ref, m.rt.Hosts(), cfg)
 	// Remote hosts: socket ping-pong. The sequence number is monotonic
 	// across mini-phases and experiments, so a pong that straggled past
 	// its round's timeout can never be paired with a later round's
@@ -65,7 +66,7 @@ func (m *Member) sync() ([]clocksync.StampedMessage, error) {
 				err = m.tr.SendHost(host, transport.Message{Kind: transport.KindSyncPing, From: m.peer, ToHost: host, Payload: body})
 			}
 			if err != nil {
-				return nil, fmt.Errorf("campaign: sync ping to %q: %w", host, err)
+				return dst, fmt.Errorf("campaign: sync ping to %q: %w", host, err)
 			}
 			pong, ok := m.awaitPong(host, seq)
 			if !ok {
@@ -119,7 +120,7 @@ func (m *Member) sync() ([]clocksync.StampedMessage, error) {
 			need = 3
 		}
 		if okRounds < need {
-			return nil, fmt.Errorf("campaign: sync with host %q: only %d of %d round trips survived", host, okRounds, cfg.Messages)
+			return dst, fmt.Errorf("campaign: sync with host %q: only %d of %d round trips survived", host, okRounds, cfg.Messages)
 		}
 	}
 	return msgs, nil

@@ -272,7 +272,7 @@ func TestClockStepDiagnosisIgnoresEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := &rawExperiment{ref: "h1", preStamps: pre, postStamps: post}
+		raw := &rawExperiment{ref: "h1", stamps: append(pre, post...), pre: len(pre)}
 		hosts, bounds := clockStepHosts(raw, new(clocksync.Estimator))
 		if len(hosts) != 1 || hosts[0] != "h2" {
 			t.Errorf("epoch %v behind: suspected hosts = %v, want [h2]", start.Duration(), hosts)
@@ -318,7 +318,7 @@ func TestStaleClockStepClearedBeforePreSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := analyzeExperiment(c, st, raw, new(clocksync.Estimator))
+	rec, err := analyzeExperiment(c, st, raw, new(analyzer))
 	if err != nil {
 		t.Fatal(err)
 	}

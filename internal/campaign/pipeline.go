@@ -33,9 +33,11 @@ type testbed interface {
 	// flows. point and traced are the trace context remote runtimes label
 	// their lanes with.
 	reset(point string, index int, traced bool) error
-	// sync runs one synchronization mini-phase (§2.3). An error discards
-	// the experiment at analysis; the study continues.
-	sync() ([]clocksync.StampedMessage, error)
+	// sync runs one synchronization mini-phase (§2.3) and returns dst with
+	// the phase's stamps appended. An error discards the experiment at
+	// analysis, and the study continues; dst then comes back as it was
+	// given, without a partial phase.
+	sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessage, error)
 	// execute starts the auto-start nodes, awaits completion or the study
 	// timeout, seals, and collects every runtime's artifacts.
 	execute(index int) (executed, error)
@@ -130,8 +132,8 @@ func (tb *localTestbed) reset(string, int, bool) error {
 	return nil
 }
 
-func (tb *localTestbed) sync() ([]clocksync.StampedMessage, error) {
-	return exchangeStamps(tb.rt, tb.ref, tb.hosts, tb.c.Sync), nil
+func (tb *localTestbed) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessage, error) {
+	return exchangeStamps(dst, tb.rt, tb.ref, tb.hosts, tb.c.Sync), nil
 }
 
 func (tb *localTestbed) execute(int) (executed, error) {
@@ -336,12 +338,12 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 		anWG.Add(1)
 		go func() {
 			defer anWG.Done()
-			var est clocksync.Estimator // this analysis worker's fitting scratch
+			var an analyzer // this analysis worker's scratch
 			for raw := range rawCh {
 				if failed() {
 					continue // drain
 				}
-				rec, err := analyzeExperiment(c, st, raw, &est)
+				rec, err := analyzeExperiment(c, st, raw, &an)
 				if err != nil {
 					fail(err)
 					continue
@@ -398,16 +400,18 @@ func (p *progress) emit(kind string, index int, accepted bool) {
 // runs the next experiment, so everything in it — timelines, stamps,
 // outcomes — is the receiver's: the testbed hands these values over and
 // never recycles them (only the timelines' immutable header lists are
-// shared with later experiments). The two sync mini-phases stay separate so
-// the analysis can compare their fits when the combined fit is infeasible
-// (clock-step detection).
+// shared with later experiments).
 type rawExperiment struct {
-	index      int
-	completed  bool
-	outcomes   map[string]string
-	preStamps  []clocksync.StampedMessage
-	postStamps []clocksync.StampedMessage
-	locals     []*timeline.Local
+	index     int
+	completed bool
+	outcomes  map[string]string
+	// stamps holds both sync mini-phases in one slice, the pre-sync
+	// phase's stamps first: stamps[:pre] and stamps[pre:] are the two
+	// phases' windows, which the analysis compares when the combined fit
+	// is infeasible (clock-step detection).
+	stamps []clocksync.StampedMessage
+	pre    int
+	locals []*timeline.Local
 	// lostTimelines names machines whose timelines could not be
 	// collected (clustered runs: unencodable or over the frame budget).
 	// The experiment cannot be verified without them and is discarded.
@@ -427,12 +431,6 @@ type rawExperiment struct {
 	// the virtual-time artifact stays byte-reproducible.
 	trace    *obs.Trace
 	traceEnd time.Time
-}
-
-func (raw *rawExperiment) allStamps() []clocksync.StampedMessage {
-	out := make([]clocksync.StampedMessage, 0, len(raw.preStamps)+len(raw.postStamps))
-	out = append(out, raw.preStamps...)
-	return append(out, raw.postStamps...)
 }
 
 // runRuntimePhase executes one experiment's runtime phase on the testbed
@@ -490,7 +488,7 @@ func runRuntimePhase(c *Campaign, st *Study, tb testbed, point string, index int
 	// experiment at analysis, but the phases still run end to end so every
 	// runtime stays in lockstep for the next one.
 	var syncErr string
-	pre, err := tb.sync()
+	stamps, err := tb.sync(nil)
 	if err != nil {
 		syncErr = fmt.Sprintf("pre-sync: %v", err)
 	}
@@ -509,7 +507,8 @@ func runRuntimePhase(c *Campaign, st *Study, tb testbed, point string, index int
 	}
 	phase("experiment", cm.RunSeconds)
 
-	post, err := tb.sync()
+	pre := len(stamps)
+	stamps, err = tb.sync(stamps)
 	if err != nil && syncErr == "" {
 		syncErr = fmt.Sprintf("post-sync: %v", err)
 	}
@@ -524,8 +523,8 @@ func runRuntimePhase(c *Campaign, st *Study, tb testbed, point string, index int
 		index:         index,
 		completed:     run.completed,
 		outcomes:      run.outcomes,
-		preStamps:     pre,
-		postStamps:    post,
+		stamps:        stamps,
+		pre:           pre,
 		locals:        run.locals,
 		lostTimelines: run.lost,
 		syncError:     syncErr,

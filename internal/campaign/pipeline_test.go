@@ -31,9 +31,9 @@ func (f *fakeTestbed) reset(string, int, bool) error {
 	return nil
 }
 
-func (f *fakeTestbed) sync() ([]clocksync.StampedMessage, error) {
+func (f *fakeTestbed) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessage, error) {
 	f.step("sync", 2*time.Millisecond)
-	return nil, nil
+	return dst, nil
 }
 
 func (f *fakeTestbed) execute(int) (executed, error) {

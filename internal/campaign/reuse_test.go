@@ -3,11 +3,13 @@ package campaign
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -75,13 +77,15 @@ func virtualElection(t testing.TB, experiments, workers int, extra ...string) *C
 // in tier-1, not only in the ledger: a virtual-time election study through
 // runStudy, runtime phase and pipelined analysis both, one worker. The
 // per-experiment cost is the difference between a long and a short study,
-// so building the testbed does not count. Measured at 58.0 when the
-// budget was set; 66.0 before virtual-clock task bodies ran on pooled
+// so building the testbed does not count. Measured at 39.0 when the
+// budget was set; 58.0 before each analysis worker built and checked on
+// one reused analysis.Checker and the two sync mini-phases shared one
+// stamps slice, 66.0 before virtual-clock task bodies ran on pooled
 // coroutines instead of a goroutine each, 104.1 before a process start
 // stopped allocating its vote generator, vote maps, broadcast list and
 // host list, and 374.7 before the testbed kept its scaffolding.
 func TestStudyAllocBudget(t *testing.T) {
-	const budget = 63
+	const budget = 43
 	allocs := func(experiments int) float64 {
 		c := virtualElection(t, experiments, 1)
 		st := c.Studies[0]
@@ -109,13 +113,13 @@ func TestStudyAllocBudget(t *testing.T) {
 // points' state machines are parsed once per document text (87 more
 // allocations per experiment when every point re-parsed them), and that
 // each record's line is marshalled once and queued with a plain entry.
-// Measured at 378.0 when the budget was set (388.0 before task bodies ran
-// on pooled coroutines), 473.5 without the memo; a -race build measures
-// about 424.
+// Measured at 350.0 when the budget was set (378.0 before the analysis
+// ran on a reused analysis.Checker, 388.0 before task bodies ran on pooled
+// coroutines), 473.5 without the memo; a -race build measures about 399.
 func TestJournaledStudyAllocBudget(t *testing.T) {
-	budget := 410.0
+	budget := 375.0
 	if raceBuild {
-		budget = 460
+		budget = 435
 	}
 	const perPoint = 4
 	faults, err := ParseScenarioFaults("black bcrash (black:LEAD) once crashrestart(h1,3ms)\n" +
@@ -226,5 +230,54 @@ func TestReusedScaffoldingDoesNotAlias(t *testing.T) {
 	}
 	if seq, par := run(1), run(2); !slices.Equal(seq, par) {
 		t.Error("verdicts or timeline structure of a two-worker run differ from a one-worker run's")
+	}
+}
+
+// TestAnalysisWorkersShareNoArrays checks the analysis side of the
+// ownership rule: each analysis worker builds and checks on its own
+// analysis.Checker, and no record keeps any of its scratch. The records of
+// a two-worker virtual-time study — analyzed by both workers, each reusing
+// its checker from one experiment to the next — must pairwise share no
+// backing array among their global timelines' events and machine lists
+// and their reports' injection verdicts.
+func TestAnalysisWorkersShareNoArrays(t *testing.T) {
+	const experiments = 48
+	c := virtualElection(t, experiments, 2, "yellow ysplit (yellow:FOLLOW) once partition(h3|h1,h2) 4ms")
+	st := c.Studies[0]
+	sr, err := runStudy(context.Background(), c, st, nil, "", 2, openLocal(c, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type extent struct {
+		lo, hi uintptr
+		what   string
+	}
+	var arrays []extent
+	add := func(s any, what string, index int) {
+		v := reflect.ValueOf(s)
+		if v.Cap() == 0 {
+			return
+		}
+		lo := v.Pointer()
+		arrays = append(arrays, extent{lo, lo + uintptr(v.Cap())*v.Type().Elem().Size(), fmt.Sprintf("record %d %s", index, what)})
+	}
+	injections := 0
+	for _, r := range sr.Records {
+		if r.Global == nil || r.Report == nil {
+			t.Fatalf("experiment %d not analyzed: %s", r.Index, r.AnalysisError)
+		}
+		add(r.Global.Events, "Global.Events", r.Index)
+		add(r.Global.Machines, "Global.Machines", r.Index)
+		add(r.Report.Injections, "Report.Injections", r.Index)
+		injections += len(r.Report.Injections)
+	}
+	if injections == 0 {
+		t.Fatal("no experiment injected a fault; the verdicts went unexercised")
+	}
+	slices.SortFunc(arrays, func(a, b extent) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(arrays); i++ {
+		if arrays[i].lo < arrays[i-1].hi {
+			t.Fatalf("%s shares a backing array with %s", arrays[i].what, arrays[i-1].what)
+		}
 	}
 }

@@ -41,8 +41,10 @@ func (c *SyncConfig) setDefaults() {
 // out the transit guarantees the positive-delay property the convex-hull
 // estimator relies on, while the clocks' hidden offset and drift make the
 // estimation non-trivial — exactly the geometry of real hardware. The
-// stamps are the caller's, in a slice of exactly their number.
-func exchangeStamps(rt *core.Runtime, ref string, hosts []string, cfg SyncConfig) []clocksync.StampedMessage {
+// stamps are appended to dst, which is returned. An empty dst gets room
+// for two phases' stamps: an experiment's pre- and post-sync mini-phases
+// share one slice.
+func exchangeStamps(dst []clocksync.StampedMessage, rt *core.Runtime, ref string, hosts []string, cfg SyncConfig) []clocksync.StampedMessage {
 	cfg.setDefaults()
 	clk := rt.Clock()
 	refClock := rt.HostClock(ref)
@@ -50,7 +52,11 @@ func exchangeStamps(rt *core.Runtime, ref string, hosts []string, cfg SyncConfig
 	if slices.Contains(hosts, ref) {
 		remotes--
 	}
-	msgs := make([]clocksync.StampedMessage, 0, 2*cfg.Messages*remotes)
+	n := 2 * cfg.Messages * remotes
+	if cap(dst) == 0 {
+		n *= 2
+	}
+	msgs := slices.Grow(dst, n)
 	for _, host := range hosts {
 		if host == ref {
 			continue

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/timeline"
 	"repro/internal/vclock"
@@ -51,25 +53,49 @@ func EncodeString(g *Global) (string, error) {
 
 // Decode parses the global timeline file format.
 func Decode(r io.Reader) (*Global, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	g := &Global{}
-	seen := make(map[string]bool)
-	lineNo := 0
-	started, ended := false, false
-	for sc.Scan() {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeString(string(b))
+}
+
+// DecodeString is Decode from a string.
+func DecodeString(s string) (*Global, error) {
+	g := new(Global)
+	if err := g.decode(s); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// decode parses doc in place: it walks doc's lines and splits each into a
+// fixed array, so the decoded names are substrings of doc and a document
+// costs its event slice, sized once, and its machine list. On error g is
+// left as it was.
+func (g *Global) decode(doc string) error {
+	var (
+		out            Global
+		lineNo         int
+		started, ended bool
+		fieldBuf       [8]string
+	)
+	for rest := doc; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
+		n := splitFields(line, fieldBuf[:])
+		fields := fieldBuf[:min(n, len(fieldBuf))]
 		switch fields[0] {
 		case "global_timeline":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("analysis: line %d: bad header %q", lineNo, line)
+			if n != 2 {
+				return fmt.Errorf("analysis: line %d: bad header %q", lineNo, line)
 			}
-			g.Reference = fields[1]
+			out.Reference = fields[1]
 			started = true
 			continue
 		case "end_global_timeline":
@@ -77,54 +103,51 @@ func Decode(r io.Reader) (*Global, error) {
 			continue
 		}
 		if !started || ended {
-			return nil, fmt.Errorf("analysis: line %d: record outside global_timeline block", lineNo)
+			return fmt.Errorf("analysis: line %d: record outside global_timeline block", lineNo)
 		}
 		var e Event
 		var numStart int
 		switch fields[0] {
 		case "S":
-			if len(fields) != 8 {
-				return nil, fmt.Errorf("analysis: line %d: S record wants 8 fields", lineNo)
+			if n != 8 {
+				return fmt.Errorf("analysis: line %d: S record wants 8 fields", lineNo)
 			}
 			e = Event{Kind: timeline.StateChange, Machine: fields[1], State: fields[2], Event: fields[3], Host: fields[4]}
 			numStart = 5
 		case "F":
-			if len(fields) != 7 {
-				return nil, fmt.Errorf("analysis: line %d: F record wants 7 fields", lineNo)
+			if n != 7 {
+				return fmt.Errorf("analysis: line %d: F record wants 7 fields", lineNo)
 			}
 			e = Event{Kind: timeline.FaultInjection, Machine: fields[1], Fault: fields[2], Host: fields[3]}
 			numStart = 4
 		default:
-			return nil, fmt.Errorf("analysis: line %d: unknown record %q", lineNo, fields[0])
+			return fmt.Errorf("analysis: line %d: unknown record %q", lineNo, fields[0])
 		}
 		var nums [3]int64
-		for i := 0; i < 3; i++ {
+		for i := range nums {
 			v, err := strconv.ParseInt(fields[numStart+i], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("analysis: line %d: bad number %q", lineNo, fields[numStart+i])
+				return fmt.Errorf("analysis: line %d: bad number %q", lineNo, fields[numStart+i])
 			}
 			nums[i] = v
 		}
 		e.Local = vclock.Ticks(nums[0])
 		e.Ref = Interval{Lo: vclock.Ticks(nums[1]), Hi: vclock.Ticks(nums[2])}
-		g.Events = append(g.Events, e)
-		if !seen[e.Machine] {
-			seen[e.Machine] = true
-			g.Machines = append(g.Machines, e.Machine)
+		if out.Events == nil { // sized once: every line left could be an event
+			out.Events = make([]Event, 0, strings.Count(rest, "\n")+1)
+		}
+		out.Events = append(out.Events, e)
+		if !slices.Contains(out.Machines, e.Machine) {
+			out.Machines = append(out.Machines, e.Machine)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if !started || !ended {
-		return nil, fmt.Errorf("analysis: missing global_timeline header or terminator")
+		return fmt.Errorf("analysis: missing global_timeline header or terminator")
 	}
-	sortMachines(g)
-	return g, nil
+	sortMachines(&out)
+	*g = out
+	return nil
 }
-
-// DecodeString is Decode from a string.
-func DecodeString(s string) (*Global, error) { return Decode(strings.NewReader(s)) }
 
 // MarshalText renders the timeline as its §5.7 text, so a record that
 // embeds a Global (the checkpoint journal's) carries it as one JSON string
@@ -138,14 +161,7 @@ func (g *Global) MarshalText() ([]byte, error) {
 }
 
 // UnmarshalText reverses MarshalText.
-func (g *Global) UnmarshalText(b []byte) error {
-	dec, err := Decode(bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	*g = *dec
-	return nil
-}
+func (g *Global) UnmarshalText(b []byte) error { return g.decode(string(b)) }
 
 func sortMachines(g *Global) {
 	for i := 1; i < len(g.Machines); i++ {
@@ -153,4 +169,37 @@ func sortMachines(g *Global) {
 			g.Machines[j], g.Machines[j-1] = g.Machines[j-1], g.Machines[j]
 		}
 	}
+}
+
+// splitFields splits line around runs of white space, as strings.Fields
+// does, into dst and returns the number of fields, which may exceed
+// len(dst): the fields past it are counted, not kept. An ASCII line is
+// split in place; a line holding any other byte, which strings.Fields
+// would split around Unicode white space too, goes through strings.Fields.
+// (internal/timeline keeps the same helper for the §3.5.6 format.)
+func splitFields(line string, dst []string) int {
+	n, start := 0, -1
+	for i := 0; i <= len(line); i++ {
+		switch {
+		case i < len(line) && line[i] >= utf8.RuneSelf:
+			f := strings.Fields(line)
+			copy(dst, f)
+			return len(f)
+		case i == len(line) || asciiSpace(line[i]):
+			if start >= 0 {
+				if n < len(dst) {
+					dst[n] = line[start:i]
+				}
+				n++
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	return n
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }

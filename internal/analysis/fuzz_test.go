@@ -6,12 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
 // goldenGlobalDocs returns the §5.7 text of every global timeline the
 // golden journals hold, one per journaled record.
-func goldenGlobalDocs(f *testing.F) []string {
+func goldenGlobalDocs(f testing.TB) []string {
 	paths, err := filepath.Glob("../../testdata/golden_*.journal")
 	if err != nil || len(paths) == 0 {
 		f.Fatalf("no golden journals to seed from: %v", err)
@@ -45,17 +47,30 @@ func goldenGlobalDocs(f *testing.F) []string {
 
 // FuzzDecodeGlobal feeds the global timeline decoder — reachable from any
 // journal line through Global.UnmarshalText — arbitrary text. It must
-// never panic, and whatever it accepts must survive its own encoding:
-// Decode∘Encode is the identity on global timelines.
+// never panic; it must agree with the scanner-based reference decoder it
+// replaced on every document (the same timeline, or the same error); and
+// whatever it accepts must survive its own encoding: Decode∘Encode is the
+// identity on global timelines.
 func FuzzDecodeGlobal(f *testing.F) {
 	for _, doc := range goldenGlobalDocs(f) {
 		f.Add(doc)
 		f.Add(doc[:len(doc)/2])
+		f.Add(strings.ReplaceAll(doc, "\n", "\r\n"))
+		f.Add(strings.Replace(doc, " ", "\u00a0", 3))
 	}
+	f.Add("# c\n global_timeline\vr \nS m s e h 1 2 3\fx\n\tF m f h 1 2 3\nend_global_timeline")
+	f.Add("global_timeline r\nS m s e h 1 2 3 4 5 6 7\nS m\u0085s e h 1 2 3\nend_global_timeline\n")
 	f.Fuzz(func(t *testing.T, doc string) {
 		g, err := DecodeString(doc)
+		ref, refErr := referenceDecode(strings.NewReader(doc))
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("decode error %v, the reference decoder's %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(g, ref) {
+			t.Fatalf("decoded %+v, the reference decoder %+v", g, ref)
 		}
 		enc, err := EncodeString(g)
 		if err != nil {
@@ -69,4 +84,37 @@ func FuzzDecodeGlobal(f *testing.F) {
 			t.Fatalf("Decode∘Encode changed the timeline:\n got: %+v\nwant: %+v", back, g)
 		}
 	})
+}
+
+// TestGlobalUnmarshalTextAllocs pins what decoding a journaled global
+// timeline costs once warm: a few allocations (the document's one string,
+// the event and machine slices, their growth), and nothing of the 64 KiB
+// scanner buffer the decoder once allocated per call.
+func TestGlobalUnmarshalTextAllocs(t *testing.T) {
+	var doc []byte
+	for _, d := range goldenGlobalDocs(t) {
+		if len(d) > len(doc) {
+			doc = []byte(d)
+		}
+	}
+	var g Global
+	decode := func() {
+		if err := g.UnmarshalText(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, decode)
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once more
+	t.Logf("%d-byte document, %d events: %.0f allocs, %d bytes per decode", len(doc), len(g.Events), allocs, perRun)
+	if allocs > 6 {
+		t.Errorf("decoding allocates %.0f times, budget 6", allocs)
+	}
+	if limit := uint64(4*len(doc) + 1024); perRun > limit {
+		t.Errorf("decoding allocates %d bytes, budget %d (4× the document, plus 1 KiB)", perRun, limit)
+	}
 }

@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +9,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -86,10 +88,9 @@ type journalKey struct {
 // journalRecord is one journaled experiment: an ExperimentRecord under its
 // key and study fingerprint. On disk there is one format; in memory E says
 // how much of the experiment its user wants decoded. The writer marshals an
-// *ExperimentRecord; a resume loads json.RawMessage and decodes a record
-// when the engine looks its key up; the read-only readers decode a
-// RecordSummary — the verdict fields they print — and the timelines are
-// skipped unparsed.
+// *ExperimentRecord; a resume decodes the whole record as it loads the
+// line (journaledExperiment); the read-only readers decode a RecordSummary
+// — the verdict fields they print — and the timelines are skipped unparsed.
 type journalRecord[E any] struct {
 	Point       string
 	Index       int
@@ -107,7 +108,7 @@ type journal struct {
 	cm *obs.CampaignMetrics
 
 	mu           sync.Mutex // guards entries
-	entries      map[journalKey]journalRecord[json.RawMessage]
+	entries      map[journalKey]journalRecord[journaledExperiment]
 	headerLoaded bool
 
 	// Group commit, all guarded by cmu: appenders queue record lines and
@@ -158,7 +159,7 @@ func openCampaignJournal(c *Campaign) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	j := &journal{f: f, entries: make(map[journalKey]journalRecord[json.RawMessage]), cm: c.Obs.CampaignMetrics()}
+	j := &journal{f: f, cm: c.Obs.CampaignMetrics()}
 	if cp.Resume {
 		if err := j.load(fp); err != nil {
 			f.Close()
@@ -228,68 +229,224 @@ type journalScan struct {
 	tail   journalTail
 }
 
+// journalBatchBytes bounds one batch of journal lines readJournal decodes
+// together (about 160 chaos-matrix records): a read holds one batch, not
+// the file. Batches start at a quarter of it and double, so a short journal
+// is read in one small buffer; a line longer than a batch is read whole, in
+// a larger one.
+const journalBatchBytes = 256 << 10
+
 // readJournal is the one reader of the journal format. It validates the
 // header line (a journal at all, of this build's version), walks every
 // complete line up to the first torn or garbled tail, and hands each record
-// to onRecord in journal order. What a caller does with the scan is its own
-// discipline: the resume loader checks the fingerprint and truncates at
-// scan.offset, the read-only readers report the tail state and never touch
-// the file.
+// to onRecord in journal order, on the caller's goroutine. What a caller
+// does with the scan is its own discipline: the resume loader checks the
+// fingerprint and truncates at scan.offset, the read-only readers report
+// the tail state and never touch the file.
+//
+// The file is read in batches of whole lines, at most journalBatchBytes
+// each (or one longer line). Each batch's lines are decoded over GOMAXPROCS
+// goroutines (decodeBatch) before the batch is walked in order; a line past
+// the first untrusted one is decoded in vain, never handed on.
 func readJournal[E any](r io.Reader, path string, onRecord func(*journalRecord[E])) (journalScan, error) {
 	var (
-		scan journalScan
-		br   = bufio.NewReaderSize(r, 1<<16)
+		scan  journalScan
+		buf   = make([]byte, journalBatchBytes/4)
+		n     int // bytes of buf read and not yet walked
+		eof   bool
+		lines [][]byte
 	)
-scanning:
 	for {
-		raw, err := br.ReadBytes('\n')
-		if err != nil {
-			if err != io.EOF {
+		if !eof {
+			m, err := io.ReadFull(r, buf[n:])
+			n += m
+			switch err {
+			case nil:
+			case io.EOF, io.ErrUnexpectedEOF:
+				eof = true
+			default:
 				return scan, fmt.Errorf("campaign: checkpoint: reading %s: %w", path, err)
 			}
-			if len(raw) > 0 {
-				scan.tail = tailAppending
-			}
-			break
 		}
-		var line journalLine[E]
-		if json.Unmarshal(raw, &line) != nil {
-			scan.tail = tailGarbled
-			break
-		}
-		switch {
-		case scan.offset == 0: // the first line
-			if line.Journal == nil {
-				// First line is valid JSON but not a header: a foreign
-				// file. Refuse to read records out of it or mix them in.
-				return scan, fmt.Errorf("campaign: checkpoint: %s is not a checkpoint journal", path)
+		whole := bytes.LastIndexByte(buf[:n], '\n') + 1
+		if whole == 0 {
+			if eof {
+				if n > 0 {
+					scan.tail = tailAppending
+				}
+				return scan, nil
 			}
-			if line.Journal.Version != journalVersion {
-				return scan, fmt.Errorf("campaign: checkpoint: %s has journal version %d, this build reads and writes %d",
-					path, line.Journal.Version, journalVersion)
-			}
-			scan.header = *line.Journal
-		case line.Record != nil:
-			onRecord(line.Record)
-		default:
-			scan.tail = tailGarbled
-			break scanning
+			// One line fills the buffer: read it whole in a larger one.
+			buf = append(buf, make([]byte, len(buf))...)
+			continue
 		}
-		scan.offset += int64(len(raw))
+		lines = lines[:0]
+		for rest := buf[:whole]; len(rest) > 0; {
+			i := bytes.IndexByte(rest, '\n') + 1
+			lines, rest = append(lines, rest[:i]), rest[i:]
+		}
+		decoded, ok := decodeBatch[E](lines)
+		for i, raw := range lines {
+			line := &decoded[i]
+			switch {
+			case !ok[i]:
+				scan.tail = tailGarbled
+				return scan, nil
+			case scan.offset == 0: // the first line
+				if line.Journal == nil {
+					// First line is valid JSON but not a header: a foreign
+					// file. Refuse to read records out of it or mix them in.
+					return scan, fmt.Errorf("campaign: checkpoint: %s is not a checkpoint journal", path)
+				}
+				if line.Journal.Version != journalVersion {
+					return scan, fmt.Errorf("campaign: checkpoint: %s has journal version %d, this build reads and writes %d",
+						path, line.Journal.Version, journalVersion)
+				}
+				scan.header = *line.Journal
+			case line.Record != nil:
+				onRecord(line.Record)
+			default:
+				scan.tail = tailGarbled
+				return scan, nil
+			}
+			scan.offset += int64(len(raw))
+		}
+		n = copy(buf, buf[whole:n])
+		if !eof && len(buf) < journalBatchBytes {
+			buf = append(buf, make([]byte, len(buf))...)
+		}
 	}
-	return scan, nil
+}
+
+// decodeBatch decodes lines, and reports which of them parse, over up to
+// GOMAXPROCS goroutines — the caller's among them — that claim lines one
+// at a time.
+func decodeBatch[E any](lines [][]byte) (out []journalLine[E], ok []bool) {
+	out, ok = make([]journalLine[E], len(lines)), make([]bool, len(lines))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(lines) {
+				return
+			}
+			ok[i] = decodeLine(lines[i], &out[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(lines)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return out, ok
+}
+
+// decodeLine decodes one journal line into line and reports whether it
+// parses. A resume's shape has its own decoder (decodeResumeLine); every
+// other shape is json.Unmarshal's.
+func decodeLine[E any](b []byte, line *journalLine[E]) bool {
+	if l, ok := any(line).(*journalLine[journaledExperiment]); ok {
+		return decodeResumeLine(b, l)
+	}
+	return json.Unmarshal(b, line) == nil
+}
+
+// journaledExperiment is what a resume holds of a journaled experiment:
+// the record, decoded as the journal was loaded, or why it does not
+// decode. A line with no Experiment at all has neither, and its key is a
+// miss: the experiment runs again.
+type journaledExperiment struct {
+	rec *ExperimentRecord
+	err error
+}
+
+// decodeResumeLine decodes a journal line for a resume. Its line shape is
+// the json.RawMessage one — any line whose Experiment is valid JSON parses,
+// and the experiment is decoded on its own, as a fresh ExperimentRecord, so
+// a record that does not decode is kept and fails the resume at lookup
+// rather than becoming a garbled tail — but a whole line is decoded in one
+// pass when that gives the same record: whenever the experiment is an
+// object and the line cannot hold a second Experiment key.
+func decodeResumeLine(b []byte, line *journalLine[journaledExperiment]) bool {
+	var whole journalLine[*ExperimentRecord]
+	if json.Unmarshal(b, &whole) == nil && (whole.Record == nil || whole.Record.Experiment != nil && oneExperimentKey(b)) {
+		line.Journal = whole.Journal
+		if r := whole.Record; r != nil {
+			line.Record = &journalRecord[journaledExperiment]{Point: r.Point, Index: r.Index, Fingerprint: r.Fingerprint,
+				Experiment: journaledExperiment{rec: r.Experiment}}
+		}
+		return true
+	}
+	var raw journalLine[json.RawMessage]
+	if json.Unmarshal(b, &raw) != nil {
+		return false
+	}
+	line.Journal = raw.Journal
+	if r := raw.Record; r != nil {
+		var e journaledExperiment
+		if r.Experiment != nil { // "Experiment":null decodes to a zero record, as it always has
+			rec := new(ExperimentRecord)
+			if e.err = json.Unmarshal(r.Experiment, rec); e.err == nil {
+				e.rec = rec
+			}
+		}
+		line.Record = &journalRecord[journaledExperiment]{Point: r.Point, Index: r.Index, Fingerprint: r.Fingerprint, Experiment: e}
+	}
+	return true
+}
+
+// oneExperimentKey reports whether line can hold at most one key that
+// encoding/json matches to a record's Experiment field. Given two,
+// encoding/json decodes the second into the record the first one left,
+// merging them, where the json.RawMessage shape keeps the last copy alone.
+// Keys match case-insensitively, and no rune outside ASCII folds to a
+// letter of "experiment", so every such key is a case-insensitive
+// "experiment" in the bytes, or spells a letter with a \u escape.
+func oneExperimentKey(line []byte) bool {
+	const key = "experiment"
+	seen := 0
+	for _, x := range []byte{'x', 'X'} {
+		for i := 0; ; i++ {
+			at := bytes.IndexByte(line[i:], x)
+			if at < 0 {
+				break
+			}
+			i += at // line[i] is the x of a possible "experiment" at i-1
+			if i >= 1 && i-1+len(key) <= len(line) && bytes.EqualFold(line[i-1:i-1+len(key)], []byte(key)) {
+				seen++
+			}
+		}
+	}
+	for i := 0; ; i++ {
+		at := bytes.Index(line[i:], []byte(`\u00`))
+		if at < 0 {
+			break
+		}
+		i += at
+		if i+4 < len(line) && '4' <= line[i+4] && line[i+4] <= '7' { // U+0040–U+007F: the ASCII letters
+			return false
+		}
+	}
+	return seen <= 1
 }
 
 // load replays the journal for a resume: the header must carry this
-// configuration's fingerprint, every whole record line is kept (still
-// marshalled) for lookup, and a torn or garbled tail is discarded by
-// truncating the file to the last trusted line, so a crash costs at most
-// the record lines still queued behind the committer.
+// configuration's fingerprint, every whole record line is decoded and kept
+// for lookup, and a torn or garbled tail is discarded by truncating the
+// file to the last trusted line, so a crash costs at most the record lines
+// still queued behind the committer. A later line of a key supersedes an
+// earlier one.
 func (j *journal) load(fingerprint string) error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	scan, err := readJournal(j.f, j.f.Name(), func(rec *journalRecord[json.RawMessage]) {
+	j.entries = make(map[journalKey]journalRecord[journaledExperiment])
+	scan, err := readJournal(j.f, j.f.Name(), func(rec *journalRecord[journaledExperiment]) {
 		j.entries[journalKey{rec.Point, rec.Index}] = *rec
 	})
 	if err != nil {
@@ -433,11 +590,12 @@ func (j *journal) commit() {
 	}
 }
 
-// lookup returns the journaled record for (point, index), still
-// marshalled, or nil when the journal has no complete record for it. A
+// lookup returns the journaled record for (point, index), decoded when
+// the journal was loaded, or nil when the journal has no complete record
+// for it. A journaled record that does not decode is an error, and a
 // record written under a different study fingerprint is a configuration
 // mismatch, not a cache miss. Nil-receiver safe.
-func (j *journal) lookup(point string, index int, fingerprint string) (json.RawMessage, error) {
+func (j *journal) lookup(point string, index int, fingerprint string) (*ExperimentRecord, error) {
 	if j == nil {
 		return nil, nil
 	}
@@ -452,12 +610,15 @@ func (j *journal) lookup(point string, index int, fingerprint string) (json.RawM
 			point, index, rec.Fingerprint, fingerprint)
 	}
 	// A key is consumed at most once per run (every engine looks an index
-	// up before running it, never after), so the multi-KB payload is
-	// released here instead of staying resident for the whole campaign. A
-	// hypothetical second lookup re-runs one experiment — sound, and the
-	// rerun's record supersedes the old one on the next resume.
+	// up before running it, never after): the record now belongs to the
+	// study's result, and the journal lets go of it. A hypothetical second
+	// lookup re-runs one experiment — sound, and the rerun's record
+	// supersedes the old one on the next resume.
 	delete(j.entries, journalKey{point, index})
-	return rec.Experiment, nil
+	if err := rec.Experiment.err; err != nil {
+		return nil, fmt.Errorf("campaign: checkpoint: journaled record %s/%d: %w", point, index, err)
+	}
+	return rec.Experiment.rec, nil
 }
 
 // Close stops the committer once every queued line is written and every
@@ -510,21 +671,13 @@ type studyJournal struct {
 	fp    string
 }
 
-// lookup returns the journaled record for the index — decoded here, on
-// first use, timelines and raw artifacts included — or nil.
+// lookup returns the journaled record for the index — timelines and raw
+// artifacts included — or nil.
 func (sj *studyJournal) lookup(index int) (*ExperimentRecord, error) {
 	if sj == nil {
 		return nil, nil
 	}
-	raw, err := sj.j.lookup(sj.point, index, sj.fp)
-	if err != nil || raw == nil {
-		return nil, err
-	}
-	rec := new(ExperimentRecord)
-	if err := json.Unmarshal(raw, rec); err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint: journaled record %s/%d: %w", sj.point, index, err)
-	}
-	return rec, nil
+	return sj.j.lookup(sj.point, index, sj.fp)
 }
 
 // record journals one completed record and reports it on p. The record is

@@ -163,7 +163,7 @@ func journalKeys(t testing.TB, dir, fingerprint string) (loaded, walked []journa
 		t.Fatal(err)
 	}
 	defer f.Close()
-	j := &journal{f: f, entries: make(map[journalKey]journalRecord[json.RawMessage])}
+	j := &journal{f: f}
 	if err := j.load(fingerprint); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestJournalRoundBatchesQueuedAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &journal{f: f, entries: make(map[journalKey]journalRecord[json.RawMessage]), cm: c.Obs.CampaignMetrics()}
+	j := &journal{f: f, cm: c.Obs.CampaignMetrics()}
 	sj := j.study(c, c.Studies[0], "steps")
 	p := &progress{sink: c.Obs, point: "steps", experiments: n}
 	returned := make(chan error, 1)

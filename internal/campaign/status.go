@@ -18,7 +18,8 @@ import (
 type PointProgress struct {
 	// Point is the study or matrix point name the records are keyed by.
 	Point string
-	// Complete counts records whose whole line survived.
+	// Complete counts the experiments with a whole record line; a key
+	// journaled more than once counts once, by its last copy.
 	Complete int
 	// Accepted counts complete records that passed the analysis phase.
 	Accepted int
@@ -82,7 +83,9 @@ type RecordSummary struct {
 }
 
 // walkJournal opens the journal under dir read-only and hands fn every
-// complete record, verdict fields decoded, in journal order.
+// journaled key once, verdict fields decoded: at the place of its first
+// record line, with the fields of its last — a later copy of a key
+// supersedes an earlier one, as it does for a resume.
 func walkJournal(dir string, fn func(*journalRecord[RecordSummary])) (journalScan, error) {
 	path := JournalPath(dir)
 	f, err := os.Open(path)
@@ -90,14 +93,33 @@ func walkJournal(dir string, fn func(*journalRecord[RecordSummary])) (journalSca
 		return journalScan{}, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
 	defer f.Close()
-	return readJournal(f, path, fn)
+	var (
+		recs []journalRecord[RecordSummary]
+		at   = make(map[journalKey]int)
+	)
+	scan, err := readJournal(f, path, func(rec *journalRecord[RecordSummary]) {
+		k := journalKey{rec.Point, rec.Index}
+		if i, ok := at[k]; ok {
+			recs[i] = *rec
+			return
+		}
+		at[k] = len(recs)
+		recs = append(recs, *rec)
+	})
+	if err != nil {
+		return scan, err
+	}
+	for i := range recs {
+		fn(&recs[i])
+	}
+	return scan, nil
 }
 
 // SummarizeJournal reads the checkpoint journal under dir and summarizes
-// it. Only whole record lines are counted, mirroring what a resume would
-// trust. The tail is classified, never truncated: a live campaign
-// mid-append shows up as Appending; Torn is reserved for a genuinely
-// garbled tail.
+// it. Only whole record lines are counted, each journaled experiment once,
+// mirroring what a resume would trust. The tail is classified, never
+// truncated: a live campaign mid-append shows up as Appending; Torn is
+// reserved for a genuinely garbled tail.
 func SummarizeJournal(dir string) (*JournalSummary, error) {
 	points := make(map[string]*PointProgress)
 	scan, err := walkJournal(dir, func(rec *journalRecord[RecordSummary]) {
@@ -129,9 +151,10 @@ func SummarizeJournal(dir string) (*JournalSummary, error) {
 }
 
 // WalkJournal reads the checkpoint journal under dir and calls fn once
-// per completed record (a whole record line), in journal order. Like
-// SummarizeJournal it is read-only and never truncates a live tail. It
-// returns the journal header's campaign name and fingerprint.
+// per journaled experiment (a whole record line; of a key journaled more
+// than once, the last copy), in journal order. Like SummarizeJournal it is
+// read-only and never truncates a live tail. It returns the journal
+// header's campaign name and fingerprint.
 func WalkJournal(dir string, fn func(RecordSummary)) (campaignName, fingerprint string, err error) {
 	scan, err := walkJournal(dir, func(rec *journalRecord[RecordSummary]) {
 		rec.Experiment.Point = rec.Point

@@ -206,7 +206,7 @@ func (d *Data) collectJournal(dir string) error {
 		p.Verdicts.add(r)
 	})
 	if err != nil {
-		if os.IsNotExist(underlying(err)) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil // no journal: verdict sections stay empty
 		}
 		return err
@@ -220,16 +220,6 @@ func (d *Data) collectJournal(dir string) error {
 	sort.Slice(d.Points, func(i, j int) bool { return d.Points[i].Point < d.Points[j].Point })
 	d.Heatmap = buildHeatmap(d.Points)
 	return nil
-}
-
-func underlying(err error) error {
-	for {
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return err
-		}
-		err = u.Unwrap()
-	}
 }
 
 // buildHeatmap folds matrix point names scenario/profile[/seed...] into

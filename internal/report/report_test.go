@@ -159,3 +159,28 @@ func TestSplitSeries(t *testing.T) {
 		t.Errorf("plain: %q %v", base, labels)
 	}
 }
+
+// TestCollectCountsEachJournaledKeyOnce: a key journaled twice (a re-run's
+// record supersedes the earlier copy) is one experiment in the report,
+// with the verdict of the later copy.
+func TestCollectCountsEachJournaledKeyOnce(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/golden_election.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(golden), "\n")
+	header, rec := lines[0], lines[1]
+	rejected := strings.Replace(rec, `"Completed":true,"Accepted":true`, `"Completed":true,"Accepted":false`, 1)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.jsonl"), []byte(header+rec+rejected), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Collect(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Verdicts{Experiments: 1, Rejected: 1}
+	if d.Totals != want || len(d.Points) != 1 || d.Points[0].Verdicts != want {
+		t.Errorf("totals %+v, points %+v; want %+v for the one point", d.Totals, d.Points, want)
+	}
+}

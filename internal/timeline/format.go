@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/faultexpr"
 	"repro/internal/vclock"
@@ -95,35 +96,54 @@ func EncodeString(l *Local) (string, error) {
 // node start, carrying the "which host did this node run on" information
 // that §3.6.3 requires for off-line clock synchronization).
 func Decode(r io.Reader) (*Local, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	l := &Local{}
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeString(string(b))
+}
+
+// DecodeString is Decode from a string.
+func DecodeString(s string) (*Local, error) {
+	l := new(Local)
+	if err := l.decode(s); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// decode parses doc in place: it walks doc's lines and splits each into a
+// fixed array, so the decoded names are substrings of doc. On error l is
+// left as it was.
+func (l *Local) decode(doc string) error {
+	var out Local
 	section := "owner"
 	currentHost := ""
 	lineNo := 0
-
-	for sc.Scan() {
+	for rest := doc; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		if section == "owner" {
-			l.Owner = line
+			out.Owner = line
 			section = "await"
 			continue
 		}
 		switch line {
 		case "state_machine_list", "global_state_list", "event_list", "fault_list", "host_list", "local_timeline":
 			if section != "await" {
-				return nil, fmt.Errorf("timeline: line %d: section %q opened inside %q", lineNo, line, section)
+				return fmt.Errorf("timeline: line %d: section %q opened inside %q", lineNo, line, section)
 			}
 			section = line
 			continue
 		case "end_state_machine_list", "end_global_state_list", "end_event_list",
 			"end_fault_list", "end_host_list", "end_local_timeline":
 			if "end_"+section != line {
-				return nil, fmt.Errorf("timeline: line %d: %q closes %q", lineNo, line, section)
+				return fmt.Errorf("timeline: line %d: %q closes %q", lineNo, line, section)
 			}
 			section = "await"
 			continue
@@ -131,63 +151,61 @@ func Decode(r io.Reader) (*Local, error) {
 
 		switch section {
 		case "state_machine_list":
-			name, err := parseIndexed(line, len(l.Machines))
+			name, err := parseIndexed(line, len(out.Machines))
 			if err != nil {
-				return nil, fmt.Errorf("timeline: line %d: %v", lineNo, err)
+				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			l.Machines = append(l.Machines, name)
+			out.Machines = append(out.Machines, name)
 		case "global_state_list":
-			name, err := parseIndexed(line, len(l.GlobalStates))
+			name, err := parseIndexed(line, len(out.GlobalStates))
 			if err != nil {
-				return nil, fmt.Errorf("timeline: line %d: %v", lineNo, err)
+				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			l.GlobalStates = append(l.GlobalStates, name)
+			out.GlobalStates = append(out.GlobalStates, name)
 		case "event_list":
-			name, err := parseIndexed(line, len(l.Events))
+			name, err := parseIndexed(line, len(out.Events))
 			if err != nil {
-				return nil, fmt.Errorf("timeline: line %d: %v", lineNo, err)
+				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			l.Events = append(l.Events, name)
+			out.Events = append(out.Events, name)
 		case "host_list":
-			name, err := parseIndexed(line, len(l.Hosts))
+			name, err := parseIndexed(line, len(out.Hosts))
 			if err != nil {
-				return nil, fmt.Errorf("timeline: line %d: %v", lineNo, err)
+				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			l.Hosts = append(l.Hosts, name)
+			out.Hosts = append(out.Hosts, name)
 		case "fault_list":
 			fields := strings.Fields(line)
 			if len(fields) < 4 {
-				return nil, fmt.Errorf("timeline: line %d: short fault entry %q", lineNo, line)
+				return fmt.Errorf("timeline: line %d: short fault entry %q", lineNo, line)
 			}
-			if idx, err := strconv.Atoi(fields[0]); err != nil || idx != len(l.Faults) {
-				return nil, fmt.Errorf("timeline: line %d: bad fault index in %q", lineNo, line)
+			if idx, err := strconv.Atoi(fields[0]); err != nil || idx != len(out.Faults) {
+				return fmt.Errorf("timeline: line %d: bad fault index in %q", lineNo, line)
 			}
 			spec, ok, err := faultexpr.ParseSpecLine(strings.Join(fields[1:], " "))
 			if err != nil || !ok {
-				return nil, fmt.Errorf("timeline: line %d: bad fault spec: %v", lineNo, err)
+				return fmt.Errorf("timeline: line %d: bad fault spec: %v", lineNo, err)
 			}
-			l.Faults = append(l.Faults, spec)
+			out.Faults = append(out.Faults, spec)
 		case "local_timeline":
-			e, err := decodeRecord(l, line, &currentHost)
+			e, err := decodeRecord(&out, line, &currentHost)
 			if err != nil {
-				return nil, fmt.Errorf("timeline: line %d: %v", lineNo, err)
+				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			l.Entries = append(l.Entries, e)
+			if out.Entries == nil { // sized once: every line left could be an entry
+				out.Entries = make([]Entry, 0, strings.Count(rest, "\n")+1)
+			}
+			out.Entries = append(out.Entries, e)
 		default:
-			return nil, fmt.Errorf("timeline: line %d: content %q outside any section", lineNo, line)
+			return fmt.Errorf("timeline: line %d: content %q outside any section", lineNo, line)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if section != "await" {
-		return nil, fmt.Errorf("timeline: unterminated section %q", section)
+		return fmt.Errorf("timeline: unterminated section %q", section)
 	}
-	return l, nil
+	*l = out
+	return nil
 }
-
-// DecodeString is Decode from a string.
-func DecodeString(s string) (*Local, error) { return Decode(strings.NewReader(s)) }
 
 // MarshalText renders the timeline as its §3.5.6 text, so a record that
 // carries local timelines (the checkpoint journal's) holds each as one JSON
@@ -202,18 +220,11 @@ func (l *Local) MarshalText() ([]byte, error) {
 }
 
 // UnmarshalText reverses MarshalText.
-func (l *Local) UnmarshalText(b []byte) error {
-	dec, err := Decode(bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	*l = *dec
-	return nil
-}
+func (l *Local) UnmarshalText(b []byte) error { return l.decode(string(b)) }
 
 func parseIndexed(line string, want int) (string, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 2 {
+	var fields [2]string
+	if splitFields(line, fields[:]) != 2 {
 		return "", fmt.Errorf("want '<index> <name>', got %q", line)
 	}
 	idx, err := strconv.Atoi(fields[0])
@@ -224,8 +235,10 @@ func parseIndexed(line string, want int) (string, error) {
 }
 
 func decodeRecord(l *Local, line string, currentHost *string) (Entry, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 {
+	var buf [5]string
+	n := splitFields(line, buf[:])
+	fields := buf[:min(n, len(buf))]
+	if n < 4 {
 		return Entry{}, fmt.Errorf("short record %q", line)
 	}
 	kind, err := strconv.Atoi(fields[0])
@@ -242,7 +255,7 @@ func decodeRecord(l *Local, line string, currentHost *string) (Entry, error) {
 	}
 	switch Kind(kind) {
 	case StateChange:
-		if len(fields) != 5 {
+		if n != 5 {
 			return Entry{}, fmt.Errorf("STATE_CHANGE wants 5 fields, got %q", line)
 		}
 		evIdx, err1 := strconv.Atoi(fields[1])
@@ -287,8 +300,8 @@ func decodeRecord(l *Local, line string, currentHost *string) (Entry, error) {
 		if err != nil {
 			return Entry{}, fmt.Errorf("bad NOTE text in %q: %v", line, err)
 		}
-		timeFields := strings.Fields(rest[closing+1:])
-		if len(timeFields) != 2 {
+		var timeFields [2]string
+		if splitFields(rest[closing+1:], timeFields[:]) != 2 {
 			return Entry{}, fmt.Errorf("NOTE wants Hi Lo after text in %q", line)
 		}
 		t, err := parseTime(timeFields[0], timeFields[1])
@@ -299,4 +312,37 @@ func decodeRecord(l *Local, line string, currentHost *string) (Entry, error) {
 	default:
 		return Entry{}, fmt.Errorf("unknown record kind %d in %q", kind, line)
 	}
+}
+
+// splitFields splits line around runs of white space, as strings.Fields
+// does, into dst and returns the number of fields, which may exceed
+// len(dst): the fields past it are counted, not kept. An ASCII line is
+// split in place; a line holding any other byte, which strings.Fields
+// would split around Unicode white space too, goes through strings.Fields.
+// (internal/analysis keeps the same helper for the §5.7 format.)
+func splitFields(line string, dst []string) int {
+	n, start := 0, -1
+	for i := 0; i <= len(line); i++ {
+		switch {
+		case i < len(line) && line[i] >= utf8.RuneSelf:
+			f := strings.Fields(line)
+			copy(dst, f)
+			return len(f)
+		case i == len(line) || asciiSpace(line[i]):
+			if start >= 0 {
+				if n < len(dst) {
+					dst[n] = line[start:i]
+				}
+				n++
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	return n
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -87,8 +88,10 @@ func localOf(g *analysis.Global, machine string) *timeline.Local {
 
 // FuzzDecodeTimeline feeds the local timeline decoder — reachable from any
 // journal line through Local.UnmarshalText — arbitrary text. It must never
-// panic, and whatever it accepts must survive its own encoding:
-// Decode∘Encode is the identity on local timelines.
+// panic; it must agree with the scanner-based reference decoder it
+// replaced on every document (the same timeline, or the same error); and
+// whatever it accepts must survive its own encoding: Decode∘Encode is the
+// identity on local timelines.
 func FuzzDecodeTimeline(f *testing.F) {
 	for _, l := range goldenLocals(f) {
 		doc, err := timeline.EncodeString(l)
@@ -96,11 +99,21 @@ func FuzzDecodeTimeline(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(doc)
+		f.Add(strings.ReplaceAll(doc, "\n", "\r\n"))
+		f.Add(strings.Replace(doc, " ", "\u00a0", 3))
 	}
+	f.Add("# c\nm\nhost_list\n0\th\v\nend_host_list\nlocal_timeline\n2 0 0 1\n3 \"a b\u00e9\"\f0 7\nend_local_timeline")
 	f.Fuzz(func(t *testing.T, doc string) {
 		l, err := timeline.DecodeString(doc)
+		ref, refErr := timeline.ReferenceDecodeString(doc)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("decode error %v, the reference decoder's %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(l, ref) {
+			t.Fatalf("decoded %+v, the reference decoder %+v", l, ref)
 		}
 		enc, err := timeline.EncodeString(l)
 		if err != nil {

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -24,31 +22,99 @@ import (
 //	F <machine> <fault> <host> <local> <lo> <hi>
 //	end_global_timeline
 
-// Encode writes g in the global timeline file format.
+// Encode writes g in the global timeline file format. AppendText is the
+// encoder; Encode appends into w's AvailableBuffer when w has one (a warm
+// obs.ArtifactWriter does), so the text is built in memory w already owns,
+// and writes it with one Write.
 func Encode(w io.Writer, g *Global) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "global_timeline %s\n", g.Reference)
-	for _, e := range g.Events {
-		switch e.Kind {
-		case timeline.StateChange:
-			fmt.Fprintf(bw, "S %s %s %s %s %d %d %d\n",
-				e.Machine, e.State, e.Event, e.Host, int64(e.Local), int64(e.Ref.Lo), int64(e.Ref.Hi))
-		case timeline.FaultInjection:
-			fmt.Fprintf(bw, "F %s %s %s %d %d %d\n",
-				e.Machine, e.Fault, e.Host, int64(e.Local), int64(e.Ref.Lo), int64(e.Ref.Hi))
-		}
+	b, err := g.AppendText(availableBuffer(w))
+	if err != nil {
+		return err
 	}
-	bw.WriteString("end_global_timeline\n")
-	return bw.Flush()
+	_, err = w.Write(b)
+	return err
 }
 
 // EncodeString is Encode into a string.
 func EncodeString(g *Global) (string, error) {
-	var b strings.Builder
-	if err := Encode(&b, g); err != nil {
-		return "", err
+	b, err := g.MarshalText()
+	return string(b), err
+}
+
+// AppendText appends g's §5.7 text to dst and returns the extended slice.
+// It never fails; the error result gives it the standard AppendText shape.
+func (g *Global) AppendText(dst []byte) ([]byte, error) {
+	dst = append(dst, "global_timeline "...)
+	dst = append(dst, g.Reference...)
+	dst = append(dst, '\n')
+	for i := range g.Events {
+		e := &g.Events[i]
+		switch e.Kind {
+		case timeline.StateChange:
+			dst = appendWords(dst, "S", e.Machine, e.State, e.Event, e.Host)
+		case timeline.FaultInjection:
+			dst = appendWords(dst, "F", e.Machine, e.Fault, e.Host)
+		default:
+			continue
+		}
+		dst = appendInts(dst, int64(e.Local), int64(e.Ref.Lo), int64(e.Ref.Hi))
 	}
-	return b.String(), nil
+	return append(dst, "end_global_timeline\n"...), nil
+}
+
+// textLen is the length of g's §5.7 text, so MarshalText allocates it once.
+func (g *Global) textLen() int {
+	n := len("global_timeline \n") + len(g.Reference) + len("end_global_timeline\n")
+	for i := range g.Events {
+		e := &g.Events[i]
+		switch e.Kind {
+		case timeline.StateChange:
+			n += len("S ") + len(e.Machine) + len(e.State) + len(e.Event) + len(e.Host) + 4
+		case timeline.FaultInjection:
+			n += len("F ") + len(e.Machine) + len(e.Fault) + len(e.Host) + 3
+		default:
+			continue
+		}
+		n += decLen(int64(e.Local)) + decLen(int64(e.Ref.Lo)) + decLen(int64(e.Ref.Hi)) + len("  \n")
+	}
+	return n
+}
+
+// appendWords appends each word followed by one space.
+func appendWords(dst []byte, words ...string) []byte {
+	for _, w := range words {
+		dst = append(dst, w...)
+		dst = append(dst, ' ')
+	}
+	return dst
+}
+
+// appendInts appends the numbers in decimal, space-separated, and ends
+// the line.
+func appendInts(dst []byte, nums ...int64) []byte {
+	for i, v := range nums {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, v, 10)
+	}
+	return append(dst, '\n')
+}
+
+// decLen is the length of v in decimal.
+func decLen(v int64) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], v, 10))
+}
+
+// availableBuffer returns w's unused buffer capacity, empty, when w offers
+// it (bufio.Writer, bytes.Buffer), and nil otherwise. (internal/timeline
+// and internal/clocksync keep the same helper.)
+func availableBuffer(w io.Writer) []byte {
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		return ab.AvailableBuffer()
+	}
+	return nil
 }
 
 // Decode parses the global timeline file format.
@@ -153,11 +219,7 @@ func (g *Global) decode(doc string) error {
 // embeds a Global (the checkpoint journal's) carries it as one JSON string
 // and shares one format with the global.timeline artifact.
 func (g *Global) MarshalText() ([]byte, error) {
-	var b bytes.Buffer
-	if err := Encode(&b, g); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	return g.AppendText(make([]byte, 0, g.textLen()))
 }
 
 // UnmarshalText reverses MarshalText.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -48,9 +49,13 @@ func goldenGlobalDocs(f testing.TB) []string {
 // FuzzDecodeGlobal feeds the global timeline decoder — reachable from any
 // journal line through Global.UnmarshalText — arbitrary text. It must
 // never panic; it must agree with the scanner-based reference decoder it
-// replaced on every document (the same timeline, or the same error); and
-// whatever it accepts must survive its own encoding: Decode∘Encode is the
-// identity on global timelines.
+// replaced on every document (the same timeline, or the same error);
+// AppendText must write what the fmt-based reference encoder it replaced
+// writes for every timeline the decoder accepts; and that encoding must
+// decode back: Decode∘Encode is the identity on global timelines.
+//
+// Mutation-checked: AppendText writing e.Ref.Hi where e.Ref.Lo belongs
+// fails on the first golden seed.
 func FuzzDecodeGlobal(f *testing.F) {
 	for _, doc := range goldenGlobalDocs(f) {
 		f.Add(doc)
@@ -72,9 +77,20 @@ func FuzzDecodeGlobal(f *testing.F) {
 		if !reflect.DeepEqual(g, ref) {
 			t.Fatalf("decoded %+v, the reference decoder %+v", g, ref)
 		}
-		enc, err := EncodeString(g)
+		var want bytes.Buffer
+		if err := referenceEncode(&want, g); err != nil {
+			t.Fatal(err)
+		}
+		appended, err := g.AppendText([]byte("prefix"))
 		if err != nil {
 			t.Fatalf("a decoded global timeline does not encode: %v", err)
+		}
+		if enc := string(appended); enc != "prefix"+want.String() {
+			t.Fatalf("AppendText wrote\n%q\nthe reference encoder\n%q", enc[min(len(enc), len("prefix")):], want.String())
+		}
+		enc, err := EncodeString(g)
+		if err != nil || enc != want.String() {
+			t.Fatalf("EncodeString = %q, %v; want the reference encoder's %q", enc, err, want.String())
 		}
 		back, err := DecodeString(enc)
 		if err != nil {
@@ -116,5 +132,34 @@ func TestGlobalUnmarshalTextAllocs(t *testing.T) {
 	}
 	if limit := uint64(4*len(doc) + 1024); perRun > limit {
 		t.Errorf("decoding allocates %d bytes, budget %d (4× the document, plus 1 KiB)", perRun, limit)
+	}
+}
+
+// TestGlobalAppendTextAllocs pins what encoding a global timeline costs
+// once the caller's buffer has room: nothing. MarshalText, the journal's
+// encoder, allocates its text once.
+func TestGlobalAppendTextAllocs(t *testing.T) {
+	var doc string
+	for _, d := range goldenGlobalDocs(t) {
+		if len(d) > len(doc) {
+			doc = d
+		}
+	}
+	g, err := DecodeString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := g.AppendText(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = g.AppendText(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendText into a buffer with room allocates %.0f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.MarshalText() }); allocs != 1 {
+		t.Errorf("MarshalText allocates %.0f times, want 1", allocs)
+	}
+	if text, _ := g.MarshalText(); len(text) != cap(text) || string(text) != string(buf) {
+		t.Errorf("MarshalText: %d bytes of %d allocated, equal to AppendText's: %v", len(text), cap(text), string(text) == string(buf))
 	}
 }

@@ -12,9 +12,29 @@ import (
 )
 
 // This file keeps the scanner-based global timeline decoder that Decode
-// replaced, verbatim but for its name, as the reference FuzzDecodeGlobal
-// compares the in-place decoder against: the two must accept and reject
-// the same documents and decode the same timelines.
+// replaced and the fmt-based encoder that AppendText replaced, verbatim but
+// for their names, as the references FuzzDecodeGlobal compares the in-place
+// decoder and the appending encoder against: the decoders must accept and
+// reject the same documents and decode the same timelines, and the encoders
+// must write the same bytes.
+
+// referenceEncode writes g in the global timeline file format.
+func referenceEncode(w io.Writer, g *Global) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "global_timeline %s\n", g.Reference)
+	for _, e := range g.Events {
+		switch e.Kind {
+		case timeline.StateChange:
+			fmt.Fprintf(bw, "S %s %s %s %s %d %d %d\n",
+				e.Machine, e.State, e.Event, e.Host, int64(e.Local), int64(e.Ref.Lo), int64(e.Ref.Hi))
+		case timeline.FaultInjection:
+			fmt.Fprintf(bw, "F %s %s %s %d %d %d\n",
+				e.Machine, e.Fault, e.Host, int64(e.Local), int64(e.Ref.Lo), int64(e.Ref.Hi))
+		}
+	}
+	bw.WriteString("end_global_timeline\n")
+	return bw.Flush()
+}
 
 // referenceDecode parses the global timeline file format.
 func referenceDecode(r io.Reader) (*Global, error) {

@@ -160,13 +160,15 @@ func joinDocs(frames []clusterMsg) ([]string, error) {
 func resultFrames(logf func(string, ...interface{}), index int, locals []*timeline.Local, outcomes map[string]string) []clusterMsg {
 	var frames []clusterMsg
 	var dropped []string
+	var buf []byte // each timeline's text, appended into one reused buffer
 	for _, tl := range locals {
-		doc, err := timeline.EncodeString(tl)
-		if err != nil {
+		var err error
+		if buf, err = tl.AppendText(buf[:0]); err != nil {
 			logf("campaign: cluster result: timeline %q not encodable: %v", tl.Owner, err)
 			dropped = append(dropped, tl.Owner)
 			continue
 		}
+		doc := string(buf)
 		chunks := chunkDoc(index, doc)
 		if len(chunks) > 1 {
 			logf("campaign: cluster result: timeline %q is %d bytes, chunking across %d frames", tl.Owner, len(doc), len(chunks))

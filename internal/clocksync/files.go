@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,12 +21,28 @@ import (
 // EncodeTimestamps writes stamped messages, one per line:
 //
 //	<sendHost> <recvHost> <sendTicks> <recvTicks>
+//
+// AppendTimestamps is the encoder; EncodeTimestamps appends into w's
+// AvailableBuffer when w has one and writes the text with one Write.
 func EncodeTimestamps(w io.Writer, msgs []StampedMessage) error {
-	bw := bufio.NewWriter(w)
+	_, err := w.Write(AppendTimestamps(availableBuffer(w), msgs))
+	return err
+}
+
+// AppendTimestamps appends the timestamps file text of msgs to dst and
+// returns the extended slice.
+func AppendTimestamps(dst []byte, msgs []StampedMessage) []byte {
 	for _, m := range msgs {
-		fmt.Fprintf(bw, "%s %s %d %d\n", m.SendHost, m.RecvHost, int64(m.SendTime), int64(m.RecvTime))
+		dst = append(dst, m.SendHost...)
+		dst = append(dst, ' ')
+		dst = append(dst, m.RecvHost...)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(m.SendTime), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(m.RecvTime), 10)
+		dst = append(dst, '\n')
 	}
-	return bw.Flush()
+	return dst
 }
 
 // DecodeTimestamps parses the timestamps file format.
@@ -61,19 +77,47 @@ func DecodeTimestamps(r io.Reader) ([]StampedMessage, error) {
 //
 //	reference <host>
 //	<host> <alphaLo> <alphaHi> <betaLo> <betaHi>
+//
+// AppendAlphaBeta is the encoder; EncodeAlphaBeta appends into w's
+// AvailableBuffer when w has one and writes the text with one Write.
 func EncodeAlphaBeta(w io.Writer, ref string, bounds map[string]Bounds) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "reference %s\n", ref)
-	hosts := make([]string, 0, len(bounds))
+	_, err := w.Write(AppendAlphaBeta(availableBuffer(w), ref, bounds))
+	return err
+}
+
+// AppendAlphaBeta appends the alphabeta file text to dst, hosts in sorted
+// order, and returns the extended slice. Each bound is written as %.17g
+// writes it, which ParseFloat reads back to the same bits.
+func AppendAlphaBeta(dst []byte, ref string, bounds map[string]Bounds) []byte {
+	dst = append(dst, "reference "...)
+	dst = append(dst, ref...)
+	dst = append(dst, '\n')
+	var onStack [8]string // a campaign's hosts fit; more spill to the heap
+	hosts := onStack[:0]
 	for h := range bounds {
 		hosts = append(hosts, h)
 	}
-	sort.Strings(hosts)
+	slices.Sort(hosts)
 	for _, h := range hosts {
 		b := bounds[h]
-		fmt.Fprintf(bw, "%s %.17g %.17g %.17g %.17g\n", h, b.AlphaLo, b.AlphaHi, b.BetaLo, b.BetaHi)
+		dst = append(dst, h...)
+		for _, v := range [4]float64{b.AlphaLo, b.AlphaHi, b.BetaLo, b.BetaHi} {
+			dst = append(dst, ' ')
+			dst = strconv.AppendFloat(dst, v, 'g', 17, 64)
+		}
+		dst = append(dst, '\n')
 	}
-	return bw.Flush()
+	return dst
+}
+
+// availableBuffer returns w's unused buffer capacity, empty, when w offers
+// it (bufio.Writer, bytes.Buffer), and nil otherwise. (internal/analysis
+// and internal/timeline keep the same helper.)
+func availableBuffer(w io.Writer) []byte {
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		return ab.AvailableBuffer()
+	}
+	return nil
 }
 
 // DecodeAlphaBeta parses the alphabeta file format, returning the reference

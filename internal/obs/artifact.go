@@ -1,17 +1,27 @@
 package obs
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 )
 
-// ArtifactWriter rewrites artifact files in place. Write opens the file
-// without O_TRUNC, writes the new bytes from offset 0, cuts the file to
-// their length and checks Close. Truncating a non-empty file to zero and
-// then closing it makes ext4 (auto_da_alloc) and XFS flush the file at
-// close; overwriting skips that flush and leaves the same bytes.
+// ArtifactWriter rewrites artifact files in place. Write first encodes the
+// whole file into the writer's reused buffer; only when encode succeeds
+// does it open the file (without O_TRUNC), write the new bytes from offset
+// 0 in one write, cut the file to their length and check Close. An encode
+// error leaves the old file untouched and creates no file where there was
+// none. Truncating a non-empty file to zero and then closing it makes ext4
+// (auto_da_alloc) and XFS flush the file at close; overwriting skips that
+// flush and leaves the same bytes.
+//
+// encode receives a writer with an AvailableBuffer method, so the text
+// encoders (analysis.Encode, timeline.Encode, clocksync.EncodeAlphaBeta,
+// clocksync.EncodeTimestamps), whose appenders (AppendText,
+// AppendAlphaBeta, AppendTimestamps) do the encoding, append straight into
+// the buffer's spare room: a warm ArtifactWriter allocates no encode
+// buffer.
 //
 // Artifact files are derived output, not crash-consistent: a crash
 // mid-rewrite can leave old and new bytes mixed. The checkpoint journal is
@@ -20,43 +30,23 @@ import (
 // The zero value is ready. One ArtifactWriter reuses its buffer across
 // files and is not safe for concurrent use: give each goroutine its own.
 type ArtifactWriter struct {
-	bw bufio.Writer
-	cw countingWriter
-}
-
-// countingWriter counts the bytes it passes on, so Write knows the new
-// length without asking the file.
-type countingWriter struct {
-	f *os.File
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.f.Write(p)
-	c.n += int64(n)
-	return n, err
+	buf bytes.Buffer
 }
 
 // Write replaces path's contents with what encode writes, creating the
-// file with perm if it does not exist. encode receives a *bufio.Writer of
-// the default size, so an encoder's own bufio.NewWriter returns it as it
-// is and a small file costs one write.
+// file with perm if it does not exist.
 func (a *ArtifactWriter) Write(path string, perm os.FileMode, encode func(io.Writer) error) error {
+	a.buf.Reset()
+	if err := encode(&a.buf); err != nil {
+		return fmt.Errorf("encode %s: %w", path, err)
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, perm)
 	if err != nil {
 		return err
 	}
-	a.cw = countingWriter{f: f}
-	a.bw.Reset(&a.cw)
-	if err = encode(&a.bw); err != nil {
-		err = fmt.Errorf("encode %s: %w", path, err)
-	} else {
-		err = a.bw.Flush()
+	if _, err = f.Write(a.buf.Bytes()); err == nil {
+		err = f.Truncate(int64(a.buf.Len()))
 	}
-	if err == nil {
-		err = f.Truncate(a.cw.n)
-	}
-	a.cw.f = nil
 	if err != nil {
 		f.Close()
 		return err

@@ -70,3 +70,34 @@ func TestArtifactWriterReturnsErrors(t *testing.T) {
 		t.Fatalf("write after a failed one = %q", got)
 	}
 }
+
+// TestArtifactEncodeErrorKeepsOldFile: an encoder that writes part of a
+// file and then fails leaves the old file as it was, not its new head
+// over its old tail, and creates no file where there was none.
+func TestArtifactEncodeErrorKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.txt")
+	old := strings.Repeat("o", 10_000)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	failHalfway := func(w io.Writer) error {
+		io.WriteString(w, strings.Repeat("n", 5_000))
+		return boom
+	}
+	var w ArtifactWriter
+	if err := w.Write(path, 0o644, failHalfway); !errors.Is(err, boom) {
+		t.Fatalf("encoder error = %v, want boom", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != old {
+		t.Fatalf("after a failed encode the file holds %d bytes, %.10q…; want the old %d", len(got), got, len(old))
+	}
+	fresh := filepath.Join(dir, "fresh.txt")
+	if err := WriteArtifact(fresh, 0o644, failHalfway); !errors.Is(err, boom) {
+		t.Fatalf("encoder error = %v, want boom", err)
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Fatalf("a failed encode left a file behind: %v", err)
+	}
+}

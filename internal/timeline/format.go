@@ -1,8 +1,6 @@
 package timeline
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -22,71 +20,106 @@ import (
 //	1 <FaultIndex> <Time.Hi> <Time.Lo>
 //	2 <HostIndex> <Time.Hi> <Time.Lo>
 //	3 <quoted text> <Time.Hi> <Time.Lo>
+//
+// AppendText is the encoder; Encode appends into w's AvailableBuffer when w
+// has one (a warm obs.ArtifactWriter does), so the text is built in memory
+// w already owns, and writes it with one Write.
 func Encode(w io.Writer, l *Local) error {
-	if err := l.Validate(); err != nil {
+	b, err := l.AppendText(availableBuffer(w))
+	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s\n", l.Owner)
-	bw.WriteString("state_machine_list\n")
-	for i, m := range l.Machines {
-		fmt.Fprintf(bw, "%d %s\n", i, m)
+	_, err = w.Write(b)
+	return err
+}
+
+// EncodeString is Encode into a string.
+func EncodeString(l *Local) (string, error) {
+	b, err := l.AppendText(nil)
+	return string(b), err
+}
+
+// AppendText validates l, then appends its §3.5.6 text to dst and returns
+// the extended slice. On a validation error it returns dst unchanged.
+func (l *Local) AppendText(dst []byte) ([]byte, error) {
+	if err := l.Validate(); err != nil {
+		return dst, err
 	}
-	bw.WriteString("end_state_machine_list\n")
-	bw.WriteString("global_state_list\n")
-	for i, s := range l.GlobalStates {
-		fmt.Fprintf(bw, "%d %s\n", i, s)
-	}
-	bw.WriteString("end_global_state_list\n")
-	bw.WriteString("event_list\n")
-	for i, e := range l.Events {
-		fmt.Fprintf(bw, "%d %s\n", i, e)
-	}
-	bw.WriteString("end_event_list\n")
-	bw.WriteString("fault_list\n")
+	dst = append(dst, l.Owner...)
+	dst = append(dst, '\n')
+	dst = appendList(dst, "state_machine_list", l.Machines)
+	dst = appendList(dst, "global_state_list", l.GlobalStates)
+	dst = appendList(dst, "event_list", l.Events)
+	dst = append(dst, "fault_list\n"...)
 	for i, f := range l.Faults {
 		// The action call is part of the spec line grammar ParseSpecLine
 		// accepts, so it must survive the encode/decode round trip —
 		// cluster result streaming and checkpoint journals both ship
 		// timelines through this format.
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(dst, ' ')
+		dst = append(dst, f.Name...)
+		dst = append(dst, ' ')
+		dst = append(dst, f.Expr.String()...)
+		dst = append(dst, ' ')
+		dst = append(dst, f.Mode.String()...)
 		if f.Action != nil {
-			fmt.Fprintf(bw, "%d %s %s %s %s\n", i, f.Name, f.Expr, f.Mode, f.Action)
-		} else {
-			fmt.Fprintf(bw, "%d %s %s %s\n", i, f.Name, f.Expr, f.Mode)
+			dst = append(dst, ' ')
+			dst = append(dst, f.Action.String()...)
 		}
+		dst = append(dst, '\n')
 	}
-	bw.WriteString("end_fault_list\n")
-	bw.WriteString("host_list\n")
-	for i, h := range l.Hosts {
-		fmt.Fprintf(bw, "%d %s\n", i, h)
-	}
-	bw.WriteString("end_host_list\n")
-	bw.WriteString("local_timeline\n")
+	dst = append(dst, "end_fault_list\n"...)
+	dst = appendList(dst, "host_list", l.Hosts)
+	dst = append(dst, "local_timeline\n"...)
 	for _, e := range l.Entries {
-		hi, lo := e.Time.Hi(), e.Time.Lo()
+		dst = strconv.AppendInt(dst, int64(e.Kind), 10)
+		dst = append(dst, ' ')
 		switch e.Kind {
 		case StateChange:
-			fmt.Fprintf(bw, "%d %d %d %d %d\n", int(StateChange),
-				indexOf(l.Events, e.Event), indexOf(l.GlobalStates, e.NewState), hi, lo)
+			dst = strconv.AppendInt(dst, int64(indexOf(l.Events, e.Event)), 10)
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, int64(indexOf(l.GlobalStates, e.NewState)), 10)
 		case FaultInjection:
-			fmt.Fprintf(bw, "%d %d %d %d\n", int(FaultInjection), l.faultIndex(e.Fault), hi, lo)
+			dst = strconv.AppendInt(dst, int64(l.faultIndex(e.Fault)), 10)
 		case HostChange:
-			fmt.Fprintf(bw, "%d %d %d %d\n", int(HostChange), indexOf(l.Hosts, e.Host), hi, lo)
+			dst = strconv.AppendInt(dst, int64(indexOf(l.Hosts, e.Host)), 10)
 		case Note:
-			fmt.Fprintf(bw, "%d %s %d %d\n", int(Note), strconv.Quote(e.Text), hi, lo)
+			dst = strconv.AppendQuote(dst, e.Text)
 		}
+		dst = append(dst, ' ')
+		dst = strconv.AppendUint(dst, uint64(e.Time.Hi()), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendUint(dst, uint64(e.Time.Lo()), 10)
+		dst = append(dst, '\n')
 	}
-	bw.WriteString("end_local_timeline\n")
-	return bw.Flush()
+	return append(dst, "end_local_timeline\n"...), nil
 }
 
-// EncodeString is Encode into a string.
-func EncodeString(l *Local) (string, error) {
-	var b strings.Builder
-	if err := Encode(&b, l); err != nil {
-		return "", err
+// appendList appends one name table: its header, "<index> <name>" lines,
+// and its end_ line.
+func appendList(dst []byte, section string, names []string) []byte {
+	dst = append(dst, section...)
+	dst = append(dst, '\n')
+	for i, name := range names {
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(dst, ' ')
+		dst = append(dst, name...)
+		dst = append(dst, '\n')
 	}
-	return b.String(), nil
+	dst = append(dst, "end_"...)
+	dst = append(dst, section...)
+	return append(dst, '\n')
+}
+
+// availableBuffer returns w's unused buffer capacity, empty, when w offers
+// it (bufio.Writer, bytes.Buffer), and nil otherwise. (internal/analysis
+// and internal/clocksync keep the same helper.)
+func availableBuffer(w io.Writer) []byte {
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		return ab.AvailableBuffer()
+	}
+	return nil
 }
 
 // Decode parses a local timeline file produced by Encode.
@@ -211,13 +244,7 @@ func (l *Local) decode(doc string) error {
 // carries local timelines (the checkpoint journal's) holds each as one JSON
 // string and shares one format with the .timeline artifacts and the
 // cluster's result frames.
-func (l *Local) MarshalText() ([]byte, error) {
-	var b bytes.Buffer
-	if err := Encode(&b, l); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
+func (l *Local) MarshalText() ([]byte, error) { return l.AppendText(nil) }
 
 // UnmarshalText reverses MarshalText.
 func (l *Local) UnmarshalText(b []byte) error { return l.decode(string(b)) }

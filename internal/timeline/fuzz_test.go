@@ -89,12 +89,16 @@ func localOf(g *analysis.Global, machine string) *timeline.Local {
 // FuzzDecodeTimeline feeds the local timeline decoder — reachable from any
 // journal line through Local.UnmarshalText — arbitrary text. It must never
 // panic; it must agree with the scanner-based reference decoder it
-// replaced on every document (the same timeline, or the same error); and
-// whatever it accepts must survive its own encoding: Decode∘Encode is the
-// identity on local timelines.
+// replaced on every document (the same timeline, or the same error);
+// AppendText must write what the fmt-based reference encoder it replaced
+// writes for every timeline the decoder accepts; and that encoding must
+// decode back: Decode∘Encode is the identity on local timelines.
+//
+// Mutation-checked: AppendText writing e.Time.Lo() in both time fields
+// fails on the first golden seed.
 func FuzzDecodeTimeline(f *testing.F) {
 	for _, l := range goldenLocals(f) {
-		doc, err := timeline.EncodeString(l)
+		doc, err := timeline.ReferenceEncodeString(l) // not the encoder under test
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -102,6 +106,7 @@ func FuzzDecodeTimeline(f *testing.F) {
 		f.Add(strings.ReplaceAll(doc, "\n", "\r\n"))
 		f.Add(strings.Replace(doc, " ", "\u00a0", 3))
 	}
+	f.Add("m\nfault_list\n0 f (m:s) always crash(h1) 5s\n1 g (~(m:s) & (m:t)) once\nend_fault_list\nlocal_timeline\n1 1 0 9\n1 0 4294967295 4294967295\nend_local_timeline\n")
 	f.Add("# c\nm\nhost_list\n0\th\v\nend_host_list\nlocal_timeline\n2 0 0 1\n3 \"a b\u00e9\"\f0 7\nend_local_timeline")
 	f.Fuzz(func(t *testing.T, doc string) {
 		l, err := timeline.DecodeString(doc)
@@ -115,9 +120,17 @@ func FuzzDecodeTimeline(f *testing.F) {
 		if !reflect.DeepEqual(l, ref) {
 			t.Fatalf("decoded %+v, the reference decoder %+v", l, ref)
 		}
-		enc, err := timeline.EncodeString(l)
+		want, err := timeline.ReferenceEncodeString(l)
 		if err != nil {
 			t.Fatalf("a decoded timeline does not encode: %v", err)
+		}
+		appended, err := l.AppendText([]byte("prefix"))
+		if enc := string(appended); err != nil || enc != "prefix"+want {
+			t.Fatalf("AppendText wrote\n%q, %v\nthe reference encoder\n%q", enc[min(len(enc), len("prefix")):], err, want)
+		}
+		enc, err := timeline.EncodeString(l)
+		if err != nil || enc != want {
+			t.Fatalf("EncodeString = %q, %v; want the reference encoder's %q", enc, err, want)
 		}
 		back, err := timeline.DecodeString(enc)
 		if err != nil {

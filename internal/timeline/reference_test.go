@@ -12,13 +12,83 @@ import (
 )
 
 // This file keeps the scanner-based local timeline decoder that Decode
-// replaced, verbatim but for its names, as the reference FuzzDecodeTimeline
-// compares the in-place decoder against: the two must accept and reject
-// the same documents and decode the same timelines.
+// replaced and the fmt-based encoder that AppendText replaced, verbatim but
+// for their names, as the references FuzzDecodeTimeline compares the
+// in-place decoder and the appending encoder against: the decoders must
+// accept and reject the same documents and decode the same timelines, and
+// the encoders must write the same bytes.
 
 // ReferenceDecodeString is referenceDecode from a string, for the
 // external fuzz test.
 func ReferenceDecodeString(s string) (*Local, error) { return referenceDecode(strings.NewReader(s)) }
+
+// ReferenceEncodeString is referenceEncode into a string, for the external
+// fuzz test.
+func ReferenceEncodeString(l *Local) (string, error) {
+	var b strings.Builder
+	if err := referenceEncode(&b, l); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
+func referenceEncode(w io.Writer, l *Local) error {
+	if err := l.Validate(); err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "%s\n", l.Owner)
+	bw.WriteString("state_machine_list\n")
+	for i, m := range l.Machines {
+		fmt.Fprintf(bw, "%d %s\n", i, m)
+	}
+	bw.WriteString("end_state_machine_list\n")
+	bw.WriteString("global_state_list\n")
+	for i, s := range l.GlobalStates {
+		fmt.Fprintf(bw, "%d %s\n", i, s)
+	}
+	bw.WriteString("end_global_state_list\n")
+	bw.WriteString("event_list\n")
+	for i, e := range l.Events {
+		fmt.Fprintf(bw, "%d %s\n", i, e)
+	}
+	bw.WriteString("end_event_list\n")
+	bw.WriteString("fault_list\n")
+	for i, f := range l.Faults {
+		// The action call is part of the spec line grammar ParseSpecLine
+		// accepts, so it must survive the encode/decode round trip —
+		// cluster result streaming and checkpoint journals both ship
+		// timelines through this format.
+		if f.Action != nil {
+			fmt.Fprintf(bw, "%d %s %s %s %s\n", i, f.Name, f.Expr, f.Mode, f.Action)
+		} else {
+			fmt.Fprintf(bw, "%d %s %s %s\n", i, f.Name, f.Expr, f.Mode)
+		}
+	}
+	bw.WriteString("end_fault_list\n")
+	bw.WriteString("host_list\n")
+	for i, h := range l.Hosts {
+		fmt.Fprintf(bw, "%d %s\n", i, h)
+	}
+	bw.WriteString("end_host_list\n")
+	bw.WriteString("local_timeline\n")
+	for _, e := range l.Entries {
+		hi, lo := e.Time.Hi(), e.Time.Lo()
+		switch e.Kind {
+		case StateChange:
+			fmt.Fprintf(bw, "%d %d %d %d %d\n", int(StateChange),
+				indexOf(l.Events, e.Event), indexOf(l.GlobalStates, e.NewState), hi, lo)
+		case FaultInjection:
+			fmt.Fprintf(bw, "%d %d %d %d\n", int(FaultInjection), l.faultIndex(e.Fault), hi, lo)
+		case HostChange:
+			fmt.Fprintf(bw, "%d %d %d %d\n", int(HostChange), indexOf(l.Hosts, e.Host), hi, lo)
+		case Note:
+			fmt.Fprintf(bw, "%d %s %d %d\n", int(Note), strconv.Quote(e.Text), hi, lo)
+		}
+	}
+	bw.WriteString("end_local_timeline\n")
+	return bw.Flush()
+}
 
 func referenceDecode(r io.Reader) (*Local, error) {
 	sc := bufio.NewScanner(r)

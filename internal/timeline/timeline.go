@@ -127,8 +127,14 @@ func (l *Local) Injections() []Entry {
 }
 
 // Validate checks that every entry's names resolve against the header
-// tables, which is what the on-disk index encoding requires.
+// tables, which is what the on-disk index encoding requires, and that every
+// fault has an expression to write.
 func (l *Local) Validate() error {
+	for i, f := range l.Faults {
+		if f.Expr == nil {
+			return fmt.Errorf("timeline: fault %d (%q) has no expression", i, f.Name)
+		}
+	}
 	for i, e := range l.Entries {
 		switch e.Kind {
 		case StateChange:

@@ -97,6 +97,11 @@ func TestValidate(t *testing.T) {
 	if bad3.Validate() == nil {
 		t.Error("unknown host accepted")
 	}
+	bad4 := sampleTimeline() // no expression: the §3.5.6 fault line has nothing to write
+	bad4.Faults[0].Expr = nil
+	if text, err := EncodeString(bad4); err == nil {
+		t.Errorf("fault without an expression encoded:\n%s", text)
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {

@@ -35,7 +35,7 @@ func (m *Member) reset(point string, index int, traced bool) error {
 // refuses. Passing it proves every member is up, listening, and running
 // this study.
 func (m *Member) barrier(msg clusterMsg) error {
-	acks, err := m.gather(opReset, msg, opResetOK, m.tr.Topology().PeerNames(), clusterAckTimeout, nil)
+	acks, err := m.gather(opReset, msg, opResetOK, m.tr.Topology().PeerNames(), clusterAckTimeout, nil, m.quit)
 	if err != nil {
 		return fmt.Errorf("reset barrier: %w", err)
 	}
@@ -62,7 +62,7 @@ func (m *Member) execute(index int) (executed, error) {
 	go func() { ownDone <- m.rt.Wait(timeout) }()
 
 	run := executed{completed: true}
-	dones, err := m.gather(opStart, clusterMsg{Index: index}, opDone, peers, timeout+clusterAckTimeout, ownDone)
+	dones, err := m.gather(opStart, clusterMsg{Index: index}, opDone, peers, timeout+clusterAckTimeout, ownDone, m.quit)
 	if err != nil {
 		run.completed = false // hung somewhere: abort, discard (§3.5.1)
 	}
@@ -72,7 +72,7 @@ func (m *Member) execute(index int) (executed, error) {
 		}
 	}
 	m.rt.SealExperiment()
-	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, peers, clusterAckTimeout, nil)
+	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, peers, clusterAckTimeout, nil, m.quit)
 	if err != nil {
 		return executed{}, err
 	}
@@ -110,12 +110,12 @@ func (m *Member) execute(index int) (executed, error) {
 // flushMembers runs one reset barrier at the given index without running
 // an experiment: every member acknowledges (resetting idempotently if it
 // was behind), proving it is up and listening. A study that executed
-// nothing needs it — otherwise stopCluster's five best-effort broadcasts
-// could all fire before a slow-starting member process binds its socket,
-// stranding it in Serve forever. (A normal run gets this guarantee from
-// the first experiment's reset barrier.) Failure is logged, not fatal:
-// members that are genuinely gone must not wedge a resume that needs
-// nothing from them.
+// nothing needs it — otherwise stopCluster's stop, re-broadcast for only
+// five retry ticks, could pass its bound before a slow-starting member
+// process binds its socket, stranding it in Serve forever. (A normal run
+// gets this guarantee from the first experiment's reset barrier.) Failure
+// is logged, not fatal: members that are genuinely gone must not wedge a
+// resume that needs nothing from them.
 func (m *Member) flushMembers(index int) {
 	if len(m.tr.Topology().PeerNames()) == 0 {
 		return
@@ -152,10 +152,10 @@ func (m *Member) ensureJournal() (*journal, error) {
 // Around the pipeline, which gets this member as its testbed, RunStudy
 // ends the study cluster-wide: after a successful run a flush barrier if no
 // experiment executed (all were journaled) and the metrics pull that folds
-// every member's registry into ours, and on every path the stop broadcast.
-// When ctx is cancelled the member protocol is quit (waits unblock
-// immediately, like a SIGINT drain), no further experiments start, and
-// ctx.Err() is returned, exactly as the in-process pool does.
+// every member's registry into ours, and on every path the acknowledged
+// stop. When ctx is cancelled the member protocol is quit (waits but the
+// stop unblock immediately, like a SIGINT drain), no further experiments
+// start, and ctx.Err() is returned, exactly as the in-process pool does.
 func (m *Member) RunStudy(ctx context.Context, one bool) (_ *StudyResult, err error) {
 	c := m.c
 	if one {

@@ -26,11 +26,12 @@ type Member struct {
 	tr transport.Transport
 	rt *core.Runtime
 
-	peer    string   // this endpoint's peer name
-	fp      string   // studyFingerprint of (c, st): what the reset barrier compares
-	hosts   []string // all hosts, sorted (cluster-wide)
-	ref     string   // reference host (sorted-first, coordinator-local)
-	syncSeq int      // monotonic across mini-phases: a stale pong must never match
+	peer    string     // this endpoint's peer name
+	fp      string     // studyFingerprint of (c, st): what the reset barrier compares
+	hosts   []string   // all hosts, sorted (cluster-wide)
+	ref     string     // reference host (sorted-first, coordinator-local)
+	syncSeq int        // monotonic across mini-phases: a stale pong must never match
+	pings   []syncPing // the remote hosts' current sync round, reused
 
 	// align is the coordinator's per-peer process-clock alignment for the
 	// current experiment: the min-RTT round's midpoint offset estimate,
@@ -240,12 +241,12 @@ func (m *Member) broadcastCtrl(op string, msg clusterMsg) {
 	}
 }
 
-// Serve follows the coordinator's protocol until a stop frame, Quit, or
-// ctx cancellation. Non-coordinator members run this on their main
-// goroutine. A member whose coordinator fails checkPeer serves nothing: it
-// keeps answering resets with its own hello, so the coordinator can fail
-// its barrier with the same diagnosis however many datagrams are lost,
-// and returns the mismatch once stopped.
+// Serve follows the coordinator's protocol until a stop frame (answered
+// with stopok), Quit, or ctx cancellation. Non-coordinator members run
+// this on their main goroutine. A member whose coordinator fails
+// checkPeer serves nothing: it keeps answering resets with its own hello,
+// so the coordinator can fail its barrier with the same diagnosis however
+// many datagrams are lost, and returns the mismatch once stopped.
 func (m *Member) Serve(ctx context.Context) error {
 	stopWatch := m.quitOnCancel(ctx)
 	defer stopWatch()
@@ -397,6 +398,7 @@ func (m *Member) Serve(ctx context.Context) error {
 				m.sendCtrl(cm.Peer, opMetricsRes, f)
 			}
 		case opStop:
+			m.sendCtrl(cm.Peer, opStopOK, clusterMsg{Index: cm.Index})
 			return refused
 		}
 	}

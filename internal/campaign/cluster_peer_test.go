@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,6 +135,99 @@ func TestClusterVersionMismatchFailsFast(t *testing.T) {
 		ta.SendPeer("b", old(opStop, "b", clusterMsg{Peer: "a"}))
 		if err := awaitServe(t, served); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("member served an old coordinator: %v", err)
+		}
+	})
+}
+
+// countStops wraps m's transport hook to count the stop frames that reach
+// m, whether or not its Serve loop is still there to read them.
+func countStops(m *Member) *atomic.Int32 {
+	n := new(atomic.Int32)
+	hook := m.hook
+	m.rt.SetTransportHook(func(msg transport.Message) {
+		if msg.Kind == transport.KindCtrl && msg.State == opStop {
+			n.Add(1)
+		}
+		hook(msg)
+	})
+	return n
+}
+
+// TestStopAcknowledged counts stop frames, never wall time: a live member
+// acknowledges the first stop, so each gets exactly one; an unanswered
+// stop is re-broadcast, at most once per retry tick up to the bound
+// (five frames), and a quit coordinator still re-broadcasts it.
+func TestStopAcknowledged(t *testing.T) {
+	const bound = int32(clusterStopTimeout / clusterRetry)
+
+	t.Run("live members", func(t *testing.T) {
+		eps, err := transport.NewLoopbackCluster(transport.KindNameInproc, map[string]string{"h1": "a", "h2": "b", "h3": "c"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			for _, ep := range eps {
+				ep.Close()
+			}
+		})
+		c := stepCampaign(t, 1, 1)
+		coordinator := pairMember(t, c, eps["a"])
+		stops := map[string]*atomic.Int32{}
+		var served []<-chan error
+		for _, peer := range []string{"b", "c"} {
+			m := pairMember(t, c, eps[peer])
+			stops[peer] = countStops(m)
+			served = append(served, serve(m))
+		}
+		sr, err := coordinator.RunStudy(context.Background(), false)
+		if err != nil || len(sr.Records) != 1 {
+			t.Fatalf("RunStudy: %+v, %v", sr, err)
+		}
+		for _, done := range served {
+			if err := awaitServe(t, done); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for peer, n := range stops {
+			if got := n.Load(); got != 1 {
+				t.Errorf("member %s got %d stop frames, want exactly 1", peer, got)
+			}
+		}
+	})
+
+	t.Run("member already quit", func(t *testing.T) {
+		ta, tb := pairEndpoints(t)
+		c := stepCampaign(t, 1, 1)
+		coordinator := pairMember(t, c, ta)
+		member := pairMember(t, c, tb)
+		stops := countStops(member)
+		done := serve(member)
+		member.Quit()
+		if err := awaitServe(t, done); err != nil {
+			t.Fatal(err)
+		}
+		coordinator.stopCluster() // returns: a missing ack is not an error
+		if got := stops.Load(); got < 1 || got > bound {
+			t.Fatalf("an unanswered stop went out %d times, want 1 to %d", got, bound)
+		}
+	})
+
+	t.Run("coordinator quit", func(t *testing.T) {
+		ta, tb := pairEndpoints(t)
+		coordinator := pairMember(t, stepCampaign(t, 1, 1), ta)
+		var stops atomic.Int32 // a peer that counts stops and never answers
+		err := tb.Start(func(msg transport.Message) {
+			if msg.Kind == transport.KindCtrl && msg.State == opStop {
+				stops.Add(1)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coordinator.Quit()
+		coordinator.stopCluster()
+		if got := stops.Load(); got < 2 || got > bound {
+			t.Fatalf("a quit coordinator sent stop %d times, want it re-broadcast (2 to %d)", got, bound)
 		}
 	})
 }

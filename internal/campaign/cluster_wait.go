@@ -5,18 +5,25 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
-// Every wait the cluster protocol performs on a real socket lives here:
-// peers are separate processes (or runtimes standing in for them) that no
-// virtual clock can see, so these deadlines and retry ticks read the wall
-// clock — this is the one file of the package lokilint's wallclock
-// analyzer exempts (Open rejects virtual time over a cluster).
+// Every wait the cluster protocol performs on a real socket lives here —
+// the instruction rebroadcasts, the sync rounds' pong collection, the done
+// reports and the acknowledged stop: peers are separate processes (or
+// runtimes standing in for them) that no virtual clock can see, so these
+// deadlines and retry ticks read the wall clock — this is the one file of
+// the package lokilint's wallclock analyzer exempts (Open rejects virtual
+// time over a cluster).
 const (
 	clusterRetry       = 25 * time.Millisecond
 	clusterAckTimeout  = 10 * time.Second
 	clusterPongTimeout = 500 * time.Millisecond
+	// clusterStopTimeout bounds the acknowledged stop: five broadcasts
+	// clusterRetry apart.
+	clusterStopTimeout = 5 * clusterRetry
 )
 
 // errMemberQuit reports a wait cut short by Member.Quit — a cancelled
@@ -26,11 +33,14 @@ var errMemberQuit = errors.New("member quit")
 // gather broadcasts the instruction and re-broadcasts it every
 // clusterRetry until each peer's full respOp frame set for the
 // instruction's index has arrived — one frame for acknowledgements
-// (resetok, done), a Seq/Total-numbered set for chunked results — and
-// own, when non-nil, has delivered this member's local completion (filed
-// under the member's own name). It returns the sets in Seq order, or an
-// error once limit has passed or the member quit.
-func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string, limit time.Duration, own <-chan bool) (map[string][]clusterMsg, error) {
+// (resetok, done, stopok), a Seq/Total-numbered set for chunked results —
+// and own, when non-nil, has delivered this member's local completion
+// (filed under the member's own name). While own is pending nothing is
+// re-broadcast: no peer's done can complete the wait before our own nodes
+// finish, so a lost start is still re-sent on the first tick after that,
+// and a loss-free run sends it once. It returns the sets in Seq order, or
+// an error once limit has passed or quit closed (a nil quit never does).
+func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string, limit time.Duration, own <-chan bool, quit <-chan struct{}) (map[string][]clusterMsg, error) {
 	got := make(map[string]map[int]clusterMsg, len(peers)+1)
 	for _, p := range peers {
 		got[p] = make(map[int]clusterMsg)
@@ -58,7 +68,7 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 	defer ticker.Stop()
 	for pending() {
 		select {
-		case <-m.quit:
+		case <-quit:
 			return nil, fmt.Errorf("awaiting %s: %w", respOp, errMemberQuit)
 		case ok := <-own:
 			own = nil
@@ -75,6 +85,9 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 			if time.Now().After(deadline) {
 				return nil, fmt.Errorf("timed out awaiting %s (frames so far %v, own pending: %v)", respOp, frameCounts(got), own != nil)
 			}
+			if own != nil {
+				continue
+			}
 			if tm != nil {
 				tm.Retries.Inc()
 			}
@@ -84,26 +97,52 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 	return framesBySeq(got), nil
 }
 
-// awaitPong waits for the numbered pong from the named host.
-func (m *Member) awaitPong(host string, seq int) (syncWire, bool) {
-	deadline := time.After(clusterPongTimeout)
-	for {
+// collectPongs waits for one sync round's pongs, one per ping of round,
+// each matched by its remote host (ToHost) and sequence number, until
+// every ping is answered, clusterPongTimeout has passed, or the member
+// quit. The reference and process clocks are read as a pong is dequeued,
+// so its transit stays positive. A stale pong (an earlier round's, past
+// its timeout) or a duplicate is never paired; an unanswered ping keeps ok
+// false.
+func (m *Member) collectPongs(round []syncPing, refClock *vclock.Clock, tm *obs.TransportMetrics) {
+	timeout := time.NewTimer(clusterPongTimeout)
+	defer timeout.Stop()
+	for waiting := len(round); waiting > 0; {
 		select {
 		case <-m.quit:
-			return syncWire{}, false
+			return
 		case msg := <-m.inbox:
-			if msg.Kind != transport.KindSyncPong || msg.ToHost != host {
+			if msg.Kind != transport.KindSyncPong {
+				continue
+			}
+			refRecv, procRecv := refClock.Now(), m.rt.Clock().Now()
+			p := awaitingPing(round, msg.ToHost)
+			if p == nil {
 				continue
 			}
 			w, err := transport.DecodePayload[syncWire](msg.Payload)
-			if err != nil || w.Seq != seq {
+			if err != nil || w.Seq != p.seq {
 				continue
 			}
-			return w, true
-		case <-deadline:
-			return syncWire{}, false
+			p.ok, p.pong, p.refRecv, p.procRecv = true, w, refRecv, procRecv
+			if tm != nil {
+				tm.RTTSeconds.ObserveSince(p.sentAt)
+			}
+			waiting--
+		case <-timeout.C:
+			return
 		}
 	}
+}
+
+// awaitingPing returns the unanswered ping of round to host, or nil.
+func awaitingPing(round []syncPing, host string) *syncPing {
+	for i := range round {
+		if round[i].host == host && !round[i].ok {
+			return &round[i]
+		}
+	}
+	return nil
 }
 
 // reportDone waits for the member's local nodes to finish, then sends
@@ -120,14 +159,14 @@ func (m *Member) reportDone(coordinator string, index int, quit chan struct{}) {
 	}
 }
 
-// stopCluster broadcasts the stop instruction several times: stop is the
-// one instruction with no observable effect to retry against, so repeat
-// sends stand in for the re-broadcast-until-acknowledged rule the rest
-// of the protocol follows. (The in-process runner also has the direct
-// Quit escape hatch; a real lokid member additionally quits on SIGINT.)
+// stopCluster ends the study cluster-wide: stop is re-broadcast until
+// every peer has answered stopok or clusterStopTimeout has passed. A
+// missing acknowledgement is not an error — a member that already quit
+// has nothing left to stop, and a lost stopok costs only the bound. Unlike
+// every other wait, Quit does not cut this one short: a cancelled study
+// must still stop its lokid members. (The in-process runner also has the
+// direct Quit escape hatch; a real lokid member additionally quits on
+// SIGINT.)
 func (m *Member) stopCluster() {
-	for i := 0; i < 5; i++ {
-		m.broadcastCtrl(opStop, clusterMsg{})
-		time.Sleep(clusterRetry)
-	}
+	_, _ = m.gather(opStop, clusterMsg{}, opStopOK, m.tr.Topology().PeerNames(), clusterStopTimeout, nil, nil)
 }

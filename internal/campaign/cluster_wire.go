@@ -19,7 +19,7 @@ import (
 //	              reset and ack both carry the sender's protocol version
 //	              and study fingerprint, and either side refuses a peer
 //	              whose values differ (checkPeer)
-//	(pre-sync: clock ping-pong frames against every remote host)
+//	(pre-sync: clock ping-pong rounds, each to every remote host at once)
 //	start(i)  ->  members start their local auto-start nodes
 //	done(i)   <-  a member's local nodes all exited/crashed
 //	seal(i)   ->  members seal, kill stragglers, stream results back
@@ -27,6 +27,8 @@ import (
 //	              wire format), each chunked across frames' Doc field,
 //	              plus outcomes
 //	(post-sync), then the coordinator runs the ordinary analysis phase.
+//	stop      ->  at the end of the study: members acknowledge (stopok)
+//	              and leave Serve
 //
 // Every coordinator->member instruction is re-broadcast until its effect
 // is observed and every member->coordinator report is re-sent until the
@@ -67,8 +69,9 @@ type clusterMsg struct {
 // drops fields the receiver does not know and zeroes the ones the sender
 // did not send, so endpoints built from different layouts would exchange
 // plausible, partly empty frames; the reset barrier compares versions
-// instead. A peer predating the field reads as version 0.
-const protocolVersion = 1
+// instead. A peer predating the field reads as version 0; version 2 added
+// stopok.
+const protocolVersion = 2
 
 // syncWire is the payload of the clock-sync ping-pong frames.
 type syncWire struct {
@@ -92,6 +95,7 @@ const (
 	opSeal       = "seal"
 	opResult     = "result"
 	opStop       = "stop"
+	opStopOK     = "stopok"
 	opTrace      = "trace"      // coordinator pulls a member's experiment trace
 	opTraceRes   = "traceres"   // one member trace chunk
 	opMetrics    = "metrics"    // coordinator pulls a member's registry snapshot

@@ -15,7 +15,9 @@ type SyncConfig struct {
 	// Messages is the number of round trips per (reference, host) pair
 	// (the getstamps <NumberOfSyncMsgs>; default 15).
 	Messages int
-	// Spacing is the wall-clock gap between round trips (default 200 µs).
+	// Spacing is the gap between successive round trips to one host
+	// (default 200 µs). A cluster's coordinator pings every remote host
+	// in the same round, so rounds, not hosts, are Spacing apart.
 	Spacing time.Duration
 	// Transit is the simulated one-way wire time: the sender's timestamp
 	// is taken, the wire is waited out, then the receiver's (default

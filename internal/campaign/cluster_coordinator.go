@@ -35,7 +35,7 @@ func (m *Member) reset(point string, index int, traced bool) error {
 // refuses. Passing it proves every member is up, listening, and running
 // this study.
 func (m *Member) barrier(msg clusterMsg) error {
-	acks, err := m.gather(opReset, msg, opResetOK, m.tr.Topology().PeerNames(), clusterAckTimeout, nil, m.quit)
+	acks, err := m.gather(opReset, msg, opResetOK, "", m.tr.Topology().PeerNames(), clusterAckTimeout, nil, m.quit)
 	if err != nil {
 		return fmt.Errorf("reset barrier: %w", err)
 	}
@@ -48,8 +48,9 @@ func (m *Member) barrier(msg clusterMsg) error {
 	return nil
 }
 
-// execute starts the experiment everywhere (idempotent; re-broadcast rides
-// out loss), waits for every member's local completion and our own, then
+// execute starts the experiment everywhere (idempotent; start is re-sent
+// to each member until it acknowledges, so a lost one is recovered while
+// our own nodes run), waits for every member's local completion and our own, then
 // seals everywhere and collects the result frames. Our own runtime seals
 // first so no straggler restarts into a finished experiment.
 func (m *Member) execute(index int) (executed, error) {
@@ -62,7 +63,7 @@ func (m *Member) execute(index int) (executed, error) {
 	go func() { ownDone <- m.rt.Wait(timeout) }()
 
 	run := executed{completed: true}
-	dones, err := m.gather(opStart, clusterMsg{Index: index}, opDone, peers, timeout+clusterAckTimeout, ownDone, m.quit)
+	dones, err := m.gather(opStart, clusterMsg{Index: index}, opDone, opStartOK, peers, timeout+clusterAckTimeout, ownDone, m.quit)
 	if err != nil {
 		run.completed = false // hung somewhere: abort, discard (§3.5.1)
 	}
@@ -72,7 +73,7 @@ func (m *Member) execute(index int) (executed, error) {
 		}
 	}
 	m.rt.SealExperiment()
-	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, peers, clusterAckTimeout, nil, m.quit)
+	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, "", peers, clusterAckTimeout, nil, m.quit)
 	if err != nil {
 		return executed{}, err
 	}

@@ -26,12 +26,11 @@ type Member struct {
 	tr transport.Transport
 	rt *core.Runtime
 
-	peer    string     // this endpoint's peer name
-	fp      string     // studyFingerprint of (c, st): what the reset barrier compares
-	hosts   []string   // all hosts, sorted (cluster-wide)
-	ref     string     // reference host (sorted-first, coordinator-local)
-	syncSeq int        // monotonic across mini-phases: a stale pong must never match
-	pings   []syncPing // the remote hosts' current sync round, reused
+	peer    string   // this endpoint's peer name
+	fp      string   // studyFingerprint of (c, st): what the reset barrier compares
+	hosts   []string // all hosts, sorted (cluster-wide)
+	ref     string   // reference host (sorted-first, coordinator-local)
+	syncSeq int      // monotonic across mini-phases: a stale pong must never match
 
 	// align is the coordinator's per-peer process-clock alignment for the
 	// current experiment: the min-RTT round's midpoint offset estimate,
@@ -326,7 +325,13 @@ func (m *Member) Serve(ctx context.Context) error {
 			}
 			m.sendCtrl(cm.Peer, opResetOK, m.hello(index))
 		case opStart:
-			if cm.Index != index || started {
+			if cm.Index != index {
+				continue
+			}
+			// Acknowledge every copy: the coordinator re-sends start
+			// until a startok (or done) shows it landed.
+			m.sendCtrl(cm.Peer, opStartOK, clusterMsg{Index: index})
+			if started {
 				continue
 			}
 			started = true

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/probe"
 	"repro/internal/transport"
 )
 
@@ -154,9 +156,10 @@ func countStops(m *Member) *atomic.Int32 {
 }
 
 // TestStopAcknowledged counts stop frames, never wall time: a live member
-// acknowledges the first stop, so each gets exactly one; an unanswered
-// stop is re-broadcast, at most once per retry tick up to the bound
-// (five frames), and a quit coordinator still re-broadcasts it.
+// acknowledges the first stop, which cuts its re-sends short of the
+// bound (five frames, one per retry tick; only a Serve loop stalled for
+// the whole bound could reach it); an unanswered stop is re-sent up to the
+// bound, and a quit coordinator still re-sends it.
 func TestStopAcknowledged(t *testing.T) {
 	const bound = int32(clusterStopTimeout / clusterRetry)
 
@@ -189,8 +192,8 @@ func TestStopAcknowledged(t *testing.T) {
 			}
 		}
 		for peer, n := range stops {
-			if got := n.Load(); got != 1 {
-				t.Errorf("member %s got %d stop frames, want exactly 1", peer, got)
+			if got := n.Load(); got < 1 || got >= bound {
+				t.Errorf("member %s got %d stop frames, want its ack to stop the re-sends (1 to %d)", peer, got, bound-1)
 			}
 		}
 	})
@@ -230,6 +233,62 @@ func TestStopAcknowledged(t *testing.T) {
 			t.Fatalf("a quit coordinator sent stop %d times, want it re-broadcast (2 to %d)", got, bound)
 		}
 	})
+}
+
+// TestLostStartResent drops the member's first start frame. The
+// coordinator's own node on h1 cannot exit until the member's node on h2
+// has started (or it is killed at seal), so the experiment completes only
+// if start is re-sent while the coordinator's own nodes still run — a
+// start recovered only after its own Wait timed out leaves the record
+// incomplete.
+func TestLostStartResent(t *testing.T) {
+	ta, tb := pairEndpoints(t)
+	c := stepCampaign(t, 1, 1)
+	c.Studies[0].Timeout = 2 * time.Second
+	memberStarted := make(chan struct{})
+	var startOnce sync.Once
+	nodes := c.Studies[0].Nodes
+	nodes[0].App = probe.NewInstrumented(func(h *core.Handle) {
+		h.NotifyEvent("S1")
+		select {
+		case <-memberStarted:
+		case <-h.Done():
+			return
+		}
+		h.NotifyEvent("GO")
+		h.NotifyEvent("GO2")
+	}).On("alphafault", probe.NoteFault())
+	nodes[1].App = probe.NewInstrumented(func(h *core.Handle) {
+		startOnce.Do(func() { close(memberStarted) })
+		h.NotifyEvent("S1")
+		h.NotifyEvent("GO")
+		h.NotifyEvent("GO2")
+	}).On("betafault", probe.NoteFault())
+
+	coordinator := pairMember(t, c, ta)
+	member := pairMember(t, c, tb)
+	var starts atomic.Int32
+	hook := member.hook
+	member.rt.SetTransportHook(func(msg transport.Message) {
+		if msg.Kind == transport.KindCtrl && msg.State == opStart && starts.Add(1) == 1 {
+			return // the first start is lost
+		}
+		hook(msg)
+	})
+	served := serve(member)
+	sr, err := coordinator.RunStudy(context.Background(), false)
+	if err != nil || len(sr.Records) != 1 {
+		t.Fatalf("RunStudy: %+v, %v", sr, err)
+	}
+	if err := awaitServe(t, served); err != nil {
+		t.Fatal(err)
+	}
+	if got := starts.Load(); got < 2 {
+		t.Fatalf("the member saw %d start frames, want the lost one re-sent", got)
+	}
+	if rec := sr.Records[0]; !rec.Completed {
+		t.Fatalf("experiment incomplete: the member started only after the coordinator's own nodes gave up: %+v", rec)
+	}
 }
 
 // payloadRoundTrip is the property FuzzDecodePayload checks for one
@@ -279,7 +338,7 @@ func FuzzDecodePayload(f *testing.F) {
 	if err := awaitServe(f, served); err != nil {
 		f.Fatal(err)
 	}
-	for _, key := range []string{"syncping ", "syncpong ", "ctrl " + opReset, "ctrl " + opResetOK, "ctrl " + opDone, "ctrl " + opResult} {
+	for _, key := range []string{"syncping ", "syncpong ", "ctrl " + opReset, "ctrl " + opResetOK, "ctrl " + opStartOK, "ctrl " + opDone, "ctrl " + opResult, "ctrl " + opStopOK} {
 		if seen[key] == nil {
 			f.Fatalf("the run sent no %q frame (have %v)", key, sortedKeys(seen))
 		}

@@ -64,20 +64,20 @@ func (m *Member) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessag
 	// reference stamps (which would fabricate a negative transit and
 	// wrongly discard the experiment).
 	topo := m.tr.Topology()
-	m.pings = m.pings[:0]
+	pings := make([]syncPing, 0, len(m.hosts))
 	for _, host := range m.hosts {
 		if peer := topo.Owner(host); peer != m.peer {
-			m.pings = append(m.pings, syncPing{host: host, peer: peer, mm: m.c.Obs.MemberMetrics(peer)})
+			pings = append(pings, syncPing{host: host, peer: peer, mm: m.c.Obs.MemberMetrics(peer)})
 		}
 	}
 	tm := m.c.Obs.TransportMetrics(m.tr.Name())
 	proc := m.rt.Clock()
-	for i := 0; i < cfg.Messages && len(m.pings) > 0; i++ {
+	for i := 0; i < cfg.Messages && len(pings) > 0; i++ {
 		if i > 0 {
 			clock.SpinWait(proc, cfg.Spacing)
 		}
-		for j := range m.pings {
-			p := &m.pings[j]
+		for j := range pings {
+			p := &pings[j]
 			m.syncSeq++
 			p.seq, p.ok = m.syncSeq, false
 			if tm != nil {
@@ -93,9 +93,9 @@ func (m *Member) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessag
 				return dst, fmt.Errorf("campaign: sync ping to %q: %w", p.host, err)
 			}
 		}
-		m.collectPongs(m.pings, refClock, tm)
-		for j := range m.pings {
-			p := &m.pings[j]
+		m.collectPongs(pings, refClock, tm)
+		for j := range pings {
+			p := &pings[j]
 			if !p.ok {
 				if p.mm != nil {
 					p.mm.SyncRoundsLost.Inc()
@@ -123,7 +123,7 @@ func (m *Member) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessag
 	// (likely unbounded, analysis-discarded) geometry as in-process,
 	// not a study abort.
 	need := min(cfg.Messages, 3)
-	for _, p := range m.pings {
+	for _, p := range pings {
 		if p.okRounds < need {
 			return dst, fmt.Errorf("campaign: sync with host %q: only %d of %d round trips survived", p.host, p.okRounds, cfg.Messages)
 		}

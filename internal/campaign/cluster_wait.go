@@ -30,33 +30,32 @@ const (
 // context, in every path that reaches a coordinator.
 var errMemberQuit = errors.New("member quit")
 
-// gather broadcasts the instruction and re-broadcasts it every
-// clusterRetry until each peer's full respOp frame set for the
-// instruction's index has arrived — one frame for acknowledgements
-// (resetok, done, stopok), a Seq/Total-numbered set for chunked results —
-// and own, when non-nil, has delivered this member's local completion
-// (filed under the member's own name). While own is pending nothing is
-// re-broadcast: no peer's done can complete the wait before our own nodes
-// finish, so a lost start is still re-sent on the first tick after that,
-// and a loss-free run sends it once. It returns the sets in Seq order, or
-// an error once limit has passed or quit closed (a nil quit never does).
-func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string, limit time.Duration, own <-chan bool, quit <-chan struct{}) (map[string][]clusterMsg, error) {
+// gather sends the instruction to every peer and re-sends it every
+// clusterRetry to each peer that still owes its answer, until each peer's
+// full respOp frame set for the instruction's index has arrived — one
+// frame for acknowledgements (resetok, done, stopok), a Seq/Total-numbered
+// set for chunked results — and own, when non-nil, has delivered this
+// member's local completion (filed under the member's own name). A peer
+// that sent an ackOp frame for the index (ackOp may be empty) holds the
+// instruction and is not sent it again: start is acknowledged with startok
+// as it lands, so a lost start is re-sent on the next tick while the
+// nodes run, and a started member repeats its own done (reportDone). A
+// loss-free run sends each instruction once. It returns the sets in Seq
+// order, or an error once limit has passed or quit closed (a nil quit
+// never does).
+func (m *Member) gather(op string, msg clusterMsg, respOp, ackOp string, peers []string, limit time.Duration, own <-chan bool, quit <-chan struct{}) (map[string][]clusterMsg, error) {
 	got := make(map[string]map[int]clusterMsg, len(peers)+1)
 	for _, p := range peers {
 		got[p] = make(map[int]clusterMsg)
 	}
+	var acked map[string]bool // peers that acknowledged the instruction
 	pending := func() bool {
 		if own != nil {
 			return true
 		}
 		for _, fr := range got {
-			if len(fr) == 0 {
+			if !complete(fr) {
 				return true
-			}
-			for _, f := range fr {
-				if len(fr) < f.Total {
-					return true
-				}
 			}
 		}
 		return false
@@ -75,26 +74,51 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 			got[m.peer] = map[int]clusterMsg{0: {Peer: m.peer, Index: msg.Index, Completed: ok}}
 		case in := <-m.inbox:
 			cm, err := transport.DecodePayload[clusterMsg](in.Payload)
-			if err != nil || in.State != respOp || cm.Index != msg.Index {
+			if err != nil || cm.Index != msg.Index {
 				continue
 			}
-			if fr, ok := got[cm.Peer]; ok {
+			fr, ok := got[cm.Peer]
+			switch {
+			case !ok:
+			case in.State == respOp:
 				fr[cm.Seq] = cm
+			case ackOp != "" && in.State == ackOp:
+				if acked == nil {
+					acked = make(map[string]bool, len(peers))
+				}
+				acked[cm.Peer] = true
 			}
 		case <-ticker.C:
 			if time.Now().After(deadline) {
 				return nil, fmt.Errorf("timed out awaiting %s (frames so far %v, own pending: %v)", respOp, frameCounts(got), own != nil)
 			}
-			if own != nil {
-				continue
+			resent := false
+			for _, p := range peers {
+				if !acked[p] && !complete(got[p]) {
+					m.sendCtrl(p, op, msg)
+					resent = true
+				}
 			}
-			if tm != nil {
+			if resent && tm != nil {
 				tm.Retries.Inc()
 			}
-			m.broadcastCtrl(op, msg)
 		}
 	}
 	return framesBySeq(got), nil
+}
+
+// complete reports whether one peer's frame set has arrived whole: at
+// least one frame, and as many as its frames' Total says.
+func complete(fr map[int]clusterMsg) bool {
+	if len(fr) == 0 {
+		return false
+	}
+	for _, f := range fr {
+		if len(fr) < f.Total {
+			return false
+		}
+	}
+	return true
 }
 
 // collectPongs waits for one sync round's pongs, one per ping of round,
@@ -168,5 +192,5 @@ func (m *Member) reportDone(coordinator string, index int, quit chan struct{}) {
 // direct Quit escape hatch; a real lokid member additionally quits on
 // SIGINT.)
 func (m *Member) stopCluster() {
-	_, _ = m.gather(opStop, clusterMsg{}, opStopOK, m.tr.Topology().PeerNames(), clusterStopTimeout, nil, nil)
+	_, _ = m.gather(opStop, clusterMsg{}, opStopOK, "", m.tr.Topology().PeerNames(), clusterStopTimeout, nil, nil)
 }

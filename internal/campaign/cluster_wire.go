@@ -20,7 +20,8 @@ import (
 //	              and study fingerprint, and either side refuses a peer
 //	              whose values differ (checkPeer)
 //	(pre-sync: clock ping-pong rounds, each to every remote host at once)
-//	start(i)  ->  members start their local auto-start nodes
+//	start(i)  ->  members start their local auto-start nodes and
+//	              acknowledge (startok)
 //	done(i)   <-  a member's local nodes all exited/crashed
 //	seal(i)   ->  members seal, kill stragglers, stream results back
 //	result(i) <-  the local timelines (the §3.5.6 text format is the
@@ -30,10 +31,11 @@ import (
 //	stop      ->  at the end of the study: members acknowledge (stopok)
 //	              and leave Serve
 //
-// Every coordinator->member instruction is re-broadcast until its effect
-// is observed and every member->coordinator report is re-sent until the
-// next instruction arrives, so the protocol rides out UDP loss with
-// idempotent handlers instead of acknowledgement state machines.
+// Every coordinator->member instruction is re-sent to each member until
+// its effect (for start, the startok) is observed and every
+// member->coordinator report is re-sent until the next instruction
+// arrives, so the protocol rides out UDP loss with idempotent handlers
+// instead of acknowledgement state machines.
 //
 // This file is the wire format; cluster_member.go is the follower state
 // machine, cluster_coordinator.go the coordinator's testbed, and
@@ -70,7 +72,7 @@ type clusterMsg struct {
 // did not send, so endpoints built from different layouts would exchange
 // plausible, partly empty frames; the reset barrier compares versions
 // instead. A peer predating the field reads as version 0; version 2 added
-// stopok.
+// startok and stopok.
 const protocolVersion = 2
 
 // syncWire is the payload of the clock-sync ping-pong frames.
@@ -91,6 +93,7 @@ const (
 	opReset      = "reset"
 	opResetOK    = "resetok"
 	opStart      = "start"
+	opStartOK    = "startok"
 	opDone       = "done"
 	opSeal       = "seal"
 	opResult     = "result"

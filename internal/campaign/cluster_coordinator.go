@@ -35,7 +35,7 @@ func (m *Member) reset(point string, index int, traced bool) error {
 // refuses. Passing it proves every member is up, listening, and running
 // this study.
 func (m *Member) barrier(msg clusterMsg) error {
-	acks, err := m.gather(opReset, msg, opResetOK, "", m.tr.Topology().PeerNames(), clusterAckTimeout, nil, m.quit)
+	acks, err := m.gather(opReset, msg, opResetOK, m.tr.Topology().PeerNames(), clusterAckTimeout, true)
 	if err != nil {
 		return fmt.Errorf("reset barrier: %w", err)
 	}
@@ -48,32 +48,34 @@ func (m *Member) barrier(msg clusterMsg) error {
 	return nil
 }
 
-// execute starts the experiment everywhere (idempotent; start is re-sent
-// to each member until it acknowledges, so a lost one is recovered while
-// our own nodes run), waits for every member's local completion and our own, then
-// seals everywhere and collects the result frames. Our own runtime seals
-// first so no straggler restarts into a finished experiment.
+// execute starts the experiment everywhere (start is re-sent to each
+// member until its startok, so a lost one is recovered while our own nodes
+// run), waits for our own nodes, then for every member's done until the
+// study timeout plus clusterAckTimeout after the start, seals everywhere
+// and collects the result frames. Our own runtime seals first so no
+// straggler restarts into a finished experiment.
 func (m *Member) execute(index int) (executed, error) {
 	peers := m.tr.Topology().PeerNames()
 	if err := m.startLocal(); err != nil {
 		return executed{}, err
 	}
-	timeout := studyTimeout(m.st)
-	ownDone := make(chan bool, 1)
-	go func() { ownDone <- m.rt.Wait(timeout) }()
-
-	run := executed{completed: true}
-	dones, err := m.gather(opStart, clusterMsg{Index: index}, opDone, opStartOK, peers, timeout+clusterAckTimeout, ownDone, m.quit)
+	clk, timeout := m.rt.Clock(), studyTimeout(m.st)
+	start := clk.Now()
+	var run executed
+	_, err := m.gather(opStart, clusterMsg{Index: index}, opStartOK, peers, timeout+clusterAckTimeout, true)
+	if err == nil {
+		run.completed = m.rt.Wait(timeout)
+		var dones map[string][]clusterMsg
+		dones, err = m.gather("", clusterMsg{Index: index}, opDone, peers, timeout+clusterAckTimeout-clk.Since(start), true)
+		for _, d := range dones {
+			run.completed = run.completed && d[0].Completed
+		}
+	}
 	if err != nil {
 		run.completed = false // hung somewhere: abort, discard (§3.5.1)
 	}
-	for _, d := range dones {
-		if !d[0].Completed {
-			run.completed = false
-		}
-	}
 	m.rt.SealExperiment()
-	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, "", peers, clusterAckTimeout, nil, m.quit)
+	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, peers, clusterAckTimeout, true)
 	if err != nil {
 		return executed{}, err
 	}
@@ -162,7 +164,7 @@ func (m *Member) RunStudy(ctx context.Context, one bool) (_ *StudyResult, err er
 	if one {
 		c = single(c)
 	}
-	stopWatch := m.quitOnCancel(ctx)
+	stopWatch := onCancel(ctx, m.Quit)
 	defer stopWatch()
 	j, err := m.ensureJournal()
 	if err != nil {

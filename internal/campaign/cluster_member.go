@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -48,9 +49,13 @@ type Member struct {
 	// from the campaign's Checkpoint in RunStudy.
 	sj *studyJournal
 
-	inbox    chan transport.Message
-	quit     chan struct{} // closed by Quit; unblocks Serve without a frame
-	quitOnce sync.Once
+	// The mailbox every protocol wait blocks in (recv): up to 256 frames
+	// hook queued, oldest first, and whether Quit was called. hook and
+	// Quit each wake wake, a waiter on the runtime's clock.
+	mu    sync.Mutex
+	inbox []transport.Message
+	quit  bool
+	wake  clock.Waiter
 }
 
 // NewMember builds one endpoint's runtime for the study: the campaign
@@ -65,8 +70,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		tr:    tr,
 		peer:  topo.Local,
 		fp:    studyFingerprint(c, st, st.Name),
-		inbox: make(chan transport.Message, 256),
-		quit:  make(chan struct{}),
+		inbox: make([]transport.Message, 0, 256),
 	}
 
 	cfg := c.Runtime
@@ -117,6 +121,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		return nil, fmt.Errorf("campaign: cluster member %q: no peer owns reference host %q", m.peer, m.ref)
 	}
 	m.rt = rt
+	m.wake = rt.Clock().NewWaiter()
 	rt.SetTransportHook(m.hook)
 	if err := rt.StartTransport(); err != nil {
 		rt.Shutdown()
@@ -136,13 +141,10 @@ func (m *Member) Close() { m.rt.Shutdown() }
 // Quit unblocks Serve without a stop frame — the in-process runner's
 // shutdown path, where a lost datagram must not wedge the study.
 func (m *Member) Quit() {
-	m.quitOnce.Do(func() { close(m.quit) })
-}
-
-// quitOnCancel quits the member when ctx is cancelled; the returned stop
-// function joins the watch.
-func (m *Member) quitOnCancel(ctx context.Context) (stop func()) {
-	return onCancel(ctx, m.Quit)
+	m.mu.Lock()
+	m.quit = true
+	m.mu.Unlock()
+	m.wake.Wake()
 }
 
 // hook receives the transport frames core does not consume. Sync pings
@@ -172,10 +174,12 @@ func (m *Member) hook(msg transport.Message) {
 		}
 		return
 	}
-	select {
-	case m.inbox <- msg:
-	default: // a full inbox behaves like a lossy network; senders retry
+	m.mu.Lock()
+	if len(m.inbox) < cap(m.inbox) { // a full inbox behaves like a lossy network; senders retry
+		m.inbox = append(m.inbox, msg)
 	}
+	m.mu.Unlock()
+	m.wake.Wake()
 }
 
 // startLocal starts the auto-start nodes placed on hosts this member
@@ -247,14 +251,14 @@ func (m *Member) broadcastCtrl(op string, msg clusterMsg) {
 // so the coordinator can fail its barrier with the same diagnosis however
 // many datagrams are lost, and returns the mismatch once stopped.
 func (m *Member) Serve(ctx context.Context) error {
-	stopWatch := m.quitOnCancel(ctx)
+	stopWatch := onCancel(ctx, m.Quit)
 	defer stopWatch()
 	var (
 		index     = -1 // experiment being served
 		started   bool
 		sup       *supervisor
 		sealed    bool
-		doneQuit  chan struct{}
+		doneStop  clock.Waiter // stops the done reports
 		resFrames []clusterMsg
 
 		mtr         *obs.Trace // this member's lane for the current experiment
@@ -266,9 +270,9 @@ func (m *Member) Serve(ctx context.Context) error {
 		refused error // the coordinator failed checkPeer
 	)
 	stopRun := func() { // the done reports and the supervisor
-		if doneQuit != nil {
-			close(doneQuit)
-			doneQuit = nil
+		if doneStop != nil {
+			doneStop.Wake()
+			doneStop = nil
 		}
 		if sup != nil {
 			sup.stop()
@@ -277,10 +281,8 @@ func (m *Member) Serve(ctx context.Context) error {
 	}
 	defer stopRun()
 	for {
-		var msg transport.Message
-		select {
-		case msg = <-m.inbox:
-		case <-m.quit:
+		msg, err := m.recv(time.Time{}, true)
+		if err != nil {
 			return refused
 		}
 		cm, err := transport.DecodePayload[clusterMsg](msg.Payload)
@@ -346,8 +348,7 @@ func (m *Member) Serve(ctx context.Context) error {
 			}
 			// Report completion, and keep reporting until sealed: the
 			// datagram may be lost.
-			doneQuit = make(chan struct{})
-			go m.reportDone(cm.Peer, index, doneQuit)
+			doneStop = m.reportDone(cm.Peer, index)
 		case opSeal:
 			if cm.Index != index {
 				continue

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/probe"
 	"repro/internal/transport"
@@ -288,6 +289,88 @@ func TestLostStartResent(t *testing.T) {
 	}
 	if rec := sr.Records[0]; !rec.Completed {
 		t.Fatalf("experiment incomplete: the member started only after the coordinator's own nodes gave up: %+v", rec)
+	}
+}
+
+// TestClusterWaitsOnRuntimeClock: the protocol's waits block on the
+// runtime's clock, so under virtual time a reset barrier no peer answers
+// times out after clusterAckTimeout of simulated time and next to no wall
+// time. A wait that read the wall clock would take the whole bound.
+func TestClusterWaitsOnRuntimeClock(t *testing.T) {
+	ta, _ := pairEndpoints(t) // peer b is never served
+	c := stepCampaign(t, 1, 1)
+	v := clock.NewVirtual()
+	c.Runtime.Clock = v
+	coordinator := pairMember(t, c, ta)
+
+	wall := time.Now()
+	v.Drive()
+	begin := v.Now()
+	err := coordinator.barrier(coordinator.hello(0))
+	simulated := v.Since(begin)
+	v.Release()
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("barrier against a silent peer: %v, want a time-out", err)
+	}
+	if simulated < clusterAckTimeout {
+		t.Errorf("barrier gave up after %v of simulated time, want at least %v", simulated, clusterAckTimeout)
+	}
+	if took := time.Since(wall); took >= 2*time.Second {
+		t.Errorf("barrier took %v of wall time: a wait escaped the runtime's clock", took)
+	}
+}
+
+// TestDoneWaitBoundedFromStart pins where the done wait ends: the study
+// timeout plus clusterAckTimeout after the start, not clusterAckTimeout
+// after the coordinator's own nodes finish. A scripted member whose nodes
+// outlast the coordinator's reports done 100 ms before that bound, on the
+// coordinator's virtual clock, and the experiment must count as completed.
+func TestDoneWaitBoundedFromStart(t *testing.T) {
+	ta, tb := pairEndpoints(t)
+	c := stepCampaign(t, 1, 1)
+	v := clock.NewVirtual()
+	c.Runtime.Clock = v
+	coordinator := pairMember(t, c, ta)
+	reply := func(op string, cm clusterMsg) {
+		cm.Peer = "b"
+		body, err := transport.EncodePayload(cm)
+		if err == nil {
+			err = tb.SendPeer("a", transport.Message{Kind: transport.KindCtrl, To: "a", State: op, Payload: body})
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	var doneOnce sync.Once
+	err := tb.Start(func(msg transport.Message) {
+		cm, err := transport.DecodePayload[clusterMsg](msg.Payload)
+		if err != nil {
+			return
+		}
+		switch msg.State {
+		case opStart:
+			reply(opStartOK, clusterMsg{Index: cm.Index})
+			doneOnce.Do(func() {
+				v.AfterFunc(c.Studies[0].Timeout+clusterAckTimeout-100*time.Millisecond, func() {
+					reply(opDone, clusterMsg{Index: cm.Index, Completed: true})
+				})
+			})
+		case opSeal:
+			reply(opResult, clusterMsg{Index: cm.Index})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	v.Drive()
+	run, err := coordinator.execute(0)
+	v.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run.completed {
+		t.Fatal("a done reported inside the study timeout plus clusterAckTimeout was discarded")
 	}
 }
 

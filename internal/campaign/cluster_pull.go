@@ -14,7 +14,7 @@ import (
 // pullDocs gathers every peer's chunked answer to a pull op and
 // reassembles each into its one document.
 func (m *Member) pullDocs(index int, op, respOp string) (map[string]string, error) {
-	results, err := m.gather(op, clusterMsg{Index: index}, respOp, "", m.tr.Topology().PeerNames(), clusterAckTimeout, nil, m.quit)
+	results, err := m.gather(op, clusterMsg{Index: index}, respOp, m.tr.Topology().PeerNames(), clusterAckTimeout, true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,22 +1,22 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
-// Every wait the cluster protocol performs on a real socket lives here —
-// the instruction rebroadcasts, the sync rounds' pong collection, the done
-// reports and the acknowledged stop: peers are separate processes (or
-// runtimes standing in for them) that no virtual clock can see, so these
-// deadlines and retry ticks read the wall clock — this is the one file of
-// the package lokilint's wallclock analyzer exempts (Open rejects virtual
-// time over a cluster).
+// Every wait the cluster protocol performs lives here — the instruction
+// rebroadcasts, the sync rounds' pong collection, the done reports and
+// the acknowledged stop — and each blocks on a waiter of the runtime's
+// clock.Clock and reads its deadlines and retry ticks from that clock.
+// (Open still rejects virtual time over socket transports.)
 const (
 	clusterRetry       = 25 * time.Millisecond
 	clusterAckTimeout  = 10 * time.Second
@@ -30,29 +30,49 @@ const (
 // context, in every path that reaches a coordinator.
 var errMemberQuit = errors.New("member quit")
 
-// gather sends the instruction to every peer and re-sends it every
+// recv takes the oldest frame from the member's inbox, blocking on its
+// waiter until one is queued. It fails with context.DeadlineExceeded once
+// the runtime's clock reaches until (a zero until never comes) and, when
+// quit is set, with errMemberQuit once Quit has been called.
+func (m *Member) recv(until time.Time, quit bool) (transport.Message, error) {
+	for {
+		m.mu.Lock()
+		if quit && m.quit {
+			m.mu.Unlock()
+			return transport.Message{}, errMemberQuit
+		}
+		if len(m.inbox) > 0 {
+			msg := m.inbox[0]
+			m.inbox = append(m.inbox[:0], m.inbox[1:]...)
+			m.mu.Unlock()
+			return msg, nil
+		}
+		m.mu.Unlock()
+		wait := time.Duration(-1) // no deadline
+		if !until.IsZero() {
+			if wait = until.Sub(m.rt.Clock().Now()); wait <= 0 {
+				return transport.Message{}, context.DeadlineExceeded
+			}
+		}
+		m.wake.Wait(wait)
+	}
+}
+
+// gather sends the instruction op to every peer and re-sends it every
 // clusterRetry to each peer that still owes its answer, until each peer's
 // full respOp frame set for the instruction's index has arrived — one
-// frame for acknowledgements (resetok, done, stopok), a Seq/Total-numbered
-// set for chunked results — and own, when non-nil, has delivered this
-// member's local completion (filed under the member's own name). A peer
-// that sent an ackOp frame for the index (ackOp may be empty) holds the
-// instruction and is not sent it again: start is acknowledged with startok
-// as it lands, so a lost start is re-sent on the next tick while the
-// nodes run, and a started member repeats its own done (reportDone). A
-// loss-free run sends each instruction once. It returns the sets in Seq
-// order, or an error once limit has passed or quit closed (a nil quit
-// never does).
-func (m *Member) gather(op string, msg clusterMsg, respOp, ackOp string, peers []string, limit time.Duration, own <-chan bool, quit <-chan struct{}) (map[string][]clusterMsg, error) {
-	got := make(map[string]map[int]clusterMsg, len(peers)+1)
+// frame for acknowledgements (resetok, startok, done, stopok), a
+// Seq/Total-numbered set for chunked results. An empty op sends nothing:
+// the answer is a report its sender repeats on its own (done, see
+// reportDone). A loss-free run sends each instruction once. It returns the
+// sets in Seq order, or an error once limit has passed or, when quit is
+// set, the member quit.
+func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string, limit time.Duration, quit bool) (map[string][]clusterMsg, error) {
+	got := make(map[string]map[int]clusterMsg, len(peers))
 	for _, p := range peers {
 		got[p] = make(map[int]clusterMsg)
 	}
-	var acked map[string]bool // peers that acknowledged the instruction
 	pending := func() bool {
-		if own != nil {
-			return true
-		}
 		for _, fr := range got {
 			if !complete(fr) {
 				return true
@@ -61,46 +81,34 @@ func (m *Member) gather(op string, msg clusterMsg, respOp, ackOp string, peers [
 		return false
 	}
 	tm := m.c.Obs.TransportMetrics(m.tr.Name())
-	deadline := time.Now().Add(limit)
-	m.broadcastCtrl(op, msg)
-	ticker := time.NewTicker(clusterRetry)
-	defer ticker.Stop()
+	clk := m.rt.Clock()
+	deadline, tick := clk.Now().Add(limit), clk.Now().Add(clusterRetry)
+	if op != "" {
+		m.broadcastCtrl(op, msg)
+	}
 	for pending() {
-		select {
-		case <-quit:
-			return nil, fmt.Errorf("awaiting %s: %w", respOp, errMemberQuit)
-		case ok := <-own:
-			own = nil
-			got[m.peer] = map[int]clusterMsg{0: {Peer: m.peer, Index: msg.Index, Completed: ok}}
-		case in := <-m.inbox:
-			cm, err := transport.DecodePayload[clusterMsg](in.Payload)
-			if err != nil || cm.Index != msg.Index {
-				continue
-			}
-			fr, ok := got[cm.Peer]
-			switch {
-			case !ok:
-			case in.State == respOp:
-				fr[cm.Seq] = cm
-			case ackOp != "" && in.State == ackOp:
-				if acked == nil {
-					acked = make(map[string]bool, len(peers))
-				}
-				acked[cm.Peer] = true
-			}
-		case <-ticker.C:
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("timed out awaiting %s (frames so far %v, own pending: %v)", respOp, frameCounts(got), own != nil)
-			}
+		in, err := m.recv(tick, quit)
+		switch {
+		case errors.Is(err, errMemberQuit):
+			return nil, fmt.Errorf("awaiting %s: %w", respOp, err)
+		case err != nil && !clk.Now().Before(deadline):
+			return nil, fmt.Errorf("timed out awaiting %s (frames so far %v)", respOp, frameCounts(got))
+		case err != nil: // the retry tick
+			tick = clk.Now().Add(clusterRetry)
 			resent := false
 			for _, p := range peers {
-				if !acked[p] && !complete(got[p]) {
+				if op != "" && !complete(got[p]) {
 					m.sendCtrl(p, op, msg)
 					resent = true
 				}
 			}
 			if resent && tm != nil {
 				tm.Retries.Inc()
+			}
+		case in.State == respOp:
+			cm, err := transport.DecodePayload[clusterMsg](in.Payload)
+			if fr, ok := got[cm.Peer]; ok && err == nil && cm.Index == msg.Index {
+				fr[cm.Seq] = cm
 			}
 		}
 	}
@@ -129,33 +137,29 @@ func complete(fr map[int]clusterMsg) bool {
 // its timeout) or a duplicate is never paired; an unanswered ping keeps ok
 // false.
 func (m *Member) collectPongs(round []syncPing, refClock *vclock.Clock, tm *obs.TransportMetrics) {
-	timeout := time.NewTimer(clusterPongTimeout)
-	defer timeout.Stop()
+	until := m.rt.Clock().Now().Add(clusterPongTimeout)
 	for waiting := len(round); waiting > 0; {
-		select {
-		case <-m.quit:
-			return
-		case msg := <-m.inbox:
-			if msg.Kind != transport.KindSyncPong {
-				continue
-			}
-			refRecv, procRecv := refClock.Now(), m.rt.Clock().Now()
-			p := awaitingPing(round, msg.ToHost)
-			if p == nil {
-				continue
-			}
-			w, err := transport.DecodePayload[syncWire](msg.Payload)
-			if err != nil || w.Seq != p.seq {
-				continue
-			}
-			p.ok, p.pong, p.refRecv, p.procRecv = true, w, refRecv, procRecv
-			if tm != nil {
-				tm.RTTSeconds.ObserveSince(p.sentAt)
-			}
-			waiting--
-		case <-timeout.C:
+		msg, err := m.recv(until, true)
+		if err != nil {
 			return
 		}
+		if msg.Kind != transport.KindSyncPong {
+			continue
+		}
+		refRecv, procRecv := refClock.Now(), m.rt.Clock().Now()
+		p := awaitingPing(round, msg.ToHost)
+		if p == nil {
+			continue
+		}
+		w, err := transport.DecodePayload[syncWire](msg.Payload)
+		if err != nil || w.Seq != p.seq {
+			continue
+		}
+		p.ok, p.pong, p.refRecv, p.procRecv = true, w, refRecv, procRecv
+		if tm != nil {
+			tm.RTTSeconds.ObserveSince(p.sentAt)
+		}
+		waiting--
 	}
 }
 
@@ -169,18 +173,22 @@ func awaitingPing(round []syncPing, host string) *syncPing {
 	return nil
 }
 
-// reportDone waits for the member's local nodes to finish, then sends
-// done frames until quit closes (the seal acknowledges them).
-func (m *Member) reportDone(coordinator string, index int, quit chan struct{}) {
-	completed := m.rt.Wait(studyTimeout(m.st))
-	for {
-		m.sendCtrl(coordinator, opDone, clusterMsg{Index: index, Completed: completed})
-		select {
-		case <-quit:
-			return
-		case <-time.After(clusterRetry * 4):
+// reportDone spawns, as a task of the runtime's clock, the member's done
+// reports: it waits for the local nodes to finish, then sends done frames
+// until the returned waiter is woken (the seal acknowledges them).
+func (m *Member) reportDone(coordinator string, index int) (stop clock.Waiter) {
+	clk := m.rt.Clock()
+	stop = clk.NewWaiter()
+	clk.Go(func() {
+		completed := m.rt.Wait(studyTimeout(m.st))
+		for {
+			m.sendCtrl(coordinator, opDone, clusterMsg{Index: index, Completed: completed})
+			if stop.Wait(clusterRetry * 4) {
+				return
+			}
 		}
-	}
+	})
+	return stop
 }
 
 // stopCluster ends the study cluster-wide: stop is re-broadcast until
@@ -192,5 +200,5 @@ func (m *Member) reportDone(coordinator string, index int, quit chan struct{}) {
 // direct Quit escape hatch; a real lokid member additionally quits on
 // SIGINT.)
 func (m *Member) stopCluster() {
-	_, _ = m.gather(opStop, clusterMsg{}, opStopOK, "", m.tr.Topology().PeerNames(), clusterStopTimeout, nil, nil)
+	_, _ = m.gather(opStop, clusterMsg{}, opStopOK, m.tr.Topology().PeerNames(), clusterStopTimeout, false)
 }

@@ -39,9 +39,9 @@ import (
 //
 // This file is the wire format; cluster_member.go is the follower state
 // machine, cluster_coordinator.go the coordinator's testbed, and
-// cluster_wait.go every wait on a real socket (the one file of this
-// package allowed to read the wall clock). Frame bodies are clusterMsg and
-// syncWire values under transport.EncodePayload.
+// cluster_wait.go every wait on a peer, each on the runtime's clock.Clock.
+// Frame bodies are clusterMsg and syncWire values under
+// transport.EncodePayload.
 type clusterMsg struct {
 	Index     int
 	Peer      string

@@ -37,6 +37,7 @@ func stored() {
 }
 
 func typesOnlyIsFine(d time.Duration, at time.Time) time.Duration {
+	_ = at.After(at) // a method of time.Time, not the function time.After
 	return d + time.Second
 }
 

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/types"
-	"path/filepath"
-)
+import "go/types"
 
 // wallclockFuncs are the package time entry points that read or block on
 // the wall clock. A use of any of them inside internal/ means the code
@@ -39,20 +36,12 @@ var wallclockAllowedPkgs = []string{
 	"repro/internal/obs",
 }
 
-// wallclockAllowedFiles are file-scoped boundaries: the cluster protocol's
-// rebroadcast, pong, and done-report waits in
-// internal/campaign/cluster_wait.go talk to separate processes over real
-// sockets and can never run under virtual time (Open rejects the
-// combination). The rest of the cluster code is linted like any other.
-var wallclockAllowedFiles = map[string]map[string]bool{
-	"repro/internal/campaign": {"cluster_wait.go": true},
-}
-
 // Wallclock reports uses of wall-clock time package functions in
-// internal/ outside the clock/obs/cluster-socket allowlist. It
+// internal/ outside the clock/obs allowlist; no file is exempt. It
 // resolves through the type-checker, so aliased imports, dot-imports, and
 // stored function values (f := time.Now; f()) are all caught — the failure
-// modes the old forbid_wallclock.sh grep was blind to.
+// modes the old forbid_wallclock.sh grep was blind to — and methods such
+// as time.Time.After, which read no clock, are not.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc: "reject wall-clock time calls in internal/ outside the injected clock.Clock; " +
@@ -69,13 +58,12 @@ func runWallclock(pass *Pass) error {
 			return nil
 		}
 	}
-	allowedFiles := wallclockAllowedFiles[pass.Path]
 	for id, obj := range pass.Info.Uses {
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallclockFuncs[fn.Name()] {
 			continue
 		}
-		if allowedFiles[filepath.Base(pass.Fset.Position(id.Pos()).Filename)] {
+		if fn.Type().(*types.Signature).Recv() != nil {
 			continue
 		}
 		pass.ReportWithFix(id.Pos(),

@@ -59,7 +59,7 @@ func TestResultFramesChunking(t *testing.T) {
 	outcomes := map[string]string{"alpha": "exited", "beta": "exited"}
 
 	logf := func(string, ...interface{}) {}
-	frames := resultFrames(logf, 4, []*timeline.Local{big, small, unencodable}, outcomes)
+	frames := resultFrames(logf, "b", "a", 4, []*timeline.Local{big, small, unencodable}, outcomes)
 
 	if len(frames) < 4 {
 		t.Fatalf("got %d frames, want the big timeline chunked into at least 3 plus the small one", len(frames))
@@ -73,8 +73,8 @@ func TestResultFramesChunking(t *testing.T) {
 		if len(f.Dropped) != 1 || f.Dropped[0] != "broken" {
 			t.Errorf("frame %d: Dropped = %v, want [broken]", i, f.Dropped)
 		}
-		if wire, err := transport.EncodePayload(f); err != nil || len(wire) > transport.MaxFrame {
-			t.Errorf("frame %d encodes to %d bytes, exceeding the %d-byte limit", i, len(wire), transport.MaxFrame)
+		if _, err := transport.Marshal(ctrlFrame("b", "a", opResult, f)); err != nil {
+			t.Errorf("frame %d: %v", i, err)
 		}
 		if f.Outcomes["beta"] != "exited" {
 			t.Errorf("frame %d lost the outcomes", i)
@@ -91,6 +91,50 @@ func TestResultFramesChunking(t *testing.T) {
 	if len(docs) != 2 || docs[0] != bigDoc || docs[1] != smallDoc {
 		t.Fatalf("reassembled %d documents; big match=%v small match=%v",
 			len(docs), len(docs) > 0 && docs[0] == bigDoc, len(docs) > 1 && docs[1] == smallDoc)
+	}
+}
+
+// TestResultFramesFitWithManyOutcomes: outcomes and the dropped list are
+// repeated in every result frame, so a chunk must leave them exactly the
+// room they take. With 120 outcomes under longish nicknames next to a
+// 100 KB timeline, a fixed 4 KB reserve let the first frame reach 62,437
+// bytes, which the transport refuses to send: that member's result could
+// never arrive.
+func TestResultFramesFitWithManyOutcomes(t *testing.T) {
+	big := bigNoteTimeline(t, "node-with-a-longish-nickname-000", "h2", 1400)
+	doc, err := timeline.EncodeString(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) < 100*1024 {
+		t.Fatalf("fixture is %d bytes, want at least 100 KB", len(doc))
+	}
+	outcomes := make(map[string]string)
+	for i := 0; i < 120; i++ {
+		outcomes[fmt.Sprintf("node-with-a-longish-nickname-%03d", i)] = "exited"
+	}
+	unencodable := &timeline.Local{
+		Meta:    timeline.Meta{Owner: "node-with-a-longish-nickname-119"},
+		Entries: []timeline.Entry{{Kind: timeline.Kind(99)}},
+	}
+	logf := func(string, ...interface{}) {}
+	frames := resultFrames(logf, "beta", "alpha", 7, []*timeline.Local{big, unencodable}, outcomes)
+	if len(frames) < 2 {
+		t.Fatalf("got %d frames, want the timeline chunked", len(frames))
+	}
+	var got strings.Builder
+	for i, f := range frames {
+		body, err := transport.Marshal(ctrlFrame("beta", "alpha", opResult, f))
+		if err != nil {
+			t.Errorf("frame %d of %d: %v", i, len(frames), err)
+		}
+		if i == 0 && len(body) != transport.MaxFrame {
+			t.Errorf("first frame is %d bytes, want a full %d-byte frame", len(body), transport.MaxFrame)
+		}
+		got.WriteString(f.Doc)
+	}
+	if got.String() != doc {
+		t.Fatal("chunks do not reassemble the timeline")
 	}
 }
 

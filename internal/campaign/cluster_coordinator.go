@@ -40,7 +40,7 @@ func (m *Member) barrier(msg clusterMsg) error {
 		return fmt.Errorf("reset barrier: %w", err)
 	}
 	for _, peer := range sortedKeys(acks) {
-		if err := m.checkPeer(acks[peer][0]); err != nil {
+		if err := m.checkPeer(peer, acks[peer][0], nil); err != nil {
 			return fmt.Errorf("reset barrier: %w", err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -152,7 +153,7 @@ func (m *Member) Quit() {
 // the inbox for the protocol loops.
 func (m *Member) hook(msg transport.Message) {
 	if msg.Kind == transport.KindSyncPing {
-		w, err := transport.DecodePayload[syncWire](msg.Payload)
+		w, err := decodeSyncWire(msg.Payload)
 		if err != nil {
 			return
 		}
@@ -164,11 +165,8 @@ func (m *Member) hook(msg transport.Message) {
 		w.ProcRecv = m.rt.Clock().Now().UnixNano()
 		w.RemoteSend = int64(clk.Now())
 		w.ProcSend = m.rt.Clock().Now().UnixNano()
-		body, err := transport.EncodePayload(w)
-		if err == nil {
-			// ToHost says which remote clock answered.
-			err = m.tr.SendPeer(msg.From, transport.Message{Kind: transport.KindSyncPong, To: msg.From, ToHost: msg.ToHost, Payload: body})
-		}
+		// ToHost says which remote clock answered.
+		err = m.tr.SendPeer(msg.From, transport.Message{Kind: transport.KindSyncPong, To: msg.From, ToHost: msg.ToHost, Payload: w.encode()})
 		if err != nil {
 			m.rt.Logf("campaign: cluster %s: sync pong: %v", m.peer, err)
 		}
@@ -211,30 +209,47 @@ func (m *Member) hello(index int) clusterMsg {
 	return clusterMsg{Index: index, Version: protocolVersion, Fingerprint: m.fp}
 }
 
-// checkPeer fails fast on a mismatched peer: cm is a reset or resetok
-// frame, and its sender must speak this protocol version and run this
-// study. Two lokids started from different files would otherwise merge
-// each other's frames into one plausible, meaningless experiment.
-func (m *Member) checkPeer(cm clusterMsg) error {
-	if cm.Version != protocolVersion {
-		return fmt.Errorf("campaign: cluster %s: peer %s speaks protocol version %d, this endpoint version %d", m.peer, cm.Peer, cm.Version, protocolVersion)
-	}
-	if cm.Fingerprint != m.fp {
-		return fmt.Errorf("campaign: cluster %s: peer %s runs study fingerprint %s, this endpoint %s (started from different campaign files?)", m.peer, cm.Peer, cm.Fingerprint, m.fp)
+// checkPeer fails fast on a mismatched peer: cm and err are a reset or
+// resetok frame from peer as it decoded, and its sender must speak this
+// protocol version and run this study. Two lokids started from different
+// files would otherwise merge each other's frames into one plausible,
+// meaningless experiment. A payload in another layout (wireVersionError)
+// comes from another protocol version, which the frame header's sender
+// names, since the payload's Peer cannot be read; any other decode error
+// refuses nothing — the frame is dropped like any damaged one.
+func (m *Member) checkPeer(peer string, cm clusterMsg, err error) error {
+	var wv *wireVersionError
+	switch {
+	case errors.As(err, &wv):
+		return m.versionRefusal(peer, wv.peerVersion())
+	case err != nil:
+		return nil
+	case cm.Version != protocolVersion:
+		return m.versionRefusal(peer, strconv.Itoa(cm.Version))
+	case cm.Fingerprint != m.fp:
+		return fmt.Errorf("campaign: cluster %s: peer %s runs study fingerprint %s, this endpoint %s (started from different campaign files?)", m.peer, peer, cm.Fingerprint, m.fp)
 	}
 	return nil
 }
 
+// versionRefusal is checkPeer's refusal of a peer speaking another
+// protocol version.
+func (m *Member) versionRefusal(peer, version string) error {
+	return fmt.Errorf("campaign: cluster %s: peer %s speaks protocol version %s, this endpoint version %d", m.peer, peer, version, protocolVersion)
+}
+
 // sendCtrl ships one protocol frame to a peer.
 func (m *Member) sendCtrl(peer, op string, msg clusterMsg) {
-	msg.Peer = m.peer
-	body, err := transport.EncodePayload(msg)
-	if err == nil {
-		err = m.tr.SendPeer(peer, transport.Message{Kind: transport.KindCtrl, From: m.peer, To: peer, State: op, Payload: body})
-	}
-	if err != nil {
+	if err := m.tr.SendPeer(peer, ctrlFrame(m.peer, peer, op, msg)); err != nil {
 		m.rt.Logf("campaign: cluster %s: sending %s to %s: %v", m.peer, op, peer, err)
 	}
+}
+
+// ctrlFrame is the frame of one protocol message op from peer from to
+// peer to.
+func ctrlFrame(from, to, op string, msg clusterMsg) transport.Message {
+	msg.Peer = from
+	return transport.Message{Kind: transport.KindCtrl, From: from, To: to, State: op, Payload: msg.encode()}
 }
 
 // broadcastCtrl ships one protocol frame to every peer.
@@ -249,7 +264,8 @@ func (m *Member) broadcastCtrl(op string, msg clusterMsg) {
 // this on their main goroutine. A member whose coordinator fails
 // checkPeer serves nothing: it keeps answering resets with its own hello,
 // so the coordinator can fail its barrier with the same diagnosis however
-// many datagrams are lost, and returns the mismatch once stopped.
+// many datagrams are lost, and returns the mismatch once stopped — by any
+// stop frame, whether or not its payload decodes.
 func (m *Member) Serve(ctx context.Context) error {
 	stopWatch := onCancel(ctx, m.Quit)
 	defer stopWatch()
@@ -285,22 +301,25 @@ func (m *Member) Serve(ctx context.Context) error {
 		if err != nil {
 			return refused
 		}
-		cm, err := transport.DecodePayload[clusterMsg](msg.Payload)
-		if err != nil {
+		cm, err := decodeClusterMsg(msg.Payload)
+		if refused == nil && msg.State == opReset {
+			refused = m.checkPeer(msg.From, cm, err)
+		}
+		if refused != nil {
+			switch msg.State {
+			case opReset:
+				m.sendCtrl(msg.From, opResetOK, m.hello(cm.Index))
+			case opStop:
+				m.sendCtrl(msg.From, opStopOK, clusterMsg{Index: cm.Index})
+				return refused
+			}
 			continue
 		}
-		if refused != nil && msg.State != opReset && msg.State != opStop {
+		if err != nil {
 			continue
 		}
 		switch msg.State {
 		case opReset:
-			if refused == nil {
-				refused = m.checkPeer(cm)
-			}
-			if refused != nil {
-				m.sendCtrl(cm.Peer, opResetOK, m.hello(cm.Index))
-				continue
-			}
 			if cm.Index < index {
 				continue // a straggler from a finished experiment; never roll back
 			}
@@ -363,7 +382,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					}
 					m.rt.SetTrace(nil) // the lane is final; stop recording
 				}
-				resFrames = resultFrames(m.rt.Logf, index, m.rt.Store().All(), m.rt.Outcomes())
+				resFrames = resultFrames(m.rt.Logf, m.peer, cm.Peer, index, m.rt.Store().All(), m.rt.Outcomes())
 			}
 			for _, f := range resFrames {
 				m.sendCtrl(cm.Peer, opResult, f)
@@ -380,7 +399,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					m.rt.Logf("campaign: cluster %s: encoding trace: %v", m.peer, err)
 					doc = ""
 				}
-				traceFrames = chunkDoc(index, doc)
+				traceFrames = chunkDoc(docRoom(m.peer, cm.Peer, opTraceRes, clusterMsg{Index: index}), index, doc)
 			}
 			for _, f := range traceFrames {
 				m.sendCtrl(cm.Peer, opTraceRes, f)
@@ -398,14 +417,14 @@ func (m *Member) Serve(ctx context.Context) error {
 					}
 				}
 				metricsIdx = cm.Index
-				metricsFr = chunkDoc(cm.Index, doc)
+				metricsFr = chunkDoc(docRoom(m.peer, cm.Peer, opMetricsRes, clusterMsg{Index: cm.Index}), cm.Index, doc)
 			}
 			for _, f := range metricsFr {
 				m.sendCtrl(cm.Peer, opMetricsRes, f)
 			}
 		case opStop:
 			m.sendCtrl(cm.Peer, opStopOK, clusterMsg{Index: cm.Index})
-			return refused
+			return nil
 		}
 	}
 }

@@ -81,65 +81,93 @@ func TestClusterFingerprintMismatchFailsFast(t *testing.T) {
 	}
 }
 
-// TestClusterVersionMismatchFailsFast plays a peer built before the
-// protocol carried a version — its frames decode as version 0 — against a
-// current member, in both roles.
+// TestClusterVersionMismatchFailsFast plays a peer of another protocol
+// version against a current member, in both roles, and each role must
+// fail within a fraction of clusterAckTimeout, naming the peer. "old" is
+// a peer built before the protocol carried a version: its hello, in this
+// layout, says version 0. "gob" is a version 2 peer, whose payloads are
+// gob (built with the test-only gob reference): they do not decode at
+// all, and must still be refused as another version, not dropped until
+// the barrier times out.
 func TestClusterVersionMismatchFailsFast(t *testing.T) {
-	old := func(op string, to string, cm clusterMsg) transport.Message {
-		cm.Version = 0
-		body, err := transport.EncodePayload(cm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return transport.Message{Kind: transport.KindCtrl, To: to, State: op, Payload: body}
+	type peerBuild struct {
+		want string // what both sides' errors say of the peer's version
+		// frame is the peer's frame op from -> to carrying cm.
+		frame func(from, to, op string, cm clusterMsg) transport.Message
 	}
-	want := fmt.Sprintf("version 0, this endpoint version %d", protocolVersion)
-
-	t.Run("old member", func(t *testing.T) {
-		ta, tb := pairEndpoints(t)
-		coordinator := pairMember(t, stepCampaign(t, 1, 1), ta)
-		// The old member acknowledges every reset, as it always did.
-		err := tb.Start(func(m transport.Message) {
-			if cm, err := transport.DecodePayload[clusterMsg](m.Payload); err == nil && m.State == opReset {
-				tb.SendPeer("a", old(opResetOK, "a", clusterMsg{Index: cm.Index, Peer: "b", Fingerprint: cm.Fingerprint}))
+	this := fmt.Sprintf(", this endpoint version %d", protocolVersion)
+	builds := map[string]peerBuild{
+		"old": {"version 0" + this, func(from, to, op string, cm clusterMsg) transport.Message {
+			cm.Version = 0
+			return ctrlFrame(from, to, op, cm)
+		}},
+		"gob": {"version older than 3 (gob payloads)" + this, func(from, to, op string, cm clusterMsg) transport.Message {
+			cm.Peer, cm.Version = from, 2
+			body, err := transport.EncodePayload(cm)
+			if err != nil {
+				t.Error(err) // may run on the coordinator's goroutine
 			}
+			return transport.Message{Kind: transport.KindCtrl, From: from, To: to, State: op, Payload: body}
+		}},
+	}
+	fast := func(t *testing.T, began time.Time) {
+		if took := time.Since(began); took > clusterAckTimeout/4 {
+			t.Errorf("refusal took %v, want well under clusterAckTimeout (%v)", took, clusterAckTimeout)
+		}
+	}
+	for _, name := range []string{"old", "gob"} {
+		build := builds[name]
+		t.Run(name+" member", func(t *testing.T) {
+			ta, tb := pairEndpoints(t)
+			coordinator := pairMember(t, stepCampaign(t, 1, 1), ta)
+			// The peer acknowledges every reset, as it always did.
+			err := tb.Start(func(m transport.Message) {
+				if m.State == opReset {
+					cm, _ := decodeClusterMsg(m.Payload)
+					tb.SendPeer("a", build.frame("b", "a", opResetOK, clusterMsg{Index: cm.Index, Fingerprint: coordinator.fp}))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			began := time.Now()
+			sr, err := coordinator.RunStudy(context.Background(), false)
+			if err == nil || !strings.Contains(err.Error(), "peer b speaks protocol "+build.want) {
+				t.Fatalf("coordinator accepted the peer: %+v, %v", sr, err)
+			}
+			fast(t, began)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, err := coordinator.RunStudy(context.Background(), false)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("coordinator accepted an old member: %+v, %v", sr, err)
-		}
-	})
 
-	t.Run("old coordinator", func(t *testing.T) {
-		ta, tb := pairEndpoints(t)
-		member := pairMember(t, stepCampaign(t, 1, 1), tb)
-		acks := make(chan clusterMsg, 1)
-		err := ta.Start(func(m transport.Message) {
-			if cm, err := transport.DecodePayload[clusterMsg](m.Payload); err == nil && m.State == opResetOK {
-				acks <- cm
+		t.Run(name+" coordinator", func(t *testing.T) {
+			ta, tb := pairEndpoints(t)
+			member := pairMember(t, stepCampaign(t, 1, 1), tb)
+			acks := make(chan clusterMsg, 1)
+			err := ta.Start(func(m transport.Message) {
+				if cm, err := decodeClusterMsg(m.Payload); err == nil && m.State == opResetOK {
+					acks <- cm
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			began := time.Now()
+			served := serve(member)
+			ta.SendPeer("b", build.frame("a", "b", opReset, clusterMsg{Index: 0, Fingerprint: member.fp}))
+			select {
+			case ack := <-acks:
+				if ack.Version != protocolVersion || ack.Fingerprint != member.fp {
+					t.Fatalf("refusal does not say what the member runs: %+v", ack)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("no answer to the peer's reset")
+			}
+			ta.SendPeer("b", build.frame("a", "b", opStop, clusterMsg{}))
+			if err := awaitServe(t, served); err == nil || !strings.Contains(err.Error(), "peer a speaks protocol "+build.want) {
+				t.Fatalf("member served the peer: %v", err)
+			}
+			fast(t, began)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := serve(member)
-		ta.SendPeer("b", old(opReset, "b", clusterMsg{Index: 0, Peer: "a", Fingerprint: member.fp}))
-		select {
-		case ack := <-acks:
-			if ack.Version != protocolVersion || ack.Fingerprint != member.fp {
-				t.Fatalf("refusal does not say what the member runs: %+v", ack)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("no answer to the old coordinator's reset")
-		}
-		ta.SendPeer("b", old(opStop, "b", clusterMsg{Peer: "a"}))
-		if err := awaitServe(t, served); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("member served an old coordinator: %v", err)
-		}
-	})
+	}
 }
 
 // countStops wraps m's transport hook to count the stop frames that reach
@@ -332,18 +360,13 @@ func TestDoneWaitBoundedFromStart(t *testing.T) {
 	c.Runtime.Clock = v
 	coordinator := pairMember(t, c, ta)
 	reply := func(op string, cm clusterMsg) {
-		cm.Peer = "b"
-		body, err := transport.EncodePayload(cm)
-		if err == nil {
-			err = tb.SendPeer("a", transport.Message{Kind: transport.KindCtrl, To: "a", State: op, Payload: body})
-		}
-		if err != nil {
+		if err := tb.SendPeer("a", ctrlFrame("b", "a", op, cm)); err != nil {
 			t.Error(err)
 		}
 	}
 	var doneOnce sync.Once
 	err := tb.Start(func(msg transport.Message) {
-		cm, err := transport.DecodePayload[clusterMsg](msg.Payload)
+		cm, err := decodeClusterMsg(msg.Payload)
 		if err != nil {
 			return
 		}
@@ -372,65 +395,4 @@ func TestDoneWaitBoundedFromStart(t *testing.T) {
 	if !run.completed {
 		t.Fatal("a done reported inside the study timeout plus clusterAckTimeout was discarded")
 	}
-}
-
-// payloadRoundTrip is the property FuzzDecodePayload checks for one
-// payload type: the decoder never panics, and what it accepts survives
-// encode∘decode (compared printed, which is NaN- and map-order-proof).
-func payloadRoundTrip[T any](t *testing.T, b []byte) {
-	v, err := transport.DecodePayload[T](b)
-	if err != nil {
-		return
-	}
-	again, err := transport.EncodePayload(v)
-	if err != nil {
-		t.Fatalf("%T decoded but does not re-encode: %v", v, err)
-	}
-	back, err := transport.DecodePayload[T](again)
-	if err != nil || fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", v) {
-		t.Fatalf("round trip: %+v -> %+v (%v)", v, back, err)
-	}
-}
-
-// FuzzDecodePayload fuzzes the one gob decoder as the cluster protocol
-// instantiates it — control messages and clock-sync stamps — seeded with
-// one real frame body per kind and op of a matching two-endpoint run
-// (which must itself succeed: peers that agree pass the reset barrier).
-func FuzzDecodePayload(f *testing.F) {
-	ta, tb := pairEndpoints(f)
-	coordinator := pairMember(f, stepCampaign(f, 2, 1), ta)
-	member := pairMember(f, stepCampaign(f, 2, 1), tb)
-	var mu sync.Mutex
-	seen := map[string][]byte{} // first body of each frame kind and op
-	for _, m := range []*Member{coordinator, member} {
-		hook := m.hook
-		m.rt.SetTransportHook(func(msg transport.Message) {
-			mu.Lock()
-			if key := transport.KindName(msg.Kind) + " " + msg.State; seen[key] == nil {
-				seen[key] = msg.Payload
-			}
-			mu.Unlock()
-			hook(msg)
-		})
-	}
-	served := serve(member)
-	sr, err := coordinator.RunStudy(context.Background(), false)
-	if err != nil || len(sr.Records) != 2 || !sr.Records[1].Accepted {
-		f.Fatalf("matching cluster: %+v, %v", sr, err)
-	}
-	if err := awaitServe(f, served); err != nil {
-		f.Fatal(err)
-	}
-	for _, key := range []string{"syncping ", "syncpong ", "ctrl " + opReset, "ctrl " + opResetOK, "ctrl " + opStartOK, "ctrl " + opDone, "ctrl " + opResult, "ctrl " + opStopOK} {
-		if seen[key] == nil {
-			f.Fatalf("the run sent no %q frame (have %v)", key, sortedKeys(seen))
-		}
-	}
-	for _, b := range seen {
-		f.Add(b)
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		payloadRoundTrip[clusterMsg](t, b)
-		payloadRoundTrip[syncWire](t, b)
-	})
 }

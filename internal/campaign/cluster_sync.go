@@ -85,11 +85,8 @@ func (m *Member) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessag
 			}
 			p.procSend = proc.Now()
 			p.refSend = refClock.Now()
-			body, err := transport.EncodePayload(syncWire{Seq: p.seq})
-			if err == nil {
-				err = m.tr.SendHost(p.host, transport.Message{Kind: transport.KindSyncPing, From: m.peer, ToHost: p.host, Payload: body})
-			}
-			if err != nil {
+			ping := transport.Message{Kind: transport.KindSyncPing, From: m.peer, ToHost: p.host, Payload: syncWire{Seq: p.seq}.encode()}
+			if err := m.tr.SendHost(p.host, ping); err != nil {
 				return dst, fmt.Errorf("campaign: sync ping to %q: %w", p.host, err)
 			}
 		}

@@ -58,7 +58,7 @@ func scriptedSync(t *testing.T, script pongScript) (*Member, map[string][]int) {
 			if msg.Kind != transport.KindSyncPing {
 				return
 			}
-			ping, err := transport.DecodePayload[syncWire](msg.Payload)
+			ping, err := decodeSyncWire(msg.Payload)
 			if err != nil {
 				t.Error(err)
 				return
@@ -68,12 +68,7 @@ func scriptedSync(t *testing.T, script pongScript) (*Member, map[string][]int) {
 			seen := append([]int(nil), seqs[msg.ToHost]...)
 			mu.Unlock()
 			for _, p := range script(msg.ToHost, len(seen)-1, seen) {
-				body, err := transport.EncodePayload(p.w)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := ep.SendPeer("a", transport.Message{Kind: transport.KindSyncPong, To: "a", ToHost: p.host, Payload: body}); err != nil {
+				if err := ep.SendPeer("a", transport.Message{Kind: transport.KindSyncPong, To: "a", ToHost: p.host, Payload: p.w.encode()}); err != nil {
 					t.Error(err)
 				}
 			}

@@ -66,7 +66,9 @@ func (m *Member) recv(until time.Time, quit bool) (transport.Message, error) {
 // the answer is a report its sender repeats on its own (done, see
 // reportDone). A loss-free run sends each instruction once. It returns the
 // sets in Seq order, or an error once limit has passed or, when quit is
-// set, the member quit.
+// set, the member quit. A respOp frame from one of peers whose payload is
+// in another layout fails the wait at once with checkPeer's refusal: its
+// sender speaks another protocol version, which no re-send can mend.
 func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string, limit time.Duration, quit bool) (map[string][]clusterMsg, error) {
 	got := make(map[string]map[int]clusterMsg, len(peers))
 	for _, p := range peers {
@@ -106,7 +108,10 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 				tm.Retries.Inc()
 			}
 		case in.State == respOp:
-			cm, err := transport.DecodePayload[clusterMsg](in.Payload)
+			cm, err := decodeClusterMsg(in.Payload)
+			if _, ok := got[in.From]; ok && errors.As(err, new(*wireVersionError)) {
+				return nil, m.checkPeer(in.From, cm, err)
+			}
 			if fr, ok := got[cm.Peer]; ok && err == nil && cm.Index == msg.Index {
 				fr[cm.Seq] = cm
 			}
@@ -151,7 +156,7 @@ func (m *Member) collectPongs(round []syncPing, refClock *vclock.Clock, tm *obs.
 		if p == nil {
 			continue
 		}
-		w, err := transport.DecodePayload[syncWire](msg.Payload)
+		w, err := decodeSyncWire(msg.Payload)
 		if err != nil || w.Seq != p.seq {
 			continue
 		}

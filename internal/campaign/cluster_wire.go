@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/timeline"
@@ -40,8 +43,10 @@ import (
 // This file is the wire format; cluster_member.go is the follower state
 // machine, cluster_coordinator.go the coordinator's testbed, and
 // cluster_wait.go every wait on a peer, each on the runtime's clock.Clock.
-// Frame bodies are clusterMsg and syncWire values under
-// transport.EncodePayload.
+// Frame bodies are clusterMsg values (ctrl frames) and syncWire values
+// (sync pings and pongs) in the fixed layout below, never gob: the frames
+// are frequent, and a peer of another protocol version must be refused,
+// not half-read.
 type clusterMsg struct {
 	Index     int
 	Peer      string
@@ -67,13 +72,17 @@ type clusterMsg struct {
 	TraceOn bool
 }
 
-// protocolVersion names this layout of clusterMsg and the ops below. gob
-// drops fields the receiver does not know and zeroes the ones the sender
-// did not send, so endpoints built from different layouts would exchange
-// plausible, partly empty frames; the reset barrier compares versions
-// instead. A peer predating the field reads as version 0; version 2 added
-// startok and stopok.
-const protocolVersion = 2
+// protocolVersion names this layout of clusterMsg and syncWire and the
+// ops below. Every payload's header carries it, and reset and resetok
+// frames carry it again in Version for the barrier to compare. Up to
+// version 2 the payloads were gob, which drops fields the receiver does
+// not know and zeroes the ones the sender did not send, so endpoints built
+// from different layouts exchanged plausible, partly empty frames that
+// only the barrier's comparison caught. A peer predating the field sent
+// version 0; version 2 added startok and stopok; version 3 is the fixed
+// layout, whose decoder refuses a payload of any other layout outright
+// (wireVersionError).
+const protocolVersion = 3
 
 // syncWire is the payload of the clock-sync ping-pong frames.
 type syncWire struct {
@@ -105,21 +114,296 @@ const (
 	opMetricsRes = "metricsres" // one member metrics chunk
 )
 
-// maxChunk is one frame's document budget: transport.MaxFrame less
-// generous headroom for the gob envelope, outcome map, and frame header.
-const maxChunk = transport.MaxFrame - 4*1024
+// The layout of every payload the control plane sends (clusterMsg on ctrl
+// frames, syncWire on sync pings and pongs):
+//
+//	u16  wireMagic
+//	u16  protocolVersion
+//	then the fields in declaration order:
+//	  int, int64      8 bytes, big-endian
+//	  bool            1 byte, 0 or 1
+//	  string          u32 length + bytes
+//	  Outcomes        u32 count + key/value strings, keys strictly increasing
+//	  Dropped         u32 count + strings
+//
+// so a syncWire payload is the header and 40 bytes of fields. The layout is
+// canonical: a payload decodes only if encoding its value gives back the
+// same bytes. The decoders are strict. A payload that does not start with
+// this header is a wireVersionError; one that ends early, has bytes left
+// over, holds a bool byte other than 0 or 1 or keys out of order fails,
+// and so does a count or length larger than the bytes that remain, before
+// anything is allocated for it.
+const (
+	wireMagic      = 0x4c4b // "LK"
+	wireHeaderSize = 4
+	syncWireSize   = wireHeaderSize + 5*8
+)
 
-// chunkDoc splits one encoded document across protocol frames: More marks
-// a continuation, and the 60 KB frame limit stays a transport property,
-// not a bound on how much a long experiment may record. An empty document
-// still produces one frame, so the collector always completes.
-func chunkDoc(index int, doc string) []clusterMsg {
-	var frames []clusterMsg
-	for start := 0; ; start += maxChunk {
-		end := start + maxChunk
-		if end > len(doc) {
-			end = len(doc)
+var (
+	errWireShort    = errors.New("campaign: control payload ends early")
+	errWireTrailing = errors.New("campaign: control payload has trailing bytes")
+	errWireBool     = errors.New("campaign: control payload bool is neither 0 nor 1")
+	errWireKeyOrder = errors.New("campaign: control payload outcome keys out of order")
+)
+
+// wireVersionError is a payload that does not start with this endpoint's
+// header: its sender speaks another protocol version. Version is the one
+// the header names, or -1 when there is no header at all.
+type wireVersionError struct{ Version int }
+
+func (e *wireVersionError) Error() string {
+	return "campaign: control payload of protocol version " + e.peerVersion() + ", this endpoint version " + strconv.Itoa(protocolVersion)
+}
+
+// peerVersion says which protocol version the payload's sender speaks. A
+// payload without the header comes from a peer before version 3, which
+// sent gob.
+func (e *wireVersionError) peerVersion() string {
+	if e.Version < 0 {
+		return "older than 3 (gob payloads)"
+	}
+	return strconv.Itoa(e.Version)
+}
+
+// encode returns cm's payload in one allocation of exactly its size. The
+// buffer is never reused: the inproc wire hands the payload itself to the
+// peer, whose mailbox may still hold it when the next frame is encoded.
+func (cm *clusterMsg) encode() []byte { return cm.appendWire(make([]byte, 0, cm.wireSize())) }
+
+// wireSize is the length of cm's payload.
+func (cm *clusterMsg) wireSize() int {
+	n := wireHeaderSize + 4*8 + 3*1 + 6*4 + len(cm.Peer) + len(cm.Doc) + len(cm.Fingerprint) + len(cm.Point)
+	for k, v := range cm.Outcomes {
+		n += 8 + len(k) + len(v)
+	}
+	for _, d := range cm.Dropped {
+		n += 4 + len(d)
+	}
+	return n
+}
+
+// appendWire appends cm's payload to b.
+func (cm *clusterMsg) appendWire(b []byte) []byte {
+	b = appendWireHeader(b)
+	b = appendWireInt(b, int64(cm.Index))
+	b = appendWireString(b, cm.Peer)
+	b = appendWireBool(b, cm.Completed)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(cm.Outcomes)))
+	for _, k := range sortedKeys(cm.Outcomes) {
+		b = appendWireString(b, k)
+		b = appendWireString(b, cm.Outcomes[k])
+	}
+	b = appendWireString(b, cm.Doc)
+	b = appendWireBool(b, cm.More)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(cm.Dropped)))
+	for _, d := range cm.Dropped {
+		b = appendWireString(b, d)
+	}
+	b = appendWireInt(b, int64(cm.Seq))
+	b = appendWireInt(b, int64(cm.Total))
+	b = appendWireInt(b, int64(cm.Version))
+	b = appendWireString(b, cm.Fingerprint)
+	b = appendWireString(b, cm.Point)
+	return appendWireBool(b, cm.TraceOn)
+}
+
+// decodeClusterMsg decodes a payload written by clusterMsg.encode. The
+// strings are copied out of b, so the message never aliases the frame.
+func decodeClusterMsg(b []byte) (clusterMsg, error) {
+	r := wireReader{b: b}
+	r.header()
+	var cm clusterMsg
+	cm.Index = int(r.int())
+	cm.Peer = r.string()
+	cm.Completed = r.bool()
+	if n := r.count(8); n > 0 {
+		cm.Outcomes = make(map[string]string, n)
+		prev := ""
+		for i := 0; i < n && r.err == nil; i++ {
+			k, v := r.string(), r.string()
+			if i > 0 && k <= prev && r.err == nil {
+				r.err = errWireKeyOrder
+			}
+			cm.Outcomes[k], prev = v, k
 		}
+	}
+	cm.Doc = r.string()
+	cm.More = r.bool()
+	if n := r.count(4); n > 0 {
+		cm.Dropped = make([]string, n)
+		for i := range cm.Dropped {
+			cm.Dropped[i] = r.string()
+		}
+	}
+	cm.Seq = int(r.int())
+	cm.Total = int(r.int())
+	cm.Version = int(r.int())
+	cm.Fingerprint = r.string()
+	cm.Point = r.string()
+	cm.TraceOn = r.bool()
+	if err := r.end(); err != nil {
+		return clusterMsg{}, err
+	}
+	return cm, nil
+}
+
+// encode returns w's payload in one allocation, never reused (see
+// clusterMsg.encode).
+func (w syncWire) encode() []byte {
+	b := appendWireHeader(make([]byte, 0, syncWireSize))
+	b = appendWireInt(b, int64(w.Seq))
+	b = appendWireInt(b, w.RemoteRecv)
+	b = appendWireInt(b, w.RemoteSend)
+	b = appendWireInt(b, w.ProcRecv)
+	return appendWireInt(b, w.ProcSend)
+}
+
+// decodeSyncWire decodes a payload written by syncWire.encode, allocating
+// nothing unless it fails.
+func decodeSyncWire(b []byte) (syncWire, error) {
+	r := wireReader{b: b}
+	r.header()
+	var w syncWire
+	w.Seq = int(r.int())
+	w.RemoteRecv = r.int()
+	w.RemoteSend = r.int()
+	w.ProcRecv = r.int()
+	w.ProcSend = r.int()
+	if err := r.end(); err != nil {
+		return syncWire{}, err
+	}
+	return w, nil
+}
+
+func appendWireHeader(b []byte) []byte {
+	return binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(b, wireMagic), protocolVersion)
+}
+
+func appendWireInt(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
+
+func appendWireBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendWireString(b []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
+}
+
+// wireReader reads one payload front to back. After its first error every
+// read returns a zero value and the error sticks.
+type wireReader struct {
+	b   []byte
+	err error
+}
+
+// header consumes the payload header, failing with a wireVersionError
+// unless it is this endpoint's.
+func (r *wireReader) header() {
+	if len(r.b) < wireHeaderSize || binary.BigEndian.Uint16(r.b) != wireMagic {
+		r.err = &wireVersionError{Version: -1}
+		return
+	}
+	if v := binary.BigEndian.Uint16(r.b[2:]); v != protocolVersion {
+		r.err = &wireVersionError{Version: int(v)}
+		return
+	}
+	r.b = r.b[wireHeaderSize:]
+}
+
+// next consumes n bytes, or fails when fewer remain.
+func (r *wireReader) next(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
+		r.err = errWireShort
+		return nil
+	}
+	p := r.b[:n:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *wireReader) int() int64 {
+	if p := r.next(8); r.err == nil {
+		return int64(binary.BigEndian.Uint64(p))
+	}
+	return 0
+}
+
+func (r *wireReader) u32() uint32 {
+	if p := r.next(4); r.err == nil {
+		return binary.BigEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *wireReader) bool() bool {
+	p := r.next(1)
+	switch {
+	case r.err != nil:
+		return false
+	case p[0] > 1:
+		r.err = errWireBool
+		return false
+	}
+	return p[0] == 1
+}
+
+// string reads a length-prefixed string, copying it out of the payload.
+// next refuses a length beyond the remaining bytes before anything is
+// allocated.
+func (r *wireReader) string() string {
+	n := r.u32()
+	return string(r.next(int(n)))
+}
+
+// count reads a collection's length, failing when its items, each at
+// least itemSize bytes, could not fit in what remains.
+func (r *wireReader) count(itemSize int) int {
+	n := int(r.u32())
+	if r.err == nil && n > len(r.b)/itemSize {
+		r.err = errWireShort
+		return 0
+	}
+	return n
+}
+
+// end fails unless the payload has been read exactly.
+func (r *wireReader) end() error {
+	if r.err == nil && len(r.b) > 0 {
+		r.err = errWireTrailing
+	}
+	return r.err
+}
+
+// docRoom is how many bytes of Doc fit in one op frame from -> to beside
+// the rest of cm: transport.MaxFrame less the frame header and the
+// encoded size of every other field (ctrlFrame sets Peer to from). Seq
+// and Total are fixed-width, so the room is the same for every frame of a
+// set.
+func docRoom(from, to, op string, cm clusterMsg) int {
+	cm.Peer, cm.Doc = from, ""
+	return transport.MaxFrame - transport.Overhead(transport.Message{From: from, To: to, State: op}) - cm.wireSize()
+}
+
+// chunkDoc splits one encoded document across protocol frames carrying at
+// most room bytes of it each (docRoom): More marks a continuation, and the
+// 60 KB frame limit stays a transport property, not a bound on how much a
+// long experiment may record. An empty document still produces one frame,
+// so the collector always completes. Without any room (the rest of a frame
+// alone exceeds the limit) the document goes whole into one frame, which
+// the transport then refuses to send.
+func chunkDoc(room, index int, doc string) []clusterMsg {
+	if room <= 0 {
+		room = max(len(doc), 1)
+	}
+	var frames []clusterMsg
+	for start := 0; ; start += room {
+		end := min(start+room, len(doc))
 		frames = append(frames, clusterMsg{Index: index, Doc: doc[start:end], More: end < len(doc)})
 		if end >= len(doc) {
 			return numberFrames(frames)
@@ -156,16 +440,19 @@ func joinDocs(frames []clusterMsg) ([]string, error) {
 	return docs, nil
 }
 
-// resultFrames encodes a member's artifacts as result frames (the §3.5.6
-// text format is the wire format), one chunked document per timeline, with
-// outcomes repeated in each frame so any one carries them. Only a timeline
-// that cannot be encoded at all is reported in Dropped (it is not counted
-// in Total, or the coordinator would wait forever for a frame that can
-// never arrive), and the coordinator then discards the experiment: a
-// machine's injections cannot be verified from a global timeline that
-// machine is missing from, so accepting would be unsound.
-func resultFrames(logf func(string, ...interface{}), index int, locals []*timeline.Local, outcomes map[string]string) []clusterMsg {
-	var frames []clusterMsg
+// resultFrames encodes a member's artifacts as the result frames it sends
+// from -> to (the §3.5.6 text format is the wire format), one chunked
+// document per timeline, with outcomes repeated in each frame so any one
+// carries them; each chunk gets exactly the room the rest of its frame
+// leaves. Only a timeline that cannot be encoded at all is reported in
+// Dropped (it is not counted in Total, or the coordinator would wait
+// forever for a frame that can never arrive), and the coordinator then
+// discards the experiment: a machine's injections cannot be verified from
+// a global timeline that machine is missing from, so accepting would be
+// unsound.
+func resultFrames(logf func(string, ...interface{}), from, to string, index int, locals []*timeline.Local, outcomes map[string]string) []clusterMsg {
+	type doc struct{ owner, text string }
+	var docs []doc
 	var dropped []string
 	var buf []byte // each timeline's text, appended into one reused buffer
 	for _, tl := range locals {
@@ -175,10 +462,17 @@ func resultFrames(logf func(string, ...interface{}), index int, locals []*timeli
 			dropped = append(dropped, tl.Owner)
 			continue
 		}
-		doc := string(buf)
-		chunks := chunkDoc(index, doc)
+		docs = append(docs, doc{tl.Owner, string(buf)})
+	}
+	room := docRoom(from, to, opResult, clusterMsg{Index: index, Outcomes: outcomes, Dropped: dropped})
+	if room <= 0 {
+		logf("campaign: cluster result: %d outcomes and %d dropped owners alone exceed a frame", len(outcomes), len(dropped))
+	}
+	var frames []clusterMsg
+	for _, d := range docs {
+		chunks := chunkDoc(room, index, d.text)
 		if len(chunks) > 1 {
-			logf("campaign: cluster result: timeline %q is %d bytes, chunking across %d frames", tl.Owner, len(doc), len(chunks))
+			logf("campaign: cluster result: timeline %q is %d bytes, chunking across %d frames", d.owner, len(d.text), len(chunks))
 		}
 		frames = append(frames, chunks...)
 	}

@@ -20,16 +20,23 @@ import (
 // datagram and stops a corrupt TCP length prefix from allocating wildly.
 const MaxFrame = 60 * 1024
 
+// Overhead is the number of bytes Marshal adds to m's payload: kind,
+// epoch, the five header strings with their lengths, and the payload
+// length. A sender sizing a payload to fit one frame budgets
+// MaxFrame - Overhead(m).
+func Overhead(m Message) int {
+	return 1 + 8 + 5*2 + len(m.From) + len(m.FromHost) + len(m.To) + len(m.ToHost) + len(m.State) + 4
+}
+
 // Marshal encodes m into a frame body.
 func Marshal(m Message) ([]byte, error) {
-	n := 1 + 8 + 4 + len(m.Payload)
 	strs := [5]string{m.From, m.FromHost, m.To, m.ToHost, m.State}
 	for _, s := range strs {
 		if len(s) > 0xffff {
 			return nil, fmt.Errorf("transport: field of %d bytes exceeds string limit", len(s))
 		}
-		n += 2 + len(s)
 	}
+	n := Overhead(m) + len(m.Payload)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}

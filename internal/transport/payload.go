@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 )
 
-// EncodePayload gob-encodes v as a frame payload. Every structured body
-// that crosses a transport — cluster protocol messages, clock-sync stamps,
-// replicated chaos operations, the application-payload envelope — goes
-// through this pair, so there is one decoder to fuzz and one place where
-// the encoding could ever change.
+// EncodePayload gob-encodes v as a frame payload. The application-payload
+// envelope, which carries arbitrary registered application types, and the
+// replicated chaos operations go through this pair. The cluster control
+// plane's own bodies (protocol messages and clock-sync stamps) do not:
+// they have a fixed layout with a strict decoder of their own
+// (internal/campaign/cluster_wire.go), because they are frequent and a
+// peer of another protocol version must be refused, not half-read.
 func EncodePayload[T any](v T) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {

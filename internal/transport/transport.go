@@ -22,8 +22,9 @@
 //   - TCP: a listener plus lazily-dialed peer connections with
 //     length-prefixed framing and reconnect-on-error.
 //
-// Structured frame bodies share one gob codec (payload.go), whatever they
-// carry.
+// Application payloads and chaos operations are gob (payload.go); the
+// cluster protocol's control and sync frames carry a fixed layout of their
+// own, which the campaign package owns.
 //
 // Lifecycle is tied to experiment epochs: SetEpoch stamps outgoing frames
 // and inbound frames from another epoch are dropped (control frames are

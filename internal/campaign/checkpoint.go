@@ -40,6 +40,22 @@ import (
 // drained the queue. A crash loses at most the queued lines (bounded by
 // maxQueuedBytes), whose experiments a resume re-runs.
 //
+// A record line is read by one of two decoders. A line exactly as the
+// writer writes it (json.Marshal's key order, spelling and escapes, no
+// whitespace) is read in place by the strict decoder (lineDecoder): whole
+// for a resume, and as a RecordSummary for Status and the report. Every
+// other line goes through encoding/json as it always has: the header, a
+// line written by another encoder or edited by hand, a reordered, repeated,
+// case-folded or escaped key, a null Experiment, a value of another type.
+// A resume's fallback is decodeResumeLine and a summary's json.Unmarshal.
+// The strict decoder refuses whatever it cannot read exactly as
+// encoding/json would, so both paths give the same records. The fallback
+// stays because nothing yet tells a line the writer wrote from one that
+// only parses: a journal edited, or corrupted into other valid JSON, must
+// read as it always has. Once each line carries a checksum of the bytes the
+// writer wrote, a line that verifies is the writer's and the fallback can
+// go.
+//
 // On resume the journal is reloaded, the campaign-level fingerprint in the
 // header is verified, and each skipped record's study-level fingerprint
 // (campaign hash + point name + seed + fault specs) is checked before the
@@ -90,7 +106,8 @@ type journalKey struct {
 // how much of the experiment its user wants decoded. The writer marshals an
 // *ExperimentRecord; a resume decodes the whole record as it loads the
 // line (journaledExperiment); the read-only readers decode a RecordSummary
-// — the verdict fields they print — and the timelines are skipped unparsed.
+// — the verdict fields they print — and the timelines are validated and
+// skipped, not parsed.
 type journalRecord[E any] struct {
 	Point       string
 	Index       int
@@ -320,17 +337,18 @@ func readJournal[E any](r io.Reader, path string, onRecord func(*journalRecord[E
 
 // decodeBatch decodes lines, and reports which of them parse, over up to
 // GOMAXPROCS goroutines — the caller's among them — that claim lines one
-// at a time.
+// at a time, each with its own strict decoder and so its own scratch.
 func decodeBatch[E any](lines [][]byte) (out []journalLine[E], ok []bool) {
 	out, ok = make([]journalLine[E], len(lines)), make([]bool, len(lines))
 	var next atomic.Int64
 	work := func() {
+		var d lineDecoder
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(lines) {
 				return
 			}
-			ok[i] = decodeLine(lines[i], &out[i])
+			ok[i] = decodeLine(&d, lines[i], &out[i])
 		}
 	}
 	var wg sync.WaitGroup
@@ -347,11 +365,21 @@ func decodeBatch[E any](lines [][]byte) (out []journalLine[E], ok []bool) {
 }
 
 // decodeLine decodes one journal line into line and reports whether it
-// parses. A resume's shape has its own decoder (decodeResumeLine); every
-// other shape is json.Unmarshal's.
-func decodeLine[E any](b []byte, line *journalLine[E]) bool {
-	if l, ok := any(line).(*journalLine[journaledExperiment]); ok {
+// parses. A record line as the writer writes it is read by d, the strict
+// decoder, whole for a resume and as a RecordSummary for the read-only
+// readers; a line d refuses takes the encoding/json path — a resume's shape
+// its own decoder (decodeResumeLine), every other shape json.Unmarshal.
+func decodeLine[E any](d *lineDecoder, b []byte, line *journalLine[E]) bool {
+	switch l := any(line).(type) {
+	case *journalLine[journaledExperiment]:
+		if l.Record = d.resume(b); l.Record != nil {
+			return true
+		}
 		return decodeResumeLine(b, l)
+	case *journalLine[RecordSummary]:
+		if l.Record = d.summary(b); l.Record != nil {
+			return true
+		}
 	}
 	return json.Unmarshal(b, line) == nil
 }

@@ -1,0 +1,380 @@
+package campaign
+
+import (
+	"bytes"
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/clocksync"
+	"repro/internal/timeline"
+)
+
+// coverageRecords returns records that between them set every field of
+// ExperimentRecord and of every type under it — the first sets them all —
+// with strings that need every escape json.Marshal writes (<, >, &, U+2028,
+// U+2029, control bytes, the quote and the backslash, and invalid UTF-8,
+// which it writes as U+FFFD), floats it prints in exponent form, and
+// Report's slices both nil and empty but non-nil.
+func coverageRecords() []*ExperimentRecord {
+	_, raw, _ := pinnedRecords()
+	tricky := []string{
+		"<a & b>",
+		"line\u2028para\u2029end",
+		"\x00\x01\x1f\x7f ctrl",
+		"\b\f\n\r\t",
+		`quote " slash / back \`,
+		"bad \xff\xfe utf-8 \xc3",
+		"héllo ✓ 𝄞",
+	}
+	var recs []*ExperimentRecord
+	for i, s := range tricky {
+		rec := *raw
+		rec.Study = "study " + s
+		rec.Index = i - 3
+		rec.Outcomes = map[string]string{"m " + s: s, "plain": "exited"}
+		rec.Bounds = map[string]clocksync.Bounds{
+			"h1":     {AlphaLo: 1e-7, AlphaHi: 1e21, BetaLo: -2.5e-300, BetaHi: 6.02214076e23},
+			"h " + s: {AlphaLo: -4000000.5, AlphaHi: 1.7976931348623157e308, BetaLo: 5e-324, BetaHi: 0.99994},
+		}
+		rec.Report = &analysis.Report{
+			Injections: []analysis.InjectionCheck{
+				{Machine: "m " + s, Fault: "f " + s, At: analysis.Interval{Lo: -5, Hi: 1 << 62}, Correct: true, Reason: "why " + s},
+				{Machine: "beta", Fault: "bfault", At: analysis.Interval{Lo: 107, Hi: 147}, Correct: true, Reason: "held"},
+			},
+			MissingFaults: []string{"missing " + s, "other"},
+			Accepted:      true,
+		}
+		rec.AnalysisError = "error " + s
+		rec.ClockStepSuspected = true
+		rec.ClockStepHosts = []string{"h2", "h " + s}
+		rec.ClockStepBounds = map[string]StepBound{"h2": {Lo: -12, Hi: 34}, "h " + s: {Lo: -1 << 63, Hi: 1<<63 - 1}}
+		rec.Stamps = append(rec.Stamps, clocksync.StampedMessage{SendHost: "h " + s, RecvHost: "h1", SendTime: -7, RecvTime: 1 << 40})
+		recs = append(recs, &rec)
+	}
+	nilSlices := *recs[0]
+	nilSlices.Report = &analysis.Report{Accepted: true}
+	nilSlices.Locals = []*timeline.Local{raw.Locals[0], nil}
+	emptySlices := *recs[1]
+	emptySlices.Report = &analysis.Report{Injections: []analysis.InjectionCheck{}, MissingFaults: []string{}}
+	return append(recs, &nilSlices, &emptySlices, new(ExperimentRecord))
+}
+
+// coverageLine is rec's journal line as append writes it.
+func coverageLine(t testing.TB, rec *ExperimentRecord) []byte {
+	t.Helper()
+	b, err := json.Marshal(journalLine[*ExperimentRecord]{Record: &journalRecord[*ExperimentRecord]{
+		Point: "cover \u2028<&>\xff", Index: rec.Index, Fingerprint: "00f1", Experiment: rec,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// checkStrict checks the strict decoder against encoding/json on one line:
+// where it accepts the line whole it must give the record encoding/json
+// decodes and a resume's fallback (decodeResumeLine) serves, and where it
+// accepts the summary, json.Unmarshal's RecordSummary. It returns which
+// modes accepted.
+func checkStrict(t testing.TB, d *lineDecoder, line []byte) (full, summary bool) {
+	t.Helper()
+	if got := d.resume(line); got != nil {
+		var want journalLine[*ExperimentRecord]
+		if err := json.Unmarshal(line, &want); err != nil || want.Journal != nil || want.Record == nil {
+			t.Fatalf("strict decoder accepts %q; encoding/json: %+v, %v", line, want, err)
+		}
+		w := want.Record
+		if got.Point != w.Point || got.Index != w.Index || got.Fingerprint != w.Fingerprint || !reflect.DeepEqual(got.Experiment.rec, w.Experiment) {
+			t.Fatalf("strict decoder reads %q as\n%+v %+v;\nencoding/json as\n%+v %+v", line, got, got.Experiment.rec, w, w.Experiment)
+		}
+		var fallback journalLine[journaledExperiment]
+		if !decodeResumeLine(line, &fallback) || fallback.Record == nil || fallback.Record.Experiment.err != nil ||
+			!reflect.DeepEqual(got.Experiment.rec, fallback.Record.Experiment.rec) {
+			t.Fatalf("strict decoder reads %q as %+v; the resume fallback as %+v", line, got.Experiment.rec, fallback.Record)
+		}
+		full = true
+	}
+	if got := d.summary(line); got != nil {
+		var want journalLine[RecordSummary]
+		if err := json.Unmarshal(line, &want); err != nil || want.Journal != nil || want.Record == nil || *got != *want.Record {
+			t.Fatalf("strict summary of %q is %+v; encoding/json's %+v (%v)", line, got, want.Record, err)
+		}
+		summary = true
+	}
+	return full, summary
+}
+
+// TestStrictDecoderReadsWriterOutput: a line json.Marshal writes for a
+// record never takes the fallback. Every coverage record's line is
+// accepted by both strict modes and decodes to what encoding/json gives.
+func TestStrictDecoderReadsWriterOutput(t *testing.T) {
+	var d lineDecoder
+	lines := [][]byte{[]byte(pinAccepted), []byte(pinAcceptedRaw), []byte(pinDiscarded)}
+	for _, rec := range coverageRecords() {
+		lines = append(lines, coverageLine(t, rec))
+	}
+	goldens, err := filepath.Glob("../../testdata/golden_*.journal")
+	if err != nil || len(goldens) == 0 {
+		t.Fatalf("no golden journals: %v", err)
+	}
+	for _, path := range goldens {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := bytes.SplitAfter(b, []byte("\n"))[1:]
+		lines = append(lines, records[:len(records)-1]...) // the last is empty
+	}
+	for _, line := range lines {
+		if full, summary := checkStrict(t, &d, line); !full || !summary {
+			t.Errorf("the writer's line takes the fallback (whole %v, summary %v): %s", full, summary, line)
+		}
+	}
+}
+
+// TestStrictDecoderKnowsEveryField fails when a field is added that the
+// strict decoder does not know: experimentKeys must list ExperimentRecord's
+// fields in order, its summary marks RecordSummary's, and the first
+// coverage record must set every field of every type under
+// ExperimentRecord (timeline texts aside, which are one string each) — a
+// new nested field set there makes TestStrictDecoderReadsWriterOutput fail
+// until the decoder reads it. No type under ExperimentRecord may decode
+// itself, other than the two timeline texts the decoder hands to
+// UnmarshalText.
+func TestStrictDecoderKnowsEveryField(t *testing.T) {
+	typ := reflect.TypeOf(ExperimentRecord{})
+	if typ.NumField() != len(experimentKeys) {
+		t.Fatalf("ExperimentRecord has %d fields, experimentKeys %d", typ.NumField(), len(experimentKeys))
+	}
+	summary := reflect.TypeOf(RecordSummary{})
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
+		if experimentKeys[i].key != `"`+name+`":` {
+			t.Errorf("experimentKeys[%d] is %s, ExperimentRecord's field %d is %s", i, experimentKeys[i].key, i, name)
+		}
+		if _, ok := summary.FieldByName(name); ok != experimentKeys[i].summary {
+			t.Errorf("experimentKeys marks %s summary %v; RecordSummary has it: %v", name, experimentKeys[i].summary, ok)
+		}
+	}
+	textual := reflect.TypeFor[encoding.TextUnmarshaler]()
+	texts := map[reflect.Type]bool{reflect.TypeFor[*analysis.Global](): true, reflect.TypeFor[*timeline.Local](): true}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		if p := reflect.PointerTo(v.Type()); p.Implements(textual) && !texts[p] || p.Implements(reflect.TypeFor[json.Unmarshaler]()) {
+			t.Errorf("%s (%s) decodes itself; teach the strict decoder to call it", path, v.Type())
+		}
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() {
+				t.Errorf("%s is nil in the coverage record", path)
+			} else if !texts[v.Type()] {
+				walk(v.Elem(), path)
+			}
+		case reflect.Struct:
+			for i := range v.NumField() {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice, reflect.Map:
+			if v.Len() == 0 {
+				t.Errorf("%s is empty in the coverage record", path)
+			}
+			if v.Kind() == reflect.Slice {
+				for i := range v.Len() {
+					walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+				}
+			} else {
+				for it := v.MapRange(); it.Next(); {
+					walk(it.Value(), fmt.Sprintf("%s[%q]", path, it.Key()))
+				}
+			}
+		default:
+			if v.IsZero() {
+				t.Errorf("%s is zero in the coverage record", path)
+			}
+		}
+	}
+	walk(reflect.ValueOf(coverageRecords()[0]), "ExperimentRecord")
+}
+
+// fallbackLines are record lines the strict decoder must refuse in both
+// modes, each built from a golden record line.
+func fallbackLines(t testing.TB) map[string]string {
+	_, rec := goldenLines(t)
+	rec = strings.TrimSuffix(rec, "\n")
+	exp := strings.Index(rec, `"Experiment":`) + len(`"Experiment":`)
+	edit := func(old, new string) string {
+		t.Helper()
+		if !strings.Contains(rec, old) {
+			t.Fatalf("the golden record line has no %s", old)
+		}
+		return strings.Replace(rec, old, new, 1)
+	}
+	return map[string]string{
+		"reordered keys":   edit(`"Completed":true,"Accepted":true`, `"Accepted":true,"Completed":true`),
+		"case-folded key":  edit(`"Accepted":true`, `"accepted":true`),
+		"escaped key":      edit(`"Accepted":true`, `"Acc\u0065pted":true`),
+		"duplicate key":    edit(`"Accepted":true`, `"Accepted":true,"Accepted":false`),
+		"inner whitespace": edit(`"Completed":true`, `"Completed": true`),
+		"null experiment":  rec[:exp] + "null}}",
+		"global a number":  edit(`"Global":"global_timeline`, `"Global":123,"X":"`),
+		"unknown key":      edit(`"Completed":true`, `"Completed":true,"Aborted":true`),
+		"header":           `{"journal":{"Version":2,"Campaign":"c","Fingerprint":"f"}}`,
+		"no experiment":    `{"record":{"Point":"golden","Index":0,"Fingerprint":"fa8d1ad7bcd21c8e"}}`,
+		"trailing bytes":   rec + " ",
+		"surrogate escape": edit(`"Study":"golden"`, `"Study":"\ud834\udd1e"`),
+		"raw control byte": edit(`"Study":"golden"`, "\"Study\":\"gol\x01den\""),
+		"invalid utf-8":    edit(`"Study":"golden"`, "\"Study\":\"gol\xffden\""),
+		"index overflows":  edit(`"Index":0,"Completed"`, `"Index":9223372036854775808,"Completed"`),
+		"fractional index": edit(`"Index":0,"Completed"`, `"Index":1.0,"Completed"`),
+		// Nested past encoding/json's depth limit, in a value a summary skips.
+		"deep nesting": edit(`"Outcomes":{`, `"Outcomes":{"deep":`+strings.Repeat("[", 10001)+strings.Repeat("]", 10001)+`,`),
+	}
+}
+
+// TestStrictDecoderRefuses: a line that is not the writer's is refused by
+// both strict modes, so it takes the encoding/json path; reading a journal
+// of each gives what the line-by-line reference reader gives.
+func TestStrictDecoderRefuses(t *testing.T) {
+	header, rec := goldenLines(t)
+	var d lineDecoder
+	for name, line := range fallbackLines(t) {
+		if full, summary := checkStrict(t, &d, []byte(line+"\n")); full || summary {
+			t.Errorf("%s: accepted (whole %v, summary %v): %s", name, full, summary, line)
+		}
+		data := []byte(header + line + "\n" + rec)
+		var got, want []journalRecord[RecordSummary]
+		scan, err := readJournal(bytes.NewReader(data), name, func(r *journalRecord[RecordSummary]) { got = append(got, *r) })
+		ref, refErr := refRead(data, func(r *journalRecord[RecordSummary]) { want = append(want, *r) })
+		if scan != ref || (err != nil) != (refErr != nil) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: summaries %+v to %+v (%v); reference %+v to %+v (%v)", name, got, scan, err, want, ref, refErr)
+		}
+	}
+}
+
+// TestStrictDecoderDoesNotAlias: a record the strict decoder returns owns
+// its memory. Decoding a second, different line on the same decoder — its
+// escaped strings unescaped into the same scratch — and then overwriting
+// the first line leaves the first record's strings, maps and Global as
+// they were. Run under -race in CI.
+func TestStrictDecoderDoesNotAlias(t *testing.T) {
+	recs := coverageRecords()
+	first, second := coverageLine(t, recs[0]), coverageLine(t, recs[2])
+	var d lineDecoder
+	got := d.resume(first)
+	if got == nil {
+		t.Fatal("the strict decoder refuses a coverage line")
+	}
+	before := wireBytes(t, got.Experiment.rec)
+	point, global := got.Point, got.Experiment.rec.Global.Events[0].Machine
+	if d.resume(second) == nil || d.summary(second) == nil {
+		t.Fatal("the strict decoder refuses a coverage line")
+	}
+	for i := range first {
+		first[i] = 'x'
+	}
+	if after := wireBytes(t, got.Experiment.rec); !bytes.Equal(after, before) {
+		t.Errorf("the first record changed after the decoder read another line:\n got: %s\nwant: %s", after, before)
+	}
+	if got.Point != point || got.Experiment.rec.Global.Events[0].Machine != global {
+		t.Errorf("the first record's key or Global changed: %q, %q", got.Point, got.Experiment.rec.Global.Events[0].Machine)
+	}
+}
+
+// TestJournalReadAllocBudget holds the read path's allocations per record:
+// a resume's load (journal.load) and a summary walk (walkJournal, which
+// Status and the report make), over the golden election record journaled
+// under distinct keys, long minus short journal so the file's own costs
+// cancel. Measured at 32.1 and 3.1 when the budget was set (54.1 and 12.1
+// when every line went through encoding/json); a -race build measured the
+// same, and its slack is for the pools -race drops at random.
+func TestJournalReadAllocBudget(t *testing.T) {
+	loadBudget, walkBudget := 34.0, 4.0
+	if raceBuild {
+		loadBudget, walkBudget = 38, 6
+	}
+	header, rec := goldenLines(t)
+	var h journalLine[struct{}]
+	if err := json.Unmarshal([]byte(header), &h); err != nil {
+		t.Fatal(err)
+	}
+	fp := h.Journal.Fingerprint
+	dir := t.TempDir()
+	write := func(n int) {
+		var b strings.Builder
+		b.WriteString(header)
+		for i := range n {
+			b.WriteString(strings.Replace(rec, `"Index":0`, fmt.Sprintf(`"Index":%d`, i), 2))
+		}
+		if err := os.WriteFile(JournalPath(dir), []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRecord := func(read func()) float64 {
+		const short, long = 64, 576
+		write(short)
+		a := testing.AllocsPerRun(5, read)
+		write(long)
+		return (testing.AllocsPerRun(5, read) - a) / (long - short)
+	}
+	load := perRecord(func() {
+		f, err := os.OpenFile(JournalPath(dir), os.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := (&journal{f: f}).load(fp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	walk := perRecord(func() {
+		if _, err := walkJournal(dir, func(*journalRecord[RecordSummary]) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per record: resume load %.1f, summary walk %.1f", load, walk)
+	if load > loadBudget || walk > walkBudget {
+		t.Fatalf("reading a record allocates %.1f objects for a resume (budget %.0f), %.1f for a summary (budget %.0f)",
+			load, loadBudget, walk, walkBudget)
+	}
+}
+
+// FuzzStrictLineMatchesEncodingJSON: whatever the line, the strict decoder
+// either refuses it or decodes what encoding/json decodes — the whole
+// record a resume serves, and the summary the read-only readers count.
+// Seeded from the golden journals' lines, the pinned lines, the coverage
+// lines and the lines that must fall back.
+func FuzzStrictLineMatchesEncodingJSON(f *testing.F) {
+	goldens, err := filepath.Glob("../../testdata/golden_*.journal")
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden journals to seed from: %v", err)
+	}
+	for _, path := range goldens {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+			f.Add(line)
+		}
+	}
+	for _, line := range []string{pinAccepted, pinAcceptedRaw, pinDiscarded} {
+		f.Add([]byte(line))
+	}
+	for _, rec := range coverageRecords() {
+		f.Add(coverageLine(f, rec))
+	}
+	for _, line := range fallbackLines(f) {
+		f.Add([]byte(line))
+	}
+	var d lineDecoder // one fuzzing process's decoder, its scratch reused input to input
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkStrict(t, &d, line)
+	})
+}

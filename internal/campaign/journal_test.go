@@ -586,7 +586,9 @@ func TestProgressEventMeansDurable(t *testing.T) {
 // never panics — and what it trusts is self-consistent: the trusted offset
 // ends a line, re-reading the trusted prefix alone finds the same records
 // with nothing in doubt, and the verdict-decoding readers (which also
-// type-check the fields they decode) never trust more than the loader.
+// type-check the fields they decode) never trust more than the loader. The
+// summaries they read — through the strict decoder where it accepts a
+// line — are, value for value, the line-by-line encoding/json reading's.
 func FuzzReadJournal(f *testing.F) {
 	goldens, err := filepath.Glob("../../testdata/golden_*.journal")
 	if err != nil || len(goldens) == 0 {
@@ -604,6 +606,11 @@ func FuzzReadJournal(f *testing.F) {
 	f.Add([]byte(`{"journal":{"Version":2,"Campaign":"c","Fingerprint":"f"}}` + "\n" + pinAcceptedRaw + "\n" + pinDiscarded + "\n"))
 	f.Add([]byte(`{"journal":{"Version":1}}` + "\n" + pinDiscarded + "\n" + `{"done":{"Point":"pin/point","Index":4}}` + "\n"))
 	f.Add([]byte(`{"record":{"Point":"p"}}` + "\n"))
+	header, _ := goldenLines(f)
+	f.Add(append([]byte(header), coverageLine(f, coverageRecords()[0])...))
+	for _, line := range fallbackLines(f) {
+		f.Add([]byte(header + line + "\n"))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		read := func(b []byte) (journalScan, []string, error) {
@@ -624,10 +631,14 @@ func FuzzReadJournal(f *testing.F) {
 		if err != nil || again.offset != scan.offset || again.tail != tailClean || !reflect.DeepEqual(keys, keys2) {
 			t.Fatalf("re-reading the trusted prefix: %+v %v (err %v), first read %+v %v", again, keys2, err, scan, keys)
 		}
-		verdicts := 0
-		vscan, err := readJournal(bytes.NewReader(data), "fuzz", func(*journalRecord[RecordSummary]) { verdicts++ })
-		if err != nil || vscan.offset > scan.offset || verdicts > len(keys) {
-			t.Fatalf("verdict reader trusts %d bytes, %d records (err %v); the loader %d and %d", vscan.offset, verdicts, err, scan.offset, len(keys))
+		var verdicts, want []journalRecord[RecordSummary]
+		vscan, err := readJournal(bytes.NewReader(data), "fuzz", func(r *journalRecord[RecordSummary]) { verdicts = append(verdicts, *r) })
+		if err != nil || vscan.offset > scan.offset || len(verdicts) > len(keys) {
+			t.Fatalf("verdict reader trusts %d bytes, %d records (err %v); the loader %d and %d", vscan.offset, len(verdicts), err, scan.offset, len(keys))
+		}
+		ref, err := refRead(data, func(r *journalRecord[RecordSummary]) { want = append(want, *r) })
+		if err != nil || vscan != ref || !reflect.DeepEqual(verdicts, want) {
+			t.Fatalf("verdict reader reads %+v to %+v; line by line, encoding/json reads %+v to %+v (err %v)", verdicts, vscan, want, ref, err)
 		}
 	})
 }

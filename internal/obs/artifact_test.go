@@ -2,11 +2,13 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func writeString(s string) func(io.Writer) error {
@@ -99,5 +101,79 @@ func TestArtifactEncodeErrorKeepsOldFile(t *testing.T) {
 	}
 	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
 		t.Fatalf("a failed encode left a file behind: %v", err)
+	}
+}
+
+// TestArtifactWriterRepairsEveryDifference: whatever way the file on disk
+// differs from the new bytes, Write leaves exactly the new bytes. Each
+// mutation below, made in a copy of artifact.go, fails it:
+//   - dropping the size check (a file with one byte appended is kept);
+//   - dropping the compare (a same-size file with one byte flipped is kept);
+//   - comparing only the first chunk (a file larger than the scratch that
+//     differs only in its last chunk is kept).
+func TestArtifactWriterRepairsEveryDifference(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.txt")
+	var w ArtifactWriter
+	check := func(name string, old []byte, content string) {
+		t.Helper()
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(path, 0o644, writeString(content)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != content {
+			t.Fatalf("%s: the file holds %d bytes %.40q…, want %d", name, len(got), got, len(content))
+		}
+	}
+	content := strings.Repeat("global timeline line\n", 12)
+	for i := range len(content) {
+		flipped := []byte(content)
+		flipped[i] ^= 0x20
+		check(fmt.Sprintf("byte %d flipped", i), flipped, content)
+		check(fmt.Sprintf("cut at %d", i), []byte(content[:i]), content)
+	}
+	check("one byte appended", []byte(content+"x"), content)
+	check("emptied", nil, content)
+	check("identical", []byte(content), content)
+
+	large := strings.Repeat("0123456789abcdef", 3*compareChunk/16) + "tail"
+	last := []byte(large)
+	last[len(last)-1] = 'X'
+	check("larger than the scratch, last chunk differs", last, large)
+}
+
+// TestArtifactWriterKeepsMtimeWhenUnchanged: writing the bytes a file
+// already holds does not touch it, so its mtime stays in the past; writing
+// different bytes moves it.
+func TestArtifactWriterKeepsMtimeWhenUnchanged(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.txt")
+	var w ArtifactWriter
+	if err := w.Write(path, 0o644, writeString("same\n")); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	mtime := func() time.Time {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.ModTime()
+	}
+	if err := w.Write(path, 0o644, writeString("same\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := mtime(); !got.Equal(past) {
+		t.Fatalf("writing identical bytes moved the mtime from %v to %v", past, got)
+	}
+	if err := w.Write(path, 0o644, writeString("diff\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := mtime(); !got.After(past) {
+		t.Fatalf("writing different bytes left the mtime at %v", got)
 	}
 }

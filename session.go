@@ -2,8 +2,10 @@ package loki
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -208,10 +210,16 @@ func WithCluster(cl ClusterConfig) Option {
 // journaling defaults to the same directory when not configured
 // separately.
 //
-// Artifact files are derived output and not crash-consistent: each is
-// overwritten in place, so a crash mid-rewrite can leave old and new bytes
-// mixed, as a crash just after truncation once left an empty file. The
-// journal is the durable record; Resume rebuilds the artifacts from it.
+// Each file is verified before it is written: one that already holds its
+// bytes is left untouched, mtime included, so a Resume over an intact
+// tree writes nothing; one that differs is overwritten in place and cut
+// to length. A target that is not a regular file (a pipe, a terminal,
+// /dev/null) is written once and never read or truncated.
+//
+// Artifact files are derived output and not crash-consistent: a crash
+// mid-rewrite can leave old and new bytes mixed, as a crash just after
+// truncation once left an empty file. The journal is the durable record;
+// Resume rebuilds the artifacts from it.
 func WithArtifacts(dir string) Option {
 	return func(s *Session) error {
 		if dir == "" {
@@ -818,15 +826,21 @@ func writeArtifactJobs(jobs []artifactJob) error {
 }
 
 // writeExperimentArtifacts writes one record's global timeline, alphabeta
-// bounds, and verdict under dir/expNNN.
+// bounds, and verdict under dir/expNNN. The directory is made only when
+// the first file cannot be opened for want of it, so a rewrite over an
+// existing tree spends no MkdirAll on each record.
 func writeExperimentArtifacts(w *obs.ArtifactWriter, dir string, rec *ExperimentRecord) error {
 	expDir := filepath.Join(dir, fmt.Sprintf("exp%03d", rec.Index))
-	if err := os.MkdirAll(expDir, 0o755); err != nil {
-		return err
-	}
-	err := w.Write(filepath.Join(expDir, "global.timeline"), 0o666, func(w io.Writer) error {
+	global := filepath.Join(expDir, "global.timeline")
+	encodeGlobal := func(w io.Writer) error {
 		return analysis.Encode(w, rec.Global)
-	})
+	}
+	err := w.Write(global, 0o666, encodeGlobal)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(expDir, 0o755); err == nil {
+			err = w.Write(global, 0o666, encodeGlobal)
+		}
+	}
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,13 @@
 //
 // Output is deterministic: everything is sorted, nothing is timestamped,
 // so regenerating a report over unchanged artifacts is byte-identical.
+//
+// report.html comes from one appending writer (html.go). The
+// html/template renderer it replaced is kept only as a test reference
+// (html_ref_test.go): golden files and a differential fuzz test hold the
+// writer to its bytes. The template stays out of the build because
+// text/template's reflection stops the linker from pruning unused
+// methods in every binary that links it.
 package report
 
 import (
@@ -229,11 +236,12 @@ func buildHeatmap(points []PointReport) *Heatmap {
 	cells := map[key]*HeatCell{}
 	rowSet, colSet := map[string]bool{}, map[string]bool{}
 	for _, p := range points {
-		segs := strings.Split(p.Point, "/")
-		if len(segs) < 2 {
+		row, rest, ok := strings.Cut(p.Point, "/")
+		if !ok {
 			continue
 		}
-		k := key{segs[0], segs[1]}
+		col, _, _ := strings.Cut(rest, "/")
+		k := key{row, col}
 		rowSet[k.row] = true
 		colSet[k.col] = true
 		c := cells[k]

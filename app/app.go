@@ -7,7 +7,7 @@
 // needs — the node body handle, the state-machine specification builder,
 // the probe fault actions, and a pluggable registry the campaign-file
 // loader consults — as stable public types, with no internal/ import
-// required (scripts/forbid_app_internal.sh enforces exactly that for
+// required (lokilint's appimports analyzer enforces exactly that for
 // apps/ and examples/).
 //
 // A minimal application registers a builder at init time and becomes

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	loki "repro"
+	"repro/app"
 	"repro/apps/election"
 	"repro/internal/clocksync"
 	"repro/internal/designsim"
@@ -160,7 +161,7 @@ func electionCampaignRunFor(name string, experiments int, restart bool, seed int
 				Expr: faultexpr.MustParse("(black:LEAD)"),
 				Mode: faultexpr.Once,
 			}}
-			in.On("bfault1", loki.DelayedCrashFault(8*time.Millisecond, 0, seed))
+			in.On("bfault1", app.DelayedCrashFault(8*time.Millisecond, 0, seed))
 		}
 		nodes = append(nodes, loki.NodeDef{
 			Nickname: nick,

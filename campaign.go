@@ -1,8 +1,6 @@
 package loki
 
 import (
-	"time"
-
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/probe"
@@ -28,45 +26,18 @@ type (
 	// ExperimentRecord is one experiment's full record (runtime outcomes,
 	// clock bounds, global timeline, analysis verdict).
 	ExperimentRecord = campaign.ExperimentRecord
-	// StepBound is the estimated magnitude interval of a suspected clock
-	// step, from the per-phase convex-hull fits.
-	StepBound = campaign.StepBound
 	// Checkpoint configures per-experiment record journaling under an
 	// artifact directory and — with Resume — restart at the first missing
 	// point/experiment instead of rerunning a killed campaign.
 	Checkpoint = campaign.Checkpoint
 )
 
-// Probe construction (§3.5.7 and the Chapter 6 probe templates).
-type (
-	// Instrumented assembles an application body with named fault actions.
-	Instrumented = probe.Instrumented
-	// FaultAction is one fault's injection behaviour.
-	FaultAction = probe.Action
-	// MemoryRegion is a probe-corruptible byte region.
-	MemoryRegion = probe.MemoryRegion
-)
+// Instrumented assembles an application body with named fault actions
+// (§3.5.7). Application authors build one with app.New.
+type Instrumented = probe.Instrumented
 
-// Instrument wraps an application body for fault registration:
+// Instrument wraps an application body for fault registration, as
+// app.New does:
 //
-//	app := loki.Instrument(body).On("bfault1", loki.CrashFault())
+//	in := loki.Instrument(body).On("bfault1", app.CrashFault())
 func Instrument(body func(h *core.Handle)) *Instrumented { return probe.NewInstrumented(body) }
-
-// CrashFault kills the node on injection.
-func CrashFault() FaultAction { return probe.CrashFault() }
-
-// DelayedCrashFault crashes after a dormancy (§1.1) with optional jitter.
-func DelayedCrashFault(dormancy, jitter time.Duration, seed int64) FaultAction {
-	return probe.DelayedCrashFault(dormancy, jitter, seed)
-}
-
-// MemoryFault flips one random bit in region per injection.
-func MemoryFault(region *MemoryRegion, seed int64) FaultAction {
-	return probe.MemoryFault(region, seed)
-}
-
-// NewMemoryRegion allocates a corruptible region.
-func NewMemoryRegion(data []byte) *MemoryRegion { return probe.NewMemoryRegion(data) }
-
-// NoteFault records the injection without perturbing the application.
-func NoteFault() FaultAction { return probe.NoteFault() }

@@ -47,8 +47,8 @@
 //
 // Continue the pipeline with:
 //
-//	alphabeta  -stamps DIR/timestamps.txt -out DIR/alphabeta.txt
-//	makeglobal -alphabeta DIR/alphabeta.txt -out DIR/global.timeline DIR/*.timeline
+//	lokirun alphabeta  -stamps DIR/timestamps.txt -out DIR/alphabeta.txt
+//	lokirun makeglobal -alphabeta DIR/alphabeta.txt -out DIR/global.timeline DIR/*.timeline
 package main
 
 import (

@@ -39,6 +39,22 @@
 // interval; -trace writes one trace artifact per experiment under
 // OUT/traces (convert with internal/obs WriteChrome for Perfetto). With
 // -out, engine metrics are snapshotted to OUT/metrics.json after the run.
+//
+// # Off-line tools
+//
+// The thesis's §3.5 off-line tool chain runs as subcommands over the
+// files a run writes under -out (or lokid writes), each with its own flags:
+//
+//	lokirun getstamps  -machines machines.txt [-count 20] [-spacing 1ms]
+//	                   [-gap 30s] [-seed 1] [-out timestamps.txt]
+//	lokirun alphabeta  -stamps timestamps.txt [-ref host] [-out alphabeta.txt]
+//	lokirun makeglobal -alphabeta alphabeta.txt [-out global.timeline]
+//	                   [-require-triggered] local1.timeline local2.timeline ...
+//	lokirun measure    -triple 'sel ; pred ; obs' [-triple ...] [-name NAME]
+//	                   exp000/global.timeline ...
+//
+// Each writes to stdout unless -out is given, and exits 2 on a usage
+// error; makeglobal exits 1 when an injection is unprovable (§2.5).
 package main
 
 import (
@@ -59,6 +75,13 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if len(os.Args) > 1 {
+		if tool, ok := offlineTools[os.Args[1]]; ok {
+			log.SetPrefix(os.Args[1] + ": ")
+			tool(flag.NewFlagSet("lokirun "+os.Args[1], flag.ExitOnError), os.Args[2:])
+			return
+		}
+	}
 	log.SetPrefix("lokirun: ")
 	var (
 		configPath = flag.String("config", "", "campaign file (JSON); replaces the thesis-era flags below")
@@ -85,6 +108,11 @@ func main() {
 		traceOn      = flag.Bool("trace", false, "write one structured trace per experiment under OUT/traces (requires -out)")
 		reportOnly   = flag.Bool("report", false, "render OUT/report.html and OUT/report.json from the existing journal/metrics/traces without running anything")
 	)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprintln(flag.CommandLine.Output(), "Off-line tools: lokirun getstamps|alphabeta|makeglobal|measure [flags]")
+	}
 	flag.Parse()
 	if *reportOnly {
 		// Pure artifact post-processing: no campaign is opened and nothing

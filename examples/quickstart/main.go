@@ -15,6 +15,7 @@ import (
 	"time"
 
 	loki "repro"
+	"repro/app"
 )
 
 const workerSpec = `
@@ -58,11 +59,11 @@ state EXIT notify worker
 `
 
 func main() {
-	wSpec, err := loki.ParseStateMachine(workerSpec)
+	wSpec, err := app.ParseSpec(workerSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mSpec, err := loki.ParseStateMachine(monitorSpec)
+	mSpec, err := app.ParseSpec(monitorSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,16 +72,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	worker := loki.Instrument(func(h *loki.Handle) {
+	worker := app.New(func(h *app.Handle) {
 		h.NotifyEvent("IDLE")
 		h.Sleep(5 * time.Millisecond)
 		h.NotifyEvent("start_work")
 		h.Sleep(30 * time.Millisecond) // long residence: injection will be provable
 		h.NotifyEvent("finish")
 		h.Sleep(5 * time.Millisecond)
-	}).On("f1", loki.NoteFault())
+	}).On("f1", app.NoteFault())
 
-	monitor := loki.Instrument(func(h *loki.Handle) {
+	monitor := app.New(func(h *app.Handle) {
 		h.NotifyEvent("BOOT")
 		h.Sleep(2 * time.Millisecond)
 		h.NotifyEvent("ready")

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	loki "repro"
+	"repro/app"
 	"repro/apps/replica"
 	"repro/internal/faultexpr"
 	"repro/internal/measure"
@@ -26,7 +27,7 @@ var peers = []string{"r0", "r1", "r2"}
 func buildStudy(experiments int) *loki.Study {
 	var nodes []loki.NodeDef
 	for _, nick := range peers {
-		region := loki.NewMemoryRegion(make([]byte, 8))
+		region := app.NewMemoryRegion(make([]byte, 8))
 		in := replica.New(replica.Config{
 			Peers:  peers,
 			RunFor: 120 * time.Millisecond,
@@ -40,7 +41,7 @@ func buildStudy(experiments int) *loki.Study {
 				Expr: faultexpr.MustParse("(r0:PRIMARY)"),
 				Mode: loki.Once,
 			}}
-			in.On("killPrimary", loki.DelayedCrashFault(25*time.Millisecond, 5*time.Millisecond, 7))
+			in.On("killPrimary", app.DelayedCrashFault(25*time.Millisecond, 5*time.Millisecond, 7))
 		case "r2":
 			faults = []loki.FaultSpec{{
 				Name: "bitflip",
@@ -53,7 +54,7 @@ func buildStudy(experiments int) *loki.Study {
 				Expr: faultexpr.MustParse("((r2:BACKUP) & (r0:CRASH))"),
 				Mode: loki.Once,
 			}}
-			in.On("bitflip", loki.MemoryFault(region, 11))
+			in.On("bitflip", app.MemoryFault(region, 11))
 		}
 		nodes = append(nodes, loki.NodeDef{
 			Nickname: nick,

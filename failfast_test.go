@@ -9,6 +9,7 @@ import (
 	"time"
 
 	loki "repro"
+	"repro/app"
 )
 
 // failFastCampaign is a Go-wired campaign of two studies over hosts h1 and
@@ -17,20 +18,20 @@ import (
 // ran.
 func failFastCampaign(t *testing.T, bodies *atomic.Int64) *loki.Campaign {
 	t.Helper()
-	sm, err := loki.ParseStateMachine(tinySpec)
+	sm, err := app.ParseSpec(tinySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	study := func(name string, experiments int) *loki.Study {
 		st := &loki.Study{Name: name, Experiments: experiments, Timeout: 5 * time.Second}
 		for i, nick := range []string{"black", "green"} {
-			app := loki.Instrument(func(h *loki.Handle) {
+			body := app.New(func(h *app.Handle) {
 				bodies.Add(1)
 				h.NotifyEvent("RUN")
 				h.Sleep(2 * time.Millisecond)
 				h.NotifyEvent("finish")
 			})
-			st.Nodes = append(st.Nodes, loki.NodeDef{Nickname: nick, Spec: sm, App: app})
+			st.Nodes = append(st.Nodes, loki.NodeDef{Nickname: nick, Spec: sm, App: body})
 			st.Placement = append(st.Placement, loki.NodeEntry{Nickname: nick, Host: []string{"h1", "h2"}[i]})
 		}
 		return st

@@ -65,7 +65,7 @@ type Source interface {
 }
 
 // ManualSource is a Source advanced explicitly by the caller. It is the time
-// base for discrete-event tools (clocksync.Exchange, cmd/getstamps), where
+// base for discrete-event tools (clocksync.Exchange, lokirun getstamps), where
 // the caller owns time.
 type ManualSource struct {
 	mu  sync.Mutex

@@ -16,29 +16,35 @@
 // estimators) that turns timelines into dependability numbers such as
 // coverage.
 //
-// The package is a facade over the internal implementation:
+// The package is the campaign runner's facade over the internal
+// implementation. Application authors import repro/app instead: it holds
+// the node body handle, the state machine parser, the probe fault
+// actions and the registry a campaign file's "app" field resolves
+// through. The §3.5 off-line tools are lokirun subcommands (getstamps,
+// alphabeta, makeglobal, measure).
 //
-//   - Runtime, NodeDef, Handle, App — the runtime phase (thesis ch. 3):
-//     virtual hosts with hidden-error clocks, per-host local daemons, a
-//     central daemon, dynamic node entry/exit/crash/restart.
-//   - Instrumented and the *Fault helpers — probe construction (§3.5.7).
 //   - Session, Open, CampaignFile — the one composable entry point: a
 //     campaign opened from Go wiring or a declarative campaign.json runs
 //     the full three-phase pipeline (§2.3) on any engine (worker pool,
 //     scenario matrix, loopback clusters, multi-process members) with
 //     cancellation, checkpoint/resume, status, and artifact emission
 //     (session.go).
-//   - Campaign, Study — the campaign description the Session executes.
-//   - ChaosAction, Scenario, Matrix — the chaos subsystem: fault
-//     specification entries may name built-in network and host fault
-//     actions (partition, drop, delay, duplicate, corrupt, crash,
-//     crashrestart, clockstep), and the matrix engine fans one
-//     configuration out into {scenarios × latency profiles × seeds}
-//     studies across the worker pool (see chaos.go and EXPERIMENTS.md).
-//   - ParsePredicate, ParseObservation, StudyMeasure, SimpleSampling,
-//     StratifiedWeighted — measure estimation (ch. 4).
-//   - EstimateClocks, BuildGlobalTimeline, CheckExperiment — the analysis
-//     phase à la carte (§2.5).
+//   - Campaign, Study, NodeDef, FaultSpec — the campaign description the
+//     Session executes; ParseFaultSpecs, ParseNodeFile and
+//     ParseScenarioFaults read the thesis's classic files.
+//   - Scenario, Matrix — the chaos subsystem: fault specification entries
+//     may name built-in network and host fault actions (partition, drop,
+//     delay, duplicate, corrupt, crash, crashrestart, clockstep), and the
+//     matrix engine fans one configuration out into {scenarios × latency
+//     profiles × seeds} studies across the worker pool (see chaos.go and
+//     EXPERIMENTS.md).
+//   - Runtime, NewRuntime — the runtime phase (thesis ch. 3) for bespoke
+//     testbeds: virtual hosts with hidden-error clocks, per-host local
+//     daemons, dynamic node entry/exit/crash/restart.
+//   - ParsePredicate, ParseObservation, ParseSelector, StudyMeasure,
+//     SimpleSampling, Coverage — measure estimation (ch. 4).
+//   - WithMetrics, WithTracing, WithLogging, GenerateReport — observing a
+//     run and reporting on it (observe.go).
 //
 // A minimal session runs a declarative campaign file end to end:
 //
@@ -53,7 +59,7 @@
 //
 //	rt := loki.NewRuntime(loki.RuntimeConfig{})
 //	rt.AddHost("h1", loki.ClockConfig{})
-//	rt.Register(loki.NodeDef{Nickname: "sm1", Spec: spec, App: app})
+//	rt.Register(loki.NodeDef{Nickname: "sm1", Spec: spec, App: app.New(body)})
 //	rt.StartNode("sm1", "h1")
 //	rt.Wait(time.Second)
 //
@@ -79,74 +85,34 @@ type (
 	// NodeDef binds a nickname to its state machine specification, fault
 	// specification, and instrumented application.
 	NodeDef = core.NodeDef
-	// Node is one running component with its attached Loki runtime.
-	Node = core.Node
 	// Handle is the probe interface instrumented applications call
 	// (NotifyEvent, Crash, Send, ...).
 	Handle = core.Handle
-	// App is an instrumented application: Main plus InjectFault.
-	App = core.App
-	// AppMessage is an application-bus message.
-	AppMessage = core.AppMessage
 	// CentralDaemon coordinates experiments over a Runtime.
 	CentralDaemon = core.CentralDaemon
-	// ExperimentResult is one experiment's runtime-phase output.
-	ExperimentResult = core.ExperimentResult
-)
-
-// Clock and time types (the virtual multi-host substrate).
-type (
-	// Ticks is a time value in nanoseconds.
-	Ticks = vclock.Ticks
 	// ClockConfig is a host clock's hidden error (offset, drift,
 	// granularity, jitter).
 	ClockConfig = vclock.ClockConfig
-	// Clock is a host's local clock.
-	Clock = vclock.Clock
-	// TimeSource is a physical time base.
-	TimeSource = vclock.Source
 )
 
-// Specification types (§3.5.3, §3.5.5).
+// Specification and timeline types (§3.5.3, §3.5.5, §3.5.6).
 type (
 	// StateMachineSpec is a parsed state machine specification.
 	StateMachineSpec = spec.StateMachine
-	// StateDef is one state's notify list and transition function.
-	StateDef = spec.StateDef
 	// FaultSpec is one fault: name, Boolean expression, once|always.
 	FaultSpec = faultexpr.Spec
 	// FaultExpr is a parsed Boolean fault expression.
 	FaultExpr = faultexpr.Expr
-	// FaultMode is once or always.
-	FaultMode = faultexpr.Mode
 	// NodeEntry is one node-file line: nickname plus optional auto-start
 	// host.
 	NodeEntry = spec.NodeEntry
-)
-
-// Fault trigger modes.
-const (
-	Once   = faultexpr.Once
-	Always = faultexpr.Always
-)
-
-// Reserved state and event names (§3.5.7).
-const (
-	StateBegin = spec.StateBegin
-	StateExit  = spec.StateExit
-	StateCrash = spec.StateCrash
-)
-
-// Timeline types (§3.5.6).
-type (
-	// LocalTimeline is one node's recorded history.
+	// LocalTimeline is one node's recorded history (§3.5.6).
 	LocalTimeline = timeline.Local
-	// TimelineEntry is one local timeline record.
-	TimelineEntry = timeline.Entry
-	// TimelineStore is the shared timeline repository (the thesis's NFS
-	// mount).
-	TimelineStore = timeline.Store
 )
+
+// Once is the trigger mode of a fault that injects at most once per
+// experiment.
+const Once = faultexpr.Once
 
 // NewRuntime creates a testbed runtime.
 func NewRuntime(cfg RuntimeConfig) *Runtime { return core.New(cfg) }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	loki "repro"
+	"repro/app"
 )
 
 const tinySpec = `
@@ -26,10 +27,11 @@ state CRASH notify peer
 state EXIT notify peer
 `
 
-// TestPublicAPIEndToEnd drives the whole pipeline through the facade only:
-// runtime phase, clock estimation, global timeline, checking, measures.
+// TestPublicAPIEndToEnd drives the whole pipeline through the public
+// packages only (the root facade and repro/app): runtime phase, clock
+// estimation, global timeline, checking, measures.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	sm, err := loki.ParseStateMachine(tinySpec)
+	sm, err := app.ParseSpec(tinySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +40,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	app := loki.Instrument(func(h *loki.Handle) {
+	worker := app.New(func(h *app.Handle) {
 		h.NotifyEvent("RUN")
 		h.Sleep(10 * time.Millisecond)
 		h.NotifyEvent("finish")
 		h.Sleep(10 * time.Millisecond)
-	}).On("f1", loki.NoteFault())
+	}).On("f1", app.NoteFault())
 
-	peer := loki.Instrument(func(h *loki.Handle) {
+	peer := app.New(func(h *app.Handle) {
 		h.NotifyEvent("RUN")
 		h.Sleep(25 * time.Millisecond)
 	})
@@ -59,7 +61,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Studies: []*loki.Study{{
 			Name: "s1",
 			Nodes: []loki.NodeDef{
-				{Nickname: "worker", Spec: sm, Faults: faults, App: app},
+				{Nickname: "worker", Spec: sm, Faults: faults, App: worker},
 				{Nickname: "peer", Spec: sm, App: peer},
 			},
 			Placement: []loki.NodeEntry{
@@ -129,7 +131,7 @@ func TestFacadeParsersAndFormats(t *testing.T) {
 	if err != nil || len(entries) != 2 {
 		t.Fatalf("node file: %v %v", entries, err)
 	}
-	sm, err := loki.ParseStateMachine(tinySpec)
+	sm, err := app.ParseSpec(tinySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +148,10 @@ func TestFacadeTimelineRoundTrip(t *testing.T) {
 	rt := loki.NewRuntime(loki.RuntimeConfig{})
 	defer rt.Shutdown()
 	rt.AddHost("h1", loki.ClockConfig{})
-	sm, _ := loki.ParseStateMachine(tinySpec)
+	sm, _ := app.ParseSpec(tinySpec)
 	rt.Register(loki.NodeDef{
 		Nickname: "worker", Spec: sm,
-		App: loki.Instrument(func(h *loki.Handle) {
+		App: app.New(func(h *app.Handle) {
 			h.NotifyEvent("RUN")
 			h.NotifyEvent("finish")
 		}),

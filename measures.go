@@ -17,10 +17,6 @@ type (
 	StampedMessage = clocksync.StampedMessage
 	// GlobalTimeline is the single reference timeline of one experiment.
 	GlobalTimeline = analysis.Global
-	// GlobalEvent is one projected event with conservative time bounds.
-	GlobalEvent = analysis.Event
-	// Interval is a conservative [lo, hi] reference-time interval.
-	Interval = analysis.Interval
 	// AnalysisReport is the per-experiment injection-correctness verdict.
 	AnalysisReport = analysis.Report
 	// CheckOptions tunes analysis strictness.
@@ -31,12 +27,8 @@ type (
 type (
 	// Predicate queries a global timeline as a function of time (§4.3.1).
 	Predicate = predicate.Expr
-	// PVT is a predicate value timeline of steps and impulses.
-	PVT = predicate.PVT
 	// ObservationFunc reduces a PVT to one value (§4.3.2).
 	ObservationFunc = observation.Func
-	// ObservationEnv carries the START_EXP/END_EXP macros.
-	ObservationEnv = observation.Env
 	// Selector is a subset selection over observation values (§4.3.3).
 	Selector = measure.Selector
 	// Triple is one (subset selection, predicate, observation function)
@@ -79,10 +71,6 @@ func FaultSpecsOf(locals []*LocalTimeline) map[string][]FaultSpec {
 // "((SM1, State1, 10 < t < 20) | (SM2, State2, 30 < t < 40))".
 func ParsePredicate(src string) (Predicate, error) { return predicate.Parse(src) }
 
-// EvaluatePredicate computes a predicate value timeline over a global
-// timeline.
-func EvaluatePredicate(p Predicate, g *GlobalTimeline) PVT { return predicate.Evaluate(p, g) }
-
 // ParseObservation parses a §4.3.2 observation function such as
 // "count(U, B, 10, 35)" or "total_duration(T, START_EXP, END_EXP)".
 func ParseObservation(src string) (ObservationFunc, error) { return observation.Parse(src) }
@@ -104,18 +92,6 @@ func ComputeMoments(values []float64) Moments { return measure.ComputeMoments(va
 // (§4.4.1).
 func SimpleSampling(studies ...[]float64) CampaignResult {
 	return measure.SimpleSampling(studies...)
-}
-
-// StratifiedWeighted combines per-study moments with normalized weights
-// (§4.4.2).
-func StratifiedWeighted(studies [][]float64, weights []float64) (CampaignResult, error) {
-	return measure.StratifiedWeighted(studies, weights)
-}
-
-// StratifiedUser combines per-study means with an arbitrary function
-// (§4.4.3); the thesis cautions the result may have no statistical meaning.
-func StratifiedUser(studies [][]float64, fn func(studyMeans []float64) float64) (CampaignResult, error) {
-	return measure.StratifiedUser(studies, fn)
 }
 
 // Coverage is the §5.8 stratified-weighted overall coverage:

@@ -38,14 +38,6 @@ type MetricsRegistry = obs.Registry
 // LogLevel is the structured logger's severity threshold.
 type LogLevel = obs.Level
 
-// Log levels, most to least verbose.
-const (
-	LogDebug = obs.Debug
-	LogInfo  = obs.Info
-	LogWarn  = obs.Warn
-	LogError = obs.Error
-)
-
 // sink lazily materializes the session's observability sink on the opened
 // campaign copy (engines see it through Campaign.Obs).
 func (s *Session) sink() *obs.Sink {
@@ -112,7 +104,7 @@ func WithTraceBuffer() Option {
 }
 
 // WithLogging sends the engines' structured diagnostics at or above min
-// to w.
+// to w. Levels come from ParseLogLevel.
 func WithLogging(w io.Writer, min LogLevel) Option {
 	return func(s *Session) error {
 		if w == nil {

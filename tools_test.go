@@ -43,23 +43,22 @@ const toolChainDoc = `{
   }]
 }`
 
-// buildTools builds the named commands into a temporary directory, or
-// skips the test where there is no go command or -short asks for speed.
-func buildTools(t *testing.T, tools ...string) (bin string) {
+// buildLokirun builds cmd/lokirun, whose subcommands are the §3.5
+// off-line tools, into a temporary directory and returns the binary's
+// path. It skips the test where there is no go command or -short asks for
+// speed.
+func buildLokirun(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("builds " + strings.Join(tools, ", "))
+		t.Skip("builds lokirun")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
-		t.Skip("no go command to build the tools with")
+		t.Skip("no go command to build lokirun with")
 	}
-	bin = t.TempDir()
-	for _, tool := range tools {
-		out, err := exec.Command(goTool, "build", "-o", filepath.Join(bin, tool), "repro/cmd/"+tool).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", tool, err, out)
-		}
+	bin := filepath.Join(t.TempDir(), "lokirun")
+	if out, err := exec.Command(goTool, "build", "-o", bin, "repro/cmd/lokirun").CombinedOutput(); err != nil {
+		t.Fatalf("building lokirun: %v\n%s", err, out)
 	}
 	return bin
 }
@@ -70,7 +69,7 @@ func buildTools(t *testing.T, tools ...string) (bin string) {
 // global timeline it writes must equal the in-process one byte for byte,
 // and its exit status must agree with the in-process verdict.
 func TestOfflineToolsReproduceGlobal(t *testing.T) {
-	bin := buildTools(t, "alphabeta", "makeglobal")
+	lokirun := buildLokirun(t)
 
 	cfg, err := loki.ParseCampaignFile([]byte(toolChainDoc))
 	if err != nil {
@@ -97,16 +96,16 @@ func TestOfflineToolsReproduceGlobal(t *testing.T) {
 
 	work := t.TempDir()
 	ab := filepath.Join(work, "alphabeta.txt")
-	if out, err := exec.Command(filepath.Join(bin, "alphabeta"),
+	if out, err := exec.Command(lokirun, "alphabeta",
 		"-stamps", filepath.Join(art, "timestamps.txt"), "-out", ab).CombinedOutput(); err != nil {
 		t.Fatalf("alphabeta: %v\n%s", err, out)
 	}
 	global := filepath.Join(work, "global.timeline")
-	args := []string{"-alphabeta", ab, "-out", global}
+	args := []string{"makeglobal", "-alphabeta", ab, "-out", global}
 	for _, l := range e.Locals {
 		args = append(args, filepath.Join(art, l.Owner+".timeline"))
 	}
-	out, err := exec.Command(filepath.Join(bin, "makeglobal"), args...).CombinedOutput()
+	out, err := exec.Command(lokirun, args...).CombinedOutput()
 	var exit *exec.ExitError
 	accepted := err == nil
 	if err != nil && !errors.As(err, &exit) {
@@ -147,12 +146,13 @@ const measureDoc = `{
   }]
 }`
 
-// TestLokimeasureMatchesInProcess runs the Chapter 4 measure tool over the
+// TestLokimeasureMatchesInProcess runs the Chapter 4 measure tool
+// (lokirun measure) over the
 // global.timeline files a WithArtifacts run writes. The values it prints
 // and their statistics must equal the in-process measure over the same
 // records' Global: the artifact round trip loses nothing a measure reads.
 func TestLokimeasureMatchesInProcess(t *testing.T) {
-	bin := buildTools(t, "lokimeasure")
+	lokirun := buildLokirun(t)
 
 	cfg, err := loki.ParseCampaignFile([]byte(measureDoc))
 	if err != nil {
@@ -174,7 +174,7 @@ func TestLokimeasureMatchesInProcess(t *testing.T) {
 		"(OBS_VALUE > 0) ; (black, LEAD) ; total_duration(T, START_EXP, END_EXP)",
 	}
 	var parsed []loki.Triple
-	args := []string{"-name", "election"}
+	args := []string{"measure", "-name", "election"}
 	for _, src := range triples {
 		parts := strings.Split(src, ";")
 		sel, err1 := loki.ParseSelector(strings.TrimSpace(parts[0]))
@@ -204,9 +204,9 @@ func TestLokimeasureMatchesInProcess(t *testing.T) {
 		t.Fatalf("in-process values %v: want a sample that varies", want)
 	}
 
-	out, err := exec.Command(filepath.Join(bin, "lokimeasure"), args...).CombinedOutput()
+	out, err := exec.Command(lokirun, args...).CombinedOutput()
 	if err != nil {
-		t.Fatalf("lokimeasure: %v\n%s", err, out)
+		t.Fatalf("lokirun measure: %v\n%s", err, out)
 	}
 	var got []float64
 	stats := map[string]string{}
@@ -223,7 +223,7 @@ func TestLokimeasureMatchesInProcess(t *testing.T) {
 		}
 	}
 	if !slices.Equal(got, want) {
-		t.Errorf("lokimeasure values %v, in-process %v\n%s", got, want, out)
+		t.Errorf("lokirun measure values %v, in-process %v\n%s", got, want, out)
 	}
 	wantStats := map[string]float64{"mean": mo.Mean(), "variance": mo.Variance(), "skewness": mo.Skew(), "kurtosis": mo.ExcessKurtosis()}
 	for _, gamma := range []float64{0.05, 0.5, 0.95} {
@@ -233,7 +233,7 @@ func TestLokimeasureMatchesInProcess(t *testing.T) {
 	}
 	for name, v := range wantStats {
 		if w := fmt.Sprintf("%.6g", v); stats[name] != w {
-			t.Errorf("lokimeasure %s %s, in-process %s\n%s", name, stats[name], w, out)
+			t.Errorf("lokirun measure %s %s, in-process %s\n%s", name, stats[name], w, out)
 		}
 	}
 }
@@ -245,7 +245,7 @@ func TestLokimeasureMatchesInProcess(t *testing.T) {
 // drift, against an error-free reference — must lie inside its (alpha,
 // beta) box, at three seeds.
 func TestGetstampsBoundsContainTruth(t *testing.T) {
-	bin := buildTools(t, "getstamps", "alphabeta")
+	lokirun := buildLokirun(t)
 	work := t.TempDir()
 	machines := filepath.Join(work, "machines.txt")
 	if err := os.WriteFile(machines, []byte("h1\nh2\nh3\nh4\n"), 0o644); err != nil {
@@ -253,7 +253,7 @@ func TestGetstampsBoundsContainTruth(t *testing.T) {
 	}
 	for _, seed := range []int{1, 2, 3} {
 		stamps := filepath.Join(work, fmt.Sprintf("stamps%d.txt", seed))
-		if out, err := exec.Command(filepath.Join(bin, "getstamps"), "-machines", machines,
+		if out, err := exec.Command(lokirun, "getstamps", "-machines", machines,
 			"-seed", fmt.Sprint(seed), "-out", stamps).CombinedOutput(); err != nil {
 			t.Fatalf("seed %d: getstamps: %v\n%s", seed, err, out)
 		}
@@ -281,7 +281,7 @@ func TestGetstampsBoundsContainTruth(t *testing.T) {
 		}
 
 		ab := filepath.Join(work, fmt.Sprintf("alphabeta%d.txt", seed))
-		if out, err := exec.Command(filepath.Join(bin, "alphabeta"), "-stamps", stamps, "-ref", ref, "-out", ab).CombinedOutput(); err != nil {
+		if out, err := exec.Command(lokirun, "alphabeta", "-stamps", stamps, "-ref", ref, "-out", ab).CombinedOutput(); err != nil {
 			t.Fatalf("seed %d: alphabeta: %v\n%s", seed, err, out)
 		}
 		f, err := os.Open(ab)
@@ -304,6 +304,81 @@ func TestGetstampsBoundsContainTruth(t *testing.T) {
 			}
 			if alpha, beta := tr[0], 1+tr[1]/1e6; !b.Contains(alpha, beta) {
 				t.Errorf("seed %d: %s bounds %+v miss the truth alpha=%g beta=%.9g", seed, host, b, alpha, beta)
+			}
+		}
+	}
+}
+
+// exitCode runs lokirun with args and returns its exit status and its
+// combined output; it fails the test when lokirun could not be run.
+func exitCode(t *testing.T, lokirun string, args ...string) (int, string) {
+	t.Helper()
+	out, err := exec.Command(lokirun, args...).CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, string(out)
+	case errors.As(err, &exit):
+		return exit.ExitCode(), string(out)
+	}
+	t.Fatalf("lokirun %s: %v\n%s", strings.Join(args, " "), err, out)
+	return 0, ""
+}
+
+// TestGetstampsRefusesBadFlags: getstamps refuses a round-trip count
+// below 1, a spacing that is not positive and a negative gap as usage
+// errors (exit 2, the problem named, nothing written): the exchange would
+// quietly replace a zero or negative count or spacing with its defaults,
+// and a negative gap would move the virtual clock backwards.
+func TestGetstampsRefusesBadFlags(t *testing.T) {
+	lokirun := buildLokirun(t)
+	work := t.TempDir()
+	machines := filepath.Join(work, "machines.txt")
+	if err := os.WriteFile(machines, []byte("h1\nh2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"-count", "0"},
+		{"-count", "-1"},
+		{"-spacing", "0"},
+		{"-spacing", "-1ms"},
+		{"-gap", "-60s"},
+	} {
+		stamps := filepath.Join(work, "stamps.txt")
+		code, out := exitCode(t, lokirun, "getstamps", "-machines", machines, "-out", stamps, tc.flag, tc.value)
+		if code != 2 || !strings.Contains(out, "getstamps: "+tc.flag+" ") || !strings.Contains(out, "Usage of lokirun getstamps") {
+			t.Errorf("getstamps %s %s: exit %d, want 2 with the problem and the usage:\n%s", tc.flag, tc.value, code, out)
+		}
+		if _, err := os.Stat(stamps); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("getstamps %s %s wrote %s (stat: %v)", tc.flag, tc.value, stamps, err)
+		}
+	}
+	if code, out := exitCode(t, lokirun, "getstamps", "-machines", machines, "-count", "1", "-gap", "0"); code != 0 ||
+		!strings.Contains(out, "wrote 4 messages for 2 hosts") {
+		t.Errorf("getstamps -count 1 -gap 0: exit %d, want 0 and 4 messages:\n%s", code, out)
+	}
+}
+
+// TestLokirunDispatch: the first argument picks an off-line tool only when
+// it names one; anything else is lokirun's own campaign command line.
+func TestLokirunDispatch(t *testing.T) {
+	lokirun := buildLokirun(t)
+	for _, tc := range []struct {
+		args []string
+		code int
+		want []string
+	}{
+		{[]string{"alphabeta"}, 2, []string{"Usage of lokirun alphabeta", "-stamps"}},
+		{[]string{"-config", "examples/chaos/campaign.json", "-dry-run"}, 0, []string{": valid\nfingerprint "}},
+		{[]string{"bogus"}, 2, []string{"Usage of", "-config", "-dry-run", "Off-line tools: lokirun getstamps"}},
+	} {
+		code, out := exitCode(t, lokirun, tc.args...)
+		if code != tc.code {
+			t.Errorf("lokirun %s: exit %d, want %d:\n%s", strings.Join(tc.args, " "), code, tc.code, out)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("lokirun %s: output lacks %q:\n%s", strings.Join(tc.args, " "), w, out)
 			}
 		}
 	}

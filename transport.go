@@ -9,8 +9,6 @@ import "repro/internal/transport"
 type (
 	// Transport moves host-addressed frames between daemon endpoints.
 	Transport = transport.Transport
-	// TransportMessage is one frame crossing a transport.
-	TransportMessage = transport.Message
 	// TransportTopology says which peer endpoint owns which virtual host.
 	TransportTopology = transport.Topology
 )

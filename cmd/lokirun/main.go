@@ -515,7 +515,7 @@ func printStatus(st *loki.SessionStatus) {
 		fmt.Println("journal is live: a record is mid-append; counts cover fsync'd records")
 	}
 	if st.Torn {
-		fmt.Println("journal tail is garbled (damaged file); counts cover the intact prefix")
+		fmt.Println("journal is damaged: a line does not verify; counts cover the lines before it, and -resume re-runs the experiments journaled from it on")
 	}
 	fmt.Printf("%-32s %9s %9s %9s %9s\n", "point", "expected", "complete", "missing", "accepted")
 	for _, p := range st.Points {

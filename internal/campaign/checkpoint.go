@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
@@ -25,8 +26,8 @@ import (
 // run) the local timelines in their §3.5.6 text — is appended to a JSONL
 // journal under the artifact directory, keyed by {study-or-point name,
 // experiment index}. A record line is its own commit record: it is trusted
-// on resume when it is whole (newline-terminated) and parses; a torn or
-// garbled tail is truncated, not trusted.
+// on resume when it is whole (newline-terminated) and its sum verifies; a
+// torn or garbled tail is truncated, not trusted.
 //
 // The journal is group-committed behind the pipeline. An append marshals
 // its record line in the calling analysis worker, queues it and returns; one
@@ -40,21 +41,13 @@ import (
 // drained the queue. A crash loses at most the queued lines (bounded by
 // maxQueuedBytes), whose experiments a resume re-runs.
 //
-// A record line is read by one of two decoders. A line exactly as the
-// writer writes it (json.Marshal's key order, spelling and escapes, no
-// whitespace) is read in place by the strict decoder (lineDecoder): whole
-// for a resume, and as a RecordSummary for Status and the report. Every
-// other line goes through encoding/json as it always has: the header, a
-// line written by another encoder or edited by hand, a reordered, repeated,
-// case-folded or escaped key, a null Experiment, a value of another type.
-// A resume's fallback is decodeResumeLine and a summary's json.Unmarshal.
-// The strict decoder refuses whatever it cannot read exactly as
-// encoding/json would, so both paths give the same records. The fallback
-// stays because nothing yet tells a line the writer wrote from one that
-// only parses: a journal edited, or corrupted into other valid JSON, must
-// read as it always has. Once each line carries a checksum of the bytes the
-// writer wrote, a line that verifies is the writer's and the fallback can
-// go.
+// Every line is framed with a CRC-32C of its body (see frame), and the
+// reader verifies a line's sum before it parses anything, so a line that
+// verifies is the writer's: a record line is read in place by the strict
+// decoder (lineDecoder) alone, whole for a resume and as a RecordSummary
+// for Status and the report. A line that does not verify — torn by a crash,
+// flipped on disk, edited by hand — is the end of the trusted journal,
+// however well it parses.
 //
 // On resume the journal is reloaded, the campaign-level fingerprint in the
 // header is verified, and each skipped record's study-level fingerprint
@@ -76,17 +69,11 @@ type Checkpoint struct {
 }
 
 const (
-	journalName    = "checkpoint.jsonl"
-	journalVersion = 2
+	journalName = "checkpoint.jsonl"
+	// Raise journalVersion with any change to a record's wire shape: the
+	// strict decoder refuses an old shape as a bug, not as a version.
+	journalVersion = 3
 )
-
-// journalLine is one line of the JSONL journal: exactly one of the two
-// fields is set. Header first, then one record per line. E is the shape
-// the line's user gives the journaled experiment (see journalRecord).
-type journalLine[E any] struct {
-	Journal *journalHeader    `json:"journal,omitempty"`
-	Record  *journalRecord[E] `json:"record,omitempty"`
-}
 
 type journalHeader struct {
 	Version     int
@@ -104,10 +91,9 @@ type journalKey struct {
 // journalRecord is one journaled experiment: an ExperimentRecord under its
 // key and study fingerprint. On disk there is one format; in memory E says
 // how much of the experiment its user wants decoded. The writer marshals an
-// *ExperimentRecord; a resume decodes the whole record as it loads the
-// line (journaledExperiment); the read-only readers decode a RecordSummary
-// — the verdict fields they print — and the timelines are validated and
-// skipped, not parsed.
+// *ExperimentRecord, and a resume decodes one whole as it loads the line;
+// the read-only readers decode a RecordSummary — the verdict fields they
+// print — and the timelines are validated and skipped, not parsed.
 type journalRecord[E any] struct {
 	Point       string
 	Index       int
@@ -125,7 +111,7 @@ type journal struct {
 	cm *obs.CampaignMetrics
 
 	mu           sync.Mutex // guards entries
-	entries      map[journalKey]journalRecord[journaledExperiment]
+	entries      map[journalKey]journalRecord[*ExperimentRecord]
 	headerLoaded bool
 
 	// Group commit, all guarded by cmu: appenders queue record lines and
@@ -211,13 +197,58 @@ func (j *journal) writeHeader(campaign, fingerprint string) error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	b, err := json.Marshal(journalLine[struct{}]{Journal: &journalHeader{
-		Version: journalVersion, Campaign: campaign, Fingerprint: fingerprint,
-	}})
+	b, err := json.Marshal(journalHeader{Version: journalVersion, Campaign: campaign, Fingerprint: fingerprint})
 	if err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	return j.write(append(b, '\n'))
+	return j.write(frame(nil, headerTag, b))
+}
+
+// A journal line frames a body — the marshalled header or record — between
+// its tag and a tail: sumKey, eight lowercase hex digits of the body's
+// CRC-32C, frameEnd. Deleting sumKey and the digits leaves the line
+// {"journal":H} or {"record":R}.
+const (
+	headerTag = `{"journal":`
+	recordTag = `{"record":`
+	sumKey    = `,"sum":"`
+	frameEnd  = "\"}\n"
+	frameTail = len(sumKey) + 8 + len(frameEnd)
+)
+
+// castagnoli is built on first use, not at every process start (≈ 0.3 ms).
+var castagnoli = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
+
+// frame appends body, framed under tag, to dst as one journal line.
+func frame(dst []byte, tag string, body []byte) []byte {
+	return appendTail(append(append(dst, tag...), body...), body)
+}
+
+// appendTail appends the tail that frames body to dst.
+func appendTail(dst, body []byte) []byte {
+	dst = append(dst, sumKey...)
+	sum := crc32.Checksum(body, castagnoli())
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, "0123456789abcdef"[sum>>shift&0xf])
+	}
+	return append(dst, frameEnd...)
+}
+
+// unframe verifies one journal line, its newline included, and returns the
+// body it frames and its tag — or no tag, for a line that is not framed or
+// whose sum does not match its body.
+func unframe(line []byte) (body []byte, tag string) {
+	n := len(line) - frameTail // where the body ends
+	for _, tag := range [...]string{recordTag, headerTag} {
+		if n >= len(tag) && string(line[:len(tag)]) == tag {
+			var tail [frameTail]byte
+			if body := line[len(tag):n]; string(line[n:]) == string(appendTail(tail[:0], body)) {
+				return body, tag
+			}
+			break
+		}
+	}
+	return nil, ""
 }
 
 // journalTail classifies how a journal scan ended.
@@ -230,9 +261,8 @@ const (
 	// mid-append (live campaign) or crashed there; the bytes are untrusted
 	// either way.
 	tailAppending
-	// tailGarbled: a complete line that does not parse, or has an unknown
-	// shape (duplicate header, empty object). Nothing at or past it is
-	// trusted.
+	// tailGarbled: a complete line that does not verify (see unframe), or
+	// a second header. Nothing at or past it is trusted.
 	tailGarbled
 )
 
@@ -255,24 +285,30 @@ const journalBatchBytes = 256 << 10
 
 // readJournal is the one reader of the journal format. It validates the
 // header line (a journal at all, of this build's version), walks every
-// complete line up to the first torn or garbled tail, and hands each record
-// to onRecord in journal order, on the caller's goroutine. What a caller
-// does with the scan is its own discipline: the resume loader checks the
-// fingerprint and truncates at scan.offset, the read-only readers report
-// the tail state and never touch the file.
+// complete line up to the first torn or garbled tail, and hands each record,
+// decoded in shape E, to onRecord in journal order, on the caller's
+// goroutine. What a caller does with the scan is its own discipline: the
+// resume loader checks the fingerprint and truncates at scan.offset, the
+// read-only readers report the tail state and never touch the file.
 //
 // The file is read in batches of whole lines, at most journalBatchBytes
-// each (or one longer line). Each batch's lines are decoded over GOMAXPROCS
-// goroutines (decodeBatch) before the batch is walked in order; a line past
-// the first untrusted one is decoded in vain, never handed on.
-func readJournal[E any](r io.Reader, path string, onRecord func(*journalRecord[E])) (journalScan, error) {
+// each (or one longer line). Each batch's lines are verified and decoded
+// over GOMAXPROCS goroutines (decodeBatch) before the batch is walked in
+// order; a line past the first untrusted one is decoded in vain, never
+// handed on.
+func readJournal[E *ExperimentRecord | RecordSummary](r io.Reader, path string, onRecord func(*journalRecord[E])) (journalScan, error) {
 	var (
 		scan  journalScan
 		buf   = make([]byte, journalBatchBytes/4)
 		n     int // bytes of buf read and not yet walked
 		eof   bool
 		lines [][]byte
+		nth   int                                           // lines walked
+		ds    = make([]*lineDecoder, runtime.GOMAXPROCS(0)) // one per decoding goroutine, reused batch to batch
 	)
+	for i := range ds {
+		ds[i] = new(lineDecoder) // each its own allocation: no two share a cache line
+	}
 	for {
 		if !eof {
 			m, err := io.ReadFull(r, buf[n:])
@@ -302,27 +338,21 @@ func readJournal[E any](r io.Reader, path string, onRecord func(*journalRecord[E
 			i := bytes.IndexByte(rest, '\n') + 1
 			lines, rest = append(lines, rest[:i]), rest[i:]
 		}
-		decoded, ok := decodeBatch[E](lines)
+		recs, tags := decodeBatch[E](lines, ds)
 		for i, raw := range lines {
-			line := &decoded[i]
+			nth++
 			switch {
-			case !ok[i]:
-				scan.tail = tailGarbled
-				return scan, nil
 			case scan.offset == 0: // the first line
-				if line.Journal == nil {
-					// First line is valid JSON but not a header: a foreign
-					// file. Refuse to read records out of it or mix them in.
-					return scan, fmt.Errorf("campaign: checkpoint: %s is not a checkpoint journal", path)
+				h, err := readHeader(raw, tags[i], path)
+				if err != nil {
+					return scan, err
 				}
-				if line.Journal.Version != journalVersion {
-					return scan, fmt.Errorf("campaign: checkpoint: %s has journal version %d, this build reads and writes %d",
-						path, line.Journal.Version, journalVersion)
-				}
-				scan.header = *line.Journal
-			case line.Record != nil:
-				onRecord(line.Record)
-			default:
+				scan.header = h
+			case recs[i] != nil:
+				onRecord(recs[i])
+			case tags[i] == recordTag:
+				return scan, fmt.Errorf("campaign: checkpoint: %s line %d: the record line verifies but does not decode", path, nth)
+			default: // a line that does not verify, or a second header
 				scan.tail = tailGarbled
 				return scan, nil
 			}
@@ -335,146 +365,72 @@ func readJournal[E any](r io.Reader, path string, onRecord func(*journalRecord[E
 	}
 }
 
-// decodeBatch decodes lines, and reports which of them parse, over up to
-// GOMAXPROCS goroutines — the caller's among them — that claim lines one
-// at a time, each with its own strict decoder and so its own scratch.
-func decodeBatch[E any](lines [][]byte) (out []journalLine[E], ok []bool) {
-	out, ok = make([]journalLine[E], len(lines)), make([]bool, len(lines))
+// readHeader reads a journal's first complete line, which must be a
+// verified header of this build's version. An older build's unframed
+// header is refused naming both versions; any other line, a damaged header
+// among them, means the file is not a journal, and is never read past.
+func readHeader(line []byte, tag, path string) (journalHeader, error) {
+	var l struct {
+		Journal *journalHeader `json:"journal"`
+	}
+	switch err := json.Unmarshal(line, &l); {
+	case err != nil || l.Journal == nil:
+		return journalHeader{}, fmt.Errorf("campaign: checkpoint: %s is not a checkpoint journal", path)
+	case tag != headerTag && (l.Journal.Version == journalVersion || bytes.Contains(line, []byte(sumKey))):
+		return journalHeader{}, fmt.Errorf("campaign: checkpoint: %s is not a checkpoint journal: its header line does not verify", path)
+	case l.Journal.Version != journalVersion:
+		return journalHeader{}, fmt.Errorf("campaign: checkpoint: %s has journal version %d, this build reads and writes %d",
+			path, l.Journal.Version, journalVersion)
+	}
+	return *l.Journal, nil
+}
+
+// decodeBatch verifies lines and decodes their records over up to one
+// goroutine per decoder in ds — the caller's among them — that claim lines
+// one at a time, each with its own decoder and so its own scratch. A line's
+// tag is its frame's, or "" when it does not verify; its record is nil
+// unless it is a record line that decodes.
+func decodeBatch[E *ExperimentRecord | RecordSummary](lines [][]byte, ds []*lineDecoder) (recs []*journalRecord[E], tags []string) {
+	recs, tags = make([]*journalRecord[E], len(lines)), make([]string, len(lines))
 	var next atomic.Int64
-	work := func() {
-		var d lineDecoder
+	work := func(d *lineDecoder) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(lines) {
 				return
 			}
-			ok[i] = decodeLine(&d, lines[i], &out[i])
+			var body []byte
+			if body, tags[i] = unframe(lines[i]); tags[i] == recordTag {
+				recs[i] = decode[E](d, body)
+			}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(lines)); w++ {
+	for w := 1; w < min(len(ds), len(lines)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(ds[w])
 		}()
 	}
-	work()
+	work(ds[0])
 	wg.Wait()
-	return out, ok
-}
-
-// decodeLine decodes one journal line into line and reports whether it
-// parses. A record line as the writer writes it is read by d, the strict
-// decoder, whole for a resume and as a RecordSummary for the read-only
-// readers; a line d refuses takes the encoding/json path — a resume's shape
-// its own decoder (decodeResumeLine), every other shape json.Unmarshal.
-func decodeLine[E any](d *lineDecoder, b []byte, line *journalLine[E]) bool {
-	switch l := any(line).(type) {
-	case *journalLine[journaledExperiment]:
-		if l.Record = d.resume(b); l.Record != nil {
-			return true
-		}
-		return decodeResumeLine(b, l)
-	case *journalLine[RecordSummary]:
-		if l.Record = d.summary(b); l.Record != nil {
-			return true
-		}
-	}
-	return json.Unmarshal(b, line) == nil
-}
-
-// journaledExperiment is what a resume holds of a journaled experiment:
-// the record, decoded as the journal was loaded, or why it does not
-// decode. A line with no Experiment at all has neither, and its key is a
-// miss: the experiment runs again.
-type journaledExperiment struct {
-	rec *ExperimentRecord
-	err error
-}
-
-// decodeResumeLine decodes a journal line for a resume. Its line shape is
-// the json.RawMessage one — any line whose Experiment is valid JSON parses,
-// and the experiment is decoded on its own, as a fresh ExperimentRecord, so
-// a record that does not decode is kept and fails the resume at lookup
-// rather than becoming a garbled tail — but a whole line is decoded in one
-// pass when that gives the same record: whenever the experiment is an
-// object and the line cannot hold a second Experiment key.
-func decodeResumeLine(b []byte, line *journalLine[journaledExperiment]) bool {
-	var whole journalLine[*ExperimentRecord]
-	if json.Unmarshal(b, &whole) == nil && (whole.Record == nil || whole.Record.Experiment != nil && oneExperimentKey(b)) {
-		line.Journal = whole.Journal
-		if r := whole.Record; r != nil {
-			line.Record = &journalRecord[journaledExperiment]{Point: r.Point, Index: r.Index, Fingerprint: r.Fingerprint,
-				Experiment: journaledExperiment{rec: r.Experiment}}
-		}
-		return true
-	}
-	var raw journalLine[json.RawMessage]
-	if json.Unmarshal(b, &raw) != nil {
-		return false
-	}
-	line.Journal = raw.Journal
-	if r := raw.Record; r != nil {
-		var e journaledExperiment
-		if r.Experiment != nil { // "Experiment":null decodes to a zero record, as it always has
-			rec := new(ExperimentRecord)
-			if e.err = json.Unmarshal(r.Experiment, rec); e.err == nil {
-				e.rec = rec
-			}
-		}
-		line.Record = &journalRecord[journaledExperiment]{Point: r.Point, Index: r.Index, Fingerprint: r.Fingerprint, Experiment: e}
-	}
-	return true
-}
-
-// oneExperimentKey reports whether line can hold at most one key that
-// encoding/json matches to a record's Experiment field. Given two,
-// encoding/json decodes the second into the record the first one left,
-// merging them, where the json.RawMessage shape keeps the last copy alone.
-// Keys match case-insensitively, and no rune outside ASCII folds to a
-// letter of "experiment", so every such key is a case-insensitive
-// "experiment" in the bytes, or spells a letter with a \u escape.
-func oneExperimentKey(line []byte) bool {
-	const key = "experiment"
-	seen := 0
-	for _, x := range []byte{'x', 'X'} {
-		for i := 0; ; i++ {
-			at := bytes.IndexByte(line[i:], x)
-			if at < 0 {
-				break
-			}
-			i += at // line[i] is the x of a possible "experiment" at i-1
-			if i >= 1 && i-1+len(key) <= len(line) && bytes.EqualFold(line[i-1:i-1+len(key)], []byte(key)) {
-				seen++
-			}
-		}
-	}
-	for i := 0; ; i++ {
-		at := bytes.Index(line[i:], []byte(`\u00`))
-		if at < 0 {
-			break
-		}
-		i += at
-		if i+4 < len(line) && '4' <= line[i+4] && line[i+4] <= '7' { // U+0040–U+007F: the ASCII letters
-			return false
-		}
-	}
-	return seen <= 1
+	return recs, tags
 }
 
 // load replays the journal for a resume: the header must carry this
-// configuration's fingerprint, every whole record line is decoded and kept
-// for lookup, and a torn or garbled tail is discarded by truncating the
-// file to the last trusted line, so a crash costs at most the record lines
-// still queued behind the committer. A later line of a key supersedes an
-// earlier one.
+// configuration's fingerprint, every verified record line is decoded and
+// kept for lookup, and a torn or garbled tail is discarded by truncating
+// the file to the last trusted line, so a crash costs at most the record
+// lines still queued behind the committer, and damage at most the records
+// from the damaged line on. A later line of a key supersedes an earlier
+// one.
 func (j *journal) load(fingerprint string) error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	j.entries = make(map[journalKey]journalRecord[journaledExperiment])
-	scan, err := readJournal(j.f, j.f.Name(), func(rec *journalRecord[journaledExperiment]) {
+	j.entries = make(map[journalKey]journalRecord[*ExperimentRecord])
+	scan, err := readJournal(j.f, j.f.Name(), func(rec *journalRecord[*ExperimentRecord]) {
 		j.entries[journalKey{rec.Point, rec.Index}] = *rec
 	})
 	if err != nil {
@@ -523,14 +479,14 @@ func (j *journal) write(b []byte) error {
 	return nil
 }
 
-// append journals one completed record: it marshals the record line here,
-// in the caller — so the line holds the record as it stood when analysis
+// append journals one completed record: it marshals the record here, in
+// the caller — so the line holds the record as it stood when analysis
 // handed it over — queues it with its experiment event, and returns without
 // waiting for the round that writes it; it waits only while the queue holds
 // more than maxQueuedBytes. The committer emits the event once the line is
 // durable. A write or fsync error is sticky: every later append returns it.
 func (j *journal) append(rec journalRecord[*ExperimentRecord], p *progress) error {
-	b, err := json.Marshal(journalLine[*ExperimentRecord]{Record: &rec})
+	b, err := json.Marshal(&rec)
 	if err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
@@ -544,25 +500,25 @@ func (j *journal) append(rec journalRecord[*ExperimentRecord], p *progress) erro
 	return j.enqueue(b, pending{p: p, kind: obs.EventExperiment, index: rec.Index, accepted: rec.Experiment.Accepted})
 }
 
-// enqueue queues a record line and its entry for the committer, waiting
-// while the queue is over maxQueuedBytes, or — line nil — a line-less
-// event, which never waits. A line is refused with the sticky commit error;
-// after a failure line-less events still queue, so they keep their order.
-// Once the journal is closing nothing queues.
-func (j *journal) enqueue(line []byte, e pending) error {
+// enqueue queues a marshalled record, framed as its line, and its entry for
+// the committer, waiting while the queue is over maxQueuedBytes, or — rec
+// nil — a line-less event, which never waits. A line is refused with the
+// sticky commit error; after a failure line-less events still queue, so
+// they keep their order. Once the journal is closing nothing queues.
+func (j *journal) enqueue(rec []byte, e pending) error {
 	j.cmu.Lock()
 	defer j.cmu.Unlock()
-	for line != nil && len(j.lines) > maxQueuedBytes && j.err == nil && !j.closing {
+	for rec != nil && len(j.lines) > maxQueuedBytes && j.err == nil && !j.closing {
 		j.room.Wait()
 	}
-	if line != nil && j.err != nil {
+	if rec != nil && j.err != nil {
 		return j.err
 	}
 	if j.closing {
 		return fmt.Errorf("campaign: checkpoint: append to a closed journal")
 	}
-	if line != nil {
-		j.lines = append(append(j.lines, line...), '\n')
+	if rec != nil {
+		j.lines = frame(j.lines, recordTag, rec)
 	}
 	j.queue = append(j.queue, e)
 	j.queued.Signal()
@@ -620,9 +576,8 @@ func (j *journal) commit() {
 
 // lookup returns the journaled record for (point, index), decoded when
 // the journal was loaded, or nil when the journal has no complete record
-// for it. A journaled record that does not decode is an error, and a
-// record written under a different study fingerprint is a configuration
-// mismatch, not a cache miss. Nil-receiver safe.
+// for it. A record written under a different study fingerprint is a
+// configuration mismatch, not a cache miss. Nil-receiver safe.
 func (j *journal) lookup(point string, index int, fingerprint string) (*ExperimentRecord, error) {
 	if j == nil {
 		return nil, nil
@@ -643,10 +598,7 @@ func (j *journal) lookup(point string, index int, fingerprint string) (*Experime
 	// lookup re-runs one experiment — sound, and the rerun's record
 	// supersedes the old one on the next resume.
 	delete(j.entries, journalKey{point, index})
-	if err := rec.Experiment.err; err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint: journaled record %s/%d: %w", point, index, err)
-	}
-	return rec.Experiment.rec, nil
+	return rec.Experiment, nil
 }
 
 // Close stops the committer once every queued line is written and every

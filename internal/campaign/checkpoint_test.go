@@ -332,10 +332,46 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1JournalRefused: a journal whose header says version 1
-// (the format with done markers) is refused by resume and by both
-// read-only readers, each naming both versions, and the refused resume
-// leaves the file byte for byte as it was.
+// checkRefused writes data as the journal under dir and checks that a
+// resume, SummarizeJournal and WalkJournal each refuse it with an error
+// holding every one of want, that the resume runs no application body, and
+// that it leaves the file byte for byte as it was.
+func checkRefused(t *testing.T, dir string, data []byte, want ...string) {
+	t.Helper()
+	path := filepath.Join(dir, journalName)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: err = %v, want a refusal naming %q", what, err, w)
+			}
+		}
+	}
+	var ran int64
+	c := countingStepCampaign(t, 2, 1, &ran)
+	c.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
+	_, err := Run(context.Background(), c)
+	refused("resume", err)
+	if got := atomic.LoadInt64(&ran); got != 0 {
+		t.Errorf("refused resume executed %d app bodies", got)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Errorf("refused resume modified the journal (err %v): %d bytes, was %d", err, len(after), len(data))
+	}
+	_, err = SummarizeJournal(dir)
+	refused("SummarizeJournal", err)
+	_, _, err = WalkJournal(dir, func(RecordSummary) { t.Error("WalkJournal handed out a record of a refused journal") })
+	refused("WalkJournal", err)
+}
+
+// TestCheckpointV1JournalRefused: a journal an older build wrote — version
+// 1 (the format with done markers) or version 2 (no sums; the goldens
+// before journal version 3) — is refused by resume and by both read-only
+// readers, each naming both versions, and the refused resume leaves the
+// file byte for byte as it was.
 func TestCheckpointV1JournalRefused(t *testing.T) {
 	dir := ckptDir(t, "v1-refused")
 	c1 := countingStepCampaign(t, 2, 1, nil)
@@ -343,40 +379,69 @@ func TestCheckpointV1JournalRefused(t *testing.T) {
 	if _, err := Run(context.Background(), c1); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, journalName)
-	v2, err := os.ReadFile(path)
+	v3, err := os.ReadFile(filepath.Join(dir, journalName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := bytes.Replace(v2, []byte(`"Version":2`), []byte(`"Version":1`), 1)
-	if bytes.Equal(v1, v2) {
-		t.Fatalf("journal header carries no version 2: %.80s", v2)
-	}
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
+	golden, err := os.ReadFile("../../testdata/golden_election.journal")
+	if err != nil {
 		t.Fatal(err)
 	}
-	namesBoth := func(what string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "writes 2") {
-			t.Errorf("%s of a v1 journal: err = %v, want a refusal naming versions 1 and 2", what, err)
+	for _, v := range []int{1, 2} {
+		for name, journal := range map[string][]byte{"this campaign's": v3, "the golden": golden} {
+			old := unframed(journal, v)
+			if bytes.Contains(old, []byte(`"sum":`)) || !bytes.HasPrefix(old, fmt.Appendf(nil, `{"journal":{"Version":%d,`, v)) {
+				t.Fatalf("%s journal unframed to version %d: %.120s", name, v, old)
+			}
+			checkRefused(t, dir, old, fmt.Sprintf("version %d", v), fmt.Sprintf("writes %d", journalVersion))
 		}
 	}
+}
 
+// TestCheckpointForeignFileRefused: a checkpoint.jsonl whose first line
+// is complete but not a verified header — not JSON, JSON of another shape,
+// a record, or this version's header damaged — is not a journal: resume
+// and both read-only readers refuse it, and the resume leaves it as it
+// was. Only a torn first line (no newline) is a fresh start.
+func TestCheckpointForeignFileRefused(t *testing.T) {
+	dir := ckptDir(t, "foreign-refused")
+	header, rec := goldenLines(t)
+	flip := func(at int) string {
+		b := []byte(header)
+		b[at] ^= 0x01
+		return string(b)
+	}
+	for name, data := range map[string]string{
+		"not json":          "this is not a journal at all\nsecond line\n",
+		"json, not journal": `{"name":"campaign"}` + "\n",
+		"a record first":    rec + rec,
+		"a damaged header":  flip(len(`{"journal":{"Version":3,"Campaign":"g`)) + rec,
+		"a damaged version": flip(len(`{"journal":{"Version":`)) + rec, // 3 becomes 2
+		"an empty line":     "\n" + header + rec,
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkRefused(t, dir, []byte(data), "not a checkpoint journal")
+		})
+	}
+
+	// A torn first line is where a crash left a fresh journal's header: the
+	// resume starts the journal afresh and runs every experiment.
+	path := filepath.Join(dir, journalName)
+	if err := os.WriteFile(path, []byte(header[:len(header)/2]), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var ran int64
-	c2 := countingStepCampaign(t, 2, 1, &ran)
-	c2.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
-	_, err = Run(context.Background(), c2)
-	namesBoth("resume", err)
-	if got := atomic.LoadInt64(&ran); got != 0 {
-		t.Errorf("refused resume executed %d app bodies", got)
+	c := countingStepCampaign(t, 2, 1, &ran)
+	c.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
+	if _, err := Run(context.Background(), c); err != nil {
+		t.Fatalf("resume over a torn first line: %v", err)
 	}
-	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, v1) {
-		t.Errorf("refused resume modified the journal (err %v): %d bytes, was %d", err, len(after), len(v1))
+	if got := atomic.LoadInt64(&ran); got != 2*3 {
+		t.Errorf("resume over a torn first line executed %d app bodies, want %d", got, 2*3)
 	}
-	_, err = SummarizeJournal(dir)
-	namesBoth("SummarizeJournal", err)
-	_, _, err = WalkJournal(dir, func(RecordSummary) { t.Error("WalkJournal handed out a v1 record") })
-	namesBoth("WalkJournal", err)
+	if sum, err := SummarizeJournal(dir); err != nil || sum.Complete() != 2 {
+		t.Errorf("journal after a fresh start: %+v, %v; want 2 complete records", sum, err)
+	}
 }
 
 // TestDuplicateStudyNamesRejected: duplicate study names would shadow

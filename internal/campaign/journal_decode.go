@@ -12,24 +12,24 @@ import (
 	"repro/internal/timeline"
 )
 
-// lineDecoder is the strict decoder of a record line as append writes it,
-// json.Marshal(journalLine[*ExperimentRecord]): no whitespace, the record
-// types' keys spelled and ordered as json.Marshal writes them, strings in
-// valid UTF-8 with only JSON's escapes, and numbers handed to the strconv
-// calls encoding/json makes. It reads a line in place, in one pass, with
-// no reflection. It refuses every other line — a header, a key in another
-// order, spelling or case, a repeated field, whitespace, a null Experiment, a
+// lineDecoder is the strict decoder of a record line's body as append
+// writes it, json.Marshal(*journalRecord[*ExperimentRecord]): no
+// whitespace, the record types' keys spelled and ordered as json.Marshal
+// writes them, strings in valid UTF-8 with only JSON's escapes, and numbers
+// handed to the strconv calls encoding/json makes. It reads a body in place,
+// in one pass, with no reflection, and is the only decoder of a verified
+// record line. It refuses every other body — a key in another order,
+// spelling or case, a repeated field, whitespace, a null Experiment, a
 // value of another type, invalid UTF-8, a UTF-16 surrogate escape, text
-// that does not decode — and its caller then decodes the line with
-// encoding/json, so a line either is refused here or decodes to exactly
-// what encoding/json makes of it (FuzzStrictLineMatchesEncodingJSON).
+// that does not decode — so a body either is refused here or decodes to
+// exactly what encoding/json makes of it (FuzzStrictLineMatchesEncodingJSON).
 //
 // A decoder belongs to one goroutine: scratch is the unescape buffer of its
 // strings, reused from string to string. Nothing it returns aliases scratch
 // or the line: strings are copied out, and the timeline texts' UnmarshalText
 // copies the bytes it is given.
 type lineDecoder struct {
-	b       []byte // the line
+	b       []byte // the record body
 	i       int    // read offset in b
 	scratch []byte
 }
@@ -59,21 +59,29 @@ var experimentKeys = [...]struct {
 	{`"Stamps":`, false},
 }
 
-// resume decodes a record line whole, as a resume keeps it, or returns nil.
-func (d *lineDecoder) resume(line []byte) *journalRecord[journaledExperiment] {
-	r, rec := new(journalRecord[journaledExperiment]), new(ExperimentRecord)
-	if !d.record(line, &r.Point, &r.Index, &r.Fingerprint, rec, true) {
+// decode reads a verified record body in shape E — whole for a resume, or
+// its verdict fields — or returns nil.
+func decode[E *ExperimentRecord | RecordSummary](d *lineDecoder, body []byte) *journalRecord[E] {
+	if _, whole := any((*E)(nil)).(**ExperimentRecord); whole {
+		return any(d.resume(body)).(*journalRecord[E])
+	}
+	return any(d.summary(body)).(*journalRecord[E])
+}
+
+// resume decodes a record body whole, as a resume keeps it, or returns nil.
+func (d *lineDecoder) resume(body []byte) *journalRecord[*ExperimentRecord] {
+	r := &journalRecord[*ExperimentRecord]{Experiment: new(ExperimentRecord)}
+	if !d.record(body, &r.Point, &r.Index, &r.Fingerprint, r.Experiment, true) {
 		return nil
 	}
-	r.Experiment.rec = rec
 	return r
 }
 
-// summary decodes a record line's key and verdict fields, or returns nil.
-func (d *lineDecoder) summary(line []byte) *journalRecord[RecordSummary] {
+// summary decodes a record body's key and verdict fields, or returns nil.
+func (d *lineDecoder) summary(body []byte) *journalRecord[RecordSummary] {
 	var rec ExperimentRecord
 	r := new(journalRecord[RecordSummary])
-	if !d.record(line, &r.Point, &r.Index, &r.Fingerprint, &rec, false) {
+	if !d.record(body, &r.Point, &r.Index, &r.Fingerprint, &rec, false) {
 		return nil
 	}
 	r.Experiment = RecordSummary{Index: rec.Index, Completed: rec.Completed, Accepted: rec.Accepted,
@@ -81,15 +89,15 @@ func (d *lineDecoder) summary(line []byte) *journalRecord[RecordSummary] {
 	return r
 }
 
-// record reads a whole record line, its trailing newline optional. With
-// full unset only experimentKeys' summary fields are stored in rec.
-func (d *lineDecoder) record(line []byte, point *string, index *int, fp *string, rec *ExperimentRecord, full bool) bool {
-	d.b, d.i = line, 0
-	return d.lit(`{"record":{"Point":`) && d.str(point) &&
+// record reads a whole record body. With full unset only experimentKeys'
+// summary fields are stored in rec.
+func (d *lineDecoder) record(body []byte, point *string, index *int, fp *string, rec *ExperimentRecord, full bool) bool {
+	d.b, d.i = body, 0
+	return d.lit(`{"Point":`) && d.str(point) &&
 		d.lit(`,"Index":`) && integer(d, index) &&
 		d.lit(`,"Fingerprint":`) && d.str(fp) &&
 		d.lit(`,"Experiment":`) && d.experiment(rec, full) &&
-		d.lit(`}}`) && (d.i == len(d.b) || d.i == len(d.b)-1 && d.b[d.i] == '\n')
+		d.lit(`}`) && d.i == len(d.b)
 }
 
 // experiment reads an ExperimentRecord object: its members in declaration

@@ -66,59 +66,35 @@ func coverageRecords() []*ExperimentRecord {
 	return append(recs, &nilSlices, &emptySlices, new(ExperimentRecord))
 }
 
-// coverageLine is rec's journal line as append writes it.
-func coverageLine(t testing.TB, rec *ExperimentRecord) []byte {
+// coverageBody is rec's record body as append marshals it.
+func coverageBody(t testing.TB, rec *ExperimentRecord) []byte {
 	t.Helper()
-	b, err := json.Marshal(journalLine[*ExperimentRecord]{Record: &journalRecord[*ExperimentRecord]{
+	b, err := json.Marshal(&journalRecord[*ExperimentRecord]{
 		Point: "cover \u2028<&>\xff", Index: rec.Index, Fingerprint: "00f1", Experiment: rec,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(b, '\n')
+	return b
 }
 
-// checkStrict checks the strict decoder against encoding/json on one line:
-// where it accepts the line whole it must give the record encoding/json
-// decodes and a resume's fallback (decodeResumeLine) serves, and where it
-// accepts the summary, json.Unmarshal's RecordSummary. It returns which
-// modes accepted.
-func checkStrict(t testing.TB, d *lineDecoder, line []byte) (full, summary bool) {
+// bodyOf returns a framed record line's body, or fails the test.
+func bodyOf(t testing.TB, line string) []byte {
 	t.Helper()
-	if got := d.resume(line); got != nil {
-		var want journalLine[*ExperimentRecord]
-		if err := json.Unmarshal(line, &want); err != nil || want.Journal != nil || want.Record == nil {
-			t.Fatalf("strict decoder accepts %q; encoding/json: %+v, %v", line, want, err)
-		}
-		w := want.Record
-		if got.Point != w.Point || got.Index != w.Index || got.Fingerprint != w.Fingerprint || !reflect.DeepEqual(got.Experiment.rec, w.Experiment) {
-			t.Fatalf("strict decoder reads %q as\n%+v %+v;\nencoding/json as\n%+v %+v", line, got, got.Experiment.rec, w, w.Experiment)
-		}
-		var fallback journalLine[journaledExperiment]
-		if !decodeResumeLine(line, &fallback) || fallback.Record == nil || fallback.Record.Experiment.err != nil ||
-			!reflect.DeepEqual(got.Experiment.rec, fallback.Record.Experiment.rec) {
-			t.Fatalf("strict decoder reads %q as %+v; the resume fallback as %+v", line, got.Experiment.rec, fallback.Record)
-		}
-		full = true
+	body, tag := refUnframe([]byte(strings.TrimSuffix(line, "\n") + "\n"))
+	if tag != `{"record":` {
+		t.Fatalf("not a verified record line: %.80s", line)
 	}
-	if got := d.summary(line); got != nil {
-		var want journalLine[RecordSummary]
-		if err := json.Unmarshal(line, &want); err != nil || want.Journal != nil || want.Record == nil || *got != *want.Record {
-			t.Fatalf("strict summary of %q is %+v; encoding/json's %+v (%v)", line, got, want.Record, err)
-		}
-		summary = true
-	}
-	return full, summary
+	return body
 }
 
-// TestStrictDecoderReadsWriterOutput: a line json.Marshal writes for a
-// record never takes the fallback. Every coverage record's line is
-// accepted by both strict modes and decodes to what encoding/json gives.
-func TestStrictDecoderReadsWriterOutput(t *testing.T) {
-	var d lineDecoder
-	lines := [][]byte{[]byte(pinAccepted), []byte(pinAcceptedRaw), []byte(pinDiscarded)}
-	for _, rec := range coverageRecords() {
-		lines = append(lines, coverageLine(t, rec))
+// writerBodies returns the record bodies the writer wrote or writes: the
+// pinned lines', the golden journals' and the coverage records'.
+func writerBodies(t testing.TB) [][]byte {
+	t.Helper()
+	var bodies [][]byte
+	for _, line := range []string{pinAccepted, pinAcceptedRaw, pinDiscarded} {
+		bodies = append(bodies, bodyOf(t, line))
 	}
 	goldens, err := filepath.Glob("../../testdata/golden_*.journal")
 	if err != nil || len(goldens) == 0 {
@@ -129,12 +105,51 @@ func TestStrictDecoderReadsWriterOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		records := bytes.SplitAfter(b, []byte("\n"))[1:]
-		lines = append(lines, records[:len(records)-1]...) // the last is empty
+		records := strings.SplitAfter(string(b), "\n")[1:]
+		for _, line := range records[:len(records)-1] { // the last is empty
+			bodies = append(bodies, bodyOf(t, line))
+		}
 	}
-	for _, line := range lines {
-		if full, summary := checkStrict(t, &d, line); !full || !summary {
-			t.Errorf("the writer's line takes the fallback (whole %v, summary %v): %s", full, summary, line)
+	for _, rec := range coverageRecords() {
+		bodies = append(bodies, coverageBody(t, rec))
+	}
+	return bodies
+}
+
+// checkStrict checks the strict decoder against encoding/json on one
+// record body: where it accepts the body whole it must give the record
+// encoding/json decodes, and where it accepts the summary, json.Unmarshal's
+// RecordSummary. It returns which modes accepted.
+func checkStrict(t testing.TB, d *lineDecoder, body []byte) (full, summary bool) {
+	t.Helper()
+	if got := d.resume(body); got != nil {
+		var want journalRecord[*ExperimentRecord]
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("strict decoder accepts %q; encoding/json: %v", body, err)
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("strict decoder reads %q as\n%+v %+v;\nencoding/json as\n%+v %+v", body, got, got.Experiment, want, want.Experiment)
+		}
+		full = true
+	}
+	if got := d.summary(body); got != nil {
+		var want journalRecord[RecordSummary]
+		if err := json.Unmarshal(body, &want); err != nil || *got != want {
+			t.Fatalf("strict summary of %q is %+v; encoding/json's %+v (%v)", body, got, want, err)
+		}
+		summary = true
+	}
+	return full, summary
+}
+
+// TestStrictDecoderReadsWriterOutput: the strict decoder reads every body
+// json.Marshal writes for a record. Every coverage record's body is
+// accepted by both strict modes and decodes to what encoding/json gives.
+func TestStrictDecoderReadsWriterOutput(t *testing.T) {
+	var d lineDecoder
+	for _, body := range writerBodies(t) {
+		if full, summary := checkStrict(t, &d, body); !full || !summary {
+			t.Errorf("the strict decoder refuses the writer's body (whole %v, summary %v): %s", full, summary, body)
 		}
 	}
 }
@@ -203,16 +218,17 @@ func TestStrictDecoderKnowsEveryField(t *testing.T) {
 	walk(reflect.ValueOf(coverageRecords()[0]), "ExperimentRecord")
 }
 
-// fallbackLines are record lines the strict decoder must refuse in both
-// modes, each built from a golden record line.
-func fallbackLines(t testing.TB) map[string]string {
-	_, rec := goldenLines(t)
-	rec = strings.TrimSuffix(rec, "\n")
+// refusedBodies are record bodies the strict decoder must refuse in both
+// modes, each an edit of the golden record's body that json.Marshal never
+// writes.
+func refusedBodies(t testing.TB) map[string]string {
+	_, line := goldenLines(t)
+	rec := string(bodyOf(t, line))
 	exp := strings.Index(rec, `"Experiment":`) + len(`"Experiment":`)
 	edit := func(old, new string) string {
 		t.Helper()
 		if !strings.Contains(rec, old) {
-			t.Fatalf("the golden record line has no %s", old)
+			t.Fatalf("the golden record body has no %s", old)
 		}
 		return strings.Replace(rec, old, new, 1)
 	}
@@ -221,39 +237,51 @@ func fallbackLines(t testing.TB) map[string]string {
 		"case-folded key":  edit(`"Accepted":true`, `"accepted":true`),
 		"escaped key":      edit(`"Accepted":true`, `"Acc\u0065pted":true`),
 		"duplicate key":    edit(`"Accepted":true`, `"Accepted":true,"Accepted":false`),
+		"repeated record":  rec[:exp] + `{"Index":7},"Experiment":{"Study":"later"}}`,
 		"inner whitespace": edit(`"Completed":true`, `"Completed": true`),
-		"null experiment":  rec[:exp] + "null}}",
+		"null experiment":  rec[:exp] + "null}",
 		"global a number":  edit(`"Global":"global_timeline`, `"Global":123,"X":"`),
+		"type error":       edit(`"Completed":true`, `"Completed":"yes"`),
 		"unknown key":      edit(`"Completed":true`, `"Completed":true,"Aborted":true`),
-		"header":           `{"journal":{"Version":2,"Campaign":"c","Fingerprint":"f"}}`,
-		"no experiment":    `{"record":{"Point":"golden","Index":0,"Fingerprint":"fa8d1ad7bcd21c8e"}}`,
+		"header":           `{"Version":3,"Campaign":"c","Fingerprint":"f"}`,
+		"no experiment":    `{"Point":"golden","Index":0,"Fingerprint":"fa8d1ad7bcd21c8e"}`,
 		"trailing bytes":   rec + " ",
 		"surrogate escape": edit(`"Study":"golden"`, `"Study":"\ud834\udd1e"`),
 		"raw control byte": edit(`"Study":"golden"`, "\"Study\":\"gol\x01den\""),
 		"invalid utf-8":    edit(`"Study":"golden"`, "\"Study\":\"gol\xffden\""),
 		"index overflows":  edit(`"Index":0,"Completed"`, `"Index":9223372036854775808,"Completed"`),
 		"fractional index": edit(`"Index":0,"Completed"`, `"Index":1.0,"Completed"`),
+		"a whole v2 line":  `{"record":` + rec + `}`,
+		"not json":         "not json",
+		"empty":            "",
 		// Nested past encoding/json's depth limit, in a value a summary skips.
 		"deep nesting": edit(`"Outcomes":{`, `"Outcomes":{"deep":`+strings.Repeat("[", 10001)+strings.Repeat("]", 10001)+`,`),
 	}
 }
 
-// TestStrictDecoderRefuses: a line that is not the writer's is refused by
-// both strict modes, so it takes the encoding/json path; reading a journal
-// of each gives what the line-by-line reference reader gives.
+// TestStrictDecoderRefuses: a record body the writer does not write is
+// refused by both strict modes. In a journal, its line with a stale sum —
+// an edit in place — is a garbled tail; re-framed, it is a verified record
+// line the strict decoder refuses, which is a bug, and the read is an error
+// naming the file and the line, never a fallback.
 func TestStrictDecoderRefuses(t *testing.T) {
 	header, rec := goldenLines(t)
 	var d lineDecoder
-	for name, line := range fallbackLines(t) {
-		if full, summary := checkStrict(t, &d, []byte(line+"\n")); full || summary {
-			t.Errorf("%s: accepted (whole %v, summary %v): %s", name, full, summary, line)
+	for name, body := range refusedBodies(t) {
+		if full, summary := checkStrict(t, &d, []byte(body)); full || summary {
+			t.Errorf("%s: accepted (whole %v, summary %v): %s", name, full, summary, body)
 		}
-		data := []byte(header + line + "\n" + rec)
-		var got, want []journalRecord[RecordSummary]
-		scan, err := readJournal(bytes.NewReader(data), name, func(r *journalRecord[RecordSummary]) { got = append(got, *r) })
-		ref, refErr := refRead(data, func(r *journalRecord[RecordSummary]) { want = append(want, *r) })
-		if scan != ref || (err != nil) != (refErr != nil) || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: summaries %+v to %+v (%v); reference %+v to %+v (%v)", name, got, scan, err, want, ref, refErr)
+		stale := `{"record":` + body + rec[len(rec)-len(`,"sum":"00000000"}`+"\n"):]
+		scan, err := readJournal(bytes.NewReader([]byte(header+stale+rec)), name, func(*journalRecord[RecordSummary]) {
+			t.Errorf("%s: a record handed on past a stale sum", name)
+		})
+		if err != nil || scan.tail != tailGarbled || scan.offset != int64(len(header)) {
+			t.Errorf("%s: with a stale sum, read to %+v (%v); want a garbled tail after the header", name, scan, err)
+		}
+		_, err = readJournal(bytes.NewReader([]byte(header+rec+string(refFrame(`{"record":`, []byte(body))))), "j.jsonl",
+			func(*journalRecord[*ExperimentRecord]) {})
+		if err == nil || !strings.Contains(err.Error(), "j.jsonl line 3") {
+			t.Errorf("%s: re-framed, err = %v; want an error naming j.jsonl line 3", name, err)
 		}
 	}
 }
@@ -265,25 +293,25 @@ func TestStrictDecoderRefuses(t *testing.T) {
 // they were. Run under -race in CI.
 func TestStrictDecoderDoesNotAlias(t *testing.T) {
 	recs := coverageRecords()
-	first, second := coverageLine(t, recs[0]), coverageLine(t, recs[2])
+	first, second := coverageBody(t, recs[0]), coverageBody(t, recs[2])
 	var d lineDecoder
 	got := d.resume(first)
 	if got == nil {
-		t.Fatal("the strict decoder refuses a coverage line")
+		t.Fatal("the strict decoder refuses a coverage body")
 	}
-	before := wireBytes(t, got.Experiment.rec)
-	point, global := got.Point, got.Experiment.rec.Global.Events[0].Machine
+	before := wireBytes(t, got.Experiment)
+	point, global := got.Point, got.Experiment.Global.Events[0].Machine
 	if d.resume(second) == nil || d.summary(second) == nil {
-		t.Fatal("the strict decoder refuses a coverage line")
+		t.Fatal("the strict decoder refuses a coverage body")
 	}
 	for i := range first {
 		first[i] = 'x'
 	}
-	if after := wireBytes(t, got.Experiment.rec); !bytes.Equal(after, before) {
-		t.Errorf("the first record changed after the decoder read another line:\n got: %s\nwant: %s", after, before)
+	if after := wireBytes(t, got.Experiment); !bytes.Equal(after, before) {
+		t.Errorf("the first record changed after the decoder read another body:\n got: %s\nwant: %s", after, before)
 	}
-	if got.Point != point || got.Experiment.rec.Global.Events[0].Machine != global {
-		t.Errorf("the first record's key or Global changed: %q, %q", got.Point, got.Experiment.rec.Global.Events[0].Machine)
+	if got.Point != point || got.Experiment.Global.Events[0].Machine != global {
+		t.Errorf("the first record's key or Global changed: %q, %q", got.Point, got.Experiment.Global.Events[0].Machine)
 	}
 }
 
@@ -310,7 +338,7 @@ func TestJournalReadAllocBudget(t *testing.T) {
 		var b strings.Builder
 		b.WriteString(header)
 		for i := range n {
-			b.WriteString(strings.Replace(rec, `"Index":0`, fmt.Sprintf(`"Index":%d`, i), 2))
+			b.WriteString(reframe(t, strings.Replace(rec, `"Index":0`, fmt.Sprintf(`"Index":%d`, i), 2)))
 		}
 		if err := os.WriteFile(JournalPath(dir), []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -345,36 +373,20 @@ func TestJournalReadAllocBudget(t *testing.T) {
 	}
 }
 
-// FuzzStrictLineMatchesEncodingJSON: whatever the line, the strict decoder
-// either refuses it or decodes what encoding/json decodes — the whole
-// record a resume serves, and the summary the read-only readers count.
-// Seeded from the golden journals' lines, the pinned lines, the coverage
-// lines and the lines that must fall back.
+// FuzzStrictLineMatchesEncodingJSON: whatever the record body, the strict
+// decoder either refuses it or decodes what encoding/json decodes — the
+// whole record a resume serves, and the summary the read-only readers
+// count. Seeded from the bodies the writer wrote or writes and the bodies
+// it must refuse.
 func FuzzStrictLineMatchesEncodingJSON(f *testing.F) {
-	goldens, err := filepath.Glob("../../testdata/golden_*.journal")
-	if err != nil || len(goldens) == 0 {
-		f.Fatalf("no golden journals to seed from: %v", err)
+	for _, body := range writerBodies(f) {
+		f.Add(body)
 	}
-	for _, path := range goldens {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, line := range bytes.SplitAfter(b, []byte("\n")) {
-			f.Add(line)
-		}
-	}
-	for _, line := range []string{pinAccepted, pinAcceptedRaw, pinDiscarded} {
-		f.Add([]byte(line))
-	}
-	for _, rec := range coverageRecords() {
-		f.Add(coverageLine(f, rec))
-	}
-	for _, line := range fallbackLines(f) {
-		f.Add([]byte(line))
+	for _, body := range refusedBodies(f) {
+		f.Add([]byte(body))
 	}
 	var d lineDecoder // one fuzzing process's decoder, its scratch reused input to input
-	f.Fuzz(func(t *testing.T, line []byte) {
-		checkStrict(t, &d, line)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkStrict(t, &d, body)
 	})
 }

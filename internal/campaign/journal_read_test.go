@@ -6,13 +6,23 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// journalLine is one line of the JSONL journal as encoding/json reads it,
+// its sum aside: exactly one of the two fields is set. E is the shape the
+// test gives the journaled experiment.
+type journalLine[E any] struct {
+	Journal *journalHeader    `json:"journal,omitempty"`
+	Record  *journalRecord[E] `json:"record,omitempty"`
+}
 
 // goldenLines returns the golden election journal's header line and its
 // first record line (point "golden", index 0, accepted), each with its
@@ -27,24 +37,68 @@ func goldenLines(t testing.TB) (header, record string) {
 	return lines[0], lines[1]
 }
 
+// refFrame is frame's reference: tag, body, and the body's CRC-32C in
+// eight lowercase hex digits, as fmt prints them.
+func refFrame(tag string, body []byte) []byte {
+	return fmt.Appendf(nil, "%s%s,\"sum\":\"%08x\"}\n", tag, body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// refUnframe is unframe's reference: a line verifies when framing its body
+// again under its tag gives the line byte for byte.
+func refUnframe(line []byte) (body []byte, tag string) {
+	for _, tag := range []string{`{"record":`, `{"journal":`} {
+		rest, ok := bytes.CutPrefix(line, []byte(tag))
+		if ok && len(rest) >= len(`,"sum":"00000000"}`+"\n") {
+			body := rest[:len(rest)-len(`,"sum":"00000000"}`+"\n")]
+			if bytes.Equal(refFrame(tag, body), line) {
+				return body, tag
+			}
+		}
+	}
+	return nil, ""
+}
+
+// reframe recomputes the sum of a framed line, its newline optional, after
+// an edit of its body: the reader trusts the edited line as the writer's.
+func reframe(t testing.TB, line string) string {
+	t.Helper()
+	line = strings.TrimSuffix(line, "\n")
+	cut := len(line) - len(`,"sum":"00000000"}`)
+	tag, body, ok := strings.Cut(line[:max(cut, 0)], ":")
+	if !ok || !strings.HasSuffix(line, `"}`) {
+		t.Fatalf("not a framed line: %.80s", line)
+	}
+	return string(refFrame(tag+":", []byte(body)))
+}
+
+// unframed returns a journal as a build before journal version 3 wrote
+// it: each line's sum deleted and the header's version set to v.
+func unframed(journal []byte, v int) []byte {
+	b := regexp.MustCompile(`,"sum":"[0-9a-f]{8}"}\n`).ReplaceAll(journal, []byte("}\n"))
+	return bytes.Replace(b, []byte(fmt.Sprintf(`{"journal":{"Version":%d,`, journalVersion)), []byte(fmt.Sprintf(`{"journal":{"Version":%d,`, v)), 1)
+}
+
 // TestStatusCountsEachKeyOnce: a key journaled twice — a re-run's record
 // supersedes the earlier copy, as it does for a resume — is one complete
 // experiment in the summary and one record in the walk, with the verdict
-// of its last copy.
+// of its last copy. An edited copy that is not re-framed is not trusted.
 func TestStatusCountsEachKeyOnce(t *testing.T) {
 	header, rec := goldenLines(t)
-	rejected := strings.Replace(rec, `"Completed":true,"Accepted":true`, `"Completed":true,"Accepted":false`, 1)
-	if rejected == rec {
+	edited := strings.Replace(rec, `"Completed":true,"Accepted":true`, `"Completed":true,"Accepted":false`, 1)
+	if edited == rec {
 		t.Fatal("the golden record line has no accepted verdict to flip")
 	}
+	rejected := reframe(t, edited)
 	for _, tc := range []struct {
 		name     string
 		records  string
 		accepted int
+		torn     bool
 	}{
-		{"same copy twice", rec + rec, 1},
-		{"rejected copy supersedes", rec + rejected, 0},
-		{"accepted copy supersedes", rejected + rec, 1},
+		{"same copy twice", rec + rec, 1, false},
+		{"rejected copy supersedes", rec + rejected, 0, false},
+		{"accepted copy supersedes", rejected + rec, 1, false},
+		{"an edit with the old sum is damage", rec + edited, 1, true},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(JournalPath(dir), []byte(header+tc.records), 0o644); err != nil {
@@ -55,8 +109,8 @@ func TestStatusCountsEachKeyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := []PointProgress{{Point: "golden", Complete: 1, Accepted: tc.accepted, Fingerprint: "fa8d1ad7bcd21c8e"}}
-		if !reflect.DeepEqual(sum.Points, want) {
-			t.Errorf("%s: summary %+v, want %+v", tc.name, sum.Points, want)
+		if !reflect.DeepEqual(sum.Points, want) || sum.Torn != tc.torn {
+			t.Errorf("%s: summary %+v, torn %v; want %+v, torn %v", tc.name, sum.Points, sum.Torn, want, tc.torn)
 		}
 		var walked []RecordSummary
 		if _, _, err := WalkJournal(dir, func(r RecordSummary) { walked = append(walked, r) }); err != nil {
@@ -68,9 +122,15 @@ func TestStatusCountsEachKeyOnce(t *testing.T) {
 	}
 }
 
+// errRefused is refRead's error for a journal readJournal must refuse: a
+// first line that is not a verified header of this version, or a verified
+// record line whose body does not decode.
+var errRefused = errors.New("refused")
+
 // refRead is the line-by-line reference reader the batched readJournal
-// must agree with: one line at a time, through bufio, each decoded with
-// encoding/json into shape E, stopping where readJournal stops.
+// must agree with: one line at a time, through bufio, each verified by
+// refUnframe and its body decoded with encoding/json into shape E, stopping
+// where readJournal stops.
 func refRead[E any](data []byte, onRecord func(*journalRecord[E])) (journalScan, error) {
 	var (
 		scan journalScan
@@ -84,19 +144,20 @@ func refRead[E any](data []byte, onRecord func(*journalRecord[E])) (journalScan,
 			}
 			return scan, nil
 		}
-		var line journalLine[E]
-		if json.Unmarshal(raw, &line) != nil {
-			scan.tail = tailGarbled
-			return scan, nil
-		}
+		body, tag := refUnframe(raw)
 		switch {
 		case scan.offset == 0:
-			if line.Journal == nil || line.Journal.Version != journalVersion {
-				return scan, errors.New("no header")
+			var h journalHeader
+			if tag != `{"journal":` || json.Unmarshal(body, &h) != nil || h.Version != journalVersion {
+				return scan, errRefused
 			}
-			scan.header = *line.Journal
-		case line.Record != nil:
-			onRecord(line.Record)
+			scan.header = h
+		case tag == `{"record":`:
+			var rec journalRecord[E]
+			if json.Unmarshal(body, &rec) != nil {
+				return scan, errRefused
+			}
+			onRecord(&rec)
 		default:
 			scan.tail = tailGarbled
 			return scan, nil
@@ -148,13 +209,13 @@ func checkReader(t *testing.T, name string, data []byte) {
 		}
 	}
 	var keys []journalKey
-	scan, err := readJournal(bytes.NewReader(data), name, func(rec *journalRecord[journaledExperiment]) {
+	scan, err := readJournal(bytes.NewReader(data), name, func(rec *journalRecord[*ExperimentRecord]) {
 		keys = append(keys, journalKey{rec.Point, rec.Index})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, want := refKeys[json.RawMessage](t, data)
+	ref, want := refKeys[*ExperimentRecord](t, data)
 	check("resume", scan, keys, ref, want)
 
 	keys = nil
@@ -168,18 +229,28 @@ func checkReader(t *testing.T, name string, data []byte) {
 	check("verdict", scan, keys, ref, want)
 }
 
+// recordLine is r's journal line as append writes it, framed by refFrame.
+func recordLine(t testing.TB, r journalRecord[*ExperimentRecord]) string {
+	t.Helper()
+	b, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(refFrame(`{"record":`, b))
+}
+
 // TestJournalReaderBatches pins the batched, parallel readJournal to the
 // line-by-line reader: over a journal of several batches, with a garbled
-// line, a torn line and a line only the resume shape trusts each put just
-// after a batch boundary, with a line longer than a batch, and with a torn
-// or garbled last line, it hands on the same records in the same order and
-// trusts the same prefix. Run under -race in CI.
+// line, a torn line and a line edited in place (still JSON, its sum stale)
+// each put just after a batch boundary, with a line longer than a batch,
+// and with a torn or garbled last line, it hands on the same records in
+// the same order and trusts the same prefix. Run under -race in CI.
 func TestJournalReaderBatches(t *testing.T) {
 	header, rec := goldenLines(t)
 	var clean bytes.Buffer
 	clean.WriteString(header)
 	for i := 0; clean.Len() < 3*journalBatchBytes+journalBatchBytes/2; i++ {
-		clean.WriteString(strings.Replace(rec, `"Index":0`, fmt.Sprintf(`"Index":%d`, i), 2))
+		clean.WriteString(reframe(t, strings.Replace(rec, `"Index":0`, fmt.Sprintf(`"Index":%d`, i), 2)))
 	}
 	data := clean.Bytes()
 	ends := batchEnds(data)
@@ -190,27 +261,94 @@ func TestJournalReaderBatches(t *testing.T) {
 		return append(append(append([]byte{}, data[:at]...), line...), data[at:]...)
 	}
 	torn := rec[:len(rec)/2] + "\n"
-	typeBad := strings.Replace(rec, `"Completed":true`, `"Completed":"yes"`, 1) // the resume shape keeps it; the verdict shape does not
-	long := strings.Replace(rec, `"Index":0`, `"Index":99999`, 2)
-	long = strings.Replace(long, `"Completed":true`, `"AnalysisError":"`+strings.Repeat("x", journalBatchBytes+100)+`","Completed":true`, 1)
+	edited := strings.Replace(rec, `"Index":0`, `"Index":7`, 2)
+	var long journalRecord[*ExperimentRecord]
+	if err := json.Unmarshal([]byte(rec), &journalLine[*ExperimentRecord]{Record: &long}); err != nil {
+		t.Fatal(err)
+	}
+	long.Index, long.Experiment.Index = 99999, 99999
+	long.Experiment.AnalysisError = strings.Repeat("x", journalBatchBytes+100)
 
 	checkReader(t, "clean", data)
 	checkReader(t, "garbled after the first boundary", insert(ends[0], "not json\n"))
 	checkReader(t, "torn after the second boundary", insert(ends[1], torn))
-	checkReader(t, "type error after the third boundary", insert(ends[2], typeBad))
-	checkReader(t, "a line longer than a batch", insert(ends[1], long))
+	checkReader(t, "edited after the third boundary", insert(ends[2], edited))
+	checkReader(t, "a line longer than a batch", insert(ends[1], recordLine(t, long)))
 	checkReader(t, "torn last line", append(append([]byte{}, data...), rec[:len(rec)/2]...))
 	checkReader(t, "garbled last line", append(append([]byte{}, data...), "{}\n"...))
 	checkReader(t, "cut at a boundary", data[:ends[1]])
 	checkReader(t, "cut after a boundary", data[:ends[1]+10])
 }
 
+// checkServed resumes the journal bytes data and checks what the resume
+// serves against the line-by-line reference reading: for each key the last
+// verified line's record, decoded by encoding/json, and the line itself
+// what the writer writes for that record. A key looked up under another
+// fingerprint is refused without being consumed, a key is served once, and
+// nothing else is served. It returns the served records by key, or
+// errRefused when the resume refuses the journal, as the reference does.
+func checkServed(t *testing.T, path string, data []byte) (map[journalKey]*ExperimentRecord, error) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	type line struct {
+		fp  string
+		rec *ExperimentRecord
+	}
+	want := map[journalKey]line{}
+	scan, refErr := refRead(data, func(rec *journalRecord[*ExperimentRecord]) {
+		want[journalKey{rec.Point, rec.Index}] = line{rec.Fingerprint, rec.Experiment}
+	})
+	fh, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	j := &journal{f: fh}
+	err = j.load(scan.header.Fingerprint)
+	if (err != nil) != (refErr != nil) {
+		t.Fatalf("load: %v; the line-by-line reading: %v", err, refErr)
+	}
+	if err != nil {
+		if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+			t.Fatalf("a refused resume changed the journal (%v)", rerr)
+		}
+		return nil, errRefused
+	}
+	if len(j.entries) != len(want) {
+		t.Fatalf("resume holds %d keys, the line-by-line reading %d", len(j.entries), len(want))
+	}
+	served := map[journalKey]*ExperimentRecord{}
+	for k, l := range want {
+		sj := &studyJournal{j: j, point: k.Point, fp: l.fp}
+		if _, err := (&studyJournal{j: j, point: k.Point, fp: l.fp + "x"}).lookup(k.Index); err == nil {
+			t.Fatalf("%v: served under another fingerprint", k)
+		}
+		got, err := sj.lookup(k.Index)
+		if err != nil || !reflect.DeepEqual(got, l.rec) {
+			t.Fatalf("%v: lookup %+v, %v; encoding/json decodes %+v", k, got, err, l.rec)
+		}
+		if written := recordLine(t, journalRecord[*ExperimentRecord]{Point: k.Point, Index: k.Index, Fingerprint: l.fp, Experiment: got}); !bytes.Contains(data[:scan.offset], []byte("\n"+written)) {
+			t.Fatalf("%v: the served record re-frames to a line the journal does not hold:\n%s", k, written)
+		}
+		if again, err := sj.lookup(k.Index); again != nil || err != nil {
+			t.Fatalf("%v: served twice", k)
+		}
+		served[k] = got
+	}
+	if len(j.entries) != 0 {
+		t.Fatalf("%d keys left after every key was served", len(j.entries))
+	}
+	return served, nil
+}
+
 // FuzzJournalLookup: whatever the journal bytes, what a resume serves for
-// each key is what the line-by-line reading serves — the last whole line of
-// the key, its Experiment decoded alone into a fresh ExperimentRecord with
-// encoding/json: the same record, the same decode error, or (no Experiment)
-// a miss. A key looked up under another fingerprint is refused without
-// being consumed, a key is served once, and nothing else is served.
+// each key is what the line-by-line reading serves (checkServed): the last
+// verified line of the key, decoded by encoding/json, and every line
+// trusted re-frames to its own bytes. An edited line — a repeated,
+// case-folded or escaped key, a null experiment, a type error — is not the
+// writer's, and ends the trusted journal.
 func FuzzJournalLookup(f *testing.F) {
 	header, rec := goldenLines(f)
 	goldens, err := filepath.Glob("../../testdata/golden_*.journal")
@@ -227,22 +365,16 @@ func FuzzJournalLookup(f *testing.F) {
 	exp := strings.Index(rec, `"Experiment":`) + len(`"Experiment":`)
 	prefix := rec[:exp]
 	for _, seed := range []string{
-		// A null experiment is a zero record, not a miss.
+		// Lines edited in place: each still JSON, none the writer's.
 		prefix + "null}}\n",
-		// No experiment at all is a miss.
 		`{"record":{"Point":"golden","Index":0}}` + "\n",
-		// Global text that does not decode.
 		strings.Replace(rec, `global_timeline h1`, `global_timeline`, 1),
-		// A type error inside the experiment.
 		strings.Replace(rec, `"Completed":true`, `"Completed":"yes"`, 1),
-		// A repeated Experiment key: the last copy wins whole.
 		prefix + `{"Index":7,"Accepted":true},"Experiment":{"Study":"later"}}}` + "\n",
-		// A case-folded repeat, null last.
 		prefix + `{"Index":7},"experiment":null}}` + "\n",
-		// A repeat spelled with an escape.
 		prefix + `{"Index":7},"Experim\u0065nt":{"Completed":true}}}` + "\n",
 		// A later line of a key supersedes an earlier one.
-		rec + strings.Replace(rec, `"Completed":true,"Accepted":true`, `"Completed":true,"Accepted":false`, 1),
+		rec + reframe(f, strings.Replace(rec, `"Completed":true,"Accepted":true`, `"Completed":true,"Accepted":false`, 1)),
 		pinAcceptedRaw + "\n" + pinDiscarded + "\n",
 	} {
 		f.Add([]byte(header + seed))
@@ -250,66 +382,6 @@ func FuzzJournalLookup(f *testing.F) {
 
 	path := JournalPath(f.TempDir()) // one file per fuzzing process, rewritten by every input
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The line-by-line reading: the last whole line of each key, up
-		// to the first line the json.RawMessage shape does not trust.
-		type line struct {
-			fp  string
-			exp json.RawMessage
-		}
-		want := map[journalKey]line{}
-		scan, err := refRead(data, func(rec *journalRecord[json.RawMessage]) {
-			want[journalKey{rec.Point, rec.Index}] = line{rec.Fingerprint, rec.Experiment}
-		})
-		if err != nil {
-			return // a foreign file or version: refused whole
-		}
-
-		fh, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fh.Close()
-		j := &journal{f: fh}
-		if err := j.load(scan.header.Fingerprint); err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		if len(j.entries) != len(want) {
-			t.Fatalf("resume holds %d keys, the line-by-line reading %d", len(j.entries), len(want))
-		}
-		for k, l := range want {
-			sj := &studyJournal{j: j, point: k.Point, fp: l.fp}
-			if _, err := (&studyJournal{j: j, point: k.Point, fp: l.fp + "x"}).lookup(k.Index); err == nil {
-				t.Fatalf("%v: served under another fingerprint", k)
-			}
-			got, err := sj.lookup(k.Index)
-			var wantRec *ExperimentRecord
-			var wantErr error
-			if l.exp != nil {
-				wantRec = new(ExperimentRecord)
-				if wantErr = json.Unmarshal(l.exp, wantRec); wantErr != nil {
-					wantRec = nil
-				}
-			}
-			switch {
-			case wantErr != nil:
-				msg := fmt.Sprintf("campaign: checkpoint: journaled record %s/%d: %v", k.Point, k.Index, wantErr)
-				if err == nil || err.Error() != msg {
-					t.Fatalf("%v: lookup %+v, %v; want the error %q", k, got, err, msg)
-				}
-			case err != nil:
-				t.Fatalf("%v: lookup error %v; encoding/json decodes %s", k, err, l.exp)
-			case !reflect.DeepEqual(got, wantRec):
-				t.Fatalf("%v: lookup %+v; encoding/json decodes %+v from %s", k, got, wantRec, l.exp)
-			}
-			if again, err := sj.lookup(k.Index); again != nil || err != nil {
-				t.Fatalf("%v: served twice", k)
-			}
-		}
-		if len(j.entries) != 0 {
-			t.Fatalf("%d keys left after every key was served", len(j.entries))
-		}
+		checkServed(t, path, data)
 	})
 }

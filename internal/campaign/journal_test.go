@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,18 +83,19 @@ func pinnedRecords() (accepted, acceptedRaw, discarded *ExperimentRecord) {
 }
 
 // The record lines the last build with a separate wire struct and codec
-// (PR 14, commit f0200de) wrote for pinnedRecords, verbatim.
+// (commit f0200de) wrote for pinnedRecords, verbatim, each framed
+// since journal version 3 with its sum.
 const (
-	pinAccepted    = `{"record":{"Point":"pin/point","Index":3,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":3,"Completed":true,"Accepted":true,"Outcomes":{"alpha":"crashed","beta":"exited"},"Bounds":{"h1":{"AlphaLo":0,"AlphaHi":0,"BetaLo":1,"BetaHi":1},"h2":{"AlphaLo":-4000000.5,"AlphaHi":-3999000.25,"BetaLo":0.99994,"BetaHi":1.00006}},"Global":"global_timeline h1\nS beta S2 GO h2 8589934592 100 140\nF beta bfault h2 8589934599 107 147\nend_global_timeline\n","Report":{"Injections":[{"Machine":"beta","Fault":"bfault","At":{"Lo":107,"Hi":147},"Correct":true,"Reason":"state S2 held over \u003c[107,147]\u003e"}],"MissingFaults":null,"Accepted":true}}}}`
-	pinAcceptedRaw = `{"record":{"Point":"pin/point","Index":3,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":3,"Completed":true,"Accepted":true,"Outcomes":{"alpha":"crashed","beta":"exited"},"Bounds":{"h1":{"AlphaLo":0,"AlphaHi":0,"BetaLo":1,"BetaHi":1},"h2":{"AlphaLo":-4000000.5,"AlphaHi":-3999000.25,"BetaLo":0.99994,"BetaHi":1.00006}},"Global":"global_timeline h1\nS beta S2 GO h2 8589934592 100 140\nF beta bfault h2 8589934599 107 147\nend_global_timeline\n","Report":{"Injections":[{"Machine":"beta","Fault":"bfault","At":{"Lo":107,"Hi":147},"Correct":true,"Reason":"state S2 held over \u003c[107,147]\u003e"}],"MissingFaults":null,"Accepted":true},"Locals":["beta\nstate_machine_list\n0 alpha\n1 beta\nend_state_machine_list\nglobal_state_list\n0 S1\n1 S2\nend_global_state_list\nevent_list\n0 GO\nend_event_list\nfault_list\n0 bfault (beta:S2) once\nend_fault_list\nhost_list\n0 h2\nend_host_list\nlocal_timeline\n2 0 0 5\n0 0 1 2 0\n1 0 2 7\n3 \"a\u003cb \u0026 \\\"c\\\"\" 2 9\nend_local_timeline\n"],"Stamps":[{"SendHost":"h1","RecvHost":"h2","SendTime":10,"RecvTime":4000020},{"SendHost":"h2","RecvHost":"h1","SendTime":4000030,"RecvTime":45}]}}}`
-	pinDiscarded   = `{"record":{"Point":"pin/point","Index":4,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":4,"Completed":true,"Accepted":false,"Outcomes":{"beta":"exited"},"AnalysisError":"clock sync: host h2: infeasible (lo \u003e hi)","ClockStepSuspected":true,"ClockStepHosts":["h2"],"ClockStepBounds":{"h2":{"Lo":-12,"Hi":34}}}}}`
+	pinAccepted    = `{"record":{"Point":"pin/point","Index":3,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":3,"Completed":true,"Accepted":true,"Outcomes":{"alpha":"crashed","beta":"exited"},"Bounds":{"h1":{"AlphaLo":0,"AlphaHi":0,"BetaLo":1,"BetaHi":1},"h2":{"AlphaLo":-4000000.5,"AlphaHi":-3999000.25,"BetaLo":0.99994,"BetaHi":1.00006}},"Global":"global_timeline h1\nS beta S2 GO h2 8589934592 100 140\nF beta bfault h2 8589934599 107 147\nend_global_timeline\n","Report":{"Injections":[{"Machine":"beta","Fault":"bfault","At":{"Lo":107,"Hi":147},"Correct":true,"Reason":"state S2 held over \u003c[107,147]\u003e"}],"MissingFaults":null,"Accepted":true}}},"sum":"7bdbd526"}`
+	pinAcceptedRaw = `{"record":{"Point":"pin/point","Index":3,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":3,"Completed":true,"Accepted":true,"Outcomes":{"alpha":"crashed","beta":"exited"},"Bounds":{"h1":{"AlphaLo":0,"AlphaHi":0,"BetaLo":1,"BetaHi":1},"h2":{"AlphaLo":-4000000.5,"AlphaHi":-3999000.25,"BetaLo":0.99994,"BetaHi":1.00006}},"Global":"global_timeline h1\nS beta S2 GO h2 8589934592 100 140\nF beta bfault h2 8589934599 107 147\nend_global_timeline\n","Report":{"Injections":[{"Machine":"beta","Fault":"bfault","At":{"Lo":107,"Hi":147},"Correct":true,"Reason":"state S2 held over \u003c[107,147]\u003e"}],"MissingFaults":null,"Accepted":true},"Locals":["beta\nstate_machine_list\n0 alpha\n1 beta\nend_state_machine_list\nglobal_state_list\n0 S1\n1 S2\nend_global_state_list\nevent_list\n0 GO\nend_event_list\nfault_list\n0 bfault (beta:S2) once\nend_fault_list\nhost_list\n0 h2\nend_host_list\nlocal_timeline\n2 0 0 5\n0 0 1 2 0\n1 0 2 7\n3 \"a\u003cb \u0026 \\\"c\\\"\" 2 9\nend_local_timeline\n"],"Stamps":[{"SendHost":"h1","RecvHost":"h2","SendTime":10,"RecvTime":4000020},{"SendHost":"h2","RecvHost":"h1","SendTime":4000030,"RecvTime":45}]}},"sum":"9df11daa"}`
+	pinDiscarded   = `{"record":{"Point":"pin/point","Index":4,"Fingerprint":"00f1","Experiment":{"Study":"pin","Index":4,"Completed":true,"Accepted":false,"Outcomes":{"beta":"exited"},"AnalysisError":"clock sync: host h2: infeasible (lo \u003e hi)","ClockStepSuspected":true,"ClockStepHosts":["h2"],"ClockStepBounds":{"h2":{"Lo":-12,"Hi":34}}}},"sum":"9fa37ad8"}`
 )
 
-// TestRecordWireBytesPinned: an ExperimentRecord marshals, field for field
-// and byte for byte, to what the deleted wire struct wrote — with and
-// without raw artifacts — and decodes back to a record that marshals the
-// same, both whole (the resume path) and as its verdict view (the
-// read-only readers).
+// TestRecordWireBytesPinned: an ExperimentRecord is journaled, field for
+// field and byte for byte, as what the deleted wire struct wrote, framed
+// with its sum — with and without raw artifacts — and decodes back to a
+// record that marshals the same, both whole (the resume path) and as its
+// verdict view (the read-only readers).
 func TestRecordWireBytesPinned(t *testing.T) {
 	accepted, acceptedRaw, discarded := pinnedRecords()
 	for _, tc := range []struct {
@@ -105,25 +107,21 @@ func TestRecordWireBytesPinned(t *testing.T) {
 		{"accepted with raw artifacts", acceptedRaw, pinAcceptedRaw},
 		{"discarded", discarded, pinDiscarded},
 	} {
-		line := journalLine[*ExperimentRecord]{Record: &journalRecord[*ExperimentRecord]{
-			Point: "pin/point", Index: tc.rec.Index, Fingerprint: "00f1", Experiment: tc.rec,
-		}}
-		got, err := json.Marshal(line)
-		if err != nil {
+		j := &journal{} // no committer: the line stays queued
+		if err := j.append(journalRecord[*ExperimentRecord]{Point: "pin/point", Index: tc.rec.Index, Fingerprint: "00f1", Experiment: tc.rec}, nil); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if string(got) != tc.want {
-			t.Errorf("%s: journal line changed\n got: %s\nwant: %s", tc.name, got, tc.want)
+		if got := string(j.lines); got != tc.want+"\n" {
+			t.Errorf("%s: journal line changed (a change of the record's wire shape must raise journalVersion, "+
+				"or every existing journal fails to resume with \"verifies but does not decode\")\n got: %s\nwant: %s", tc.name, got, tc.want)
 		}
 
-		var lazy journalLine[json.RawMessage]
-		if err := json.Unmarshal([]byte(tc.want), &lazy); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		var d lineDecoder
+		r := d.resume(bodyOf(t, tc.want))
+		if r == nil {
+			t.Fatalf("%s: the strict decoder refuses the pinned line", tc.name)
 		}
-		back := new(ExperimentRecord)
-		if err := json.Unmarshal(lazy.Record.Experiment, back); err != nil {
-			t.Fatalf("%s: decoding the journaled record: %v", tc.name, err)
-		}
+		back := r.Experiment
 		if !bytes.Equal(wireBytes(t, back), wireBytes(t, tc.rec)) {
 			t.Errorf("%s: record changed across the journal:\n got: %s\nwant: %s", tc.name, wireBytes(t, back), wireBytes(t, tc.rec))
 		}
@@ -132,14 +130,11 @@ func TestRecordWireBytesPinned(t *testing.T) {
 				tc.name, len(back.Locals), len(back.Stamps), len(tc.rec.Locals), len(tc.rec.Stamps))
 		}
 
-		var verdict journalLine[RecordSummary]
-		if err := json.Unmarshal([]byte(tc.want), &verdict); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		verdict := d.summary(bodyOf(t, tc.want))
 		want := RecordSummary{Index: tc.rec.Index, Completed: tc.rec.Completed, Accepted: tc.rec.Accepted,
 			AnalysisError: tc.rec.AnalysisError, ClockStepSuspected: tc.rec.ClockStepSuspected}
-		if verdict.Record.Experiment != want {
-			t.Errorf("%s: verdict view = %+v, want %+v", tc.name, verdict.Record.Experiment, want)
+		if verdict == nil || verdict.Experiment != want {
+			t.Errorf("%s: verdict view = %+v, want %+v", tc.name, verdict, want)
 		}
 	}
 }
@@ -288,6 +283,64 @@ func TestJournalTruncatedAtEveryOffset(t *testing.T) {
 		}
 		checkEveryOffset(t, whole, ConfigFingerprint(c))
 	})
+}
+
+// TestJournalFlippedAtEveryByte flips each byte of the golden election
+// journal in turn — the whole byte, and then one bit of it — and resumes
+// it: a flip in the header is refused, and a flip in record line k leaves
+// exactly the records of the lines before it trusted, each served as the
+// writer wrote it, though many flipped lines still parse. (With the sum
+// not checked — unframe returning the tag of any line of a frame's shape —
+// it fails at byte 13 ^ 0x20, which spells the header's "Version" key
+// "version": encoding/json matches it, and the journal is trusted.)
+func TestJournalFlippedAtEveryByte(t *testing.T) {
+	whole, err := os.ReadFile("../../testdata/golden_election.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := JournalPath(t.TempDir())
+	resume := func(data []byte) (map[journalKey]journalRecord[*ExperimentRecord], error) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		j := &journal{f: f}
+		err = j.load("879ef3a52a7b9ffa") // the golden campaign's fingerprint
+		return j.entries, err
+	}
+	original, err := resume(whole)
+	if err != nil || len(original) != 4 {
+		t.Fatalf("the golden journal holds %d records (%v), want 4", len(original), err)
+	}
+	sh := shapeOf(t, whole)
+	data := make([]byte, len(whole))
+	for at := range whole {
+		line := sort.SearchInts(sh.ends, at+1) // the line holding the flipped byte
+		for _, mask := range []byte{0xff, 1 << (at % 8)} {
+			copy(data, whole)
+			data[at] ^= mask
+			served, err := resume(data)
+			if line == 0 {
+				if err == nil {
+					t.Fatalf("byte %d ^ %#x: a flip in the header is not refused", at, mask)
+				}
+				continue
+			}
+			if err != nil || len(served) != line-1 {
+				t.Fatalf("byte %d ^ %#x (line %d): %d records trusted (%v), want the %d before the flipped line", at, mask, line, len(served), err, line-1)
+			}
+			for k, rec := range served {
+				if k.Index >= line-1 || !reflect.DeepEqual(rec, original[k]) {
+					t.Fatalf("byte %d ^ %#x (line %d): trusted %v as %+v, the writer wrote %+v", at, mask, line, k, rec.Experiment, original[k].Experiment)
+				}
+			}
+		}
+	}
 }
 
 // cutMatrix is a two-point matrix of two experiments each over the step
@@ -585,10 +638,10 @@ func TestProgressEventMeansDurable(t *testing.T) {
 // FuzzReadJournal: whatever the bytes, the one journal reader returns —
 // never panics — and what it trusts is self-consistent: the trusted offset
 // ends a line, re-reading the trusted prefix alone finds the same records
-// with nothing in doubt, and the verdict-decoding readers (which also
-// type-check the fields they decode) never trust more than the loader. The
-// summaries they read — through the strict decoder where it accepts a
-// line — are, value for value, the line-by-line encoding/json reading's.
+// with nothing in doubt, every trusted record line is what the writer
+// writes for the record the resume shape reads from it, and the verdict
+// readers trust exactly what the loader trusts. What both read is, value
+// for value, the line-by-line reference reading's (refRead).
 func FuzzReadJournal(f *testing.F) {
 	goldens, err := filepath.Glob("../../testdata/golden_*.journal")
 	if err != nil || len(goldens) == 0 {
@@ -602,43 +655,68 @@ func FuzzReadJournal(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 		f.Add(append(append([]byte{}, b...), "not json\n"...))
+		f.Add(unframed(b, 2))
 	}
 	f.Add([]byte(`{"journal":{"Version":2,"Campaign":"c","Fingerprint":"f"}}` + "\n" + pinAcceptedRaw + "\n" + pinDiscarded + "\n"))
 	f.Add([]byte(`{"journal":{"Version":1}}` + "\n" + pinDiscarded + "\n" + `{"done":{"Point":"pin/point","Index":4}}` + "\n"))
 	f.Add([]byte(`{"record":{"Point":"p"}}` + "\n"))
-	header, _ := goldenLines(f)
-	f.Add(append([]byte(header), coverageLine(f, coverageRecords()[0])...))
-	for _, line := range fallbackLines(f) {
-		f.Add([]byte(header + line + "\n"))
+	header, rec := goldenLines(f)
+	f.Add([]byte(header + pinAcceptedRaw + "\n" + pinDiscarded + "\n"))
+	// A coverage record as read back: json.Marshal writes invalid UTF-8 as
+	// U+FFFD, so a record's second writing is the one that re-frames to
+	// itself.
+	var cover journalRecord[*ExperimentRecord]
+	if err := json.Unmarshal(coverageBody(f, coverageRecords()[0]), &cover); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(header + recordLine(f, cover)))
+	stale := rec[len(rec)-len(`,"sum":"00000000"}`+"\n"):]
+	for _, body := range refusedBodies(f) {
+		f.Add([]byte(header + `{"record":` + body + stale + rec))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		read := func(b []byte) (journalScan, []string, error) {
-			var keys []string
-			scan, err := readJournal(bytes.NewReader(b), "fuzz", func(rec *journalRecord[json.RawMessage]) {
-				keys = append(keys, fmt.Sprintf("%s/%d", rec.Point, rec.Index))
+		read := func(b []byte) (journalScan, []*journalRecord[*ExperimentRecord], error) {
+			var recs []*journalRecord[*ExperimentRecord]
+			scan, err := readJournal(bytes.NewReader(b), "fuzz", func(rec *journalRecord[*ExperimentRecord]) {
+				recs = append(recs, rec)
 			})
-			return scan, keys, err
+			return scan, recs, err
 		}
-		scan, keys, err := read(data)
+		scan, recs, err := read(data)
+		var want []journalRecord[*ExperimentRecord]
+		ref, refErr := refRead(data, func(r *journalRecord[*ExperimentRecord]) { want = append(want, *r) })
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("read: %v; the line-by-line reading: %v", err, refErr)
+		}
 		if err != nil {
 			return // a foreign file or version: refused whole
+		}
+		if scan != ref || len(recs) != len(want) {
+			t.Fatalf("read %d records to %+v; line by line, %d to %+v", len(recs), scan, len(want), ref)
 		}
 		if scan.offset < 0 || scan.offset > int64(len(data)) || scan.offset > 0 && data[scan.offset-1] != '\n' {
 			t.Fatalf("trusted offset %d of %d does not end a line", scan.offset, len(data))
 		}
-		again, keys2, err := read(data[:scan.offset])
-		if err != nil || again.offset != scan.offset || again.tail != tailClean || !reflect.DeepEqual(keys, keys2) {
-			t.Fatalf("re-reading the trusted prefix: %+v %v (err %v), first read %+v %v", again, keys2, err, scan, keys)
+		lines := strings.SplitAfter(string(data[:scan.offset]), "\n")
+		for i, r := range recs {
+			if !reflect.DeepEqual(*r, want[i]) {
+				t.Fatalf("record %d reads as %+v; encoding/json decodes %+v", i, r.Experiment, want[i].Experiment)
+			}
+			if again := recordLine(t, *r); again != lines[i+1] {
+				t.Fatalf("trusted line %d is not what the writer writes for its record:\n got: %s\nwant: %s", i+1, lines[i+1], again)
+			}
 		}
-		var verdicts, want []journalRecord[RecordSummary]
+		again, recs2, err := read(data[:scan.offset])
+		if err != nil || again.offset != scan.offset || again.tail != tailClean || !reflect.DeepEqual(recs2, recs) {
+			t.Fatalf("re-reading the trusted prefix: %+v, %d records (err %v), first read %+v, %d; records equal: %v",
+				again, len(recs2), err, scan, len(recs), reflect.DeepEqual(recs2, recs))
+		}
+		var verdicts, wantVerdicts []journalRecord[RecordSummary]
 		vscan, err := readJournal(bytes.NewReader(data), "fuzz", func(r *journalRecord[RecordSummary]) { verdicts = append(verdicts, *r) })
-		if err != nil || vscan.offset > scan.offset || len(verdicts) > len(keys) {
-			t.Fatalf("verdict reader trusts %d bytes, %d records (err %v); the loader %d and %d", vscan.offset, len(verdicts), err, scan.offset, len(keys))
-		}
-		ref, err := refRead(data, func(r *journalRecord[RecordSummary]) { want = append(want, *r) })
-		if err != nil || vscan != ref || !reflect.DeepEqual(verdicts, want) {
-			t.Fatalf("verdict reader reads %+v to %+v; line by line, encoding/json reads %+v to %+v (err %v)", verdicts, vscan, want, ref, err)
+		vref, _ := refRead(data, func(r *journalRecord[RecordSummary]) { wantVerdicts = append(wantVerdicts, *r) })
+		if err != nil || vscan != scan || vref != scan || !reflect.DeepEqual(verdicts, wantVerdicts) || len(verdicts) != len(recs) {
+			t.Fatalf("verdict reader reads %+v to %+v (err %v); line by line %+v; the loader %d records to %+v", verdicts, vscan, err, wantVerdicts, len(recs), scan)
 		}
 	})
 }

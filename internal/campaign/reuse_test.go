@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -197,13 +196,10 @@ func TestReusedScaffoldingDoesNotAlias(t *testing.T) {
 				continue // the header
 			}
 			journaled++
-			again, err := json.Marshal(journalLine[*ExperimentRecord]{Record: &journalRecord[*ExperimentRecord]{
+			again := recordLine(t, journalRecord[*ExperimentRecord]{
 				Point: jr.Point, Index: jr.Index, Fingerprint: jr.Fingerprint, Experiment: records[jr.Index],
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again, sc.Bytes()) {
+			})
+			if again != sc.Text()+"\n" {
 				t.Fatalf("workers=%d: record %d changed after analysis:\n  journaled: %s\n  at end:    %s",
 					workers, jr.Index, sc.Bytes(), again)
 			}

@@ -18,7 +18,7 @@ import (
 type PointProgress struct {
 	// Point is the study or matrix point name the records are keyed by.
 	Point string
-	// Complete counts the experiments with a whole record line; a key
+	// Complete counts the experiments with a verified record line; a key
 	// journaled more than once counts once, by its last copy.
 	Complete int
 	// Accepted counts complete records that passed the analysis phase.
@@ -42,9 +42,9 @@ type JournalSummary struct {
 	// mid-append right now, or crashed there. Either way the bytes are
 	// ignored, not an error.
 	Appending bool
-	// Torn reports a garbled tail — a complete line that does not parse or
-	// has an unknown shape. Everything before it is still trusted, but the
-	// file itself is damaged (a live append never looks like this).
+	// Torn reports a garbled tail — a complete line whose sum does not
+	// verify, or a second header. Everything before it is still trusted,
+	// but the file itself is damaged (a live append never looks like this).
 	Torn bool
 }
 

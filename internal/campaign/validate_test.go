@@ -199,8 +199,9 @@ func TestSummarizeJournalTailStates(t *testing.T) {
 
 	// A writer mid-round: one record line landed whole, the next is a
 	// partial write with no newline yet.
-	live := append(append([]byte{}, clean...),
-		`{"record":{"Point":"steps","Index":9,"Fingerprint":"x","Experiment":{"Study":"steps","Index":9}}}`+"\n"+`{"record":{"Po`...)
+	live := append(append(append([]byte{}, clean...),
+		refFrame(`{"record":`, []byte(`{"Point":"steps","Index":9,"Fingerprint":"x","Experiment":{"Study":"steps","Index":9}}`))...),
+		`{"record":{"Po`...)
 	if err := os.WriteFile(path, live, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,6 +23,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden reports")
 // Through Collect the invalid byte reaches the page as U+FFFD, since
 // every artifact is JSON; the fuzz test feeds raw invalid UTF-8.
 const hostile = "<&'\"+\x00\xff﷐</title>"
+
+// frame is one checkpoint journal line as the campaign journal writes it:
+// body under its tag, then the body's CRC-32C in eight lowercase hex digits.
+func frame(tag string, body []byte) []byte {
+	return fmt.Appendf(nil, `{%q:%s,"sum":"%08x"}`+"\n", tag, body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
 
 // writeGoldenElection lays out a directory whose only artifact is the
 // golden election journal: the one-point verdict table and nothing else.
@@ -44,16 +52,16 @@ func writeGoldenElection(t testing.TB, dir string) {
 func writeGoldenMatrix(t testing.TB, dir string) {
 	t.Helper()
 	var journal bytes.Buffer
-	line := func(v any) {
+	line := func(tag string, v any) {
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		journal.Write(append(b, '\n'))
+		journal.Write(frame(tag, b))
 	}
-	line(map[string]any{"journal": map[string]any{
-		"Version": 2, "Campaign": "matrix" + hostile, "Fingerprint": "fp+" + hostile,
-	}})
+	line("journal", map[string]any{
+		"Version": 3, "Campaign": "matrix" + hostile, "Fingerprint": "fp+" + hostile,
+	})
 	type record struct {
 		Point       string
 		Index       int
@@ -74,14 +82,14 @@ func writeGoldenMatrix(t testing.TB, dir string) {
 		{"\xff﷐/slow\"+", 0, true, false, false},
 		{"flat<&'\"+\x00\xff﷐", 0, true, true, false},
 	} {
-		line(map[string]record{"record": {
+		line("record", record{
 			Point: r.point, Index: r.index, Fingerprint: "f",
 			Experiment: campaign.ExperimentRecord{
 				Study: r.point, Index: r.index,
 				Completed: r.completed, Accepted: r.accepted,
 				ClockStepSuspected: r.stepping,
 			},
-		}})
+		})
 	}
 	if err := os.WriteFile(campaign.JournalPath(dir), journal.Bytes(), 0o644); err != nil {
 		t.Fatal(err)

@@ -170,7 +170,9 @@ func TestCollectCountsEachJournaledKeyOnce(t *testing.T) {
 	}
 	lines := strings.SplitAfter(string(golden), "\n")
 	header, rec := lines[0], lines[1]
-	rejected := strings.Replace(rec, `"Completed":true,"Accepted":true`, `"Completed":true,"Accepted":false`, 1)
+	// The edited line is framed again, as the journal writes it.
+	body := strings.TrimSuffix(strings.TrimPrefix(rec, `{"record":`), rec[len(rec)-len(`,"sum":"00000000"}`+"\n"):])
+	rejected := string(frame("record", []byte(strings.Replace(body, `"Completed":true,"Accepted":true`, `"Completed":true,"Accepted":false`, 1))))
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "checkpoint.jsonl"), []byte(header+rec+rejected), 0o644); err != nil {
 		t.Fatal(err)

@@ -616,8 +616,9 @@ type SessionStatus struct {
 	// writer mid-append, or a crash at that instant. The bytes are
 	// ignored, not an error.
 	Appending bool
-	// Torn reports a garbled journal tail (damage, not a live append);
-	// everything counted precedes it.
+	// Torn reports a damaged journal line (damage, not a live append):
+	// everything counted precedes it, and a Resume re-runs the
+	// experiments journaled from it on.
 	Torn bool
 	// Points lists per-study/point progress, spec points first (in spec
 	// order), then journal-only points.

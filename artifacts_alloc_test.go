@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 // TestArtifactPassAllocBudget holds the allocations per record of a
@@ -56,5 +58,51 @@ func TestArtifactPassAllocBudget(t *testing.T) {
 	t.Logf("allocations per record: %.2f", perRecord)
 	if perRecord > budget {
 		t.Fatalf("rewriting an intact record's artifacts allocates %.2f objects (budget %.0f)", perRecord, budget)
+	}
+}
+
+// TestReportJournalAllocBudget: the verdict section a session hands to the
+// report (reportJournal) costs allocations per matrix point — its name,
+// its entry in the section's map — and none per record: 2,048 held records
+// and 16 journal-only ones over 16 points allocate what 16 records over
+// the same points do, and at most a few per point.
+func TestReportJournalAllocBudget(t *testing.T) {
+	const points, journalOnly = 16, 16
+	s := &Session{c: &Campaign{Name: "budget", Hosts: []HostDef{{Name: "h1"}}}}
+	result := func(perPoint int) *SessionResult {
+		out := &MatrixOutcome{}
+		for i := range points {
+			pr := &campaign.PointResult{
+				Point: MatrixPoint{Scenario: Scenario{Name: "netsplit"}, Latency: campaign.LatencyProfile{Name: "wan"}, Seed: int64(i)},
+				Study: &StudyOutcome{},
+			}
+			for x := range perPoint {
+				pr.Study.Records = append(pr.Study.Records, &ExperimentRecord{Index: x, Completed: true, Accepted: x%3 != 0})
+			}
+			out.Points = append(out.Points, pr)
+		}
+		for x := range journalOnly {
+			out.JournalOnly = append(out.JournalOnly, campaign.RecordSummary{Point: "dropped/wan/seed9", Index: x, Completed: true})
+		}
+		return &SessionResult{Matrix: out}
+	}
+	measure := func(res *SessionResult) float64 {
+		return testing.AllocsPerRun(20, func() { s.reportJournal(res) })
+	}
+	// The campaign fingerprint goes through fmt, whose printer pool a -race
+	// build drops at random.
+	slack := 0.0
+	if raceBuild {
+		slack = 10
+	}
+	few, many := measure(result(1)), measure(result(2048/points))
+	t.Logf("%.1f allocations over %d points for %d records, %.1f for %d", few, points, points, many, 2048)
+	if many > few+slack {
+		t.Errorf("2,048 records allocate %.1f, %d records over the same points %.1f: the section pays per record", many, points, few)
+	}
+	// Measured at 55 when the budget was set: about 2 per point (the
+	// journal-only one included) and 18 for the campaign fingerprint.
+	if budget := 4.0*(points+1) + slack; many > budget {
+		t.Errorf("the section allocates %.1f over %d points, budget %.0f", many, points+1, budget)
 	}
 }

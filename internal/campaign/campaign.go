@@ -214,6 +214,9 @@ func (s *StudyResult) AcceptanceRate() float64 {
 type Result struct {
 	Name    string
 	Studies []*StudyResult
+	// JournalOnly holds the verdicts of the records a resumed journal
+	// keeps that this run did not cover (see MatrixResult.JournalOnly).
+	JournalOnly []RecordSummary
 }
 
 // Study returns the named study's results, or nil.
@@ -271,10 +274,11 @@ func Validate(c *Campaign, m *Matrix) error {
 	if m != nil {
 		pts := m.Points()
 		for _, p := range pts {
-			if names[p.Name()] {
-				return fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, p.Name())
+			name := p.Name()
+			if names[name] {
+				return fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, name)
 			}
-			names[p.Name()] = true
+			names[name] = true
 		}
 		known := hostNames(c)
 		for _, sc := range m.Scenarios {
@@ -286,7 +290,7 @@ func Validate(c *Campaign, m *Matrix) error {
 				return fmt.Errorf("campaign: matrix %q: scenario %q: %w", m.Name, sc.Name, err)
 			}
 		}
-		_, err := m.point(c, pts[0])
+		_, err := m.point(c, pts[0], pts[0].Name())
 		return err
 	}
 	for _, st := range c.Studies {
@@ -383,12 +387,13 @@ func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sr, err := runStudyOn(ctx, c, st, j.study(c, st, st.Name))
+		sr, err := runStudyOn(ctx, c, st, j.study("", st, st.Name))
 		if err != nil {
 			return nil, fmt.Errorf("campaign: study %q: %w", st.Name, err)
 		}
 		res.Studies = append(res.Studies, sr)
 	}
+	res.JournalOnly = j.journalOnly()
 	return res, nil
 }
 
@@ -430,18 +435,15 @@ func experimentCount(c *Campaign, st *Study) int {
 }
 
 // RunSingle is Run of exactly one experiment of the campaign's first study,
-// whose record additionally carries the raw runtime artifacts: the local
-// timelines and the stamped synchronization messages of both mini-phases.
+// whose record (Studies[0].Records[0]) additionally carries the raw runtime
+// artifacts: the local timelines and the stamped synchronization messages
+// of both mini-phases.
 // The file-oriented tools (cmd/lokid) emit the §3.5.6 and timestamp files
 // from them. Everything Run says holds: the study's Transport picks the
 // engine, a journaled record — artifacts included — is returned without
 // executing, and a cancelled ctx surfaces as ctx.Err().
-func RunSingle(ctx context.Context, c *Campaign) (*ExperimentRecord, error) {
-	res, err := Run(ctx, single(c))
-	if err != nil {
-		return nil, err
-	}
-	return res.Studies[0].Records[0], nil
+func RunSingle(ctx context.Context, c *Campaign) (*Result, error) {
+	return Run(ctx, single(c))
 }
 
 // analyzer is one analysis worker's scratch: the clock fits' and the

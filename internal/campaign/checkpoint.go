@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,7 +109,8 @@ type journalRecord[E any] struct {
 // and the loaded map of complete records. Safe for concurrent use by the
 // worker pools.
 type journal struct {
-	f *os.File
+	f  *os.File
+	fp string // the header's campaign fingerprint
 	// cm, when non-nil, receives append and fsync latency observations —
 	// the durability cost every journaled experiment pays.
 	cm *obs.CampaignMetrics
@@ -162,7 +167,7 @@ func openCampaignJournal(c *Campaign) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	j := &journal{f: f, cm: c.Obs.CampaignMetrics()}
+	j := &journal{f: f, fp: fp, cm: c.Obs.CampaignMetrics()}
 	if cp.Resume {
 		if err := j.load(fp); err != nil {
 			f.Close()
@@ -601,6 +606,25 @@ func (j *journal) lookup(point string, index int, fingerprint string) (*Experime
 	return rec.Experiment, nil
 }
 
+// journalOnly returns the verdicts of the loaded records no engine looked
+// up — a resumed journal's keys outside the studies, points or experiment
+// indexes this run covers — sorted by key. Nil-receiver safe.
+func (j *journal) journalOnly() []RecordSummary {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var out []RecordSummary
+	for k, rec := range j.entries {
+		out = append(out, Summarize(k.Point, rec.Experiment))
+	}
+	slices.SortFunc(out, func(a, b RecordSummary) int {
+		return cmp.Or(strings.Compare(a.Point, b.Point), cmp.Compare(a.Index, b.Index))
+	})
+	return out
+}
+
 // Close stops the committer once every queued line is written and every
 // queued event emitted — Close itself writes nothing — and closes the
 // file. It returns the first
@@ -633,12 +657,16 @@ func closeJournal(j *journal, err *error) {
 }
 
 // study binds the journal to one study's (or matrix point's) record
-// namespace. Nil-receiver safe, returning nil (checkpointing disabled).
-func (j *journal) study(c *Campaign, st *Study, point string) *studyJournal {
+// namespace under campaignFP, its campaign's fingerprint ("": the
+// journal's own). Nil-receiver safe, returning nil (no checkpointing).
+func (j *journal) study(campaignFP string, st *Study, point string) *studyJournal {
 	if j == nil {
 		return nil
 	}
-	return &studyJournal{j: j, point: point, fp: studyFingerprint(c, st, point)}
+	if campaignFP == "" {
+		campaignFP = j.fp
+	}
+	return &studyJournal{j: j, point: point, fp: studyFingerprint(campaignFP, st, point)}
 }
 
 // studyJournal is one study's view of the journal: lookups and appends
@@ -709,31 +737,47 @@ func campaignFingerprint(c *Campaign) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// studyFingerprint hashes one study's identity under the campaign: the
-// point name, experiment count, transport, chaos seed, placement, and
-// every node's fault specification (action calls included). Application
-// bodies are code and cannot be hashed; the spec-visible surface is the
-// stable identity the §2.2.3 study description defines.
-func studyFingerprint(c *Campaign, st *Study, point string) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "campaign %s point %q study %q\n", campaignFingerprint(c), point, st.Name)
-	fmt.Fprintf(h, "experiments %d timeout %v transport %q seed %d\n",
-		st.Experiments, st.Timeout, st.Transport, st.ChaosSeed)
+// studyFingerprint hashes one study's identity under the campaign whose
+// fingerprint is campaignFP: the point name, experiment count, transport,
+// chaos seed, placement, and every node's fault specification (action
+// calls included). Application bodies are code and cannot be hashed; the
+// spec-visible surface is the stable identity the §2.2.3 study description
+// defines. The text hashed is appended byte for byte as the fmt verbs of
+// refStudyFingerprint (a test) print it: journals resume only under it.
+func studyFingerprint(campaignFP string, st *Study, point string) string {
+	var buf [512]byte
+	b := append(append(buf[:0], "campaign "...), campaignFP...)
+	b = strconv.AppendQuote(append(b, " point "...), point)
+	b = strconv.AppendQuote(append(b, " study "...), st.Name)
+	b = strconv.AppendInt(append(b, "\nexperiments "...), int64(st.Experiments), 10)
+	b = append(append(b, " timeout "...), st.Timeout.String()...)
+	b = strconv.AppendQuote(append(b, " transport "...), st.Transport)
+	b = append(strconv.AppendInt(append(b, " seed "...), st.ChaosSeed, 10), '\n')
 	if st.Restarts != nil {
-		fmt.Fprintf(h, "restarts %+v\n", *st.Restarts)
+		b = fmt.Appendf(b, "restarts %+v\n", *st.Restarts)
 	}
 	for _, e := range st.Placement {
-		fmt.Fprintf(h, "place %q %q\n", e.Nickname, e.Host)
+		b = strconv.AppendQuote(append(b, "place "...), e.Nickname)
+		b = append(strconv.AppendQuote(append(b, ' '), e.Host), '\n')
 	}
 	for _, def := range st.Nodes {
-		fmt.Fprintf(h, "node %q\n", def.Nickname)
+		b = append(strconv.AppendQuote(append(b, "node "...), def.Nickname), '\n')
 		for _, f := range def.Faults {
-			fmt.Fprintf(h, "fault %s %s %s", f.Name, f.Expr, f.Mode)
+			b = append(append(append(append(b, "fault "...), f.Name...), ' '), f.Expr.String()...)
+			b = append(append(b, ' '), f.Mode.String()...)
 			if f.Action != nil {
-				fmt.Fprintf(h, " %s", f.Action)
+				b = append(append(b, ' '), f.Action.String()...)
 			}
-			fmt.Fprintln(h)
+			b = append(b, '\n')
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	sum := uint64(14695981039346656037) // FNV-1a, as hash/fnv's New64a
+	for _, c := range b {
+		sum = (sum ^ uint64(c)) * 1099511628211
+	}
+	var hex [16]byte
+	for i := range hex {
+		hex[i] = "0123456789abcdef"[sum>>(60-4*i)&0xf]
+	}
+	return string(hex[:])
 }

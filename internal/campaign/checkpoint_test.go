@@ -489,10 +489,11 @@ func TestRunSingleClusteredResume(t *testing.T) {
 	c1 := countingStepCampaign(t, 1, 1, &ran1)
 	c1.Studies[0].Transport = "udp"
 	c1.Checkpoint = &Checkpoint{Dir: dir}
-	rec1, err := RunSingle(context.Background(), c1)
+	res1, err := RunSingle(context.Background(), c1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec1 := res1.Studies[0].Records[0]
 	stamps1, locals1 := rec1.Stamps, rec1.Locals
 	if !rec1.Completed || rec1.AnalysisError != "" {
 		t.Fatalf("clustered single experiment: %+v", rec1)
@@ -505,10 +506,11 @@ func TestRunSingleClusteredResume(t *testing.T) {
 	c2 := countingStepCampaign(t, 1, 1, &ran2)
 	c2.Studies[0].Transport = "udp"
 	c2.Checkpoint = &Checkpoint{Dir: dir, Resume: true}
-	rec2, err := RunSingle(context.Background(), c2)
+	res2, err := RunSingle(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec2 := res2.Studies[0].Records[0]
 	stamps2, locals2 := rec2.Stamps, rec2.Locals
 	if got := atomic.LoadInt64(&ran2); got != 0 {
 		t.Errorf("resumed RunSingle executed %d app bodies, want 0", got)

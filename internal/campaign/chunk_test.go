@@ -172,10 +172,11 @@ func TestChunkedTimelineOverUDP(t *testing.T) {
 	const notes = 2200
 	c := noisyStepCampaign(t, notes)
 	c.Studies[0].Transport = "udp"
-	rec, err := RunSingle(context.Background(), c)
+	res, err := RunSingle(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Studies[0].Records[0]
 	stamps, locals := rec.Stamps, rec.Locals
 	if !rec.Completed {
 		t.Fatal("experiment did not complete")

@@ -140,12 +140,12 @@ func (m *Member) ensureJournal() (*journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.sj = j.study(m.c, m.st, m.st.Name)
+	m.sj = j.study("", m.st, m.st.Name)
 	return j, nil
 }
 
 // RunStudy drives the whole study from the coordinator member, returning
-// records identical in shape to the in-process engine's. Journaled
+// a result identical in shape to Run's, of one study. Journaled
 // experiments are skipped (the members never see a reset for them); fresh
 // records are journaled as their analysis completes, so a crashed
 // coordinator resumes at the first missing experiment. With one, the study
@@ -159,7 +159,7 @@ func (m *Member) ensureJournal() (*journal, error) {
 // stop. When ctx is cancelled the member protocol is quit (waits but the
 // stop unblock immediately, like a SIGINT drain), no further experiments
 // start, and ctx.Err() is returned, exactly as the in-process pool does.
-func (m *Member) RunStudy(ctx context.Context, one bool) (_ *StudyResult, err error) {
+func (m *Member) RunStudy(ctx context.Context, one bool) (_ *Result, err error) {
 	c := m.c
 	if one {
 		c = single(c)
@@ -183,5 +183,8 @@ func (m *Member) RunStudy(ctx context.Context, one bool) (_ *StudyResult, err er
 	if errors.Is(err, errMemberQuit) && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	return sr, err
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Name: c.Name, Studies: []*StudyResult{sr}, JournalOnly: j.journalOnly()}, nil
 }

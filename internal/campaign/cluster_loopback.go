@@ -15,14 +15,16 @@ import (
 // processes to the same Member protocol. sj is the checkpoint binding of
 // whichever engine already opened the journal (Run, RunMatrix).
 func runClustered(ctx context.Context, c *Campaign, st *Study, kind string, sj *studyJournal) (*StudyResult, error) {
-	var sr *StudyResult
-	err := withLoopbackCluster(c, st, kind, func(coordinator *Member) error {
+	var res *Result
+	err := withLoopbackCluster(c, st, kind, func(coordinator *Member) (err error) {
 		coordinator.sj = sj
-		var err error
-		sr, err = coordinator.RunStudy(ctx, false)
+		res, err = coordinator.RunStudy(ctx, false)
 		return err
 	})
-	return sr, err
+	if err != nil {
+		return nil, err
+	}
+	return res.Studies[0], nil
 }
 
 // withLoopbackCluster builds the loopback cluster — one endpoint and one

@@ -70,7 +70,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		st:    st,
 		tr:    tr,
 		peer:  topo.Local,
-		fp:    studyFingerprint(c, st, st.Name),
+		fp:    studyFingerprint(campaignFingerprint(c), st, st.Name),
 		inbox: make([]transport.Message, 0, 256),
 	}
 

@@ -70,9 +70,9 @@ func TestClusterFingerprintMismatchFailsFast(t *testing.T) {
 	}
 	served := serve(member)
 
-	sr, err := coordinator.RunStudy(context.Background(), false)
+	res, err := coordinator.RunStudy(context.Background(), false)
 	if err == nil {
-		t.Fatalf("mismatched cluster ran: %+v", sr)
+		t.Fatalf("mismatched cluster ran: %+v", res)
 	}
 	for side, err := range map[string]error{"coordinator": err, "member": awaitServe(t, served)} {
 		if err == nil || !strings.Contains(err.Error(), coordinator.fp) || !strings.Contains(err.Error(), member.fp) {
@@ -131,9 +131,9 @@ func TestClusterVersionMismatchFailsFast(t *testing.T) {
 				t.Fatal(err)
 			}
 			began := time.Now()
-			sr, err := coordinator.RunStudy(context.Background(), false)
+			res, err := coordinator.RunStudy(context.Background(), false)
 			if err == nil || !strings.Contains(err.Error(), "peer b speaks protocol "+build.want) {
-				t.Fatalf("coordinator accepted the peer: %+v, %v", sr, err)
+				t.Fatalf("coordinator accepted the peer: %+v, %v", res, err)
 			}
 			fast(t, began)
 		})
@@ -211,9 +211,9 @@ func TestStopAcknowledged(t *testing.T) {
 			stops[peer] = countStops(m)
 			served = append(served, serve(m))
 		}
-		sr, err := coordinator.RunStudy(context.Background(), false)
-		if err != nil || len(sr.Records) != 1 {
-			t.Fatalf("RunStudy: %+v, %v", sr, err)
+		res, err := coordinator.RunStudy(context.Background(), false)
+		if err != nil || len(res.Studies[0].Records) != 1 {
+			t.Fatalf("RunStudy: %+v, %v", res, err)
 		}
 		for _, done := range served {
 			if err := awaitServe(t, done); err != nil {
@@ -305,9 +305,9 @@ func TestLostStartResent(t *testing.T) {
 		hook(msg)
 	})
 	served := serve(member)
-	sr, err := coordinator.RunStudy(context.Background(), false)
-	if err != nil || len(sr.Records) != 1 {
-		t.Fatalf("RunStudy: %+v, %v", sr, err)
+	res, err := coordinator.RunStudy(context.Background(), false)
+	if err != nil || len(res.Studies[0].Records) != 1 {
+		t.Fatalf("RunStudy: %+v, %v", res, err)
 	}
 	if err := awaitServe(t, served); err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestLostStartResent(t *testing.T) {
 	if got := starts.Load(); got < 2 {
 		t.Fatalf("the member saw %d start frames, want the lost one re-sent", got)
 	}
-	if rec := sr.Records[0]; !rec.Completed {
+	if rec := res.Studies[0].Records[0]; !rec.Completed {
 		t.Fatalf("experiment incomplete: the member started only after the coordinator's own nodes gave up: %+v", rec)
 	}
 }

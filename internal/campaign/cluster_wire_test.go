@@ -119,9 +119,9 @@ func FuzzDecodeClusterWire(f *testing.F) {
 		})
 	}
 	served := serve(member)
-	sr, err := coordinator.RunStudy(context.Background(), false)
-	if err != nil || len(sr.Records) != 2 || !sr.Records[1].Accepted {
-		f.Fatalf("matching cluster: %+v, %v", sr, err)
+	res, err := coordinator.RunStudy(context.Background(), false)
+	if err != nil || len(res.Studies[0].Records) != 2 || !res.Studies[0].Records[1].Accepted {
+		f.Fatalf("matching cluster: %+v, %v", res, err)
 	}
 	if err := awaitServe(f, served); err != nil {
 		f.Fatal(err)

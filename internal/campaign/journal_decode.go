@@ -84,8 +84,7 @@ func (d *lineDecoder) summary(body []byte) *journalRecord[RecordSummary] {
 	if !d.record(body, &r.Point, &r.Index, &r.Fingerprint, &rec, false) {
 		return nil
 	}
-	r.Experiment = RecordSummary{Index: rec.Index, Completed: rec.Completed, Accepted: rec.Accepted,
-		AnalysisError: rec.AnalysisError, ClockStepSuspected: rec.ClockStepSuspected}
+	r.Experiment = Summarize("", &rec)
 	return r
 }
 

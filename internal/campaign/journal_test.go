@@ -455,7 +455,7 @@ func TestJournalRoundBatchesQueuedAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &journal{f: f, cm: c.Obs.CampaignMetrics()}
-	sj := j.study(c, c.Studies[0], "steps")
+	sj := j.study("", c.Studies[0], "steps")
 	p := &progress{sink: c.Obs, point: "steps", experiments: n}
 	returned := make(chan error, 1)
 	go func() {
@@ -529,7 +529,7 @@ func TestJournalCommitErrorIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sj := j.study(c, c.Studies[0], "steps")
+	sj := j.study("", c.Studies[0], "steps")
 	p := &progress{sink: c.Obs, point: "steps", experiments: 5}
 	wait := func(ch <-chan struct{}, what string) {
 		t.Helper()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -69,11 +70,12 @@ type Point struct {
 	Scenario Scenario
 	Latency  LatencyProfile
 	Seed     int64
+	profile  int // Latency's index in the expanded latency axis
 }
 
-// Name renders "scenario/profile/seed@N".
+// Name renders "scenario/profile/seedN".
 func (p Point) Name() string {
-	return fmt.Sprintf("%s/%s/seed%d", p.Scenario.Name, p.Latency.Name, p.Seed)
+	return p.Scenario.Name + "/" + p.Latency.Name + "/seed" + strconv.FormatInt(p.Seed, 10)
 }
 
 // Matrix expands into studies. Zero-valued axes default to a single
@@ -110,44 +112,36 @@ func (m *Matrix) Points() []Point {
 	}
 	var pts []Point
 	for _, sc := range scenarios {
-		for _, lp := range latencies {
+		for li, lp := range latencies {
 			for _, seed := range seeds {
-				pts = append(pts, Point{Index: len(pts), Scenario: sc, Latency: lp, Seed: seed})
+				pts = append(pts, Point{Index: len(pts), Scenario: sc, Latency: lp, Seed: seed, profile: li})
 			}
 		}
 	}
 	return pts
 }
 
-// buildStudy materializes one point: the base study from Build, the
-// scenario's fault entries overlaid onto the matching node definitions,
-// and the chaos seed set from the point seed.
-func (m *Matrix) buildStudy(p Point) (*Study, error) {
+// point materializes one point, named name (p.Name()), and puts it
+// through the study check: the base study from Build, the scenario's
+// fault entries overlaid onto the matching node definitions, and the chaos
+// seed set from the point seed.
+func (m *Matrix) point(c *Campaign, p Point, name string) (*Study, error) {
 	if m.Build == nil {
 		return nil, fmt.Errorf("campaign: matrix %q has no Build function", m.Name)
 	}
 	st, err := m.Build(p)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: matrix point %s: %w", p.Name(), err)
+	if err == nil {
+		err = p.Scenario.ApplyTo(st)
 	}
-	if err := p.Scenario.ApplyTo(st); err != nil {
-		return nil, fmt.Errorf("campaign: matrix point %s: %w", p.Name(), err)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: matrix point %s: %w", name, err)
 	}
 	st.ChaosSeed = p.Seed
 	if st.Name == "" {
-		st.Name = p.Name()
-	}
-	return st, nil
-}
-
-// point builds one point's study and puts it through the study check.
-func (m *Matrix) point(c *Campaign, p Point) (*Study, error) {
-	st, err := m.buildStudy(p)
-	if err != nil {
-		return nil, err
+		st.Name = name
 	}
 	if err := checkStudy(c, st); err != nil {
-		return nil, fmt.Errorf("campaign: matrix point %s: %w", p.Name(), err)
+		return nil, fmt.Errorf("campaign: matrix point %s: %w", name, err)
 	}
 	return st, nil
 }
@@ -185,6 +179,10 @@ type PointResult struct {
 type MatrixResult struct {
 	Name   string
 	Points []*PointResult
+	// JournalOnly holds the verdicts, sorted by key, of the records a
+	// resumed journal keeps that this run did not cover (a point since
+	// dropped from the matrix, say); a report over the run counts them.
+	JournalOnly []RecordSummary
 }
 
 // Point returns the named point's result, or nil.
@@ -238,6 +236,16 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 		return nil, err
 	}
 	defer closeJournal(j, &err)
+	// The point's derived campaign (latency overrides applied) fingerprints
+	// its records, so a changed profile is not resumed. It differs from c
+	// only in those delays: one fingerprint per profile, by index ("", the
+	// journal's own, without a Latencies axis).
+	profileFP := make([]string, max(1, len(m.Latencies)))
+	for li, lp := range m.Latencies {
+		if j != nil {
+			profileFP[li] = campaignFingerprint(pointCampaign(c, m, Point{Latency: lp}, "", 0))
+		}
+	}
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -290,19 +298,16 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				p := pts[i]
-				// The point's derived campaign (latency overrides applied)
-				// is what fingerprints the journaled records: resuming with
-				// a changed profile must not reuse them.
-				pc := pointCampaign(c, m, p, innerW)
-				st, err := m.point(pc, p)
+				p, name := pts[i], pts[i].Name()
+				pc := pointCampaign(c, m, p, name, innerW)
+				st, err := m.point(pc, p, name)
 				if err != nil {
 					fail(err)
 					return
 				}
-				sr, err := runStudyOn(ctx, pc, st, j.study(pc, st, p.Name()))
+				sr, err := runStudyOn(ctx, pc, st, j.study(profileFP[p.profile], st, name))
 				if err != nil {
-					fail(fmt.Errorf("campaign: matrix point %s: %w", p.Name(), err))
+					fail(fmt.Errorf("campaign: matrix point %s: %w", name, err))
 					return
 				}
 				res.Points[i] = &PointResult{Point: p, Study: sr}
@@ -314,18 +319,19 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	res.JournalOnly = j.journalOnly()
 	return res, nil
 }
 
-// pointCampaign derives one point's campaign: a shallow copy so per-point
-// runtime tweaks stay local, with the point's latency profile overriding
-// the notification delays only when the matrix declared an explicit
-// Latencies axis — the fabricated "default" profile inherits the
-// campaign's configured delays.
-func pointCampaign(c *Campaign, m *Matrix, p Point, inner int) *Campaign {
+// pointCampaign derives the campaign of one point, named name: a shallow
+// copy so per-point runtime tweaks stay local, with the point's latency
+// profile overriding the notification delays only when the matrix
+// declared an explicit Latencies axis — the fabricated "default" profile
+// inherits the campaign's configured delays.
+func pointCampaign(c *Campaign, m *Matrix, p Point, name string, inner int) *Campaign {
 	pc := *c
 	pc.Workers = inner
-	pc.matrixPoint = p.Name()
+	pc.matrixPoint = name
 	if len(m.Latencies) > 0 {
 		pc.Runtime.LocalDelay = p.Latency.Local
 		pc.Runtime.RemoteDelay = p.Latency.Remote

@@ -82,6 +82,12 @@ type RecordSummary struct {
 	ClockStepSuspected bool
 }
 
+// Summarize is the verdict view of a record journaled under point.
+func Summarize(point string, rec *ExperimentRecord) RecordSummary {
+	return RecordSummary{Point: point, Index: rec.Index, Completed: rec.Completed, Accepted: rec.Accepted,
+		AnalysisError: rec.AnalysisError, ClockStepSuspected: rec.ClockStepSuspected}
+}
+
 // walkJournal opens the journal under dir read-only and hands fn every
 // journaled key once, verdict fields decoded: at the place of its first
 // record line, with the fields of its last — a later copy of a key
@@ -172,5 +178,5 @@ func ConfigFingerprint(c *Campaign) string { return campaignFingerprint(c) }
 // lookups verify on resume — what a status query compares a point's
 // journaled Fingerprint against.
 func StudyConfigFingerprint(c *Campaign, st *Study, point string) string {
-	return studyFingerprint(c, st, point)
+	return studyFingerprint(campaignFingerprint(c), st, point)
 }

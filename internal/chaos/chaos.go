@@ -83,7 +83,8 @@ func (e *Engine) Dispatch(f faultexpr.Spec) {
 	if f.Action == nil {
 		return
 	}
-	act, err := e.resolve(f.Action)
+	key := f.Action.String()
+	act, err := e.resolve(key, f.Action)
 	if err != nil {
 		e.rt.Logf("chaos: fault %s: %v", f.Name, err)
 		return
@@ -93,7 +94,6 @@ func (e *Engine) Dispatch(f faultexpr.Spec) {
 		return
 	}
 	if f.Action.For > 0 {
-		key := f.Action.String()
 		e.mu.Lock()
 		e.revGen[key]++
 		gen := e.revGen[key]
@@ -112,10 +112,10 @@ func (e *Engine) Dispatch(f faultexpr.Spec) {
 	}
 }
 
-// resolve parses a call once and caches it by syntax; an `always` fault
-// re-applies the same Action value on every firing.
-func (e *Engine) resolve(call *faultexpr.ActionCall) (Action, error) {
-	key := call.String()
+// resolve parses a call once and caches it by its syntax, key
+// (call.String()); an `always` fault re-applies the same Action value on
+// every firing.
+func (e *Engine) resolve(key string, call *faultexpr.ActionCall) (Action, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if a, ok := e.cache[key]; ok {

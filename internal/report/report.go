@@ -1,9 +1,10 @@
 // Package report turns a campaign's artifacts — checkpoint journal,
 // metrics snapshot, and per-experiment traces — into a self-contained
-// report.html plus a machine-readable report.json. It is strictly
-// read-only over existing artifacts: `lokirun -report` renders a report
-// from a finished (or crashed) campaign without re-running anything, and
-// sessions with artifacts enabled emit one automatically at close.
+// report.html plus a machine-readable report.json, re-running nothing:
+// `lokirun -report` reads all three from a finished (or crashed)
+// campaign's directory. A session with artifacts enabled emits one after
+// each run, handing in the journal's verdicts (Journal) from the records
+// the run holds; it reads only metrics.json and the traces.
 //
 // Output is deterministic: everything is sorted, nothing is timestamped,
 // so regenerating a report over unchanged artifacts is byte-identical.
@@ -35,21 +36,15 @@ import (
 // exist — callers auto-emitting a report treat it as "nothing to do".
 var ErrNoArtifacts = errors.New("report: no artifacts")
 
-// Options locate a campaign's artifacts.
+// Options locate a campaign's artifacts and say what is already in hand.
 type Options struct {
 	// Dir is the artifact directory: metrics.json and traces/ are read
 	// from it, report.html and report.json are written into it.
 	Dir string
-	// JournalDir holds checkpoint.jsonl when the campaign journals
-	// somewhere other than Dir; empty means Dir.
-	JournalDir string
-}
-
-func (o Options) journalDir() string {
-	if o.JournalDir != "" {
-		return o.JournalDir
-	}
-	return o.Dir
+	// Journal, when non-nil, is the checkpoint journal's verdict section,
+	// handed in by a session from the records its run holds. When nil, the
+	// verdicts are read from Dir/checkpoint.jsonl, if there is one.
+	Journal *Journal
 }
 
 // Sources records which inputs existed, so a report over partial
@@ -178,17 +173,52 @@ type Data struct {
 	Transports  []TransportStat `json:"transports,omitempty"`
 }
 
+// Journal is a report's verdict section in the making: a checkpoint
+// journal's header and its records' verdicts, added one record at a time
+// — from the journal file by Collect, or by a session from its run.
+type Journal struct {
+	name, fingerprint string
+	totals            Verdicts
+	points            map[string]*PointReport
+}
+
+// NewJournal starts the verdict section of a journal whose header names
+// campaign name and fingerprint.
+func NewJournal(name, fingerprint string) *Journal {
+	return &Journal{name: name, fingerprint: fingerprint, points: map[string]*PointReport{}}
+}
+
+// Add counts one journaled record's verdict under its point.
+func (j *Journal) Add(r campaign.RecordSummary) {
+	j.totals.add(r)
+	p := j.points[r.Point]
+	if p == nil {
+		p = &PointReport{Point: r.Point}
+		j.points[r.Point] = p
+	}
+	p.Verdicts.add(r)
+}
+
 // Collect reads whatever artifacts exist under opt and builds the report
-// model. At least one source (journal, metrics.json, traces/) must
-// exist; missing individual sources only clear their sections.
+// model; the journal's verdicts are opt.Journal when handed in. At least
+// one source (journal, metrics.json, traces/) must exist; missing
+// individual sources only clear their sections.
 func Collect(opt Options) (*Data, error) {
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("report: no artifact directory")
 	}
-	d := &Data{}
-	if err := d.collectJournal(opt.journalDir()); err != nil {
-		return nil, err
+	j := opt.Journal
+	if j == nil { // the disk reader
+		j = NewJournal("", "")
+		var err error
+		if j.name, j.fingerprint, err = campaign.WalkJournal(opt.Dir, j.Add); errors.Is(err, fs.ErrNotExist) {
+			j = nil // no journal: verdict sections stay empty
+		} else if err != nil {
+			return nil, err
+		}
 	}
+	d := &Data{}
+	d.setJournal(j)
 	if err := d.collectMetrics(filepath.Join(opt.Dir, "metrics.json")); err != nil {
 		return nil, err
 	}
@@ -201,32 +231,17 @@ func Collect(opt Options) (*Data, error) {
 	return d, nil
 }
 
-func (d *Data) collectJournal(dir string) error {
-	points := map[string]*PointReport{}
-	name, fp, err := campaign.WalkJournal(dir, func(r campaign.RecordSummary) {
-		d.Totals.add(r)
-		p := points[r.Point]
-		if p == nil {
-			p = &PointReport{Point: r.Point}
-			points[r.Point] = p
-		}
-		p.Verdicts.add(r)
-	})
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil // no journal: verdict sections stay empty
-		}
-		return err
+// setJournal fills the verdict sections from j; nil leaves them empty.
+func (d *Data) setJournal(j *Journal) {
+	if j == nil {
+		return
 	}
 	d.Sources.Journal = true
-	d.Campaign = name
-	d.Fingerprint = fp
-	for _, p := range points {
-		d.Points = append(d.Points, *p)
+	d.Campaign, d.Fingerprint, d.Totals = j.name, j.fingerprint, j.totals
+	for _, name := range sortedStatKeys(j.points) {
+		d.Points = append(d.Points, *j.points[name])
 	}
-	sort.Slice(d.Points, func(i, j int) bool { return d.Points[i].Point < d.Points[j].Point })
 	d.Heatmap = buildHeatmap(d.Points)
-	return nil
 }
 
 // buildHeatmap folds matrix point names scenario/profile[/seed...] into

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -179,22 +180,42 @@ func (s *Session) writeMetricsSnapshot() error {
 	return obs.WriteArtifact(filepath.Join(s.artifacts, "metrics.json"), 0o666, reg.WriteJSON)
 }
 
-// writeReport renders report.html/report.json over whatever artifacts
-// the run left behind. Auto-emission is best-effort: a run that produced
-// no reportable artifacts (no journal, metrics, or traces) simply writes
-// no report.
-func (s *Session) writeReport() error {
-	if s.artifacts == "" {
-		return nil
-	}
+// writeReport renders report.html/report.json for the run res, handing in
+// the journal's verdicts (reportJournal) so that the journal is not read
+// again. Auto-emission is best-effort: a run that produced no reportable
+// artifacts simply writes no report.
+func (s *Session) writeReport(res *SessionResult) error {
 	opt := report.Options{Dir: s.artifacts}
-	if s.c != nil && s.c.Checkpoint != nil && s.c.Checkpoint.Dir != "" {
-		opt.JournalDir = s.c.Checkpoint.Dir
+	if s.c.Checkpoint != nil {
+		opt.Journal = s.reportJournal(res)
 	}
 	if _, err := report.Generate(opt); err != nil && !errors.Is(err, report.ErrNoArtifacts) {
 		return err
 	}
 	return nil
+}
+
+// reportJournal is the verdict section GenerateReport would read from the
+// run's journal, built from res: the records the run holds and the
+// journaled ones it did not cover, under the header's (c.Name,
+// ConfigFingerprint(c)), which the journal's open verified.
+func (s *Session) reportJournal(res *SessionResult) *report.Journal {
+	j := report.NewJournal(s.c.Name, campaign.ConfigFingerprint(s.c))
+	res.eachStudy(func(name string, sr *StudyOutcome) {
+		for _, rec := range sr.Records {
+			j.Add(campaign.Summarize(name, rec))
+		}
+	})
+	var journalOnly []campaign.RecordSummary
+	if res.Campaign != nil {
+		journalOnly = res.Campaign.JournalOnly
+	} else if res.Matrix != nil {
+		journalOnly = res.Matrix.JournalOnly
+	}
+	for _, r := range journalOnly {
+		j.Add(r)
+	}
+	return j
 }
 
 // GenerateReport renders report.html and report.json from the artifacts

@@ -153,3 +153,47 @@ func TestGoldenAppParity(t *testing.T) {
 		runGoldenJournal(t, goldenReplicaDoc, filepath.Join("testdata", "golden_replica.journal"))
 	})
 }
+
+// TestGoldenJournalsResumeUnchanged: a resume over the golden journals —
+// written before point names and study fingerprints were rendered without
+// fmt — serves every record from the journal: no experiment runs, the
+// journal keeps its bytes, and every record comes back.
+func TestGoldenJournalsResumeUnchanged(t *testing.T) {
+	for name, doc := range map[string]string{"election": goldenElectionDoc, "replica": goldenReplicaDoc} {
+		t.Run(name, func(t *testing.T) {
+			golden, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "checkpoint.jsonl")
+			if err := os.WriteFile(path, golden, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := loki.ParseCampaignFile([]byte(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ran int
+			s, err := loki.Open(cfg, loki.WithCheckpoint(dir, true), loki.WithObserver(func(ev loki.ProgressEvent) {
+				if ev.Kind == loki.EventExperiment {
+					ran++
+				}
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			res, err := s.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(res.Campaign.Studies[0].Records); ran != 0 || n != 4 {
+				t.Errorf("resume ran %d experiments and returned %d records; want 0 and 4", ran, n)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, golden) {
+				t.Errorf("resume changed the golden journal (err %v)", err)
+			}
+		})
+	}
+}

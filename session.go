@@ -356,6 +356,21 @@ type Experiment struct {
 	Served bool
 }
 
+// eachStudy calls fn with every study's (or matrix point's) result, under
+// the name its records are journaled by.
+func (res *SessionResult) eachStudy(fn func(name string, sr *StudyOutcome)) {
+	if res.Campaign != nil {
+		for _, sr := range res.Campaign.Studies {
+			fn(sr.Name, sr)
+		}
+	}
+	if res.Matrix != nil {
+		for _, pr := range res.Matrix.Points {
+			fn(pr.Point.Name(), pr.Study)
+		}
+	}
+}
+
 // runnable re-checks open state.
 func (s *Session) runnable() error {
 	if s == nil {
@@ -422,14 +437,14 @@ func (s *Session) Run(ctx context.Context) (*SessionResult, error) {
 	}
 	res := &SessionResult{}
 	if s.cluster != nil {
-		sr, err := s.runClustered(ctx, false)
+		out, err := s.runClustered(ctx, false)
 		if err != nil {
 			return nil, err
 		}
-		if sr == nil {
+		if out == nil {
 			return &SessionResult{Served: true}, nil
 		}
-		res.Campaign = &CampaignOutcome{Name: s.c.Name, Studies: []*StudyOutcome{sr}}
+		res.Campaign = out
 	} else if m := s.effectiveMatrix(); m != nil {
 		out, err := campaign.RunMatrix(ctx, s.effectiveCampaign(), m)
 		if err != nil {
@@ -457,24 +472,22 @@ func (s *Session) RunOne(ctx context.Context) (*Experiment, error) {
 	if s.m != nil {
 		return nil, fmt.Errorf("loki: RunOne runs one experiment of a study campaign; this session has a matrix (use Run)")
 	}
-	var rec *ExperimentRecord
+	var out *CampaignOutcome
+	var err error
 	if s.cluster != nil {
-		sr, err := s.runClustered(ctx, true)
-		if err != nil {
-			return nil, err
-		}
-		if sr == nil {
-			return &Experiment{Served: true}, nil
-		}
-		rec = sr.Records[0]
+		out, err = s.runClustered(ctx, true)
 	} else {
-		var err error
-		if rec, err = campaign.RunSingle(ctx, s.effectiveCampaign()); err != nil {
-			return nil, err
-		}
+		out, err = campaign.RunSingle(ctx, s.effectiveCampaign())
 	}
+	if err != nil {
+		return nil, err
+	}
+	if out == nil {
+		return &Experiment{Served: true}, nil
+	}
+	rec := out.Studies[0].Records[0]
 	e := &Experiment{Record: rec, Stamps: rec.Stamps, Locals: rec.Locals}
-	return e, s.writeRawArtifacts(e)
+	return e, s.writeRawArtifacts(e, &SessionResult{Campaign: out})
 }
 
 // Resume re-runs the session against its checkpoint journal: journaled
@@ -497,7 +510,7 @@ func (s *Session) Resume(ctx context.Context) (*SessionResult, error) {
 // runClustered is Run (or, with one, RunOne) in cluster mode: the
 // coordinator drives the study and returns its result; any other member
 // serves the protocol and returns nil.
-func (s *Session) runClustered(ctx context.Context, one bool) (*StudyOutcome, error) {
+func (s *Session) runClustered(ctx context.Context, one bool) (*CampaignOutcome, error) {
 	if err := s.openMember(); err != nil {
 		return nil, err
 	}
@@ -733,8 +746,9 @@ func (s *Session) expectedPoints() (map[string]int, []string, error) {
 		perPoint = st.Experiments
 	}
 	for _, p := range pts {
-		expected[p.Name()] = perPoint
-		order = append(order, p.Name())
+		name := p.Name()
+		expected[name] = perPoint
+		order = append(order, name)
 	}
 	return expected, order, nil
 }
@@ -749,31 +763,21 @@ func (s *Session) writeRunArtifacts(res *SessionResult) error {
 		return nil
 	}
 	var jobs []artifactJob
-	if res.Campaign != nil {
-		single := len(res.Campaign.Studies) == 1
-		for _, sr := range res.Campaign.Studies {
-			dir := s.artifacts
-			if !single {
-				dir = underDir(s.artifacts, sr.Name)
-			}
-			jobs = appendArtifactJobs(jobs, dir, sr)
+	single := res.Campaign != nil && len(res.Campaign.Studies) == 1
+	res.eachStudy(func(name string, sr *StudyOutcome) {
+		dir := s.artifacts
+		if !single {
+			dir = underDir(s.artifacts, name)
 		}
-	}
-	if res.Matrix != nil {
-		for _, pr := range res.Matrix.Points {
-			if pr == nil || pr.Study == nil {
-				continue
-			}
-			jobs = appendArtifactJobs(jobs, underDir(s.artifacts, pr.Point.Name()), pr.Study)
-		}
-	}
+		jobs = appendArtifactJobs(jobs, dir, sr)
+	})
 	if err := writeArtifactJobs(jobs); err != nil {
 		return err
 	}
 	if err := s.writeMetricsSnapshot(); err != nil {
 		return err
 	}
-	return s.writeReport()
+	return s.writeReport(res)
 }
 
 // underDir joins a study/point name under base, confined: the name's "/"
@@ -863,8 +867,8 @@ func writeExperimentArtifacts(w *obs.ArtifactWriter, dir string, rec *Experiment
 
 // writeRawArtifacts emits RunOne's raw runtime artifacts — one §3.5.6
 // timeline file per machine plus the timestamps file — for a clean,
-// analysis-processable experiment.
-func (s *Session) writeRawArtifacts(e *Experiment) error {
+// analysis-processable experiment; res is the run e came from.
+func (s *Session) writeRawArtifacts(e *Experiment, res *SessionResult) error {
 	if s.artifacts == "" {
 		return nil
 	}
@@ -873,7 +877,7 @@ func (s *Session) writeRawArtifacts(e *Experiment) error {
 		if err := s.writeMetricsSnapshot(); err != nil {
 			return err
 		}
-		return s.writeReport()
+		return s.writeReport(res)
 	}
 	if err := os.MkdirAll(s.artifacts, 0o755); err != nil {
 		return err
@@ -902,5 +906,5 @@ func (s *Session) writeRawArtifacts(e *Experiment) error {
 	if err := s.writeMetricsSnapshot(); err != nil {
 		return err
 	}
-	return s.writeReport()
+	return s.writeReport(res)
 }

@@ -137,15 +137,18 @@ func DecodeString(s string) (*Global, error) {
 
 // decode parses doc in place: it walks doc's lines and splits each into a
 // fixed array, so the decoded names are substrings of doc and a document
-// costs its event slice, sized once, and its machine list. On error g is
-// left as it was.
+// costs its event slice and machine list, each sized once (the machines
+// are gathered on the stack first; no events, no list). On error g is left
+// as it was.
 func (g *Global) decode(doc string) error {
 	var (
 		out            Global
 		lineNo         int
 		started, ended bool
 		fieldBuf       [8]string
+		machineBuf     [8]string
 	)
+	machines := machineBuf[:0]
 	for rest := doc; rest != ""; {
 		var line string
 		line, rest, _ = strings.Cut(rest, "\n")
@@ -203,14 +206,15 @@ func (g *Global) decode(doc string) error {
 			out.Events = make([]Event, 0, strings.Count(rest, "\n")+1)
 		}
 		out.Events = append(out.Events, e)
-		if !slices.Contains(out.Machines, e.Machine) {
-			out.Machines = append(out.Machines, e.Machine)
+		if !slices.Contains(machines, e.Machine) {
+			machines = append(machines, e.Machine)
 		}
 	}
 	if !started || !ended {
 		return fmt.Errorf("analysis: missing global_timeline header or terminator")
 	}
-	sortMachines(&out)
+	out.Machines = append([]string(nil), machines...) // one allocation, or nil
+	slices.Sort(out.Machines)
 	*g = out
 	return nil
 }
@@ -224,14 +228,6 @@ func (g *Global) MarshalText() ([]byte, error) {
 
 // UnmarshalText reverses MarshalText.
 func (g *Global) UnmarshalText(b []byte) error { return g.decode(string(b)) }
-
-func sortMachines(g *Global) {
-	for i := 1; i < len(g.Machines); i++ {
-		for j := i; j > 0 && g.Machines[j] < g.Machines[j-1]; j-- {
-			g.Machines[j], g.Machines[j-1] = g.Machines[j-1], g.Machines[j]
-		}
-	}
-}
 
 // splitFields splits line around runs of white space, as strings.Fields
 // does, into dst and returns the number of fields, which may exceed

@@ -103,8 +103,8 @@ func FuzzDecodeGlobal(f *testing.F) {
 }
 
 // TestGlobalUnmarshalTextAllocs pins what decoding a journaled global
-// timeline costs once warm: a few allocations (the document's one string,
-// the event and machine slices, their growth), and nothing of the 64 KiB
+// timeline costs once warm: three allocations (the document's one string,
+// the event and machine slices, each sized once), and nothing of the 64 KiB
 // scanner buffer the decoder once allocated per call.
 func TestGlobalUnmarshalTextAllocs(t *testing.T) {
 	var doc []byte
@@ -127,11 +127,35 @@ func TestGlobalUnmarshalTextAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once more
 	t.Logf("%d-byte document, %d events: %.0f allocs, %d bytes per decode", len(doc), len(g.Events), allocs, perRun)
-	if allocs > 6 {
-		t.Errorf("decoding allocates %.0f times, budget 6", allocs)
+	if allocs > 3 {
+		t.Errorf("decoding allocates %.0f times, budget 3", allocs)
 	}
 	if limit := uint64(4*len(doc) + 1024); perRun > limit {
 		t.Errorf("decoding allocates %d bytes, budget %d (4× the document, plus 1 KiB)", perRun, limit)
+	}
+}
+
+// journaled is where TestJournaledGlobalAllocs keeps its decoded timeline,
+// so the Global is allocated as the journal's decoder allocates it.
+var journaled *Global
+
+// TestJournaledGlobalAllocs: a journal record's Global, decoded as the
+// journal's decoder decodes it (a fresh Global, then UnmarshalText), costs
+// at most four allocations for every golden journal's timeline: the text's
+// copy, the Global, its Events and its Machines.
+func TestJournaledGlobalAllocs(t *testing.T) {
+	for i, doc := range goldenGlobalDocs(t) {
+		b := []byte(doc)
+		allocs := testing.AllocsPerRun(20, func() {
+			journaled = new(Global)
+			if err := journaled.UnmarshalText(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("golden timeline %d (%d machines, %d events): decoding allocates %.0f times, budget 4",
+				i, len(journaled.Machines), len(journaled.Events), allocs)
+		}
 	}
 }
 

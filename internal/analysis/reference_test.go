@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -106,6 +107,6 @@ func referenceDecode(r io.Reader) (*Global, error) {
 	if !started || !ended {
 		return nil, fmt.Errorf("analysis: missing global_timeline header or terminator")
 	}
-	sortMachines(g)
+	slices.Sort(g.Machines)
 	return g, nil
 }

@@ -239,14 +239,14 @@ func (r *Result) Study(name string) *StudyResult {
 //   - the campaign's Workers: not negative (0 means GOMAXPROCS);
 //   - studies: at least one, no name twice, and every study passes
 //     checkStudy;
-//   - a matrix: no point name twice, every scenario's action faults parse
-//     and name known hosts, and the first point, built here, passes
-//     checkStudy, so a bad template fails before anything runs. RunMatrix
-//     checks every other point as it builds it, before its testbed.
+//   - a matrix: no point name twice, every scenario's faults pass
+//     checkFaults, and the first point, built here, passes checkStudy,
+//     so a bad template fails before anything runs. RunMatrix checks
+//     every other point as it builds it, before its testbed.
 //
 // checkStudy is the study check: Workers not negative, Experiments
-// positive, a known transport, virtual time only over inproc, and every
-// chaos action call parses and names known hosts.
+// positive, a known transport, virtual time only over inproc, and its
+// nodes' faults pass checkFaults.
 func Validate(c *Campaign, m *Matrix) error {
 	if m == nil && len(c.Studies) == 0 {
 		return fmt.Errorf("campaign: no studies defined")
@@ -280,13 +280,12 @@ func Validate(c *Campaign, m *Matrix) error {
 			}
 			names[name] = true
 		}
-		known := hostNames(c)
 		for _, sc := range m.Scenarios {
 			defs := make([]core.NodeDef, len(sc.Faults))
 			for i, f := range sc.Faults {
 				defs[i] = core.NodeDef{Nickname: f.Machine, Faults: []faultexpr.Spec{f.Spec}}
 			}
-			if err := chaos.ValidateSpecs(defs, known); err != nil {
+			if err := checkFaults(c, defs); err != nil {
 				return fmt.Errorf("campaign: matrix %q: scenario %q: %w", m.Name, sc.Name, err)
 			}
 		}
@@ -322,10 +321,23 @@ func checkStudy(c *Campaign, st *Study) error {
 	if c.VirtualTime && clustered(st) {
 		return fmt.Errorf("virtual time requires the inproc transport, not %q", st.Transport)
 	}
-	if chaos.HasActionFaults(st.Nodes) {
-		return chaos.ValidateSpecs(st.Nodes, hostNames(c))
+	return checkFaults(c, st.Nodes)
+}
+
+// checkFaults refuses a fault with no expression (Go wiring can make one, and
+// the runtime would crash on it) and a bad action call or host name.
+func checkFaults(c *Campaign, defs []core.NodeDef) error {
+	for _, def := range defs {
+		for _, f := range def.Faults {
+			if f.Expr == nil {
+				return fmt.Errorf("node %q fault %q has no expression", def.Nickname, f.Name)
+			}
+		}
 	}
-	return nil
+	if !chaos.HasActionFaults(defs) {
+		return nil
+	}
+	return chaos.ValidateSpecs(defs, hostNames(c))
 }
 
 // checkWorkers rejects a negative worker-pool size. Zero means "default to

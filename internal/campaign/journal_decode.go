@@ -25,14 +25,17 @@ import (
 // exactly what encoding/json makes of it (FuzzStrictLineMatchesEncodingJSON).
 //
 // A decoder belongs to one goroutine: scratch is the unescape buffer of its
-// strings, reused from string to string. Nothing it returns aliases scratch
-// or the line: strings are copied out, and the timeline texts' UnmarshalText
-// copies the bytes it is given.
+// strings and names the short ones it has returned (str). Nothing it returns
+// aliases scratch or the line: strings are copied out, once per distinct
+// value, and the timeline texts' UnmarshalText copies the bytes it is given.
 type lineDecoder struct {
 	b       []byte // the record body
 	i       int    // read offset in b
 	scratch []byte
+	names   [256]string
 }
+
+const maxNameLen = 64 // names, fingerprints and reasons; not analysis errors
 
 // experimentKeys are ExperimentRecord's member keys, colon included, in
 // declaration order: the order json.Marshal writes them in, any of them
@@ -70,11 +73,15 @@ func decode[E *ExperimentRecord | RecordSummary](d *lineDecoder, body []byte) *j
 
 // resume decodes a record body whole, as a resume keeps it, or returns nil.
 func (d *lineDecoder) resume(body []byte) *journalRecord[*ExperimentRecord] {
-	r := &journalRecord[*ExperimentRecord]{Experiment: new(ExperimentRecord)}
+	r := new(struct { // the record and its ExperimentRecord: one allocation
+		journalRecord[*ExperimentRecord]
+		exp ExperimentRecord
+	})
+	r.Experiment = &r.exp
 	if !d.record(body, &r.Point, &r.Index, &r.Fingerprint, r.Experiment, true) {
 		return nil
 	}
-	return r
+	return &r.journalRecord
 }
 
 // summary decodes a record body's key and verdict fields, or returns nil.
@@ -280,12 +287,29 @@ func text[T any, PT interface {
 	return true
 }
 
+// str reads a JSON string. A short one is the string in its names slot or a
+// copy that takes the slot over: a journal repeats names record after record.
 func (d *lineDecoder) str(dst *string) bool {
 	s, ok := d.scan(true)
-	if ok {
+	if ok && len(s) > maxNameLen {
 		*dst = string(s)
+	} else if ok {
+		slot := &d.names[nameSlot(s)]
+		if *slot != string(s) { // a comparison that does not allocate
+			*slot = string(s)
+		}
+		*dst = *slot
 	}
 	return ok
+}
+
+// nameSlot is s's index in lineDecoder.names: its FNV-1a hash, folded.
+func nameSlot(s []byte) uint8 {
+	h := uint32(2166136261)
+	for _, c := range s {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return uint8(h ^ h>>8 ^ h>>16 ^ h>>24)
 }
 
 func (d *lineDecoder) bool(dst *bool) bool {

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/analysis"
 	"repro/internal/clocksync"
@@ -287,31 +288,129 @@ func TestStrictDecoderRefuses(t *testing.T) {
 }
 
 // TestStrictDecoderDoesNotAlias: a record the strict decoder returns owns
-// its memory. Decoding a second, different line on the same decoder — its
-// escaped strings unescaped into the same scratch — and then overwriting
-// the first line leaves the first record's strings, maps and Global as
-// they were. Run under -race in CI.
+// its memory, whether its strings were copied from the line or served from
+// the decoder's names table. The first body is read twice, from two
+// buffers — the second read's short strings come from the table — and
+// then decoding a second, different line on the same decoder (its escaped
+// strings unescaped into the same scratch, its names taking slots over)
+// and overwriting both buffers leave both reads' strings, maps and Globals
+// as they were. Mutation check, in a copy of the tree: str storing a first
+// sight that aliases the line (unsafe.String over the body's bytes) fails
+// both reads. Run under -race in CI.
 func TestStrictDecoderDoesNotAlias(t *testing.T) {
 	recs := coverageRecords()
 	first, second := coverageBody(t, recs[0]), coverageBody(t, recs[2])
+	again := bytes.Clone(first)
 	var d lineDecoder
-	got := d.resume(first)
-	if got == nil {
+	copied := d.resume(first)
+	served := d.resume(again)
+	if copied == nil || served == nil {
 		t.Fatal("the strict decoder refuses a coverage body")
 	}
-	before := wireBytes(t, got.Experiment)
-	point, global := got.Point, got.Experiment.Global.Events[0].Machine
+	if unsafe.StringData(served.Point) != unsafe.StringData(copied.Point) ||
+		unsafe.StringData(served.Experiment.Study) != unsafe.StringData(copied.Experiment.Study) {
+		t.Fatal("the second read of a body did not serve its short strings from the names table")
+	}
+	var before [2][]byte
+	var point, global [2]string
+	for i, got := range []*journalRecord[*ExperimentRecord]{copied, served} {
+		before[i] = wireBytes(t, got.Experiment)
+		point[i], global[i] = got.Point, got.Experiment.Global.Events[0].Machine
+	}
 	if d.resume(second) == nil || d.summary(second) == nil {
 		t.Fatal("the strict decoder refuses a coverage body")
 	}
-	for i := range first {
-		first[i] = 'x'
+	for _, line := range [][]byte{first, again} {
+		for i := range line {
+			line[i] = 'x'
+		}
 	}
-	if after := wireBytes(t, got.Experiment); !bytes.Equal(after, before) {
-		t.Errorf("the first record changed after the decoder read another body:\n got: %s\nwant: %s", after, before)
+	for i, got := range []*journalRecord[*ExperimentRecord]{copied, served} {
+		if after := wireBytes(t, got.Experiment); !bytes.Equal(after, before[i]) {
+			t.Errorf("read %d of the first body changed after the decoder read another body:\n got: %s\nwant: %s", i+1, after, before[i])
+		}
+		if got.Point != point[i] || got.Experiment.Global.Events[0].Machine != global[i] {
+			t.Errorf("read %d of the first body: its key or Global changed: %q, %q", i+1, got.Point, got.Experiment.Global.Events[0].Machine)
+		}
 	}
-	if got.Point != point || got.Experiment.Global.Events[0].Machine != global {
-		t.Errorf("the first record's key or Global changed: %q, %q", got.Point, got.Experiment.Global.Events[0].Machine)
+}
+
+// namedBody is a record body that sets s as its point name and
+// fingerprint, and as its study, an outcome's machine and state, an
+// injection's machine, fault and reason, a missing fault and a clock-step
+// host.
+func namedBody(t testing.TB, s string) []byte {
+	t.Helper()
+	_, raw, _ := pinnedRecords()
+	rec := *raw
+	rec.Study = s
+	rec.Outcomes = map[string]string{s: s, "beta": "exited"}
+	rec.Report = &analysis.Report{
+		Injections:    []analysis.InjectionCheck{{Machine: s, Fault: s, Reason: s}},
+		MissingFaults: []string{s},
+	}
+	rec.ClockStepHosts = []string{s, "h2"}
+	b, err := json.Marshal(&journalRecord[*ExperimentRecord]{Point: s, Index: 1, Fingerprint: s, Experiment: &rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// slotCollision returns two different short strings that share a slot in
+// lineDecoder.names.
+func slotCollision(t testing.TB) (string, string) {
+	t.Helper()
+	first := make(map[uint8]string)
+	for i := range 1 << 12 {
+		s := fmt.Sprintf("m%d", i)
+		slot := nameSlot([]byte(s))
+		if other, ok := first[slot]; ok {
+			return other, s
+		}
+		first[slot] = s
+	}
+	t.Fatal("no two names share a slot")
+	return "", ""
+}
+
+// TestReusedDecoderMatchesFresh: a decoder whose names table already holds
+// strings decodes every body, whole and as a summary, to what a fresh
+// decoder and encoding/json decode. One decoder reads, in turn, bodies
+// whose names are two different strings sharing a slot (each after the
+// other), the same text written plainly and with an escape ("h1" and
+// "h\u0031"), a string one byte past maxNameLen and one at it, and the
+// empty string; then every body the writer writes. Run under -race in CI.
+//
+// Mutation-checked: str returning a filled slot's string without comparing
+// it to the bytes read fails on the second of the strings sharing a slot.
+func TestReusedDecoderMatchesFresh(t *testing.T) {
+	a, b := slotCollision(t)
+	long := strings.Repeat("n", maxNameLen+1)
+	var bodies [][]byte
+	for _, s := range []string{a, b, a, long, long[1:], "", b, long} {
+		bodies = append(bodies, namedBody(t, s))
+	}
+	plain := namedBody(t, "h1")
+	escaped := bytes.ReplaceAll(plain, []byte(`"h1"`), []byte(`"h\u0031"`))
+	if bytes.Equal(escaped, plain) {
+		t.Fatal("the escaped body is the plain one")
+	}
+	bodies = append(bodies, plain, escaped, plain, escaped)
+	bodies = append(bodies, writerBodies(t)...)
+	var d lineDecoder
+	for i, body := range bodies {
+		got, fresh := d.resume(body), new(lineDecoder).resume(body)
+		if got == nil || fresh == nil {
+			t.Fatalf("body %d: refused (reused %v, fresh %v): %s", i, got != nil, fresh != nil, body)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("body %d: the reused decoder reads\n%+v %+v;\na fresh one\n%+v %+v", i, got, got.Experiment, fresh, fresh.Experiment)
+		}
+		checkStrict(t, &d, body) // the reused decoder against encoding/json, whole and as a summary
+		if got, fresh := d.summary(body), new(lineDecoder).summary(body); got == nil || fresh == nil || *got != *fresh {
+			t.Fatalf("body %d: the reused decoder's summary %+v, a fresh one's %+v", i, got, fresh)
+		}
 	}
 }
 
@@ -319,13 +418,15 @@ func TestStrictDecoderDoesNotAlias(t *testing.T) {
 // a resume's load (journal.load) and a summary walk (walkJournal, which
 // Status and the report make), over the golden election record journaled
 // under distinct keys, long minus short journal so the file's own costs
-// cancel. Measured at 32.1 and 3.1 when the budget was set (54.1 and 12.1
-// when every line went through encoding/json); a -race build measured the
-// same, and its slack is for the pools -race drops at random.
+// cancel. Measured at 11.1 and 1.1 when the budget was set, with the
+// decoder serving the repeated names from its table (32.1 and 3.1 when
+// every string was copied out, 54.1 and 12.1 when every line went through
+// encoding/json); the slack of a -race build is for the pools -race drops
+// at random.
 func TestJournalReadAllocBudget(t *testing.T) {
-	loadBudget, walkBudget := 34.0, 4.0
+	loadBudget, walkBudget := 13.0, 2.0
 	if raceBuild {
-		loadBudget, walkBudget = 38, 6
+		loadBudget, walkBudget = 17, 4
 	}
 	header, rec := goldenLines(t)
 	var h journalLine[struct{}]

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultexpr"
 	"repro/internal/probe"
 	"repro/internal/spec"
 )
@@ -46,6 +47,57 @@ func TestValidateCounts(t *testing.T) {
 	}}
 	if _, err := RunMatrix(context.Background(), c, m); err == nil || !strings.Contains(err.Error(), "Experiments") {
 		t.Errorf("zero experiments via matrix point: %v", err)
+	}
+}
+
+// TestNilExprRefusedBeforeJournal: a Go-wired fault with no expression —
+// in a study's node, in the study a matrix's Build makes, or in a scenario
+// fault of a later point — is refused by Validate, naming the node and the
+// fault, before a journal is opened. The runtime would dereference it on a
+// worker goroutine and crash the process. Run under -race in CI.
+func TestNilExprRefusedBeforeJournal(t *testing.T) {
+	ctx := context.Background()
+	nilExpr := func(st *Study) *Study {
+		st.Nodes[1].Faults[0].Expr = nil
+		return st
+	}
+	cases := []struct {
+		name, want string
+		run        func(c *Campaign) error
+	}{
+		{"study", `study "steps": node "beta" fault "betafault" has no expression`, func(c *Campaign) error {
+			nilExpr(c.Studies[0])
+			_, err := Run(ctx, c)
+			return err
+		}},
+		{"matrix build", `node "beta" fault "betafault" has no expression`, func(c *Campaign) error {
+			_, err := RunMatrix(ctx, c, &Matrix{Name: "m", Build: func(Point) (*Study, error) {
+				return nilExpr(stepStudy(t, 1)), nil
+			}})
+			return err
+		}},
+		{"scenario fault", `scenario "bad": node "gamma" fault "late" has no expression`, func(c *Campaign) error {
+			_, err := RunMatrix(ctx, c, &Matrix{
+				Name: "m",
+				Scenarios: []Scenario{
+					{Name: "baseline"},
+					{Name: "bad", Faults: []ScenarioFault{{Machine: "gamma", Spec: faultexpr.Spec{Name: "late", Mode: faultexpr.Once}}}},
+				},
+				Build: func(Point) (*Study, error) { return stepStudy(t, 1), nil },
+			})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		c := stepCampaign(t, 1, 1)
+		dir := t.TempDir()
+		c.Checkpoint = &Checkpoint{Dir: dir}
+		if err := tc.run(c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v; want one naming %s", tc.name, err, tc.want)
+		}
+		if _, err := os.Stat(JournalPath(dir)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: a journal was opened before the refusal (stat: %v)", tc.name, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -788,17 +789,19 @@ func underDir(base, name string) string {
 	return filepath.Join(base, filepath.Clean("/"+name))
 }
 
-// artifactJob is one record whose per-experiment artifacts go under dir.
+// artifactJob is one record whose per-experiment artifacts go under
+// prefix and its index (expDirPath); prefix is filepath.Join(dir, "exp").
 type artifactJob struct {
-	dir string
-	rec *ExperimentRecord
+	prefix string
+	rec    *ExperimentRecord
 }
 
 // appendArtifactJobs adds one study's records that have a global timeline.
 func appendArtifactJobs(jobs []artifactJob, dir string, sr *StudyOutcome) []artifactJob {
+	prefix := filepath.Join(dir, "exp")
 	for _, rec := range sr.Records {
 		if rec != nil && rec.Global != nil {
-			jobs = append(jobs, artifactJob{dir, rec})
+			jobs = append(jobs, artifactJob{prefix, rec})
 		}
 	}
 	return jobs
@@ -817,7 +820,7 @@ func writeArtifactJobs(jobs []artifactJob) error {
 			defer wg.Done()
 			var w obs.ArtifactWriter
 			for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
-				errs[i] = writeExperimentArtifacts(&w, jobs[i].dir, jobs[i].rec)
+				errs[i] = writeExperimentArtifacts(&w, jobs[i].prefix, jobs[i].rec)
 			}
 		}()
 	}
@@ -831,11 +834,11 @@ func writeArtifactJobs(jobs []artifactJob) error {
 }
 
 // writeExperimentArtifacts writes one record's global timeline, alphabeta
-// bounds, and verdict under dir/expNNN. The directory is made only when
-// the first file cannot be opened for want of it, so a rewrite over an
-// existing tree spends no MkdirAll on each record.
-func writeExperimentArtifacts(w *obs.ArtifactWriter, dir string, rec *ExperimentRecord) error {
-	expDir := filepath.Join(dir, fmt.Sprintf("exp%03d", rec.Index))
+// bounds, and verdict under dir/expNNN, given prefix dir/exp. The
+// directory is made only when the first file cannot be opened for want of
+// it, so a rewrite over an existing tree spends no MkdirAll on each record.
+func writeExperimentArtifacts(w *obs.ArtifactWriter, prefix string, rec *ExperimentRecord) error {
+	expDir := expDirPath(prefix, rec.Index)
 	global := filepath.Join(expDir, "global.timeline")
 	encodeGlobal := func(w io.Writer) error {
 		return analysis.Encode(w, rec.Global)
@@ -863,6 +866,18 @@ func writeExperimentArtifacts(w *obs.ArtifactWriter, dir string, rec *Experiment
 		_, err := io.WriteString(w, verdict)
 		return err
 	})
+}
+
+// expDirPath is filepath.Join(dir, fmt.Sprintf("exp%03d", index)) for
+// prefix filepath.Join(dir, "exp") and a record's index, which is never
+// negative: Join leaves a final plain name as it is given, so the digits
+// can follow the joined "exp".
+func expDirPath(prefix string, index int) string {
+	b := append(make([]byte, 0, 128), prefix...)
+	for pad := 100; pad > index && pad > 1; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(index), 10))
 }
 
 // writeRawArtifacts emits RunOne's raw runtime artifacts — one §3.5.6

@@ -121,6 +121,9 @@ var parsedSpecs sync.Map
 // application package's init with one zero value per concrete payload
 // type. Registering the same type again is harmless; two different types
 // with the same name panic, matching encoding/gob.
+// A struct type reaching no interface field and no GobEncoder is encoded
+// against a cached type description, checked once against a fresh gob
+// encoding; any other type is described anew in every message.
 func RegisterMessage(payloads ...interface{}) {
 	for _, p := range payloads {
 		gob.Register(p)

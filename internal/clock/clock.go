@@ -100,7 +100,10 @@ func (t realTimer) Stop() bool { return t.t.Stop() }
 
 // realWaiter implements Waiter over a capacity-1 channel: the buffered
 // send is the sticky wake, the failed send is the coalescing.
-type realWaiter struct{ ch chan struct{} }
+type realWaiter struct {
+	ch chan struct{}
+	t  *time.Timer // reset by each timed Wait; go 1.23 timers drop unreceived fires
+}
 
 func (w *realWaiter) Wake() {
 	select {
@@ -122,12 +125,15 @@ func (w *realWaiter) Wait(d time.Duration) bool {
 			return false
 		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if w.t == nil {
+		w.t = time.NewTimer(d)
+	} else {
+		w.t.Reset(d)
+	}
 	select {
 	case <-w.ch:
 		return true
-	case <-t.C:
+	case <-w.t.C:
 		return false
 	}
 }

@@ -542,3 +542,39 @@ func TestRealTicksMonotonic(t *testing.T) {
 		prev = now
 	}
 }
+
+// TestRealWaiterReusesItsTimer: after its first timed Wait a real waiter
+// waits on the same timer, so a timed Wait, woken or not, allocates
+// nothing; and a deadline stopped by a Wake does not end a later Wait
+// early.
+func TestRealWaiterReusesItsTimer(t *testing.T) {
+	w := Real{}.NewWaiter()
+	if w.Wait(time.Microsecond) {
+		t.Fatal("a timed Wait with no Wake reported a wake")
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if w.Wait(time.Microsecond) {
+			t.Fatal("a timed Wait with no Wake reported a wake")
+		}
+		w.Wake()
+		if !w.Wait(time.Hour) {
+			t.Fatal("a timed Wait after a Wake timed out")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("a timed Wait allocates %v objects after the first, want 0", n)
+	}
+	w.Wake()
+	if !w.Wait(time.Millisecond) {
+		t.Fatal("a timed Wait after a Wake timed out")
+	}
+	time.Sleep(2 * time.Millisecond) // past the stopped deadline
+	const d = 20 * time.Millisecond
+	start := time.Now()
+	if w.Wait(d) {
+		t.Fatal("a timed Wait with no Wake reported a wake")
+	}
+	if got := time.Since(start); got < d {
+		t.Fatalf("a timed Wait returned after %v, before its %v deadline", got, d)
+	}
+}

@@ -256,6 +256,21 @@ func TestReplicatedOpsReachPeerEndpoint(t *testing.T) {
 				t.Fatalf("B shapes with a filter it cannot have: %+v", got)
 			}
 		}},
+		{"an op that does not decode is logged with its sender", func(t *testing.T, p *endpointPair) {
+			p.a.HealAllPartitions()
+			p.tapA.mu.Lock()
+			sent := p.tapA.frames
+			p.tapA.mu.Unlock()
+			if len(sent) != 1 || sent[0].Kind != transport.KindChaos || sent[0].From != "A" {
+				t.Fatalf("A's healall went out as %+v, want one chaos frame from A", sent)
+			}
+			if err := p.tapA.Broadcast(transport.Message{Kind: transport.KindChaos, From: "A", Payload: []byte("not gob")}); err != nil {
+				t.Fatal(err)
+			}
+			if !p.logB.has(`chaos op from peer "A" did not decode`) || p.logB.has(`chaos op ""`) {
+				t.Fatalf("B's diagnostics do not name the sender of an undecodable op: %v", p.logB.lines)
+			}
+		}},
 		{"op for a host not local is logged, not re-forwarded", func(t *testing.T, p *endpointPair) {
 			// A's ownership table says B owns h1's clock: the op lands on B,
 			// which does not have h1.

@@ -101,6 +101,7 @@ type Runtime struct {
 	// netem is the application-bus traffic shaping state (netem.go); it
 	// has its own lock and is consulted on every Handle.Send.
 	netem *netem
+	apps  appCodec // application payloads crossing the transport; own locks
 
 	mu            sync.Mutex
 	hosts         map[string]*hostState

@@ -165,18 +165,19 @@ func (r *Runtime) handleTransportMessage(m transport.Message) {
 			r.cfg.Logf("core: dropping remote app message %s->%s: target not executing", m.From, m.To)
 			return
 		}
-		env, err := transport.DecodePayload[appPayload](m.Payload)
+		payload, err := r.apps.decode(m.Payload)
 		if err != nil {
 			r.cfg.Logf("core: dropping undecodable app message %s->%s: %v", m.From, m.To, err)
 			return
 		}
-		target.handle.deliver(AppMessage{From: m.From, Payload: env.V}, m.From)
+		target.handle.deliver(AppMessage{From: m.From, Payload: payload}, m.From)
 	case transport.KindChaos:
 		op, err := transport.DecodePayload[chaosOp](m.Payload)
-		if err == nil {
-			err = r.applyChaosOp(op)
-		}
 		if err != nil {
+			r.cfg.Logf("core: chaos op from peer %q did not decode: %v", m.From, err)
+			return
+		}
+		if err := r.applyChaosOp(op); err != nil {
 			r.cfg.Logf("core: chaos op %q from a peer not applied here: %v", op.Op, err)
 		}
 	default:
@@ -209,7 +210,7 @@ func (r *Runtime) sendRemoteNote(host string, note stateNote, to string) {
 // sendRemoteApp ships an application-bus message to the endpoint owning
 // toHost. The payload was already shaped by the local interposition layer.
 func (r *Runtime) sendRemoteApp(fromNick, fromHost, to, toHost string, payload interface{}) {
-	body, err := transport.EncodePayload(appPayload{V: payload})
+	body, err := r.apps.encode(payload)
 	if err != nil {
 		r.cfg.Logf("core: app message %s->%s not encodable for transport: %v", fromNick, to, err)
 		return
@@ -229,7 +230,8 @@ func (r *Runtime) sendRemoteApp(fromNick, fromHost, to, toHost string, payload i
 
 // appPayload is the gob envelope of an application-bus payload. Concrete
 // payload types must be gob-registered by the application (the built-in
-// apps do so in their init functions).
+// apps do so in their init functions). appCodec primes a gob coder per struct
+// type reaching no interface, checked once against fresh gob bytes.
 type appPayload struct{ V interface{} }
 
 // chaosOp is one interposition-layer or host mutation, in the one form it
@@ -341,7 +343,7 @@ func (r *Runtime) sendChaos(host string, op chaosOp) error {
 	if err != nil {
 		return err
 	}
-	m := transport.Message{Kind: transport.KindChaos, ToHost: host, Payload: body}
+	m := transport.Message{Kind: transport.KindChaos, From: r.cfg.Transport.Topology().Local, ToHost: host, Payload: body}
 	if host == "" {
 		return r.cfg.Transport.Broadcast(m)
 	}

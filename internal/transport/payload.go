@@ -5,12 +5,13 @@ import (
 	"encoding/gob"
 )
 
-// EncodePayload gob-encodes v as a frame payload. The application-payload
-// envelope, which carries arbitrary registered application types, and the
-// replicated chaos operations go through this pair. The cluster control
-// plane's own bodies (protocol messages and clock-sync stamps) do not:
-// they have a fixed layout with a strict decoder of their own
-// (internal/campaign/cluster_wire.go), because they are frequent and a
+// EncodePayload gob-encodes v as a frame payload with a fresh encoder. The
+// replicated chaos operations go through this pair, and so do application
+// payloads whose type core's appCodec does not prime; a primed type's
+// frames are these bytes too, checked against this pair once per type. The
+// cluster control plane's own bodies (protocol messages and clock-sync
+// stamps) do not: they have a fixed layout with a strict decoder of their
+// own (internal/campaign/cluster_wire.go), because they are frequent and a
 // peer of another protocol version must be refused, not half-read.
 func EncodePayload[T any](v T) ([]byte, error) {
 	var buf bytes.Buffer

@@ -80,7 +80,7 @@ func (t *UDP) readLoop(conn *net.UDPConn) {
 	defer t.wg.Done()
 	buf := make([]byte, MaxFrame+1)
 	for {
-		n, _, err := conn.ReadFromUDP(buf)
+		n, err := conn.Read(buf) // the sender's address is unused: no allocation for it
 		if err != nil {
 			return // closed
 		}

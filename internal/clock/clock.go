@@ -41,9 +41,10 @@ type Clock interface {
 	Sleep(d time.Duration)
 	// AfterFunc runs fn after d, concurrently with its caller: on its own
 	// goroutine in real time, as a tracked task on one of the scheduler's
-	// coroutines under virtual time. The returned Timer can cancel it
-	// before it fires.
-	AfterFunc(d time.Duration, fn func()) Timer
+	// coroutines under virtual time. It returns no handle, so nothing can
+	// cancel fn: a body that may outlive its purpose checks for itself
+	// when it runs, as Runtime.ExpAfterFunc's epoch check does.
+	AfterFunc(d time.Duration, fn func())
 	// NewWaiter returns a fresh wait/notify cell bound to this clock.
 	NewWaiter() Waiter
 	// Go runs fn concurrently as a task the clock knows about: on a new
@@ -52,12 +53,6 @@ type Clock interface {
 	// this way, or the virtual scheduler cannot tell waiting from running.
 	// fn must not call runtime.Goexit.
 	Go(fn func())
-}
-
-// Timer is a cancelable deferred function, as returned by AfterFunc.
-type Timer interface {
-	// Stop cancels the timer, reporting whether it was still pending.
-	Stop() bool
 }
 
 // Waiter is a single-goroutine wait/notify cell: the condition-variable
@@ -84,19 +79,13 @@ func NewReal() Real { return Real{} }
 // epoch anchors Real's ticks: every runtime on the wall clock shares it.
 var epoch = time.Now()
 
-func (Real) NowTicks() vclock.Ticks          { return vclock.Ticks(time.Since(epoch)) }
-func (Real) Now() time.Time                  { return time.Now() }
-func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
-func (Real) Sleep(d time.Duration)           { time.Sleep(d) }
-func (Real) Go(fn func())                    { go fn() }
-func (Real) NewWaiter() Waiter               { return &realWaiter{ch: make(chan struct{}, 1)} }
-func (Real) AfterFunc(d time.Duration, fn func()) Timer {
-	return realTimer{t: time.AfterFunc(d, fn)}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (t realTimer) Stop() bool { return t.t.Stop() }
+func (Real) NowTicks() vclock.Ticks               { return vclock.Ticks(time.Since(epoch)) }
+func (Real) Now() time.Time                       { return time.Now() }
+func (Real) Since(t time.Time) time.Duration      { return time.Since(t) }
+func (Real) Sleep(d time.Duration)                { time.Sleep(d) }
+func (Real) Go(fn func())                         { go fn() }
+func (Real) NewWaiter() Waiter                    { return &realWaiter{ch: make(chan struct{}, 1)} }
+func (Real) AfterFunc(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 
 // realWaiter implements Waiter over a capacity-1 channel: the buffered
 // send is the sticky wake, the failed send is the coalescing.

@@ -54,12 +54,13 @@ type Virtual struct {
 	mu      sync.Mutex
 	seq     uint64
 	timers  timerHeap
-	ready   []readyItem // woken waiters and Go tasks, FIFO from head
-	head    int         // index of the next ready item; ready[:head] is spent
-	free    []*vWaiter  // idle Sleep waiters; at most one per concurrent sleeper
-	busy    int         // tracked tasks currently running (0 or 1 after startup)
-	parked  int         // tracked tasks blocked in Sleep/Wait
-	driving int         // Drive/Release nesting; timers fire only when > 0
+	ready   []readyItem   // woken waiters and Go tasks, FIFO from head
+	head    int           // index of the next ready item; ready[:head] is spent
+	free    []*vWaiter    // idle Sleep waiters; at most one per concurrent sleeper
+	fired   []*timerEntry // fired AfterFunc entries, bodies cleared; at most one per concurrent timer
+	busy    int           // tracked tasks currently running (0 or 1 after startup)
+	parked  int           // tracked tasks blocked in Sleep/Wait
+	driving int           // Drive/Release nesting; timers fire only when > 0
 	idle    chan struct{}
 	cur     *coro // the coroutine of the running task; nil when none runs or a driver does
 
@@ -96,11 +97,12 @@ type readyItem struct {
 }
 
 // timerEntry is one pending deadline. An entry is in the heap exactly
-// while it is pending (index >= 0): firing pops it, Stop and a waiter's
-// wake remove it by index, so next never meets a dead entry. An AfterFunc
-// entry is itself the Timer its caller gets back.
+// while it is pending (index >= 0): firing pops it and a waiter's wake
+// removes it by index, so next never meets a dead entry. A sleeper's entry
+// is part of its waiter. An AfterFunc entry goes, once fired, onto the
+// clock's fired list with its body cleared, so the list keeps no closure
+// alive, and the next AfterFunc takes it from there before allocating.
 type timerEntry struct {
-	v     *Virtual // set on AfterFunc entries, for Stop
 	at    vclock.Ticks
 	seq   uint64
 	fn    func()   // AfterFunc body; nil for sleeper entries
@@ -175,27 +177,21 @@ func (v *Virtual) Sleep(d time.Duration) {
 // AfterFunc implements Clock. The body runs as a tracked task, on a
 // scheduler coroutine, when the deadline is reached (and a driver is
 // active).
-func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
+func (v *Virtual) AfterFunc(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
 	v.mu.Lock()
-	e := &timerEntry{v: v, at: v.NowTicks() + vclock.Ticks(d), seq: v.seq, fn: fn}
+	var e *timerEntry
+	if n := len(v.fired); n > 0 {
+		e, v.fired = v.fired[n-1], v.fired[:n-1]
+	} else {
+		e = new(timerEntry)
+	}
+	e.at, e.seq, e.fn = v.NowTicks()+vclock.Ticks(d), v.seq, fn
 	v.seq++
 	heap.Push(&v.timers, e)
 	v.mu.Unlock()
-	return e
-}
-
-// Stop implements Timer for an AfterFunc entry.
-func (e *timerEntry) Stop() bool {
-	e.v.mu.Lock()
-	defer e.v.mu.Unlock()
-	if e.index < 0 {
-		return false // already fired or stopped
-	}
-	heap.Remove(&e.v.timers, e.index)
-	return true
 }
 
 // Go implements Clock: fn is queued as an immediately runnable tracked
@@ -356,9 +352,11 @@ func (v *Virtual) next() (fn func(), w *vWaiter) {
 			}
 			v.busy++
 			v.firedTimers++
-			if e.fn != nil {
+			if fn := e.fn; fn != nil {
+				e.fn = nil
+				v.fired = append(v.fired, e)
 				v.tasks++
-				return e.fn, nil
+				return fn, nil
 			}
 			w := e.w
 			w.parked = false

@@ -77,32 +77,71 @@ func TestVirtualTimerOrdering(t *testing.T) {
 	}
 }
 
-func TestVirtualAfterFuncStop(t *testing.T) {
+// TestVirtualAfterFuncReusesFiredEntries: an AfterFunc fires once, at its
+// deadline; its fired entry goes onto the clock's fired list with its body
+// cleared, so the list keeps no closure alive; once warm, an AfterFunc that
+// fires allocates nothing; and a reused entry still takes a fresh creation
+// sequence, so equal deadlines fire in creation order when reused entries
+// and Sleep waiters interleave. Mutations: allocate a fresh entry in
+// AfterFunc (the allocation check fails), leave fn set when an entry fires
+// (the body check fails), or keep a reused entry's old seq (the order
+// check fails).
+func TestVirtualAfterFuncReusesFiredEntries(t *testing.T) {
 	v := NewVirtual()
 	v.Drive()
 	defer v.Release()
-	fired := false
-	tm := v.AfterFunc(time.Millisecond, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("first Stop returned false")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
-	}
-	if n := v.timers.Len(); n != 0 {
-		t.Fatalf("stopped timer left %d heap entries", n)
-	}
+	fired := 0
+	var at vclock.Ticks
+	body := func() { fired++; at = v.NowTicks() }
+	start := v.NowTicks()
+	v.AfterFunc(time.Millisecond, body)
 	v.Sleep(2 * time.Millisecond)
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-	tm = v.AfterFunc(time.Millisecond, func() { fired = true })
 	v.Sleep(2 * time.Millisecond)
-	if !fired {
-		t.Fatal("timer did not fire")
+	if fired != 1 || at != start+1e6 {
+		t.Fatalf("timer fired %d times, last at %v; want once, at %v", fired, at, start+1e6)
 	}
-	if tm.Stop() {
-		t.Fatal("Stop after firing returned true")
+	if len(v.fired) != 1 {
+		t.Fatalf("%d entries on the fired list after one timer fired, want 1", len(v.fired))
+	}
+
+	round := func() {
+		v.AfterFunc(time.Microsecond, body)
+		v.Sleep(2 * time.Microsecond)
+	}
+	if got := testing.AllocsPerRun(1000, round); got != 0 {
+		t.Fatalf("an AfterFunc that fires allocates %v objects once warm, want 0", got)
+	}
+	if fired != 1002 {
+		t.Fatalf("%d bodies ran, want 1002", fired)
+	}
+
+	// Deadline T is shared by two timers and two sleepers, made in the
+	// order t1, s1, t2, s2 across two instants; the timers take entries
+	// off the fired list from the second round on.
+	var order []string
+	note := func(id string) func() { return func() { order = append(order, id) } }
+	sleeper := func(id string, d time.Duration) func() {
+		return func() { v.Sleep(d); note(id)() }
+	}
+	for r := 0; r < 3; r++ {
+		order = order[:0]
+		v.AfterFunc(4*time.Microsecond, note("t1"))
+		v.Go(sleeper("s1", 4*time.Microsecond))
+		v.Sleep(time.Microsecond) // s1 parks after the driver
+		v.AfterFunc(3*time.Microsecond, note("t2"))
+		v.Go(sleeper("s2", 3*time.Microsecond))
+		v.Sleep(10 * time.Microsecond)
+		if got := strings.Join(order, " "); got != "t1 s1 t2 s2" {
+			t.Fatalf("round %d fired %q, want creation order \"t1 s1 t2 s2\"", r, got)
+		}
+		if len(v.fired) != 2 {
+			t.Fatalf("round %d: %d entries on the fired list, want 2", r, len(v.fired))
+		}
+	}
+	for i, e := range v.fired {
+		if e.fn != nil || e.index != -1 {
+			t.Fatalf("fired entry %d keeps its body or heap slot (fn set: %v, index %d)", i, e.fn != nil, e.index)
+		}
 	}
 }
 

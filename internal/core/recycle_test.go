@@ -140,19 +140,20 @@ func TestStaleWakeOnPooledWaiterEndsNoWaitEarly(t *testing.T) {
 
 // TestEmptyExperimentAllocBudget keeps the start-up diet from regressing
 // silently: one experiment of three nodes that return at once, on a warmed
-// runtime under virtual time, measured at 20 allocations when this budget
-// was set (21 while each task body started a goroutine of its own; 30
-// with a second lifecycle channel, a host list per timeline
+// runtime under virtual time, measured at 16 allocations when this budget
+// was set (20 while the completion wait scheduled a timer of its own, a
+// closure and an escaped flag, and node completion gathered the done
+// waiters into a fresh slice; 21 while each task body started a goroutine
+// of its own; 30 with a second lifecycle channel, a host list per timeline
 // and a waiter per completion wait; 90 before each node's header,
 // recorder, trigger set, view and waiters were built once per
 // registration; 95 before inboxes, waiters and the netem generator were
 // recycled or built on demand). What is left is what an experiment hands
 // away or what a start must not share: per node the Node (whose handle a
 // straggler may still hold), its done channel and a fresh timeline
-// (struct and entries); per experiment the completion wait's timer and
-// the result.
+// (struct and entries); per experiment the result.
 func TestEmptyExperimentAllocBudget(t *testing.T) {
-	const budget = 22
+	const budget = 17
 	v := clock.NewVirtual()
 	rt := New(Config{Clock: v})
 	defer rt.Shutdown()

@@ -384,7 +384,10 @@ func (r *Runtime) appendLiveNodes(dst []string) []string {
 // because all of them exited or crashed (§3.6.1) — or until timeout, in
 // which case the experiment is declared hung and every node is killed, as
 // the central daemon does (§3.5.1). It reports whether completion was
-// natural (true) or by timeout (false).
+// natural (true) or by timeout (false). The deadline is on Wait's own done
+// waiter, counted from the call, and a timed-out Wait runs KillAll itself
+// and returns only once the killed nodes have finished: nothing of this
+// experiment's wait is left scheduled to fire into the next.
 func (r *Runtime) Wait(timeout time.Duration) bool {
 	// A reused waiter may carry a sticky wake from its last call: one
 	// spurious pass of the loop below, which re-checks anyway.
@@ -399,22 +402,26 @@ func (r *Runtime) Wait(timeout time.Duration) bool {
 	r.mu.Unlock()
 	defer r.dropDoneWaiter(w)
 
-	var timedOut atomic.Bool
-	if timeout > 0 {
-		t := r.clk.AfterFunc(timeout, func() {
-			timedOut.Store(true)
-			r.KillAll()
-		})
-		defer t.Stop()
-	}
+	start := r.clk.NowTicks()
+	timedOut := false
 	for {
 		r.mu.Lock()
 		active := r.active
 		r.mu.Unlock()
 		if active == 0 {
-			return !timedOut.Load()
+			return !timedOut
 		}
-		w.Wait(-1)
+		left := time.Duration(-1)
+		if timeout > 0 && !timedOut {
+			// A wake is not completion: the deadline is re-checked on
+			// every pass, from the call's start.
+			if left = timeout - (r.clk.NowTicks() - start).Duration(); left <= 0 {
+				timedOut = true
+				r.KillAll()
+				continue
+			}
+		}
+		w.Wait(left)
 	}
 }
 
@@ -462,7 +469,8 @@ func (r *Runtime) Shutdown() {
 // experiment completion (§3.5.2: local daemons check on every exit/crash).
 func (r *Runtime) nodeFinished(n *Node) {
 	r.mu.Lock()
-	var wake []clock.Waiter
+	var buf [2]clock.Waiter
+	wake := buf[:0]
 	if r.nodes[n.Nickname()] == n {
 		delete(r.nodes, n.Nickname())
 		r.outcomes[n.Nickname()] = n.Outcome()

@@ -109,7 +109,7 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 			}
 		case in.State == respOp:
 			cm, err := decodeClusterMsg(in.Payload)
-			if _, ok := got[in.From]; ok && errors.As(err, new(*wireVersionError)) {
+			if _, ok := got[in.From]; ok && err != nil && errors.As(err, new(*wireVersionError)) {
 				return nil, m.checkPeer(in.From, cm, err)
 			}
 			if fr, ok := got[cm.Peer]; ok && err == nil && cm.Index == msg.Index {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/clocksync"
+	"repro/internal/intern"
 	"repro/internal/timeline"
 )
 
@@ -32,10 +33,8 @@ type lineDecoder struct {
 	b       []byte // the record body
 	i       int    // read offset in b
 	scratch []byte
-	names   [256]string
+	names   intern.Table
 }
-
-const maxNameLen = 64 // names, fingerprints and reasons; not analysis errors
 
 // experimentKeys are ExperimentRecord's member keys, colon included, in
 // declaration order: the order json.Marshal writes them in, any of them
@@ -287,29 +286,14 @@ func text[T any, PT interface {
 	return true
 }
 
-// str reads a JSON string. A short one is the string in its names slot or a
-// copy that takes the slot over: a journal repeats names record after record.
+// str reads a JSON string. A short one comes from the names table: a
+// journal repeats names record after record.
 func (d *lineDecoder) str(dst *string) bool {
 	s, ok := d.scan(true)
-	if ok && len(s) > maxNameLen {
-		*dst = string(s)
-	} else if ok {
-		slot := &d.names[nameSlot(s)]
-		if *slot != string(s) { // a comparison that does not allocate
-			*slot = string(s)
-		}
-		*dst = *slot
+	if ok {
+		*dst = d.names.String(s)
 	}
 	return ok
-}
-
-// nameSlot is s's index in lineDecoder.names: its FNV-1a hash, folded.
-func nameSlot(s []byte) uint8 {
-	h := uint32(2166136261)
-	for _, c := range s {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return uint8(h ^ h>>8 ^ h>>16 ^ h>>24)
 }
 
 func (d *lineDecoder) bool(dst *bool) bool {

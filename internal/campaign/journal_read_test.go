@@ -14,7 +14,15 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/intern"
 )
+
+// The strict decoder's names table is an intern.Table; its tests name the
+// table's slot function and length limit as the decoder's.
+var nameSlot = intern.Slot
+
+const maxNameLen = intern.MaxLen
 
 // journalLine is one line of the JSONL journal as encoding/json reads it,
 // its sum aside: exactly one of the two fields is set. E is the shape the

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -334,4 +335,28 @@ func FuzzDecodePayload(f *testing.F) {
 		payloadRoundTrip[chaosOp](t, b)
 		payloadRoundTrip[appPayload](t, b)
 	})
+}
+
+// TestRemoteDropCountedWithoutLogging: a note or application message from
+// a peer whose target is not executing here is discarded as route discards
+// a local one (§3.6.1). A dropped note counts in DroppedNotifications, and
+// with logging off neither drop boxes a log call's arguments.
+func TestRemoteDropCountedWithoutLogging(t *testing.T) {
+	rt := New(Config{Obs: &obs.Sink{Metrics: obs.NewRegistry()}})
+	if rt.logging {
+		t.Fatal("a runtime with no Logf and no logger logs")
+	}
+	dropped := rt.om.DroppedNotifications
+	note := transport.Message{Kind: transport.KindNote, From: "s", To: "absent", State: "P"}
+	app := transport.Message{Kind: transport.KindApp, From: "s", To: "absent", Payload: []byte{1}}
+	drop := func() {
+		rt.handleTransportMessage(note)
+		rt.handleTransportMessage(app)
+	}
+	if got := testing.AllocsPerRun(100, drop); got != 0 {
+		t.Fatalf("dropping a remote note and app message allocates %v objects, want 0", got)
+	}
+	if got := dropped.Value(); got != 101 { // AllocsPerRun's warm-up call and 100 runs
+		t.Fatalf("DroppedNotifications reads %d after 101 dropped remote notes", got)
+	}
 }

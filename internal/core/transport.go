@@ -145,7 +145,12 @@ func (r *Runtime) handleTransportMessage(m transport.Message) {
 		target, live := r.nodes[m.To]
 		r.mu.Unlock()
 		if !live {
-			r.cfg.Logf("core: dropping remote notification %s->%s (%s): target not executing", m.From, m.To, m.State)
+			if om := r.om; om != nil {
+				om.DroppedNotifications.Inc()
+			}
+			if r.logging {
+				r.cfg.Logf("core: dropping remote notification %s->%s (%s): target not executing", m.From, m.To, m.State)
+			}
 			return
 		}
 		// Deliver on a fresh goroutine, exactly like the in-process
@@ -162,7 +167,9 @@ func (r *Runtime) handleTransportMessage(m transport.Message) {
 		target, live := r.nodes[m.To]
 		r.mu.Unlock()
 		if !live {
-			r.cfg.Logf("core: dropping remote app message %s->%s: target not executing", m.From, m.To)
+			if r.logging {
+				r.cfg.Logf("core: dropping remote app message %s->%s: target not executing", m.From, m.To)
+			}
 			return
 		}
 		payload, err := r.apps.decode(m.Payload)
@@ -299,10 +306,10 @@ func filterFromWire(op chaosOp) (simnet.Filter, error) {
 }
 
 // hasPeers reports whether the runtime's transport reaches other
-// endpoints.
+// endpoints: its peer table holds one besides the local peer's own.
 func (r *Runtime) hasPeers() bool {
 	tr := r.cfg.Transport
-	return tr != nil && len(tr.Topology().PeerNames()) > 0
+	return tr != nil && len(tr.Topology().Peers) > 1
 }
 
 // replicate applies a link mutation here and on every peer endpoint, so

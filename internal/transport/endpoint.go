@@ -34,7 +34,8 @@ type Endpoint interface {
 	// for inproc) — how an endpoint that listened on port 0 learns its
 	// real port.
 	Addr() string
-	// SetPeerAddr updates the address of one peer.
+	// SetPeerAddr rewrites the address of one peer the topology names; it
+	// never adds a peer.
 	SetPeerAddr(peer, addr string)
 	bind() error
 }
@@ -88,6 +89,7 @@ type endpoint struct {
 
 	mu    sync.Mutex // guards topo.Peers, bound, addr, and the wire's tables
 	topo  Topology
+	peers []string // topo.PeerNames(): the peer set is fixed at init
 	bound bool
 	addr  string
 }
@@ -96,7 +98,7 @@ func (e *endpoint) init(kind string, topo Topology, w wire) error {
 	if err := topo.Validate(); err != nil {
 		return err
 	}
-	e.kind, e.topo, e.wire = kind, topo, w
+	e.kind, e.topo, e.peers, e.wire = kind, topo, topo.PeerNames(), w
 	return nil
 }
 
@@ -142,8 +144,9 @@ func (e *endpoint) Addr() string {
 	return e.addr
 }
 
-// SetPeerAddr implements Endpoint. The wires cache routes by address, so
-// a rewired peer needs no invalidation.
+// SetPeerAddr implements Endpoint: it rewrites the address of a peer the
+// topology names and never adds a peer. The wires cache routes by
+// address, so a rewired peer needs no invalidation.
 func (e *endpoint) SetPeerAddr(peer, addr string) {
 	e.mu.Lock()
 	e.topo.Peers[peer] = addr
@@ -195,7 +198,7 @@ func (e *endpoint) SendPeer(peer string, m Message) error {
 // Broadcast implements Transport.
 func (e *endpoint) Broadcast(m Message) error {
 	var first error
-	for _, p := range e.topo.PeerNames() {
+	for _, p := range e.peers {
 		if err := e.SendPeer(p, m); err != nil && first == nil {
 			first = err
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/intern"
 )
 
 // Wire format of one frame body (shared by UDP datagrams and TCP frames):
@@ -17,7 +19,8 @@ import (
 // per datagram.
 
 // MaxFrame bounds a frame body. It keeps UDP bodies within a single
-// datagram and stops a corrupt TCP length prefix from allocating wildly.
+// datagram and sizes the buffer each read loop reads bodies into, so a
+// corrupt TCP length prefix cannot make a read loop allocate.
 const MaxFrame = 60 * 1024
 
 // Overhead is the number of bytes Marshal adds to m's payload: kind,
@@ -28,32 +31,47 @@ func Overhead(m Message) int {
 	return 1 + 8 + 5*2 + len(m.From) + len(m.FromHost) + len(m.To) + len(m.ToHost) + len(m.State) + 4
 }
 
-// Marshal encodes m into a frame body.
-func Marshal(m Message) ([]byte, error) {
-	strs := [5]string{m.From, m.FromHost, m.To, m.ToHost, m.State}
-	for _, s := range strs {
+// frameSize returns the size of m's frame body, or why it fits in none.
+func frameSize(m Message) (int, error) {
+	for _, s := range [5]string{m.From, m.FromHost, m.To, m.ToHost, m.State} {
 		if len(s) > 0xffff {
-			return nil, fmt.Errorf("transport: field of %d bytes exceeds string limit", len(s))
+			return 0, fmt.Errorf("transport: field of %d bytes exceeds string limit", len(s))
 		}
 	}
 	n := Overhead(m) + len(m.Payload)
 	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrame)
+		return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}
-	b := make([]byte, 0, n)
-	b = append(b, m.Kind)
-	b = binary.BigEndian.AppendUint64(b, m.Epoch)
-	for _, s := range strs {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-		b = append(b, s...)
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Payload)))
-	b = append(b, m.Payload...)
-	return b, nil
+	return n, nil
 }
 
-// Unmarshal decodes a frame body.
-func Unmarshal(b []byte) (Message, error) {
+// appendFrame appends the frame body of m, which frameSize accepts, to dst.
+func appendFrame(dst []byte, m Message) []byte {
+	dst = append(dst, m.Kind)
+	dst = binary.BigEndian.AppendUint64(dst, m.Epoch)
+	for _, s := range [5]string{m.From, m.FromHost, m.To, m.ToHost, m.State} {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
+		dst = append(dst, s...)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Payload)))
+	return append(dst, m.Payload...)
+}
+
+// Marshal encodes m into a frame body.
+func Marshal(m Message) ([]byte, error) {
+	n, err := frameSize(m)
+	if err != nil {
+		return nil, err
+	}
+	return appendFrame(make([]byte, 0, n), m), nil
+}
+
+// Unmarshal decodes a frame body. Nothing it returns aliases b.
+func Unmarshal(b []byte) (Message, error) { return decodeFrame(b, nil) }
+
+// decodeFrame decodes a frame body, reading its header strings through
+// names (a nil table copies each).
+func decodeFrame(b []byte, names *intern.Table) (Message, error) {
 	var m Message
 	if len(b) < 9 {
 		return m, fmt.Errorf("transport: frame truncated at header (%d bytes)", len(b))
@@ -61,8 +79,7 @@ func Unmarshal(b []byte) (Message, error) {
 	m.Kind = b[0]
 	m.Epoch = binary.BigEndian.Uint64(b[1:9])
 	b = b[9:]
-	fields := [5]*string{&m.From, &m.FromHost, &m.To, &m.ToHost, &m.State}
-	for _, f := range fields {
+	for _, f := range [5]*string{&m.From, &m.FromHost, &m.To, &m.ToHost, &m.State} {
 		if len(b) < 2 {
 			return m, fmt.Errorf("transport: frame truncated at string length")
 		}
@@ -71,7 +88,7 @@ func Unmarshal(b []byte) (Message, error) {
 		if len(b) < n {
 			return m, fmt.Errorf("transport: frame truncated at string body")
 		}
-		*f = string(b[:n])
+		*f = names.String(b[:n])
 		b = b[n:]
 	}
 	if len(b) < 4 {
@@ -88,30 +105,33 @@ func Unmarshal(b []byte) (Message, error) {
 	return m, nil
 }
 
-// WriteFrame writes one length-prefixed frame body to w (the TCP framing).
-func WriteFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+// frameReader is one read loop's decoder: the buffer it reads bodies into,
+// and a table of the header names it has returned, which repeat frame after
+// frame. Nothing it returns aliases buf: the payload is copied.
+type frameReader struct {
+	buf   []byte
+	names intern.Table
 }
 
-// ReadFrame reads one length-prefixed frame body from r.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+func newFrameReader() *frameReader { return &frameReader{buf: make([]byte, MaxFrame+1)} }
+
+// decode decodes the frame body b, typically a prefix of r.buf.
+func (r *frameReader) decode(b []byte) (Message, error) { return decodeFrame(b, &r.names) }
+
+// readFrame reads one length-prefixed body (the TCP framing) from src into
+// r.buf and decodes it; n is the body's length.
+func (r *frameReader) readFrame(src io.Reader) (m Message, n int, err error) {
+	if _, err = io.ReadFull(src, r.buf[:4]); err != nil {
+		return m, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: frame length %d exceeds limit %d", n, MaxFrame)
+	size := binary.BigEndian.Uint32(r.buf)
+	if size > MaxFrame {
+		return m, 0, fmt.Errorf("transport: frame length %d exceeds limit %d", size, MaxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	n = int(size)
+	if _, err = io.ReadFull(src, r.buf[:n]); err != nil {
+		return m, 0, err
 	}
-	return body, nil
+	m, err = r.decode(r.buf[:n])
+	return m, n, err
 }

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -8,8 +10,12 @@ import (
 // FuzzUnmarshalFrame feeds the frame decoder — the first thing every
 // socket read loop runs on bytes from the network — arbitrary input. It
 // must never panic, and whatever it accepts must survive a re-encode:
-// Unmarshal∘Marshal is the identity on messages.
+// Unmarshal∘Marshal is the identity on messages. A read loop's frame
+// reader, its names table warmed on the seed frames, decodes each input
+// to what Unmarshal does, error included, and returns nothing that
+// aliases the bytes it read.
 func FuzzUnmarshalFrame(f *testing.F) {
+	var seeds [][]byte
 	for _, m := range []Message{
 		{},
 		{Kind: KindNote, Epoch: 1, From: "black", To: "green", ToHost: "h2", State: "LEAD"},
@@ -22,11 +28,26 @@ func FuzzUnmarshalFrame(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(body)
+		seeds = append(seeds, body)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{KindApp, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Unmarshal(b)
+		var r frameReader
+		for _, s := range seeds {
+			if _, err := r.decode(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in := bytes.Clone(b)
+		got, gerr := r.decode(in)
+		for i := range in {
+			in[i] ^= 0xff
+		}
+		if fmt.Sprint(gerr) != fmt.Sprint(err) || !reflect.DeepEqual(got, m) {
+			t.Fatalf("a warm reader reads %+v (%v), Unmarshal %+v (%v)", got, gerr, m, err)
+		}
 		if err != nil {
 			return
 		}

@@ -31,8 +31,9 @@ func (n *InprocNet) Endpoint(topo Topology) (*Inproc, error) {
 }
 
 // Inproc is the in-process wire: a frame is delivered by direct function
-// call on the sender's goroutine — no serialization, no copy — which is
-// why inproc stays the fast default for single-process studies.
+// call on the sender's goroutine — no serialization, no copy: the handler
+// gets the sender's strings and payload — which is why inproc stays the
+// fast default for single-process studies.
 type Inproc struct {
 	endpoint
 	net *InprocNet

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -25,8 +26,9 @@ type TCP struct {
 }
 
 type tcpConn struct {
-	mu   sync.Mutex // serializes frame writes
+	mu   sync.Mutex // serializes frame writes; guards conn and buf
 	conn net.Conn
+	buf  []byte // the length-prefixed frame being written
 }
 
 // NewTCP creates an endpoint for topo.Local, listening on its peer-table
@@ -79,15 +81,15 @@ func (t *TCP) shut() {
 // concurrent sender's fresh redial is not torn down — and the write is
 // retried over a new dial once.
 func (t *TCP) send(_, addr string, m Message) (int, error) {
-	body, err := Marshal(m)
+	n, err := frameSize(m)
 	if err != nil {
 		return 0, err
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		var c *tcpConn
 		if c, err = t.peerConn(addr); err == nil {
-			if err = c.write(body); err == nil {
-				return len(body), nil
+			if err = c.write(m); err == nil {
+				return n, nil
 			}
 		}
 		t.dropConn(addr, c)
@@ -95,14 +97,18 @@ func (t *TCP) send(_, addr string, m Message) (int, error) {
 	return 0, err
 }
 
-// write sends one frame over the connection, serialized per peer.
-func (c *tcpConn) write(body []byte) error {
+// write sends m, which frameSize accepts, over the connection in one
+// Write of its length prefix and body, serialized per peer.
+func (c *tcpConn) write(m Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
 		return fmt.Errorf("transport: connection was torn down")
 	}
-	return WriteFrame(c.conn, body)
+	c.buf = appendFrame(append(c.buf[:0], 0, 0, 0, 0), m)
+	binary.BigEndian.PutUint32(c.buf, uint32(len(c.buf)-4))
+	_, err := c.conn.Write(c.buf)
+	return err
 }
 
 // peerConn returns the cached connection to addr, dialing a new one under
@@ -186,15 +192,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
+	r := newFrameReader()
 	for {
-		body, err := ReadFrame(conn)
+		m, n, err := r.readFrame(conn)
 		if err != nil {
-			return
+			return // closed, or the framing is broken: drop the connection
 		}
-		m, err := Unmarshal(body)
-		if err != nil {
-			return // framing is broken; drop the connection
-		}
-		t.deliver(m, len(body))
+		t.deliver(m, n)
 	}
 }

@@ -58,7 +58,9 @@ const (
 	KindSyncPong
 )
 
-// Message is one frame crossing the transport.
+// Message is one frame crossing the transport. A delivered frame's strings
+// may be shared with other frames, and its Payload is the handler's to keep
+// but not to write: inproc hands each receiver of a Broadcast one slice.
 type Message struct {
 	// Epoch is the experiment epoch the frame belongs to. Stamped by the
 	// transport at send time; frames from another epoch are dropped on
@@ -80,7 +82,7 @@ type Message struct {
 }
 
 // Handler receives inbound frames. It runs on the transport's read
-// goroutine: implementations must not block for long.
+// goroutine: implementations must not block for long, and may keep m.
 type Handler func(m Message)
 
 // Topology says who is where: this endpoint's peer name, every peer's

@@ -13,9 +13,11 @@ import (
 // loss").
 type UDP struct {
 	endpoint
-	conn  *net.UDPConn            // nil until bound
-	addrs map[string]*net.UDPAddr // resolved peer addresses, by address text
-	wg    sync.WaitGroup
+	conn    *net.UDPConn            // nil until bound
+	addrs   map[string]*net.UDPAddr // resolved peer addresses, by address text
+	wg      sync.WaitGroup
+	sendMu  sync.Mutex // guards sendBuf, the frame being sent
+	sendBuf []byte
 }
 
 // NewUDP creates an endpoint for topo.Local, listening on its peer-table
@@ -59,11 +61,13 @@ func (t *UDP) send(peer, raw string, m Message) (int, error) {
 		t.addrs[raw] = addr
 		t.mu.Unlock()
 	}
-	body, err := Marshal(m)
-	if err != nil {
+	if _, err := frameSize(m); err != nil {
 		return 0, err
 	}
-	return conn.WriteToUDP(body, addr)
+	t.sendMu.Lock()
+	defer t.sendMu.Unlock()
+	t.sendBuf = appendFrame(t.sendBuf[:0], m)
+	return conn.WriteToUDP(t.sendBuf, addr)
 }
 
 func (t *UDP) shut() {
@@ -78,13 +82,13 @@ func (t *UDP) shut() {
 
 func (t *UDP) readLoop(conn *net.UDPConn) {
 	defer t.wg.Done()
-	buf := make([]byte, MaxFrame+1)
+	r := newFrameReader()
 	for {
-		n, err := conn.Read(buf) // the sender's address is unused: no allocation for it
+		n, err := conn.Read(r.buf) // the sender's address is unused: no allocation for it
 		if err != nil {
 			return // closed
 		}
-		m, err := Unmarshal(buf[:n])
+		m, err := r.decode(r.buf[:n])
 		if err != nil {
 			continue // a damaged datagram is a lost datagram
 		}

@@ -1,10 +1,11 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/timeline"
@@ -22,7 +23,7 @@ func (m *Member) reference() string      { return m.ref }
 // context: the point name members label their lanes with and whether a
 // trace will be pulled for this experiment.
 func (m *Member) reset(point string, index int, traced bool) error {
-	m.align = make(map[string]memberAlign, len(m.tr.Topology().PeerNames()))
+	clear(m.align)
 	m.rt.ResetExperiment()
 	m.tr.SetEpoch(uint64(index) + 1)
 	msg := m.hello(index)
@@ -35,12 +36,12 @@ func (m *Member) reset(point string, index int, traced bool) error {
 // refuses. Passing it proves every member is up, listening, and running
 // this study.
 func (m *Member) barrier(msg clusterMsg) error {
-	acks, err := m.gather(opReset, msg, opResetOK, m.tr.Topology().PeerNames(), clusterAckTimeout, true)
+	acks, err := m.gather(opReset, msg, opResetOK, clusterAckTimeout, true)
 	if err != nil {
 		return fmt.Errorf("reset barrier: %w", err)
 	}
-	for _, peer := range sortedKeys(acks) {
-		if err := m.checkPeer(peer, acks[peer][0], nil); err != nil {
+	for i, peer := range m.peers {
+		if err := m.checkPeer(peer, acks[i][0], nil); err != nil {
 			return fmt.Errorf("reset barrier: %w", err)
 		}
 	}
@@ -55,18 +56,17 @@ func (m *Member) barrier(msg clusterMsg) error {
 // and collects the result frames. Our own runtime seals first so no
 // straggler restarts into a finished experiment.
 func (m *Member) execute(index int) (executed, error) {
-	peers := m.tr.Topology().PeerNames()
 	if err := m.startLocal(); err != nil {
 		return executed{}, err
 	}
 	clk, timeout := m.rt.Clock(), studyTimeout(m.st)
 	start := clk.Now()
 	var run executed
-	_, err := m.gather(opStart, clusterMsg{Index: index}, opStartOK, peers, timeout+clusterAckTimeout, true)
+	_, err := m.gather(opStart, clusterMsg{Index: index}, opStartOK, timeout+clusterAckTimeout, true)
 	if err == nil {
 		run.completed = m.rt.Wait(timeout)
-		var dones map[string][]clusterMsg
-		dones, err = m.gather("", clusterMsg{Index: index}, opDone, peers, timeout+clusterAckTimeout-clk.Since(start), true)
+		var dones [][]clusterMsg
+		dones, err = m.gather("", clusterMsg{Index: index}, opDone, timeout+clusterAckTimeout-clk.Since(start), true)
 		for _, d := range dones {
 			run.completed = run.completed && d[0].Completed
 		}
@@ -75,15 +75,15 @@ func (m *Member) execute(index int) (executed, error) {
 		run.completed = false // hung somewhere: abort, discard (§3.5.1)
 	}
 	m.rt.SealExperiment()
-	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, peers, clusterAckTimeout, true)
+	results, err := m.gather(opSeal, clusterMsg{Index: index}, opResult, clusterAckTimeout, true)
 	if err != nil {
 		return executed{}, err
 	}
 
 	run.locals = m.rt.Store().All()
 	run.outcomes = m.rt.Outcomes()
-	for _, peer := range sortedKeys(results) {
-		frames := results[peer]
+	for i, peer := range m.peers {
+		frames := results[i]
 		for _, f := range frames {
 			for k, v := range f.Outcomes {
 				run.outcomes[k] = v
@@ -105,8 +105,8 @@ func (m *Member) execute(index int) (executed, error) {
 			run.locals = append(run.locals, tl)
 		}
 	}
-	sort.Slice(run.locals, func(i, j int) bool { return run.locals[i].Owner < run.locals[j].Owner })
-	sort.Strings(run.lost)
+	slices.SortFunc(run.locals, func(a, b *timeline.Local) int { return cmp.Compare(a.Owner, b.Owner) })
+	slices.Sort(run.lost)
 	return run, nil
 }
 
@@ -120,7 +120,7 @@ func (m *Member) execute(index int) (executed, error) {
 // is logged, not fatal: members that are genuinely gone must not wedge a
 // resume that needs nothing from them.
 func (m *Member) flushMembers(index int) {
-	if len(m.tr.Topology().PeerNames()) == 0 {
+	if len(m.peers) == 0 {
 		return
 	}
 	if err := m.barrier(m.hello(index)); err != nil {

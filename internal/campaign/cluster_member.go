@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/transport"
@@ -28,16 +29,26 @@ type Member struct {
 	tr transport.Transport
 	rt *core.Runtime
 
-	peer    string   // this endpoint's peer name
-	fp      string   // studyFingerprint of (c, st): what the reset barrier compares
-	hosts   []string // all hosts, sorted (cluster-wide)
-	ref     string   // reference host (sorted-first, coordinator-local)
-	syncSeq int      // monotonic across mini-phases: a stale pong must never match
+	peer    string           // this endpoint's peer name
+	peers   []string         // the remote peers, sorted; the peer set is fixed
+	fp      string           // studyFingerprint of (c, st): what the reset barrier compares
+	hosts   []string         // all hosts, sorted (cluster-wide)
+	local   []spec.NodeEntry // the placement entries on hosts this member owns
+	ref     string           // reference host (sorted-first, coordinator-local)
+	syncSeq int              // monotonic across mini-phases: a stale pong must never match
 
 	// align is the coordinator's per-peer process-clock alignment for the
 	// current experiment: the min-RTT round's midpoint offset estimate,
-	// used to rebase merged member trace lanes. Reset each experiment.
+	// used to rebase merged member trace lanes. Cleared each experiment.
 	align map[string]memberAlign
+	// answers holds gather's frame sets, one per peer of peers, and pings
+	// sync's round trips; each is reused call to call.
+	answers [][]clusterMsg
+	pings   []syncPing
+	// names is the table control frames are decoded through. The member's
+	// protocol goroutine owns it: gather's on the coordinator, Serve's on
+	// every other member.
+	names intern.Table
 	// barriered records that some reset barrier completed: every member
 	// is known to be up and listening.
 	barriered bool
@@ -57,6 +68,14 @@ type Member struct {
 	inbox []transport.Message
 	quit  bool
 	wake  clock.Waiter
+
+	// sendMu guards sendBuf, which every control frame, sync ping and sync
+	// pong this member sends is encoded into; the transport only borrows
+	// it. Lock order: under Inproc a peer's hook runs on the sending
+	// goroutine and sends its pong under its own member's sendMu, never
+	// this one, and no member sends to itself.
+	sendMu  sync.Mutex
+	sendBuf []byte
 }
 
 // NewMember builds one endpoint's runtime for the study: the campaign
@@ -65,13 +84,17 @@ type Member struct {
 // attaches when the study carries action faults.
 func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) {
 	topo := tr.Topology()
+	peers := topo.PeerNames()
 	m := &Member{
-		c:     c,
-		st:    st,
-		tr:    tr,
-		peer:  topo.Local,
-		fp:    studyFingerprint(campaignFingerprint(c), st, st.Name),
-		inbox: make([]transport.Message, 0, 256),
+		c:       c,
+		st:      st,
+		tr:      tr,
+		peer:    topo.Local,
+		peers:   peers,
+		fp:      studyFingerprint(campaignFingerprint(c), st, st.Name),
+		align:   make(map[string]memberAlign, len(peers)),
+		answers: make([][]clusterMsg, len(peers)),
+		inbox:   make([]transport.Message, 0, 256),
 	}
 
 	cfg := c.Runtime
@@ -108,6 +131,9 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 	for _, e := range st.Placement {
 		if e.Host != "" {
 			placement[e.Nickname] = e.Host
+			if topo.Owner(e.Host) == m.peer {
+				m.local = append(m.local, e)
+			}
 		}
 	}
 	rt.SetPlacement(placement)
@@ -166,8 +192,7 @@ func (m *Member) hook(msg transport.Message) {
 		w.RemoteSend = int64(clk.Now())
 		w.ProcSend = m.rt.Clock().Now().UnixNano()
 		// ToHost says which remote clock answered.
-		err = m.tr.SendPeer(msg.From, transport.Message{Kind: transport.KindSyncPong, To: msg.From, ToHost: msg.ToHost, Payload: w.encode()})
-		if err != nil {
+		if err := m.sendSync(msg.From, transport.Message{Kind: transport.KindSyncPong, To: msg.From, ToHost: msg.ToHost}, w); err != nil {
 			m.rt.Logf("campaign: cluster %s: sync pong: %v", m.peer, err)
 		}
 		return
@@ -183,16 +208,9 @@ func (m *Member) hook(msg transport.Message) {
 // startLocal starts the auto-start nodes placed on hosts this member
 // owns, returning every failure joined.
 func (m *Member) startLocal() error {
-	topo := m.tr.Topology()
-	var local []spec.NodeEntry
-	for _, e := range m.st.Placement {
-		if e.Host != "" && topo.Owner(e.Host) == m.peer {
-			local = append(local, e)
-		}
-	}
-	m.rt.AddPlacement(local)
+	m.rt.AddPlacement(m.local)
 	var errs []error
-	for _, e := range local {
+	for _, e := range m.local {
 		if !e.AutoStart() {
 			continue
 		}
@@ -218,12 +236,14 @@ func (m *Member) hello(index int) clusterMsg {
 // names, since the payload's Peer cannot be read; any other decode error
 // refuses nothing — the frame is dropped like any damaged one.
 func (m *Member) checkPeer(peer string, cm clusterMsg, err error) error {
-	var wv *wireVersionError
-	switch {
-	case errors.As(err, &wv):
-		return m.versionRefusal(peer, wv.peerVersion())
-	case err != nil:
+	if err != nil { // tested first: errors.As's target escapes, so it costs an allocation
+		var wv *wireVersionError
+		if errors.As(err, &wv) {
+			return m.versionRefusal(peer, wv.peerVersion())
+		}
 		return nil
+	}
+	switch {
 	case cm.Version != protocolVersion:
 		return m.versionRefusal(peer, strconv.Itoa(cm.Version))
 	case cm.Fingerprint != m.fp:
@@ -238,23 +258,31 @@ func (m *Member) versionRefusal(peer, version string) error {
 	return fmt.Errorf("campaign: cluster %s: peer %s speaks protocol version %s, this endpoint version %d", m.peer, peer, version, protocolVersion)
 }
 
-// sendCtrl ships one protocol frame to a peer.
+// sendCtrl ships one protocol message op to a peer, encoded into sendBuf.
 func (m *Member) sendCtrl(peer, op string, msg clusterMsg) {
-	if err := m.tr.SendPeer(peer, ctrlFrame(m.peer, peer, op, msg)); err != nil {
+	msg.Peer = m.peer
+	m.sendMu.Lock()
+	m.sendBuf = msg.appendWire(m.sendBuf[:0])
+	err := m.tr.SendPeer(peer, transport.Message{Kind: transport.KindCtrl, From: m.peer, To: peer, State: op, Payload: m.sendBuf})
+	m.sendMu.Unlock()
+	if err != nil {
 		m.rt.Logf("campaign: cluster %s: sending %s to %s: %v", m.peer, op, peer, err)
 	}
 }
 
-// ctrlFrame is the frame of one protocol message op from peer from to
-// peer to.
-func ctrlFrame(from, to, op string, msg clusterMsg) transport.Message {
-	msg.Peer = from
-	return transport.Message{Kind: transport.KindCtrl, From: from, To: to, State: op, Payload: msg.encode()}
+// sendSync ships the sync ping or pong frame carrying w to a peer, encoded
+// into sendBuf.
+func (m *Member) sendSync(peer string, frame transport.Message, w syncWire) error {
+	m.sendMu.Lock()
+	defer m.sendMu.Unlock()
+	m.sendBuf = w.appendTo(m.sendBuf[:0])
+	frame.Payload = m.sendBuf
+	return m.tr.SendPeer(peer, frame)
 }
 
 // broadcastCtrl ships one protocol frame to every peer.
 func (m *Member) broadcastCtrl(op string, msg clusterMsg) {
-	for _, p := range m.tr.Topology().PeerNames() {
+	for _, p := range m.peers {
 		m.sendCtrl(p, op, msg)
 	}
 }
@@ -301,7 +329,7 @@ func (m *Member) Serve(ctx context.Context) error {
 		if err != nil {
 			return refused
 		}
-		cm, err := decodeClusterMsg(msg.Payload)
+		cm, err := decodeClusterMsg(msg.Payload, &m.names)
 		if refused == nil && msg.State == opReset {
 			refused = m.checkPeer(msg.From, cm, err)
 		}

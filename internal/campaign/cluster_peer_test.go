@@ -123,7 +123,7 @@ func TestClusterVersionMismatchFailsFast(t *testing.T) {
 			// The peer acknowledges every reset, as it always did.
 			err := tb.Start(func(m transport.Message) {
 				if m.State == opReset {
-					cm, _ := decodeClusterMsg(m.Payload)
+					cm, _ := decodeClusterMsg(m.Payload, nil)
 					tb.SendPeer("a", build.frame("b", "a", opResetOK, clusterMsg{Index: cm.Index, Fingerprint: coordinator.fp}))
 				}
 			})
@@ -143,7 +143,7 @@ func TestClusterVersionMismatchFailsFast(t *testing.T) {
 			member := pairMember(t, stepCampaign(t, 1, 1), tb)
 			acks := make(chan clusterMsg, 1)
 			err := ta.Start(func(m transport.Message) {
-				if cm, err := decodeClusterMsg(m.Payload); err == nil && m.State == opResetOK {
+				if cm, err := decodeClusterMsg(m.Payload, nil); err == nil && m.State == opResetOK {
 					acks <- cm
 				}
 			})
@@ -366,7 +366,7 @@ func TestDoneWaitBoundedFromStart(t *testing.T) {
 	}
 	var doneOnce sync.Once
 	err := tb.Start(func(msg transport.Message) {
-		cm, err := decodeClusterMsg(msg.Payload)
+		cm, err := decodeClusterMsg(msg.Payload, nil)
 		if err != nil {
 			return
 		}

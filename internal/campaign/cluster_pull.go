@@ -12,19 +12,19 @@ import (
 // skipped.
 
 // pullDocs gathers every peer's chunked answer to a pull op and
-// reassembles each into its one document.
-func (m *Member) pullDocs(index int, op, respOp string) (map[string]string, error) {
-	results, err := m.gather(op, clusterMsg{Index: index}, respOp, m.tr.Topology().PeerNames(), clusterAckTimeout, true)
+// reassembles each into its one document, indexed like m.peers.
+func (m *Member) pullDocs(index int, op, respOp string) ([]string, error) {
+	results, err := m.gather(op, clusterMsg{Index: index}, respOp, clusterAckTimeout, true)
 	if err != nil {
 		return nil, err
 	}
-	docs := make(map[string]string, len(results))
-	for peer, frames := range results {
+	docs := make([]string, len(results))
+	for i, frames := range results {
 		d, err := joinDocs(frames)
 		if err != nil {
 			return nil, err
 		}
-		docs[peer] = d[0]
+		docs[i] = d[0]
 	}
 	return docs, nil
 }
@@ -41,8 +41,8 @@ func (m *Member) mergeLanes(index int, tr *obs.Trace) {
 		m.c.Obs.Logf(obs.Warn, "campaign", "cluster %s: collecting member traces: %v", m.peer, err)
 		return
 	}
-	for _, peer := range sortedKeys(docs) {
-		mt, err := obs.DecodeTraceString(docs[peer])
+	for i, peer := range m.peers {
+		mt, err := obs.DecodeTraceString(docs[i])
 		if err != nil {
 			m.c.Obs.Logf(obs.Warn, "campaign", "cluster %s: decoding %s trace: %v", m.peer, peer, err)
 			continue
@@ -76,12 +76,12 @@ func (m *Member) pullMemberMetrics(index int) {
 		m.c.Obs.Logf(obs.Warn, "campaign", "cluster %s: pulling member metrics: %v", m.peer, err)
 		return
 	}
-	for _, peer := range sortedKeys(docs) {
-		if docs[peer] == "" {
+	for i, peer := range m.peers {
+		if docs[i] == "" {
 			continue // the member runs without a registry
 		}
 		var snap obs.Snapshot
-		if err := json.Unmarshal([]byte(docs[peer]), &snap); err != nil {
+		if err := json.Unmarshal([]byte(docs[i]), &snap); err != nil {
 			m.c.Obs.Logf(obs.Warn, "campaign", "cluster %s: decoding %s metrics: %v", m.peer, peer, err)
 			continue
 		}

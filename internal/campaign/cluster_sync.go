@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -64,14 +65,16 @@ func (m *Member) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessag
 	// reference stamps (which would fabricate a negative transit and
 	// wrongly discard the experiment).
 	topo := m.tr.Topology()
-	pings := make([]syncPing, 0, len(m.hosts))
+	pings := m.pings[:0]
 	for _, host := range m.hosts {
 		if peer := topo.Owner(host); peer != m.peer {
 			pings = append(pings, syncPing{host: host, peer: peer, mm: m.c.Obs.MemberMetrics(peer)})
 		}
 	}
+	m.pings = pings
 	tm := m.c.Obs.TransportMetrics(m.tr.Name())
 	proc := m.rt.Clock()
+	msgs = slices.Grow(msgs, 2*len(pings)*cfg.Messages) // every round trip's stamp pair
 	for i := 0; i < cfg.Messages && len(pings) > 0; i++ {
 		if i > 0 {
 			clock.SpinWait(proc, cfg.Spacing)
@@ -85,8 +88,8 @@ func (m *Member) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessag
 			}
 			p.procSend = proc.Now()
 			p.refSend = refClock.Now()
-			ping := transport.Message{Kind: transport.KindSyncPing, From: m.peer, ToHost: p.host, Payload: syncWire{Seq: p.seq}.encode()}
-			if err := m.tr.SendHost(p.host, ping); err != nil {
+			ping := transport.Message{Kind: transport.KindSyncPing, From: m.peer, ToHost: p.host}
+			if err := m.sendSync(p.peer, ping, syncWire{Seq: p.seq}); err != nil {
 				return dst, fmt.Errorf("campaign: sync ping to %q: %w", p.host, err)
 			}
 		}

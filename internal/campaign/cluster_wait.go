@@ -1,9 +1,12 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/clock"
@@ -65,22 +68,18 @@ func (m *Member) recv(until time.Time, quit bool) (transport.Message, error) {
 // Seq/Total-numbered set for chunked results. An empty op sends nothing:
 // the answer is a report its sender repeats on its own (done, see
 // reportDone). A loss-free run sends each instruction once. It returns the
-// sets in Seq order, or an error once limit has passed or, when quit is
-// set, the member quit. A respOp frame from one of peers whose payload is
-// in another layout fails the wait at once with checkPeer's refusal: its
-// sender speaks another protocol version, which no re-send can mend.
-func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string, limit time.Duration, quit bool) (map[string][]clusterMsg, error) {
-	got := make(map[string]map[int]clusterMsg, len(peers))
-	for _, p := range peers {
-		got[p] = make(map[int]clusterMsg)
-	}
-	pending := func() bool {
-		for _, fr := range got {
-			if !complete(fr) {
-				return true
-			}
-		}
-		return false
+// sets indexed like m.peers, each in Seq order (a frame whose Seq the set
+// holds replaces it), or an error once limit has passed or, when quit is
+// set, the member quit. The sets live in arrays the next gather reuses:
+// every caller is done with them before it gathers again. A respOp frame
+// from a peer whose payload is in another layout fails the wait at once
+// with checkPeer's refusal: its sender speaks another protocol version,
+// which no re-send can mend.
+func (m *Member) gather(op string, msg clusterMsg, respOp string, limit time.Duration, quit bool) ([][]clusterMsg, error) {
+	sets := m.answers
+	for i := range sets {
+		clear(sets[i]) // drop the last gather's frames; their documents may be large
+		sets[i] = sets[i][:0]
 	}
 	tm := m.c.Obs.TransportMetrics(m.tr.Name())
 	clk := m.rt.Clock()
@@ -88,18 +87,18 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 	if op != "" {
 		m.broadcastCtrl(op, msg)
 	}
-	for pending() {
+	for !allComplete(sets) {
 		in, err := m.recv(tick, quit)
 		switch {
 		case errors.Is(err, errMemberQuit):
 			return nil, fmt.Errorf("awaiting %s: %w", respOp, err)
 		case err != nil && !clk.Now().Before(deadline):
-			return nil, fmt.Errorf("timed out awaiting %s (frames so far %v)", respOp, frameCounts(got))
+			return nil, fmt.Errorf("timed out awaiting %s (frames so far: %s)", respOp, m.frameCounts(sets))
 		case err != nil: // the retry tick
 			tick = clk.Now().Add(clusterRetry)
 			resent := false
-			for _, p := range peers {
-				if op != "" && !complete(got[p]) {
+			for i, p := range m.peers {
+				if op != "" && !complete(sets[i]) {
 					m.sendCtrl(p, op, msg)
 					resent = true
 				}
@@ -108,30 +107,76 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, peers []string
 				tm.Retries.Inc()
 			}
 		case in.State == respOp:
-			cm, err := decodeClusterMsg(in.Payload)
-			if _, ok := got[in.From]; ok && err != nil && errors.As(err, new(*wireVersionError)) {
-				return nil, m.checkPeer(in.From, cm, err)
-			}
-			if fr, ok := got[cm.Peer]; ok && err == nil && cm.Index == msg.Index {
-				fr[cm.Seq] = cm
+			cm, err := decodeClusterMsg(in.Payload, &m.names)
+			switch {
+			case err != nil:
+				if m.peerIndex(in.From) >= 0 && errors.As(err, new(*wireVersionError)) {
+					return nil, m.checkPeer(in.From, cm, err)
+				}
+			case cm.Index == msg.Index:
+				if i := m.peerIndex(cm.Peer); i >= 0 {
+					sets[i] = addFrame(sets[i], cm)
+				}
 			}
 		}
 	}
-	return framesBySeq(got), nil
+	return sets, nil
+}
+
+// peerIndex is peer's index in m.peers, or -1 for a peer that is not one.
+func (m *Member) peerIndex(peer string) int {
+	if i, ok := slices.BinarySearch(m.peers, peer); ok {
+		return i
+	}
+	return -1
+}
+
+// addFrame puts f into set, which is in Seq order, in its place; a frame of
+// the same Seq is replaced.
+func addFrame(set []clusterMsg, f clusterMsg) []clusterMsg {
+	i, found := slices.BinarySearchFunc(set, f.Seq, func(e clusterMsg, seq int) int { return cmp.Compare(e.Seq, seq) })
+	if found {
+		set[i] = f
+		return set
+	}
+	return slices.Insert(set, i, f)
 }
 
 // complete reports whether one peer's frame set has arrived whole: at
 // least one frame, and as many as its frames' Total says.
-func complete(fr map[int]clusterMsg) bool {
-	if len(fr) == 0 {
+func complete(set []clusterMsg) bool {
+	if len(set) == 0 {
 		return false
 	}
-	for _, f := range fr {
-		if len(fr) < f.Total {
+	for i := range set {
+		if len(set) < set[i].Total {
 			return false
 		}
 	}
 	return true
+}
+
+// allComplete reports whether every peer's frame set is complete.
+func allComplete(sets [][]clusterMsg) bool {
+	for _, set := range sets {
+		if !complete(set) {
+			return false
+		}
+	}
+	return true
+}
+
+// frameCounts says, for a timeout's diagnosis, how many frames each peer
+// has sent.
+func (m *Member) frameCounts(sets [][]clusterMsg) string {
+	var b []byte
+	for i, p := range m.peers {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(append(append(b, p...), ' '), int64(len(sets[i])), 10)
+	}
+	return string(b)
 }
 
 // collectPongs waits for one sync round's pongs, one per ping of round,
@@ -205,5 +250,5 @@ func (m *Member) reportDone(coordinator string, index int) (stop clock.Waiter) {
 // direct Quit escape hatch; a real lokid member additionally quits on
 // SIGINT.)
 func (m *Member) stopCluster() {
-	_, _ = m.gather(opStop, clusterMsg{}, opStopOK, m.tr.Topology().PeerNames(), clusterStopTimeout, false)
+	_, _ = m.gather(opStop, clusterMsg{}, opStopOK, clusterStopTimeout, false)
 }

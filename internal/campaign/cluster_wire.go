@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/intern"
 	"repro/internal/timeline"
 	"repro/internal/transport"
 )
@@ -165,9 +167,9 @@ func (e *wireVersionError) peerVersion() string {
 	return strconv.Itoa(e.Version)
 }
 
-// encode returns cm's payload in one allocation of exactly its size. The
-// buffer is never reused: the inproc wire hands the payload itself to the
-// peer, whose mailbox may still hold it when the next frame is encoded.
+// encode returns cm's payload in one allocation of exactly its size. A
+// member sends through appendWire into a buffer it owns (Member.sendCtrl);
+// encode serves the tests.
 func (cm *clusterMsg) encode() []byte { return cm.appendWire(make([]byte, 0, cm.wireSize())) }
 
 // wireSize is the length of cm's payload.
@@ -189,7 +191,13 @@ func (cm *clusterMsg) appendWire(b []byte) []byte {
 	b = appendWireString(b, cm.Peer)
 	b = appendWireBool(b, cm.Completed)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(cm.Outcomes)))
-	for _, k := range sortedKeys(cm.Outcomes) {
+	var stack [8]string // the keys of a typical frame sort without allocating
+	keys := stack[:0]
+	for k := range cm.Outcomes {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		b = appendWireString(b, k)
 		b = appendWireString(b, cm.Outcomes[k])
 	}
@@ -207,14 +215,16 @@ func (cm *clusterMsg) appendWire(b []byte) []byte {
 	return appendWireBool(b, cm.TraceOn)
 }
 
-// decodeClusterMsg decodes a payload written by clusterMsg.encode. The
-// strings are copied out of b, so the message never aliases the frame.
-func decodeClusterMsg(b []byte) (clusterMsg, error) {
+// decodeClusterMsg decodes a payload written by clusterMsg.appendWire. The
+// strings never alias b: Peer, Fingerprint and Point, which repeat frame
+// after frame, are read through names (a nil table copies them), and the
+// rest are copied.
+func decodeClusterMsg(b []byte, names *intern.Table) (clusterMsg, error) {
 	r := wireReader{b: b}
 	r.header()
 	var cm clusterMsg
 	cm.Index = int(r.int())
-	cm.Peer = r.string()
+	cm.Peer = r.name(names)
 	cm.Completed = r.bool()
 	if n := r.count(8); n > 0 {
 		cm.Outcomes = make(map[string]string, n)
@@ -238,8 +248,8 @@ func decodeClusterMsg(b []byte) (clusterMsg, error) {
 	cm.Seq = int(r.int())
 	cm.Total = int(r.int())
 	cm.Version = int(r.int())
-	cm.Fingerprint = r.string()
-	cm.Point = r.string()
+	cm.Fingerprint = r.name(names)
+	cm.Point = r.name(names)
 	cm.TraceOn = r.bool()
 	if err := r.end(); err != nil {
 		return clusterMsg{}, err
@@ -247,10 +257,12 @@ func decodeClusterMsg(b []byte) (clusterMsg, error) {
 	return cm, nil
 }
 
-// encode returns w's payload in one allocation, never reused (see
-// clusterMsg.encode).
-func (w syncWire) encode() []byte {
-	b := appendWireHeader(make([]byte, 0, syncWireSize))
+// encode returns w's payload in one allocation (see clusterMsg.encode).
+func (w syncWire) encode() []byte { return w.appendTo(make([]byte, 0, syncWireSize)) }
+
+// appendTo appends w's payload to b.
+func (w syncWire) appendTo(b []byte) []byte {
+	b = appendWireHeader(b)
 	b = appendWireInt(b, int64(w.Seq))
 	b = appendWireInt(b, w.RemoteRecv)
 	b = appendWireInt(b, w.RemoteSend)
@@ -258,7 +270,7 @@ func (w syncWire) encode() []byte {
 	return appendWireInt(b, w.ProcSend)
 }
 
-// decodeSyncWire decodes a payload written by syncWire.encode, allocating
+// decodeSyncWire decodes a payload written by syncWire.appendTo, allocating
 // nothing unless it fails.
 func decodeSyncWire(b []byte) (syncWire, error) {
 	r := wireReader{b: b}
@@ -361,6 +373,12 @@ func (r *wireReader) string() string {
 	return string(r.next(int(n)))
 }
 
+// name reads a length-prefixed string through names.
+func (r *wireReader) name(names *intern.Table) string {
+	n := r.u32()
+	return names.String(r.next(int(n)))
+}
+
 // count reads a collection's length, failing when its items, each at
 // least itemSize bytes, could not fit in what remains.
 func (r *wireReader) count(itemSize int) int {
@@ -382,7 +400,7 @@ func (r *wireReader) end() error {
 
 // docRoom is how many bytes of Doc fit in one op frame from -> to beside
 // the rest of cm: transport.MaxFrame less the frame header and the
-// encoded size of every other field (ctrlFrame sets Peer to from). Seq
+// encoded size of every other field (sendCtrl sets Peer to from). Seq
 // and Total are fixed-width, so the room is the same for every frame of a
 // set.
 func docRoom(from, to, op string, cm clusterMsg) int {
@@ -484,31 +502,6 @@ func resultFrames(logf func(string, ...interface{}), from, to string, index int,
 		frames[i].Dropped = dropped
 	}
 	return numberFrames(frames)
-}
-
-// framesBySeq orders each peer's collected frame set.
-func framesBySeq(got map[string]map[int]clusterMsg) map[string][]clusterMsg {
-	out := make(map[string][]clusterMsg, len(got))
-	for p, fr := range got {
-		seqs := make([]int, 0, len(fr))
-		for s := range fr {
-			seqs = append(seqs, s)
-		}
-		sort.Ints(seqs)
-		for _, s := range seqs {
-			out[p] = append(out[p], fr[s])
-		}
-	}
-	return out
-}
-
-// frameCounts summarises a partial collection for timeout diagnostics.
-func frameCounts(got map[string]map[int]clusterMsg) map[string]int {
-	out := make(map[string]int, len(got))
-	for p, fr := range got {
-		out[p] = len(fr)
-	}
-	return out
 }
 
 // sortedKeys returns a peer-keyed map's keys in order, so merges and

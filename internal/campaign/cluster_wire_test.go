@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/intern"
 	"repro/internal/transport"
 )
 
@@ -28,6 +29,13 @@ func gobRoundTrip[T any](t *testing.T, v T) T {
 		t.Fatalf("gob reference: decoding %+v: %v", v, err)
 	}
 	return back
+}
+
+// ctrlFrame is the frame of one protocol message op from peer from to peer
+// to, as Member.sendCtrl sends it, in a fresh payload.
+func ctrlFrame(from, to, op string, msg clusterMsg) transport.Message {
+	msg.Peer = from
+	return transport.Message{Kind: transport.KindCtrl, From: from, To: to, State: op, Payload: msg.encode()}
 }
 
 // wireGen draws field values from fuzz input; every draw past its end is
@@ -141,7 +149,7 @@ func FuzzDecodeClusterWire(f *testing.F) {
 		at, to := int(g.byte())<<8|int(g.byte()), g.byte()%4 // one byte edit, below
 		cm := g.clusterMsg()
 		enc := cm.encode()
-		got, err := decodeClusterMsg(enc)
+		got, err := decodeClusterMsg(enc, nil)
 		if err != nil {
 			t.Fatalf("%+v does not decode: %v", cm, err)
 		}
@@ -176,7 +184,7 @@ func FuzzDecodeClusterWire(f *testing.F) {
 // back to exactly b.
 func canonical(t *testing.T, b []byte) {
 	t.Helper()
-	if cm, err := decodeClusterMsg(b); err == nil {
+	if cm, err := decodeClusterMsg(b, nil); err == nil {
 		if again := cm.encode(); !bytes.Equal(again, b) {
 			t.Fatalf("clusterMsg %+v decoded from %x encodes as %x", cm, b, again)
 		}
@@ -193,10 +201,11 @@ var mapSink map[string]string
 
 // TestClusterWireAllocs pins what the codec allocates, a tier-1 budget
 // like the study budgets: encoding is one allocation of the payload's
-// exact size, a sync stamp decodes with none, and a message decodes
-// allocating only its strings (each copied out of the frame) and its
-// outcome map. Under gob a syncWire cost 20 allocations to encode and 167
-// to decode, and a startok-sized clusterMsg 23 and 217.
+// exact size, and none into a warm buffer (the member's send path); a sync
+// stamp decodes with none, and a message decodes allocating only its
+// strings (each copied out of the frame, or none for names a warm table
+// holds) and its outcome map. Under gob a syncWire cost 20 allocations to
+// encode and 167 to decode, and a startok-sized clusterMsg 23 and 217.
 func TestClusterWireAllocs(t *testing.T) {
 	budget := func(name string, want float64, run func()) {
 		t.Helper()
@@ -225,8 +234,14 @@ func TestClusterWireAllocs(t *testing.T) {
 	}
 	budget("startok encode", 1, func() { sb = startok.encode() })
 	budget("startok decode", 1, func() { // Peer
-		if _, err := decodeClusterMsg(sb); err != nil {
+		if _, err := decodeClusterMsg(sb, nil); err != nil {
 			t.Fatal(err)
+		}
+	})
+	var names intern.Table
+	budget("startok decode, warm table", 0, func() {
+		if got, err := decodeClusterMsg(sb, &names); err != nil || got.Peer != startok.Peer {
+			t.Fatalf("decoded %+v, %v", got, err)
 		}
 	})
 
@@ -235,6 +250,21 @@ func TestClusterWireAllocs(t *testing.T) {
 	rb := result.encode()
 	if len(rb) != result.wireSize() {
 		t.Fatalf("payload is %d bytes, wireSize says %d", len(rb), result.wireSize())
+	}
+	buf := make([]byte, 0, 256)
+	for _, c := range []struct {
+		name string
+		add  func([]byte) []byte
+		want []byte
+	}{
+		{"syncWire appendTo", w.appendTo, wb},
+		{"startok appendWire", startok.appendWire, sb},
+		{"result appendWire", result.appendWire, rb},
+	} {
+		budget(c.name+", warm buffer", 0, func() { buf = c.add(buf[:0]) })
+		if !bytes.Equal(buf, c.want) {
+			t.Errorf("%s: %x, encode gives %x", c.name, buf, c.want)
+		}
 	}
 	mapAllocs := testing.AllocsPerRun(100, func() {
 		m := make(map[string]string, len(outcomes))
@@ -245,7 +275,7 @@ func TestClusterWireAllocs(t *testing.T) {
 	})
 	strs := float64(2 + 2*len(outcomes)) // Peer, Doc, each key and value
 	budget("result decode", strs+mapAllocs, func() {
-		if _, err := decodeClusterMsg(rb); err != nil {
+		if _, err := decodeClusterMsg(rb, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -84,17 +84,16 @@ func (h *Handle) sendRemote(to, toHost string, payload interface{}) {
 	if fate.Payload != nil {
 		payload = fate.Payload
 	}
-	nick := h.Nickname()
-	send := func() {
-		for c := 0; c <= fate.Copies; c++ {
-			rt.sendRemoteApp(nick, fromHost, to, toHost, payload)
-		}
-	}
+	nick, copies := h.Nickname(), fate.Copies
 	if fate.Delay > 0 {
-		rt.ExpAfterFunc(fate.Delay.Duration(), send)
+		// The closure is made only here: the undelayed send allocates none.
+		delayed := payload
+		rt.ExpAfterFunc(fate.Delay.Duration(), func() {
+			rt.sendRemoteApp(nick, fromHost, to, toHost, delayed, copies)
+		})
 		return
 	}
-	send()
+	rt.sendRemoteApp(nick, fromHost, to, toHost, payload, copies)
 }
 
 // deliver places a message in the handle's inbox, non-blocking, and wakes

@@ -20,10 +20,11 @@ import (
 // value; a cached X must begin with the primed id, so no frame teaches a
 // primed decoder a type; any failure drops the entry and decodes fresh.
 type appCodec struct {
-	encMu sync.Mutex
-	enc   map[reflect.Type]*primedGob // nil: the fresh path
-	decMu sync.Mutex
-	dec   map[string]*primedGob // by P
+	encMu   sync.Mutex
+	enc     map[reflect.Type]*primedGob // nil: the fresh path
+	sendBuf []byte                      // the payload being sent (send)
+	decMu   sync.Mutex
+	dec     map[string]*primedGob // by P
 }
 
 const appCodecEntries = 16 // per side; a type or prefix beyond it goes fresh
@@ -33,16 +34,38 @@ type primedGob struct {
 	buf    bytes.Buffer // the encoder's output; the decoder's input
 	enc    *gob.Encoder
 	dec    *gob.Decoder
-	prefix []byte // P (encoder)
-	head   []byte // H
-	id     uint64 // T's id, the non-negative gob int that begins X (decoder)
+	prefix []byte     // P (encoder)
+	env    appPayload // the envelope being encoded, passed by pointer (encoder)
+	head   []byte     // H
+	id     uint64     // T's id, the non-negative gob int that begins X (decoder)
 }
 
-// encode returns v's frame payload in a fresh slice (inproc hands it over).
+// encode returns v's frame payload in a fresh slice.
 func (c *appCodec) encode(v interface{}) ([]byte, error) {
-	t := reflect.TypeOf(v)
 	c.encMu.Lock()
 	defer c.encMu.Unlock()
+	return c.appendPayload(nil, v)
+}
+
+// send encodes v's frame payload into a buffer c owns and, under encMu,
+// hands it to send, which must not keep it: a transport only borrows a
+// payload. It returns the encoding error, having sent nothing.
+func (c *appCodec) send(v interface{}, send func(payload []byte)) error {
+	c.encMu.Lock()
+	defer c.encMu.Unlock()
+	b, err := c.appendPayload(c.sendBuf[:0], v)
+	if err != nil {
+		return err
+	}
+	c.sendBuf = b
+	send(b)
+	return nil
+}
+
+// appendPayload appends v's frame payload to b; a nil b gets a slice of its
+// own. c.encMu is held.
+func (c *appCodec) appendPayload(b []byte, v interface{}) ([]byte, error) {
+	t := reflect.TypeOf(v)
 	e, known := c.enc[t]
 	if !known && len(c.enc) < appCodecEntries {
 		if c.enc == nil {
@@ -52,12 +75,19 @@ func (c *appCodec) encode(v interface{}) ([]byte, error) {
 		c.enc[t] = e
 	}
 	if e != nil {
-		if b, ok := e.frame(v); ok {
-			return b, nil
+		if out, ok := e.appendFrame(b, v); ok {
+			return out, nil
 		}
 		delete(c.enc, t)
 	}
-	return transport.EncodePayload(appPayload{V: v})
+	fresh, err := transport.EncodePayload(appPayload{V: v})
+	switch {
+	case err != nil:
+		return b, err
+	case b == nil:
+		return fresh, nil
+	}
+	return append(b, fresh...), nil
 }
 
 func primeEncoder(v interface{}) *primedGob {
@@ -69,21 +99,29 @@ func primeEncoder(v interface{}) *primedGob {
 	fresh := bytes.Clone(e.buf.Bytes())
 	last, _, head, ok := splitFrame(fresh)
 	e.prefix, e.head = fresh[:last], head
-	if b, same := e.frame(v); !ok || !same || !bytes.Equal(b, fresh) {
+	if b, same := e.appendFrame(nil, v); !ok || !same || !bytes.Equal(b, fresh) {
 		return nil
 	}
 	return e
 }
 
-// frame encodes v, whose type e has sent, as P + uint(len X) + X.
-func (e *primedGob) frame(v interface{}) ([]byte, bool) {
+// appendFrame appends v, whose type e has sent, to b as P + uint(len X) + X.
+func (e *primedGob) appendFrame(b []byte, v interface{}) ([]byte, bool) {
 	e.buf.Reset()
-	if e.enc.Encode(appPayload{V: v}) != nil {
-		return nil, false
+	e.env.V = v // gob sends what a pointer points to, and boxing the pointer allocates nothing
+	err := e.enc.Encode(&e.env)
+	e.env.V = nil
+	if err != nil {
+		return b, false
 	}
 	_, w, _ := gobUint(e.buf.Bytes())
 	x := e.buf.Bytes()[w+len(e.head):]
-	b := appendGobUint(append(make([]byte, 0, len(e.prefix)+9+len(x)), e.prefix...), uint64(len(x)))
+	if n := len(e.prefix) + 9 + len(x); cap(b)-len(b) < n {
+		// Not slices.Grow, whose append of a make costs two allocations
+		// under -race.
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
+	b = appendGobUint(append(b, e.prefix...), uint64(len(x)))
 	return append(b, x...), true
 }
 

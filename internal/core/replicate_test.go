@@ -1,20 +1,25 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
-// tap records every frame a runtime hands its endpoint.
+// tap records every frame a runtime hands its endpoint. A sender only
+// lends a payload (transport.Transport), so the tap keeps a copy.
 type tap struct {
 	transport.Transport
 	mu     sync.Mutex
@@ -22,6 +27,7 @@ type tap struct {
 }
 
 func (p *tap) record(m transport.Message) {
+	m.Payload = bytes.Clone(m.Payload)
 	p.mu.Lock()
 	p.frames = append(p.frames, m)
 	p.mu.Unlock()
@@ -358,5 +364,26 @@ func TestRemoteDropCountedWithoutLogging(t *testing.T) {
 	}
 	if got := dropped.Value(); got != 101 { // AllocsPerRun's warm-up call and 100 runs
 		t.Fatalf("DroppedNotifications reads %d after 101 dropped remote notes", got)
+	}
+}
+
+// TestAddPlacementKeepsRemoteNicknames: handing AddPlacement the entries it
+// already holds, as every experiment does, keeps the cached remote-nickname
+// list; an entry that moves a node to another endpoint's host rebuilds it.
+func TestAddPlacementKeepsRemoteNicknames(t *testing.T) {
+	p := newEndpointPair(t)
+	entries := []spec.NodeEntry{{Nickname: "a", Host: "h1"}, {Nickname: "b", Host: "h2"}}
+	p.a.AddPlacement(entries)
+	first := p.a.remoteNicknames()
+	if !slices.Equal(first, []string{"b"}) {
+		t.Fatalf("remote nicknames %q, want [b]", first)
+	}
+	p.a.AddPlacement(entries)
+	if again := p.a.remoteNicknames(); unsafe.SliceData(again) != unsafe.SliceData(first) {
+		t.Fatal("the same entries again rebuilt the remote-nickname list")
+	}
+	p.a.AddPlacement([]spec.NodeEntry{{Nickname: "a", Host: "h2"}})
+	if moved := p.a.remoteNicknames(); !slices.Equal(moved, []string{"a", "b"}) {
+		t.Fatalf("after a moved to h2: remote nicknames %q, want [a b]", moved)
 	}
 }

@@ -51,16 +51,18 @@ func (r *Runtime) SetPlacement(placement map[string]string) {
 	r.remoteNicks, r.remoteNicksOK = nil, false
 }
 
-// AddPlacement merges node-file entries into the placement map.
+// AddPlacement merges node-file entries into the placement map. The
+// remote-nickname cache is dropped only when an entry changes it: callers
+// hand the same entries in every experiment.
 func (r *Runtime) AddPlacement(entries []spec.NodeEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range entries {
-		if e.Host != "" {
+		if e.Host != "" && r.placement[e.Nickname] != e.Host {
 			r.placement[e.Nickname] = e.Host
+			r.remoteNicks, r.remoteNicksOK = nil, false
 		}
 	}
-	r.remoteNicks, r.remoteNicksOK = nil, false
 }
 
 // Transport returns the runtime's transport endpoint (nil when the
@@ -214,24 +216,28 @@ func (r *Runtime) sendRemoteNote(host string, note stateNote, to string) {
 	}
 }
 
-// sendRemoteApp ships an application-bus message to the endpoint owning
-// toHost. The payload was already shaped by the local interposition layer.
-func (r *Runtime) sendRemoteApp(fromNick, fromHost, to, toHost string, payload interface{}) {
-	body, err := r.apps.encode(payload)
+// sendRemoteApp ships an application-bus message, and copies duplicates
+// of it, to the endpoint owning toHost. The payload was already shaped by
+// the local interposition layer; it is encoded once, into the codec's send
+// buffer.
+func (r *Runtime) sendRemoteApp(fromNick, fromHost, to, toHost string, payload interface{}, copies int) {
+	err := r.apps.send(payload, func(body []byte) {
+		m := transport.Message{
+			Kind:     transport.KindApp,
+			From:     fromNick,
+			FromHost: fromHost,
+			To:       to,
+			ToHost:   toHost,
+			Payload:  body,
+		}
+		for c := 0; c <= copies; c++ {
+			if err := r.cfg.Transport.SendHost(toHost, m); err != nil {
+				r.cfg.Logf("core: remote app message %s->%s: %v", fromNick, to, err)
+			}
+		}
+	})
 	if err != nil {
 		r.cfg.Logf("core: app message %s->%s not encodable for transport: %v", fromNick, to, err)
-		return
-	}
-	m := transport.Message{
-		Kind:     transport.KindApp,
-		From:     fromNick,
-		FromHost: fromHost,
-		To:       to,
-		ToHost:   toHost,
-		Payload:  body,
-	}
-	if err := r.cfg.Transport.SendHost(toHost, m); err != nil {
-		r.cfg.Logf("core: remote app message %s->%s: %v", fromNick, to, err)
 	}
 }
 

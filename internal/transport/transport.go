@@ -16,8 +16,9 @@
 // only how a frame reaches a peer:
 //
 //   - Inproc: a direct function call on the sender's goroutine; every
-//     endpoint lives in this process and nothing is serialized. This is
-//     the fast default; single-process studies pay no new cost.
+//     endpoint lives in this process and nothing is serialized, though
+//     the payload is copied (see Transport). This is the fast default;
+//     single-process studies pay no new cost.
 //   - UDP: one datagram socket per endpoint, one frame per datagram.
 //   - TCP: a listener plus lazily-dialed peer connections with
 //     length-prefixed framing and reconnect-on-error.
@@ -59,8 +60,7 @@ const (
 )
 
 // Message is one frame crossing the transport. A delivered frame's strings
-// may be shared with other frames, and its Payload is the handler's to keep
-// but not to write: inproc hands each receiver of a Broadcast one slice.
+// may be shared with other frames; its Payload is the handler's own.
 type Message struct {
 	// Epoch is the experiment epoch the frame belongs to. Stamped by the
 	// transport at send time; frames from another epoch are dropped on
@@ -137,6 +137,12 @@ func (t Topology) PeerNames() []string {
 }
 
 // Transport moves frames between endpoints.
+//
+// A sent payload is borrowed: SendHost, SendPeer and Broadcast do not keep
+// m.Payload after they return, so a sender may encode every frame into one
+// buffer it owns. The socket wires copy the payload into their frame
+// buffer; Inproc, whose receiver keeps the Message it is handed, copies it
+// once per receiver.
 type Transport interface {
 	// Name identifies the implementation: "inproc", "udp", or "tcp".
 	Name() string

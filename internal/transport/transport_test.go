@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +195,40 @@ func TestTCPHostAddressing(t *testing.T)    { testHostAddressing(t, KindNameTCP)
 func TestInprocEpochFilter(t *testing.T) { testEpochFilter(t, KindNameInproc) }
 func TestUDPEpochFilter(t *testing.T)    { testEpochFilter(t, KindNameUDP) }
 func TestTCPEpochFilter(t *testing.T)    { testEpochFilter(t, KindNameTCP) }
+
+// TestSentPayloadIsBorrowed: a sender may overwrite its payload buffer as
+// soon as SendPeer returns, and every payload a handler kept must still
+// read as it was sent, on every wire. Run under -race in CI.
+//
+// Mutation-checked: without Inproc's copy of the payload, the inproc case
+// fails (each kept payload reads as the overwritten buffer).
+func TestSentPayloadIsBorrowed(t *testing.T) {
+	for _, kind := range []string{KindNameInproc, KindNameUDP, KindNameTCP} {
+		t.Run(kind, func(t *testing.T) {
+			eps, cols := testCluster(t, kind)
+			var want []string
+			buf := make([]byte, 0, 16)
+			for i := range 8 {
+				buf = fmt.Appendf(buf[:0], "frame %d", i)
+				want = append(want, string(buf))
+				if err := eps["alpha"].SendPeer("beta", Message{Kind: KindApp, Payload: buf}); err != nil {
+					t.Fatal(err)
+				}
+				for j := range buf {
+					buf[j] = 'x'
+				}
+			}
+			var got []string
+			for _, m := range cols["beta"].wait(t, len(want), 2*time.Second) {
+				got = append(got, string(m.Payload))
+			}
+			slices.Sort(got) // the socket wires may reorder
+			if !slices.Equal(got, want) {
+				t.Fatalf("kept payloads read %q, want %q as sent", got, want)
+			}
+		})
+	}
+}
 
 func TestBroadcast(t *testing.T) {
 	hosts := map[string]string{"h1": "a", "h2": "b", "h3": "c"}

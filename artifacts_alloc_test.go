@@ -100,7 +100,7 @@ func TestReportJournalAllocBudget(t *testing.T) {
 			out.Points = append(out.Points, pr)
 		}
 		for x := range journalOnly {
-			out.JournalOnly = append(out.JournalOnly, campaign.RecordSummary{Point: "dropped/wan/seed9", Index: x, Completed: true})
+			out.JournalOnly = append(out.JournalOnly, campaign.RecordSummary{Point: "dropped/wan/seed9", Index: x, Verdict: campaign.Rejected})
 		}
 		return &SessionResult{Matrix: out}
 	}

@@ -66,6 +66,7 @@ import (
 	"time"
 
 	loki "repro"
+	"repro/internal/campaign"
 	"repro/internal/config"
 )
 
@@ -236,10 +237,10 @@ func main() {
 		fmt.Printf("member %s done\n", cluster.Name)
 		return
 	}
-	if !e.Record.Completed {
+	switch e.Record.Verdict() {
+	case campaign.Aborted:
 		log.Fatal("experiment timed out; no artifacts written")
-	}
-	if e.Record.AnalysisError != "" {
+	case campaign.Discarded:
 		// The analysis phase discarded the run (e.g. infeasible clock
 		// synchronization after a clockstep fault): its artifacts cannot
 		// be trusted, and the Session wrote none.

@@ -382,7 +382,7 @@ func printMeasures(cfg *loki.CampaignFile, res *loki.SessionResult) {
 }
 
 func printRecord(rec *loki.ExperimentRecord) {
-	fmt.Printf("experiment %d: completed=%v accepted=%v\n", rec.Index, rec.Completed, rec.Accepted)
+	fmt.Printf("experiment %d: %v\n", rec.Index, rec.Verdict())
 	if rec.AnalysisError != "" {
 		fmt.Printf("  discarded by analysis: %s\n", rec.AnalysisError)
 	}

@@ -229,6 +229,7 @@ func main() {
 	for _, series := range []string{
 		`loki_experiments_total{result="accepted"}`,
 		`loki_experiments_total{result="rejected"}`,
+		`loki_experiments_total{result="discarded"}`,
 		`loki_chaos_actions_total`,
 	} {
 		fmt.Printf("metric %s = %d\n", series, snap.Counters[series])

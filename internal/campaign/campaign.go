@@ -491,14 +491,8 @@ func analyzeExperiment(c *Campaign, st *Study, raw *rawExperiment, an *analyzer)
 		// even under virtual time (analysis runs off the simulated clock's
 		// schedule entirely).
 		cm.AnalyzeSeconds.ObserveSince(wall)
-		switch {
-		case !rec.Completed:
-			cm.Aborted.Inc()
-		case rec.Accepted:
-			cm.Accepted.Inc()
-		default:
-			cm.Rejected.Inc()
-		}
+		counters := [...]*obs.Counter{Aborted: cm.Aborted, Discarded: cm.Discarded, Rejected: cm.Rejected, Accepted: cm.Accepted}
+		counters[rec.Verdict()].Inc()
 	}
 	if tr := raw.trace; tr != nil {
 		// The analyze span and verdict event reuse the runtime phase's
@@ -506,24 +500,12 @@ func analyzeExperiment(c *Campaign, st *Study, raw *rawExperiment, an *analyzer)
 		// but deterministic — the analysis goroutine must not read a
 		// virtual clock it does not drive.
 		tr.Span("analyze", raw.traceEnd, raw.traceEnd)
-		tr.Event(raw.traceEnd, obs.CatVerdict, verdictName(rec), rec.AnalysisError)
+		tr.Event(raw.traceEnd, obs.CatVerdict, rec.Verdict().String(), rec.AnalysisError)
 		if err := c.Obs.WriteTrace(tr); err != nil {
 			c.Obs.Logf(obs.Warn, "campaign", "trace %s/%d: %v", tr.Point, tr.Index, err)
 		}
 	}
 	return rec, nil
-}
-
-// verdictName names an experiment's analysis verdict for traces and events.
-func verdictName(rec *ExperimentRecord) string {
-	switch {
-	case !rec.Completed:
-		return "aborted"
-	case rec.Accepted:
-		return "accepted"
-	default:
-		return "rejected"
-	}
 }
 
 // analyzeExperimentRecord is the analysis phase proper.

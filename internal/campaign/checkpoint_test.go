@@ -333,7 +333,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 }
 
 // checkRefused writes data as the journal under dir and checks that a
-// resume, SummarizeJournal and WalkJournal each refuse it with an error
+// resume, SummarizeJournal and walkJournal each refuse it with an error
 // holding every one of want, that the resume runs no application body, and
 // that it leaves the file byte for byte as it was.
 func checkRefused(t *testing.T, dir string, data []byte, want ...string) {
@@ -363,8 +363,8 @@ func checkRefused(t *testing.T, dir string, data []byte, want ...string) {
 	}
 	_, err = SummarizeJournal(dir)
 	refused("SummarizeJournal", err)
-	_, _, err = WalkJournal(dir, func(RecordSummary) { t.Error("WalkJournal handed out a record of a refused journal") })
-	refused("WalkJournal", err)
+	_, err = walkJournal(dir, func(*journalRecord[RecordSummary]) { t.Error("walkJournal handed out a record of a refused journal") })
+	refused("walkJournal", err)
 }
 
 // TestCheckpointV1JournalRefused: a journal an older build wrote — version
@@ -439,7 +439,7 @@ func TestCheckpointForeignFileRefused(t *testing.T) {
 	if got := atomic.LoadInt64(&ran); got != 2*3 {
 		t.Errorf("resume over a torn first line executed %d app bodies, want %d", got, 2*3)
 	}
-	if sum, err := SummarizeJournal(dir); err != nil || sum.Complete() != 2 {
+	if sum, err := SummarizeJournal(dir); err != nil || sum.Totals().Experiments != 2 {
 		t.Errorf("journal after a fresh start: %+v, %v; want 2 complete records", sum, err)
 	}
 }

@@ -119,8 +119,9 @@ func writerBodies(t testing.TB) [][]byte {
 
 // checkStrict checks the strict decoder against encoding/json on one
 // record body: where it accepts the body whole it must give the record
-// encoding/json decodes, and where it accepts the summary, json.Unmarshal's
-// RecordSummary. It returns which modes accepted.
+// encoding/json decodes, and where it accepts the summary, the
+// RecordSummary of json.Unmarshal's verdict fields. It returns which modes
+// accepted.
 func checkStrict(t testing.TB, d *lineDecoder, body []byte) (full, summary bool) {
 	t.Helper()
 	if got := d.resume(body); got != nil {
@@ -134,8 +135,8 @@ func checkStrict(t testing.TB, d *lineDecoder, body []byte) (full, summary bool)
 		full = true
 	}
 	if got := d.summary(body); got != nil {
-		var want journalRecord[RecordSummary]
-		if err := json.Unmarshal(body, &want); err != nil || *got != want {
+		var want journalRecord[verdictFields]
+		if err := json.Unmarshal(body, &want); err != nil || *got != refSummary(&want) {
 			t.Fatalf("strict summary of %q is %+v; encoding/json's %+v (%v)", body, got, want, err)
 		}
 		summary = true
@@ -157,7 +158,8 @@ func TestStrictDecoderReadsWriterOutput(t *testing.T) {
 
 // TestStrictDecoderKnowsEveryField fails when a field is added that the
 // strict decoder does not know: experimentKeys must list ExperimentRecord's
-// fields in order, its summary marks RecordSummary's, and the first
+// fields in order, its summary marks exactly the fields a RecordSummary is
+// computed from (verdictFields, the reference reader's), and the first
 // coverage record must set every field of every type under
 // ExperimentRecord (timeline texts aside, which are one string each) — a
 // new nested field set there makes TestStrictDecoderReadsWriterOutput fail
@@ -169,14 +171,29 @@ func TestStrictDecoderKnowsEveryField(t *testing.T) {
 	if typ.NumField() != len(experimentKeys) {
 		t.Fatalf("ExperimentRecord has %d fields, experimentKeys %d", typ.NumField(), len(experimentKeys))
 	}
-	summary := reflect.TypeOf(RecordSummary{})
+	summary := reflect.TypeOf(verdictFields{})
+	// A field is one a RecordSummary is computed from when clearing it in
+	// the coverage record changes the record's summary, or the summary of
+	// the record with its AnalysisError cleared (where Accepted counts).
+	full := coverageRecords()[0]
+	analysed := *full
+	analysed.AnalysisError = ""
 	for i := range typ.NumField() {
 		name := typ.Field(i).Name
 		if experimentKeys[i].key != `"`+name+`":` {
 			t.Errorf("experimentKeys[%d] is %s, ExperimentRecord's field %d is %s", i, experimentKeys[i].key, i, name)
 		}
 		if _, ok := summary.FieldByName(name); ok != experimentKeys[i].summary {
-			t.Errorf("experimentKeys marks %s summary %v; RecordSummary has it: %v", name, experimentKeys[i].summary, ok)
+			t.Errorf("experimentKeys marks %s summary %v; verdictFields has it: %v", name, experimentKeys[i].summary, ok)
+		}
+		read := false
+		for _, base := range []*ExperimentRecord{full, &analysed} {
+			rec := *base
+			reflect.ValueOf(&rec).Elem().Field(i).SetZero()
+			read = read || Summarize("", &rec) != Summarize("", base)
+		}
+		if read != experimentKeys[i].summary {
+			t.Errorf("experimentKeys marks %s summary %v; Summarize reads it: %v", name, experimentKeys[i].summary, read)
 		}
 	}
 	textual := reflect.TypeFor[encoding.TextUnmarshaler]()

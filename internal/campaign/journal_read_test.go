@@ -116,18 +116,36 @@ func TestStatusCountsEachKeyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []PointProgress{{Point: "golden", Complete: 1, Accepted: tc.accepted, Fingerprint: "fa8d1ad7bcd21c8e"}}
+		want := []PointProgress{{Point: "golden", Fingerprint: "fa8d1ad7bcd21c8e", Tally: Tally{Experiments: 1, Accepted: tc.accepted, Rejected: 1 - tc.accepted}}}
 		if !reflect.DeepEqual(sum.Points, want) || sum.Torn != tc.torn {
 			t.Errorf("%s: summary %+v, torn %v; want %+v, torn %v", tc.name, sum.Points, sum.Torn, want, tc.torn)
 		}
 		var walked []RecordSummary
-		if _, _, err := WalkJournal(dir, func(r RecordSummary) { walked = append(walked, r) }); err != nil {
+		if _, err := walkJournal(dir, func(r *journalRecord[RecordSummary]) { walked = append(walked, r.Experiment) }); err != nil {
 			t.Fatal(err)
 		}
-		if len(walked) != 1 || walked[0].Accepted != (tc.accepted == 1) {
+		if len(walked) != 1 || (walked[0].Verdict == Accepted) != (tc.accepted == 1) {
 			t.Errorf("%s: walk %+v, want one record, accepted %v", tc.name, walked, tc.accepted == 1)
 		}
 	}
+}
+
+// verdictFields is a record's Experiment as encoding/json reads the fields
+// experimentKeys marks summary: the reference for the summary decoder,
+// which computes a RecordSummary from them.
+type verdictFields struct {
+	Index              int
+	Completed          bool
+	Accepted           bool
+	AnalysisError      string
+	ClockStepSuspected bool
+}
+
+// refSummary is a reference-read record in the summary decoder's shape.
+func refSummary(r *journalRecord[verdictFields]) journalRecord[RecordSummary] {
+	f := &r.Experiment
+	rec := ExperimentRecord{Index: f.Index, Completed: f.Completed, Accepted: f.Accepted, AnalysisError: f.AnalysisError, ClockStepSuspected: f.ClockStepSuspected}
+	return journalRecord[RecordSummary]{Point: r.Point, Index: r.Index, Fingerprint: r.Fingerprint, Experiment: Summarize("", &rec)}
 }
 
 // errRefused is refRead's error for a journal readJournal must refuse: a
@@ -233,7 +251,7 @@ func checkReader(t *testing.T, name string, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, want = refKeys[RecordSummary](t, data)
+	ref, want = refKeys[verdictFields](t, data)
 	check("verdict", scan, keys, ref, want)
 }
 

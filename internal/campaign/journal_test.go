@@ -99,13 +99,14 @@ const (
 func TestRecordWireBytesPinned(t *testing.T) {
 	accepted, acceptedRaw, discarded := pinnedRecords()
 	for _, tc := range []struct {
-		name string
-		rec  *ExperimentRecord
-		want string
+		name    string
+		rec     *ExperimentRecord
+		want    string
+		verdict Verdict
 	}{
-		{"accepted", accepted, pinAccepted},
-		{"accepted with raw artifacts", acceptedRaw, pinAcceptedRaw},
-		{"discarded", discarded, pinDiscarded},
+		{"accepted", accepted, pinAccepted, Accepted},
+		{"accepted with raw artifacts", acceptedRaw, pinAcceptedRaw, Accepted},
+		{"discarded", discarded, pinDiscarded, Discarded},
 	} {
 		j := &journal{} // no committer: the line stays queued
 		if err := j.append(journalRecord[*ExperimentRecord]{Point: "pin/point", Index: tc.rec.Index, Fingerprint: "00f1", Experiment: tc.rec}, nil); err != nil {
@@ -131,8 +132,7 @@ func TestRecordWireBytesPinned(t *testing.T) {
 		}
 
 		verdict := d.summary(bodyOf(t, tc.want))
-		want := RecordSummary{Index: tc.rec.Index, Completed: tc.rec.Completed, Accepted: tc.rec.Accepted,
-			AnalysisError: tc.rec.AnalysisError, ClockStepSuspected: tc.rec.ClockStepSuspected}
+		want := RecordSummary{Index: tc.rec.Index, Verdict: tc.verdict, ClockStepSuspected: tc.rec.ClockStepSuspected}
 		if verdict == nil || verdict.Experiment != want {
 			t.Errorf("%s: verdict view = %+v, want %+v", tc.name, verdict, want)
 		}
@@ -140,7 +140,7 @@ func TestRecordWireBytesPinned(t *testing.T) {
 }
 
 // journalKeys reads a journal's complete records three ways — the resume
-// loader, SummarizeJournal, WalkJournal — and returns what each saw, plus
+// loader, SummarizeJournal, walkJournal — and returns what each saw, plus
 // the file's size after the loader truncated it.
 func journalKeys(t testing.TB, dir, fingerprint string) (loaded, walked []journalKey, sum *JournalSummary, size int64) {
 	t.Helper()
@@ -148,7 +148,7 @@ func journalKeys(t testing.TB, dir, fingerprint string) (loaded, walked []journa
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := WalkJournal(dir, func(r RecordSummary) {
+	if _, err := walkJournal(dir, func(r *journalRecord[RecordSummary]) {
 		walked = append(walked, journalKey{r.Point, r.Index})
 	}); err != nil {
 		t.Fatal(err)
@@ -238,8 +238,8 @@ func checkEveryOffset(t *testing.T, whole []byte, fp string) {
 		})
 
 		loaded, walked, sum, size := journalKeys(t, dir, fp)
-		if !reflect.DeepEqual(loaded, want) || !reflect.DeepEqual(walked, want) || sum.Complete() != len(want) {
-			t.Fatalf("cut at %d: loader %v, walk %v, summary %d complete; want %v", n, loaded, walked, sum.Complete(), want)
+		if !reflect.DeepEqual(loaded, want) || !reflect.DeepEqual(walked, want) || sum.Totals().Experiments != len(want) {
+			t.Fatalf("cut at %d: loader %v, walk %v, summary %d complete; want %v", n, loaded, walked, sum.Totals().Experiments, want)
 		}
 		if sum.Appending != (n > trusted) || sum.Torn {
 			t.Fatalf("cut at %d: appending %v, torn %v; want %v, false", n, sum.Appending, sum.Torn, n > trusted)
@@ -414,9 +414,9 @@ func TestJournalGroupCommitFsyncs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.Complete() != n || sum.Appending || sum.Torn {
+		if sum.Totals().Experiments != n || sum.Appending || sum.Torn {
 			t.Errorf("after RunMatrix: %d complete, appending %v, torn %v; want %d, false, false",
-				sum.Complete(), sum.Appending, sum.Torn, n)
+				sum.Totals().Experiments, sum.Appending, sum.Torn, n)
 		}
 	})
 }
@@ -714,7 +714,7 @@ func FuzzReadJournal(f *testing.F) {
 		}
 		var verdicts, wantVerdicts []journalRecord[RecordSummary]
 		vscan, err := readJournal(bytes.NewReader(data), "fuzz", func(r *journalRecord[RecordSummary]) { verdicts = append(verdicts, *r) })
-		vref, _ := refRead(data, func(r *journalRecord[RecordSummary]) { wantVerdicts = append(wantVerdicts, *r) })
+		vref, _ := refRead(data, func(r *journalRecord[verdictFields]) { wantVerdicts = append(wantVerdicts, refSummary(r)) })
 		if err != nil || vscan != scan || vref != scan || !reflect.DeepEqual(verdicts, wantVerdicts) || len(verdicts) != len(recs) {
 			t.Fatalf("verdict reader reads %+v to %+v (err %v); line by line %+v; the loader %d records to %+v", verdicts, vscan, err, wantVerdicts, len(recs), scan)
 		}

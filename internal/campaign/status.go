@@ -4,28 +4,27 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Read-only checkpoint-journal inspection: summarize what a campaign's
-// journal holds — per study/point, how many experiments are complete and
-// how many of those were accepted — without running anything and without
-// the load-time tail truncation (a status query must never modify the
-// journal a live campaign may be appending to).
+// journal holds — per study/point, a tally of its experiments' verdicts —
+// without running anything and without the load-time tail truncation (a
+// status query must never modify the journal a live campaign may be
+// appending to).
 
 // PointProgress summarizes one study's (or matrix point's) journaled
 // records.
 type PointProgress struct {
 	// Point is the study or matrix point name the records are keyed by.
 	Point string
-	// Complete counts the experiments with a verified record line; a key
-	// journaled more than once counts once, by its last copy.
-	Complete int
-	// Accepted counts complete records that passed the analysis phase.
-	Accepted int
 	// Fingerprint is the study-level fingerprint the point's records were
 	// written under (they all share one; resume verifies it per record).
 	Fingerprint string
+	// Tally counts the verdicts of the experiments with a verified record
+	// line; a key journaled more than once counts once, by its last copy.
+	Tally
 }
 
 // JournalSummary is the read-only summary of one checkpoint journal.
@@ -48,44 +47,55 @@ type JournalSummary struct {
 	Torn bool
 }
 
-// Complete sums complete records across points.
-func (s *JournalSummary) Complete() int {
-	n := 0
+// Totals sums the points' tallies.
+func (s *JournalSummary) Totals() Tally {
+	var t Tally
 	for _, p := range s.Points {
-		n += p.Complete
+		t.plus(p.Tally)
 	}
-	return n
-}
-
-// Accepted sums accepted records across points.
-func (s *JournalSummary) Accepted() int {
-	n := 0
-	for _, p := range s.Points {
-		n += p.Accepted
-	}
-	return n
+	return t
 }
 
 // JournalPath returns the journal location under an artifact directory.
 func JournalPath(dir string) string { return filepath.Join(dir, journalName) }
 
-// RecordSummary is the verdict view of one completed journal record: the
-// fields a status line or a campaign report prints, decoded in place of
-// the journaled ExperimentRecord (whose fields of the same names they are)
-// while its timelines, bounds and stamps are skipped unparsed.
+// RecordSummary is the verdict view of one completed journal record: what
+// a status line or a campaign report counts, decoded from the journaled
+// ExperimentRecord's verdict fields while its timelines, bounds and stamps
+// are skipped unparsed.
 type RecordSummary struct {
-	Point              string `json:"-"`
+	Point              string
 	Index              int
-	Completed          bool
-	Accepted           bool
-	AnalysisError      string
+	Verdict            Verdict
 	ClockStepSuspected bool
 }
 
 // Summarize is the verdict view of a record journaled under point.
 func Summarize(point string, rec *ExperimentRecord) RecordSummary {
-	return RecordSummary{Point: point, Index: rec.Index, Completed: rec.Completed, Accepted: rec.Accepted,
-		AnalysisError: rec.AnalysisError, ClockStepSuspected: rec.ClockStepSuspected}
+	return RecordSummary{Point: point, Index: rec.Index, Verdict: rec.Verdict(), ClockStepSuspected: rec.ClockStepSuspected}
+}
+
+// points tallies verdicts per point; a point's fingerprint is its first
+// record's.
+type points map[string]*PointProgress
+
+func (ps points) add(r RecordSummary, fingerprint string) {
+	p := ps[r.Point]
+	if p == nil {
+		p = &PointProgress{Point: r.Point, Fingerprint: fingerprint}
+		ps[r.Point] = p
+	}
+	p.add(r)
+}
+
+// sorted lists the points by name.
+func (ps points) sorted() []PointProgress {
+	out := make([]PointProgress, 0, len(ps))
+	for _, p := range ps {
+		out = append(out, *p)
+	}
+	slices.SortFunc(out, func(a, b PointProgress) int { return strings.Compare(a.Point, b.Point) })
+	return out
 }
 
 // walkJournal opens the journal under dir read-only and hands fn every
@@ -125,48 +135,35 @@ func walkJournal(dir string, fn func(*journalRecord[RecordSummary])) (journalSca
 // it. Only whole record lines are counted, each journaled experiment once,
 // mirroring what a resume would trust. The tail is classified, never
 // truncated: a live campaign mid-append shows up as Appending; Torn is
-// reserved for a genuinely garbled tail.
+// reserved for a genuinely garbled tail. It is the one reader behind both
+// a status query and a report.
 func SummarizeJournal(dir string) (*JournalSummary, error) {
-	points := make(map[string]*PointProgress)
+	ps := points{}
 	scan, err := walkJournal(dir, func(rec *journalRecord[RecordSummary]) {
-		p := points[rec.Point]
-		if p == nil {
-			p = &PointProgress{Point: rec.Point, Fingerprint: rec.Fingerprint}
-			points[rec.Point] = p
-		}
-		p.Complete++
-		if rec.Experiment.Accepted {
-			p.Accepted++
-		}
+		rec.Experiment.Point = rec.Point
+		ps.add(rec.Experiment, rec.Fingerprint)
 	})
 	if err != nil {
 		return nil, err
 	}
-	sum := &JournalSummary{
+	return &JournalSummary{
 		Path:        JournalPath(dir),
 		Campaign:    scan.header.Campaign,
 		Fingerprint: scan.header.Fingerprint,
+		Points:      ps.sorted(),
 		Appending:   scan.tail == tailAppending,
 		Torn:        scan.tail == tailGarbled,
-	}
-	for _, p := range points {
-		sum.Points = append(sum.Points, *p)
-	}
-	sort.Slice(sum.Points, func(i, j int) bool { return sum.Points[i].Point < sum.Points[j].Point })
-	return sum, nil
+	}, nil
 }
 
-// WalkJournal reads the checkpoint journal under dir and calls fn once
-// per journaled experiment (a whole record line; of a key journaled more
-// than once, the last copy), in journal order. Like SummarizeJournal it is
-// read-only and never truncates a live tail. It returns the journal
-// header's campaign name and fingerprint.
-func WalkJournal(dir string, fn func(RecordSummary)) (campaignName, fingerprint string, err error) {
-	scan, err := walkJournal(dir, func(rec *journalRecord[RecordSummary]) {
-		rec.Experiment.Point = rec.Point
-		fn(rec.Experiment)
-	})
-	return scan.header.Campaign, scan.header.Fingerprint, err
+// SummarizeRecords is the summary SummarizeJournal would read from a
+// journal whose header names campaign name and fingerprint and whose
+// records' verdicts each hands to add: the same tally over records in
+// hand. Its points carry no fingerprint.
+func SummarizeRecords(name, fingerprint string, each func(add func(RecordSummary))) *JournalSummary {
+	ps := points{}
+	each(func(r RecordSummary) { ps.add(r, "") })
+	return &JournalSummary{Campaign: name, Fingerprint: fingerprint, Points: ps.sorted()}
 }
 
 // ConfigFingerprint computes the campaign-level configuration fingerprint

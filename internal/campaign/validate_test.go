@@ -214,14 +214,14 @@ func TestSummarizeJournalCounts(t *testing.T) {
 		t.Fatalf("points = %+v", sum.Points)
 	}
 	p := sum.Points[0]
-	if p.Complete != 3 || p.Accepted != 3 {
+	if p.Tally != (Tally{Experiments: 3, Accepted: 3}) {
 		t.Errorf("progress = %+v", p)
 	}
 	if p.Fingerprint != StudyConfigFingerprint(c, c.Studies[0], "steps") {
 		t.Errorf("journaled study fingerprint = %s", p.Fingerprint)
 	}
-	if sum.Complete() != 3 || sum.Accepted() != 3 {
-		t.Errorf("totals = %d/%d", sum.Complete(), sum.Accepted())
+	if tot := sum.Totals(); tot.Experiments != 3 || tot.Accepted != 3 {
+		t.Errorf("totals = %d/%d", tot.Experiments, tot.Accepted)
 	}
 
 	// Truncate mid-record: the tail must be reported torn, not counted,
@@ -267,8 +267,8 @@ func TestSummarizeJournalTailStates(t *testing.T) {
 	if !sum.Appending {
 		t.Error("live journal not reported appending")
 	}
-	if sum.Complete() != 3 || sum.Accepted() != 2 {
-		t.Errorf("live journal totals = %d/%d, want 3/2", sum.Complete(), sum.Accepted())
+	if tot := sum.Totals(); tot.Experiments != 3 || tot.Accepted != 2 {
+		t.Errorf("live journal totals = %d/%d, want 3/2", tot.Experiments, tot.Accepted)
 	}
 
 	// A garbled complete line is damage, not a live append.
@@ -283,7 +283,7 @@ func TestSummarizeJournalTailStates(t *testing.T) {
 	if !sum.Torn || sum.Appending {
 		t.Errorf("garbled journal: torn=%v appending=%v, want true/false", sum.Torn, sum.Appending)
 	}
-	if sum.Complete() != 2 {
-		t.Errorf("garbled journal complete = %d, want 2", sum.Complete())
+	if sum.Totals().Experiments != 2 {
+		t.Errorf("garbled journal complete = %d, want 2", sum.Totals().Experiments)
 	}
 }

@@ -199,9 +199,9 @@ func runTrials(cfg Config, residencesMs []float64) ([][]trial, error) {
 	out := make([][]trial, len(residencesMs))
 	for _, pr := range res.Points {
 		rec := pr.Study.Records[0]
-		if !rec.Completed || rec.Report == nil {
-			return nil, fmt.Errorf("injectsim: point %s: experiment not analysed (completed=%v): %s",
-				pr.Point.Name(), rec.Completed, rec.AnalysisError)
+		if v := rec.Verdict(); v != campaign.Rejected && v != campaign.Accepted {
+			return nil, fmt.Errorf("injectsim: point %s: experiment %v, not analysed: %s",
+				pr.Point.Name(), v, rec.AnalysisError)
 		}
 		i := pr.Point.Index / cfg.Trials
 		out[i] = append(out[i], trial{

@@ -207,13 +207,17 @@ func (s *Sink) RuntimeMetrics() *RuntimeMetrics {
 	return s.runtimeM
 }
 
+// experimentsHelp is loki_experiments_total's: one series per campaign.Verdict.
+const experimentsHelp = "Experiments by verdict: accepted, rejected (an injection not provably correct), discarded (the analysis could not process the run) or aborted (the runtime phase timed out)."
+
 // CampaignMetrics is the campaign engines' bundle: experiment verdicts,
 // per-phase latencies, journal durability costs, worker utilization, and
 // virtual-clock activity.
 type CampaignMetrics struct {
-	Accepted *Counter
-	Rejected *Counter
-	Aborted  *Counter
+	Accepted  *Counter
+	Rejected  *Counter
+	Discarded *Counter
+	Aborted   *Counter
 
 	ResetSeconds   *Histogram
 	SyncSeconds    *Histogram
@@ -237,9 +241,10 @@ func (s *Sink) CampaignMetrics() *CampaignMetrics {
 	s.onceCampaign.Do(func() {
 		r := s.Metrics
 		s.campaignM = &CampaignMetrics{
-			Accepted: r.Counter(`loki_experiments_total{result="accepted"}`, "Experiments by analysis verdict."),
-			Rejected: r.Counter(`loki_experiments_total{result="rejected"}`, "Experiments by analysis verdict."),
-			Aborted:  r.Counter(`loki_experiments_total{result="aborted"}`, "Experiments by analysis verdict."),
+			Accepted:  r.Counter(`loki_experiments_total{result="accepted"}`, experimentsHelp),
+			Rejected:  r.Counter(`loki_experiments_total{result="rejected"}`, experimentsHelp),
+			Discarded: r.Counter(`loki_experiments_total{result="discarded"}`, experimentsHelp),
+			Aborted:   r.Counter(`loki_experiments_total{result="aborted"}`, experimentsHelp),
 
 			ResetSeconds:   r.Histogram(`loki_experiment_phase_seconds{phase="reset"}`, "Experiment phase latency.", nil),
 			SyncSeconds:    r.Histogram(`loki_experiment_phase_seconds{phase="sync"}`, "Experiment phase latency.", nil),

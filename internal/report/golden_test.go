@@ -68,6 +68,8 @@ func writeGoldenMatrix(t testing.TB, dir string) {
 		Fingerprint string
 		Experiment  campaign.ExperimentRecord
 	}
+	// The analysis phase suspects a clock step only when the clock fit is
+	// infeasible, so the stepping record carries the error it writes then.
 	for _, r := range []struct {
 		point                         string
 		index                         int
@@ -82,14 +84,18 @@ func writeGoldenMatrix(t testing.TB, dir string) {
 		{"\xff﷐/slow\"+", 0, true, false, false},
 		{"flat<&'\"+\x00\xff﷐", 0, true, true, false},
 	} {
-		line("record", record{
+		rec := record{
 			Point: r.point, Index: r.index, Fingerprint: "f",
 			Experiment: campaign.ExperimentRecord{
 				Study: r.point, Index: r.index,
 				Completed: r.completed, Accepted: r.accepted,
 				ClockStepSuspected: r.stepping,
 			},
-		})
+		}
+		if r.stepping {
+			rec.Experiment.AnalysisError = "clock sync: host h2: infeasible (lo > hi)"
+		}
+		line("record", rec)
 	}
 	if err := os.WriteFile(campaign.JournalPath(dir), journal.Bytes(), 0o644); err != nil {
 		t.Fatal(err)

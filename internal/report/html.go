@@ -4,6 +4,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/campaign"
 )
 
 // WriteHTML renders the model as a self-contained report.html: inline
@@ -102,7 +104,7 @@ func (d *Data) appendHTML(b []byte) []byte {
 	b = append(b, "\n</p>\n\n"...)
 
 	if d.Sources.Journal {
-		b = append(b, "\n<h2>Verdicts</h2>\n<table>\n  <tr><th>point</th><th>experiments</th><th>accepted</th><th>rejected</th><th>aborted</th><th>clock-step</th><th>acceptance</th></tr>\n  "...)
+		b = append(b, "\n<h2>Verdicts</h2>\n<table>\n  <tr><th>point</th><th>experiments</th><th>accepted</th><th>rejected</th><th>discarded</th><th>aborted</th><th>clock-step</th><th>acceptance</th></tr>\n  "...)
 		for i := range d.Points {
 			p := &d.Points[i]
 			b = append(b, "\n  <tr><td>"...)
@@ -232,8 +234,8 @@ func (d *Data) appendHTML(b []byte) []byte {
 
 // appendVerdicts appends v's counts and acceptance, each after sep (the
 // boundary between two cells of the row).
-func appendVerdicts(b []byte, v *Verdicts, sep string) []byte {
-	for _, n := range [...]int{v.Experiments, v.Accepted, v.Rejected, v.Aborted, v.ClockStep} {
+func appendVerdicts(b []byte, v *campaign.Tally, sep string) []byte {
+	for _, n := range [...]int{v.Experiments, v.Accepted, v.Rejected, v.Discarded, v.Aborted, v.ClockStep} {
 		b = append(b, sep...)
 		b = strconv.AppendInt(b, int64(n), 10)
 	}

@@ -106,11 +106,11 @@ var reportTmpl = template.Must(template.New("report").Funcs(template.FuncMap{
 {{if .Sources.Journal}}
 <h2>Verdicts</h2>
 <table>
-  <tr><th>point</th><th>experiments</th><th>accepted</th><th>rejected</th><th>aborted</th><th>clock-step</th><th>acceptance</th></tr>
+  <tr><th>point</th><th>experiments</th><th>accepted</th><th>rejected</th><th>discarded</th><th>aborted</th><th>clock-step</th><th>acceptance</th></tr>
   {{range .Points}}
-  <tr><td>{{.Point}}</td><td>{{.Verdicts.Experiments}}</td><td>{{.Verdicts.Accepted}}</td><td>{{.Verdicts.Rejected}}</td><td>{{.Verdicts.Aborted}}</td><td>{{.Verdicts.ClockStep}}</td><td>{{pct .Verdicts.Accepted .Verdicts.Experiments}}</td></tr>
+  <tr><td>{{.Point}}</td><td>{{.Verdicts.Experiments}}</td><td>{{.Verdicts.Accepted}}</td><td>{{.Verdicts.Rejected}}</td><td>{{.Verdicts.Discarded}}</td><td>{{.Verdicts.Aborted}}</td><td>{{.Verdicts.ClockStep}}</td><td>{{pct .Verdicts.Accepted .Verdicts.Experiments}}</td></tr>
   {{end}}
-  <tr><th>total</th><th>{{.Totals.Experiments}}</th><th>{{.Totals.Accepted}}</th><th>{{.Totals.Rejected}}</th><th>{{.Totals.Aborted}}</th><th>{{.Totals.ClockStep}}</th><th>{{pct .Totals.Accepted .Totals.Experiments}}</th></tr>
+  <tr><th>total</th><th>{{.Totals.Experiments}}</th><th>{{.Totals.Accepted}}</th><th>{{.Totals.Rejected}}</th><th>{{.Totals.Discarded}}</th><th>{{.Totals.Aborted}}</th><th>{{.Totals.ClockStep}}</th><th>{{pct .Totals.Accepted .Totals.Experiments}}</th></tr>
 </table>
 {{end}}
 

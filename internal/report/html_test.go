@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 // fuzzReader decodes a report model from fuzz input. Strings are a length
@@ -42,8 +44,8 @@ func (r *fuzzReader) i64() int64 { return int64(r.u64()) }
 func (r *fuzzReader) int() int   { return int(r.i64()) }
 func (r *fuzzReader) count() int { return int(r.byte() % 16) }
 
-func (r *fuzzReader) verdicts() Verdicts {
-	return Verdicts{Experiments: r.int(), Accepted: r.int(), Rejected: r.int(), Aborted: r.int(), ClockStep: r.int()}
+func (r *fuzzReader) verdicts() campaign.Tally {
+	return campaign.Tally{Experiments: r.int(), Accepted: r.int(), Rejected: r.int(), Discarded: r.int(), Aborted: r.int(), ClockStep: r.int()}
 }
 
 // decodeFuzzData builds a Data from fuzz input. The heatmap's mode byte
@@ -128,8 +130,8 @@ func (w *fuzzWriter) count(n int) {
 	w.b = append(w.b, byte(n))
 }
 
-func (w *fuzzWriter) verdicts(v Verdicts) {
-	for _, n := range []int{v.Experiments, v.Accepted, v.Rejected, v.Aborted, v.ClockStep} {
+func (w *fuzzWriter) verdicts(v campaign.Tally) {
+	for _, n := range []int{v.Experiments, v.Accepted, v.Rejected, v.Discarded, v.Aborted, v.ClockStep} {
 		w.int(n)
 	}
 }
@@ -213,10 +215,10 @@ func edgeData() *Data {
 		Campaign:    "\x00+",
 		Fingerprint: "'\"",
 		Sources:     Sources{Journal: true, Traces: -1},
-		Totals:      Verdicts{Experiments: math.MinInt64, Accepted: -3},
+		Totals:      campaign.Tally{Experiments: math.MinInt64, Accepted: -3},
 		Points: []PointReport{
-			{Point: "a/b", Verdicts: Verdicts{}},
-			{Point: "\xff\xfe", Verdicts: Verdicts{Experiments: -5, Accepted: 0}},
+			{Point: "a/b", Verdicts: campaign.Tally{}},
+			{Point: "\xff\xfe", Verdicts: campaign.Tally{Experiments: -5, Accepted: 0}},
 		},
 		Heatmap: &Heatmap{
 			Cols: []string{"<b>", ""},
@@ -309,7 +311,7 @@ func benchData(points int) *Data {
 	for i := range points {
 		p := PointReport{
 			Point:    fmt.Sprintf("scenario%d/profile%d/seed%d", i%4, i/4%4, i/16),
-			Verdicts: Verdicts{Experiments: 4, Accepted: 3, Rejected: 1},
+			Verdicts: campaign.Tally{Experiments: 4, Accepted: 3, Rejected: 1},
 		}
 		d.Points = append(d.Points, p)
 		d.Totals.Experiments += 4

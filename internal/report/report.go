@@ -3,8 +3,14 @@
 // report.html plus a machine-readable report.json, re-running nothing:
 // `lokirun -report` reads all three from a finished (or crashed)
 // campaign's directory. A session with artifacts enabled emits one after
-// each run, handing in the journal's verdicts (Journal) from the records
-// the run holds; it reads only metrics.json and the traces.
+// each run, handing in the journal's summary (Options.Journal) built from
+// the records the run holds; it reads only metrics.json and the traces.
+//
+// The verdict sections are campaign.Tally counts of each record's
+// ExperimentRecord.Verdict — accepted, rejected, discarded (the analysis
+// phase could not process the run) or aborted — from the one journal
+// summary that status queries read too (campaign.SummarizeJournal, or
+// campaign.SummarizeRecords over records in hand).
 //
 // Output is deterministic: everything is sorted, nothing is timestamped,
 // so regenerating a report over unchanged artifacts is byte-identical.
@@ -41,10 +47,10 @@ type Options struct {
 	// Dir is the artifact directory: metrics.json and traces/ are read
 	// from it, report.html and report.json are written into it.
 	Dir string
-	// Journal, when non-nil, is the checkpoint journal's verdict section,
-	// handed in by a session from the records its run holds. When nil, the
-	// verdicts are read from Dir/checkpoint.jsonl, if there is one.
-	Journal *Journal
+	// Journal, when non-nil, is the checkpoint journal's summary, handed
+	// in by a session from the records its run holds. When nil, it is
+	// read from Dir/checkpoint.jsonl, if there is one.
+	Journal *campaign.JournalSummary
 }
 
 // Sources records which inputs existed, so a report over partial
@@ -55,34 +61,10 @@ type Sources struct {
 	Traces  int  `json:"traces"` // trace artifacts read
 }
 
-// Verdicts is one verdict breakdown: per point or campaign-wide.
-type Verdicts struct {
-	Experiments int `json:"experiments"`
-	Accepted    int `json:"accepted"`
-	Rejected    int `json:"rejected"`
-	Aborted     int `json:"aborted"` // runtime phase incomplete, discarded
-	ClockStep   int `json:"clock_step"`
-}
-
-func (v *Verdicts) add(r campaign.RecordSummary) {
-	v.Experiments++
-	switch {
-	case !r.Completed:
-		v.Aborted++
-	case r.Accepted:
-		v.Accepted++
-	default:
-		v.Rejected++
-	}
-	if r.ClockStepSuspected {
-		v.ClockStep++
-	}
-}
-
 // PointReport is one study's (or matrix point's) verdict breakdown.
 type PointReport struct {
-	Point    string   `json:"point"`
-	Verdicts Verdicts `json:"verdicts"`
+	Point    string         `json:"point"`
+	Verdicts campaign.Tally `json:"verdicts"`
 }
 
 // HeatCell is one acceptance-heatmap cell.
@@ -165,7 +147,7 @@ type Data struct {
 	Campaign    string          `json:"campaign"`
 	Fingerprint string          `json:"fingerprint,omitempty"`
 	Sources     Sources         `json:"sources"`
-	Totals      Verdicts        `json:"totals"`
+	Totals      campaign.Tally  `json:"totals"`
 	Points      []PointReport   `json:"points"`
 	Heatmap     *Heatmap        `json:"heatmap,omitempty"`
 	Phases      []PhaseStat     `json:"phases,omitempty"`
@@ -173,34 +155,8 @@ type Data struct {
 	Transports  []TransportStat `json:"transports,omitempty"`
 }
 
-// Journal is a report's verdict section in the making: a checkpoint
-// journal's header and its records' verdicts, added one record at a time
-// — from the journal file by Collect, or by a session from its run.
-type Journal struct {
-	name, fingerprint string
-	totals            Verdicts
-	points            map[string]*PointReport
-}
-
-// NewJournal starts the verdict section of a journal whose header names
-// campaign name and fingerprint.
-func NewJournal(name, fingerprint string) *Journal {
-	return &Journal{name: name, fingerprint: fingerprint, points: map[string]*PointReport{}}
-}
-
-// Add counts one journaled record's verdict under its point.
-func (j *Journal) Add(r campaign.RecordSummary) {
-	j.totals.add(r)
-	p := j.points[r.Point]
-	if p == nil {
-		p = &PointReport{Point: r.Point}
-		j.points[r.Point] = p
-	}
-	p.Verdicts.add(r)
-}
-
 // Collect reads whatever artifacts exist under opt and builds the report
-// model; the journal's verdicts are opt.Journal when handed in. At least
+// model; the journal's summary is opt.Journal when handed in. At least
 // one source (journal, metrics.json, traces/) must exist; missing
 // individual sources only clear their sections.
 func Collect(opt Options) (*Data, error) {
@@ -208,17 +164,21 @@ func Collect(opt Options) (*Data, error) {
 		return nil, fmt.Errorf("report: no artifact directory")
 	}
 	j := opt.Journal
-	if j == nil { // the disk reader
-		j = NewJournal("", "")
+	if j == nil { // the disk reader; with no journal, j stays nil
 		var err error
-		if j.name, j.fingerprint, err = campaign.WalkJournal(opt.Dir, j.Add); errors.Is(err, fs.ErrNotExist) {
-			j = nil // no journal: verdict sections stay empty
-		} else if err != nil {
+		if j, err = campaign.SummarizeJournal(opt.Dir); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, err
 		}
 	}
 	d := &Data{}
-	d.setJournal(j)
+	if j != nil { // the verdict sections
+		d.Sources.Journal = true
+		d.Campaign, d.Fingerprint, d.Totals = j.Campaign, j.Fingerprint, j.Totals()
+		for _, p := range j.Points {
+			d.Points = append(d.Points, PointReport{Point: p.Point, Verdicts: p.Tally})
+		}
+		d.Heatmap = buildHeatmap(d.Points)
+	}
 	if err := d.collectMetrics(filepath.Join(opt.Dir, "metrics.json")); err != nil {
 		return nil, err
 	}
@@ -229,19 +189,6 @@ func Collect(opt Options) (*Data, error) {
 		return nil, fmt.Errorf("%w under %s (no checkpoint journal, metrics.json, or traces)", ErrNoArtifacts, opt.Dir)
 	}
 	return d, nil
-}
-
-// setJournal fills the verdict sections from j; nil leaves them empty.
-func (d *Data) setJournal(j *Journal) {
-	if j == nil {
-		return
-	}
-	d.Sources.Journal = true
-	d.Campaign, d.Fingerprint, d.Totals = j.name, j.fingerprint, j.totals
-	for _, name := range sortedStatKeys(j.points) {
-		d.Points = append(d.Points, *j.points[name])
-	}
-	d.Heatmap = buildHeatmap(d.Points)
 }
 
 // buildHeatmap folds matrix point names scenario/profile[/seed...] into
@@ -285,9 +232,10 @@ func buildHeatmap(points []PointReport) *Heatmap {
 	return h
 }
 
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
+// sortedKeys lists m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -373,14 +321,14 @@ func (d *Data) collectMetrics(path string) error {
 		}
 	}
 
-	for _, name := range sortedStatKeys(members) {
+	for _, name := range sortedKeys(members) {
 		m := members[name]
 		if m.Member == "" {
 			continue // malformed label; nothing to attribute
 		}
 		d.Members = append(d.Members, *m)
 	}
-	for _, k := range sortedStatKeys(transports) {
+	for _, k := range sortedKeys(transports) {
 		t := transports[k]
 		if t.RTTCount > 0 {
 			t.RTTMeanNS = int64(t.rttSum / float64(t.RTTCount) * 1e9)
@@ -388,15 +336,6 @@ func (d *Data) collectMetrics(path string) error {
 		d.Transports = append(d.Transports, *t)
 	}
 	return nil
-}
-
-func sortedStatKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // splitSeries parses `base{k="v",k2="v2"}` into its base name and label
@@ -478,7 +417,7 @@ func (d *Data) collectTraces(dir string) error {
 			ps.Buckets[b]++
 		}
 	}
-	for _, name := range sortedStatKeys(stats) {
+	for _, name := range sortedKeys(stats) {
 		ps := stats[name]
 		if ps.Count > 0 {
 			ps.MeanNS /= int64(ps.Count)

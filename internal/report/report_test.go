@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
@@ -120,10 +121,10 @@ func TestCollectErrNoArtifacts(t *testing.T) {
 // extra segments (seeds) aggregate, and flat names produce no heatmap.
 func TestBuildHeatmap(t *testing.T) {
 	points := []PointReport{
-		{Point: "netsplit/fast/seed1", Verdicts: Verdicts{Experiments: 2, Accepted: 2}},
-		{Point: "netsplit/fast/seed2", Verdicts: Verdicts{Experiments: 2, Accepted: 1}},
-		{Point: "netsplit/slow", Verdicts: Verdicts{Experiments: 2, Accepted: 0}},
-		{Point: "crash/fast", Verdicts: Verdicts{Experiments: 1, Accepted: 1}},
+		{Point: "netsplit/fast/seed1", Verdicts: campaign.Tally{Experiments: 2, Accepted: 2}},
+		{Point: "netsplit/fast/seed2", Verdicts: campaign.Tally{Experiments: 2, Accepted: 1}},
+		{Point: "netsplit/slow", Verdicts: campaign.Tally{Experiments: 2, Accepted: 0}},
+		{Point: "crash/fast", Verdicts: campaign.Tally{Experiments: 1, Accepted: 1}},
 	}
 	h := buildHeatmap(points)
 	if h == nil {
@@ -181,7 +182,7 @@ func TestCollectCountsEachJournaledKeyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Verdicts{Experiments: 1, Rejected: 1}
+	want := campaign.Tally{Experiments: 1, Rejected: 1}
 	if d.Totals != want || len(d.Points) != 1 || d.Points[0].Verdicts != want {
 		t.Errorf("totals %+v, points %+v; want %+v for the one point", d.Totals, d.Points, want)
 	}

@@ -181,7 +181,7 @@ func (s *Session) writeMetricsSnapshot() error {
 }
 
 // writeReport renders report.html/report.json for the run res, handing in
-// the journal's verdicts (reportJournal) so that the journal is not read
+// the journal's summary (reportJournal) so that the journal is not read
 // again. Auto-emission is best-effort: a run that produced no reportable
 // artifacts simply writes no report.
 func (s *Session) writeReport(res *SessionResult) error {
@@ -195,27 +195,27 @@ func (s *Session) writeReport(res *SessionResult) error {
 	return nil
 }
 
-// reportJournal is the verdict section GenerateReport would read from the
-// run's journal, built from res: the records the run holds and the
-// journaled ones it did not cover, under the header's (c.Name,
+// reportJournal is the summary GenerateReport would read from the run's
+// journal, built from res: the records the run holds and the journaled
+// ones it did not cover, under the header's (c.Name,
 // ConfigFingerprint(c)), which the journal's open verified.
-func (s *Session) reportJournal(res *SessionResult) *report.Journal {
-	j := report.NewJournal(s.c.Name, campaign.ConfigFingerprint(s.c))
-	res.eachStudy(func(name string, sr *StudyOutcome) {
-		for _, rec := range sr.Records {
-			j.Add(campaign.Summarize(name, rec))
-		}
-	})
+func (s *Session) reportJournal(res *SessionResult) *campaign.JournalSummary {
 	var journalOnly []campaign.RecordSummary
 	if res.Campaign != nil {
 		journalOnly = res.Campaign.JournalOnly
 	} else if res.Matrix != nil {
 		journalOnly = res.Matrix.JournalOnly
 	}
-	for _, r := range journalOnly {
-		j.Add(r)
-	}
-	return j
+	return campaign.SummarizeRecords(s.c.Name, campaign.ConfigFingerprint(s.c), func(add func(campaign.RecordSummary)) {
+		res.eachStudy(func(name string, sr *StudyOutcome) {
+			for _, rec := range sr.Records {
+				add(campaign.Summarize(name, rec))
+			}
+		})
+		for _, r := range journalOnly {
+			add(r)
+		}
+	})
 }
 
 // GenerateReport renders report.html and report.json from the artifacts

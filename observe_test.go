@@ -217,6 +217,7 @@ func TestMetricsSnapshotArtifact(t *testing.T) {
 	}
 	total := snap.Counters[`loki_experiments_total{result="accepted"}`] +
 		snap.Counters[`loki_experiments_total{result="rejected"}`] +
+		snap.Counters[`loki_experiments_total{result="discarded"}`] +
 		snap.Counters[`loki_experiments_total{result="aborted"}`]
 	if total != 3 {
 		t.Errorf("experiment verdict counters sum to %d, want 3 (counters: %v)", total, snap.Counters)

@@ -3,6 +3,7 @@ package loki_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	loki "repro"
+	"repro/internal/campaign"
 )
 
 // quorumAccepted renders each point's accepted experiment indexes.
@@ -109,5 +111,39 @@ func TestQuorumVerdictsThroughJournal(t *testing.T) {
 		if want := strings.Count(run[p.Point], ","); p.Complete != 4 || p.Accepted != want {
 			t.Errorf("status of %s: %d complete, %d accepted; want 4, %d", p.Point, p.Complete, p.Accepted, want)
 		}
+	}
+
+	if _, err := loki.GenerateReport(dir); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "report.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Totals campaign.Tally `json:"totals"`
+		Points []struct {
+			Point    string         `json:"point"`
+			Verdicts campaign.Tally `json:"verdicts"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(b, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if want := (campaign.Tally{Experiments: 96, Accepted: 80, Rejected: 16}); rep.Totals != want {
+		t.Errorf("report totals %+v, want %+v", rep.Totals, want)
+	}
+	flash := 0
+	for _, p := range rep.Points {
+		if !strings.HasPrefix(p.Point, "quorum-flash/") {
+			if p.Verdicts.Rejected != 0 {
+				t.Errorf("report: %s rejects %d experiments; only quorum-flash points reject", p.Point, p.Verdicts.Rejected)
+			}
+			continue
+		}
+		flash += p.Verdicts.Rejected
+	}
+	if flash != 16 {
+		t.Errorf("report: quorum-flash points reject %d experiments, want all 16", flash)
 	}
 }

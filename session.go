@@ -465,7 +465,7 @@ func (s *Session) Run(ctx context.Context) (*SessionResult, error) {
 // RunOne is Run of exactly one experiment of the session's (first) study
 // whose record keeps the raw runtime artifacts — the single-experiment
 // mode of cmd/lokid. With WithArtifacts, the §3.5.6 timeline files and
-// the timestamps file are written for a clean, analysis-accepted run.
+// the timestamps file are written for an analysed (rejected or accepted) run.
 func (s *Session) RunOne(ctx context.Context) (*Experiment, error) {
 	if err := s.runnable(); err != nil {
 		return nil, err
@@ -707,12 +707,12 @@ func (s *Session) Status() (*SessionStatus, error) {
 	}
 	for _, name := range order {
 		o := observed[name]
-		st.Points = append(st.Points, PointStatus{Point: name, Expected: expected[name], Complete: o.Complete, Accepted: o.Accepted})
+		st.Points = append(st.Points, PointStatus{Point: name, Expected: expected[name], Complete: o.Experiments, Accepted: o.Accepted})
 	}
 	// Journal-only points follow, in the summary's (sorted) order.
 	for _, o := range sum.Points {
 		if _, configured := expected[o.Point]; !configured {
-			st.Points = append(st.Points, PointStatus{Point: o.Point, Complete: o.Complete, Accepted: o.Accepted})
+			st.Points = append(st.Points, PointStatus{Point: o.Point, Complete: o.Experiments, Accepted: o.Accepted})
 		}
 	}
 	return st, nil
@@ -858,12 +858,11 @@ func writeExperimentArtifacts(w *obs.ArtifactWriter, prefix string, rec *Experim
 	if err != nil {
 		return err
 	}
-	verdict := "rejected\n"
-	if rec.Accepted {
-		verdict = "accepted\n"
-	}
 	return w.Write(filepath.Join(expDir, "verdict.txt"), 0o644, func(w io.Writer) error {
-		_, err := io.WriteString(w, verdict)
+		_, err := io.WriteString(w, rec.Verdict().String())
+		if err == nil {
+			_, err = io.WriteString(w, "\n")
+		}
 		return err
 	})
 }
@@ -881,13 +880,13 @@ func expDirPath(prefix string, index int) string {
 }
 
 // writeRawArtifacts emits RunOne's raw runtime artifacts — one §3.5.6
-// timeline file per machine plus the timestamps file — for a clean,
-// analysis-processable experiment; res is the run e came from.
+// timeline file per machine plus the timestamps file — for an analysed
+// experiment; res is the run e came from.
 func (s *Session) writeRawArtifacts(e *Experiment, res *SessionResult) error {
 	if s.artifacts == "" {
 		return nil
 	}
-	if e.Record == nil || !e.Record.Completed || e.Record.AnalysisError != "" {
+	if v := e.Record.Verdict(); v != campaign.Rejected && v != campaign.Accepted {
 		// No timelines to trust, but the run's metrics still happened.
 		if err := s.writeMetricsSnapshot(); err != nil {
 			return err

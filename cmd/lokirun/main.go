@@ -441,11 +441,7 @@ func (p *progressTracker) observe(ev loki.ProgressEvent) {
 			if ev.Member != "" {
 				member = " member=" + ev.Member
 			}
-			verdict := "rejected"
-			if ev.AcceptedOne {
-				verdict = "accepted"
-			}
-			fmt.Printf("progress: %s exp %d/%d %s%s\n", ev.Point, ev.Index+1, ev.Experiments, verdict, member)
+			fmt.Printf("progress: %s exp %d/%d %s%s\n", ev.Point, ev.Index+1, ev.Experiments, ev.Verdict, member)
 		}
 	}
 }

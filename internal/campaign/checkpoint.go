@@ -142,10 +142,10 @@ const maxQueuedBytes = 1 << 20
 // stands for the record line queued with it; a study-start or study-done
 // event has no line.
 type pending struct {
-	p        *progress
-	kind     string
-	index    int
-	accepted bool
+	p       *progress
+	kind    string
+	index   int
+	verdict Verdict
 }
 
 // openCampaignJournal opens (or resumes) the campaign's journal; a nil
@@ -502,7 +502,7 @@ func (j *journal) append(rec journalRecord[*ExperimentRecord], p *progress) erro
 	// output in memory. If a key ever were looked up after its append,
 	// the miss costs one redundant re-run — the rerun's record is
 	// journaled again and the later copy wins on the next resume.
-	return j.enqueue(b, pending{p: p, kind: obs.EventExperiment, index: rec.Index, accepted: rec.Experiment.Accepted})
+	return j.enqueue(b, pending{p: p, kind: obs.EventExperiment, index: rec.Index, verdict: rec.Experiment.Verdict()})
 }
 
 // enqueue queues a marshalled record, framed as its line, and its entry for
@@ -572,7 +572,7 @@ func (j *journal) commit() {
 		}
 		for _, e := range entries {
 			if err == nil || e.kind != obs.EventExperiment {
-				e.p.emit(e.kind, e.index, e.accepted)
+				e.p.emit(e.kind, e.index, e.verdict)
 			}
 		}
 		clear(entries) // drop the progress pointers until the array is reused
@@ -695,7 +695,7 @@ func (sj *studyJournal) lookup(index int) (*ExperimentRecord, error) {
 // here.
 func (sj *studyJournal) record(rec *ExperimentRecord, p *progress) error {
 	if sj == nil {
-		p.emit(obs.EventExperiment, rec.Index, rec.Accepted)
+		p.emit(obs.EventExperiment, rec.Index, rec.Verdict())
 		return nil
 	}
 	return sj.j.append(journalRecord[*ExperimentRecord]{Point: sj.point, Index: rec.Index, Fingerprint: sj.fp, Experiment: rec}, p)
@@ -707,7 +707,7 @@ func (sj *studyJournal) record(rec *ExperimentRecord, p *progress) error {
 // closed journal emits it at once.
 func (sj *studyJournal) event(p *progress, kind string) {
 	if sj == nil || sj.j.enqueue(nil, pending{p: p, kind: kind}) != nil {
-		p.emit(kind, 0, false)
+		p.emit(kind, 0, 0)
 	}
 }
 

@@ -18,6 +18,9 @@ import (
 func (m *Member) runtime() *core.Runtime { return m.rt }
 func (m *Member) reference() string      { return m.ref }
 
+// recycle keeps nothing: most of a cluster's timelines are decoded frames.
+func (m *Member) recycle([]*timeline.Local) {}
+
 // reset is the reset barrier: every member on a fresh testbed and the new
 // epoch before any traffic flows. The reset frame carries the trace
 // context: the point name members label their lanes with and whether a
@@ -80,7 +83,7 @@ func (m *Member) execute(index int) (executed, error) {
 		return executed{}, err
 	}
 
-	run.locals = m.rt.Store().All()
+	run.locals = m.rt.Store().AppendAll(nil)
 	run.outcomes = m.rt.Outcomes()
 	for i, peer := range m.peers {
 		frames := results[i]

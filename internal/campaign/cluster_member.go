@@ -410,7 +410,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					}
 					m.rt.SetTrace(nil) // the lane is final; stop recording
 				}
-				resFrames = resultFrames(m.rt.Logf, m.peer, cm.Peer, index, m.rt.Store().All(), m.rt.Outcomes())
+				resFrames = resultFrames(m.rt.Logf, m.peer, cm.Peer, index, m.rt.Store().AppendAll(nil), m.rt.Outcomes())
 			}
 			for _, f := range resFrames {
 				m.sendCtrl(cm.Peer, opResult, f)

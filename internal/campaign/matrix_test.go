@@ -314,7 +314,7 @@ func TestStaleClockStepClearedBeforePreSync(t *testing.T) {
 	if err := tb.rt.StepHostClock("h2", 5e6); err != nil { // previous experiment's fault
 		t.Fatal(err)
 	}
-	raw, err := runRuntimePhase(c, st, tb, st.Name, 0)
+	raw, err := runRuntimePhase(c, st, tb, st.Name, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

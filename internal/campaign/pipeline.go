@@ -44,6 +44,9 @@ type testbed interface {
 	// mergeLanes folds the remote runtimes' trace lanes for the finished
 	// experiment into tr (nil with tracing off).
 	mergeLanes(index int, tr *obs.Trace)
+	// recycle takes back an analysed experiment's timelines, which
+	// nothing references any more, for later experiments to record into.
+	recycle(locals []*timeline.Local)
 }
 
 // executed is what a testbed's execute step collected. The timelines are
@@ -146,6 +149,8 @@ func (tb *localTestbed) execute(int) (executed, error) {
 
 // mergeLanes has nothing to fold: one runtime records every lane itself.
 func (tb *localTestbed) mergeLanes(int, *obs.Trace) {}
+
+func (tb *localTestbed) recycle(locals []*timeline.Local) { tb.rt.RecycleTimelines(locals) }
 
 // close retires the worker's runtime, exporting its virtual-clock activity
 // first: the scheduler's counters are cumulative over the worker's run.
@@ -298,6 +303,11 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 	rawCh := make(chan *rawExperiment, workers)
 	var runWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		// spent brings this worker's analysed experiments back: only its
+		// own runtime may record into timelines its store still lists. It
+		// makes a new one only when none is spare, so no more exist than
+		// fit in flight — at the worker, in rawCh and at the analysts.
+		spent := make(chan *rawExperiment, 2*workers+1)
 		runWG.Add(1)
 		go func() {
 			defer runWG.Done()
@@ -308,11 +318,16 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 			}
 			defer release()
 			for i, ok := claim(); ok; i, ok = claim() {
+				var spare *rawExperiment
+				select {
+				case spare = <-spent:
+				default:
+				}
 				var busy time.Time
 				if cm != nil {
 					busy = obs.Now()
 				}
-				raw, err := runRuntimePhase(c, st, tb, prog.point, i)
+				raw, err := runRuntimePhase(c, st, tb, prog.point, i, spare)
 				if cm != nil {
 					cm.WorkerBusySeconds.ObserveSince(busy)
 				}
@@ -320,6 +335,7 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 					fail(fmt.Errorf("experiment %d: %w", i, err))
 					return
 				}
+				raw.home = spent
 				select {
 				case rawCh <- raw:
 				case <-done:
@@ -352,6 +368,13 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 				if err := sj.record(rec, prog); err != nil {
 					fail(err)
 				}
+				if !c.single { // RunSingle's record keeps the timelines and stamps
+					raw.outcomes = nil // the record's
+					select {
+					case raw.home <- raw:
+					default:
+					}
+				}
 			}
 		}()
 	}
@@ -380,14 +403,14 @@ type progress struct {
 }
 
 // emit sends one event of kind; an experiment event first counts the
-// experiment.
-func (p *progress) emit(kind string, index int, accepted bool) {
+// experiment, whose verdict is v.
+func (p *progress) emit(kind string, index int, v Verdict) {
 	ev := obs.Event{Kind: kind, Point: p.point, Experiments: p.experiments, Member: p.member}
 	if kind == obs.EventExperiment {
-		if accepted {
+		if v == Accepted {
 			p.accepted.Add(1)
 		}
-		ev.Index, ev.AcceptedOne, ev.Completed = index, accepted, int(p.done.Add(1))
+		ev.Index, ev.Verdict, ev.Completed = index, v.String(), int(p.done.Add(1))
 	} else {
 		ev.Completed = int(p.done.Load())
 	}
@@ -398,10 +421,12 @@ func (p *progress) emit(kind string, index int, accepted bool) {
 // rawExperiment is the runtime phase's output handed to the analysis
 // stage: everything analysis needs. The analysis reads it while the worker
 // runs the next experiment, so everything in it — timelines, stamps,
-// outcomes — is the receiver's: the testbed hands these values over and
-// never recycles them (only the timelines' immutable header lists are
-// shared with later experiments).
+// outcomes — is the receiver's (only the timelines' immutable header lists
+// are shared). Once the record is journaled, the analysis worker hands it
+// back to home, its runtime worker, less what the record keeps: the
+// outcomes, or under RunSingle all of it.
 type rawExperiment struct {
+	home      chan<- *rawExperiment
 	index     int
 	completed bool
 	outcomes  map[string]string
@@ -437,8 +462,9 @@ type rawExperiment struct {
 // (thesis §2.3, Fig. 2.1): reset, pre-sync mini-phase, the experiment
 // itself (with supervised restarts if configured), post-sync mini-phase,
 // and the member-lane merge. point names the study or matrix point for
-// traces and progress events.
-func runRuntimePhase(c *Campaign, st *Study, tb testbed, point string, index int) (*rawExperiment, error) {
+// traces and progress events. spare, if not nil, is an analysed
+// experiment whose scratch this one reuses.
+func runRuntimePhase(c *Campaign, st *Study, tb testbed, point string, index int, spare *rawExperiment) (*rawExperiment, error) {
 	rt := tb.runtime()
 	clk := rt.Clock()
 	// Under virtual time the worker drives its runtime's scheduler for
@@ -484,11 +510,17 @@ func runRuntimePhase(c *Campaign, st *Study, tb testbed, point string, index int
 	}
 	phase("reset", cm.ResetSeconds)
 
+	raw := spare
+	if raw != nil {
+		tb.recycle(raw.locals)
+	} else {
+		raw = new(rawExperiment)
+	}
 	// A failed mini-phase (a loss burst on a real network) discards this
 	// experiment at analysis, but the phases still run end to end so every
 	// runtime stays in lockstep for the next one.
 	var syncErr string
-	stamps, err := tb.sync(nil)
+	stamps, err := tb.sync(raw.stamps[:0])
 	if err != nil {
 		syncErr = fmt.Sprintf("pre-sync: %v", err)
 	}
@@ -519,7 +551,7 @@ func runRuntimePhase(c *Campaign, st *Study, tb testbed, point string, index int
 	// stage writes.
 	tb.mergeLanes(index, tr)
 
-	return &rawExperiment{
+	*raw = rawExperiment{
 		index:         index,
 		completed:     run.completed,
 		outcomes:      run.outcomes,
@@ -531,5 +563,6 @@ func runRuntimePhase(c *Campaign, st *Study, tb testbed, point string, index int
 		ref:           tb.reference(),
 		trace:         tr,
 		traceEnd:      mark,
-	}, nil
+	}
+	return raw, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/clocksync"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/timeline"
 )
 
 // fakeTestbed records the order the pipeline drives it in. Each phase
@@ -43,6 +44,8 @@ func (f *fakeTestbed) execute(int) (executed, error) {
 
 func (f *fakeTestbed) mergeLanes(int, *obs.Trace) { f.calls = append(f.calls, "mergeLanes") }
 
+func (f *fakeTestbed) recycle([]*timeline.Local) {}
+
 // TestRuntimePhaseScaffoldingOnce drives a fake testbed through
 // runRuntimePhase: the phase order, the four phase spans, and the
 // reset/sync×2/run observations are the pipeline's — emitted exactly once
@@ -54,7 +57,7 @@ func TestRuntimePhaseScaffoldingOnce(t *testing.T) {
 	tb := &fakeTestbed{rt: rt}
 	c := &Campaign{Obs: &obs.Sink{TraceDir: t.TempDir(), Metrics: obs.NewRegistry()}}
 
-	raw, err := runRuntimePhase(c, &Study{Name: "s"}, tb, "s", 3)
+	raw, err := runRuntimePhase(c, &Study{Name: "s"}, tb, "s", 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

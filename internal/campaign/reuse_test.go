@@ -76,8 +76,10 @@ func virtualElection(t testing.TB, experiments, workers int, extra ...string) *C
 // in tier-1, not only in the ledger: a virtual-time election study through
 // runStudy, runtime phase and pipelined analysis both, one worker. The
 // per-experiment cost is the difference between a long and a short study,
-// so building the testbed does not count. Measured at 35.0 when the
-// budget was set; 39.0 while every scheduled callback allocated its timer
+// so building the testbed does not count. Measured at 25.0 when the
+// budget was set; 35.0 while each runtime phase recorded into fresh
+// timelines, stamps and raw record instead of an analysed experiment's;
+// 39.0 while every scheduled callback allocated its timer
 // entry and each completion wait scheduled a timer of its own; 58.0
 // before each analysis worker built and checked on
 // one reused analysis.Checker and the two sync mini-phases shared one
@@ -86,7 +88,7 @@ func virtualElection(t testing.TB, experiments, workers int, extra ...string) *C
 // stopped allocating its vote generator, vote maps, broadcast list and
 // host list, and 374.7 before the testbed kept its scaffolding.
 func TestStudyAllocBudget(t *testing.T) {
-	const budget = 38
+	const budget = 28
 	allocs := func(experiments int) float64 {
 		c := virtualElection(t, experiments, 1)
 		st := c.Studies[0]
@@ -114,8 +116,11 @@ func TestStudyAllocBudget(t *testing.T) {
 // points' state machines are parsed once per document text (87 more
 // allocations per experiment when every point re-parsed them), and that
 // each record's line is marshalled once and queued with a plain entry.
-// Measured at 176.2 when the budget was set, and at about 186 in a -race
-// build (182.2 and 191.8 while every scheduled callback allocated its timer
+// Measured at 173.5 when the budget was set, and at about 183 in a -race
+// build (176.2 and 186.3 while no runtime phase reused an analysed
+// experiment's timelines, stamps and raw record, which a point's first
+// experiments still cannot; 182.2 and 191.8 while every scheduled callback
+// allocated its timer
 // entry and each completion wait scheduled a timer of its own); 196.9 when
 // the budget was first set (350.0 before the §5.7 and
 // §3.5.6 text encoders appended into a caller's buffer instead of going
@@ -124,9 +129,9 @@ func TestStudyAllocBudget(t *testing.T) {
 // coroutines), 473.5 without the memo; a -race build then measured about
 // 215.5 (399 before the appending encoders).
 func TestJournaledStudyAllocBudget(t *testing.T) {
-	budget := 209.0
+	budget := 206.0
 	if raceBuild {
-		budget = 234
+		budget = 230
 	}
 	const perPoint = 4
 	faults, err := ParseScenarioFaults("black bcrash (black:LEAD) once crashrestart(h1,3ms)\n" +
@@ -235,6 +240,99 @@ func TestReusedScaffoldingDoesNotAlias(t *testing.T) {
 	if seq, par := run(1), run(2); !slices.Equal(seq, par) {
 		t.Error("verdicts or timeline structure of a two-worker run differ from a one-worker run's")
 	}
+}
+
+// TestRecycledScratchDoesNotLeak checks the way back of an analysed
+// experiment's scratch: its timelines, stamps and raw record, which a
+// later runtime phase on the same worker records into. Under virtual time
+// the sequence of runtime phases on one testbed is deterministic, so a
+// one-worker study must record, experiment by experiment, what the same
+// phases record into fresh scratch on a testbed of their own. The study is
+// the election with a crash-restart fault, each start first writing as
+// many notes as its host clock's millisecond reading modulo 4, so timeline
+// lengths vary between experiments and stale entries would show. No two
+// records may share an outcome table, and RunSingle's record keeps the
+// timelines and stamps it ran with.
+//
+// Mutation checks, each run in a scratch copy of the module: reusing a
+// spare's Entries without truncating them fails the record comparison,
+// and handing back raw.outcomes — to a runtime phase that refills the
+// spare's table — fails the shared-table check.
+func TestRecycledScratchDoesNotLeak(t *testing.T) {
+	const experiments = 24
+	c := virtualElection(t, experiments, 1, "black bcrash (black:LEAD) once crashrestart(h1,3ms)")
+	st := c.Studies[0]
+	for i := range st.Nodes {
+		st.Nodes[i].App = notingApp{st.Nodes[i].App}
+	}
+	sr, err := runStudy(context.Background(), c, st, nil, "", 1, openLocal(c, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tb, err := newLocalTestbed(c, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.close()
+	var first *rawExperiment
+	lengths := map[string]bool{}
+	tables := map[uintptr]int{}
+	for i, got := range sr.Records {
+		raw, err := runRuntimePhase(c, st, tb, st.Name, i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ls []int
+		for _, l := range raw.locals {
+			ls = append(ls, len(l.Entries))
+		}
+		lengths[fmt.Sprint(ls)] = true
+		if i == 0 {
+			first = raw
+		}
+		want, err := analyzeExperiment(c, st, raw, new(analyzer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Global == nil {
+			t.Fatalf("experiment %d not analyzed: %s", i, want.AnalysisError)
+		}
+		line := func(r *ExperimentRecord) string {
+			return recordLine(t, journalRecord[*ExperimentRecord]{Point: st.Name, Index: i, Experiment: r})
+		}
+		if g, w := line(got), line(want); g != w {
+			t.Fatalf("experiment %d differs from its run on fresh scratch:\n  study: %s\n  fresh: %s", i, g, w)
+		}
+		table := reflect.ValueOf(got.Outcomes).Pointer()
+		if j, shared := tables[table]; shared {
+			t.Fatalf("records %d and %d share one outcome table", j, i)
+		}
+		tables[table] = i
+	}
+	if len(lengths) < 2 {
+		t.Fatal("every experiment recorded timelines of the same lengths: the test no longer exercises stale entries")
+	}
+
+	res, err := RunSingle(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := res.Study(st.Name).Records[0]
+	if !reflect.DeepEqual(rec.Locals, first.locals) || !slices.Equal(rec.Stamps, first.stamps) {
+		t.Fatal("RunSingle's record does not keep the timelines and stamps it ran with")
+	}
+}
+
+// notingApp writes as many notes as its host clock's millisecond reading
+// modulo 4 before running the application.
+type notingApp struct{ core.App }
+
+func (a notingApp) Main(h *core.Handle) {
+	for range h.Now() / 1e6 % 4 {
+		h.Note("n")
+	}
+	a.App.Main(h)
 }
 
 // TestAnalysisWorkersShareNoArrays checks the analysis side of the

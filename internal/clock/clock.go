@@ -73,9 +73,6 @@ type Waiter interface {
 // The zero value is ready to use.
 type Real struct{}
 
-// NewReal returns the wall clock.
-func NewReal() Real { return Real{} }
-
 // epoch anchors Real's ticks: every runtime on the wall clock shares it.
 var epoch = time.Now()
 

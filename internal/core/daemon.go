@@ -118,8 +118,8 @@ type ExperimentResult struct {
 	// aborted (its results should be discarded).
 	Completed bool
 	// Timelines holds each machine's local timeline, by nickname order.
-	// They are the caller's: the run sealed them, and later experiments
-	// record into fresh ones.
+	// They are the caller's, sealed, until it hands them back to
+	// Runtime.RecycleTimelines for later experiments to record into.
 	Timelines []*timeline.Local
 	// Outcomes maps nickname to "exited", "crashed", or "killed".
 	Outcomes map[string]string
@@ -128,8 +128,10 @@ type ExperimentResult struct {
 // RunExperiment executes one experiment: reset the timeline store, start
 // every auto-start node from the node file, then wait for completion or
 // timeout. Dynamically entering nodes (restarts, late joiners) are the
-// application's business via Runtime.StartNode during the run.
-func (c *CentralDaemon) RunExperiment(nodes []spec.NodeEntry, timeout time.Duration) (*ExperimentResult, error) {
+// application's business via Runtime.StartNode during the run. The
+// timelines are collected into the slice last handed back to
+// Runtime.RecycleTimelines, if any.
+func (c *CentralDaemon) RunExperiment(nodes []spec.NodeEntry, timeout time.Duration) (ExperimentResult, error) {
 	c.rt.ResetExperiment()
 
 	// Record the node file's placement for transport routing (frames for
@@ -150,7 +152,7 @@ func (c *CentralDaemon) RunExperiment(nodes []spec.NodeEntry, timeout time.Durat
 		if _, err := c.rt.StartNode(e.Nickname, e.Host); err != nil {
 			c.rt.KillAll()
 			c.rt.Wait(time.Second)
-			return nil, err
+			return ExperimentResult{}, err
 		}
 	}
 	if tr != nil {
@@ -168,5 +170,9 @@ func (c *CentralDaemon) RunExperiment(nodes []spec.NodeEntry, timeout time.Durat
 		tr.Event(c.rt.clk.Now(), obs.CatPhase, "seal", detail)
 	}
 
-	return &ExperimentResult{Completed: completed, Outcomes: c.rt.Outcomes(), Timelines: c.rt.Store().All()}, nil
+	c.rt.mu.Lock()
+	timelines := c.rt.store.AppendAll(c.rt.spent)
+	c.rt.spent = nil
+	c.rt.mu.Unlock()
+	return ExperimentResult{Completed: completed, Outcomes: c.rt.Outcomes(), Timelines: timelines}, nil
 }

@@ -72,9 +72,11 @@ type registration struct {
 	// header is the timeline header lists, shared by every timeline of
 	// this definition and never mutated (Hosts, which grows per timeline,
 	// is left out). entries is the length of the last experiment's
-	// timeline: the capacity of the next one's fresh Entries.
+	// timeline: the capacity of the next one's fresh Entries, unless it
+	// records into spare, a timeline handed back (RecycleTimelines).
 	header  timeline.Meta
 	entries int
+	spare   *timeline.Local
 
 	recorder timeline.Recorder
 	// mu guards the current node's state, view and triggers.

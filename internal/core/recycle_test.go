@@ -5,9 +5,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/spec"
+	"repro/internal/timeline"
 	"repro/internal/vclock"
 )
 
@@ -140,8 +142,11 @@ func TestStaleWakeOnPooledWaiterEndsNoWaitEarly(t *testing.T) {
 
 // TestEmptyExperimentAllocBudget keeps the start-up diet from regressing
 // silently: one experiment of three nodes that return at once, on a warmed
-// runtime under virtual time, measured at 16 allocations when this budget
-// was set (20 while the completion wait scheduled a timer of its own, a
+// runtime under virtual time, whose timelines are handed back after each
+// run, measured at 8 allocations when this budget was set (16 while every
+// start recorded into a fresh timeline, struct and entries, the result
+// was returned by pointer and the timelines were listed into a fresh
+// slice; 20 while the completion wait scheduled a timer of its own, a
 // closure and an escaped flag, and node completion gathered the done
 // waiters into a fresh slice; 21 while each task body started a goroutine
 // of its own; 30 with a second lifecycle channel, a host list per timeline
@@ -150,10 +155,10 @@ func TestStaleWakeOnPooledWaiterEndsNoWaitEarly(t *testing.T) {
 // registration; 95 before inboxes, waiters and the netem generator were
 // recycled or built on demand). What is left is what an experiment hands
 // away or what a start must not share: per node the Node (whose handle a
-// straggler may still hold), its done channel and a fresh timeline
-// (struct and entries); per experiment the result.
+// straggler may still hold) and its done channel; per experiment the
+// outcome table's copy.
 func TestEmptyExperimentAllocBudget(t *testing.T) {
-	const budget = 17
+	const budget = 9
 	v := clock.NewVirtual()
 	rt := New(Config{Clock: v})
 	defer rt.Shutdown()
@@ -170,15 +175,87 @@ func TestEmptyExperimentAllocBudget(t *testing.T) {
 	v.Drive()
 	defer v.Release()
 	run := func() {
-		if res, err := cd.RunExperiment(placement, time.Second); err != nil || !res.Completed {
+		res, err := cd.RunExperiment(placement, time.Second)
+		if err != nil || !res.Completed {
 			t.Fatalf("empty experiment: res=%+v err=%v", res, err)
 		}
+		rt.RecycleTimelines(res.Timelines)
 	}
 	run()
 	got := testing.AllocsPerRun(200, run)
 	t.Logf("empty experiment: %v allocations", got)
 	if got > budget {
 		t.Fatalf("empty experiment allocates %v objects, budget %d", got, budget)
+	}
+}
+
+// TestRecycledTimelinesStartEmpty: the next experiment records into the
+// timelines handed back to RecycleTimelines, each emptied and with its
+// start's header and host list, and lists them in the slice handed back;
+// a timeline the caller kept is not touched. Each experiment's nodes
+// write a different number of notes, so a spare that kept its entries
+// would show a stale count.
+func TestRecycledTimelinesStartEmpty(t *testing.T) {
+	v := clock.NewVirtual()
+	rt := New(Config{Clock: v})
+	defer rt.Shutdown()
+	notes := 0
+	var placement []spec.NodeEntry
+	for i, nick := range []string{"black", "green", "yellow"} {
+		host := fmt.Sprintf("h%d", i+1)
+		rt.AddHost(host, vclock.ClockConfig{})
+		app := appFunc(func(h *Handle) {
+			for range notes {
+				h.Note("n")
+			}
+		})
+		if err := rt.Register(NodeDef{Nickname: nick, Spec: busSpec(t), App: app}); err != nil {
+			t.Fatal(err)
+		}
+		placement = append(placement, spec.NodeEntry{Nickname: nick, Host: host})
+	}
+	cd := NewCentralDaemon(rt)
+	v.Drive()
+	defer v.Release()
+	run := func(n int) []*timeline.Local {
+		t.Helper()
+		notes = n
+		res, err := cd.RunExperiment(placement, time.Second)
+		if err != nil || !res.Completed {
+			t.Fatalf("experiment: res=%+v err=%v", res, err)
+		}
+		for i, l := range res.Timelines {
+			got := 0
+			for _, e := range l.Entries {
+				if e.Kind == timeline.Note {
+					got++
+				}
+			}
+			want := placement[i]
+			if l.Owner != want.Nickname || got != n || l.Entries[0].Kind != timeline.HostChange ||
+				len(l.Hosts) != 1 || l.Hosts[0] != want.Host {
+				t.Fatalf("%s's timeline: owner %s, %d notes (want %d), hosts %v, first entry %v",
+					want.Nickname, l.Owner, got, n, l.Hosts, l.Entries[0].Kind)
+			}
+		}
+		return res.Timelines
+	}
+
+	first := run(5)
+	kept, keptLen := first[0], len(first[0].Entries)
+	green, yellow := first[1], first[2]
+	rt.RecycleTimelines(first[1:])
+	second := run(1)
+	if second[1] != green || second[2] != yellow {
+		t.Fatal("the handed-back timelines were not recorded into")
+	}
+	if second[0] == kept || len(kept.Entries) != keptLen {
+		t.Fatal("the timeline the caller kept was recorded into")
+	}
+	rt.RecycleTimelines(second)
+	third := run(3)
+	if unsafe.SliceData(third) != unsafe.SliceData(second) || third[0] != second[0] {
+		t.Fatal("the next result was not collected into the handed-back slice and timelines")
 	}
 }
 

@@ -130,6 +130,9 @@ type Runtime struct {
 	// deliveries are the spent notification deliveries (route), kept for
 	// reuse; bounded by the most notifications ever in flight at once.
 	deliveries []*delivery
+	// spent is the emptied list of the timelines last handed back, which
+	// RunExperiment collects the next ones into.
+	spent []*timeline.Local
 }
 
 type hostState struct {
@@ -303,9 +306,14 @@ func (r *Runtime) StartNode(nickname, host string) (*Node, error) {
 	local := r.store.Get(nickname)
 	restarted := local != nil && len(local.Entries) > 0
 	if local == nil {
-		// A fresh timeline: the shared header, and entries of its own —
-		// the last one went to whoever collected that experiment.
-		local = &timeline.Local{Meta: reg.header, Entries: make([]timeline.Entry, 0, reg.entries)}
+		// A new timeline: the shared header, and entries of its own — a
+		// handed-back spare's, emptied, or fresh ones, the last timeline
+		// having gone to whoever collected that experiment.
+		if local, reg.spare = reg.spare, nil; local != nil {
+			*local = timeline.Local{Meta: reg.header, Entries: local.Entries[:0]}
+		} else {
+			local = &timeline.Local{Meta: reg.header, Entries: make([]timeline.Entry, 0, reg.entries)}
+		}
 		local.Hosts = hs.hosts
 		r.store.Put(local)
 	}
@@ -329,6 +337,22 @@ func (r *Runtime) StartNode(nickname, host string) (*Node, error) {
 	hs.daemon.adopt(n)
 	n.run()
 	return n, nil
+}
+
+// RecycleTimelines takes back the timelines of a finished experiment, and
+// the slice that lists them, once the caller no longer references any of
+// them: later starts record into them, at most one per registration, and
+// the next RunExperiment collects its timelines into the slice.
+func (r *Runtime) RecycleTimelines(spent []*timeline.Local) {
+	r.mu.Lock()
+	for _, l := range spent {
+		if reg := r.defs[l.Owner]; reg != nil && reg.spare == nil {
+			reg.spare = l
+		}
+	}
+	clear(spent)
+	r.spent = spent[:0]
+	r.mu.Unlock()
 }
 
 // Node returns the live node with the given nickname, or nil.
@@ -509,7 +533,8 @@ func (r *Runtime) ResetExperiment() {
 		panic("core: ResetExperiment with live nodes")
 	}
 	// The timelines leave with the store: whoever collected them owns
-	// them. Only their lengths stay, as the next timelines' capacity.
+	// them until it hands them back. Only their lengths stay, as the next
+	// fresh timelines' capacity.
 	for nick, reg := range r.defs {
 		if l := r.store.Get(nick); l != nil {
 			reg.entries = len(l.Entries)

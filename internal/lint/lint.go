@@ -99,11 +99,6 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(pos, fmt.Sprintf(format, args...), "")
-}
-
 // ReportWithFix records a diagnostic carrying a suggested remediation.
 func (p *Pass) ReportWithFix(pos token.Pos, fix, format string, args ...interface{}) {
 	p.report(pos, fmt.Sprintf(format, args...), fix)

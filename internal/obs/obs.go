@@ -100,9 +100,9 @@ type Event struct {
 	// journaled records included.
 	Completed int
 	Accepted  int
-	// AcceptedOne reports whether this experiment was accepted
-	// (EventExperiment only).
-	AcceptedOne bool
+	// Verdict names what became of this experiment: "aborted",
+	// "discarded", "rejected" or "accepted" (EventExperiment only).
+	Verdict string
 	// Member is the emitting cluster member's peer name; empty for
 	// single-process runs.
 	Member string

@@ -256,7 +256,7 @@ func TestSinkWatchEmit(t *testing.T) {
 	var got []Event
 	cancel := s.Watch(func(ev Event) { got = append(got, ev) })
 	s.Emit(Event{Kind: EventStudyStart, Point: "s1"})
-	s.Emit(Event{Kind: EventExperiment, Point: "s1", Index: 0, AcceptedOne: true})
+	s.Emit(Event{Kind: EventExperiment, Point: "s1", Index: 0, Verdict: "accepted"})
 	cancel()
 	s.Emit(Event{Kind: EventStudyDone, Point: "s1"})
 	if len(got) != 2 {

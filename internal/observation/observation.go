@@ -109,9 +109,6 @@ type Bound struct {
 	Value vclock.Ticks // used when Macro is ""
 }
 
-// Lit returns a literal bound.
-func Lit(t vclock.Ticks) Bound { return Bound{Value: t} }
-
 // LitMillis returns a literal bound from milliseconds.
 func LitMillis(ms float64) Bound { return Bound{Value: vclock.FromMillis(ms)} }
 

@@ -207,14 +207,16 @@ func (s *Store) Names() []string {
 	return out
 }
 
-// All returns every stored timeline, ordered by nickname.
-func (s *Store) All() []*Local {
-	out := make([]*Local, 0, len(s.timelines))
+// AppendAll appends every stored timeline to dst, ordered by nickname,
+// and returns the extended slice.
+func (s *Store) AppendAll(dst []*Local) []*Local {
+	n := len(dst)
+	dst = slices.Grow(dst, len(s.timelines))
 	for _, l := range s.timelines {
-		out = append(out, l)
+		dst = append(dst, l)
 	}
-	slices.SortFunc(out, func(a, b *Local) int { return strings.Compare(a.Owner, b.Owner) })
-	return out
+	slices.SortFunc(dst[n:], func(a, b *Local) int { return strings.Compare(a.Owner, b.Owner) })
+	return dst
 }
 
 // Reset drops all stored timelines (between experiments).

@@ -364,8 +364,8 @@ func TestStore(t *testing.T) {
 	if len(names) != 2 || names[0] != "black" || names[1] != "green" {
 		t.Errorf("Names = %v", names)
 	}
-	if all := s.All(); len(all) != 2 || all[0].Owner != "black" {
-		t.Errorf("All = %v", all)
+	if all := s.AppendAll(nil); len(all) != 2 || all[0].Owner != "black" {
+		t.Errorf("AppendAll = %v", all)
 	}
 	s.Reset()
 	if len(s.Names()) != 0 {

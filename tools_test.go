@@ -383,3 +383,36 @@ func TestLokirunDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestLokirunProgressNamesVerdict: with -progress and -v, each completed
+// experiment's progress line names its verdict. A clock step mid-run
+// makes the clock fit infeasible, so both experiments are discarded, and
+// their progress lines must say so rather than "rejected".
+func TestLokirunProgressNamesVerdict(t *testing.T) {
+	lokirun := buildLokirun(t)
+	doc := `{
+  "name": "progress", "virtual_time": true, "workers": 1,
+  "hosts": [
+    {"name": "h1"},
+    {"name": "h2", "offset_ns": 5000000, "drift_ppm": 80},
+    {"name": "h3", "offset_ns": -2000000, "drift_ppm": -45}
+  ],
+  "sync": {"messages": 10, "transit": "25µs"},
+  "studies": [{
+    "name": "step", "app": "election",
+    "nodes": [{"name": "black", "host": "h1"}, {"name": "green", "host": "h2"}, {"name": "yellow", "host": "h3"}],
+    "faults": ["black step (black:ELECT) once clockstep(h2,5ms)"],
+    "experiments": 2, "runfor": "80ms", "timeout": "10s"
+  }]
+}`
+	file := filepath.Join(t.TempDir(), "campaign.json")
+	if err := os.WriteFile(file, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := exitCode(t, lokirun, "-config", file, "-progress", "1h", "-v", "error")
+	for i := 1; i <= 2; i++ {
+		if want := fmt.Sprintf("progress: step exp %d/2 discarded\n", i); !strings.Contains(out, want) {
+			t.Errorf("output lacks %q (exit %d):\n%s", want, code, out)
+		}
+	}
+}

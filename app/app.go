@@ -59,8 +59,12 @@ type Message = core.AppMessage
 // so they run unchanged under virtual time.
 type Clock = clock.Clock
 
+// App is what the runtime drives on one node (§3.5.7); a Go-wired study's
+// NewApp returns one per node and testbed.
+type App = core.App
+
 // Instrumented is an application assembled from a body and named fault
-// actions: the core.App the runtime drives (§3.5.7).
+// actions: the App the runtime drives (§3.5.7).
 type Instrumented = probe.Instrumented
 
 // Action is one fault's injection behaviour, registered on an Instrumented

@@ -28,8 +28,9 @@ type Params struct {
 
 // Builder constructs one machine of an application under study: its
 // instrumented body and its state machine specification. The campaign-file
-// loader calls it once per node per experiment, so every experiment runs
-// fresh instances.
+// loader calls it once per node to describe a study, keeping only the
+// specification, which must not depend on Seed, and once per node of every
+// testbed it opens, keeping only the body, so testbeds share no instance.
 type Builder func(p Params) (*Instrumented, *StateMachine)
 
 var (

@@ -8,6 +8,7 @@ package loki_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -148,12 +149,7 @@ func electionCampaign(name string, experiments int, restart bool, seed int64) *l
 func electionCampaignRunFor(name string, experiments int, restart bool, seed int64, runFor time.Duration) *loki.Campaign {
 	peers := []string{"black", "green", "yellow"}
 	var nodes []loki.NodeDef
-	for i, nick := range peers {
-		in := election.New(election.Config{
-			Peers:  peers,
-			RunFor: runFor,
-			Seed:   seed + int64(i),
-		})
+	for _, nick := range peers {
 		var faults []loki.FaultSpec
 		if nick == "black" {
 			faults = []loki.FaultSpec{{
@@ -161,18 +157,27 @@ func electionCampaignRunFor(name string, experiments int, restart bool, seed int
 				Expr: faultexpr.MustParse("(black:LEAD)"),
 				Mode: faultexpr.Once,
 			}}
-			in.On("bfault1", app.DelayedCrashFault(8*time.Millisecond, 0, seed))
 		}
 		nodes = append(nodes, loki.NodeDef{
 			Nickname: nick,
 			Spec:     election.SpecFor(nick, peers),
 			Faults:   faults,
-			App:      in,
 		})
 	}
 	st := &loki.Study{
-		Name:        "study1",
-		Nodes:       nodes,
+		Name:  "study1",
+		Nodes: nodes,
+		NewApp: func(_ loki.MatrixPoint, nick string) (app.App, error) {
+			in := election.New(election.Config{
+				Peers:  peers,
+				RunFor: runFor,
+				Seed:   seed + int64(slices.Index(peers, nick)),
+			})
+			if nick == "black" {
+				in.On("bfault1", app.DelayedCrashFault(8*time.Millisecond, 0, seed))
+			}
+			return in, nil
+		},
 		Experiments: experiments,
 		Timeout:     10 * time.Second,
 		Placement: []loki.NodeEntry{

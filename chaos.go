@@ -3,8 +3,8 @@ package loki
 import "repro/internal/campaign"
 
 // Chaos subsystem (internal/chaos): state-triggered network and host fault
-// actions, and the scenario matrix engine that fans one configuration out
-// into {scenarios × latency profiles × seeds} studies. A fault entry names
+// actions, and the scenario matrix engine that fans one template study out
+// into {scenarios × latency profiles × seeds} points. A fault entry names
 // its action after the expression, e.g. "partition(h1|h2,h3) 50ms"; a
 // Session attaches the engine that runs it.
 type (
@@ -13,7 +13,8 @@ type (
 	Scenario = campaign.Scenario
 	// ScenarioFault attaches one fault entry to a machine.
 	ScenarioFault = campaign.ScenarioFault
-	// Matrix expands {scenarios × latency profiles × seeds} into studies.
+	// Matrix expands a template study into {scenarios × latency profiles
+	// × seeds} points.
 	Matrix = campaign.Matrix
 	// MatrixPoint is one cell of an expanded matrix.
 	MatrixPoint = campaign.Point

@@ -5,10 +5,12 @@ package loki_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	loki "repro"
+	"repro/app"
 	"repro/apps/election"
 )
 
@@ -27,34 +29,30 @@ func chaosMatrix(t testing.TB, experiments int) *loki.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var nodes []loki.NodeDef
+	for _, nick := range peers {
+		nodes = append(nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers)})
+	}
 	return &loki.Matrix{
 		Name:      "partition-heavy",
 		Scenarios: []loki.Scenario{{Name: "netsplit", Faults: faults}},
 		Seeds:     []int64{1, 2},
-		Build: func(p loki.MatrixPoint) (*loki.Study, error) {
-			var nodes []loki.NodeDef
-			for i, nick := range peers {
-				in := election.New(election.Config{
+		Study: &loki.Study{
+			Nodes:       nodes,
+			Experiments: experiments,
+			Timeout:     5 * time.Second,
+			Placement: []loki.NodeEntry{
+				{Nickname: "black", Host: "h1"},
+				{Nickname: "green", Host: "h2"},
+				{Nickname: "yellow", Host: "h3"},
+			},
+			NewApp: func(p loki.MatrixPoint, nick string) (app.App, error) {
+				return election.New(election.Config{
 					Peers:  peers,
 					RunFor: 25 * time.Millisecond,
-					Seed:   p.Seed + int64(i),
-				})
-				nodes = append(nodes, loki.NodeDef{
-					Nickname: nick,
-					Spec:     election.SpecFor(nick, peers),
-					App:      in,
-				})
-			}
-			return &loki.Study{
-				Nodes:       nodes,
-				Experiments: experiments,
-				Timeout:     5 * time.Second,
-				Placement: []loki.NodeEntry{
-					{Nickname: "black", Host: "h1"},
-					{Nickname: "green", Host: "h2"},
-					{Nickname: "yellow", Host: "h3"},
-				},
-			}, nil
+					Seed:   p.Seed + int64(slices.Index(peers, nick)),
+				}), nil
+			},
 		},
 	}
 }

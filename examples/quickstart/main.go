@@ -72,21 +72,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	worker := app.New(func(h *app.Handle) {
-		h.NotifyEvent("IDLE")
-		h.Sleep(5 * time.Millisecond)
-		h.NotifyEvent("start_work")
-		h.Sleep(30 * time.Millisecond) // long residence: injection will be provable
-		h.NotifyEvent("finish")
-		h.Sleep(5 * time.Millisecond)
-	}).On("f1", app.NoteFault())
-
-	monitor := app.New(func(h *app.Handle) {
-		h.NotifyEvent("BOOT")
-		h.Sleep(2 * time.Millisecond)
-		h.NotifyEvent("ready")
-		h.Sleep(50 * time.Millisecond)
-	})
+	// Each testbed the session opens builds its own applications.
+	newApp := func(_ loki.MatrixPoint, nick string) (app.App, error) {
+		if nick == "monitor" {
+			return app.New(func(h *app.Handle) {
+				h.NotifyEvent("BOOT")
+				h.Sleep(2 * time.Millisecond)
+				h.NotifyEvent("ready")
+				h.Sleep(50 * time.Millisecond)
+			}), nil
+		}
+		return app.New(func(h *app.Handle) {
+			h.NotifyEvent("IDLE")
+			h.Sleep(5 * time.Millisecond)
+			h.NotifyEvent("start_work")
+			h.Sleep(30 * time.Millisecond) // long residence: injection will be provable
+			h.NotifyEvent("finish")
+			h.Sleep(5 * time.Millisecond)
+		}).On("f1", app.NoteFault()), nil
+	}
 
 	c := &loki.Campaign{
 		Name: "quickstart",
@@ -99,9 +103,10 @@ func main() {
 		Studies: []*loki.Study{{
 			Name: "demo",
 			Nodes: []loki.NodeDef{
-				{Nickname: "worker", Spec: wSpec, Faults: faults, App: worker},
-				{Nickname: "monitor", Spec: mSpec, App: monitor},
+				{Nickname: "worker", Spec: wSpec, Faults: faults},
+				{Nickname: "monitor", Spec: mSpec},
 			},
+			NewApp: newApp,
 			Placement: []loki.NodeEntry{
 				{Nickname: "worker", Host: "h1"},
 				{Nickname: "monitor", Host: "h2"},

@@ -25,47 +25,35 @@ import (
 var peers = []string{"r0", "r1", "r2"}
 
 func buildStudy(experiments int) *loki.Study {
+	faults := map[string][]loki.FaultSpec{
+		"r0": {{Name: "killPrimary", Expr: faultexpr.MustParse("(r0:PRIMARY)"), Mode: loki.Once}},
+		// Corrupt r2's replica state at the worst moment: while it is a
+		// backup and the primary has just crashed. The trigger rides the
+		// crash notification, so the injection lands a full notification
+		// delay after the state entry — provable by the analysis phase
+		// (unlike a trigger at BACKUP entry, which loses the §3.2.2 race).
+		"r2": {{Name: "bitflip", Expr: faultexpr.MustParse("((r2:BACKUP) & (r0:CRASH))"), Mode: loki.Once}},
+	}
 	var nodes []loki.NodeDef
 	for _, nick := range peers {
-		region := app.NewMemoryRegion(make([]byte, 8))
-		in := replica.New(replica.Config{
-			Peers:  peers,
-			RunFor: 120 * time.Millisecond,
-			Region: region,
-		})
-		var faults []loki.FaultSpec
-		switch nick {
-		case "r0":
-			faults = []loki.FaultSpec{{
-				Name: "killPrimary",
-				Expr: faultexpr.MustParse("(r0:PRIMARY)"),
-				Mode: loki.Once,
-			}}
-			in.On("killPrimary", app.DelayedCrashFault(25*time.Millisecond, 5*time.Millisecond, 7))
-		case "r2":
-			faults = []loki.FaultSpec{{
-				Name: "bitflip",
-				// Corrupt r2's replica state at the worst moment: while it
-				// is a backup and the primary has just crashed. The trigger
-				// rides the crash notification, so the injection lands a
-				// full notification delay after the state entry — provable
-				// by the analysis phase (unlike a trigger at BACKUP entry,
-				// which loses the §3.2.2 race).
-				Expr: faultexpr.MustParse("((r2:BACKUP) & (r0:CRASH))"),
-				Mode: loki.Once,
-			}}
-			in.On("bitflip", app.MemoryFault(region, 11))
-		}
-		nodes = append(nodes, loki.NodeDef{
-			Nickname: nick,
-			Spec:     replica.SpecFor(nick, peers),
-			Faults:   faults,
-			App:      in,
-		})
+		nodes = append(nodes, loki.NodeDef{Nickname: nick, Spec: replica.SpecFor(nick, peers), Faults: faults[nick]})
 	}
 	return &loki.Study{
-		Name:        "failover",
-		Nodes:       nodes,
+		Name:  "failover",
+		Nodes: nodes,
+		// Every testbed builds its own replicas, each with its own memory
+		// region, so concurrent experiments never share replica state.
+		NewApp: func(_ loki.MatrixPoint, nick string) (app.App, error) {
+			region := app.NewMemoryRegion(make([]byte, 8))
+			in := replica.New(replica.Config{Peers: peers, RunFor: 120 * time.Millisecond, Region: region})
+			switch nick {
+			case "r0":
+				in.On("killPrimary", app.DelayedCrashFault(25*time.Millisecond, 5*time.Millisecond, 7))
+			case "r2":
+				in.On("bitflip", app.MemoryFault(region, 11))
+			}
+			return in, nil
+		},
 		Experiments: experiments,
 		Timeout:     10 * time.Second,
 		Placement: []loki.NodeEntry{

@@ -23,15 +23,17 @@ func failFastCampaign(t *testing.T, bodies *atomic.Int64) *loki.Campaign {
 		t.Fatal(err)
 	}
 	study := func(name string, experiments int) *loki.Study {
-		st := &loki.Study{Name: name, Experiments: experiments, Timeout: 5 * time.Second}
+		st := &loki.Study{Name: name, Experiments: experiments, Timeout: 5 * time.Second,
+			NewApp: func(loki.MatrixPoint, string) (app.App, error) {
+				return app.New(func(h *app.Handle) {
+					bodies.Add(1)
+					h.NotifyEvent("RUN")
+					h.Sleep(2 * time.Millisecond)
+					h.NotifyEvent("finish")
+				}), nil
+			}}
 		for i, nick := range []string{"black", "green"} {
-			body := app.New(func(h *app.Handle) {
-				bodies.Add(1)
-				h.NotifyEvent("RUN")
-				h.Sleep(2 * time.Millisecond)
-				h.NotifyEvent("finish")
-			})
-			st.Nodes = append(st.Nodes, loki.NodeDef{Nickname: nick, Spec: sm, App: body})
+			st.Nodes = append(st.Nodes, loki.NodeDef{Nickname: nick, Spec: sm})
 			st.Placement = append(st.Placement, loki.NodeEntry{Nickname: nick, Host: []string{"h1", "h2"}[i]})
 		}
 		return st

@@ -18,7 +18,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/clocksync"
 	"repro/internal/core"
-	"repro/internal/faultexpr"
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/timeline"
@@ -34,11 +33,16 @@ type HostDef struct {
 
 // Study is one study of a campaign (§2.2.3): a set of node definitions
 // with their fault specifications, a node file for placement, and an
-// experiment count.
+// experiment count. It is a description: its nodes carry no application,
+// and each testbed that runs it builds its own with NewApp.
 type Study struct {
 	Name string
-	// Nodes defines every state machine that can run (§3.8).
+	// Nodes defines every state machine that can run (§3.8), without App.
 	Nodes []core.NodeDef
+	// NewApp builds node nick's application for one testbed of point p (a
+	// plain study's is Point{Seed: ChaosSeed}). Every testbed calls it once
+	// per node as it opens, possibly concurrently with other testbeds.
+	NewApp func(p Point, nick string) (core.App, error)
 	// Placement assigns auto-start nodes to hosts (the node file).
 	Placement []spec.NodeEntry
 	// Experiments is how many instances to run (default 1).
@@ -66,7 +70,7 @@ type Study struct {
 	// Virtual-time studies often pin Workers=1 for strictly serialized —
 	// and therefore byte-reproducible — execution, while real-time studies
 	// in the same campaign fan out. A matrix point's pool is its share of
-	// Campaign.Workers (RunMatrix); a built study's Workers may lower that
+	// Campaign.Workers (RunMatrix); the template's Workers may lower that
 	// share but never raise it.
 	Workers int
 }
@@ -112,10 +116,10 @@ type Campaign struct {
 	// resuming with observability toggled reuses the journal.
 	Obs *obs.Sink
 
-	// matrixPoint, set on the per-point campaigns the matrix engine
-	// derives, names the point for traces and progress events even when
-	// the built study carries its own Name and no journal is attached.
-	matrixPoint string
+	// point, set on the per-point campaigns the matrix engine derives,
+	// names traces and progress events even when the study has its own
+	// Name, and is what its testbeds build their applications for.
+	point *Point
 	// single, set on the campaign RunSingle derives, runs one experiment
 	// per study and keeps its raw artifacts in the record.
 	single bool
@@ -239,69 +243,66 @@ func (r *Result) Study(name string) *StudyResult {
 //   - the campaign's Workers: not negative (0 means GOMAXPROCS);
 //   - studies: at least one, no name twice, and every study passes
 //     checkStudy;
-//   - a matrix: no point name twice, every scenario's faults pass
-//     checkFaults, and the first point, built here, passes checkStudy,
-//     so a bad template fails before anything runs. RunMatrix checks
-//     every other point as it builds it, before its testbed.
+//   - a matrix: a template Study, no point name twice, and every
+//     scenario's overlay of the template (Matrix.scenarioStudies) passes
+//     checkStudy. A point's study is its scenario's overlay with the
+//     point's seed and name, so this checks every point before anything
+//     runs.
 //
 // checkStudy is the study check: Workers not negative, Experiments
-// positive, a known transport, virtual time only over inproc, and its
-// nodes' faults pass checkFaults.
+// positive, a known transport, virtual time only over inproc, a NewApp and
+// nodes without App, and every fault with an expression and, for an
+// action, a valid call naming known hosts.
 func Validate(c *Campaign, m *Matrix) error {
+	_, err := validate(c, m)
+	return err
+}
+
+// validate is Validate, returning a matrix's checked scenario studies.
+func validate(c *Campaign, m *Matrix) ([]*Study, error) {
 	if m == nil && len(c.Studies) == 0 {
-		return fmt.Errorf("campaign: no studies defined")
+		return nil, fmt.Errorf("campaign: no studies defined")
 	}
 	if len(c.Hosts) == 0 {
-		return fmt.Errorf("campaign: no hosts defined")
+		return nil, fmt.Errorf("campaign: no hosts defined")
 	}
 	seen := make(map[string]bool, len(c.Hosts))
 	for i, h := range c.Hosts {
 		if h.Name == "" {
-			return fmt.Errorf("campaign: host %d has no name", i)
+			return nil, fmt.Errorf("campaign: host %d has no name", i)
 		}
 		if seen[h.Name] {
-			return fmt.Errorf("campaign: duplicate host %q", h.Name)
+			return nil, fmt.Errorf("campaign: duplicate host %q", h.Name)
 		}
 		seen[h.Name] = true
 	}
 	if err := checkWorkers(c.Workers); err != nil {
-		return fmt.Errorf("campaign: %w", err)
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	// Duplicate names would shadow each other in Result.Study or
 	// MatrixResult.Point and collide in the checkpoint journal's record
 	// keys.
 	names := make(map[string]bool)
 	if m != nil {
-		pts := m.Points()
-		for _, p := range pts {
+		for _, p := range m.Points() {
 			name := p.Name()
 			if names[name] {
-				return fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, name)
+				return nil, fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, name)
 			}
 			names[name] = true
 		}
-		for _, sc := range m.Scenarios {
-			defs := make([]core.NodeDef, len(sc.Faults))
-			for i, f := range sc.Faults {
-				defs[i] = core.NodeDef{Nickname: f.Machine, Faults: []faultexpr.Spec{f.Spec}}
-			}
-			if err := checkFaults(c, defs); err != nil {
-				return fmt.Errorf("campaign: matrix %q: scenario %q: %w", m.Name, sc.Name, err)
-			}
-		}
-		_, err := m.point(c, pts[0], pts[0].Name())
-		return err
+		return m.scenarioStudies(c)
 	}
 	for _, st := range c.Studies {
 		if names[st.Name] {
-			return fmt.Errorf("campaign: duplicate study name %q", st.Name)
+			return nil, fmt.Errorf("campaign: duplicate study name %q", st.Name)
 		}
 		names[st.Name] = true
 		if err := checkStudy(c, st); err != nil {
-			return fmt.Errorf("campaign: study %q: %w", st.Name, err)
+			return nil, fmt.Errorf("campaign: study %q: %w", st.Name, err)
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // checkStudy is the study check Validate documents. Its errors do not name
@@ -321,23 +322,31 @@ func checkStudy(c *Campaign, st *Study) error {
 	if c.VirtualTime && clustered(st) {
 		return fmt.Errorf("virtual time requires the inproc transport, not %q", st.Transport)
 	}
-	return checkFaults(c, st.Nodes)
-}
-
-// checkFaults refuses a fault with no expression (Go wiring can make one, and
-// the runtime would crash on it) and a bad action call or host name.
-func checkFaults(c *Campaign, defs []core.NodeDef) error {
-	for _, def := range defs {
+	// A study is a description every testbed builds its own applications
+	// from; an instance in it would be shared by all of them.
+	if st.NewApp == nil {
+		return fmt.Errorf("no NewApp to build its applications")
+	}
+	// A fault with no expression (Go wiring can make one) would crash the
+	// runtime.
+	for _, def := range st.Nodes {
+		if def.App != nil {
+			return fmt.Errorf("node %q carries an App; a study builds its applications with NewApp", def.Nickname)
+		}
 		for _, f := range def.Faults {
 			if f.Expr == nil {
 				return fmt.Errorf("node %q fault %q has no expression", def.Nickname, f.Name)
 			}
 		}
 	}
-	if !chaos.HasActionFaults(defs) {
+	if !chaos.HasActionFaults(st.Nodes) {
 		return nil
 	}
-	return chaos.ValidateSpecs(defs, hostNames(c))
+	hosts := make([]string, len(c.Hosts)) // which chaos actions may name
+	for i, h := range c.Hosts {
+		hosts[i] = h.Name
+	}
+	return chaos.ValidateSpecs(st.Nodes, hosts)
 }
 
 // checkWorkers rejects a negative worker-pool size. Zero means "default to
@@ -348,15 +357,6 @@ func checkWorkers(workers int) error {
 		return fmt.Errorf("Workers is %d; it must be positive, or 0 for GOMAXPROCS", workers)
 	}
 	return nil
-}
-
-// hostNames lists the campaign's host names, which chaos actions may name.
-func hostNames(c *Campaign) []string {
-	out := make([]string, len(c.Hosts))
-	for i, h := range c.Hosts {
-		out[i] = h.Name
-	}
-	return out
 }
 
 // onCancel runs fn (once) when ctx is cancelled. The returned stop

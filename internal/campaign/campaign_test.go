@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,29 +36,30 @@ func hostDefs() []HostDef {
 // of which machine the election picks.
 func electionStudy(name string, experiments int, withRestart bool) *Study {
 	var nodes []core.NodeDef
-	for i, nick := range electionPeers {
-		cfg := election.Config{
-			Peers:  electionPeers,
-			RunFor: 120 * time.Millisecond,
-			Seed:   int64(i * 7),
-		}
-		in := election.New(cfg)
+	for _, nick := range electionPeers {
 		faults := []faultexpr.Spec{{
 			Name: string(nick[0]) + "fault1",
 			Expr: faultexpr.MustParse("(" + nick + ":LEAD)"),
 			Mode: faultexpr.Once, // one crash per node instance keeps runs bounded
 		}}
-		in.On(string(nick[0])+"fault1", probe.DelayedCrashFault(10*time.Millisecond, 0, int64(experiments)))
 		nodes = append(nodes, core.NodeDef{
 			Nickname: nick,
 			Spec:     election.SpecFor(nick, electionPeers),
 			Faults:   faults,
-			App:      in,
 		})
 	}
 	st := &Study{
-		Name:        name,
-		Nodes:       nodes,
+		Name:  name,
+		Nodes: nodes,
+		NewApp: func(_ Point, nick string) (core.App, error) {
+			in := election.New(election.Config{
+				Peers:  electionPeers,
+				RunFor: 120 * time.Millisecond,
+				Seed:   int64(slices.Index(electionPeers, nick) * 7),
+			})
+			in.On(string(nick[0])+"fault1", probe.DelayedCrashFault(10*time.Millisecond, 0, int64(experiments)))
+			return in, nil
+		},
 		Experiments: experiments,
 		Timeout:     10 * time.Second,
 		Placement: []spec.NodeEntry{
@@ -211,10 +213,12 @@ func TestCampaignValidation(t *testing.T) {
 }
 
 func TestCampaignTimeoutDiscardsExperiment(t *testing.T) {
-	hang := probe.NewInstrumented(func(h *core.Handle) {
-		h.NotifyEvent("A")
-		<-h.Done()
-	})
+	hang := func(Point, string) (core.App, error) {
+		return probe.NewInstrumented(func(h *core.Handle) {
+			h.NotifyEvent("A")
+			<-h.Done()
+		}), nil
+	}
 	sm, err := spec.ParseStateMachine(`
 global_state_list
   BEGIN
@@ -236,7 +240,8 @@ state A
 		Hosts: hostDefs()[:1],
 		Studies: []*Study{{
 			Name:        "hang",
-			Nodes:       []core.NodeDef{{Nickname: "n", Spec: sm, App: hang}},
+			Nodes:       []core.NodeDef{{Nickname: "n", Spec: sm}},
+			NewApp:      hang,
 			Placement:   []spec.NodeEntry{{Nickname: "n", Host: "h1"}},
 			Experiments: 1,
 			Timeout:     50 * time.Millisecond,

@@ -12,13 +12,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultexpr"
 	"repro/internal/probe"
-	"repro/internal/spec"
-	"repro/internal/vclock"
 )
 
 // ckptDir picks the journal directory for a checkpoint test. CI sets
@@ -46,46 +42,23 @@ func ckptDir(t *testing.T, name string) string {
 // journal.
 func countingStepCampaign(t testing.TB, experiments, workers int, ran *int64) *Campaign {
 	t.Helper()
-	nicks := []string{"alpha", "beta", "gamma"}
-	var nodes []core.NodeDef
-	var placement []spec.NodeEntry
-	for i, nick := range nicks {
-		app := probe.NewInstrumented(func(h *core.Handle) {
+	c := stepCampaign(t, experiments, workers)
+	c.Studies[0].NewApp = countingStepApp(ran)
+	return c
+}
+
+// countingStepApp is stepApp whose bodies bump ran (when not nil) as they
+// run.
+func countingStepApp(ran *int64) func(Point, string) (core.App, error) {
+	return func(_ Point, nick string) (core.App, error) {
+		return probe.NewInstrumented(func(h *core.Handle) {
 			if ran != nil {
 				atomic.AddInt64(ran, 1)
 			}
 			h.NotifyEvent("S1")
 			h.NotifyEvent("GO")
 			h.NotifyEvent("GO2")
-		}).On(nick+"fault", probe.NoteFault())
-		nodes = append(nodes, core.NodeDef{
-			Nickname: nick,
-			Spec:     stepSpec(t),
-			Faults: []faultexpr.Spec{{
-				Name: nick + "fault",
-				Expr: faultexpr.MustParse("(" + nick + ":S2)"),
-				Mode: faultexpr.Once,
-			}},
-			App: app,
-		})
-		placement = append(placement, spec.NodeEntry{Nickname: nick, Host: fmt.Sprintf("h%d", i+1)})
-	}
-	return &Campaign{
-		Name: "steps",
-		Hosts: []HostDef{
-			{Name: "h1", Clock: vclock.ClockConfig{Jitter: 200, Seed: 1}},
-			{Name: "h2", Clock: vclock.ClockConfig{Offset: 4e6, DriftPPM: 60, Jitter: 200, Seed: 2}},
-			{Name: "h3", Clock: vclock.ClockConfig{Offset: -2e6, DriftPPM: -35, Jitter: 200, Seed: 3}},
-		},
-		Workers: workers,
-		Studies: []*Study{{
-			Name:        "steps",
-			Nodes:       nodes,
-			Placement:   placement,
-			Experiments: experiments,
-			Timeout:     5 * time.Second,
-		}},
-		Sync: SyncConfig{Messages: 6, Transit: 10 * time.Microsecond, Spacing: 20 * time.Microsecond},
+		}).On(nick+"fault", probe.NoteFault()), nil
 	}
 }
 
@@ -191,16 +164,15 @@ func TestMatrixResumeAfterInterrupt(t *testing.T) {
 	failAt := "baseline/default/seed2"
 
 	newMatrix := func(failing bool, ran *int64) *Matrix {
-		return &Matrix{
-			Name:  "ckpt",
-			Seeds: seeds,
-			Build: func(p Point) (*Study, error) {
-				if failing && p.Name() == failAt {
-					return nil, interrupt
-				}
-				return countingStepCampaign(t, perPoint, 1, ran).Studies[0], nil
-			},
+		st := stepStudy(t, perPoint)
+		counting := countingStepApp(ran)
+		st.NewApp = func(p Point, nick string) (core.App, error) {
+			if failing && p.Name() == failAt {
+				return nil, interrupt
+			}
+			return counting(p, nick)
 		}
+		return &Matrix{Name: "ckpt", Seeds: seeds, Study: st}
 	}
 	newCampaign := func(resume bool) *Campaign {
 		c := countingStepCampaign(t, perPoint, 1, nil)
@@ -210,7 +182,8 @@ func TestMatrixResumeAfterInterrupt(t *testing.T) {
 	}
 
 	// Interrupted run: with one worker, point seed1 completes (and is
-	// journaled) before seed2's build crashes the campaign.
+	// journaled) before seed2's testbed, failing to build its
+	// applications, crashes the campaign.
 	var ran1 int64
 	if _, err := RunMatrix(context.Background(), newCampaign(false), newMatrix(true, &ran1)); !errors.Is(err, interrupt) {
 		t.Fatalf("interrupted RunMatrix error = %v, want the simulated crash", err)
@@ -460,7 +433,7 @@ func TestDuplicatePointNamesRejected(t *testing.T) {
 	m := &Matrix{
 		Name:  "dup",
 		Seeds: []int64{1, 1},
-		Build: func(Point) (*Study, error) { return countingStepCampaign(t, 1, 1, nil).Studies[0], nil },
+		Study: stepStudy(t, 1),
 	}
 	c := countingStepCampaign(t, 1, 1, nil)
 	c.Studies = nil

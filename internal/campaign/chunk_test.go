@@ -144,20 +144,19 @@ func TestResultFramesFitWithManyOutcomes(t *testing.T) {
 func noisyStepCampaign(t testing.TB, notes int) *Campaign {
 	t.Helper()
 	c := stepCampaign(t, 1, 1)
-	st := c.Studies[0]
 	pad := strings.Repeat("x", 48)
-	for i := range st.Nodes {
-		if st.Nodes[i].Nickname != "beta" {
-			continue
+	c.Studies[0].NewApp = func(p Point, nick string) (core.App, error) {
+		if nick != "beta" {
+			return stepApp(p, nick)
 		}
-		st.Nodes[i].App = probe.NewInstrumented(func(h *core.Handle) {
+		return probe.NewInstrumented(func(h *core.Handle) {
 			for k := 0; k < notes; k++ {
 				h.Note(fmt.Sprintf("padding %06d %s", k, pad))
 			}
 			h.NotifyEvent("S1")
 			h.NotifyEvent("GO")
 			h.NotifyEvent("GO2")
-		}).On("betafault", probe.NoteFault())
+		}).On("betafault", probe.NoteFault()), nil
 	}
 	return c
 }

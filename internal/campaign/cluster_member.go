@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/intern"
@@ -79,9 +78,10 @@ type Member struct {
 }
 
 // NewMember builds one endpoint's runtime for the study: the campaign
-// hosts owned by tr's topology get clocks here, every node definition is
-// registered (placement says which ones run here), and a chaos engine
-// attaches when the study carries action faults.
+// hosts owned by tr's topology get clocks here, every node is registered
+// with an application st.NewApp builds for this member (placement says
+// which ones run here), and a chaos engine attaches when the study
+// carries action faults.
 func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) {
 	topo := tr.Topology()
 	peers := topo.PeerNames()
@@ -121,11 +121,9 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		return nil, fmt.Errorf("campaign: cluster member %q: no hosts", m.peer)
 	}
 	m.ref = m.hosts[0]
-	for _, def := range st.Nodes {
-		if err := rt.Register(def); err != nil {
-			rt.Shutdown()
-			return nil, err
-		}
+	if err := registerNodes(rt, c, st); err != nil {
+		rt.Shutdown()
+		return nil, err
 	}
 	placement := make(map[string]string, len(st.Placement))
 	for _, e := range st.Placement {
@@ -137,9 +135,6 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		}
 	}
 	rt.SetPlacement(placement)
-	if chaos.HasActionFaults(st.Nodes) {
-		chaos.Attach(rt, st.ChaosSeed)
-	}
 	if topo.Owner(m.ref) == "" {
 		// Nobody owns the reference host (a typo'd ownership table): no
 		// process would ever coordinate and the cluster would hang in

@@ -276,23 +276,29 @@ func TestLostStartResent(t *testing.T) {
 	c.Studies[0].Timeout = 2 * time.Second
 	memberStarted := make(chan struct{})
 	var startOnce sync.Once
-	nodes := c.Studies[0].Nodes
-	nodes[0].App = probe.NewInstrumented(func(h *core.Handle) {
-		h.NotifyEvent("S1")
-		select {
-		case <-memberStarted:
-		case <-h.Done():
-			return
+	c.Studies[0].NewApp = func(p Point, nick string) (core.App, error) {
+		switch nick {
+		case "alpha":
+			return probe.NewInstrumented(func(h *core.Handle) {
+				h.NotifyEvent("S1")
+				select {
+				case <-memberStarted:
+				case <-h.Done():
+					return
+				}
+				h.NotifyEvent("GO")
+				h.NotifyEvent("GO2")
+			}).On("alphafault", probe.NoteFault()), nil
+		case "beta":
+			return probe.NewInstrumented(func(h *core.Handle) {
+				startOnce.Do(func() { close(memberStarted) })
+				h.NotifyEvent("S1")
+				h.NotifyEvent("GO")
+				h.NotifyEvent("GO2")
+			}).On("betafault", probe.NoteFault()), nil
 		}
-		h.NotifyEvent("GO")
-		h.NotifyEvent("GO2")
-	}).On("alphafault", probe.NoteFault())
-	nodes[1].App = probe.NewInstrumented(func(h *core.Handle) {
-		startOnce.Do(func() { close(memberStarted) })
-		h.NotifyEvent("S1")
-		h.NotifyEvent("GO")
-		h.NotifyEvent("GO2")
-	}).On("betafault", probe.NoteFault())
+		return stepApp(p, nick)
+	}
 
 	coordinator := pairMember(t, c, ta)
 	member := pairMember(t, c, tb)

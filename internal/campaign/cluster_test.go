@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,9 +18,8 @@ import (
 // electionCampaign builds a fresh election-under-partition campaign: the
 // three-process leader election of Chapter 5 with a netsplit scenario —
 // whichever process reaches LEAD gets its host partitioned from the rest,
-// healing 30 ms later. Node definitions (application instances included)
-// are private to the returned campaign, as the clustered and pooled
-// engines both require.
+// healing 30 ms later. Every member and worker testbed builds its own
+// application instances.
 func electionCampaign(t testing.TB, experiments int, kind string) *Campaign {
 	t.Helper()
 	peers := []string{"black", "green", "yellow"}
@@ -27,21 +27,22 @@ func electionCampaign(t testing.TB, experiments int, kind string) *Campaign {
 	var nodes []core.NodeDef
 	var placement []spec.NodeEntry
 	for i, nick := range peers {
-		in := election.New(election.Config{
-			Peers:  peers,
-			RunFor: 80 * time.Millisecond,
-			Seed:   7 + int64(i)*13,
-		})
 		nodes = append(nodes, core.NodeDef{
 			Nickname: nick,
 			Spec:     election.SpecFor(nick, peers),
-			App:      in,
 		})
 		placement = append(placement, spec.NodeEntry{Nickname: nick, Host: hosts[i]})
 	}
 	st := &Study{
-		Name:        "election",
-		Nodes:       nodes,
+		Name:  "election",
+		Nodes: nodes,
+		NewApp: func(_ Point, nick string) (core.App, error) {
+			return election.New(election.Config{
+				Peers:  peers,
+				RunFor: 80 * time.Millisecond,
+				Seed:   7 + int64(slices.Index(peers, nick))*13,
+			}), nil
+		},
 		Placement:   placement,
 		Experiments: experiments,
 		Timeout:     10 * time.Second,

@@ -139,7 +139,9 @@ func FuzzStudyFingerprintMatchesFmt(f *testing.F) {
 // TestMatrixJournalFingerprintsMatchFmt: RunMatrix computes each latency
 // profile's campaign fingerprint once, by profile index; every point's
 // journaled records must still carry the fingerprint the fmt reference
-// gives the point's own derived campaign.
+// gives the point's own derived campaign, and Namespaces, which a status
+// query compares them with, must give the same, with the template's
+// experiment count.
 func TestMatrixJournalFingerprintsMatchFmt(t *testing.T) {
 	dir := t.TempDir()
 	c := stepCampaign(t, 1, 2)
@@ -149,7 +151,7 @@ func TestMatrixJournalFingerprintsMatchFmt(t *testing.T) {
 		Scenarios: []Scenario{{Name: "baseline"}, {Name: `"odd" \ ü`}},
 		Latencies: []LatencyProfile{{Name: "fast", Local: time.Microsecond}, {Name: "slow", Remote: 300 * time.Microsecond}},
 		Seeds:     []int64{-2, 5},
-		Build:     func(Point) (*Study, error) { return stepStudy(t, 1), nil },
+		Study:     stepStudy(t, 1),
 	}
 	if _, err := RunMatrix(context.Background(), c, m); err != nil {
 		t.Fatal(err)
@@ -166,15 +168,26 @@ func TestMatrixJournalFingerprintsMatchFmt(t *testing.T) {
 	if len(got) != len(pts) {
 		t.Fatalf("journal holds %d points, the matrix has %d", len(got), len(pts))
 	}
-	for _, p := range pts {
+	overlays, err := m.scenarioStudies(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := Namespaces(c, m)
+	if err != nil || len(ns) != len(pts) {
+		t.Fatalf("Namespaces: %d, %v; want %d", len(ns), err, len(pts))
+	}
+	for i, p := range pts {
 		name := p.Name()
-		pc := pointCampaign(c, m, p, name, 1)
-		st, err := m.point(pc, p, name)
-		if err != nil {
-			t.Fatal(err)
+		st := pointStudy(overlays[p.scenario], &p, name)
+		if st.ChaosSeed != p.Seed || st.Name != m.Study.Name {
+			t.Errorf("point %s: study seed %d name %q, want %d %q", name, st.ChaosSeed, st.Name, p.Seed, m.Study.Name)
 		}
-		if want := refStudyFingerprint(pc, st, name); got[name] != want {
+		want := refStudyFingerprint(pointCampaign(c, m, &p, 1), st, name)
+		if got[name] != want {
 			t.Errorf("point %s journaled under %s, reference %s", name, got[name], want)
+		}
+		if want := (Namespace{name, m.Study.Experiments, want}); ns[i] != want {
+			t.Errorf("point %s: Namespaces gives %+v, want %+v", name, ns[i], want)
 		}
 	}
 }

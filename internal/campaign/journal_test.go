@@ -352,7 +352,7 @@ func cutMatrix(t testing.TB, workers int) (*Campaign, *Matrix) {
 	return c, &Matrix{
 		Name:  "cut",
 		Seeds: []int64{1, 2},
-		Build: func(Point) (*Study, error) { return stepCampaign(t, 2, 1).Studies[0], nil },
+		Study: stepStudy(t, 2),
 	}
 }
 

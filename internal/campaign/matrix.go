@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,9 +18,9 @@ import (
 // The scenario matrix engine: one configuration fans out into
 // {scenarios × latency profiles × seeds} studies, sharded across the
 // campaign's worker pool. Each cell ("point") is a full study — sync
-// mini-phases, runtime phase, pipelined analysis — whose node definitions
-// are built fresh (applications hold state) and then overlaid with the
-// scenario's chaos fault entries.
+// mini-phases, runtime phase, pipelined analysis — described by the
+// matrix's template overlaid with the scenario's chaos fault entries; its
+// testbeds build their applications for the point when they open.
 
 // ScenarioFault attaches one fault specification entry — typically an
 // action fault such as "netsplit (m:LEAD) once partition(h1|h2,h3) 50ms" —
@@ -70,6 +71,7 @@ type Point struct {
 	Scenario Scenario
 	Latency  LatencyProfile
 	Seed     int64
+	scenario int // Scenario's index in the expanded scenario axis
 	profile  int // Latency's index in the expanded latency axis
 }
 
@@ -85,14 +87,11 @@ type Matrix struct {
 	Scenarios []Scenario
 	Latencies []LatencyProfile
 	Seeds     []int64
-	// Build constructs a fresh base study for a point. It is called once
-	// per point, possibly concurrently; it must return a study whose node
-	// definitions (application instances included) are private to the
-	// point. The point's seed should drive the applications' randomness.
-	// Every point must carry the same Experiments count — status queries
-	// materialize one point and trust it for the rest. Validate builds the
-	// first point once more, to check it before anything runs.
-	Build func(p Point) (*Study, error)
+	// Study is the template every point shares. A point runs it overlaid
+	// with the point's scenario (Scenario.ApplyTo), with the point's seed
+	// as ChaosSeed and, when it has no Name, the point's name; NewApp gets
+	// the point, whose seed should drive the applications' randomness.
+	Study *Study
 }
 
 // Points enumerates the matrix cells in deterministic order:
@@ -111,46 +110,59 @@ func (m *Matrix) Points() []Point {
 		seeds = []int64{1}
 	}
 	var pts []Point
-	for _, sc := range scenarios {
+	for si, sc := range scenarios {
 		for li, lp := range latencies {
 			for _, seed := range seeds {
-				pts = append(pts, Point{Index: len(pts), Scenario: sc, Latency: lp, Seed: seed, profile: li})
+				pts = append(pts, Point{Index: len(pts), Scenario: sc, Latency: lp, Seed: seed, scenario: si, profile: li})
 			}
 		}
 	}
 	return pts
 }
 
-// point materializes one point, named name (p.Name()), and puts it
-// through the study check: the base study from Build, the scenario's
-// fault entries overlaid onto the matching node definitions, and the chaos
-// seed set from the point seed.
-func (m *Matrix) point(c *Campaign, p Point, name string) (*Study, error) {
-	if m.Build == nil {
-		return nil, fmt.Errorf("campaign: matrix %q has no Build function", m.Name)
+// scenarioStudies overlays each scenario of the points onto the template,
+// by scenario index, and puts each overlay through the study check.
+func (m *Matrix) scenarioStudies(c *Campaign) ([]*Study, error) {
+	if m.Study == nil {
+		return nil, fmt.Errorf("campaign: matrix %q has no template Study", m.Name)
 	}
-	st, err := m.Build(p)
-	if err == nil {
-		err = p.Scenario.ApplyTo(st)
+	var out []*Study
+	for _, p := range m.Points() {
+		if p.scenario < len(out) {
+			continue // points are scenario-major: this scenario has its overlay
+		}
+		st := *m.Study
+		if err := p.Scenario.ApplyTo(&st); err != nil {
+			return nil, fmt.Errorf("campaign: matrix %q: %w", m.Name, err)
+		}
+		if err := checkStudy(c, &st); err != nil {
+			return nil, fmt.Errorf("campaign: matrix %q: scenario %q: %w", m.Name, p.Scenario.Name, err)
+		}
+		out = append(out, &st)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("campaign: matrix point %s: %w", name, err)
-	}
+	return out, nil
+}
+
+// pointStudy is the study of point p, named name (p.Name()), given its
+// scenario's overlay.
+func pointStudy(overlay *Study, p *Point, name string) *Study {
+	st := *overlay
 	st.ChaosSeed = p.Seed
 	if st.Name == "" {
 		st.Name = name
 	}
-	if err := checkStudy(c, st); err != nil {
-		return nil, fmt.Errorf("campaign: matrix point %s: %w", name, err)
-	}
-	return st, nil
+	return &st
 }
 
 // ApplyTo merges the scenario's fault entries into the study's node
 // definitions and re-derives notify lists (the overlay may watch machines
-// the base study's lists do not cover). The study's node definitions are
-// modified in place; apply only to definitions private to this study.
+// the base study's lists do not cover). The study gets its own node list
+// and fault lists, so definitions it shares are never written.
 func (s Scenario) ApplyTo(st *Study) error {
+	if len(s.Faults) == 0 {
+		return nil
+	}
+	st.Nodes = slices.Clone(st.Nodes)
 	byNick := make(map[string]int, len(st.Nodes))
 	for i, def := range st.Nodes {
 		byNick[def.Nickname] = i
@@ -161,11 +173,9 @@ func (s Scenario) ApplyTo(st *Study) error {
 			return fmt.Errorf("campaign: scenario %q fault %q names unknown machine %q",
 				s.Name, sf.Spec.Name, sf.Machine)
 		}
-		st.Nodes[i].Faults = append(st.Nodes[i].Faults, sf.Spec)
+		st.Nodes[i].Faults = append(slices.Clip(st.Nodes[i].Faults), sf.Spec)
 	}
-	if len(s.Faults) > 0 {
-		core.AutoNotify(st.Nodes)
-	}
+	core.AutoNotify(st.Nodes)
 	return nil
 }
 
@@ -217,17 +227,19 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 // RunMatrix executes every point of the matrix on c's testbed
 // configuration, sharding points across the campaign's worker pool: up to
 // Workers points run concurrently, and each point's own experiment pool is
-// its share of Workers, so the total stays at Workers; a built study's
-// Workers may lower its point's share but never raise it. Each point is
-// built and put through the study check before its testbed is built
-// (Validate). Results land at their point index,
+// its share of Workers, so the total stays at Workers; the template's
+// Workers may lower its point's share but never raise it. Validate checks
+// every point's study before the journal opens, and a point opens no
+// testbed, so builds no application, when all its records are journaled.
+// Results land at their point index,
 // so any worker count orders results identically. The campaign's Studies
 // field is ignored; hosts, runtime, sync, and check configuration apply to
 // every point, with the point's latency profile overriding the runtime's
 // notification delays. No further points are dispatched after ctx is
 // cancelled, in-flight points drain, and ctx.Err() is returned.
 func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, err error) {
-	if err := Validate(c, m); err != nil {
+	overlays, err := validate(c, m)
+	if err != nil {
 		return nil, err
 	}
 	pts := m.Points()
@@ -236,16 +248,7 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 		return nil, err
 	}
 	defer closeJournal(j, &err)
-	// The point's derived campaign (latency overrides applied) fingerprints
-	// its records, so a changed profile is not resumed. It differs from c
-	// only in those delays: one fingerprint per profile, by index ("", the
-	// journal's own, without a Latencies axis).
-	profileFP := make([]string, max(1, len(m.Latencies)))
-	for li, lp := range m.Latencies {
-		if j != nil {
-			profileFP[li] = campaignFingerprint(pointCampaign(c, m, Point{Latency: lp}, "", 0))
-		}
-	}
+	profileFP := profileFingerprints(c, m)
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -298,19 +301,15 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				p, name := pts[i], pts[i].Name()
-				pc := pointCampaign(c, m, p, name, innerW)
-				st, err := m.point(pc, p, name)
-				if err != nil {
-					fail(err)
-					return
-				}
+				p, name := &pts[i], pts[i].Name()
+				pc := pointCampaign(c, m, p, innerW)
+				st := pointStudy(overlays[p.scenario], p, name)
 				sr, err := runStudyOn(ctx, pc, st, j.study(profileFP[p.profile], st, name))
 				if err != nil {
 					fail(fmt.Errorf("campaign: matrix point %s: %w", name, err))
 					return
 				}
-				res.Points[i] = &PointResult{Point: p, Study: sr}
+				res.Points[i] = &PointResult{Point: *p, Study: sr}
 			}
 		}()
 	}
@@ -323,15 +322,29 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 	return res, nil
 }
 
-// pointCampaign derives the campaign of one point, named name: a shallow
-// copy so per-point runtime tweaks stay local, with the point's latency
-// profile overriding the notification delays only when the matrix
-// declared an explicit Latencies axis — the fabricated "default" profile
-// inherits the campaign's configured delays.
-func pointCampaign(c *Campaign, m *Matrix, p Point, name string, inner int) *Campaign {
+// profileFingerprints returns each latency profile's campaign
+// fingerprint, by profile index, from the profile's first point: a point's
+// derived campaign (latency overrides applied) fingerprints its records,
+// so a changed profile is not resumed.
+func profileFingerprints(c *Campaign, m *Matrix) []string {
+	var fps []string
+	for _, p := range m.Points() {
+		if p.profile == len(fps) {
+			fps = append(fps, campaignFingerprint(pointCampaign(c, m, &p, 0)))
+		}
+	}
+	return fps
+}
+
+// pointCampaign derives the campaign of point p: a shallow copy so
+// per-point runtime tweaks stay local, with the point's latency profile
+// overriding the notification delays only when the matrix declared an
+// explicit Latencies axis — the fabricated "default" profile inherits the
+// campaign's configured delays.
+func pointCampaign(c *Campaign, m *Matrix, p *Point, inner int) *Campaign {
 	pc := *c
 	pc.Workers = inner
-	pc.matrixPoint = name
+	pc.point = p
 	if len(m.Latencies) > 0 {
 		pc.Runtime.LocalDelay = p.Latency.Local
 		pc.Runtime.RemoteDelay = p.Latency.Remote

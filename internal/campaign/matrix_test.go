@@ -5,18 +5,20 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/clocksync"
+	"repro/internal/core"
 	"repro/internal/faultexpr"
 	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
 
-// stepStudy builds one instance of the deterministic three-step study used
-// by the parallel determinism tests; every matrix point needs its own.
+// stepStudy is the deterministic three-step study used by the parallel
+// determinism tests, for a matrix template.
 func stepStudy(t testing.TB, experiments int) *Study {
 	t.Helper()
 	c := stepCampaign(t, experiments, 1)
@@ -99,7 +101,7 @@ func TestMatrixUnknownMachineRejected(t *testing.T) {
 	m := &Matrix{
 		Name:      "m",
 		Scenarios: []Scenario{{Name: "bad", Faults: sf}},
-		Build:     func(Point) (*Study, error) { return stepStudy(t, 1), nil },
+		Study:     stepStudy(t, 1),
 	}
 	c := stepCampaign(t, 1, 1)
 	if _, err := RunMatrix(context.Background(), c, m); err == nil || !strings.Contains(err.Error(), "unknown machine") {
@@ -123,7 +125,7 @@ func TestRunMatrixShardsAndOrders(t *testing.T) {
 			{Name: "slow", Local: 50 * time.Microsecond, Remote: 500 * time.Microsecond},
 		},
 		Seeds: []int64{1, 2},
-		Build: func(p Point) (*Study, error) { return stepStudy(t, 2), nil },
+		Study: stepStudy(t, 2),
 	}
 	run := func(workers int) *MatrixResult {
 		c := stepCampaign(t, 2, workers)
@@ -176,14 +178,14 @@ func TestMatrixDefaultLatencyInherits(t *testing.T) {
 
 	noAxis := &Matrix{Name: "m", Seeds: []int64{1}}
 	p := noAxis.Points()[0]
-	pc := pointCampaign(c, noAxis, p, p.Name(), 1)
+	pc := pointCampaign(c, noAxis, &p, 1)
 	if pc.Runtime.RemoteDelay != 150*time.Microsecond || pc.Runtime.LocalDelay != 20*time.Microsecond {
 		t.Errorf("no-axis point zeroed the configured delays: %+v", pc.Runtime)
 	}
 
 	withAxis := &Matrix{Name: "m", Latencies: []LatencyProfile{{Name: "zero"}}, Seeds: []int64{1}}
 	p = withAxis.Points()[0]
-	pc = pointCampaign(c, withAxis, p, p.Name(), 1)
+	pc = pointCampaign(c, withAxis, &p, 1)
 	if pc.Runtime.RemoteDelay != 0 || pc.Runtime.LocalDelay != 0 {
 		t.Errorf("explicit zero profile not applied: %+v", pc.Runtime)
 	}
@@ -412,5 +414,68 @@ func TestChaosParallelDeterminism(t *testing.T) {
 	// Every accepted experiment must actually have fired the chaos faults.
 	if !strings.Contains(canonSeq, "alphacut") {
 		t.Error("alphacut injection missing from accepted global timelines")
+	}
+}
+
+// TestNewAppOncePerNodePerTestbed counts NewApp calls: a study at Workers
+// 2 opens two testbeds, each of which builds every node's application
+// once, so no two testbeds share an instance; a resume of a fully
+// journaled matrix opens no testbed and builds no application. Run under
+// -race in CI.
+func TestNewAppOncePerNodePerTestbed(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[string]int{}
+	apps := map[core.App]bool{}
+	counted := func(st *Study) *Study {
+		st.NewApp = func(p Point, nick string) (core.App, error) {
+			app, err := stepApp(p, nick)
+			mu.Lock()
+			defer mu.Unlock()
+			calls[nick]++
+			apps[app] = true
+			return app, err
+		}
+		return st
+	}
+	total := func() (n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, k := range calls {
+			n += k
+		}
+		clear(calls)
+		return n
+	}
+
+	c := stepCampaign(t, 4, 2)
+	counted(c.Studies[0])
+	if _, err := Run(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	if calls["alpha"] != 2 || calls["beta"] != 2 || calls["gamma"] != 2 || len(apps) != 6 {
+		t.Errorf("a study at two workers called NewApp %v for %d instances; want twice per node, 6 instances", calls, len(apps))
+	}
+	total()
+
+	c = stepCampaign(t, 2, 2)
+	c.Studies = nil
+	c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+	m := &Matrix{Name: "m", Seeds: []int64{1, 2, 3}, Study: counted(stepStudy(t, 2))}
+	if _, err := RunMatrix(context.Background(), c, m); err != nil {
+		t.Fatal(err)
+	}
+	if n := total(); n == 0 {
+		t.Fatal("running the matrix built no application")
+	}
+	c.Checkpoint.Resume = true
+	res, err := RunMatrix(context.Background(), c, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, n := res.AcceptedTotal(); n != 6 {
+		t.Fatalf("resume returned %d records, want 6", n)
+	}
+	if n := total(); n != 0 {
+		t.Errorf("resuming a fully journaled matrix called NewApp %d times, want 0", n)
 	}
 }

@@ -55,11 +55,6 @@ func stepCampaign(t testing.TB, experiments, workers int) *Campaign {
 	var nodes []core.NodeDef
 	var placement []spec.NodeEntry
 	for i, nick := range nicks {
-		app := probe.NewInstrumented(func(h *core.Handle) {
-			h.NotifyEvent("S1")
-			h.NotifyEvent("GO")
-			h.NotifyEvent("GO2")
-		}).On(nick+"fault", probe.NoteFault())
 		nodes = append(nodes, core.NodeDef{
 			Nickname: nick,
 			Spec:     stepSpec(t),
@@ -68,7 +63,6 @@ func stepCampaign(t testing.TB, experiments, workers int) *Campaign {
 				Expr: faultexpr.MustParse("(" + nick + ":S2)"),
 				Mode: faultexpr.Once,
 			}},
-			App: app,
 		})
 		placement = append(placement, spec.NodeEntry{Nickname: nick, Host: fmt.Sprintf("h%d", i+1)})
 	}
@@ -86,9 +80,20 @@ func stepCampaign(t testing.TB, experiments, workers int) *Campaign {
 			Placement:   placement,
 			Experiments: experiments,
 			Timeout:     5 * time.Second,
+			NewApp:      stepApp,
 		}},
 		Sync: SyncConfig{Messages: 6, Transit: 10 * time.Microsecond, Spacing: 20 * time.Microsecond},
 	}
+}
+
+// stepApp is stepCampaign's application: it walks S1 -> S2 -> S3, noting
+// its own S2 fault.
+func stepApp(_ Point, nick string) (core.App, error) {
+	return probe.NewInstrumented(func(h *core.Handle) {
+		h.NotifyEvent("S1")
+		h.NotifyEvent("GO")
+		h.NotifyEvent("GO2")
+	}).On(nick+"fault", probe.NoteFault()), nil
 }
 
 // TestParallelDeterminism runs the same deterministic campaign with one

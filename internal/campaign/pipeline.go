@@ -106,20 +106,39 @@ func newLocalTestbed(c *Campaign, st *Study) (*localTestbed, error) {
 	for _, h := range c.Hosts {
 		rt.AddHost(h.Name, h.Clock)
 	}
-	for _, def := range st.Nodes {
-		if err := rt.Register(def); err != nil {
-			rt.Shutdown()
-			return nil, err
-		}
-	}
-	if chaos.HasActionFaults(st.Nodes) {
-		chaos.Attach(rt, st.ChaosSeed)
+	if err := registerNodes(rt, c, st); err != nil {
+		rt.Shutdown()
+		return nil, err
 	}
 	if tr := rt.Transport(); tr != nil {
 		transport.SetObserver(tr, c.Obs.TransportMetrics(tr.Name()))
 	}
 	hosts := rt.Hosts()
 	return &localTestbed{c: c, st: st, rt: rt, cd: core.NewCentralDaemon(rt), hosts: hosts, ref: referenceHost(hosts)}, nil
+}
+
+// registerNodes registers the study's nodes on a testbed's runtime, each
+// with an application NewApp builds for the campaign's matrix point (or
+// Point{Seed: ChaosSeed}), and attaches chaos when the study has actions.
+func registerNodes(rt *core.Runtime, c *Campaign, st *Study) error {
+	p := Point{Seed: st.ChaosSeed}
+	if c.point != nil {
+		p = *c.point
+	}
+	for _, def := range st.Nodes {
+		app, err := st.NewApp(p, def.Nickname)
+		if err != nil {
+			return fmt.Errorf("campaign: node %q: %w", def.Nickname, err)
+		}
+		def.App = app
+		if err := rt.Register(def); err != nil {
+			return err
+		}
+	}
+	if chaos.HasActionFaults(st.Nodes) {
+		chaos.Attach(rt, st.ChaosSeed)
+	}
+	return nil
 }
 
 func (tb *localTestbed) runtime() *core.Runtime { return tb.rt }
@@ -179,8 +198,8 @@ func pointName(c *Campaign, st *Study, sj *studyJournal) string {
 	switch {
 	case sj != nil:
 		return sj.point
-	case c.matrixPoint != "":
-		return c.matrixPoint
+	case c.point != nil:
+		return c.point.Name()
 	}
 	return st.Name
 }
@@ -194,7 +213,7 @@ func poolWidth(c *Campaign, st *Study) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if st.Workers > 0 && (c.matrixPoint == "" || st.Workers < w) {
+	if st.Workers > 0 && (c.point == nil || st.Workers < w) {
 		return st.Workers
 	}
 	return w

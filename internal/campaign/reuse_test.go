@@ -40,20 +40,26 @@ func virtualElection(t testing.TB, experiments, workers int, extra ...string) *C
 	var nodes []core.NodeDef
 	var placement []spec.NodeEntry
 	for i, nick := range electionPeers {
-		in := election.New(election.Config{Peers: electionPeers, RunFor: 25 * time.Millisecond, Seed: int64(1 + 17*i)})
-		def := core.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, electionPeers), App: in}
+		def := core.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, electionPeers)}
 		for _, line := range faults[nick] {
 			f, ok, err := faultexpr.ParseSpecLine(line)
 			if err != nil || !ok {
 				t.Fatalf("fault %q: %v", line, err)
 			}
 			def.Faults = append(def.Faults, f)
+		}
+		nodes = append(nodes, def)
+		placement = append(placement, spec.NodeEntry{Nickname: nick, Host: hostDefs()[i].Name})
+	}
+	newApp := func(_ Point, nick string) (core.App, error) {
+		i := slices.Index(electionPeers, nick)
+		in := election.New(election.Config{Peers: electionPeers, RunFor: 25 * time.Millisecond, Seed: int64(1 + 17*i)})
+		for _, f := range nodes[i].Faults {
 			if f.Action == nil {
 				in.On(f.Name, probe.DelayedCrashFault(dormancy, dormancy/5, 1))
 			}
 		}
-		nodes = append(nodes, def)
-		placement = append(placement, spec.NodeEntry{Nickname: nick, Host: hostDefs()[i].Name})
+		return in, nil
 	}
 	return &Campaign{
 		Name:        "election",
@@ -68,6 +74,7 @@ func virtualElection(t testing.TB, experiments, workers int, extra ...string) *C
 			Experiments: experiments,
 			Timeout:     10 * time.Second,
 			ChaosSeed:   7,
+			NewApp:      newApp,
 		}},
 	}
 }
@@ -111,45 +118,30 @@ func TestStudyAllocBudget(t *testing.T) {
 // in the ledger's journaled-chaos shape: chaos matrix points of four
 // experiments each — a crash-restart and a partition overlaid on the
 // election — through RunMatrix with a checkpoint journal. The figure is
-// per experiment, long minus short matrix, so a point's own costs (building
-// its study and testbed) count, as they do in the ledger: it holds that the
-// points' state machines are parsed once per document text (87 more
-// allocations per experiment when every point re-parsed them), and that
-// each record's line is marshalled once and queued with a plain entry.
-// Measured at 173.5 when the budget was set, and at about 183 in a -race
-// build (176.2 and 186.3 while no runtime phase reused an analysed
-// experiment's timelines, stamps and raw record, which a point's first
-// experiments still cannot; 182.2 and 191.8 while every scheduled callback
-// allocated its timer
-// entry and each completion wait scheduled a timer of its own); 196.9 when
-// the budget was first set (350.0 before the §5.7 and
-// §3.5.6 text encoders appended into a caller's buffer instead of going
-// through fmt and a fresh bufio.Writer, 378.0 before the analysis ran on a
-// reused analysis.Checker, 388.0 before task bodies ran on pooled
+// per experiment, long minus short matrix, so a point's own costs (its
+// study and testbed, the testbed's applications) count, as they do in the
+// ledger: it holds that each record's line is marshalled once and queued
+// with a plain entry. Measured at 161.0 when the budget was set, and at
+// 167.8 in a -race build; 173.4 and about 183 while every point built its
+// study, applications included, and parsed its state machines once per
+// document text (87 more allocations per experiment when every point
+// re-parsed them); 176.2 and 186.3 while no runtime phase reused an
+// analysed experiment's timelines, stamps and raw record, which a point's
+// first experiments still cannot; 182.2 and 191.8 while every scheduled
+// callback allocated its timer entry and each completion wait scheduled a
+// timer of its own; 196.9 when the budget was first set (350.0 before the
+// §5.7 and §3.5.6 text encoders appended into a caller's buffer instead of
+// going through fmt and a fresh bufio.Writer, 378.0 before the analysis
+// ran on a reused analysis.Checker, 388.0 before task bodies ran on pooled
 // coroutines), 473.5 without the memo; a -race build then measured about
 // 215.5 (399 before the appending encoders).
 func TestJournaledStudyAllocBudget(t *testing.T) {
-	budget := 206.0
+	budget := 192.0
 	if raceBuild {
-		budget = 230
-	}
-	const perPoint = 4
-	faults, err := ParseScenarioFaults("black bcrash (black:LEAD) once crashrestart(h1,3ms)\n" +
-		"yellow ysplit (yellow:FOLLOW) once partition(h3|h1,h2) 4ms")
-	if err != nil {
-		t.Fatal(err)
+		budget = 212
 	}
 	allocs := func(points int) float64 {
-		c := virtualElection(t, perPoint, 1)
-		c.Studies = nil
-		m := &Matrix{
-			Name:      "chaos",
-			Scenarios: []Scenario{{Name: "chaos", Faults: faults}},
-			Build:     func(Point) (*Study, error) { return virtualElection(t, perPoint, 1).Studies[0], nil },
-		}
-		for s := 1; s <= points; s++ {
-			m.Seeds = append(m.Seeds, int64(s))
-		}
+		c, m := journaledChaos(t, points)
 		return testing.AllocsPerRun(3, func() {
 			c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
 			res, err := RunMatrix(context.Background(), c, m)
@@ -159,11 +151,72 @@ func TestJournaledStudyAllocBudget(t *testing.T) {
 		})
 	}
 	const short, long = 5, 30
-	got := (allocs(long) - allocs(short)) / ((long - short) * perPoint)
+	got := (allocs(long) - allocs(short)) / ((long - short) * chaosPerPoint)
 	t.Logf("journaled chaos matrix: %.1f allocations per experiment", got)
 	if got > budget {
 		t.Fatalf("a journaled experiment allocates %.1f objects, budget %.0f", got, budget)
 	}
+}
+
+// TestResumedMatrixAllocBudget holds what a resume of a fully journaled
+// matrix costs per record, in TestJournaledStudyAllocBudget's shape: the
+// journal is read and every point's records are looked up, but no point
+// opens a testbed or builds an application. Long minus short matrix, so
+// the journal's open and the matrix's overlays do not count. Measured at
+// 17.22 when the budget was set, and at 17.37 in a -race build; 33.96 and
+// 35.33 while every point built its study, applications included, before
+// looking its records up.
+func TestResumedMatrixAllocBudget(t *testing.T) {
+	budget := 20.0
+	if raceBuild {
+		budget = 21
+	}
+	allocs := func(points int) float64 {
+		c, m := journaledChaos(t, points)
+		c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+		if _, err := RunMatrix(context.Background(), c, m); err != nil {
+			t.Fatal(err)
+		}
+		c.Checkpoint.Resume = true
+		return testing.AllocsPerRun(3, func() {
+			res, err := RunMatrix(context.Background(), c, m)
+			if err != nil || len(res.Points) != points {
+				t.Fatalf("resume: err=%v", err)
+			}
+		})
+	}
+	const short, long = 5, 30
+	got := (allocs(long) - allocs(short)) / ((long - short) * chaosPerPoint)
+	t.Logf("resumed chaos matrix: %.2f allocations per record", got)
+	if got > budget {
+		t.Fatalf("a resumed record allocates %.2f objects, budget %.0f", got, budget)
+	}
+}
+
+// chaosPerPoint is the experiment count of a journaledChaos point.
+const chaosPerPoint = 4
+
+// journaledChaos is the ledger's journaled-chaos shape at one worker: the
+// election template under a crash-restart and a partition, one point per
+// seed 1..points.
+func journaledChaos(t testing.TB, points int) (*Campaign, *Matrix) {
+	t.Helper()
+	faults, err := ParseScenarioFaults("black bcrash (black:LEAD) once crashrestart(h1,3ms)\n" +
+		"yellow ysplit (yellow:FOLLOW) once partition(h3|h1,h2) 4ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := virtualElection(t, chaosPerPoint, 1)
+	m := &Matrix{
+		Name:      "chaos",
+		Scenarios: []Scenario{{Name: "chaos", Faults: faults}},
+		Study:     c.Studies[0],
+	}
+	c.Studies = nil
+	for s := 1; s <= points; s++ {
+		m.Seeds = append(m.Seeds, int64(s))
+	}
+	return c, m
 }
 
 // TestReusedScaffoldingDoesNotAlias checks the ownership rule: whatever an
@@ -262,8 +315,10 @@ func TestRecycledScratchDoesNotLeak(t *testing.T) {
 	const experiments = 24
 	c := virtualElection(t, experiments, 1, "black bcrash (black:LEAD) once crashrestart(h1,3ms)")
 	st := c.Studies[0]
-	for i := range st.Nodes {
-		st.Nodes[i].App = notingApp{st.Nodes[i].App}
+	newApp := st.NewApp
+	st.NewApp = func(p Point, nick string) (core.App, error) {
+		app, err := newApp(p, nick)
+		return notingApp{app}, err
 	}
 	sr, err := runStudy(context.Background(), c, st, nil, "", 1, openLocal(c, st))
 	if err != nil {

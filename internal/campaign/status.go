@@ -171,9 +171,38 @@ func SummarizeRecords(name, fingerprint string, each func(add func(RecordSummary
 // to tell "this journal belongs to this configuration".
 func ConfigFingerprint(c *Campaign) string { return campaignFingerprint(c) }
 
-// StudyConfigFingerprint computes the study-level fingerprint record
-// lookups verify on resume — what a status query compares a point's
-// journaled Fingerprint against.
-func StudyConfigFingerprint(c *Campaign, st *Study, point string) string {
-	return studyFingerprint(campaignFingerprint(c), st, point)
+// Namespace is one record namespace a campaign configures — a study, or
+// a matrix point — with the experiment count and the study fingerprint a
+// resume expects of its records.
+type Namespace struct {
+	Name        string
+	Experiments int
+	Fingerprint string
+}
+
+// Namespaces lists the record namespaces of every study of c or, when m is
+// not nil, of every point of m, in the order they run. A status query
+// compares the journal's points against them.
+func Namespaces(c *Campaign, m *Matrix) ([]Namespace, error) {
+	if m == nil {
+		fp := campaignFingerprint(c)
+		out := make([]Namespace, len(c.Studies))
+		for i, st := range c.Studies {
+			out[i] = Namespace{st.Name, st.Experiments, studyFingerprint(fp, st, st.Name)}
+		}
+		return out, nil
+	}
+	overlays, err := m.scenarioStudies(c)
+	if err != nil {
+		return nil, err
+	}
+	profileFP := profileFingerprints(c, m)
+	pts := m.Points()
+	out := make([]Namespace, len(pts))
+	for i := range pts {
+		p, name := &pts[i], pts[i].Name()
+		st := pointStudy(overlays[p.scenario], p, name)
+		out[i] = Namespace{name, st.Experiments, studyFingerprint(profileFP[p.profile], st, name)}
+	}
+	return out, nil
 }

@@ -23,7 +23,7 @@ func TestValidateCounts(t *testing.T) {
 	if _, err := Run(context.Background(), c); err == nil || !strings.Contains(err.Error(), "Workers") {
 		t.Errorf("negative workers: %v", err)
 	}
-	if _, err := RunMatrix(context.Background(), c, &Matrix{Name: "m", Build: func(Point) (*Study, error) { return stepStudy(t, 1), nil }}); err == nil || !strings.Contains(err.Error(), "Workers") {
+	if _, err := RunMatrix(context.Background(), c, &Matrix{Name: "m", Study: stepStudy(t, 1)}); err == nil || !strings.Contains(err.Error(), "Workers") {
 		t.Errorf("negative workers via matrix: %v", err)
 	}
 
@@ -37,24 +37,23 @@ func TestValidateCounts(t *testing.T) {
 		t.Errorf("negative experiments: %v", err)
 	}
 
-	// A matrix point whose built study carries a bad count fails too.
+	// A matrix whose template carries a bad count fails too.
 	c = stepCampaign(t, 1, 1)
 	c.Studies = nil
-	m := &Matrix{Name: "m", Build: func(Point) (*Study, error) {
-		st := stepStudy(t, 1)
-		st.Experiments = 0
-		return st, nil
-	}}
+	m := &Matrix{Name: "m", Study: stepStudy(t, 1)}
+	m.Study.Experiments = 0
 	if _, err := RunMatrix(context.Background(), c, m); err == nil || !strings.Contains(err.Error(), "Experiments") {
-		t.Errorf("zero experiments via matrix point: %v", err)
+		t.Errorf("zero experiments via matrix template: %v", err)
 	}
 }
 
 // TestNilExprRefusedBeforeJournal: a Go-wired fault with no expression —
-// in a study's node, in the study a matrix's Build makes, or in a scenario
-// fault of a later point — is refused by Validate, naming the node and the
-// fault, before a journal is opened. The runtime would dereference it on a
-// worker goroutine and crash the process. Run under -race in CI.
+// in a study's node, in a matrix's template, or in a scenario fault of a
+// later point — is refused by Validate, naming the node and the fault,
+// before a journal is opened. The runtime would dereference it on a
+// worker goroutine and crash the process. So is a later scenario's fault
+// on a machine the template does not have: Validate checks every
+// scenario's overlay, not only the first point's. Run under -race in CI.
 func TestNilExprRefusedBeforeJournal(t *testing.T) {
 	ctx := context.Background()
 	nilExpr := func(st *Study) *Study {
@@ -70,10 +69,8 @@ func TestNilExprRefusedBeforeJournal(t *testing.T) {
 			_, err := Run(ctx, c)
 			return err
 		}},
-		{"matrix build", `node "beta" fault "betafault" has no expression`, func(c *Campaign) error {
-			_, err := RunMatrix(ctx, c, &Matrix{Name: "m", Build: func(Point) (*Study, error) {
-				return nilExpr(stepStudy(t, 1)), nil
-			}})
+		{"matrix template", `node "beta" fault "betafault" has no expression`, func(c *Campaign) error {
+			_, err := RunMatrix(ctx, c, &Matrix{Name: "m", Study: nilExpr(stepStudy(t, 1))})
 			return err
 		}},
 		{"scenario fault", `scenario "bad": node "gamma" fault "late" has no expression`, func(c *Campaign) error {
@@ -83,7 +80,18 @@ func TestNilExprRefusedBeforeJournal(t *testing.T) {
 					{Name: "baseline"},
 					{Name: "bad", Faults: []ScenarioFault{{Machine: "gamma", Spec: faultexpr.Spec{Name: "late", Mode: faultexpr.Once}}}},
 				},
-				Build: func(Point) (*Study, error) { return stepStudy(t, 1), nil },
+				Study: stepStudy(t, 1),
+			})
+			return err
+		}},
+		{"unknown machine", `scenario "bad" fault "cut" names unknown machine "ghost"`, func(c *Campaign) error {
+			_, err := RunMatrix(ctx, c, &Matrix{
+				Name: "m",
+				Scenarios: []Scenario{
+					{Name: "baseline"},
+					{Name: "bad", Faults: []ScenarioFault{{Machine: "ghost", Spec: faultexpr.Spec{Name: "cut", Expr: faultexpr.MustParse("(alpha:S2)"), Mode: faultexpr.Once}}}},
+				},
+				Study: stepStudy(t, 1),
 			})
 			return err
 		}},
@@ -104,32 +112,39 @@ func TestNilExprRefusedBeforeJournal(t *testing.T) {
 // countedStudy is a one-node study on h1 whose app body counts itself in
 // live while it runs, raising peak to the most bodies ever alive at once.
 func countedStudy(t testing.TB, name string, experiments int, live, peak *atomic.Int64) *Study {
-	app := probe.NewInstrumented(func(h *core.Handle) {
-		n := live.Add(1)
-		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-		}
-		h.NotifyEvent("S1")
-		h.Sleep(10 * time.Millisecond)
-		h.NotifyEvent("GO")
-		h.NotifyEvent("GO2")
-		live.Add(-1)
-	})
 	return &Study{
 		Name:        name,
-		Nodes:       []core.NodeDef{{Nickname: "alpha", Spec: stepSpec(t), App: app}},
+		Nodes:       []core.NodeDef{{Nickname: "alpha", Spec: stepSpec(t)}},
 		Placement:   []spec.NodeEntry{{Nickname: "alpha", Host: "h1"}},
 		Experiments: experiments,
 		Timeout:     5 * time.Second,
+		NewApp: func(Point, string) (core.App, error) {
+			return probe.NewInstrumented(func(h *core.Handle) {
+				n := live.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				h.NotifyEvent("S1")
+				h.Sleep(10 * time.Millisecond)
+				h.NotifyEvent("GO")
+				h.NotifyEvent("GO2")
+				live.Add(-1)
+			}), nil
+		},
 	}
 }
 
 // TestRunRefusesBeforeFirstStudy: a mistake in a campaign's second study
 // fails Run before the first study's experiments run, and the error names
-// the study once.
+// the study once. A study's nodes carry no application (every testbed
+// builds its own with NewApp), so one that does is such a mistake.
 func TestRunRefusesBeforeFirstStudy(t *testing.T) {
 	for name, mut := range map[string]func(st *Study){
 		"zero experiments":  func(st *Study) { st.Experiments = 0 },
 		"unknown transport": func(st *Study) { st.Transport = "udpp" },
+		"no NewApp":         func(st *Study) { st.NewApp = nil },
+		"an App in a node": func(st *Study) {
+			st.Nodes[0].App, _ = st.NewApp(Point{}, st.Nodes[0].Nickname)
+		},
 	} {
 		var live, peak atomic.Int64
 		c := stepCampaign(t, 1, 1)
@@ -150,7 +165,7 @@ func TestRunRefusesBeforeFirstStudy(t *testing.T) {
 }
 
 // TestMatrixPointPoolWithinWorkers: a matrix point's experiment pool is
-// its share of Campaign.Workers. A built study's Workers may lower the
+// its share of Campaign.Workers. The template's Workers may lower the
 // share but never raise it, so no more than Workers runtime phases are
 // ever live at once.
 func TestMatrixPointPoolWithinWorkers(t *testing.T) {
@@ -158,11 +173,8 @@ func TestMatrixPointPoolWithinWorkers(t *testing.T) {
 	var live, peak atomic.Int64
 	c := stepCampaign(t, 1, workers)
 	c.Studies = nil
-	m := &Matrix{Name: "pool", Seeds: []int64{1, 2, 3, 4}, Build: func(Point) (*Study, error) {
-		st := countedStudy(t, "", 6, &live, &peak)
-		st.Workers = 8
-		return st, nil
-	}}
+	m := &Matrix{Name: "pool", Seeds: []int64{1, 2, 3, 4}, Study: countedStudy(t, "", 6, &live, &peak)}
+	m.Study.Workers = 8
 	if _, err := RunMatrix(context.Background(), c, m); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +193,7 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	if _, err := RunMatrix(ctx, stepCampaign(t, 1, 1), &Matrix{
 		Name:  "m",
-		Build: func(Point) (*Study, error) { return stepStudy(t, 1), nil },
+		Study: stepStudy(t, 1),
 	}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled RunMatrix error = %v, want context.Canceled", err)
 	}
@@ -217,7 +229,7 @@ func TestSummarizeJournalCounts(t *testing.T) {
 	if p.Tally != (Tally{Experiments: 3, Accepted: 3}) {
 		t.Errorf("progress = %+v", p)
 	}
-	if p.Fingerprint != StudyConfigFingerprint(c, c.Studies[0], "steps") {
+	if ns, err := Namespaces(c, nil); err != nil || p.Fingerprint != ns[0].Fingerprint {
 		t.Errorf("journaled study fingerprint = %s", p.Fingerprint)
 	}
 	if tot := sum.Totals(); tot.Experiments != 3 || tot.Accepted != 3 {

@@ -3,12 +3,12 @@ package config
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/app"
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/faultexpr"
 	"repro/internal/measure"
 	"repro/internal/probe"
 	"repro/internal/spec"
@@ -41,8 +41,8 @@ func appNames() []string { return app.Names() }
 // only what the file alone can show (checkFile) and parses each fault line
 // once, checking the machine it names; every rule about the campaign the
 // engines run is campaign.Validate's, which the engines and loki.Open
-// apply to the result. Node definitions (application instances included)
-// are built fresh, so every Build result is private to one run.
+// apply to the result. The studies are descriptions: their NewApp builds
+// fresh application instances for every testbed that opens.
 func Build(c *Campaign) (*campaign.Campaign, *campaign.Matrix, error) {
 	if err := checkFile(c); err != nil {
 		return nil, nil, err
@@ -69,7 +69,7 @@ func Build(c *Campaign) (*campaign.Campaign, *campaign.Matrix, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cc.Studies = append(cc.Studies, buildStudy(c, s, studySeed(c, s), faults, nil))
+		cc.Studies = append(cc.Studies, buildStudy(c, s, faults))
 	}
 	if c.Matrix == nil {
 		return cc, nil, nil
@@ -92,20 +92,11 @@ func Build(c *Campaign) (*campaign.Campaign, *campaign.Matrix, error) {
 			Name: lp.Name, Local: lp.Local.Std(), Remote: lp.Remote.Std(),
 		})
 	}
-	tmpl := *m.Study // template is copied; points must not mutate the file
-	faults, err := parseFaults(tmpl.Faults, nodeSet(tmpl.Nodes), studyWhat(&tmpl))
+	faults, err := parseFaults(m.Study.Faults, nodeSet(m.Study.Nodes), studyWhat(m.Study))
 	if err != nil {
 		return nil, nil, err
 	}
-	cm.Build = func(p campaign.Point) (*campaign.Study, error) {
-		// The point's seed drives the applications, so a point is
-		// reproducible independently of the template's own seed. The
-		// point's scenario faults get their crash probes registered here
-		// — the engine's Scenario.ApplyTo appends the specs but knows
-		// nothing about probes, and the schema promises action-less
-		// fault lines crash wherever they appear.
-		return buildStudy(c, &tmpl, p.Seed, faults, p.Scenario.Faults), nil
-	}
+	cm.Study = buildStudy(c, m.Study, faults)
 	return cc, cm, nil
 }
 
@@ -178,14 +169,14 @@ func HostsFor(nodes []spec.NodeEntry, seed int64) []campaign.HostDef {
 	return out
 }
 
-// buildStudy materializes one study (or matrix template) with the given
-// effective seed and its parsed fault lines: application instances, state
-// machines, fault entries, and crash probes for faults without a built-in
-// action call. The scenario faults, when given, get probes only — the
-// matrix engine appends their specs via Scenario.ApplyTo, and registering
-// them twice would duplicate the entries. The study's app is registered
-// (checkFile).
-func buildStudy(c *Campaign, s *Study, seed int64, faults, scenario []campaign.ScenarioFault) *campaign.Study {
+// buildStudy describes one study (or matrix template) with its parsed
+// fault lines: state machines, fault entries, placement, and a NewApp
+// that builds the registered application (checkFile) for a point with
+// crash probes for faults without a built-in action call — the study's
+// own and the point's scenario's, whose specs the matrix engine appends
+// (Scenario.ApplyTo) but whose probes it knows nothing about. The schema
+// promises action-less fault lines crash wherever they appear.
+func buildStudy(c *Campaign, s *Study, faults []campaign.ScenarioFault) *campaign.Study {
 	peers := make([]string, len(s.Nodes))
 	placement := make([]spec.NodeEntry, len(s.Nodes))
 	for i, n := range s.Nodes {
@@ -202,19 +193,23 @@ func buildStudy(c *Campaign, s *Study, seed int64, faults, scenario []campaign.S
 	}
 	build, _ := app.Lookup(appName(s.App))
 	dormancy := s.Dormancy.Std()
+	seed := studySeed(c, s)
+	// The per-machine seed stride predates the registry; it is part of the
+	// journal-fingerprint contract (parity-tested), so it stays.
+	params := func(i int, seed int64) app.Params {
+		return app.Params{Nick: peers[i], Peers: peers, RunFor: runFor, Seed: seed + int64(i)*17}
+	}
 
-	var defs []core.NodeDef
+	defs := make([]core.NodeDef, len(peers))
 	for i, nick := range peers {
-		// The per-machine seed stride predates the registry; it is part of
-		// the journal-fingerprint contract (parity-tested), so it stays.
-		in, sm := build(app.Params{Nick: nick, Peers: peers, RunFor: runFor, Seed: seed + int64(i)*17})
-		registerCrashProbes(scenario, nick, in, dormancy, seed)
-		defs = append(defs, core.NodeDef{
-			Nickname: nick,
-			Spec:     sm,
-			Faults:   machineFaults(faults, nick, in, dormancy, seed),
-			App:      in,
-		})
+		// A builder's specification does not depend on the seed
+		// (app.Builder), so the study's own describes every point.
+		_, sm := build(params(i, seed))
+		defs[i] = core.NodeDef{Nickname: nick, Spec: sm}
+	}
+	for _, f := range faults { // each names a node (parseFaults)
+		i := slices.Index(peers, f.Machine)
+		defs[i].Faults = append(defs[i].Faults, f.Spec)
 	}
 	st := &campaign.Study{
 		Name:        s.Name,
@@ -227,6 +222,16 @@ func buildStudy(c *Campaign, s *Study, seed int64, faults, scenario []campaign.S
 		ChaosSeed: seed,
 		Transport: studyTransport(c, s),
 		Workers:   s.Workers,
+		NewApp: func(p campaign.Point, nick string) (core.App, error) {
+			i := slices.Index(peers, nick)
+			if i < 0 {
+				return nil, fmt.Errorf("config: no machine %q", nick)
+			}
+			in, _ := build(params(i, p.Seed))
+			registerCrashProbes(p.Scenario.Faults, nick, in, dormancy, p.Seed)
+			registerCrashProbes(faults, nick, in, dormancy, p.Seed)
+			return in, nil
+		},
 	}
 	if s.Restart {
 		st.Restarts = &campaign.RestartPolicy{After: 5 * time.Millisecond, MaxPerNode: 1}
@@ -234,25 +239,10 @@ func buildStudy(c *Campaign, s *Study, seed int64, faults, scenario []campaign.S
 	return st
 }
 
-// machineFaults returns the fault entries owned by nick and registers a
-// crash probe for each: immediate, or dormancy-delayed with jitter
-// dormancy/5 (§1.1). Faults naming a built-in chaos action are executed by
-// the attached chaos engine instead, so their probe registration is inert.
-func machineFaults(faults []campaign.ScenarioFault, nick string, in *probe.Instrumented, dormancy time.Duration, seed int64) []faultexpr.Spec {
-	var out []faultexpr.Spec
-	for _, f := range faults {
-		if f.Machine != nick {
-			continue
-		}
-		out = append(out, f.Spec)
-	}
-	registerCrashProbes(faults, nick, in, dormancy, seed)
-	return out
-}
-
-// registerCrashProbes registers nick's crash probes for the fault entries
-// without appending their specs (the caller, or the matrix engine's
-// scenario overlay, owns the spec list).
+// registerCrashProbes registers a crash probe on in for each of nick's
+// fault entries: immediate, or dormancy-delayed with jitter dormancy/5
+// (§1.1). Faults naming a built-in chaos action are executed by the
+// attached chaos engine instead, so their probe registration is inert.
 func registerCrashProbes(faults []campaign.ScenarioFault, nick string, in *probe.Instrumented, dormancy time.Duration, seed int64) {
 	for _, f := range faults {
 		if f.Machine != nick {

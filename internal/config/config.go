@@ -3,7 +3,7 @@
 // matrix, transport, checkpointing, cluster topology, and measures — so an
 // experiment is a reviewable artifact (checked in, diffed, fingerprinted)
 // rather than Go wiring. The package translates: Load and Fingerprint
-// handle the file, and Build materializes it into the internal/campaign
+// handle the file, and Build translates it into the internal/campaign
 // engine types, checking only what the file alone can show and parsing
 // each fault line once. The rules about the campaign the engines run are
 // campaign.Validate's alone; Validate is Build followed by
@@ -201,8 +201,8 @@ type Matrix struct {
 	Scenarios []Scenario `json:"scenarios,omitempty"`
 	Latencies []Latency  `json:"latencies,omitempty"`
 	Seeds     []int64    `json:"seeds,omitempty"`
-	// Study is the base study template, materialized fresh per point with
-	// the point's seed.
+	// Study is the template every point shares; each testbed a point opens
+	// builds its applications with the point's seed.
 	Study *Study `json:"study"`
 }
 

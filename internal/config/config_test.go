@@ -6,8 +6,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/app"
+	"repro/internal/campaign"
 )
 
 // randomCampaign generates a structurally valid random campaign for the
@@ -366,15 +370,39 @@ func TestBuildMaterializesStudies(t *testing.T) {
 	if len(st.Nodes[0].Faults) != 1 || len(st.Nodes[1].Faults) != 0 {
 		t.Errorf("fault assignment: %+v / %+v", st.Nodes[0].Faults, st.Nodes[1].Faults)
 	}
-	if st.Nodes[0].App == nil || st.Nodes[0].Spec == nil {
-		t.Error("node missing app or spec")
+	if st.Nodes[0].App != nil || st.Nodes[0].Spec == nil {
+		t.Error("node carries an app or lacks its spec")
+	}
+	if in, err := st.NewApp(campaign.Point{Seed: st.ChaosSeed}, "m0"); err != nil || in == nil {
+		t.Errorf("NewApp: %v, %v", in, err)
 	}
 }
 
+// seedLog records the seed of every application the "seedprobe" builder
+// builds.
+var seedLog struct {
+	sync.Mutex
+	seeds []int64
+}
+
+func init() {
+	election, _ := app.Lookup("election")
+	app.MustRegister("seedprobe", func(p app.Params) (*app.Instrumented, *app.StateMachine) {
+		seedLog.Lock()
+		seedLog.seeds = append(seedLog.seeds, p.Seed)
+		seedLog.Unlock()
+		return election(p)
+	})
+}
+
+// TestBuildMatrixUsesPointSeed: a matrix template's NewApp builds the
+// registered application with the point's seed plus the per-machine
+// stride, whatever the template's own seed, and knows only the template's
+// machines.
 func TestBuildMatrixUsesPointSeed(t *testing.T) {
 	st := Study{
-		Name: "", App: "election", Experiments: 1,
-		Nodes: []Node{{Name: "m0", Host: "h1"}},
+		Name: "", App: "seedprobe", Experiments: 1, Seed: 40,
+		Nodes: []Node{{Name: "m0", Host: "h1"}, {Name: "m1", Host: "h1"}},
 	}
 	c := &Campaign{
 		Name:   "bm",
@@ -384,7 +412,7 @@ func TestBuildMatrixUsesPointSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m == nil || m.Build == nil {
+	if m == nil || m.Study == nil || m.Study.NewApp == nil {
 		t.Fatal("matrix not built")
 	}
 	pts := m.Points()
@@ -392,13 +420,23 @@ func TestBuildMatrixUsesPointSeed(t *testing.T) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for _, p := range pts {
-		built, err := m.Build(p)
-		if err != nil {
-			t.Fatal(err)
+		seedLog.Lock()
+		seedLog.seeds = nil
+		seedLog.Unlock()
+		for _, nick := range []string{"m0", "m1"} {
+			if _, err := m.Study.NewApp(p, nick); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if built.ChaosSeed != p.Seed {
-			t.Errorf("point %s: chaos seed %d, want point seed %d", p.Name(), built.ChaosSeed, p.Seed)
+		seedLog.Lock()
+		got := seedLog.seeds
+		seedLog.Unlock()
+		if want := []int64{p.Seed, p.Seed + 17}; !reflect.DeepEqual(got, want) {
+			t.Errorf("point %s: applications seeded %v, want %v", p.Name(), got, want)
 		}
+	}
+	if _, err := m.Study.NewApp(pts[0], "ghost"); err == nil {
+		t.Error("NewApp built an application for a machine the template lacks")
 	}
 	if len(cc.Hosts) != 1 {
 		t.Errorf("hosts from matrix template = %+v", cc.Hosts)

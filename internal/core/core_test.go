@@ -804,13 +804,9 @@ func TestHandleString(t *testing.T) {
 			if h.String() == "" || h.Nickname() != "n" || h.HostName() != "h1" {
 				t.Error("handle identity broken")
 			}
-			if len(h.Args()) != 1 || h.Args()[0] != "-x" {
-				t.Errorf("args = %v", h.Args())
-			}
 			h.Note("custom note")
 			h.NotifyEvent("A")
 		}},
-		Args: []string{"-x"},
 	})
 	rt.StartNode("n", "h1")
 	rt.Wait(5 * time.Second)

@@ -83,6 +83,9 @@ func AutoNotify(defs []NodeDef) {
 	watchers := make(map[string]map[string]bool)
 	for _, def := range defs {
 		for _, f := range def.Faults {
+			if f.Expr == nil {
+				continue // refused before Register; it watches nothing
+			}
 			for _, m := range faultexpr.Machines(f.Expr) {
 				if m == def.Nickname {
 					continue // self-observation needs no notification

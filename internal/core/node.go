@@ -499,9 +499,6 @@ func (h *Handle) Nickname() string { return h.node.Nickname() }
 // HostName returns the host the node is (currently) running on.
 func (h *Handle) HostName() string { return h.node.Host() }
 
-// Args returns the application arguments from the node definition.
-func (h *Handle) Args() []string { return h.node.reg.Args }
-
 // Restarted reports whether this node is a restart of a crashed node
 // (§3.6.3). The application uses it to choose its RESTART path (§5.5).
 func (h *Handle) Restarted() bool { return h.node.Restarted() }

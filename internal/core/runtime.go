@@ -145,15 +145,16 @@ type hostState struct {
 	hosts []string
 }
 
-// NodeDef is the per-state-machine configuration a study supplies: the
-// state machine specification, the fault specification, and the
-// instrumented application (§5.6's study file contents).
+// NodeDef is one state machine as Register takes it: the state machine
+// specification, the fault specification (§5.6's study file contents) and
+// the instrumented application the runtime drives. A campaign study
+// describes its nodes without App and builds each testbed's applications
+// itself (campaign.Study.NewApp).
 type NodeDef struct {
 	Nickname string
 	Spec     *spec.StateMachine
 	Faults   []faultexpr.Spec
 	App      App
-	Args     []string
 }
 
 // New creates an empty runtime.

@@ -175,9 +175,7 @@ func runTrials(cfg Config, residencesMs []float64) ([][]trial, error) {
 		m.Scenarios = append(m.Scenarios, campaign.Scenario{Name: fmt.Sprintf("residence%gms", res)})
 	}
 	// Points are scenario-major: Index / Trials is the residence.
-	m.Build = func(p campaign.Point) (*campaign.Study, error) {
-		return race.study(millis(residencesMs[p.Index/cfg.Trials]), p.Latency.Remote), nil
-	}
+	m.Study = race.study(func(p campaign.Point) time.Duration { return millis(residencesMs[p.Index/cfg.Trials]) })
 	c := &campaign.Campaign{
 		Name: m.Name,
 		// The watcher's clock carries a hidden offset and drift: the
@@ -268,29 +266,35 @@ func newRace() (*race, error) {
 	return &race{dweller: dweller, watcher: watcher, hit: hit}, nil
 }
 
-// study is one trial: the dweller (host ha) holds state X for the
-// residence; the watcher (host hb) carries `hit (dweller:X) once`, which
-// its fault parser fires when the X notification reaches it, delay later.
-func (r *race) study(residence, delay time.Duration) *campaign.Study {
-	dweller := probe.NewInstrumented(func(h *core.Handle) {
-		h.Sleep(settle)
-		h.NotifyEvent("X")
-		h.Sleep(residence)
-		h.NotifyEvent("LEAVE")
-	})
-	watcher := probe.NewInstrumented(func(h *core.Handle) {
-		h.NotifyEvent("WATCH")
-		// Outlive both notifications: an exited machine gets none.
-		h.Sleep(settle + residence + delay + settle)
-	}).On(r.hit.Name, probe.NoteFault())
+// study is the trials' template: the dweller (host ha) holds state X for
+// the point's residence; the watcher (host hb) carries `hit (dweller:X)
+// once`, which its fault parser fires when the X notification reaches it,
+// the point's remote delay later.
+func (r *race) study(residence func(campaign.Point) time.Duration) *campaign.Study {
 	return &campaign.Study{
 		Nodes: []core.NodeDef{
-			{Nickname: "dweller", Spec: r.dweller, App: dweller},
-			{Nickname: "watcher", Spec: r.watcher, Faults: []faultexpr.Spec{r.hit}, App: watcher},
+			{Nickname: "dweller", Spec: r.dweller},
+			{Nickname: "watcher", Spec: r.watcher, Faults: []faultexpr.Spec{r.hit}},
 		},
 		// The watcher starts first, so its view is seeded empty.
 		Placement:   []spec.NodeEntry{{Nickname: "watcher", Host: "hb"}, {Nickname: "dweller", Host: "ha"}},
 		Experiments: 1,
+		NewApp: func(p campaign.Point, nick string) (core.App, error) {
+			residence, delay := residence(p), p.Latency.Remote
+			if nick == "dweller" {
+				return probe.NewInstrumented(func(h *core.Handle) {
+					h.Sleep(settle)
+					h.NotifyEvent("X")
+					h.Sleep(residence)
+					h.NotifyEvent("LEAVE")
+				}), nil
+			}
+			return probe.NewInstrumented(func(h *core.Handle) {
+				h.NotifyEvent("WATCH")
+				// Outlive both notifications: an exited machine gets none.
+				h.Sleep(settle + residence + delay + settle)
+			}).On(r.hit.Name, probe.NoteFault()), nil
+		},
 	}
 }
 

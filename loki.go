@@ -30,13 +30,15 @@
 //     cancellation, checkpoint/resume, status, and artifact emission
 //     (session.go).
 //   - Campaign, Study, NodeDef, FaultSpec — the campaign description the
-//     Session executes; ParseFaultSpecs, ParseNodeFile and
-//     ParseScenarioFaults read the thesis's classic files.
+//     Session executes. A study's nodes carry no application: its NewApp
+//     builds one per node for every testbed a run opens. ParseFaultSpecs,
+//     ParseNodeFile and ParseScenarioFaults read the thesis's classic
+//     files.
 //   - Scenario, Matrix — the chaos subsystem: fault specification entries
 //     may name built-in network and host fault actions (partition, drop,
 //     delay, duplicate, corrupt, crash, crashrestart, clockstep), and the
-//     matrix engine fans one configuration out into {scenarios × latency
-//     profiles × seeds} studies across the worker pool (see chaos.go and
+//     matrix engine fans one template study out into {scenarios × latency
+//     profiles × seeds} points across the worker pool (see chaos.go and
 //     EXPERIMENTS.md).
 //   - Runtime, NewRuntime — the runtime phase (thesis ch. 3) for bespoke
 //     testbeds: virtual hosts with hidden-error clocks, per-host local
@@ -82,8 +84,9 @@ type (
 	Runtime = core.Runtime
 	// RuntimeConfig tunes delays, the watchdog, and logging.
 	RuntimeConfig = core.Config
-	// NodeDef binds a nickname to its state machine specification, fault
-	// specification, and instrumented application.
+	// NodeDef binds a nickname to its state machine specification and
+	// fault specification and, for Runtime.Register, its instrumented
+	// application.
 	NodeDef = core.NodeDef
 	// Handle is the probe interface instrumented applications call
 	// (NotifyEvent, Crash, Send, ...).

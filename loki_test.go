@@ -40,17 +40,20 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	worker := app.New(func(h *app.Handle) {
-		h.NotifyEvent("RUN")
-		h.Sleep(10 * time.Millisecond)
-		h.NotifyEvent("finish")
-		h.Sleep(10 * time.Millisecond)
-	}).On("f1", app.NoteFault())
-
-	peer := app.New(func(h *app.Handle) {
-		h.NotifyEvent("RUN")
-		h.Sleep(25 * time.Millisecond)
-	})
+	newApp := func(_ loki.MatrixPoint, nick string) (app.App, error) {
+		if nick == "peer" {
+			return app.New(func(h *app.Handle) {
+				h.NotifyEvent("RUN")
+				h.Sleep(25 * time.Millisecond)
+			}), nil
+		}
+		return app.New(func(h *app.Handle) {
+			h.NotifyEvent("RUN")
+			h.Sleep(10 * time.Millisecond)
+			h.NotifyEvent("finish")
+			h.Sleep(10 * time.Millisecond)
+		}).On("f1", app.NoteFault()), nil
+	}
 
 	c := &loki.Campaign{
 		Name: "api-e2e",
@@ -61,9 +64,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Studies: []*loki.Study{{
 			Name: "s1",
 			Nodes: []loki.NodeDef{
-				{Nickname: "worker", Spec: sm, Faults: faults, App: worker},
-				{Nickname: "peer", Spec: sm, App: peer},
+				{Nickname: "worker", Spec: sm, Faults: faults},
+				{Nickname: "peer", Spec: sm},
 			},
+			NewApp: newApp,
 			Placement: []loki.NodeEntry{
 				{Nickname: "worker", Host: "h1"},
 				{Nickname: "peer", Host: "h2"},

@@ -7,10 +7,12 @@ package loki_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	loki "repro"
+	"repro/app"
 	"repro/apps/election"
 )
 
@@ -23,15 +25,17 @@ func clusteredBenchCampaign(experiments int) *loki.Campaign {
 	var nodes []loki.NodeDef
 	var placement []loki.NodeEntry
 	for i, nick := range peers {
-		in := election.New(election.Config{Peers: peers, RunFor: 20 * time.Millisecond, Seed: 7 + int64(i)})
-		nodes = append(nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers), App: in})
+		nodes = append(nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers)})
 		placement = append(placement, loki.NodeEntry{Nickname: nick, Host: hosts[i]})
+	}
+	newApp := func(_ loki.MatrixPoint, nick string) (app.App, error) {
+		return election.New(election.Config{Peers: peers, RunFor: 20 * time.Millisecond, Seed: 7 + int64(slices.Index(peers, nick))}), nil
 	}
 	return &loki.Campaign{
 		Name:  "clustered-obs-bench",
 		Hosts: []loki.HostDef{{Name: "h1"}, {Name: "h2"}, {Name: "h3"}},
 		Studies: []*loki.Study{{
-			Name: "election", Nodes: nodes, Placement: placement,
+			Name: "election", Nodes: nodes, Placement: placement, NewApp: newApp,
 			Experiments: experiments, Timeout: 10 * time.Second,
 			Transport: loki.TransportUDP,
 		}},

@@ -38,9 +38,8 @@ import (
 // compose on top of whatever the spec declared; the spec itself is never
 // mutated.
 type Session struct {
-	c    *Campaign
-	m    *Matrix
-	file *CampaignFile
+	c *Campaign
+	m *Matrix
 
 	transport string // WithTransport override ("" = as specified)
 	artifacts string
@@ -329,7 +328,7 @@ func (s *Session) openFile(f *CampaignFile) error {
 	if _, err := config.BuildMeasures(f); err != nil {
 		return err
 	}
-	s.c, s.m, s.file = cc, m, f
+	s.c, s.m = cc, m
 	return nil
 }
 
@@ -403,23 +402,15 @@ func withTransport(c *Campaign, kind string) *Campaign {
 	return &cc
 }
 
-// effectiveMatrix returns the matrix with the transport override applied
-// to every built point study.
+// effectiveMatrix returns the matrix with the session's transport
+// override applied to a copy of its template.
 func (s *Session) effectiveMatrix() *Matrix {
-	if s.m == nil || s.transport == "" {
+	if s.m == nil || s.transport == "" || s.m.Study == nil {
 		return s.m
 	}
-	mc := *s.m
-	inner := s.m.Build
-	kind := s.transport
-	mc.Build = func(p MatrixPoint) (*Study, error) {
-		st, err := inner(p)
-		if err != nil {
-			return nil, err
-		}
-		st.Transport = kind
-		return st, nil
-	}
+	mc, st := *s.m, *s.m.Study
+	st.Transport = s.transport
+	mc.Study = &st
 	return &mc
 }
 
@@ -620,11 +611,9 @@ type SessionStatus struct {
 	Campaign    string
 	Fingerprint string
 	// FingerprintMatch reports whether the journal was written by this
-	// session's configuration: the campaign-level header matches and —
-	// for studies campaigns — every journaled study's record fingerprint
-	// matches too, so a Resume that would refuse is reported here. Matrix
-	// sessions compare the header only (each point's fingerprint depends
-	// on its materialized study; resume still verifies them per record).
+	// session's configuration: the campaign-level header matches and every
+	// journaled study's or matrix point's record fingerprint matches too,
+	// so a Resume that would refuse is reported here.
 	FingerprintMatch bool
 	// Appending reports trailing journal bytes without a newline — a
 	// writer mid-append, or a crash at that instant. The bytes are
@@ -674,7 +663,8 @@ func (s *Session) Status() (*SessionStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	expected, order, err := s.expectedPoints()
+	ec := s.effectiveCampaign()
+	configured, err := campaign.Namespaces(ec, s.effectiveMatrix())
 	if err != nil {
 		return nil, err
 	}
@@ -682,76 +672,31 @@ func (s *Session) Status() (*SessionStatus, error) {
 	for _, p := range sum.Points {
 		observed[p.Point] = p
 	}
-	ec := s.effectiveCampaign()
-	match := sum.Fingerprint == campaign.ConfigFingerprint(ec)
-	if match && s.m == nil {
-		// The header hash covers only campaign-level configuration; the
-		// per-study fingerprints resume actually enforces (transport,
-		// faults, experiment count, ...) are cheap to check for studies
-		// campaigns — do it, so "matches" here means Resume would accept.
-		for _, study := range ec.Studies {
-			o, ok := observed[study.Name]
-			if ok && o.Fingerprint != campaign.StudyConfigFingerprint(ec, study, study.Name) {
-				match = false
-			}
-		}
-	}
 	st := &SessionStatus{
-		Dir:              dir,
-		JournalPath:      sum.Path,
-		Campaign:         sum.Campaign,
-		Fingerprint:      sum.Fingerprint,
-		FingerprintMatch: match,
+		Dir:         dir,
+		JournalPath: sum.Path,
+		Campaign:    sum.Campaign,
+		Fingerprint: sum.Fingerprint,
+		// The header covers campaign-level configuration only; the study
+		// fingerprints Resume enforces (transport, faults, experiment
+		// count, ...) are compared below, so a match means Resume accepts.
+		FingerprintMatch: sum.Fingerprint == campaign.ConfigFingerprint(ec),
 		Appending:        sum.Appending,
 		Torn:             sum.Torn,
 	}
-	for _, name := range order {
-		o := observed[name]
-		st.Points = append(st.Points, PointStatus{Point: name, Expected: expected[name], Complete: o.Experiments, Accepted: o.Accepted})
+	for _, ns := range configured {
+		o, ok := observed[ns.Name]
+		st.FingerprintMatch = st.FingerprintMatch && (!ok || o.Fingerprint == ns.Fingerprint)
+		delete(observed, ns.Name)
+		st.Points = append(st.Points, PointStatus{Point: ns.Name, Expected: ns.Experiments, Complete: o.Experiments, Accepted: o.Accepted})
 	}
 	// Journal-only points follow, in the summary's (sorted) order.
 	for _, o := range sum.Points {
-		if _, configured := expected[o.Point]; !configured {
+		if _, journalOnly := observed[o.Point]; journalOnly {
 			st.Points = append(st.Points, PointStatus{Point: o.Point, Complete: o.Experiments, Accepted: o.Accepted})
 		}
 	}
 	return st, nil
-}
-
-// expectedPoints enumerates the configured record namespaces and their
-// experiment counts: study names, or matrix point names.
-func (s *Session) expectedPoints() (map[string]int, []string, error) {
-	expected := make(map[string]int)
-	var order []string
-	if s.m == nil {
-		for _, st := range s.c.Studies {
-			expected[st.Name] = st.Experiments
-			order = append(order, st.Name)
-		}
-		return expected, order, nil
-	}
-	pts := s.m.Points()
-	// Every point shares the experiment count of the one study template
-	// (config files by construction; Go matrices by the Build contract),
-	// so a status query over a ROADMAP-scale matrix materializes at most
-	// one study instead of one per point.
-	perPoint := 0
-	switch {
-	case s.file != nil && s.file.Matrix != nil && s.file.Matrix.Study != nil:
-		perPoint = s.file.Matrix.Study.Experiments
-	case s.m.Build != nil && len(pts) > 0:
-		st, err := s.m.Build(pts[0])
-		if err != nil {
-			return nil, nil, fmt.Errorf("loki: status: materializing point %s: %w", pts[0].Name(), err)
-		}
-		perPoint = st.Experiments
-	}
-	for _, p := range pts {
-		name := p.Name()
-		expected[name] = perPoint
-		order = append(order, name)
-	}
-	return expected, order, nil
 }
 
 // writeRunArtifacts emits the analysis artifacts of every record with a

@@ -1,12 +1,14 @@
 package loki_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	loki "repro"
+	"repro/app"
 	"repro/apps/election"
 )
 
@@ -84,6 +87,12 @@ yellow yslow (yellow:ELECT) once delay(h3,*,1ms) 20ms
 	if err != nil {
 		t.Fatal(err)
 	}
+	var nodes []loki.NodeDef
+	var placement []loki.NodeEntry
+	for i, nick := range peers {
+		nodes = append(nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers)})
+		placement = append(placement, loki.NodeEntry{Nickname: nick, Host: hosts[i]})
+	}
 	m := &loki.Matrix{
 		Name: "parity",
 		Scenarios: []loki.Scenario{
@@ -91,31 +100,21 @@ yellow yslow (yellow:ELECT) once delay(h3,*,1ms) 20ms
 			{Name: "slowstart", Faults: faults},
 		},
 		Seeds: seeds,
-		Build: func(p loki.MatrixPoint) (*loki.Study, error) {
-			var nodes []loki.NodeDef
-			var placement []loki.NodeEntry
-			for i, nick := range peers {
+		Study: &loki.Study{
+			Nodes:       nodes,
+			Placement:   placement,
+			Experiments: experiments,
+			Timeout:     10 * time.Second,
+			Transport:   transport,
+			NewApp: func(p loki.MatrixPoint, nick string) (app.App, error) {
 				// The same construction internal/config performs: the
 				// point seed drives the application, offset per machine.
-				in := election.New(election.Config{
+				return election.New(election.Config{
 					Peers:  peers,
 					RunFor: 80 * time.Millisecond,
-					Seed:   p.Seed + int64(i)*17,
-				})
-				nodes = append(nodes, loki.NodeDef{
-					Nickname: nick,
-					Spec:     election.SpecFor(nick, peers),
-					App:      in,
-				})
-				placement = append(placement, loki.NodeEntry{Nickname: nick, Host: hosts[i]})
-			}
-			return &loki.Study{
-				Nodes:       nodes,
-				Placement:   placement,
-				Experiments: experiments,
-				Timeout:     10 * time.Second,
-				Transport:   transport,
-			}, nil
+					Seed:   p.Seed + int64(slices.Index(peers, nick))*17,
+				}), nil
+			},
 		},
 	}
 	c := &loki.Campaign{
@@ -233,6 +232,14 @@ func TestSessionParityMatrix(t *testing.T) {
 	t.Run("udp", func(t *testing.T) { run(t, loki.TransportUDP, []int64{1}, 2) })
 }
 
+// electionApps builds the election of peers, running for runFor, machine
+// i seeded 7i.
+func electionApps(peers []string, runFor time.Duration) func(loki.MatrixPoint, string) (app.App, error) {
+	return func(_ loki.MatrixPoint, nick string) (app.App, error) {
+		return election.New(election.Config{Peers: peers, RunFor: runFor, Seed: int64(slices.Index(peers, nick)) * 7}), nil
+	}
+}
+
 // sessionCancelCampaign is a slow-ish election campaign for cancellation
 // tests: enough experiments that a mid-run cancel leaves work undone.
 func sessionCancelCampaign(experiments int, dir string) *loki.Campaign {
@@ -241,8 +248,7 @@ func sessionCancelCampaign(experiments int, dir string) *loki.Campaign {
 	var nodes []loki.NodeDef
 	var placement []loki.NodeEntry
 	for i, nick := range peers {
-		in := election.New(election.Config{Peers: peers, RunFor: 60 * time.Millisecond, Seed: int64(i) * 7})
-		nodes = append(nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers), App: in})
+		nodes = append(nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers)})
 		placement = append(placement, loki.NodeEntry{Nickname: nick, Host: hosts[i]})
 	}
 	c := &loki.Campaign{
@@ -251,6 +257,7 @@ func sessionCancelCampaign(experiments int, dir string) *loki.Campaign {
 		Workers: 1,
 		Studies: []*loki.Study{{
 			Name: "s", Nodes: nodes, Placement: placement,
+			NewApp:      electionApps(peers, 60*time.Millisecond),
 			Experiments: experiments, Timeout: 10 * time.Second,
 		}},
 		Sync: loki.SyncConfig{Messages: 6, Transit: 10 * time.Microsecond},
@@ -387,6 +394,54 @@ func TestSessionStatusDetectsStudyLevelMismatch(t *testing.T) {
 	}
 }
 
+// TestSessionStatusDetectsMatrixPointMismatch: a changed scenario fault
+// leaves a matrix journal's header as it was but changes the fingerprint
+// of that scenario's points, whose records Resume then refuses; Status
+// must report the mismatch too, and report none for the unchanged file.
+func TestSessionStatusDetectsMatrixPointMismatch(t *testing.T) {
+	dir := t.TempDir()
+	doc := parityConfigDoc("", []int64{1}, 1)
+	open := func(doc []byte) *loki.Session {
+		t.Helper()
+		cfg, err := loki.ParseCampaignFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := loki.Open(cfg, loki.WithCheckpoint(dir, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	status := func(doc []byte) (*loki.Session, *loki.SessionStatus) {
+		t.Helper()
+		s := open(doc)
+		st, err := s.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, st
+	}
+	if _, err := open(doc).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, st := status(doc); !st.FingerprintMatch {
+		t.Error("the configuration that wrote the journal reported a fingerprint mismatch")
+	}
+	changed := bytes.Replace(doc, []byte("delay(h1,*,1ms) 20ms"), []byte("delay(h1,*,1ms) 30ms"), 1)
+	if bytes.Equal(changed, doc) {
+		t.Fatal("the scenario fault to change is missing from the campaign file")
+	}
+	s, st := status(changed)
+	if st.FingerprintMatch {
+		t.Error("a changed scenario fault not reflected in FingerprintMatch")
+	}
+	if _, err := s.Resume(context.Background()); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Errorf("Resume over the changed scenario: %v; want a fingerprint refusal", err)
+	}
+}
+
 // TestSessionValidation: the up-front count validation surfaces through
 // Open with clear errors instead of silent clamping.
 func TestSessionValidation(t *testing.T) {
@@ -459,10 +514,10 @@ func TestRunOneConfinesTimelineFiles(t *testing.T) {
 	c := sessionCancelCampaign(1, "")
 	c.Studies[0].Nodes, c.Studies[0].Placement = nil, nil
 	for i, nick := range peers {
-		in := election.New(election.Config{Peers: peers, RunFor: 30 * time.Millisecond, Seed: int64(i) * 7})
-		c.Studies[0].Nodes = append(c.Studies[0].Nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers), App: in})
+		c.Studies[0].Nodes = append(c.Studies[0].Nodes, loki.NodeDef{Nickname: nick, Spec: election.SpecFor(nick, peers)})
 		c.Studies[0].Placement = append(c.Studies[0].Placement, loki.NodeEntry{Nickname: nick, Host: c.Hosts[i].Name})
 	}
+	c.Studies[0].NewApp = electionApps(peers, 30*time.Millisecond)
 	s, err := loki.Open(c, loki.WithArtifacts(out))
 	if err != nil {
 		t.Fatal(err)

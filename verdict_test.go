@@ -76,17 +76,20 @@ func TestVerdictSameEverywhere(t *testing.T) {
 	}
 	// A runtime phase that outlives its timeout is aborted: the body
 	// sleeps on the virtual clock past the study's 50ms.
-	hang := app.New(func(h *app.Handle) {
-		h.NotifyEvent("A")
-		h.Sleep(time.Hour)
-	})
+	hang := func(loki.MatrixPoint, string) (app.App, error) {
+		return app.New(func(h *app.Handle) {
+			h.NotifyEvent("A")
+			h.Sleep(time.Hour)
+		}), nil
+	}
 	sm, err := app.ParseSpec("global_state_list\n  BEGIN\n  A\n  CRASH\n  EXIT\nend_global_state_list\nevent_list\n  e\nend_event_list\nstate A\n  e A\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Studies = append(cfg.Studies, &loki.Study{
 		Name:        "aborted",
-		Nodes:       []loki.NodeDef{{Nickname: "n", Spec: sm, App: hang}},
+		Nodes:       []loki.NodeDef{{Nickname: "n", Spec: sm}},
+		NewApp:      hang,
 		Placement:   []loki.NodeEntry{{Nickname: "n", Host: "h1"}},
 		Experiments: 2,
 		Timeout:     50 * time.Millisecond,

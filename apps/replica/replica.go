@@ -317,7 +317,3 @@ func (p *proc) tryMessage() (app.Message, bool) {
 		return app.Message{}, false
 	}
 }
-
-// Applied reports a replica's last applied value from its region — a test
-// convenience for checking replication progress.
-func Applied(region *app.MemoryRegion) uint64 { return regionValue(region) }

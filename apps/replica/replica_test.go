@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -80,12 +81,12 @@ func TestReplicationProgress(t *testing.T) {
 	}
 	// r0 (priority 0) was primary; its counter advanced and backups
 	// replicated to within a small gap.
-	primary := Applied(setup.regions["r0"])
+	primary := regionValue(setup.regions["r0"])
 	if primary < 10 {
 		t.Fatalf("primary applied only %d updates", primary)
 	}
 	for _, nick := range []string{"r1", "r2"} {
-		backup := Applied(setup.regions[nick])
+		backup := regionValue(setup.regions[nick])
 		if backup == 0 {
 			t.Errorf("%s never applied an update", nick)
 		}
@@ -166,8 +167,8 @@ func TestMemoryFaultDetectedAsFailStop(t *testing.T) {
 	// detection the common case. Accept either detection (EXIT via ERROR)
 	// or a masked flip, but require the injection to be recorded.
 	tl := rt.Store().Get("r0")
-	if len(tl.Injections()) != 1 {
-		t.Fatalf("injections = %+v", tl.Injections())
+	if inj := slices.DeleteFunc(slices.Clone(tl.Entries), func(e timeline.Entry) bool { return e.Kind != timeline.FaultInjection }); len(inj) != 1 {
+		t.Fatalf("injections = %+v", inj)
 	}
 	states := statesOf(tl)
 	last := states[len(states)-1]
@@ -222,7 +223,7 @@ func TestRestartedReplicaSyncs(t *testing.T) {
 		t.Fatalf("r2 states = %v, want subsequence %v", states, seq)
 	}
 	// After syncing, r2's value should be well past zero.
-	if v := Applied(setup.regions["r2"]); v == 0 {
+	if v := regionValue(setup.regions["r2"]); v == 0 {
 		t.Error("restarted replica never caught up")
 	}
 }

@@ -80,7 +80,9 @@ func BenchmarkTable34_DesignChoices(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = designsim.Table(costs, scen)
 	}
-	chosen := designsim.Chosen(costs, scen)
+	// The thesis's final choice (§3.4.2): partially distributed, all
+	// communication through the daemons.
+	chosen := designsim.Evaluate(designsim.PartiallyDistributed, designsim.ViaDaemon, costs, scen)
 	b.ReportMetric(float64(chosen.SameHostNotify)/1000, "chosen_same_us")
 	b.ReportMetric(float64(chosen.CrossHostNotify)/1000, "chosen_cross_us")
 	if b.N == 1 || testing.Verbose() {
@@ -326,11 +328,11 @@ func BenchmarkClockSyncBounds(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bounds, err := clocksync.Estimate(clocksync.SamplesFor(msgs, "ref", "m1"))
+		bounds, err := clocksync.EstimateAll(msgs, "ref")
 		if err != nil {
 			b.Fatal(err)
 		}
-		width = bounds.AlphaWidth() / 1000
+		width = bounds["m1"].AlphaWidth() / 1000
 	}
 	b.ReportMetric(width, "alpha_width_us")
 }

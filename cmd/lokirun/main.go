@@ -37,8 +37,9 @@
 // Observability: -v LEVEL streams the engines' structured diagnostics to
 // stderr; -progress DUR prints a live completion/ETA line at that
 // interval; -trace writes one trace artifact per experiment under
-// OUT/traces (convert with internal/obs WriteChrome for Perfetto). With
-// -out, engine metrics are snapshotted to OUT/metrics.json after the run.
+// OUT/traces (for Perfetto, read one with loki.DecodeTrace and convert it
+// with Trace.WriteChrome). With -out, engine metrics are snapshotted to
+// OUT/metrics.json after the run.
 //
 // # Off-line tools
 //

@@ -157,9 +157,9 @@ func (gen checkerGen) global() (*Global, map[string][]faultexpr.Spec) {
 				anchor = c.Ref.Hi
 			}
 			if gen.rng.Intn(2) == 0 {
-				iv = Interval{Lo: anchor, Hi: min(anchor+iv.Width(), 199)}
+				iv = Interval{Lo: anchor, Hi: min(anchor+(iv.Hi-iv.Lo), 199)}
 			} else {
-				iv = Interval{Lo: max(anchor-iv.Width(), 0), Hi: anchor}
+				iv = Interval{Lo: max(anchor-(iv.Hi-iv.Lo), 0), Hi: anchor}
 			}
 		}
 		fault := []string{"f", "g"}[gen.rng.Intn(2)]

@@ -35,12 +35,6 @@ func Encode(w io.Writer, g *Global) error {
 	return err
 }
 
-// EncodeString is Encode into a string.
-func EncodeString(g *Global) (string, error) {
-	b, err := g.MarshalText()
-	return string(b), err
-}
-
 // AppendText appends g's §5.7 text to dst and returns the extended slice.
 // It never fails; the error result gives it the standard AppendText shape.
 func (g *Global) AppendText(dst []byte) ([]byte, error) {

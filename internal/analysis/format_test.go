@@ -9,10 +9,11 @@ import (
 
 func TestGlobalEncodeDecodeRoundTrip(t *testing.T) {
 	g, _ := buildElection(t, 100, 30_000, 70_000)
-	text, err := EncodeString(g)
+	b, err := g.MarshalText()
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := string(b)
 	got, err := DecodeString(text)
 	if err != nil {
 		t.Fatalf("decode: %v\n%s", err, text)
@@ -72,11 +73,11 @@ func TestGlobalDecodeSkipsComments(t *testing.T) {
 func TestGlobalEncodeSkipsNonProjected(t *testing.T) {
 	g := &Global{Reference: "r"}
 	g.Events = append(g.Events, Event{Kind: timeline.Note, Machine: "m"})
-	text, err := EncodeString(g)
+	text, err := g.MarshalText()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(text, "Note") {
+	if strings.Contains(string(text), "Note") {
 		t.Errorf("note leaked into global format:\n%s", text)
 	}
 }

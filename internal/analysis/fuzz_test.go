@@ -88,9 +88,10 @@ func FuzzDecodeGlobal(f *testing.F) {
 		if enc := string(appended); enc != "prefix"+want.String() {
 			t.Fatalf("AppendText wrote\n%q\nthe reference encoder\n%q", enc[min(len(enc), len("prefix")):], want.String())
 		}
-		enc, err := EncodeString(g)
+		text, err := g.MarshalText()
+		enc := string(text)
 		if err != nil || enc != want.String() {
-			t.Fatalf("EncodeString = %q, %v; want the reference encoder's %q", enc, err, want.String())
+			t.Fatalf("MarshalText = %q, %v; want the reference encoder's %q", enc, err, want.String())
 		}
 		back, err := DecodeString(enc)
 		if err != nil {

@@ -29,18 +29,6 @@ type Interval struct {
 // the measure phase uses as the event's nominal time.
 func (iv Interval) Mid() vclock.Ticks { return iv.Lo + (iv.Hi-iv.Lo)/2 }
 
-// Width returns Hi-Lo, the projection uncertainty.
-func (iv Interval) Width() vclock.Ticks { return iv.Hi - iv.Lo }
-
-// Contains reports whether t lies in the closed interval.
-func (iv Interval) Contains(t vclock.Ticks) bool { return iv.Lo <= t && t <= iv.Hi }
-
-// Within reports whether iv lies completely within outer — the §2.5
-// correctness criterion shape.
-func (iv Interval) Within(outer Interval) bool {
-	return outer.Lo <= iv.Lo && iv.Hi <= outer.Hi
-}
-
 // String implements fmt.Stringer.
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%.3f, %.3f]ms", iv.Lo.Millis(), iv.Hi.Millis())
@@ -240,17 +228,6 @@ func (g *Global) MachineEvents(machine string) []Event {
 	var out []Event
 	for _, e := range g.Events {
 		if e.Machine == machine {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Injections returns all fault injection events.
-func (g *Global) Injections() []Event {
-	var out []Event
-	for _, e := range g.Events {
-		if e.Kind == timeline.FaultInjection {
 			out = append(out, e)
 		}
 	}

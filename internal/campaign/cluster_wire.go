@@ -167,11 +167,6 @@ func (e *wireVersionError) peerVersion() string {
 	return strconv.Itoa(e.Version)
 }
 
-// encode returns cm's payload in one allocation of exactly its size. A
-// member sends through appendWire into a buffer it owns (Member.sendCtrl);
-// encode serves the tests.
-func (cm *clusterMsg) encode() []byte { return cm.appendWire(make([]byte, 0, cm.wireSize())) }
-
 // wireSize is the length of cm's payload.
 func (cm *clusterMsg) wireSize() int {
 	n := wireHeaderSize + 4*8 + 3*1 + 6*4 + len(cm.Peer) + len(cm.Doc) + len(cm.Fingerprint) + len(cm.Point)
@@ -256,9 +251,6 @@ func decodeClusterMsg(b []byte, names *intern.Table) (clusterMsg, error) {
 	}
 	return cm, nil
 }
-
-// encode returns w's payload in one allocation (see clusterMsg.encode).
-func (w syncWire) encode() []byte { return w.appendTo(make([]byte, 0, syncWireSize)) }
 
 // appendTo appends w's payload to b.
 func (w syncWire) appendTo(b []byte) []byte {

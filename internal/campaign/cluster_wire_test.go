@@ -31,6 +31,14 @@ func gobRoundTrip[T any](t *testing.T, v T) T {
 	return back
 }
 
+// encode returns cm's payload in one allocation of exactly its size: the
+// reference a member's appendWire into its own send buffer
+// (Member.sendCtrl) is checked against.
+func (cm *clusterMsg) encode() []byte { return cm.appendWire(make([]byte, 0, cm.wireSize())) }
+
+// encode returns w's payload in one allocation (see clusterMsg.encode).
+func (w syncWire) encode() []byte { return w.appendTo(make([]byte, 0, syncWireSize)) }
+
 // ctrlFrame is the frame of one protocol message op from peer from to peer
 // to, as Member.sendCtrl sends it, in a fresh payload.
 func ctrlFrame(from, to, op string, msg clusterMsg) transport.Message {

@@ -195,16 +195,6 @@ type MatrixResult struct {
 	JournalOnly []RecordSummary
 }
 
-// Point returns the named point's result, or nil.
-func (r *MatrixResult) Point(name string) *PointResult {
-	for _, p := range r.Points {
-		if p != nil && p.Point.Name() == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // AcceptedTotal counts accepted experiments across all points.
 func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 	for _, p := range r.Points {

@@ -74,11 +74,6 @@ type Bounds struct {
 	BetaLo, BetaHi   float64
 }
 
-// Contains reports whether the (alpha, beta) pair lies within the box.
-func (b Bounds) Contains(alpha, beta float64) bool {
-	return alpha >= b.AlphaLo && alpha <= b.AlphaHi && beta >= b.BetaLo && beta <= b.BetaHi
-}
-
 // AlphaWidth returns AlphaHi-AlphaLo, the offset uncertainty in nanoseconds.
 func (b Bounds) AlphaWidth() float64 { return b.AlphaHi - b.AlphaLo }
 
@@ -167,10 +162,7 @@ type Estimator struct {
 // and the upper convex hull of the RemoteToRef points (other points'
 // constraints are dominated), then enumerate intersections of constraint
 // boundary pairs; feasible intersections are the polygon's vertices, whose
-// alpha/beta extremes are the bounds.
-func Estimate(samples []Sample) (Bounds, error) { return new(Estimator).Estimate(samples) }
-
-// Estimate is the package-level Estimate on e's scratch.
+// alpha/beta extremes are the bounds. It works on e's scratch.
 func (e *Estimator) Estimate(samples []Sample) (Bounds, error) {
 	// above: y > α+βx constraints; below: y < α+βx
 	above, below := e.above[:0], e.below[:0]

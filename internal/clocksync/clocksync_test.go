@@ -10,6 +10,11 @@ import (
 	"repro/internal/vclock"
 )
 
+// contains reports whether the (alpha, beta) pair lies within b's box.
+func contains(b Bounds, alpha, beta float64) bool {
+	return alpha >= b.AlphaLo && alpha <= b.AlphaHi && beta >= b.BetaLo && beta <= b.BetaHi
+}
+
 // genSamples fabricates sync messages between a reference clock and a
 // remote clock with hidden truth (alpha, beta), delays drawn from model.
 func genSamples(rng *rand.Rand, alpha, beta float64, n int, spacing, minDelay, meanTail vclock.Ticks) []Sample {
@@ -62,11 +67,11 @@ func TestEstimateContainsTruth(t *testing.T) {
 				later[i].Ref += vclock.Ticks(60e9) * vclock.Ticks(tcScale(tc.beta))
 			}
 			samples = append(samples, shiftSamples(later, tc.alpha, tc.beta, 60e9)...)
-			b, err := Estimate(samples)
+			b, err := new(Estimator).Estimate(samples)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !b.Contains(tc.alpha, tc.beta) {
+			if !contains(b, tc.alpha, tc.beta) {
 				t.Errorf("bounds %+v do not contain truth (%v, %v)", b, tc.alpha, tc.beta)
 			}
 		})
@@ -114,7 +119,7 @@ func TestEstimateBoundsTightenWithMoreSamples(t *testing.T) {
 				s2[i].Ref += vclock.Ticks(shift)
 			}
 		}
-		b, err := Estimate(append(s, s2...))
+		b, err := new(Estimator).Estimate(append(s, s2...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,14 +132,14 @@ func TestEstimateBoundsTightenWithMoreSamples(t *testing.T) {
 }
 
 func TestEstimateErrors(t *testing.T) {
-	if _, err := Estimate(nil); err != ErrTooFewSamples {
+	if _, err := new(Estimator).Estimate(nil); err != ErrTooFewSamples {
 		t.Errorf("nil samples: err = %v", err)
 	}
 	oneWay := []Sample{{Dir: RefToRemote, Ref: 0, Remote: 100}}
-	if _, err := Estimate(oneWay); err != ErrTooFewSamples {
+	if _, err := new(Estimator).Estimate(oneWay); err != ErrTooFewSamples {
 		t.Errorf("one-way: err = %v", err)
 	}
-	if _, err := Estimate([]Sample{{Dir: Direction(9), Ref: 0, Remote: 1}}); err == nil {
+	if _, err := new(Estimator).Estimate([]Sample{{Dir: Direction(9), Ref: 0, Remote: 1}}); err == nil {
 		t.Error("invalid direction accepted")
 	}
 	// Infeasible: the remote "received before" the ref sent and vice versa
@@ -146,7 +151,7 @@ func TestEstimateErrors(t *testing.T) {
 		{Dir: RefToRemote, Ref: 2000, Remote: 800},
 		{Dir: RemoteToRef, Remote: 5000, Ref: 2000},
 	}
-	if _, err := Estimate(bad); err == nil {
+	if _, err := new(Estimator).Estimate(bad); err == nil {
 		t.Error("infeasible constraints accepted")
 	}
 }
@@ -155,7 +160,7 @@ func TestEstimateUnboundedGeometry(t *testing.T) {
 	// All messages in one narrow burst: beta cannot be bounded.
 	rng := rand.New(rand.NewSource(3))
 	s := genSamples(rng, 0, 1, 2, 1000, 100, 200)
-	if _, err := Estimate(s[:2]); err == nil {
+	if _, err := new(Estimator).Estimate(s[:2]); err == nil {
 		t.Skip("tiny geometry happened to bound; acceptable")
 	}
 }
@@ -238,7 +243,7 @@ func TestExchangeOverSimnetRecoversClocks(t *testing.T) {
 	for _, name := range []string{"m1", "m2"} {
 		b := all[name]
 		alpha, beta := vclock.AlphaBeta(clocks["ref"], clocks[name])
-		if !b.Contains(float64(alpha), beta) {
+		if !contains(b, float64(alpha), beta) {
 			t.Errorf("%s: bounds %+v miss truth alpha=%d beta=%v", name, b, alpha, beta)
 		}
 		// The thesis reports LAN bounds are "acceptably small": with
@@ -265,12 +270,12 @@ func TestExchangePropertyTruthAlwaysInBounds(t *testing.T) {
 				"x":   {Offset: vclock.Ticks(offRaw) * 1e5, DriftPPM: float64(driftRaw)},
 			},
 			ExchangeConfig{Count: 15, Spacing: vclock.FromMillis(2)}, vclock.Ticks(20e9))
-		b, err := Estimate(SamplesFor(msgs, "ref", "x"))
+		b, err := new(Estimator).Estimate(appendSamples(nil, msgs, "ref", "x"))
 		if err != nil {
 			return false
 		}
 		alpha, beta := vclock.AlphaBeta(clocks["ref"], clocks["x"])
-		return b.Contains(float64(alpha), beta)
+		return contains(b, float64(alpha), beta)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -344,7 +349,7 @@ func TestSamplesForFiltersPairs(t *testing.T) {
 		{SendHost: "ref", RecvHost: "m2", SendTime: 5, RecvTime: 6},
 		{SendHost: "m2", RecvHost: "m1", SendTime: 7, RecvTime: 8},
 	}
-	s := SamplesFor(msgs, "ref", "m1")
+	s := appendSamples(nil, msgs, "ref", "m1")
 	if len(s) != 2 {
 		t.Fatalf("samples = %+v", s)
 	}

@@ -20,7 +20,7 @@ func TestEstimateWithGranularClocks(t *testing.T) {
 			"g":   {Offset: 3e6, DriftPPM: 40, Granularity: 10_000},
 		},
 		ExchangeConfig{Count: 30, Spacing: vclock.FromMillis(1)}, vclock.Ticks(40e9))
-	b, err := Estimate(SamplesFor(msgs, "ref", "g"))
+	b, err := new(Estimator).Estimate(appendSamples(nil, msgs, "ref", "g"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestBoundsWidthTracksDelayFloor(t *testing.T) {
 				"x":   {Offset: 1e6, DriftPPM: 30},
 			},
 			ExchangeConfig{Count: 40, Spacing: vclock.FromMillis(1)}, vclock.Ticks(20e9))
-		b, err := Estimate(SamplesFor(msgs, "ref", "x"))
+		b, err := new(Estimator).Estimate(appendSamples(nil, msgs, "ref", "x"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,12 +20,8 @@ type StampedMessage struct {
 	RecvTime vclock.Ticks // reading of RecvHost's clock at reception
 }
 
-// SamplesFor filters raw messages down to the Sample set relating remote to
-// the reference machine ref. Messages between other host pairs are ignored.
-func SamplesFor(msgs []StampedMessage, ref, remote string) []Sample {
-	return appendSamples(nil, msgs, ref, remote)
-}
-
+// appendSamples appends to dst the Sample set relating remote to the
+// reference machine ref. Messages between other host pairs are ignored.
 func appendSamples(dst []Sample, msgs []StampedMessage, ref, remote string) []Sample {
 	for _, m := range msgs {
 		switch {

@@ -40,13 +40,6 @@ type primedGob struct {
 	id     uint64     // T's id, the non-negative gob int that begins X (decoder)
 }
 
-// encode returns v's frame payload in a fresh slice.
-func (c *appCodec) encode(v interface{}) ([]byte, error) {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	return c.appendPayload(nil, v)
-}
-
 // send encodes v's frame payload into a buffer c owns and, under encMu,
 // hands it to send, which must not keep it: a transport only borrows a
 // payload. It returns the encoding error, having sent nothing.

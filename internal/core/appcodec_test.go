@@ -45,6 +45,14 @@ func init() {
 	}
 }
 
+// encode returns v's frame payload in a fresh slice: the reference send's
+// payload, appended into the codec's own buffer, is checked against.
+func (c *appCodec) encode(v interface{}) ([]byte, error) {
+	c.encMu.Lock()
+	defer c.encMu.Unlock()
+	return c.appendPayload(nil, v)
+}
+
 // appCodecPayloads is every built-in payload type over a few values, zero
 // and extreme ones included, plus payloads the codec leaves to the fresh
 // path: a corruption envelope and two predeclared types.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +118,7 @@ func TestNodeLifecycleExit(t *testing.T) {
 	if n.Outcome() != "exited" {
 		t.Fatalf("outcome = %s", n.Outcome())
 	}
-	tl := n.Timeline()
+	tl := n.reg.recorder.Snapshot()
 	var states []string
 	for _, e := range tl.Entries {
 		if e.Kind == timeline.StateChange {
@@ -249,7 +250,7 @@ func TestNotificationsMaintainPartialView(t *testing.T) {
 	}
 	// The injection must be in the watcher's timeline.
 	tl := rt.Store().Get("watcher")
-	inj := tl.Injections()
+	inj := slices.DeleteFunc(slices.Clone(tl.Entries), func(e timeline.Entry) bool { return e.Kind != timeline.FaultInjection })
 	if len(inj) != 1 || inj[0].Fault != "f1" {
 		t.Fatalf("injections = %+v", inj)
 	}
@@ -733,7 +734,7 @@ func TestNotificationDelayInjectsStaleness(t *testing.T) {
 		// The injection happened; ground truth says fast had already left
 		// B (it exited C long before the 30ms-delayed notification landed).
 		var leftB vclock.Ticks
-		for _, e := range fast.Timeline().Entries {
+		for _, e := range fast.reg.recorder.Snapshot().Entries {
 			if e.Kind == timeline.StateChange && e.NewState == "C" {
 				leftB = e.Time
 			}

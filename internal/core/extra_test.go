@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,7 +136,7 @@ func TestInjectionRecordPrecedesAction(t *testing.T) {
 	rt.StartNode("n", "h1")
 	rt.Wait(5 * time.Second)
 	tl := rt.Store().Get("n")
-	inj := tl.Injections()
+	inj := slices.DeleteFunc(slices.Clone(tl.Entries), func(e timeline.Entry) bool { return e.Kind != timeline.FaultInjection })
 	if len(inj) != 1 || inj[0].Fault != "f" {
 		t.Fatalf("injections = %+v", inj)
 	}
@@ -281,7 +282,7 @@ func TestHostCrashAndReboot(t *testing.T) {
 	waitFor(t, "both nodes deregistered", func() bool {
 		return rt.Node("a") == nil && rt.Node("b") == nil
 	})
-	if !rt.HostDown("h1") {
+	if !hostDown(rt, "h1") {
 		t.Error("host not marked down")
 	}
 	if _, err := rt.StartNode("a", "h1"); err == nil {

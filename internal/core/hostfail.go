@@ -61,14 +61,6 @@ func (r *Runtime) setHostDown(name string, down bool) error {
 	return nil
 }
 
-// HostDown reports whether the named host is currently crashed.
-func (r *Runtime) HostDown(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	hs, ok := r.hosts[name]
-	return ok && hs.down
-}
-
 // AutoNotify fills in the notify lists of every definition's state machine
 // specification from the fault specifications of the whole study: if any
 // fault of machine W references machine M, then every state of M notifies

@@ -146,14 +146,6 @@ func (r *Runtime) HealHosts(a, b string) { r.replicate(chaosOp{Op: "heal", A: a,
 // HealAllPartitions removes every partition (replicated to peers).
 func (r *Runtime) HealAllPartitions() { r.replicate(chaosOp{Op: "healall"}) }
 
-// HostsPartitioned reports whether app-bus traffic between a and b is
-// blocked.
-func (r *Runtime) HostsPartitioned(a, b string) bool {
-	r.netem.mu.Lock()
-	defer r.netem.mu.Unlock()
-	return r.netem.partitions[hostPair(a, b)]
-}
-
 func hostPair(a, b string) [2]string {
 	if a > b {
 		a, b = b, a

@@ -11,6 +11,22 @@ import (
 	"repro/internal/vclock"
 )
 
+// hostsPartitioned reports whether app-bus traffic between a and b is
+// blocked.
+func hostsPartitioned(r *Runtime, a, b string) bool {
+	r.netem.mu.Lock()
+	defer r.netem.mu.Unlock()
+	return r.netem.partitions[hostPair(a, b)]
+}
+
+// hostDown reports whether the named host is currently crashed.
+func hostDown(r *Runtime, name string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	hs, ok := r.hosts[name]
+	return ok && hs.down
+}
+
 // busSpec is a trivial machine so nodes can start.
 func busSpec(t testing.TB) *spec.StateMachine {
 	t.Helper()
@@ -78,7 +94,7 @@ func TestPartitionBlocksAppBus(t *testing.T) {
 	}
 
 	rt.PartitionHosts("h1", "h2")
-	if !rt.HostsPartitioned("h1", "h2") {
+	if !hostsPartitioned(rt, "h1", "h2") {
 		t.Fatal("partition not recorded")
 	}
 	if !ha.Send("b", "lost") {
@@ -156,7 +172,7 @@ func TestResetExperimentClearsNetemAndHosts(t *testing.T) {
 
 	rt.ResetExperiment()
 
-	if rt.HostsPartitioned("h1", "h2") {
+	if hostsPartitioned(rt, "h1", "h2") {
 		t.Error("partition survived reset")
 	}
 	if got := rt.HostClock("h1").TrueStepped(); got != 0 {
@@ -165,7 +181,7 @@ func TestResetExperimentClearsNetemAndHosts(t *testing.T) {
 	if rt.RemoveLinkFilter(simnet.Link{From: "h1", To: "h2"}, "f") {
 		t.Error("link filter survived reset")
 	}
-	if rt.HostDown("h2") {
+	if hostDown(rt, "h2") {
 		t.Error("crashed host not rebooted by reset")
 	}
 	if rt.Epoch() == epoch {

@@ -167,10 +167,6 @@ func (n *Node) CurrentState() (string, bool) {
 	return n.state, n.state != ""
 }
 
-// Timeline returns a snapshot of the node's local timeline (nil once the
-// experiment is sealed).
-func (n *Node) Timeline() *timeline.Local { return n.reg.recorder.Snapshot() }
-
 // seedView installs the initial partial view from the states of the
 // given live machines (§3.6.3 state updates).
 func (n *Node) seedView(peers []*Node) {
@@ -181,14 +177,6 @@ func (n *Node) seedView(peers []*Node) {
 			n.reg.mu.Unlock()
 		}
 	}
-}
-
-// ViewSnapshot returns an immutable copy of the node's current partial
-// view. The copy is made lazily, at most once per view version.
-func (n *Node) ViewSnapshot() faultexpr.MapView {
-	n.reg.mu.Lock()
-	defer n.reg.mu.Unlock()
-	return n.reg.view.Snapshot()
 }
 
 // run starts the application goroutine (through the runtime clock, so the

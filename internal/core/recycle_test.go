@@ -83,8 +83,8 @@ func TestRestartTakesOverRegistration(t *testing.T) {
 	rt, _, hb := busPair(t)
 	old := rt.Node("b")
 	old.remoteNotify(stateNote{From: "a", State: "before"})
-	if s, ok := old.ViewSnapshot()["a"]; !ok || s != "before" {
-		t.Fatalf("first node's view = %v", old.ViewSnapshot())
+	if s := viewOf(old, "a"); s != "before" {
+		t.Fatalf("first node's view of a = %q", s)
 	}
 	hb.Crash()
 	waitFor(t, "b to finish crashing", func() bool { return rt.Node("b") == nil })
@@ -92,17 +92,17 @@ func TestRestartTakesOverRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb.ViewSnapshot()["a"] == "before" {
+	if viewOf(nb, "a") == "before" {
 		t.Fatal("the restarted node inherited its predecessor's view")
 	}
 	old.remoteNotify(stateNote{From: "a", State: "stale"})
 	if err := old.localEvent("A"); err == nil {
 		t.Error("the crashed node accepted an event after the restart")
 	}
-	if s := nb.ViewSnapshot()["a"]; s == "stale" {
+	if s := viewOf(nb, "a"); s == "stale" {
 		t.Error("a notification for the crashed node reached the restarted node's view")
 	}
-	if !nb.Restarted() || nb.Timeline() == nil {
+	if !nb.Restarted() || nb.reg.recorder.Snapshot() == nil {
 		t.Fatal("restart not recorded on the shared timeline")
 	}
 }

@@ -166,14 +166,14 @@ func TestReplicatedOpsReachPeerEndpoint(t *testing.T) {
 	}{
 		{"partition/heal", func(t *testing.T, p *endpointPair) {
 			p.a.PartitionHosts("h1", "h2")
-			if !p.b.HostsPartitioned("h1", "h2") {
+			if !hostsPartitioned(p.b, "h1", "h2") {
 				t.Fatal("partition not replicated")
 			}
 			if got, _ := p.fromB("lost", window); len(got) != 0 {
 				t.Fatalf("message crossed B's partition: %+v", got)
 			}
 			p.a.HealHosts("h2", "h1")
-			if p.b.HostsPartitioned("h1", "h2") {
+			if hostsPartitioned(p.b, "h1", "h2") {
 				t.Fatal("heal not replicated")
 			}
 		}},
@@ -181,7 +181,7 @@ func TestReplicatedOpsReachPeerEndpoint(t *testing.T) {
 			p.a.PartitionHosts("h1", "h2")
 			p.a.PartitionHosts("h2", "h9")
 			p.a.HealAllPartitions()
-			if p.b.HostsPartitioned("h1", "h2") || p.b.HostsPartitioned("h2", "h9") {
+			if hostsPartitioned(p.b, "h1", "h2") || hostsPartitioned(p.b, "h2", "h9") {
 				t.Fatal("healall not replicated")
 			}
 		}},
@@ -225,20 +225,20 @@ func TestReplicatedOpsReachPeerEndpoint(t *testing.T) {
 			if err := p.a.CrashHost("h2"); err != nil {
 				t.Fatal(err)
 			}
-			if !p.b.HostDown("h2") {
+			if !hostDown(p.b, "h2") {
 				t.Fatal("crashhost not forwarded")
 			}
-			waitFor(t, "node b crashed with its host", func() bool { return len(p.b.LiveNodes()) == 0 })
+			waitFor(t, "node b crashed with its host", func() bool { return len(p.b.appendLiveNodes(nil)) == 0 })
 			if err := p.a.RebootHost("h2"); err != nil {
 				t.Fatal(err)
 			}
-			if p.b.HostDown("h2") {
+			if hostDown(p.b, "h2") {
 				t.Fatal("reboothost not forwarded")
 			}
 			if n, err := p.a.StartNode("b", "h2"); n != nil || err != nil {
 				t.Fatalf("forwarded StartNode = (%v, %v), want (nil, nil)", n, err)
 			}
-			if live := p.b.LiveNodes(); len(live) != 1 || live[0] != "b" {
+			if live := p.b.appendLiveNodes(nil); len(live) != 1 || live[0] != "b" {
 				t.Fatalf("after startnode on A: B live=%v", live)
 			}
 		}},

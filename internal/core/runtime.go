@@ -191,9 +191,6 @@ func New(cfg Config) *Runtime {
 	return r
 }
 
-// Source returns the runtime's physical time base.
-func (r *Runtime) Source() vclock.Source { return r.source }
-
 // Clock returns the runtime's scheduling clock.
 func (r *Runtime) Clock() clock.Clock { return r.clk }
 
@@ -206,9 +203,6 @@ func (r *Runtime) Logf(format string, args ...interface{}) { r.cfg.Logf(format, 
 // phase and detaches it before analysis; runtime emitters load the pointer
 // atomically, so a nil trace costs one atomic load on the hot path.
 func (r *Runtime) SetTrace(t *obs.Trace) { r.trace.Store(t) }
-
-// Trace returns the attached experiment trace, or nil.
-func (r *Runtime) Trace() *obs.Trace { return r.trace.Load() }
 
 // AddHost adds a virtual host with the given hidden clock error and starts
 // its local daemon. Duplicate names are a configuration bug and panic.
@@ -389,9 +383,6 @@ func (r *Runtime) TimelineNames() []string {
 	defer r.mu.Unlock()
 	return r.store.Names()
 }
-
-// LiveNodes returns the nicknames of running nodes, sorted.
-func (r *Runtime) LiveNodes() []string { return r.appendLiveNodes(nil) }
 
 // appendLiveNodes appends the nicknames of running nodes to dst, sorted.
 func (r *Runtime) appendLiveNodes(dst []string) []string {

@@ -180,7 +180,7 @@ func TestNotificationsArriveInSendOrder(t *testing.T) {
 	states := []string{"P", "Q", "R"}
 	var sent, near, far []string
 	sample := func(into *[]string, nick string) func() {
-		return func() { *into = append(*into, rt.Node(nick).ViewSnapshot()["s"]) }
+		return func() { *into = append(*into, viewOf(rt.Node(nick), "s")) }
 	}
 	first := true
 	change := func() {
@@ -229,7 +229,7 @@ func TestRoutedNoteAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, route); got != 0 {
 		t.Fatalf("a routed note allocates %v objects once warm, want 0", got)
 	}
-	if got := rt.Node("far").ViewSnapshot()["s"]; got != states[i%2] {
+	if got := viewOf(rt.Node("far"), "s"); got != states[i%2] {
 		t.Fatalf("the receiver sees s in %q, want the last state routed, %q", got, states[i%2])
 	}
 }

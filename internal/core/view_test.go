@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -9,52 +8,16 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestStateViewCopyOnWrite pins the COW contract the notification hot path
-// relies on: no copy per mutation, at most one copy per version however
-// many snapshots are taken, and handed-out snapshots immutable.
-func TestStateViewCopyOnWrite(t *testing.T) {
-	v := newStateView()
-	v.set("m1", "A")
-	v.set("m2", "B")
-	ver := v.Version()
-
-	s1 := v.Snapshot()
-	s2 := v.Snapshot()
-	if reflect.ValueOf(s1).Pointer() != reflect.ValueOf(s2).Pointer() {
-		t.Error("unchanged view returned a fresh copy per Snapshot call")
-	}
-
-	// A no-op set must not invalidate the cache or advance the version.
-	v.set("m1", "A")
-	if v.Version() != ver {
-		t.Errorf("no-op set bumped version %d -> %d", ver, v.Version())
-	}
-	if reflect.ValueOf(v.Snapshot()).Pointer() != reflect.ValueOf(s1).Pointer() {
-		t.Error("no-op set invalidated the cached snapshot")
-	}
-
-	// An effective set bumps the version and copies on the next Snapshot;
-	// the old snapshot must keep its pre-change contents.
-	v.set("m1", "C")
-	if v.Version() != ver+1 {
-		t.Errorf("effective set: version %d, want %d", v.Version(), ver+1)
-	}
-	s3 := v.Snapshot()
-	if reflect.ValueOf(s3).Pointer() == reflect.ValueOf(s1).Pointer() {
-		t.Error("snapshot not refreshed after mutation")
-	}
-	if s1["m1"] != "A" || s3["m1"] != "C" {
-		t.Errorf("snapshots not isolated: old=%v new=%v", s1, s3)
-	}
-
-	if s, ok := v.StateOf("m2"); !ok || s != "B" {
-		t.Errorf("StateOf(m2) = %q, %v", s, ok)
-	}
+// viewOf returns machine's state in n's partial view, or "".
+func viewOf(n *Node, machine string) string {
+	n.reg.mu.Lock()
+	defer n.reg.mu.Unlock()
+	s, _ := n.reg.view.StateOf(machine)
+	return s
 }
 
-// TestNodeViewSnapshot drives ViewSnapshot through a running node: the
-// snapshot must reflect the node's own state transitions as the partial
-// view tracks them.
+// TestNodeViewSnapshot drives a running node: its partial view must
+// reflect the node's own state transitions.
 func TestNodeViewSnapshot(t *testing.T) {
 	rt := New(Config{})
 	defer rt.Shutdown()
@@ -96,17 +59,13 @@ state EXIT
 		t.Fatal(err)
 	}
 	waitState(t, n, "A")
-	if v := n.ViewSnapshot(); v["sv"] != "A" {
-		t.Errorf("view after init = %v, want sv:A", v)
+	if s := viewOf(n, "sv"); s != "A" {
+		t.Errorf("view of sv after init = %q, want A", s)
 	}
-	before := n.ViewSnapshot()
 	close(step)
 	waitState(t, n, "B")
-	if v := n.ViewSnapshot(); v["sv"] != "B" {
-		t.Errorf("view after go = %v, want sv:B", v)
-	}
-	if before["sv"] != "A" {
-		t.Errorf("earlier snapshot mutated: %v", before)
+	if s := viewOf(n, "sv"); s != "B" {
+		t.Errorf("view of sv after go = %q, want B", s)
 	}
 	rt.KillAll()
 	rt.Wait(time.Second)

@@ -199,12 +199,6 @@ func Table(c Costs, s Scenario) []Row {
 	return rows
 }
 
-// Chosen returns the thesis's final choice (§3.4.2): the partially
-// distributed design with all communication through daemons.
-func Chosen(c Costs, s Scenario) Row {
-	return Evaluate(PartiallyDistributed, ViaDaemon, c, s)
-}
-
 // Format renders rows as the §3.4.2 comparison table.
 func Format(rows []Row, s Scenario) string {
 	var b strings.Builder

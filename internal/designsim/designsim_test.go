@@ -24,7 +24,7 @@ func TestTableHasSixRows(t *testing.T) {
 func TestThesisConclusions(t *testing.T) {
 	c := ThesisCosts()
 	s := Scenario{Hosts: 4, NodesPerHost: 5}
-	chosen := Chosen(c, s)
+	chosen := Evaluate(PartiallyDistributed, ViaDaemon, c, s) // the thesis's choice
 	centralDaemon := Evaluate(Centralized, ViaDaemon, c, s)
 	partialDirect := Evaluate(PartiallyDistributed, Direct, c, s)
 	fullDaemon := Evaluate(FullyDistributed, ViaDaemon, c, s)

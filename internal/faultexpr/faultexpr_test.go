@@ -328,8 +328,8 @@ func TestTriggerOnceMode(t *testing.T) {
 	if tr.Observe(MapView{"sm": "S"}) {
 		t.Error("once-mode fault fired twice")
 	}
-	if !tr.Fired() {
-		t.Error("Fired() = false after firing")
+	if !tr.fired {
+		t.Error("fired = false after firing")
 	}
 	tr.Reset()
 	if !tr.Observe(MapView{"sm": "S"}) {
@@ -390,9 +390,6 @@ func TestTriggerSet(t *testing.T) {
 	fired = ts.Observe(MapView{"m": "Y"})
 	if len(fired) != 1 || fired[0].Name != "b" {
 		t.Fatalf("fired = %v (c should not re-fire: still true)", fired)
-	}
-	if got := ts.Machines(); len(got) != 1 || got[0] != "m" {
-		t.Fatalf("Machines = %v", got)
 	}
 	ts.Reset()
 	fired = ts.Observe(MapView{"m": "X"})

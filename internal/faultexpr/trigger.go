@@ -43,9 +43,6 @@ func (t *Trigger) Observe(v View) bool {
 // Reset restores the trigger to its start-of-experiment state.
 func (t *Trigger) Reset() { t.prev, t.fired = false, false }
 
-// Fired reports whether a Once trigger has consumed its single firing.
-func (t *Trigger) Fired() bool { return t.fired }
-
 // TriggerSet evaluates a collection of triggers against each view change,
 // in specification order, and returns the names of faults to inject.
 //
@@ -126,21 +123,4 @@ func (ts *TriggerSet) Reset() {
 	for _, t := range ts.triggers {
 		t.Reset()
 	}
-}
-
-// Machines returns the sorted union of machines referenced by any trigger.
-// The runtime uses this to compute the notify lists a study needs (§5.3).
-func (ts *TriggerSet) Machines() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, t := range ts.triggers {
-		for _, m := range Machines(t.spec.Expr) {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
-	}
-	sortStrings(out)
-	return out
 }

@@ -47,10 +47,7 @@ func TestGobRegister(t *testing.T) {
 }
 
 func TestGobRegisterFixSuggestion(t *testing.T) {
-	pkg, err := LoadFixture("testdata/src", "repro/apps/goblint")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := loadFixture(t, "repro/apps/goblint")
 	diags, err := Run([]*Package{pkg}, []*Analyzer{GobRegister})
 	if err != nil {
 		t.Fatal(err)

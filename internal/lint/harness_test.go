@@ -22,10 +22,7 @@ import (
 // findings.
 func runFixture(t *testing.T, a *Analyzer, importPath string) {
 	t.Helper()
-	pkg, err := LoadFixture("testdata/src", importPath)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", importPath, err)
-	}
+	pkg := loadFixture(t, importPath)
 	diags, err := Run([]*Package{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", a.Name, importPath, err)
@@ -59,10 +56,7 @@ func runFixture(t *testing.T, a *Analyzer, importPath string) {
 // runFixtureClean asserts the analyzer produces no findings on the fixture.
 func runFixtureClean(t *testing.T, a *Analyzer, importPath string) {
 	t.Helper()
-	pkg, err := LoadFixture("testdata/src", importPath)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", importPath, err)
-	}
+	pkg := loadFixture(t, importPath)
 	diags, err := Run([]*Package{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", a.Name, importPath, err)
@@ -70,6 +64,26 @@ func runFixtureClean(t *testing.T, a *Analyzer, importPath string) {
 	for _, d := range diags {
 		t.Errorf("unexpected finding on allowlisted fixture: %s", d)
 	}
+}
+
+// loadFixture loads the fixture package at testdata/src/<importPath>
+// under its pretend import path, so path-scoped analyzers (wallclock only
+// fires under repro/internal/, ...) treat it exactly like real code at
+// that location. Fixtures live under testdata/, which `go list ./...`
+// ignores, so they never leak into the repo build; imports of real module
+// packages (repro/app) still resolve, which is what lets the gobregister
+// fixture exercise the real RegisterMessage surface.
+func loadFixture(t *testing.T, importPath string) *Package {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join("testdata", "src", filepath.FromSlash(importPath), "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("fixture %s: no Go files (%v)", importPath, err)
+	}
+	pkg, err := LoadFiles(importPath, names)
+	if err != nil {
+		t.Fatalf("load fixture %s: %v", importPath, err)
+	}
+	return pkg
 }
 
 type want struct {
@@ -123,10 +137,7 @@ func fixtureWants(t *testing.T, dir string) []want {
 // TestDirectiveValidation: a malformed or unknown-analyzer //lint:allow is
 // itself a finding, so a typo cannot silently suppress nothing.
 func TestDirectiveValidation(t *testing.T) {
-	pkg, err := LoadFixture("testdata/src", "repro/internal/badallow")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := loadFixture(t, "repro/internal/badallow")
 	diags, err := Run([]*Package{pkg}, Analyzers())
 	if err != nil {
 		t.Fatal(err)

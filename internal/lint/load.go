@@ -10,108 +10,135 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// listedPackage is the slice of `go list -json` output the loader needs.
+// listedPackage is the slice of `go list -deps -json` output the loader
+// needs.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
 }
 
-// Load enumerates the packages matching patterns (via `go list`, run in
-// dir), parses their non-test sources, and type-checks them with the
-// standard library's source importer. The suite analyzes non-test files
-// only, matching the grep guardrails it replaces: tests are white-box and
-// may time themselves, print, and reach into internal/.
+// Load enumerates the packages matching patterns (via `go list -deps`,
+// run in dir), parses their non-test sources, and type-checks each module
+// package once, dependencies first. A module package's imports of other
+// module packages are served from the packages already checked, so every
+// use of a module name resolves to the one types.Object that Load returns
+// for it; only the standard library goes through the source importer.
+// Load returns the packages matching patterns, sorted by import path. The
+// suite analyzes non-test files only, matching the grep guardrails it
+// replaces: tests are white-box and may time themselves, print, and reach
+// into internal/.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+	pkgs, err := newLoader().load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, nil
+}
+
+// LoadFiles loads one package from an explicit file list under the given
+// import path: the shape `go vet -vettool` hands lokilint per compilation
+// unit, and the analysistest fixtures' shape, type-checked under a pretend
+// import path so path-scoped analyzers treat a fixture exactly like real
+// code at that location. The module packages the files import are checked
+// from source the way Load checks them.
+func LoadFiles(importPath string, filenames []string) (*Package, error) {
+	l := newLoader()
+	files, err := l.parse(filenames)
+	if err != nil {
+		return nil, err
+	}
+	var imports []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			imports = append(imports, path)
+		}
+	}
+	if len(imports) > 0 {
+		if _, err := l.load(filepath.Dir(filenames[0]), imports); err != nil {
+			return nil, err
+		}
+	}
+	return l.typecheck(importPath, files)
+}
+
+// A loader type-checks module packages, each once, and serves them to
+// later checks as imports; every other import goes through the standard
+// library's source importer.
+type loader struct {
+	fset    *token.FileSet
+	std     types.Importer
+	checked map[string]*types.Package
+}
+
+func newLoader() *loader {
 	fset := token.NewFileSet()
-	// One shared source importer: it type-checks dependencies from source
-	// and caches them, so the whole repo costs one stdlib pass.
-	imp := importer.ForCompiler(fset, "source", nil)
+	return &loader{fset: fset, std: importer.ForCompiler(fset, "source", nil), checked: map[string]*types.Package{}}
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if p := l.checked[path]; p != nil {
+		return p, nil
+	}
+	return l.std.Import(path)
+}
+
+// load checks every module package `go list -deps patterns` names in dir,
+// dependencies first, and returns those matching patterns.
+func (l *loader) load(dir string, patterns []string) ([]*Package, error) {
+	listed, err := goListDeps(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
 	var pkgs []*Package
 	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
-		var files []*ast.File
+		var names []string
 		for _, name := range lp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("lint: parse %s: %v", name, err)
-			}
-			files = append(files, f)
+			names = append(names, filepath.Join(lp.Dir, name))
 		}
-		pkg, err := typecheck(fset, imp, lp.ImportPath, files)
+		files, err := l.parse(names)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		pkg, err := l.typecheck(lp.ImportPath, files)
+		if err != nil {
+			return nil, err
+		}
+		l.checked[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
 
-// LoadFixture loads one analysistest fixture package: the directory
-// srcRoot/<importPath>, type-checked under the pretend import path so
-// path-scoped analyzers (wallclock only fires under repro/internal/, ...)
-// treat the fixture exactly like real code at that location. Fixtures live
-// under testdata/, which `go list ./...` ignores, so they never leak into
-// the repo build; imports of real module packages (repro/app) still
-// resolve, which is what lets the gobregister fixture exercise the real
-// RegisterMessage surface.
-func LoadFixture(srcRoot, importPath string) (*Package, error) {
-	dir := filepath.Join(srcRoot, filepath.FromSlash(importPath))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: fixture %s: %v", importPath, err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parse fixture %s: %v", e.Name(), err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: fixture %s: no Go files in %s", importPath, dir)
-	}
-	imp := importer.ForCompiler(fset, "source", nil)
-	return typecheck(fset, imp, importPath, files)
-}
-
-// LoadFiles loads one package from an explicit file list under the given
-// import path — the shape `go vet -vettool` hands lokilint per
-// compilation unit.
-func LoadFiles(importPath string, filenames []string) (*Package, error) {
-	fset := token.NewFileSet()
+func (l *loader) parse(filenames []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse %s: %v", name, err)
 		}
 		files = append(files, f)
 	}
-	imp := importer.ForCompiler(fset, "source", nil)
-	return typecheck(fset, imp, importPath, files)
+	return files, nil
 }
 
-func typecheck(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*Package, error) {
+func (l *loader) typecheck(path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -119,22 +146,24 @@ func typecheck(fset *token.FileSet, imp types.Importer, path string, files []*as
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
+	conf := types.Config{Importer: l}
+	tpkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %v", path, err)
 	}
 	return &Package{
 		Path:  path,
-		Fset:  fset,
+		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
 	}, nil
 }
 
-func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
+// goListDeps runs `go list -deps -json patterns` in dir. Its output lists
+// every package after the packages it imports.
+func goListDeps(dir string, patterns []string) ([]*listedPackage, error) {
+	args := append([]string{"list", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -154,6 +183,5 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 		}
 		listed = append(listed, &lp)
 	}
-	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
 	return listed, nil
 }

@@ -5,14 +5,14 @@ import (
 	"math"
 )
 
-// CampaignKind labels the three §4.4 campaign measure types.
+// CampaignKind labels a §4.4 campaign measure type: simple sampling
+// (§4.4.1) or stratified weighted (§4.4.2).
 type CampaignKind int
 
 // Campaign measure types.
 const (
 	SimpleSamplingKind CampaignKind = iota + 1
 	StratifiedWeightedKind
-	StratifiedUserKind
 )
 
 // String implements fmt.Stringer.
@@ -22,8 +22,6 @@ func (k CampaignKind) String() string {
 		return "simple sampling"
 	case StratifiedWeightedKind:
 		return "stratified weighted"
-	case StratifiedUserKind:
-		return "stratified user"
 	default:
 		return fmt.Sprintf("CampaignKind(%d)", int(k))
 	}
@@ -32,9 +30,7 @@ func (k CampaignKind) String() string {
 // CampaignResult is the outcome of a campaign measure estimation.
 type CampaignResult struct {
 	Kind CampaignKind
-	// Moments characterizes the campaign random variable. For stratified
-	// user measures only the mean is meaningful (§4.4.3); the thesis
-	// warns the value "may have no statistical meaning".
+	// Moments characterizes the campaign random variable.
 	Moments Moments
 	// PerStudy holds each study's own sample moments (stratified kinds).
 	PerStudy []Moments
@@ -102,37 +98,6 @@ func StratifiedWeighted(studies [][]float64, weights []float64) (CampaignResult,
 	}
 	res.Moments = combined
 	return res, nil
-}
-
-// StratifiedUser combines studies through an arbitrary user function
-// applied to the per-study means (§4.4.3). Loki returns only this single
-// campaign value: the moments of an arbitrary combination are not
-// computable, and the thesis cautions the result "may have no statistical
-// meaning".
-func StratifiedUser(studies [][]float64, fn func(studyMeans []float64) float64) (CampaignResult, error) {
-	if fn == nil {
-		return CampaignResult{}, fmt.Errorf("measure: stratified user needs a combine function")
-	}
-	if len(studies) == 0 {
-		return CampaignResult{}, fmt.Errorf("measure: stratified user needs at least one study")
-	}
-	res := CampaignResult{Kind: StratifiedUserKind}
-	means := make([]float64, len(studies))
-	for i, s := range studies {
-		mi := ComputeMoments(s)
-		res.PerStudy = append(res.PerStudy, mi)
-		means[i] = mi.M1
-	}
-	res.Moments = Moments{N: res.totalN(), M1: fn(means)}
-	return res, nil
-}
-
-func (r CampaignResult) totalN() int {
-	n := 0
-	for _, m := range r.PerStudy {
-		n += m.N
-	}
-	return n
 }
 
 // Coverage is the thesis's §5.8 worked campaign measure: the overall

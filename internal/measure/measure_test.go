@@ -434,28 +434,6 @@ func TestStratifiedWeightedErrors(t *testing.T) {
 	}
 }
 
-func TestStratifiedUser(t *testing.T) {
-	studies := [][]float64{{0.9, 1.0}, {0.5, 0.5}}
-	r, err := StratifiedUser(studies, func(means []float64) float64 {
-		return means[0] * means[1] // arbitrary nonlinear combination
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Mean()-0.95*0.5) > 1e-12 {
-		t.Errorf("user mean = %v", r.Mean())
-	}
-	if r.Kind != StratifiedUserKind || len(r.PerStudy) != 2 {
-		t.Errorf("result = %+v", r)
-	}
-	if _, err := StratifiedUser(studies, nil); err == nil {
-		t.Error("nil combiner accepted")
-	}
-	if _, err := StratifiedUser(nil, func([]float64) float64 { return 0 }); err == nil {
-		t.Error("empty studies accepted")
-	}
-}
-
 func TestCoverageFormula(t *testing.T) {
 	// §5.8: c = (wb*cb + wg*cg + wy*cy) / (wb+wg+wy)
 	c, err := Coverage([]float64{0.9, 0.8, 0.7}, []float64{3, 2, 1})
@@ -473,7 +451,7 @@ func TestCoverageFormula(t *testing.T) {
 
 func TestCampaignKindString(t *testing.T) {
 	if SimpleSamplingKind.String() == "" || StratifiedWeightedKind.String() == "" ||
-		StratifiedUserKind.String() == "" || CampaignKind(9).String() == "" {
+		CampaignKind(9).String() == "" {
 		t.Error("kind strings")
 	}
 }

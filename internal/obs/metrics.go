@@ -108,13 +108,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -171,14 +164,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 		return
 	}
 	h.Observe(time.Since(start).Seconds())
-}
-
-// ObserveDuration records d.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if h == nil {
-		return
-	}
-	h.Observe(d.Seconds())
 }
 
 // Count returns the number of observations (0 on nil).

@@ -33,11 +33,9 @@ func TestNilSafety(t *testing.T) {
 	c.Add(3)
 	var g *Gauge
 	g.Set(1)
-	g.Add(-1)
 	var h *Histogram
 	h.Observe(0.1)
 	h.ObserveSince(time.Now())
-	h.ObserveDuration(time.Second)
 	var tr *Trace
 	tr.Span("x", time.Time{}, time.Time{})
 	tr.Event(time.Time{}, CatChaos, "x", "")

@@ -202,15 +202,6 @@ func (t *Trace) Spans() []Span {
 	return spans
 }
 
-// Events returns a content-sorted copy of the recorded point events.
-func (t *Trace) Events() []TracePoint {
-	if t == nil {
-		return nil
-	}
-	_, events := t.sorted()
-	return events
-}
-
 // Counts returns the number of spans and events currently recorded.
 func (t *Trace) Counts() (spans, events int) {
 	if t == nil {

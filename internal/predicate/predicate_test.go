@@ -88,7 +88,7 @@ func TestPVTNotEdges(t *testing.T) {
 		t.Errorf("not of empty = %+v", got)
 	}
 	full := NewPVT([]Span{{Lo: 0, Hi: 100}}, nil)
-	if !full.Not(10, 20).Empty() {
+	if n := full.Not(10, 20); len(n.steps)+len(n.impulses) != 0 {
 		t.Error("not of full horizon should be empty")
 	}
 }
@@ -323,7 +323,7 @@ func TestStateTupleLastStateExtends(t *testing.T) {
 
 func TestEvalUnknownMachineEmpty(t *testing.T) {
 	g := Fig42Timeline()
-	if p := Evaluate(MustParse("(NoSuchMachine, State1)"), g); !p.Empty() {
+	if p := Evaluate(MustParse("(NoSuchMachine, State1)"), g); len(p.steps)+len(p.impulses) != 0 {
 		t.Errorf("unknown machine PVT = %v", p)
 	}
 }

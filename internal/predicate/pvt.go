@@ -86,9 +86,6 @@ func (p PVT) Steps() []Span { return append([]Span(nil), p.steps...) }
 // Impulses returns the impulse instants (defensive copy).
 func (p PVT) Impulses() []vclock.Ticks { return append([]vclock.Ticks(nil), p.impulses...) }
 
-// Empty reports whether the timeline is identically false.
-func (p PVT) Empty() bool { return len(p.steps) == 0 && len(p.impulses) == 0 }
-
 // InStep reports whether t lies inside a step span.
 func (p PVT) InStep(t vclock.Ticks) bool {
 	i := sort.Search(len(p.steps), func(k int) bool { return p.steps[k].Hi > t })

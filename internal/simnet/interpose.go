@@ -137,18 +137,6 @@ func (s *FilterSet) Clear() {
 	s.rev++
 }
 
-// IDs returns the ids installed on a link, in installation order — for
-// tests and introspection.
-func (s *FilterSet) IDs(link Link) []string {
-	chain := append([]installedFilter(nil), s.filters[link]...)
-	sort.Slice(chain, func(i, j int) bool { return chain[i].seq < chain[j].seq })
-	ids := make([]string, len(chain))
-	for i, in := range chain {
-		ids[i] = in.id
-	}
-	return ids
-}
-
 // Consult folds all filters matching (from, to) over one message. The
 // merged, sorted chain per host pair is cached until the installed set
 // changes, so steady-state consults do no sorting or allocation.

@@ -89,8 +89,8 @@ func TestWildcardAndInstallOrder(t *testing.T) {
 	if d := s.Consult("h2", "h3", "x", rng).Delay; d != 100_000 {
 		t.Errorf("h2->h3 delay = %d, want 100000 (wildcard only)", d)
 	}
-	if ids := s.IDs(h1h2); len(ids) != 1 || ids[0] != "one" {
-		t.Errorf("IDs(h1->h2) = %v", ids)
+	if f := s.filters[h1h2]; len(f) != 1 || f[0].id != "one" {
+		t.Errorf("filters on h1->h2 = %+v", f)
 	}
 	// Filters run in installation order whichever key they sit under: the
 	// last payload replacement sticks.
@@ -119,8 +119,8 @@ func TestInstallFilterReplacesInPlace(t *testing.T) {
 	if consult(&s, rng, "x").Drop {
 		t.Fatal("replaced filter still drops (stale chain)")
 	}
-	if ids := s.IDs(h1h2); len(ids) != 1 {
-		t.Errorf("filter stacked instead of replaced: %v", ids)
+	if f := s.filters[h1h2]; len(f) != 1 {
+		t.Errorf("filter stacked instead of replaced: %+v", f)
 	}
 }
 

@@ -94,14 +94,6 @@ func (r *Recorder) RecordNote(text string) {
 	r.add(Entry{Kind: Note, Text: text}, true)
 }
 
-// Timeline returns the bound timeline, nil while detached. The caller must
-// not mutate it while the node is still running.
-func (r *Recorder) Timeline() *Local {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.local
-}
-
 // Snapshot returns a copy of the timeline safe to read concurrently with
 // further recording — nil while detached. Only the entries and the host
 // list grow while a node runs; the other header lists are shared.

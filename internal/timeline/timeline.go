@@ -90,21 +90,6 @@ type Local struct {
 	Entries []Entry
 }
 
-// StateAt scans the timeline and returns the state the machine was in just
-// before local time t, plus whether any state had been entered by then.
-func (l *Local) StateAt(t vclock.Ticks) (string, bool) {
-	state, ok := "", false
-	for _, e := range l.Entries {
-		if e.Time > t {
-			break
-		}
-		if e.Kind == StateChange {
-			state, ok = e.NewState, true
-		}
-	}
-	return state, ok
-}
-
 // LastState returns the final state recorded, if any.
 func (l *Local) LastState() (string, bool) {
 	for i := len(l.Entries) - 1; i >= 0; i-- {
@@ -113,17 +98,6 @@ func (l *Local) LastState() (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Injections returns the fault injection entries in order.
-func (l *Local) Injections() []Entry {
-	var out []Entry
-	for _, e := range l.Entries {
-		if e.Kind == FaultInjection {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Validate checks that every entry's names resolve against the header

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,35 +42,14 @@ func sampleTimeline() *Local {
 	}
 }
 
-func TestStateAt(t *testing.T) {
-	l := sampleTimeline()
-	tests := []struct {
-		at   vclock.Ticks
-		want string
-		ok   bool
-	}{
-		{50, "", false},
-		{120, "INIT", true},
-		{500, "ELECT", true},
-		{1050, "LEAD", true},
-		{2000, "FOLLOW", true},
-	}
-	for _, tt := range tests {
-		got, ok := l.StateAt(tt.at)
-		if got != tt.want || ok != tt.ok {
-			t.Errorf("StateAt(%d) = %q,%v want %q,%v", tt.at, got, ok, tt.want, tt.ok)
-		}
-	}
-}
-
 func TestLastStateAndInjections(t *testing.T) {
 	l := sampleTimeline()
 	if s, ok := l.LastState(); !ok || s != "FOLLOW" {
 		t.Errorf("LastState = %q, %v", s, ok)
 	}
-	inj := l.Injections()
+	inj := slices.DeleteFunc(slices.Clone(l.Entries), func(e Entry) bool { return e.Kind != FaultInjection })
 	if len(inj) != 1 || inj[0].Fault != "bfault1" || inj[0].Time != 1000 {
-		t.Errorf("Injections = %+v", inj)
+		t.Errorf("injections = %+v", inj)
 	}
 	empty := &Local{Meta: sampleMeta()}
 	if _, ok := empty.LastState(); ok {
@@ -239,7 +219,7 @@ func TestTimeRoundTripQuick(t *testing.T) {
 
 func TestRecorder(t *testing.T) {
 	src := vclock.NewManualSource(0)
-	clock := vclock.NewPerfectClock(src)
+	clock := vclock.NewClock(src, vclock.ClockConfig{})
 	l := &Local{Meta: sampleMeta()}
 	rec := new(Recorder)
 	rec.Start(l, "host1", clock)
@@ -250,7 +230,7 @@ func TestRecorder(t *testing.T) {
 	rec.RecordInjection("bfault1", rec.Now())
 	rec.RecordNote("hello")
 
-	entries := rec.Timeline().Entries
+	entries := rec.Snapshot().Entries
 	if len(entries) != 4 { // HostChange + 3
 		t.Fatalf("entries = %d, want 4", len(entries))
 	}
@@ -260,7 +240,7 @@ func TestRecorder(t *testing.T) {
 	if entries[1].Time != 100 || entries[2].Time != 200 {
 		t.Errorf("timestamps = %d, %d", entries[1].Time, entries[2].Time)
 	}
-	if err := rec.Timeline().Validate(); err != nil {
+	if err := rec.Snapshot().Validate(); err != nil {
 		t.Errorf("recorded timeline invalid: %v", err)
 	}
 }
@@ -268,12 +248,12 @@ func TestRecorder(t *testing.T) {
 func TestRecorderInternsNewHost(t *testing.T) {
 	src := vclock.NewManualSource(0)
 	l := &Local{Meta: Meta{Owner: "sm"}}
-	new(Recorder).Start(l, "fresh-host", vclock.NewPerfectClock(src))
+	new(Recorder).Start(l, "fresh-host", vclock.NewClock(src, vclock.ClockConfig{}))
 	if len(l.Hosts) != 1 || l.Hosts[0] != "fresh-host" {
 		t.Errorf("hosts = %v", l.Hosts)
 	}
 	// Restart on the same host must not duplicate it.
-	new(Recorder).Start(l, "fresh-host", vclock.NewPerfectClock(src))
+	new(Recorder).Start(l, "fresh-host", vclock.NewClock(src, vclock.ClockConfig{}))
 	if len(l.Hosts) != 1 {
 		t.Errorf("host duplicated: %v", l.Hosts)
 	}
@@ -283,7 +263,7 @@ func TestRecorderSnapshotIsolated(t *testing.T) {
 	src := vclock.NewManualSource(0)
 	l := &Local{Meta: sampleMeta()}
 	rec := new(Recorder)
-	rec.Start(l, "host1", vclock.NewPerfectClock(src))
+	rec.Start(l, "host1", vclock.NewClock(src, vclock.ClockConfig{}))
 	snap := rec.Snapshot()
 	before := len(snap.Entries)
 	rec.RecordNote("after snapshot")
@@ -299,7 +279,7 @@ func TestRecorderDetachHandsTimelineOver(t *testing.T) {
 	src := vclock.NewManualSource(0)
 	rec := new(Recorder)
 	first := &Local{Meta: sampleMeta()}
-	rec.Start(first, "host1", vclock.NewPerfectClock(src))
+	rec.Start(first, "host1", vclock.NewClock(src, vclock.ClockConfig{}))
 	rec.RecordNote("during")
 	rec.Detach()
 	rec.RecordNote("straggler")
@@ -307,11 +287,11 @@ func TestRecorderDetachHandsTimelineOver(t *testing.T) {
 	if n := len(first.Entries); n != 2 {
 		t.Fatalf("released timeline has %d entries, want 2 (HOST_CHANGE + note)", n)
 	}
-	if rec.Snapshot() != nil || rec.Timeline() != nil {
+	if rec.Snapshot() != nil {
 		t.Error("a detached recorder still exposes a timeline")
 	}
 	second := &Local{Meta: sampleMeta()}
-	rec.Start(second, "host2", vclock.NewPerfectClock(src))
+	rec.Start(second, "host2", vclock.NewClock(src, vclock.ClockConfig{}))
 	rec.RecordNote("next")
 	if len(first.Entries) != 2 || len(second.Entries) != 2 || second.Entries[1].Host != "host2" {
 		t.Errorf("after restart: first %d entries, second %+v", len(first.Entries), second.Entries)
@@ -321,7 +301,7 @@ func TestRecorderDetachHandsTimelineOver(t *testing.T) {
 func TestRecorderConcurrent(t *testing.T) {
 	l := &Local{Meta: sampleMeta()}
 	rec := new(Recorder)
-	rec.Start(l, "host1", vclock.NewPerfectClock(clock.Real{}))
+	rec.Start(l, "host1", vclock.NewClock(clock.Real{}, vclock.ClockConfig{}))
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func() {
@@ -334,7 +314,7 @@ func TestRecorderConcurrent(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		<-done
 	}
-	if n := len(rec.Timeline().Entries); n != 1+2000 {
+	if n := len(rec.Snapshot().Entries); n != 1+2000 {
 		t.Errorf("entries = %d, want 2001", n)
 	}
 }
@@ -343,7 +323,7 @@ func TestRecorderConcurrent(t *testing.T) {
 // lock and allocates nothing.
 func TestRecorderNowAllocs(t *testing.T) {
 	rec := new(Recorder)
-	rec.Start(&Local{Meta: sampleMeta()}, "host1", vclock.NewPerfectClock(clock.NewVirtual()))
+	rec.Start(&Local{Meta: sampleMeta()}, "host1", vclock.NewClock(clock.NewVirtual(), vclock.ClockConfig{}))
 	if n := testing.AllocsPerRun(1000, func() { rec.Now() }); n != 0 {
 		t.Fatalf("Recorder.Now allocates %v objects, want 0", n)
 	}

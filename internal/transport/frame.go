@@ -66,11 +66,8 @@ func Marshal(m Message) ([]byte, error) {
 	return appendFrame(make([]byte, 0, n), m), nil
 }
 
-// Unmarshal decodes a frame body. Nothing it returns aliases b.
-func Unmarshal(b []byte) (Message, error) { return decodeFrame(b, nil) }
-
 // decodeFrame decodes a frame body, reading its header strings through
-// names (a nil table copies each).
+// names (a nil table copies each, so nothing it returns aliases b).
 func decodeFrame(b []byte, names *intern.Table) (Message, error) {
 	var m Message
 	if len(b) < 9 {

@@ -10,9 +10,9 @@ import (
 // FuzzUnmarshalFrame feeds the frame decoder — the first thing every
 // socket read loop runs on bytes from the network — arbitrary input. It
 // must never panic, and whatever it accepts must survive a re-encode:
-// Unmarshal∘Marshal is the identity on messages. A read loop's frame
+// decodeFrame∘Marshal is the identity on messages. A read loop's frame
 // reader, its names table warmed on the seed frames, decodes each input
-// to what Unmarshal does, error included, and returns nothing that
+// to what decodeFrame does, error included, and returns nothing that
 // aliases the bytes it read.
 func FuzzUnmarshalFrame(f *testing.F) {
 	var seeds [][]byte
@@ -33,7 +33,7 @@ func FuzzUnmarshalFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{KindApp, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := Unmarshal(b)
+		m, err := decodeFrame(b, nil)
 		var r frameReader
 		for _, s := range seeds {
 			if _, err := r.decode(s); err != nil {
@@ -46,7 +46,7 @@ func FuzzUnmarshalFrame(f *testing.F) {
 			in[i] ^= 0xff
 		}
 		if fmt.Sprint(gerr) != fmt.Sprint(err) || !reflect.DeepEqual(got, m) {
-			t.Fatalf("a warm reader reads %+v (%v), Unmarshal %+v (%v)", got, gerr, m, err)
+			t.Fatalf("a warm reader reads %+v (%v), decodeFrame %+v (%v)", got, gerr, m, err)
 		}
 		if err != nil {
 			return
@@ -56,9 +56,9 @@ func FuzzUnmarshalFrame(f *testing.F) {
 			if len(b) <= MaxFrame {
 				t.Fatalf("accepted a %d-byte frame that does not re-encode: %v", len(b), err)
 			}
-			return // Unmarshal has no size limit of its own; the read loops do
+			return // decodeFrame has no size limit of its own; the read loops do
 		}
-		back, err := Unmarshal(body)
+		back, err := decodeFrame(body, nil)
 		if err != nil || !reflect.DeepEqual(back, m) {
 			t.Fatalf("round trip: %+v -> %+v (%v)", m, back, err)
 		}

@@ -49,7 +49,7 @@ func readerFrames(t testing.TB) []Message {
 
 // TestFrameReaderMatchesUnmarshal: one warm frame reader decodes every
 // frame, and every truncation of it read in between, to what a fresh
-// Unmarshal makes of it, error included. The reader decodes out of its own
+// decodeFrame makes of it, error included. The reader decodes out of its own
 // buffer, which is overwritten after each read, and every frame it
 // returned before must read as it did: nothing it returns aliases the
 // buffer. Run under -race in CI.
@@ -69,9 +69,9 @@ func TestFrameReaderMatchesUnmarshal(t *testing.T) {
 			for _, in := range [][]byte{body[:len(body)/2], body[:len(body)-1], body} {
 				n := copy(r.buf, in)
 				got, gerr := r.decode(r.buf[:n])
-				fresh, ferr := Unmarshal(in)
+				fresh, ferr := decodeFrame(in, nil)
 				if fmt.Sprint(gerr) != fmt.Sprint(ferr) || !reflect.DeepEqual(got, fresh) {
-					t.Fatalf("pass %d frame %d (%d of %d bytes): the reader reads %+v (%v), Unmarshal %+v (%v)",
+					t.Fatalf("pass %d frame %d (%d of %d bytes): the reader reads %+v (%v), decodeFrame %+v (%v)",
 						pass, i, len(in), len(body), got, gerr, fresh, ferr)
 				}
 				for j := range r.buf[:n] {

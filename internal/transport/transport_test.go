@@ -24,7 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Unmarshal(body)
+	out, err := decodeFrame(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err = Unmarshal(body); err != nil || out.Kind != KindNote {
+	if out, err = decodeFrame(body, nil); err != nil || out.Kind != KindNote {
 		t.Fatalf("empty round trip: %v %+v", err, out)
 	}
 }
@@ -49,7 +49,7 @@ func TestFrameTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(body); cut++ {
-		if _, err := Unmarshal(body[:cut]); err == nil {
+		if _, err := decodeFrame(body[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d of %d not detected", cut, len(body))
 		}
 	}

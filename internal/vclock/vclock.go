@@ -157,9 +157,6 @@ func NewClock(source Source, cfg ClockConfig) *Clock {
 	return c
 }
 
-// NewPerfectClock returns a clock that reads the source exactly.
-func NewPerfectClock(source Source) *Clock { return NewClock(source, ClockConfig{}) }
-
 // Now returns the host-local time. Successive readings never decrease;
 // with zero granularity they strictly increase: a cycle-accurate clock
 // (the processor timestamp counter the thesis prefers, §2.5) never
@@ -227,18 +224,6 @@ func (c *Clock) At(t Ticks) Ticks {
 	}
 	return v
 }
-
-// PhysicalAt inverts the transform: the physical time at which the clock
-// reads local time v (ignoring granularity and jitter). Used only by tests.
-func (c *Clock) PhysicalAt(v Ticks) Ticks {
-	return Ticks(float64(v-c.offset) / c.drift)
-}
-
-// TrueOffset returns the hidden offset (ground truth for validation).
-func (c *Clock) TrueOffset() Ticks { return c.offset }
-
-// TrueDrift returns the hidden rate (ground truth for validation).
-func (c *Clock) TrueDrift() float64 { return c.drift }
 
 // AlphaBeta returns the ground-truth affine relation between a reference
 // clock r and clock i, in the thesis's convention (Eqn. 2.1):

@@ -131,19 +131,17 @@ func TestVerdictSameEverywhere(t *testing.T) {
 			}
 
 			// The trace's verdict event.
-			f, err := os.Open(filepath.Join(dir, "traces", sr.Name, fmt.Sprintf("exp%03d.trace.jsonl", rec.Index)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := obs.DecodeTrace(f)
-			f.Close()
+			trace, err := os.ReadFile(filepath.Join(dir, "traces", sr.Name, fmt.Sprintf("exp%03d.trace.jsonl", rec.Index)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var named []string
-			for _, ev := range tr.Events() {
-				if ev.Cat == "verdict" {
-					named = append(named, ev.Name)
+			for _, line := range bytes.Split(trace, []byte("\n")) {
+				var l struct {
+					Event *obs.TracePoint `json:"event"`
+				}
+				if json.Unmarshal(line, &l) == nil && l.Event != nil && l.Event.Cat == "verdict" {
+					named = append(named, l.Event.Name)
 				}
 			}
 			if len(named) != 1 || named[0] != v.String() {

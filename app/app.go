@@ -101,9 +101,10 @@ func ParseSpec(doc string) (*StateMachine, error) { return spec.ParseStateMachin
 // parse error is a bug in the application, not bad input. It parses each
 // document text once: every later call with the same text returns the same
 // machine, which is therefore shared and must be treated as read-only.
-// Matrix points rebuild their studies, and with them their specs, for every
-// point; this keeps that from re-parsing. ParseSpec, for user input, always
-// returns a fresh machine.
+// A builder runs once for each node whenever a testbed opens (Study.NewApp)
+// and once more when config.Build reads the node's spec, so the memo keeps
+// those calls from re-parsing. ParseSpec, for user input, always returns a
+// fresh machine.
 func MustParseSpec(doc string) *StateMachine {
 	if m, ok := parsedSpecs.Load(doc); ok {
 		return m.(*StateMachine)

@@ -3,14 +3,9 @@
 // contracts. It replaces the old grep guardrail scripts, which could not
 // see through import aliases, dot-imports, or wrappers.
 //
-// Standalone, over package patterns (the CI gate):
+// It takes package patterns, ./... when none are given (the CI gate):
 //
 //	go run ./cmd/lokilint ./...
-//
-// As a go vet tool, which runs it per compilation unit with vet's caching:
-//
-//	go build -o /tmp/lokilint ./cmd/lokilint
-//	go vet -vettool=/tmp/lokilint ./...
 //
 // Exit status is 0 when clean, 2 when any analyzer reports a finding, and
 // 1 on driver errors (unparseable source, type-check failure). Findings
@@ -22,34 +17,16 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	// go vet probes its -vettool with -V=full (for the build cache key)
-	// and -flags (for supported flags) before handing it .cfg files.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "--V=full":
-			fmt.Println("lokilint version v1.0.0-lokilint")
-			return
-		case os.Args[1] == "-flags" || os.Args[1] == "--flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetUnit(os.Args[1]))
-		}
-	}
-
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lokilint [-json] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: lokilint [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -72,16 +49,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "lokilint: %d finding(s)\n", len(diags))
@@ -92,68 +61,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "lokilint:", err)
 	os.Exit(1)
-}
-
-// vetConfig is the subset of the go vet unit-check protocol's .cfg JSON
-// that lokilint consumes.
-type vetConfig struct {
-	ID         string
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-	VetxOnly   bool
-	VetxOutput string
-}
-
-// vetUnit analyzes one go vet compilation unit. Facts are not exchanged
-// between units (no analyzer here needs them), so the vetx output is an
-// empty placeholder written only to satisfy the protocol. Test variants
-// are skipped: the suite analyzes non-test code, matching the standalone
-// driver and the grep scripts it replaces.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lokilint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "lokilint: parse vet config:", err)
-		return 1
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "lokilint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly || strings.Contains(cfg.ID, ".test") || strings.HasSuffix(cfg.ImportPath, ".test") {
-		return 0
-	}
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	pkg, err := lint.LoadFiles(cfg.ImportPath, files)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lokilint:", err)
-		return 1
-	}
-	diags, err := lint.Run([]*lint.Package{pkg}, lint.Analyzers())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lokilint:", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

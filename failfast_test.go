@@ -171,10 +171,6 @@ func TestCampaignRulesOneOwner(t *testing.T) {
 			func(c *loki.Campaign) { c.Workers = -1 },
 			func(doc m) { doc["workers"] = -1 },
 			"campaign: Workers is -1"},
-		{"negative study workers",
-			func(c *loki.Campaign) { c.Studies[1].Workers = -2 },
-			func(doc m) { s2(doc)["workers"] = -2 },
-			`campaign: study "s2": Workers is -2`},
 		{"zero experiments",
 			func(c *loki.Campaign) { c.Studies[1].Experiments = 0 },
 			func(doc m) { s2(doc)["experiments"] = 0 },

@@ -66,13 +66,6 @@ type Study struct {
 	// run their experiments sequentially (one runtime set per process),
 	// so Campaign.Workers does not apply to them.
 	Transport string
-	// Workers, when positive, overrides Campaign.Workers for this study.
-	// Virtual-time studies often pin Workers=1 for strictly serialized —
-	// and therefore byte-reproducible — execution, while real-time studies
-	// in the same campaign fan out. A matrix point's pool is its share of
-	// Campaign.Workers (RunMatrix); the template's Workers may lower that
-	// share but never raise it.
-	Workers int
 }
 
 // Campaign is a full fault injection campaign (§2.2.3).
@@ -83,8 +76,10 @@ type Campaign struct {
 	// Workers is the number of concurrent experiment executors per study.
 	// Each worker owns its own core.Runtime and virtual-host set, so
 	// experiments never share mutable runtime state; results land at their
-	// experiment index regardless of completion order. Zero or negative
-	// defaults to GOMAXPROCS.
+	// experiment index regardless of completion order. Zero defaults to
+	// GOMAXPROCS. Under VirtualTime only Workers 1 journals repeat byte for
+	// byte: a worker's virtual clock keeps running across its experiments,
+	// so a record depends on which worker ran it and what it ran before.
 	Workers int
 	// Runtime tunes the core runtime (delays, watchdog). If Runtime.Source
 	// is nil, each worker's host clocks read that worker's runtime clock,
@@ -249,10 +244,10 @@ func (r *Result) Study(name string) *StudyResult {
 //     point's seed and name, so this checks every point before anything
 //     runs.
 //
-// checkStudy is the study check: Workers not negative, Experiments
-// positive, a known transport, virtual time only over inproc, a NewApp and
-// nodes without App, and every fault with an expression and, for an
-// action, a valid call naming known hosts.
+// checkStudy is the study check: Experiments positive, a known transport,
+// virtual time only over inproc, a NewApp and nodes without App, and every
+// fault with an expression and, for an action, a valid call naming known
+// hosts.
 func Validate(c *Campaign, m *Matrix) error {
 	_, err := validate(c, m)
 	return err
@@ -276,8 +271,10 @@ func validate(c *Campaign, m *Matrix) ([]*Study, error) {
 		}
 		seen[h.Name] = true
 	}
-	if err := checkWorkers(c.Workers); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
+	// Zero means GOMAXPROCS; a negative count is a sign bug in the
+	// caller's pool arithmetic, not a request.
+	if c.Workers < 0 {
+		return nil, fmt.Errorf("campaign: Workers is %d; it must be positive, or 0 for GOMAXPROCS", c.Workers)
 	}
 	// Duplicate names would shadow each other in Result.Study or
 	// MatrixResult.Point and collide in the checkpoint journal's record
@@ -308,9 +305,6 @@ func validate(c *Campaign, m *Matrix) ([]*Study, error) {
 // checkStudy is the study check Validate documents. Its errors do not name
 // the study; the caller does, once.
 func checkStudy(c *Campaign, st *Study) error {
-	if err := checkWorkers(st.Workers); err != nil {
-		return err
-	}
 	if st.Experiments <= 0 {
 		return fmt.Errorf("Experiments is %d; it must be positive", st.Experiments)
 	}
@@ -347,16 +341,6 @@ func checkStudy(c *Campaign, st *Study) error {
 		hosts[i] = h.Name
 	}
 	return chaos.ValidateSpecs(st.Nodes, hosts)
-}
-
-// checkWorkers rejects a negative worker-pool size. Zero means "default to
-// GOMAXPROCS"; a negative count is a sign bug in the caller's pool
-// arithmetic, not a request.
-func checkWorkers(workers int) error {
-	if workers < 0 {
-		return fmt.Errorf("Workers is %d; it must be positive, or 0 for GOMAXPROCS", workers)
-	}
-	return nil
 }
 
 // onCancel runs fn (once) when ctx is cancelled. The returned stop
@@ -423,7 +407,7 @@ func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (
 	if clustered(st) {
 		return runClustered(ctx, c, st, st.Transport, sj)
 	}
-	return runStudy(ctx, c, st, sj, "", poolWidth(c, st), openLocal(c, st))
+	return runStudy(ctx, c, st, sj, "", poolWidth(c), openLocal(c, st))
 }
 
 // single derives the campaign RunSingle runs: the first study only, one

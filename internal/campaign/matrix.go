@@ -217,8 +217,7 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 // RunMatrix executes every point of the matrix on c's testbed
 // configuration, sharding points across the campaign's worker pool: up to
 // Workers points run concurrently, and each point's own experiment pool is
-// its share of Workers, so the total stays at Workers; the template's
-// Workers may lower its point's share but never raise it. Validate checks
+// its share of Workers, so the total stays at Workers. Validate checks
 // every point's study before the journal opens, and a point opens no
 // testbed, so builds no application, when all its records are journaled.
 // Results land at their point index,

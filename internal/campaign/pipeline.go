@@ -204,19 +204,14 @@ func pointName(c *Campaign, st *Study, sj *studyJournal) string {
 	return st.Name
 }
 
-// poolWidth is the in-process engine's worker count for the study: its
-// own Workers, else the campaign's, else GOMAXPROCS. A matrix point's
-// campaign carries the point's share of the matrix pool, which the study
-// may lower but never raise.
-func poolWidth(c *Campaign, st *Study) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// poolWidth is the in-process engine's worker count: the campaign's
+// Workers, else GOMAXPROCS. A matrix point's campaign carries the point's
+// share of the matrix pool.
+func poolWidth(c *Campaign) int {
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if st.Workers > 0 && (c.point == nil || st.Workers < w) {
-		return st.Workers
-	}
-	return w
+	return c.Workers
 }
 
 // runStudy executes a study's experiments on a pool of up to workers

@@ -165,16 +165,14 @@ func TestRunRefusesBeforeFirstStudy(t *testing.T) {
 }
 
 // TestMatrixPointPoolWithinWorkers: a matrix point's experiment pool is
-// its share of Campaign.Workers. The template's Workers may lower the
-// share but never raise it, so no more than Workers runtime phases are
-// ever live at once.
+// its share of Campaign.Workers, so no more than Workers runtime phases
+// are ever live at once.
 func TestMatrixPointPoolWithinWorkers(t *testing.T) {
 	const workers = 2
 	var live, peak atomic.Int64
 	c := stepCampaign(t, 1, workers)
 	c.Studies = nil
 	m := &Matrix{Name: "pool", Seeds: []int64{1, 2, 3, 4}, Study: countedStudy(t, "", 6, &live, &peak)}
-	m.Study.Workers = 8
 	if _, err := RunMatrix(context.Background(), c, m); err != nil {
 		t.Fatal(err)
 	}

@@ -221,7 +221,6 @@ func buildStudy(c *Campaign, s *Study, faults []campaign.ScenarioFault) *campaig
 		// everything else.
 		ChaosSeed: seed,
 		Transport: studyTransport(c, s),
-		Workers:   s.Workers,
 		NewApp: func(p campaign.Point, nick string) (core.App, error) {
 			i := slices.Index(peers, nick)
 			if i < 0 {

@@ -67,7 +67,9 @@ type Campaign struct {
 	// reference clock.
 	Hosts []Host `json:"hosts,omitempty"`
 	// Workers sizes the concurrent experiment executor pool (0 =
-	// GOMAXPROCS; negative is rejected by Validate).
+	// GOMAXPROCS; negative is rejected by Validate). Under virtual time
+	// only Workers 1 journals repeat byte for byte: a worker's virtual
+	// clock keeps running across its experiments.
 	Workers int `json:"workers,omitempty"`
 	// Transport is the default study transport: "" or "inproc" (one
 	// runtime, in-memory bus), "udp" or "tcp" (one runtime per host over
@@ -175,9 +177,6 @@ type Study struct {
 	Restart bool `json:"restart,omitempty"`
 	// Transport overrides the campaign transport for this study.
 	Transport string `json:"transport,omitempty"`
-	// Workers overrides the campaign worker-pool size for this study
-	// (0 = use the campaign's; negative is rejected).
-	Workers int `json:"workers,omitempty"`
 }
 
 // Scenario is one named chaos configuration: fault lines overlaid onto

@@ -168,6 +168,11 @@ func TestLoadRejectsUnknownFieldsAndGarbage(t *testing.T) {
 	if _, err := Parse([]byte(`{"name": "x", "studies": [{"name":"s","runfor":"fast"}]}`)); err == nil {
 		t.Error("bad duration accepted")
 	}
+	// A study has no worker pool of its own; the campaign's Workers is the
+	// only one.
+	if _, err := Parse([]byte(`{"name":"x","studies":[{"name":"s","experiments":1,"workers":2}]}`)); err == nil {
+		t.Error("per-study workers accepted")
+	}
 }
 
 func TestDurationAcceptsNanosecondNumbers(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,11 @@ func runFixtureClean(t *testing.T, a *Analyzer, importPath string) {
 	}
 }
 
+// fixtures is the loader every fixture is checked with, so the module
+// packages and the standard library the fixtures import are type-checked
+// once per test binary, not once per fixture.
+var fixtures = newLoader()
+
 // loadFixture loads the fixture package at testdata/src/<importPath>
 // under its pretend import path, so path-scoped analyzers (wallclock only
 // fires under repro/internal/, ...) treat it exactly like real code at
@@ -79,7 +85,23 @@ func loadFixture(t *testing.T, importPath string) *Package {
 	if err != nil || len(names) == 0 {
 		t.Fatalf("fixture %s: no Go files (%v)", importPath, err)
 	}
-	pkg, err := LoadFiles(importPath, names)
+	files, err := fixtures.parse(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var imports []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			imports = append(imports, path)
+		}
+	}
+	if len(imports) > 0 {
+		if _, err := fixtures.load(filepath.Dir(names[0]), imports); err != nil {
+			t.Fatalf("load fixture %s: %v", importPath, err)
+		}
+	}
+	pkg, err := fixtures.typecheck(importPath, files)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", importPath, err)
 	}

@@ -21,8 +21,8 @@
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library alone — go/parser,
 // go/types, and the source importer — because this module deliberately has
-// no external dependencies. Run the suite with cmd/lokilint, standalone
-// (`go run ./cmd/lokilint ./...`) or as `go vet -vettool`.
+// no external dependencies. Run the suite with cmd/lokilint
+// (`go run ./cmd/lokilint ./...`).
 //
 // # Escape hatch
 //

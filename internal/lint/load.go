@@ -13,7 +13,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -46,56 +45,31 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadFiles loads one package from an explicit file list under the given
-// import path: the shape `go vet -vettool` hands lokilint per compilation
-// unit, and the analysistest fixtures' shape, type-checked under a pretend
-// import path so path-scoped analyzers treat a fixture exactly like real
-// code at that location. The module packages the files import are checked
-// from source the way Load checks them.
-func LoadFiles(importPath string, filenames []string) (*Package, error) {
-	l := newLoader()
-	files, err := l.parse(filenames)
-	if err != nil {
-		return nil, err
-	}
-	var imports []string
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			path, _ := strconv.Unquote(spec.Path.Value)
-			imports = append(imports, path)
-		}
-	}
-	if len(imports) > 0 {
-		if _, err := l.load(filepath.Dir(filenames[0]), imports); err != nil {
-			return nil, err
-		}
-	}
-	return l.typecheck(importPath, files)
-}
-
 // A loader type-checks module packages, each once, and serves them to
 // later checks as imports; every other import goes through the standard
-// library's source importer.
+// library's source importer, which also checks each package once. A
+// loader may be reused: a later load skips what an earlier one checked.
 type loader struct {
 	fset    *token.FileSet
 	std     types.Importer
-	checked map[string]*types.Package
+	checked map[string]*Package
 }
 
 func newLoader() *loader {
 	fset := token.NewFileSet()
-	return &loader{fset: fset, std: importer.ForCompiler(fset, "source", nil), checked: map[string]*types.Package{}}
+	return &loader{fset: fset, std: importer.ForCompiler(fset, "source", nil), checked: map[string]*Package{}}
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
 	if p := l.checked[path]; p != nil {
-		return p, nil
+		return p.Types, nil
 	}
 	return l.std.Import(path)
 }
 
-// load checks every module package `go list -deps patterns` names in dir,
-// dependencies first, and returns those matching patterns.
+// load checks every module package `go list -deps patterns` names in dir
+// that the loader has not checked yet, dependencies first, and returns
+// those matching patterns.
 func (l *loader) load(dir string, patterns []string) ([]*Package, error) {
 	listed, err := goListDeps(dir, patterns)
 	if err != nil {
@@ -106,19 +80,21 @@ func (l *loader) load(dir string, patterns []string) ([]*Package, error) {
 		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
-		var names []string
-		for _, name := range lp.GoFiles {
-			names = append(names, filepath.Join(lp.Dir, name))
+		pkg := l.checked[lp.ImportPath]
+		if pkg == nil {
+			var names []string
+			for _, name := range lp.GoFiles {
+				names = append(names, filepath.Join(lp.Dir, name))
+			}
+			files, err := l.parse(names)
+			if err != nil {
+				return nil, err
+			}
+			if pkg, err = l.typecheck(lp.ImportPath, files); err != nil {
+				return nil, err
+			}
+			l.checked[lp.ImportPath] = pkg
 		}
-		files, err := l.parse(names)
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := l.typecheck(lp.ImportPath, files)
-		if err != nil {
-			return nil, err
-		}
-		l.checked[lp.ImportPath] = pkg.Types
 		if !lp.DepOnly {
 			pkgs = append(pkgs, pkg)
 		}

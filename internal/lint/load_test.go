@@ -1,8 +1,8 @@
 package lint
 
 import (
+	"go/types"
 	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -64,43 +64,20 @@ func TestLoadChecksEachPackageOnce(t *testing.T) {
 	}
 }
 
-// TestLoadFilesMatchesLoad: a package's files loaded the way `go vet
-// -vettool` hands them over (LoadFiles, every import through the source
-// importer) give the same findings as Load gives for that package. The
-// fixtures are loaded by directory, since `go list ./...` skips testdata/;
-// goblint imports repro/app, which Load checks itself and LoadFiles
-// imports from source.
-func TestLoadFilesMatchesLoad(t *testing.T) {
-	for _, fixture := range []string{"repro/apps/goblint", "repro/internal/wclint"} {
-		dir := "./" + filepath.ToSlash(filepath.Join("testdata", "src", fixture))
-		loaded, err := Load(".", []string{dir})
-		if err != nil {
-			t.Fatal(err)
+// TestFixturesShareImports: every fixture is checked with one loader, so
+// two fixtures that import repro/app resolve it to the same
+// *types.Package, checked once, not once per fixture.
+func TestFixturesShareImports(t *testing.T) {
+	imported := func(fixture string) *types.Package {
+		for _, imp := range loadFixture(t, fixture).Types.Imports() {
+			if imp.Path() == "repro/app" {
+				return imp
+			}
 		}
-		if len(loaded) != 1 {
-			t.Fatalf("Load %s returned %d packages, want 1", dir, len(loaded))
-		}
-		var names []string
-		for _, f := range loaded[0].Files {
-			names = append(names, loaded[0].Fset.File(f.Pos()).Name())
-		}
-		files, err := LoadFiles(loaded[0].Path, names)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Run(loaded, Analyzers())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run([]*Package{files}, Analyzers())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 {
-			t.Fatalf("%s: no findings to compare", fixture)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: LoadFiles findings\n%v\ndiffer from Load's\n%v", fixture, got, want)
-		}
+		t.Fatalf("%s does not import repro/app", fixture)
+		return nil
+	}
+	if a, b := imported("repro/apps/goblint"), imported("repro/apps/uglint"); a != b {
+		t.Error("two fixtures resolve repro/app to different packages: each was checked by its own loader")
 	}
 }

@@ -158,6 +158,11 @@ func WithTransport(kind string) Option {
 // Clock.NewWaiter) — a raw channel receive or time.Sleep is invisible to
 // the virtual scheduler and would either freeze simulated time or be
 // skipped over by it.
+//
+// Only a campaign of Workers 1 journals byte for byte the same on every
+// run: a worker's virtual clock keeps running across its experiments, so
+// a record depends on which worker ran it and what that worker ran
+// before.
 func WithVirtualTime() Option {
 	return func(s *Session) error {
 		s.c.VirtualTime = true

@@ -232,47 +232,3 @@ func TestVirtualTimeRejectsSockets(t *testing.T) {
 		t.Error("campaign file with virtual_time over udp validated")
 	}
 }
-
-// TestStudyWorkersOverride: a per-study workers count in the campaign file
-// overrides the campaign pool size for that study, and a negative count is
-// rejected by validation.
-func TestStudyWorkersOverride(t *testing.T) {
-	var raw map[string]any
-	if err := json.Unmarshal(virtualParityDoc(false, 2, 4, ""), &raw); err != nil {
-		t.Fatal(err)
-	}
-	studies := raw["studies"].([]any)
-	st := studies[0].(map[string]any)
-	st["workers"] = 2
-	doc, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := loki.ParseCampaignFile(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := loki.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if res, err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	} else if got := len(res.Campaign.Studies[0].Records); got != 2 {
-		t.Fatalf("study ran %d records, want 2", got)
-	}
-
-	st["workers"] = -1
-	doc, err = json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err = loki.ParseCampaignFile(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loki.ValidateCampaignFile(cfg); err == nil {
-		t.Error("negative per-study workers validated")
-	}
-}

@@ -34,17 +34,51 @@
 // error. Ctrl-C cancels cleanly: no further experiments start,
 // in-flight ones drain into the journal.
 //
+// # Runtime phase only
+//
+// "lokirun runtime [flags]" takes the same flags and does the daemons'
+// job of thesis §3.5: it runs one experiment of the first study, sync
+// mini-phases included, and writes the raw artifacts under -out — one
+// local timeline file per state machine (§3.5.6 format) and the
+// timestamps file — for the off-line tools below. It refuses
+// -experiments. Its flag form is one experiment of study "runtime" in
+// campaign "lokid", so -resume rewrites the raw artifacts of such a
+// directory from its journal instead of rerunning. A signal ends an
+// in-process run at once.
+//
+// # Multi-process runs
+//
+// With -name, the process joins a cluster of lokirun processes, each
+// hosting a subset of the virtual hosts over real sockets (-transport udp
+// or tcp). The campaign file's "cluster" section supplies the peer table,
+// the host owners and the socket kind; -peers, -owners and -transport
+// override it, and -listen sets this peer's address:
+//
+//	lokirun [runtime] -nodes nodes.txt -transport udp -out DIR \
+//	      -name alpha -listen 127.0.0.1:7101 \
+//	      -peers 'alpha=127.0.0.1:7101,beta=127.0.0.1:7102' \
+//	      -owners 'h1=alpha,h2=beta,h3=beta' &
+//	lokirun [runtime] -nodes nodes.txt -transport udp -name beta ... # same -peers/-owners
+//
+// The peer owning the lexicographically first host coordinates: it runs
+// the experiment protocol, analyzes the timelines streamed back from
+// every peer, writes the artifacts (in runtime mode it needs -out) and
+// prints the result; the others serve it and print that they are done.
+//
 // Observability: -v LEVEL streams the engines' structured diagnostics to
 // stderr; -progress DUR prints a live completion/ETA line at that
-// interval; -trace writes one trace artifact per experiment under
-// OUT/traces (for Perfetto, read one with loki.DecodeTrace and convert it
-// with Trace.WriteChrome). With -out, engine metrics are snapshotted to
-// OUT/metrics.json after the run.
+// interval; -metrics ADDR serves Prometheus text at http://ADDR/metrics
+// and pprof under /debug/pprof. -trace writes one trace artifact per
+// experiment under OUT/traces (for Perfetto, read one with
+// loki.DecodeTrace and convert it with Trace.WriteChrome); a cluster
+// member without -out buffers its lane for the coordinator to merge.
+// With -out, engine metrics are snapshotted to OUT/metrics.json, with
+// every member's series labelled by member.
 //
 // # Off-line tools
 //
 // The thesis's §3.5 off-line tool chain runs as subcommands over the
-// files a run writes under -out (or lokid writes), each with its own flags:
+// files a run writes under -out, each with its own flags:
 //
 //	lokirun getstamps  -machines machines.txt [-count 20] [-spacing 1ms]
 //	                   [-gap 30s] [-seed 1] [-out timestamps.txt]
@@ -64,63 +98,44 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"net"
+	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sync"
 	"syscall"
 	"time"
 
 	loki "repro"
+	"repro/internal/campaign"
 	"repro/internal/config"
 )
 
 func main() {
 	log.SetFlags(0)
-	if len(os.Args) > 1 {
-		if tool, ok := offlineTools[os.Args[1]]; ok {
-			log.SetPrefix(os.Args[1] + ": ")
-			tool(flag.NewFlagSet("lokirun "+os.Args[1], flag.ExitOnError), os.Args[2:])
+	args := os.Args[1:]
+	if len(args) > 0 {
+		if tool, ok := offlineTools[args[0]]; ok {
+			log.SetPrefix(args[0] + ": ")
+			tool(flag.NewFlagSet("lokirun "+args[0], flag.ExitOnError), args[1:])
 			return
 		}
 	}
-	log.SetPrefix("lokirun: ")
-	var (
-		configPath = flag.String("config", "", "campaign file (JSON); replaces the thesis-era flags below")
-		dryRun     = flag.Bool("dry-run", false, "validate the campaign and print its fingerprint without running")
-		status     = flag.Bool("status", false, "summarize the checkpoint journal (requires -out or a checkpoint in the campaign file) without running")
-
-		nodesPath    = flag.String("nodes", "", "node file: '<nick> [<host>]' per line (flag form)")
-		faultsPath   = flag.String("faults", "", "fault file: '<machine> <name> <expr> <once|always> [action]' per line")
-		scenarioFile = flag.String("scenarios", "", "chaos scenario spec file ('scenario <name> ... end' blocks)")
-		scenarioName = flag.String("scenario", "", "named chaos scenario to overlay (requires -scenarios)")
-		app          = flag.String("app", "election", "registered application: election, replica, or quorum")
-		experiments  = flag.Int("experiments", 3, "experiments to run")
-		runFor       = flag.Duration("runfor", 150*time.Millisecond, "application run time per experiment")
-		dormancy     = flag.Duration("dormancy", 10*time.Millisecond, "fault-to-crash dormancy (0 = immediate crash)")
-		restart      = flag.Bool("restart", false, "restart crashed nodes once (supervisor)")
-		seed         = flag.Int64("seed", 1, "random seed (clock errors, app randomness)")
-		workers      = flag.Int("workers", 0, "concurrent experiment executors (0 = campaign file's count or GOMAXPROCS)")
-		transportK   = flag.String("transport", "", "run every study over this transport: inproc, udp, or tcp")
-		virtualTime  = flag.Bool("virtual-time", false, "run on a simulated clock: instant wall-clock studies, identical analysis (inproc only)")
-		outDir       = flag.String("out", "", "artifact directory; completed experiments are journaled to DIR/checkpoint.jsonl")
-		resume       = flag.Bool("resume", false, "resume from the checkpoint journal: run only the missing experiments")
-		verbosity    = flag.String("v", "", "stream structured engine diagnostics to stderr at this level: debug, info, warn, or error")
-		progressD    = flag.Duration("progress", 0, "print a live progress line (completed/accepted/ETA) at this interval")
-		traceOn      = flag.Bool("trace", false, "write one structured trace per experiment under OUT/traces (requires -out)")
-		reportOnly   = flag.Bool("report", false, "render OUT/report.html and OUT/report.json from the existing journal/metrics/traces without running anything")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "Usage of %s:\n", os.Args[0])
-		flag.PrintDefaults()
-		fmt.Fprintln(flag.CommandLine.Output(), "Off-line tools: lokirun getstamps|alphabeta|makeglobal|measure [flags]")
+	name, runtime := "lokirun", len(args) > 0 && args[0] == "runtime"
+	if runtime {
+		name, args = "lokirun runtime", args[1:]
 	}
-	flag.Parse()
-	if *reportOnly {
+	log.SetPrefix(name + ": ")
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	f := parseFlags(fs, args)
+	if f.report {
 		// Pure artifact post-processing: no campaign is opened and nothing
 		// runs, so neither -config nor -nodes is needed.
-		dir := *outDir
-		if dir == "" && *configPath != "" {
-			if cfg, err := loki.LoadCampaignFile(*configPath); err == nil && cfg.Checkpoint != nil {
+		dir := f.out
+		if dir == "" && f.config != "" {
+			if cfg, err := loki.LoadCampaignFile(f.config); err == nil && cfg.Checkpoint != nil {
 				dir = cfg.Checkpoint.Dir
 			}
 		}
@@ -134,17 +149,19 @@ func main() {
 		fmt.Printf("report written to %s\n", path)
 		return
 	}
-	if *configPath == "" && *nodesPath == "" {
-		flag.Usage()
-		os.Exit(2)
+	if f.config == "" && f.nodes == "" {
+		usage(fs, "")
 	}
-	if *configPath != "" {
+	set := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	if runtime && set["experiments"] {
+		log.Fatal("-experiments: the runtime phase runs exactly one experiment, and the count is part of the study fingerprint")
+	}
+	if f.config != "" {
 		// The flag form and the campaign file describe the same thing; a
 		// study-shaping flag alongside -config would be silently ignored,
-		// so reject the combination instead (-workers/-transport/-out
-		// compose as session options and stay legal).
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		// so reject the combination instead (the session flags compose
+		// as session options and stay legal).
 		for _, n := range []string{"nodes", "faults", "scenarios", "scenario", "app", "experiments", "runfor", "dormancy", "restart", "seed"} {
 			if set[n] {
 				log.Fatalf("-%s shapes the flag-form campaign and does not combine with -config; put it in the campaign file", n)
@@ -152,60 +169,27 @@ func main() {
 		}
 	}
 
-	cfg, err := loadOrAssemble(*configPath, flagForm{
-		nodes: *nodesPath, faults: *faultsPath,
-		scenarios: *scenarioFile, scenario: *scenarioName,
-		app: *app, experiments: *experiments, runFor: *runFor,
-		dormancy: *dormancy, restart: *restart, seed: *seed,
-	})
+	cfg, err := loadOrAssemble(f, runtime)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *dryRun {
+	if f.dryRun {
 		if err := loki.ValidateCampaignFile(cfg); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("campaign %s: valid\nfingerprint %s\n", cfg.Name, loki.CampaignFileFingerprint(cfg))
 		return
 	}
-
-	var opts []loki.Option
-	if *workers != 0 {
-		opts = append(opts, loki.WithWorkers(*workers))
+	cluster, err := clusterConfig(cfg, f)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *transportK != "" {
-		opts = append(opts, loki.WithTransport(*transportK))
+	if runtime && f.out == "" && cluster == nil {
+		usage(fs, "-out is required: the raw artifacts are written there (only a cluster member may leave it out)")
 	}
-	if *virtualTime {
-		opts = append(opts, loki.WithVirtualTime())
-	}
-	if *verbosity != "" {
-		lv, err := loki.ParseLogLevel(*verbosity)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts = append(opts, loki.WithLogging(os.Stderr, lv))
-	}
-	if *outDir != "" {
-		// Metrics ride along for free whenever artifacts are wanted: the
-		// run ends with OUT/metrics.json next to the timelines.
-		opts = append(opts, loki.WithArtifacts(*outDir), loki.WithMetrics())
-	}
-	if *traceOn {
-		if *outDir == "" {
-			log.Fatal("-trace requires -out (traces are written under OUT/traces)")
-		}
-		opts = append(opts, loki.WithTracing(""))
-	}
-	if *resume {
-		dir := *outDir
-		if dir == "" && cfg.Checkpoint != nil {
-			dir = cfg.Checkpoint.Dir
-		}
-		if dir == "" {
-			log.Fatal("-resume requires -out or a checkpoint dir in the campaign file (the journal lives in the artifact directory)")
-		}
-		opts = append(opts, loki.WithCheckpoint(dir, true))
+	opts, err := sessionOptions(f, cfg, cluster)
+	if err != nil {
+		log.Fatal(err)
 	}
 	s, err := loki.Open(cfg, opts...)
 	if err != nil {
@@ -213,7 +197,7 @@ func main() {
 	}
 	defer s.Close()
 
-	if *status {
+	if f.status {
 		st, err := s.Status()
 		if err != nil {
 			log.Fatal(err)
@@ -221,47 +205,140 @@ func main() {
 		printStatus(st)
 		return
 	}
+	if f.metrics != "" {
+		shutdown, err := serveMetrics(f.metrics, s.Metrics())
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer shutdown()
+	}
+	if cluster != nil {
+		coordinator, err := s.ClusterCoordinator()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if runtime && coordinator && f.out == "" {
+			// Fail before the whole cluster runs an experiment whose
+			// artifacts would be silently discarded.
+			log.Fatal("this peer owns the reference host and coordinates: -out is required")
+		}
+		role := "member"
+		if coordinator {
+			role = "coordinator"
+		}
+		fmt.Printf("%s %s running (transport %s)\n", role, cluster.Name, cluster.Kind)
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	var stopProgress func()
-	if *progressD > 0 {
-		stopProgress = startProgress(s, *progressD, *verbosity != "")
+	ctx := context.Background()
+	if !runtime || cluster != nil {
+		// SIGINT or SIGTERM cancels: no further experiments start,
+		// in-flight ones drain into the journal, and a cluster protocol
+		// quits. The in-process engine never interrupts a runtime phase,
+		// so a signal ends an in-process runtime run at once instead.
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
+		defer stop()
 	}
-	res, err := s.Run(ctx)
-	if stopProgress != nil {
-		stopProgress()
+	stopProgress := func() {}
+	if f.progress > 0 {
+		stopProgress = startProgress(s, f.progress, f.verbosity != "")
 	}
-	if err != nil {
+	var res *loki.SessionResult
+	var e *loki.Experiment
+	if runtime {
+		e, err = s.RunOne(ctx)
+	} else {
+		res, err = s.Run(ctx)
+	}
+	stopProgress()
+	switch {
+	case err != nil:
 		log.Fatal(err)
-	}
-	printResult(res)
-	printMeasures(cfg, res)
-	if *outDir != "" {
-		fmt.Printf("artifacts written under %s\n", *outDir)
+	case runtime && e.Served || !runtime && res.Served:
+		fmt.Printf("member %s done\n", cluster.Name)
+	case runtime:
+		printExperiment(e, f.out)
+	default:
+		printResult(res)
+		printMeasures(cfg, res)
+		if f.out != "" {
+			fmt.Printf("artifacts written under %s\n", f.out)
+		}
 	}
 }
 
-// flagForm carries the thesis-era flags that assemble a campaign file in
-// memory — the same schema -config loads from disk.
-type flagForm struct {
-	nodes, faults, scenarios, scenario, app string
-	experiments                             int
-	runFor, dormancy                        time.Duration
-	restart                                 bool
-	seed                                    int64
+// flags are lokirun's command line, shared by the campaign command and
+// its runtime subcommand.
+type flags struct {
+	config, nodes, faults, scenarios, scenario, app, transport, out string
+	verbosity, metrics, name, listen, peers, owners                 string
+	dryRun, status, report, restart, virtualTime, resume, trace     bool
+	experiments, workers                                            int
+	runFor, dormancy, progress                                      time.Duration
+	seed                                                            int64
+}
+
+// parseFlags defines lokirun's flags on fs and parses args into them.
+func parseFlags(fs *flag.FlagSet, args []string) *flags {
+	f := &flags{}
+	fs.StringVar(&f.config, "config", "", "campaign file (JSON); replaces the thesis-era flags below")
+	fs.BoolVar(&f.dryRun, "dry-run", false, "validate the campaign and print its fingerprint without running")
+	fs.BoolVar(&f.status, "status", false, "summarize the checkpoint journal (requires -out or a checkpoint in the campaign file) without running")
+	fs.BoolVar(&f.report, "report", false, "render OUT/report.html and OUT/report.json from the existing journal/metrics/traces without running anything")
+
+	fs.StringVar(&f.nodes, "nodes", "", "node file: '<nick> [<host>]' per line (flag form)")
+	fs.StringVar(&f.faults, "faults", "", "fault file: '<machine> <name> <expr> <once|always> [action]' per line")
+	fs.StringVar(&f.scenarios, "scenarios", "", "chaos scenario spec file ('scenario <name> ... end' blocks)")
+	fs.StringVar(&f.scenario, "scenario", "", "named chaos scenario to overlay (requires -scenarios)")
+	fs.StringVar(&f.app, "app", "election", "registered application: election, replica, or quorum")
+	fs.IntVar(&f.experiments, "experiments", 3, "experiments to run (not with runtime, which runs one)")
+	fs.DurationVar(&f.runFor, "runfor", 150*time.Millisecond, "application run time per experiment")
+	fs.DurationVar(&f.dormancy, "dormancy", 10*time.Millisecond, "fault-to-crash dormancy (0 = immediate crash)")
+	fs.BoolVar(&f.restart, "restart", false, "restart crashed nodes once (supervisor)")
+	fs.Int64Var(&f.seed, "seed", 1, "random seed (clock errors, app randomness)")
+
+	fs.IntVar(&f.workers, "workers", 0, "concurrent experiment executors (0 = campaign file's count or GOMAXPROCS)")
+	fs.StringVar(&f.transport, "transport", "", "run every study over this transport: inproc, udp, or tcp; with -name, the socket kind: udp or tcp")
+	fs.BoolVar(&f.virtualTime, "virtual-time", false, "run on a simulated clock: instant wall-clock studies, identical analysis (inproc only)")
+	fs.StringVar(&f.out, "out", "", "artifact directory; completed experiments are journaled to DIR/checkpoint.jsonl")
+	fs.BoolVar(&f.resume, "resume", false, "resume from the checkpoint journal: run only the missing experiments")
+
+	fs.StringVar(&f.verbosity, "v", "", "stream structured engine diagnostics to stderr at this level: debug, info, warn, or error")
+	fs.DurationVar(&f.progress, "progress", 0, "print a live progress line (completed/accepted/ETA) at this interval")
+	fs.BoolVar(&f.trace, "trace", false, "write one structured trace per experiment under OUT/traces (requires -out, except on a cluster member, which buffers its lane for the coordinator)")
+	fs.StringVar(&f.metrics, "metrics", "", "serve Prometheus metrics at http://ADDR/metrics (pprof under /debug/pprof)")
+
+	fs.StringVar(&f.name, "name", "", "this process's peer name: joins a multi-process cluster")
+	fs.StringVar(&f.listen, "listen", "", "this peer's listen address (requires -name)")
+	fs.StringVar(&f.peers, "peers", "", "peer table 'name=addr,...' (requires -name; overrides the campaign file's)")
+	fs.StringVar(&f.owners, "owners", "", "host ownership 'host=peer,...' (requires -name; overrides the campaign file's)")
+
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
+		fs.PrintDefaults()
+		fmt.Fprintln(fs.Output(), "Runtime phase only: lokirun runtime [flags]")
+		fmt.Fprintln(fs.Output(), "Off-line tools: lokirun getstamps|alphabeta|makeglobal|measure [flags]")
+	}
+	fs.Parse(args)
+	return f
 }
 
 // loadOrAssemble returns the campaign description: loaded from -config,
-// or assembled from the classic node/fault/scenario files.
-func loadOrAssemble(path string, f flagForm) (*loki.CampaignFile, error) {
-	if path != "" {
-		return loki.LoadCampaignFile(path)
+// or assembled from the classic node/fault/scenario files. The runtime
+// subcommand's flag form is one experiment of study "runtime" in
+// campaign "lokid", the names its journals and traces have always had.
+func loadOrAssemble(f *flags, runtime bool) (*loki.CampaignFile, error) {
+	if f.config != "" {
+		return loki.LoadCampaignFile(f.config)
 	}
-	cfg, err := config.AssembleClassicFiles("lokirun", f.nodes, f.faults, config.ClassicOptions{
-		StudyName:   "study1",
+	name, study, experiments := "lokirun", "study1", f.experiments
+	if runtime {
+		name, study, experiments = "lokid", "runtime", 1
+	}
+	cfg, err := config.AssembleClassicFiles(name, f.nodes, f.faults, config.ClassicOptions{
+		StudyName:   study,
 		App:         f.app,
-		Experiments: f.experiments,
+		Experiments: experiments,
 		Seed:        f.seed,
 		RunFor:      f.runFor,
 		Dormancy:    f.dormancy,
@@ -290,6 +367,146 @@ func loadOrAssemble(path string, f flagForm) (*loki.CampaignFile, error) {
 		fmt.Printf("chaos scenario %s: %d fault entries overlaid\n", sc.Name, len(sc.Faults))
 	}
 	return cfg, nil
+}
+
+// clusterConfig merges the campaign file's cluster section with the
+// multi-process flags (flags win). A nil result, without -name, means
+// single-process.
+func clusterConfig(cfg *loki.CampaignFile, f *flags) (*loki.ClusterConfig, error) {
+	if f.name == "" {
+		if f.listen != "" || f.peers != "" || f.owners != "" {
+			return nil, fmt.Errorf("-listen, -peers and -owners configure a cluster peer and need -name")
+		}
+		return nil, nil
+	}
+	cl := &loki.ClusterConfig{Name: f.name, Listen: f.listen, Kind: f.transport}
+	if cfg.Cluster != nil {
+		if cl.Kind == "" {
+			cl.Kind = cfg.Cluster.Kind
+		}
+		cl.Peers = cfg.Cluster.Peers
+		cl.Owners = cfg.Cluster.Owners
+	}
+	if f.peers != "" {
+		m, err := config.ParseAssignments(f.peers, "peer")
+		if err != nil {
+			return nil, err
+		}
+		cl.Peers = m
+	}
+	if f.owners != "" {
+		m, err := config.ParseAssignments(f.owners, "owner")
+		if err != nil {
+			return nil, err
+		}
+		cl.Owners = m
+	}
+	if len(cl.Peers) == 0 || len(cl.Owners) == 0 {
+		return nil, fmt.Errorf("multi-process mode needs peer and owner tables (-peers/-owners or the campaign file's cluster section)")
+	}
+	return cl, nil
+}
+
+// sessionOptions turns the session flags into Session options.
+func sessionOptions(f *flags, cfg *loki.CampaignFile, cluster *loki.ClusterConfig) ([]loki.Option, error) {
+	var opts []loki.Option
+	if f.workers != 0 {
+		opts = append(opts, loki.WithWorkers(f.workers))
+	}
+	if f.transport != "" && cluster == nil {
+		opts = append(opts, loki.WithTransport(f.transport))
+	}
+	if f.virtualTime {
+		opts = append(opts, loki.WithVirtualTime())
+	}
+	if f.verbosity != "" {
+		lv, err := loki.ParseLogLevel(f.verbosity)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, loki.WithLogging(os.Stderr, lv))
+	}
+	if f.out != "" {
+		opts = append(opts, loki.WithArtifacts(f.out))
+	}
+	// Metrics ride along whenever artifacts are wanted (the run ends with
+	// OUT/metrics.json), are served, or may be pulled: a cluster member
+	// answers the coordinator's metrics pull with its local series.
+	if f.out != "" || f.metrics != "" || cluster != nil {
+		opts = append(opts, loki.WithMetrics())
+	}
+	if f.trace {
+		switch {
+		case f.out != "":
+			opts = append(opts, loki.WithTracing(""))
+		case cluster != nil:
+			// A member without local artifacts buffers its lane in
+			// memory, where the coordinator's trace pull finds it.
+			opts = append(opts, loki.WithTraceBuffer())
+		default:
+			return nil, fmt.Errorf("-trace requires -out (traces are written under OUT/traces), except on a cluster member (-name)")
+		}
+	}
+	if f.resume {
+		dir := f.out
+		if dir == "" && cfg.Checkpoint != nil {
+			dir = cfg.Checkpoint.Dir
+		}
+		if dir == "" {
+			return nil, fmt.Errorf("-resume requires -out or a checkpoint dir in the campaign file (the journal lives in the artifact directory)")
+		}
+		opts = append(opts, loki.WithCheckpoint(dir, true))
+	}
+	if cluster != nil {
+		opts = append(opts, loki.WithCluster(*cluster))
+	}
+	return opts, nil
+}
+
+// printExperiment prints the raw artifacts one experiment wrote under
+// out, or exits 1 when its verdict left none.
+func printExperiment(e *loki.Experiment, out string) {
+	switch e.Record.Verdict() {
+	case campaign.Aborted:
+		log.Fatal("experiment timed out; no artifacts written")
+	case campaign.Discarded:
+		// The analysis phase discarded the run (e.g. infeasible clock
+		// synchronization after a clockstep fault): its artifacts cannot
+		// be trusted, and the Session wrote none.
+		if e.Record.ClockStepSuspected {
+			log.Printf("clock step suspected on hosts %v", e.Record.ClockStepHosts)
+		}
+		log.Fatalf("experiment discarded by analysis: %s", e.Record.AnalysisError)
+	}
+	for _, tl := range e.Locals {
+		fmt.Printf("wrote %s (%d entries)\n", filepath.Join(out, tl.Owner+".timeline"), len(tl.Entries))
+	}
+	fmt.Printf("wrote %s (%d messages)\n", filepath.Join(out, "timestamps.txt"), len(e.Stamps))
+	for nick, outcome := range e.Record.Outcomes {
+		fmt.Printf("node %s: %s\n", nick, outcome)
+	}
+}
+
+// serveMetrics exposes the session's registry as Prometheus text at
+// /metrics and the runtime profiles under /debug/pprof on addr. The
+// listener is bound synchronously so a bad address fails at startup, not
+// in a goroutine's log output.
+func serveMetrics(addr string, reg *loki.MetricsRegistry) (shutdown func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("-metrics %s: %w", addr, err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/debug/pprof/", http.DefaultServeMux) // where net/http/pprof registers
+	srv := &http.Server{Handler: mux}
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			log.Printf("metrics server: %v", err)
+		}
+	}()
+	fmt.Printf("metrics at http://%s/metrics\n", ln.Addr())
+	return func() { srv.Close() }, nil
 }
 
 // printResult renders the acceptance summary for a studies campaign or a

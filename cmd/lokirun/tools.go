@@ -183,7 +183,7 @@ func getstamps(fs *flag.FlagSet, args []string) {
 // so the fastest-machine unit conversion the thesis required disappears.
 func alphabeta(fs *flag.FlagSet, args []string) {
 	var (
-		stampsPath = fs.String("stamps", "", "timestamps file from getstamps/lokid (required)")
+		stampsPath = fs.String("stamps", "", "timestamps file from getstamps or lokirun runtime (required)")
 		ref        = fs.String("ref", "", "reference host (default: first host alphabetically)")
 		outPath    = fs.String("out", "", "alphabeta output file (default: stdout)")
 	)

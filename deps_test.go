@@ -15,8 +15,9 @@ var templateImporters = map[string]bool{}
 // reflect.Value.MethodByName, and a binary that links that call keeps
 // every exported method of every reachable type, because the linker can
 // no longer tell which are unused. Taking the report's template out
-// shrank lokirun from 12.0 to 7.9 MB, lokid from 14.8 to 11.6 MB and
-// lokibench from 12.4 to 8.3 MB (go1.24, linux/amd64, -trimpath).
+// shrank lokirun from 12.0 to 7.9 MB, lokid (since folded into lokirun)
+// from 14.8 to 11.6 MB and lokibench from 12.4 to 8.3 MB (go1.24,
+// linux/amd64, -trimpath).
 func TestNoTemplateInProductionPackages(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {

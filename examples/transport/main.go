@@ -10,7 +10,7 @@
 //	loki.Open(cfg, loki.WithTransport(kind))
 //
 // The clustered topology here lives in one OS process so the program is
-// self-contained; cmd/lokid's cluster flags put each endpoint in its own
+// self-contained; lokirun's cluster flags put each endpoint in its own
 // OS process with exactly the same protocol (the program prints the
 // command lines).
 package main
@@ -74,13 +74,14 @@ func main() {
 	fmt.Println("verdict parity: in-process, UDP, and TCP agree on every experiment")
 
 	fmt.Println("\nthe same study across real OS processes:")
-	fmt.Println(`  lokid -config campaign.json -transport udp \
-        -name alpha -listen 127.0.0.1:7101 \
-        -peers 'alpha=127.0.0.1:7101,beta=127.0.0.1:7102' \
-        -owners 'h1=alpha,h2=beta,h3=beta' -out out &
-  lokid -config campaign.json -transport udp \
-        -name beta -listen 127.0.0.1:7102 \
-        -peers 'alpha=127.0.0.1:7101,beta=127.0.0.1:7102' \
-        -owners 'h1=alpha,h2=beta,h3=beta'`)
+	fmt.Println(`  lokirun -config campaign.json -transport udp \
+          -name alpha -listen 127.0.0.1:7101 \
+          -peers 'alpha=127.0.0.1:7101,beta=127.0.0.1:7102' \
+          -owners 'h1=alpha,h2=beta,h3=beta' -out out &
+  lokirun -config campaign.json -transport udp \
+          -name beta -listen 127.0.0.1:7102 \
+          -peers 'alpha=127.0.0.1:7101,beta=127.0.0.1:7102' \
+          -owners 'h1=alpha,h2=beta,h3=beta'`)
+	fmt.Println("(\"lokirun runtime\" with the same flags runs one experiment and writes its raw artifacts)")
 	fmt.Println("(alpha owns the reference host, coordinates, and writes the artifacts)")
 }

@@ -100,7 +100,7 @@ type Campaign struct {
 	// virtual-time scheduler (internal/clock.Virtual) instead of the wall
 	// clock: sleeps, fault windows, and timeouts complete instantly while
 	// the sync mini-phases keep their exact timing geometry. Requires the
-	// inproc transport — socket studies and lokid stay real-time — and is
+	// inproc transport — socket studies and clusters stay real-time — and is
 	// part of the journal fingerprint: virtual and real records never mix.
 	VirtualTime bool
 	// Obs, when non-nil, wires the observability sink into every engine:
@@ -158,7 +158,7 @@ type ExperimentRecord struct {
 	ClockStepBounds map[string]StepBound `json:",omitempty"`
 	// Locals and Stamps are the raw runtime artifacts — the local
 	// timelines and the stamped synchronization messages of both
-	// mini-phases — which only a one-experiment run (RunSingle, cmd/lokid)
+	// mini-phases — which only a one-experiment run (RunSingle, lokirun runtime)
 	// keeps, so that a resumed run can rewrite its artifact files without
 	// executing anything.
 	Locals []*timeline.Local          `json:",omitempty"`
@@ -312,7 +312,7 @@ func checkStudy(c *Campaign, st *Study) error {
 		return fmt.Errorf("unknown transport %q (want inproc, udp, or tcp)", st.Transport)
 	}
 	// The virtual scheduler owns every wait in the process, which a real
-	// loopback socket (or a peer lokid process) cannot take part in.
+	// loopback socket (or a peer lokirun process) cannot take part in.
 	if c.VirtualTime && clustered(st) {
 		return fmt.Errorf("virtual time requires the inproc transport, not %q", st.Transport)
 	}
@@ -434,7 +434,7 @@ func experimentCount(c *Campaign, st *Study) int {
 // whose record (Studies[0].Records[0]) additionally carries the raw runtime
 // artifacts: the local timelines and the stamped synchronization messages
 // of both mini-phases.
-// The file-oriented tools (cmd/lokid) emit the §3.5.6 and timestamp files
+// The file-oriented tools (lokirun runtime) emit the §3.5.6 and timestamp files
 // from them. Everything Run says holds: the study's Transport picks the
 // engine, a journaled record — artifacts included — is returned without
 // executing, and a cancelled ctx surfaces as ctx.Err().

@@ -453,7 +453,7 @@ func TestRunSingleRejectsUnknownTransport(t *testing.T) {
 	}
 }
 
-// TestRunSingleClusteredResume: the lokid crash-recovery path — a second
+// TestRunSingleClusteredResume: the lokirun runtime crash-recovery path — a second
 // RunSingle over a socket transport with Resume must serve the record,
 // stamps, and locals from the journal without running an experiment.
 func TestRunSingleClusteredResume(t *testing.T) {

@@ -133,8 +133,8 @@ func (m *Member) flushMembers(index int) {
 
 // ensureJournal opens the member's own journal from the campaign's
 // Checkpoint when no binding was handed down by an in-process engine —
-// the stand-alone coordinator path (cmd/lokid). It returns the journal it
-// opened, which the caller closes, or nil when nothing was opened here.
+// the stand-alone coordinator path (lokirun -name). It returns the journal
+// it opened, which the caller closes, or nil when nothing was opened here.
 func (m *Member) ensureJournal() (*journal, error) {
 	if m.sj != nil || m.c.Checkpoint == nil {
 		return nil, nil
@@ -152,8 +152,8 @@ func (m *Member) ensureJournal() (*journal, error) {
 // experiments are skipped (the members never see a reset for them); fresh
 // records are journaled as their analysis completes, so a crashed
 // coordinator resumes at the first missing experiment. With one, the study
-// is run as RunSingle runs it — cmd/lokid's mode: a single experiment whose
-// record keeps its local timelines and stamps.
+// is run as RunSingle runs it — lokirun runtime's mode: a single
+// experiment whose record keeps its local timelines and stamps.
 //
 // Around the pipeline, which gets this member as its testbed, RunStudy
 // ends the study cluster-wide: after a successful run a flush barrier if no

@@ -11,7 +11,7 @@ import (
 // runtime, one transport endpoint per host, connected over the named
 // transport kind on 127.0.0.1 — the "loopback multi-process" topology,
 // with process boundaries replaced by runtime boundaries so it can run
-// (and be raced) inside one test binary. cmd/lokid wires real OS
+// (and be raced) inside one test binary. lokirun -name wires real OS
 // processes to the same Member protocol. sj is the checkpoint binding of
 // whichever engine already opened the journal (Run, RunMatrix).
 func runClustered(ctx context.Context, c *Campaign, st *Study, kind string, sj *studyJournal) (*StudyResult, error) {

@@ -56,7 +56,7 @@ type Member struct {
 	traceWarned bool
 
 	// sj is the coordinator's checkpoint binding. The in-process engines
-	// hand one down; a stand-alone coordinator (cmd/lokid) opens its own
+	// hand one down; a stand-alone coordinator (lokirun -name) opens its own
 	// from the campaign's Checkpoint in RunStudy.
 	sj *studyJournal
 
@@ -224,9 +224,9 @@ func (m *Member) hello(index int) clusterMsg {
 
 // checkPeer fails fast on a mismatched peer: cm and err are a reset or
 // resetok frame from peer as it decoded, and its sender must speak this
-// protocol version and run this study. Two lokids started from different
-// files would otherwise merge each other's frames into one plausible,
-// meaningless experiment. A payload in another layout (wireVersionError)
+// protocol version and run this study. Two lokirun peers started from
+// different files would otherwise merge each other's frames into one
+// plausible, meaningless experiment. A payload in another layout (wireVersionError)
 // comes from another protocol version, which the frame header's sender
 // names, since the payload's Peer cannot be read; any other decode error
 // refuses nothing — the frame is dropped like any damaged one.
@@ -363,7 +363,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					} else if !m.traceWarned {
 						m.traceWarned = true
 						m.c.Obs.Logf(obs.Warn, "campaign",
-							"cluster %s: coordinator requests tracing but this member has no trace buffer enabled (run lokid with -trace or -out)", m.peer)
+							"cluster %s: coordinator requests tracing but this member has no trace buffer enabled (run lokirun with -trace or -out)", m.peer)
 					}
 				}
 			}

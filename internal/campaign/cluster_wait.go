@@ -246,8 +246,8 @@ func (m *Member) reportDone(coordinator string, index int) (stop clock.Waiter) {
 // missing acknowledgement is not an error — a member that already quit
 // has nothing left to stop, and a lost stopok costs only the bound. Unlike
 // every other wait, Quit does not cut this one short: a cancelled study
-// must still stop its lokid members. (The in-process runner also has the
-// direct Quit escape hatch; a real lokid member additionally quits on
+// must still stop its lokirun members. (The in-process runner also has the
+// direct Quit escape hatch; a real lokirun member additionally quits on
 // SIGINT.)
 func (m *Member) stopCluster() {
 	_, _ = m.gather(opStop, clusterMsg{}, opStopOK, clusterStopTimeout, false)

@@ -16,7 +16,7 @@ import (
 
 	// The built-in application zoo registers itself with the app registry
 	// at init time; blank-importing it here keeps every config.Build entry
-	// point (lokirun, lokid, examples, tests) able to resolve the built-in
+	// point (lokirun, examples, tests) able to resolve the built-in
 	// names without its own imports. User applications add themselves the
 	// same way: register in an init and link the package into the binary.
 	_ "repro/apps/election"

@@ -84,7 +84,7 @@ type Campaign struct {
 	Sync *Sync `json:"sync,omitempty"`
 	// Checkpoint enables the per-experiment journal under Dir.
 	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
-	// Cluster is the multi-process topology for cmd/lokid peers; ignored
+	// Cluster is the multi-process topology for lokirun -name peers; ignored
 	// by the in-process engines.
 	Cluster *Cluster `json:"cluster,omitempty"`
 	// Studies runs each study in order. Mutually exclusive with Matrix.
@@ -126,7 +126,7 @@ type Checkpoint struct {
 }
 
 // Cluster is the multi-process topology: every peer process loads the same
-// campaign file and identifies itself by peer name (cmd/lokid -name).
+// campaign file and identifies itself by peer name (lokirun -name).
 type Cluster struct {
 	// Kind is the socket transport: "udp" or "tcp".
 	Kind string `json:"kind"`

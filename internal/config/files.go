@@ -109,7 +109,8 @@ func FindScenario(scenarios []Scenario, name string) (Scenario, error) {
 // thesis-era drivers share.
 type ClassicOptions struct {
 	// StudyName names the single study ("study1" for lokirun, "runtime"
-	// for lokid — the artifact namespaces the tools always used).
+	// for lokirun runtime — the artifact namespaces the tools always
+	// used).
 	StudyName string
 	// App selects the built-in application.
 	App string

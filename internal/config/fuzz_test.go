@@ -7,10 +7,11 @@ import (
 )
 
 // FuzzParseConfig feeds the campaign-file decoder — the one every lokirun
-// and lokid invocation trusts with a user's file — arbitrary bytes. A
-// document that parses and validates must survive its own encoding with
-// its fingerprint (the journal's identity check) unchanged and still
-// validate, and Build must never panic on it, whatever it decides.
+// invocation, runtime subcommand included, trusts with a user's file —
+// arbitrary bytes. A document that parses and validates must survive its
+// own encoding with its fingerprint (the journal's identity check)
+// unchanged and still validate, and Build must never panic on it,
+// whatever it decides.
 func FuzzParseConfig(f *testing.F) {
 	paths, err := filepath.Glob("../../examples/*/campaign.json")
 	if err != nil || len(paths) == 0 {

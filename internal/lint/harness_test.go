@@ -180,3 +180,23 @@ func TestDirectiveValidation(t *testing.T) {
 		t.Errorf("reasonless directive suppressed the wallclock finding:\n%s", joined)
 	}
 }
+
+// TestDirectiveFindingsOncePerRun: Run indexes a package's directives
+// afresh each time, so a second Run over the same loaded package reports
+// each malformed //lint:allow once, not once per earlier Run as well.
+func TestDirectiveFindingsOncePerRun(t *testing.T) {
+	pkg := loadFixture(t, "repro/internal/badallow")
+	var runs [2][]string
+	for i := range runs {
+		diags, err := Run([]*Package{pkg}, Analyzers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			runs[i] = append(runs[i], d.String())
+		}
+	}
+	if first, second := strings.Join(runs[0], "\n"), strings.Join(runs[1], "\n"); first != second {
+		t.Errorf("second Run over the same package reports\n%s\nwant the first Run's\n%s", second, first)
+	}
+}

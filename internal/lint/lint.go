@@ -134,6 +134,7 @@ const allowPrefix = "//lint:allow "
 // suppressing nothing.
 func (p *Package) scanDirectives(known map[string]bool) {
 	p.allow = map[string]map[string]map[int]bool{}
+	p.directiveDiags = nil
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {

@@ -7,7 +7,7 @@ import (
 
 // rawlogFmt / rawlogLog are the stdout/stderr writers the engine must not
 // use directly: internal/ diagnostics go through the structured leveled
-// logger (internal/obs), so `lokirun -v` / `lokid -v` control everything
+// logger (internal/obs), so `lokirun -v` controls everything
 // and silent-by-default runs stay silent. Commands (cmd/) own their stdout
 // and are out of scope.
 var rawlogFmt = map[string]bool{"Print": true, "Printf": true, "Println": true}

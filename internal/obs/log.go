@@ -54,8 +54,8 @@ func ParseLevel(s string) (Level, error) {
 
 // Logger is a minimal structured leveled logger: one line per record,
 // `HH:MM:SS.micros level component: message`. It exists so engine
-// diagnostics have one sink with one verbosity knob (`lokirun -v`,
-// `lokid -v`) instead of stray fmt/log calls; lokilint's rawlog analyzer
+// diagnostics have one sink with one verbosity knob (`lokirun -v`)
+// instead of stray fmt/log calls; lokilint's rawlog analyzer
 // enforces that internal/ uses it. Safe for concurrent use. All methods
 // are nil-receiver safe and discard.
 type Logger struct {

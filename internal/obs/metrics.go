@@ -503,8 +503,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// Handler serves the registry in Prometheus text format — what lokid
-// mounts at /metrics.
+// Handler serves the registry in Prometheus text format — what
+// lokirun -metrics mounts at /metrics.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

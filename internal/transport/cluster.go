@@ -7,7 +7,7 @@ import "fmt"
 // listened. This is the "multi-process on one machine" topology used by
 // the campaign's clustered runner and the acceptance tests; real
 // multi-machine deployments construct endpoints from explicit addresses
-// (see cmd/lokid's -listen/-peers flags).
+// (see lokirun's -listen/-peers flags).
 
 // clusterTopology builds the per-peer topologies for a hosts→peer mapping,
 // with placeholder loopback addresses.

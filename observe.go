@@ -92,7 +92,7 @@ func WithTracing(dir string) Option {
 }
 
 // WithTraceBuffer enables in-memory per-experiment trace capture without
-// writing local artifacts — how a cluster member (lokid -trace, no -out)
+// writing local artifacts — how a cluster member (lokirun -name -trace, no -out)
 // records its lane so the coordinator can pull it over the control
 // protocol and merge it into the campaign's trace artifacts. Implied by
 // WithTracing; a member with neither set answers trace pulls with an
@@ -117,7 +117,7 @@ func WithLogging(w io.Writer, min LogLevel) Option {
 }
 
 // ParseLogLevel parses "debug", "info", "warn", or "error" — the
-// vocabulary of lokirun/lokid's -v flag.
+// vocabulary of lokirun's -v flag.
 func ParseLogLevel(v string) (LogLevel, error) { return obs.ParseLevel(v) }
 
 // Trace is one experiment's decoded trace artifact. Trace.WriteChrome

@@ -293,8 +293,8 @@ func Open(spec any, opts ...Option) (*Session, error) {
 	// A campaign file's cluster section is deliberately NOT auto-adopted:
 	// the schema promises in-process engines ignore it (a shared file
 	// must stay runnable by lokirun), and only the driver knows which
-	// peer this process is. cmd/lokid merges the section with its -name
-	// flag and passes the result through WithCluster.
+	// peer this process is. lokirun merges the section with its -name flag
+	// and passes the result through WithCluster.
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
@@ -459,8 +459,8 @@ func (s *Session) Run(ctx context.Context) (*SessionResult, error) {
 }
 
 // RunOne is Run of exactly one experiment of the session's (first) study
-// whose record keeps the raw runtime artifacts — the single-experiment
-// mode of cmd/lokid. With WithArtifacts, the §3.5.6 timeline files and
+// whose record keeps the raw runtime artifacts — the mode of
+// "lokirun runtime". With WithArtifacts, the §3.5.6 timeline files and
 // the timestamps file are written for an analysed (rejected or accepted) run.
 func (s *Session) RunOne(ctx context.Context) (*Experiment, error) {
 	if err := s.runnable(); err != nil {
@@ -523,9 +523,6 @@ func (s *Session) openMember() error {
 		return nil
 	}
 	cl := s.cluster
-	if cl.Name == "" {
-		return fmt.Errorf("loki: cluster mode needs the local peer name")
-	}
 	peers := make(map[string]string, len(cl.Peers))
 	for k, v := range cl.Peers {
 		peers[k] = v

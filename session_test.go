@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -548,7 +549,7 @@ func TestRunOneConfinesTimelineFiles(t *testing.T) {
 }
 
 // TestSessionIgnoresFileClusterSectionInProcess: a campaign file that
-// carries a cluster section (shared by every lokid peer) must stay
+// carries a cluster section (shared by every lokirun -name peer) must stay
 // runnable in-process — the section binds only through WithCluster.
 func TestSessionIgnoresFileClusterSectionInProcess(t *testing.T) {
 	doc := []byte(`{
@@ -632,5 +633,72 @@ func TestSessionTransportOverrideDoesNotMutateSpec(t *testing.T) {
 	}
 	if c.Studies[0].Transport != "" {
 		t.Errorf("caller's study transport mutated to %q", c.Studies[0].Transport)
+	}
+}
+
+// freeUDPAddr reserves a loopback UDP port by binding it and closing the
+// socket again, and returns its address.
+func freeUDPAddr(t *testing.T) string {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	return pc.LocalAddr().String()
+}
+
+// TestSessionClusterRunsWholeStudy: two sessions in one process, each
+// joined WithCluster over UDP loopback, run a three-experiment study
+// through Run. The peer owning h1 coordinates and returns every record;
+// the other serves and returns Served; the coordinator's journal reads
+// complete.
+func TestSessionClusterRunsWholeStudy(t *testing.T) {
+	dir := t.TempDir()
+	peers := map[string]string{"alpha": freeUDPAddr(t), "beta": freeUDPAddr(t)}
+	owners := map[string]string{"h1": "alpha", "h2": "beta", "h3": "beta"}
+	open := func(name, dir string) *loki.Session {
+		s, err := loki.Open(sessionCancelCampaign(3, dir),
+			loki.WithCluster(loki.ClusterConfig{Kind: loki.TransportUDP, Name: name, Peers: peers, Owners: owners}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	coord, member := open("alpha", dir), open("beta", "")
+	for s, want := range map[*loki.Session]bool{coord: true, member: false} {
+		if got, err := s.ClusterCoordinator(); err != nil || got != want {
+			t.Fatalf("ClusterCoordinator() = %v, %v; want %v", got, err, want)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	type result struct {
+		res *loki.SessionResult
+		err error
+	}
+	served := make(chan result, 1)
+	go func() {
+		res, err := member.Run(ctx)
+		served <- result{res, err}
+	}()
+	res, err := coord.Run(ctx)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	if m := <-served; m.err != nil || m.res == nil || !m.res.Served {
+		t.Fatalf("member: result %+v, error %v; want Served", m.res, m.err)
+	}
+	if res.Served || res.Campaign == nil || len(res.Campaign.Study("s").Records) != 3 {
+		t.Fatalf("coordinator result %+v: want the study's 3 records", res)
+	}
+	st, err := coord.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if expected, complete, _ := st.Totals(); expected != 3 || complete != 3 {
+		t.Errorf("Status() reads %d/%d complete, want 3/3", complete, expected)
 	}
 }

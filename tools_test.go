@@ -1,6 +1,7 @@
 package loki_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -62,14 +63,11 @@ func buildLokirun(t *testing.T) string {
 	return bin
 }
 
-// TestOfflineToolsReproduceGlobal runs the §3.5 off-line tool chain over
-// what a one-experiment run writes: alphabeta over timestamps.txt, then
-// makeglobal over its bounds and the machines' *.timeline files. The
-// global timeline it writes must equal the in-process one byte for byte,
-// and its exit status must agree with the in-process verdict.
-func TestOfflineToolsReproduceGlobal(t *testing.T) {
-	lokirun := buildLokirun(t)
-
+// runToolChainDoc runs toolChainDoc's one experiment in process under
+// virtual time with its raw artifacts written to a new directory, and
+// returns the directory and the experiment.
+func runToolChainDoc(t *testing.T) (string, *loki.Experiment) {
+	t.Helper()
 	cfg, err := loki.ParseCampaignFile([]byte(toolChainDoc))
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +82,50 @@ func TestOfflineToolsReproduceGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return art, e
+}
+
+// TestLokirunRuntimeMatchesRunOne: "lokirun runtime" writes the raw
+// artifacts of toolChainDoc's experiment — one *.timeline file per
+// machine and timestamps.txt — byte for byte as an in-process RunOne of
+// the same file does.
+func TestLokirunRuntimeMatchesRunOne(t *testing.T) {
+	lokirun := buildLokirun(t)
+	want, e := runToolChainDoc(t)
+
+	work := t.TempDir()
+	file := filepath.Join(work, "campaign.json")
+	if err := os.WriteFile(file, []byte(toolChainDoc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := filepath.Join(work, "out")
+	if code, out := exitCode(t, lokirun, "runtime", "-config", file, "-virtual-time", "-out", got); code != 0 {
+		t.Fatalf("lokirun runtime: exit %d\n%s", code, out)
+	}
+	names := []string{"timestamps.txt"}
+	for _, l := range e.Locals {
+		names = append(names, l.Owner+".timeline")
+	}
+	for _, name := range names {
+		w, err1 := os.ReadFile(filepath.Join(want, name))
+		g, err2 := os.ReadFile(filepath.Join(got, name))
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s: lokirun runtime wrote %d bytes that differ from RunOne's %d", name, len(g), len(w))
+		}
+	}
+}
+
+// TestOfflineToolsReproduceGlobal runs the §3.5 off-line tool chain over
+// what a one-experiment run writes: alphabeta over timestamps.txt, then
+// makeglobal over its bounds and the machines' *.timeline files. The
+// global timeline it writes must equal the in-process one byte for byte,
+// and its exit status must agree with the in-process verdict.
+func TestOfflineToolsReproduceGlobal(t *testing.T) {
+	lokirun := buildLokirun(t)
+	art, e := runToolChainDoc(t)
 	rec := e.Record
 	if rec.Global == nil || !rec.Accepted || rec.Report == nil || len(rec.Report.Injections) == 0 {
 		t.Fatalf("want an accepted experiment with injections: accepted=%v error=%q", rec.Accepted, rec.AnalysisError)
@@ -359,8 +401,10 @@ func TestGetstampsRefusesBadFlags(t *testing.T) {
 	}
 }
 
-// TestLokirunDispatch: the first argument picks an off-line tool only when
-// it names one; anything else is lokirun's own campaign command line.
+// TestLokirunDispatch: the first argument picks an off-line tool or the
+// runtime subcommand only when it names one; anything else is lokirun's
+// own campaign command line. Both campaign commands refuse flag
+// combinations they cannot honour before anything runs.
 func TestLokirunDispatch(t *testing.T) {
 	lokirun := buildLokirun(t)
 	for _, tc := range []struct {
@@ -371,6 +415,10 @@ func TestLokirunDispatch(t *testing.T) {
 		{[]string{"alphabeta"}, 2, []string{"Usage of lokirun alphabeta", "-stamps"}},
 		{[]string{"-config", "examples/chaos/campaign.json", "-dry-run"}, 0, []string{": valid\nfingerprint "}},
 		{[]string{"bogus"}, 2, []string{"Usage of", "-config", "-dry-run", "Off-line tools: lokirun getstamps"}},
+		{[]string{"runtime", "-config", "examples/chaos/campaign.json", "-experiments", "2", "-out", "unwritten"}, 1, []string{"lokirun runtime: -experiments: the runtime phase runs exactly one experiment"}},
+		{[]string{"-config", "examples/chaos/campaign.json", "-trace"}, 1, []string{"lokirun: -trace requires -out"}},
+		{[]string{"-config", "examples/chaos/campaign.json", "-listen", "127.0.0.1:0"}, 1, []string{"-listen, -peers and -owners configure a cluster peer and need -name"}},
+		{[]string{"runtime", "-config", "examples/chaos/campaign.json"}, 2, []string{"lokirun runtime: -out is required", "Usage of lokirun runtime", "-name"}},
 	} {
 		code, out := exitCode(t, lokirun, tc.args...)
 		if code != tc.code {

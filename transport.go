@@ -5,7 +5,7 @@ import "repro/internal/transport"
 // Pluggable transport layer: the same studies run on the in-memory bus
 // (the fast default), over UDP datagrams, or over TCP streams with
 // length-prefixed framing — within one process (loopback clusters, one
-// runtime per host) or across real OS processes (cmd/lokid -listen).
+// runtime per host) or across real OS processes (lokirun -name -listen).
 type (
 	// Transport moves host-addressed frames between daemon endpoints.
 	Transport = transport.Transport

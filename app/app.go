@@ -10,14 +10,14 @@
 // required (lokilint's appimports analyzer enforces exactly that for
 // apps/ and examples/).
 //
-// A minimal application registers a builder at init time and becomes
-// addressable from any campaign.json "app" field:
+// A minimal application registers its specification and its constructor
+// at init time and becomes addressable from any campaign.json "app" field:
 //
 //	func init() {
 //		app.RegisterMessage(pingMsg{})
-//		app.MustRegister("pingpong", func(p app.Params) (*app.Instrumented, *app.StateMachine) {
-//			return app.New(func(h *app.Handle) { run(h, p) }), specFor(p.Nick, p.Peers)
-//		})
+//		app.MustRegister("pingpong", app.Application{Spec: specFor, New: func(p app.Params) *app.Instrumented {
+//			return app.New(func(h *app.Handle) { run(h, p) })
+//		}})
 //	}
 //
 // The handle contract is the §3.5.7 probe interface: report local events
@@ -101,10 +101,10 @@ func ParseSpec(doc string) (*StateMachine, error) { return spec.ParseStateMachin
 // parse error is a bug in the application, not bad input. It parses each
 // document text once: every later call with the same text returns the same
 // machine, which is therefore shared and must be treated as read-only.
-// A builder runs once for each node whenever a testbed opens (Study.NewApp)
-// and once more when config.Build reads the node's spec, so the memo keeps
-// those calls from re-parsing. ParseSpec, for user input, always returns a
-// fresh machine.
+// An Application's Spec runs once per node whenever config.Build describes
+// a study, and a matrix of many same-shaped studies asks for the same few
+// documents again and again, so the memo keeps those calls from
+// re-parsing. ParseSpec, for user input, always returns a fresh machine.
 func MustParseSpec(doc string) *StateMachine {
 	if m, ok := parsedSpecs.Load(doc); ok {
 		return m.(*StateMachine)

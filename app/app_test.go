@@ -13,8 +13,10 @@ import (
 	_ "repro/apps/replica"
 )
 
-func dummyBuilder(p app.Params) (*app.Instrumented, *app.StateMachine) {
-	sm := app.MustParseSpec(`
+// dummy is a minimal registrable application.
+var dummy = app.Application{
+	Spec: func(string, []string) *app.StateMachine {
+		return app.MustParseSpec(`
 global_state_list
   BEGIN
   RUN
@@ -29,23 +31,30 @@ state BEGIN
 
 state RUN
 `)
-	return app.New(func(h *app.Handle) {}), sm
+	},
+	New: func(app.Params) *app.Instrumented { return app.New(func(h *app.Handle) {}) },
 }
 
 func TestRegisterErrorPaths(t *testing.T) {
-	if err := app.Register("", dummyBuilder); err == nil {
+	if err := app.Register("", dummy); err == nil {
 		t.Error("Register with empty name succeeded, want error")
 	}
-	if err := app.Register("t-nil", nil); err == nil {
-		t.Error("Register with nil builder succeeded, want error")
+	for name, a := range map[string]app.Application{
+		"t-nil":      {},
+		"t-nil-spec": {New: dummy.New},
+		"t-nil-new":  {Spec: dummy.Spec},
+	} {
+		if err := app.Register(name, a); err == nil {
+			t.Errorf("Register(%q) with a nil half succeeded, want error", name)
+		}
+		if _, ok := app.Lookup(name); ok {
+			t.Errorf("Register(%q): a registration with a nil half landed in the registry", name)
+		}
 	}
-	if _, ok := app.Lookup("t-nil"); ok {
-		t.Error("nil-builder registration landed in the registry")
-	}
-	if err := app.Register("t-dup", dummyBuilder); err != nil {
+	if err := app.Register("t-dup", dummy); err != nil {
 		t.Fatalf("first Register: %v", err)
 	}
-	err := app.Register("t-dup", dummyBuilder)
+	err := app.Register("t-dup", dummy)
 	if err == nil {
 		t.Fatal("duplicate Register succeeded, want error")
 	}
@@ -61,18 +70,18 @@ func TestRegisterErrorPaths(t *testing.T) {
 }
 
 func TestMustRegisterPanicsOnDuplicate(t *testing.T) {
-	app.MustRegister("t-must", dummyBuilder)
+	app.MustRegister("t-must", dummy)
 	defer func() {
 		if recover() == nil {
 			t.Error("MustRegister on a duplicate did not panic")
 		}
 	}()
-	app.MustRegister("t-must", dummyBuilder)
+	app.MustRegister("t-must", dummy)
 }
 
 func TestNamesSortedAndComplete(t *testing.T) {
-	app.MustRegister("t-zz-names", dummyBuilder)
-	app.MustRegister("t-aa-names", dummyBuilder)
+	app.MustRegister("t-zz-names", dummy)
+	app.MustRegister("t-aa-names", dummy)
 	names := app.Names()
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("Names() not sorted: %v", names)
@@ -97,7 +106,7 @@ func TestRegisterConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = app.Register(fmt.Sprintf("t-conc-%d", i%16), dummyBuilder)
+			errs[i] = app.Register(fmt.Sprintf("t-conc-%d", i%16), dummy)
 			app.Names()
 			app.Lookup("t-conc-0")
 		}(i)

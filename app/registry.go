@@ -8,11 +8,11 @@ import (
 )
 
 // Params carries everything the campaign-file loader knows about one
-// machine when it builds an application instance: the machine's nickname,
-// the study's full membership, the configured run bound, and the seed for
-// this machine's randomness. The seed is already offset per machine (the
-// study seed plus a per-index stride), so distinct machines draw distinct
-// streams under one configured study seed.
+// machine when it builds an application instance (Application.New): the
+// machine's nickname, the study's full membership, the configured run
+// bound, and the seed for this machine's randomness. The seed is already
+// offset per machine (the study seed plus a per-index stride), so distinct
+// machines draw distinct streams under one configured study seed.
 type Params struct {
 	// Nick is this machine's state-machine nickname.
 	Nick string
@@ -26,53 +26,57 @@ type Params struct {
 	Seed int64
 }
 
-// Builder constructs one machine of an application under study: its
-// instrumented body and its state machine specification. The campaign-file
-// loader calls it once per node to describe a study, keeping only the
-// specification, which must not depend on Seed, and once per node of every
-// testbed it opens, keeping only the body, so testbeds share no instance.
-type Builder func(p Params) (*Instrumented, *StateMachine)
+// Application is one registered application under study in its two
+// halves. Spec is a machine's state machine specification (§3.5.3), a
+// function of its nickname and the membership only: the campaign-file
+// loader calls it once per node to describe a study. New builds a
+// machine's instrumented body (§3.5.7), once per node for each testbed
+// that runs the node, so testbeds share no instance.
+type Application struct {
+	Spec func(nick string, peers []string) *StateMachine
+	New  func(p Params) *Instrumented
+}
 
 var (
 	regMu    sync.RWMutex
-	registry = make(map[string]Builder)
+	registry = make(map[string]Application)
 )
 
 // Register adds an application to the registry under name, making it
 // addressable from any campaign.json "app" field. It errors on an empty
-// name, a nil builder, or a duplicate registration — an application name is
-// part of a campaign file's meaning and must resolve to exactly one
-// builder for the life of the process.
-func Register(name string, b Builder) error {
+// name, a nil Spec or New, or a duplicate registration — an application
+// name is part of a campaign file's meaning and must resolve to exactly
+// one application for the life of the process.
+func Register(name string, a Application) error {
 	if name == "" {
 		return fmt.Errorf("app: Register with empty name")
 	}
-	if b == nil {
-		return fmt.Errorf("app: Register(%q) with nil builder", name)
+	if a.Spec == nil || a.New == nil {
+		return fmt.Errorf("app: Register(%q) needs both Spec and New", name)
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		return fmt.Errorf("app: application %q already registered", name)
 	}
-	registry[name] = b
+	registry[name] = a
 	return nil
 }
 
 // MustRegister is Register for package init paths, where a registration
 // error is a programming bug.
-func MustRegister(name string, b Builder) {
-	if err := Register(name, b); err != nil {
+func MustRegister(name string, a Application) {
+	if err := Register(name, a); err != nil {
 		panic(err.Error())
 	}
 }
 
-// Lookup returns the builder registered under name.
-func Lookup(name string) (Builder, bool) {
+// Lookup returns the application registered under name.
+func Lookup(name string) (Application, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	b, ok := registry[name]
-	return b, ok
+	a, ok := registry[name]
+	return a, ok
 }
 
 // Names lists every registered application, sorted — the single source of

@@ -26,9 +26,11 @@ import (
 func init() {
 	// Bus messages must survive a socket transport's gob envelope.
 	app.RegisterMessage(voteMsg{}, heartbeatMsg{})
-	app.MustRegister("election", func(p app.Params) (*app.Instrumented, *app.StateMachine) {
-		in := New(Config{Peers: p.Peers, RunFor: p.RunFor, Seed: p.Seed})
-		return in, SpecFor(p.Nick, p.Peers)
+	app.MustRegister("election", app.Application{
+		Spec: SpecFor,
+		New: func(p app.Params) *app.Instrumented {
+			return New(Config{Peers: p.Peers, RunFor: p.RunFor, Seed: p.Seed})
+		},
 	})
 }
 

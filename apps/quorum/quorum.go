@@ -29,9 +29,9 @@ import (
 func init() {
 	// Bus messages must survive a socket transport's gob envelope.
 	app.RegisterMessage(announceMsg{}, commitMsg{}, finalMsg{}, abortMsg{})
-	app.MustRegister("quorum", func(p app.Params) (*app.Instrumented, *app.StateMachine) {
-		in := New(Config{Peers: p.Peers, RunFor: p.RunFor})
-		return in, SpecFor(p.Nick, p.Peers)
+	app.MustRegister("quorum", app.Application{
+		Spec: SpecFor,
+		New:  func(p app.Params) *app.Instrumented { return New(Config{Peers: p.Peers, RunFor: p.RunFor}) },
 	})
 }
 

@@ -24,9 +24,9 @@ import (
 func init() {
 	// Bus messages must survive a socket transport's gob envelope.
 	app.RegisterMessage(updateMsg{}, syncReqMsg{})
-	app.MustRegister("replica", func(p app.Params) (*app.Instrumented, *app.StateMachine) {
-		in := New(Config{Peers: p.Peers, RunFor: p.RunFor})
-		return in, SpecFor(p.Nick, p.Peers)
+	app.MustRegister("replica", app.Application{
+		Spec: SpecFor,
+		New:  func(p app.Params) *app.Instrumented { return New(Config{Peers: p.Peers, RunFor: p.RunFor}) },
 	})
 }
 

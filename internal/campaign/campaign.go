@@ -41,7 +41,8 @@ type Study struct {
 	Nodes []core.NodeDef
 	// NewApp builds node nick's application for one testbed of point p (a
 	// plain study's is Point{Seed: ChaosSeed}). Every testbed calls it once
-	// per node as it opens, possibly concurrently with other testbeds.
+	// per node it runs as it opens, possibly concurrently with others: a
+	// cluster member runs only the nodes placed on hosts it owns.
 	NewApp func(p Point, nick string) (core.App, error)
 	// Placement assigns auto-start nodes to hosts (the node file).
 	Placement []spec.NodeEntry

@@ -78,10 +78,12 @@ type Member struct {
 }
 
 // NewMember builds one endpoint's runtime for the study: the campaign
-// hosts owned by tr's topology get clocks here, every node is registered
-// with an application st.NewApp builds for this member (placement says
-// which ones run here), and a chaos engine attaches when the study
-// carries action faults.
+// hosts owned by tr's topology get clocks here, the nodes placement puts
+// on those hosts — the only ones this member runs — are registered with
+// an application st.NewApp builds for this member, and a chaos engine
+// attaches when the study carries action faults. Every other node is
+// known here only by its placement, which routes its traffic and forwards
+// its restarts to the member that owns its host.
 func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) {
 	topo := tr.Topology()
 	peers := topo.PeerNames()
@@ -121,9 +123,12 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		return nil, fmt.Errorf("campaign: cluster member %q: no hosts", m.peer)
 	}
 	m.ref = m.hosts[0]
-	if err := registerNodes(rt, c, st); err != nil {
+	if topo.Owner(m.ref) == "" {
+		// Nobody owns the reference host (a typo'd ownership table): no
+		// process would ever coordinate and the cluster would hang in
+		// Serve. Fail fast, locally, on every member.
 		rt.Shutdown()
-		return nil, err
+		return nil, fmt.Errorf("campaign: cluster member %q: no peer owns reference host %q", m.peer, m.ref)
 	}
 	placement := make(map[string]string, len(st.Placement))
 	for _, e := range st.Placement {
@@ -135,12 +140,9 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		}
 	}
 	rt.SetPlacement(placement)
-	if topo.Owner(m.ref) == "" {
-		// Nobody owns the reference host (a typo'd ownership table): no
-		// process would ever coordinate and the cluster would hang in
-		// Serve. Fail fast, locally, on every member.
+	if err := registerNodes(rt, c, st, func(nick string) bool { return topo.Owner(placement[nick]) == m.peer }); err != nil {
 		rt.Shutdown()
-		return nil, fmt.Errorf("campaign: cluster member %q: no peer owns reference host %q", m.peer, m.ref)
+		return nil, err
 	}
 	m.rt = rt
 	m.wake = rt.Clock().NewWaiter()

@@ -416,9 +416,10 @@ func TestChaosParallelDeterminism(t *testing.T) {
 
 // TestNewAppOncePerNodePerTestbed counts NewApp calls: a study at Workers
 // 2 opens two testbeds, each of which builds every node's application
-// once, so no two testbeds share an instance; a resume of a fully
-// journaled matrix opens no testbed and builds no application. Run under
-// -race in CI.
+// once, so no two testbeds share an instance; a study over a three-member
+// loopback cluster builds each node's application once, on the member
+// that runs it; a resume of a fully journaled matrix opens no testbed and
+// builds no application. Run under -race in CI.
 func TestNewAppOncePerNodePerTestbed(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[string]int{}
@@ -451,6 +452,17 @@ func TestNewAppOncePerNodePerTestbed(t *testing.T) {
 	}
 	if calls["alpha"] != 2 || calls["beta"] != 2 || calls["gamma"] != 2 || len(apps) != 6 {
 		t.Errorf("a study at two workers called NewApp %v for %d instances; want twice per node, 6 instances", calls, len(apps))
+	}
+	total()
+	clear(apps)
+
+	c = stepCampaign(t, 1, 1)
+	counted(c.Studies[0]).Transport = "udp"
+	if _, err := Run(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	if calls["alpha"] != 1 || calls["beta"] != 1 || calls["gamma"] != 1 || len(apps) != 3 {
+		t.Errorf("a study over three cluster members called NewApp %v for %d instances; want once per node, 3 instances", calls, len(apps))
 	}
 	total()
 

@@ -106,7 +106,7 @@ func newLocalTestbed(c *Campaign, st *Study) (*localTestbed, error) {
 	for _, h := range c.Hosts {
 		rt.AddHost(h.Name, h.Clock)
 	}
-	if err := registerNodes(rt, c, st); err != nil {
+	if err := registerNodes(rt, c, st, nil); err != nil {
 		rt.Shutdown()
 		return nil, err
 	}
@@ -117,15 +117,19 @@ func newLocalTestbed(c *Campaign, st *Study) (*localTestbed, error) {
 	return &localTestbed{c: c, st: st, rt: rt, cd: core.NewCentralDaemon(rt), hosts: hosts, ref: referenceHost(hosts)}, nil
 }
 
-// registerNodes registers the study's nodes on a testbed's runtime, each
+// registerNodes registers on a testbed's runtime the study's nodes that
+// testbed runs — those runs admits, every node when runs is nil — each
 // with an application NewApp builds for the campaign's matrix point (or
 // Point{Seed: ChaosSeed}), and attaches chaos when the study has actions.
-func registerNodes(rt *core.Runtime, c *Campaign, st *Study) error {
+func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick string) bool) error {
 	p := Point{Seed: st.ChaosSeed}
 	if c.point != nil {
 		p = *c.point
 	}
 	for _, def := range st.Nodes {
+		if runs != nil && !runs(def.Nickname) {
+			continue
+		}
 		app, err := st.NewApp(p, def.Nickname)
 		if err != nil {
 			return fmt.Errorf("campaign: node %q: %w", def.Nickname, err)

@@ -32,10 +32,6 @@ func appName(name string) string {
 	return name
 }
 
-// appNames lists the registered applications, sorted for stable errors —
-// derived from the registry, so user registrations show up in diagnostics.
-func appNames() []string { return app.Names() }
-
 // Build translates a campaign file into the engine types: the campaign
 // itself and, when the file declares one, the scenario matrix. It checks
 // only what the file alone can show (checkFile) and parses each fault line
@@ -170,12 +166,14 @@ func HostsFor(nodes []spec.NodeEntry, seed int64) []campaign.HostDef {
 }
 
 // buildStudy describes one study (or matrix template) with its parsed
-// fault lines: state machines, fault entries, placement, and a NewApp
-// that builds the registered application (checkFile) for a point with
-// crash probes for faults without a built-in action call — the study's
-// own and the point's scenario's, whose specs the matrix engine appends
-// (Scenario.ApplyTo) but whose probes it knows nothing about. The schema
-// promises action-less fault lines crash wherever they appear.
+// fault lines: state machines (the registered application's Spec, checked
+// by checkFile), fault entries, placement, and a NewApp that builds the
+// application's body (its New) for a point with crash probes for faults
+// without a built-in action call — the study's own and the point's
+// scenario's, whose specs the matrix engine appends (Scenario.ApplyTo)
+// but whose probes it knows nothing about. The schema promises action-less
+// fault lines crash wherever they appear. Describing a study builds no
+// application; only a testbed that runs a node calls NewApp for it.
 func buildStudy(c *Campaign, s *Study, faults []campaign.ScenarioFault) *campaign.Study {
 	peers := make([]string, len(s.Nodes))
 	placement := make([]spec.NodeEntry, len(s.Nodes))
@@ -191,21 +189,13 @@ func buildStudy(c *Campaign, s *Study, faults []campaign.ScenarioFault) *campaig
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	build, _ := app.Lookup(appName(s.App))
+	a, _ := app.Lookup(appName(s.App))
 	dormancy := s.Dormancy.Std()
 	seed := studySeed(c, s)
-	// The per-machine seed stride predates the registry; it is part of the
-	// journal-fingerprint contract (parity-tested), so it stays.
-	params := func(i int, seed int64) app.Params {
-		return app.Params{Nick: peers[i], Peers: peers, RunFor: runFor, Seed: seed + int64(i)*17}
-	}
 
 	defs := make([]core.NodeDef, len(peers))
 	for i, nick := range peers {
-		// A builder's specification does not depend on the seed
-		// (app.Builder), so the study's own describes every point.
-		_, sm := build(params(i, seed))
-		defs[i] = core.NodeDef{Nickname: nick, Spec: sm}
+		defs[i] = core.NodeDef{Nickname: nick, Spec: a.Spec(nick, peers)}
 	}
 	for _, f := range faults { // each names a node (parseFaults)
 		i := slices.Index(peers, f.Machine)
@@ -226,7 +216,9 @@ func buildStudy(c *Campaign, s *Study, faults []campaign.ScenarioFault) *campaig
 			if i < 0 {
 				return nil, fmt.Errorf("config: no machine %q", nick)
 			}
-			in, _ := build(params(i, p.Seed))
+			// The per-machine seed stride predates the registry; the golden
+			// parity journals depend on it (parity-tested), so it stays.
+			in := a.New(app.Params{Nick: nick, Peers: peers, RunFor: runFor, Seed: p.Seed + int64(i)*17})
 			registerCrashProbes(p.Scenario.Faults, nick, in, dormancy, p.Seed)
 			registerCrashProbes(faults, nick, in, dormancy, p.Seed)
 			return in, nil

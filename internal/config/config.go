@@ -149,8 +149,9 @@ type Study struct {
 	Name string `json:"name"`
 	// App names a registered application ("" means election). The zoo
 	// built-ins — election, replica, quorum — are always registered; user
-	// applications become addressable by registering a builder with the
-	// public repro/app registry and linking their package into the driver.
+	// applications become addressable by registering an app.Application
+	// with the public repro/app registry and linking their package into
+	// the driver.
 	App string `json:"app,omitempty"`
 	// Nodes is the node file: every machine, with hosts for auto-started
 	// ones.

@@ -383,8 +383,8 @@ func TestBuildMaterializesStudies(t *testing.T) {
 	}
 }
 
-// seedLog records the seed of every application the "seedprobe" builder
-// builds.
+// seedLog records the seed of every application the "seedprobe"
+// application's New builds.
 var seedLog struct {
 	sync.Mutex
 	seeds []int64
@@ -392,18 +392,21 @@ var seedLog struct {
 
 func init() {
 	election, _ := app.Lookup("election")
-	app.MustRegister("seedprobe", func(p app.Params) (*app.Instrumented, *app.StateMachine) {
-		seedLog.Lock()
-		seedLog.seeds = append(seedLog.seeds, p.Seed)
-		seedLog.Unlock()
-		return election(p)
+	app.MustRegister("seedprobe", app.Application{
+		Spec: election.Spec,
+		New: func(p app.Params) *app.Instrumented {
+			seedLog.Lock()
+			seedLog.seeds = append(seedLog.seeds, p.Seed)
+			seedLog.Unlock()
+			return election.New(p)
+		},
 	})
 }
 
-// TestBuildMatrixUsesPointSeed: a matrix template's NewApp builds the
-// registered application with the point's seed plus the per-machine
-// stride, whatever the template's own seed, and knows only the template's
-// machines.
+// TestBuildMatrixUsesPointSeed: describing a matrix builds no application,
+// and the template's NewApp builds the registered application with the
+// point's seed plus the per-machine stride, whatever the template's own
+// seed, and knows only the template's machines.
 func TestBuildMatrixUsesPointSeed(t *testing.T) {
 	st := Study{
 		Name: "", App: "seedprobe", Experiments: 1, Seed: 40,
@@ -413,9 +416,18 @@ func TestBuildMatrixUsesPointSeed(t *testing.T) {
 		Name:   "bm",
 		Matrix: &Matrix{Name: "m", Seeds: []int64{1, 2}, Study: &st},
 	}
+	seedLog.Lock()
+	seedLog.seeds = nil
+	seedLog.Unlock()
 	cc, m, err := Build(c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	seedLog.Lock()
+	built := len(seedLog.seeds)
+	seedLog.Unlock()
+	if built != 0 {
+		t.Errorf("Build called the application's New %d times, want 0", built)
 	}
 	if m == nil || m.Study == nil || m.Study.NewApp == nil {
 		t.Fatal("matrix not built")

@@ -121,7 +121,7 @@ func studyWhat(s *Study) string {
 func checkStudy(s *Study, hostNames map[string]bool) error {
 	what := studyWhat(s)
 	if _, ok := app.Lookup(appName(s.App)); !ok {
-		return fmt.Errorf("config: %s: unknown app %q (want %s)", what, s.App, strings.Join(appNames(), " or "))
+		return fmt.Errorf("config: %s: unknown app %q (want %s)", what, s.App, strings.Join(app.Names(), " or "))
 	}
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("config: %s: no nodes", what)

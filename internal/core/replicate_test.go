@@ -97,14 +97,14 @@ func newEndpointPair(t testing.TB) *endpointPair {
 	}
 	p := &endpointPair{tapA: &tap{Transport: eps["A"]}, logA: &logSink{}, logB: &logSink{}}
 	sm := busSpec(t)
-	build := func(tr transport.Transport, log *logSink, host string) *Runtime {
+	// Each endpoint registers only the node placed on its own host, as a
+	// cluster member does.
+	build := func(tr transport.Transport, log *logSink, host, nick string) *Runtime {
 		rt := New(Config{Transport: tr, Logf: log.logf})
 		t.Cleanup(func() { rt.Shutdown(); tr.Close() })
 		rt.AddHost(host, vclock.ClockConfig{})
-		for _, nick := range []string{"a", "b"} {
-			if err := rt.Register(NodeDef{Nickname: nick, Spec: sm, App: waitingApp{}}); err != nil {
-				t.Fatal(err)
-			}
+		if err := rt.Register(NodeDef{Nickname: nick, Spec: sm, App: waitingApp{}}); err != nil {
+			t.Fatal(err)
 		}
 		rt.SetPlacement(map[string]string{"a": "h1", "b": "h2"})
 		if err := rt.StartTransport(); err != nil {
@@ -112,7 +112,7 @@ func newEndpointPair(t testing.TB) *endpointPair {
 		}
 		return rt
 	}
-	p.a, p.b = build(p.tapA, p.logA, "h1"), build(eps["B"], p.logB, "h2")
+	p.a, p.b = build(p.tapA, p.logA, "h1", "a"), build(eps["B"], p.logB, "h2", "b")
 	na, err := p.a.StartNode("a", "h1")
 	if err != nil {
 		t.Fatal(err)
@@ -240,6 +240,9 @@ func TestReplicatedOpsReachPeerEndpoint(t *testing.T) {
 			}
 			if live := p.b.appendLiveNodes(nil); len(live) != 1 || live[0] != "b" {
 				t.Fatalf("after startnode on A: B live=%v", live)
+			}
+			if _, err := p.a.StartNode("b", "h1"); err == nil || !strings.Contains(err.Error(), "unknown node") {
+				t.Fatalf("StartNode of a node A does not register, on A's own host: %v, want unknown node", err)
 			}
 		}},
 		{"unknown host is not forwarded", func(t *testing.T, p *endpointPair) {

@@ -148,8 +148,8 @@ type hostState struct {
 // NodeDef is one state machine as Register takes it: the state machine
 // specification, the fault specification (§5.6's study file contents) and
 // the instrumented application the runtime drives. A campaign study
-// describes its nodes without App and builds each testbed's applications
-// itself (campaign.Study.NewApp).
+// describes its nodes without App, and each testbed builds the
+// applications of the nodes it runs (campaign.Study.NewApp).
 type NodeDef struct {
 	Nickname string
 	Spec     *spec.StateMachine
@@ -266,13 +266,10 @@ func (r *Runtime) Store() *timeline.Store { return r.store }
 // StartNode starts (or restarts) the named node on the named host. A node
 // whose nickname already has a stored timeline is a restart (§3.6.3); its
 // Handle reports Restarted and its recorder appends to the old timeline.
+// A start on another endpoint's host is forwarded there, so the node need
+// only be registered where its host lives.
 func (r *Runtime) StartNode(nickname, host string) (*Node, error) {
 	r.mu.Lock()
-	reg, ok := r.defs[nickname]
-	if !ok {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("core: unknown node %q (not registered)", nickname)
-	}
 	hs, ok := r.hosts[host]
 	if !ok {
 		r.mu.Unlock()
@@ -280,6 +277,11 @@ func (r *Runtime) StartNode(nickname, host string) (*Node, error) {
 		// restarts reach here). The start is asynchronous and yields no
 		// local handle.
 		return nil, r.forwardChaos(chaosOp{Op: "startnode", Nick: nickname, A: host})
+	}
+	reg, ok := r.defs[nickname]
+	if !ok {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("core: unknown node %q (not registered)", nickname)
 	}
 	if hs.down {
 		r.mu.Unlock()

@@ -306,7 +306,7 @@ func Open(spec any, opts ...Option) (*Session, error) {
 	if s.m != nil && len(s.c.Studies) > 0 {
 		return nil, fmt.Errorf("loki: campaign has both studies and a matrix; open two sessions")
 	}
-	check := s.effectiveCampaign()
+	kind := s.transport
 	if s.cluster != nil {
 		if s.m != nil {
 			return nil, fmt.Errorf("loki: cluster mode runs a single study, not a matrix")
@@ -314,12 +314,34 @@ func Open(spec any, opts ...Option) (*Session, error) {
 		if len(s.c.Studies) != 1 {
 			return nil, fmt.Errorf("loki: cluster mode needs exactly one study, have %d", len(s.c.Studies))
 		}
-		check = withTransport(s.c, s.cluster.kind())
+		kind = s.cluster.kind()
 	}
-	if err := campaign.Validate(check, s.effectiveMatrix()); err != nil {
+	s.setTransport(kind)
+	if err := campaign.Validate(s.c, s.m); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// setTransport puts every study of the session, and the matrix template,
+// over the named transport — on copies, never on the caller's studies or
+// matrix — or leaves them as specified for "". Open calls it once, so
+// validating, running, journaling and Status all see one campaign.
+func (s *Session) setTransport(kind string) {
+	if kind == "" {
+		return
+	}
+	for i, st := range s.c.Studies {
+		stc := *st
+		stc.Transport = kind
+		s.c.Studies[i] = &stc
+	}
+	if s.m != nil && s.m.Study != nil {
+		mc, st := *s.m, *s.m.Study
+		st.Transport = kind
+		mc.Study = &st
+		s.m = &mc
+	}
 }
 
 // openFile translates a campaign file into the session's campaign and
@@ -387,38 +409,6 @@ func (s *Session) runnable() error {
 	return nil
 }
 
-// effectiveCampaign returns the campaign with the session's transport
-// override applied.
-func (s *Session) effectiveCampaign() *Campaign { return withTransport(s.c, s.transport) }
-
-// withTransport returns c with every study over the named transport — on
-// copies, never on the opened studies — or c itself for "".
-func withTransport(c *Campaign, kind string) *Campaign {
-	if kind == "" {
-		return c
-	}
-	cc := *c
-	cc.Studies = make([]*Study, len(c.Studies))
-	for i, st := range c.Studies {
-		stc := *st
-		stc.Transport = kind
-		cc.Studies[i] = &stc
-	}
-	return &cc
-}
-
-// effectiveMatrix returns the matrix with the session's transport
-// override applied to a copy of its template.
-func (s *Session) effectiveMatrix() *Matrix {
-	if s.m == nil || s.transport == "" || s.m.Study == nil {
-		return s.m
-	}
-	mc, st := *s.m, *s.m.Study
-	st.Transport = s.transport
-	mc.Study = &st
-	return &mc
-}
-
 // Run executes the session end to end — every experiment of every study
 // or matrix point, runtime phase through analysis phase — and, with
 // WithArtifacts, writes the per-experiment artifacts. Cancelling ctx
@@ -442,14 +432,14 @@ func (s *Session) Run(ctx context.Context) (*SessionResult, error) {
 			return &SessionResult{Served: true}, nil
 		}
 		res.Campaign = out
-	} else if m := s.effectiveMatrix(); m != nil {
-		out, err := campaign.RunMatrix(ctx, s.effectiveCampaign(), m)
+	} else if s.m != nil {
+		out, err := campaign.RunMatrix(ctx, s.c, s.m)
 		if err != nil {
 			return nil, err
 		}
 		res.Matrix = out
 	} else {
-		out, err := campaign.Run(ctx, s.effectiveCampaign())
+		out, err := campaign.Run(ctx, s.c)
 		if err != nil {
 			return nil, err
 		}
@@ -474,7 +464,7 @@ func (s *Session) RunOne(ctx context.Context) (*Experiment, error) {
 	if s.cluster != nil {
 		out, err = s.runClustered(ctx, true)
 	} else {
-		out, err = campaign.RunSingle(ctx, s.effectiveCampaign())
+		out, err = campaign.RunSingle(ctx, s.c)
 	}
 	if err != nil {
 		return nil, err
@@ -665,8 +655,7 @@ func (s *Session) Status() (*SessionStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	ec := s.effectiveCampaign()
-	configured, err := campaign.Namespaces(ec, s.effectiveMatrix())
+	configured, err := campaign.Namespaces(s.c, s.m)
 	if err != nil {
 		return nil, err
 	}
@@ -682,7 +671,7 @@ func (s *Session) Status() (*SessionStatus, error) {
 		// The header covers campaign-level configuration only; the study
 		// fingerprints Resume enforces (transport, faults, experiment
 		// count, ...) are compared below, so a match means Resume accepts.
-		FingerprintMatch: sum.Fingerprint == campaign.ConfigFingerprint(ec),
+		FingerprintMatch: sum.Fingerprint == campaign.ConfigFingerprint(s.c),
 		Appending:        sum.Appending,
 		Torn:             sum.Torn,
 	}

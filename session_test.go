@@ -702,3 +702,90 @@ func TestSessionClusterRunsWholeStudy(t *testing.T) {
 		t.Errorf("Status() reads %d/%d complete, want 3/3", complete, expected)
 	}
 }
+
+// TestClusteredJournalNamesItsTransport: a journal two WithCluster sessions
+// write over UDP carries the UDP study's fingerprint. An in-process
+// session over the same directory reads it as another configuration and
+// refuses to resume it; an in-process session over UDP reads it as its
+// own; two clustered sessions resume it with nothing re-run.
+func TestClusteredJournalNamesItsTransport(t *testing.T) {
+	dir := t.TempDir()
+	owners := map[string]string{"h1": "alpha", "h2": "beta", "h3": "beta"}
+	var executed atomic.Int64
+	cluster := func(resume bool) {
+		t.Helper()
+		peers := map[string]string{"alpha": freeUDPAddr(t), "beta": freeUDPAddr(t)}
+		open := func(name, dir string) *loki.Session {
+			s, err := loki.Open(sessionCancelCampaign(3, dir),
+				loki.WithCluster(loki.ClusterConfig{Kind: loki.TransportUDP, Name: name, Peers: peers, Owners: owners}),
+				loki.WithObserver(func(ev loki.ProgressEvent) {
+					if ev.Kind == loki.EventExperiment {
+						executed.Add(1)
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}
+		coord, member := open("alpha", dir), open("beta", "")
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		served := make(chan error, 1)
+		go func() {
+			_, err := member.Run(ctx)
+			served <- err
+		}()
+		run := coord.Run
+		if resume {
+			run = coord.Resume
+		}
+		res, err := run(ctx)
+		if err != nil {
+			t.Fatalf("coordinator: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("member: %v", err)
+		}
+		if res.Campaign == nil || len(res.Campaign.Study("s").Records) != 3 {
+			t.Fatalf("coordinator result %+v: want the study's 3 records", res)
+		}
+	}
+	cluster(false)
+	if n := executed.Load(); n != 3 {
+		t.Fatalf("the clustered run executed %d experiments, want 3", n)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		opts  []loki.Option
+		match bool
+	}{
+		{"in-process", nil, false},
+		{"in-process over udp", []loki.Option{loki.WithTransport(loki.TransportUDP)}, true},
+	} {
+		s, err := loki.Open(sessionCancelCampaign(3, dir), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		st, err := s.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FingerprintMatch != tc.match {
+			t.Errorf("%s: Status().FingerprintMatch = %v, want %v", tc.name, st.FingerprintMatch, tc.match)
+		}
+		if !tc.match {
+			if _, err := s.Resume(context.Background()); err == nil || !strings.Contains(err.Error(), "different study configuration") {
+				t.Errorf("%s: Resume of the clustered journal: %v, want a fingerprint refusal", tc.name, err)
+			}
+		}
+	}
+
+	cluster(true)
+	if n := executed.Load(); n != 3 {
+		t.Errorf("the clustered resume re-ran %d experiments, want 0", n-3)
+	}
+}

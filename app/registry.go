@@ -30,8 +30,9 @@ type Params struct {
 // halves. Spec is a machine's state machine specification (§3.5.3), a
 // function of its nickname and the membership only: the campaign-file
 // loader calls it once per node to describe a study. New builds a
-// machine's instrumented body (§3.5.7), once per node for each testbed
-// that runs the node, so testbeds share no instance.
+// machine's instrumented body (§3.5.7), once per node per study or point
+// that a testbed runs, so no two testbeds, and no two studies or points,
+// share an instance.
 type Application struct {
 	Spec func(nick string, peers []string) *StateMachine
 	New  func(p Params) *Instrumented

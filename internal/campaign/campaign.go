@@ -34,15 +34,16 @@ type HostDef struct {
 // Study is one study of a campaign (§2.2.3): a set of node definitions
 // with their fault specifications, a node file for placement, and an
 // experiment count. It is a description: its nodes carry no application,
-// and each testbed that runs it builds its own with NewApp.
+// and a testbed builds its own with NewApp each time it runs the study.
 type Study struct {
 	Name string
 	// Nodes defines every state machine that can run (§3.8), without App.
 	Nodes []core.NodeDef
-	// NewApp builds node nick's application for one testbed of point p (a
-	// plain study's is Point{Seed: ChaosSeed}). Every testbed calls it once
-	// per node it runs as it opens, possibly concurrently with others: a
-	// cluster member runs only the nodes placed on hosts it owns.
+	// NewApp builds node nick's application for point p (a plain study's is
+	// Point{Seed: ChaosSeed}): once per node per study or point that a
+	// testbed runs, as the testbed is bound to it, possibly concurrently
+	// with other testbeds. A cluster member runs only the nodes placed on
+	// hosts it owns.
 	NewApp func(p Point, nick string) (core.App, error)
 	// Placement assigns auto-start nodes to hosts (the node file).
 	Placement []spec.NodeEntry
@@ -78,9 +79,13 @@ type Campaign struct {
 	// Each worker owns its own core.Runtime and virtual-host set, so
 	// experiments never share mutable runtime state; results land at their
 	// experiment index regardless of completion order. Zero defaults to
-	// GOMAXPROCS. Under VirtualTime only Workers 1 journals repeat byte for
-	// byte: a worker's virtual clock keeps running across its experiments,
-	// so a record depends on which worker ran it and what it ran before.
+	// GOMAXPROCS. Under VirtualTime a matrix whose points each get one
+	// worker (Workers at most the number of points) journals byte for byte
+	// the same at any such count, since each point runs on one testbed
+	// rewound to a fresh one's state (TestReusedTestbedMatchesFresh). A
+	// study, or a point given several workers, does so only at Workers 1:
+	// a worker's virtual clock keeps running across its experiments, so a
+	// record depends on which worker ran it and what it ran before.
 	Workers int
 	// Runtime tunes the core runtime (delays, watchdog). If Runtime.Source
 	// is nil, each worker's host clocks read that worker's runtime clock,
@@ -114,7 +119,7 @@ type Campaign struct {
 
 	// point, set on the per-point campaigns the matrix engine derives,
 	// names traces and progress events even when the study has its own
-	// Name, and is what its testbeds build their applications for.
+	// Name, and is what testbeds running it build their applications for.
 	point *Point
 	// single, set on the campaign RunSingle derives, runs one experiment
 	// per study and keeps its raw artifacts in the record.
@@ -317,8 +322,9 @@ func checkStudy(c *Campaign, st *Study) error {
 	if c.VirtualTime && clustered(st) {
 		return fmt.Errorf("virtual time requires the inproc transport, not %q", st.Transport)
 	}
-	// A study is a description every testbed builds its own applications
-	// from; an instance in it would be shared by all of them.
+	// A study is a description a testbed builds its own applications from
+	// each time it runs it; an instance in it would be shared by all of
+	// them.
 	if st.NewApp == nil {
 		return fmt.Errorf("no NewApp to build its applications")
 	}
@@ -379,12 +385,14 @@ func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 		return nil, err
 	}
 	defer closeJournal(j, &err)
+	pl := newPool(c)
+	defer pl.close()
 	res := &Result{Name: c.Name}
 	for _, st := range c.Studies {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sr, err := runStudyOn(ctx, c, st, j.study("", st, st.Name))
+		sr, err := runStudyOn(ctx, c, st, j.study("", st, st.Name), pl)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: study %q: %w", st.Name, err)
 		}
@@ -401,14 +409,15 @@ func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 // in sequence.
 func clustered(st *Study) bool { return st.Transport != "" && st.Transport != "inproc" }
 
-// runStudyOn dispatches a study to the testbed its Transport selects.
-// RunMatrix routes its points through here too, so a requested transport
-// is never silently downgraded.
-func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal) (*StudyResult, error) {
+// runStudyOn dispatches a study to the testbed its Transport selects: a
+// cluster, or in-process testbeds from the call's pool pl. RunMatrix
+// routes its points through here too, so a requested transport is never
+// silently downgraded.
+func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal, pl *pool) (*StudyResult, error) {
 	if clustered(st) {
 		return runClustered(ctx, c, st, st.Transport, sj)
 	}
-	return runStudy(ctx, c, st, sj, "", poolWidth(c), openLocal(c, st))
+	return runStudy(ctx, c, st, sj, "", poolWidth(c), pl.open(c, st), pl)
 }
 
 // single derives the campaign RunSingle runs: the first study only, one

@@ -310,6 +310,7 @@ func readJournal[E *ExperimentRecord | RecordSummary](r io.Reader, path string, 
 		lines [][]byte
 		nth   int                                           // lines walked
 		ds    = make([]*lineDecoder, runtime.GOMAXPROCS(0)) // one per decoding goroutine, reused batch to batch
+		batch []decodedLine[E]                              // the batch's lines decoded, reused batch to batch
 	)
 	for i := range ds {
 		ds[i] = new(lineDecoder) // each its own allocation: no two share a cache line
@@ -343,19 +344,19 @@ func readJournal[E *ExperimentRecord | RecordSummary](r io.Reader, path string, 
 			i := bytes.IndexByte(rest, '\n') + 1
 			lines, rest = append(lines, rest[:i]), rest[i:]
 		}
-		recs, tags := decodeBatch[E](lines, ds)
+		batch = decodeBatch(lines, ds, batch)
 		for i, raw := range lines {
 			nth++
-			switch {
+			switch l := &batch[i]; {
 			case scan.offset == 0: // the first line
-				h, err := readHeader(raw, tags[i], path)
+				h, err := readHeader(raw, l.tag, path)
 				if err != nil {
 					return scan, err
 				}
 				scan.header = h
-			case recs[i] != nil:
-				onRecord(recs[i])
-			case tags[i] == recordTag:
+			case l.ok:
+				onRecord(&l.rec)
+			case l.tag == recordTag:
 				return scan, fmt.Errorf("campaign: checkpoint: %s line %d: the record line verifies but does not decode", path, nth)
 			default: // a line that does not verify, or a second header
 				scan.tail = tailGarbled
@@ -390,13 +391,22 @@ func readHeader(line []byte, tag, path string) (journalHeader, error) {
 	return *l.Journal, nil
 }
 
-// decodeBatch verifies lines and decodes their records over up to one
-// goroutine per decoder in ds — the caller's among them — that claim lines
-// one at a time, each with its own decoder and so its own scratch. A line's
-// tag is its frame's, or "" when it does not verify; its record is nil
-// unless it is a record line that decodes.
-func decodeBatch[E *ExperimentRecord | RecordSummary](lines [][]byte, ds []*lineDecoder) (recs []*journalRecord[E], tags []string) {
-	recs, tags = make([]*journalRecord[E], len(lines)), make([]string, len(lines))
+// decodedLine is one line of a batch as decodeBatch reads it: the tag of
+// its frame, or "" when it does not verify, and, when ok, the record of a
+// record line that decodes.
+type decodedLine[E any] struct {
+	tag string
+	rec journalRecord[E]
+	ok  bool
+}
+
+// decodeBatch verifies lines and decodes their records into out, whose
+// array it reuses, over up to one goroutine per decoder in ds — the
+// caller's among them — that claim lines one at a time, each with its own
+// decoder and so its own scratch. The records are read in place: a caller
+// that keeps one copies it out.
+func decodeBatch[E *ExperimentRecord | RecordSummary](lines [][]byte, ds []*lineDecoder, out []decodedLine[E]) []decodedLine[E] {
+	out = slices.Grow(out[:0], len(lines))[:len(lines)]
 	var next atomic.Int64
 	work := func(d *lineDecoder) {
 		for {
@@ -404,9 +414,11 @@ func decodeBatch[E *ExperimentRecord | RecordSummary](lines [][]byte, ds []*line
 			if i >= len(lines) {
 				return
 			}
+			l := &out[i]
+			*l = decodedLine[E]{}
 			var body []byte
-			if body, tags[i] = unframe(lines[i]); tags[i] == recordTag {
-				recs[i] = decode[E](d, body)
+			if body, l.tag = unframe(lines[i]); l.tag == recordTag {
+				l.ok = decode(d, body, &l.rec)
 			}
 		}
 	}
@@ -420,7 +432,7 @@ func decodeBatch[E *ExperimentRecord | RecordSummary](lines [][]byte, ds []*line
 	}
 	work(ds[0])
 	wg.Wait()
-	return recs, tags
+	return out
 }
 
 // load replays the journal for a resume: the header must carry this

@@ -21,6 +21,15 @@ func (m *Member) reference() string      { return m.ref }
 // recycle keeps nothing: most of a cluster's timelines are decoded frames.
 func (m *Member) recycle([]*timeline.Local) {}
 
+// spent is the coordinator's one study's: one runtime worker, and at most
+// two raws queued behind it.
+func (m *Member) spent() chan *rawExperiment {
+	if m.raws == nil {
+		m.raws = make(chan *rawExperiment, 3)
+	}
+	return m.raws
+}
+
 // reset is the reset barrier: every member on a fresh testbed and the new
 // epoch before any traffic flows. The reset frame carries the trace
 // context: the point name members label their lanes with and whether a
@@ -174,7 +183,7 @@ func (m *Member) RunStudy(ctx context.Context, one bool) (_ *Result, err error) 
 		return nil, err
 	}
 	defer closeJournal(j, &err)
-	sr, err := runStudy(ctx, c, m.st, m.sj, m.peer, 1, func() (testbed, func(), error) { return m, func() {}, nil })
+	sr, err := runStudy(ctx, c, m.st, m.sj, m.peer, 1, func() (testbed, func(error), error) { return m, func(error) {}, nil }, nil)
 	if err == nil {
 		n := experimentCount(c, m.st)
 		if !m.barriered {

@@ -59,6 +59,8 @@ type Member struct {
 	// hand one down; a stand-alone coordinator (lokirun -name) opens its own
 	// from the campaign's Checkpoint in RunStudy.
 	sj *studyJournal
+	// raws is the coordinator's spent scratch (spent).
+	raws chan *rawExperiment
 
 	// The mailbox every protocol wait blocks in (recv): up to 256 frames
 	// hook queued, oldest first, and whether Quit was called. hook and

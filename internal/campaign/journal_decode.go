@@ -61,37 +61,31 @@ var experimentKeys = [...]struct {
 	{`"Stamps":`, false},
 }
 
-// decode reads a verified record body in shape E — whole for a resume, or
-// its verdict fields — or returns nil.
-func decode[E *ExperimentRecord | RecordSummary](d *lineDecoder, body []byte) *journalRecord[E] {
-	if _, whole := any((*E)(nil)).(**ExperimentRecord); whole {
-		return any(d.resume(body)).(*journalRecord[E])
+// decode reads a verified record body into r in shape E — whole for a
+// resume, or its verdict fields — and reports whether it decodes.
+func decode[E *ExperimentRecord | RecordSummary](d *lineDecoder, body []byte, r *journalRecord[E]) bool {
+	if whole, ok := any(r).(*journalRecord[*ExperimentRecord]); ok {
+		return d.resume(body, whole)
 	}
-	return any(d.summary(body)).(*journalRecord[E])
+	return d.summary(body, any(r).(*journalRecord[RecordSummary]))
 }
 
-// resume decodes a record body whole, as a resume keeps it, or returns nil.
-func (d *lineDecoder) resume(body []byte) *journalRecord[*ExperimentRecord] {
-	r := new(struct { // the record and its ExperimentRecord: one allocation
-		journalRecord[*ExperimentRecord]
-		exp ExperimentRecord
-	})
-	r.Experiment = &r.exp
-	if !d.record(body, &r.Point, &r.Index, &r.Fingerprint, r.Experiment, true) {
-		return nil
-	}
-	return &r.journalRecord
+// resume decodes a record body whole into r, as a resume keeps it: its
+// ExperimentRecord is the one allocation.
+func (d *lineDecoder) resume(body []byte, r *journalRecord[*ExperimentRecord]) bool {
+	r.Experiment = new(ExperimentRecord)
+	return d.record(body, &r.Point, &r.Index, &r.Fingerprint, r.Experiment, true)
 }
 
-// summary decodes a record body's key and verdict fields, or returns nil.
-func (d *lineDecoder) summary(body []byte) *journalRecord[RecordSummary] {
+// summary decodes a record body's key and verdict fields into r, with no
+// allocation of its own.
+func (d *lineDecoder) summary(body []byte, r *journalRecord[RecordSummary]) bool {
 	var rec ExperimentRecord
-	r := new(journalRecord[RecordSummary])
 	if !d.record(body, &r.Point, &r.Index, &r.Fingerprint, &rec, false) {
-		return nil
+		return false
 	}
 	r.Experiment = Summarize("", &rec)
-	return r
+	return true
 }
 
 // record reads a whole record body. With full unset only experimentKeys'

@@ -118,7 +118,7 @@ func TestRecordWireBytesPinned(t *testing.T) {
 		}
 
 		var d lineDecoder
-		r := d.resume(bodyOf(t, tc.want))
+		r := resumed(&d, bodyOf(t, tc.want))
 		if r == nil {
 			t.Fatalf("%s: the strict decoder refuses the pinned line", tc.name)
 		}
@@ -131,7 +131,7 @@ func TestRecordWireBytesPinned(t *testing.T) {
 				tc.name, len(back.Locals), len(back.Stamps), len(tc.rec.Locals), len(tc.rec.Stamps))
 		}
 
-		verdict := d.summary(bodyOf(t, tc.want))
+		verdict := summarized(&d, bodyOf(t, tc.want))
 		want := RecordSummary{Index: tc.rec.Index, Verdict: tc.verdict, ClockStepSuspected: tc.rec.ClockStepSuspected}
 		if verdict == nil || verdict.Experiment != want {
 			t.Errorf("%s: verdict view = %+v, want %+v", tc.name, verdict, want)

@@ -237,6 +237,8 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 		return nil, err
 	}
 	defer closeJournal(j, &err)
+	pl := newPool(c)
+	defer pl.close()
 	profileFP := profileFingerprints(c, m)
 	workers := c.Workers
 	if workers <= 0 {
@@ -293,7 +295,7 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 				p, name := &pts[i], pts[i].Name()
 				pc := pointCampaign(c, m, p, innerW)
 				st := pointStudy(overlays[p.scenario], p, name)
-				sr, err := runStudyOn(ctx, pc, st, j.study(profileFP[p.profile], st, name))
+				sr, err := runStudyOn(ctx, pc, st, j.study(profileFP[p.profile], st, name), pl)
 				if err != nil {
 					fail(fmt.Errorf("campaign: matrix point %s: %w", name, err))
 					return

@@ -305,11 +305,7 @@ func TestCleanRunNotClockStepSuspected(t *testing.T) {
 func TestStaleClockStepClearedBeforePreSync(t *testing.T) {
 	c := stepCampaign(t, 1, 1)
 	st := c.Studies[0]
-	tb, err := newLocalTestbed(c, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.close()
+	tb := openTestbed(t, c, st)
 	if err := tb.rt.StepHostClock("h2", 5e6); err != nil { // previous experiment's fault
 		t.Fatal(err)
 	}
@@ -414,12 +410,16 @@ func TestChaosParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestNewAppOncePerNodePerTestbed counts NewApp calls: a study at Workers
-// 2 opens two testbeds, each of which builds every node's application
+// TestNewAppOncePerNodePerTestbed counts NewApp calls, which happen once
+// per node per study or point that a testbed runs: a study at Workers 2
+// runs on two testbeds, each of which builds every node's application
 // once, so no two testbeds share an instance; a study over a three-member
 // loopback cluster builds each node's application once, on the member
-// that runs it; a resume of a fully journaled matrix opens no testbed and
-// builds no application. Run under -race in CI.
+// that runs it; a matrix of three points at Workers 2 runs each point on
+// one testbed, two testbeds between them, and builds three points' worth
+// of applications, however its testbeds pass from point to point; a
+// resume of the fully journaled matrix runs no point and builds no
+// application. Run under -race in CI.
 func TestNewAppOncePerNodePerTestbed(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[string]int{}
@@ -465,6 +465,7 @@ func TestNewAppOncePerNodePerTestbed(t *testing.T) {
 		t.Errorf("a study over three cluster members called NewApp %v for %d instances; want once per node, 3 instances", calls, len(apps))
 	}
 	total()
+	clear(apps)
 
 	c = stepCampaign(t, 2, 2)
 	c.Studies = nil
@@ -473,8 +474,8 @@ func TestNewAppOncePerNodePerTestbed(t *testing.T) {
 	if _, err := RunMatrix(context.Background(), c, m); err != nil {
 		t.Fatal(err)
 	}
-	if n := total(); n == 0 {
-		t.Fatal("running the matrix built no application")
+	if n := total(); n != 3*3 || len(apps) != 3*3 {
+		t.Errorf("a matrix of three points at two workers called NewApp %d times for %d instances; want once per node per point, 9 instances", n, len(apps))
 	}
 	c.Checkpoint.Resume = true
 	res, err := RunMatrix(context.Background(), c, m)

@@ -47,6 +47,10 @@ type testbed interface {
 	// recycle takes back an analysed experiment's timelines, which
 	// nothing references any more, for later experiments to record into.
 	recycle(locals []*timeline.Local)
+	// spent is where the analysis stage hands the testbed's analysed
+	// experiments back, for later runtime phases on it to reuse their
+	// timelines, stamps and raw record.
+	spent() chan *rawExperiment
 }
 
 // executed is what a testbed's execute step collected. The timelines are
@@ -60,72 +64,174 @@ type executed struct {
 	lost []string
 }
 
-// opener builds a testbed when the pipeline first needs one — a fully
-// journaled study opens none — and returns the function that releases it
-// once its worker retires.
-type opener func() (testbed, func(), error)
+// opener lends a runtime worker its testbed when the pipeline first needs
+// one — a fully journaled study opens none — and returns the function that
+// gives it back once the worker retires, with the error of the runtime
+// phase that retired it, if one did.
+type opener func() (testbed, func(error), error)
 
-// localTestbed is one worker's private runtime: its own virtual host set
-// (clocks included), node registrations, and — when the study carries
-// action faults — its own chaos engine, so concurrent experiments share no
-// mutable runtime state.
+// pool is what one Run or RunMatrix call lends its studies and points:
+// idle in-process testbeds and analysis scratch. It fills lazily, so a
+// fully journaled study takes nothing from it; a testbed given back is
+// rebound to the next study or point that takes it, and its spent
+// scratch goes along. close shuts every testbed down when the call
+// returns. A nil pool lends fresh analysis scratch only (a cluster
+// member's study).
+type pool struct {
+	c         *Campaign // the call's campaign: hosts and runtime configuration
+	testbeds  idle[localTestbed]
+	analyzers idle[analyzer]
+}
+
+// idle is a pool's stack of one kind of idle object.
+type idle[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// take pops an idle object, or returns nil.
+func (s *idle[T]) take() *T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.items)
+	if n == 0 {
+		return nil
+	}
+	x := s.items[n-1]
+	s.items[n-1] = nil
+	s.items = s.items[:n-1]
+	return x
+}
+
+func (s *idle[T]) put(x *T) {
+	s.mu.Lock()
+	s.items = append(s.items, x)
+	s.mu.Unlock()
+}
+
+func newPool(c *Campaign) *pool { return &pool{c: c} }
+
+// open is the in-process engine's opener for study st of campaign c (a
+// matrix point's campaign under RunMatrix): it takes an idle testbed, or
+// builds a bare one, and rebinds it to st. One that fails to rebind is
+// shut down, not given back.
+func (p *pool) open(c *Campaign, st *Study) opener {
+	return func() (testbed, func(error), error) {
+		tb := p.testbeds.take()
+		if tb == nil {
+			tb = newLocalTestbed(p)
+		}
+		if err := tb.rebind(c, st); err != nil {
+			tb.close()
+			return nil, nil, err
+		}
+		return tb, tb.release, nil
+	}
+}
+
+// analyzer lends an analysis worker its scratch.
+func (p *pool) analyzer() *analyzer {
+	if p != nil {
+		if an := p.analyzers.take(); an != nil {
+			return an
+		}
+	}
+	return new(analyzer)
+}
+
+func (p *pool) putAnalyzer(an *analyzer) {
+	if p != nil {
+		p.analyzers.put(an)
+	}
+}
+
+// close shuts down every testbed the pool holds: all of them, once the
+// call's studies have returned.
+func (p *pool) close() {
+	for _, tb := range p.testbeds.items {
+		tb.close()
+	}
+}
+
+// localTestbed is one in-process testbed: a runtime with its own virtual
+// host set (clocks included), node registrations and — when its study
+// carries action faults — chaos engine, so concurrent experiments share no
+// mutable runtime state. It outlives the study or point it runs: its pool
+// rebinds it to each one a worker takes it for.
 type localTestbed struct {
-	c     *Campaign
+	c     *Campaign // the study's or point's; rebind sets it and st
 	st    *Study
 	rt    *core.Runtime
 	cd    *core.CentralDaemon
 	hosts []string // sorted; the sync mini-phases walk them
 	ref   string
+	// raws holds the analysed experiments handed back (spent), at most as
+	// many as any study of the pool's campaign can have in flight.
+	raws chan *rawExperiment
+	// release gives the testbed back to its pool, or, after a runtime
+	// phase failed on it, shuts it down: a failed experiment may have left
+	// nodes live.
+	release func(error)
 }
 
-// openLocal is the opener of the in-process engine.
-func openLocal(c *Campaign, st *Study) opener {
-	return func() (testbed, func(), error) {
-		tb, err := newLocalTestbed(c, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tb, tb.close, nil
-	}
-}
-
-func newLocalTestbed(c *Campaign, st *Study) (*localTestbed, error) {
+// newLocalTestbed builds a bare testbed for pool p: a runtime holding the
+// campaign's hosts and nothing else, for rebind to bind to a study.
+func newLocalTestbed(p *pool) *localTestbed {
 	// core.New defaults a nil Source to the runtime's clock: the wall
 	// clock's one process-wide time base unless the campaign supplies
 	// another.
-	cfg := c.Runtime
-	cfg.Obs = c.Obs
-	if c.VirtualTime {
-		// Each worker owns a private virtual-time scheduler, which is also
+	cfg := p.c.Runtime
+	cfg.Obs = p.c.Obs
+	if p.c.VirtualTime {
+		// Each testbed owns a private virtual-time scheduler, which is also
 		// the host clocks' time base: their hidden offset/drift geometry is
 		// applied over simulated time, so the convex-hull estimator sees
 		// the exact stamps a real-time run would produce.
 		cfg.Clock, cfg.Source = clock.NewVirtual(), nil
 	}
 	rt := core.New(cfg)
-	for _, h := range c.Hosts {
+	for _, h := range p.c.Hosts {
 		rt.AddHost(h.Name, h.Clock)
 	}
-	if err := registerNodes(rt, c, st, nil); err != nil {
-		rt.Shutdown()
-		return nil, err
-	}
 	if tr := rt.Transport(); tr != nil {
-		transport.SetObserver(tr, c.Obs.TransportMetrics(tr.Name()))
+		transport.SetObserver(tr, p.c.Obs.TransportMetrics(tr.Name()))
 	}
 	hosts := rt.Hosts()
-	return &localTestbed{c: c, st: st, rt: rt, cd: core.NewCentralDaemon(rt), hosts: hosts, ref: referenceHost(hosts)}, nil
+	// A study runs on at most poolWidth(p.c) workers, each with at most
+	// two raws queued behind it and one in its hands.
+	tb := &localTestbed{rt: rt, cd: core.NewCentralDaemon(rt), hosts: hosts, ref: referenceHost(hosts),
+		raws: make(chan *rawExperiment, 2*poolWidth(p.c)+1)}
+	tb.release = func(err error) {
+		if err != nil {
+			tb.close()
+			return
+		}
+		p.testbeds.put(tb)
+	}
+	return tb
 }
 
-// registerNodes registers on a testbed's runtime the study's nodes that
+// rebind binds the testbed to study st of campaign c — a study of Run, or
+// a matrix point's — returning it to the state a testbed built fresh for
+// them has: Runtime.Rewind with c's notification delays, then the study's
+// nodes (registerNodes).
+func (tb *localTestbed) rebind(c *Campaign, st *Study) error {
+	tb.c, tb.st = c, st
+	tb.rt.Rewind(c.Runtime.LocalDelay, c.Runtime.RemoteDelay)
+	return registerNodes(tb.rt, c, st, nil)
+}
+
+// registerNodes binds on a testbed's runtime the study's nodes that
 // testbed runs — those runs admits, every node when runs is nil — each
 // with an application NewApp builds for the campaign's matrix point (or
-// Point{Seed: ChaosSeed}), and attaches chaos when the study has actions.
+// Point{Seed: ChaosSeed}) (Runtime.Rebind), and attaches chaos when the
+// study has actions.
 func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick string) bool) error {
 	p := Point{Seed: st.ChaosSeed}
 	if c.point != nil {
 		p = *c.point
 	}
+	defs := make([]core.NodeDef, 0, len(st.Nodes))
 	for _, def := range st.Nodes {
 		if runs != nil && !runs(def.Nickname) {
 			continue
@@ -135,9 +241,10 @@ func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick stri
 			return fmt.Errorf("campaign: node %q: %w", def.Nickname, err)
 		}
 		def.App = app
-		if err := rt.Register(def); err != nil {
-			return err
-		}
+		defs = append(defs, def)
+	}
+	if err := rt.Rebind(defs); err != nil {
+		return err
 	}
 	if chaos.HasActionFaults(st.Nodes) {
 		chaos.Attach(rt, st.ChaosSeed)
@@ -175,8 +282,11 @@ func (tb *localTestbed) mergeLanes(int, *obs.Trace) {}
 
 func (tb *localTestbed) recycle(locals []*timeline.Local) { tb.rt.RecycleTimelines(locals) }
 
-// close retires the worker's runtime, exporting its virtual-clock activity
-// first: the scheduler's counters are cumulative over the worker's run.
+func (tb *localTestbed) spent() chan *rawExperiment { return tb.raws }
+
+// close retires the testbed's runtime, exporting its virtual-clock
+// activity first: the scheduler's counters are cumulative over every study
+// and point the testbed ran.
 func (tb *localTestbed) close() {
 	if cm := tb.c.Obs.CampaignMetrics(); cm != nil {
 		if v, ok := tb.rt.Clock().(*clock.Virtual); ok {
@@ -218,15 +328,16 @@ func poolWidth(c *Campaign) int {
 	return c.Workers
 }
 
-// runStudy executes a study's experiments on a pool of up to workers
-// testbeds with a pipelined analysis stage: runtime workers (each on its
-// own testbed) feed raw experiment artifacts to analysis workers, so the
-// clock-sync/global-timeline/containment work for experiment k overlaps
-// the runtime phase of experiment k+1 — even with a single runtime worker,
-// which is how a clustered study (one shared testbed) enters. Records land
-// at their experiment index regardless of completion order, so parallel
-// and sequential runs order results identically. member labels the
-// progress events with the reporting cluster peer ("" in-process).
+// runStudy executes a study's experiments on up to workers testbeds, which
+// open lends, with a pipelined analysis stage, whose scratch pl lends:
+// runtime workers (each on its own testbed) feed raw experiment artifacts
+// to analysis workers, so the clock-sync/global-timeline/containment work
+// for experiment k overlaps the runtime phase of experiment k+1 — even
+// with a single runtime worker, which is how a clustered study (one shared
+// testbed) enters. Records land at their experiment index regardless of
+// completion order, so parallel and sequential runs order results
+// identically. member labels the progress events with the reporting
+// cluster peer ("" in-process).
 //
 // With a journal, experiments already journaled are loaded instead of
 // re-executed, and each freshly analyzed record is queued for the journal's
@@ -239,7 +350,7 @@ func poolWidth(c *Campaign) int {
 // runtime phases finish (journaling their records, so a resumed run loses
 // nothing) and ctx.Err() is returned.
 func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
-	member string, workers int, open opener) (*StudyResult, error) {
+	member string, workers int, open opener, pl *pool) (*StudyResult, error) {
 
 	experiments := experimentCount(c, st)
 	records := make([]*ExperimentRecord, experiments)
@@ -321,11 +432,6 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 	rawCh := make(chan *rawExperiment, workers)
 	var runWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		// spent brings this worker's analysed experiments back: only its
-		// own runtime may record into timelines its store still lists. It
-		// makes a new one only when none is spare, so no more exist than
-		// fit in flight — at the worker, in rawCh and at the analysts.
-		spent := make(chan *rawExperiment, 2*workers+1)
 		runWG.Add(1)
 		go func() {
 			defer runWG.Done()
@@ -334,7 +440,15 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 				fail(err)
 				return
 			}
-			defer release()
+			var failure error
+			defer func() { release(failure) }()
+			// spent brings the testbed's analysed experiments back: only
+			// its own runtime may record into timelines its store still
+			// lists. The worker makes a new one only when none is spare,
+			// so no more exist than fit in flight — at the worker, in rawCh
+			// and at the analysts — and the next study or point the
+			// testbed runs starts on what this one leaves there.
+			spent := tb.spent()
 			for i, ok := claim(); ok; i, ok = claim() {
 				var spare *rawExperiment
 				select {
@@ -350,7 +464,8 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 					cm.WorkerBusySeconds.ObserveSince(busy)
 				}
 				if err != nil {
-					fail(fmt.Errorf("experiment %d: %w", i, err))
+					failure = fmt.Errorf("experiment %d: %w", i, err)
+					fail(failure)
 					return
 				}
 				raw.home = spent
@@ -372,12 +487,13 @@ func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
 		anWG.Add(1)
 		go func() {
 			defer anWG.Done()
-			var an analyzer // this analysis worker's scratch
+			an := pl.analyzer() // this analysis worker's scratch
+			defer pl.putAnalyzer(an)
 			for raw := range rawCh {
 				if failed() {
 					continue // drain
 				}
-				rec, err := analyzeExperiment(c, st, raw, &an)
+				rec, err := analyzeExperiment(c, st, raw, an)
 				if err != nil {
 					fail(err)
 					continue

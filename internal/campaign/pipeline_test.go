@@ -44,7 +44,8 @@ func (f *fakeTestbed) execute(int) (executed, error) {
 
 func (f *fakeTestbed) mergeLanes(int, *obs.Trace) { f.calls = append(f.calls, "mergeLanes") }
 
-func (f *fakeTestbed) recycle([]*timeline.Local) {}
+func (f *fakeTestbed) recycle([]*timeline.Local)  {}
+func (f *fakeTestbed) spent() chan *rawExperiment { return nil }
 
 // TestRuntimePhaseScaffoldingOnce drives a fake testbed through
 // runRuntimePhase: the phase order, the four phase spans, and the

@@ -100,7 +100,7 @@ func TestStudyAllocBudget(t *testing.T) {
 		c := virtualElection(t, experiments, 1)
 		st := c.Studies[0]
 		return testing.AllocsPerRun(3, func() {
-			sr, err := runStudy(context.Background(), c, st, nil, "", 1, openLocal(c, st))
+			sr, err := runPooled(c, st, 1)
 			if err != nil || !sr.Records[experiments-1].Accepted {
 				t.Fatalf("study: err=%v", err)
 			}
@@ -119,15 +119,18 @@ func TestStudyAllocBudget(t *testing.T) {
 // experiments each — a crash-restart and a partition overlaid on the
 // election — through RunMatrix with a checkpoint journal. The figure is
 // per experiment, long minus short matrix, so a point's own costs (its
-// study and testbed, the testbed's applications) count, as they do in the
-// ledger: it holds that each record's line is marshalled once and queued
-// with a plain entry. Measured at 161.0 when the budget was set, and at
-// 167.8 in a -race build; 173.4 and about 183 while every point built its
-// study, applications included, and parsed its state machines once per
-// document text (87 more allocations per experiment when every point
-// re-parsed them); 176.2 and 186.3 while no runtime phase reused an
-// analysed experiment's timelines, stamps and raw record, which a point's
-// first experiments still cannot; 182.2 and 191.8 while every scheduled
+// study, the rebind of a pooled testbed to it, its applications) count,
+// as they do in the ledger: it holds that each record's line is
+// marshalled once and queued with a plain entry. Measured at 88.5 when the
+// budget was set, and at 93.7 in a -race build; 161.2 and 167.8 while
+// every point built a testbed of its own (runtime, virtual clock, hosts,
+// daemons, registrations, refilled pools) and fresh analysis scratch, and
+// its first experiments could not reuse an analysed experiment's
+// timelines, stamps and raw record; 173.4 and about 183 while every point
+// built its study, applications included, and parsed its state machines
+// once per document text (87 more allocations per experiment when every
+// point re-parsed them); 176.2 and 186.3 while no runtime phase reused an
+// analysed experiment's scratch; 182.2 and 191.8 while every scheduled
 // callback allocated its timer entry and each completion wait scheduled a
 // timer of its own; 196.9 when the budget was first set (350.0 before the
 // §5.7 and §3.5.6 text encoders appended into a caller's buffer instead of
@@ -136,9 +139,9 @@ func TestStudyAllocBudget(t *testing.T) {
 // coroutines), 473.5 without the memo; a -race build then measured about
 // 215.5 (399 before the appending encoders).
 func TestJournaledStudyAllocBudget(t *testing.T) {
-	budget := 192.0
+	budget := 100.0
 	if raceBuild {
-		budget = 212
+		budget = 108
 	}
 	allocs := func(points int) float64 {
 		c, m := journaledChaos(t, points)
@@ -320,16 +323,12 @@ func TestRecycledScratchDoesNotLeak(t *testing.T) {
 		app, err := newApp(p, nick)
 		return notingApp{app}, err
 	}
-	sr, err := runStudy(context.Background(), c, st, nil, "", 1, openLocal(c, st))
+	sr, err := runPooled(c, st, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tb, err := newLocalTestbed(c, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.close()
+	tb := openTestbed(t, c, st)
 	var first *rawExperiment
 	lengths := map[string]bool{}
 	tables := map[uintptr]int{}
@@ -379,6 +378,28 @@ func TestRecycledScratchDoesNotLeak(t *testing.T) {
 	}
 }
 
+// runPooled runs study st of c through runStudy at workers, on a pool of
+// its own.
+func runPooled(c *Campaign, st *Study, workers int) (*StudyResult, error) {
+	pl := newPool(c)
+	defer pl.close()
+	return runStudy(context.Background(), c, st, nil, "", workers, pl.open(c, st), pl)
+}
+
+// openTestbed opens an in-process testbed for study st of c, on a pool of
+// its own that is closed when the test ends.
+func openTestbed(t testing.TB, c *Campaign, st *Study) *localTestbed {
+	t.Helper()
+	pl := newPool(c)
+	t.Cleanup(pl.close)
+	tb, release, err := pl.open(c, st)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { release(nil) })
+	return tb.(*localTestbed)
+}
+
 // notingApp writes as many notes as its host clock's millisecond reading
 // modulo 4 before running the application.
 type notingApp struct{ core.App }
@@ -401,7 +422,7 @@ func TestAnalysisWorkersShareNoArrays(t *testing.T) {
 	const experiments = 48
 	c := virtualElection(t, experiments, 2, "yellow ysplit (yellow:FOLLOW) once partition(h3|h1,h2) 4ms")
 	st := c.Studies[0]
-	sr, err := runStudy(context.Background(), c, st, nil, "", 2, openLocal(c, st))
+	sr, err := runPooled(c, st, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

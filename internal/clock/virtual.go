@@ -91,6 +91,32 @@ func (v *Virtual) Stats() VirtualStats {
 // NewVirtual returns a virtual clock positioned at time zero.
 func NewVirtual() *Virtual { return &Virtual{} }
 
+// Rewind takes an idle clock back to time zero, where NewVirtual positions
+// a clock, keeping its pools and its activity counters: a testbed that
+// outlives its study or matrix point runs the next one on the time base a
+// fresh testbed would. Pending AfterFunc entries are dropped, bodies
+// cleared, onto the fired list for reuse, and new timers are sequenced from
+// zero again. A task running, ready or parked panics: its deadline or its
+// next timestamp would be measured from a time that no longer exists.
+func (v *Virtual) Rewind() {
+	v.mu.Lock()
+	if v.busy > 0 || v.head < len(v.ready) || v.parked > 0 {
+		msg := fmt.Sprintf("clock: Rewind of a virtual clock in use: %d task(s) running, %d ready, %d parked",
+			v.busy, len(v.ready)-v.head, v.parked)
+		v.mu.Unlock()
+		panic(msg)
+	}
+	for i, e := range v.timers {
+		e.fn, e.index = nil, -1
+		v.fired = append(v.fired, e)
+		v.timers[i] = nil
+	}
+	v.timers = v.timers[:0]
+	v.seq = 0
+	v.now.Store(0)
+	v.mu.Unlock()
+}
+
 type readyItem struct {
 	w  *vWaiter
 	fn func()

@@ -3,6 +3,7 @@ package clock
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -615,5 +616,105 @@ func TestRealWaiterReusesItsTimer(t *testing.T) {
 	}
 	if got := time.Since(start); got < d {
 		t.Fatalf("a timed Wait returned after %v, before its %v deadline", got, d)
+	}
+}
+
+// TestVirtualRewindRefusesATaskInUse: Rewind panics while a task runs or
+// is ready (a driver's window, with a Go body queued behind it) and while
+// one is parked (a task asleep between windows); the clock is still usable
+// after each refusal.
+func TestVirtualRewindRefusesATaskInUse(t *testing.T) {
+	refused := func(what string, v *Virtual) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "clock: Rewind of a virtual clock in use") {
+				t.Errorf("Rewind with %s: recovered %q, want the in-use diagnostic", what, msg)
+			}
+		}()
+		v.Rewind()
+	}
+	v := NewVirtual()
+	v.Drive()
+	ran := false
+	v.Go(func() { ran = true })
+	refused("a driver running and a task ready", v)
+	v.Release()
+	if !ran {
+		t.Fatal("the ready task did not run after the refused Rewind")
+	}
+
+	v.Go(func() { v.Sleep(time.Second) })
+	v.Drive() // waits until the task has parked
+	v.Release()
+	refused("a task parked", v)
+	v.Drive()
+	v.Sleep(2 * time.Second)
+	v.Release()
+	v.Rewind()
+}
+
+// TestVirtualRewindRestartsTimeAtZero: after a window that advanced time
+// and left a timer pending, a rewound clock reads zero, drops the pending
+// timer, and fires new timers at their deadlines counted from zero, equal
+// deadlines in creation order, as a fresh clock does.
+func TestVirtualRewindRestartsTimeAtZero(t *testing.T) {
+	var order []string
+	note := func(v *Virtual, id string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%v", id, v.NowTicks().Duration())) }
+	}
+	run := func(v *Virtual) []string {
+		order = nil
+		v.AfterFunc(2*time.Millisecond, note(v, "a"))
+		v.AfterFunc(time.Millisecond, note(v, "b"))
+		v.AfterFunc(2*time.Millisecond, note(v, "c"))
+		v.Drive()
+		v.Sleep(3 * time.Millisecond)
+		v.Release()
+		return order
+	}
+	want := run(NewVirtual())
+
+	v := NewVirtual()
+	v.Drive()
+	v.Sleep(5 * time.Millisecond)
+	v.AfterFunc(time.Hour, note(v, "stale"))
+	v.Release()
+	v.Rewind()
+	if now := v.NowTicks(); now != 0 {
+		t.Fatalf("a rewound clock reads %v, want 0", now.Duration())
+	}
+	if got := run(v); !slices.Equal(got, want) {
+		t.Fatalf("a rewound clock fired %v, a fresh one %v", got, want)
+	}
+	v.Drive()
+	v.Sleep(2 * time.Hour)
+	v.Release()
+	if len(order) != len(want) {
+		t.Fatalf("the timer pending at the rewind fired afterwards: %v", order)
+	}
+}
+
+// TestVirtualRewindAllocatesNothing: once warm, a cycle of windows that
+// schedules a timer, sleeps and waits on a waiter NewWaiter made before
+// the first rewind, then rewinds with a timer pending, allocates nothing:
+// the rewind keeps the sleepers' pool and puts its pending entries on the
+// fired list. Mutation: drop the pending entries instead of listing them
+// as fired; every cycle then allocates one.
+func TestVirtualRewindAllocatesNothing(t *testing.T) {
+	v := NewVirtual()
+	w := v.NewWaiter()
+	body := func() {}
+	cycle := func() {
+		v.Drive()
+		v.AfterFunc(time.Microsecond, body)
+		v.Sleep(2 * time.Microsecond)
+		w.Wait(time.Microsecond)
+		v.AfterFunc(time.Hour, body)
+		v.Release()
+		v.Rewind()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Fatalf("a window and a rewind allocate %v objects once warm, want 0", got)
 	}
 }

@@ -67,9 +67,12 @@ type Campaign struct {
 	// reference clock.
 	Hosts []Host `json:"hosts,omitempty"`
 	// Workers sizes the concurrent experiment executor pool (0 =
-	// GOMAXPROCS; negative is rejected by Validate). Under virtual time
-	// only Workers 1 journals repeat byte for byte: a worker's virtual
-	// clock keeps running across its experiments.
+	// GOMAXPROCS; negative is rejected by Validate). Under virtual time a
+	// matrix whose points each get one worker (Workers at most the number
+	// of points) journals byte for byte the same at any such count, each
+	// point on a testbed rewound to a fresh one's state; a study, or a
+	// point given several workers, does so only at Workers 1: a worker's
+	// virtual clock keeps running across its experiments.
 	Workers int `json:"workers,omitempty"`
 	// Transport is the default study transport: "" or "inproc" (one
 	// runtime, in-memory bus), "udp" or "tcp" (one runtime per host over
@@ -201,7 +204,7 @@ type Matrix struct {
 	Scenarios []Scenario `json:"scenarios,omitempty"`
 	Latencies []Latency  `json:"latencies,omitempty"`
 	Seeds     []int64    `json:"seeds,omitempty"`
-	// Study is the template every point shares; each testbed a point opens
+	// Study is the template every point shares; a testbed running a point
 	// builds its applications with the point's seed.
 	Study *Study `json:"study"`
 }

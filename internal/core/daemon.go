@@ -26,6 +26,10 @@ type LocalDaemon struct {
 
 	stopped atomic.Bool
 	stopW   clock.Waiter
+	// watch is watchdog, bound once; running counts the watchdog task
+	// while it runs, so a restart can wait out the one it stopped.
+	watch   func()
+	running sync.WaitGroup
 }
 
 func newLocalDaemon(rt *Runtime, host Host) *LocalDaemon {
@@ -35,10 +39,26 @@ func newLocalDaemon(rt *Runtime, host Host) *LocalDaemon {
 		nodes: make(map[string]*Node),
 		stopW: rt.clk.NewWaiter(),
 	}
-	if rt.cfg.WatchdogInterval > 0 && rt.cfg.WatchdogTimeout > 0 {
-		rt.clk.Go(d.watchdog)
-	}
+	d.watch = d.watchdog
+	d.startWatchdog()
 	return d
+}
+
+// startWatchdog starts the watchdog task, when the runtime configures one.
+func (d *LocalDaemon) startWatchdog() {
+	if d.rt.cfg.WatchdogInterval > 0 && d.rt.cfg.WatchdogTimeout > 0 {
+		d.running.Add(1)
+		d.rt.clk.Go(d.watch)
+	}
+}
+
+// awaitStop waits, after stop, until the watchdog task has returned, and
+// readies the daemon for startWatchdog: a wake the task did not consume
+// is dropped, so the restarted task's first wait runs its full interval.
+func (d *LocalDaemon) awaitStop() {
+	d.running.Wait()
+	d.stopW.Wait(0)
+	d.stopped.Store(false)
 }
 
 // adopt registers a node with its host's daemon: the thesis's "spawns a
@@ -63,6 +83,7 @@ func (d *LocalDaemon) nodeFinished(n *Node) {
 // the runtime clock, so under virtual time the scan happens at exact
 // interval multiples of simulated time.
 func (d *LocalDaemon) watchdog() {
+	defer d.running.Done()
 	for {
 		if d.stopped.Load() {
 			return

@@ -60,7 +60,8 @@ type Node struct {
 }
 
 // registration is a registered NodeDef together with the scaffolding
-// every start of it reuses, built once per runtime: the timeline header
+// every start of it reuses, built once per runtime and kept by
+// Runtime.Rebind while its Spec and Faults stay: the timeline header
 // and the recorder, fault parser (trigger set), partial view and idle
 // waiters, which StartNode resets. A nickname runs at most one node at a
 // time, so one set serves every start — including a restart within an
@@ -77,6 +78,10 @@ type registration struct {
 	header  timeline.Meta
 	entries int
 	spare   *timeline.Local
+	// bound is the Runtime.Rebind call that last kept this registration,
+	// and slot the index of the definition it was kept for.
+	bound uint64
+	slot  int
 
 	recorder timeline.Recorder
 	// mu guards the current node's state, view and triggers.

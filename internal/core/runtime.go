@@ -105,7 +105,9 @@ type Runtime struct {
 
 	mu            sync.Mutex
 	hosts         map[string]*hostState
+	order         []*hostState // hosts in AddHost order, the order Rewind restarts their watchdogs in
 	defs          map[string]*registration
+	rebinds       uint64           // Rebind calls, marking the registrations each one binds
 	nodes         map[string]*Node // live nodes by nickname
 	store         *timeline.Store  // the "NFS-mounted" timeline repository (§3.8)
 	outcomes      map[string]string
@@ -148,8 +150,9 @@ type hostState struct {
 // NodeDef is one state machine as Register takes it: the state machine
 // specification, the fault specification (§5.6's study file contents) and
 // the instrumented application the runtime drives. A campaign study
-// describes its nodes without App, and each testbed builds the
-// applications of the nodes it runs (campaign.Study.NewApp).
+// describes its nodes without App, and a testbed builds the applications
+// of the nodes it runs once per study or point it runs
+// (campaign.Study.NewApp).
 type NodeDef struct {
 	Nickname string
 	Spec     *spec.StateMachine
@@ -216,6 +219,7 @@ func (r *Runtime) AddHost(name string, clockCfg vclock.ClockConfig) *Host {
 	hs := &hostState{host: h, hosts: []string{name}}
 	hs.daemon = newLocalDaemon(r, h)
 	r.hosts[name] = hs
+	r.order = append(r.order, hs)
 	return &hs.host
 }
 
@@ -258,6 +262,89 @@ func (r *Runtime) Register(def NodeDef) error {
 	}
 	r.defs[def.Nickname] = newRegistration(def)
 	return nil
+}
+
+// Rebind makes defs the runtime's node definitions, as Register of each
+// would on a runtime with none. A registration whose definition has the
+// same Spec and the same Faults slice is kept, with only its App swapped,
+// so its header, trigger set, view, recorder, spare timeline and waiters
+// stay; one whose nickname defs lacks, or whose definition changed, is
+// dropped, and every definition not kept is registered anew with
+// Register. It must not be called while nodes are live; after an error
+// the definitions are partly rebound.
+func (r *Runtime) Rebind(defs []NodeDef) error {
+	r.mu.Lock()
+	r.rebinds++
+	for i, def := range defs {
+		reg := r.defs[def.Nickname]
+		if reg != nil && reg.bound != r.rebinds && def.App != nil && reg.Spec == def.Spec && sameFaults(reg.Faults, def.Faults) {
+			reg.App, reg.bound, reg.slot = def.App, r.rebinds, i
+		}
+	}
+	for nick, reg := range r.defs {
+		if reg.bound != r.rebinds {
+			delete(r.defs, nick)
+		}
+	}
+	r.mu.Unlock()
+	for i, def := range defs {
+		r.mu.Lock()
+		reg := r.defs[def.Nickname]
+		kept := reg != nil && reg.bound == r.rebinds && reg.slot == i
+		r.mu.Unlock()
+		if !kept {
+			if err := r.Register(def); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sameFaults reports whether a and b are one fault list: the same elements
+// of the same array.
+func sameFaults(a, b []faultexpr.Spec) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// Rewind returns a runtime with no live node to the state New and AddHost
+// left it in, keeping its hosts, registrations and pools, with the
+// notification delays set to local and remote: the experiment is reset,
+// a virtual clock goes back to time zero (clock.Virtual.Rewind), every
+// host clock reads as a fresh one (vclock.Clock.Reset), the placement is
+// forgotten, traffic shaping is reseeded with seed 1 and the fault-action
+// hook detached, and each daemon's watchdog — the one task a runtime parks
+// between experiments — is stopped and restarted, in AddHost order, so it
+// ticks from the rewound clock as a fresh one would. A campaign testbed
+// rewinds before each study or matrix point it runs.
+func (r *Runtime) Rewind(local, remote time.Duration) {
+	r.ResetExperiment()
+	for _, hs := range r.order {
+		hs.daemon.stop()
+	}
+	for _, hs := range r.order {
+		hs.daemon.awaitStop()
+	}
+	if v, ok := r.clk.(*clock.Virtual); ok {
+		// A watchdog that has returned may still be in the scheduler's
+		// hands; Drive waits until the clock is quiescent.
+		v.Drive()
+		v.Release()
+		v.Rewind()
+	}
+	r.mu.Lock()
+	r.cfg.LocalDelay, r.cfg.RemoteDelay = local, remote
+	r.actionHook = nil
+	clear(r.placement)
+	r.remoteNicks, r.remoteNicksOK = nil, false
+	for _, hs := range r.order {
+		hs.host.Clock.Reset()
+	}
+	r.mu.Unlock()
+	r.SeedNetem(1)
+	for _, hs := range r.order {
+		hs.daemon.startWatchdog()
+	}
 }
 
 // Store returns the shared timeline repository.

@@ -120,6 +120,7 @@ type Clock struct {
 	stepped atomic.Int64 // cumulative Step adjustments (clock-setting faults)
 	mu      sync.Mutex
 	rng     *rand.Rand
+	seed    int64 // the jitter generator's, for Reset
 }
 
 // ClockConfig describes the hidden error of a host clock.
@@ -151,7 +152,7 @@ func NewClock(source Source, cfg ClockConfig) *Clock {
 		jitter:      cfg.Jitter,
 	}
 	if cfg.Jitter > 0 {
-		c.rng = rand.New(rand.NewSource(cfg.Seed))
+		c.rng, c.seed = rand.New(rand.NewSource(cfg.Seed)), cfg.Seed
 	}
 	c.last.Store(math.MinInt64)
 	return c
@@ -212,6 +213,20 @@ func (c *Clock) TrueStepped() Ticks { return Ticks(c.stepped.Load()) }
 func (c *Clock) ClearStep() {
 	c.stepped.Store(0)
 	c.last.Store(math.MinInt64)
+}
+
+// Reset makes the clock read exactly what a clock NewClock builds from the
+// same source and configuration reads: ClearStep, and the jitter generator
+// reseeded in place, back at the start of its seed's sequence. A testbed
+// that outlives its study or matrix point resets its host clocks before
+// the next one.
+func (c *Clock) Reset() {
+	c.ClearStep()
+	if c.rng != nil {
+		c.mu.Lock()
+		c.rng.Seed(c.seed)
+		c.mu.Unlock()
+	}
 }
 
 // At returns the (noise-free) local time corresponding to physical time t.

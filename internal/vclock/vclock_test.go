@@ -175,3 +175,50 @@ func TestPerfectClock(t *testing.T) {
 		t.Errorf("perfect clock has nonzero error: offset=%d drift=%v", c.offset, c.drift)
 	}
 }
+
+// TestClockResetMatchesFresh: after Reset, a clock reads exactly what a
+// clock NewClock builds from the same configuration reads — reading for
+// reading, the jitter sequence included — whether it was stepped before
+// the reset or its monotonic clamp was ahead of its source, with jitter
+// and without. Mutation: leave the jitter generator where it was, or the
+// clamp; the readings then differ.
+func TestClockResetMatchesFresh(t *testing.T) {
+	configs := map[string]ClockConfig{
+		"jitter":       {Offset: 3e6, DriftPPM: 40, Jitter: 500, Seed: 9},
+		"exact":        {Offset: -1e6, DriftPPM: -20},
+		"granular":     {Offset: 7e5, DriftPPM: 15, Granularity: 1000, Jitter: 2500, Seed: 4},
+		"jitter seed0": {Jitter: 300},
+	}
+	uses := map[string]func(src *ManualSource, c *Clock){
+		"stepped": func(src *ManualSource, c *Clock) {
+			c.Now()
+			src.Advance(1e6)
+			c.Step(4e6)
+			c.Now()
+		},
+		"clamp ahead": func(src *ManualSource, c *Clock) {
+			c.Step(50e6)
+			c.Now()
+			c.Step(-50e6)
+			src.Advance(1e6)
+			c.Now()
+		},
+	}
+	for cname, cfg := range configs {
+		for uname, use := range uses {
+			src := NewManualSource(2e6)
+			used := NewClock(src, cfg)
+			use(src, used)
+			used.Reset()
+			fresh := NewClock(src, cfg)
+			for i := 0; i < 64; i++ {
+				if got, want := used.Now(), fresh.Now(); got != want {
+					t.Fatalf("%s clock %s then reset: reading %d is %d, a fresh clock's %d", cname, uname, i, got, want)
+				}
+				if i%3 == 0 {
+					src.Advance(Ticks(i) * 1000)
+				}
+			}
+		}
+	}
+}

@@ -31,7 +31,8 @@
 //     (session.go).
 //   - Campaign, Study, NodeDef, FaultSpec — the campaign description the
 //     Session executes. A study's nodes carry no application: its NewApp
-//     builds one per node for every testbed a run opens. ParseFaultSpecs,
+//     builds one per node per study or point that a testbed runs.
+//     ParseFaultSpecs,
 //     ParseNodeFile and ParseScenarioFaults read the thesis's classic
 //     files.
 //   - Scenario, Matrix — the chaos subsystem: fault specification entries

@@ -159,10 +159,13 @@ func WithTransport(kind string) Option {
 // the virtual scheduler and would either freeze simulated time or be
 // skipped over by it.
 //
-// Only a campaign of Workers 1 journals byte for byte the same on every
-// run: a worker's virtual clock keeps running across its experiments, so
-// a record depends on which worker ran it and what that worker ran
-// before.
+// A matrix whose points each get one worker (Workers at most the number
+// of points) journals byte for byte the same at any such worker count:
+// each point runs on one testbed, rewound to the state a fresh one has.
+// A study, or a matrix point given several workers, does so only at
+// Workers 1: a worker's virtual clock keeps running across its
+// experiments, so a record depends on which worker ran it and what that
+// worker ran before.
 func WithVirtualTime() Option {
 	return func(s *Session) error {
 		s.c.VirtualTime = true

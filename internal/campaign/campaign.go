@@ -127,10 +127,12 @@ type Campaign struct {
 }
 
 // ExperimentRecord is everything one experiment produced — the unit the
-// checkpoint journal stores, marshalled as it stands: json.Marshal sorts map
-// keys and the timelines marshal to their text formats (§5.7, §3.5.6), so
-// equal records serialize to equal bytes. Field order and tags are the
-// journal format; reordering them rewrites every journal.
+// checkpoint journal stores, as it stands, in the bytes json.Marshal writes
+// for it (the journal's own encoder, appendRecord, writes the same bytes):
+// map keys sorted and the timelines in their text formats (§5.7, §3.5.6),
+// so equal records serialize to equal bytes. Field order and tags are the
+// journal format; reordering them rewrites every journal, and the journal's
+// encoder and strict decoder with it.
 type ExperimentRecord struct {
 	Study     string
 	Index     int

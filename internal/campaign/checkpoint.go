@@ -25,25 +25,27 @@ import (
 // Campaign checkpointing (ROADMAP "campaign checkpointing/resume"): the
 // paper's studies run tens of thousands of experiments (§2.3/§2.6), so an
 // interrupted multi-hour matrix must not rerun from point zero. As each
-// experiment's analysis completes, its ExperimentRecord — marshalled as it
-// stands, the global timeline in its §5.7 text and (for a one-experiment
-// run) the local timelines in their §3.5.6 text — is appended to a JSONL
-// journal under the artifact directory, keyed by {study-or-point name,
-// experiment index}. A record line is its own commit record: it is trusted
-// on resume when it is whole (newline-terminated) and its sum verifies; a
-// torn or garbled tail is truncated, not trusted.
+// experiment's analysis completes, its ExperimentRecord — as it stands, in
+// the bytes json.Marshal writes for it (appendRecord writes them without
+// encoding/json), the global timeline in its §5.7 text and (for a
+// one-experiment run) the local timelines in their §3.5.6 text — is
+// appended to a JSONL journal under the artifact directory, keyed by
+// {study-or-point name, experiment index}. A record line is its own commit
+// record: it is trusted on resume when it is whole (newline-terminated) and
+// its sum verifies; a torn or garbled tail is truncated, not trusted.
 //
-// The journal is group-committed behind the pipeline. An append marshals
-// its record line in the calling analysis worker, queues it and returns; one
-// committer goroutine per open journal writes every line queued since its
-// last round in one write and fsyncs once, so rounds batch whatever queued
-// during the previous fsync. Durability is confirmed by the committer: a
-// journaled study's progress events are queued beside its lines and emitted
-// after the round that holds them, in queue order, so an experiment event
-// still means "this record is fsync'd" and a study-done event follows the
-// study's last experiment event. The engines return only after Close has
-// drained the queue. A crash loses at most the queued lines (bounded by
-// maxQueuedBytes), whose experiments a resume re-runs.
+// The journal is group-committed behind the pipeline. An append encodes its
+// record line in the calling analysis worker, straight into the commit
+// queue, and returns; one committer goroutine per open journal writes every
+// line queued since its last round in one write and fsyncs once, so rounds
+// batch whatever queued during the previous fsync. Durability is confirmed
+// by the committer: a journaled study's progress events are queued beside
+// its lines and emitted after the round that holds them, in queue order, so
+// an experiment event still means "this record is fsync'd" and a
+// study-done event follows the study's last experiment event. The engines
+// return only after Close has drained the queue. A crash loses at most the
+// queued lines (bounded by maxQueuedBytes), whose experiments a resume
+// re-runs.
 //
 // Every line is framed with a CRC-32C of its body (see frame), and the
 // reader verifies a line's sum before it parses anything, so a line that
@@ -94,10 +96,11 @@ type journalKey struct {
 
 // journalRecord is one journaled experiment: an ExperimentRecord under its
 // key and study fingerprint. On disk there is one format; in memory E says
-// how much of the experiment its user wants decoded. The writer marshals an
-// *ExperimentRecord, and a resume decodes one whole as it loads the line;
-// the read-only readers decode a RecordSummary — the verdict fields they
-// print — and the timelines are validated and skipped, not parsed.
+// how much of the experiment its user wants decoded. The writer encodes an
+// *ExperimentRecord (appendRecord), and a resume decodes one whole as it
+// loads the line; the read-only readers decode a RecordSummary — the
+// verdict fields they print — and the timelines are validated and skipped,
+// not parsed.
 type journalRecord[E any] struct {
 	Point       string
 	Index       int
@@ -126,6 +129,7 @@ type journal struct {
 	queued  sync.Cond // an entry was queued, or Close was called
 	room    sync.Cond // the committer took the queue, or failed
 	lines   []byte    // record lines queued for the next round
+	enc     recordEncoder
 	queue   []pending // one per queued line, plus line-less events, in queue order
 	err     error     // the first write or fsync error; every later append and Close return it
 	closing bool
@@ -209,7 +213,7 @@ func (j *journal) writeHeader(campaign, fingerprint string) error {
 	return j.write(frame(nil, headerTag, b))
 }
 
-// A journal line frames a body — the marshalled header or record — between
+// A journal line frames a body — the header or record as JSON — between
 // its tag and a tail: sumKey, eight lowercase hex digits of the body's
 // CRC-32C, frameEnd. Deleting sumKey and the digits leaves the line
 // {"journal":H} or {"record":R}.
@@ -496,17 +500,14 @@ func (j *journal) write(b []byte) error {
 	return nil
 }
 
-// append journals one completed record: it marshals the record here, in
-// the caller — so the line holds the record as it stood when analysis
-// handed it over — queues it with its experiment event, and returns without
-// waiting for the round that writes it; it waits only while the queue holds
-// more than maxQueuedBytes. The committer emits the event once the line is
-// durable. A write or fsync error is sticky: every later append returns it.
+// append journals one completed record: it encodes the record's line here,
+// in the caller — so the line holds the record as it stood when analysis
+// handed it over — straight into the commit queue, queues it with its
+// experiment event, and returns without waiting for the round that writes
+// it; it waits only while the queue holds more than maxQueuedBytes. The
+// committer emits the event once the line is durable. A write or fsync error
+// is sticky: every later append returns it.
 func (j *journal) append(rec journalRecord[*ExperimentRecord], p *progress) error {
-	b, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("campaign: checkpoint: %w", err)
-	}
 	// Appended records are deliberately not retained in j.entries: every
 	// engine looks a key up before running it and never afterwards, and a
 	// paper-scale campaign (tens of thousands of experiments, multi-KB
@@ -514,15 +515,17 @@ func (j *journal) append(rec journalRecord[*ExperimentRecord], p *progress) erro
 	// output in memory. If a key ever were looked up after its append,
 	// the miss costs one redundant re-run — the rerun's record is
 	// journaled again and the later copy wins on the next resume.
-	return j.enqueue(b, pending{p: p, kind: obs.EventExperiment, index: rec.Index, verdict: rec.Experiment.Verdict()})
+	return j.enqueue(&rec, pending{p: p, kind: obs.EventExperiment, index: rec.Index, verdict: rec.Experiment.Verdict()})
 }
 
-// enqueue queues a marshalled record, framed as its line, and its entry for
-// the committer, waiting while the queue is over maxQueuedBytes, or — rec
-// nil — a line-less event, which never waits. A line is refused with the
-// sticky commit error; after a failure line-less events still queue, so
-// they keep their order. Once the journal is closing nothing queues.
-func (j *journal) enqueue(rec []byte, e pending) error {
+// enqueue queues a record, encoded as its line (appendRecord, then its
+// frame's tail over the bytes just written), and its entry for the
+// committer, waiting while the queue is over maxQueuedBytes, or — rec nil —
+// a line-less event, which never waits. A record the encoder refuses leaves
+// the queue as it was. A line is refused with the sticky commit error;
+// after a failure line-less events still queue, so they keep their order.
+// Once the journal is closing nothing queues.
+func (j *journal) enqueue(rec *journalRecord[*ExperimentRecord], e pending) error {
 	j.cmu.Lock()
 	defer j.cmu.Unlock()
 	for rec != nil && len(j.lines) > maxQueuedBytes && j.err == nil && !j.closing {
@@ -535,7 +538,13 @@ func (j *journal) enqueue(rec []byte, e pending) error {
 		return fmt.Errorf("campaign: checkpoint: append to a closed journal")
 	}
 	if rec != nil {
-		j.lines = frame(j.lines, recordTag, rec)
+		line := len(j.lines)
+		lines, err := j.enc.appendRecord(append(j.lines, recordTag...), rec)
+		if err != nil {
+			j.lines = lines[:line]
+			return fmt.Errorf("campaign: checkpoint: record %s/%d: %w", rec.Point, rec.Index, err)
+		}
+		j.lines = appendTail(lines, lines[line+len(recordTag):])
 	}
 	j.queue = append(j.queue, e)
 	j.queued.Signal()

@@ -66,7 +66,7 @@ func withLoopbackCluster(c *Campaign, st *Study, kind string, drive func(coordin
 			coordinator.Close()
 		}
 	}()
-	for _, peer := range sortedKeys(eps) {
+	for _, peer := range sortedKeys(nil, eps) {
 		m, err := NewMember(c, st, eps[peer])
 		if err != nil {
 			return err

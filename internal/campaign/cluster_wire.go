@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -496,13 +495,15 @@ func resultFrames(logf func(string, ...interface{}), from, to string, index int,
 	return numberFrames(frames)
 }
 
-// sortedKeys returns a peer-keyed map's keys in order, so merges and
-// imports happen in a reproducible sequence.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
+// sortedKeys returns m's keys in byte order (strings.Compare's), in dst's
+// array: a peer-keyed map's keys so merges and imports happen in a
+// reproducible sequence, and a record's map keys as encoding/json orders
+// a map's members.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	dst = slices.Grow(dst[:0], len(m))
 	for k := range m {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst)
+	return dst
 }

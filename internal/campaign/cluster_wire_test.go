@@ -144,7 +144,7 @@ func FuzzDecodeClusterWire(f *testing.F) {
 	}
 	for _, key := range []string{"syncping ", "syncpong ", "ctrl " + opReset, "ctrl " + opResetOK, "ctrl " + opStartOK, "ctrl " + opDone, "ctrl " + opResult, "ctrl " + opStopOK} {
 		if seen[key] == nil {
-			f.Fatalf("the run sent no %q frame (have %v)", key, sortedKeys(seen))
+			f.Fatalf("the run sent no %q frame (have %v)", key, sortedKeys(nil, seen))
 		}
 	}
 	for _, b := range seen {

@@ -14,10 +14,11 @@ import (
 )
 
 // lineDecoder is the strict decoder of a record line's body as append
-// writes it, json.Marshal(*journalRecord[*ExperimentRecord]): no
-// whitespace, the record types' keys spelled and ordered as json.Marshal
-// writes them, strings in valid UTF-8 with only JSON's escapes, and numbers
-// handed to the strconv calls encoding/json makes. It reads a body in place,
+// writes it (appendRecord), which is byte for byte what
+// json.Marshal(*journalRecord[*ExperimentRecord]) writes: no whitespace,
+// the record types' keys spelled and ordered as json.Marshal writes them,
+// strings in valid UTF-8 with only JSON's escapes, and numbers handed to
+// the strconv calls encoding/json makes. It reads a body in place,
 // in one pass, with no reflection, and is the only decoder of a verified
 // record line. It refuses every other body — a key in another order,
 // spelling or case, a repeated field, whitespace, a null Experiment, a
@@ -37,9 +38,10 @@ type lineDecoder struct {
 }
 
 // experimentKeys are ExperimentRecord's member keys, colon included, in
-// declaration order: the order json.Marshal writes them in, any of them
-// absent (omitempty). summary marks the fields a RecordSummary keeps; a
-// summary read validates and skips the others' values.
+// declaration order: the order appendRecord and json.Marshal write them
+// in, any of them absent (omitempty). summary marks the fields a
+// RecordSummary keeps; a summary read validates and skips the others'
+// values.
 // TestStrictDecoderKnowsEveryField fails when a field is missing here.
 var experimentKeys = [...]struct {
 	key     string

@@ -67,7 +67,8 @@ func coverageRecords() []*ExperimentRecord {
 	return append(recs, &nilSlices, &emptySlices, new(ExperimentRecord))
 }
 
-// coverageBody is rec's record body as append marshals it.
+// coverageBody is rec's record body as json.Marshal writes it, which is
+// what append writes (FuzzRecordEncoderMatchesEncodingJSON).
 func coverageBody(t testing.TB, rec *ExperimentRecord) []byte {
 	t.Helper()
 	b, err := json.Marshal(&journalRecord[*ExperimentRecord]{

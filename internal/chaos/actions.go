@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -34,6 +35,10 @@ import (
 // Partition splits the testbed into isolated host groups.
 type Partition struct {
 	Groups [][]string
+
+	mu    sync.Mutex
+	rt    *core.Runtime // the runtime pairs were derived for
+	pairs [][2]string
 }
 
 // Name implements Action.
@@ -42,7 +47,7 @@ func (p *Partition) Name() string { return "partition" }
 // Apply implements Action: block every cross-group host pair. A single
 // group is isolated from every other host on the testbed.
 func (p *Partition) Apply(rt *core.Runtime) error {
-	for _, pair := range p.pairs(rt) {
+	for _, pair := range p.hostPairs(rt) {
 		rt.PartitionHosts(pair[0], pair[1])
 	}
 	return nil
@@ -50,13 +55,21 @@ func (p *Partition) Apply(rt *core.Runtime) error {
 
 // Revert implements Action: heal the same pairs.
 func (p *Partition) Revert(rt *core.Runtime) error {
-	for _, pair := range p.pairs(rt) {
+	for _, pair := range p.hostPairs(rt) {
 		rt.HealHosts(pair[0], pair[1])
 	}
 	return nil
 }
 
-func (p *Partition) pairs(rt *core.Runtime) [][2]string {
+// hostPairs returns the cross-group host pairs on rt, derived on the first
+// call for rt — a single group's complement is the hosts rt has then — and
+// shared, read-only, by every later call.
+func (p *Partition) hostPairs(rt *core.Runtime) [][2]string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.rt == rt {
+		return p.pairs
+	}
 	groups := p.Groups
 	if len(groups) == 1 {
 		// Isolate the group from the rest of the testbed.
@@ -82,6 +95,7 @@ func (p *Partition) pairs(rt *core.Runtime) [][2]string {
 			}
 		}
 	}
+	p.rt, p.pairs = rt, out
 	return out
 }
 

@@ -54,12 +54,22 @@ type Action interface {
 type Engine struct {
 	rt *core.Runtime
 
-	mu    sync.Mutex
-	cache map[string]Action // parsed actions by call syntax
-	// revGen counts firings per action call; a scheduled auto-revert only
-	// runs if no later firing superseded it, so overlapping windows of an
-	// `always` fault extend the fault instead of cutting it short.
-	revGen map[string]uint64
+	mu sync.Mutex
+	// calls holds each fired call resolved, by the spec's call, so a
+	// firing neither parses nor renders it. Calls spelled alike share one
+	// entry.
+	calls map[*faultexpr.ActionCall]*resolved
+}
+
+// resolved is one action call parsed, under its syntax, and its firings
+// counted: a scheduled auto-revert only runs if no later firing of the
+// syntax superseded it, so overlapping windows of an `always` fault extend
+// the fault instead of cutting it short. gen is guarded by the engine's
+// mu.
+type resolved struct {
+	syntax string
+	act    Action
+	gen    uint64
 }
 
 // Attach binds a chaos engine to a live runtime: it seeds the runtime's
@@ -68,7 +78,7 @@ type Engine struct {
 // built-in action execute here when they fire.
 func Attach(rt *core.Runtime, seed int64) *Engine {
 	rt.SeedNetem(seed)
-	e := &Engine{rt: rt, cache: make(map[string]Action), revGen: make(map[string]uint64)}
+	e := &Engine{rt: rt, calls: make(map[*faultexpr.ActionCall]*resolved)}
 	rt.SetFaultActionHook(func(n *core.Node, f faultexpr.Spec) {
 		e.Dispatch(f)
 	})
@@ -83,50 +93,57 @@ func (e *Engine) Dispatch(f faultexpr.Spec) {
 	if f.Action == nil {
 		return
 	}
-	key := f.Action.String()
-	act, err := e.resolve(key, f.Action)
+	r, err := e.resolve(f.Action)
 	if err != nil {
 		e.rt.Logf("chaos: fault %s: %v", f.Name, err)
 		return
 	}
-	if err := act.Apply(e.rt); err != nil {
+	if err := r.act.Apply(e.rt); err != nil {
 		e.rt.Logf("chaos: fault %s: apply %s: %v", f.Name, f.Action, err)
 		return
 	}
 	if f.Action.For > 0 {
 		e.mu.Lock()
-		e.revGen[key]++
-		gen := e.revGen[key]
+		r.gen++
+		gen := r.gen
 		e.mu.Unlock()
 		e.rt.ExpAfterFunc(f.Action.For, func() {
 			e.mu.Lock()
-			stale := e.revGen[key] != gen
+			stale := r.gen != gen
 			e.mu.Unlock()
 			if stale {
 				return // a later firing re-applied the action; its revert governs
 			}
-			if err := act.Revert(e.rt); err != nil {
+			if err := r.act.Revert(e.rt); err != nil {
 				e.rt.Logf("chaos: fault %s: revert %s: %v", f.Name, f.Action, err)
 			}
 		})
 	}
 }
 
-// resolve parses a call once and caches it by its syntax, key
-// (call.String()); an `always` fault re-applies the same Action value on
-// every firing.
-func (e *Engine) resolve(key string, call *faultexpr.ActionCall) (Action, error) {
+// resolve returns call's entry — on its first firing on this engine, the
+// entry of a call spelled alike, or else call parsed; an `always` fault
+// re-applies the same Action value on every firing.
+func (e *Engine) resolve(call *faultexpr.ActionCall) (*resolved, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if a, ok := e.cache[key]; ok {
-		return a, nil
+	if r, ok := e.calls[call]; ok {
+		return r, nil
+	}
+	syntax := call.String()
+	for _, r := range e.calls { // every call of one syntax maps to one entry
+		if r.syntax == syntax {
+			e.calls[call] = r
+			return r, nil
+		}
 	}
 	a, err := ParseAction(call)
 	if err != nil {
 		return nil, err
 	}
-	e.cache[key] = a
-	return a, nil
+	r := &resolved{syntax: syntax, act: a}
+	e.calls[call] = r
+	return r, nil
 }
 
 // HasActionFaults reports whether any node definition carries a fault

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -220,6 +222,41 @@ func TestSingleGroupPartitionIsolates(t *testing.T) {
 	}
 }
 
+// TestPartitionPairsPerRuntime: a partition derives its host pairs once
+// per runtime — a single group's complement from that runtime's hosts —
+// and shares them among concurrent applies and reverts.
+func TestPartitionPairsPerRuntime(t *testing.T) {
+	p := mustAction(t, "partition(h1)").(*Partition)
+	for _, tc := range []struct {
+		hosts []string
+		want  [][2]string
+	}{
+		{[]string{"h1", "h2", "h3"}, [][2]string{{"h1", "h2"}, {"h1", "h3"}}},
+		{[]string{"h1", "h4"}, [][2]string{{"h1", "h4"}}},
+	} {
+		rt := core.New(core.Config{Logf: t.Logf})
+		t.Cleanup(rt.Shutdown)
+		for _, h := range tc.hosts {
+			rt.AddHost(h, vclock.ClockConfig{})
+		}
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 25 {
+					p.Apply(rt)
+					p.Revert(rt)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := p.hostPairs(rt); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("hosts %v: pairs %v, want %v", tc.hosts, got, tc.want)
+		}
+	}
+}
+
 func TestHealActionOnSim(t *testing.T) {
 	_, rt := simBed(t)
 	if err := mustAction(t, "partition(h1|h2|h3)").Apply(rt); err != nil {
@@ -345,6 +382,39 @@ func TestOverlappingRevertWindowsExtend(t *testing.T) {
 		t.Errorf("h2 received %d at t=2.5ms, want 1 (drop window cut short by stale revert)", n)
 	}
 	// After the second window expires the link is clean again.
+	v.Sleep(time.Millisecond)
+	sendAll(rt)
+	if n := received(t, rt, "n2"); n != 2 {
+		t.Errorf("h2 received %d after expiry, want 2", n)
+	}
+}
+
+// TestSameCallSyntaxSharesRevertWindow: two faults whose action calls are
+// spelled alike act on one installed rule, so they share one revert
+// window as well — the engine resolves each spec's call once, but keys
+// its firings by the call's syntax.
+func TestSameCallSyntaxSharesRevertWindow(t *testing.T) {
+	v, rt := simBed(t)
+	e := Attach(rt, 7)
+	var specs [2]faultexpr.Spec
+	for i, line := range []string{"fa (a:X) always drop(h1,h2,1) 2ms", "fb (b:Y) always drop(h1,h2,1) 2ms"} {
+		spec, ok, err := faultexpr.ParseSpecLine(line)
+		if err != nil || !ok {
+			t.Fatal(err)
+		}
+		specs[i] = spec
+	}
+	if specs[0].Action == specs[1].Action {
+		t.Fatal("the two specs share one call")
+	}
+	e.Dispatch(specs[0]) // t=0
+	v.Sleep(time.Millisecond)
+	e.Dispatch(specs[1]) // t=1ms: the window extends to 3ms
+	v.Sleep(1500 * time.Microsecond)
+	sendAll(rt)
+	if n := received(t, rt, "n2"); n != 1 {
+		t.Errorf("h2 received %d at t=2.5ms, want 1 (the first fault's revert cut the second's window short)", n)
+	}
 	v.Sleep(time.Millisecond)
 	sendAll(rt)
 	if n := received(t, rt, "n2"); n != 2 {

@@ -31,7 +31,8 @@ import (
 type netem struct {
 	mu         sync.Mutex
 	seed       int64
-	rng        *rand.Rand // nil until the first filter consult after a (re)seed
+	rng        *rand.Rand // built on the first filter consult, reseeded in place after
+	seeded     bool       // rng draws seed's stream: set by the first consult after a (re)seed
 	partitions map[[2]string]bool
 	filters    simnet.FilterSet
 	epoch      uint64
@@ -58,17 +59,19 @@ func newNetem(seed int64) *netem {
 
 // reset clears all shaping state and reseeds the randomness, so every
 // experiment of a study faces an identical, freshly-seeded network.
-// Reseeding only drops the generator: shapeAppMessage builds it from the
-// stored seed on the first filter consult. A math/rand source's stream
-// depends on its seed alone, not on when it was built, so the fates drawn
-// are the ones an eager reseed would draw — and the experiments that
-// never consult a filter skip the 607-word seeding altogether.
+// Reseeding is lazy: shapeAppMessage seeds the one generator in place from
+// the stored seed on the first filter consult (Rand.Seed), building it only
+// on the runtime's first. A math/rand source's stream depends on its seed
+// alone, not on when or how often it was seeded, so the fates drawn are the
+// ones an eager reseed, or a fresh generator, would draw — and the
+// experiments that never consult a filter skip the 607-word seeding
+// altogether.
 func (ne *netem) reset() {
 	ne.expMu.Lock()
 	ne.mu.Lock()
 	clear(ne.partitions)
 	ne.filters.Clear()
-	ne.rng = nil
+	ne.seeded = false
 	ne.epoch++
 	ne.shaping.Store(0)
 	ne.mu.Unlock()
@@ -93,7 +96,7 @@ func (ne *netem) bumpEpoch() {
 func (r *Runtime) SeedNetem(seed int64) {
 	r.netem.mu.Lock()
 	r.netem.seed = seed
-	r.netem.rng = nil
+	r.netem.seeded = false
 	r.netem.mu.Unlock()
 }
 
@@ -194,8 +197,13 @@ func (r *Runtime) shapeAppMessage(fromHost, toHost string, payload interface{}) 
 	if ne.filters.Empty() {
 		return simnet.Fate{}, false
 	}
-	if ne.rng == nil {
-		ne.rng = rand.New(rand.NewSource(ne.seed))
+	if !ne.seeded {
+		if ne.rng == nil {
+			ne.rng = rand.New(rand.NewSource(ne.seed))
+		} else {
+			ne.rng.Seed(ne.seed)
+		}
+		ne.seeded = true
 	}
 	return ne.filters.Consult(fromHost, toHost, payload, ne.rng), false
 }

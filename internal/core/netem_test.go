@@ -227,6 +227,40 @@ func TestNetemLazySeedParity(t *testing.T) {
 	check("after the next reset", 7)
 }
 
+// TestNetemReseedsInPlace: the runtime keeps one generator and reseeds it
+// in place, and what it draws for seeds 1, 7 and 42, after several resets
+// each, is what a fresh generator of the seed draws — the jitter of a
+// delay filter shows each Int63n draw whole.
+func TestNetemReseedsInPlace(t *testing.T) {
+	rt := New(Config{})
+	defer rt.Shutdown()
+	link := simnet.Link{From: "h1", To: "h2"}
+	jitter := simnet.DelayFilter{Jitter: 1 << 40}
+	var rng *rand.Rand
+	for round := 0; round < 3; round++ {
+		for _, seed := range []int64{1, 7, 42} {
+			rt.SeedNetem(seed)
+			for reset := 0; reset < 2; reset++ {
+				rt.ResetExperiment()
+				rt.InstallLinkFilter(link, "jitter", jitter)
+				fresh := rand.New(rand.NewSource(seed))
+				for i := 0; i < 16; i++ {
+					want := jitter.Filter("h1", "h2", nil, fresh).Delay
+					if fate, _ := rt.shapeAppMessage("h1", "h2", nil); fate.Delay != want {
+						t.Fatalf("round %d, seed %d, reset %d, draw %d: delay %d, a fresh generator draws %d",
+							round, seed, reset, i, fate.Delay, want)
+					}
+				}
+				if rng == nil {
+					rng = rt.netem.rng
+				} else if rt.netem.rng != rng {
+					t.Fatalf("round %d, seed %d: the runtime built another generator", round, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestExpAfterFuncScopedToEpoch(t *testing.T) {
 	rt := New(Config{})
 	defer rt.Shutdown()

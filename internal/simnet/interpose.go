@@ -7,8 +7,9 @@
 package simnet
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/vclock"
 )
@@ -84,17 +85,27 @@ type installedFilter struct {
 // across wildcard keys, and a merged-chain cache per host pair. It is not
 // safe for concurrent use; the runtime's application bus holds its own
 // lock around it. The zero value is ready to use.
+//
+// A set outlives its filters: the chaos actions install and remove filters
+// every experiment, so a link's chain and a pair's merged chain keep their
+// arrays when they empty or go stale, and are refilled in place.
 type FilterSet struct {
-	filters map[Link][]installedFilter
-	seq     uint64 // installation order, global across links
-	rev     uint64 // bumped on any change; invalidates the chain cache
+	filters map[Link][]installedFilter // a link's chain, possibly empty
+	n       int                        // filters installed, over every link
+	seq     uint64                     // installation order, global across links
+	rev     uint64                     // bumped on any change; invalidates the chain cache
 
-	cache    map[[2]string][]installedFilter
-	cacheRev uint64
+	cache map[[2]string]cachedChain
+}
+
+// cachedChain is a pair's merged chain as of the set's revision rev.
+type cachedChain struct {
+	rev   uint64
+	chain []installedFilter
 }
 
 // Empty reports whether no filters are installed.
-func (s *FilterSet) Empty() bool { return len(s.filters) == 0 }
+func (s *FilterSet) Empty() bool { return s.n == 0 }
 
 // Install interposes f on the directed link, under an id for later
 // removal. Installing under an existing (link, id) replaces that filter in
@@ -111,6 +122,7 @@ func (s *FilterSet) Install(link Link, id string, f Filter) {
 		s.filters = make(map[Link][]installedFilter)
 	}
 	s.seq++
+	s.n++
 	s.filters[link] = append(s.filters[link], installedFilter{id: id, seq: s.seq, f: f})
 }
 
@@ -121,19 +133,24 @@ func (s *FilterSet) Remove(link Link, id string) bool {
 	for i, in := range chain {
 		if in.id == id {
 			s.rev++
-			s.filters[link] = append(chain[:i], chain[i+1:]...)
-			if len(s.filters[link]) == 0 {
-				delete(s.filters, link)
-			}
+			s.n--
+			last := len(chain) - 1
+			copy(chain[i:], chain[i+1:])
+			chain[last] = installedFilter{} // let go of the filter
+			s.filters[link] = chain[:last]
 			return true
 		}
 	}
 	return false
 }
 
-// Clear removes every installed filter.
+// Clear removes every installed filter, keeping each link's array.
 func (s *FilterSet) Clear() {
-	s.filters = nil
+	for link, chain := range s.filters {
+		clear(chain)
+		s.filters[link] = chain[:0]
+	}
+	s.n = 0
 	s.rev++
 }
 
@@ -153,22 +170,23 @@ func (s *FilterSet) Consult(from, to string, payload interface{}, rng *rand.Rand
 
 // mergedChain returns the filters matching (from, to) in global
 // installation order — so behaviour does not depend on which key a filter
-// was installed under — caching per pair until the filter set changes.
+// was installed under — caching per pair until the filter set changes. A
+// stale pair's chain is rebuilt in its own array.
 func (s *FilterSet) mergedChain(from, to string) []installedFilter {
-	if s.cache == nil || s.cacheRev != s.rev {
-		s.cache = make(map[[2]string][]installedFilter)
-		s.cacheRev = s.rev
-	}
 	pair := [2]string{from, to}
-	if chain, ok := s.cache[pair]; ok {
-		return chain
+	c, ok := s.cache[pair]
+	if ok && c.rev == s.rev {
+		return c.chain
 	}
-	var chain []installedFilter
+	chain := c.chain[:0]
 	for _, key := range MatchOrder(from, to) {
 		chain = append(chain, s.filters[key]...)
 	}
-	sort.Slice(chain, func(i, j int) bool { return chain[i].seq < chain[j].seq })
-	s.cache[pair] = chain
+	slices.SortFunc(chain, func(a, b installedFilter) int { return cmp.Compare(a.seq, b.seq) })
+	if s.cache == nil {
+		s.cache = make(map[[2]string]cachedChain)
+	}
+	s.cache[pair] = cachedChain{rev: s.rev, chain: chain}
 	return chain
 }
 

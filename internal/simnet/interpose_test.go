@@ -144,3 +144,44 @@ func TestFilterDeterminismUnderSeed(t *testing.T) {
 		t.Errorf("P=0.5 drop passed %d of 100", a)
 	}
 }
+
+// TestFilterSetReusesItsArrays: a set that outlives its filters — installed,
+// consulted, removed and cleared experiment after experiment, as the chaos
+// actions use it — keeps installation order across a Clear and a Remove,
+// and once warm a cycle allocates nothing.
+func TestFilterSetReusesItsArrays(t *testing.T) {
+	var s FilterSet
+	rng := rand.New(rand.NewSource(1))
+	all := Link{From: Wildcard, To: Wildcard}
+	var stamps [3]Filter
+	for i, v := range [...]interface{}{"a", "b", "c"} {
+		stamps[i] = CorruptFilter{P: 1, Corrupt: func(interface{}, *rand.Rand) interface{} { return v }}
+	}
+	var drop Filter = DropFilter{P: 1}
+	cycle := func() {
+		s.Install(h1h2, "a", stamps[0])
+		s.Install(all, "b", stamps[1])
+		if p := consult(&s, rng, "x").Payload; p != "b" {
+			t.Fatalf("payload %v, want the later-installed b", p)
+		}
+		s.Install(h1h2, "c", stamps[2])
+		s.Install(all, "drop", drop)
+		if f := consult(&s, rng, "x"); f.Payload != "c" || !f.Drop {
+			t.Fatalf("fate %+v, want c's payload and a drop", f)
+		}
+		if !s.Remove(h1h2, "c") || !s.Remove(all, "drop") {
+			t.Fatal("an installed filter was not removed")
+		}
+		if f := consult(&s, rng, "x"); f.Payload != "b" || f.Drop {
+			t.Fatalf("fate %+v after the removals, want b's payload and no drop", f)
+		}
+		s.Clear()
+		if !s.Empty() || consult(&s, rng, "x") != (Fate{}) {
+			t.Fatal("filters survived Clear")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("a warm install-consult-clear cycle allocates %.1f objects, want 0", n)
+	}
+}

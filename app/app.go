@@ -60,7 +60,8 @@ type Message = core.AppMessage
 type Clock = clock.Clock
 
 // App is what the runtime drives on one node (§3.5.7); a Go-wired study's
-// NewApp returns one per node per study or point that a testbed runs.
+// NewApp returns one per node per study or point that a testbed runs, and
+// the runtime never runs one instance's Main twice at once.
 type App = core.App
 
 // Instrumented is an application assembled from a body and named fault

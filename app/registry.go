@@ -32,7 +32,10 @@ type Params struct {
 // loader calls it once per node to describe a study. New builds a
 // machine's instrumented body (§3.5.7), once per node per study or point
 // that a testbed runs, so no two testbeds, and no two studies or points,
-// share an instance.
+// share an instance. An instance's Main never runs twice at once — a
+// restart of its node begins only once the crashed run's Main has
+// returned — so an instance may keep its per-start state and reset it at
+// each start.
 type Application struct {
 	Spec func(nick string, peers []string) *StateMachine
 	New  func(p Params) *Instrumented

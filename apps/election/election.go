@@ -194,13 +194,16 @@ type vote struct {
 // returned Instrumented.
 func New(cfg Config) *app.Instrumented {
 	cfg.setDefaults()
+	// One process state per instance, reset at every start: an instance's
+	// Main never runs twice at once.
+	p := new(proc)
 	return app.New(func(h *app.Handle) {
 		// The nickname's hash is the second half of the per-process seed:
 		// distinct processes must draw distinct vote streams even under
 		// identical configured seeds, or elections tie forever (§5.2's
 		// arbitration assumes independent draws). PCG seeds in O(1) —
-		// every process of every experiment builds one of these.
-		p := &proc{cfg: cfg, h: h, clk: h.Clock()}
+		// every process of every experiment seeds one of these.
+		*p = proc{cfg: cfg, h: h, clk: h.Clock()}
 		p.pcg.Seed(uint64(cfg.Seed), fnv64a(h.Nickname()))
 		p.votes = p.voteBuf[:0]
 		p.run()

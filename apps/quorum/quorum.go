@@ -227,8 +227,11 @@ type proc struct {
 // Instrumented.
 func New(cfg Config) *app.Instrumented {
 	cfg.setDefaults()
+	// One process state per instance, reset at every start: an instance's
+	// Main never runs twice at once.
+	p := new(proc)
 	return app.New(func(h *app.Handle) {
-		p := &proc{cfg: cfg, h: h, clk: h.Clock()}
+		*p = proc{cfg: cfg, h: h, clk: h.Clock()}
 		p.run()
 	})
 }

@@ -374,10 +374,10 @@ func onCancel(ctx context.Context, fn func()) (stop func()) {
 }
 
 // Run executes the campaign: every experiment of every study, runtime
-// phase through analysis phase. When ctx is cancelled, no further
-// experiments are dispatched, in-flight experiments drain (a runtime phase
-// is never interrupted mid-experiment; clustered studies are quit at the
-// protocol level), and the first error returned is ctx.Err().
+// phase through analysis phase, one study after another (runUnits). When
+// ctx is cancelled, no further experiments are dispatched, in-flight ones
+// drain (clustered studies are quit at the protocol level), and the first
+// error returned is ctx.Err().
 func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 	if err := Validate(c, nil); err != nil {
 		return nil, err
@@ -394,11 +394,12 @@ func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sr, err := runStudyOn(ctx, c, st, j.study("", st, st.Name), pl)
-		if err != nil {
+		units := make([]unit, 1)
+		units[0].set(c, st, j.study("", st, st.Name), st.Name, "")
+		if _, err := runUnits(ctx, units, pl); err != nil {
 			return nil, fmt.Errorf("campaign: study %q: %w", st.Name, err)
 		}
-		res.Studies = append(res.Studies, sr)
+		res.Studies = append(res.Studies, &StudyResult{Name: st.Name, Records: units[0].records})
 	}
 	res.JournalOnly = j.journalOnly()
 	return res, nil
@@ -411,20 +412,27 @@ func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 // in sequence.
 func clustered(st *Study) bool { return st.Transport != "" && st.Transport != "inproc" }
 
-// runStudyOn dispatches a study to the testbed its Transport selects: a
-// cluster, or in-process testbeds from the call's pool pl. RunMatrix
-// routes its points through here too, so a requested transport is never
-// silently downgraded.
-func runStudyOn(ctx context.Context, c *Campaign, st *Study, sj *studyJournal, pl *pool) (*StudyResult, error) {
-	if clustered(st) {
-		return runClustered(ctx, c, st, st.Transport, sj)
+// runUnits runs units of one transport, a study or a matrix's points, on
+// the testbeds it selects: pl's through one pipeline, or a loopback
+// cluster per unit in turn. It returns the first failure and its unit.
+func runUnits(ctx context.Context, units []unit, pl *pool) (*unit, error) {
+	if !clustered(units[0].st) {
+		return runPipeline(ctx, units, poolWidth(pl.c), pl.open, pl)
 	}
-	return runStudy(ctx, c, st, sj, "", poolWidth(c), pl.open(c, st), pl)
+	for i := range units {
+		u := &units[i]
+		sr, err := runClustered(ctx, u.c, u.st, u.st.Transport, u.sj)
+		if err != nil {
+			return u, err
+		}
+		u.records = sr.Records
+	}
+	return nil, nil
 }
 
 // single derives the campaign RunSingle runs: the first study only, one
 // experiment of it, its record keeping the raw runtime artifacts. The study
-// itself is not rewritten — runStudy clips the count — so the journal key
+// itself is not rewritten — the pipeline clips the count — so the journal key
 // and the study fingerprint are those of the configured study, and a
 // journal written by a one-experiment run resumes whatever Experiments says.
 func single(c *Campaign) *Campaign {

@@ -787,7 +787,7 @@ func studyFingerprint(campaignFP string, st *Study, point string) string {
 			b = append(append(append(append(b, "fault "...), f.Name...), ' '), f.Expr.String()...)
 			b = append(append(b, ' '), f.Mode.String()...)
 			if f.Action != nil {
-				b = append(append(b, ' '), f.Action.String()...)
+				b = f.Action.AppendSyntax(append(b, ' '))
 			}
 			b = append(b, '\n')
 		}

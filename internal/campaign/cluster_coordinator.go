@@ -18,17 +18,13 @@ import (
 func (m *Member) runtime() *core.Runtime { return m.rt }
 func (m *Member) reference() string      { return m.ref }
 
+// bind has nothing to do: a member is built for its one study.
+func (m *Member) bind(*Campaign, *Study) error { return nil }
+
 // recycle keeps nothing: most of a cluster's timelines are decoded frames.
 func (m *Member) recycle([]*timeline.Local) {}
 
-// spent is the coordinator's one study's: one runtime worker, and at most
-// two raws queued behind it.
-func (m *Member) spent() chan *rawExperiment {
-	if m.raws == nil {
-		m.raws = make(chan *rawExperiment, 3)
-	}
-	return m.raws
-}
+func (m *Member) spent() chan *rawExperiment { return m.raws }
 
 // reset is the reset barrier: every member on a fresh testbed and the new
 // epoch before any traffic flows. The reset frame carries the trace
@@ -183,7 +179,13 @@ func (m *Member) RunStudy(ctx context.Context, one bool) (_ *Result, err error) 
 		return nil, err
 	}
 	defer closeJournal(j, &err)
-	sr, err := runStudy(ctx, c, m.st, m.sj, m.peer, 1, func() (testbed, func(error), error) { return m, func(error) {}, nil }, nil)
+	point := m.st.Name // a matrix point's journal binding is named so too
+	if c.point != nil {
+		point = c.point.Name()
+	}
+	units := make([]unit, 1)
+	units[0].set(c, m.st, m.sj, point, m.peer)
+	_, err = runPipeline(ctx, units, 1, func() (testbed, func(error), error) { return m, func(error) {}, nil }, nil)
 	if err == nil {
 		n := experimentCount(c, m.st)
 		if !m.barriered {
@@ -198,5 +200,6 @@ func (m *Member) RunStudy(ctx context.Context, one bool) (_ *Result, err error) 
 	if err != nil {
 		return nil, err
 	}
+	sr := &StudyResult{Name: m.st.Name, Records: units[0].records}
 	return &Result{Name: c.Name, Studies: []*StudyResult{sr}, JournalOnly: j.journalOnly()}, nil
 }

@@ -59,7 +59,8 @@ type Member struct {
 	// hand one down; a stand-alone coordinator (lokirun -name) opens its own
 	// from the campaign's Checkpoint in RunStudy.
 	sj *studyJournal
-	// raws is the coordinator's spent scratch (spent).
+	// raws is the coordinator's spent scratch (spent): its one study has
+	// one runtime worker, and at most two raws queued behind it.
 	raws chan *rawExperiment
 
 	// The mailbox every protocol wait blocks in (recv): up to 256 frames
@@ -99,6 +100,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		align:   make(map[string]memberAlign, len(peers)),
 		answers: make([][]clusterMsg, len(peers)),
 		inbox:   make([]transport.Message, 0, 256),
+		raws:    make(chan *rawExperiment, 3),
 	}
 
 	cfg := c.Runtime
@@ -142,7 +144,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		}
 	}
 	rt.SetPlacement(placement)
-	if err := registerNodes(rt, c, st, func(nick string) bool { return topo.Owner(placement[nick]) == m.peer }); err != nil {
+	if _, err := registerNodes(rt, c, st, func(nick string) bool { return topo.Owner(placement[nick]) == m.peer }, nil); err != nil {
 		rt.Shutdown()
 		return nil, err
 	}

@@ -182,7 +182,8 @@ func TestMatrixJournalFingerprintsMatchFmt(t *testing.T) {
 		if st.ChaosSeed != p.Seed || st.Name != m.Study.Name {
 			t.Errorf("point %s: study seed %d name %q, want %d %q", name, st.ChaosSeed, st.Name, p.Seed, m.Study.Name)
 		}
-		want := refStudyFingerprint(pointCampaign(c, m, &p, 1), st, name)
+		pc := pointCampaign(c, m, &p)
+		want := refStudyFingerprint(&pc, &st, name)
 		if got[name] != want {
 			t.Errorf("point %s journaled under %s, reference %s", name, got[name], want)
 		}
@@ -196,13 +197,14 @@ func TestMatrixJournalFingerprintsMatchFmt(t *testing.T) {
 // journal fingerprint, given its profile's campaign fingerprint, to a
 // small constant: the name, the rendered timeout, fault expressions and
 // action, and the result; the text hashed stays on the stack. Measured at
-// 12 for this study when the budget was set; the fmt version allocated 28
+// 10 for this study when the budget was set, in a -race build too (12
+// while the action call was rendered to a string); the fmt version allocated 28
 // for the fingerprint alone, plus 18 for the campaign fingerprint it
 // recomputed.
 func TestPointNameAndFingerprintAllocBudget(t *testing.T) {
-	budget := 12.0
+	budget := 10.0
 	if raceBuild {
-		budget = 14
+		budget = 11
 	}
 	c := stepCampaign(t, 1, 2)
 	st := fingerprintStudy(t, "black", "h1", 3, false, 10*time.Millisecond)

@@ -3,11 +3,9 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 	"unicode"
 
@@ -16,11 +14,11 @@ import (
 )
 
 // The scenario matrix engine: one configuration fans out into
-// {scenarios × latency profiles × seeds} studies, sharded across the
-// campaign's worker pool. Each cell ("point") is a full study — sync
-// mini-phases, runtime phase, pipelined analysis — described by the
-// matrix's template overlaid with the scenario's chaos fault entries; its
-// testbeds build their applications for the point when they open.
+// {scenarios × latency profiles × seeds} studies, run through one
+// pipeline on the campaign's workers. Each cell ("point") is a full study —
+// sync mini-phases, runtime phase, analysis — described by the matrix's
+// template overlaid with the scenario's chaos fault entries; a testbed
+// builds its applications for the point when it is bound to it.
 
 // ScenarioFault attaches one fault specification entry — typically an
 // action fault such as "netsplit (m:LEAD) once partition(h1|h2,h3) 50ms" —
@@ -145,13 +143,13 @@ func (m *Matrix) scenarioStudies(c *Campaign) ([]*Study, error) {
 
 // pointStudy is the study of point p, named name (p.Name()), given its
 // scenario's overlay.
-func pointStudy(overlay *Study, p *Point, name string) *Study {
+func pointStudy(overlay *Study, p *Point, name string) Study {
 	st := *overlay
 	st.ChaosSeed = p.Seed
 	if st.Name == "" {
 		st.Name = name
 	}
-	return &st
+	return st
 }
 
 // ApplyTo merges the scenario's fault entries into the study's node
@@ -214,18 +212,16 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 	return accepted, total
 }
 
-// RunMatrix executes every point of the matrix on c's testbed
-// configuration, sharding points across the campaign's worker pool: up to
-// Workers points run concurrently, and each point's own experiment pool is
-// its share of Workers, so the total stays at Workers. Validate checks
-// every point's study before the journal opens, and a point opens no
-// testbed, so builds no application, when all its records are journaled.
-// Results land at their point index,
-// so any worker count orders results identically. The campaign's Studies
-// field is ignored; hosts, runtime, sync, and check configuration apply to
-// every point, with the point's latency profile overriding the runtime's
-// notification delays. No further points are dispatched after ctx is
-// cancelled, in-flight points drain, and ctx.Err() is returned.
+// RunMatrix executes every point of the matrix through one pipeline
+// (runUnits): with at least as many points as Workers, each worker claims
+// whole points and keeps one pooled testbed for the call, bound to each
+// point it claims; with fewer, a point's indices are shared by its share
+// of the workers. Validate checks every point's study before the journal
+// opens, and a fully journaled point builds no application. Results land
+// at their point index. The campaign's Studies field is ignored; its other
+// configuration applies to every point, the point's latency profile
+// overriding the notification delays. After ctx is cancelled nothing more
+// is dispatched, in-flight experiments drain, and ctx.Err() is returned.
 func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, err error) {
 	overlays, err := validate(c, m)
 	if err != nil {
@@ -240,74 +236,23 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 	pl := newPool(c)
 	defer pl.close()
 	profileFP := profileFingerprints(c, m)
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	units := make([]unit, len(pts))
+	for k := range pts {
+		p, u := &pts[k], &units[k]
+		name := p.Name()
+		u.pc, u.ps = pointCampaign(c, m, p), pointStudy(overlays[p.scenario], p, name)
+		u.set(&u.pc, &u.ps, j.study(profileFP[p.profile], &u.ps, name), name, "")
 	}
-	outer := workers
-	if outer > len(pts) {
-		outer = len(pts)
+	if fault, err := runUnits(ctx, units, pl); fault != nil {
+		return nil, fmt.Errorf("campaign: matrix point %s: %w", fault.prog.point, err)
+	} else if err != nil {
+		return nil, err
 	}
-	// Split the pool: the first workers%outer point-workers get one extra
-	// inner executor so the total stays at Workers even when it does not
-	// divide evenly.
-	inner := workers / outer
-	extra := workers % outer
-
 	res := &MatrixResult{Name: m.Name, Points: make([]*PointResult, len(pts))}
-	var (
-		errOnce  sync.Once
-		firstErr error
-		done     = make(chan struct{})
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			close(done)
-		})
-	}
-	// Cancellation stops the point dispatcher like any first failure
-	// (in-flight points see the same ctx and drain their own experiments
-	// into the journal). The watcher is joined before firstErr is read —
-	// its fail() write has no other happens-before edge to that read.
-	stopWatch := onCancel(ctx, func() { fail(ctx.Err()) })
-	idxCh := make(chan int)
-	go func() {
-		defer close(idxCh)
-		for i := range pts {
-			select {
-			case idxCh <- i:
-			case <-done:
-				return // first failure aborts: don't run points to discard them
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < outer; w++ {
-		wg.Add(1)
-		innerW := inner
-		if w < extra {
-			innerW++
-		}
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				p, name := &pts[i], pts[i].Name()
-				pc := pointCampaign(c, m, p, innerW)
-				st := pointStudy(overlays[p.scenario], p, name)
-				sr, err := runStudyOn(ctx, pc, st, j.study(profileFP[p.profile], st, name), pl)
-				if err != nil {
-					fail(fmt.Errorf("campaign: matrix point %s: %w", name, err))
-					return
-				}
-				res.Points[i] = &PointResult{Point: *p, Study: sr}
-			}
-		}()
-	}
-	wg.Wait()
-	stopWatch()
-	if firstErr != nil {
-		return nil, firstErr
+	points, studies := make([]PointResult, len(pts)), make([]StudyResult, len(pts))
+	for k := range pts {
+		studies[k] = StudyResult{Name: units[k].st.Name, Records: units[k].records}
+		points[k], res.Points[k] = PointResult{Point: pts[k], Study: &studies[k]}, &points[k]
 	}
 	res.JournalOnly = j.journalOnly()
 	return res, nil
@@ -321,7 +266,8 @@ func profileFingerprints(c *Campaign, m *Matrix) []string {
 	var fps []string
 	for _, p := range m.Points() {
 		if p.profile == len(fps) {
-			fps = append(fps, campaignFingerprint(pointCampaign(c, m, &p, 0)))
+			pc := pointCampaign(c, m, &p)
+			fps = append(fps, campaignFingerprint(&pc))
 		}
 	}
 	return fps
@@ -332,15 +278,14 @@ func profileFingerprints(c *Campaign, m *Matrix) []string {
 // overriding the notification delays only when the matrix declared an
 // explicit Latencies axis — the fabricated "default" profile inherits the
 // campaign's configured delays.
-func pointCampaign(c *Campaign, m *Matrix, p *Point, inner int) *Campaign {
+func pointCampaign(c *Campaign, m *Matrix, p *Point) Campaign {
 	pc := *c
-	pc.Workers = inner
 	pc.point = p
 	if len(m.Latencies) > 0 {
 		pc.Runtime.LocalDelay = p.Latency.Local
 		pc.Runtime.RemoteDelay = p.Latency.Remote
 	}
-	return &pc
+	return pc
 }
 
 func splitLines(doc string) []string {

@@ -175,14 +175,14 @@ func TestMatrixDefaultLatencyInherits(t *testing.T) {
 
 	noAxis := &Matrix{Name: "m", Seeds: []int64{1}}
 	p := noAxis.Points()[0]
-	pc := pointCampaign(c, noAxis, &p, 1)
+	pc := pointCampaign(c, noAxis, &p)
 	if pc.Runtime.RemoteDelay != 150*time.Microsecond || pc.Runtime.LocalDelay != 20*time.Microsecond {
 		t.Errorf("no-axis point zeroed the configured delays: %+v", pc.Runtime)
 	}
 
 	withAxis := &Matrix{Name: "m", Latencies: []LatencyProfile{{Name: "zero"}}, Seeds: []int64{1}}
 	p = withAxis.Points()[0]
-	pc = pointCampaign(c, withAxis, &p, 1)
+	pc = pointCampaign(c, withAxis, &p)
 	if pc.Runtime.RemoteDelay != 0 || pc.Runtime.LocalDelay != 0 {
 		t.Errorf("explicit zero profile not applied: %+v", pc.Runtime)
 	}

@@ -29,6 +29,9 @@ type testbed interface {
 	runtime() *core.Runtime
 	// reference names the host whose clock the analysis projects onto.
 	reference() string
+	// bind readies the testbed for study st of campaign c (a matrix
+	// point's under RunMatrix) before it runs the first experiment of it.
+	bind(c *Campaign, st *Study) error
 	// reset puts every runtime on a fresh testbed before any traffic
 	// flows. point and traced are the trace context remote runtimes label
 	// their lanes with.
@@ -65,18 +68,17 @@ type executed struct {
 }
 
 // opener lends a runtime worker its testbed when the pipeline first needs
-// one — a fully journaled study opens none — and returns the function that
+// one — a fully journaled point opens none — and returns the function that
 // gives it back once the worker retires, with the error of the runtime
 // phase that retired it, if one did.
 type opener func() (testbed, func(error), error)
 
-// pool is what one Run or RunMatrix call lends its studies and points:
-// idle in-process testbeds and analysis scratch. It fills lazily, so a
-// fully journaled study takes nothing from it; a testbed given back is
-// rebound to the next study or point that takes it, and its spent
-// scratch goes along. close shuts every testbed down when the call
-// returns. A nil pool lends fresh analysis scratch only (a cluster
-// member's study).
+// pool is what one Run or RunMatrix call lends its pipelines: idle
+// in-process testbeds and analysis scratch. It fills lazily, so a fully
+// journaled study takes nothing from it; a testbed given back is bound to
+// the next study or point that takes it, and its spent scratch goes along.
+// close shuts every testbed down when the call returns. A nil pool lends
+// fresh analysis scratch only (a cluster member's study).
 type pool struct {
 	c         *Campaign // the call's campaign: hosts and runtime configuration
 	testbeds  idle[localTestbed]
@@ -111,22 +113,13 @@ func (s *idle[T]) put(x *T) {
 
 func newPool(c *Campaign) *pool { return &pool{c: c} }
 
-// open is the in-process engine's opener for study st of campaign c (a
-// matrix point's campaign under RunMatrix): it takes an idle testbed, or
-// builds a bare one, and rebinds it to st. One that fails to rebind is
-// shut down, not given back.
-func (p *pool) open(c *Campaign, st *Study) opener {
-	return func() (testbed, func(error), error) {
-		tb := p.testbeds.take()
-		if tb == nil {
-			tb = newLocalTestbed(p)
-		}
-		if err := tb.rebind(c, st); err != nil {
-			tb.close()
-			return nil, nil, err
-		}
-		return tb, tb.release, nil
+// open is the in-process engine's opener: an idle testbed, or a bare one.
+func (p *pool) open() (testbed, func(error), error) {
+	tb := p.testbeds.take()
+	if tb == nil {
+		tb = newLocalTestbed(p)
 	}
+	return tb, tb.release, nil
 }
 
 // analyzer lends an analysis worker its scratch.
@@ -154,19 +147,20 @@ func (p *pool) close() {
 }
 
 // localTestbed is one in-process testbed: a runtime with its own virtual
-// host set (clocks included), node registrations and — when its study
-// carries action faults — chaos engine, so concurrent experiments share no
-// mutable runtime state. It outlives the study or point it runs: its pool
-// rebinds it to each one a worker takes it for.
+// host set (clocks included), node registrations and — once a study it
+// runs carries action faults — chaos engine, so concurrent experiments
+// share no mutable runtime state. It outlives the study or point it runs:
+// the pipeline binds it to each one its worker claims.
 type localTestbed struct {
-	c     *Campaign // the study's or point's; rebind sets it and st
-	st    *Study
-	rt    *core.Runtime
-	cd    *core.CentralDaemon
-	hosts []string // sorted; the sync mini-phases walk them
-	ref   string
+	c       *Campaign // the study's or point's; bind sets it and st
+	st      *Study
+	rt      *core.Runtime
+	cd      *core.CentralDaemon
+	hosts   []string // sorted; the sync mini-phases walk them
+	ref     string
+	actions *chaos.Engine // attached by the first study with actions, and kept
 	// raws holds the analysed experiments handed back (spent), at most as
-	// many as any study of the pool's campaign can have in flight.
+	// many as a pipeline of the pool's campaign can have in flight.
 	raws chan *rawExperiment
 	// release gives the testbed back to its pool, or, after a runtime
 	// phase failed on it, shuts it down: a failed experiment may have left
@@ -175,7 +169,7 @@ type localTestbed struct {
 }
 
 // newLocalTestbed builds a bare testbed for pool p: a runtime holding the
-// campaign's hosts and nothing else, for rebind to bind to a study.
+// campaign's hosts and nothing else, for bind to bind to a study.
 func newLocalTestbed(p *pool) *localTestbed {
 	// core.New defaults a nil Source to the runtime's clock: the wall
 	// clock's one process-wide time base unless the campaign supplies
@@ -197,8 +191,8 @@ func newLocalTestbed(p *pool) *localTestbed {
 		transport.SetObserver(tr, p.c.Obs.TransportMetrics(tr.Name()))
 	}
 	hosts := rt.Hosts()
-	// A study runs on at most poolWidth(p.c) workers, each with at most
-	// two raws queued behind it and one in its hands.
+	// A pipeline runs poolWidth(p.c) workers, each with at most two raws
+	// queued behind it and one in its hands.
 	tb := &localTestbed{rt: rt, cd: core.NewCentralDaemon(rt), hosts: hosts, ref: referenceHost(hosts),
 		raws: make(chan *rawExperiment, 2*poolWidth(p.c)+1)}
 	tb.release = func(err error) {
@@ -211,22 +205,25 @@ func newLocalTestbed(p *pool) *localTestbed {
 	return tb
 }
 
-// rebind binds the testbed to study st of campaign c — a study of Run, or
-// a matrix point's — returning it to the state a testbed built fresh for
+// bind binds the testbed to study st of campaign c — a study of Run, or a
+// matrix point's — returning it to the state a testbed built fresh for
 // them has: Runtime.Rewind with c's notification delays, then the study's
-// nodes (registerNodes).
-func (tb *localTestbed) rebind(c *Campaign, st *Study) error {
+// nodes and chaos engine (registerNodes). A testbed that fails to bind is
+// shut down, not given back.
+func (tb *localTestbed) bind(c *Campaign, st *Study) (err error) {
 	tb.c, tb.st = c, st
 	tb.rt.Rewind(c.Runtime.LocalDelay, c.Runtime.RemoteDelay)
-	return registerNodes(tb.rt, c, st, nil)
+	tb.actions, err = registerNodes(tb.rt, c, st, nil, tb.actions)
+	return err
 }
 
 // registerNodes binds on a testbed's runtime the study's nodes that
 // testbed runs — those runs admits, every node when runs is nil — each
 // with an application NewApp builds for the campaign's matrix point (or
-// Point{Seed: ChaosSeed}) (Runtime.Rebind), and attaches chaos when the
-// study has actions.
-func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick string) bool) error {
+// Point{Seed: ChaosSeed}) (Runtime.Rebind), and, when the study has
+// actions, reattaches the runtime's chaos engine eng, or attaches a new
+// one when eng is nil, and returns it.
+func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick string) bool, eng *chaos.Engine) (*chaos.Engine, error) {
 	p := Point{Seed: st.ChaosSeed}
 	if c.point != nil {
 		p = *c.point
@@ -238,18 +235,22 @@ func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick stri
 		}
 		app, err := st.NewApp(p, def.Nickname)
 		if err != nil {
-			return fmt.Errorf("campaign: node %q: %w", def.Nickname, err)
+			return eng, fmt.Errorf("campaign: node %q: %w", def.Nickname, err)
 		}
 		def.App = app
 		defs = append(defs, def)
 	}
 	if err := rt.Rebind(defs); err != nil {
-		return err
+		return eng, err
 	}
-	if chaos.HasActionFaults(st.Nodes) {
-		chaos.Attach(rt, st.ChaosSeed)
+	switch {
+	case !chaos.HasActionFaults(st.Nodes):
+	case eng == nil:
+		eng = chaos.Attach(rt, st.ChaosSeed)
+	default:
+		eng.Reattach(st.ChaosSeed)
 	}
-	return nil
+	return eng, nil
 }
 
 func (tb *localTestbed) runtime() *core.Runtime { return tb.rt }
@@ -306,21 +307,8 @@ func studyTimeout(st *Study) time.Duration {
 	return 5 * time.Second
 }
 
-// pointName names the study — or, for a matrix-derived campaign or a
-// journal binding, the matrix point — in traces and progress events.
-func pointName(c *Campaign, st *Study, sj *studyJournal) string {
-	switch {
-	case sj != nil:
-		return sj.point
-	case c.point != nil:
-		return c.point.Name()
-	}
-	return st.Name
-}
-
 // poolWidth is the in-process engine's worker count: the campaign's
-// Workers, else GOMAXPROCS. A matrix point's campaign carries the point's
-// share of the matrix pool.
+// Workers, else GOMAXPROCS.
 func poolWidth(c *Campaign) int {
 	if c.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -328,202 +316,252 @@ func poolWidth(c *Campaign) int {
 	return c.Workers
 }
 
-// runStudy executes a study's experiments on up to workers testbeds, which
-// open lends, with a pipelined analysis stage, whose scratch pl lends:
-// runtime workers (each on its own testbed) feed raw experiment artifacts
-// to analysis workers, so the clock-sync/global-timeline/containment work
-// for experiment k overlaps the runtime phase of experiment k+1 — even
-// with a single runtime worker, which is how a clustered study (one shared
-// testbed) enters. Records land at their experiment index regardless of
-// completion order, so parallel and sequential runs order results
-// identically. member labels the progress events with the reporting
+// unit is one study or matrix point of a pipeline, with its records and
+// progress. pc and ps hold a matrix point's campaign and study, which c
+// and st then point at.
+type unit struct {
+	c    *Campaign
+	st   *Study
+	sj   *studyJournal
+	prog progress
+	pc   Campaign
+	ps   Study
+
+	scan    sync.Once
+	scanErr error
+	started bool // its start event is out
+	records []*ExperimentRecord
+	// missing counts the records the journal lacks, left those not yet
+	// journaled (whoever journals the last emits the done event), and next
+	// is the next index to claim.
+	missing    int
+	next, left atomic.Int64
+}
+
+// set binds the unit to study st of campaign c under sj, naming it point
+// in traces and progress events, which member labels with the reporting
 // cluster peer ("" in-process).
-//
-// With a journal, experiments already journaled are loaded instead of
-// re-executed, and each freshly analyzed record is queued for the journal's
-// committer as it completes — a killed study resumes at the first missing
-// index. runStudy does not wait for its records to reach the disk: its
-// progress events follow them through the committer, and the engine that
-// opened the journal returns only after Close has drained it.
-//
-// Cancelling ctx stops dispatching further experiment indexes; in-flight
-// runtime phases finish (journaling their records, so a resumed run loses
-// nothing) and ctx.Err() is returned.
-func runStudy(ctx context.Context, c *Campaign, st *Study, sj *studyJournal,
-	member string, workers int, open opener, pl *pool) (*StudyResult, error) {
+func (u *unit) set(c *Campaign, st *Study, sj *studyJournal, point, member string) {
+	u.c, u.st, u.sj = c, st, sj
+	u.prog.sink, u.prog.point, u.prog.member = c.Obs, point, member
+}
 
-	experiments := experimentCount(c, st)
-	records := make([]*ExperimentRecord, experiments)
-	var missing []int
-	for i := 0; i < experiments; i++ {
-		rec, err := sj.lookup(i)
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil {
-			records[i] = rec
-			continue
-		}
-		missing = append(missing, i)
-	}
-	// Progress events carry cumulative counts, journaled records included,
-	// so a resumed study's watcher sees 7000/10000 — not 0/3000.
-	prog := &progress{sink: c.Obs, point: pointName(c, st, sj), experiments: experiments, member: member}
-	for _, rec := range records {
-		if rec == nil {
-			continue
-		}
-		prog.done.Add(1)
-		if rec.Accepted {
-			prog.accepted.Add(1)
-		}
-	}
-	sj.event(prog, obs.EventStudyStart)
-	defer sj.event(prog, obs.EventStudyDone)
-	if len(missing) == 0 {
-		// Fully journaled: no testbed to build at all, which is what makes
-		// resuming a finished multi-hour study instantaneous.
-		return &StudyResult{Name: st.Name, Records: records}, nil
-	}
-
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	var (
-		errOnce  sync.Once
-		firstErr error
-		done     = make(chan struct{})
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			close(done)
-		})
-	}
-	failed := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	// Workers claim the next missing index themselves: a dispatcher
-	// goroutine would be one more goroutine wake-up per experiment, which
-	// on a small machine is one more cross-CPU hand-off whose cost varies
-	// with the host's load. Cancellation is NOT a failure: it only stops
-	// further claims, so every in-flight runtime phase still finishes, is
-	// analyzed, and is journaled (a resumed run loses nothing), and
-	// ctx.Err() surfaces at the end. Real failures close done and drop
-	// queued work.
-	var claimed atomic.Int64
-	claim := func() (int, bool) {
-		if failed() || ctx.Err() != nil {
-			return 0, false
-		}
-		k := int(claimed.Add(1) - 1)
-		if k >= len(missing) {
-			return 0, false
-		}
-		return missing[k], true
-	}
-
-	cm := c.Obs.CampaignMetrics()
-	rawCh := make(chan *rawExperiment, workers)
-	var runWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		runWG.Add(1)
-		go func() {
-			defer runWG.Done()
-			tb, release, err := open()
+// open looks the unit's records up and reports its start, once. Progress
+// counts journaled records (a resumed watcher sees 7000/10000, not
+// 0/3000), and a fully journaled unit is done at once, binding no testbed.
+func (u *unit) open() error {
+	u.scan.Do(func() {
+		u.records = make([]*ExperimentRecord, experimentCount(u.c, u.st))
+		for i := range u.records {
+			rec, err := u.sj.lookup(i)
 			if err != nil {
-				fail(err)
+				u.scanErr = err
 				return
 			}
-			var failure error
-			defer func() { release(failure) }()
-			// spent brings the testbed's analysed experiments back: only
-			// its own runtime may record into timelines its store still
-			// lists. The worker makes a new one only when none is spare,
-			// so no more exist than fit in flight — at the worker, in rawCh
-			// and at the analysts — and the next study or point the
-			// testbed runs starts on what this one leaves there.
-			spent := tb.spent()
-			for i, ok := claim(); ok; i, ok = claim() {
-				var spare *rawExperiment
-				select {
-				case spare = <-spent:
-				default:
-				}
-				var busy time.Time
-				if cm != nil {
-					busy = obs.Now()
-				}
-				raw, err := runRuntimePhase(c, st, tb, prog.point, i, spare)
-				if cm != nil {
-					cm.WorkerBusySeconds.ObserveSince(busy)
-				}
-				if err != nil {
-					failure = fmt.Errorf("experiment %d: %w", i, err)
-					fail(failure)
-					return
-				}
-				raw.home = spent
-				select {
-				case rawCh <- raw:
-				case <-done:
-					return
-				}
+			if u.records[i] = rec; rec == nil {
+				u.missing++
+			} else if u.prog.done.Add(1); rec.Accepted {
+				u.prog.accepted.Add(1)
 			}
-		}()
-	}
-	go func() {
-		runWG.Wait()
-		close(rawCh)
-	}()
+		}
+		u.prog.experiments, u.started = len(u.records), true
+		u.left.Store(int64(u.missing))
+		u.sj.event(&u.prog, obs.EventStudyStart)
+		if u.missing == 0 {
+			u.sj.event(&u.prog, obs.EventStudyDone)
+		}
+	})
+	return u.scanErr
+}
 
-	var anWG sync.WaitGroup
-	for a := 0; a < workers; a++ {
-		anWG.Add(1)
+// pipeline is runPipeline's state.
+type pipeline struct {
+	ctx   context.Context
+	units []unit
+	raws  chan *rawExperiment
+	next  atomic.Int64 // the next unit to claim whole
+	stop  atomic.Bool  // set by the first failure
+	mu    sync.Mutex
+	err   error
+	fault *unit // whose experiment failed first, if one did
+}
+
+// runPipeline runs the units' experiments: workers runtime workers, each
+// on a testbed open lends, feed as many analysis workers, on scratch pl
+// lends, so one experiment's analysis overlaps the next one's runtime
+// phase, a unit's last the next unit's first. With at least as many units
+// as workers, each worker claims whole units and binds its testbed to each
+// (testbed.bind), so a unit runs on one testbed rewound to a fresh one's
+// state; with fewer, a unit's indices are shared by its share of the
+// workers. Records land at their index. Journaled experiments are loaded,
+// not re-executed, and each fresh record is queued for the journal's
+// committer as it is analyzed; a unit's done event follows its last
+// record, or the drain if the call stops short. The first failure, or a
+// cancelled ctx, stops every further claim, but what is in flight is run,
+// analyzed and journaled. Then the failure with its unit, or ctx.Err()
+// and nil, is returned.
+func runPipeline(ctx context.Context, units []unit, workers int, open opener, pl *pool) (*unit, error) {
+	p := &pipeline{ctx: ctx, units: units, raws: make(chan *rawExperiment, workers)}
+	var runWG, anWG sync.WaitGroup
+	runWG.Add(workers)
+	anWG.Add(workers)
+	for w := range workers {
+		go func() {
+			defer runWG.Done()
+			p.work(w, workers, open)
+		}()
 		go func() {
 			defer anWG.Done()
-			an := pl.analyzer() // this analysis worker's scratch
-			defer pl.putAnalyzer(an)
-			for raw := range rawCh {
-				if failed() {
-					continue // drain
-				}
-				rec, err := analyzeExperiment(c, st, raw, an)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				records[raw.index] = rec
-				if err := sj.record(rec, prog); err != nil {
-					fail(err)
-				}
-				if !c.single { // RunSingle's record keeps the timelines and stamps
-					raw.outcomes = nil // the record's
-					select {
-					case raw.home <- raw:
-					default:
-					}
-				}
-			}
+			p.analyze(pl)
 		}()
 	}
+	runWG.Wait()
+	close(p.raws)
 	anWG.Wait()
+	for i := range units {
+		if u := &units[i]; u.started && u.left.Load() > 0 {
+			u.sj.event(&u.prog, obs.EventStudyDone)
+		}
+	}
+	if p.err != nil {
+		return p.fault, p.err
+	}
+	return nil, ctx.Err()
+}
 
-	if firstErr != nil {
-		return nil, firstErr
+func (p *pipeline) fail(u *unit, err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err, p.fault = err, u
+		p.stop.Store(true)
 	}
-	// A cancelled study surfaces ctx.Err() — after the drain above has
-	// queued everything that was in flight for the journal, whose Close
-	// makes it durable before the engine returns.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	p.mu.Unlock()
+}
+
+func (p *pipeline) stopped() bool { return p.stop.Load() || p.ctx.Err() != nil }
+
+// take returns the unit worker w of workers runs next and w's rank among
+// that unit's workers, or nil once none is left or the call has stopped.
+// With fewer units than workers worker w has one, w mod len(units).
+func (p *pipeline) take(w, workers int, first bool) (*unit, int) {
+	n := len(p.units)
+	switch {
+	case p.stopped():
+	case n < workers:
+		if first {
+			return &p.units[w%n], w / n
+		}
+	default:
+		if k := int(p.next.Add(1) - 1); k < n {
+			return &p.units[k], 0
+		}
 	}
-	return &StudyResult{Name: st.Name, Records: records}, nil
+	return nil, 0
+}
+
+// claim returns the next missing index of u, or false once none is left or
+// the call has stopped. Workers claim for themselves: a dispatcher would be
+// one more goroutine wake-up, a cross-CPU hand-off, per experiment.
+func (p *pipeline) claim(u *unit) (int, bool) {
+	for i := int(u.next.Add(1) - 1); i < len(u.records) && !p.stopped(); i = int(u.next.Add(1) - 1) {
+		if u.records[i] == nil {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// work is runtime worker w: it opens a testbed for the first unit it runs
+// and binds it to each next one, leaving a unit with fewer missing
+// experiments than w's rank to its other workers.
+func (p *pipeline) work(w, workers int, open opener) {
+	var (
+		tb      testbed
+		release func(error)
+		spent   chan *rawExperiment
+		bound   *unit
+		failure error
+	)
+	defer func() {
+		if release != nil {
+			release(failure)
+		}
+	}()
+	for u, rank := p.take(w, workers, true); u != nil; u, rank = p.take(w, workers, false) {
+		if err := u.open(); err != nil {
+			p.fail(u, err)
+			return
+		}
+		if rank >= u.missing {
+			continue
+		}
+		if tb == nil {
+			if tb, release, failure = open(); failure != nil {
+				p.fail(u, failure)
+				return
+			}
+			spent = tb.spent() // only tb's runtime may reuse its timelines
+		}
+		if bound != u {
+			if failure = tb.bind(u.c, u.st); failure != nil {
+				p.fail(u, failure)
+				return
+			}
+			bound = u
+		}
+		cm := u.c.Obs.CampaignMetrics()
+		for i, ok := p.claim(u); ok; i, ok = p.claim(u) {
+			var spare *rawExperiment
+			select {
+			case spare = <-spent:
+			default:
+			}
+			var busy time.Time
+			if cm != nil {
+				busy = obs.Now()
+			}
+			raw, err := runRuntimePhase(u.c, u.st, tb, u.prog.point, i, spare)
+			if cm != nil {
+				cm.WorkerBusySeconds.ObserveSince(busy)
+			}
+			if err != nil {
+				failure = fmt.Errorf("experiment %d: %w", i, err)
+				p.fail(u, failure)
+				return
+			}
+			raw.unit, raw.home = u, spent
+			p.raws <- raw
+		}
+	}
+}
+
+// analyze is an analysis worker, on scratch pl lends: it analyzes and
+// journals each raw experiment, then hands it back to its runtime worker.
+func (p *pipeline) analyze(pl *pool) {
+	an := pl.analyzer()
+	defer pl.putAnalyzer(an)
+	for raw := range p.raws {
+		u := raw.unit
+		rec, err := analyzeExperiment(u.c, u.st, raw, an)
+		if err != nil {
+			p.fail(u, err)
+			continue
+		}
+		u.records[raw.index] = rec
+		if err := u.sj.record(rec, &u.prog); err != nil {
+			p.fail(u, err)
+		}
+		if u.left.Add(-1) == 0 {
+			u.sj.event(&u.prog, obs.EventStudyDone)
+		}
+		if !u.c.single { // RunSingle's record keeps the timelines and stamps
+			raw.outcomes = nil // the record's
+			select {
+			case raw.home <- raw:
+			default:
+			}
+		}
+	}
 }
 
 // progress is one study's live progress: its cumulative counts and the
@@ -558,8 +596,10 @@ func (p *progress) emit(kind string, index int, v Verdict) {
 // outcomes — is the receiver's (only the timelines' immutable header lists
 // are shared). Once the record is journaled, the analysis worker hands it
 // back to home, its runtime worker, less what the record keeps: the
-// outcomes, or under RunSingle all of it.
+// outcomes, or under RunSingle all of it. unit is the study or point it
+// belongs to.
 type rawExperiment struct {
+	unit      *unit
 	home      chan<- *rawExperiment
 	index     int
 	completed bool

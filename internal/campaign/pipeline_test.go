@@ -24,8 +24,9 @@ func (f *fakeTestbed) step(name string, d time.Duration) {
 	f.rt.Clock().Sleep(d)
 }
 
-func (f *fakeTestbed) runtime() *core.Runtime { return f.rt }
-func (f *fakeTestbed) reference() string      { return "h1" }
+func (f *fakeTestbed) runtime() *core.Runtime       { return f.rt }
+func (f *fakeTestbed) reference() string            { return "h1" }
+func (f *fakeTestbed) bind(*Campaign, *Study) error { return nil }
 
 func (f *fakeTestbed) reset(string, int, bool) error {
 	f.step("reset", time.Millisecond)

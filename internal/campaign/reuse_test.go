@@ -81,7 +81,7 @@ func virtualElection(t testing.TB, experiments, workers int, extra ...string) *C
 
 // TestStudyAllocBudget holds the claimed per-experiment allocation figure
 // in tier-1, not only in the ledger: a virtual-time election study through
-// runStudy, runtime phase and pipelined analysis both, one worker. The
+// the pipeline, runtime phase and analysis both, one worker. The
 // per-experiment cost is the difference between a long and a short study,
 // so building the testbed does not count. Measured at 25.0 when the
 // budget was set; 35.0 while each runtime phase recorded into fresh
@@ -122,7 +122,12 @@ func TestStudyAllocBudget(t *testing.T) {
 // study, the rebind of a pooled testbed to it, its applications) count,
 // as they do in the ledger: it holds that each record's line is encoded
 // once, straight into the commit queue, with no allocation of its own.
-// Measured at 64.7 when the budget was set, in a -race build too; 88.5 and
+// Measured at 45.6 when the budget was set, 45.7 in a -race build; 64.7
+// for both while every point started a pipeline of its own (three
+// goroutines, channels, a claim counter and a records scan), attached a
+// new chaos engine that parsed its calls again, rendered its action calls
+// to fingerprint them, and every firing's revert and every process start
+// allocated; 88.5 and
 // 93.7 while each line was json.Marshal's (reflect over the record's maps,
 // and encoding/json's pooled state, which a -race build's sync.Pool
 // drops at random), each firing of a chaos action rendered its call, a
@@ -144,7 +149,7 @@ func TestStudyAllocBudget(t *testing.T) {
 // coroutines), 473.5 without the memo; a -race build then measured about
 // 215.5 (399 before the appending encoders).
 func TestJournaledStudyAllocBudget(t *testing.T) {
-	const budget = 71
+	const budget = 48
 	allocs := func(points int) float64 {
 		c, m := journaledChaos(t, points)
 		return testing.AllocsPerRun(3, func() {
@@ -380,12 +385,17 @@ func TestRecycledScratchDoesNotLeak(t *testing.T) {
 	}
 }
 
-// runPooled runs study st of c through runStudy at workers, on a pool of
-// its own.
+// runPooled runs study st of c through the pipeline at workers, on a pool
+// of its own.
 func runPooled(c *Campaign, st *Study, workers int) (*StudyResult, error) {
 	pl := newPool(c)
 	defer pl.close()
-	return runStudy(context.Background(), c, st, nil, "", workers, pl.open(c, st), pl)
+	units := make([]unit, 1)
+	units[0].set(c, st, nil, st.Name, "")
+	if _, err := runPipeline(context.Background(), units, workers, pl.open, pl); err != nil {
+		return nil, err
+	}
+	return &StudyResult{Name: st.Name, Records: units[0].records}, nil
 }
 
 // openTestbed opens an in-process testbed for study st of c, on a pool of
@@ -394,7 +404,10 @@ func openTestbed(t testing.TB, c *Campaign, st *Study) *localTestbed {
 	t.Helper()
 	pl := newPool(c)
 	t.Cleanup(pl.close)
-	tb, release, err := pl.open(c, st)()
+	tb, release, err := pl.open()
+	if err == nil {
+		err = tb.bind(c, st)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

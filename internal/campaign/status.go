@@ -202,7 +202,7 @@ func Namespaces(c *Campaign, m *Matrix) ([]Namespace, error) {
 	for i := range pts {
 		p, name := &pts[i], pts[i].Name()
 		st := pointStudy(overlays[p.scenario], p, name)
-		out[i] = Namespace{name, st.Experiments, studyFingerprint(profileFP[p.profile], st, name)}
+		out[i] = Namespace{name, st.Experiments, studyFingerprint(profileFP[p.profile], &st, name)}
 	}
 	return out, nil
 }

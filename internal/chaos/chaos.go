@@ -52,13 +52,17 @@ type Action interface {
 // to (Attach). Apply, revert and restart failures go to the runtime's
 // diagnostics (Runtime.Logf).
 type Engine struct {
-	rt *core.Runtime
+	rt   *core.Runtime
+	hook func(n *core.Node, f faultexpr.Spec) // the runtime's fault-action hook
 
 	mu sync.Mutex
 	// calls holds each fired call resolved, by the spec's call, so a
 	// firing neither parses nor renders it. Calls spelled alike share one
 	// entry.
 	calls map[*faultexpr.ActionCall]*resolved
+	// reverts are the auto-reverts that have run, for later firings to
+	// schedule theirs with.
+	reverts []*revert
 }
 
 // resolved is one action call parsed, under its syntax, and its firings
@@ -72,17 +76,38 @@ type resolved struct {
 	gen    uint64
 }
 
-// Attach binds a chaos engine to a live runtime: it seeds the runtime's
-// traffic-shaping randomness and installs the engine as the runtime's
-// fault-action dispatcher, so fault specification entries naming a
-// built-in action execute here when they fire.
+// revert is one firing's scheduled auto-revert: the fault, its resolved
+// call and the generation it applied. run, bound once, is what the runtime
+// schedules (Runtime.ExpAfterFunc, which voids it with its experiment), so
+// scheduling one allocates nothing once a revert has run. The fields are
+// guarded by the engine's mu.
+type revert struct {
+	e    *Engine
+	name string
+	call *faultexpr.ActionCall
+	r    *resolved
+	gen  uint64
+	run  func()
+}
+
+// Attach binds a new chaos engine to a live runtime (Reattach): it seeds
+// the runtime's traffic-shaping randomness and installs the engine as the
+// runtime's fault-action dispatcher, so fault specification entries naming
+// a built-in action execute here when they fire.
 func Attach(rt *core.Runtime, seed int64) *Engine {
-	rt.SeedNetem(seed)
 	e := &Engine{rt: rt, calls: make(map[*faultexpr.ActionCall]*resolved)}
-	rt.SetFaultActionHook(func(n *core.Node, f faultexpr.Spec) {
-		e.Dispatch(f)
-	})
+	e.hook = func(n *core.Node, f faultexpr.Spec) { e.Dispatch(f) }
+	e.Reattach(seed)
 	return e
+}
+
+// Reattach seeds the runtime's traffic shaping with seed and installs the
+// engine as its fault-action dispatcher again, after Runtime.Rewind
+// detached it. The calls it has resolved stay resolved, so a testbed that
+// runs many studies or matrix points parses each call once.
+func (e *Engine) Reattach(seed int64) {
+	e.rt.SeedNetem(seed)
+	e.rt.SetFaultActionHook(e.hook)
 }
 
 // Dispatch resolves and applies one fired action fault: Apply now, and
@@ -104,20 +129,35 @@ func (e *Engine) Dispatch(f faultexpr.Spec) {
 	}
 	if f.Action.For > 0 {
 		e.mu.Lock()
+		var rv *revert
+		if n := len(e.reverts); n > 0 {
+			rv, e.reverts = e.reverts[n-1], e.reverts[:n-1]
+		} else {
+			rv = &revert{e: e}
+			rv.run = rv.fire
+		}
 		r.gen++
-		gen := r.gen
+		rv.name, rv.call, rv.r, rv.gen = f.Name, f.Action, r, r.gen
 		e.mu.Unlock()
-		e.rt.ExpAfterFunc(f.Action.For, func() {
-			e.mu.Lock()
-			stale := r.gen != gen
-			e.mu.Unlock()
-			if stale {
-				return // a later firing re-applied the action; its revert governs
-			}
-			if err := r.act.Revert(e.rt); err != nil {
-				e.rt.Logf("chaos: fault %s: revert %s: %v", f.Name, f.Action, err)
-			}
-		})
+		e.rt.ExpAfterFunc(f.Action.For, rv.run)
+	}
+}
+
+// fire reverts the firing's action unless a later firing of its syntax
+// re-applied it, whose revert then governs.
+func (rv *revert) fire() {
+	e := rv.e
+	e.mu.Lock()
+	name, call, r := rv.name, rv.call, rv.r
+	stale := r.gen != rv.gen
+	rv.call, rv.r = nil, nil
+	e.reverts = append(e.reverts, rv)
+	e.mu.Unlock()
+	if stale {
+		return
+	}
+	if err := r.act.Revert(e.rt); err != nil {
+		e.rt.Logf("chaos: fault %s: revert %s: %v", name, call, err)
 	}
 }
 

@@ -37,12 +37,21 @@ func appendSamples(dst []Sample, msgs []StampedMessage, ref, remote string) []Sa
 // Hosts returns the sorted set of hosts appearing in msgs.
 func Hosts(msgs []StampedMessage) []string { return appendHosts(nil, msgs) }
 
+// appendHosts is Hosts into dst's array. A sync phase names a few hosts
+// over many messages, so it collects them by a linear scan and sorts only
+// those.
 func appendHosts(dst []string, msgs []StampedMessage) []string {
+	hosts := dst[:0]
 	for _, m := range msgs {
-		dst = append(dst, m.SendHost, m.RecvHost)
+		if !slices.Contains(hosts, m.SendHost) {
+			hosts = append(hosts, m.SendHost)
+		}
+		if !slices.Contains(hosts, m.RecvHost) {
+			hosts = append(hosts, m.RecvHost)
+		}
 	}
-	slices.Sort(dst)
-	return slices.Compact(dst)
+	slices.Sort(hosts)
+	return hosts
 }
 
 // EstimateAll computes per-host bounds relative to ref from a raw message

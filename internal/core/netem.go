@@ -36,6 +36,7 @@ type netem struct {
 	partitions map[[2]string]bool
 	filters    simnet.FilterSet
 	epoch      uint64
+	timers     []*expTimer // fired ExpAfterFunc bodies, for reuse
 
 	// shaping is the no-chaos fast path: while zero, Sends skip the lock
 	// entirely. Set whenever a partition or filter is installed; cleared
@@ -100,36 +101,56 @@ func (r *Runtime) SeedNetem(seed int64) {
 	r.netem.mu.Unlock()
 }
 
-// Epoch returns the experiment epoch, incremented on every
-// ResetExperiment. Deferred chaos work captures it to avoid leaking into
-// the next experiment.
-func (r *Runtime) Epoch() uint64 {
-	r.netem.mu.Lock()
-	defer r.netem.mu.Unlock()
-	return r.netem.epoch
-}
-
 // ExpAfterFunc schedules fn after d, scoped to the current experiment: if
 // the runtime is sealed, reset, or shut down before the timer fires, fn is
 // skipped. Chaos actions use this for auto-revert (heal after 50 ms,
 // restart after a crash) without straddling experiment boundaries. The
 // body runs under the read side of the seal/reset lock, so the epoch check
 // and fn are atomic with respect to SealExperiment and ResetExperiment — a
-// stale timer cannot start nodes into the next experiment.
+// stale timer cannot start nodes into the next experiment. The carrier of
+// the epoch is reused once it has fired, so a fn that is itself reused (a
+// method value bound once) is scheduled without allocating.
 func (r *Runtime) ExpAfterFunc(d time.Duration, fn func()) {
 	ne := r.netem
-	epoch := r.Epoch()
-	r.clk.AfterFunc(d, func() {
-		ne.expMu.RLock()
-		defer ne.expMu.RUnlock()
-		r.mu.Lock()
-		stopped := r.stopped
-		r.mu.Unlock()
-		if stopped || r.Epoch() != epoch {
-			return
-		}
+	ne.mu.Lock()
+	var t *expTimer
+	if n := len(ne.timers); n > 0 {
+		t, ne.timers = ne.timers[n-1], ne.timers[:n-1]
+	} else {
+		t = &expTimer{r: r}
+		t.run = t.fire
+	}
+	t.epoch, t.fn = ne.epoch, fn
+	ne.mu.Unlock()
+	r.clk.AfterFunc(d, t.run)
+}
+
+// expTimer is one ExpAfterFunc body: fn and the epoch it was scheduled in.
+// run, bound once, is what the clock schedules.
+type expTimer struct {
+	r     *Runtime
+	epoch uint64
+	fn    func()
+	run   func()
+}
+
+// fire runs fn if the runtime is still in t's experiment and live, and
+// gives t back first: fn may schedule again.
+func (t *expTimer) fire() {
+	r, ne := t.r, t.r.netem
+	ne.expMu.RLock()
+	defer ne.expMu.RUnlock()
+	ne.mu.Lock()
+	fn, live := t.fn, t.epoch == ne.epoch
+	t.fn = nil
+	ne.timers = append(ne.timers, t)
+	ne.mu.Unlock()
+	r.mu.Lock()
+	stopped := r.stopped
+	r.mu.Unlock()
+	if live && !stopped {
 		fn()
-	})
+	}
 }
 
 // PartitionHosts blocks application-bus traffic between hosts a and b in

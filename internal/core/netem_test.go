@@ -168,7 +168,7 @@ func TestResetExperimentClearsNetemAndHosts(t *testing.T) {
 	if err := rt.StepHostClock("h1", 5e6); err != nil {
 		t.Fatal(err)
 	}
-	epoch := rt.Epoch()
+	epoch := netemEpoch(rt)
 
 	rt.ResetExperiment()
 
@@ -184,9 +184,16 @@ func TestResetExperimentClearsNetemAndHosts(t *testing.T) {
 	if hostDown(rt, "h2") {
 		t.Error("crashed host not rebooted by reset")
 	}
-	if rt.Epoch() == epoch {
+	if netemEpoch(rt) == epoch {
 		t.Error("epoch did not advance")
 	}
+}
+
+// netemEpoch is the runtime's experiment epoch.
+func netemEpoch(rt *Runtime) uint64 {
+	rt.netem.mu.Lock()
+	defer rt.netem.mu.Unlock()
+	return rt.netem.epoch
 }
 
 // TestNetemLazySeedParity pins the lazily built generator to the stream an

@@ -31,11 +31,18 @@ type ActionCall struct {
 
 // String renders the call in its spec-file syntax.
 func (a *ActionCall) String() string {
-	s := a.Name + "(" + a.Raw + ")"
+	var buf [64]byte
+	return string(a.AppendSyntax(buf[:0]))
+}
+
+// AppendSyntax appends the call in its spec-file syntax, String's bytes,
+// to b.
+func (a *ActionCall) AppendSyntax(b []byte) []byte {
+	b = append(append(append(append(b, a.Name...), '('), a.Raw...), ')')
 	if a.For > 0 {
-		s += " " + a.For.String()
+		b = append(append(b, ' '), a.For.String()...)
 	}
-	return s
+	return b
 }
 
 // ParseActionCall parses "<action>(<args>) [<duration>]". The argument text

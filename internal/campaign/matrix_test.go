@@ -13,6 +13,7 @@ import (
 	"repro/internal/clocksync"
 	"repro/internal/core"
 	"repro/internal/faultexpr"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
@@ -487,5 +488,54 @@ func TestNewAppOncePerNodePerTestbed(t *testing.T) {
 	}
 	if n := total(); n != 0 {
 		t.Errorf("resuming a fully journaled matrix called NewApp %d times, want 0", n)
+	}
+}
+
+// TestPointEventsInOrder: with two workers and a journal, points overlap
+// in one pipeline, yet every point's events run StudyStart, then that
+// point's experiment events, then StudyDone.
+func TestPointEventsInOrder(t *testing.T) {
+	c := stepCampaign(t, 3, 2)
+	c.Studies = nil
+	c.Checkpoint = &Checkpoint{Dir: t.TempDir()}
+	c.Obs = &obs.Sink{}
+	var mu sync.Mutex
+	var events []obs.Event
+	defer c.Obs.Watch(func(ev obs.Event) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	})()
+	m := &Matrix{Name: "order", Seeds: []int64{1, 2, 3, 4, 5}, Study: stepStudy(t, 3)}
+	if _, err := RunMatrix(context.Background(), c, m); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	state := map[string]int{} // 0 not started, 1 started, 2 done
+	seen := map[string]int{}
+	for _, ev := range events {
+		switch ev.Kind {
+		case obs.EventStudyStart:
+			if state[ev.Point] != 0 {
+				t.Fatalf("point %s started twice", ev.Point)
+			}
+			state[ev.Point] = 1
+		case obs.EventExperiment:
+			if state[ev.Point] != 1 {
+				t.Fatalf("point %s: experiment event outside start..done", ev.Point)
+			}
+			seen[ev.Point]++
+		case obs.EventStudyDone:
+			if state[ev.Point] != 1 || seen[ev.Point] != 3 {
+				t.Fatalf("point %s: done after %d of 3 experiment events", ev.Point, seen[ev.Point])
+			}
+			state[ev.Point] = 2
+		}
+	}
+	for _, p := range m.Points() {
+		if state[p.Name()] != 2 {
+			t.Errorf("point %s never reported done", p.Name())
+		}
 	}
 }

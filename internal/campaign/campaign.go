@@ -374,7 +374,7 @@ func onCancel(ctx context.Context, fn func()) (stop func()) {
 }
 
 // Run executes the campaign: every experiment of every study, runtime
-// phase through analysis phase, one study after another (runUnits). When
+// phase through analysis phase, one study after another (runPipeline). When
 // ctx is cancelled, no further experiments are dispatched, in-flight ones
 // drain (clustered studies are quit at the protocol level), and the first
 // error returned is ctx.Err().
@@ -395,8 +395,8 @@ func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 			return nil, err
 		}
 		units := make([]unit, 1)
-		units[0].set(c, st, j.study("", st, st.Name), st.Name, "")
-		if _, err := runUnits(ctx, units, pl); err != nil {
+		units[0].set(c, st, j.study("", st, st.Name), "")
+		if _, err := runPipeline(ctx, units, poolWidth(c), pl.open, pl); err != nil {
 			return nil, fmt.Errorf("campaign: study %q: %w", st.Name, err)
 		}
 		res.Studies = append(res.Studies, &StudyResult{Name: st.Name, Records: units[0].records})
@@ -411,24 +411,6 @@ func Run(ctx context.Context, c *Campaign) (_ *Result, err error) {
 // host, every cross-host message over a real loopback socket, experiments
 // in sequence.
 func clustered(st *Study) bool { return st.Transport != "" && st.Transport != "inproc" }
-
-// runUnits runs units of one transport, a study or a matrix's points, on
-// the testbeds it selects: pl's through one pipeline, or a loopback
-// cluster per unit in turn. It returns the first failure and its unit.
-func runUnits(ctx context.Context, units []unit, pl *pool) (*unit, error) {
-	if !clustered(units[0].st) {
-		return runPipeline(ctx, units, poolWidth(pl.c), pl.open, pl)
-	}
-	for i := range units {
-		u := &units[i]
-		sr, err := runClustered(ctx, u.c, u.st, u.st.Transport, u.sj)
-		if err != nil {
-			return u, err
-		}
-		u.records = sr.Records
-	}
-	return nil, nil
-}
 
 // single derives the campaign RunSingle runs: the first study only, one
 // experiment of it, its record keeping the raw runtime artifacts. The study

@@ -179,13 +179,9 @@ func (m *Member) RunStudy(ctx context.Context, one bool) (_ *Result, err error) 
 		return nil, err
 	}
 	defer closeJournal(j, &err)
-	point := m.st.Name // a matrix point's journal binding is named so too
-	if c.point != nil {
-		point = c.point.Name()
-	}
 	units := make([]unit, 1)
-	units[0].set(c, m.st, m.sj, point, m.peer)
-	_, err = runPipeline(ctx, units, 1, func() (testbed, func(error), error) { return m, func(error) {}, nil }, nil)
+	units[0].set(c, m.st, m.sj, m.peer)
+	_, err = runPipeline(ctx, units, 1, func() (testbed, func(error)) { return m, func(error) {} }, newPool(c))
 	if err == nil {
 		n := experimentCount(c, m.st)
 		if !m.barriered {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/intern"
@@ -144,9 +145,12 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		}
 	}
 	rt.SetPlacement(placement)
-	if _, err := registerNodes(rt, c, st, func(nick string) bool { return topo.Owner(placement[nick]) == m.peer }, nil); err != nil {
+	if err := registerNodes(rt, c, st, func(nick string) bool { return topo.Owner(placement[nick]) == m.peer }); err != nil {
 		rt.Shutdown()
 		return nil, err
+	}
+	if chaos.HasActionFaults(st.Nodes) {
+		chaos.Attach(rt, st.ChaosSeed)
 	}
 	m.rt = rt
 	m.wake = rt.Clock().NewWaiter()

@@ -213,10 +213,11 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 }
 
 // RunMatrix executes every point of the matrix through one pipeline
-// (runUnits): with at least as many points as Workers, each worker claims
-// whole points and keeps one pooled testbed for the call, bound to each
-// point it claims; with fewer, a point's indices are shared by its share
-// of the workers. Validate checks every point's study before the journal
+// (runPipeline): with at least as many points as Workers, each worker
+// claims whole points and keeps one pooled testbed for the call, bound to
+// each point it claims; with fewer, a point's indices are shared by its
+// share of the workers. A socket-transport point runs on a loopback
+// cluster of its own, up to Workers of them at once. Validate checks every point's study before the journal
 // opens, and a fully journaled point builds no application. Results land
 // at their point index. The campaign's Studies field is ignored; its other
 // configuration applies to every point, the point's latency profile
@@ -241,9 +242,9 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 		p, u := &pts[k], &units[k]
 		name := p.Name()
 		u.pc, u.ps = pointCampaign(c, m, p), pointStudy(overlays[p.scenario], p, name)
-		u.set(&u.pc, &u.ps, j.study(profileFP[p.profile], &u.ps, name), name, "")
+		u.set(&u.pc, &u.ps, j.study(profileFP[p.profile], &u.ps, name), "")
 	}
-	if fault, err := runUnits(ctx, units, pl); fault != nil {
+	if fault, err := runPipeline(ctx, units, poolWidth(c), pl.open, pl); fault != nil {
 		return nil, fmt.Errorf("campaign: matrix point %s: %w", fault.prog.point, err)
 	} else if err != nil {
 		return nil, err

@@ -539,3 +539,44 @@ func TestPointEventsInOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestClusteredPointsOverlap: a socket-transport matrix runs up to Workers
+// points at once, each on a loopback cluster of its own, and its results
+// still land at their point index. Every point's first application waits
+// until a second point has built one, which only a concurrent point can.
+func TestClusteredPointsOverlap(t *testing.T) {
+	c := stepCampaign(t, 1, 2)
+	c.Studies = nil
+	st := stepStudy(t, 1)
+	st.Transport = "udp"
+	var (
+		mu     sync.Mutex
+		points = map[int64]bool{}
+		two    = make(chan struct{})
+	)
+	st.NewApp = func(p Point, nick string) (core.App, error) {
+		mu.Lock()
+		if !points[p.Seed] {
+			if points[p.Seed] = true; len(points) == 2 {
+				close(two)
+			}
+		}
+		mu.Unlock()
+		select {
+		case <-two:
+		case <-time.After(10 * time.Second):
+			return nil, fmt.Errorf("point %d: no other point was built meanwhile", p.Seed)
+		}
+		return stepApp(p, nick)
+	}
+	m := &Matrix{Name: "clustered", Seeds: []int64{1, 2, 3}, Study: st}
+	res, err := RunMatrix(context.Background(), c, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, pr := range res.Points {
+		if pr.Point.Seed != int64(k+1) || len(pr.Study.Records) != 1 || pr.Study.Records[0] == nil {
+			t.Errorf("result %d is point %d with %d records, want point %d with 1", k, pr.Point.Seed, len(pr.Study.Records), k+1)
+		}
+	}
+}

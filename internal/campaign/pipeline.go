@@ -71,14 +71,13 @@ type executed struct {
 // one — a fully journaled point opens none — and returns the function that
 // gives it back once the worker retires, with the error of the runtime
 // phase that retired it, if one did.
-type opener func() (testbed, func(error), error)
+type opener func() (testbed, func(error))
 
 // pool is what one Run or RunMatrix call lends its pipelines: idle
 // in-process testbeds and analysis scratch. It fills lazily, so a fully
 // journaled study takes nothing from it; a testbed given back is bound to
 // the next study or point that takes it, and its spent scratch goes along.
-// close shuts every testbed down when the call returns. A nil pool lends
-// fresh analysis scratch only (a cluster member's study).
+// close shuts every testbed down when the call returns.
 type pool struct {
 	c         *Campaign // the call's campaign: hosts and runtime configuration
 	testbeds  idle[localTestbed]
@@ -92,16 +91,12 @@ type idle[T any] struct {
 }
 
 // take pops an idle object, or returns nil.
-func (s *idle[T]) take() *T {
+func (s *idle[T]) take() (x *T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.items)
-	if n == 0 {
-		return nil
+	if n := len(s.items); n > 0 {
+		x, s.items[n-1], s.items = s.items[n-1], nil, s.items[:n-1]
 	}
-	x := s.items[n-1]
-	s.items[n-1] = nil
-	s.items = s.items[:n-1]
 	return x
 }
 
@@ -114,29 +109,23 @@ func (s *idle[T]) put(x *T) {
 func newPool(c *Campaign) *pool { return &pool{c: c} }
 
 // open is the in-process engine's opener: an idle testbed, or a bare one.
-func (p *pool) open() (testbed, func(error), error) {
+func (p *pool) open() (testbed, func(error)) {
 	tb := p.testbeds.take()
 	if tb == nil {
 		tb = newLocalTestbed(p)
 	}
-	return tb, tb.release, nil
+	return tb, tb.release
 }
 
 // analyzer lends an analysis worker its scratch.
 func (p *pool) analyzer() *analyzer {
-	if p != nil {
-		if an := p.analyzers.take(); an != nil {
-			return an
-		}
+	if an := p.analyzers.take(); an != nil {
+		return an
 	}
 	return new(analyzer)
 }
 
-func (p *pool) putAnalyzer(an *analyzer) {
-	if p != nil {
-		p.analyzers.put(an)
-	}
-}
+func (p *pool) putAnalyzer(an *analyzer) { p.analyzers.put(an) }
 
 // close shuts down every testbed the pool holds: all of them, once the
 // call's studies have returned.
@@ -208,22 +197,31 @@ func newLocalTestbed(p *pool) *localTestbed {
 // bind binds the testbed to study st of campaign c — a study of Run, or a
 // matrix point's — returning it to the state a testbed built fresh for
 // them has: Runtime.Rewind with c's notification delays, then the study's
-// nodes and chaos engine (registerNodes). A testbed that fails to bind is
+// nodes (registerNodes) and, when it has actions, the testbed's chaos
+// engine, attached by the first such study and reattached for the next, so
+// the engine parses each action call once. A testbed that fails to bind is
 // shut down, not given back.
-func (tb *localTestbed) bind(c *Campaign, st *Study) (err error) {
+func (tb *localTestbed) bind(c *Campaign, st *Study) error {
 	tb.c, tb.st = c, st
 	tb.rt.Rewind(c.Runtime.LocalDelay, c.Runtime.RemoteDelay)
-	tb.actions, err = registerNodes(tb.rt, c, st, nil, tb.actions)
-	return err
+	if err := registerNodes(tb.rt, c, st, nil); err != nil {
+		return err
+	}
+	switch {
+	case !chaos.HasActionFaults(st.Nodes):
+	case tb.actions == nil:
+		tb.actions = chaos.Attach(tb.rt, st.ChaosSeed)
+	default:
+		tb.actions.Reattach(st.ChaosSeed)
+	}
+	return nil
 }
 
 // registerNodes binds on a testbed's runtime the study's nodes that
 // testbed runs — those runs admits, every node when runs is nil — each
 // with an application NewApp builds for the campaign's matrix point (or
-// Point{Seed: ChaosSeed}) (Runtime.Rebind), and, when the study has
-// actions, reattaches the runtime's chaos engine eng, or attaches a new
-// one when eng is nil, and returns it.
-func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick string) bool, eng *chaos.Engine) (*chaos.Engine, error) {
+// Point{Seed: ChaosSeed}) (Runtime.Rebind).
+func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick string) bool) error {
 	p := Point{Seed: st.ChaosSeed}
 	if c.point != nil {
 		p = *c.point
@@ -235,22 +233,12 @@ func registerNodes(rt *core.Runtime, c *Campaign, st *Study, runs func(nick stri
 		}
 		app, err := st.NewApp(p, def.Nickname)
 		if err != nil {
-			return eng, fmt.Errorf("campaign: node %q: %w", def.Nickname, err)
+			return fmt.Errorf("campaign: node %q: %w", def.Nickname, err)
 		}
 		def.App = app
 		defs = append(defs, def)
 	}
-	if err := rt.Rebind(defs); err != nil {
-		return eng, err
-	}
-	switch {
-	case !chaos.HasActionFaults(st.Nodes):
-	case eng == nil:
-		eng = chaos.Attach(rt, st.ChaosSeed)
-	default:
-		eng.Reattach(st.ChaosSeed)
-	}
-	return eng, nil
+	return rt.Rebind(defs)
 }
 
 func (tb *localTestbed) runtime() *core.Runtime { return tb.rt }
@@ -338,11 +326,19 @@ type unit struct {
 	next, left atomic.Int64
 }
 
-// set binds the unit to study st of campaign c under sj, naming it point
-// in traces and progress events, which member labels with the reporting
-// cluster peer ("" in-process).
-func (u *unit) set(c *Campaign, st *Study, sj *studyJournal, point, member string) {
+// set binds the unit to study st of campaign c under sj, naming it in
+// traces and progress events by its journal binding's point, else by c's
+// matrix point, else by st; member labels them with the reporting cluster
+// peer ("" in-process).
+func (u *unit) set(c *Campaign, st *Study, sj *studyJournal, member string) {
 	u.c, u.st, u.sj = c, st, sj
+	point := st.Name
+	switch {
+	case sj != nil:
+		point = sj.point
+	case c.point != nil:
+		point = c.point.Name()
+	}
 	u.prog.sink, u.prog.point, u.prog.member = c.Obs, point, member
 }
 
@@ -399,7 +395,9 @@ type pipeline struct {
 // record, or the drain if the call stops short. The first failure, or a
 // cancelled ctx, stops every further claim, but what is in flight is run,
 // analyzed and journaled. Then the failure with its unit, or ctx.Err()
-// and nil, is returned.
+// and nil, is returned. A unit of a socket transport runs whole on a
+// loopback cluster of its own (runClustered), which its worker claims the
+// same way, so up to workers clusters run at once.
 func runPipeline(ctx context.Context, units []unit, workers int, open opener, pl *pool) (*unit, error) {
 	p := &pipeline{ctx: ctx, units: units, raws: make(chan *rawExperiment, workers)}
 	var runWG, anWG sync.WaitGroup
@@ -423,10 +421,16 @@ func runPipeline(ctx context.Context, units []unit, workers int, open opener, pl
 			u.sj.event(&u.prog, obs.EventStudyDone)
 		}
 	}
+	return p.result()
+}
+
+// result is the call's outcome: the first failure with its unit, or
+// ctx.Err() and nil.
+func (p *pipeline) result() (*unit, error) {
 	if p.err != nil {
 		return p.fault, p.err
 	}
-	return nil, ctx.Err()
+	return nil, p.ctx.Err()
 }
 
 func (p *pipeline) fail(u *unit, err error) {
@@ -473,7 +477,8 @@ func (p *pipeline) claim(u *unit) (int, bool) {
 
 // work is runtime worker w: it opens a testbed for the first unit it runs
 // and binds it to each next one, leaving a unit with fewer missing
-// experiments than w's rank to its other workers.
+// experiments than w's rank to its other workers, and a clustered unit to
+// its first.
 func (p *pipeline) work(w, workers int, open opener) {
 	var (
 		tb      testbed
@@ -488,6 +493,17 @@ func (p *pipeline) work(w, workers int, open opener) {
 		}
 	}()
 	for u, rank := p.take(w, workers, true); u != nil; u, rank = p.take(w, workers, false) {
+		if clustered(u.st) && u.prog.member == "" { // no cluster member runs it yet
+			if rank == 0 {
+				sr, err := runClustered(p.ctx, u.c, u.st, u.st.Transport, u.sj)
+				if err != nil {
+					p.fail(u, err)
+					return
+				}
+				u.records = sr.Records
+			}
+			continue
+		}
 		if err := u.open(); err != nil {
 			p.fail(u, err)
 			return
@@ -496,10 +512,7 @@ func (p *pipeline) work(w, workers int, open opener) {
 			continue
 		}
 		if tb == nil {
-			if tb, release, failure = open(); failure != nil {
-				p.fail(u, failure)
-				return
-			}
+			tb, release = open()
 			spent = tb.spent() // only tb's runtime may reuse its timelines
 		}
 		if bound != u {

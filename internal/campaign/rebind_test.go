@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/chaos"
 )
 
 // TestReusedTestbedMatchesFresh: a testbed outlives its study or matrix
@@ -122,6 +124,59 @@ func TestReusedTestbedMatchesFresh(t *testing.T) {
 		}
 	}
 	compareLines(t, "three studies", runStudies(a, &b, &again), fresh)
+}
+
+// TestTestbedAttachesOneChaosEngine: a testbed attaches its chaos engine
+// at the first point it runs that has action faults, and reattaches that
+// engine at every later one, of whichever scenario, with points without
+// actions between. TestReattachedEngineParsesEachCallOnce (internal/chaos)
+// checks that a reattached engine parses each distinct call once.
+func TestTestbedAttachesOneChaosEngine(t *testing.T) {
+	split, err := ParseScenarioFaults("yellow ysplit (yellow:FOLLOW) once partition(h3|h1,h2) 4ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, err := ParseScenarioFaults("green gstep (green:FOLLOW) once clockstep(h2,2ms)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := virtualElection(t, 1, 1)
+	m := &Matrix{
+		Name:      "engine",
+		Scenarios: []Scenario{{Name: "baseline"}, {Name: "split", Faults: split}, {Name: "step", Faults: step}},
+		Seeds:     []int64{1, 2},
+		Study:     c.Studies[0],
+	}
+	c.Studies = nil
+	overlays, err := validate(c, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := newPool(c)
+	t.Cleanup(pl.close)
+	opened, release := pl.open()
+	t.Cleanup(func() { release(nil) })
+	tb := opened.(*localTestbed)
+	pts := m.Points()
+	var first *chaos.Engine
+	for _, p := range append(pts, pts...) {
+		pc, ps := pointCampaign(c, m, &p), pointStudy(overlays[p.scenario], &p, p.Name())
+		if err := tb.bind(&pc, &ps); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runRuntimePhase(&pc, &ps, tb, p.Name(), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case first == nil:
+			first = tb.actions
+		case tb.actions != first:
+			t.Fatalf("point %s: the testbed attached a second chaos engine", p.Name())
+		}
+	}
+	if first == nil {
+		t.Fatal("no point attached a chaos engine")
+	}
 }
 
 // journalLines returns the record lines of the journal under dir, by

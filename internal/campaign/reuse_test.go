@@ -391,7 +391,7 @@ func runPooled(c *Campaign, st *Study, workers int) (*StudyResult, error) {
 	pl := newPool(c)
 	defer pl.close()
 	units := make([]unit, 1)
-	units[0].set(c, st, nil, st.Name, "")
+	units[0].set(c, st, nil, "")
 	if _, err := runPipeline(context.Background(), units, workers, pl.open, pl); err != nil {
 		return nil, err
 	}
@@ -404,11 +404,8 @@ func openTestbed(t testing.TB, c *Campaign, st *Study) *localTestbed {
 	t.Helper()
 	pl := newPool(c)
 	t.Cleanup(pl.close)
-	tb, release, err := pl.open()
-	if err == nil {
-		err = tb.bind(c, st)
-	}
-	if err != nil {
+	tb, release := pl.open()
+	if err := tb.bind(c, st); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { release(nil) })

@@ -422,6 +422,68 @@ func TestSameCallSyntaxSharesRevertWindow(t *testing.T) {
 	}
 }
 
+// mustSpec parses one fault specification line.
+func mustSpec(t *testing.T, line string) faultexpr.Spec {
+	t.Helper()
+	f, ok, err := faultexpr.ParseSpecLine(line)
+	if err != nil || !ok {
+		t.Fatalf("%q: %v", line, err)
+	}
+	return f
+}
+
+// TestReattachedEngineParsesEachCallOnce: a campaign testbed keeps one
+// engine over the matrix points it runs and reattaches it at each. Over
+// points of two scenarios, whose parsed calls differ but share one syntax,
+// each distinct call is parsed once, however many points fire it.
+func TestReattachedEngineParsesEachCallOnce(t *testing.T) {
+	v, rt := simBed(t)
+	e := Attach(rt, 1)
+	scenarios := [2][]faultexpr.Spec{
+		{mustSpec(t, "ca (a:X) once partition(h3|h1,h2) 1ms"), mustSpec(t, "cb (b:X) once clockstep(h2,1ms) 1ms")},
+		{mustSpec(t, "cc (a:X) once partition(h3|h1,h2) 1ms"), mustSpec(t, "cd (b:X) once drop(h1,h2,1) 1ms")},
+	}
+	var first map[*resolved]Action
+	for point := range 6 {
+		e.Reattach(int64(point))
+		for _, f := range scenarios[point%2] {
+			e.Dispatch(f)
+		}
+		v.Sleep(2 * time.Millisecond) // past every revert
+		parsed := map[*resolved]Action{}
+		for _, r := range e.calls {
+			parsed[r] = r.act
+		}
+		switch {
+		case point == 1:
+			first = parsed
+		case point > 1 && !reflect.DeepEqual(parsed, first):
+			t.Fatalf("point %d parsed a call again: %d entries, %d after the first two points", point, len(parsed), len(first))
+		}
+	}
+	if len(first) != 3 || len(e.calls) != 4 {
+		t.Errorf("%d parsed entries for %d calls, want 3 for 4 (two calls spelled alike)", len(first), len(e.calls))
+	}
+}
+
+// TestWarmFiringAndRevertAllocateNothing: once a firing's auto-revert has
+// run, the next firing of a call reuses its revert entry and the runtime's
+// epoch carrier, so a firing and its revert allocate nothing.
+func TestWarmFiringAndRevertAllocateNothing(t *testing.T) {
+	v, rt := simBed(t)
+	e := Attach(rt, 7)
+	f := mustSpec(t, "cut (a:X) always partition(h1|h2,h3) 1ms")
+	sleep := func() { v.Sleep(2 * time.Millisecond) }
+	fire := func() {
+		e.Dispatch(f)
+		sleep()
+	}
+	fire()
+	if n := testing.AllocsPerRun(100, fire) - testing.AllocsPerRun(100, sleep); n > 0 {
+		t.Errorf("a warm firing and its revert allocate %.2f objects, want 0", n)
+	}
+}
+
 const upSpec = `
 global_state_list
   BEGIN

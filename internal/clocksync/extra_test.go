@@ -1,6 +1,8 @@
 package clocksync
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -90,5 +92,35 @@ func TestEstimateAllMissingPair(t *testing.T) {
 	}
 	if _, err := EstimateAll(msgs, "ref"); err == nil {
 		t.Error("host without reference exchanges accepted")
+	}
+}
+
+// TestHostsMatchesSortAndCompact: Hosts, which collects the distinct hosts
+// by a linear scan and sorts only those, returns what sorting every
+// message's two endpoints and compacting the result does, on random
+// message sets over a few hosts (the empty name among them), and appending
+// into a reused array gives the same.
+func TestHostsMatchesSortAndCompact(t *testing.T) {
+	names := []string{"", "h1", "h2", "h10", "ref", "b", "a"}
+	rng := rand.New(rand.NewSource(1))
+	var reused []string
+	for trial := range 500 {
+		msgs := make([]StampedMessage, rng.Intn(40))
+		pool := names[:1+rng.Intn(len(names))]
+		for i := range msgs {
+			msgs[i] = StampedMessage{SendHost: pool[rng.Intn(len(pool))], RecvHost: pool[rng.Intn(len(pool))]}
+		}
+		var want []string
+		for _, m := range msgs {
+			want = append(want, m.SendHost, m.RecvHost)
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := Hosts(msgs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Hosts = %q, want %q", trial, got, want)
+		}
+		if reused = appendHosts(reused[:0], msgs); !slices.Equal(reused, want) {
+			t.Fatalf("trial %d: appendHosts into a reused array = %q, want %q", trial, reused, want)
+		}
 	}
 }

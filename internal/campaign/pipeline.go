@@ -91,12 +91,16 @@ type idle[T any] struct {
 }
 
 // take pops an idle object, or returns nil.
-func (s *idle[T]) take() (x *T) {
+func (s *idle[T]) take() *T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.items); n > 0 {
-		x, s.items[n-1], s.items = s.items[n-1], nil, s.items[:n-1]
+	n := len(s.items)
+	if n == 0 {
+		return nil
 	}
+	x := s.items[n-1]
+	s.items[n-1] = nil
+	s.items = s.items[:n-1]
 	return x
 }
 

@@ -302,7 +302,8 @@ const journalBatchBytes = 256 << 10
 //
 // The file is read in batches of whole lines, at most journalBatchBytes
 // each (or one longer line). Each batch's lines are verified and decoded
-// over GOMAXPROCS goroutines (decodeBatch) before the batch is walked in
+// over GOMAXPROCS goroutines (decodeBatch), in runs of decodeRun
+// consecutive lines, before the batch is walked in
 // order; a line past the first untrusted one is decoded in vain, never
 // handed on.
 func readJournal[E *ExperimentRecord | RecordSummary](r io.Reader, path string, onRecord func(*journalRecord[E])) (journalScan, error) {
@@ -348,7 +349,7 @@ func readJournal[E *ExperimentRecord | RecordSummary](r io.Reader, path string, 
 			i := bytes.IndexByte(rest, '\n') + 1
 			lines, rest = append(lines, rest[:i]), rest[i:]
 		}
-		batch = decodeBatch(lines, ds, batch)
+		batch = decodeBatch(lines, ds, batch, decodeRun)
 		for i, raw := range lines {
 			nth++
 			switch l := &batch[i]; {
@@ -404,30 +405,39 @@ type decodedLine[E any] struct {
 	ok  bool
 }
 
+// decodeRun is how many consecutive lines a decoding goroutine claims at
+// once. The lines of one matrix point's records mostly fall into one run,
+// so one goroutine copies the point's name and fingerprint into its names
+// table, not every goroutine; a batch still holds enough runs for all of
+// them.
+const decodeRun = 16
+
 // decodeBatch verifies lines and decodes their records into out, whose
 // array it reuses, over up to one goroutine per decoder in ds — the
-// caller's among them — that claim lines one at a time, each with its own
-// decoder and so its own scratch. The records are read in place: a caller
-// that keeps one copies it out.
-func decodeBatch[E *ExperimentRecord | RecordSummary](lines [][]byte, ds []*lineDecoder, out []decodedLine[E]) []decodedLine[E] {
+// caller's among them — that claim run consecutive lines at a time, each
+// with its own decoder and so its own scratch. The records are read in
+// place: a caller that keeps one copies it out.
+func decodeBatch[E *ExperimentRecord | RecordSummary](lines [][]byte, ds []*lineDecoder, out []decodedLine[E], run int) []decodedLine[E] {
 	out = slices.Grow(out[:0], len(lines))[:len(lines)]
 	var next atomic.Int64
 	work := func(d *lineDecoder) {
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(lines) {
+			lo := int(next.Add(int64(run))) - run
+			if lo >= len(lines) {
 				return
 			}
-			l := &out[i]
-			*l = decodedLine[E]{}
-			var body []byte
-			if body, l.tag = unframe(lines[i]); l.tag == recordTag {
-				l.ok = decode(d, body, &l.rec)
+			for i := lo; i < min(lo+run, len(lines)); i++ {
+				l := &out[i]
+				*l = decodedLine[E]{}
+				var body []byte
+				if body, l.tag = unframe(lines[i]); l.tag == recordTag {
+					l.ok = decode(d, body, &l.rec)
+				}
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(len(ds), len(lines)); w++ {
+	for w := 1; w < min(len(ds), (len(lines)+run-1)/run); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

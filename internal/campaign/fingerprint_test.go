@@ -168,7 +168,7 @@ func TestMatrixJournalFingerprintsMatchFmt(t *testing.T) {
 	if len(got) != len(pts) {
 		t.Fatalf("journal holds %d points, the matrix has %d", len(got), len(pts))
 	}
-	overlays, err := m.scenarioStudies(c)
+	overlays, err := m.scenarioStudies(c, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,5 +221,43 @@ func TestPointNameAndFingerprintAllocBudget(t *testing.T) {
 	}
 	if fp != refStudyFingerprint(c, st, name) {
 		t.Errorf("fingerprint %s differs from the reference", fp)
+	}
+}
+
+// TestMatrixExpansionAllocBudget holds what Validate and Namespaces
+// allocate per point of a 512-point matrix: each expands the matrix once,
+// naming each point as it goes, and Namespaces reuses Validate's points.
+// Measured at 1.04 and 5.35 per point when the budget was set, where the
+// name is Validate's one allocation per point and Namespaces adds the
+// point's study fingerprint; 2.08 and 7.38 when Validate expanded the
+// matrix twice and Namespaces three times, each naming every point again
+// (1.05 and 5.51 in a -race build).
+func TestMatrixExpansionAllocBudget(t *testing.T) {
+	c := stepCampaign(t, 1, 2)
+	c.Studies = nil
+	m := &Matrix{Name: "wide", Study: stepStudy(t, 1)}
+	for i := range 4 {
+		m.Scenarios = append(m.Scenarios, Scenario{Name: fmt.Sprintf("scenario%d", i)})
+	}
+	for i := range 8 {
+		m.Latencies = append(m.Latencies, LatencyProfile{Name: fmt.Sprintf("profile%d", i), Local: time.Duration(i) * time.Microsecond})
+	}
+	for i := range 16 {
+		m.Seeds = append(m.Seeds, int64(1000+i))
+	}
+	const points = 4 * 8 * 16
+	perPoint := func(f func() error) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}) / points
+	}
+	validate := perPoint(func() error { return Validate(c, m) })
+	namespaces := perPoint(func() error { _, err := Namespaces(c, m); return err })
+	t.Logf("allocations per point: Validate %.2f, Namespaces %.2f", validate, namespaces)
+	const validateBudget, namespacesBudget = 1.5, 6
+	if validate > validateBudget || namespaces > namespacesBudget {
+		t.Errorf("per point, Validate allocates %.2f (budget %.1f) and Namespaces %.2f (budget %.1f)", validate, validateBudget, namespaces, float64(namespacesBudget))
 	}
 }

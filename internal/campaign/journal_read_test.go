@@ -411,3 +411,51 @@ func FuzzJournalLookup(f *testing.F) {
 		checkServed(t, path, data)
 	})
 }
+
+// TestDecodeRunsMatchOneAtATime: decoding a batch with goroutines that
+// claim runs of 1, 3, 64 or more than all of the lines gives each line
+// the tag, verdict and record that one-at-a-time claiming gives it, in
+// both record shapes. The batch interleaves four points' records as two
+// workers journal them, with a garbled line, a torn line and a header
+// among them. Run under -race in CI.
+func TestDecodeRunsMatchOneAtATime(t *testing.T) {
+	header, rec := goldenLines(t)
+	var lines [][]byte
+	add := func(line string) { lines = append(lines, []byte(line)) }
+	add(header)
+	for i := range 40 {
+		point := fmt.Sprintf(`"Point":"netsplit/wan/seed%d"`, i%4)
+		add(reframe(t, strings.Replace(strings.Replace(rec, `"Index":0`, fmt.Sprintf(`"Index":%d`, i/4), 2), `"Point":"golden"`, point, 1)))
+		switch i {
+		case 9:
+			add("not json\n")
+		case 22:
+			add(rec[:len(rec)/2] + "\n")
+		}
+	}
+	checkRuns[*ExperimentRecord](t, lines)
+	checkRuns[RecordSummary](t, lines)
+}
+
+func checkRuns[E *ExperimentRecord | RecordSummary](t *testing.T, lines [][]byte) {
+	t.Helper()
+	decoders := func() []*lineDecoder { return []*lineDecoder{new(lineDecoder), new(lineDecoder)} }
+	want := decodeBatch[E](lines, decoders(), nil, 1)
+	ok := 0
+	for _, l := range want {
+		if l.ok {
+			ok++
+		}
+	}
+	if ok != 40 {
+		t.Fatalf("one at a time: %d of %d lines decode, want the 40 records", ok, len(lines))
+	}
+	for _, run := range []int{1, 3, 64, len(lines) + 1} {
+		got := decodeBatch[E](lines, decoders(), nil, run)
+		for i := range lines {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%T, runs of %d: line %d decodes to %+v, one at a time to %+v", got[i].rec, run, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -69,13 +69,19 @@ type Point struct {
 	Scenario Scenario
 	Latency  LatencyProfile
 	Seed     int64
-	scenario int // Scenario's index in the expanded scenario axis
-	profile  int // Latency's index in the expanded latency axis
+	scenario int    // Scenario's index in the expanded scenario axis
+	profile  int    // Latency's index in the expanded latency axis
+	name     string // Name, rendered once by Matrix.Points
 }
 
-// Name renders "scenario/profile/seedN".
+// Name renders "scenario/profile/seedN". A point from Matrix.Points
+// returns the name it was expanded with.
 func (p Point) Name() string {
-	return p.Scenario.Name + "/" + p.Latency.Name + "/seed" + strconv.FormatInt(p.Seed, 10)
+	if p.name != "" {
+		return p.name
+	}
+	var b [64]byte
+	return string(strconv.AppendInt(append(append(append(append(b[:0], p.Scenario.Name...), '/'), p.Latency.Name...), "/seed"...), p.Seed, 10))
 }
 
 // Matrix expands into studies. Zero-valued axes default to a single
@@ -93,7 +99,9 @@ type Matrix struct {
 }
 
 // Points enumerates the matrix cells in deterministic order:
-// scenario-major, then latency profile, then seed.
+// scenario-major, then latency profile, then seed, each with its name
+// rendered. A run expands its matrix once (validate) and passes the points
+// on.
 func (m *Matrix) Points() []Point {
 	scenarios := m.Scenarios
 	if len(scenarios) == 0 {
@@ -107,25 +115,29 @@ func (m *Matrix) Points() []Point {
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
-	var pts []Point
+	pts := make([]Point, 0, len(scenarios)*len(latencies)*len(seeds))
 	for si, sc := range scenarios {
 		for li, lp := range latencies {
 			for _, seed := range seeds {
-				pts = append(pts, Point{Index: len(pts), Scenario: sc, Latency: lp, Seed: seed, scenario: si, profile: li})
+				p := Point{Index: len(pts), Scenario: sc, Latency: lp, Seed: seed, scenario: si, profile: li}
+				p.name = p.Name()
+				pts = append(pts, p)
 			}
 		}
 	}
 	return pts
 }
 
-// scenarioStudies overlays each scenario of the points onto the template,
-// by scenario index, and puts each overlay through the study check.
-func (m *Matrix) scenarioStudies(c *Campaign) ([]*Study, error) {
+// scenarioStudies overlays each scenario of pts, the matrix's points, onto
+// the template, by scenario index, and puts each overlay through the study
+// check.
+func (m *Matrix) scenarioStudies(c *Campaign, pts []Point) ([]*Study, error) {
 	if m.Study == nil {
 		return nil, fmt.Errorf("campaign: matrix %q has no template Study", m.Name)
 	}
 	var out []*Study
-	for _, p := range m.Points() {
+	for i := range pts {
+		p := &pts[i]
 		if p.scenario < len(out) {
 			continue // points are scenario-major: this scenario has its overlay
 		}
@@ -224,11 +236,10 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 // overriding the notification delays. After ctx is cancelled nothing more
 // is dispatched, in-flight experiments drain, and ctx.Err() is returned.
 func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, err error) {
-	overlays, err := validate(c, m)
+	pts, overlays, err := validate(c, m)
 	if err != nil {
 		return nil, err
 	}
-	pts := m.Points()
 	j, err := openCampaignJournal(c)
 	if err != nil {
 		return nil, err
@@ -236,7 +247,7 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 	defer closeJournal(j, &err)
 	pl := newPool(c)
 	defer pl.close()
-	profileFP := profileFingerprints(c, m)
+	profileFP := profileFingerprints(c, m, pts)
 	units := make([]unit, len(pts))
 	for k := range pts {
 		p, u := &pts[k], &units[k]
@@ -260,14 +271,14 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 }
 
 // profileFingerprints returns each latency profile's campaign
-// fingerprint, by profile index, from the profile's first point: a point's
-// derived campaign (latency overrides applied) fingerprints its records,
-// so a changed profile is not resumed.
-func profileFingerprints(c *Campaign, m *Matrix) []string {
+// fingerprint, by profile index, from the profile's first point of pts,
+// the matrix's points: a point's derived campaign (latency overrides
+// applied) fingerprints its records, so a changed profile is not resumed.
+func profileFingerprints(c *Campaign, m *Matrix, pts []Point) []string {
 	var fps []string
-	for _, p := range m.Points() {
-		if p.profile == len(fps) {
-			pc := pointCampaign(c, m, &p)
+	for i := range pts {
+		if p := &pts[i]; p.profile == len(fps) {
+			pc := pointCampaign(c, m, p)
 			fps = append(fps, campaignFingerprint(&pc))
 		}
 	}

@@ -148,7 +148,7 @@ func TestTestbedAttachesOneChaosEngine(t *testing.T) {
 		Study:     c.Studies[0],
 	}
 	c.Studies = nil
-	overlays, err := validate(c, m)
+	pts, overlays, err := validate(c, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,6 @@ func TestTestbedAttachesOneChaosEngine(t *testing.T) {
 	opened, release := pl.open()
 	t.Cleanup(func() { release(nil) })
 	tb := opened.(*localTestbed)
-	pts := m.Points()
 	var first *chaos.Engine
 	for _, p := range append(pts, pts...) {
 		pc, ps := pointCampaign(c, m, &p), pointStudy(overlays[p.scenario], &p, p.Name())

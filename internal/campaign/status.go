@@ -192,12 +192,11 @@ func Namespaces(c *Campaign, m *Matrix) ([]Namespace, error) {
 		}
 		return out, nil
 	}
-	overlays, err := m.scenarioStudies(c)
+	pts, overlays, err := validate(c, m)
 	if err != nil {
 		return nil, err
 	}
-	profileFP := profileFingerprints(c, m)
-	pts := m.Points()
+	profileFP := profileFingerprints(c, m, pts)
 	out := make([]Namespace, len(pts))
 	for i := range pts {
 		p, name := &pts[i], pts[i].Name()

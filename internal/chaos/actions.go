@@ -120,15 +120,17 @@ func (h *HealPartition) Apply(rt *core.Runtime) error {
 // Revert implements Action: healing has nothing to undo.
 func (h *HealPartition) Revert(*core.Runtime) error { return nil }
 
-// linkAction carries the shared link-and-id plumbing of the filter-backed
-// actions.
+// linkAction carries the shared link, id and filter plumbing of the
+// filter-backed actions. ParseAction boxes the action's filter once, from
+// the action's parsed fields, so a firing installs it without allocating.
 type linkAction struct {
-	Link simnet.Link
-	id   string
+	Link   simnet.Link
+	id     string
+	filter simnet.Filter
 }
 
-func (l linkAction) install(rt *core.Runtime, f simnet.Filter) error {
-	rt.InstallLinkFilter(l.Link, l.id, f)
+func (l linkAction) install(rt *core.Runtime) error {
+	rt.InstallLinkFilter(l.Link, l.id, l.filter)
 	return nil
 }
 
@@ -147,9 +149,7 @@ type DropMessages struct {
 func (d *DropMessages) Name() string { return "drop" }
 
 // Apply implements Action.
-func (d *DropMessages) Apply(rt *core.Runtime) error {
-	return d.install(rt, simnet.DropFilter{P: d.P})
-}
+func (d *DropMessages) Apply(rt *core.Runtime) error { return d.install(rt) }
 
 // Revert implements Action.
 func (d *DropMessages) Revert(rt *core.Runtime) error { return d.remove(rt) }
@@ -165,12 +165,7 @@ type DelayMessages struct {
 func (d *DelayMessages) Name() string { return "delay" }
 
 // Apply implements Action.
-func (d *DelayMessages) Apply(rt *core.Runtime) error {
-	return d.install(rt, simnet.DelayFilter{
-		Extra:  vclock.FromDuration(d.Delay),
-		Jitter: vclock.FromDuration(d.Jitter),
-	})
-}
+func (d *DelayMessages) Apply(rt *core.Runtime) error { return d.install(rt) }
 
 // Revert implements Action.
 func (d *DelayMessages) Revert(rt *core.Runtime) error { return d.remove(rt) }
@@ -186,9 +181,7 @@ type DuplicateMessages struct {
 func (d *DuplicateMessages) Name() string { return "duplicate" }
 
 // Apply implements Action.
-func (d *DuplicateMessages) Apply(rt *core.Runtime) error {
-	return d.install(rt, simnet.DuplicateFilter{P: d.P, Copies: d.Copies})
-}
+func (d *DuplicateMessages) Apply(rt *core.Runtime) error { return d.install(rt) }
 
 // Revert implements Action.
 func (d *DuplicateMessages) Revert(rt *core.Runtime) error { return d.remove(rt) }
@@ -204,9 +197,7 @@ type CorruptPayload struct {
 func (c *CorruptPayload) Name() string { return "corrupt" }
 
 // Apply implements Action.
-func (c *CorruptPayload) Apply(rt *core.Runtime) error {
-	return c.install(rt, simnet.CorruptFilter{P: c.P})
-}
+func (c *CorruptPayload) Apply(rt *core.Runtime) error { return c.install(rt) }
 
 // Revert implements Action.
 func (c *CorruptPayload) Revert(rt *core.Runtime) error { return c.remove(rt) }
@@ -311,7 +302,7 @@ func ParseAction(call *faultexpr.ActionCall) (Action, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DropMessages{linkAction: newLinkAction(call, link), P: p}, nil
+		return &DropMessages{linkAction: newLinkAction(call, link, simnet.DropFilter{P: p}), P: p}, nil
 	case "delay":
 		link, rest, err := parseLinkArgs(call, 1, 2)
 		if err != nil {
@@ -321,13 +312,14 @@ func ParseAction(call *faultexpr.ActionCall) (Action, error) {
 		if err != nil {
 			return nil, err
 		}
-		a := &DelayMessages{linkAction: newLinkAction(call, link), Delay: d}
+		var jitter time.Duration
 		if len(rest) == 2 {
-			if a.Jitter, err = parseDur(call, rest[1]); err != nil {
+			if jitter, err = parseDur(call, rest[1]); err != nil {
 				return nil, err
 			}
 		}
-		return a, nil
+		f := simnet.DelayFilter{Extra: vclock.FromDuration(d), Jitter: vclock.FromDuration(jitter)}
+		return &DelayMessages{linkAction: newLinkAction(call, link, f), Delay: d, Jitter: jitter}, nil
 	case "duplicate":
 		link, rest, err := parseLinkArgs(call, 1, 2)
 		if err != nil {
@@ -337,15 +329,16 @@ func ParseAction(call *faultexpr.ActionCall) (Action, error) {
 		if err != nil {
 			return nil, err
 		}
-		a := &DuplicateMessages{linkAction: newLinkAction(call, link), P: p, Copies: 1}
+		copies := 1
 		if len(rest) == 2 {
 			n, err := strconv.Atoi(rest[1])
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("chaos: %s: bad copy count %q", call, rest[1])
 			}
-			a.Copies = n
+			copies = n
 		}
-		return a, nil
+		f := simnet.DuplicateFilter{P: p, Copies: copies}
+		return &DuplicateMessages{linkAction: newLinkAction(call, link, f), P: p, Copies: copies}, nil
 	case "corrupt":
 		link, rest, err := parseLinkArgs(call, 1, 1)
 		if err != nil {
@@ -355,7 +348,7 @@ func ParseAction(call *faultexpr.ActionCall) (Action, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CorruptPayload{linkAction: newLinkAction(call, link), P: p}, nil
+		return &CorruptPayload{linkAction: newLinkAction(call, link, simnet.CorruptFilter{P: p}), P: p}, nil
 	case "crash":
 		if len(call.Args) != 1 || call.Args[0] == "" {
 			return nil, fmt.Errorf("chaos: %s: want crash(host)", call)
@@ -434,9 +427,9 @@ func linkHosts(link simnet.Link) []string {
 }
 
 // newLinkAction derives the filter id from the call syntax, so identical
-// calls share one installed rule.
-func newLinkAction(call *faultexpr.ActionCall, link simnet.Link) linkAction {
-	return linkAction{Link: link, id: strings.ToLower(call.Name) + "(" + call.Raw + ")"}
+// calls share one installed rule, and boxes f.
+func newLinkAction(call *faultexpr.ActionCall, link simnet.Link, f simnet.Filter) linkAction {
+	return linkAction{Link: link, id: strings.ToLower(call.Name) + "(" + call.Raw + ")", filter: f}
 }
 
 // parseGroups parses "h1|h2,h3" into host groups: '|' separates groups,

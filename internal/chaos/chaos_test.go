@@ -468,19 +468,29 @@ func TestReattachedEngineParsesEachCallOnce(t *testing.T) {
 
 // TestWarmFiringAndRevertAllocateNothing: once a firing's auto-revert has
 // run, the next firing of a call reuses its revert entry and the runtime's
-// epoch carrier, so a firing and its revert allocate nothing.
+// epoch carrier, and a link action installs the filter ParseAction boxed,
+// so a firing and its revert allocate nothing, for a partition and for
+// each link action.
 func TestWarmFiringAndRevertAllocateNothing(t *testing.T) {
-	v, rt := simBed(t)
-	e := Attach(rt, 7)
-	f := mustSpec(t, "cut (a:X) always partition(h1|h2,h3) 1ms")
-	sleep := func() { v.Sleep(2 * time.Millisecond) }
-	fire := func() {
-		e.Dispatch(f)
-		sleep()
-	}
-	fire()
-	if n := testing.AllocsPerRun(100, fire) - testing.AllocsPerRun(100, sleep); n > 0 {
-		t.Errorf("a warm firing and its revert allocate %.2f objects, want 0", n)
+	for _, call := range []string{
+		"partition(h1|h2,h3)",
+		"drop(h1,h2,0.5)",
+		"delay(h1,h2,1ms,1ms)",
+		"duplicate(h1,h2,0.5,2)",
+		"corrupt(h1,h2,0.5)",
+	} {
+		v, rt := simBed(t)
+		e := Attach(rt, 7)
+		f := mustSpec(t, "cut (a:X) always "+call+" 1ms")
+		sleep := func() { v.Sleep(2 * time.Millisecond) }
+		fire := func() {
+			e.Dispatch(f)
+			sleep()
+		}
+		fire()
+		if n := testing.AllocsPerRun(100, fire) - testing.AllocsPerRun(100, sleep); n > 0 {
+			t.Errorf("%s: a warm firing and its revert allocate %.2f objects, want 0", call, n)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // compareChunk is the size of the scratch a Write reads an existing file
@@ -27,10 +28,19 @@ const compareChunk = 4096
 // closing it makes ext4 (auto_da_alloc) and XFS flush the file at close;
 // overwriting skips that flush and leaves the same bytes.
 //
+// WriteIn does the same for a name relative to an ArtifactDir, a
+// directory OpenDir opened once for many files: on Linux the file is
+// opened relative to the directory's descriptor (openat), so the kernel
+// walks only the name, not the directory's whole path, once per file. The
+// name is copied, NUL-terminated, into the writer's reused buffer, so on
+// Linux neither Write nor WriteIn allocates for the open. Mkdir makes a
+// directory under an ArtifactDir the same way.
+//
 // On unix systems the file is handled through raw descriptors (open,
 // fstat, pread, write, ftruncate, close), so a Write that finds the bytes
-// in place allocates nothing beyond the path's conversion; elsewhere it
-// goes through os.File.
+// in place allocates nothing on Linux, and only the path's conversion on
+// other unix systems; elsewhere it goes through os.File. Off Linux an
+// ArtifactDir is its path, and a relative name is joined to it.
 //
 // encode receives a writer with an AvailableBuffer method, so the text
 // encoders (analysis.Encode, timeline.Encode, clocksync.EncodeAlphaBeta,
@@ -47,17 +57,42 @@ const compareChunk = 4096
 // files and is not safe for concurrent use: give each goroutine its own.
 type ArtifactWriter struct {
 	buf     bytes.Buffer
+	name    []byte // the name being opened, NUL-terminated
 	scratch [compareChunk]byte
 }
 
 // Write makes path's contents what encode writes, creating the file with
 // perm if it does not exist and writing nothing if it already holds them.
 func (a *ArtifactWriter) Write(path string, perm os.FileMode, encode func(io.Writer) error) error {
+	a.name = append(append(a.name[:0], path...), 0)
+	return a.write(&workDir, perm, encode)
+}
+
+// WriteIn is Write for the file name under d: name is relative to d, and
+// may name a file in a subdirectory ("exp007/verdict.txt"). The writer
+// does not keep name.
+func (a *ArtifactWriter) WriteIn(d *ArtifactDir, name []byte, perm os.FileMode, encode func(io.Writer) error) error {
+	a.name = append(append(a.name[:0], name...), 0)
+	return a.write(d, perm, encode)
+}
+
+// Mkdir makes the directory name under d, with perm; its parent must
+// exist. The writer does not keep name.
+func (a *ArtifactWriter) Mkdir(d *ArtifactDir, name []byte, perm os.FileMode) error {
+	a.name = append(append(a.name[:0], name...), 0)
+	if err := d.mkdir(a.name, perm); err != nil {
+		return &os.PathError{Op: "mkdir", Path: d.join(a.name), Err: err}
+	}
+	return nil
+}
+
+// write writes the file a.name under d.
+func (a *ArtifactWriter) write(d *ArtifactDir, perm os.FileMode, encode func(io.Writer) error) error {
 	a.buf.Reset()
 	if err := encode(&a.buf); err != nil {
-		return fmt.Errorf("encode %s: %w", path, err)
+		return fmt.Errorf("encode %s: %w", d.join(a.name), err)
 	}
-	f, err := openArtifact(path, perm)
+	f, err := openArtifact(d, a.name, perm)
 	if err != nil {
 		return err
 	}
@@ -66,6 +101,20 @@ func (a *ArtifactWriter) Write(path string, perm os.FileMode, encode func(io.Wri
 		err = cerr
 	}
 	return err
+}
+
+// Path is the directory's path as OpenDir was given it.
+func (d *ArtifactDir) Path() string { return d.path }
+
+// join is the path of the NUL-terminated name cname under d, for errors
+// and for opening by path; a name under the working directory is kept as
+// it was given.
+func (d *ArtifactDir) join(cname []byte) string {
+	name := string(cname[:len(cname)-1])
+	if d.path == "" {
+		return name
+	}
+	return filepath.Join(d.path, name)
 }
 
 // update leaves f alone if it is a regular file that holds want, and

@@ -15,8 +15,10 @@ type artifactFile struct {
 	f *os.File
 }
 
-func openArtifact(path string, perm os.FileMode) (artifactFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, perm)
+// openArtifact opens the NUL-terminated name under d read-write, creating
+// it with perm.
+func openArtifact(d *ArtifactDir, name []byte, perm os.FileMode) (artifactFile, error) {
+	f, err := os.OpenFile(d.join(name), os.O_RDWR|os.O_CREATE, perm)
 	return artifactFile{f}, err
 }
 

@@ -177,3 +177,50 @@ func TestArtifactWriterKeepsMtimeWhenUnchanged(t *testing.T) {
 		t.Fatalf("writing different bytes left the mtime at %v", got)
 	}
 }
+
+// TestArtifactWriteInMatchesWrite: a name written under a directory from
+// OpenDir gets what Write gives its joined path, an error names the
+// joined path, a missing subdirectory is made by Mkdir, a name holding a
+// NUL is refused rather than cut short, and OpenDir makes a missing
+// directory with its parents.
+func TestArtifactWriteInMatchesWrite(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "a", "b")
+	var w ArtifactWriter
+	d, err := w.OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if fi, err := os.Stat(root); err != nil || !fi.IsDir() {
+		t.Fatalf("OpenDir did not make %s: %v", root, err)
+	}
+	err = w.WriteIn(&d, []byte("exp000/a.txt"), 0o644, writeString("x\n"))
+	if want := filepath.Join(root, "exp000", "a.txt"); !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("writing under a missing subdirectory = %v, want a not-exist error naming %s", err, want)
+	}
+	if err := w.Mkdir(&d, []byte("exp000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, content := range []string{"first\n", strings.Repeat("longer\n", 900), "short\n", "short\n"} {
+		if err := w.WriteIn(&d, []byte("exp000/a.txt"), 0o644, writeString(content)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(filepath.Join(root, "exp000", "b.txt"), 0o644, writeString(content)); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := os.ReadFile(filepath.Join(root, "exp000", "a.txt"))
+		b, _ := os.ReadFile(filepath.Join(root, "exp000", "b.txt"))
+		if string(a) != content || string(b) != content {
+			t.Fatalf("WriteIn left %d bytes and Write %d, want %d", len(a), len(b), len(content))
+		}
+	}
+	if err := w.WriteIn(&d, []byte("exp000/a.txt\x00b.txt"), 0o644, writeString("x\n")); err == nil {
+		t.Fatal("a name holding a NUL was written")
+	}
+	if _, err := os.Stat(filepath.Join(root, "exp000", "a.txt\x00b.txt")); err == nil {
+		t.Fatal("a name holding a NUL made a file")
+	}
+	if got := d.Path(); got != root {
+		t.Fatalf("Path() = %q, want %q", got, root)
+	}
+}

@@ -13,7 +13,8 @@ import (
 // that Stat allocates. Errors come back as *os.PathError.
 type artifactFile struct {
 	fd   int
-	path string
+	dir  *ArtifactDir
+	name []byte // relative to dir, NUL-terminated
 }
 
 // ignoringEINTR calls fn until it returns anything but EINTR, as package
@@ -26,10 +27,12 @@ func ignoringEINTR(fn func() error) error {
 	}
 }
 
-func openArtifact(path string, perm os.FileMode) (artifactFile, error) {
-	f := artifactFile{path: path}
+// openArtifact opens the NUL-terminated name under d read-write, creating
+// it with perm.
+func openArtifact(d *ArtifactDir, name []byte, perm os.FileMode) (artifactFile, error) {
+	f := artifactFile{dir: d, name: name}
 	err := ignoringEINTR(func() (err error) {
-		f.fd, err = syscall.Open(path, syscall.O_RDWR|syscall.O_CREAT|syscall.O_CLOEXEC, uint32(perm.Perm()))
+		f.fd, err = d.open(name, syscall.O_RDWR|syscall.O_CREAT|syscall.O_CLOEXEC, uint32(perm.Perm()))
 		return err
 	})
 	if err != nil {
@@ -38,14 +41,14 @@ func openArtifact(path string, perm os.FileMode) (artifactFile, error) {
 	return f, nil
 }
 
-// writeOnly swaps f's descriptor for a write-only one on the same path.
+// writeOnly swaps f's descriptor for a write-only one on the same name.
 // The new one is open before the old one closes, so a FIFO never loses
 // its last writer in between: a reader that the first open woke does not
 // see end of file before the bytes.
 func (f *artifactFile) writeOnly() error {
 	var fd int
 	err := ignoringEINTR(func() (err error) {
-		fd, err = syscall.Open(f.path, syscall.O_WRONLY|syscall.O_CLOEXEC, 0)
+		fd, err = f.dir.open(f.name, syscall.O_WRONLY|syscall.O_CLOEXEC, 0)
 		return err
 	})
 	if err != nil {
@@ -59,7 +62,7 @@ func (f *artifactFile) writeOnly() error {
 }
 
 func (f artifactFile) pathError(op string, err error) error {
-	return &os.PathError{Op: op, Path: f.path, Err: err}
+	return &os.PathError{Op: op, Path: f.dir.join(f.name), Err: err}
 }
 
 // stat returns the file's size and whether it is a regular file.

@@ -728,27 +728,39 @@ func underDir(base, name string) string {
 	return filepath.Join(base, filepath.Clean("/"+name))
 }
 
-// artifactJob is one record whose per-experiment artifacts go under
-// prefix and its index (expDirPath); prefix is filepath.Join(dir, "exp").
+// artifactJobLen is the most records one artifactJob holds, so a study
+// larger than a matrix point still spreads over every writer.
+const artifactJobLen = 16
+
+// artifactJob is a run of consecutive records of one study, whose
+// per-experiment artifacts go under dir/expNNN; a record without a global
+// timeline has none and is skipped.
 type artifactJob struct {
-	prefix string
-	rec    *ExperimentRecord
+	dir  string
+	recs []*ExperimentRecord
 }
 
-// appendArtifactJobs adds one study's records that have a global timeline.
+// appendArtifactJobs adds one study's records, in jobs of at most
+// artifactJobLen.
 func appendArtifactJobs(jobs []artifactJob, dir string, sr *StudyOutcome) []artifactJob {
-	prefix := filepath.Join(dir, "exp")
-	for _, rec := range sr.Records {
-		if rec != nil && rec.Global != nil {
-			jobs = append(jobs, artifactJob{prefix, rec})
-		}
+	for recs := sr.Records; len(recs) > 0; {
+		n := min(len(recs), artifactJobLen)
+		jobs, recs = append(jobs, artifactJob{dir, recs[:n]}), recs[n:]
 	}
 	return jobs
 }
 
 // writeArtifactJobs writes every job's artifacts from GOMAXPROCS
 // goroutines, each with its own ArtifactWriter, and returns the first
-// error in job order once all of them have finished.
+// error in record order once all of them have finished. A goroutine claims
+// a whole job and opens its directory once, at its first record with
+// artifacts (obs.ArtifactWriter.OpenDir, which makes a missing one, so a
+// study with none gets no directory), keeping it open while the jobs it claims
+// next are of the same directory: a matrix point's records are one job,
+// so two goroutines do not each open every point. Each file is then
+// opened relative to the directory, by a name built in reused buffers, so
+// a record whose files already hold their bytes allocates nothing. A job
+// stops at its first error.
 func writeArtifactJobs(jobs []artifactJob) error {
 	errs := make([]error, len(jobs))
 	var next atomic.Int64
@@ -757,9 +769,28 @@ func writeArtifactJobs(jobs []artifactJob) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var w obs.ArtifactWriter
+			var (
+				w    obs.ArtifactWriter
+				d    obs.ArtifactDir
+				name []byte
+			)
+			defer d.Close() // read-only: its close loses nothing
 			for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
-				errs[i] = writeExperimentArtifacts(&w, jobs[i].prefix, jobs[i].rec)
+				job := &jobs[i]
+				for _, rec := range job.recs {
+					if rec == nil || rec.Global == nil {
+						continue
+					}
+					if job.dir != d.Path() {
+						d.Close()
+						if d, errs[i] = w.OpenDir(job.dir); errs[i] != nil {
+							break
+						}
+					}
+					if name, errs[i] = writeExperimentArtifacts(&w, &d, name, rec); errs[i] != nil {
+						break
+					}
+				}
 			}
 		}()
 	}
@@ -773,31 +804,36 @@ func writeArtifactJobs(jobs []artifactJob) error {
 }
 
 // writeExperimentArtifacts writes one record's global timeline, alphabeta
-// bounds, and verdict under dir/expNNN, given prefix dir/exp. The
-// directory is made only when the first file cannot be opened for want of
-// it, so a rewrite over an existing tree spends no MkdirAll on each record.
-func writeExperimentArtifacts(w *obs.ArtifactWriter, prefix string, rec *ExperimentRecord) error {
-	expDir := expDirPath(prefix, rec.Index)
-	global := filepath.Join(expDir, "global.timeline")
+// bounds, and verdict under d/expNNN, building each file's name in name
+// (returned for reuse). The experiment directory is made only when the
+// first file cannot be opened for want of it, so a rewrite over an
+// existing tree makes no directory.
+func writeExperimentArtifacts(w *obs.ArtifactWriter, d *obs.ArtifactDir, name []byte, rec *ExperimentRecord) ([]byte, error) {
+	name = appendExpName(name[:0], rec.Index)
+	expDir := len(name)
+	file := func(base string) []byte {
+		name = append(append(name[:expDir], '/'), base...)
+		return name
+	}
 	encodeGlobal := func(w io.Writer) error {
 		return analysis.Encode(w, rec.Global)
 	}
-	err := w.Write(global, 0o666, encodeGlobal)
+	err := w.WriteIn(d, file("global.timeline"), 0o666, encodeGlobal)
 	if errors.Is(err, fs.ErrNotExist) {
-		if err = os.MkdirAll(expDir, 0o755); err == nil {
-			err = w.Write(global, 0o666, encodeGlobal)
+		if err = w.Mkdir(d, name[:expDir], 0o755); err == nil {
+			err = w.WriteIn(d, file("global.timeline"), 0o666, encodeGlobal)
 		}
 	}
 	if err != nil {
-		return err
+		return name, err
 	}
-	err = w.Write(filepath.Join(expDir, "alphabeta.txt"), 0o666, func(w io.Writer) error {
+	err = w.WriteIn(d, file("alphabeta.txt"), 0o666, func(w io.Writer) error {
 		return clocksync.EncodeAlphaBeta(w, rec.Global.Reference, rec.Bounds)
 	})
 	if err != nil {
-		return err
+		return name, err
 	}
-	return w.Write(filepath.Join(expDir, "verdict.txt"), 0o644, func(w io.Writer) error {
+	return name, w.WriteIn(d, file("verdict.txt"), 0o644, func(w io.Writer) error {
 		_, err := io.WriteString(w, rec.Verdict().String())
 		if err == nil {
 			_, err = io.WriteString(w, "\n")
@@ -806,16 +842,14 @@ func writeExperimentArtifacts(w *obs.ArtifactWriter, prefix string, rec *Experim
 	})
 }
 
-// expDirPath is filepath.Join(dir, fmt.Sprintf("exp%03d", index)) for
-// prefix filepath.Join(dir, "exp") and a record's index, which is never
-// negative: Join leaves a final plain name as it is given, so the digits
-// can follow the joined "exp".
-func expDirPath(prefix string, index int) string {
-	b := append(make([]byte, 0, 128), prefix...)
+// appendExpName appends a record's experiment directory name,
+// fmt.Sprintf("exp%03d", index), to b; an index is never negative.
+func appendExpName(b []byte, index int) []byte {
+	b = append(b, "exp"...)
 	for pad := 100; pad > index && pad > 1; pad /= 10 {
 		b = append(b, '0')
 	}
-	return string(strconv.AppendInt(b, int64(index), 10))
+	return strconv.AppendInt(b, int64(index), 10)
 }
 
 // writeRawArtifacts emits RunOne's raw runtime artifacts — one §3.5.6

@@ -61,16 +61,23 @@ func (d *ArtifactDir) Close() error {
 
 // open opens the NUL-terminated name relative to d.
 func (d *ArtifactDir) open(name []byte, flags int, perm uint32) (int, error) {
-	if bytes.IndexByte(name[:len(name)-1], 0) >= 0 {
-		return -1, syscall.EINVAL // as syscall.Open refuses a path holding NUL
+	if holdsNUL(name) {
+		return -1, syscall.EINVAL
 	}
 	return openat(d.fd, name, flags, perm)
 }
 
 // mkdir makes the NUL-terminated name relative to d.
 func (d *ArtifactDir) mkdir(name []byte, perm os.FileMode) error {
-	if bytes.IndexByte(name[:len(name)-1], 0) >= 0 {
+	if holdsNUL(name) {
 		return syscall.EINVAL
 	}
 	return ignoringEINTR(func() error { return mkdirat(d.fd, name, uint32(perm.Perm())) })
+}
+
+// holdsNUL reports a NUL before name's terminator, which the kernel would
+// take for the end of the name; syscall.Open refuses such a path with
+// EINVAL, and so do open and mkdir.
+func holdsNUL(name []byte) bool {
+	return bytes.IndexByte(name[:len(name)-1], 0) >= 0
 }

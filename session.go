@@ -753,11 +753,11 @@ func appendArtifactJobs(jobs []artifactJob, dir string, sr *StudyOutcome) []arti
 // writeArtifactJobs writes every job's artifacts from GOMAXPROCS
 // goroutines, each with its own ArtifactWriter, and returns the first
 // error in record order once all of them have finished. A goroutine claims
-// a whole job and opens its directory once, at its first record with
+// a whole job and opens its directory once, at the job's first record with
 // artifacts (obs.ArtifactWriter.OpenDir, which makes a missing one, so a
-// study with none gets no directory), keeping it open while the jobs it claims
-// next are of the same directory: a matrix point's records are one job,
-// so two goroutines do not each open every point. Each file is then
+// study with none gets no directory), keeping it open while the jobs it
+// claims next are of the same directory: a matrix point's records are one
+// job, so two goroutines do not each open every point. Each file is then
 // opened relative to the directory, by a name built in reused buffers, so
 // a record whose files already hold their bytes allocates nothing. A job
 // stops at its first error.

@@ -13,22 +13,31 @@ import (
 // resume's artifact pass (writeArtifactJobs) over an intact tree, where
 // every file already holds its bytes: the golden election record under
 // distinct indices, long minus short pass so the goroutines' own costs
-// cancel. Measured at 0.0 when the budget was set: the pass opens the
-// directory once and each file relative to it, by a name built in reused
-// buffers (7.0 when each record built its experiment directory's path,
-// joined three file paths and converted each to a C string; 8.0 when the
-// directory's name came from fmt.Sprintf and a fourth join; 16.0 when each
-// file was opened through os.File and rewritten after a MkdirAll per
-// record). Off Linux a name is joined to the directory's path, so the
-// budget holds on Linux only. The slack of a -race build is for the pools
-// -race drops at random.
+// cancel. Measured at 0.0 on Linux when the budget was set: the pass opens
+// the directory once and each file relative to it, by a name built in
+// reused buffers (7.0 when each record built its experiment directory's
+// path, joined three file paths and converted each to a C string; 8.0 when
+// the directory's name came from fmt.Sprintf and a fourth join; 16.0 when
+// each file was opened through os.File and rewritten after a MkdirAll per
+// record). Other unix systems join each name to the directory's path in
+// the same buffer and pay the path's string and C string per file: 6.0,
+// measured on Linux with the Linux files swapped for theirs, within the
+// budget of 8 the path-by-path pass was held to. Systems without unix
+// descriptors go through os.File, measured the same way at 15.0 (16.0
+// for the path-by-path pass, which the budget of 8 did not hold). The
+// slack of a -race build is for the pools -race drops at random.
 func TestArtifactPassAllocBudget(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("directory handles are Linux's; elsewhere each name is joined to its directory's path")
+	var budget float64
+	switch runtime.GOOS {
+	case "linux":
+		budget = 1
+	case "js", "plan9", "wasip1", "windows":
+		budget = 16
+	default:
+		budget = 8
 	}
-	budget := 1.0
 	if raceBuild {
-		budget = 2
+		budget += 2
 	}
 	golden := goldenRecord(t)
 	const short, long = 16, 144

@@ -207,3 +207,83 @@ func TestArtifactPassMatchesPathPass(t *testing.T) {
 		}
 	}
 }
+
+// TestArtifactPassDirForms: whatever form the artifact directory is given
+// in (empty, relative, with "." or ".." segments, doubled or trailing
+// separators), the pass writes each expNNN at filepath.Join(dir,
+// "expNNN"), where the run's other files go, and nothing else: a ".."
+// after a symbolic link steps back over the link, not out of its target,
+// and one after a missing directory leaves no such directory behind.
+func TestArtifactPassDirForms(t *testing.T) {
+	golden := goldenRecord(t)
+	sr := &StudyOutcome{}
+	for _, i := range []int{0, 7, 1000} {
+		rec := golden
+		rec.Index = i
+		sr.Records = append(sr.Records, &rec)
+	}
+	forms := []string{"", ".", "out", "out/", "./out", "a/./b/", "../x", "ROOT//a/../b", "link/../via-link", "missing/../via-missing"}
+	for _, form := range forms {
+		t.Run(form, func(t *testing.T) {
+			root := t.TempDir()
+			cwd, target := filepath.Join(root, "cwd"), filepath.Join(root, "elsewhere", "deep")
+			if err := os.MkdirAll(target, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(cwd, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Symlink(target, filepath.Join(cwd, "link")); err != nil {
+				t.Skip("no symbolic links here:", err)
+			}
+			t.Chdir(cwd)
+			dir := strings.Replace(form, "ROOT", root, 1)
+			if err := writeArtifactJobs(appendArtifactJobs(nil, dir, sr)); err != nil {
+				t.Fatal(err)
+			}
+			// want is every entry the tree should hold, relative to root:
+			// the fixture, each record's directory and files where
+			// filepath.Join puts them, and the directories above those.
+			want := map[string]bool{}
+			for _, p := range []string{filepath.Join(cwd, "link"), target} {
+				for rel, _ := filepath.Rel(root, p); rel != "."; rel = filepath.Dir(rel) {
+					want[rel] = true
+				}
+			}
+			for _, rec := range sr.Records {
+				exp := filepath.Join(dir, fmt.Sprintf("exp%03d", rec.Index))
+				for _, base := range []string{"global.timeline", "alphabeta.txt", "verdict.txt"} {
+					abs, err := filepath.Abs(filepath.Join(exp, base))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for rel, _ := filepath.Rel(root, abs); rel != "."; rel = filepath.Dir(rel) {
+						want[rel] = true
+					}
+				}
+			}
+			got := map[string]bool{}
+			err := filepath.WalkDir(root, func(p string, _ fs.DirEntry, err error) error {
+				if err != nil || p == root {
+					return err
+				}
+				rel, err := filepath.Rel(root, p)
+				got[rel] = true
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rel := range want {
+				if !got[rel] {
+					t.Errorf("dir %q: %s missing", dir, rel)
+				}
+			}
+			for rel := range got {
+				if !want[rel] {
+					t.Errorf("dir %q: %s should not be there", dir, rel)
+				}
+			}
+		})
+	}
+}

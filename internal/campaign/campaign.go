@@ -257,61 +257,69 @@ func (r *Result) Study(name string) *StudyResult {
 // fault with an expression and, for an action, a valid call naming known
 // hosts.
 func Validate(c *Campaign, m *Matrix) error {
-	_, _, err := validate(c, m)
+	_, err := validate(c, m)
 	return err
 }
 
-// validate is Validate, returning a matrix's points, each named, and its
-// checked scenario studies: the one expansion of the matrix a caller
-// needs.
-func validate(c *Campaign, m *Matrix) ([]Point, []*Study, error) {
+// expansion is a matrix expanded once for a call: its points, their
+// names by index (Point.Name), and its checked scenario studies.
+type expansion struct {
+	pts      []Point
+	names    []string
+	overlays []*Study
+}
+
+// validate is Validate, returning a matrix's expansion.
+func validate(c *Campaign, m *Matrix) (expansion, error) {
 	if m == nil && len(c.Studies) == 0 {
-		return nil, nil, fmt.Errorf("campaign: no studies defined")
+		return expansion{}, fmt.Errorf("campaign: no studies defined")
 	}
 	if len(c.Hosts) == 0 {
-		return nil, nil, fmt.Errorf("campaign: no hosts defined")
+		return expansion{}, fmt.Errorf("campaign: no hosts defined")
 	}
 	seen := make(map[string]bool, len(c.Hosts))
 	for i, h := range c.Hosts {
 		if h.Name == "" {
-			return nil, nil, fmt.Errorf("campaign: host %d has no name", i)
+			return expansion{}, fmt.Errorf("campaign: host %d has no name", i)
 		}
 		if seen[h.Name] {
-			return nil, nil, fmt.Errorf("campaign: duplicate host %q", h.Name)
+			return expansion{}, fmt.Errorf("campaign: duplicate host %q", h.Name)
 		}
 		seen[h.Name] = true
 	}
 	// Zero means GOMAXPROCS; a negative count is a sign bug in the
 	// caller's pool arithmetic, not a request.
 	if c.Workers < 0 {
-		return nil, nil, fmt.Errorf("campaign: Workers is %d; it must be positive, or 0 for GOMAXPROCS", c.Workers)
+		return expansion{}, fmt.Errorf("campaign: Workers is %d; it must be positive, or 0 for GOMAXPROCS", c.Workers)
 	}
 	// Duplicate names would shadow each other in Result.Study or
 	// MatrixResult.Point and collide in the checkpoint journal's record
 	// keys.
 	names := make(map[string]bool)
 	if m != nil {
-		pts := m.Points()
-		for i := range pts {
-			name := pts[i].Name()
+		x := expansion{pts: m.Points()}
+		x.names = make([]string, len(x.pts))
+		for i := range x.pts {
+			name := x.pts[i].Name()
 			if names[name] {
-				return nil, nil, fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, name)
+				return expansion{}, fmt.Errorf("campaign: matrix %q: duplicate point name %q (duplicate scenario/latency names or repeated seeds)", m.Name, name)
 			}
-			names[name] = true
+			names[name], x.names[i] = true, name
 		}
-		overlays, err := m.scenarioStudies(c, pts)
-		return pts, overlays, err
+		var err error
+		x.overlays, err = m.scenarioStudies(c, x.pts)
+		return x, err
 	}
 	for _, st := range c.Studies {
 		if names[st.Name] {
-			return nil, nil, fmt.Errorf("campaign: duplicate study name %q", st.Name)
+			return expansion{}, fmt.Errorf("campaign: duplicate study name %q", st.Name)
 		}
 		names[st.Name] = true
 		if err := checkStudy(c, st); err != nil {
-			return nil, nil, fmt.Errorf("campaign: study %q: %w", st.Name, err)
+			return expansion{}, fmt.Errorf("campaign: study %q: %w", st.Name, err)
 		}
 	}
-	return nil, nil, nil
+	return expansion{}, nil
 }
 
 // checkStudy is the study check Validate documents. Its errors do not name

@@ -408,15 +408,21 @@ type decodedLine[E any] struct {
 // decodeRun is how many consecutive lines a decoding goroutine claims at
 // once. The lines of one matrix point's records mostly fall into one run,
 // so one goroutine copies the point's name and fingerprint into its names
-// table, not every goroutine; a batch still holds enough runs for all of
-// them.
+// table, not every goroutine; a batch (about 160 of resume-report's lines)
+// still holds enough runs for all of them. Against runs of 1, 4, 64 and
+// 256 on resume-report, 16 cut the allocations per record by 0.6 of what
+// runs of 1 leave, where 64 and 256 cut 1.0 and 1.1 but leave a batch too
+// few runs to share (EXPERIMENTS.md, "A resume checks its artifacts once
+// per point directory").
 const decodeRun = 16
 
 // decodeBatch verifies lines and decodes their records into out, whose
 // array it reuses, over up to one goroutine per decoder in ds — the
 // caller's among them — that claim run consecutive lines at a time, each
 // with its own decoder and so its own scratch. The records are read in
-// place: a caller that keeps one copies it out.
+// place: a caller that keeps one copies it out. Production passes
+// decodeRun; run is a parameter only so that TestDecodeRunsMatchOneAtATime
+// can hold other run lengths against one line at a time.
 func decodeBatch[E *ExperimentRecord | RecordSummary](lines [][]byte, ds []*lineDecoder, out []decodedLine[E], run int) []decodedLine[E] {
 	out = slices.Grow(out[:0], len(lines))[:len(lines)]
 	var next atomic.Int64

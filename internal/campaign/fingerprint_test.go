@@ -77,6 +77,20 @@ func TestPointNameMatchesSprintf(t *testing.T) {
 	}
 }
 
+// TestPointNameFollowsItsFields: a point copied out of Matrix.Points and
+// changed is named by what it now holds; the name is no state of its own.
+func TestPointNameFollowsItsFields(t *testing.T) {
+	m := &Matrix{Scenarios: []Scenario{{Name: "netsplit"}}, Latencies: []LatencyProfile{{Name: "wan"}}, Seeds: []int64{1}}
+	p := m.Points()[0]
+	if got := p.Name(); got != "netsplit/wan/seed1" {
+		t.Fatalf("expanded point named %q", got)
+	}
+	p.Scenario.Name, p.Latency.Name, p.Seed = "crash", "lan", 2
+	if got := p.Name(); got != "crash/lan/seed2" {
+		t.Errorf("changed point named %q, want %q", got, "crash/lan/seed2")
+	}
+}
+
 // fingerprintStudy builds a study from a fuzz input: every field the study
 // fingerprint reads, the names odd, a restart policy and placement
 // optional, one fault with and one without an action (whose For is
@@ -226,12 +240,13 @@ func TestPointNameAndFingerprintAllocBudget(t *testing.T) {
 
 // TestMatrixExpansionAllocBudget holds what Validate and Namespaces
 // allocate per point of a 512-point matrix: each expands the matrix once,
-// naming each point as it goes, and Namespaces reuses Validate's points.
-// Measured at 1.04 and 5.35 per point when the budget was set, where the
+// naming each point as it goes, and Namespaces reuses Validate's points
+// and names.
+// Measured at 1.05 and 5.35 per point when the budget was set, where the
 // name is Validate's one allocation per point and Namespaces adds the
 // point's study fingerprint; 2.08 and 7.38 when Validate expanded the
 // matrix twice and Namespaces three times, each naming every point again
-// (1.05 and 5.51 in a -race build).
+// (1.05 and 5.50 in a -race build).
 func TestMatrixExpansionAllocBudget(t *testing.T) {
 	c := stepCampaign(t, 1, 2)
 	c.Studies = nil

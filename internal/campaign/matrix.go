@@ -69,17 +69,12 @@ type Point struct {
 	Scenario Scenario
 	Latency  LatencyProfile
 	Seed     int64
-	scenario int    // Scenario's index in the expanded scenario axis
-	profile  int    // Latency's index in the expanded latency axis
-	name     string // Name, rendered once by Matrix.Points
+	scenario int // Scenario's index in the expanded scenario axis
+	profile  int // Latency's index in the expanded latency axis
 }
 
-// Name renders "scenario/profile/seedN". A point from Matrix.Points
-// returns the name it was expanded with.
+// Name renders "scenario/profile/seedN" from the point's fields.
 func (p Point) Name() string {
-	if p.name != "" {
-		return p.name
-	}
 	var b [64]byte
 	return string(strconv.AppendInt(append(append(append(append(b[:0], p.Scenario.Name...), '/'), p.Latency.Name...), "/seed"...), p.Seed, 10))
 }
@@ -99,9 +94,8 @@ type Matrix struct {
 }
 
 // Points enumerates the matrix cells in deterministic order:
-// scenario-major, then latency profile, then seed, each with its name
-// rendered. A run expands its matrix once (validate) and passes the points
-// on.
+// scenario-major, then latency profile, then seed. A run expands its
+// matrix once (validate) and passes the points on, with their names.
 func (m *Matrix) Points() []Point {
 	scenarios := m.Scenarios
 	if len(scenarios) == 0 {
@@ -119,9 +113,7 @@ func (m *Matrix) Points() []Point {
 	for si, sc := range scenarios {
 		for li, lp := range latencies {
 			for _, seed := range seeds {
-				p := Point{Index: len(pts), Scenario: sc, Latency: lp, Seed: seed, scenario: si, profile: li}
-				p.name = p.Name()
-				pts = append(pts, p)
+				pts = append(pts, Point{Index: len(pts), Scenario: sc, Latency: lp, Seed: seed, scenario: si, profile: li})
 			}
 		}
 	}
@@ -236,10 +228,11 @@ func (r *MatrixResult) AcceptedTotal() (accepted, total int) {
 // overriding the notification delays. After ctx is cancelled nothing more
 // is dispatched, in-flight experiments drain, and ctx.Err() is returned.
 func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, err error) {
-	pts, overlays, err := validate(c, m)
+	x, err := validate(c, m)
 	if err != nil {
 		return nil, err
 	}
+	pts := x.pts
 	j, err := openCampaignJournal(c)
 	if err != nil {
 		return nil, err
@@ -251,8 +244,8 @@ func RunMatrix(ctx context.Context, c *Campaign, m *Matrix) (_ *MatrixResult, er
 	units := make([]unit, len(pts))
 	for k := range pts {
 		p, u := &pts[k], &units[k]
-		name := p.Name()
-		u.pc, u.ps = pointCampaign(c, m, p), pointStudy(overlays[p.scenario], p, name)
+		name := x.names[k]
+		u.pc, u.ps = pointCampaign(c, m, p), pointStudy(x.overlays[p.scenario], p, name)
 		u.set(&u.pc, &u.ps, j.study(profileFP[p.profile], &u.ps, name), "")
 	}
 	if fault, err := runPipeline(ctx, units, poolWidth(c), pl.open, pl); fault != nil {

@@ -148,7 +148,7 @@ func TestTestbedAttachesOneChaosEngine(t *testing.T) {
 		Study:     c.Studies[0],
 	}
 	c.Studies = nil
-	pts, overlays, err := validate(c, m)
+	x, err := validate(c, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestTestbedAttachesOneChaosEngine(t *testing.T) {
 	t.Cleanup(func() { release(nil) })
 	tb := opened.(*localTestbed)
 	var first *chaos.Engine
-	for _, p := range append(pts, pts...) {
-		pc, ps := pointCampaign(c, m, &p), pointStudy(overlays[p.scenario], &p, p.Name())
+	for _, p := range append(x.pts, x.pts...) {
+		pc, ps := pointCampaign(c, m, &p), pointStudy(x.overlays[p.scenario], &p, p.Name())
 		if err := tb.bind(&pc, &ps); err != nil {
 			t.Fatal(err)
 		}

@@ -192,15 +192,15 @@ func Namespaces(c *Campaign, m *Matrix) ([]Namespace, error) {
 		}
 		return out, nil
 	}
-	pts, overlays, err := validate(c, m)
+	x, err := validate(c, m)
 	if err != nil {
 		return nil, err
 	}
-	profileFP := profileFingerprints(c, m, pts)
-	out := make([]Namespace, len(pts))
-	for i := range pts {
-		p, name := &pts[i], pts[i].Name()
-		st := pointStudy(overlays[p.scenario], p, name)
+	profileFP := profileFingerprints(c, m, x.pts)
+	out := make([]Namespace, len(x.pts))
+	for i := range x.pts {
+		p, name := &x.pts[i], x.names[i]
+		st := pointStudy(x.overlays[p.scenario], p, name)
 		out[i] = Namespace{name, st.Experiments, studyFingerprint(profileFP[p.profile], &st, name)}
 	}
 	return out, nil

@@ -40,7 +40,8 @@ const compareChunk = 4096
 // fstat, pread, write, ftruncate, close), so a Write that finds the bytes
 // in place allocates nothing on Linux, and only the path's conversion on
 // other unix systems; elsewhere it goes through os.File. Off Linux an
-// ArtifactDir is its path, and a relative name is joined to it.
+// ArtifactDir is its path, and WriteIn and Mkdir join a name to it in the
+// same reused buffer, so the joined path allocates nothing either.
 //
 // encode receives a writer with an AvailableBuffer method, so the text
 // encoders (analysis.Encode, timeline.Encode, clocksync.EncodeAlphaBeta,
@@ -72,14 +73,13 @@ func (a *ArtifactWriter) Write(path string, perm os.FileMode, encode func(io.Wri
 // may name a file in a subdirectory ("exp007/verdict.txt"). The writer
 // does not keep name.
 func (a *ArtifactWriter) WriteIn(d *ArtifactDir, name []byte, perm os.FileMode, encode func(io.Writer) error) error {
-	a.name = append(append(a.name[:0], name...), 0)
-	return a.write(d, perm, encode)
+	return a.write(a.setName(d, name), perm, encode)
 }
 
 // Mkdir makes the directory name under d, with perm; its parent must
 // exist. The writer does not keep name.
 func (a *ArtifactWriter) Mkdir(d *ArtifactDir, name []byte, perm os.FileMode) error {
-	a.name = append(append(a.name[:0], name...), 0)
+	d = a.setName(d, name)
 	if err := d.mkdir(a.name, perm); err != nil {
 		return &os.PathError{Op: "mkdir", Path: d.join(a.name), Err: err}
 	}

@@ -45,6 +45,13 @@ func (a *ArtifactWriter) OpenDir(path string) (ArtifactDir, error) {
 	return ArtifactDir{fd: fd, path: path}, nil
 }
 
+// setName puts name, NUL-terminated, in a.name and returns the directory
+// it is relative to: d, whose descriptor the kernel resolves it from.
+func (a *ArtifactWriter) setName(d *ArtifactDir, name []byte) *ArtifactDir {
+	a.name = append(append(a.name[:0], name...), 0)
+	return d
+}
+
 // Close releases the directory's descriptor; nothing is written through
 // it, so its close loses nothing. d is then its zero value.
 func (d *ArtifactDir) Close() error {

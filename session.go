@@ -741,8 +741,12 @@ type artifactJob struct {
 }
 
 // appendArtifactJobs adds one study's records, in jobs of at most
-// artifactJobLen.
+// artifactJobLen. The directory is cleaned first, as filepath.Join cleans
+// the paths of the run's other files (metrics.json, report.html): the
+// kernel would resolve a ".." in it after any symbolic link before it, and
+// make the missing directories a ".." steps out of.
 func appendArtifactJobs(jobs []artifactJob, dir string, sr *StudyOutcome) []artifactJob {
+	dir = filepath.Clean(dir)
 	for recs := sr.Records; len(recs) > 0; {
 		n := min(len(recs), artifactJobLen)
 		jobs, recs = append(jobs, artifactJob{dir, recs[:n]}), recs[n:]

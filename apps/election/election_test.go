@@ -80,7 +80,7 @@ func statesOf(tl *timeline.Local) []string {
 func leadersIn(rt *core.Runtime) []string {
 	var leaders []string
 	for _, nick := range peers {
-		tl := rt.Store().Get(nick)
+		tl := rt.SnapshotTimeline(nick)
 		if tl == nil {
 			continue
 		}
@@ -107,7 +107,7 @@ func TestElectionProducesOneLeader(t *testing.T) {
 	}
 	// All three must have gone BEGIN->INIT->ELECT and ended in EXIT.
 	for _, nick := range peers {
-		states := statesOf(rt.Store().Get(nick))
+		states := statesOf(rt.SnapshotTimeline(nick))
 		if len(states) < 3 || states[0] != StInit || states[1] != StElect {
 			t.Errorf("%s states = %v", nick, states)
 		}
@@ -143,7 +143,7 @@ func TestLeaderCrashTriggersReElection(t *testing.T) {
 	// machines led during the run.
 	var crashed, led []string
 	for _, nick := range peers {
-		states := statesOf(rt.Store().Get(nick))
+		states := statesOf(rt.SnapshotTimeline(nick))
 		for _, s := range states {
 			if s == spec.StateCrash {
 				crashed = append(crashed, nick)
@@ -165,7 +165,7 @@ func TestLeaderCrashTriggersReElection(t *testing.T) {
 	}
 	// Each crashed machine's timeline must record exactly one injection.
 	for _, nick := range crashed {
-		if inj := slices.DeleteFunc(slices.Clone(rt.Store().Get(nick).Entries), func(e timeline.Entry) bool { return e.Kind != timeline.FaultInjection }); len(inj) != 1 {
+		if inj := slices.DeleteFunc(slices.Clone(rt.SnapshotTimeline(nick).Entries), func(e timeline.Entry) bool { return e.Kind != timeline.FaultInjection }); len(inj) != 1 {
 			t.Fatalf("injections on %s = %+v", nick, inj)
 		}
 	}
@@ -175,7 +175,7 @@ func TestLeaderCrashTriggersReElection(t *testing.T) {
 		if nick == crashed[0] {
 			continue
 		}
-		states := statesOf(rt.Store().Get(nick))
+		states := statesOf(rt.SnapshotTimeline(nick))
 		for i := 1; i < len(states); i++ {
 			if states[i-1] == StFollow && states[i] == StElect {
 				reElected = true
@@ -232,7 +232,7 @@ func TestCrashedProcessRestartsAsFollower(t *testing.T) {
 		t.Fatal("experiment timed out")
 	}
 
-	states := statesOf(rt.Store().Get(restarted))
+	states := statesOf(rt.SnapshotTimeline(restarted))
 	// The combined timeline must show ... CRASH, RESTART_SM, FOLLOW ...
 	idxCrash, idxRestart, idxFollow := -1, -1, -1
 	for i, s := range states {

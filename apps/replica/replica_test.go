@@ -98,11 +98,11 @@ func TestReplicationProgress(t *testing.T) {
 		}
 	}
 	// Roles: r0 PRIMARY, others BACKUP.
-	if states := statesOf(rt.Store().Get("r0")); states[1] != StPrimary {
+	if states := statesOf(rt.SnapshotTimeline("r0")); states[1] != StPrimary {
 		t.Errorf("r0 states = %v", states)
 	}
 	for _, nick := range []string{"r1", "r2"} {
-		if states := statesOf(rt.Store().Get(nick)); states[1] != StBackup {
+		if states := statesOf(rt.SnapshotTimeline(nick)); states[1] != StBackup {
 			t.Errorf("%s states = %v", nick, states)
 		}
 	}
@@ -128,18 +128,18 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 	if !rt.Wait(10 * time.Second) {
 		t.Fatal("timeout")
 	}
-	if last, _ := rt.Store().Get("r0").LastState(); last != spec.StateCrash {
+	if last, _ := rt.SnapshotTimeline("r0").LastState(); last != spec.StateCrash {
 		t.Fatalf("r0 last state = %q, want CRASH", last)
 	}
 	// r1, the next in priority, must have promoted.
 	promoted := false
-	for _, s := range statesOf(rt.Store().Get("r1")) {
+	for _, s := range statesOf(rt.SnapshotTimeline("r1")) {
 		if s == StPrimary {
 			promoted = true
 		}
 	}
 	if !promoted {
-		t.Fatalf("r1 never promoted: %v", statesOf(rt.Store().Get("r1")))
+		t.Fatalf("r1 never promoted: %v", statesOf(rt.SnapshotTimeline("r1")))
 	}
 }
 
@@ -166,7 +166,7 @@ func TestMemoryFaultDetectedAsFailStop(t *testing.T) {
 	// the region before checking; the check-then-write order makes
 	// detection the common case. Accept either detection (EXIT via ERROR)
 	// or a masked flip, but require the injection to be recorded.
-	tl := rt.Store().Get("r0")
+	tl := rt.SnapshotTimeline("r0")
 	if inj := slices.DeleteFunc(slices.Clone(tl.Entries), func(e timeline.Entry) bool { return e.Kind != timeline.FaultInjection }); len(inj) != 1 {
 		t.Fatalf("injections = %+v", inj)
 	}
@@ -210,7 +210,7 @@ func TestRestartedReplicaSyncs(t *testing.T) {
 		t.Fatal("timeout")
 	}
 
-	states := statesOf(rt.Store().Get("r2"))
+	states := statesOf(rt.SnapshotTimeline("r2"))
 	// Must contain CRASH then RESTART_SM then BACKUP.
 	seq := []string{spec.StateCrash, StRestartSM, StBackup}
 	idx := 0

@@ -59,7 +59,7 @@ func TestResultFramesChunking(t *testing.T) {
 	outcomes := map[string]string{"alpha": "exited", "beta": "exited"}
 
 	logf := func(string, ...interface{}) {}
-	frames := resultFrames(logf, "b", "a", 4, []*timeline.Local{big, small, unencodable}, outcomes)
+	frames, _ := resultFrames(nil, nil, logf, "b", "a", 4, []*timeline.Local{big, small, unencodable}, outcomes)
 
 	if len(frames) < 4 {
 		t.Fatalf("got %d frames, want the big timeline chunked into at least 3 plus the small one", len(frames))
@@ -118,7 +118,7 @@ func TestResultFramesFitWithManyOutcomes(t *testing.T) {
 		Entries: []timeline.Entry{{Kind: timeline.Kind(99)}},
 	}
 	logf := func(string, ...interface{}) {}
-	frames := resultFrames(logf, "beta", "alpha", 7, []*timeline.Local{big, unencodable}, outcomes)
+	frames, _ := resultFrames(nil, nil, logf, "beta", "alpha", 7, []*timeline.Local{big, unencodable}, outcomes)
 	if len(frames) < 2 {
 		t.Fatalf("got %d frames, want the timeline chunked", len(frames))
 	}

@@ -21,8 +21,32 @@ func (m *Member) reference() string      { return m.ref }
 // bind has nothing to do: a member is built for its one study.
 func (m *Member) bind(*Campaign, *Study) error { return nil }
 
-// recycle keeps nothing: most of a cluster's timelines are decoded frames.
-func (m *Member) recycle([]*timeline.Local) {}
+// recycle takes an analysed experiment's timelines back: of each remote
+// node's it keeps one, the spare execute decodes that node's next
+// timeline into, and the coordinator's own, with the slice, go back to its
+// runtime (RecycleTimelines, which passes over the remote ones). A node
+// runs only on the member that owns its placement host, so no owner is
+// both remote and the runtime's.
+func (m *Member) recycle(spent []*timeline.Local) {
+	for _, l := range spent {
+		if spare, remote := m.spares[l.Owner]; remote && spare == nil {
+			m.spares[l.Owner] = l
+		}
+	}
+	m.rt.RecycleTimelines(spent)
+}
+
+// decodeRemote decodes a timeline a peer shipped into its node's spare, or
+// into a fresh timeline when the node has none (recycle). The timeline is
+// out until recycle hands it back.
+func (m *Member) decodeRemote(doc string) (*timeline.Local, error) {
+	tl, err := timeline.DecodeStringInto(doc, m.spares[timeline.Owner(doc)])
+	if err != nil {
+		return nil, err
+	}
+	m.spares[tl.Owner] = nil
+	return tl, nil
+}
 
 func (m *Member) spent() chan *rawExperiment { return m.raws }
 
@@ -88,7 +112,7 @@ func (m *Member) execute(index int) (executed, error) {
 		return executed{}, err
 	}
 
-	run.locals = m.rt.Store().AppendAll(nil)
+	run.locals = m.rt.CollectTimelines()
 	run.outcomes = m.rt.Outcomes()
 	for i, peer := range m.peers {
 		frames := results[i]
@@ -98,15 +122,15 @@ func (m *Member) execute(index int) (executed, error) {
 			}
 		}
 		run.lost = append(run.lost, frames[0].Dropped...)
-		docs, err := joinDocs(frames)
+		m.docs, err = joinDocs(m.docs[:0], frames)
 		if err != nil {
 			return executed{}, fmt.Errorf("peer %s results: %w", peer, err)
 		}
-		for _, doc := range docs {
+		for _, doc := range m.docs {
 			if doc == "" {
 				continue // the placeholder frame of a peer with no timelines
 			}
-			tl, err := timeline.DecodeString(doc)
+			tl, err := m.decodeRemote(doc)
 			if err != nil {
 				return executed{}, fmt.Errorf("decoding peer %s timeline: %w", peer, err)
 			}

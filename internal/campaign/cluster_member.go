@@ -16,6 +16,7 @@ import (
 	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/spec"
+	"repro/internal/timeline"
 	"repro/internal/transport"
 )
 
@@ -33,6 +34,7 @@ type Member struct {
 	peers   []string         // the remote peers, sorted; the peer set is fixed
 	fp      string           // studyFingerprint of (c, st): what the reset barrier compares
 	hosts   []string         // all hosts, sorted (cluster-wide)
+	own     []string         // the hosts this member owns, sorted
 	local   []spec.NodeEntry // the placement entries on hosts this member owns
 	ref     string           // reference host (sorted-first, coordinator-local)
 	syncSeq int              // monotonic across mini-phases: a stale pong must never match
@@ -41,14 +43,21 @@ type Member struct {
 	// current experiment: the min-RTT round's midpoint offset estimate,
 	// used to rebase merged member trace lanes. Cleared each experiment.
 	align map[string]memberAlign
-	// answers holds gather's frame sets, one per peer of peers, and pings
-	// sync's round trips; each is reused call to call.
+	// answers holds gather's frame sets, one per peer of peers, pings
+	// sync's round trips, and docs execute's reassembled documents; each
+	// is reused call to call.
 	answers [][]clusterMsg
 	pings   []syncPing
-	// names is the table control frames are decoded through. The member's
-	// protocol goroutine owns it: gather's on the coordinator, Serve's on
-	// every other member.
-	names intern.Table
+	docs    []string
+	// spares holds, by owner, the coordinator's spare timeline of each
+	// remote node: the last one shipped, handed back by recycle once
+	// analysed, which execute decodes that node's next timeline into. A
+	// remote node has a key from its first timeline on; its value is nil
+	// while its timeline is out.
+	spares map[string]*timeline.Local
+	// done is the member's done reports (reportDone), reused experiment
+	// to experiment. Serve's goroutine owns it.
+	done *doneReport
 	// barriered records that some reset barrier completed: every member
 	// is known to be up and listening.
 	barriered bool
@@ -64,13 +73,17 @@ type Member struct {
 	// one runtime worker, and at most two raws queued behind it.
 	raws chan *rawExperiment
 
-	// The mailbox every protocol wait blocks in (recv): up to 256 frames
-	// hook queued, oldest first, and whether Quit was called. hook and
-	// Quit each wake wake, a waiter on the runtime's clock.
+	// The mailbox every protocol wait blocks in (recv): up to inboxLimit
+	// frames hook decoded and queued, oldest first, and whether Quit was
+	// called. hook and Quit each wake wake, a waiter on the runtime's
+	// clock. names is the table hook decodes control frames through; hooks
+	// run on every read loop of the transport (one per connection under
+	// TCP), so it is used under mu.
 	mu    sync.Mutex
-	inbox []transport.Message
+	inbox []inFrame
 	quit  bool
 	wake  clock.Waiter
+	names intern.Table
 
 	// sendMu guards sendBuf, which every control frame, sync ping and sync
 	// pong this member sends is encoded into; the transport only borrows
@@ -100,7 +113,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		fp:      studyFingerprint(campaignFingerprint(c), st, st.Name),
 		align:   make(map[string]memberAlign, len(peers)),
 		answers: make([][]clusterMsg, len(peers)),
-		inbox:   make([]transport.Message, 0, 256),
+		spares:  make(map[string]*timeline.Local),
 		raws:    make(chan *rawExperiment, 3),
 	}
 
@@ -114,6 +127,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		switch topo.Owner(h.Name) {
 		case topo.Local:
 			rt.AddHost(h.Name, h.Clock)
+			m.own = append(m.own, h.Name)
 		case "":
 			// An unowned host would silently never run its nodes on any
 			// endpoint — and the experiment could then be accepted with
@@ -123,6 +137,7 @@ func NewMember(c *Campaign, st *Study, tr transport.Transport) (*Member, error) 
 		}
 	}
 	sort.Strings(m.hosts)
+	sort.Strings(m.own)
 	if len(m.hosts) == 0 {
 		rt.Shutdown()
 		return nil, fmt.Errorf("campaign: cluster member %q: no hosts", m.peer)
@@ -179,11 +194,29 @@ func (m *Member) Quit() {
 	m.wake.Wake()
 }
 
+// inboxLimit bounds the inbox: a full one drops frames, like a lossy
+// network, and their senders retry.
+const inboxLimit = 256
+
+// inFrame is one frame in the inbox, decoded: hook only borrows a frame's
+// payload (transport.Handler), so it queues what the payload says.
+type inFrame struct {
+	kind   byte
+	from   string     // the sending peer (Message.From)
+	op     string     // a control frame's op (Message.State)
+	toHost string     // the host whose clock a sync pong read (Message.ToHost)
+	cm     clusterMsg // a control frame's payload
+	pong   syncWire   // a sync pong's payload
+	err    error      // why the payload did not decode
+}
+
 // hook receives the transport frames core does not consume. Sync pings
-// are answered inline — they only read a clock; everything else lands in
-// the inbox for the protocol loops.
+// are answered inline — they only read a clock; control frames and sync
+// pongs are decoded into the inbox for the protocol loops, and any other
+// frame is dropped.
 func (m *Member) hook(msg transport.Message) {
-	if msg.Kind == transport.KindSyncPing {
+	switch msg.Kind {
+	case transport.KindSyncPing:
 		w, err := decodeSyncWire(msg.Payload)
 		if err != nil {
 			return
@@ -201,10 +234,20 @@ func (m *Member) hook(msg transport.Message) {
 			m.rt.Logf("campaign: cluster %s: sync pong: %v", m.peer, err)
 		}
 		return
+	case transport.KindCtrl, transport.KindSyncPong:
+	default:
+		return
+	}
+	in := inFrame{kind: msg.Kind, from: msg.From, op: msg.State, toHost: msg.ToHost}
+	if msg.Kind == transport.KindSyncPong {
+		in.pong, in.err = decodeSyncWire(msg.Payload)
 	}
 	m.mu.Lock()
-	if len(m.inbox) < cap(m.inbox) { // a full inbox behaves like a lossy network; senders retry
-		m.inbox = append(m.inbox, msg)
+	if msg.Kind == transport.KindCtrl {
+		in.cm, in.err = decodeClusterMsg(msg.Payload, &m.names)
+	}
+	if len(m.inbox) < inboxLimit {
+		m.inbox = append(m.inbox, in)
 	}
 	m.mu.Unlock()
 	m.wake.Wake()
@@ -307,8 +350,9 @@ func (m *Member) Serve(ctx context.Context) error {
 		started   bool
 		sup       *supervisor
 		sealed    bool
-		doneStop  clock.Waiter // stops the done reports
+		done      *doneReport // this experiment's done reports, until stopped
 		resFrames []clusterMsg
+		resText   []byte // the timelines' text resFrames were made of
 
 		mtr         *obs.Trace // this member's lane for the current experiment
 		startAt     time.Time
@@ -319,9 +363,9 @@ func (m *Member) Serve(ctx context.Context) error {
 		refused error // the coordinator failed checkPeer
 	)
 	stopRun := func() { // the done reports and the supervisor
-		if doneStop != nil {
-			doneStop.Wake()
-			doneStop = nil
+		if done != nil {
+			done.stop.Wake()
+			done = nil
 		}
 		if sup != nil {
 			sup.stop()
@@ -330,28 +374,31 @@ func (m *Member) Serve(ctx context.Context) error {
 	}
 	defer stopRun()
 	for {
-		msg, err := m.recv(time.Time{}, true)
+		in, err := m.recv(time.Time{}, true)
 		if err != nil {
 			return refused
 		}
-		cm, err := decodeClusterMsg(msg.Payload, &m.names)
-		if refused == nil && msg.State == opReset {
-			refused = m.checkPeer(msg.From, cm, err)
+		if in.kind != transport.KindCtrl {
+			continue // a sync pong that straggled past its round
+		}
+		cm := in.cm
+		if refused == nil && in.op == opReset {
+			refused = m.checkPeer(in.from, cm, in.err)
 		}
 		if refused != nil {
-			switch msg.State {
+			switch in.op {
 			case opReset:
-				m.sendCtrl(msg.From, opResetOK, m.hello(cm.Index))
+				m.sendCtrl(in.from, opResetOK, m.hello(cm.Index))
 			case opStop:
-				m.sendCtrl(msg.From, opStopOK, clusterMsg{Index: cm.Index})
+				m.sendCtrl(in.from, opStopOK, clusterMsg{Index: cm.Index})
 				return refused
 			}
 			continue
 		}
-		if err != nil {
+		if in.err != nil {
 			continue
 		}
-		switch msg.State {
+		switch in.op {
 		case opReset:
 			if cm.Index < index {
 				continue // a straggler from a finished experiment; never roll back
@@ -361,7 +408,7 @@ func (m *Member) Serve(ctx context.Context) error {
 				m.rt.SealExperiment()
 				m.rt.ResetExperiment()
 				m.tr.SetEpoch(uint64(cm.Index) + 1)
-				index, started, sealed, resFrames = cm.Index, false, false, nil
+				index, started, sealed, resFrames = cm.Index, false, false, resFrames[:0]
 				// Fresh trace lane for the new experiment, when the
 				// coordinator will pull one and we can record one.
 				m.rt.SetTrace(nil)
@@ -400,7 +447,7 @@ func (m *Member) Serve(ctx context.Context) error {
 			}
 			// Report completion, and keep reporting until sealed: the
 			// datagram may be lost.
-			doneStop = m.reportDone(cm.Peer, index)
+			done = m.reportDone(cm.Peer, index)
 		case opSeal:
 			if cm.Index != index {
 				continue
@@ -415,7 +462,9 @@ func (m *Member) Serve(ctx context.Context) error {
 					}
 					m.rt.SetTrace(nil) // the lane is final; stop recording
 				}
-				resFrames = resultFrames(m.rt.Logf, m.peer, cm.Peer, index, m.rt.Store().AppendAll(nil), m.rt.Outcomes())
+				locals := m.rt.CollectTimelines()
+				resFrames, resText = resultFrames(resFrames[:0], resText, m.rt.Logf, m.peer, cm.Peer, index, locals, m.rt.Outcomes())
+				m.rt.RecycleTimelines(locals) // encoded: the frames hold their text
 			}
 			for _, f := range resFrames {
 				m.sendCtrl(cm.Peer, opResult, f)
@@ -432,7 +481,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					m.rt.Logf("campaign: cluster %s: encoding trace: %v", m.peer, err)
 					doc = ""
 				}
-				traceFrames = chunkDoc(docRoom(m.peer, cm.Peer, opTraceRes, clusterMsg{Index: index}), index, doc)
+				traceFrames = chunkDoc(nil, docRoom(m.peer, cm.Peer, opTraceRes, clusterMsg{Index: index}), index, doc)
 			}
 			for _, f := range traceFrames {
 				m.sendCtrl(cm.Peer, opTraceRes, f)
@@ -450,7 +499,7 @@ func (m *Member) Serve(ctx context.Context) error {
 					}
 				}
 				metricsIdx = cm.Index
-				metricsFr = chunkDoc(docRoom(m.peer, cm.Peer, opMetricsRes, clusterMsg{Index: cm.Index}), cm.Index, doc)
+				metricsFr = chunkDoc(nil, docRoom(m.peer, cm.Peer, opMetricsRes, clusterMsg{Index: cm.Index}), cm.Index, doc)
 			}
 			for _, f := range metricsFr {
 				m.sendCtrl(cm.Peer, opMetricsRes, f)

@@ -20,7 +20,7 @@ func (m *Member) pullDocs(index int, op, respOp string) ([]string, error) {
 	}
 	docs := make([]string, len(results))
 	for i, frames := range results {
-		d, err := joinDocs(frames)
+		d, err := joinDocs(nil, frames)
 		if err != nil {
 			return nil, err
 		}

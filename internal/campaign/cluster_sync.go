@@ -58,7 +58,7 @@ func (m *Member) sync(dst []clocksync.StampedMessage) ([]clocksync.StampedMessag
 		return dst, fmt.Errorf("campaign: coordinator %q does not own reference host %q", m.peer, m.ref)
 	}
 	// Local hosts: the ordinary in-memory exchange.
-	msgs := exchangeStamps(dst, m.rt, m.ref, m.rt.Hosts(), cfg)
+	msgs := exchangeStamps(dst, m.rt, m.ref, m.own, cfg)
 	// Remote hosts: socket ping-pong. The sequence number is monotonic
 	// across rounds, mini-phases and experiments, so a pong that straggled
 	// past its round's timeout can never be paired with a later round's

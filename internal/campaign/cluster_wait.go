@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -37,12 +38,12 @@ var errMemberQuit = errors.New("member quit")
 // waiter until one is queued. It fails with context.DeadlineExceeded once
 // the runtime's clock reaches until (a zero until never comes) and, when
 // quit is set, with errMemberQuit once Quit has been called.
-func (m *Member) recv(until time.Time, quit bool) (transport.Message, error) {
+func (m *Member) recv(until time.Time, quit bool) (inFrame, error) {
 	for {
 		m.mu.Lock()
 		if quit && m.quit {
 			m.mu.Unlock()
-			return transport.Message{}, errMemberQuit
+			return inFrame{}, errMemberQuit
 		}
 		if len(m.inbox) > 0 {
 			msg := m.inbox[0]
@@ -54,7 +55,7 @@ func (m *Member) recv(until time.Time, quit bool) (transport.Message, error) {
 		wait := time.Duration(-1) // no deadline
 		if !until.IsZero() {
 			if wait = until.Sub(m.rt.Clock().Now()); wait <= 0 {
-				return transport.Message{}, context.DeadlineExceeded
+				return inFrame{}, context.DeadlineExceeded
 			}
 		}
 		m.wake.Wait(wait)
@@ -106,16 +107,15 @@ func (m *Member) gather(op string, msg clusterMsg, respOp string, limit time.Dur
 			if resent && tm != nil {
 				tm.Retries.Inc()
 			}
-		case in.State == respOp:
-			cm, err := decodeClusterMsg(in.Payload, &m.names)
+		case in.kind == transport.KindCtrl && in.op == respOp:
 			switch {
-			case err != nil:
-				if m.peerIndex(in.From) >= 0 && errors.As(err, new(*wireVersionError)) {
-					return nil, m.checkPeer(in.From, cm, err)
+			case in.err != nil:
+				if m.peerIndex(in.from) >= 0 && errors.As(in.err, new(*wireVersionError)) {
+					return nil, m.checkPeer(in.from, in.cm, in.err)
 				}
-			case cm.Index == msg.Index:
-				if i := m.peerIndex(cm.Peer); i >= 0 {
-					sets[i] = addFrame(sets[i], cm)
+			case in.cm.Index == msg.Index:
+				if i := m.peerIndex(in.cm.Peer); i >= 0 {
+					sets[i] = addFrame(sets[i], in.cm)
 				}
 			}
 		}
@@ -189,23 +189,19 @@ func (m *Member) frameCounts(sets [][]clusterMsg) string {
 func (m *Member) collectPongs(round []syncPing, refClock *vclock.Clock, tm *obs.TransportMetrics) {
 	until := m.rt.Clock().Now().Add(clusterPongTimeout)
 	for waiting := len(round); waiting > 0; {
-		msg, err := m.recv(until, true)
+		in, err := m.recv(until, true)
 		if err != nil {
 			return
 		}
-		if msg.Kind != transport.KindSyncPong {
+		if in.kind != transport.KindSyncPong {
 			continue
 		}
 		refRecv, procRecv := refClock.Now(), m.rt.Clock().Now()
-		p := awaitingPing(round, msg.ToHost)
-		if p == nil {
+		p := awaitingPing(round, in.toHost)
+		if p == nil || in.err != nil || in.pong.Seq != p.seq {
 			continue
 		}
-		w, err := decodeSyncWire(msg.Payload)
-		if err != nil || w.Seq != p.seq {
-			continue
-		}
-		p.ok, p.pong, p.refRecv, p.procRecv = true, w, refRecv, procRecv
+		p.ok, p.pong, p.refRecv, p.procRecv = true, in.pong, refRecv, procRecv
 		if tm != nil {
 			tm.RTTSeconds.ObserveSince(p.sentAt)
 		}
@@ -223,22 +219,48 @@ func awaitingPing(round []syncPing, host string) *syncPing {
 	return nil
 }
 
-// reportDone spawns, as a task of the runtime's clock, the member's done
-// reports: it waits for the local nodes to finish, then sends done frames
-// until the returned waiter is woken (the seal acknowledges them).
-func (m *Member) reportDone(coordinator string, index int) (stop clock.Waiter) {
-	clk := m.rt.Clock()
-	stop = clk.NewWaiter()
-	clk.Go(func() {
-		completed := m.rt.Wait(studyTimeout(m.st))
-		for {
-			m.sendCtrl(coordinator, opDone, clusterMsg{Index: index, Completed: completed})
-			if stop.Wait(clusterRetry * 4) {
-				return
-			}
+// doneReport is one experiment's done reports: a task of the runtime's
+// clock (report) that sends them until stop is woken.
+type doneReport struct {
+	m           *Member
+	coordinator string
+	index       int
+	stop        clock.Waiter
+	run         func() // report, bound once
+	returned    atomic.Bool
+}
+
+// report waits for the local nodes to finish, then sends done frames until
+// stop is woken (the seal acknowledges them). It reads none of d once it
+// has said it returned.
+func (d *doneReport) report() {
+	completed := d.m.rt.Wait(studyTimeout(d.m.st))
+	for {
+		d.m.sendCtrl(d.coordinator, opDone, clusterMsg{Index: d.index, Completed: completed})
+		if d.stop.Wait(clusterRetry * 4) {
+			d.returned.Store(true)
+			return
 		}
-	})
-	return stop
+	}
+}
+
+// reportDone starts the member's done reports for the experiment index,
+// which stop once the returned report's stop is woken. The member reuses
+// its last report, waiter and all, when that report's task has returned:
+// it has consumed its one wake and will read the report no more. A task
+// still returning (a seal followed at once by the next start) keeps its
+// report, and this experiment gets a new one.
+func (m *Member) reportDone(coordinator string, index int) *doneReport {
+	d := m.done
+	if d == nil || !d.returned.Load() {
+		d = &doneReport{m: m, stop: m.rt.Clock().NewWaiter()}
+		d.run = d.report
+		m.done = d
+	}
+	d.coordinator, d.index = coordinator, index
+	d.returned.Store(false)
+	m.rt.Clock().Go(d.run)
+	return d
 }
 
 // stopCluster ends the study cluster-wide: stop is re-broadcast until

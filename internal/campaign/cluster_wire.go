@@ -210,9 +210,9 @@ func (cm *clusterMsg) appendWire(b []byte) []byte {
 }
 
 // decodeClusterMsg decodes a payload written by clusterMsg.appendWire. The
-// strings never alias b: Peer, Fingerprint and Point, which repeat frame
-// after frame, are read through names (a nil table copies them), and the
-// rest are copied.
+// strings never alias b: Peer, Fingerprint, Point and the outcome keys and
+// values, which repeat frame after frame, are read through names (a nil
+// table copies them), and the rest are copied.
 func decodeClusterMsg(b []byte, names *intern.Table) (clusterMsg, error) {
 	r := wireReader{b: b}
 	r.header()
@@ -224,7 +224,7 @@ func decodeClusterMsg(b []byte, names *intern.Table) (clusterMsg, error) {
 		cm.Outcomes = make(map[string]string, n)
 		prev := ""
 		for i := 0; i < n && r.err == nil; i++ {
-			k, v := r.string(), r.string()
+			k, v := r.name(names), r.name(names)
 			if i > 0 && k <= prev && r.err == nil {
 				r.err = errWireKeyOrder
 			}
@@ -400,22 +400,24 @@ func docRoom(from, to, op string, cm clusterMsg) int {
 }
 
 // chunkDoc splits one encoded document across protocol frames carrying at
-// most room bytes of it each (docRoom): More marks a continuation, and the
-// 60 KB frame limit stays a transport property, not a bound on how much a
-// long experiment may record. An empty document still produces one frame,
-// so the collector always completes. Without any room (the rest of a frame
-// alone exceeds the limit) the document goes whole into one frame, which
-// the transport then refuses to send.
-func chunkDoc(room, index int, doc string) []clusterMsg {
+// most room bytes of it each (docRoom), appended to dst and numbered as a
+// set of their own: More marks a continuation, and the 60 KB frame limit
+// stays a transport property, not a bound on how much a long experiment
+// may record. An empty document still produces one frame, so the
+// collector always completes. Without any room (the rest of a frame alone
+// exceeds the limit) the document goes whole into one frame, which the
+// transport then refuses to send.
+func chunkDoc(dst []clusterMsg, room, index int, doc string) []clusterMsg {
 	if room <= 0 {
 		room = max(len(doc), 1)
 	}
-	var frames []clusterMsg
+	n := len(dst)
 	for start := 0; ; start += room {
 		end := min(start+room, len(doc))
-		frames = append(frames, clusterMsg{Index: index, Doc: doc[start:end], More: end < len(doc)})
+		dst = append(dst, clusterMsg{Index: index, Doc: doc[start:end], More: end < len(doc)})
 		if end >= len(doc) {
-			return numberFrames(frames)
+			numberFrames(dst[n:])
+			return dst
 		}
 	}
 }
@@ -429,61 +431,75 @@ func numberFrames(frames []clusterMsg) []clusterMsg {
 	return frames
 }
 
-// joinDocs reassembles the documents of one peer's Seq-ordered frame set:
-// consecutive chunks up to the first frame without More form one document,
-// so a non-empty set yields at least one.
-func joinDocs(frames []clusterMsg) ([]string, error) {
-	var docs []string
+// joinDocs appends the documents of one peer's Seq-ordered frame set to
+// dst: consecutive chunks up to the first frame without More form one
+// document, so a non-empty set yields at least one. A document of one
+// chunk is that chunk's string.
+func joinDocs(dst []string, frames []clusterMsg) ([]string, error) {
 	var pending strings.Builder
 	more := false
 	for i := range frames {
-		pending.WriteString(frames[i].Doc)
-		if more = frames[i].More; !more {
-			docs = append(docs, pending.String())
+		f := &frames[i]
+		switch {
+		case !more && !f.More:
+			dst = append(dst, f.Doc)
+		case f.More:
+			pending.WriteString(f.Doc)
+		default:
+			pending.WriteString(f.Doc)
+			dst = append(dst, pending.String())
 			pending.Reset()
 		}
+		more = f.More
 	}
 	if more {
-		return nil, fmt.Errorf("frame set ended mid-document (%d bytes pending)", pending.Len())
+		return dst, fmt.Errorf("frame set ended mid-document (%d bytes pending)", pending.Len())
 	}
-	return docs, nil
+	return dst, nil
 }
 
-// resultFrames encodes a member's artifacts as the result frames it sends
-// from -> to (the §3.5.6 text format is the wire format), one chunked
-// document per timeline, with outcomes repeated in each frame so any one
-// carries them; each chunk gets exactly the room the rest of its frame
-// leaves. Only a timeline that cannot be encoded at all is reported in
-// Dropped (it is not counted in Total, or the coordinator would wait
+// resultFrames appends to dst the result frames that carry a member's
+// artifacts from -> to (the §3.5.6 text format is the wire format), one
+// chunked document per timeline, with outcomes repeated in each frame so
+// any one carries them; each chunk gets exactly the room the rest of its
+// frame leaves. Only a timeline that cannot be encoded at all is reported
+// in Dropped (it is not counted in Total, or the coordinator would wait
 // forever for a frame that can never arrive), and the coordinator then
 // discards the experiment: a machine's injections cannot be verified from
 // a global timeline that machine is missing from, so accepting would be
-// unsound.
-func resultFrames(logf func(string, ...interface{}), from, to string, index int, locals []*timeline.Local, outcomes map[string]string) []clusterMsg {
-	type doc struct{ owner, text string }
-	var docs []doc
+// unsound. The timelines' text is appended into text, the caller's
+// scratch, returned for its next call; the documents are substrings of
+// one string made of it.
+func resultFrames(dst []clusterMsg, text []byte, logf func(string, ...interface{}), from, to string, index int, locals []*timeline.Local, outcomes map[string]string) ([]clusterMsg, []byte) {
+	// doc says where locals[local]'s text ends in text; a typical member's
+	// timelines fit in stack, without allocating.
+	type doc struct{ local, end int }
+	var stack [8]doc
+	docs := stack[:0]
 	var dropped []string
-	var buf []byte // each timeline's text, appended into one reused buffer
-	for _, tl := range locals {
+	text = text[:0]
+	for i, tl := range locals {
 		var err error
-		if buf, err = tl.AppendText(buf[:0]); err != nil {
+		if text, err = tl.AppendText(text); err != nil { // text comes back as it was
 			logf("campaign: cluster result: timeline %q not encodable: %v", tl.Owner, err)
 			dropped = append(dropped, tl.Owner)
 			continue
 		}
-		docs = append(docs, doc{tl.Owner, string(buf)})
+		docs = append(docs, doc{i, len(text)})
 	}
+	all := string(text)
 	room := docRoom(from, to, opResult, clusterMsg{Index: index, Outcomes: outcomes, Dropped: dropped})
 	if room <= 0 {
 		logf("campaign: cluster result: %d outcomes and %d dropped owners alone exceed a frame", len(outcomes), len(dropped))
 	}
-	var frames []clusterMsg
+	frames, start := dst, 0
 	for _, d := range docs {
-		chunks := chunkDoc(room, index, d.text)
-		if len(chunks) > 1 {
-			logf("campaign: cluster result: timeline %q is %d bytes, chunking across %d frames", d.owner, len(d.text), len(chunks))
+		n := len(frames)
+		frames = chunkDoc(frames, room, index, all[start:d.end])
+		if chunks := len(frames) - n; chunks > 1 {
+			logf("campaign: cluster result: timeline %q is %d bytes, chunking across %d frames", locals[d.local].Owner, d.end-start, chunks)
 		}
-		frames = append(frames, chunks...)
+		start = d.end
 	}
 	if len(frames) == 0 {
 		frames = append(frames, clusterMsg{Index: index})
@@ -492,7 +508,7 @@ func resultFrames(logf func(string, ...interface{}), from, to string, index int,
 		frames[i].Outcomes = outcomes
 		frames[i].Dropped = dropped
 	}
-	return numberFrames(frames)
+	return numberFrames(frames), text
 }
 
 // sortedKeys returns m's keys in byte order (strings.Compare's), in dst's

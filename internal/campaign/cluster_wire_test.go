@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -212,7 +213,7 @@ var mapSink map[string]string
 // exact size, and none into a warm buffer (the member's send path); a sync
 // stamp decodes with none, and a message decodes allocating only its
 // strings (each copied out of the frame, or none for names a warm table
-// holds) and its outcome map. Under gob a syncWire cost 20 allocations to
+// holds, outcome keys and values among them) and its outcome map. Under gob a syncWire cost 20 allocations to
 // encode and 167 to decode, and a startok-sized clusterMsg 23 and 217.
 func TestClusterWireAllocs(t *testing.T) {
 	budget := func(name string, want float64, run func()) {
@@ -285,6 +286,11 @@ func TestClusterWireAllocs(t *testing.T) {
 	budget("result decode", strs+mapAllocs, func() {
 		if _, err := decodeClusterMsg(rb, nil); err != nil {
 			t.Fatal(err)
+		}
+	})
+	budget("result decode, warm table", 1+mapAllocs, func() { // Doc
+		if got, err := decodeClusterMsg(rb, &names); err != nil || !maps.Equal(got.Outcomes, outcomes) {
+			t.Fatalf("decoded %+v, %v", got, err)
 		}
 	})
 }

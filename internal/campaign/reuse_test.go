@@ -19,6 +19,7 @@ import (
 	"repro/internal/faultexpr"
 	"repro/internal/probe"
 	"repro/internal/spec"
+	"repro/internal/transport"
 )
 
 // Tests for the scaffolding a testbed builds once and reuses for every
@@ -111,6 +112,48 @@ func TestStudyAllocBudget(t *testing.T) {
 	t.Logf("virtual election: %.1f allocations per experiment", got)
 	if got > budget {
 		t.Fatalf("an experiment allocates %.1f objects, budget %d", got, budget)
+	}
+}
+
+// TestClusteredStudyAllocBudget is TestStudyAllocBudget's twin in the
+// ledger's cluster-udp shape: the same election in real time over a
+// loopback UDP cluster, one member per host. The figure is per experiment,
+// long minus short study, so building the cluster once per Run does not
+// count; what does is the wire, the runtime's remote half and the member
+// protocol. It holds that a received payload is lent, not copied, that a
+// remote note rides a spent delivery, that timelines are recycled at both
+// ends and that the done reports reuse one waiter. A real-time election
+// under CPU contention takes more rounds, and the runtime more goroutine
+// structures, so the figure is the lower of two measurements, and the
+// budget leaves room for a loaded machine: measured at 90.5-92.5 on an
+// idle one when the budget was set, 86.8-95.0 in a -race build, and up to
+// 111 with both cores busy; 250-251 (-race 256) while every received
+// payload was copied, every remote note made a closure, every shipped
+// timeline was decoded into fresh storage, every member's timelines and
+// text buffer were new and every done report made a waiter. Most of what
+// is left is gob decoding the application's payloads.
+func TestClusteredStudyAllocBudget(t *testing.T) {
+	budget := 125.0
+	if raceBuild {
+		budget = 130
+	}
+	allocs := func(experiments int) float64 {
+		c := virtualElection(t, experiments, 1)
+		c.VirtualTime = false
+		c.Studies[0].Transport = transport.KindNameUDP
+		return testing.AllocsPerRun(1, func() {
+			res, err := Run(context.Background(), c)
+			if err != nil || len(res.Studies[0].Records) != experiments || !res.Studies[0].Records[experiments-1].Completed {
+				t.Fatalf("clustered study: err=%v", err)
+			}
+		})
+	}
+	const short, long = 4, 24
+	perExperiment := func() float64 { return (allocs(long) - allocs(short)) / (long - short) }
+	got := min(perExperiment(), perExperiment())
+	t.Logf("clustered election: %.1f allocations per experiment", got)
+	if got > budget {
+		t.Fatalf("a clustered experiment allocates %.1f objects, budget %.0f", got, budget)
 	}
 }
 

@@ -249,7 +249,7 @@ func TestNotificationsMaintainPartialView(t *testing.T) {
 		t.Fatalf("injected = %d, want 1", injected.Load())
 	}
 	// The injection must be in the watcher's timeline.
-	tl := rt.Store().Get("watcher")
+	tl := rt.SnapshotTimeline("watcher")
 	inj := slices.DeleteFunc(slices.Clone(tl.Entries), func(e timeline.Entry) bool { return e.Kind != timeline.FaultInjection })
 	if len(inj) != 1 || inj[0].Fault != "f1" {
 		t.Fatalf("injections = %+v", inj)
@@ -298,7 +298,7 @@ func TestCrashNotifiesAndRecords(t *testing.T) {
 		t.Errorf("observer did not see the crash")
 	}
 	// The dying node's timeline records the CRASH state change.
-	last, ok := rt.Store().Get("dying").LastState()
+	last, ok := rt.SnapshotTimeline("dying").LastState()
 	if !ok || last != spec.StateCrash {
 		t.Errorf("last state = %q", last)
 	}
@@ -361,7 +361,7 @@ func TestRestartOnDifferentHost(t *testing.T) {
 		t.Errorf("restart host = %s", h2)
 	}
 	// One timeline spans both runs, with host attribution for both hosts.
-	tl := rt.Store().Get("phoenix")
+	tl := rt.SnapshotTimeline("phoenix")
 	hostsSeen := map[string]bool{}
 	for _, e := range tl.Entries {
 		if e.Kind == timeline.HostChange {
@@ -503,7 +503,7 @@ func TestWatchdogDeclaresSilentNodeCrashed(t *testing.T) {
 	waitFor(t, "watchdog crash", func() bool { return n.Outcome() == "crashed" })
 	close(block)
 	rt.Wait(5 * time.Second)
-	if last, ok := rt.Store().Get("mute").LastState(); !ok || last != spec.StateCrash {
+	if last, ok := rt.SnapshotTimeline("mute").LastState(); !ok || last != spec.StateCrash {
 		t.Errorf("watchdog crash not recorded; last state %q", last)
 	}
 }
@@ -790,7 +790,7 @@ func TestConcurrentNotificationsManyNodes(t *testing.T) {
 	}
 	wg.Wait()
 	for _, nick := range nicks {
-		tl := rt.Store().Get(nick)
+		tl := rt.SnapshotTimeline(nick)
 		if err := tl.Validate(); err != nil {
 			t.Errorf("%s: %v", nick, err)
 		}
@@ -812,7 +812,7 @@ func TestHandleString(t *testing.T) {
 	rt.StartNode("n", "h1")
 	rt.Wait(5 * time.Second)
 	found := false
-	for _, e := range rt.Store().Get("n").Entries {
+	for _, e := range rt.SnapshotTimeline("n").Entries {
 		if e.Kind == timeline.Note && e.Text == "custom note" {
 			found = true
 		}

@@ -191,9 +191,5 @@ func (c *CentralDaemon) RunExperiment(nodes []spec.NodeEntry, timeout time.Durat
 		tr.Event(c.rt.clk.Now(), obs.CatPhase, "seal", detail)
 	}
 
-	c.rt.mu.Lock()
-	timelines := c.rt.store.AppendAll(c.rt.spent)
-	c.rt.spent = nil
-	c.rt.mu.Unlock()
-	return ExperimentResult{Completed: completed, Outcomes: c.rt.Outcomes(), Timelines: timelines}, nil
+	return ExperimentResult{Completed: completed, Outcomes: c.rt.Outcomes(), Timelines: c.rt.CollectTimelines()}, nil
 }

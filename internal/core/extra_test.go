@@ -135,7 +135,7 @@ func TestInjectionRecordPrecedesAction(t *testing.T) {
 	})
 	rt.StartNode("n", "h1")
 	rt.Wait(5 * time.Second)
-	tl := rt.Store().Get("n")
+	tl := rt.SnapshotTimeline("n")
 	inj := slices.DeleteFunc(slices.Clone(tl.Entries), func(e timeline.Entry) bool { return e.Kind != timeline.FaultInjection })
 	if len(inj) != 1 || inj[0].Fault != "f" {
 		t.Fatalf("injections = %+v", inj)

@@ -328,7 +328,7 @@ func TestRestartElsewhereCopiesSharedHostList(t *testing.T) {
 		}
 	}
 	for nick, want := range map[string]string{"a": "[h1 h2]", "b": "[h1 h3]"} {
-		if got := fmt.Sprint(rt.Store().Get(nick).Hosts); got != want {
+		if got := fmt.Sprint(rt.SnapshotTimeline(nick).Hosts); got != want {
 			t.Errorf("%s's timeline hosts = %s, want %s", nick, got, want)
 		}
 	}

@@ -347,9 +347,6 @@ func (r *Runtime) Rewind(local, remote time.Duration) {
 	}
 }
 
-// Store returns the shared timeline repository.
-func (r *Runtime) Store() *timeline.Store { return r.store }
-
 // StartNode starts (or restarts) the named node on the named host. A node
 // whose nickname already has a stored timeline is a restart (§3.6.3); its
 // Handle reports Restarted and its recorder appends to the old timeline.
@@ -437,6 +434,17 @@ func (r *Runtime) RecycleTimelines(spent []*timeline.Local) {
 	clear(spent)
 	r.spent = spent[:0]
 	r.mu.Unlock()
+}
+
+// CollectTimelines returns the sealed experiment's timelines, ordered by
+// nickname, in the slice last handed back to RecycleTimelines, if any.
+// They are the caller's until it hands them back.
+func (r *Runtime) CollectTimelines() []*timeline.Local {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	timelines := r.store.AppendAll(r.spent)
+	r.spent = nil
+	return timelines
 }
 
 // Node returns the live node with the given nickname, or nil.
@@ -713,9 +721,10 @@ func (r *Runtime) route(fromHost string, note stateNote, to string) {
 	r.clk.AfterFunc(delay, d.run)
 }
 
-// delivery is one routed notification in flight. The runtime keeps the
-// spent ones, each with its run bound once, so scheduling a delivery
-// allocates nothing; run hands the value back before delivering.
+// delivery is one routed notification in flight, from route or from a
+// peer endpoint (handleTransportMessage). The runtime keeps the spent
+// ones, each with its run bound once, so scheduling a delivery allocates
+// nothing; run hands the value back before delivering.
 type delivery struct {
 	rt     *Runtime
 	target *Node

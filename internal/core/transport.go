@@ -71,7 +71,8 @@ func (r *Runtime) Transport() transport.Transport { return r.cfg.Transport }
 
 // SetTransportHook installs the receiver for transport frames the runtime
 // itself does not consume (cluster-protocol control and clock-sync
-// frames). The hook runs on the transport's read goroutine.
+// frames). The hook runs on the transport's read goroutine and, like a
+// transport.Handler, borrows the payload only until it returns.
 func (r *Runtime) SetTransportHook(hook func(m transport.Message)) {
 	r.mu.Lock()
 	r.transportHook = hook
@@ -136,7 +137,9 @@ func (r *Runtime) StartTransport() error {
 }
 
 // handleTransportMessage dispatches one inbound frame. It runs on the
-// transport's read goroutine.
+// transport's read goroutine and, as every transport.Handler, borrows
+// m.Payload only until it returns: application and chaos payloads decode
+// here, and the hook decodes what it queues.
 func (r *Runtime) handleTransportMessage(m transport.Message) {
 	if tr := r.trace.Load(); tr != nil {
 		tr.Event(r.clk.Now(), obs.CatTransport, "recv "+transport.KindName(m.Kind), m.From+"->"+m.To)
@@ -145,6 +148,10 @@ func (r *Runtime) handleTransportMessage(m transport.Message) {
 	case transport.KindNote:
 		r.mu.Lock()
 		target, live := r.nodes[m.To]
+		var d *delivery
+		if live {
+			d = r.newDelivery(target, stateNote{From: m.From, State: m.State})
+		}
 		r.mu.Unlock()
 		if !live {
 			if om := r.om; om != nil {
@@ -155,15 +162,12 @@ func (r *Runtime) handleTransportMessage(m transport.Message) {
 			}
 			return
 		}
-		// Deliver on a fresh goroutine, exactly like the in-process
-		// route(): remoteNotify runs the fault parser and possibly a
-		// blocking application InjectFault callback, which must not
-		// stall the transport's read loop (sync pings and every other
-		// inbound frame ride on it). Untracked by design: socket
-		// transports only run in cluster mode, which Open rejects under
-		// virtual time, so quiescence tracking never sees this path.
-		//lint:allow untrackedgo socket-only path, never runs under clock.Virtual
-		go target.remoteNotify(stateNote{From: m.From, State: m.State})
+		// Deliver as a task of the runtime's clock, in a delivery the
+		// runtime kept, exactly like the in-process route(): remoteNotify
+		// runs the fault parser and possibly a blocking application
+		// InjectFault callback, which must not stall the transport's read
+		// loop (sync pings and every other inbound frame ride on it).
+		r.clk.Go(d.run)
 	case transport.KindApp:
 		r.mu.Lock()
 		target, live := r.nodes[m.To]

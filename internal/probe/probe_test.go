@@ -66,7 +66,7 @@ func TestInstrumentedDispatch(t *testing.T) {
 	}
 	// The unknown fault left a note.
 	foundNote := false
-	for _, e := range rt.Store().Get("n").Entries {
+	for _, e := range rt.SnapshotTimeline("n").Entries {
 		if e.Kind == timeline.Note && containsSub(e.Text, "mystery") {
 			foundNote = true
 		}
@@ -204,7 +204,7 @@ func TestNoteFault(t *testing.T) {
 	in.InjectFault(n.Handle(), "noop")
 	rt.Wait(5 * time.Second)
 	found := false
-	for _, e := range rt.Store().Get("n").Entries {
+	for _, e := range rt.SnapshotTimeline("n").Entries {
 		if e.Kind == timeline.Note && containsSub(e.Text, "noop") {
 			found = true
 		}

@@ -206,7 +206,7 @@ func encodeFuzzData(t testing.TB, d *Data) []byte {
 	return w.b
 }
 
-// edgeData is a model of boundary values: math.MinInt64 and negative
+// edgeData is a model of boundary values: the least int and int64 and negative
 // counts everywhere a number is written, zero totals, an all-zero and a
 // negative histogram (its widths are exponents with a '+'), empty heatmap
 // cells and a ragged row, names of the bytes the escaper replaces.
@@ -215,7 +215,7 @@ func edgeData() *Data {
 		Campaign:    "\x00+",
 		Fingerprint: "'\"",
 		Sources:     Sources{Journal: true, Traces: -1},
-		Totals:      campaign.Tally{Experiments: math.MinInt64, Accepted: -3},
+		Totals:      campaign.Tally{Experiments: math.MinInt, Accepted: -3},
 		Points: []PointReport{
 			{Point: "a/b", Verdicts: campaign.Tally{}},
 			{Point: "\xff\xfe", Verdicts: campaign.Tally{Experiments: -5, Accepted: 0}},
@@ -223,7 +223,7 @@ func edgeData() *Data {
 		Heatmap: &Heatmap{
 			Cols: []string{"<b>", ""},
 			Rows: []HeatRow{
-				{Name: "&", Cells: []HeatCell{{}, {Total: -2, Accepted: math.MaxInt64}}},
+				{Name: "&", Cells: []HeatCell{{}, {Total: -2, Accepted: math.MaxInt}}},
 				{Name: "", Cells: nil},
 			},
 		},

@@ -137,19 +137,48 @@ func Decode(r io.Reader) (*Local, error) {
 }
 
 // DecodeString is Decode from a string.
-func DecodeString(s string) (*Local, error) {
-	l := new(Local)
-	if err := l.decode(s); err != nil {
+func DecodeString(s string) (*Local, error) { return DecodeStringInto(s, nil) }
+
+// DecodeStringInto is DecodeString into spare, a timeline nothing else
+// references any more (nil decodes into a fresh one). The entries reuse
+// spare's entry array, and the owner and each name list that read as
+// spare's are spare's own, so a timeline that repeats its predecessor's
+// header reads its names from it, not from s; a list that differs is
+// built anew, since spare's may be shared and is never written. The fault
+// list is parsed anew. On error spare is spent, and nil is returned.
+func DecodeStringInto(s string, spare *Local) (*Local, error) {
+	l := spare
+	if l == nil {
+		l = new(Local)
+	}
+	if err := l.decode(s, spare); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// decode parses doc in place: it walks doc's lines and splits each into a
-// fixed array, so the decoded names are substrings of doc. On error l is
-// left as it was.
-func (l *Local) decode(doc string) error {
-	var out Local
+// Owner returns the owner a document names, as Decode reads it: its first
+// line that is neither blank nor a comment, trimmed ("" if there is none).
+func Owner(doc string) string {
+	for rest := doc; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if line = strings.TrimSpace(line); line != "" && line[0] != '#' {
+			return line
+		}
+	}
+	return ""
+}
+
+// decode parses doc into l, reusing the storage of spare (nil, or l itself)
+// as DecodeStringInto says: it walks doc's lines and splits each into a
+// fixed array, so the decoded names are substrings of doc or spare's own.
+// On error l's fields are left as they were.
+func (l *Local) decode(doc string, spare *Local) error {
+	var out, old Local
+	if spare != nil {
+		old, out.Entries = *spare, spare.Entries[:0]
+	}
 	section := "owner"
 	currentHost := ""
 	lineNo := 0
@@ -162,7 +191,9 @@ func (l *Local) decode(doc string) error {
 			continue
 		}
 		if section == "owner" {
-			out.Owner = line
+			if out.Owner = line; line == old.Owner {
+				out.Owner = old.Owner
+			}
 			section = "await"
 			continue
 		}
@@ -188,25 +219,25 @@ func (l *Local) decode(doc string) error {
 			if err != nil {
 				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			out.Machines = append(out.Machines, name)
+			out.Machines = addName(out.Machines, old.Machines, name)
 		case "global_state_list":
 			name, err := parseIndexed(line, len(out.GlobalStates))
 			if err != nil {
 				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			out.GlobalStates = append(out.GlobalStates, name)
+			out.GlobalStates = addName(out.GlobalStates, old.GlobalStates, name)
 		case "event_list":
 			name, err := parseIndexed(line, len(out.Events))
 			if err != nil {
 				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			out.Events = append(out.Events, name)
+			out.Events = addName(out.Events, old.Events, name)
 		case "host_list":
 			name, err := parseIndexed(line, len(out.Hosts))
 			if err != nil {
 				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			out.Hosts = append(out.Hosts, name)
+			out.Hosts = addName(out.Hosts, old.Hosts, name)
 		case "fault_list":
 			fields := strings.Fields(line)
 			if len(fields) < 4 {
@@ -225,8 +256,10 @@ func (l *Local) decode(doc string) error {
 			if err != nil {
 				return fmt.Errorf("timeline: line %d: %v", lineNo, err)
 			}
-			if out.Entries == nil { // sized once: every line left could be an entry
-				out.Entries = make([]Entry, 0, strings.Count(rest, "\n")+1)
+			if len(out.Entries) == 0 { // sized once: every line left could be an entry
+				if n := strings.Count(rest, "\n") + 1; cap(out.Entries) < n {
+					out.Entries = make([]Entry, 0, n)
+				}
 			}
 			out.Entries = append(out.Entries, e)
 		default:
@@ -240,6 +273,16 @@ func (l *Local) decode(doc string) error {
 	return nil
 }
 
+// addName appends name to list, the name list decode is building, which is
+// a clipped prefix of spare, spare's list of that section, for as long as
+// every name read matches spare's: appending to it past that copies it.
+func addName(list, spare []string, name string) []string {
+	if n := len(list); n < len(spare) && spare[n] == name && (n == 0 || &list[0] == &spare[0]) {
+		return spare[: n+1 : n+1]
+	}
+	return append(list, name)
+}
+
 // MarshalText renders the timeline as its §3.5.6 text, so a record that
 // carries local timelines (the checkpoint journal's) holds each as one JSON
 // string and shares one format with the .timeline artifacts and the
@@ -247,7 +290,7 @@ func (l *Local) decode(doc string) error {
 func (l *Local) MarshalText() ([]byte, error) { return l.AppendText(nil) }
 
 // UnmarshalText reverses MarshalText.
-func (l *Local) UnmarshalText(b []byte) error { return l.decode(string(b)) }
+func (l *Local) UnmarshalText(b []byte) error { return l.decode(string(b), nil) }
 
 func parseIndexed(line string, want int) (string, error) {
 	var fields [2]string

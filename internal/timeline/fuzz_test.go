@@ -92,15 +92,21 @@ func localOf(g *analysis.Global, machine string) *timeline.Local {
 // replaced on every document (the same timeline, or the same error);
 // AppendText must write what the fmt-based reference encoder it replaced
 // writes for every timeline the decoder accepts; and that encoding must
-// decode back: Decode∘Encode is the identity on local timelines.
+// decode back: Decode∘Encode is the identity on local timelines. Decoded
+// into a spare (a golden timeline), every document reads as a fresh decode
+// does, and no list of the spare's is written.
 //
 // Mutation-checked: AppendText writing e.Time.Lo() in both time fields
 // fails on the first golden seed.
 func FuzzDecodeTimeline(f *testing.F) {
+	var spareDoc string
 	for _, l := range goldenLocals(f) {
 		doc, err := timeline.ReferenceEncodeString(l) // not the encoder under test
 		if err != nil {
 			f.Fatal(err)
+		}
+		if spareDoc == "" {
+			spareDoc = doc
 		}
 		f.Add(doc)
 		f.Add(strings.ReplaceAll(doc, "\n", "\r\n"))
@@ -114,6 +120,7 @@ func FuzzDecodeTimeline(f *testing.F) {
 		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 			t.Fatalf("decode error %v, the reference decoder's %v", err, refErr)
 		}
+		intoSpare(t, doc, spareDoc, l, err)
 		if err != nil {
 			return
 		}
@@ -140,4 +147,38 @@ func FuzzDecodeTimeline(f *testing.F) {
 			t.Fatalf("Decode∘Encode changed the timeline:\n got: %+v\nwant: %+v", back, l)
 		}
 	})
+}
+
+// intoSpare decodes doc into a spare decoded from spareDoc and fails unless
+// it reads as want, a fresh decode of doc (wantErr its error), and the
+// spare's lists read as they did.
+func intoSpare(t *testing.T, doc, spareDoc string, want *timeline.Local, wantErr error) {
+	t.Helper()
+	spare, err := timeline.DecodeString(spareDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := [][]string{spare.Machines, spare.GlobalStates, spare.Events, spare.Hosts}
+	saved := make([][]string, len(lists))
+	for i := range lists {
+		saved[i] = slices.Clone(lists[i])
+	}
+	got, err := timeline.DecodeStringInto(doc, spare)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("decoding into a spare: error %v, a fresh decode's %v", err, wantErr)
+	}
+	for i := range lists {
+		if !slices.Equal(lists[i], saved[i]) {
+			t.Fatalf("decoding into a spare wrote its list %q (was %q)", lists[i], saved[i])
+		}
+	}
+	if err != nil {
+		return
+	}
+	if len(got.Entries) == 0 {
+		got.Entries = want.Entries // an empty reused array, or none
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded into a spare %+v, a fresh decode %+v", got, want)
+	}
 }

@@ -1,10 +1,12 @@
 package timeline
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/faultexpr"
@@ -109,6 +111,69 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if len(got.Faults) != 2 || got.Faults[1].Mode != faultexpr.Once {
 		t.Errorf("faults lost: %+v", got.Faults)
+	}
+}
+
+// TestDecodeStringIntoReusesSpare: decoding into a spare reads as a fresh
+// decode. The name lists that read as the spare's are the spare's own, a
+// list that differs is a new one and the spare's reads as it did, and the
+// entries reuse the spare's array; a warm decode of a timeline without
+// faults or notes allocates nothing.
+func TestDecodeStringIntoReusesSpare(t *testing.T) {
+	first, err := EncodeString(sampleTimeline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := sampleTimeline()
+	next.Hosts = []string{"host1", "host3"}
+	next.Entries = slices.DeleteFunc(next.Entries, func(e Entry) bool { return e.Host == "host2" })
+	second, err := EncodeString(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare, err := DecodeString(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := *spare
+	oldHosts := slices.Clone(old.Hosts)
+	got, err := DecodeStringInto(second, spare)
+	if err != nil || got != spare {
+		t.Fatalf("DecodeStringInto = %p, %v; want the spare %p", got, err, spare)
+	}
+	fresh, err := DecodeString(second)
+	if err != nil || !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("decoded into a spare:\n%+v\na fresh decode:\n%+v (%v)", got, fresh, err)
+	}
+	for name, l := range map[string][2][]string{"machines": {got.Machines, old.Machines}, "states": {got.GlobalStates, old.GlobalStates}, "events": {got.Events, old.Events}} {
+		if unsafe.SliceData(l[0]) != unsafe.SliceData(l[1]) {
+			t.Errorf("the %s list reads as the spare's but is not the spare's", name)
+		}
+	}
+	if unsafe.SliceData(got.Hosts) == unsafe.SliceData(old.Hosts) || !slices.Equal(old.Hosts, oldHosts) {
+		t.Errorf("a host list that differs was written into the spare's: %q, the spare's now %q", got.Hosts, old.Hosts)
+	}
+	if unsafe.SliceData(got.Entries) != unsafe.SliceData(old.Entries) {
+		t.Error("the entries do not reuse the spare's array")
+	}
+
+	plain := sampleTimeline()
+	plain.Faults = nil
+	plain.Entries = slices.DeleteFunc(plain.Entries, func(e Entry) bool { return e.Kind == FaultInjection || e.Kind == Note })
+	doc, err := EncodeString(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := DecodeString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if warm, err = DecodeStringInto(doc, warm); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm decode into a spare allocates %v objects, want 0", n)
 	}
 }
 

@@ -67,7 +67,8 @@ func Marshal(m Message) ([]byte, error) {
 }
 
 // decodeFrame decodes a frame body, reading its header strings through
-// names (a nil table copies each, so nothing it returns aliases b).
+// names (a nil table copies each). The strings never alias b; the payload
+// is b's own bytes, clipped, which a handler only borrows (see Handler).
 func decodeFrame(b []byte, names *intern.Table) (Message, error) {
 	var m Message
 	if len(b) < 9 {
@@ -97,14 +98,15 @@ func decodeFrame(b []byte, names *intern.Table) (Message, error) {
 		return m, fmt.Errorf("transport: payload length %d does not match remaining %d bytes", n, len(b))
 	}
 	if n > 0 {
-		m.Payload = append([]byte(nil), b...)
+		m.Payload = b[:n:n]
 	}
 	return m, nil
 }
 
 // frameReader is one read loop's decoder: the buffer it reads bodies into,
 // and a table of the header names it has returned, which repeat frame after
-// frame. Nothing it returns aliases buf: the payload is copied.
+// frame. The strings it returns never alias buf; the payload it returns is
+// buf's bytes, lent to the handler until the next read overwrites them.
 type frameReader struct {
 	buf   []byte
 	names intern.Table

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // FuzzUnmarshalFrame feeds the frame decoder — the first thing every
@@ -12,8 +13,8 @@ import (
 // must never panic, and whatever it accepts must survive a re-encode:
 // decodeFrame∘Marshal is the identity on messages. A read loop's frame
 // reader, its names table warmed on the seed frames, decodes each input
-// to what decodeFrame does, error included, and returns nothing that
-// aliases the bytes it read.
+// to what decodeFrame does, error included; its payload is the last bytes
+// it read, clipped, and no header string aliases them.
 func FuzzUnmarshalFrame(f *testing.F) {
 	var seeds [][]byte
 	for _, m := range []Message{
@@ -42,14 +43,20 @@ func FuzzUnmarshalFrame(f *testing.F) {
 		}
 		in := bytes.Clone(b)
 		got, gerr := r.decode(in)
-		for i := range in {
-			in[i] ^= 0xff
-		}
 		if fmt.Sprint(gerr) != fmt.Sprint(err) || !reflect.DeepEqual(got, m) {
 			t.Fatalf("a warm reader reads %+v (%v), decodeFrame %+v (%v)", got, gerr, m, err)
 		}
 		if err != nil {
 			return
+		}
+		if p := got.Payload; len(p) > 0 && (unsafe.SliceData(p) != &in[len(in)-len(p)] || cap(p) != len(p)) {
+			t.Fatalf("the payload is not the last %d bytes read, clipped", len(p))
+		}
+		for i := range in {
+			in[i] ^= 0xff
+		}
+		if got.Payload = m.Payload; !reflect.DeepEqual(got, m) {
+			t.Fatalf("overwriting the bytes read changed the header: %+v, want %+v", got, m)
 		}
 		body, err := Marshal(m)
 		if err != nil {

@@ -31,10 +31,10 @@ func (n *InprocNet) Endpoint(topo Topology) (*Inproc, error) {
 }
 
 // Inproc is the in-process wire: a frame is delivered by direct function
-// call on the sender's goroutine, with no serialization — the handler gets
-// the sender's strings and a copy of its payload, which the sender only
-// lent (see Transport) — which is why inproc stays the fast default for
-// single-process studies.
+// call on the sender's goroutine, with no serialization and no copy — the
+// handler gets the sender's strings and borrows its payload for the call,
+// which is the span the sender lent it for (see Transport) — which is why
+// inproc stays the fast default for single-process studies.
 type Inproc struct {
 	endpoint
 	net *InprocNet
@@ -52,17 +52,14 @@ func (t *Inproc) listen(string) (string, error) {
 }
 
 // send calls the peer's receive side directly. Inproc frames are never
-// serialized; payload length stands in for wire bytes. The handler may keep
-// the payload, which the sender only lent, so it gets a copy.
+// serialized; payload length stands in for wire bytes. The handler borrows
+// the payload only until it returns, and so does the send.
 func (t *Inproc) send(peer, _ string, m Message) (int, error) {
 	t.net.mu.Lock()
 	dst := t.net.endpoints[peer]
 	t.net.mu.Unlock()
 	if dst == nil {
 		return 0, fmt.Errorf("transport: inproc peer %q is not on the network", peer)
-	}
-	if len(m.Payload) > 0 {
-		m.Payload = append([]byte(nil), m.Payload...)
 	}
 	dst.deliver(m, len(m.Payload))
 	return len(m.Payload), nil

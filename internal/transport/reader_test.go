@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/intern"
 )
@@ -50,13 +51,14 @@ func readerFrames(t testing.TB) []Message {
 // TestFrameReaderMatchesUnmarshal: one warm frame reader decodes every
 // frame, and every truncation of it read in between, to what a fresh
 // decodeFrame makes of it, error included. The reader decodes out of its own
-// buffer, which is overwritten after each read, and every frame it
-// returned before must read as it did: nothing it returns aliases the
-// buffer. Run under -race in CI.
+// buffer, which is overwritten after each read. The payload it returns is
+// that buffer's bytes, clipped, which a handler only borrows; every frame
+// it returned before must keep its header strings as they read: no string
+// aliases the buffer. Run under -race in CI.
 //
 // Mutation-checked: a reader that slices its strings out of the buffer
 // (unsafe.String) fails on the first frame read after an overwrite, and
-// so does one that returns the payload without copying it.
+// one that copies the payload fails its aliasing check.
 func TestFrameReaderMatchesUnmarshal(t *testing.T) {
 	r := newFrameReader()
 	var seen, want []Message
@@ -74,10 +76,14 @@ func TestFrameReaderMatchesUnmarshal(t *testing.T) {
 					t.Fatalf("pass %d frame %d (%d of %d bytes): the reader reads %+v (%v), decodeFrame %+v (%v)",
 						pass, i, len(in), len(body), got, gerr, fresh, ferr)
 				}
+				if p := got.Payload; len(p) > 0 && (unsafe.SliceData(p) != &r.buf[n-len(p)] || cap(p) != len(p)) {
+					t.Fatalf("pass %d frame %d: the payload is not the read buffer's last %d bytes, clipped", pass, i, len(p))
+				}
 				for j := range r.buf[:n] {
 					r.buf[j] ^= 0xff
 				}
 				if gerr == nil {
+					got.Payload, fresh.Payload = nil, nil // lent, and now overwritten
 					seen, want = append(seen, got), append(want, fresh)
 				}
 				for k := range seen {
@@ -112,16 +118,17 @@ func tcpFrame(t testing.TB, m Message) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
-// TestFrameReaderAllocBudget: a warm reader's only allocation is the
-// payload it copies, whether it decodes a UDP datagram's body or reads a
-// TCP frame off a stream. Run under -race in CI.
+// TestFrameReaderAllocBudget: a warm reader allocates nothing, whether it
+// decodes a UDP datagram's body or reads a TCP frame off a stream, with a
+// payload or without: it lends the payload out of its buffer. Run under
+// -race in CI.
 func TestFrameReaderAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		m    Message
 		want float64
 	}{
 		{Message{Kind: KindNote, Epoch: 3, From: "black", FromHost: "h1", To: "green", ToHost: "h2", State: "LEAD"}, 0},
-		{Message{Kind: KindApp, Epoch: 3, From: "black", FromHost: "h1", To: "green", ToHost: "h2", Payload: []byte("vote")}, 1},
+		{Message{Kind: KindApp, Epoch: 3, From: "black", FromHost: "h1", To: "green", ToHost: "h2", Payload: []byte("vote")}, 0},
 	} {
 		r := newFrameReader()
 		body, err := Marshal(c.m)
@@ -159,10 +166,9 @@ func TestFrameReaderRefusesOversizeLength(t *testing.T) {
 }
 
 // TestWireRoundTripAllocBudget: a frame sent between two warm UDP or TCP
-// endpoints costs one allocation, its payload's copy, and none without a
-// payload. So a warm send allocates nothing (it encodes into the wire's
-// buffer), and a warm receive only the payload (TestFrameReaderAllocBudget).
-// Run under -race in CI.
+// endpoints allocates nothing, with a payload or without: a warm send
+// encodes into the wire's buffer, and a warm receive lends the payload out
+// of the read loop's (TestFrameReaderAllocBudget). Run under -race in CI.
 func TestWireRoundTripAllocBudget(t *testing.T) {
 	for _, kind := range []string{KindNameUDP, KindNameTCP} {
 		eps, err := NewLoopbackCluster(kind, clusterHosts)
@@ -182,7 +188,7 @@ func TestWireRoundTripAllocBudget(t *testing.T) {
 			want float64
 		}{
 			{Message{Kind: KindNote, From: "black", FromHost: "h1", To: "green", ToHost: "h2", State: "LEAD"}, 0},
-			{Message{Kind: KindApp, From: "black", FromHost: "h1", To: "green", ToHost: "h2", Payload: []byte("vote")}, 1},
+			{Message{Kind: KindApp, From: "black", FromHost: "h1", To: "green", ToHost: "h2", Payload: []byte("vote")}, 0},
 		} {
 			roundTrip := func() {
 				if err := eps["alpha"].SendHost("h2", c.m); err != nil {

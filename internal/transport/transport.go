@@ -16,9 +16,9 @@
 // only how a frame reaches a peer:
 //
 //   - Inproc: a direct function call on the sender's goroutine; every
-//     endpoint lives in this process and nothing is serialized, though
-//     the payload is copied (see Transport). This is the fast default;
-//     single-process studies pay no new cost.
+//     endpoint lives in this process and nothing is serialized or copied
+//     (see Transport). This is the fast default; single-process studies
+//     pay no new cost.
 //   - UDP: one datagram socket per endpoint, one frame per datagram.
 //   - TCP: a listener plus lazily-dialed peer connections with
 //     length-prefixed framing and reconnect-on-error.
@@ -60,7 +60,8 @@ const (
 )
 
 // Message is one frame crossing the transport. A delivered frame's strings
-// may be shared with other frames; its Payload is the handler's own.
+// may be shared with other frames, and stay valid; its Payload is only
+// borrowed (see Handler).
 type Message struct {
 	// Epoch is the experiment epoch the frame belongs to. Stamped by the
 	// transport at send time; frames from another epoch are dropped on
@@ -77,12 +78,17 @@ type Message struct {
 	FromHost, ToHost string
 	// State is the new state for KindNote.
 	State string
-	// Payload is the frame body for the other kinds.
+	// Payload is the frame body for the other kinds. A sender lends it
+	// for the send, a handler borrows it for the call.
 	Payload []byte
 }
 
 // Handler receives inbound frames. It runs on the transport's read
-// goroutine: implementations must not block for long, and may keep m.
+// goroutine (Inproc: the sender's), so implementations must not block for
+// long. It may keep m's strings, but it borrows m.Payload until it
+// returns: the bytes are the read loop's buffer, which the next frame
+// overwrites, or the sender's, which it reuses. A handler decodes what it
+// needs before it returns, and copies what it keeps.
 type Handler func(m Message)
 
 // Topology says who is where: this endpoint's peer name, every peer's
@@ -141,8 +147,8 @@ func (t Topology) PeerNames() []string {
 // A sent payload is borrowed: SendHost, SendPeer and Broadcast do not keep
 // m.Payload after they return, so a sender may encode every frame into one
 // buffer it owns. The socket wires copy the payload into their frame
-// buffer; Inproc, whose receiver keeps the Message it is handed, copies it
-// once per receiver.
+// buffer; Inproc lends it on to the receiver's handler, which borrows it
+// only until it returns (see Handler), so nothing copies it.
 type Transport interface {
 	// Name identifies the implementation: "inproc", "udp", or "tcp".
 	Name() string

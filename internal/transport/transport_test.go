@@ -61,13 +61,15 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
-// collector accumulates received messages behind a lock.
+// collector accumulates received messages behind a lock, each with a copy
+// of the payload it only borrows.
 type collector struct {
 	mu   sync.Mutex
 	msgs []Message
 }
 
 func (c *collector) handle(m Message) {
+	m.Payload = bytes.Clone(m.Payload)
 	c.mu.Lock()
 	c.msgs = append(c.msgs, m)
 	c.mu.Unlock()
@@ -197,11 +199,14 @@ func TestUDPEpochFilter(t *testing.T)    { testEpochFilter(t, KindNameUDP) }
 func TestTCPEpochFilter(t *testing.T)    { testEpochFilter(t, KindNameTCP) }
 
 // TestSentPayloadIsBorrowed: a sender may overwrite its payload buffer as
-// soon as SendPeer returns, and every payload a handler kept must still
-// read as it was sent, on every wire. Run under -race in CI.
+// soon as SendPeer returns, and every payload a handler copied while it
+// borrowed it must read as it was sent, on every wire: the send lends the
+// payload, the handler borrows it, and the handler's call lies within the
+// send or after the wire's own copy. Run under -race in CI.
 //
-// Mutation-checked: without Inproc's copy of the payload, the inproc case
-// fails (each kept payload reads as the overwritten buffer).
+// Mutation-checked: a collector that keeps the payload without copying it
+// fails the inproc case (each kept payload reads as the overwritten
+// buffer), and so does an Inproc that delivers after send returns.
 func TestSentPayloadIsBorrowed(t *testing.T) {
 	for _, kind := range []string{KindNameInproc, KindNameUDP, KindNameTCP} {
 		t.Run(kind, func(t *testing.T) {

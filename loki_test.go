@@ -162,7 +162,7 @@ func TestFacadeTimelineRoundTrip(t *testing.T) {
 	})
 	rt.StartNode("worker", "h1")
 	rt.Wait(5 * time.Second)
-	text, err := loki.EncodeTimeline(rt.Store().Get("worker"))
+	text, err := loki.EncodeTimeline(rt.SnapshotTimeline("worker"))
 	if err != nil {
 		t.Fatal(err)
 	}
